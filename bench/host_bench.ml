@@ -11,9 +11,9 @@
     identical seeds give identical ops/accesses/events — only the host
     seconds vary between machines and runs.
 
-    Results serialize to [BENCH_sim.json], one result object per line, so
-    the committed baseline can be parsed (and the CI tolerance gate
-    applied) with plain string scanning — no JSON dependency. *)
+    Results serialize to [BENCH_sim.json], one result object per line;
+    the committed baseline is read back with {!Obs.Report.parse} for the
+    CI tolerance gate. *)
 
 module R = Harness.Registry
 module Runner = Harness.Runner
@@ -179,32 +179,15 @@ let specs =
       s_name = "fleet/chaos-quick";
       s_run =
         (fun () ->
-          let trials = 12 and batch = 3 and seed = 7 in
-          let tasks =
-            List.init
-              ((trials + batch - 1) / batch)
-              (fun b ->
-                let offset = b * batch in
-                let runs = min batch (trials - offset) in
-                Harness.Fleet.task
-                  ~label:(Printf.sprintf "chaos[%d..%d]" offset (offset + runs - 1))
-                  (fun () ->
-                    let buf = Buffer.create 1024 in
-                    let ppf = Format.formatter_of_buffer buf in
-                    let failed =
-                      Chaos.fuzz ~entries:Chaos.quick_entries ~offset
-                        ~summary:false ~runs ~seed ppf
-                    in
-                    Format.pp_print_flush ppf ();
-                    failed))
-          in
+          let trials = 12 and seed = 7 in
           let jobs = min 4 (Harness.Fleet.default_jobs ()) in
           let host0 = Unix.gettimeofday () in
-          let fails =
-            Harness.Fleet.map ~jobs ~reset:Chaos.fresh_world tasks
+          let failed, _ =
+            Chaos.fleet
+              (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
+              ~jobs ~batch:3 ~trials ~seed
           in
           let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
-          let failed = List.fold_left ( + ) 0 fails in
           {
             Runner.name = "fleet/chaos-quick";
             topo_name = "host";
@@ -255,7 +238,7 @@ let measure ?(repeats = 3) (s : spec) =
 let run ?(repeats = 3) () = List.map (measure ~repeats) specs
 
 (* ------------------------------------------------------------------ *)
-(* JSON (line-oriented, hand-rolled)                                   *)
+(* JSON (one result per line)                                          *)
 
 let result_line r =
   Printf.sprintf
@@ -279,51 +262,27 @@ let write_json path results =
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison                                                 *)
 
-(* Scan one [result_line]-shaped line for a ["key": value] field. *)
-let field_of_line line key =
-  let pat = Printf.sprintf "\"%s\": " key in
-  let plen = String.length pat in
-  let llen = String.length line in
-  let rec find i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then
-      let j = ref (i + plen) in
-      let k = ref !j in
-      while
-        !k < llen && (match line.[!k] with ',' | '}' -> false | _ -> true)
-      do
-        incr k
-      done;
-      Some (String.trim (String.sub line !j (!k - !j)))
-    else find (i + 1)
-  in
-  find 0
-
-let string_field line key =
-  match field_of_line line key with
-  | Some v
-    when String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"'
-    ->
-      Some (Scanf.unescaped (String.sub v 1 (String.length v - 2)))
-  | _ -> None
-
-let float_field line key =
-  match field_of_line line key with
-  | Some v -> float_of_string_opt v
-  | None -> None
-
 (** Parse a committed [BENCH_sim.json] into
-    [(name, ops_per_hs, accesses_per_hs)] rows. *)
+    [(name, ops_per_hs, accesses_per_hs)] rows; rows missing a field are
+    skipped, and unparsable content has none. *)
 let parse_baseline content =
-  String.split_on_char '\n' content
-  |> List.filter_map (fun line ->
-         match
-           ( string_field line "name",
-             float_field line "ops_per_hs",
-             float_field line "accesses_per_hs" )
-         with
-         | Some name, Some ops, Some acc -> Some (name, ops, acc)
-         | _ -> None)
+  let module J = Obs.Report in
+  let field k conv row = Option.bind (J.member k row) conv in
+  let rows =
+    match J.parse content with
+    | Ok j -> Option.value ~default:[] (field "results" J.to_list j)
+    | Error _ -> []
+  in
+  List.filter_map
+    (fun row ->
+      match
+        ( field "name" J.to_str row,
+          field "ops_per_hs" J.to_number row,
+          field "accesses_per_hs" J.to_number row )
+      with
+      | Some name, Some ops, Some acc -> Some (name, ops, acc)
+      | _ -> None)
+    rows
 
 type regression = {
   g_name : string;

@@ -29,7 +29,7 @@ let with_host_time label ops_done f =
      else "");
   r
 
-(* ---------------- run reports ---------------- *)
+(* ---------------- the subcommand skeleton ---------------- *)
 
 module J = Obs.Report
 
@@ -48,9 +48,100 @@ let report_arg =
            wasted-work section for every measured run. Deterministic for a \
            given seed; compare two reports with $(b,optik_bench diff).")
 
+let int_arg name ?(docv = "N") default doc =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
+
+let flag_arg name doc = Arg.(value & flag & info [ name ] ~doc)
+let seed_arg ?(default = 42) doc = int_arg "seed" default doc
+
+let machine_arg =
+  Arg.(
+    value & opt string "xeon"
+    & info [ "machine" ] ~docv:"M" ~doc:"xeon | opteron")
+
+let topology_of_machine = function
+  | "xeon" -> Sim.Topology.xeon
+  | "opteron" -> Sim.Topology.opteron
+  | m -> invalid_arg (Printf.sprintf "unknown machine %S (use xeon or opteron)" m)
+
 let write_report path (j : J.json) =
   Harness.Report.write path j;
   Printf.eprintf "[host] wrote report %s\n%!" path
+
+(* The one exit path of every subcommand: [body ()] checks and builds its
+   configuration, runs and prints, and returns whether it failed plus its
+   report. An [Invalid_argument] it raises — a malformed flag, trial
+   string or fault plan, or a configuration a library rejects before
+   running — exits 2 with its message; the report is written when
+   --report was given; a failure exits 1. *)
+let main report body =
+  match body () with
+  | exception Invalid_argument msg ->
+      prerr_endline msg;
+      exit 2
+  | failed, (j : unit -> J.json) ->
+      Option.iter (fun path -> write_report path (j ())) report;
+      if failed then exit 1
+
+(* ---------------- trial streams ---------------- *)
+
+(* The chaos, kv and txn subcommands drive their trial family through
+   the chaos driver instead of one run when given these. *)
+let replay_arg doc =
+  Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"TRIAL" ~doc)
+
+type trials = Fuzz of int | Replay of string
+
+(* --fuzz N / --replay TRIAL; [None] is the single run. *)
+let trials_arg ~fuzz_doc ~replay_doc =
+  Term.(
+    const (fun n replay ->
+        if n > 0 then Some (Fuzz n) else Option.map (fun s -> Replay s) replay)
+    $ int_arg "fuzz" 0 fuzz_doc
+    $ replay_arg replay_doc)
+
+(* A trial stream's report sections: the failure count and the printed
+   lines. *)
+let trial_sections failures output =
+  let lines =
+    String.split_on_char '\n' output |> List.filter (fun l -> String.trim l <> "")
+  in
+  [
+    ("failures", J.Int failures);
+    ("trials", J.Arr (List.map (fun l -> J.Str l) lines));
+  ]
+
+(* Fuzz or replay [family] to stdout. With --report the stream renders
+   into a buffer first, so the same lines land both on stdout (unchanged
+   bytes) and in the report. *)
+let trial_stream ~subcommand ~seed ~params report family trials =
+  let module T = (val family : Chaos.TRIAL) in
+  let drive ppf =
+    match trials with
+    | Fuzz runs ->
+        with_host_time
+          (Printf.sprintf "%s fuzz %d trials" T.command runs)
+          (fun _ -> runs)
+          (fun () -> Chaos.fuzz family ~runs ~seed ppf)
+    | Replay s ->
+        with_host_time (T.command ^ " replay")
+          (fun _ -> 1)
+          (fun () -> Chaos.replay family s ppf)
+  in
+  let failures, sections =
+    match report with
+    | None -> (drive Format.std_formatter, [])
+    | Some _ ->
+        let buf = Buffer.create 8192 in
+        let ppf = Format.formatter_of_buffer buf in
+        let failures = drive ppf in
+        Format.pp_print_flush ppf ();
+        let output = Buffer.contents buf in
+        print_string output;
+        (failures, trial_sections failures output)
+  in
+  ( failures > 0,
+    fun () -> J.make ~subcommand ~seed:(Some seed) ~params ~runs:[] ~sections )
 
 (* ---------------- request tracing ---------------- *)
 
@@ -61,15 +152,12 @@ let write_report path (j : J.json) =
    runs are cycle-identical (emissions never advance the virtual clock),
    so turning them on cannot change the measured numbers. *)
 let attrib_arg =
-  Arg.(
-    value & flag
-    & info [ "attrib" ]
-        ~doc:
-          "Trace every request and attribute its latency to typed phases \
-           (queue, route, store, backoff, acquire, validate, commit, resync, \
-           dual-write): prints the per-phase and per-outcome summary and \
-           attaches the $(b,attrib) and $(b,timeline) sections to --report \
-           (diffable with $(b,optik_bench diff)).")
+  flag_arg "attrib"
+    "Trace every request and attribute its latency to typed phases (queue, \
+     route, store, backoff, acquire, validate, commit, resync, dual-write): \
+     prints the per-phase and per-outcome summary and attaches the \
+     $(b,attrib) and $(b,timeline) sections to --report (diffable with \
+     $(b,optik_bench diff))."
 
 let timeline_arg =
   Arg.(
@@ -154,6 +242,10 @@ let trace_analysis ~timeline_file (trace : Obs.Journal.record option) =
 
 (* ---------------- figures ---------------- *)
 
+let figure_mode ~full ~seed =
+  let base = if full then Figures.Experiments.full else Figures.Experiments.quick in
+  { base with Figures.Experiments.seed }
+
 let figures_cmd =
   let ids =
     let doc =
@@ -162,25 +254,16 @@ let figures_cmd =
     in
     Arg.(value & opt (some string) None & info [ "ids" ] ~docv:"IDS" ~doc)
   in
-  let full =
-    Arg.(value & flag & info [ "full" ] ~doc:"Dense thread sweeps (slower).")
-  in
+  let full = flag_arg "full" "Dense thread sweeps (slower)." in
   let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Workload seed threaded into every runner call (default 42, the \
-             seed the committed figures use). Two seeds make an A/B pair \
-             for $(b,optik_bench diff).")
+    seed_arg
+      "Workload seed threaded into every runner call (default 42, the seed \
+       the committed figures use). Two seeds make an A/B pair for \
+       $(b,optik_bench diff)."
   in
   let run ids full seed report =
-    let mode =
-      let base =
-        if full then Figures.Experiments.full else Figures.Experiments.quick
-      in
-      { base with Figures.Experiments.seed }
-    in
+    main report @@ fun () ->
+    let mode = figure_mode ~full ~seed in
     let ids =
       match ids with
       | None -> Figures.Experiments.all_ids
@@ -192,9 +275,9 @@ let figures_cmd =
          ids
      with
     | Some bad ->
-        Printf.eprintf "unknown experiment id %S; known ids: %s\n" bad
-          (String.concat ", " Figures.Experiments.all_ids);
-        exit 2
+        invalid_arg
+          (Printf.sprintf "unknown experiment id %S; known ids: %s" bad
+             (String.concat ", " Figures.Experiments.all_ids))
     | None -> ());
     let claims = ref [] in
     with_host_time
@@ -212,17 +295,12 @@ let figures_cmd =
           ids);
     Figures.Render.claims out !claims;
     let runs = Figures.Experiments.drain_measurements () in
-    match report with
-    | None -> ()
-    | Some path ->
-        write_report path
-          (Harness.Report.make ~subcommand:"figures" ~seed:(Some seed)
-             ~params:
-               [
-                 ("ids", J.Str (String.concat "," ids));
-                 ("full", J.Bool full);
-               ]
-             runs)
+    ( false,
+      fun () ->
+        Harness.Report.make ~subcommand:"figures" ~seed:(Some seed)
+          ~params:
+            [ ("ids", J.Str (String.concat "," ids)); ("full", J.Bool full) ]
+          runs )
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's figures (simulator).")
@@ -232,37 +310,27 @@ let figures_cmd =
 
 let fault_cmd =
   let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Fault-plan and workload seed: same seed, same schedule, same \
-             fault times, same verdicts.")
+    seed_arg
+      "Fault-plan and workload seed: same seed, same schedule, same fault \
+       times, same verdicts."
   in
-  let full =
-    Arg.(value & flag & info [ "full" ] ~doc:"Larger per-row op budgets.")
-  in
+  let full = flag_arg "full" "Larger per-row op budgets." in
   let run seed full report =
-    let mode =
-      let base =
-        if full then Figures.Experiments.full else Figures.Experiments.quick
-      in
-      { base with Figures.Experiments.seed }
-    in
+    main report @@ fun () ->
     with_host_time "fault"
       (fun _ -> 0)
       (fun () ->
-        let figs, cs = Figures.Experiments.run_id mode "fault" in
+        let figs, cs =
+          Figures.Experiments.run_id (figure_mode ~full ~seed) "fault"
+        in
         List.iter (Figures.Render.figure out) figs;
         Figures.Render.claims out cs);
     let runs = Figures.Experiments.drain_measurements () in
-    match report with
-    | None -> ()
-    | Some path ->
-        write_report path
-          (Harness.Report.make ~subcommand:"fault" ~seed:(Some seed)
-             ~params:[ ("full", J.Bool full) ]
-             runs)
+    ( false,
+      fun () ->
+        Harness.Report.make ~subcommand:"fault" ~seed:(Some seed)
+          ~params:[ ("full", J.Bool full) ]
+          runs )
   in
   Cmd.v
     (Cmd.info "fault"
@@ -280,7 +348,9 @@ let family_structures = function
   | "hashtable" -> Harness.Registry.Sim_backend.hashtables
   | "skiplist" -> Harness.Registry.Sim_backend.skiplists
   | "bst" -> Harness.Registry.Sim_backend.bsts
-  | f -> invalid_arg ("unknown family: " ^ f)
+  | f ->
+      invalid_arg
+        ("unknown family: " ^ f ^ " (use map, list, hashtable, skiplist or bst)")
 
 let run_cmd =
   let family =
@@ -297,37 +367,19 @@ let run_cmd =
       & info [ "structure" ] ~docv:"NAME"
           ~doc:"Structure name within the family (as in the figures).")
   in
-  let threads =
-    Arg.(value & opt int 10 & info [ "threads" ] ~docv:"N" ~doc:"Thread count.")
-  in
-  let size =
-    Arg.(value & opt int 1024 & info [ "size" ] ~docv:"N" ~doc:"Initial size.")
-  in
+  let threads = int_arg "threads" 10 "Thread count." in
+  let size = int_arg "size" 1024 "Initial size." in
   let updates =
-    Arg.(
-      value & opt int 40
-      & info [ "updates" ] ~docv:"PCT"
-          ~doc:"Attempted update percentage (split insert/delete).")
+    int_arg "updates" ~docv:"PCT" 40
+      "Attempted update percentage (split insert/delete)."
   in
-  let skewed =
-    Arg.(value & flag & info [ "skewed" ] ~doc:"Zipfian keys (a = 0.9).")
-  in
-  let machine =
-    Arg.(
-      value & opt string "xeon"
-      & info [ "machine" ] ~docv:"M" ~doc:"xeon | opteron")
-  in
-  let ops =
-    Arg.(value & opt int 20_000 & info [ "ops" ] ~docv:"N" ~doc:"Total operations.")
-  in
+  let skewed = flag_arg "skewed" "Zipfian keys (a = 0.9)." in
+  let ops = int_arg "ops" 20_000 "Total operations." in
   let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "RNG seed: same seed, same workload, same simulated schedule, \
-             same result. The effective seed is always printed so any run \
-             can be replayed.")
+    seed_arg
+      "RNG seed: same seed, same workload, same simulated schedule, same \
+       result. The effective seed is always printed so any run can be \
+       replayed."
   in
   let trace =
     Arg.(
@@ -342,41 +394,27 @@ let run_cmd =
              clock, so traced and untraced runs report identical figures.")
   in
   let profile =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "Record the run and print contention profiles: the hot-line \
-             table (coherence transfers, failed CAS, owner bounces and \
-             serialization stalls per allocation site), the ops/restarts \
-             time series and per-thread totals.")
+    flag_arg "profile"
+      "Record the run and print contention profiles: the hot-line \
+       table (coherence transfers, failed CAS, owner bounces and \
+       serialization stalls per allocation site), the ops/restarts \
+       time series and per-thread totals."
   in
   let run family structure threads size updates skewed machine ops seed trace
       profile report =
-    let topology =
-      match machine with
-      | "xeon" -> Sim.Topology.xeon
-      | "opteron" -> Sim.Topology.opteron
-      | m ->
-          Printf.eprintf "unknown machine %S (use xeon or opteron)\n" m;
-          exit 2
-    in
-    let structures =
-      try family_structures family
-      with Invalid_argument msg ->
-        Printf.eprintf "%s (use map, list, hashtable, skiplist or bst)\n" msg;
-        exit 2
-    in
+    main report @@ fun () ->
+    let topology = topology_of_machine machine in
+    let structures = family_structures family in
     let (module S : Harness.Registry.SET_OPS) =
       try Harness.Registry.Sim_backend.find_named structures structure
       with Not_found ->
-        Printf.eprintf "unknown structure %S in family %S; known: %s\n"
-          structure family
-          (String.concat ", "
-             (List.map
-                (fun (module S : Harness.Registry.SET_OPS) -> S.name)
-                structures));
-        exit 2
+        invalid_arg
+          (Printf.sprintf "unknown structure %S in family %S; known: %s"
+             structure family
+             (String.concat ", "
+                (List.map
+                   (fun (module S : Harness.Registry.SET_OPS) -> S.name)
+                   structures)))
     in
     let w =
       let base =
@@ -438,29 +476,27 @@ let run_cmd =
             Printf.printf "  trace           %s (%d events)\n" path
               s.Obs.Profile.s_events);
         if profile then Format.printf "%a@?" Obs.Profile.pp s);
-    match report with
-    | None -> ()
-    | Some path ->
-        write_report path
-          (Harness.Report.make ~subcommand:"run" ~seed:(Some seed)
-             ~params:
-               [
-                 ("family", J.Str family);
-                 ("structure", J.Str structure);
-                 ("threads", J.Int threads);
-                 ("size", J.Int size);
-                 ("updates", J.Int updates);
-                 ("skewed", J.Bool skewed);
-                 ("machine", J.Str machine);
-                 ("ops", J.Int ops);
-               ]
-             [ (Printf.sprintf "%s/%s" family structure, m) ])
+    ( false,
+      fun () ->
+        Harness.Report.make ~subcommand:"run" ~seed:(Some seed)
+          ~params:
+            [
+              ("family", J.Str family);
+              ("structure", J.Str structure);
+              ("threads", J.Int threads);
+              ("size", J.Int size);
+              ("updates", J.Int updates);
+              ("skewed", J.Bool skewed);
+              ("machine", J.Str machine);
+              ("ops", J.Int ops);
+            ]
+          [ (Printf.sprintf "%s/%s" family structure, m) ] )
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload against one structure.")
     Term.(
       const run $ family $ structure $ threads $ size $ updates $ skewed
-      $ machine $ ops $ seed $ trace $ profile $ report_arg)
+      $ machine_arg $ ops $ seed $ trace $ profile $ report_arg)
 
 (* ---------------- soak ---------------- *)
 
@@ -469,20 +505,14 @@ let run_cmd =
    (and report) is reproducible. The unbounded wall-clock soak remains
    test/soak.exe. *)
 let soak_cmd =
-  let runs_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "runs" ] ~docv:"N" ~doc:"Number of randomized runs (default 6).")
-  in
+  let runs_arg = int_arg "runs" 6 "Number of randomized runs (default 6)." in
   let seed =
-    Arg.(
-      value & opt int 424242
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Sweep seed (default 424242, the golden-digest seed): drives \
-             structure, topology, thread-count and workload sampling.")
+    seed_arg ~default:424242
+      "Sweep seed (default 424242, the golden-digest seed): drives \
+       structure, topology, thread-count and workload sampling."
   in
   let run runs seed report =
+    main report @@ fun () ->
     let module R = Harness.Registry in
     let rng = Harness.Rng.create seed in
     let topologies =
@@ -544,14 +574,11 @@ let soak_cmd =
             (Printf.sprintf "soak/%02d/%s" i S.name, m) :: !measured
         done);
     Printf.printf "soak finished: %d runs, %d failures\n" runs !failures;
-    (match report with
-    | None -> ()
-    | Some path ->
-        write_report path
-          (Harness.Report.make ~subcommand:"soak" ~seed:(Some seed)
-             ~params:[ ("runs", J.Int runs) ]
-             (List.rev !measured)));
-    if !failures > 0 then exit 1
+    ( !failures > 0,
+      fun () ->
+        Harness.Report.make ~subcommand:"soak" ~seed:(Some seed)
+          ~params:[ ("runs", J.Int runs) ]
+          (List.rev !measured) )
   in
   Cmd.v
     (Cmd.info "soak"
@@ -564,19 +591,12 @@ let soak_cmd =
 (* ---------------- chaos ---------------- *)
 
 let chaos_cmd =
-  let runs =
-    Arg.(
-      value & opt int 100
-      & info [ "runs" ] ~docv:"N" ~doc:"Number of random trials.")
-  in
+  let runs = int_arg "runs" 100 "Number of random trials." in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Fuzzing seed. Trial $(i,i) is drawn from seed + i*1000003, so a \
-             (seed, runs) pair is byte-deterministic and any sub-range can \
-             be re-fuzzed independently.")
+    seed_arg ~default:1
+      "Fuzzing seed. Trial $(i,i) is drawn from seed + i*1000003, so a \
+       (seed, runs) pair is byte-deterministic and any sub-range can be \
+       re-fuzzed independently."
   in
   let structures =
     Arg.(
@@ -588,110 +608,50 @@ let chaos_cmd =
              as printed in trial lines, e.g. list/harris,queue/ms-lf.")
   in
   let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:"Restrict to the fast representatives (no skip lists, no BST).")
+    flag_arg "quick"
+      "Restrict to the fast representatives (no skip lists, no BST)."
   in
   let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"TRIAL"
-          ~doc:
-            "Replay one trial string (as emitted in a repro line) instead of \
-             fuzzing, and print its verdict.")
+    replay_arg
+      "Replay one trial string (as emitted in a repro line) instead of \
+       fuzzing, and print its verdict."
   in
   let run runs seed structures quick replay report =
-    let entries =
-      if quick then Chaos.quick_entries else Chaos.default_entries
-    in
+    main report @@ fun () ->
+    let all = Chaos.default_entries in
     let entries =
       match structures with
-      | None -> entries
+      | None -> if quick then Chaos.quick_entries else all
       | Some s ->
           let names = String.split_on_char ',' s |> List.map String.trim in
-          (match
-             List.find_opt
-               (fun n ->
-                 not
-                   (List.exists
-                      (fun e -> String.equal e.Chaos.e_name n)
-                      Chaos.default_entries))
-               names
-           with
+          let known n = List.exists (fun e -> e.Chaos.e_name = n) all in
+          (match List.find_opt (fun n -> not (known n)) names with
           | Some bad ->
-              Printf.eprintf "unknown structure %S; known: %s\n" bad
-                (String.concat ", "
-                   (List.map
-                      (fun e -> e.Chaos.e_name)
-                      Chaos.default_entries));
-              exit 2
+              invalid_arg
+                (Printf.sprintf "unknown structure %S; known: %s" bad
+                   (String.concat ", " (List.map (fun e -> e.Chaos.e_name) all)))
           | None -> ());
-          List.filter
-            (fun e -> List.mem e.Chaos.e_name names)
-            Chaos.default_entries
+          List.filter (fun e -> List.mem e.Chaos.e_name names) all
     in
-    if entries = [] then begin
-      Printf.eprintf "no structures selected\n";
-      exit 2
-    end;
-    (* With --report the trial stream renders into a buffer so the same
-       lines can land both on stdout (unchanged bytes) and in the report. *)
-    let buf = Buffer.create 8192 in
-    let ppf =
-      if report = None then Format.std_formatter
-      else Format.formatter_of_buffer buf
-    in
-    let failures =
+    if entries = [] then invalid_arg "no structures selected";
+    (* Replay resolves names against the full table, so a repro from a
+       --quick run always parses. *)
+    let family, trials =
       match replay with
-      | Some s -> (
-          (* Replay resolves names against the full table, so a repro from
-             a --quick run always parses. *)
-          try
-            with_host_time "chaos replay"
-              (fun _ -> 1)
-              (fun () -> Chaos.replay ~entries:Chaos.default_entries s ppf)
-          with Invalid_argument msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 2)
-      | None ->
-          with_host_time
-            (Printf.sprintf "chaos %d trials" runs)
-            (fun _ -> runs)
-            (fun () -> Chaos.fuzz ~entries ~runs ~seed ppf)
+      | Some s -> (Chaos.sets all, Replay s)
+      | None -> (Chaos.sets entries, Fuzz runs)
     in
-    Format.pp_print_flush ppf ();
-    (match report with
-    | None -> ()
-    | Some path ->
-        let output = Buffer.contents buf in
-        print_string output;
-        let lines =
-          String.split_on_char '\n' output
-          |> List.filter (fun l -> String.trim l <> "")
-        in
-        write_report path
-          (J.make ~subcommand:"chaos" ~seed:(Some seed)
-             ~params:
-               [
-                 ("runs", J.Int runs);
-                 ("quick", J.Bool quick);
-                 ( "structures",
-                   match structures with
-                   | None -> J.Null
-                   | Some s -> J.Str s );
-                 ( "replay",
-                   match replay with None -> J.Null | Some s -> J.Str s );
-               ]
-             ~runs:[]
-             ~sections:
-               [
-                 ("failures", J.Int failures);
-                 ("trials", J.Arr (List.map (fun l -> J.Str l) lines));
-               ]);
-        Printf.eprintf "[host] wrote report %s\n%!" path);
-    if failures > 0 then exit 1
+    trial_stream ~subcommand:"chaos" ~seed
+      ~params:
+        [
+          ("runs", J.Int runs);
+          ("quick", J.Bool quick);
+          ("structures", match structures with None -> J.Null | Some s -> J.Str s);
+          ("replay", match replay with None -> J.Null | Some s -> J.Str s);
+        ]
+      report
+      (family :> (module Chaos.TRIAL))
+      trials
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -703,152 +663,81 @@ let chaos_cmd =
 
 (* ---------------- fleet ---------------- *)
 
+(* The trial families a fleet can farm out; --quick narrows chaos. *)
+let families ~quick =
+  [
+    ( "chaos",
+      (Chaos.sets (if quick then Chaos.quick_entries else Chaos.default_entries)
+        :> (module Chaos.TRIAL)) );
+    ("kv", (module Chaos.Kv_trial : Chaos.TRIAL));
+    ("txn", (module Chaos.Txn_trial : Chaos.TRIAL));
+  ]
+
 let fleet_cmd =
   let kind =
     Arg.(
       value
-      & opt (enum [ ("chaos", `Chaos); ("kv", `Kv); ("txn", `Txn) ]) `Chaos
+      & opt (enum (List.map (fun (k, _) -> (k, k)) (families ~quick:false))) "chaos"
       & info [ "kind" ] ~docv:"KIND"
           ~doc:
             "Which fuzzer to farm out: $(b,chaos) (registry structures), \
              $(b,kv) (sharded KV service) or $(b,txn) (optimistic \
              transactions).")
   in
-  let trials =
-    Arg.(
-      value & opt int 100
-      & info [ "trials" ] ~docv:"N" ~doc:"Total number of random trials.")
-  in
+  let trials = int_arg "trials" 100 "Total number of random trials." in
   let batch =
-    Arg.(
-      value & opt int 10
-      & info [ "batch" ] ~docv:"B"
-          ~doc:
-            "Trials per fleet task. Smaller batches balance better across \
-             domains; larger ones amortize per-task world resets. Output \
-             bytes do not depend on the batch size.")
+    int_arg "batch" ~docv:"B" 10
+      "Trials per fleet task. Smaller batches balance better across \
+       domains; larger ones amortize per-task world resets. Output \
+       bytes do not depend on the batch size."
   in
   let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs" ] ~docv:"J"
-          ~doc:
-            "Worker domains (default: the host's recommended domain count \
-             minus one). Output bytes do not depend on $(docv): trial i is \
-             always drawn from seed + i*1000003 and every task starts from \
-             a pristine per-domain simulator world.")
+    int_arg "jobs" ~docv:"J" 0
+      "Worker domains (default: the host's recommended domain count \
+       minus one). Output bytes do not depend on $(docv): trial i is \
+       always drawn from seed + i*1000003 and every task starts from \
+       a pristine per-domain simulator world."
   in
   let seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Fuzzing seed, same seeding scheme as the serial fuzzers.")
+    seed_arg ~default:1 "Fuzzing seed, same seeding scheme as the serial fuzzers."
   in
   let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "For $(b,--kind chaos): restrict to the fast representatives \
-             (no skip lists, no BST).")
+    flag_arg "quick"
+      "For $(b,--kind chaos): restrict to the fast representatives \
+       (no skip lists, no BST)."
   in
   let run kind trials batch jobs seed quick report =
-    if trials < 1 then begin
-      Printf.eprintf "fleet: --trials must be >= 1\n";
-      exit 2
-    end;
-    if batch < 1 then begin
-      Printf.eprintf "fleet: --batch must be >= 1\n";
-      exit 2
-    end;
-    let jobs =
-      if jobs = 0 then Harness.Fleet.default_jobs ()
-      else if jobs < 1 then begin
-        Printf.eprintf "fleet: --jobs must be >= 1\n";
-        exit 2
-      end
-      else jobs
+    main report @@ fun () ->
+    let at_least_1 flag v =
+      if v < 1 then invalid_arg (Printf.sprintf "fleet: --%s must be >= 1" flag)
     in
-    let kind_name, fuzz_batch =
-      match kind with
-      | `Chaos ->
-          let entries =
-            if quick then Chaos.quick_entries else Chaos.default_entries
-          in
-          ( "chaos",
-            fun ~offset ~runs ppf ->
-              Chaos.fuzz ~entries ~offset ~summary:false ~runs ~seed ppf )
-      | `Kv ->
-          ( "chaos-kv",
-            fun ~offset ~runs ppf ->
-              Chaos.fuzz_kv ~offset ~summary:false ~runs ~seed ppf )
-      | `Txn ->
-          ( "chaos-txn",
-            fun ~offset ~runs ppf ->
-              Chaos.fuzz_txn ~offset ~summary:false ~runs ~seed ppf )
-    in
-    (* One task per contiguous batch of trial indices. Each task renders
-       into its own buffer with absolute trial indices, so concatenating
-       the buffers in task order reproduces the serial fuzzer's output
-       byte for byte, whatever the jobs/batch split was. *)
-    let tasks =
-      List.init
-        ((trials + batch - 1) / batch)
-        (fun b ->
-          let offset = b * batch in
-          let runs = min batch (trials - offset) in
-          Harness.Fleet.task
-            ~label:(Printf.sprintf "%s[%d..%d]" kind_name offset
-                      (offset + runs - 1))
-            (fun () ->
-              let buf = Buffer.create 4096 in
-              let ppf = Format.formatter_of_buffer buf in
-              let failed = fuzz_batch ~offset ~runs ppf in
-              Format.pp_print_flush ppf ();
-              (failed, Buffer.contents buf)))
-    in
-    let results =
+    at_least_1 "trials" trials;
+    at_least_1 "batch" batch;
+    let jobs = if jobs = 0 then Harness.Fleet.default_jobs () else jobs in
+    at_least_1 "jobs" jobs;
+    let family = List.assoc kind (families ~quick) in
+    let module T = (val family) in
+    let failures, output =
       with_host_time
-        (Printf.sprintf "fleet %s %d trials (%d jobs)" kind_name trials jobs)
+        (Printf.sprintf "fleet %s %d trials (%d jobs)" T.name trials jobs)
         (fun _ -> trials)
-        (fun () ->
-          Harness.Fleet.map ~jobs ~reset:Chaos.fresh_world tasks)
+        (fun () -> Chaos.fleet family ~jobs ~batch ~trials ~seed)
     in
-    let failures = List.fold_left (fun a (f, _) -> a + f) 0 results in
-    let buf = Buffer.create 8192 in
-    List.iter (fun (_, s) -> Buffer.add_string buf s) results;
-    (* The merged summary matches the serial fuzzer's byte for byte (jobs
-       and batch never appear on stdout). *)
-    Buffer.add_string buf
-      (Printf.sprintf "%s: %d/%d trials failed (seed %d)\n" kind_name
-         failures trials seed);
-    let output = Buffer.contents buf in
     print_string output;
-    (match report with
-    | None -> ()
-    | Some path ->
-        let lines =
-          String.split_on_char '\n' output
-          |> List.filter (fun l -> String.trim l <> "")
-        in
-        (* Report params exclude jobs/batch: the report is a function of
-           (kind, trials, seed, quick) alone, so fleets of different
-           widths diff clean. *)
-        write_report path
-          (J.make ~subcommand:"fleet" ~seed:(Some seed)
-             ~params:
-               [
-                 ("kind", J.Str kind_name);
-                 ("trials", J.Int trials);
-                 ("quick", J.Bool quick);
-               ]
-             ~runs:[]
-             ~sections:
-               [
-                 ("failures", J.Int failures);
-                 ("trials", J.Arr (List.map (fun l -> J.Str l) lines));
-               ]));
-    if failures > 0 then exit 1
+    (* Report params exclude jobs/batch: the report is a function of
+       (kind, trials, seed, quick) alone, so fleets of different widths
+       diff clean. *)
+    ( failures > 0,
+      fun () ->
+        J.make ~subcommand:"fleet" ~seed:(Some seed)
+          ~params:
+            [
+              ("kind", J.Str T.name);
+              ("trials", J.Int trials);
+              ("quick", J.Bool quick);
+            ]
+          ~runs:[]
+          ~sections:(trial_sections failures output) )
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -859,7 +748,32 @@ let fleet_cmd =
     Term.(
       const run $ kind $ trials $ batch $ jobs $ seed $ quick $ report_arg)
 
-(* ---------------- kv ---------------- *)
+(* ---------------- kv and txn ---------------- *)
+
+(* The service runs print their measurement the same way. *)
+let print_aborted (m : Harness.Runner.measurement) =
+  match m.Harness.Runner.outcome with
+  | Harness.Runner.Complete -> ()
+  | Harness.Runner.Aborted rep ->
+      Printf.printf "  ABORTED: %s\n"
+        (Format.asprintf "%a" Sim.Sched.pp_verdict rep.Sim.Sched.r_verdict)
+
+let print_latencies (m : Harness.Runner.measurement) =
+  Array.iteri
+    (fun i cls ->
+      let l = m.Harness.Runner.lat.(i) in
+      if l.Harness.Pstats.n > 0 then
+        Printf.printf "  %-8s n=%-6d p50=%-8d p95=%-8d p99=%-8d p999=%d cycles\n"
+          cls l.Harness.Pstats.n l.Harness.Pstats.p50 l.Harness.Pstats.p95
+          l.Harness.Pstats.p99 l.Harness.Pstats.p999)
+    m.Harness.Runner.lat_classes;
+  List.iter
+    (fun (k, v) -> Printf.printf "  counter %-24s %d\n" k v)
+    m.Harness.Runner.counters
+
+let trial_params = function
+  | Fuzz n -> [ ("fuzz", J.Int n) ]
+  | Replay s -> [ ("replay", J.Str s) ]
 
 let kv_cmd =
   let rep =
@@ -872,79 +786,42 @@ let kv_cmd =
            ^ String.concat " | " Kv.rep_names ^ "."))
   in
   let shards =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Shard count (each shard is a primary + replica store pair).")
+    int_arg "shards" 4
+      "Shard count (each shard is a primary + replica store pair)."
   in
-  let threads =
-    Arg.(
-      value & opt int 8
-      & info [ "threads" ] ~docv:"N" ~doc:"Open-loop client threads.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 6_000
-      & info [ "ops" ] ~docv:"N" ~doc:"Requests to serve.")
-  in
-  let keys =
-    Arg.(
-      value & opt int 4096
-      & info [ "keys" ] ~docv:"N" ~doc:"Key space [1..N], zipf 0.9 popularity.")
-  in
-  let read =
-    Arg.(
-      value & opt int 70
-      & info [ "read" ] ~docv:"PCT" ~doc:"Read (get) percentage.")
-  in
+  let threads = int_arg "threads" 8 "Open-loop client threads." in
+  let ops = int_arg "ops" 6_000 "Requests to serve." in
+  let keys = int_arg "keys" 4096 "Key space [1..N], zipf 0.9 popularity." in
+  let read = int_arg "read" ~docv:"PCT" 70 "Read (get) percentage." in
   let scan =
-    Arg.(
-      value & opt int 10
-      & info [ "scan" ] ~docv:"PCT"
-          ~doc:"Scan percentage (the rest after reads and scans is puts).")
+    int_arg "scan" ~docv:"PCT" 10
+      "Scan percentage (the rest after reads and scans is puts)."
   in
   let transfer =
-    Arg.(
-      value & opt int 0
-      & info [ "transfer-pct" ] ~docv:"PCT"
-          ~doc:
-            "Multi-key transfer percentage (carved from the put share): \
-             each transfer moves units between two account keys — usually \
-             on different shards — inside one optimistic transaction, and \
-             the oracle additionally checks account conservation. \
-             Unsupported together with fault plans (wipes lose balances).")
+    int_arg "transfer-pct" ~docv:"PCT" 0
+      "Multi-key transfer percentage (carved from the put share): \
+       each transfer moves units between two account keys — usually \
+       on different shards — inside one optimistic transaction, and \
+       the oracle additionally checks account conservation. \
+       Unsupported together with fault plans (wipes lose balances)."
   in
   let accounts =
-    Arg.(
-      value & opt int 16
-      & info [ "accounts" ] ~docv:"N"
-          ~doc:
-            "Account keys for --transfer-pct, in the dedicated range \
-             keys+1 .. keys+N.")
-  in
-  let machine =
-    Arg.(
-      value & opt string "xeon"
-      & info [ "machine" ] ~docv:"M" ~doc:"xeon | opteron")
+    int_arg "accounts" 16
+      "Account keys for --transfer-pct, in the dedicated range \
+       keys+1 .. keys+N."
   in
   let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Workload seed: same seed (and same fault plan), byte-identical \
-             output and report.")
+    seed_arg
+      "Workload seed: same seed (and same fault plan), byte-identical \
+       output and report."
   in
   let deadline =
-    Arg.(
-      value & opt int Kv.default_policy.Kv.deadline
-      & info [ "deadline" ] ~docv:"CYCLES"
-          ~doc:"Per-request deadline from intended arrival.")
+    int_arg "deadline" ~docv:"CYCLES" Kv.default_policy.Kv.deadline
+      "Per-request deadline from intended arrival."
   in
   let retries =
-    Arg.(
-      value & opt int Kv.default_policy.Kv.max_retries
-      & info [ "retries" ] ~docv:"N" ~doc:"Retry budget per request.")
+    int_arg "retries" Kv.default_policy.Kv.max_retries
+      "Retry budget per request."
   in
   let faults =
     Arg.(
@@ -957,64 +834,43 @@ let kv_cmd =
              shard i's primary, shards+i its replica.")
   in
   let rolling =
-    Arg.(
-      value & opt int 0
-      & info [ "rolling" ] ~docv:"N"
-          ~doc:
-            "Roll $(docv) crashes round-robin over the shard pairs \
-             (alternating primary/replica per round). More crashes than \
-             shards is legal under the re-armable warranty: each pair \
-             absorbs one crash per completed resync, so such plans need a \
-             finite --down-for and a --stagger spanning the resync window. \
-             Ignored when --faults is given.")
+    int_arg "rolling" 0
+      "Roll $(docv) crashes round-robin over the shard pairs \
+       (alternating primary/replica per round). More crashes than \
+       shards is legal under the re-armable warranty: each pair \
+       absorbs one crash per completed resync, so such plans need a \
+       finite --down-for and a --stagger spanning the resync window. \
+       Ignored when --faults is given."
   in
   let down_for =
-    Arg.(
-      value & opt int 120_000
-      & info [ "down-for" ] ~docv:"CYCLES"
-          ~doc:"How long each rolling crash keeps the store down.")
+    int_arg "down-for" ~docv:"CYCLES" 120_000
+      "How long each rolling crash keeps the store down."
   in
   let stagger =
-    Arg.(
-      value & opt int 0
-      & info [ "stagger" ] ~docv:"N"
-          ~doc:
-            "Requests between rolling crashes (default: ops / (rolling+1)).")
+    int_arg "stagger" 0
+      "Requests between rolling crashes (default: ops / (rolling+1))."
   in
   let broken_retry =
-    Arg.(
-      value & flag
-      & info [ "broken-retry" ]
-          ~doc:
-            "Deliberately broken retry policy: every retry writes a fresh \
-             element instead of re-writing the same one, so a retry after a \
-             lost ack duplicates the visible effect. The oracle must FAIL \
-             under crashes — the negative control.")
+    flag_arg "broken-retry"
+      "Deliberately broken retry policy: every retry writes a fresh \
+       element instead of re-writing the same one, so a retry after a \
+       lost ack duplicates the visible effect. The oracle must FAIL \
+       under crashes — the negative control."
   in
   let no_replication =
-    Arg.(
-      value & flag
-      & info [ "no-replication" ]
-          ~doc:
-            "Write only the primary copy. A primary crash then loses acked \
-             writes: the oracle must FAIL — the other negative control.")
+    flag_arg "no-replication"
+      "Write only the primary copy. A primary crash then loses acked \
+       writes: the oracle must FAIL — the other negative control."
   in
   let degraded_for =
-    Arg.(
-      value
-      & opt int Kv.default_policy.Kv.degraded_cycles
-      & info [ "degraded-for" ] ~docv:"CYCLES"
-          ~doc:
-            "Degraded window after a store recovers: scans shed on it and \
-             resync waits this long before copying the peer's contents \
-             back.")
+    int_arg "degraded-for" ~docv:"CYCLES" Kv.default_policy.Kv.degraded_cycles
+      "Degraded window after a store recovers: scans shed on it and \
+       resync waits this long before copying the peer's contents \
+       back."
   in
   let resync_batch =
-    Arg.(
-      value
-      & opt int Kv.default_policy.Kv.resync_batch
-      & info [ "resync-batch" ] ~docv:"N"
-          ~doc:"Keys copied per resync batch (epoch fence between batches).")
+    int_arg "resync-batch" Kv.default_policy.Kv.resync_batch
+      "Keys copied per resync batch (epoch fence between batches)."
   in
   let broken_resync =
     Arg.(
@@ -1030,91 +886,48 @@ let kv_cmd =
              a mid-copy crash \"completes\" and re-arms a voided pair). \
              Both must make the oracle FAIL under multi-crash plans.")
   in
-  let fuzz =
-    Arg.(
-      value & opt int 0
-      & info [ "fuzz" ] ~docv:"N"
-          ~doc:
-            "Instead of one run: fuzz $(docv) random KV trials (shard \
-             crashes, client crashes, stalls, storms) under the service \
-             oracles, shrinking failures to one-line repros.")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"TRIAL"
-          ~doc:"Replay one KV trial string (as emitted by --fuzz).")
+  let trials =
+    trials_arg
+      ~fuzz_doc:
+        "Instead of one run: fuzz $(docv) random KV trials (shard crashes, \
+         client crashes, stalls, storms) under the service oracles, \
+         shrinking failures to one-line repros."
+      ~replay_doc:"Replay one KV trial string (as emitted by --fuzz)."
   in
   let run rep shards threads ops keys read scan transfer accounts machine seed
       deadline retries faults rolling down_for stagger broken_retry
-      no_replication degraded_for resync_batch broken_resync fuzz replay report
+      no_replication degraded_for resync_batch broken_resync trials report
       attrib timeline =
-    let topo =
-      match machine with
-      | "xeon" -> Sim.Topology.xeon
-      | "opteron" -> Sim.Topology.opteron
-      | m ->
-          Printf.eprintf "unknown machine %S (use xeon or opteron)\n" m;
-          exit 2
-    in
-    if not (List.mem rep Kv.rep_names) then begin
-      Printf.eprintf "unknown rep %S; known: %s\n" rep
-        (String.concat ", " Kv.rep_names);
-      exit 2
-    end;
-    if read + scan + transfer > 100 then begin
-      Printf.eprintf "--read + --scan + --transfer-pct must be at most 100\n";
-      exit 2
-    end;
-    match (fuzz, replay) with
-    | n, _ when n > 0 ->
-        let failed =
-          with_host_time
-            (Printf.sprintf "kv fuzz %d trials" n)
-            (fun _ -> n)
-            (fun () -> Chaos.fuzz_kv ~runs:n ~seed Format.std_formatter)
-        in
-        if failed > 0 then exit 1
-    | _, Some s ->
-        let failures =
-          try
-            with_host_time "kv replay"
-              (fun _ -> 1)
-              (fun () -> Chaos.replay_kv s Format.std_formatter)
-          with Invalid_argument msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 2
-        in
-        if failures > 0 then exit 1
-    | _ ->
+    main report @@ fun () ->
+    let topo = topology_of_machine machine in
+    if not (List.mem rep Kv.rep_names) then
+      invalid_arg
+        (Printf.sprintf "unknown rep %S; known: %s" rep
+           (String.concat ", " Kv.rep_names));
+    if read + scan + transfer > 100 then
+      invalid_arg "--read + --scan + --transfer-pct must be at most 100";
+    match trials with
+    | Some t ->
+        trial_stream ~subcommand:"kv" ~seed ~params:(trial_params t) report
+          (module Chaos.Kv_trial)
+          t
+    | None ->
         let plan =
           match faults with
-          | Some s -> (
-              try Some (Sim.Fault.of_string s)
-              with Invalid_argument msg ->
-                Printf.eprintf "%s\n" msg;
-                exit 2)
-          | None ->
-              if rolling > 0 then
-                let stagger =
-                  if stagger > 0 then stagger else max 1 (ops / (rolling + 1))
-                in
-                try
-                  Some
-                    (Kv.rolling_plan ~seed ~nshards:shards ~count:rolling
-                       ~down_for ~stagger ())
-                with Invalid_argument msg ->
-                  Printf.eprintf "%s\n" msg;
-                  exit 2
-              else None
+          | Some s -> Some (Sim.Fault.of_string s)
+          | None when rolling > 0 ->
+              let stagger =
+                if stagger > 0 then stagger else max 1 (ops / (rolling + 1))
+              in
+              Some
+                (Kv.rolling_plan ~seed ~nshards:shards ~count:rolling ~down_for
+                   ~stagger ())
+          | None -> None
         in
-        if transfer > 0 && plan <> None then begin
-          Printf.eprintf
+        if transfer > 0 && plan <> None then
+          invalid_arg
             "--transfer-pct cannot be combined with fault plans (a wipe \
-             loses account balances)\n";
-          exit 2
-        end;
+             loses account balances)";
         let policy =
           {
             Kv.default_policy with
@@ -1164,12 +977,7 @@ let kv_cmd =
           (match plan with
           | None -> "none"
           | Some p -> Sim.Fault.to_string p);
-        (match m.Harness.Runner.outcome with
-        | Harness.Runner.Complete -> ()
-        | Harness.Runner.Aborted rep ->
-            Printf.printf "  ABORTED: %s\n"
-              (Format.asprintf "%a" Sim.Sched.pp_verdict
-                 rep.Sim.Sched.r_verdict));
+        print_aborted m;
         Printf.printf "  throughput      %.3f Mreq/s (simulated)\n"
           m.Harness.Runner.mops;
         Printf.printf "  acked writes    %d (%.1f%% of requests)\n"
@@ -1189,18 +997,7 @@ let kv_cmd =
             (ctr "kv.resyncs")
             (ctr "kv.resync-aborts")
             (ctr "kv.rearms");
-        Array.iteri
-          (fun i cls ->
-            let l = m.Harness.Runner.lat.(i) in
-            if l.Harness.Pstats.n > 0 then
-              Printf.printf
-                "  %-8s n=%-6d p50=%-8d p95=%-8d p99=%-8d p999=%d cycles\n" cls
-                l.Harness.Pstats.n l.Harness.Pstats.p50 l.Harness.Pstats.p95
-                l.Harness.Pstats.p99 l.Harness.Pstats.p999)
-          m.Harness.Runner.lat_classes;
-        List.iter
-          (fun (k, v) -> Printf.printf "  counter %-24s %d\n" k v)
-          m.Harness.Runner.counters;
+        print_latencies m;
         Array.iteri
           (fun i (p, rr) ->
             let s = r.Kv.res_shard_lat.(i) in
@@ -1219,47 +1016,42 @@ let kv_cmd =
         let trace_sections =
           trace_analysis ~timeline_file:timeline r.Kv.res_trace
         in
-        (match report with
-        | None -> ()
-        | Some path ->
-            write_report path
-              (Harness.Report.make ~subcommand:"kv" ~seed:(Some seed)
-                 ~params:
-                   [
-                     ("rep", J.Str rep);
-                     ("shards", J.Int shards);
-                     ("threads", J.Int threads);
-                     ("ops", J.Int ops);
-                     ("keys", J.Int keys);
-                     ("read", J.Int read);
-                     ("scan", J.Int scan);
-                     ("transfer_pct", J.Int transfer);
-                     ("accounts", J.Int accounts);
-                     ("machine", J.Str machine);
-                     ( "faults",
-                       match plan with
-                       | None -> J.Null
-                       | Some p -> J.Str (Sim.Fault.to_string p) );
-                     ("broken_retry", J.Bool broken_retry);
-                     ("no_replication", J.Bool no_replication);
-                     ("degraded_for", J.Int degraded_for);
-                     ("resync_batch", J.Int resync_batch);
-                     ( "broken_resync",
-                       match broken_resync with
-                       | None -> J.Null
-                       | Some `Dual_write -> J.Str "dual-write"
-                       | Some `Fencing -> J.Str "fencing" );
-                   ]
-                 ~sections:(Kv.report_section cfg r :: trace_sections)
-                 [ ("kv/" ^ rep, m) ]));
-        (* Exit on the warranted verdict: a loss in a voided pair is the
+        (* Fail on the warranted verdict: a loss in a voided pair is the
            one outage f = 1 permits (and the run reports it); any other
            loss, duplicate, abort or invalid structure is a failure. *)
-        if
-          (not r.Kv.res_oracle.Kv.warranted_ok)
+        ( (not r.Kv.res_oracle.Kv.warranted_ok)
           || Harness.Runner.aborted m
-          || not m.Harness.Runner.valid
-        then exit 1
+          || not m.Harness.Runner.valid,
+          fun () ->
+            Harness.Report.make ~subcommand:"kv" ~seed:(Some seed)
+              ~params:
+                [
+                  ("rep", J.Str rep);
+                  ("shards", J.Int shards);
+                  ("threads", J.Int threads);
+                  ("ops", J.Int ops);
+                  ("keys", J.Int keys);
+                  ("read", J.Int read);
+                  ("scan", J.Int scan);
+                  ("transfer_pct", J.Int transfer);
+                  ("accounts", J.Int accounts);
+                  ("machine", J.Str machine);
+                  ( "faults",
+                    match plan with
+                    | None -> J.Null
+                    | Some p -> J.Str (Sim.Fault.to_string p) );
+                  ("broken_retry", J.Bool broken_retry);
+                  ("no_replication", J.Bool no_replication);
+                  ("degraded_for", J.Int degraded_for);
+                  ("resync_batch", J.Int resync_batch);
+                  ( "broken_resync",
+                    match broken_resync with
+                    | None -> J.Null
+                    | Some `Dual_write -> J.Str "dual-write"
+                    | Some `Fencing -> J.Str "fencing" );
+                ]
+              ~sections:(Kv.report_section cfg r :: trace_sections)
+              [ ("kv/" ^ rep, m) ] )
   in
   Cmd.v
     (Cmd.info "kv"
@@ -1270,133 +1062,76 @@ let kv_cmd =
           exactly-once oracle.")
     Term.(
       const run $ rep $ shards $ threads $ ops $ keys $ read $ scan $ transfer
-      $ accounts $ machine $ seed $ deadline $ retries $ faults $ rolling
+      $ accounts $ machine_arg $ seed $ deadline $ retries $ faults $ rolling
       $ down_for $ stagger $ broken_retry $ no_replication $ degraded_for
-      $ resync_batch $ broken_resync $ fuzz $ replay $ report_arg $ attrib_arg
+      $ resync_batch $ broken_resync $ trials $ report_arg $ attrib_arg
       $ timeline_arg)
 
-(* ---------------- txn ---------------- *)
-
 let txn_cmd =
+  let module W = Txn.Workload in
+  let default = W.default_config in
   let rep =
     Arg.(
       value
-      & opt string Txn.Workload.default_config.Txn.Workload.rep
+      & opt string default.W.rep
       & info [ "rep" ] ~docv:"REP"
           ~doc:
             ("Registry structure each bank object uses: "
-           ^ String.concat " | " Txn.Workload.rep_names ^ "."))
+           ^ String.concat " | " W.rep_names ^ "."))
   in
   let objects =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.objects
-      & info [ "objects" ] ~docv:"N"
-          ~doc:"Independent structures transactions span.")
+    int_arg "objects" default.W.objects
+      "Independent structures transactions span."
   in
   let accounts =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.accounts
-      & info [ "accounts" ] ~docv:"N" ~doc:"Accounts per structure.")
+    int_arg "accounts" default.W.accounts "Accounts per structure."
   in
-  let threads =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.threads
-      & info [ "threads" ] ~docv:"N" ~doc:"Worker threads.")
-  in
-  let ops =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.ops
-      & info [ "ops" ] ~docv:"N" ~doc:"Transactions to run.")
-  in
+  let threads = int_arg "threads" default.W.threads "Worker threads." in
+  let ops = int_arg "ops" default.W.ops "Transactions to run." in
   let transfer =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.transfer_pct
-      & info [ "transfer-pct" ] ~docv:"PCT"
-          ~doc:
-            "Transfer percentage; the rest are read-only snapshot audits.")
-  in
-  let machine =
-    Arg.(
-      value & opt string "xeon"
-      & info [ "machine" ] ~docv:"M" ~doc:"xeon | opteron")
+    int_arg "transfer-pct" ~docv:"PCT" default.W.transfer_pct
+      "Transfer percentage; the rest are read-only snapshot audits."
   in
   let seed =
-    Arg.(
-      value & opt int Txn.Workload.default_config.Txn.Workload.seed
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Workload seed: same seed, byte-identical output and report.")
+    seed_arg ~default:default.W.seed
+      "Workload seed: same seed, byte-identical output and report."
   in
   let broken =
-    Arg.(
-      value & flag
-      & info [ "broken" ]
-          ~doc:
-            "Deliberately broken commit protocol: skip commit-time \
-             validation, so racing transfers commit on stale reads. The \
-             serializability oracle must FAIL — the negative control.")
+    flag_arg "broken"
+      "Deliberately broken commit protocol: skip commit-time \
+       validation, so racing transfers commit on stale reads. The \
+       serializability oracle must FAIL — the negative control."
   in
-  let fuzz =
-    Arg.(
-      value & opt int 0
-      & info [ "fuzz" ] ~docv:"N"
-          ~doc:
-            "Instead of one run: fuzz $(docv) random transaction trials \
-             (reps, topologies, contention levels) under the strict \
-             serializability oracle, shrinking failures to one-line repros.")
+  let trials =
+    trials_arg
+      ~fuzz_doc:
+        "Instead of one run: fuzz $(docv) random transaction trials (reps, \
+         topologies, contention levels) under the strict serializability \
+         oracle, shrinking failures to one-line repros."
+      ~replay_doc:"Replay one transaction trial string (as emitted by --fuzz)."
   in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"TRIAL"
-          ~doc:"Replay one transaction trial string (as emitted by --fuzz).")
-  in
-  let run rep objects accounts threads ops transfer machine seed broken fuzz
-      replay report attrib timeline =
-    let topo =
-      match machine with
-      | "xeon" -> Sim.Topology.xeon
-      | "opteron" -> Sim.Topology.opteron
-      | m ->
-          Printf.eprintf "unknown machine %S (use xeon or opteron)\n" m;
-          exit 2
-    in
-    if not (List.mem rep Txn.Workload.rep_names) then begin
-      Printf.eprintf "unknown rep %S; known: %s\n" rep
-        (String.concat ", " Txn.Workload.rep_names);
-      exit 2
-    end;
-    if transfer < 0 || transfer > 100 then begin
-      Printf.eprintf "--transfer-pct must be in [0,100]\n";
-      exit 2
-    end;
-    match (fuzz, replay) with
-    | n, _ when n > 0 ->
-        let failed =
-          with_host_time
-            (Printf.sprintf "txn fuzz %d trials" n)
-            (fun _ -> n)
-            (fun () -> Chaos.fuzz_txn ~runs:n ~seed Format.std_formatter)
-        in
-        if failed > 0 then exit 1
-    | _, Some s ->
-        let failures =
-          try
-            with_host_time "txn replay"
-              (fun _ -> 1)
-              (fun () -> Chaos.replay_txn s Format.std_formatter)
-          with Invalid_argument msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 2
-        in
-        if failures > 0 then exit 1
-    | _ ->
+  let run rep objects accounts threads ops transfer machine seed broken trials
+      report attrib timeline =
+    main report @@ fun () ->
+    let topo = topology_of_machine machine in
+    if not (List.mem rep W.rep_names) then
+      invalid_arg
+        (Printf.sprintf "unknown rep %S; known: %s" rep
+           (String.concat ", " W.rep_names));
+    if transfer < 0 || transfer > 100 then
+      invalid_arg "--transfer-pct must be in [0,100]";
+    match trials with
+    | Some t ->
+        trial_stream ~subcommand:"txn" ~seed ~params:(trial_params t) report
+          (module Chaos.Txn_trial)
+          t
+    | None ->
         let cfg =
           {
-            Txn.Workload.rep;
+            W.rep;
             objects;
             accounts;
-            initial = Txn.Workload.default_config.Txn.Workload.initial;
+            initial = default.W.initial;
             threads;
             ops;
             seed;
@@ -1410,61 +1145,39 @@ let txn_cmd =
           with_host_time
             (Printf.sprintf "txn %s" rep)
             (fun (m, _) -> m.Harness.Runner.ops)
-            (fun () -> Txn.Workload.run ~record_obs cfg)
+            (fun () -> W.run ~record_obs cfg)
         in
         Printf.printf
           "txn/%s on %s, %d objects x %d accounts, %d threads, %d \
            transactions, %d%% transfers, seed %d%s\n"
           rep machine objects accounts threads ops transfer seed
           (if broken then " (BROKEN commit protocol)" else "");
-        (match m.Harness.Runner.outcome with
-        | Harness.Runner.Complete -> ()
-        | Harness.Runner.Aborted rep ->
-            Printf.printf "  ABORTED: %s\n"
-              (Format.asprintf "%a" Sim.Sched.pp_verdict
-                 rep.Sim.Sched.r_verdict));
+        print_aborted m;
         Printf.printf "  throughput      %.3f Mtxn/s (simulated)\n"
           m.Harness.Runner.mops;
-        Array.iteri
-          (fun i cls ->
-            let l = m.Harness.Runner.lat.(i) in
-            if l.Harness.Pstats.n > 0 then
-              Printf.printf
-                "  %-8s n=%-6d p50=%-8d p95=%-8d p99=%-8d p999=%d cycles\n" cls
-                l.Harness.Pstats.n l.Harness.Pstats.p50 l.Harness.Pstats.p95
-                l.Harness.Pstats.p99 l.Harness.Pstats.p999)
-          m.Harness.Runner.lat_classes;
-        List.iter
-          (fun (k, v) -> Printf.printf "  counter %-24s %d\n" k v)
-          m.Harness.Runner.counters;
-        Printf.printf "%s\n"
-          (Format.asprintf "%a" Txn.Workload.pp_result r);
+        print_latencies m;
+        Printf.printf "%s\n" (Format.asprintf "%a" W.pp_result r);
         let trace_sections =
-          trace_analysis ~timeline_file:timeline r.Txn.Workload.res_trace
+          trace_analysis ~timeline_file:timeline r.W.res_trace
         in
-        (match report with
-        | None -> ()
-        | Some path ->
-            write_report path
-              (Harness.Report.make ~subcommand:"txn" ~seed:(Some seed)
-                 ~params:
-                   [
-                     ("rep", J.Str rep);
-                     ("objects", J.Int objects);
-                     ("accounts", J.Int accounts);
-                     ("threads", J.Int threads);
-                     ("ops", J.Int ops);
-                     ("transfer_pct", J.Int transfer);
-                     ("machine", J.Str machine);
-                     ("broken", J.Bool broken);
-                   ]
-                 ~sections:(Txn.Workload.report_section cfg r :: trace_sections)
-                 [ ("txn/" ^ rep, m) ]));
-        if
-          (not r.Txn.Workload.res_oracle.Txn.Workload.ok)
+        ( (not r.W.res_oracle.W.ok)
           || Harness.Runner.aborted m
-          || not m.Harness.Runner.valid
-        then exit 1
+          || not m.Harness.Runner.valid,
+          fun () ->
+            Harness.Report.make ~subcommand:"txn" ~seed:(Some seed)
+              ~params:
+                [
+                  ("rep", J.Str rep);
+                  ("objects", J.Int objects);
+                  ("accounts", J.Int accounts);
+                  ("threads", J.Int threads);
+                  ("ops", J.Int ops);
+                  ("transfer_pct", J.Int transfer);
+                  ("machine", J.Str machine);
+                  ("broken", J.Bool broken);
+                ]
+              ~sections:(W.report_section cfg r :: trace_sections)
+              [ ("txn/" ^ rep, m) ] )
   in
   Cmd.v
     (Cmd.info "txn"
@@ -1474,8 +1187,9 @@ let txn_cmd =
           lock-set commit, abort-free snapshot audits, and a strict \
           serializability oracle over the committed history.")
     Term.(
-      const run $ rep $ objects $ accounts $ threads $ ops $ transfer $ machine
-      $ seed $ broken $ fuzz $ replay $ report_arg $ attrib_arg $ timeline_arg)
+      const run $ rep $ objects $ accounts $ threads $ ops $ transfer
+      $ machine_arg $ seed $ broken $ trials $ report_arg $ attrib_arg
+      $ timeline_arg)
 
 (* ---------------- hostperf ---------------- *)
 
@@ -1506,14 +1220,12 @@ let hostperf_cmd =
           ~doc:"Allowed regression vs the baseline, percent (default 20).")
   in
   let repeats =
-    Arg.(
-      value & opt int 3
-      & info [ "repeats" ] ~docv:"N"
-          ~doc:
-            "Run each workload $(docv) times and keep the best host time \
-             (the simulated side is identical every repeat).")
+    int_arg "repeats" 3
+      "Run each workload $(docv) times and keep the best host time \
+       (the simulated side is identical every repeat)."
   in
   let run out_file baseline tolerance repeats report =
+    main report @@ fun () ->
     let results = Host_bench.run ~repeats () in
     Format.printf "%a@?" Host_bench.pp_table results;
     (match out_file with
@@ -1521,60 +1233,23 @@ let hostperf_cmd =
     | Some path ->
         Host_bench.write_json path results;
         Printf.eprintf "[host] wrote %s\n%!" path);
-    (match report with
-    | None -> ()
-    | Some path ->
-        (* Only the simulated side of hostperf is deterministic; host
-           seconds stay out of the report (they live in --out / stderr). *)
-        let runs =
-          List.map
-            (fun (r : Host_bench.result) ->
-              J.Obj
-                [
-                  ("id", J.Str r.Host_bench.r_name);
-                  ("name", J.Str r.Host_bench.r_name);
-                  ("threads", J.Int r.Host_bench.r_threads);
-                  ( "metrics",
-                    J.Obj
-                      [
-                        ("ops", J.Int r.Host_bench.r_ops);
-                        ("accesses", J.Int r.Host_bench.r_accesses);
-                        ("events", J.Int r.Host_bench.r_events);
-                      ] );
-                ])
-            results
-        in
-        let j =
-          J.make ~subcommand:"hostperf" ~seed:None
-            ~params:[ ("repeats", J.Int repeats) ]
-            ~runs ~sections:[]
-        in
-        (match J.validate j with
-        | Ok () -> ()
-        | Error e -> invalid_arg ("hostperf report invalid: " ^ e));
-        J.write_file path j;
-        Printf.eprintf "[host] wrote report %s\n%!" path);
-    match baseline with
-    | None -> ()
-    | Some path ->
-        let content =
-          try In_channel.with_open_text path In_channel.input_all
-          with Sys_error msg ->
-            Printf.eprintf "cannot read baseline: %s\n" msg;
-            exit 2
-        in
-        if Host_bench.parse_baseline content = [] then begin
-          Printf.eprintf "baseline %s contains no results\n" path;
-          exit 2
-        end;
-        let regressions =
-          Host_bench.check_baseline ~baseline:content ~tolerance_pct:tolerance
-            results
-        in
-        if regressions = [] then
-          Printf.printf "hostperf: within %.0f%% of baseline %s\n" tolerance
-            path
-        else begin
+    let regressions =
+      match baseline with
+      | None -> []
+      | Some path ->
+          let content =
+            try In_channel.with_open_text path In_channel.input_all
+            with Sys_error msg -> invalid_arg ("cannot read baseline: " ^ msg)
+          in
+          if Host_bench.parse_baseline content = [] then
+            invalid_arg (Printf.sprintf "baseline %s contains no results" path);
+          let regressions =
+            Host_bench.check_baseline ~baseline:content ~tolerance_pct:tolerance
+              results
+          in
+          if regressions = [] then
+            Printf.printf "hostperf: within %.0f%% of baseline %s\n" tolerance
+              path;
           List.iter
             (fun g ->
               Printf.eprintf
@@ -1583,8 +1258,32 @@ let hostperf_cmd =
                 g.Host_bench.g_name g.Host_bench.g_metric g.Host_bench.g_measured
                 g.Host_bench.g_floor tolerance)
             regressions;
-          exit 1
-        end
+          regressions
+    in
+    (* Only the simulated side of hostperf is deterministic; host seconds
+       stay out of the report (they live in --out / stderr). *)
+    ( regressions <> [],
+      fun () ->
+        J.make ~subcommand:"hostperf" ~seed:None
+          ~params:[ ("repeats", J.Int repeats) ]
+          ~runs:
+            (List.map
+               (fun (r : Host_bench.result) ->
+                 J.Obj
+                   [
+                     ("id", J.Str r.Host_bench.r_name);
+                     ("name", J.Str r.Host_bench.r_name);
+                     ("threads", J.Int r.Host_bench.r_threads);
+                     ( "metrics",
+                       J.Obj
+                         [
+                           ("ops", J.Int r.Host_bench.r_ops);
+                           ("accesses", J.Int r.Host_bench.r_accesses);
+                           ("events", J.Int r.Host_bench.r_events);
+                         ] );
+                   ])
+               results)
+          ~sections:[] )
   in
   Cmd.v
     (Cmd.info "hostperf"
@@ -1610,31 +1309,25 @@ let diff_cmd =
       & info [] ~docv:"B.json" ~doc:"Report file to compare against A.")
   in
   let top =
-    Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"K"
-          ~doc:"How many top regressions to rank (default 10).")
+    int_arg "top" ~docv:"K" 10 "How many top regressions to rank (default 10)."
   in
   let run file_a file_b top =
+    main None @@ fun () ->
+    let fail fmt = Printf.ksprintf invalid_arg fmt in
     let load label path =
       match J.read_file path with
+      | Error e -> fail "cannot parse %s (%s): %s" label path e
       | Ok j -> (
           match J.validate j with
           | Ok () -> j
-          | Error e ->
-              Printf.eprintf "report %s (%s) failed validation: %s\n" label
-                path e;
-              exit 2)
-      | Error e ->
-          Printf.eprintf "cannot parse %s (%s): %s\n" label path e;
-          exit 2
+          | Error e -> fail "report %s (%s) failed validation: %s" label path e)
     in
     let a = load "A" file_a and b = load "B" file_b in
     match J.diff ~top a b with
-    | Ok text -> print_string text
-    | Error e ->
-        Printf.eprintf "diff failed: %s\n" e;
-        exit 2
+    | Ok text ->
+        print_string text;
+        (false, fun () -> J.Null)
+    | Error e -> fail "diff failed: %s" e
   in
   Cmd.v
     (Cmd.info "diff"

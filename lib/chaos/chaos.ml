@@ -14,6 +14,256 @@ module Fault = Sim.Fault
 module Sched = Sim.Sched
 module Qsbr = Mem.Qsbr.Make (Sim.Sim_rt)
 
+type failure = { f_oracle : string; f_detail : string }
+
+module type TRIAL = sig
+  type t
+
+  val name : string
+  val command : string
+  val to_string : t -> string
+  val of_string : string -> t
+  val gen : Rng.t -> t
+  val shrink_steps : t -> t list
+  val shrink_budget : int
+  val run : t -> failure list * string
+end
+
+(* ------------------------------------------------------------------ *)
+(* The trial-string grammar every family shares                        *)
+
+let has_prefix p s =
+  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+
+let parse_error fmt = Printf.ksprintf invalid_arg ("Chaos.of_string: " ^^ fmt)
+
+let parse_int what s =
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> parse_error "bad %s %S" what s
+
+let topo_names = [| "u2"; "u4"; "xeon"; "opteron" |]
+
+let topology_of_name = function
+  | "u2" -> Sim.Topology.uniform ~n:2 ()
+  | "u4" -> Sim.Topology.uniform ~n:4 ()
+  | "xeon" -> Sim.Topology.xeon
+  | "opteron" -> Sim.Topology.opteron
+  | s -> invalid_arg (Printf.sprintf "Chaos: unknown topology %S" s)
+
+(* One entry of a family's field table, keyed by the token's first
+   character. *)
+type 'a field =
+  | Int of string * ('a -> int -> 'a)  (* [cN]; the string names it in errors *)
+  | Text of ('a -> string -> 'a)  (* [cTEXT], e.g. a fault plan *)
+  | Flag of ('a -> 'a)  (* the bare one-character token [c] *)
+
+(* [name@topo tok ...]: [head name topo] validates the head and builds the
+   family's defaults, each token then sets one field, and [check] judges
+   the result as a whole. *)
+let parse ~head ~fields ~check s =
+  match
+    String.split_on_char ' ' (String.trim s) |> List.filter (fun t -> t <> "")
+  with
+  | [] -> parse_error "empty trial"
+  | h :: toks ->
+      let name, topo =
+        match String.rindex_opt h '@' with
+        | Some i ->
+            (String.sub h 0 i, String.sub h (i + 1) (String.length h - i - 1))
+        | None -> parse_error "missing @topology in %S" h
+      in
+      let tr =
+        List.fold_left
+          (fun tr tok ->
+            let v = String.sub tok 1 (String.length tok - 1) in
+            match (List.assoc_opt tok.[0] fields, v) with
+            | Some (Flag f), "" -> f tr
+            | Some (Int (what, f)), _ when v <> "" -> f tr (parse_int what v)
+            | Some (Text f), _ when v <> "" -> f tr v
+            | _ -> parse_error "bad token %S" tok)
+          (head name topo) toks
+      in
+      check tr;
+      tr
+
+(* The [family/rep] head of the service families. *)
+let rep_of ~family ~known name topo =
+  let p = family ^ "/" in
+  if not (has_prefix p name) then
+    parse_error "%s trial must start with %s<rep>, got %S" family p name;
+  let rep =
+    String.sub name (String.length p) (String.length name - String.length p)
+  in
+  if not (List.mem rep known) then
+    parse_error "unknown %s rep %S (known: %s)" family rep
+      (String.concat ", " known);
+  ignore (topology_of_name topo : Sim.Topology.t);
+  rep
+
+let check_pct what v =
+  if v < 0 || v > 100 then parse_error "%s must be in [0,100], got %d" what v
+
+let pick rng a = a.(Rng.below rng (Array.length a))
+
+let points =
+  [|
+    Rt.Rt_intf.Before_cas;
+    Rt.Rt_intf.After_cas;
+    Rt.Rt_intf.Critical_enter;
+    Rt.Rt_intf.Critical_exit;
+    Rt.Rt_intf.Lock_wait;
+    Rt.Rt_intf.Restart;
+    Rt.Rt_intf.Op_boundary;
+  |]
+
+let replace_nth i x l = List.mapi (fun j y -> if j = i then x else y) l
+
+(* Shrink steps on a fault plan, most aggressive first: drop each spec,
+   then for each reduction in turn, each spec it can shrink. *)
+let plan_steps (plan : Fault.plan) reductions =
+  let specs = plan.Fault.specs in
+  let with_specs specs = { plan with Fault.specs } in
+  List.mapi (fun i _ -> with_specs (List.filteri (fun j _ -> j <> i) specs)) specs
+  @ List.concat_map
+      (fun reduce ->
+        List.concat
+          (List.mapi
+             (fun i sp ->
+               match reduce sp with
+               | Some sp' -> [ with_specs (replace_nth i sp' specs) ]
+               | None -> [])
+             specs))
+      reductions
+
+(* No failure when [ok]; otherwise one [f_oracle] failure, described by
+   [detail ()]. *)
+let unless ok f_oracle detail =
+  if ok then [] else [ { f_oracle; f_detail = detail () } ]
+
+let service_liveness what (m : Harness.Runner.measurement) =
+  match m.Harness.Runner.outcome with
+  | Harness.Runner.Complete -> []
+  | Harness.Runner.Aborted rep ->
+      let detail = Format.asprintf "%a" Sched.pp_verdict rep.Sched.r_verdict in
+      [ { f_oracle = "liveness"; f_detail = what ^ " aborted: " ^ detail } ]
+
+(* ------------------------------------------------------------------ *)
+(* World reset                                                         *)
+
+(* Restore every piece of the calling domain's simulator world to
+   process-pristine state: the scheduler (counters, packed-line table,
+   fault hook, noise, heap), the fault engine, the observability journal,
+   the probe cells, and every id source trials allocate from (packing
+   groups, lock handles, transaction oids, skip-list level generators).
+   After this, a trial behaves exactly as it would in a fresh process —
+   the reset the fleet runner applies before each task so batch output
+   is byte-identical to serial output. *)
+let fresh_world () =
+  Sim.Sched.reset_world ();
+  Sim.Fault.reset_world ();
+  Obs.Journal.reset_world ();
+  Sim.Sim_rt.Probe.reset_world ();
+  Rt.Group.reset ();
+  Locks.Handle.reset_ids ();
+  Txn.Workload.T.reset_oids ();
+  Dstruct.Sl_common.reset_states ()
+
+(* ------------------------------------------------------------------ *)
+(* The driver: fuzz, shrink, replay, fleet                             *)
+
+let shrink (type a) (module T : TRIAL with type t = a) (tr0 : a) : a =
+  let fails tr = fst (T.run tr) <> [] in
+  (* Greedy: the first still-failing step wins and shrinking restarts
+     from it, until no step fails or [shrink_budget] runs are spent. *)
+  let rec try_steps runs cur = function
+    | c :: rest when runs < T.shrink_budget ->
+        if fails c then descend (runs + 1) c else try_steps (runs + 1) cur rest
+    | _ -> cur
+  and descend runs cur =
+    if runs < T.shrink_budget then try_steps runs cur (T.shrink_steps cur)
+    else cur
+  in
+  if fails tr0 then descend 1 tr0 else tr0
+
+let report_failures ppf fs =
+  List.iter
+    (fun f ->
+      Format.fprintf ppf "           oracle %-16s %s@." f.f_oracle f.f_detail)
+    fs
+
+(* Trials [offset .. offset+runs-1] of the seeded sequence, printed with
+   their absolute indices and no summary, so batches concatenate to the
+   serial stream. *)
+let fuzz_range (module T : TRIAL) ~offset ~runs ~seed ppf =
+  let failed = ref 0 in
+  for i = offset to offset + runs - 1 do
+    let tr = T.gen (Rng.create (seed + (i * 1_000_003))) in
+    match fst (T.run tr) with
+    | [] -> Format.fprintf ppf "trial %4d ok   %s@." i (T.to_string tr)
+    | fs ->
+        incr failed;
+        Format.fprintf ppf "trial %4d FAIL %s@." i (T.to_string tr);
+        report_failures ppf fs;
+        let small = T.to_string (shrink (module T) tr) in
+        Format.fprintf ppf "           shrunk to %s@." small;
+        Format.fprintf ppf "           repro: optik_bench %s --replay '%s'@."
+          T.command small
+  done;
+  !failed
+
+let print_summary (module T : TRIAL) ppf ~failed ~runs ~seed =
+  Format.fprintf ppf "%s: %d/%d trials failed (seed %d)@." T.name failed runs
+    seed
+
+let fuzz m ~runs ~seed ppf =
+  let failed = fuzz_range m ~offset:0 ~runs ~seed ppf in
+  print_summary m ppf ~failed ~runs ~seed;
+  failed
+
+let replay (module T : TRIAL) s ppf =
+  let tr = T.of_string s in
+  let fs, detail = T.run tr in
+  Format.fprintf ppf "replay %s@." (T.to_string tr);
+  Format.fprintf ppf "%s@." detail;
+  (if fs = [] then Format.fprintf ppf "verdict: PASS@."
+   else begin
+     report_failures ppf fs;
+     Format.fprintf ppf "verdict: FAIL (%d oracle failures)@." (List.length fs)
+   end);
+  List.length fs
+
+let fleet m ~jobs ~batch ~trials ~seed =
+  let module T = (val m : TRIAL) in
+  (* One task per contiguous batch of trial indices, each rendering into
+     its own buffer from a pristine world: concatenated in task order,
+     the buffers are the serial stream whatever the jobs/batch split. *)
+  let tasks =
+    List.init
+      ((trials + batch - 1) / batch)
+      (fun b ->
+        let offset = b * batch in
+        let runs = min batch (trials - offset) in
+        Harness.Fleet.task
+          ~label:(Printf.sprintf "%s[%d..%d]" T.name offset (offset + runs - 1))
+          (fun () ->
+            let buf = Buffer.create 4096 in
+            let ppf = Format.formatter_of_buffer buf in
+            let failed = fuzz_range m ~offset ~runs ~seed ppf in
+            Format.pp_print_flush ppf ();
+            (failed, Buffer.contents buf)))
+  in
+  let results = Harness.Fleet.map ~jobs ~reset:fresh_world tasks in
+  let failed = List.fold_left (fun a (f, _) -> a + f) 0 results in
+  let buf = Buffer.create 8192 in
+  List.iter (fun (_, s) -> Buffer.add_string buf s) results;
+  let ppf = Format.formatter_of_buffer buf in
+  print_summary m ppf ~failed ~runs:trials ~seed;
+  (failed, Buffer.contents buf)
+
+(* ------------------------------------------------------------------ *)
+(* Set, queue and stack trials                                         *)
+
 type kind = Lock_free | Blocking
 
 type target =
@@ -56,22 +306,10 @@ let default_entries =
     };
   ]
 
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 let quick_entries =
   List.filter
     (fun e -> not (has_prefix "sl/" e.e_name || has_prefix "bst/" e.e_name))
     default_entries
-
-let find_entry entries name =
-  match List.find_opt (fun e -> String.equal e.e_name name) entries with
-  | Some e -> e
-  | None ->
-      invalid_arg (Printf.sprintf "Chaos: unknown structure %S" name)
-
-(* ------------------------------------------------------------------ *)
-(* Trials and their one-line replayable form                           *)
 
 type trial = {
   t_entry : entry;
@@ -86,94 +324,53 @@ type trial = {
   t_plan : Fault.plan;
 }
 
-let topo_names = [| "u2"; "u4"; "xeon"; "opteron" |]
-
-let topology_of_name = function
-  | "u2" -> Sim.Topology.uniform ~n:2 ()
-  | "u4" -> Sim.Topology.uniform ~n:4 ()
-  | "xeon" -> Sim.Topology.xeon
-  | "opteron" -> Sim.Topology.opteron
-  | s -> invalid_arg (Printf.sprintf "Chaos: unknown topology %S" s)
-
 let to_string tr =
   Printf.sprintf "%s@%s t%d o%d k%d q%d r%d n%d w%d f%s" tr.t_entry.e_name
     tr.t_topo tr.t_threads tr.t_ops tr.t_keys tr.t_quantum tr.t_read_slack
     tr.t_noise_bits tr.t_wseed
     (Fault.to_string tr.t_plan)
 
-let parse_error fmt = Printf.ksprintf invalid_arg ("Chaos.of_string: " ^^ fmt)
-
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> parse_error "bad %s %S" what s
-
-let of_string ?(entries = default_entries) s =
-  match
-    String.split_on_char ' ' (String.trim s)
-    |> List.filter (fun t -> t <> "")
-  with
-  | [] -> parse_error "empty trial"
-  | head :: toks ->
-      let name, topo =
-        match String.rindex_opt head '@' with
-        | Some i ->
-            ( String.sub head 0 i,
-              String.sub head (i + 1) (String.length head - i - 1) )
-        | None -> parse_error "missing @topology in %S" head
-      in
+let of_string entries =
+  parse
+    ~head:(fun name topo ->
       ignore (topology_of_name topo : Sim.Topology.t);
-      let tr =
-        ref
-          {
-            t_entry = find_entry entries name;
-            t_topo = topo;
-            t_threads = 2;
-            t_ops = 1;
-            t_keys = 2;
-            t_quantum = Sched.default_quantum;
-            t_read_slack = 0;
-            t_noise_bits = 62;
-            t_wseed = 0;
-            t_plan = { Fault.seed = 0; specs = [] };
-          }
+      let t_entry =
+        match List.find_opt (fun e -> String.equal e.e_name name) entries with
+        | Some e -> e
+        | None -> invalid_arg (Printf.sprintf "Chaos: unknown structure %S" name)
       in
-      List.iter
-        (fun tok ->
-          if String.length tok < 2 then parse_error "bad token %S" tok
-          else
-            let v = String.sub tok 1 (String.length tok - 1) in
-            match tok.[0] with
-            | 't' -> tr := { !tr with t_threads = parse_int "threads" v }
-            | 'o' -> tr := { !tr with t_ops = parse_int "ops" v }
-            | 'k' -> tr := { !tr with t_keys = parse_int "keys" v }
-            | 'q' -> tr := { !tr with t_quantum = parse_int "quantum" v }
-            | 'r' -> tr := { !tr with t_read_slack = parse_int "read-slack" v }
-            | 'n' -> tr := { !tr with t_noise_bits = parse_int "noise-bits" v }
-            | 'w' -> tr := { !tr with t_wseed = parse_int "workload seed" v }
-            | 'f' -> tr := { !tr with t_plan = Fault.of_string v }
-            | _ -> parse_error "bad token %S" tok)
-        toks;
-      let tr = !tr in
+      {
+        t_entry;
+        t_topo = topo;
+        t_threads = 2;
+        t_ops = 1;
+        t_keys = 2;
+        t_quantum = Sched.default_quantum;
+        t_read_slack = 0;
+        t_noise_bits = 62;
+        t_wseed = 0;
+        t_plan = { Fault.seed = 0; specs = [] };
+      })
+    ~fields:
+      [
+        ('t', Int ("threads", fun tr v -> { tr with t_threads = v }));
+        ('o', Int ("ops", fun tr v -> { tr with t_ops = v }));
+        ('k', Int ("keys", fun tr v -> { tr with t_keys = v }));
+        ('q', Int ("quantum", fun tr v -> { tr with t_quantum = v }));
+        ('r', Int ("read-slack", fun tr v -> { tr with t_read_slack = v }));
+        ('n', Int ("noise-bits", fun tr v -> { tr with t_noise_bits = v }));
+        ('w', Int ("workload seed", fun tr v -> { tr with t_wseed = v }));
+        ('f', Text (fun tr v -> { tr with t_plan = Fault.of_string v }));
+      ]
+    ~check:(fun tr ->
       if tr.t_threads < 1 || tr.t_ops < 1 || tr.t_keys < 1 then
-        parse_error "threads/ops/keys must be positive";
-      tr
-
-(* ------------------------------------------------------------------ *)
-(* Running one trial                                                   *)
-
-type failure = { f_oracle : string; f_detail : string }
+        parse_error "threads/ops/keys must be positive")
 
 type outcome = {
-  o_trial : trial;
   o_completed : bool;
   o_crashed : int list;
   o_failures : failure list;
 }
-
-module Hist_set = Harness.History.Make (Lincheck.Set_spec)
-module Hist_queue = Harness.History.Make (Lincheck.Queue_spec)
-module Hist_stack = Harness.History.Make (Lincheck.Stack_spec)
 
 (* Aggressive watchdog: chaos workloads are a handful of operations, so
    anything that spins a million cycles without completing one is stuck. *)
@@ -185,14 +382,6 @@ let trial_max_events = 2_000_000
    every probe, so neither the watchdog nor the event budget ever runs.
    A modest inline-op budget turns that into a prompt Starved verdict. *)
 let trial_max_inline_ops = 5_000_000
-
-let exec_trial tr body =
-  Harness.Runner.run_guarded ~faults:tr.t_plan ~watchdog
-    ~max_events:trial_max_events ~max_inline_ops:trial_max_inline_ops
-    ~quantum:tr.t_quantum
-    ~read_slack:tr.t_read_slack
-    ~topology:(topology_of_name tr.t_topo)
-    ~nthreads:tr.t_threads ~ops_target:0 body
 
 (* Which threads did the plan actually crash, and where? Read from the
    fault log after the run (it survives plan removal). *)
@@ -214,7 +403,12 @@ let crash_events () =
    queue without holding anything yet), and everyone queued behind it
    legitimately starves. A crash at an operation boundary is outside any
    lock protocol, so it keeps the warranty, as do stalls and storms —
-   those runs must still terminate. *)
+   those runs must still terminate.
+
+   The same split voids the state warranty: crashing a blocking
+   structure inside an operation may leave locks held over a half-done
+   update, so only liveness and QSBR accounting remain checkable.
+   Lock-free structures promise crash-consistency everywhere. *)
 let crash_mid_op crash_pts =
   List.exists (fun (_, p) -> p <> Rt.Rt_intf.Op_boundary) crash_pts
 
@@ -224,14 +418,8 @@ let liveness_failures kind outcome crash_pts =
   | Harness.Runner.Aborted _ when kind = Blocking && crash_mid_op crash_pts ->
       []
   | Harness.Runner.Aborted r ->
-      [
-        {
-          f_oracle = "liveness";
-          f_detail =
-            Format.asprintf "%a — %s" Sched.pp_verdict r.Sched.r_verdict
-              r.Sched.r_reason;
-        };
-      ]
+      let detail = Format.asprintf "%a" Sched.pp_verdict r.Sched.r_verdict in
+      [ { f_oracle = "liveness"; f_detail = detail ^ " — " ^ r.Sched.r_reason } ]
 
 (* Oracle (c), QSBR half: after telling the reclaimer about crashed
    threads and flushing, nothing may be lost or double-counted. *)
@@ -239,344 +427,226 @@ let qsbr_failures q crashed =
   List.iter (fun t -> Qsbr.declare_dead q t) crashed;
   Qsbr.flush q;
   let s = Qsbr.stats q in
-  if s.Qsbr.retired = s.Qsbr.freed + s.Qsbr.pending then []
-  else
-    [
-      {
-        f_oracle = "qsbr";
-        f_detail =
-          Printf.sprintf "retired=%d <> freed=%d + pending=%d" s.Qsbr.retired
-            s.Qsbr.freed s.Qsbr.pending;
-      };
-    ]
+  unless (s.Qsbr.retired = s.Qsbr.freed + s.Qsbr.pending) "qsbr" (fun () ->
+      Printf.sprintf "retired=%d <> freed=%d + pending=%d" s.Qsbr.retired
+        s.Qsbr.freed s.Qsbr.pending)
 
-let size_failure ~final ~base ~init ~plus ~minus ~p_plus ~p_minus =
-  if final >= base - p_minus && final <= base + p_plus then []
-  else
-    [
-      {
-        f_oracle = "size";
-        f_detail =
-          Printf.sprintf
-            "final size %d outside [%d,%d] (init %d, +%d, -%d, pending +%d/-%d)"
-            final (base - p_minus) (base + p_plus) init plus minus p_plus
-            p_minus;
-      };
-    ]
+(* What the one container runner needs from a structure: its sequential
+   spec, how to build and prefill it, how a thread draws its next op
+   (the draws are part of what a trial string means, so each adapter
+   keeps its own order), how to apply an op — returning the value to
+   retire, if any — and the op's size delta ([None]: the op is pending,
+   so the delta it would have if it took effect). [setup] also returns
+   the prefilled size. *)
+module type CONTAINER = sig
+  module Spec : Lincheck.SPEC
 
-let lincheck_failure result ~completed ~pending =
-  match result with
-  | `Witness | `Too_large -> []
-  | `No_witness ->
-      [
-        {
-          f_oracle = "linearizability";
-          f_detail =
-            Printf.sprintf "no linearization of %d completed + %d pending ops"
-              completed pending;
-        };
-      ]
+  type t
 
-let count f l = List.length (List.filter f l)
+  val setup : trial -> t * Spec.state * int
+  val draw : Rng.t -> keys:int -> v:int -> Spec.input
+  val apply : t -> Spec.input -> Spec.output * int option
+  val delta : Spec.input -> Spec.output option -> int
+  val size : t -> int
+  val validate : t -> bool
+end
 
-(* Crashing a blocking structure inside an operation voids its state
-   warranty: the crashed thread may hold locks over a half-done update,
-   so only liveness and QSBR accounting remain checkable. A crash at an
-   operation boundary (between ops) holds no locks and keeps the
-   warranty. Lock-free structures promise crash-consistency everywhere. *)
-let state_unwarranted kind crash_pts = kind = Blocking && crash_mid_op crash_pts
+module Set_container (S : R.SET_OPS) = struct
+  module Spec = Lincheck.Set_spec
 
-let run_set tr (module S : R.SET_OPS) =
-  let module Sp = Lincheck.Set_spec in
-  let module L = Hist_set.L in
-  (* Capacity far above the key range so array maps and hash tables never
-     refuse an insert the sequential spec would accept. *)
-  let t = S.create ~capacity:((4 * tr.t_keys) + 16) () in
-  let init = ref Sp.M.empty in
-  let rng0 = Rng.create (tr.t_wseed + 7919) in
-  for _ = 1 to tr.t_keys / 2 do
-    let k = 1 + Rng.below rng0 tr.t_keys in
-    if S.insert t k (500 + k) then init := Sp.M.add k (500 + k) !init
-  done;
-  let hist = Hist_set.create ~nthreads:tr.t_threads in
-  let q = Qsbr.create ~batch_size:4 () in
-  let _stats, outcome =
-    exec_trial tr (fun tid ->
-        let rng = Rng.create ((tr.t_wseed * 131) + tid) in
-        for i = 1 to tr.t_ops do
-          let k = 1 + Rng.below rng tr.t_keys in
-          (match Rng.below rng 3 with
-          | 0 ->
-              ignore
-                (Hist_set.record hist (Sp.Search k) (fun () ->
-                     Qsbr.op_begin q;
-                     let r = S.search t k in
-                     Qsbr.op_end q;
-                     match r with Some v -> Sp.Found v | None -> Sp.Absent)
-                  : Sp.output)
-          | 1 ->
-              let v = ((tid + 1) * 1000) + i in
-              ignore
-                (Hist_set.record hist (Sp.Insert (k, v)) (fun () ->
-                     Qsbr.op_begin q;
-                     let ok = S.insert t k v in
-                     Qsbr.op_end q;
-                     if ok then Sp.Ok else Sp.Dup)
-                  : Sp.output)
-          | _ ->
-              ignore
-                (Hist_set.record hist (Sp.Delete k) (fun () ->
-                     Qsbr.op_begin q;
-                     let r = S.delete t k in
-                     (match r with Some v -> Qsbr.retire q v | None -> ());
-                     Qsbr.op_end q;
-                     match r with Some v -> Sp.Found v | None -> Sp.Absent)
-                  : Sp.output));
-          Sched.tick ();
-          Sched.work (32 + Rng.below rng 64)
-        done)
-  in
-  let crash_pts = crash_events () in
-  let crashed = List.sort_uniq compare (List.map fst crash_pts) in
-  let live_fail = liveness_failures tr.t_entry.e_kind outcome crash_pts in
-  let state_fail =
-    if live_fail <> [] || state_unwarranted tr.t_entry.e_kind crash_pts then []
-    else
-      let completed = Hist_set.completed ~widen:tr.t_read_slack hist in
-      let pending = Hist_set.pending ~widen:tr.t_read_slack hist in
-      let lin =
-        lincheck_failure
-          (match L.check ~init:!init ~pending completed with
-          | L.Witness _ -> `Witness
-          | L.No_witness -> `No_witness
-          | L.Too_large -> `Too_large)
-          ~completed:(List.length completed)
-          ~pending:(List.length pending)
-      in
-      let ins_ok =
-        count
-          (fun (e : L.event) ->
-            match (e.input, e.output) with Sp.Insert _, Sp.Ok -> true | _ -> false)
-          completed
-      in
-      let del_found =
-        count
-          (fun (e : L.event) ->
-            match (e.input, e.output) with
-            | Sp.Delete _, Sp.Found _ -> true
-            | _ -> false)
-          completed
-      in
-      let p_ins =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Insert _ -> true | _ -> false)
-          pending
-      in
-      let p_del =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Delete _ -> true | _ -> false)
-          pending
-      in
-      let init_n = Sp.M.cardinal !init in
-      let base = init_n + ins_ok - del_found in
-      let size =
-        size_failure ~final:(S.size t) ~base ~init:init_n ~plus:ins_ok
-          ~minus:del_found ~p_plus:p_ins ~p_minus:p_del
-      in
-      let valid =
-        if S.validate t then []
-        else [ { f_oracle = "validate"; f_detail = "validation failed" } ]
-      in
-      lin @ size @ valid
-  in
-  let qsbr_fail = qsbr_failures q crashed in
-  ( (match outcome with Harness.Runner.Complete -> true | _ -> false),
-    crashed,
-    live_fail @ state_fail @ qsbr_fail )
+  type t = S.t
 
-let run_queue tr (module Qu : R.QUEUE_OPS) =
-  let module Sp = Lincheck.Queue_spec in
-  let module L = Hist_queue.L in
-  let qu = Qu.create () in
-  let npre = tr.t_keys / 2 in
-  let prefill = List.init npre (fun j -> 901 + j) in
-  List.iter (Qu.enqueue qu) prefill;
-  let init : Sp.state = (prefill, []) in
-  let hist = Hist_queue.create ~nthreads:tr.t_threads in
-  let q = Qsbr.create ~batch_size:4 () in
-  let _stats, outcome =
-    exec_trial tr (fun tid ->
-        let rng = Rng.create ((tr.t_wseed * 131) + tid) in
-        for i = 1 to tr.t_ops do
-          (if Rng.below rng 2 = 0 then
-             let v = ((tid + 1) * 1000) + i in
-             ignore
-               (Hist_queue.record hist (Sp.Enqueue v) (fun () ->
-                    Qsbr.op_begin q;
-                    Qu.enqueue qu v;
-                    Qsbr.op_end q;
-                    Sp.Unit)
-                 : Sp.output)
-           else
-             ignore
-               (Hist_queue.record hist Sp.Dequeue (fun () ->
-                    Qsbr.op_begin q;
-                    let r = Qu.dequeue qu in
-                    (match r with Some v -> Qsbr.retire q v | None -> ());
-                    Qsbr.op_end q;
-                    match r with Some v -> Sp.Got v | None -> Sp.Empty)
-                 : Sp.output));
-          Sched.tick ();
-          Sched.work (32 + Rng.below rng 64)
-        done)
-  in
-  let crash_pts = crash_events () in
-  let crashed = List.sort_uniq compare (List.map fst crash_pts) in
-  let live_fail = liveness_failures tr.t_entry.e_kind outcome crash_pts in
-  let state_fail =
-    if live_fail <> [] || state_unwarranted tr.t_entry.e_kind crash_pts then []
-    else
-      let completed = Hist_queue.completed ~widen:tr.t_read_slack hist in
-      let pending = Hist_queue.pending ~widen:tr.t_read_slack hist in
-      let lin =
-        lincheck_failure
-          (match L.check ~init ~pending completed with
-          | L.Witness _ -> `Witness
-          | L.No_witness -> `No_witness
-          | L.Too_large -> `Too_large)
-          ~completed:(List.length completed)
-          ~pending:(List.length pending)
-      in
-      let enq_done =
-        count
-          (fun (e : L.event) ->
-            match e.input with Sp.Enqueue _ -> true | _ -> false)
-          completed
-      in
-      let deq_got =
-        count
-          (fun (e : L.event) ->
-            match (e.input, e.output) with
-            | Sp.Dequeue, Sp.Got _ -> true
-            | _ -> false)
-          completed
-      in
-      let p_enq =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Enqueue _ -> true | _ -> false)
-          pending
-      in
-      let p_deq =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Dequeue -> true | _ -> false)
-          pending
-      in
-      let base = npre + enq_done - deq_got in
-      let size =
-        size_failure ~final:(Qu.size qu) ~base ~init:npre ~plus:enq_done
-          ~minus:deq_got ~p_plus:p_enq ~p_minus:p_deq
-      in
-      lin @ size
-  in
-  let qsbr_fail = qsbr_failures q crashed in
-  ( (match outcome with Harness.Runner.Complete -> true | _ -> false),
-    crashed,
-    live_fail @ state_fail @ qsbr_fail )
+  let setup tr =
+    (* Capacity far above the key range so array maps and hash tables
+       never refuse an insert the sequential spec would accept. *)
+    let t = S.create ~capacity:((4 * tr.t_keys) + 16) () in
+    let init = ref Spec.M.empty in
+    let rng = Rng.create (tr.t_wseed + 7919) in
+    for _ = 1 to tr.t_keys / 2 do
+      let k = 1 + Rng.below rng tr.t_keys in
+      if S.insert t k (500 + k) then init := Spec.M.add k (500 + k) !init
+    done;
+    (t, !init, Spec.M.cardinal !init)
 
-let run_stack tr (module St : R.STACK_OPS) =
-  let module Sp = Lincheck.Stack_spec in
-  let module L = Hist_stack.L in
-  let st = St.create () in
-  let npre = tr.t_keys / 2 in
-  let prefill = List.init npre (fun j -> 901 + j) in
-  List.iter (St.push st) prefill;
-  let init : Sp.state = List.rev prefill in
-  let hist = Hist_stack.create ~nthreads:tr.t_threads in
-  let q = Qsbr.create ~batch_size:4 () in
-  let _stats, outcome =
-    exec_trial tr (fun tid ->
-        let rng = Rng.create ((tr.t_wseed * 131) + tid) in
-        for i = 1 to tr.t_ops do
-          (if Rng.below rng 2 = 0 then
-             let v = ((tid + 1) * 1000) + i in
-             ignore
-               (Hist_stack.record hist (Sp.Push v) (fun () ->
-                    Qsbr.op_begin q;
-                    St.push st v;
-                    Qsbr.op_end q;
-                    Sp.Unit)
-                 : Sp.output)
-           else
-             ignore
-               (Hist_stack.record hist Sp.Pop (fun () ->
-                    Qsbr.op_begin q;
-                    let r = St.pop st in
-                    (match r with Some v -> Qsbr.retire q v | None -> ());
-                    Qsbr.op_end q;
-                    match r with Some v -> Sp.Got v | None -> Sp.Empty)
-                 : Sp.output));
-          Sched.tick ();
-          Sched.work (32 + Rng.below rng 64)
-        done)
-  in
-  let crash_pts = crash_events () in
-  let crashed = List.sort_uniq compare (List.map fst crash_pts) in
-  let live_fail = liveness_failures tr.t_entry.e_kind outcome crash_pts in
-  let state_fail =
-    if live_fail <> [] || state_unwarranted tr.t_entry.e_kind crash_pts then []
-    else
-      let completed = Hist_stack.completed ~widen:tr.t_read_slack hist in
-      let pending = Hist_stack.pending ~widen:tr.t_read_slack hist in
-      let lin =
-        lincheck_failure
-          (match L.check ~init ~pending completed with
-          | L.Witness _ -> `Witness
-          | L.No_witness -> `No_witness
-          | L.Too_large -> `Too_large)
-          ~completed:(List.length completed)
-          ~pending:(List.length pending)
-      in
-      let push_done =
-        count
-          (fun (e : L.event) ->
-            match e.input with Sp.Push _ -> true | _ -> false)
-          completed
-      in
-      let pop_got =
-        count
-          (fun (e : L.event) ->
-            match (e.input, e.output) with
-            | Sp.Pop, Sp.Got _ -> true
-            | _ -> false)
-          completed
-      in
-      let p_push =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Push _ -> true | _ -> false)
-          pending
-      in
-      let p_pop =
-        count
-          (fun (p : L.pending) ->
-            match p.p_input with Sp.Pop -> true | _ -> false)
-          pending
-      in
-      let base = npre + push_done - pop_got in
-      let size =
-        size_failure ~final:(St.size st) ~base ~init:npre ~plus:push_done
-          ~minus:pop_got ~p_plus:p_push ~p_minus:p_pop
-      in
-      lin @ size
-  in
-  let qsbr_fail = qsbr_failures q crashed in
-  ( (match outcome with Harness.Runner.Complete -> true | _ -> false),
-    crashed,
-    live_fail @ state_fail @ qsbr_fail )
+  let draw rng ~keys ~v =
+    let k = 1 + Rng.below rng keys in
+    match Rng.below rng 3 with
+    | 0 -> Spec.Search k
+    | 1 -> Spec.Insert (k, v)
+    | _ -> Spec.Delete k
+
+  let apply t = function
+    | Spec.Search k ->
+        ( (match S.search t k with Some v -> Spec.Found v | None -> Spec.Absent),
+          None )
+    | Spec.Insert (k, v) ->
+        ((if S.insert t k v then Spec.Ok else Spec.Dup), None)
+    | Spec.Delete k -> (
+        match S.delete t k with
+        | Some v -> (Spec.Found v, Some v)
+        | None -> (Spec.Absent, None))
+
+  let delta input output =
+    match (input, output) with
+    | Spec.Insert _, (None | Some Spec.Ok) -> 1
+    | Spec.Delete _, (None | Some (Spec.Found _)) -> -1
+    | _ -> 0
+
+  let size = S.size
+  let validate = S.validate
+end
+
+let prefill tr = List.init (tr.t_keys / 2) (fun j -> 901 + j)
+
+module Queue_container (Q : R.QUEUE_OPS) = struct
+  module Spec = Lincheck.Queue_spec
+
+  type t = Q.t
+
+  let setup tr =
+    let q = Q.create () in
+    let pre = prefill tr in
+    List.iter (Q.enqueue q) pre;
+    (q, (pre, []), List.length pre)
+
+  let draw rng ~keys:_ ~v =
+    if Rng.below rng 2 = 0 then Spec.Enqueue v else Spec.Dequeue
+
+  let apply q = function
+    | Spec.Enqueue v ->
+        Q.enqueue q v;
+        (Spec.Unit, None)
+    | Spec.Dequeue -> (
+        match Q.dequeue q with
+        | Some v -> (Spec.Got v, Some v)
+        | None -> (Spec.Empty, None))
+
+  let delta input output =
+    match (input, output) with
+    | Spec.Enqueue _, _ -> 1
+    | Spec.Dequeue, (None | Some (Spec.Got _)) -> -1
+    | _ -> 0
+
+  let size = Q.size
+  let validate _ = true
+end
+
+module Stack_container (St : R.STACK_OPS) = struct
+  module Spec = Lincheck.Stack_spec
+
+  type t = St.t
+
+  let setup tr =
+    let s = St.create () in
+    let pre = prefill tr in
+    List.iter (St.push s) pre;
+    (s, List.rev pre, List.length pre)
+
+  let draw rng ~keys:_ ~v = if Rng.below rng 2 = 0 then Spec.Push v else Spec.Pop
+
+  let apply s = function
+    | Spec.Push v ->
+        St.push s v;
+        (Spec.Unit, None)
+    | Spec.Pop -> (
+        match St.pop s with
+        | Some v -> (Spec.Got v, Some v)
+        | None -> (Spec.Empty, None))
+
+  let delta input output =
+    match (input, output) with
+    | Spec.Push _, _ -> 1
+    | Spec.Pop, (None | Some (Spec.Got _)) -> -1
+    | _ -> 0
+
+  let size = St.size
+  let validate _ = true
+end
+
+(* The one container runner: every thread draws and applies [t_ops] ops
+   under QSBR, recording the history; then the oracles run — liveness,
+   and unless a crash voided the state warranty, crash-aware
+   linearizability, size accounting against the history and the
+   structure's own validation; QSBR accounting always. *)
+module Container (C : CONTAINER) = struct
+  module H = Harness.History.Make (C.Spec)
+  module L = H.L
+
+  let run tr =
+    let t, init, init_n = C.setup tr in
+    let hist = H.create ~nthreads:tr.t_threads in
+    let q = Qsbr.create ~batch_size:4 () in
+    let _stats, outcome =
+      Harness.Runner.run_guarded ~faults:tr.t_plan ~watchdog
+        ~max_events:trial_max_events ~max_inline_ops:trial_max_inline_ops
+        ~quantum:tr.t_quantum ~read_slack:tr.t_read_slack
+        ~topology:(topology_of_name tr.t_topo)
+        ~nthreads:tr.t_threads ~ops_target:0
+        (fun tid ->
+          let rng = Rng.create ((tr.t_wseed * 131) + tid) in
+          for i = 1 to tr.t_ops do
+            let input = C.draw rng ~keys:tr.t_keys ~v:(((tid + 1) * 1000) + i) in
+            ignore
+              (H.record hist input (fun () ->
+                   Qsbr.op_begin q;
+                   let out, retired = C.apply t input in
+                   Option.iter (Qsbr.retire q) retired;
+                   Qsbr.op_end q;
+                   out)
+                : C.Spec.output);
+            Sched.tick ();
+            Sched.work (32 + Rng.below rng 64)
+          done)
+    in
+    let kind = tr.t_entry.e_kind in
+    let crash_pts = crash_events () in
+    let crashed = List.sort_uniq compare (List.map fst crash_pts) in
+    let live_fail = liveness_failures kind outcome crash_pts in
+    let state_fail =
+      if live_fail <> [] || (kind = Blocking && crash_mid_op crash_pts) then []
+      else
+        let completed = H.completed ~widen:tr.t_read_slack hist in
+        let pending = H.pending ~widen:tr.t_read_slack hist in
+        let lin =
+          unless (L.check ~init ~pending completed <> L.No_witness)
+            "linearizability" (fun () ->
+              Printf.sprintf "no linearization of %d completed + %d pending ops"
+                (List.length completed) (List.length pending))
+        in
+        let count d =
+          List.fold_left
+            (fun (plus, minus) x ->
+              match d x with
+              | 1 -> (plus + 1, minus)
+              | -1 -> (plus, minus + 1)
+              | _ -> (plus, minus))
+            (0, 0)
+        in
+        let plus, minus =
+          count (fun (e : L.event) -> C.delta e.input (Some e.output)) completed
+        in
+        let p_plus, p_minus =
+          count (fun (p : L.pending) -> C.delta p.p_input None) pending
+        in
+        let base = init_n + plus - minus in
+        let final = C.size t in
+        let size =
+          unless (final >= base - p_minus && final <= base + p_plus) "size"
+            (fun () ->
+              Printf.sprintf
+                "final size %d outside [%d,%d] (init %d, +%d, -%d, pending \
+                 +%d/-%d)"
+                final (base - p_minus) (base + p_plus) init_n plus minus p_plus
+                p_minus)
+        in
+        lin @ size
+        @ unless (C.validate t) "validate" (fun () -> "validation failed")
+    in
+    let qsbr_fail = qsbr_failures q crashed in
+    ( (match outcome with Harness.Runner.Complete -> true | _ -> false),
+      crashed,
+      live_fail @ state_fail @ qsbr_fail )
+end
 
 let run_trial tr =
   (* Reset the process-global state a trial touches, so outcomes depend
@@ -589,33 +659,20 @@ let run_trial tr =
   Sched.set_noise_bits tr.t_noise_bits;
   let completed, crashed, failures =
     match tr.t_entry.e_target with
-    | Set s -> run_set tr s
-    | Queue qm -> run_queue tr qm
-    | Stack sm -> run_stack tr sm
+    | Set (module S) ->
+        let module C = Container (Set_container (S)) in
+        C.run tr
+    | Queue (module Q) ->
+        let module C = Container (Queue_container (Q)) in
+        C.run tr
+    | Stack (module S) ->
+        let module C = Container (Stack_container (S)) in
+        C.run tr
   in
-  {
-    o_trial = tr;
-    o_completed = completed;
-    o_crashed = crashed;
-    o_failures = failures;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Trial generation                                                    *)
-
-let points =
-  [|
-    Rt.Rt_intf.Before_cas;
-    Rt.Rt_intf.After_cas;
-    Rt.Rt_intf.Critical_enter;
-    Rt.Rt_intf.Critical_exit;
-    Rt.Rt_intf.Lock_wait;
-    Rt.Rt_intf.Restart;
-    Rt.Rt_intf.Op_boundary;
-  |]
+  { o_completed = completed; o_crashed = crashed; o_failures = failures }
 
 let gen_spec rng nthreads =
-  let f_point = points.(Rng.below rng (Array.length points)) in
+  let f_point = pick rng points in
   let f_tid =
     if Rng.below rng 10 < 6 then Some (Rng.below rng nthreads) else None
   in
@@ -634,8 +691,6 @@ let gen_spec rng nthreads =
       Fault.Storm { victims; duration = 500 + Rng.below rng 50_000 }
   in
   { Fault.f_tid; f_point; f_hits; f_action }
-
-let pick rng a = a.(Rng.below rng (Array.length a))
 
 let gen_trial entries rng =
   let e = List.nth entries (Rng.below rng (List.length entries)) in
@@ -666,129 +721,51 @@ let gen_trial entries rng =
     t_plan = { Fault.seed; specs = List.rev !specs };
   }
 
-(* ------------------------------------------------------------------ *)
-(* Shrinking                                                           *)
-
-let replace_nth i x l = List.mapi (fun j y -> if j = i then x else y) l
-
-(* Candidate reductions, most aggressive first: losing a whole spec beats
-   halving a duration beats shaving a workload dimension. *)
-let candidates tr =
-  let specs = tr.t_plan.Fault.specs in
-  let with_specs sp = { tr with t_plan = { tr.t_plan with Fault.specs = sp } } in
-  let drops =
-    List.mapi (fun i _ -> with_specs (List.filteri (fun j _ -> j <> i) specs)) specs
+(* Most aggressive first: losing a whole spec beats halving a duration
+   beats halving a hit count beats shaving a workload dimension. *)
+let shrink_steps tr =
+  let halve_duration (sp : Fault.spec) =
+    match sp.f_action with
+    | Fault.Stall n when n > 1_000 ->
+        Some { sp with f_action = Fault.Stall (n / 2) }
+    | Fault.Storm { victims; duration } when duration > 1_000 ->
+        Some
+          { sp with f_action = Fault.Storm { victims; duration = duration / 2 } }
+    | _ -> None
   in
-  let durations =
-    List.concat
-      (List.mapi
-         (fun i (sp : Fault.spec) ->
-           match sp.f_action with
-           | Fault.Stall n when n > 1_000 ->
-               [ with_specs (replace_nth i { sp with f_action = Fault.Stall (n / 2) } specs) ]
-           | Fault.Storm { victims; duration } when duration > 1_000 ->
-               [
-                 with_specs
-                   (replace_nth i
-                      { sp with f_action = Fault.Storm { victims; duration = duration / 2 } }
-                      specs);
-               ]
-           | _ -> [])
-         specs)
+  let halve_hits (sp : Fault.spec) =
+    if sp.f_hits > 1 then Some { sp with f_hits = sp.f_hits / 2 } else None
   in
-  let hits =
-    List.concat
-      (List.mapi
-         (fun i (sp : Fault.spec) ->
-           if sp.f_hits > 1 then
-             [ with_specs (replace_nth i { sp with f_hits = sp.f_hits / 2 } specs) ]
-           else [])
-         specs)
-  in
-  let dims =
-    (if tr.t_threads > 2 then [ { tr with t_threads = tr.t_threads - 1 } ] else [])
-    @ (if tr.t_ops > 1 then [ { tr with t_ops = tr.t_ops - 1 } ] else [])
-    @ if tr.t_keys > 2 then [ { tr with t_keys = tr.t_keys - 1 } ] else []
-  in
-  drops @ durations @ hits @ dims
+  List.map
+    (fun p -> { tr with t_plan = p })
+    (plan_steps tr.t_plan [ halve_duration; halve_hits ])
+  @ (if tr.t_threads > 2 then [ { tr with t_threads = tr.t_threads - 1 } ]
+     else [])
+  @ (if tr.t_ops > 1 then [ { tr with t_ops = tr.t_ops - 1 } ] else [])
+  @ if tr.t_keys > 2 then [ { tr with t_keys = tr.t_keys - 1 } ] else []
 
-let fails tr = (run_trial tr).o_failures <> []
+let sets entries : (module TRIAL with type t = trial) =
+  (module struct
+    type t = trial
 
-let shrink ?(budget = 300) tr0 =
-  if not (fails tr0) then tr0
-  else begin
-    let runs = ref 1 in
-    let cur = ref tr0 in
-    let improved = ref true in
-    while !improved && !runs < budget do
-      improved := false;
-      (try
-         List.iter
-           (fun c ->
-             if !runs < budget then begin
-               incr runs;
-               if fails c then begin
-                 cur := c;
-                 improved := true;
-                 raise Exit
-               end
-             end)
-           (candidates !cur)
-       with Exit -> ())
-    done;
-    !cur
-  end
+    let name = "chaos"
+    let command = "chaos"
+    let to_string = to_string
+    let of_string = of_string entries
+    let gen = gen_trial entries
+    let shrink_steps = shrink_steps
+    let shrink_budget = 300
+
+    let run tr =
+      let o = run_trial tr in
+      ( o.o_failures,
+        Printf.sprintf "run %s; crashed threads [%s]"
+          (if o.o_completed then "completed" else "aborted")
+          (String.concat ";" (List.map string_of_int o.o_crashed)) )
+  end)
 
 (* ------------------------------------------------------------------ *)
-(* Fuzzing driver                                                      *)
-
-let report_failures ppf fs =
-  List.iter
-    (fun f -> Format.fprintf ppf "           oracle %-16s %s@." f.f_oracle f.f_detail)
-    fs
-
-let fuzz ?(entries = default_entries) ?(offset = 0) ?(summary = true) ~runs
-    ~seed ppf =
-  let failed = ref 0 in
-  for j = 0 to runs - 1 do
-    let i = offset + j in
-    let rng = Rng.create (seed + (i * 1_000_003)) in
-    let tr = gen_trial entries rng in
-    let o = run_trial tr in
-    if o.o_failures = [] then
-      Format.fprintf ppf "trial %4d ok   %s@." i (to_string tr)
-    else begin
-      incr failed;
-      Format.fprintf ppf "trial %4d FAIL %s@." i (to_string tr);
-      report_failures ppf o.o_failures;
-      let small = shrink tr in
-      Format.fprintf ppf "           shrunk to %s@." (to_string small);
-      Format.fprintf ppf "           repro: optik_bench chaos --replay '%s'@."
-        (to_string small)
-    end
-  done;
-  if summary then
-    Format.fprintf ppf "chaos: %d/%d trials failed (seed %d)@." !failed runs
-      seed;
-  !failed
-
-let replay ?(entries = default_entries) s ppf =
-  let tr = of_string ~entries s in
-  let o = run_trial tr in
-  Format.fprintf ppf "replay %s@." (to_string tr);
-  Format.fprintf ppf "run %s; crashed threads [%s]@."
-    (if o.o_completed then "completed" else "aborted")
-    (String.concat ";" (List.map string_of_int o.o_crashed));
-  (if o.o_failures = [] then Format.fprintf ppf "verdict: PASS@."
-   else begin
-     report_failures ppf o.o_failures;
-     Format.fprintf ppf "verdict: FAIL (%d oracle failures)@."
-       (List.length o.o_failures)
-   end);
-  List.length o.o_failures
-
-(* ------------------------------------------------------------------ *)
-(* KV service fuzzing                                                  *)
+(* KV service trials                                                   *)
 
 (* Trials over the sharded KV service: the structure-level oracles above
    do not apply (the service retries, fails over and sheds on purpose);
@@ -811,638 +788,367 @@ let replay ?(entries = default_entries) s ppf =
    - stall/storm durations far below the watchdog's starvation horizon.
    Any failure a fuzz run finds is therefore a real robustness bug, not
    an out-of-warranty plan. *)
-
-type kv_trial = {
-  kv_rep : string;
-  kv_topo : string;
-  kv_shards : int;
-  kv_threads : int;
-  kv_ops : int;
-  kv_keys : int;
-  kv_read : int;  (** read percentage *)
-  kv_scan : int;  (** scan percentage *)
-  kv_wseed : int;
-  kv_degraded : int;  (** degraded window before a wiped store resyncs *)
-  kv_batch : int;  (** resync copy batch size *)
-  kv_plan : Fault.plan;
-}
-
-let kv_to_string tr =
-  Printf.sprintf "kv/%s@%s s%d t%d o%d k%d R%d C%d w%d D%d B%d f%s" tr.kv_rep
-    tr.kv_topo tr.kv_shards tr.kv_threads tr.kv_ops tr.kv_keys tr.kv_read
-    tr.kv_scan tr.kv_wseed tr.kv_degraded tr.kv_batch
-    (Fault.to_string tr.kv_plan)
-
-let kv_of_string s =
-  match
-    String.split_on_char ' ' (String.trim s)
-    |> List.filter (fun t -> t <> "")
-  with
-  | [] -> parse_error "empty kv trial"
-  | head :: toks ->
-      let name, topo =
-        match String.rindex_opt head '@' with
-        | Some i ->
-            ( String.sub head 0 i,
-              String.sub head (i + 1) (String.length head - i - 1) )
-        | None -> parse_error "missing @topology in %S" head
-      in
-      if not (has_prefix "kv/" name) then
-        parse_error "kv trial must start with kv/<rep>, got %S" name;
-      let rep = String.sub name 3 (String.length name - 3) in
-      if not (List.mem rep Kv.rep_names) then
-        parse_error "unknown kv rep %S (known: %s)" rep
-          (String.concat ", " Kv.rep_names);
-      ignore (topology_of_name topo : Sim.Topology.t);
-      let tr =
-        ref
-          {
-            kv_rep = rep;
-            kv_topo = topo;
-            kv_shards = 1;
-            kv_threads = 2;
-            kv_ops = 100;
-            kv_keys = 64;
-            kv_read = 50;
-            kv_scan = 10;
-            kv_wseed = 0;
-            kv_degraded = Kv.default_policy.Kv.degraded_cycles;
-            kv_batch = Kv.default_policy.Kv.resync_batch;
-            kv_plan = { Fault.seed = 0; specs = [] };
-          }
-      in
-      List.iter
-        (fun tok ->
-          if String.length tok < 2 then parse_error "bad token %S" tok
-          else
-            let v = String.sub tok 1 (String.length tok - 1) in
-            match tok.[0] with
-            | 's' -> tr := { !tr with kv_shards = parse_int "shards" v }
-            | 't' -> tr := { !tr with kv_threads = parse_int "threads" v }
-            | 'o' -> tr := { !tr with kv_ops = parse_int "ops" v }
-            | 'k' -> tr := { !tr with kv_keys = parse_int "keys" v }
-            | 'R' -> tr := { !tr with kv_read = parse_int "read pct" v }
-            | 'C' -> tr := { !tr with kv_scan = parse_int "scan pct" v }
-            | 'w' -> tr := { !tr with kv_wseed = parse_int "workload seed" v }
-            | 'D' -> tr := { !tr with kv_degraded = parse_int "degraded" v }
-            | 'B' -> tr := { !tr with kv_batch = parse_int "batch" v }
-            | 'f' -> tr := { !tr with kv_plan = Fault.of_string v }
-            | _ -> parse_error "bad token %S" tok)
-        toks;
-      let tr = !tr in
-      if tr.kv_shards < 1 || tr.kv_threads < 1 || tr.kv_ops < 1 then
-        parse_error "shards/threads/ops must be positive";
-      if tr.kv_degraded < 0 || tr.kv_batch < 1 then
-        parse_error "degraded window must be >= 0 and batch >= 1";
-      tr
-
-let kv_config tr : Kv.config =
-  {
-    Kv.rep = tr.kv_rep;
-    nshards = tr.kv_shards;
-    threads = tr.kv_threads;
-    ops = tr.kv_ops;
-    seed = tr.kv_wseed;
-    topo = topology_of_name tr.kv_topo;
-    workload =
-      {
-        Kv.default_workload with
-        Kv.keys = tr.kv_keys;
-        read_pct = tr.kv_read;
-        scan_pct = tr.kv_scan;
-      };
-    policy =
-      {
-        Kv.default_policy with
-        Kv.degraded_cycles = tr.kv_degraded;
-        resync_batch = tr.kv_batch;
-      };
-    plan = Some tr.kv_plan;
+module Kv_trial = struct
+  type t = {
+    kv_rep : string;
+    kv_topo : string;
+    kv_shards : int;
+    kv_threads : int;
+    kv_ops : int;
+    kv_keys : int;
+    kv_read : int;
+    kv_scan : int;
+    kv_wseed : int;
+    kv_degraded : int;
+    kv_batch : int;
+    kv_plan : Fault.plan;
   }
 
-let run_kv_trial tr =
-  let m, r = Kv.run (kv_config tr) in
-  let live =
-    match m.Harness.Runner.outcome with
-    | Harness.Runner.Complete -> []
-    | Harness.Runner.Aborted rep ->
-        [
-          {
-            f_oracle = "liveness";
-            f_detail =
-              Format.asprintf "service aborted: %a" Sched.pp_verdict
-                rep.Sched.r_verdict;
-          };
-        ]
-  in
-  let valid =
-    if m.Harness.Runner.valid then []
-    else [ { f_oracle = "validate"; f_detail = "a shard store is invalid" } ]
-  in
-  let o = r.Kv.res_oracle in
-  let acked =
-    if o.Kv.warranted_ok then []
-    else
-      [
+  let name = "chaos-kv"
+  let command = "kv"
+
+  let to_string tr =
+    Printf.sprintf "kv/%s@%s s%d t%d o%d k%d R%d C%d w%d D%d B%d f%s" tr.kv_rep
+      tr.kv_topo tr.kv_shards tr.kv_threads tr.kv_ops tr.kv_keys tr.kv_read
+      tr.kv_scan tr.kv_wseed tr.kv_degraded tr.kv_batch
+      (Fault.to_string tr.kv_plan)
+
+  let of_string =
+    parse
+      ~head:(fun name topo ->
         {
-          f_oracle = "acked-write";
-          f_detail =
-            Printf.sprintf "%d lost in warranty, %d duplicated (of %d acked)"
-              (List.length o.Kv.lost_unwarranted)
-              (List.length o.Kv.duplicated)
-              o.Kv.acked_writes;
+          kv_rep = rep_of ~family:"kv" ~known:Kv.rep_names name topo;
+          kv_topo = topo;
+          kv_shards = 1;
+          kv_threads = 2;
+          kv_ops = 100;
+          kv_keys = 64;
+          kv_read = 50;
+          kv_scan = 10;
+          kv_wseed = 0;
+          kv_degraded = Kv.default_policy.Kv.degraded_cycles;
+          kv_batch = Kv.default_policy.Kv.resync_batch;
+          kv_plan = { Fault.seed = 0; specs = [] };
+        })
+      ~fields:
+        [
+          ('s', Int ("shards", fun tr v -> { tr with kv_shards = v }));
+          ('t', Int ("threads", fun tr v -> { tr with kv_threads = v }));
+          ('o', Int ("ops", fun tr v -> { tr with kv_ops = v }));
+          ('k', Int ("keys", fun tr v -> { tr with kv_keys = v }));
+          ('R', Int ("read pct", fun tr v -> { tr with kv_read = v }));
+          ('C', Int ("scan pct", fun tr v -> { tr with kv_scan = v }));
+          ('w', Int ("workload seed", fun tr v -> { tr with kv_wseed = v }));
+          ('D', Int ("degraded", fun tr v -> { tr with kv_degraded = v }));
+          ('B', Int ("batch", fun tr v -> { tr with kv_batch = v }));
+          ('f', Text (fun tr v -> { tr with kv_plan = Fault.of_string v }));
+        ]
+      ~check:(fun tr ->
+        if tr.kv_shards < 1 || tr.kv_threads < 1 || tr.kv_ops < 1 then
+          parse_error "shards/threads/ops must be positive";
+        if tr.kv_degraded < 0 || tr.kv_batch < 1 then
+          parse_error "degraded window must be >= 0 and batch >= 1";
+        check_pct "read pct" tr.kv_read;
+        check_pct "scan pct" tr.kv_scan;
+        check_pct "read + scan pct" (tr.kv_read + tr.kv_scan))
+
+  let config tr : Kv.config =
+    {
+      Kv.rep = tr.kv_rep;
+      nshards = tr.kv_shards;
+      threads = tr.kv_threads;
+      ops = tr.kv_ops;
+      seed = tr.kv_wseed;
+      topo = topology_of_name tr.kv_topo;
+      workload =
+        {
+          Kv.default_workload with
+          Kv.keys = tr.kv_keys;
+          read_pct = tr.kv_read;
+          scan_pct = tr.kv_scan;
         };
-      ]
-  in
-  (* Must-drop: a crash that fired mid-resync (a [Resync_crash] only
-     counts hits while its pair is copying) is the pair's second crash
-     before catch-up, and later successful resyncs must not re-arm it.
-     A final warranty other than Voided is a forged re-arm. *)
-  let voided =
-    List.filter_map
-      (fun (e : Fault.event) ->
-        match e.e_spec.f_action with
-        | Fault.Resync_crash { shard; _ } ->
-            let pair = shard mod tr.kv_shards in
-            if r.Kv.res_warranty.(pair) <> Kv.Voided then
-              Some
-                {
-                  f_oracle = "warranty";
-                  f_detail =
-                    Printf.sprintf
-                      "crash fired mid-resync on pair %d yet warranty is %s \
-                       (must drop to voided)"
-                      pair
-                      (Kv.warranty_name r.Kv.res_warranty.(pair));
-                }
-            else None
-        | _ -> None)
-      (Fault.events ())
-  in
-  (m, r, live @ valid @ acked @ voided)
+      policy =
+        {
+          Kv.default_policy with
+          Kv.degraded_cycles = tr.kv_degraded;
+          resync_batch = tr.kv_batch;
+        };
+      plan = Some tr.kv_plan;
+    }
 
-let kv_reps = [| "ht-optik"; "ll-optik"; "ll-harris"; "sl-optik" |]
+  let run tr =
+    let m, r = Kv.run (config tr) in
+    let o = r.Kv.res_oracle in
+    let valid =
+      unless m.Harness.Runner.valid "validate" (fun () ->
+          "a shard store is invalid")
+    in
+    let acked =
+      unless o.Kv.warranted_ok "acked-write" (fun () ->
+          Printf.sprintf "%d lost in warranty, %d duplicated (of %d acked)"
+            (List.length o.Kv.lost_unwarranted)
+            (List.length o.Kv.duplicated)
+            o.Kv.acked_writes)
+    in
+    (* Must-drop: a crash that fired mid-resync (a [Resync_crash] only
+       counts hits while its pair is copying) is the pair's second crash
+       before catch-up, and later successful resyncs must not re-arm it.
+       A final warranty other than Voided is a forged re-arm. *)
+    let voided =
+      List.concat_map
+        (fun (e : Fault.event) ->
+          match e.e_spec.f_action with
+          | Fault.Resync_crash { shard; _ } ->
+              let w = r.Kv.res_warranty.(shard mod tr.kv_shards) in
+              unless (w = Kv.Voided) "warranty" (fun () ->
+                  Printf.sprintf
+                    "crash fired mid-resync on pair %d yet warranty is %s \
+                     (must drop to voided)"
+                    (shard mod tr.kv_shards) (Kv.warranty_name w))
+          | _ -> [])
+        (Fault.events ())
+    in
+    ( service_liveness "service" m @ valid @ acked @ voided,
+      Format.asprintf "%a" Kv.pp_oracle o )
 
-let gen_kv_trial rng =
-  let kv_rep = pick rng kv_reps in
-  let kv_topo = pick rng topo_names in
-  let kv_shards = 1 + Rng.below rng 4 in
-  let kv_threads = 2 + Rng.below rng 5 in
-  let kv_ops = 200 + Rng.below rng 1_000 in
-  let kv_keys = 64 + Rng.below rng 448 in
-  let kv_read = Rng.below rng 90 in
-  let kv_scan = Rng.below rng (91 - kv_read) in
-  let kv_wseed = Rng.below rng 1_000_000 in
-  let kv_degraded = 2_000 + Rng.below rng 60_000 in
-  let kv_batch = 8 lsl Rng.below rng 5 (* 8..128 *) in
-  let seed = Rng.below rng 1_000_000 in
-  let specs = ref [] in
-  (* Shard faults: per pair, a short sequence of crashes. The re-armable
-     warranty makes any schedule legal — crashes the resync absorbs are
-     judged strictly, crashes that land before catch-up void the pair
-     and the oracle excuses it — so the generator need not ration the
-     f = 1 budget; it spaces crashes by a guessed resync window to give
-     re-arms a chance, and sometimes aims a [resynccrash] at the
-     recovery window on purpose (the double-crash-during-resync
-     family). *)
-  for i = 0 to kv_shards - 1 do
-    let ncrashes = Rng.below rng 3 in
-    let hits = ref 0 in
-    for c = 0 to ncrashes - 1 do
-      let store = if Rng.below rng 2 = 0 then i else kv_shards + i in
-      let point = points.(Rng.below rng (Array.length points)) in
-      hits := !hits + 1 + Rng.below rng (min 200 kv_ops);
-      let r = Rng.below rng 3 in
-      let down_for = if r = 0 then 0 else 2_000 + Rng.below rng 100_000 in
-      specs := Fault.shard_crash ~hits:!hits ~down_for store point :: !specs;
-      if r = 0 && Rng.below rng 2 = 0 then
+  let reps = [| "ht-optik"; "ll-optik"; "ll-harris"; "sl-optik" |]
+
+  let gen rng =
+    let kv_rep = pick rng reps in
+    let kv_topo = pick rng topo_names in
+    let kv_shards = 1 + Rng.below rng 4 in
+    let kv_threads = 2 + Rng.below rng 5 in
+    let kv_ops = 200 + Rng.below rng 1_000 in
+    let kv_keys = 64 + Rng.below rng 448 in
+    let kv_read = Rng.below rng 90 in
+    let kv_scan = Rng.below rng (91 - kv_read) in
+    let kv_wseed = Rng.below rng 1_000_000 in
+    let kv_degraded = 2_000 + Rng.below rng 60_000 in
+    let kv_batch = 8 lsl Rng.below rng 5 (* 8..128 *) in
+    let seed = Rng.below rng 1_000_000 in
+    let specs = ref [] in
+    (* Shard faults: per pair, a short sequence of crashes. The re-armable
+       warranty makes any schedule legal — crashes the resync absorbs are
+       judged strictly, crashes that land before catch-up void the pair
+       and the oracle excuses it — so the generator need not ration the
+       f = 1 budget; it spaces crashes by a guessed resync window to give
+       re-arms a chance, and sometimes aims a [resynccrash] at the
+       recovery window on purpose (the double-crash-during-resync
+       family). *)
+    for i = 0 to kv_shards - 1 do
+      let ncrashes = Rng.below rng 3 in
+      let hits = ref 0 in
+      for c = 0 to ncrashes - 1 do
+        let store = if Rng.below rng 2 = 0 then i else kv_shards + i in
+        let point = pick rng points in
+        hits := !hits + 1 + Rng.below rng (min 200 kv_ops);
+        let r = Rng.below rng 3 in
+        let down_for = if r = 0 then 0 else 2_000 + Rng.below rng 100_000 in
+        specs := Fault.shard_crash ~hits:!hits ~down_for store point :: !specs;
+        if r = 0 && Rng.below rng 2 = 0 then
+          specs :=
+            Fault.shard_recover ~hits:(!hits + 1 + Rng.below rng 50) store
+              Rt.Rt_intf.Op_boundary
+            :: !specs;
+        (* Double-crash-during-resync: crash the pair's other store a few
+           hits into the repair the crash above provokes ([resynccrash]
+           hits only count while the pair is mid-copy, so placement needs
+           no timing knowledge). *)
+        if c = ncrashes - 1 && Rng.below rng 3 = 0 then begin
+          let other = if store < kv_shards then kv_shards + i else i in
+          specs :=
+            Fault.resync_crash
+              ~hits:(1 + Rng.below rng 8)
+              ~down_for:(2_000 + Rng.below rng 50_000)
+              other Rt.Rt_intf.Op_boundary
+            :: !specs
+        end
+      done
+    done;
+    (* Client faults: crashes only between requests (op-boundary — outside
+       any lock protocol, so aborts are never excusable), stalls and storms
+       anywhere, all far below the watchdog horizon. *)
+    let nclient = Rng.below rng 3 in
+    let ncrashes = ref 0 in
+    for _ = 1 to nclient do
+      let r = Rng.below rng 10 in
+      if r < 3 && !ncrashes < kv_threads - 1 then begin
+        incr ncrashes;
         specs :=
-          Fault.shard_recover ~hits:(!hits + 1 + Rng.below rng 50) store
+          Fault.crash
+            ~tid:(Rng.below rng kv_threads)
+            ~hits:(1 + Rng.below rng (min 100 kv_ops))
             Rt.Rt_intf.Op_boundary
-          :: !specs;
-      (* Double-crash-during-resync: crash the pair's other store a few
-         hits into the repair the crash above provokes ([resynccrash]
-         hits only count while the pair is mid-copy, so placement needs
-         no timing knowledge). *)
-      if c = ncrashes - 1 && Rng.below rng 3 = 0 then begin
-        let other = if store < kv_shards then kv_shards + i else i in
-        specs :=
-          Fault.resync_crash
-            ~hits:(1 + Rng.below rng 8)
-            ~down_for:(2_000 + Rng.below rng 50_000)
-            other Rt.Rt_intf.Op_boundary
           :: !specs
       end
-    done
-  done;
-  (* Client faults: crashes only between requests (op-boundary — outside
-     any lock protocol, so aborts are never excusable), stalls and storms
-     anywhere, all far below the watchdog horizon. *)
-  let nclient = Rng.below rng 3 in
-  let ncrashes = ref 0 in
-  for _ = 1 to nclient do
-    let r = Rng.below rng 10 in
-    if r < 3 && !ncrashes < kv_threads - 1 then begin
-      incr ncrashes;
-      specs :=
-        Fault.crash
-          ~tid:(Rng.below rng kv_threads)
-          ~hits:(1 + Rng.below rng (min 100 kv_ops))
-          Rt.Rt_intf.Op_boundary
-        :: !specs
-    end
-    else
-      let point = points.(Rng.below rng (Array.length points)) in
-      let hits = 1 + Rng.below rng 50 in
-      if r < 7 then
-        specs := Fault.stall ~hits (500 + Rng.below rng 50_000) point :: !specs
       else
-        specs := Fault.storm ~hits (500 + Rng.below rng 50_000) point :: !specs
-  done;
-  {
-    kv_rep;
-    kv_topo;
-    kv_shards;
-    kv_threads;
-    kv_ops;
-    kv_keys;
-    kv_read;
-    kv_scan;
-    kv_wseed;
-    kv_degraded;
-    kv_batch;
-    kv_plan = { Fault.seed; specs = List.rev !specs };
-  }
+        let point = pick rng points in
+        let hits = 1 + Rng.below rng 50 in
+        if r < 7 then
+          specs := Fault.stall ~hits (500 + Rng.below rng 50_000) point :: !specs
+        else
+          specs := Fault.storm ~hits (500 + Rng.below rng 50_000) point :: !specs
+    done;
+    {
+      kv_rep;
+      kv_topo;
+      kv_shards;
+      kv_threads;
+      kv_ops;
+      kv_keys;
+      kv_read;
+      kv_scan;
+      kv_wseed;
+      kv_degraded;
+      kv_batch;
+      kv_plan = { Fault.seed; specs = List.rev !specs };
+    }
 
-(* Shrink-lite for kv trials: drop fault specs, shorten windows, shave
-   client threads and ops. Shard count stays put — replica store indices
-   are [nshards + i], so changing it would re-address the plan. *)
-let kv_candidates tr =
-  let specs = tr.kv_plan.Fault.specs in
-  let with_specs sp =
-    { tr with kv_plan = { tr.kv_plan with Fault.specs = sp } }
-  in
-  let drops =
-    List.mapi
-      (fun i _ -> with_specs (List.filteri (fun j _ -> j <> i) specs))
-      specs
-  in
-  let windows =
-    List.concat
-      (List.mapi
-         (fun i (sp : Fault.spec) ->
-           match sp.f_action with
-           | Fault.Shard_crash { shard; down_for } when down_for > 4_000 ->
-               [
-                 with_specs
-                   (replace_nth i
-                      {
-                        sp with
-                        f_action =
-                          Fault.Shard_crash { shard; down_for = down_for / 2 };
-                      }
-                      specs);
-               ]
-           | Fault.Resync_crash { shard; down_for } when down_for > 4_000 ->
-               [
-                 with_specs
-                   (replace_nth i
-                      {
-                        sp with
-                        f_action =
-                          Fault.Resync_crash
-                            { shard; down_for = down_for / 2 };
-                      }
-                      specs);
-               ]
-           | _ -> [])
-         specs)
-  in
-  let dims =
-    (if tr.kv_threads > 2 then [ { tr with kv_threads = tr.kv_threads - 1 } ]
-     else [])
-    @ (if tr.kv_ops > 100 then [ { tr with kv_ops = tr.kv_ops / 2 } ] else [])
-    @ (if tr.kv_keys > 64 then [ { tr with kv_keys = tr.kv_keys / 2 } ]
+  (* Drop fault specs, shorten crash windows, shave client threads and
+     ops. Shard count stays put — replica store indices are [nshards + i],
+     so changing it would re-address the plan. *)
+  let shrink_steps tr =
+    let halve_window (sp : Fault.spec) =
+      match sp.f_action with
+      | Fault.Shard_crash { shard; down_for } when down_for > 4_000 ->
+          let down_for = down_for / 2 in
+          Some { sp with f_action = Fault.Shard_crash { shard; down_for } }
+      | Fault.Resync_crash { shard; down_for } when down_for > 4_000 ->
+          let down_for = down_for / 2 in
+          Some { sp with f_action = Fault.Resync_crash { shard; down_for } }
+      | _ -> None
+    in
+    List.map
+      (fun p -> { tr with kv_plan = p })
+      (plan_steps tr.kv_plan [ halve_window ])
+    @ (if tr.kv_threads > 2 then [ { tr with kv_threads = tr.kv_threads - 1 } ]
        else [])
+    @ (if tr.kv_ops > 100 then [ { tr with kv_ops = tr.kv_ops / 2 } ] else [])
+    @ (if tr.kv_keys > 64 then [ { tr with kv_keys = tr.kv_keys / 2 } ] else [])
     @ (if tr.kv_degraded > 2_000 then
          [ { tr with kv_degraded = tr.kv_degraded / 2 } ]
        else [])
-    @ if tr.kv_batch > 8 then [ { tr with kv_batch = tr.kv_batch / 2 } ]
-      else []
-  in
-  drops @ windows @ dims
+    @ if tr.kv_batch > 8 then [ { tr with kv_batch = tr.kv_batch / 2 } ] else []
 
-let kv_fails tr =
-  let _, _, fs = run_kv_trial tr in
-  fs <> []
-
-let kv_shrink ?(budget = 60) tr0 =
-  if not (kv_fails tr0) then tr0
-  else begin
-    let runs = ref 1 in
-    let cur = ref tr0 in
-    let improved = ref true in
-    while !improved && !runs < budget do
-      improved := false;
-      (try
-         List.iter
-           (fun c ->
-             if !runs < budget then begin
-               incr runs;
-               if kv_fails c then begin
-                 cur := c;
-                 improved := true;
-                 raise Exit
-               end
-             end)
-           (kv_candidates !cur)
-       with Exit -> ())
-    done;
-    !cur
-  end
-
-let fuzz_kv ?(offset = 0) ?(summary = true) ~runs ~seed ppf =
-  let failed = ref 0 in
-  for j = 0 to runs - 1 do
-    let i = offset + j in
-    let rng = Rng.create (seed + (i * 1_000_003)) in
-    let tr = gen_kv_trial rng in
-    let _, _, fs = run_kv_trial tr in
-    if fs = [] then
-      Format.fprintf ppf "trial %4d ok   %s@." i (kv_to_string tr)
-    else begin
-      incr failed;
-      Format.fprintf ppf "trial %4d FAIL %s@." i (kv_to_string tr);
-      report_failures ppf fs;
-      let small = kv_shrink tr in
-      Format.fprintf ppf "           shrunk to %s@." (kv_to_string small);
-      Format.fprintf ppf
-        "           repro: optik_bench kv --replay '%s'@."
-        (kv_to_string small)
-    end
-  done;
-  if summary then
-    Format.fprintf ppf "chaos-kv: %d/%d trials failed (seed %d)@." !failed
-      runs seed;
-  !failed
-
-let replay_kv s ppf =
-  let tr = kv_of_string s in
-  let _, r, fs = run_kv_trial tr in
-  Format.fprintf ppf "replay %s@." (kv_to_string tr);
-  Format.fprintf ppf "%s@."
-    (Format.asprintf "%a" Kv.pp_oracle r.Kv.res_oracle);
-  (if fs = [] then Format.fprintf ppf "verdict: PASS@."
-   else begin
-     report_failures ppf fs;
-     Format.fprintf ppf "verdict: FAIL (%d oracle failures)@."
-       (List.length fs)
-   end);
-  List.length fs
+  let shrink_budget = 60
+end
 
 (* ------------------------------------------------------------------ *)
 (* Transaction trials                                                  *)
 
-type txn_trial = {
-  x_rep : string;
-  x_topo : string;
-  x_objects : int;
-  x_accounts : int;
-  x_threads : int;
-  x_ops : int;
-  x_transfer : int;  (** transfer percentage; the rest are audits *)
-  x_wseed : int;
-  x_broken : bool;
-}
-
-let txn_to_string tr =
-  Printf.sprintf "txn/%s@%s b%d a%d t%d o%d X%d w%d%s" tr.x_rep tr.x_topo
-    tr.x_objects tr.x_accounts tr.x_threads tr.x_ops tr.x_transfer tr.x_wseed
-    (if tr.x_broken then " !" else "")
-
-let txn_of_string s =
-  match
-    String.split_on_char ' ' (String.trim s)
-    |> List.filter (fun t -> t <> "")
-  with
-  | [] -> parse_error "empty txn trial"
-  | head :: toks ->
-      let name, topo =
-        match String.rindex_opt head '@' with
-        | Some i ->
-            ( String.sub head 0 i,
-              String.sub head (i + 1) (String.length head - i - 1) )
-        | None -> parse_error "missing @topology in %S" head
-      in
-      if not (has_prefix "txn/" name) then
-        parse_error "txn trial must start with txn/<rep>, got %S" name;
-      let rep = String.sub name 4 (String.length name - 4) in
-      if not (List.mem rep Txn.Workload.rep_names) then
-        parse_error "unknown txn rep %S (known: %s)" rep
-          (String.concat ", " Txn.Workload.rep_names);
-      ignore (topology_of_name topo : Sim.Topology.t);
-      let tr =
-        ref
-          {
-            x_rep = rep;
-            x_topo = topo;
-            x_objects = 2;
-            x_accounts = 8;
-            x_threads = 2;
-            x_ops = 200;
-            x_transfer = 70;
-            x_wseed = 0;
-            x_broken = false;
-          }
-      in
-      List.iter
-        (fun tok ->
-          if tok = "!" then tr := { !tr with x_broken = true }
-          else if String.length tok < 2 then parse_error "bad token %S" tok
-          else
-            let v = String.sub tok 1 (String.length tok - 1) in
-            match tok.[0] with
-            | 'b' -> tr := { !tr with x_objects = parse_int "objects" v }
-            | 'a' -> tr := { !tr with x_accounts = parse_int "accounts" v }
-            | 't' -> tr := { !tr with x_threads = parse_int "threads" v }
-            | 'o' -> tr := { !tr with x_ops = parse_int "ops" v }
-            | 'X' -> tr := { !tr with x_transfer = parse_int "transfer pct" v }
-            | 'w' -> tr := { !tr with x_wseed = parse_int "workload seed" v }
-            | _ -> parse_error "bad token %S" tok)
-        toks;
-      let tr = !tr in
-      if tr.x_objects < 1 || tr.x_threads < 1 || tr.x_ops < 1 then
-        parse_error "objects/threads/ops must be positive";
-      if tr.x_objects * tr.x_accounts < 2 then
-        parse_error "need at least two account slots";
-      tr
-
-let txn_config tr : Txn.Workload.config =
-  {
-    Txn.Workload.default_config with
-    Txn.Workload.rep = tr.x_rep;
-    objects = tr.x_objects;
-    accounts = tr.x_accounts;
-    threads = tr.x_threads;
-    ops = tr.x_ops;
-    transfer_pct = tr.x_transfer;
-    seed = tr.x_wseed;
-    topo = topology_of_name tr.x_topo;
-    broken = tr.x_broken;
+module Txn_trial = struct
+  type t = {
+    x_rep : string;
+    x_topo : string;
+    x_objects : int;
+    x_accounts : int;
+    x_threads : int;
+    x_ops : int;
+    x_transfer : int;
+    x_wseed : int;
+    x_broken : bool;
   }
 
-(* The transaction oracle: strict serializability of the committed
-   history ({!Txn.Workload.check_serializable} — replay in ticket order
-   plus snapshot positioning), structure validity, and liveness. *)
-let run_txn_trial tr =
-  let m, r = Txn.Workload.run (txn_config tr) in
-  let live =
-    match m.Harness.Runner.outcome with
-    | Harness.Runner.Complete -> []
-    | Harness.Runner.Aborted rep ->
-        [
-          {
-            f_oracle = "liveness";
-            f_detail =
-              Format.asprintf "workload aborted: %a" Sched.pp_verdict
-                rep.Sched.r_verdict;
-          };
-        ]
-  in
-  let valid =
-    if m.Harness.Runner.valid then []
-    else [ { f_oracle = "validate"; f_detail = "an object is invalid" } ]
-  in
-  let o = r.Txn.Workload.res_oracle in
-  let serial =
-    if o.Txn.Workload.ok then []
-    else
-      [
+  let name = "chaos-txn"
+  let command = "txn"
+
+  let to_string tr =
+    Printf.sprintf "txn/%s@%s b%d a%d t%d o%d X%d w%d%s" tr.x_rep tr.x_topo
+      tr.x_objects tr.x_accounts tr.x_threads tr.x_ops tr.x_transfer tr.x_wseed
+      (if tr.x_broken then " !" else "")
+
+  let of_string =
+    parse
+      ~head:(fun name topo ->
         {
-          f_oracle = "serializability";
-          f_detail =
-            Printf.sprintf "%d violations (%d transfers, %d audits)%s"
-              (List.length o.Txn.Workload.violations)
-              o.Txn.Workload.transfers o.Txn.Workload.audits
-              (match o.Txn.Workload.violations with
-              | v :: _ -> ": " ^ v
-              | [] -> "");
-        };
-      ]
-  in
-  (m, r, live @ valid @ serial)
+          x_rep = rep_of ~family:"txn" ~known:Txn.Workload.rep_names name topo;
+          x_topo = topo;
+          x_objects = 2;
+          x_accounts = 8;
+          x_threads = 2;
+          x_ops = 200;
+          x_transfer = 70;
+          x_wseed = 0;
+          x_broken = false;
+        })
+      ~fields:
+        [
+          ('b', Int ("objects", fun tr v -> { tr with x_objects = v }));
+          ('a', Int ("accounts", fun tr v -> { tr with x_accounts = v }));
+          ('t', Int ("threads", fun tr v -> { tr with x_threads = v }));
+          ('o', Int ("ops", fun tr v -> { tr with x_ops = v }));
+          ('X', Int ("transfer pct", fun tr v -> { tr with x_transfer = v }));
+          ('w', Int ("workload seed", fun tr v -> { tr with x_wseed = v }));
+          ('!', Flag (fun tr -> { tr with x_broken = true }));
+        ]
+      ~check:(fun tr ->
+        if tr.x_objects < 1 || tr.x_threads < 1 || tr.x_ops < 1 then
+          parse_error "objects/threads/ops must be positive";
+        if tr.x_objects * tr.x_accounts < 2 then
+          parse_error "need at least two account slots";
+        check_pct "transfer pct" tr.x_transfer)
 
-let txn_reps =
-  [| "ll-optik"; "map-optik"; "ht-optik"; "sl-optik"; "bst-optik"; "ll-lazy" |]
+  let config tr : Txn.Workload.config =
+    {
+      Txn.Workload.default_config with
+      Txn.Workload.rep = tr.x_rep;
+      objects = tr.x_objects;
+      accounts = tr.x_accounts;
+      threads = tr.x_threads;
+      ops = tr.x_ops;
+      transfer_pct = tr.x_transfer;
+      seed = tr.x_wseed;
+      topo = topology_of_name tr.x_topo;
+      broken = tr.x_broken;
+    }
 
-let gen_txn_trial rng =
-  {
-    x_rep = pick rng txn_reps;
-    x_topo = pick rng topo_names;
-    x_objects = 1 + Rng.below rng 4;
-    x_accounts = 2 + Rng.below rng 30;
-    x_threads = 2 + Rng.below rng 6;
-    x_ops = 200 + Rng.below rng 1_500;
-    x_transfer = 30 + Rng.below rng 71;
-    x_wseed = Rng.below rng 1_000_000;
-    x_broken = false;
-  }
+  (* The transaction oracle: strict serializability of the committed
+     history ({!Txn.Workload.check_serializable} — replay in ticket order
+     plus snapshot positioning), structure validity, and liveness. *)
+  let run tr =
+    let m, r = Txn.Workload.run (config tr) in
+    let o = r.Txn.Workload.res_oracle in
+    let valid =
+      unless m.Harness.Runner.valid "validate" (fun () -> "an object is invalid")
+    in
+    let serial =
+      unless o.Txn.Workload.ok "serializability" (fun () ->
+          Printf.sprintf "%d violations (%d transfers, %d audits)%s"
+            (List.length o.Txn.Workload.violations)
+            o.Txn.Workload.transfers o.Txn.Workload.audits
+            (match o.Txn.Workload.violations with v :: _ -> ": " ^ v | [] -> ""))
+    in
+    ( service_liveness "workload" m @ valid @ serial,
+      Format.asprintf "%a" Txn.Workload.pp_oracle o )
 
-let txn_candidates tr =
-  (if tr.x_threads > 2 then [ { tr with x_threads = tr.x_threads - 1 } ] else [])
-  @ (if tr.x_ops > 100 then [ { tr with x_ops = tr.x_ops / 2 } ] else [])
-  @ (if tr.x_accounts > 2 then [ { tr with x_accounts = tr.x_accounts / 2 } ]
+  let reps =
+    [| "ll-optik"; "map-optik"; "ht-optik"; "sl-optik"; "bst-optik"; "ll-lazy" |]
+
+  (* The fields' draw order is the compiler's record evaluation order;
+     the recorded trial streams depend on it, so keep this one literal. *)
+  let gen rng =
+    {
+      x_rep = pick rng reps;
+      x_topo = pick rng topo_names;
+      x_objects = 1 + Rng.below rng 4;
+      x_accounts = 2 + Rng.below rng 30;
+      x_threads = 2 + Rng.below rng 6;
+      x_ops = 200 + Rng.below rng 1_500;
+      x_transfer = 30 + Rng.below rng 71;
+      x_wseed = Rng.below rng 1_000_000;
+      x_broken = false;
+    }
+
+  let shrink_steps tr =
+    (if tr.x_threads > 2 then [ { tr with x_threads = tr.x_threads - 1 } ]
      else [])
-  @
-  if tr.x_objects > 1 && (tr.x_objects - 1) * tr.x_accounts >= 2 then
-    [ { tr with x_objects = tr.x_objects - 1 } ]
-  else []
+    @ (if tr.x_ops > 100 then [ { tr with x_ops = tr.x_ops / 2 } ] else [])
+    @ (if tr.x_accounts > 2 then [ { tr with x_accounts = tr.x_accounts / 2 } ]
+       else [])
+    @
+    if tr.x_objects > 1 && (tr.x_objects - 1) * tr.x_accounts >= 2 then
+      [ { tr with x_objects = tr.x_objects - 1 } ]
+    else []
 
-let txn_fails tr =
-  let _, _, fs = run_txn_trial tr in
-  fs <> []
-
-let txn_shrink ?(budget = 60) tr0 =
-  if not (txn_fails tr0) then tr0
-  else begin
-    let runs = ref 1 in
-    let cur = ref tr0 in
-    let improved = ref true in
-    while !improved && !runs < budget do
-      improved := false;
-      (try
-         List.iter
-           (fun c ->
-             if !runs < budget then begin
-               incr runs;
-               if txn_fails c then begin
-                 cur := c;
-                 improved := true;
-                 raise Exit
-               end
-             end)
-           (txn_candidates !cur)
-       with Exit -> ())
-    done;
-    !cur
-  end
-
-let fuzz_txn ?(offset = 0) ?(summary = true) ~runs ~seed ppf =
-  let failed = ref 0 in
-  for j = 0 to runs - 1 do
-    let i = offset + j in
-    let rng = Rng.create (seed + (i * 1_000_003)) in
-    let tr = gen_txn_trial rng in
-    let _, _, fs = run_txn_trial tr in
-    if fs = [] then
-      Format.fprintf ppf "trial %4d ok   %s@." i (txn_to_string tr)
-    else begin
-      incr failed;
-      Format.fprintf ppf "trial %4d FAIL %s@." i (txn_to_string tr);
-      report_failures ppf fs;
-      let small = txn_shrink tr in
-      Format.fprintf ppf "           shrunk to %s@." (txn_to_string small);
-      Format.fprintf ppf
-        "           repro: optik_bench txn --replay '%s'@."
-        (txn_to_string small)
-    end
-  done;
-  if summary then
-    Format.fprintf ppf "chaos-txn: %d/%d trials failed (seed %d)@." !failed
-      runs seed;
-  !failed
-
-let replay_txn s ppf =
-  let tr = txn_of_string s in
-  let _, r, fs = run_txn_trial tr in
-  Format.fprintf ppf "replay %s@." (txn_to_string tr);
-  Format.fprintf ppf "%s@."
-    (Format.asprintf "%a" Txn.Workload.pp_oracle r.Txn.Workload.res_oracle);
-  (if fs = [] then Format.fprintf ppf "verdict: PASS@."
-   else begin
-     report_failures ppf fs;
-     Format.fprintf ppf "verdict: FAIL (%d oracle failures)@."
-       (List.length fs)
-   end);
-  List.length fs
-
-(* ------------------------------------------------------------------ *)
-(* World reset                                                         *)
-
-(* Restore every piece of the calling domain's simulator world to
-   process-pristine state: the scheduler (counters, packed-line table,
-   fault hook, noise, heap), the fault engine, the observability journal,
-   the probe cells, and every id source trials allocate from (packing
-   groups, lock handles, transaction oids, skip-list level generators).
-   After this, a trial behaves exactly as it would in a fresh process —
-   the reset the fleet runner applies before each task so batch output
-   is byte-identical to serial output. *)
-let fresh_world () =
-  Sim.Sched.reset_world ();
-  Sim.Fault.reset_world ();
-  Obs.Journal.reset_world ();
-  Sim.Sim_rt.Probe.reset_world ();
-  Rt.Group.reset ();
-  Locks.Handle.reset_ids ();
-  Txn.Workload.T.reset_oids ();
-  Dstruct.Sl_common.reset_states ()
+  let shrink_budget = 60
+end

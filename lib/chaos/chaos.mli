@@ -1,12 +1,96 @@
-(** Chaos engine: randomized fault/schedule fuzzing over the registry
-    structures, with crash-aware linearizability checking and
-    counterexample shrinking.
+(** Chaos engine: randomized fault/schedule fuzzing with crash-aware
+    oracles and counterexample shrinking, over three trial families —
+    registry structures (sets, queues, stacks), the sharded KV service and
+    optimistic transactions.
 
-    Each {!trial} bundles everything one deterministic run needs: a
-    structure, a machine topology, a small workload, scheduler
-    perturbation knobs (quantum, read slack, noise amplitude) and a fault
-    plan. {!run_trial} executes it under the simulator and applies three
-    oracles:
+    A family is a {!TRIAL}: a trial type with a one-line replayable
+    string form, a seeded generator, greedy shrink steps and a [run] that
+    applies the family's oracles. One driver — {!fuzz}, {!shrink},
+    {!replay}, {!fleet} — runs any family.
+
+    Determinism: a trial's outcome is a pure function of its string form
+    — fuzzing twice with the same seed produces byte-identical output,
+    and {!replay} of an emitted repro string reproduces the identical
+    verdict. *)
+
+type failure = { f_oracle : string; f_detail : string }
+
+module type TRIAL = sig
+  type t
+
+  val name : string
+  (** Summary label: ["chaos"], ["chaos-kv"], ["chaos-txn"]. *)
+
+  val command : string
+  (** The [optik_bench] subcommand whose [--replay] takes {!to_string}'s
+      output (printed in repro lines). *)
+
+  val to_string : t -> string
+  (** One-line replayable form: [name@topo] followed by one-letter
+      fields. *)
+
+  val of_string : string -> t
+  (** Inverse of {!to_string}; raises [Invalid_argument] on parse errors,
+      unknown names and out-of-range fields. *)
+
+  val gen : Harness.Rng.t -> t
+  (** Draw a random trial from the given rng state. *)
+
+  val shrink_steps : t -> t list
+  (** Candidate reductions of a trial, most aggressive first. *)
+
+  val shrink_budget : int
+  (** How many runs {!shrink} may spend. *)
+
+  val run : t -> failure list * string
+  (** Execute one trial: the oracle failures (empty = every oracle
+      passed) and the detail line {!replay} prints. Deterministic; never
+      raises for well-formed trials. *)
+end
+
+(** {1 The driver} *)
+
+val fuzz : (module TRIAL) -> runs:int -> seed:int -> Format.formatter -> int
+(** Run [runs] independent random trials (trial [i] is drawn from seed
+    [seed + i * 1_000_003]), shrinking and reporting each failure with a
+    one-line repro ([optik_bench COMMAND --replay '...']), then a
+    ["NAME: F/T trials failed (seed S)"] summary. Returns the number of
+    failing trials. Output is byte-deterministic for a given family,
+    [runs] and [seed]. *)
+
+val shrink : (module TRIAL with type t = 'a) -> 'a -> 'a
+(** Greedily minimize a failing trial: take the first shrink step that
+    still fails some oracle and start over from it, until no step fails
+    or the budget is spent. Returns the trial unchanged if it does not
+    fail. *)
+
+val replay : (module TRIAL) -> string -> Format.formatter -> int
+(** Parse a repro string, run it, report the verdict; returns the number
+    of oracle failures (0 = passes). Raises [Invalid_argument] on a
+    malformed string. *)
+
+val fleet :
+  (module TRIAL) -> jobs:int -> batch:int -> trials:int -> seed:int -> int * string
+(** {!fuzz} of [trials] trials farmed over [jobs] worker domains in
+    batches of [batch]: returns the failure count and the output, which
+    is byte-identical to {!fuzz}'s whatever the jobs/batch split (every
+    task starts from {!fresh_world}). *)
+
+val fresh_world : unit -> unit
+(** Restore the calling domain's entire simulator world to
+    process-pristine state: scheduler counters/tables/heap
+    ([Sim.Sched.reset_world]), the fault engine, the observability
+    journal, probe cells, and every id source (packing groups, lock
+    handles, transaction oids, skip-list level rngs). Structures created
+    before the reset are invalidated. The fleet runs this before every
+    task so a trial's output does not depend on which domain ran it or
+    what ran there before. *)
+
+(** {1 Registry structures}
+
+    Each trial bundles a structure, a machine topology, a small workload,
+    scheduler perturbation knobs (quantum, read slack, noise amplitude)
+    and a fault plan. Oracles:
 
     - {e liveness by family}: lock-free representatives must end
       [Progress]; blocking ones may end [Starved] only behind a dead lock
@@ -16,15 +100,7 @@
       linearize against the sequential spec;
     - {e invariant sweeps}: size accounting against the history, the
       structure's own [validate], and QSBR's
-      [retired = freed + pending].
-
-    Determinism: a trial's outcome is a pure function of its
-    {!to_string} representation — fuzzing twice with the same seed
-    produces byte-identical output, and [--replay] of an emitted repro
-    string reproduces the identical verdict. On failure, {!shrink}
-    greedily minimizes the trial (drop fault specs, shrink durations,
-    reduce threads/ops/keys), re-running deterministically at each
-    step. *)
+      [retired = freed + pending]. *)
 
 (** Liveness family of a structure (§2 of the paper): what a fault plan
     is allowed to do to it. *)
@@ -46,9 +122,6 @@ val quick_entries : entry list
 (** {!default_entries} minus the slow representatives (skip lists, BST);
     the CI smoke set. *)
 
-val find_entry : entry list -> string -> entry
-(** Raises [Invalid_argument] for an unknown name. *)
-
 type trial = {
   t_entry : entry;
   t_topo : string;  (** topology name: u2, u4, xeon, opteron *)
@@ -62,65 +135,25 @@ type trial = {
   t_plan : Sim.Fault.plan;
 }
 
-val to_string : trial -> string
-(** One-line replayable form:
+val sets : entry list -> (module TRIAL with type t = trial)
+(** The family over [entries]: [gen] draws from them and [of_string]
+    resolves names against them. Strings read
     [name@topo tN oN kN qN rN nN wN fPLAN] with [PLAN] in
-    {!Sim.Fault.to_string} syntax. *)
-
-val of_string : ?entries:entry list -> string -> trial
-(** Inverse of {!to_string}; [entries] (default {!default_entries})
-    resolves the structure name. Raises [Invalid_argument] on parse
-    errors or unknown names. *)
-
-type failure = { f_oracle : string; f_detail : string }
+    {!Sim.Fault.to_string} syntax; the detail line reads
+    [run completed; crashed threads [..]]; the shrink steps drop fault
+    specs, halve stall/storm durations and hit counts, and reduce
+    threads/ops/keys. *)
 
 type outcome = {
-  o_trial : trial;
   o_completed : bool;  (** the run finished (vs watchdog abort) *)
   o_crashed : int list;  (** threads killed by the fault plan *)
   o_failures : failure list;  (** empty = every oracle passed *)
 }
 
 val run_trial : trial -> outcome
-(** Execute one trial. Deterministic; never raises for well-formed
-    trials. *)
+(** The family's [run], with the completion and crash details. *)
 
-val gen_trial : entry list -> Harness.Rng.t -> trial
-(** Draw a random trial over [entries] from the given rng state. *)
-
-val shrink : ?budget:int -> trial -> trial
-(** Greedily minimize a failing trial: repeatedly try dropping a fault
-    spec, halving stall/storm durations and hit counts, and reducing
-    threads/ops/keys, keeping any reduction that still fails some
-    oracle. [budget] (default 300) bounds the number of re-runs. Returns
-    the trial unchanged if it does not fail. *)
-
-val fuzz :
-  ?entries:entry list ->
-  ?offset:int ->
-  ?summary:bool ->
-  runs:int ->
-  seed:int ->
-  Format.formatter ->
-  int
-(** Run [runs] independent random trials (trial [i] is drawn from seed
-    [seed + i * 1_000_003]), shrinking and reporting each failure with a
-    one-line repro ([optik_bench chaos --replay '...']). Returns the
-    number of failing trials. Output is byte-deterministic for a given
-    ([entries], [runs], [seed]).
-
-    [offset] (default 0) starts at trial index [offset] instead of 0:
-    [fuzz ~offset ~runs] runs trials [offset..offset+runs-1] of the same
-    seeded sequence, printing the same absolute indices — so a fleet of
-    batches concatenates to exactly the serial output. [summary] (default
-    true) prints the trailing ["chaos: F/T trials failed"] line; batch
-    runs pass [false] and let the driver print one merged summary. *)
-
-val replay : ?entries:entry list -> string -> Format.formatter -> int
-(** Parse a repro string, run it, report the verdict; returns the number
-    of oracle failures (0 = passes). *)
-
-(** {1 KV service fuzzing}
+(** {1 KV service}
 
     Randomized trials over the sharded KV service ({!Kv}): sequences of
     shard crashes per pair (the resync path re-arms the f = 1 budget,
@@ -131,43 +164,30 @@ val replay : ?entries:entry list -> string -> Format.formatter -> int
     duplicated while its pair is under warranty, and a pair that took a
     crash mid-resync ends Voided (anything else is a forged re-arm). *)
 
-type kv_trial = {
-  kv_rep : string;  (** service representation ({!Kv.rep_names}) *)
-  kv_topo : string;
-  kv_shards : int;
-  kv_threads : int;
-  kv_ops : int;
-  kv_keys : int;
-  kv_read : int;
-  kv_scan : int;
-  kv_wseed : int;
-  kv_degraded : int;  (** degraded window before a wiped store resyncs *)
-  kv_batch : int;  (** resync copy batch size *)
-  kv_plan : Sim.Fault.plan;
-}
+module Kv_trial : sig
+  type t = {
+    kv_rep : string;  (** service representation ({!Kv.rep_names}) *)
+    kv_topo : string;
+    kv_shards : int;
+    kv_threads : int;
+    kv_ops : int;
+    kv_keys : int;
+    kv_read : int;  (** read percentage *)
+    kv_scan : int;  (** scan percentage *)
+    kv_wseed : int;
+    kv_degraded : int;  (** degraded window before a wiped store resyncs *)
+    kv_batch : int;  (** resync copy batch size *)
+    kv_plan : Sim.Fault.plan;
+  }
 
-val kv_to_string : kv_trial -> string
-(** [kv/REP@topo sN tN oN kN RN CN wN DN BN fPLAN]. *)
+  include TRIAL with type t := t
+  (** Strings read [kv/REP@topo sN tN oN kN RN CN wN DN BN fPLAN]; the
+      detail line is {!Kv.pp_oracle}'s. *)
 
-val kv_of_string : string -> kv_trial
-(** Inverse of {!kv_to_string}; raises [Invalid_argument] on parse
-    errors. *)
+  val config : t -> Kv.config
+end
 
-val gen_kv_trial : Harness.Rng.t -> kv_trial
-val kv_config : kv_trial -> Kv.config
-
-val run_kv_trial :
-  kv_trial -> Harness.Runner.measurement * Kv.result * failure list
-
-val fuzz_kv :
-  ?offset:int -> ?summary:bool -> runs:int -> seed:int -> Format.formatter -> int
-(** Like {!fuzz} over KV trials (same seeding scheme, output shape and
-    batching parameters); returns the number of failing trials. *)
-
-val replay_kv : string -> Format.formatter -> int
-(** Replay one KV trial string; returns its oracle-failure count. *)
-
-(** {1 Transaction fuzzing}
+(** {1 Transactions}
 
     Randomized trials over the multi-key optimistic transaction manager
     ({!Txn.Workload}): contended bank transfers plus snapshot audits over
@@ -176,50 +196,23 @@ val replay_kv : string -> Format.formatter -> int
     sequential model, every snapshot audit matches some model state
     inside its clock window, and account balances are conserved. *)
 
-type txn_trial = {
-  x_rep : string;  (** structure representation ({!Txn.Workload.rep_names}) *)
-  x_topo : string;
-  x_objects : int;
-  x_accounts : int;
-  x_threads : int;
-  x_ops : int;
-  x_transfer : int;  (** transfer percentage; the rest are audits *)
-  x_wseed : int;
-  x_broken : bool;  (** negative control: skip commit-time validation *)
-}
+module Txn_trial : sig
+  type t = {
+    x_rep : string;  (** structure representation ({!Txn.Workload.rep_names}) *)
+    x_topo : string;
+    x_objects : int;
+    x_accounts : int;
+    x_threads : int;
+    x_ops : int;
+    x_transfer : int;  (** transfer percentage; the rest are audits *)
+    x_wseed : int;
+    x_broken : bool;  (** negative control: skip commit-time validation *)
+  }
 
-val txn_to_string : txn_trial -> string
-(** [txn/REP@topo bN aN tN oN XN wN [!]] — trailing [!] marks the
-    broken-commit negative control. *)
+  include TRIAL with type t := t
+  (** Strings read [txn/REP@topo bN aN tN oN XN wN [!]] — a trailing [!]
+      marks the broken-commit negative control; the detail line is
+      {!Txn.Workload.pp_oracle}'s. *)
 
-val txn_of_string : string -> txn_trial
-(** Inverse of {!txn_to_string}; raises [Invalid_argument] on parse
-    errors. *)
-
-val gen_txn_trial : Harness.Rng.t -> txn_trial
-val txn_config : txn_trial -> Txn.Workload.config
-
-val run_txn_trial :
-  txn_trial -> Harness.Runner.measurement * Txn.Workload.result * failure list
-
-val fuzz_txn :
-  ?offset:int -> ?summary:bool -> runs:int -> seed:int -> Format.formatter -> int
-(** Like {!fuzz} over transaction trials (same seeding scheme, output
-    shape and batching parameters); returns the number of failing
-    trials. *)
-
-val replay_txn : string -> Format.formatter -> int
-(** Replay one transaction trial string; returns its oracle-failure
-    count. *)
-
-(** {1 World reset} *)
-
-val fresh_world : unit -> unit
-(** Restore the calling domain's entire simulator world to
-    process-pristine state: scheduler counters/tables/heap
-    ([Sim.Sched.reset_world]), the fault engine, the observability
-    journal, probe cells, and every id source (packing groups, lock
-    handles, transaction oids, skip-list level rngs). Structures created
-    before the reset are invalidated. The fleet runner calls this before
-    every task so a trial's output does not depend on which domain ran
-    it or what ran there before. *)
+  val config : t -> Txn.Workload.config
+end

@@ -197,6 +197,14 @@ let with_obs record_obs go =
 let run_set_sim ~topology ~nthreads ~ops ?(seed = 42) ?faults ?watchdog
     ?max_events ?(record_obs = false) (module S : Registry.SET_OPS)
     (w : set_workload) : measurement =
+  (* An ops target of 0 runs until the watchdog's verdict, which only a
+     fault plan can provoke: without one the run would never end. *)
+  let reject what =
+    invalid_arg ("Runner.run_set_sim: " ^ what ^ " must be positive")
+  in
+  if nthreads < 1 then reject "threads";
+  if ops < 0 || (ops = 0 && faults = None) then reject "ops";
+  if w.init_size < 1 then reject "size";
   let t =
     match w.capacity with
     | Some capacity -> S.create ~capacity ()

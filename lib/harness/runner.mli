@@ -122,6 +122,9 @@ val run_set_sim :
   (module Registry.SET_OPS) ->
   set_workload ->
   measurement
+(** Raises [Invalid_argument] unless [nthreads], the workload's
+    [init_size] and [ops] are positive. [ops = 0] is allowed only with
+    [faults]: it runs until the watchdog calls the verdict. *)
 
 val run_queue_sim :
   topology:Sim.Topology.t ->

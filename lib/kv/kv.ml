@@ -1253,6 +1253,12 @@ let format_events t =
 
 let run ?(record_obs = false) (cfg : config) :
     Harness.Runner.measurement * result =
+  let positive what n =
+    if n < 1 then invalid_arg (Printf.sprintf "Kv.run: %s must be positive" what)
+  in
+  positive "threads" cfg.threads;
+  positive "ops" cfg.ops;
+  positive "keys" cfg.workload.keys;
   Dstruct.Sl_common.reset_states ();
   let t = create cfg in
   Probe.reset_all ();

@@ -230,12 +230,9 @@ let service_metric name =
   | _ -> None
 
 let timeline ?(nwindows = default_windows) (r : Journal.record) : timeline =
-  let horizon =
-    Array.fold_left (fun h (e : Journal.entry) -> max h e.at) 1 r.entries
-  in
-  let nwindows = max 1 nwindows in
-  let width = max 1 ((horizon + nwindows - 1) / nwindows) in
-  let widx at = min (nwindows - 1) (max 0 (at / width)) in
+  let win = Journal.windows ~n:nwindows r in
+  let { Journal.horizon; nwindows; width } = win in
+  let widx = Journal.window_index win in
   let z () = Array.make nwindows 0 in
   let reqs = z ()
   and retries = z ()

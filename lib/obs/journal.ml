@@ -66,6 +66,19 @@ type record = {
   lines : line_stat list;  (** lines with recorded activity, ascending id *)
 }
 
+(* Virtual time cut into [nwindows] equal windows, shared by the
+   profile's series and the request timelines: the horizon is the last
+   entry's timestamp, clamped to at least 1, and the width is
+   ceil(horizon / nwindows), so every entry falls in some window. *)
+type windows = { horizon : int; nwindows : int; width : int }
+
+let windows ~n (r : record) =
+  let horizon = Array.fold_left (fun h e -> max h e.at) 1 r.entries in
+  let nwindows = max 1 n in
+  { horizon; nwindows; width = (horizon + nwindows - 1) / nwindows }
+
+let window_index w at = min (w.nwindows - 1) (max 0 (at / w.width))
+
 (* ------------------------------------------------------------------ *)
 (* The per-domain journal state                                        *)
 

@@ -70,17 +70,13 @@ let hotlines (r : Journal.record) =
 (* Series are computed from the journal's [Op_boundary] and [Restart]
    checkpoints; [keep] selects the slice (whole run or one thread). *)
 let windows_of (r : Journal.record) keep =
-  let horizon =
-    Array.fold_left (fun m (e : Journal.entry) -> max m e.at) 0 r.entries
-  in
-  let span = max 1 horizon in
-  let width = (span + n_windows - 1) / n_windows in
+  let win = Journal.windows ~n:n_windows r in
   let ops = Array.make n_windows 0 in
   let restarts = Array.make n_windows 0 in
   Array.iter
     (fun (e : Journal.entry) ->
       if keep e.tid then
-        let w = min (n_windows - 1) (e.at / width) in
+        let w = Journal.window_index win e.at in
         match e.kind with
         | Journal.Point Rt.Rt_intf.Op_boundary -> ops.(w) <- ops.(w) + 1
         | Journal.Point Rt.Rt_intf.Restart -> restarts.(w) <- restarts.(w) + 1
@@ -88,8 +84,8 @@ let windows_of (r : Journal.record) keep =
     r.entries;
   List.init n_windows (fun i ->
       {
-        w_t0 = i * width;
-        w_t1 = min span ((i + 1) * width);
+        w_t0 = i * win.Journal.width;
+        w_t1 = min win.Journal.horizon ((i + 1) * win.Journal.width);
         w_ops = ops.(i);
         w_restarts = restarts.(i);
       })

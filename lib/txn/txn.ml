@@ -649,6 +649,8 @@ module Workload = struct
       Harness.Runner.measurement * result =
     if cfg.objects < 1 || cfg.accounts < 1 || cfg.objects * cfg.accounts < 2
     then invalid_arg "Txn.Workload: need at least two account slots";
+    if cfg.threads < 1 || cfg.ops < 1 then
+      invalid_arg "Txn.Workload: threads and ops must be positive";
     Dstruct.Sl_common.reset_states ();
     let objs = make_objects cfg (rep_module cfg.rep) in
     let mgr =

@@ -60,13 +60,15 @@ let render f =
 let test_sequential_isolation () =
   let probe () =
     render (fun ppf ->
-        Chaos.fuzz ~entries:Chaos.quick_entries ~runs:3 ~seed:11 ppf)
+        Chaos.fuzz
+          (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
+          ~runs:3 ~seed:11 ppf)
   in
   Chaos.fresh_world ();
   let r1 = probe () in
   (* pollute the world: different structures, ids, journal, faults *)
-  ignore (render (fun ppf -> Chaos.fuzz_kv ~runs:2 ~seed:5 ppf));
-  ignore (render (fun ppf -> Chaos.fuzz_txn ~runs:2 ~seed:5 ppf));
+  ignore (render (fun ppf -> Chaos.fuzz (module Chaos.Kv_trial) ~runs:2 ~seed:5 ppf));
+  ignore (render (fun ppf -> Chaos.fuzz (module Chaos.Txn_trial) ~runs:2 ~seed:5 ppf));
   Chaos.fresh_world ();
   let r2 = probe () in
   Alcotest.(check bool) "same bytes from a pristine world" true (r1 = r2);

@@ -8,21 +8,23 @@ module Fp = Rt.Rt_intf
 (* Trial strings round-trip. Trials embed first-class modules, so
    compare via the canonical string form, not structural equality. *)
 
+module S = (val Chaos.sets Chaos.default_entries)
+
 let trial_roundtrip =
   Tutil.qcheck_case ~count:200 "trial to_string/of_string round-trip"
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Harness.Rng.create seed in
-      let tr = Chaos.gen_trial Chaos.default_entries rng in
-      let s = Chaos.to_string tr in
-      let tr' = Chaos.of_string s in
-      String.equal s (Chaos.to_string tr')
+      let tr = S.gen rng in
+      let s = S.to_string tr in
+      let tr' = S.of_string s in
+      String.equal s (S.to_string tr')
       && String.equal tr.Chaos.t_entry.Chaos.e_name
            tr'.Chaos.t_entry.Chaos.e_name)
 
 let test_trial_string_errors () =
   let bad s =
-    match Chaos.of_string s with
+    match S.of_string s with
     | (_ : Chaos.trial) -> Alcotest.failf "expected parse error for %S" s
     | exception Invalid_argument _ -> ()
   in
@@ -31,7 +33,10 @@ let test_trial_string_errors () =
   (* missing @topology *)
   bad "no/such@u4 t2 o1 k2 q1000 r0 n62 w0 f1";
   bad "list/harris@moon t2 o1 k2 q1000 r0 n62 w0 f1";
-  bad "list/harris@u4 t2 o1 k2 q1000 r0 n62 w0 f1;crash@nowhere"
+  bad "list/harris@u4 t2 o1 k2 q1000 r0 n62 w0 f1;crash@nowhere";
+  bad "list/harris@u4 t0";
+  bad "list/harris@u4 t";
+  bad "list/harris@u4 !"
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzing is byte-deterministic: same seed, same entries, same output. *)
@@ -39,7 +44,11 @@ let test_trial_string_errors () =
 let fuzz_to_string ~runs ~seed =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
-  let failures = Chaos.fuzz ~entries:Chaos.quick_entries ~runs ~seed ppf in
+  let failures =
+    Chaos.fuzz
+      (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
+      ~runs ~seed ppf
+  in
   Format.pp_print_flush ppf ();
   (failures, Buffer.contents buf)
 
@@ -105,8 +114,11 @@ let test_run_trial_deterministic () =
     (List.map (fun f -> (f.Chaos.f_oracle, f.Chaos.f_detail)) o1.Chaos.o_failures)
     (List.map (fun f -> (f.Chaos.f_oracle, f.Chaos.f_detail)) o2.Chaos.o_failures)
 
+(* The family that can resolve the mislabeled entry. *)
+let with_fake = Chaos.sets (fake_lf :: Chaos.default_entries)
+
 let test_shrinker_reduces () =
-  let small = Chaos.shrink failing_trial in
+  let small = Chaos.shrink with_fake failing_trial in
   let n_before = List.length failing_trial.Chaos.t_plan.F.specs in
   let n_after = List.length small.Chaos.t_plan.F.specs in
   Alcotest.(check bool)
@@ -121,24 +133,22 @@ let test_shrink_passing_identity () =
   let o = Chaos.run_trial tr in
   Alcotest.(check (list string)) "no failures" []
     (List.map (fun f -> f.Chaos.f_oracle) o.Chaos.o_failures);
-  let s = Chaos.shrink tr in
-  Alcotest.(check string) "unchanged" (Chaos.to_string tr) (Chaos.to_string s)
+  let s = Chaos.shrink with_fake tr in
+  Alcotest.(check string) "unchanged" (S.to_string tr) (S.to_string s)
 
 (* ------------------------------------------------------------------ *)
 (* Golden replay: the frozen repro string of the shrunk counterexample
    above replays to the identical verdict, byte-for-byte, twice. *)
 
-let entries_with_fake = fake_lf :: Chaos.default_entries
-
 let replay_to_string s =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  let n = Chaos.replay ~entries:entries_with_fake s ppf in
+  let n = Chaos.replay (with_fake :> (module Chaos.TRIAL)) s ppf in
   Format.pp_print_flush ppf ();
   (n, Buffer.contents buf)
 
 let test_golden_replay () =
-  let repro = Chaos.to_string (Chaos.shrink failing_trial) in
+  let repro = S.to_string (Chaos.shrink with_fake failing_trial) in
   let n1, out1 = replay_to_string repro in
   let n2, out2 = replay_to_string repro in
   Alcotest.(check int) "replay fails" 1 n1;

@@ -65,41 +65,19 @@ let test_jobs_validation () =
    must all produce the same bytes. *)
 let test_fleet_determinism () =
   let trials = 6 and seed = 11 in
-  let fleet ~jobs ~batch =
-    let tasks =
-      List.init
-        ((trials + batch - 1) / batch)
-        (fun b ->
-          let offset = b * batch in
-          let runs = min batch (trials - offset) in
-          Fleet.task
-            ~label:(Printf.sprintf "chaos[%d..%d]" offset (offset + runs - 1))
-            (fun () ->
-              let buf = Buffer.create 1024 in
-              let ppf = Format.formatter_of_buffer buf in
-              ignore
-                (Chaos.fuzz ~entries:Chaos.quick_entries ~offset
-                   ~summary:false ~runs ~seed ppf);
-              Format.pp_print_flush ppf ();
-              Buffer.contents buf))
-    in
-    String.concat ""
-      (Fleet.map ~jobs ~reset:Chaos.fresh_world tasks)
-  in
+  let family = (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL)) in
   let serial =
     let buf = Buffer.create 1024 in
     let ppf = Format.formatter_of_buffer buf in
     Chaos.fresh_world ();
-    ignore
-      (Chaos.fuzz ~entries:Chaos.quick_entries ~summary:false ~runs:trials
-         ~seed ppf);
+    let failed = Chaos.fuzz family ~runs:trials ~seed ppf in
     Format.pp_print_flush ppf ();
-    Buffer.contents buf
+    (failed, Buffer.contents buf)
   in
-  let one = fleet ~jobs:1 ~batch:2 in
-  let four = fleet ~jobs:4 ~batch:1 in
-  Alcotest.(check string) "jobs:1 == serial" serial one;
-  Alcotest.(check string) "jobs:4 == jobs:1" one four
+  let one = Chaos.fleet family ~jobs:1 ~batch:2 ~trials ~seed in
+  let four = Chaos.fleet family ~jobs:4 ~batch:1 ~trials ~seed in
+  Alcotest.(check (pair int string)) "jobs:1 == serial" serial one;
+  Alcotest.(check (pair int string)) "jobs:4 == jobs:1" one four
 
 let () =
   Alcotest.run "fleet"

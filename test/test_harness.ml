@@ -189,6 +189,23 @@ let test_runner_deterministic () =
   in
   Alcotest.(check bool) "same measurement twice" true (run () = run ())
 
+(* Arguments a run cannot honour are rejected up front: an ops target of
+   0 without a fault plan would never end, and no threads or an empty
+   key range cannot run at all. *)
+let test_runner_rejects_bad_args () =
+  let bad what ~nthreads ~ops ~size =
+    match
+      Harness.Runner.run_set_sim ~topology:Tutil.uniform4 ~nthreads ~ops
+        Harness.Registry.Sim_backend.ll_optik
+        (Harness.Runner.uniform_workload ~init_size:size ~update_pct:20 ())
+    with
+    | _ -> Alcotest.failf "expected Invalid_argument for %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  bad "ops 0" ~nthreads:2 ~ops:0 ~size:16;
+  bad "threads 0" ~nthreads:0 ~ops:100 ~size:16;
+  bad "size 0" ~nthreads:2 ~ops:100 ~size:0
+
 let test_native_runner_works () =
   let (module S : Harness.Registry.SET_OPS) =
     Harness.Registry.Native.ll_harris
@@ -250,6 +267,8 @@ let () =
           Alcotest.test_case "effective updates" `Quick
             test_runner_effective_updates;
           Alcotest.test_case "deterministic" `Quick test_runner_deterministic;
+          Alcotest.test_case "rejects bad arguments" `Quick
+            test_runner_rejects_bad_args;
           Alcotest.test_case "native runner" `Slow test_native_runner_works;
           Alcotest.test_case "queue runner" `Quick test_queue_runner;
         ] );

@@ -333,16 +333,40 @@ let test_broken_fencing_fails () =
 (* Chaos trial grammar round-trip. *)
 
 let test_kv_trial_roundtrip () =
+  let module T = Chaos.Kv_trial in
   let rng = Harness.Rng.create 99 in
   for _ = 1 to 100 do
-    let tr = Chaos.gen_kv_trial rng in
-    let s = Chaos.kv_to_string tr in
-    if Chaos.kv_of_string s <> tr then
+    let tr = T.gen rng in
+    let s = T.to_string tr in
+    if T.of_string s <> tr then
       Alcotest.failf "kv trial round-trip failed: %s" s
   done;
-  match Chaos.kv_of_string "nonsense" with
-  | (_ : Chaos.kv_trial) -> Alcotest.fail "expected parse error"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun s ->
+      match T.of_string s with
+      | (_ : T.t) -> Alcotest.failf "expected parse error for %S" s
+      | exception Invalid_argument _ -> ())
+    [
+      "nonsense";
+      "kv/ht-optik@u4 s1 t2 o100 R200";
+      "kv/ht-optik@u4 s1 t2 o100 R-1";
+      "kv/ht-optik@u4 s1 t2 o100 C101";
+      "kv/ht-optik@u4 s1 t2 o100 R60 C50";
+    ]
+
+(* Configurations the service cannot run are rejected up front, not
+   looped on forever or failed deep inside. *)
+let test_run_rejects_bad_config () =
+  let bad what cfg =
+    match Kv.run cfg with
+    | _ -> Alcotest.failf "expected Invalid_argument for %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  let c = Kv.default_config in
+  bad "ops 0" { c with Kv.ops = 0 };
+  bad "threads 0" { c with Kv.threads = 0 };
+  bad "shards 0" { c with Kv.nshards = 0 };
+  bad "keys 0" { c with Kv.workload = { c.Kv.workload with Kv.keys = 0 } }
 
 (* ------------------------------------------------------------------ *)
 (* Report integration: the kv run renders into a valid schema'd report
@@ -419,6 +443,8 @@ let () =
         [
           Alcotest.test_case "trial grammar round-trip" `Quick
             test_kv_trial_roundtrip;
+          Alcotest.test_case "run rejects bad configs" `Quick
+            test_run_rejects_bad_config;
         ] );
       ( "report",
         [ Alcotest.test_case "section and p999" `Quick test_report_section ] );

@@ -425,6 +425,38 @@ let test_txn_counters_audited () =
   Alcotest.(check bool) "vfail-txn-read is vfail-class" true
     (J.vfail_metric "vfail-txn-read")
 
+(* ---------------- hostperf baseline ---------------- *)
+
+(* The committed engine-throughput baseline reads back through the report
+   parser: every tracked row, each with positive rates. *)
+let test_hostperf_baseline () =
+  let rows =
+    Host_bench.parse_baseline
+      (In_channel.with_open_text "../BENCH_sim.json" In_channel.input_all)
+  in
+  Alcotest.(check int) "rows" 8 (List.length rows);
+  List.iter
+    (fun (name, ops, acc) ->
+      if not (ops > 0. && acc >= 0.) then
+        Alcotest.failf "%s: ops/hs %g, accesses/hs %g" name ops acc)
+    rows;
+  (* a round trip through the writer *)
+  let r =
+    {
+      Host_bench.r_name = "x";
+      r_threads = 1;
+      r_ops = 10;
+      r_accesses = 20;
+      r_events = 3;
+      r_host_s = 0.5;
+    }
+  in
+  Alcotest.(check (list (triple string (float 1e-9) (float 1e-9))))
+    "written rows parse" [ ("x", 20., 40.) ]
+    (Host_bench.parse_baseline (Host_bench.to_json [ r ]));
+  Alcotest.(check int) "garbage has no rows" 0
+    (List.length (Host_bench.parse_baseline "{ not json"))
+
 let () =
   Alcotest.run "report"
     [
@@ -462,6 +494,8 @@ let () =
         [
           Alcotest.test_case "measurement report round-trip" `Quick
             test_harness_report_roundtrip;
+          Alcotest.test_case "hostperf baseline parses" `Quick
+            test_hostperf_baseline;
         ] );
       ( "coverage",
         [

@@ -267,33 +267,56 @@ let test_conservation () =
 (* ------------------------------------------------------------------ *)
 (* Chaos trial grammar round-trip. *)
 
+module X = Chaos.Txn_trial
+
 let test_txn_trial_roundtrip () =
   let rng = Harness.Rng.create 99 in
   for _ = 1 to 100 do
-    let tr = Chaos.gen_txn_trial rng in
-    let s = Chaos.txn_to_string tr in
-    if Chaos.txn_of_string s <> tr then
+    let tr = X.gen rng in
+    let s = X.to_string tr in
+    if X.of_string s <> tr then
       Alcotest.failf "txn trial round-trip failed: %s" s
   done;
-  let broken = { (Chaos.gen_txn_trial rng) with Chaos.x_broken = true } in
+  let broken = { (X.gen rng) with X.x_broken = true } in
   Alcotest.(check bool) "broken flag round-trips" true
-    (Chaos.txn_of_string (Chaos.txn_to_string broken) = broken);
-  match Chaos.txn_of_string "nonsense" with
-  | (_ : Chaos.txn_trial) -> Alcotest.fail "expected parse error"
-  | exception Invalid_argument _ -> ()
+    (X.of_string (X.to_string broken) = broken);
+  List.iter
+    (fun s ->
+      match X.of_string s with
+      | (_ : X.t) -> Alcotest.failf "expected parse error for %S" s
+      | exception Invalid_argument _ -> ())
+    [
+      "nonsense";
+      "txn/ll-optik@u2 b1 a2 t1 o1 X500";
+      "txn/ll-optik@u2 b1 a2 t1 o1 X-1";
+      "txn/ll-optik@u2 b1 a2 t1 o1 !x";
+    ]
 
 let test_txn_trial_runs () =
-  let tr = Chaos.txn_of_string "txn/ll-optik@u2 b2 a8 t2 o400 X70 w5" in
-  let _, r, failures = Chaos.run_txn_trial tr in
+  let tr = X.of_string "txn/ll-optik@u2 b2 a8 t2 o400 X70 w5" in
+  let failures, _ = X.run tr in
   Alcotest.(check (list string)) "no oracle failures" []
     (List.map (fun f -> f.Chaos.f_oracle) failures);
+  let _, r = W.run (X.config tr) in
   Alcotest.(check bool) "transfers committed" true (r.W.res_commits > 0)
 
 let test_txn_trial_catches_broken () =
-  let tr = Chaos.txn_of_string "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !" in
-  let _, _, failures = Chaos.run_txn_trial tr in
+  let tr = X.of_string "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !" in
+  let failures, _ = X.run tr in
   Alcotest.(check bool) "serializability failure reported" true
     (List.exists (fun f -> f.Chaos.f_oracle = "serializability") failures)
+
+(* Configurations the workload cannot run are rejected up front. *)
+let test_run_rejects_bad_config () =
+  let bad what cfg =
+    match W.run cfg with
+    | _ -> Alcotest.failf "expected Invalid_argument for %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  let c = W.default_config in
+  bad "ops 0" { c with W.ops = 0 };
+  bad "threads 0" { c with W.threads = 0 };
+  bad "objects 0" { c with W.objects = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Report integration: the txn section renders into a valid schema'd
@@ -415,6 +438,8 @@ let () =
           Alcotest.test_case "trial runs clean" `Quick test_txn_trial_runs;
           Alcotest.test_case "trial catches broken commit" `Quick
             test_txn_trial_catches_broken;
+          Alcotest.test_case "run rejects bad configs" `Quick
+            test_run_rejects_bad_config;
         ] );
       ( "report",
         [ Alcotest.test_case "section and taxonomy" `Quick test_report_section ]
