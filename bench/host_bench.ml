@@ -34,7 +34,19 @@ let events_per_hs r = float_of_int r.r_events /. r.r_host_s
 (* ------------------------------------------------------------------ *)
 (* Workload specs                                                      *)
 
-type spec = { s_name : string; s_run : unit -> Runner.measurement }
+type spec = { s_name : string; s_run : unit -> result }
+
+(* The simulated counts of a finished run; [r_host_s] is the time it took
+   to simulate. *)
+let of_measurement name (m : Runner.measurement) =
+  {
+    r_name = name;
+    r_threads = m.threads;
+    r_ops = m.ops;
+    r_accesses = m.reads + m.writes + m.cas + m.faa;
+    r_events = m.events;
+    r_host_s = m.host_s;
+  }
 
 let set_spec name family structure ~topology ~nthreads ~ops ~size ~updates
     ~capacity =
@@ -43,15 +55,13 @@ let set_spec name family structure ~topology ~nthreads ~ops ~size ~updates
     s_run =
       (fun () ->
         let (module S : R.SET_OPS) = R.Sim_backend.find_named family structure in
+        let capacity = if capacity then Some (2 * size) else None in
         let w =
-          let base =
-            Runner.uniform_workload ~init_size:size ~update_pct:updates ()
-          in
-          if capacity then { base with Runner.capacity = Some (2 * size) }
-          else base
+          Runner.uniform_workload ?capacity ~init_size:size ~update_pct:updates ()
         in
         Dstruct.Sl_common.reset_states ();
-        Runner.run_set_sim ~topology ~nthreads ~ops ~seed:7 (module S) w);
+        of_measurement name
+          (Runner.run_set_sim ~topology ~nthreads ~ops ~seed:7 (module S) w));
   }
 
 (* Four representative structures across the engine's regimes:
@@ -95,7 +105,7 @@ let specs =
                      ~down_for:60_000 ~stagger:4_000 ());
             }
           in
-          fst (Kv.run cfg));
+          of_measurement "kv/ht-optik" (fst (Kv.run cfg)));
     };
     (* The multi-key transaction manager end-to-end: read-set tracking,
        commit-time validation and ticket ordering on top of the store
@@ -111,7 +121,7 @@ let specs =
               seed = 7;
             }
           in
-          fst (Txn.Workload.run cfg));
+          of_measurement "txn/bank-ll" (fst (Txn.Workload.run cfg)));
     };
     (* Capacity: 10_000 virtual threads hammering 64 striped counters on
        a small flat machine. No set semantics — this row isolates the
@@ -130,7 +140,7 @@ let specs =
             Array.init 64 (fun _ -> Sim.Sched.loc_packed ~group 0)
           in
           let host0 = Unix.gettimeofday () in
-          let stats, outcome =
+          let stats, _ =
             Runner.run_guarded ~topology ~nthreads ~ops_target:40_000
               (fun tid ->
                 let i = ref tid in
@@ -141,32 +151,14 @@ let specs =
                   Sim.Sched.work 32
                 done)
           in
-          let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
+          let host_s = Unix.gettimeofday () -. host0 in
           {
-            Runner.name = "cap/faa-10k";
-            topo_name = topology.Sim.Topology.name;
-            seed = 7;
-            threads = nthreads;
-            mops = Sim.Sched.mops topology stats;
-            ops = stats.Sim.Sched.ops;
-            wall_s =
-              float_of_int stats.Sim.Sched.wall_cycles
-              /. (topology.Sim.Topology.ghz *. 1e9);
-            eff_update_pct = 0.;
-            reads = stats.Sim.Sched.reads;
-            writes = stats.Sim.Sched.writes;
-            cas = stats.Sim.Sched.cas;
-            cas_failed = stats.Sim.Sched.cas_failed;
-            faa = stats.Sim.Sched.faa;
-            events = stats.Sim.Sched.events;
-            host_s;
-            lat = [||];
-            lat_classes = [||];
-            counters = [];
-            final_size = 0;
-            valid = (match outcome with Runner.Complete -> true | _ -> false);
-            outcome;
-            obs = None;
+            r_name = "cap/faa-10k";
+            r_threads = nthreads;
+            r_ops = stats.ops;
+            r_accesses = stats.reads + stats.writes + stats.cas + stats.faa;
+            r_events = stats.events;
+            r_host_s = host_s;
           });
     };
     (* The fleet driver end-to-end: spawn worker domains, reset each
@@ -182,58 +174,32 @@ let specs =
           let trials = 12 and seed = 7 in
           let jobs = min 4 (Harness.Fleet.default_jobs ()) in
           let host0 = Unix.gettimeofday () in
-          let failed, _ =
-            Chaos.fleet
-              (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
-              ~jobs ~batch:3 ~trials ~seed
-          in
-          let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
+          ignore
+            (Chaos.fleet
+               (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
+               ~jobs ~batch:3 ~trials ~seed);
           {
-            Runner.name = "fleet/chaos-quick";
-            topo_name = "host";
-            seed;
-            threads = jobs;
-            mops = 0.;
-            ops = trials;
-            wall_s = 0.;
-            eff_update_pct = 0.;
-            reads = 0;
-            writes = 0;
-            cas = 0;
-            cas_failed = 0;
-            faa = 0;
-            events = 0;
-            host_s;
-            lat = [||];
-            lat_classes = [||];
-            counters = [];
-            final_size = 0;
-            valid = failed = 0;
-            outcome = Runner.Complete;
-            obs = None;
+            r_name = "fleet/chaos-quick";
+            r_threads = jobs;
+            r_ops = trials;
+            r_accesses = 0;
+            r_events = 0;
+            r_host_s = Unix.gettimeofday () -. host0;
           });
     };
   ]
 
+(* Best of [repeats] host times; the simulated side is identical every
+   repeat. *)
 let measure ?(repeats = 3) (s : spec) =
-  let repeats = max 1 repeats in
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to repeats do
-    let m = s.s_run () in
-    if m.Runner.host_s < !best then best := m.Runner.host_s;
-    last := Some m
-  done;
-  let m = Option.get !last in
-  {
-    r_name = s.s_name;
-    r_threads = m.Runner.threads;
-    r_ops = m.Runner.ops;
-    r_accesses =
-      m.Runner.reads + m.Runner.writes + m.Runner.cas + m.Runner.faa;
-    r_events = m.Runner.events;
-    r_host_s = Float.max 1e-9 !best;
-  }
+  let rec go n (last : result) best =
+    if n <= 1 then { last with r_host_s = Float.max 1e-9 best }
+    else
+      let r = s.s_run () in
+      go (n - 1) r (Float.min best r.r_host_s)
+  in
+  let first = s.s_run () in
+  go repeats first first.r_host_s
 
 let run ?(repeats = 3) () = List.map (measure ~repeats) specs
 

@@ -95,21 +95,17 @@ let () =
   (* [--quick] is accepted (and is the default) so CI invocations can be
      explicit about the mode they expect. *)
   let args = List.filter (fun a -> a <> "--full" && a <> "--quick") args in
-  let mode = if fullmode then Figures.Experiments.full else Figures.Experiments.quick in
+  let mode = Figures.Experiments.mode_of ~full:fullmode ~seed:42 in
   let bech_only = args = [ "bechamel" ] in
   let ids =
     match List.filter (fun a -> a <> "bechamel") args with
     | [] -> Figures.Experiments.all_ids
     | l -> l
   in
-  (match
-     List.find_opt (fun id -> not (List.mem id Figures.Experiments.all_ids)) ids
-   with
-  | Some bad ->
-      Printf.eprintf "unknown experiment id %S; known ids: %s\n" bad
-        (String.concat ", " Figures.Experiments.all_ids);
-      exit 2
-  | None -> ());
+  (try Figures.Experiments.check_ids ids
+   with Invalid_argument msg ->
+     prerr_endline msg;
+     exit 2);
   let t0 = Unix.gettimeofday () in
   if not bech_only then (
     out
@@ -120,15 +116,13 @@ let () =
     out
       "Simulated machines: xeon (2x10x2 @2.8GHz), opteron (8x6 @2.1GHz); \
        deterministic multicore simulator (see DESIGN.md).";
-    let all_claims = ref [] in
-    List.iter
-      (fun id ->
-        let t1 = Unix.gettimeofday () in
-        let figs, claims = Figures.Experiments.run_id mode id in
-        List.iter (Figures.Render.figure out) figs;
-        all_claims := !all_claims @ claims;
-        Printf.printf "[%s done in %.1fs]\n%!" id (Unix.gettimeofday () -. t1))
-      ids;
-    Figures.Render.claims out !all_claims);
+    ignore
+      (Figures.Experiments.run mode
+         ~around:(fun id f ->
+           let t1 = Unix.gettimeofday () in
+           let claims = f () in
+           Printf.printf "[%s done in %.1fs]\n%!" id (Unix.gettimeofday () -. t1);
+           claims)
+         out ids));
   if bech_only || args = [] then run_bechamel ();
   Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -242,10 +242,6 @@ let trace_analysis ~timeline_file (trace : Obs.Journal.record option) =
 
 (* ---------------- figures ---------------- *)
 
-let figure_mode ~full ~seed =
-  let base = if full then Figures.Experiments.full else Figures.Experiments.quick in
-  { base with Figures.Experiments.seed }
-
 let figures_cmd =
   let ids =
     let doc =
@@ -263,38 +259,21 @@ let figures_cmd =
   in
   let run ids full seed report =
     main report @@ fun () ->
-    let mode = figure_mode ~full ~seed in
     let ids =
       match ids with
       | None -> Figures.Experiments.all_ids
       | Some s -> String.split_on_char ',' s |> List.map String.trim
     in
-    (match
-       List.find_opt
-         (fun id -> not (List.mem id Figures.Experiments.all_ids))
-         ids
-     with
-    | Some bad ->
-        invalid_arg
-          (Printf.sprintf "unknown experiment id %S; known ids: %s" bad
-             (String.concat ", " Figures.Experiments.all_ids))
-    | None -> ());
-    let claims = ref [] in
-    with_host_time
-      (Printf.sprintf "figures %s" (String.concat "," ids))
-      (fun _ -> 0)
-      (fun () ->
-        List.iter
-          (fun id ->
-            with_host_time id
-              (fun _ -> 0)
-              (fun () ->
-                let figs, cs = Figures.Experiments.run_id mode id in
-                List.iter (Figures.Render.figure out) figs;
-                claims := !claims @ cs))
-          ids);
-    Figures.Render.claims out !claims;
-    let runs = Figures.Experiments.drain_measurements () in
+    let runs =
+      with_host_time
+        (Printf.sprintf "figures %s" (String.concat "," ids))
+        (fun _ -> 0)
+        (fun () ->
+          Figures.Experiments.run
+            (Figures.Experiments.mode_of ~full ~seed)
+            ~around:(fun id f -> with_host_time id (fun _ -> 0) f)
+            out ids)
+    in
     ( false,
       fun () ->
         Harness.Report.make ~subcommand:"figures" ~seed:(Some seed)
@@ -317,15 +296,14 @@ let fault_cmd =
   let full = flag_arg "full" "Larger per-row op budgets." in
   let run seed full report =
     main report @@ fun () ->
-    with_host_time "fault"
-      (fun _ -> 0)
-      (fun () ->
-        let figs, cs =
-          Figures.Experiments.run_id (figure_mode ~full ~seed) "fault"
-        in
-        List.iter (Figures.Render.figure out) figs;
-        Figures.Render.claims out cs);
-    let runs = Figures.Experiments.drain_measurements () in
+    let runs =
+      with_host_time "fault"
+        (fun _ -> 0)
+        (fun () ->
+          Figures.Experiments.run
+            (Figures.Experiments.mode_of ~full ~seed)
+            out [ "fault" ])
+    in
     ( false,
       fun () ->
         Harness.Report.make ~subcommand:"fault" ~seed:(Some seed)
@@ -342,15 +320,19 @@ let fault_cmd =
 
 (* ---------------- single ad-hoc run ---------------- *)
 
-let family_structures = function
-  | "map" -> Harness.Registry.Sim_backend.maps
-  | "list" -> Harness.Registry.Sim_backend.lists
-  | "hashtable" -> Harness.Registry.Sim_backend.hashtables
-  | "skiplist" -> Harness.Registry.Sim_backend.skiplists
-  | "bst" -> Harness.Registry.Sim_backend.bsts
-  | f ->
-      invalid_arg
-        ("unknown family: " ^ f ^ " (use map, list, hashtable, skiplist or bst)")
+(* The set families [run] and [list] know, by singular name. *)
+let set_families =
+  Harness.Registry.Sim_backend.
+    [
+      ("map", maps);
+      ("list", lists);
+      ("hashtable", hashtables);
+      ("skiplist", skiplists);
+      ("bst", bsts);
+    ]
+
+let structure_names structures =
+  List.map (fun (module S : Harness.Registry.SET_OPS) -> S.name) structures
 
 let run_cmd =
   let family =
@@ -404,29 +386,29 @@ let run_cmd =
       profile report =
     main report @@ fun () ->
     let topology = topology_of_machine machine in
-    let structures = family_structures family in
+    let structures =
+      match List.assoc_opt family set_families with
+      | Some l -> l
+      | None ->
+          invalid_arg
+            ("unknown family: " ^ family
+           ^ " (use map, list, hashtable, skiplist or bst)")
+    in
     let (module S : Harness.Registry.SET_OPS) =
       try Harness.Registry.Sim_backend.find_named structures structure
       with Not_found ->
         invalid_arg
           (Printf.sprintf "unknown structure %S in family %S; known: %s"
              structure family
-             (String.concat ", "
-                (List.map
-                   (fun (module S : Harness.Registry.SET_OPS) -> S.name)
-                   structures)))
+             (String.concat ", " (structure_names structures)))
     in
     let w =
-      let base =
-        if skewed then
-          Harness.Runner.skewed_workload ~init_size:size ~update_pct:updates ()
-        else
-          Harness.Runner.uniform_workload ~init_size:size ~update_pct:updates
-            ()
+      let capacity =
+        if family = "map" || family = "hashtable" then Some size else None
       in
-      match family with
-      | "map" | "hashtable" -> { base with Harness.Runner.capacity = Some size }
-      | _ -> base
+      (if skewed then Harness.Runner.skewed_workload
+       else Harness.Runner.uniform_workload)
+        ?capacity ~init_size:size ~update_pct:updates ()
     in
     (* A report wants hot-line stall attribution, so it records the
        journal like --profile does; recording never perturbs the
@@ -500,8 +482,8 @@ let run_cmd =
 
 (* ---------------- soak ---------------- *)
 
-(* A bounded, deterministic soak sweep: the sampling shape of
-   test/soak.ml, but runs-bounded instead of time-bounded so its output
+(* A bounded, deterministic soak sweep: the sampler of test/soak.ml at a
+   narrower shape, runs-bounded instead of time-bounded so its output
    (and report) is reproducible. The unbounded wall-clock soak remains
    test/soak.exe. *)
 let soak_cmd =
@@ -513,13 +495,9 @@ let soak_cmd =
   in
   let run runs seed report =
     main report @@ fun () ->
-    let module R = Harness.Registry in
+    if runs < 1 then invalid_arg "soak: --runs must be >= 1";
+    let module Soak = Harness.Soak in
     let rng = Harness.Rng.create seed in
-    let topologies =
-      [ Sim.Topology.xeon; Sim.Topology.opteron; Sim.Topology.uniform ~n:4 () ]
-    in
-    let module SB = R.Sim_backend in
-    let all_sets = SB.maps @ SB.lists @ SB.hashtables in
     let failures = ref 0 in
     let measured = ref [] in
     with_host_time
@@ -527,51 +505,15 @@ let soak_cmd =
       (fun _ -> 0)
       (fun () ->
         for i = 1 to runs do
-          let run_seed = Harness.Rng.next rng land 0xFFFFFF in
-          let topo = List.nth topologies (Harness.Rng.below rng 3) in
-          let nthreads = 1 + Harness.Rng.below rng 16 in
-          let size = 4 lsl Harness.Rng.below rng 7 in
-          let updates = 10 + Harness.Rng.below rng 80 in
-          let skewed = Harness.Rng.below rng 2 = 0 in
-          let ops = 1_000 + Harness.Rng.below rng 4_000 in
-          let (module S : R.SET_OPS) =
-            List.nth all_sets (Harness.Rng.below rng (List.length all_sets))
-          in
-          let w =
-            let base =
-              if skewed then
-                Harness.Runner.skewed_workload ~init_size:size
-                  ~update_pct:updates ()
-              else
-                Harness.Runner.uniform_workload ~init_size:size
-                  ~update_pct:updates ()
-            in
-            { base with Harness.Runner.capacity = Some (2 * size) }
-          in
-          Dstruct.Sl_common.reset_states ();
-          let m =
-            Harness.Runner.run_set_sim ~topology:topo ~nthreads ~ops
-              ~seed:run_seed
-              ~watchdog:
-                { Sim.Sched.check_events = 500_000;
-                  starve_cycles = 50_000_000 }
-              (module S)
-              w
-          in
-          let complete =
-            match m.Harness.Runner.outcome with
-            | Harness.Runner.Complete -> true
-            | Harness.Runner.Aborted _ -> false
-          in
+          let c = Soak.sample Soak.bounded rng in
+          let m = Soak.run c in
+          let complete = not (Harness.Runner.aborted m) in
           if (not complete) || not m.Harness.Runner.valid then incr failures;
-          Printf.printf
-            "%d %s topo=%s thr=%d size=%d upd=%d skew=%b ops=%d seed=%d -> \
-             ops=%d mops=%.6f valid=%b complete=%b\n"
-            i S.name topo.Sim.Topology.name nthreads size updates skewed ops
-            run_seed m.Harness.Runner.ops m.Harness.Runner.mops
+          Printf.printf "%d %s -> ops=%d mops=%.6f valid=%b complete=%b\n" i
+            (Soak.describe c) m.Harness.Runner.ops m.Harness.Runner.mops
             m.Harness.Runner.valid complete;
           measured :=
-            (Printf.sprintf "soak/%02d/%s" i S.name, m) :: !measured
+            (Printf.sprintf "soak/%02d/%s" i (Soak.name c), m) :: !measured
         done);
     Printf.printf "soak finished: %d runs, %d failures\n" runs !failures;
     ( !failures > 0,
@@ -1379,18 +1321,11 @@ let probes_cmd =
 
 let list_cmd =
   let run () =
-    let p label l =
-      Printf.printf "%-11s %s\n" label
-        (String.concat ", "
-           (List.map
-              (fun (module S : Harness.Registry.SET_OPS) -> S.name)
-              l))
-    in
-    p "maps:" Harness.Registry.Sim_backend.maps;
-    p "lists:" Harness.Registry.Sim_backend.lists;
-    p "hashtables:" Harness.Registry.Sim_backend.hashtables;
-    p "skiplists:" Harness.Registry.Sim_backend.skiplists;
-    p "bsts:" Harness.Registry.Sim_backend.bsts;
+    List.iter
+      (fun (family, l) ->
+        Printf.printf "%-11s %s\n" (family ^ "s:")
+          (String.concat ", " (structure_names l)))
+      set_families;
     Printf.printf "%-11s %s\n" "queues:"
       (String.concat ", "
          (List.map

@@ -167,7 +167,8 @@ let fresh_world () =
   Rt.Group.reset ();
   Locks.Handle.reset_ids ();
   Txn.Workload.T.reset_oids ();
-  Dstruct.Sl_common.reset_states ()
+  Dstruct.Sl_common.reset_states ();
+  Dstruct.Stacks.reset_slot_seq ()
 
 (* ------------------------------------------------------------------ *)
 (* The driver: fuzz, shrink, replay, fleet                             *)
@@ -653,6 +654,7 @@ let run_trial tr =
      only on the trial itself (determinism, and order-independence
      across trials in one fuzzing session). *)
   Dstruct.Sl_common.reset_states ();
+  Dstruct.Stacks.reset_slot_seq ();
   let saved_noise = Sched.noise_bits () in
   Fun.protect ~finally:(fun () -> Sched.set_noise_bits saved_noise)
   @@ fun () ->

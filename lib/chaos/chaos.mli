@@ -81,10 +81,10 @@ val fresh_world : unit -> unit
     process-pristine state: scheduler counters/tables/heap
     ([Sim.Sched.reset_world]), the fault engine, the observability
     journal, probe cells, and every id source (packing groups, lock
-    handles, transaction oids, skip-list level rngs). Structures created
-    before the reset are invalidated. The fleet runs this before every
-    task so a trial's output does not depend on which domain ran it or
-    what ran there before. *)
+    handles, transaction oids, skip-list level rngs, elimination-stack
+    slot counters). Structures created before the reset are invalidated.
+    The fleet runs this before every task so a trial's output does not
+    depend on which domain ran it or what ran there before. *)
 
 (** {1 Registry structures}
 

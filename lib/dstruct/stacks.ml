@@ -9,6 +9,15 @@ module type RT = Rt.Rt_intf.RT
 
 module Backoff = Rt.Backoff
 
+(* The elimination stack's per-thread slot counters. Domain-local, like
+   the skip lists' level rngs, so a run's slot choices depend only on
+   what ran before it in the same domain, and [reset_slot_seq] makes
+   them independent of that too. *)
+let slot_seq_key : int array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make 128 0)
+
+let reset_slot_seq () = Array.fill (Domain.DLS.get slot_seq_key) 0 128 0
+
 module Make (Rt : RT) = struct
   module B = Backoff.Make (Rt)
   module OL = Optik.Versioned (Rt)
@@ -200,9 +209,8 @@ module Make (Rt : RT) = struct
       }
 
     (* Pick a slot pseudo-randomly from the thread id and a counter. *)
-    let slot_seq = Array.make 128 0
-
     let pick t =
+      let slot_seq = Domain.DLS.get slot_seq_key in
       let tid = Rt.tid () land 127 in
       slot_seq.(tid) <- slot_seq.(tid) + 1;
       t.slots.(((tid * 31) + slot_seq.(tid)) mod Array.length t.slots)

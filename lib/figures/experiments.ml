@@ -70,52 +70,60 @@ let drain_measurements () =
 (* ------------------------------------------------------------------ *)
 (* Generic sweeps                                                      *)
 
-let set_series mode ~topology ~ops ~workload (module S : Harness.Registry.SET_OPS)
-    =
+(* One curve: [run n] measured at each thread count, each measurement
+   deposited as "<prefix>/<label>@t<n>". *)
+let series ~prefix label threads run =
   {
-    Render.label = S.name;
+    Render.label;
     points =
       List.map
-        (fun n ->
-          ( n,
-            emit
-              (Printf.sprintf "%s/%s@t%d" topology.Topology.name S.name n)
-              (Runner.run_set_sim ~topology ~nthreads:n ~ops:(scaled mode ops)
-                 ~seed:mode.seed
-                 (module S)
-                 workload) ))
-        (mode.threads_of topology);
+        (fun n -> (n, emit (Printf.sprintf "%s/%s@t%d" prefix label n) (run n)))
+        threads;
   }
 
-let queue_series mode ~topology ~ops ~enqueue_pct
-    (module Q : Harness.Registry.QUEUE_OPS) =
-  {
-    Render.label = Q.name;
-    points =
-      List.map
-        (fun n ->
-          ( n,
-            emit
-              (Printf.sprintf "%s/%s@t%d" topology.Topology.name Q.name n)
-              (Runner.run_queue_sim ~topology ~nthreads:n ~ops:(scaled mode ops)
-                 ~seed:mode.seed ~enqueue_pct
-                 (module Q)) ))
-        (List.filter (fun n -> n >= 2) (mode.threads_of topology));
-  }
-
-let single_point_set mode ~topology ~nthreads ~ops ~workload
+let set_series mode ?threads ~topology ~ops ~workload
     (module S : Harness.Registry.SET_OPS) =
-  {
-    Render.label = S.name;
-    points =
-      [
-        ( nthreads,
-          emit
-            (Printf.sprintf "%s/%s@t%d" topology.Topology.name S.name nthreads)
-            (Runner.run_set_sim ~topology ~nthreads ~ops ~seed:mode.seed
-               (module S) workload) );
-      ];
-  }
+  let threads = Option.value threads ~default:(mode.threads_of topology) in
+  series ~prefix:topology.Topology.name S.name threads (fun n ->
+      Runner.run_set_sim ~topology ~nthreads:n ~ops:(scaled mode ops)
+        ~seed:mode.seed
+        (module S)
+        workload)
+
+let queue_series mode ?threads ~topology ~ops ~enqueue_pct
+    (module Q : Harness.Registry.QUEUE_OPS) =
+  let threads =
+    Option.value threads
+      ~default:(List.filter (fun n -> n >= 2) (mode.threads_of topology))
+  in
+  series ~prefix:topology.Topology.name Q.name threads (fun n ->
+      Runner.run_queue_sim ~topology ~nthreads:n ~ops:(scaled mode ops)
+        ~seed:mode.seed ~enqueue_pct
+        (module Q))
+
+let figure ?latency ?(notes = []) id title series =
+  let latency_at, latency_classes =
+    match latency with
+    | None -> (None, [||])
+    | Some (at, classes, ls) -> (Some (at, ls), classes)
+  in
+  { Render.id; title; series; latency_at; latency_classes; notes }
+
+(* The paper's figure grids: one figure per (workload case, machine), on
+   the Xeon then the Opteron. *)
+let grid ~fig ~what ?(before = ignore) ?(notes = fun _ -> []) cases curves =
+  List.concat_map
+    (fun (wname, case) ->
+      List.map
+        (fun topo ->
+          before ();
+          let series = curves topo case in
+          figure ("F" ^ fig)
+            (Printf.sprintf "Figure %s: %s — %s — %s" fig what wname
+               topo.Topology.name)
+            ~notes:(notes series) series)
+        [ xeon; opteron ])
+    cases
 
 (* Claims helpers: average throughput ratio of two labelled series over
    thread counts satisfying [keep]. *)
@@ -139,19 +147,17 @@ let avg_ratio ?(keep = fun _ -> true) (a : Render.series) (b : Render.series)
   | [] -> nan
   | _ -> List.fold_left ( +. ) 0. pairs /. float_of_int (List.length pairs)
 
+(* [ratio series a b]: {!avg_ratio} of the curves labelled [a] and [b]. *)
+let ratio ?keep series a b =
+  avg_ratio ?keep (find_series series a) (find_series series b)
+
 let claim claim_id description ~expected ~measured holds =
   { Render.claim_id; description; expected; measured; holds }
 
-(* Case-sensitive substring search, for picking figures by title. *)
-let substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
+(* The Xeon figure whose title contains [frag]. *)
 let fig_by_title figs frag =
-  List.find
-    (fun f -> substring f.Render.title frag && substring f.Render.title "xeon")
-    figs
+  let has sub f = Obs.Report.contains ~sub f.Render.title in
+  List.find (fun f -> has frag f && has "xeon" f) figs
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: locking+validation with and without OPTIK locks           *)
@@ -174,7 +180,9 @@ let fig5_point impl ~topology ~nthreads ~ops =
      count their failed trylocks, which the run report's wasted-work
      section picks up. *)
   Sim.Sim_rt.Probe.reset_all ();
-  let stats, succeeded =
+  (* One validation attempt: read the version, work, then lock and
+     check it still holds. *)
+  let validate =
     match impl with
     | Ttas_version ->
         (* lock-then-validate: 4-byte TTAS + 4-byte version, validated
@@ -185,122 +193,64 @@ let fig5_point impl ~topology ~nthreads ~ops =
         let g = Sched.fresh_group () in
         let l : F5_ttas.t = Sim.Sched.loc_packed ~group:g false in
         let version = Sim.Sched.loc_packed ~group:g 0 in
-        let succ = ref 0 in
-        let st =
-          Sched.run ~topology ~nthreads ~ops_target:ops (fun _ ->
-              let b = F5_backoff.create () in
-              while not (Sched.stop_requested ()) do
-                let rec attempt () =
-                  let v = Sched.read version in
-                  Sched.work 30;
-                  F5_ttas.lock l;
-                  let ok = Sched.read version = v in
-                  if ok then (
-                    Sched.work 10;
-                    Sched.write version (v + 1));
-                  F5_ttas.unlock l;
-                  if not ok then (
-                    F5_backoff.once b;
-                    attempt ())
-                in
-                attempt ();
-                incr succ;
-                Sched.tick ()
-              done)
-        in
-        (st, !succ)
+        fun () ->
+          let v = Sched.read version in
+          Sched.work 30;
+          F5_ttas.lock l;
+          let ok = Sched.read version = v in
+          if ok then (
+            Sched.work 10;
+            Sched.write version (v + 1));
+          F5_ttas.unlock l;
+          ok
     | Optik_versioned ->
         let l = F5_ov.create () in
-        let succ = ref 0 in
-        let st =
-          Sched.run ~topology ~nthreads ~ops_target:ops (fun _ ->
-              let b = F5_backoff.create () in
-              while not (Sched.stop_requested ()) do
-                let rec attempt () =
-                  let v = F5_ov.get_version l in
-                  Sched.work 30;
-                  if F5_ov.trylock_version l v then (
-                    Sched.work 10;
-                    F5_ov.unlock l)
-                  else (
-                    F5_backoff.once b;
-                    attempt ())
-                in
-                attempt ();
-                incr succ;
-                Sched.tick ()
-              done)
-        in
-        (st, !succ)
+        fun () ->
+          let v = F5_ov.get_version l in
+          Sched.work 30;
+          F5_ov.trylock_version l v
+          && (Sched.work 10;
+              F5_ov.unlock l;
+              true)
     | Optik_ticket ->
         let l = F5_ot.create () in
-        let succ = ref 0 in
-        let st =
-          Sched.run ~topology ~nthreads ~ops_target:ops (fun _ ->
-              let b = F5_backoff.create () in
-              while not (Sched.stop_requested ()) do
-                let rec attempt () =
-                  let v = F5_ot.get_version l in
-                  Sched.work 30;
-                  if F5_ot.trylock_version l v then (
-                    Sched.work 10;
-                    F5_ot.unlock l)
-                  else (
-                    F5_backoff.once b;
-                    attempt ())
-                in
-                attempt ();
-                incr succ;
-                Sched.tick ()
-              done)
-        in
-        (st, !succ)
+        fun () ->
+          let v = F5_ot.get_version l in
+          Sched.work 30;
+          F5_ot.trylock_version l v
+          && (Sched.work 10;
+              F5_ot.unlock l;
+              true)
   in
-  let wall_s =
-    float_of_int stats.Sched.wall_cycles /. (topology.Topology.ghz *. 1e9)
+  let succeeded = ref 0 in
+  let stats =
+    Sched.run ~topology ~nthreads ~ops_target:ops (fun _ ->
+        let b = F5_backoff.create () in
+        while not (Sched.stop_requested ()) do
+          while not (validate ()) do
+            F5_backoff.once b
+          done;
+          incr succeeded;
+          Sched.tick ()
+        done)
+  in
+  let m =
+    Runner.of_stats ~name:(f5_name impl) ~topology ~seed:0 ~threads:nthreads
+      ~classes:Runner.class_names stats
   in
   {
-    Runner.name = f5_name impl;
-    topo_name = topology.Topology.name;
-    seed = 0;
-    threads = nthreads;
-    mops = Sched.mops topology { stats with Sched.ops = succeeded };
-    ops = succeeded;
-    wall_s;
-    eff_update_pct = 100.;
-    reads = stats.Sched.reads;
-    writes = stats.Sched.writes;
-    cas = stats.Sched.cas;
-    cas_failed = stats.Sched.cas_failed;
-    faa = stats.Sched.faa;
-    events = stats.Sched.events;
-    host_s = 0.;
-    lat = Array.make Runner.n_classes Harness.Pstats.empty_summary;
-    lat_classes = Runner.class_names;
-    counters = Sim.Sim_rt.Probe.dump ();
-    final_size = 0;
-    valid = true;
-    outcome = Runner.Complete;
-    obs = None;
+    m with
+    mops = Sched.mops topology { stats with Sched.ops = !succeeded };
+    ops = !succeeded;
   }
 
 let fig5 mode =
-  let threads = mode.threads_of xeon in
   let ops = scaled mode 40_000 in
   let series =
     List.map
       (fun impl ->
-        {
-          Render.label = f5_name impl;
-          points =
-            List.map
-              (fun n ->
-                ( n,
-                  emit
-                    (Printf.sprintf "f5/%s@t%d" (f5_name impl) n)
-                    (fig5_point impl ~topology:xeon ~nthreads:n ~ops) ))
-              threads;
-        })
+        series ~prefix:"f5" (f5_name impl) (mode.threads_of xeon) (fun n ->
+            fig5_point impl ~topology:xeon ~nthreads:n ~ops))
       [ Ttas_version; Optik_ticket; Optik_versioned ]
   in
   let cas_note =
@@ -318,22 +268,12 @@ let fig5 mode =
            series)
   in
   let fig =
-    {
-      Render.id = "F5";
-      title =
-        "Figure 5: lock+validate throughput (Mops/s), single lock, Xeon";
-      series;
-      latency_at = None;
-      latency_classes = [||];
-      notes = [ cas_note ];
-    }
+    figure "F5" "Figure 5: lock+validate throughput (Mops/s), single lock, Xeon"
+      ~notes:[ cas_note ] series
   in
-  let ttas = find_series series "ttas" in
-  let ov = find_series series "optik-versioned" in
-  let ot = find_series series "optik-ticket" in
   let hi t = t >= 10 in
-  let r_ov = avg_ratio ~keep:hi ov ttas in
-  let r_backends = avg_ratio ~keep:hi ov ot in
+  let r_ov = ratio ~keep:hi series "optik-versioned" "ttas" in
+  let r_backends = ratio ~keep:hi series "optik-versioned" "optik-ticket" in
   let claims =
     [
       claim "F5.a" "OPTIK locks much faster than TTAS lock-then-validate"
@@ -369,18 +309,10 @@ let fig7 mode =
     in
     let lat_series =
       List.map
-        (single_point_set mode ~topology:xeon ~nthreads:10
-           ~ops:(scaled mode ops) ~workload:w)
+        (set_series mode ~threads:[ 10 ] ~topology:xeon ~ops ~workload:w)
         R.maps
     in
-    ( {
-        Render.id = "F7";
-        title;
-        series;
-        latency_at = Some (10, lat_series);
-        latency_classes = Runner.class_names;
-        notes = [];
-      },
+    ( figure "F7" title ~latency:(10, Runner.class_names, lat_series) series,
       series )
   in
   let fig_small, small =
@@ -390,8 +322,8 @@ let fig7 mode =
     mk "Figure 7: large map (1024 slots, ~10% eff updates), xeon" 1024 15_000
   in
   let not_mp t = t <= 40 in
-  let r_small = avg_ratio ~keep:not_mp (find_series small "optik") (find_series small "mcs") in
-  let r_large = avg_ratio ~keep:not_mp (find_series large "optik") (find_series large "mcs") in
+  let r_small = ratio ~keep:not_mp small "optik" "mcs" in
+  let r_large = ratio ~keep:not_mp large "optik" "mcs" in
   let claims =
     [
       claim "F7.a" "optik map beats the MCS map on the small map"
@@ -406,49 +338,36 @@ let fig7 mode =
   in
   ([ fig_small; fig_large ], claims)
 
+(* Figures 9-11: one set family over workload cases, [(name, (workload,
+   ops))]. *)
+let set_grid mode ~fig ~what ?before ?notes structures cases =
+  grid ~fig ~what ?before ?notes cases (fun topo (w, ops) ->
+      List.map (set_series mode ~topology:topo ~ops ~workload:w) structures)
+
 (* ------------------------------------------------------------------ *)
 (* Figure 9: linked lists                                              *)
 
 let fig9 mode =
-  let workloads =
-    [
-      ("large (8192, 20% upd)", Runner.uniform_workload ~init_size:8192 ~update_pct:40 (), 2_000);
-      ("medium (1024, 20% upd)", Runner.uniform_workload ~init_size:1024 ~update_pct:40 (), 10_000);
-      ("small (64, 20% upd)", Runner.uniform_workload ~init_size:64 ~update_pct:40 (), 25_000);
-      ("large skewed (8192, zipf .9)", Runner.skewed_workload ~init_size:8192 ~update_pct:40 (), 2_000);
-      ("small skewed (64, zipf .9)", Runner.skewed_workload ~init_size:64 ~update_pct:40 (), 25_000);
-    ]
-  in
+  let uniform init_size = Runner.uniform_workload ~init_size ~update_pct:40 () in
+  let skewed init_size = Runner.skewed_workload ~init_size ~update_pct:40 () in
   let figs =
-    List.concat_map
-      (fun (wname, w, ops) ->
-        List.map
-          (fun topo ->
-            let series =
-              List.map (set_series mode ~topology:topo ~ops ~workload:w) R.lists
-            in
-            {
-              Render.id = "F9";
-              title =
-                Printf.sprintf "Figure 9: linked lists — %s — %s" wname
-                  topo.Topology.name;
-              series;
-              latency_at = None;
-              latency_classes = [||];
-              notes = [];
-            })
-          [ xeon; opteron ])
-      workloads
+    set_grid mode ~fig:"9" ~what:"linked lists" R.lists
+      [
+        ("large (8192, 20% upd)", (uniform 8192, 2_000));
+        ("medium (1024, 20% upd)", (uniform 1024, 10_000));
+        ("small (64, 20% upd)", (uniform 64, 25_000));
+        ("large skewed (8192, zipf .9)", (skewed 8192, 2_000));
+        ("small skewed (64, zipf .9)", (skewed 64, 25_000));
+      ]
   in
   (* claims on the xeon figures *)
-  let fig_of frag = fig_by_title figs frag in
-  let small = (fig_of "small (64").Render.series in
-  let large = (fig_of "large (8192").Render.series in
+  let small = (fig_by_title figs "small (64").Render.series in
+  let large = (fig_by_title figs "large (8192").Render.series in
   let hi t = t >= 10 && t <= 40 in
-  let r_small_optik_lazy = avg_ratio ~keep:hi (find_series small "optik") (find_series small "lazy") in
-  let r_cache_large = avg_ratio ~keep:hi (find_series large "optik-cache") (find_series large "optik") in
-  let r_gl = avg_ratio ~keep:hi (find_series small "optik-gl") (find_series small "mcs-gl-opt") in
-  let r_harris = avg_ratio ~keep:hi (find_series small "optik") (find_series small "harris") in
+  let r_small_optik_lazy = ratio ~keep:hi small "optik" "lazy" in
+  let r_cache_large = ratio ~keep:hi large "optik-cache" "optik" in
+  let r_gl = ratio ~keep:hi small "optik-gl" "mcs-gl-opt" in
+  let r_harris = ratio ~keep:hi small "optik" "harris" in
   let claims =
     [
       claim "F9.a" "fine-grained optik list beats lazy under contention (64 keys)"
@@ -474,50 +393,25 @@ let fig9 mode =
 (* ------------------------------------------------------------------ *)
 (* Figure 10: hash tables                                              *)
 
-let ht_workload ~size ~skewed =
-  let w =
-    if skewed then Runner.skewed_workload ~init_size:size ~update_pct:40 ()
-    else Runner.uniform_workload ~init_size:size ~update_pct:40 ()
-  in
-  { w with Runner.capacity = Some size }
-
 let fig10 mode =
-  let cases =
-    [
-      ("medium (8192 elems, 1 per bucket)", ht_workload ~size:8192 ~skewed:false, 25_000);
-      ("small skewed (512, zipf .9)", ht_workload ~size:512 ~skewed:true, 25_000);
-    ]
+  (* one bucket per initial element *)
+  let table ~skewed size =
+    (if skewed then Runner.skewed_workload else Runner.uniform_workload)
+      ~capacity:size ~init_size:size ~update_pct:40 ()
   in
   let figs =
-    List.concat_map
-      (fun (wname, w, ops) ->
-        List.map
-          (fun topo ->
-            let series =
-              List.map
-                (set_series mode ~topology:topo ~ops ~workload:w)
-                R.hashtables
-            in
-            {
-              Render.id = "F10";
-              title =
-                Printf.sprintf "Figure 10: hash tables — %s — %s" wname
-                  topo.Topology.name;
-              series;
-              latency_at = None;
-              latency_classes = [||];
-              notes = [];
-            })
-          [ xeon; opteron ])
-      cases
+    set_grid mode ~fig:"10" ~what:"hash tables" R.hashtables
+      [
+        ("medium (8192 elems, 1 per bucket)", (table ~skewed:false 8192, 25_000));
+        ("small skewed (512, zipf .9)", (table ~skewed:true 512, 25_000));
+      ]
   in
-  let fig_of frag = fig_by_title figs frag in
-  let skewed = (fig_of "small skewed").Render.series in
-  let medium = (fig_of "medium").Render.series in
+  let skewed = (fig_by_title figs "small skewed").Render.series in
+  let medium = (fig_by_title figs "medium").Render.series in
   let hi t = t >= 10 && t <= 40 in
-  let r_gl = avg_ratio ~keep:hi (find_series skewed "optik-gl") (find_series skewed "lazy-gl") in
-  let r_java = avg_ratio ~keep:hi (find_series skewed "java-optik") (find_series skewed "java") in
-  let r_optik_gl_med = avg_ratio ~keep:hi (find_series medium "optik-gl") (find_series medium "lazy-gl") in
+  let r_gl = ratio ~keep:hi skewed "optik-gl" "lazy-gl" in
+  let r_java = ratio ~keep:hi skewed "java-optik" "java" in
+  let r_optik_gl_med = ratio ~keep:hi medium "optik-gl" "lazy-gl" in
   let claims =
     [
       claim "F10.a" "optik-gl far ahead of lazy-gl on the skewed table"
@@ -539,70 +433,47 @@ let fig10 mode =
 (* ------------------------------------------------------------------ *)
 (* Figure 11: skip lists                                               *)
 
+(* restart-rate note (§5.3 reports 30% for herlihy vs 24% for herl-optik
+   on 20 Xeon threads): restarts per op at the highest in-budget thread
+   count *)
+let restart_note series =
+  [
+    String.concat "  "
+      ("restarts/op:"
+      :: List.filter_map
+           (fun s ->
+             match List.rev s.Render.points with
+             | (t, m) :: _ ->
+                 let restarts =
+                   List.fold_left
+                     (fun acc (k, v) ->
+                       if String.length k > 8 && String.sub k 0 3 = "sl-" then
+                         acc + v
+                       else acc)
+                     0 m.Runner.counters
+                 in
+                 Some
+                   (Printf.sprintf "%s@%d=%.2f" s.Render.label t
+                      (float_of_int restarts /. float_of_int (max 1 m.Runner.ops)))
+             | [] -> None)
+           series);
+  ]
+
 let fig11 mode =
-  let cases =
-    [
-      ("large skewed (65536, zipf .9)", Runner.skewed_workload ~init_size:65_536 ~update_pct:40 (), 15_000);
-      ("small skewed (1024, zipf .9)", Runner.skewed_workload ~init_size:1_024 ~update_pct:40 (), 20_000);
-    ]
-  in
+  let skewed init_size = Runner.skewed_workload ~init_size ~update_pct:40 () in
   let figs =
-    List.concat_map
-      (fun (wname, w, ops) ->
-        List.map
-          (fun topo ->
-            Dstruct.Sl_common.reset_states ();
-            let series =
-              List.map
-                (set_series mode ~topology:topo ~ops ~workload:w)
-                R.skiplists
-            in
-            (* restart-rate note (§5.3 reports 30% for herlihy vs 24% for
-               herl-optik on 20 Xeon threads): restarts per op at the
-               highest in-budget thread count *)
-            let restart_note =
-              String.concat "  "
-                ("restarts/op:"
-                :: List.filter_map
-                     (fun s ->
-                       match List.rev s.Render.points with
-                       | (t, m) :: _ ->
-                           let restarts =
-                             List.fold_left
-                               (fun acc (k, v) ->
-                                 if
-                                   String.length k > 8
-                                   && String.sub k 0 3 = "sl-"
-                                 then acc + v
-                                 else acc)
-                               0 m.Runner.counters
-                           in
-                           Some
-                             (Printf.sprintf "%s@%d=%.2f" s.Render.label t
-                                (float_of_int restarts
-                                /. float_of_int (max 1 m.Runner.ops)))
-                       | [] -> None)
-                     series)
-            in
-            {
-              Render.id = "F11";
-              title =
-                Printf.sprintf "Figure 11: skip lists — %s — %s" wname
-                  topo.Topology.name;
-              series;
-              latency_at = None;
-              latency_classes = [||];
-              notes = [ restart_note ];
-            })
-          [ xeon; opteron ])
-      cases
+    set_grid mode ~fig:"11" ~what:"skip lists" ~before:Dstruct.Sl_common.reset_states
+      ~notes:restart_note R.skiplists
+      [
+        ("large skewed (65536, zipf .9)", (skewed 65_536, 15_000));
+        ("small skewed (1024, zipf .9)", (skewed 1_024, 20_000));
+      ]
   in
-  let fig_of frag = fig_by_title figs frag in
-  let small = (fig_of "small skewed").Render.series in
+  let small = (fig_by_title figs "small skewed").Render.series in
   let hi t = t >= 10 && t <= 40 in
-  let r_herl = avg_ratio ~keep:hi (find_series small "herl-optik") (find_series small "herlihy") in
-  let r_optik2 = avg_ratio ~keep:hi (find_series small "optik2") (find_series small "fraser") in
-  let r_variants = avg_ratio ~keep:hi (find_series small "optik2") (find_series small "optik1") in
+  let r_herl = ratio ~keep:hi small "herl-optik" "herlihy" in
+  let r_optik2 = ratio ~keep:hi small "optik2" "fraser" in
+  let r_variants = ratio ~keep:hi small "optik2" "optik1" in
   let claims =
     [
       claim "F11.a" "OPTIK validation helps the Herlihy skip list on Xeon"
@@ -625,74 +496,36 @@ let fig11 mode =
 (* Figure 12: queues                                                   *)
 
 let fig12 mode =
-  let cases =
-    [
-      ("decreasing size (40% enq)", 40, 20_000);
-      ("stable size (50% enq)", 50, 20_000);
-      ("increasing size (60% enq)", 60, 20_000);
-    ]
-  in
   let figs =
-    List.concat_map
-      (fun (wname, enq, ops) ->
-        List.map
-          (fun topo ->
-            let series =
-              List.map
-                (queue_series mode ~topology:topo ~ops ~enqueue_pct:enq)
-                R.queues
-            in
-            {
-              Render.id = "F12";
-              title =
-                Printf.sprintf "Figure 12: queues — %s — %s" wname
-                  topo.Topology.name;
-              series;
-              latency_at = None;
-              latency_classes = [||];
-              notes = [];
-            })
-          [ xeon; opteron ])
-      cases
+    grid ~fig:"12" ~what:"queues"
+      [
+        ("decreasing size (40% enq)", 40);
+        ("stable size (50% enq)", 50);
+        ("increasing size (60% enq)", 60);
+      ]
+      (fun topo enqueue_pct ->
+        List.map (queue_series mode ~topology:topo ~ops:20_000 ~enqueue_pct) R.queues)
   in
   (* latency panel: stable size at 10 threads (both machines) *)
   let lat_fig =
-    let series =
-      List.map
-        (fun (module Q : Harness.Registry.QUEUE_OPS) ->
-          {
-            Render.label = Q.name;
-            points =
-              [
-                ( 10,
-                  emit
-                    (Printf.sprintf "xeon/%s@t10" Q.name)
-                    (Runner.run_queue_sim ~topology:xeon ~nthreads:10
-                       ~ops:(scaled mode 20_000) ~seed:mode.seed
-                       ~enqueue_pct:50
-                       (module Q)) );
-              ];
-          })
-        R.queues
-    in
-    {
-      Render.id = "F12";
-      title = "Figure 12 (bottom): queue latency, stable size, 10 threads, Xeon";
-      series = [];
-      latency_at = Some (10, series);
-      latency_classes = Runner.queue_class_names;
-      notes = [];
-    }
+    figure "F12" "Figure 12 (bottom): queue latency, stable size, 10 threads, Xeon"
+      ~latency:
+        ( 10,
+          Runner.queue_class_names,
+          List.map
+            (queue_series mode ~threads:[ 10 ] ~topology:xeon ~ops:20_000
+               ~enqueue_pct:50)
+            R.queues )
+      []
   in
-  let fig_of frag = fig_by_title figs frag in
-  let stable = (fig_of "stable").Render.series in
-  let incr_ = (fig_of "increasing").Render.series in
+  let stable = (fig_by_title figs "stable").Render.series in
+  let incr_ = (fig_by_title figs "increasing").Render.series in
   let mid t = t >= 8 && t <= 40 in
   let low t = t <= 6 in
   let mp t = t > 40 in
-  let r_o2 = avg_ratio ~keep:mid (find_series stable "optik2") (find_series stable "ms-lf") in
-  let r_o3 = avg_ratio ~keep:mid (find_series incr_ "optik3") (find_series incr_ "ms-lf") in
-  let r_lb_low = avg_ratio ~keep:low (find_series stable "ms-lb") (find_series stable "ms-lf") in
+  let r_o2 = ratio ~keep:mid stable "optik2" "ms-lf" in
+  let r_o3 = ratio ~keep:mid incr_ "optik3" "ms-lf" in
+  let r_lb_low = ratio ~keep:low stable "ms-lb" "ms-lf" in
   let mslb = find_series stable "ms-lb" in
   let peak = List.fold_left (fun a (_, m) -> Float.max a m.Runner.mops) 0. mslb.Render.points in
   let mp_avg =
@@ -757,39 +590,22 @@ let ablation_backend mode =
   let wmap = map_workload 64 in
   let wll = Runner.uniform_workload ~init_size:64 ~update_pct:40 () in
   let ops = scaled mode 25_000 in
+  let pair title workload a b =
+    figure "A1" title
+      [
+        set_series mode ~topology:xeon ~ops ~workload a;
+        set_series mode ~topology:xeon ~ops ~workload b;
+      ]
+  in
   let fig1 =
-    {
-      Render.id = "A1";
-      title = "Ablation: OPTIK backend (versioned vs ticket) — array map, Xeon";
-      series =
-        [
-          set_series mode ~topology:xeon ~ops ~workload:wmap R.map_optik;
-          set_series mode ~topology:xeon ~ops ~workload:wmap map_ticket_ops;
-        ];
-      latency_at = None;
-      latency_classes = [||];
-      notes = [];
-    }
+    pair "Ablation: OPTIK backend (versioned vs ticket) — array map, Xeon" wmap
+      R.map_optik map_ticket_ops
   in
   let fig2 =
-    {
-      Render.id = "A1";
-      title = "Ablation: OPTIK backend — fine-grained list (64 keys), Xeon";
-      series =
-        [
-          set_series mode ~topology:xeon ~ops ~workload:wll R.ll_optik;
-          set_series mode ~topology:xeon ~ops ~workload:wll ll_ticket_ops;
-        ];
-      latency_at = None;
-      latency_classes = [||];
-      notes = [];
-    }
+    pair "Ablation: OPTIK backend — fine-grained list (64 keys), Xeon" wll
+      R.ll_optik ll_ticket_ops
   in
-  let r =
-    avg_ratio
-      (find_series fig1.Render.series "optik")
-      (find_series fig1.Render.series "optik[tkt]")
-  in
+  let r = ratio fig1.Render.series "optik" "optik[tkt]" in
   ( [ fig1; fig2 ],
     [
       claim "A1" "the two OPTIK backends are interchangeable"
@@ -840,14 +656,9 @@ let ablation_cache mode =
       rows
   in
   let fig =
-    {
-      Render.id = "A2";
-      title = "Ablation: node-cache hit rate and speedup vs list size (10 thr, Xeon)";
-      series = [];
-      latency_at = None;
-      latency_classes = [||];
-      notes;
-    }
+    figure "A2"
+      "Ablation: node-cache hit rate and speedup vs list size (10 thr, Xeon)"
+      ~notes []
   in
   let _, _, _, hit_large = List.nth rows (List.length rows - 1) in
   ( [ fig ],
@@ -897,15 +708,9 @@ let ablation_victim mode =
       rows
   in
   ( [
-      {
-        Render.id = "A3";
-        title =
-          "Ablation: victim-queue threshold (20 threads, 60% enqueue, Xeon)";
-        series = [];
-        latency_at = None;
-        latency_classes = [||];
-        notes;
-      };
+      figure "A3"
+        "Ablation: victim-queue threshold (20 threads, 60% enqueue, Xeon)"
+        ~notes [];
     ],
     [] )
 
@@ -915,70 +720,36 @@ let stack_experiment mode =
   let series =
     List.map
       (fun (module S : Harness.Registry.STACK_OPS) ->
-        {
-          Render.label = S.name;
-          points =
-            List.map
-              (fun n ->
-                let t = S.create () in
-                for i = 1 to 1024 do
-                  S.push t i
-                done;
-                Sim.Sim_rt.Probe.reset_all ();
-                let st =
-                  Sched.run ~topology:xeon ~nthreads:n ~ops_target:ops
-                    (fun tid ->
-                      let rng = Harness.Rng.create (tid + 3) in
-                      while not (Sched.stop_requested ()) do
-                        (if Harness.Rng.below rng 2 = 0 then
-                           S.push t (Harness.Rng.below rng 1_000_000)
-                         else ignore (S.pop t : int option));
-                        Sched.tick ();
-                        Sched.work 64
-                      done)
-                in
-                ( n,
-                  emit
-                    (Printf.sprintf "stack/%s@t%d" S.name n)
-                  {
-                    Runner.name = S.name;
-                    topo_name = xeon.Topology.name;
-                    seed = 0;
-                    threads = n;
-                    mops = Sched.mops xeon st;
-                    ops = st.Sched.ops;
-                    wall_s = 0.;
-                    eff_update_pct = 100.;
-                    reads = st.Sched.reads;
-                    writes = st.Sched.writes;
-                    cas = st.Sched.cas;
-                    cas_failed = st.Sched.cas_failed;
-                    faa = st.Sched.faa;
-                    events = st.Sched.events;
-                    host_s = 0.;
-                    lat = Array.make Runner.n_classes Harness.Pstats.empty_summary;
-                    lat_classes = Runner.queue_class_names;
-                    counters = Sim.Sim_rt.Probe.dump ();
-                    final_size = S.size t;
-                    valid = true;
-                    outcome = Runner.Complete;
-                    obs = None;
-                  } ))
-              (mode.threads_of xeon);
-        })
+        series ~prefix:"stack" S.name (mode.threads_of xeon) (fun n ->
+            let t = S.create () in
+            for i = 1 to 1024 do
+              S.push t i
+            done;
+            Sim.Sim_rt.Probe.reset_all ();
+            let st =
+              Sched.run ~topology:xeon ~nthreads:n ~ops_target:ops (fun tid ->
+                  let rng = Harness.Rng.create (tid + 3) in
+                  while not (Sched.stop_requested ()) do
+                    (if Harness.Rng.below rng 2 = 0 then
+                       S.push t (Harness.Rng.below rng 1_000_000)
+                     else ignore (S.pop t : int option));
+                    Sched.tick ();
+                    Sched.work 64
+                  done)
+            in
+            let final_size = S.size t in
+            let m =
+              Runner.of_stats ~name:S.name ~topology:xeon ~seed:0 ~threads:n
+                ~classes:Runner.queue_class_names st
+            in
+            { m with wall_s = 0.; final_size }))
       R.stacks
   in
   let fig =
-    {
-      Render.id = "S1";
-      title = "Stacks (§5.5): Treiber vs OPTIK redesign, 50/50 push/pop, Xeon";
-      series;
-      latency_at = None;
-      latency_classes = [||];
-      notes = [];
-    }
+    figure "S1" "Stacks (§5.5): Treiber vs OPTIK redesign, 50/50 push/pop, Xeon"
+      series
   in
-  let r = avg_ratio (find_series series "treiber") (find_series series "optik") in
+  let r = ratio series "treiber" "optik" in
   ( [ fig ],
     [
       claim "S1" "the Treiber and OPTIK stacks behave similarly"
@@ -1013,20 +784,12 @@ let ablation_search_granularity mode =
     ]
   in
   let fig =
-    {
-      Render.id = "A4";
-      title =
-        "Ablation (§4.1): map search version granularity — once per op vs          per key match, xeon";
-      series;
-      latency_at = None;
-      latency_classes = [||];
-      notes = [];
-    }
+    figure "A4"
+        "Ablation (§4.1): map search version granularity — once per op vs          per key match, xeon"
+      series
   in
   let hi t = t >= 10 in
-  let r =
-    avg_ratio ~keep:hi (find_series series "optik") (find_series series "optik-eager")
-  in
+  let r = ratio ~keep:hi series "optik" "optik-eager" in
   ( [ fig ],
     [
       claim "A4" "coarse search validation beats per-match version reads"
@@ -1045,18 +808,12 @@ let bst_experiment mode =
     List.map (set_series mode ~topology:xeon ~ops ~workload:w) R.bsts
   in
   let fig =
-    {
-      Render.id = "BST";
-      title =
-        "Extension: external BST (BST-TK style, 1024 keys, 20% eff upd), xeon";
-      series;
-      latency_at = None;
-      latency_classes = [||];
-      notes = [];
-    }
+    figure "BST"
+      "Extension: external BST (BST-TK style, 1024 keys, 20% eff upd), xeon"
+      series
   in
   let hi t = t >= 10 && t <= 40 in
-  let r = avg_ratio ~keep:hi (find_series series "bst-optik") (find_series series "bst-gl") in
+  let r = ratio ~keep:hi series "bst-optik" "bst-gl" in
   ( [ fig ],
     [
       claim "BST" "OPTIK generalizes to trees (the BST-TK connection of §6)"
@@ -1071,33 +828,30 @@ let bst_experiment mode =
 let sim_validation mode =
   let ops = scaled mode 20_000 in
   let measure slack =
-    let m =
-      (* the runner always uses the scheduler default; drive Sched
-         directly for this experiment *)
-      let (module S : Harness.Registry.SET_OPS) = R.ll_optik in
-      let t = S.create () in
-      let rng0 = Harness.Rng.create 7919 in
-      let n = ref 0 in
-      while !n < 512 do
-        if S.insert t (1 + Harness.Rng.below rng0 1024) 1 then incr n
-      done;
-      let st =
-        Sched.run ~topology:xeon ~nthreads:20 ~ops_target:ops
-          ~read_slack:slack (fun tid ->
-            let rng = Harness.Rng.create ((42 * 65_599) + tid) in
-            while not (Sched.stop_requested ()) do
-              let k = 1 + Harness.Rng.below rng 1024 in
-              let p = Harness.Rng.below rng 100 in
-              (if p < 20 then ignore (S.insert t k k : bool)
-               else if p < 40 then ignore (S.delete t k : int option)
-               else ignore (S.search t k : int option));
-              Sched.tick ();
-              Sched.work 64
-            done)
-      in
-      Sched.mops xeon st
+    (* the runner always uses the scheduler default; drive Sched
+       directly for this experiment *)
+    let (module S : Harness.Registry.SET_OPS) = R.ll_optik in
+    let t = S.create () in
+    let rng0 = Harness.Rng.create 7919 in
+    let n = ref 0 in
+    while !n < 512 do
+      if S.insert t (1 + Harness.Rng.below rng0 1024) 1 then incr n
+    done;
+    let st =
+      Sched.run ~topology:xeon ~nthreads:20 ~ops_target:ops
+        ~read_slack:slack (fun tid ->
+          let rng = Harness.Rng.create ((42 * 65_599) + tid) in
+          while not (Sched.stop_requested ()) do
+            let k = 1 + Harness.Rng.below rng 1024 in
+            let p = Harness.Rng.below rng 100 in
+            (if p < 20 then ignore (S.insert t k k : bool)
+             else if p < 40 then ignore (S.delete t k : int option)
+             else ignore (S.search t k : int option));
+            Sched.tick ();
+            Sched.work 64
+          done)
     in
-    m
+    Sched.mops xeon st
   in
   let rows =
     List.map (fun sl -> (sl, measure sl)) [ 0; 250; 1_000; 4_000 ]
@@ -1117,15 +871,9 @@ let sim_validation mode =
       0. rows
   in
   ( [
-      {
-        Render.id = "V1";
-        title =
-          "Simulator validation: throughput insensitivity to the read-slack            window (optik list, 512 keys, 20 threads, xeon)";
-        series = [];
-        latency_at = None;
-        latency_classes = [||];
-        notes;
-      };
+      figure "V1"
+        "Simulator validation: throughput insensitivity to the read-slack            window (optik list, 512 keys, 20 threads, xeon)"
+        ~notes [];
     ],
     [
       claim "V1" "the read-slack fast path does not distort measurements"
@@ -1186,56 +934,25 @@ let fault_experiment mode =
     { fr_family = family; fr_kind = kind; fr_fault = fault; fr_meas;
       fr_events = Sim.Fault.events () }
   in
-  let set_rows family ~blocking ~lockfree workload =
-    let go ?(ops = ops) faults (module S : Harness.Registry.SET_OPS) () =
-      Runner.run_set_sim ~topology:xeon ~nthreads ~ops ~seed ~faults ~watchdog
-        ~max_events (module S) workload
-    in
+  (* A structure family's four rows: a crash and a stall for each rep.
+     [go ~ops plan rep] runs [rep] under [plan]. *)
+  let family_rows family ~blocking ~lockfree go =
     [
       (* ops_target 0: run until the watchdog calls the verdict *)
       row family "blocking" "crash"
         (go ~ops:0 (crash_plan Rt.Rt_intf.Critical_enter) blocking);
       row family "lock-free" "crash"
-        (go (crash_plan Rt.Rt_intf.Before_cas) lockfree);
+        (go ~ops (crash_plan Rt.Rt_intf.Before_cas) lockfree);
       row family "blocking" "stall"
-        (go (stall_plan Rt.Rt_intf.Critical_enter) blocking);
+        (go ~ops (stall_plan Rt.Rt_intf.Critical_enter) blocking);
       row family "lock-free" "stall"
-        (go (stall_plan Rt.Rt_intf.Before_cas) lockfree);
+        (go ~ops (stall_plan Rt.Rt_intf.Before_cas) lockfree);
     ]
   in
-  let queue_rows () =
-    let go ?(ops = ops) faults (module Q : Harness.Registry.QUEUE_OPS) () =
-      Runner.run_queue_sim ~topology:xeon ~nthreads ~ops ~seed ~init:1_024
-        ~faults ~watchdog ~max_events ~enqueue_pct:50
-        (module Q)
-    in
-    [
-      row "queue" "blocking" "crash"
-        (go ~ops:0 (crash_plan Rt.Rt_intf.Critical_enter) R.q_ms_lb);
-      row "queue" "lock-free" "crash"
-        (go (crash_plan Rt.Rt_intf.Before_cas) R.q_ms_lf);
-      row "queue" "blocking" "stall"
-        (go (stall_plan Rt.Rt_intf.Critical_enter) R.q_ms_lb);
-      row "queue" "lock-free" "stall"
-        (go (stall_plan Rt.Rt_intf.Before_cas) R.q_ms_lf);
-    ]
-  in
-  let stack_rows () =
-    let go ?(ops = ops) faults (module St : Harness.Registry.STACK_OPS) () =
-      Runner.run_stack_sim ~topology:xeon ~nthreads ~ops ~seed ~init:1_024
-        ~faults ~watchdog ~max_events ~push_pct:50
-        (module St)
-    in
-    [
-      row "stack" "blocking" "crash"
-        (go ~ops:0 (crash_plan Rt.Rt_intf.Critical_enter) R.stack_optik);
-      row "stack" "lock-free" "crash"
-        (go (crash_plan Rt.Rt_intf.Before_cas) R.stack_treiber);
-      row "stack" "blocking" "stall"
-        (go (stall_plan Rt.Rt_intf.Critical_enter) R.stack_optik);
-      row "stack" "lock-free" "stall"
-        (go (stall_plan Rt.Rt_intf.Before_cas) R.stack_treiber);
-    ]
+  let set_rows family ~blocking ~lockfree workload =
+    family_rows family ~blocking ~lockfree (fun ~ops faults s () ->
+        Runner.run_set_sim ~topology:xeon ~nthreads ~ops ~seed ~faults ~watchdog
+          ~max_events s workload)
   in
   let rows =
     set_rows "ll" ~blocking:R.ll_optik_gl ~lockfree:R.ll_harris
@@ -1244,7 +961,14 @@ let fault_experiment mode =
         (Runner.uniform_workload ~capacity:4 ~init_size:256 ~update_pct:50 ())
     @ set_rows "sl" ~blocking:R.sl_herlihy ~lockfree:R.sl_fraser
         (Runner.skewed_workload ~init_size:128 ~update_pct:50 ())
-    @ queue_rows () @ stack_rows ()
+    @ family_rows "queue" ~blocking:R.q_ms_lb ~lockfree:R.q_ms_lf
+        (fun ~ops faults q () ->
+          Runner.run_queue_sim ~topology:xeon ~nthreads ~ops ~seed ~init:1_024
+            ~faults ~watchdog ~max_events ~enqueue_pct:50 q)
+    @ family_rows "stack" ~blocking:R.stack_optik ~lockfree:R.stack_treiber
+        (fun ~ops faults st () ->
+          Runner.run_stack_sim ~topology:xeon ~nthreads ~ops ~seed ~init:1_024
+            ~faults ~watchdog ~max_events ~push_pct:50 st)
   in
   (* Operations completed by the survivors after the (first) crash. *)
   let ops_after_crash r =
@@ -1314,15 +1038,9 @@ let fault_experiment mode =
     :: List.map row_note rows
   in
   ( [
-      {
-        Render.id = "FAULT";
-        title =
-          "Fault injection: crash/stall inside critical sections vs lock-free            progress (xeon)";
-        series = [];
-        latency_at = None;
-        latency_classes = [||];
-        notes;
-      };
+      figure "FAULT"
+        "Fault injection: crash/stall inside critical sections vs lock-free            progress (xeon)"
+        ~notes [];
     ],
     [
       claim "FAULT.a"
@@ -1364,24 +1082,57 @@ let fault_experiment mode =
 
 (* ------------------------------------------------------------------ *)
 
-let all_ids =
-  [ "fig5"; "fig7"; "fig9"; "fig10"; "fig11"; "fig12";
-    "ablation-backend"; "ablation-cache"; "ablation-victim";
-    "ablation-search"; "stack"; "bst"; "sim-validate"; "fault" ]
+let experiments =
+  [
+    ("fig5", fig5);
+    ("fig7", fig7);
+    ("fig9", fig9);
+    ("fig10", fig10);
+    ("fig11", fig11);
+    ("fig12", fig12);
+    ("ablation-backend", ablation_backend);
+    ("ablation-cache", ablation_cache);
+    ("ablation-victim", ablation_victim);
+    ("ablation-search", ablation_search_granularity);
+    ("stack", stack_experiment);
+    ("bst", bst_experiment);
+    ("sim-validate", sim_validation);
+    ("fault", fault_experiment);
+  ]
 
-let run_id mode = function
-  | "fig5" -> fig5 mode
-  | "fig7" -> fig7 mode
-  | "fig9" -> fig9 mode
-  | "fig10" -> fig10 mode
-  | "fig11" -> fig11 mode
-  | "fig12" -> fig12 mode
-  | "ablation-backend" -> ablation_backend mode
-  | "ablation-cache" -> ablation_cache mode
-  | "ablation-victim" -> ablation_victim mode
-  | "ablation-search" -> ablation_search_granularity mode
-  | "stack" -> stack_experiment mode
-  | "bst" -> bst_experiment mode
-  | "sim-validate" -> sim_validation mode
-  | "fault" -> fault_experiment mode
-  | id -> invalid_arg ("unknown experiment id: " ^ id)
+let all_ids = List.map fst experiments
+
+(* Raise [Invalid_argument] naming the first unknown id. *)
+let check_ids ids =
+  match List.find_opt (fun id -> not (List.mem id all_ids)) ids with
+  | Some bad ->
+      invalid_arg
+        (Printf.sprintf "unknown experiment id %S; known ids: %s" bad
+           (String.concat ", " all_ids))
+  | None -> ()
+
+let run_id mode id =
+  check_ids [ id ];
+  (List.assoc id experiments) mode
+
+(* The quick or full sweep, at [seed]. *)
+let mode_of ~full:dense ~seed = { (if dense then full else quick) with seed }
+
+(* The figures driver: run [ids] in order, rendering each experiment's
+   figures to [out] as it finishes and then every claim, and return the
+   measurements they deposited, numbered for a run report. [around id f]
+   wraps each experiment (callers time it there). Unknown ids are
+   rejected before anything runs. *)
+let run mode ?(around = fun _ f -> f ()) out ids =
+  check_ids ids;
+  let claims =
+    List.concat_map
+      (fun id ->
+        around id (fun () ->
+            let figs, claims = run_id mode id in
+            List.iter (Render.figure out) figs;
+            claims))
+      ids
+  in
+  Render.claims out claims;
+  drain_measurements ()

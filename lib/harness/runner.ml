@@ -36,6 +36,9 @@ let n_classes = 6
 let class_names =
   [| "srch-suc"; "srch-fal"; "insr-suc"; "insr-fal"; "delt-suc"; "delt-fal" |]
 
+(* Queues and stacks: enqueue (push), dequeue (pop) non-empty and empty. *)
+let queue_class_names = [| "enqueue"; "dequeue-suc"; "dequeue-fal" |]
+
 (** How the measured run ended. [Aborted] carries the scheduler's stall
     report — verdict, per-thread progress, dead lock holders, partial
     stats — so fault-injection and watchdog experiments get structured
@@ -75,49 +78,151 @@ type measurement = {
 
 let aborted m = match m.outcome with Aborted _ -> true | Complete -> false
 
-let sampler w seed =
+(** A measurement of a finished simulation, from the scheduler's stats
+    alone: no latency samples, no host time, every op an effective
+    update. The runners below fill in what they measured on top. *)
+let of_stats ~name ~(topology : Sim.Topology.t) ~seed ~threads ~classes
+    (stats : Sim.Sched.stats) =
+  {
+    name;
+    topo_name = topology.name;
+    seed;
+    threads;
+    mops = Sim.Sched.mops topology stats;
+    ops = stats.ops;
+    wall_s = float_of_int stats.wall_cycles /. (topology.ghz *. 1e9);
+    eff_update_pct = 100.;
+    reads = stats.reads;
+    writes = stats.writes;
+    cas = stats.cas;
+    cas_failed = stats.cas_failed;
+    faa = stats.faa;
+    events = stats.events;
+    host_s = 0.;
+    lat = Array.make n_classes Pstats.empty_summary;
+    lat_classes = classes;
+    counters = Sim.Sim_rt.Probe.dump ();
+    final_size = 0;
+    valid = true;
+    outcome = Complete;
+    obs = None;
+  }
+
+(* --------------------------------------------------------------- *)
+(* The paper's loop                                                 *)
+
+(** A workload bound to a built and filled structure: the loop calls
+    [op] once per iteration, which draws from the thread's rng, performs
+    one operation and returns its latency class. [effective] says which
+    classes modified the structure; [None] counts every op. *)
+type instance = {
+  i_name : string;
+  classes : string array;
+  op : Rng.t -> int;
+  effective : (int -> bool) option;
+  size : unit -> int;
+  valid : unit -> bool;
+}
+
+let sampler w =
   match w.dist with
-  | Uniform ->
-      fun rng -> 1 + Rng.below rng w.range
+  | Uniform -> fun rng -> 1 + Rng.below rng w.range
   | Zipf a ->
       let z = Zipf.create ~range:w.range ~alpha:a in
-      ignore seed;
       fun rng -> Zipf.sample z rng
 
 (* Fill the structure to [init_size] distinct keys, drawing from the
    workload distribution (so skewed runs start with the popular keys
    present). Runs outside any simulation: zero simulated cost. *)
-let prefill (type a) (module S : Registry.SET_OPS with type t = a) (t : a) w
-    ~seed =
+let prefill (type a) (module S : Registry.SET_OPS with type t = a) (t : a)
+    sample ~init_size ~seed =
   let rng = Rng.create (seed + 7919) in
-  let sample = sampler w seed in
   let n = ref 0 in
   let attempts = ref 0 in
-  while !n < w.init_size && !attempts < w.init_size * 1000 do
+  while !n < init_size && !attempts < init_size * 1000 do
     incr attempts;
     let k = sample rng in
     if S.insert t k k then incr n
   done;
-  if !n < w.init_size then
+  if !n < init_size then
     failwith
       (Printf.sprintf "prefill: only %d/%d keys inserted (capacity?)" !n
-         w.init_size)
+         init_size)
 
-(* One benchmark iteration; returns the latency class. *)
-let one_op (type a) (module S : Registry.SET_OPS with type t = a) (t : a) rng
-    sample upd_half upd_total =
-  let key = sample rng in
-  let p = Rng.below rng 100 in
-  if p < upd_half then if S.insert t key key then 2 else 3
-  else if p < upd_total then
-    match S.delete t key with Some _ -> 4 | None -> 5
-  else
-    match S.search t key with Some _ -> 0 | None -> 1
+(* Sets: a key, then the op. Insert and delete split [update_pct]
+   evenly; classes 2 and 4 (a successful insert or delete) modified the
+   structure. *)
+let set_instance (module S : Registry.SET_OPS) w ~seed =
+  let t =
+    match w.capacity with
+    | Some capacity -> S.create ~capacity ()
+    | None -> S.create ()
+  in
+  let sample = sampler w in
+  prefill (module S) t sample ~init_size:w.init_size ~seed;
+  let upd_half = w.update_pct / 2 in
+  let op rng =
+    let key = sample rng in
+    let p = Rng.below rng 100 in
+    if p < upd_half then if S.insert t key key then 2 else 3
+    else if p < w.update_pct then
+      match S.delete t key with Some _ -> 4 | None -> 5
+    else match S.search t key with Some _ -> 0 | None -> 1
+  in
+  {
+    i_name = S.name;
+    classes = class_names;
+    op;
+    effective = Some (fun cls -> cls = 2 || cls = 4);
+    size = (fun () -> S.size t);
+    valid = (fun () -> S.validate t);
+  }
+
+(* Queues and stacks: [init] random values, then [add_pct] percent adds
+   of a random value, the rest removes. *)
+let pool_instance ~name ~seed ~init ~add_pct ~add ~remove ~size =
+  let rng0 = Rng.create (seed + 13) in
+  for _ = 1 to init do
+    add (Rng.below rng0 1_000_000)
+  done;
+  let op rng =
+    if Rng.below rng 100 < add_pct then (
+      add (Rng.below rng 1_000_000);
+      0)
+    else match remove () with Some _ -> 1 | None -> 2
+  in
+  {
+    i_name = name;
+    classes = queue_class_names;
+    op;
+    effective = None;
+    size;
+    valid = (fun () -> true);
+  }
+
+let queue_instance (module Qu : Registry.QUEUE_OPS) ~seed ~init ~enqueue_pct =
+  let q = Qu.create () in
+  pool_instance ~name:Qu.name ~seed ~init ~add_pct:enqueue_pct
+    ~add:(Qu.enqueue q)
+    ~remove:(fun () -> Qu.dequeue q)
+    ~size:(fun () -> Qu.size q)
+
+let stack_instance (module St : Registry.STACK_OPS) ~seed ~init ~push_pct =
+  let st = St.create () in
+  pool_instance ~name:St.name ~seed ~init ~add_pct:push_pct ~add:(St.push st)
+    ~remove:(fun () -> St.pop st)
+    ~size:(fun () -> St.size st)
+
+let eff_pct (i : instance) ~effective ~ops =
+  match i.effective with
+  | None -> 100.
+  | Some _ ->
+      if ops = 0 then 0. else 100. *. float_of_int effective /. float_of_int ops
+
+let sum = Array.fold_left ( + ) 0
 
 (* --------------------------------------------------------------- *)
 (* Simulator runner                                                 *)
-
-let collect_sim_counters () = Sim.Sim_rt.Probe.dump ()
 
 (* Per-operation latency in cycles, as a probe histogram: shows up in
    --trace exports as samples and in counter dumps via [buckets]. *)
@@ -151,7 +256,7 @@ let synthetic_report reason : Sim.Sched.report =
    verdicts and budget exhaustion become [Aborted] with partial stats,
    never an escaped exception. [faults] installs a fault plan for the
    duration of the run. *)
-let run_sim_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
+let run_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
     ?max_inline_ops ~topology ~nthreads ~ops_target body :
     Sim.Sched.stats * outcome =
   let go () =
@@ -174,12 +279,10 @@ let run_sim_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
       in
       (r.Sim.Sched.r_stats, Aborted r)
 
-let run_guarded = run_sim_guarded
-
 (* Wrap a guarded run in an observability recording when requested; the
-   journal summary rides back alongside the stats. [run_sim_guarded]
-   never raises, but stop the recorder on escape anyway so a crashed
-   harness doesn't leave it armed for the next run. *)
+   journal summary rides back alongside the stats. [run_guarded] never
+   raises, but stop the recorder on escape anyway so a crashed harness
+   doesn't leave it armed for the next run. *)
 let with_obs record_obs go =
   if not record_obs then
     let stats, outcome = go () in
@@ -194,223 +297,96 @@ let with_obs record_obs go =
         ignore (Obs.Journal.stop ());
         raise e)
 
+let reject fn what =
+  invalid_arg (Printf.sprintf "Runner.%s: %s must be positive" fn what)
+
+(* The paper's loop on the simulator: every thread draws from its own
+   seeded rng, times each op into per-thread latency buffers, and waits
+   a short random moment between iterations (avoids long runs, §5).
+   [instance] builds and fills the structure once the arguments are
+   checked; probe counters are reset after it, so they reflect only the
+   measured window. An ops target of 0 runs until the watchdog's
+   verdict, which only a fault plan can provoke: without one the run
+   would never end. *)
+let run_sim fn ~topology ~nthreads ~ops ~seed ?faults ?watchdog ?max_events
+    ~record_obs instance =
+  if nthreads < 1 then reject fn "threads";
+  if ops < 0 || (ops = 0 && faults = None) then reject fn "ops";
+  let i = instance () in
+  Sim.Sim_rt.Probe.reset_all ();
+  let lat =
+    Array.init nthreads (fun _ ->
+        Array.map (fun _ -> Pstats.create ()) i.classes)
+  in
+  let effective = Array.make nthreads 0 in
+  let myops = Array.make nthreads 0 in
+  let counts = Option.value i.effective ~default:(fun _ -> false) in
+  let host0 = Unix.gettimeofday () in
+  let stats, outcome, obs =
+    with_obs record_obs (fun () ->
+        run_guarded ?faults ?watchdog ?max_events ~topology ~nthreads
+          ~ops_target:ops (fun tid ->
+            let rng = Rng.create ((seed * 65_599) + tid) in
+            while not (Sim.Sched.stop_requested ()) do
+              let t0 = Sim.Sched.now () in
+              let cls = i.op rng in
+              let t1 = Sim.Sched.now () in
+              Pstats.record lat.(tid).(cls) (t1 - t0);
+              Sim.Sim_rt.Probe.observe op_cycles (t1 - t0);
+              if counts cls then effective.(tid) <- effective.(tid) + 1;
+              myops.(tid) <- myops.(tid) + 1;
+              Sim.Sched.tick ();
+              Sim.Sched.work (64 + Rng.below rng 64)
+            done))
+  in
+  let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
+  let total_ops = sum myops in
+  let valid = i.valid () in
+  let final_size = i.size () in
+  let m =
+    of_stats ~name:i.i_name ~topology ~seed ~threads:nthreads
+      ~classes:i.classes stats
+  in
+  {
+    m with
+    ops = total_ops;
+    eff_update_pct = eff_pct i ~effective:(sum effective) ~ops:total_ops;
+    host_s;
+    lat =
+      Array.mapi
+        (fun c _ ->
+          Pstats.summarize (Array.to_list (Array.map (fun l -> l.(c)) lat)))
+        i.classes;
+    final_size;
+    valid;
+    outcome;
+    obs;
+  }
+
 let run_set_sim ~topology ~nthreads ~ops ?(seed = 42) ?faults ?watchdog
     ?max_events ?(record_obs = false) (module S : Registry.SET_OPS)
     (w : set_workload) : measurement =
-  (* An ops target of 0 runs until the watchdog's verdict, which only a
-     fault plan can provoke: without one the run would never end. *)
-  let reject what =
-    invalid_arg ("Runner.run_set_sim: " ^ what ^ " must be positive")
-  in
-  if nthreads < 1 then reject "threads";
-  if ops < 0 || (ops = 0 && faults = None) then reject "ops";
-  if w.init_size < 1 then reject "size";
-  let t =
-    match w.capacity with
-    | Some capacity -> S.create ~capacity ()
-    | None -> S.create ()
-  in
-  prefill (module S) t w ~seed;
-  (* reset after prefill so counters reflect only the measured window *)
-  Sim.Sim_rt.Probe.reset_all ();
-  let upd_half = w.update_pct / 2 in
-  let upd_total = w.update_pct in
-  let sample = sampler w seed in
-  let lat = Array.init nthreads (fun _ -> Array.init n_classes (fun _ -> Pstats.create ())) in
-  let effective = Array.make nthreads 0 in
-  let myops = Array.make nthreads 0 in
-  let host0 = Unix.gettimeofday () in
-  let stats, outcome, obs =
-    with_obs record_obs (fun () ->
-        run_sim_guarded ?faults ?watchdog ?max_events ~topology ~nthreads
-          ~ops_target:ops (fun tid ->
-            let rng = Rng.create ((seed * 65_599) + tid) in
-            while not (Sim.Sched.stop_requested ()) do
-              let t0 = Sim.Sched.now () in
-              let cls = one_op (module S) t rng sample upd_half upd_total in
-              let t1 = Sim.Sched.now () in
-              Pstats.record lat.(tid).(cls) (t1 - t0);
-              Sim.Sim_rt.Probe.observe op_cycles (t1 - t0);
-              if cls = 2 || cls = 4 then effective.(tid) <- effective.(tid) + 1;
-              myops.(tid) <- myops.(tid) + 1;
-              Sim.Sched.tick ();
-              (* Short wait between iterations (avoids long runs, §5). *)
-              Sim.Sched.work (64 + Rng.below rng 64)
-            done))
-  in
-  let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
-  let total_ops = Array.fold_left ( + ) 0 myops in
-  let total_eff = Array.fold_left ( + ) 0 effective in
-  let wall_s =
-    float_of_int stats.wall_cycles /. (topology.Sim.Topology.ghz *. 1e9)
-  in
-  {
-    name = S.name;
-    topo_name = topology.Sim.Topology.name;
-    seed;
-    threads = nthreads;
-    mops = Sim.Sched.mops topology stats;
-    ops = total_ops;
-    wall_s;
-    eff_update_pct =
-      (if total_ops = 0 then 0.
-       else 100. *. float_of_int total_eff /. float_of_int total_ops);
-    reads = stats.reads;
-    writes = stats.writes;
-    cas = stats.cas;
-    cas_failed = stats.cas_failed;
-    faa = stats.faa;
-    events = stats.events;
-    host_s;
-    lat =
-      Array.init n_classes (fun c ->
-          Pstats.summarize (Array.to_list (Array.map (fun l -> l.(c)) lat)));
-    lat_classes = class_names;
-    counters = collect_sim_counters ();
-    final_size = S.size t;
-    valid = S.validate t;
-    outcome;
-    obs;
-  }
+  run_sim "run_set_sim" ~topology ~nthreads ~ops ~seed ?faults ?watchdog
+    ?max_events ~record_obs (fun () ->
+      if w.init_size < 1 then reject "run_set_sim" "size";
+      set_instance (module S) w ~seed)
 
 (* Queue workloads (Figure 12): enqueue percentage picks between
    decreasing (40), stable (50) and increasing (60) size. *)
-
 let queue_init_size = 65_536
 
-type queue_measurement = measurement
-(* classes: 0 = enqueue, 1 = dequeue-nonempty, 2 = dequeue-empty *)
-
-let queue_class_names = [| "enqueue"; "dequeue-suc"; "dequeue-fal" |]
-
 let run_queue_sim ~topology ~nthreads ~ops ?(seed = 42) ?(init = queue_init_size)
-    ?faults ?watchdog ?max_events ?(record_obs = false) ~enqueue_pct
-    (module Qu : Registry.QUEUE_OPS) : queue_measurement =
-  let q = Qu.create () in
-  let rng0 = Rng.create (seed + 13) in
-  for _ = 1 to init do
-    Qu.enqueue q (Rng.below rng0 1_000_000)
-  done;
-  Sim.Sim_rt.Probe.reset_all ();
-  let lat = Array.init nthreads (fun _ -> Array.init 3 (fun _ -> Pstats.create ())) in
-  let myops = Array.make nthreads 0 in
-  let host0 = Unix.gettimeofday () in
-  let stats, outcome, obs =
-    with_obs record_obs (fun () ->
-        run_sim_guarded ?faults ?watchdog ?max_events ~topology ~nthreads
-          ~ops_target:ops (fun tid ->
-            let rng = Rng.create ((seed * 65_599) + tid) in
-            while not (Sim.Sched.stop_requested ()) do
-              let t0 = Sim.Sched.now () in
-              let cls =
-                if Rng.below rng 100 < enqueue_pct then (
-                  Qu.enqueue q (Rng.below rng 1_000_000);
-                  0)
-                else match Qu.dequeue q with Some _ -> 1 | None -> 2
-              in
-              let t1 = Sim.Sched.now () in
-              Pstats.record lat.(tid).(cls) (t1 - t0);
-              Sim.Sim_rt.Probe.observe op_cycles (t1 - t0);
-              myops.(tid) <- myops.(tid) + 1;
-              Sim.Sched.tick ();
-              Sim.Sched.work (64 + Rng.below rng 64)
-            done))
-  in
-  let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
-  let total_ops = Array.fold_left ( + ) 0 myops in
-  {
-    name = Qu.name;
-    topo_name = topology.Sim.Topology.name;
-    seed;
-    threads = nthreads;
-    mops = Sim.Sched.mops topology stats;
-    ops = total_ops;
-    wall_s =
-      float_of_int stats.wall_cycles /. (topology.Sim.Topology.ghz *. 1e9);
-    eff_update_pct = 100.;
-    reads = stats.reads;
-    writes = stats.writes;
-    cas = stats.cas;
-    cas_failed = stats.cas_failed;
-    faa = stats.faa;
-    events = stats.events;
-    host_s;
-    lat =
-      Array.init 3 (fun c ->
-          Pstats.summarize (Array.to_list (Array.map (fun l -> l.(c)) lat)));
-    lat_classes = queue_class_names;
-    counters = collect_sim_counters ();
-    final_size = Qu.size q;
-    valid = true;
-    outcome;
-    obs;
-  }
+    ?faults ?watchdog ?max_events ?(record_obs = false) ~enqueue_pct qu =
+  run_sim "run_queue_sim" ~topology ~nthreads ~ops ~seed ?faults ?watchdog
+    ?max_events ~record_obs (fun () ->
+      queue_instance qu ~seed ~init ~enqueue_pct)
 
 (* Stack workloads (§5.5): push percentage plays the role enqueue_pct
-   plays for queues. Latency classes: 0 = push, 1 = pop-nonempty,
-   2 = pop-empty. *)
+   plays for queues. *)
 let run_stack_sim ~topology ~nthreads ~ops ?(seed = 42) ?(init = 4096)
-    ?faults ?watchdog ?max_events ?(record_obs = false) ~push_pct
-    (module St : Registry.STACK_OPS) : measurement =
-  let st = St.create () in
-  let rng0 = Rng.create (seed + 13) in
-  for _ = 1 to init do
-    St.push st (Rng.below rng0 1_000_000)
-  done;
-  Sim.Sim_rt.Probe.reset_all ();
-  let lat = Array.init nthreads (fun _ -> Array.init 3 (fun _ -> Pstats.create ())) in
-  let myops = Array.make nthreads 0 in
-  let host0 = Unix.gettimeofday () in
-  let stats, outcome, obs =
-    with_obs record_obs (fun () ->
-        run_sim_guarded ?faults ?watchdog ?max_events ~topology ~nthreads
-          ~ops_target:ops (fun tid ->
-            let rng = Rng.create ((seed * 65_599) + tid) in
-            while not (Sim.Sched.stop_requested ()) do
-              let t0 = Sim.Sched.now () in
-              let cls =
-                if Rng.below rng 100 < push_pct then (
-                  St.push st (Rng.below rng 1_000_000);
-                  0)
-                else match St.pop st with Some _ -> 1 | None -> 2
-              in
-              let t1 = Sim.Sched.now () in
-              Pstats.record lat.(tid).(cls) (t1 - t0);
-              Sim.Sim_rt.Probe.observe op_cycles (t1 - t0);
-              myops.(tid) <- myops.(tid) + 1;
-              Sim.Sched.tick ();
-              Sim.Sched.work (64 + Rng.below rng 64)
-            done))
-  in
-  let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
-  let total_ops = Array.fold_left ( + ) 0 myops in
-  {
-    name = St.name;
-    topo_name = topology.Sim.Topology.name;
-    seed;
-    threads = nthreads;
-    mops = Sim.Sched.mops topology stats;
-    ops = total_ops;
-    wall_s =
-      float_of_int stats.wall_cycles /. (topology.Sim.Topology.ghz *. 1e9);
-    eff_update_pct = 100.;
-    reads = stats.reads;
-    writes = stats.writes;
-    cas = stats.cas;
-    cas_failed = stats.cas_failed;
-    faa = stats.faa;
-    events = stats.events;
-    host_s;
-    lat =
-      Array.init 3 (fun c ->
-          Pstats.summarize (Array.to_list (Array.map (fun l -> l.(c)) lat)));
-    lat_classes = queue_class_names;
-    counters = collect_sim_counters ();
-    final_size = St.size st;
-    valid = true;
-    outcome;
-    obs;
-  }
+    ?faults ?watchdog ?max_events ?(record_obs = false) ~push_pct st =
+  run_sim "run_stack_sim" ~topology ~nthreads ~ops ~seed ?faults ?watchdog
+    ?max_events ~record_obs (fun () -> stack_instance st ~seed ~init ~push_pct)
 
 (* --------------------------------------------------------------- *)
 (* Native runner (real domains)                                     *)
@@ -430,18 +406,14 @@ let barrier n =
         Domain.cpu_relax ()
       done
 
-let run_set_native ~nthreads ~ops_per_thread ?(seed = 42)
-    (module S : Registry.SET_OPS) (w : set_workload) : measurement =
-  let t =
-    match w.capacity with
-    | Some capacity -> S.create ~capacity ()
-    | None -> S.create ()
-  in
-  prefill (module S) t w ~seed;
-  let upd_half = w.update_pct / 2 in
-  let upd_total = w.update_pct in
-  let sample = sampler w seed in
+(* The same loop on real domains, [ops_per_thread] iterations each with
+   no wait between them, timed from the first barrier to the last. *)
+let run_native fn ~nthreads ~ops_per_thread ~seed instance =
+  if nthreads < 1 then reject fn "threads";
+  if ops_per_thread < 1 then reject fn "ops_per_thread";
+  let i = instance () in
   let effective = Array.make nthreads 0 in
+  let counts = Option.value i.effective ~default:(fun _ -> false) in
   Rt.Native_rt.set_nthreads nthreads;
   let bar = barrier nthreads in
   let t_start = ref 0. in
@@ -452,8 +424,7 @@ let run_set_native ~nthreads ~ops_per_thread ?(seed = 42)
     bar ();
     if tid = 0 then t_start := Unix.gettimeofday ();
     for _ = 1 to ops_per_thread do
-      let cls = one_op (module S) t rng sample upd_half upd_total in
-      if cls = 2 || cls = 4 then effective.(tid) <- effective.(tid) + 1
+      if counts (i.op rng) then effective.(tid) <- effective.(tid) + 1
     done;
     bar ();
     if tid = 0 then t_stop := Unix.gettimeofday ()
@@ -467,17 +438,14 @@ let run_set_native ~nthreads ~ops_per_thread ?(seed = 42)
   let total_ops = nthreads * ops_per_thread in
   let wall_s = Float.max 1e-9 (!t_stop -. !t_start) in
   {
-    name = S.name;
+    name = i.i_name;
     topo_name = "native";
     seed;
     threads = nthreads;
     mops = float_of_int total_ops /. wall_s /. 1e6;
     ops = total_ops;
     wall_s;
-    eff_update_pct =
-      100.
-      *. float_of_int (Array.fold_left ( + ) 0 effective)
-      /. float_of_int total_ops;
+    eff_update_pct = eff_pct i ~effective:(sum effective) ~ops:total_ops;
     reads = 0;
     writes = 0;
     cas = 0;
@@ -485,68 +453,20 @@ let run_set_native ~nthreads ~ops_per_thread ?(seed = 42)
     faa = 0;
     events = 0;
     host_s = wall_s;
-    lat = Array.make n_classes Pstats.empty_summary;
-    lat_classes = class_names;
+    lat = Array.make (Array.length i.classes) Pstats.empty_summary;
+    lat_classes = i.classes;
     counters = [];
-    final_size = S.size t;
-    valid = S.validate t;
+    final_size = i.size ();
+    valid = i.valid ();
     outcome = Complete;
     obs = None;
   }
 
+let run_set_native ~nthreads ~ops_per_thread ?(seed = 42) s w =
+  run_native "run_set_native" ~nthreads ~ops_per_thread ~seed (fun () ->
+      set_instance s w ~seed)
+
 let run_queue_native ~nthreads ~ops_per_thread ?(seed = 42) ?(init = 4096)
-    ~enqueue_pct (module Qu : Registry.QUEUE_OPS) : measurement =
-  let q = Qu.create () in
-  let rng0 = Rng.create (seed + 13) in
-  for _ = 1 to init do
-    Qu.enqueue q (Rng.below rng0 1_000_000)
-  done;
-  Rt.Native_rt.set_nthreads nthreads;
-  let bar = barrier nthreads in
-  let t_start = ref 0. in
-  let t_stop = ref 0. in
-  let body tid () =
-    Rt.Native_rt.set_tid tid;
-    let rng = Rng.create ((seed * 65_599) + tid) in
-    bar ();
-    if tid = 0 then t_start := Unix.gettimeofday ();
-    for _ = 1 to ops_per_thread do
-      if Rng.below rng 100 < enqueue_pct then
-        Qu.enqueue q (Rng.below rng 1_000_000)
-      else ignore (Qu.dequeue q : int option)
-    done;
-    bar ();
-    if tid = 0 then t_stop := Unix.gettimeofday ()
-  in
-  let domains =
-    List.init (nthreads - 1) (fun i -> Domain.spawn (body (i + 1)))
-  in
-  body 0 ();
-  List.iter Domain.join domains;
-  Rt.Native_rt.set_nthreads 1;
-  let total_ops = nthreads * ops_per_thread in
-  let wall_s = Float.max 1e-9 (!t_stop -. !t_start) in
-  {
-    name = Qu.name;
-    topo_name = "native";
-    seed;
-    threads = nthreads;
-    mops = float_of_int total_ops /. wall_s /. 1e6;
-    ops = total_ops;
-    wall_s;
-    eff_update_pct = 100.;
-    reads = 0;
-    writes = 0;
-    cas = 0;
-    cas_failed = 0;
-    faa = 0;
-    events = 0;
-    host_s = wall_s;
-    lat = Array.make n_classes Pstats.empty_summary;
-    lat_classes = queue_class_names;
-    counters = [];
-    final_size = Qu.size q;
-    valid = true;
-    outcome = Complete;
-    obs = None;
-  }
+    ~enqueue_pct qu =
+  run_native "run_queue_native" ~nthreads ~ops_per_thread ~seed (fun () ->
+      queue_instance qu ~seed ~init ~enqueue_pct)

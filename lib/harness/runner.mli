@@ -80,9 +80,22 @@ type measurement = {
           reports *)
 }
 
-type queue_measurement = measurement
-
 val aborted : measurement -> bool
+
+val of_stats :
+  name:string ->
+  topology:Sim.Topology.t ->
+  seed:int ->
+  threads:int ->
+  classes:string array ->
+  Sim.Sched.stats ->
+  measurement
+(** A measurement of a finished simulation from the scheduler's stats
+    alone: throughput, virtual wall time and coherence counts from
+    [stats], the probe counters as they stand, no latency samples, no
+    host time, [eff_update_pct = 100], [final_size = 0], valid and
+    complete. The runners below build theirs from it; experiments that
+    drive the scheduler themselves override the fields they measure. *)
 
 val run_guarded :
   ?faults:Sim.Fault.plan ->
@@ -104,6 +117,12 @@ val run_guarded :
 
 (** {1 Simulator runners}
 
+    All three run the paper's loop: each thread draws from its own rng
+    seeded from [seed], times every operation into a latency class, and
+    waits 64-127 cycles between iterations. They raise [Invalid_argument]
+    unless [nthreads] and [ops] are positive; [ops = 0] is allowed only
+    with [faults], and then runs until the watchdog calls the verdict.
+
     Deterministic: identical arguments (including [seed]) give identical
     measurements. [record_obs] additionally records the observability
     journal — probe events, checkpoint stream, per-line contention —
@@ -122,9 +141,8 @@ val run_set_sim :
   (module Registry.SET_OPS) ->
   set_workload ->
   measurement
-(** Raises [Invalid_argument] unless [nthreads], the workload's
-    [init_size] and [ops] are positive. [ops = 0] is allowed only with
-    [faults]: it runs until the watchdog calls the verdict. *)
+(** Also raises [Invalid_argument] unless the workload's [init_size] is
+    positive. *)
 
 val run_queue_sim :
   topology:Sim.Topology.t ->
@@ -138,7 +156,7 @@ val run_queue_sim :
   ?record_obs:bool ->
   enqueue_pct:int ->
   (module Registry.QUEUE_OPS) ->
-  queue_measurement
+  measurement
 (** Queue workloads (Figure 12): [enqueue_pct] picks between decreasing
     (40), stable (50) and increasing (60) queue size. *)
 
@@ -160,8 +178,11 @@ val run_stack_sim :
 
 (** {1 Native runners (real domains)}
 
-    Wall-clock timed, so not deterministic; coherence statistics and
-    latency classes are unavailable ([0] / empty). *)
+    The same loop on real domains, [ops_per_thread] iterations per
+    domain with no wait between them. Wall-clock timed, so not
+    deterministic; coherence statistics and latency classes are
+    unavailable ([0] / empty). Both raise [Invalid_argument] unless
+    [nthreads] and [ops_per_thread] are positive. *)
 
 val run_set_native :
   nthreads:int ->

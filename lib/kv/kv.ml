@@ -1298,10 +1298,6 @@ let run ?(record_obs = false) (cfg : config) :
   let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
   quiesce t;
   let oracle = check_oracle t in
-  let wall_s =
-    float_of_int stats.Sim.Sched.wall_cycles
-    /. (cfg.topo.Sim.Topology.ghz *. 1e9)
-  in
   let final_size =
     Array.fold_left
       (fun a sh -> a + store_size sh.primary.n_store + store_size sh.replica.n_store)
@@ -1312,25 +1308,17 @@ let run ?(record_obs = false) (cfg : config) :
       (fun sh -> store_valid sh.primary.n_store && store_valid sh.replica.n_store)
       t.shards
   in
-  let m : Harness.Runner.measurement =
+  let m =
+    Harness.Runner.of_stats ~name:("kv/" ^ cfg.rep) ~topology:cfg.topo
+      ~seed:cfg.seed ~threads:cfg.threads ~classes stats
+  in
+  let m =
     {
-      name = "kv/" ^ cfg.rep;
-      topo_name = cfg.topo.Sim.Topology.name;
-      seed = cfg.seed;
-      threads = cfg.threads;
-      mops = Sim.Sched.mops cfg.topo stats;
-      ops = stats.Sim.Sched.ops;
-      wall_s;
+      m with
       eff_update_pct =
         100.
         *. float_of_int (Probe.count t.k_acked)
         /. float_of_int (max 1 stats.Sim.Sched.ops);
-      reads = stats.Sim.Sched.reads;
-      writes = stats.Sim.Sched.writes;
-      cas = stats.Sim.Sched.cas;
-      cas_failed = stats.Sim.Sched.cas_failed;
-      faa = stats.Sim.Sched.faa;
-      events = stats.Sim.Sched.events;
       host_s;
       lat =
         Array.init (Array.length classes) (fun c ->
@@ -1341,8 +1329,6 @@ let run ?(record_obs = false) (cfg : config) :
             else
               Harness.Pstats.summarize
                 (Array.to_list (Array.map (fun l -> l.(c)) lat)));
-      lat_classes = classes;
-      counters = Probe.dump ();
       final_size;
       valid;
       outcome;

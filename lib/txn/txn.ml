@@ -683,38 +683,26 @@ module Workload = struct
     let oracle =
       check_serializable cfg (Harness.History.Log.all log) objs
     in
-    let wall_s =
-      float_of_int stats.Sim.Sched.wall_cycles
-      /. (cfg.topo.Sim.Topology.ghz *. 1e9)
-    in
     let commits = Probe.count mgr.T.c_commits in
-    let m : Harness.Runner.measurement =
+    let valid = Array.for_all T.obj_validate objs in
+    let final_size = Array.fold_left (fun a ob -> a + T.obj_size ob) 0 objs in
+    let m =
+      Harness.Runner.of_stats ~name:("txn/" ^ cfg.rep) ~topology:cfg.topo
+        ~seed:cfg.seed ~threads:cfg.threads ~classes:lat_classes stats
+    in
+    let m =
       {
-        name = "txn/" ^ cfg.rep;
-        topo_name = cfg.topo.Sim.Topology.name;
-        seed = cfg.seed;
-        threads = cfg.threads;
-        mops = Sim.Sched.mops cfg.topo stats;
-        ops = stats.Sim.Sched.ops;
-        wall_s;
+        m with
         eff_update_pct =
           100. *. float_of_int commits
           /. float_of_int (max 1 stats.Sim.Sched.ops);
-        reads = stats.Sim.Sched.reads;
-        writes = stats.Sim.Sched.writes;
-        cas = stats.Sim.Sched.cas;
-        cas_failed = stats.Sim.Sched.cas_failed;
-        faa = stats.Sim.Sched.faa;
-        events = stats.Sim.Sched.events;
         host_s;
         lat =
           Array.init (Array.length lat_classes) (fun c ->
               Harness.Pstats.summarize
                 (Array.to_list (Array.map (fun l -> l.(c)) lat)));
-        lat_classes;
-        counters = Probe.dump ();
-        final_size = Array.fold_left (fun a ob -> a + T.obj_size ob) 0 objs;
-        valid = Array.for_all T.obj_validate objs;
+        final_size;
+        valid;
         outcome;
         obs = Option.map Obs.Profile.summarize trace;
       }

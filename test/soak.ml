@@ -7,36 +7,40 @@
 
    Defaults: 2 minutes, seed from CHAOS_SEED/SOAK_SEED in the environment
    (so a CI failure is reproducible locally by exporting the seed the job
-   printed), else from the clock. Every failure prints the exact
-   (structure, topology, threads, ops, seed) tuple — simulator runs are
-   deterministic, so any failure is replayable. *)
+   printed), else from the clock. Runs are drawn by [Harness.Soak] at its
+   wide shape. Every failure prints the exact (structure, topology,
+   threads, size, updates, skew, ops, seed) tuple — simulator runs are
+   deterministic, so any failure is replayable. Malformed arguments exit
+   2 with a usage line. *)
 
-let minutes =
-  if Array.length Sys.argv > 1 then float_of_string Sys.argv.(1) else 2.
+let usage msg =
+  prerr_endline ("soak: " ^ msg ^ "\nusage: soak.exe [minutes] [base-seed]");
+  exit 2
+
+let arg i parse what =
+  if Array.length Sys.argv <= i then None
+  else
+    match parse Sys.argv.(i) with
+    | Some v -> Some v
+    | None -> usage (Printf.sprintf "%s must be a number, got %S" what Sys.argv.(i))
+
+let minutes = Option.value (arg 1 float_of_string_opt "minutes") ~default:2.
 
 let env_seed () =
   match (Sys.getenv_opt "CHAOS_SEED", Sys.getenv_opt "SOAK_SEED") with
   | Some s, _ | None, Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some n -> Some n
-      | None -> failwith ("soak: non-integer seed in environment: " ^ s))
+      | None -> usage ("non-integer seed in environment: " ^ s))
   | None, None -> None
 
 let base_seed =
-  if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2)
-  else
-    match env_seed () with
-    | Some n -> n
-    | None -> int_of_float (Unix.gettimeofday ()) land 0xFFFFFF
-
-module R = Harness.Registry
-
-let topologies =
-  [ Sim.Topology.xeon; Sim.Topology.opteron; Sim.Topology.uniform ~n:4 () ]
-
-let all_sets =
-  let module S = Harness.Registry.Sim_backend in
-  S.maps @ S.lists @ S.hashtables @ S.skiplists @ S.bsts
+  match arg 2 int_of_string_opt "base-seed" with
+  | Some n -> n
+  | None -> (
+      match env_seed () with
+      | Some n -> n
+      | None -> int_of_float (Unix.gettimeofday ()) land 0xFFFFFF)
 
 let () =
   Printf.printf "soak: %.1f minutes, base seed %d\n%!" minutes base_seed;
@@ -45,57 +49,24 @@ let () =
   let runs = ref 0 and failures = ref 0 in
   while Unix.gettimeofday () < deadline do
     incr runs;
-    let seed = Harness.Rng.next rng land 0xFFFFFF in
-    let topo = List.nth topologies (Harness.Rng.below rng 3) in
-    let nthreads = 1 + Harness.Rng.below rng 64 in
-    let size = 4 lsl Harness.Rng.below rng 9 (* 4 .. 1024 *) in
-    let updates = 10 + Harness.Rng.below rng 80 in
-    let skewed = Harness.Rng.below rng 2 = 0 in
-    let ops = 2_000 + Harness.Rng.below rng 8_000 in
-    let (module S : R.SET_OPS) =
-      List.nth all_sets (Harness.Rng.below rng (List.length all_sets))
-    in
-    let w =
-      let base =
-        if skewed then
-          Harness.Runner.skewed_workload ~init_size:size ~update_pct:updates ()
-        else
-          Harness.Runner.uniform_workload ~init_size:size ~update_pct:updates
-            ()
-      in
-      (* maps need headroom; hash tables take the size as bucket count *)
-      { base with Harness.Runner.capacity = Some (2 * size) }
-    in
-    Dstruct.Sl_common.reset_states ();
-    let describe () =
-      Printf.sprintf "%s topo=%s thr=%d size=%d upd=%d%% skew=%b ops=%d seed=%d"
-        S.name topo.Sim.Topology.name nthreads size updates skewed ops seed
-    in
+    let c = Harness.Soak.sample Harness.Soak.wide rng in
     (try
-       (* A loose watchdog turns a hang into a fast failure with a
-          per-thread progress dump instead of a silent event-budget burn. *)
-       let m =
-         Harness.Runner.run_set_sim ~topology:topo ~nthreads ~ops ~seed
-           ~watchdog:
-             { Sim.Sched.check_events = 500_000; starve_cycles = 50_000_000 }
-           (module S)
-           w
-       in
+       let m = Harness.Soak.run c in
        (match m.Harness.Runner.outcome with
        | Harness.Runner.Complete -> ()
        | Harness.Runner.Aborted r ->
            incr failures;
            Printf.printf "STALLED (%s): %s\n%s%!"
              (Format.asprintf "%a" Sim.Sched.pp_verdict r.Sim.Sched.r_verdict)
-             (describe ())
+             (Harness.Soak.describe c)
              (Format.asprintf "%a" Sim.Sched.pp_report r));
        if not m.Harness.Runner.valid then (
          incr failures;
-         Printf.printf "INVALID STRUCTURE: %s\n%!" (describe ()))
+         Printf.printf "INVALID STRUCTURE: %s\n%!" (Harness.Soak.describe c))
      with e ->
        incr failures;
        Printf.printf "EXCEPTION %s: %s\n%!" (Printexc.to_string e)
-         (describe ()));
+         (Harness.Soak.describe c));
     if !runs mod 25 = 0 then
       Printf.printf "  ... %d runs, %d failures\n%!" !runs !failures
   done;

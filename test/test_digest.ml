@@ -11,7 +11,8 @@
    - the same two for the kv and txn families, plus the replay of the
      broken-commit txn trial (a failing verdict),
    - a soak-style randomized sweep summary (workload tuple + full stats),
-   - a Chrome trace_event export and its JSONL twin.
+   - a Chrome trace_event export and its JSONL twin,
+   - the figures engine's rendered output and run report in a tiny mode.
 
    The digests were recorded before the PR-4 hot-path overhaul and must
    survive it unchanged. If an *intentional* output-format change breaks
@@ -78,51 +79,48 @@ let txn_broken_output =
   pristine (fun () ->
       replay_output (module Txn_t) "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !")
 
-(* A soak-style sweep: same sampling shape as test/soak.ml, pinned seed,
-   full stats per run so any scheduling change shows up. *)
+(* The soak sweep of [optik_bench soak], pinned seed, full stats per run
+   so any scheduling change shows up. *)
 let soak_output () =
   let b = Buffer.create 4096 in
   let rng = Harness.Rng.create 424242 in
-  let topologies =
-    [ Sim.Topology.xeon; Sim.Topology.opteron; Sim.Topology.uniform ~n:4 () ]
-  in
-  let module SB = R.Sim_backend in
-  let all_sets = SB.maps @ SB.lists @ SB.hashtables in
   for i = 1 to 6 do
-    let seed = Harness.Rng.next rng land 0xFFFFFF in
-    let topo = List.nth topologies (Harness.Rng.below rng 3) in
-    let nthreads = 1 + Harness.Rng.below rng 16 in
-    let size = 4 lsl Harness.Rng.below rng 7 in
-    let updates = 10 + Harness.Rng.below rng 80 in
-    let skewed = Harness.Rng.below rng 2 = 0 in
-    let ops = 1_000 + Harness.Rng.below rng 4_000 in
-    let (module S : R.SET_OPS) =
-      List.nth all_sets (Harness.Rng.below rng (List.length all_sets))
-    in
-    let w =
-      let base =
-        if skewed then
-          Harness.Runner.skewed_workload ~init_size:size ~update_pct:updates ()
-        else
-          Harness.Runner.uniform_workload ~init_size:size ~update_pct:updates ()
-      in
-      { base with Harness.Runner.capacity = Some (2 * size) }
-    in
-    Dstruct.Sl_common.reset_states ();
-    let m = Harness.Runner.run_set_sim ~topology:topo ~nthreads ~ops ~seed (module S) w in
+    let c = Harness.Soak.sample Harness.Soak.bounded rng in
+    let m = Harness.Soak.run c in
     Printf.bprintf b
-      "%d %s topo=%s thr=%d size=%d upd=%d skew=%b ops=%d seed=%d -> \
-       ops=%d mops=%.6f wall=%.9f reads=%d writes=%d cas=%d casf=%d \
-       size=%d valid=%b complete=%b\n"
-      i S.name topo.Sim.Topology.name nthreads size updates skewed ops seed
-      m.Harness.Runner.ops m.Harness.Runner.mops m.Harness.Runner.wall_s
-      m.Harness.Runner.reads m.Harness.Runner.writes m.Harness.Runner.cas
-      m.Harness.Runner.cas_failed m.Harness.Runner.final_size
-      m.Harness.Runner.valid
-      (match m.Harness.Runner.outcome with
-      | Harness.Runner.Complete -> true
-      | Harness.Runner.Aborted _ -> false)
+      "%d %s -> ops=%d mops=%.6f wall=%.9f reads=%d writes=%d cas=%d \
+       casf=%d size=%d valid=%b complete=%b\n"
+      i (Harness.Soak.describe c) m.Harness.Runner.ops m.Harness.Runner.mops
+      m.Harness.Runner.wall_s m.Harness.Runner.reads m.Harness.Runner.writes
+      m.Harness.Runner.cas m.Harness.Runner.cas_failed
+      m.Harness.Runner.final_size m.Harness.Runner.valid
+      (not (Harness.Runner.aborted m))
   done;
+  Buffer.contents b
+
+(* The figures engine in a tiny mode: the rendered figures and claims of
+   every experiment except fig9-fig11, then the run report of their
+   measurements. Those three prefill lists and skip lists of up to 65536
+   keys whatever the mode, which would take minutes. Like a fresh
+   [optik_bench figures] process, it starts from a pristine world. *)
+let figures_output () =
+  Chaos.fresh_world ();
+  let tiny =
+    { Figures.Experiments.threads_of = (fun _ -> [ 1; 4 ]); ops_scale = 0.02;
+      seed = 42 }
+  in
+  let ids =
+    List.filter
+      (fun id -> not (List.mem id [ "fig9"; "fig10"; "fig11" ]))
+      Figures.Experiments.all_ids
+  in
+  let b = Buffer.create 65536 in
+  let out l = Buffer.add_string b l; Buffer.add_char b '\n' in
+  let runs = Figures.Experiments.run tiny out ids in
+  Buffer.add_string b
+    (Obs.Report.to_string
+       (Harness.Report.make ~subcommand:"figures" ~seed:(Some 42) ~params:[]
+          runs));
   Buffer.contents b
 
 (* Trace exports of a recorded run: the Chrome trace_event JSON and the
@@ -202,6 +200,10 @@ let golden_txn_fuzz = "cb23e5cda099c502978254a1a70d0ae3"
 let golden_kv_replay = "b63087980e479631c44410320aeaa0d3"
 let golden_txn_replay = "33e4fc8d6bf2791ff62750ea3ee36f76"
 let golden_txn_broken = "13ea5ab3739d879dd54e5b3026da680f"
+(* Recorded in a fresh process from the code before the paper loops, the
+   figure grids and the figures driver were shared, which had to leave it
+   unchanged. *)
+let golden_figures = "626ef4a8b2e5ac51475031fd448f32c2"
 
 (* ------------------------------------------------------------------ *)
 
@@ -219,6 +221,9 @@ let test_services () =
   check_digest "txn replay" golden_txn_replay (txn_replay_output ());
   check_digest "txn broken replay" golden_txn_broken (txn_broken_output ())
 let test_soak () = check_digest "soak sweep" golden_soak (soak_output ())
+
+let test_figures () =
+  check_digest "figures" golden_figures (figures_output ())
 
 let test_traces () =
   let chrome, jsonl = trace_outputs () in
@@ -254,6 +259,7 @@ let () =
     Printf.printf "let golden_kv_replay = %S\n" (digest (kv_replay_output ()));
     Printf.printf "let golden_txn_replay = %S\n" (digest (txn_replay_output ()));
     Printf.printf "let golden_txn_broken = %S\n" (digest (txn_broken_output ()));
+    Printf.printf "let golden_figures = %S\n" (digest (figures_output ()));
     exit 0
   end;
   Alcotest.run "digest"
@@ -268,5 +274,6 @@ let () =
           Alcotest.test_case "report diff" `Quick test_diff;
           Alcotest.test_case "self-stable" `Quick test_self_stable;
           Alcotest.test_case "kv and txn streams" `Quick test_services;
+          Alcotest.test_case "figures" `Quick test_figures;
         ] );
     ]

@@ -79,6 +79,22 @@ let test_fleet_determinism () =
   Alcotest.(check (pair int string)) "jobs:1 == serial" serial one;
   Alcotest.(check (pair int string)) "jobs:4 == jobs:1" one four
 
+(* A fresh world is pristine for every structure: an elimination-stack
+   run repeats exactly after another one, which its slot counters used
+   to carry into. *)
+let test_fresh_world_resets_elimination () =
+  let run () =
+    Chaos.fresh_world ();
+    let m =
+      Harness.Runner.run_stack_sim ~topology:(Sim.Topology.uniform ~n:4 ())
+        ~nthreads:6 ~ops:3_000 ~init:64 ~push_pct:50
+        Harness.Registry.Sim_backend.stack_elimination
+    in
+    (m.ops, m.cas, m.cas_failed, m.counters)
+  in
+  let first = run () in
+  Alcotest.(check bool) "second run identical" true (first = run ())
+
 let () =
   Alcotest.run "fleet"
     [
@@ -92,5 +108,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_jobs_validation;
           Alcotest.test_case "determinism jobs 1 vs 4" `Quick
             test_fleet_determinism;
+          Alcotest.test_case "fresh world resets the elimination stack" `Quick
+            test_fresh_world_resets_elimination;
         ] );
     ]

@@ -206,6 +206,66 @@ let test_runner_rejects_bad_args () =
   bad "threads 0" ~nthreads:0 ~ops:100 ~size:16;
   bad "size 0" ~nthreads:2 ~ops:100 ~size:0
 
+(* The queue, stack and native runners share the set runner's loop, and
+   with it the same checks, named after the runner called. *)
+let test_all_runners_reject_bad_args () =
+  let module R = Harness.Runner in
+  let module SB = Harness.Registry.Sim_backend in
+  let topology = Tutil.uniform4 in
+  let w = R.uniform_workload ~init_size:16 ~update_pct:20 () in
+  let bad msg f =
+    match f () with
+    | (_ : R.measurement) -> Alcotest.failf "expected Invalid_argument %S" msg
+    | exception Invalid_argument m -> Alcotest.(check string) "message" msg m
+  in
+  bad "Runner.run_queue_sim: threads must be positive" (fun () ->
+      R.run_queue_sim ~topology ~nthreads:0 ~ops:100 ~enqueue_pct:50 SB.q_ms_lf);
+  bad "Runner.run_queue_sim: ops must be positive" (fun () ->
+      R.run_queue_sim ~topology ~nthreads:2 ~ops:0 ~enqueue_pct:50 SB.q_ms_lf);
+  bad "Runner.run_stack_sim: ops must be positive" (fun () ->
+      R.run_stack_sim ~topology ~nthreads:2 ~ops:(-1) ~push_pct:50
+        SB.stack_treiber);
+  bad "Runner.run_set_native: threads must be positive" (fun () ->
+      R.run_set_native ~nthreads:0 ~ops_per_thread:10
+        Harness.Registry.Native.ll_harris w);
+  bad "Runner.run_queue_native: ops_per_thread must be positive" (fun () ->
+      R.run_queue_native ~nthreads:1 ~ops_per_thread:0 ~enqueue_pct:50
+        Harness.Registry.Native.q_ms_lf)
+
+(* Every draw stays inside its shape, the same seed draws the same
+   tuples, and a drawn case runs to a valid, complete measurement. *)
+let test_soak_sampler () =
+  let module Soak = Harness.Soak in
+  let draw shape seed =
+    let rng = Harness.Rng.create seed in
+    List.init 200 (fun _ -> Soak.sample shape rng)
+  in
+  List.iter
+    (fun (shape : Soak.shape) ->
+      let cases = draw shape 5 in
+      List.iter
+        (fun (c : Soak.case) ->
+          let within what lo hi v =
+            if v < lo || v > hi then
+              Alcotest.failf "%s %d outside [%d, %d]: %s" what v lo hi
+                (Soak.describe c)
+          in
+          within "threads" 1 shape.max_threads c.threads;
+          within "size" 4 (4 lsl (shape.size_shifts - 1)) c.size;
+          within "updates" 10 89 c.updates;
+          within "ops" shape.min_ops (shape.min_ops + shape.ops_span - 1) c.ops;
+          Alcotest.(check bool) "structure from the shape" true
+            (List.memq c.structure shape.structures))
+        cases;
+      Alcotest.(check (list string)) "same seed, same tuples"
+        (List.map Soak.describe cases)
+        (List.map Soak.describe (draw shape 5)))
+    [ Soak.bounded; Soak.wide ];
+  let c = { (Soak.sample Soak.bounded (Harness.Rng.create 1)) with ops = 500 } in
+  let m = Soak.run c in
+  Alcotest.(check bool) "complete" false (Harness.Runner.aborted m);
+  Alcotest.(check bool) "valid" true m.Harness.Runner.valid
+
 let test_native_runner_works () =
   let (module S : Harness.Registry.SET_OPS) =
     Harness.Registry.Native.ll_harris
@@ -220,20 +280,25 @@ let test_native_runner_works () =
   Alcotest.(check int) "ops" 4_000 m.Harness.Runner.ops;
   Alcotest.(check bool) "throughput positive" true (m.Harness.Runner.mops > 0.)
 
+(* Queues and stacks share one loop: a 60-70% add mix grows them, and
+   every op counts as an effective update. *)
 let test_queue_runner () =
-  let (module Q : Harness.Registry.QUEUE_OPS) =
-    Harness.Registry.Sim_backend.q_ms_lf
+  let grew what (m : Harness.Runner.measurement) =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s grew (%d)" what m.final_size)
+      true (m.final_size > 1_000);
+    Alcotest.(check (array string)) (what ^ " classes")
+      Harness.Runner.queue_class_names m.lat_classes;
+    Alcotest.(check (float 0.)) (what ^ " effective") 100. m.eff_update_pct
   in
-  let m =
-    Harness.Runner.run_queue_sim ~topology:Tutil.uniform4 ~nthreads:4
-      ~ops:5_000 ~init:1_000 ~enqueue_pct:60
-      (module Q)
-  in
-  (* 60/40 enqueue mix grows the queue *)
-  Alcotest.(check bool)
-    (Printf.sprintf "queue grew (%d)" m.Harness.Runner.final_size)
-    true
-    (m.Harness.Runner.final_size > 1_000)
+  grew "queue"
+    (Harness.Runner.run_queue_sim ~topology:Tutil.uniform4 ~nthreads:4
+       ~ops:5_000 ~init:1_000 ~enqueue_pct:60
+       Harness.Registry.Sim_backend.q_ms_lf);
+  grew "stack"
+    (Harness.Runner.run_stack_sim ~topology:Tutil.uniform4 ~nthreads:4
+       ~ops:5_000 ~init:1_000 ~push_pct:70
+       Harness.Registry.Sim_backend.stack_treiber)
 
 let () =
   Alcotest.run "harness"
@@ -270,6 +335,13 @@ let () =
           Alcotest.test_case "rejects bad arguments" `Quick
             test_runner_rejects_bad_args;
           Alcotest.test_case "native runner" `Slow test_native_runner_works;
-          Alcotest.test_case "queue runner" `Quick test_queue_runner;
+          Alcotest.test_case "queue and stack runners" `Quick
+            test_queue_runner;
+          Alcotest.test_case "every runner rejects bad arguments" `Quick
+            test_all_runners_reject_bad_args;
+        ] );
+      ( "soak",
+        [
+          Alcotest.test_case "sampler draws in range" `Quick test_soak_sampler;
         ] );
     ]
