@@ -449,7 +449,7 @@ module type CONTAINER = sig
   val apply : t -> Spec.input -> Spec.output * int option
   val delta : Spec.input -> Spec.output option -> int
   val size : t -> int
-  val validate : t -> bool
+  val validate : crashed:int -> t -> bool
 end
 
 module Set_container (S : R.SET_OPS) = struct
@@ -494,7 +494,7 @@ module Set_container (S : R.SET_OPS) = struct
     | _ -> 0
 
   let size = S.size
-  let validate = S.validate
+  let validate ~crashed t = S.validate ~crashed t
 end
 
 let prefill tr = List.init (tr.t_keys / 2) (fun j -> 901 + j)
@@ -529,7 +529,7 @@ module Queue_container (Q : R.QUEUE_OPS) = struct
     | _ -> 0
 
   let size = Q.size
-  let validate _ = true
+  let validate ~crashed:_ _ = true
 end
 
 module Stack_container (St : R.STACK_OPS) = struct
@@ -561,7 +561,7 @@ module Stack_container (St : R.STACK_OPS) = struct
     | _ -> 0
 
   let size = St.size
-  let validate _ = true
+  let validate ~crashed:_ _ = true
 end
 
 (* The one container runner: every thread draws and applies [t_ops] ops
@@ -641,7 +641,7 @@ module Container (C : CONTAINER) = struct
                 p_minus)
         in
         lin @ size
-        @ unless (C.validate t) "validate" (fun () -> "validation failed")
+        @ unless (C.validate ~crashed:(List.length crashed) t) "validate" (fun () -> "validation failed")
     in
     let qsbr_fail = qsbr_failures q crashed in
     ( (match outcome with Harness.Runner.Complete -> true | _ -> false),

@@ -177,7 +177,7 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
 
   (* Quiescent invariants: routing (left < key <= right) for user keys
      (sentinel leaves are exempt), all reachable internal locks free. *)
-  let validate t =
+  let validate ?crashed:_ t =
     let ok = ref true in
     let rec go lo hi = function
       | Leaf l ->
@@ -314,7 +314,7 @@ module Global_lock (Rt : RT) (Lock : LOCK) = struct
     in
     go acc (Node t.root)
 
-  let validate t =
+  let validate ?crashed:_ t =
     let ok = ref true in
     let rec go lo hi = function
       | Leaf l ->

@@ -31,7 +31,14 @@ module type SET_CORE = sig
       [fold t (fun k v () -> insert t' k v) ()]. *)
 
   val size : 'v t -> int
-  val validate : 'v t -> bool
+
+  val validate : ?crashed:int -> 'v t -> bool
+  (** Quiescent structural check. [crashed] (default 0) is how many
+      threads died mid-operation during the run: a lock-free structure
+      may then hold up to that many nodes a dead deleter left
+      half-removed (Harris: marked but still linked, in a part of the
+      structure no later operation walked), which a crash-free run must
+      never leave. Every other rule stays as strict. *)
 end
 
 module type SET = sig
@@ -151,7 +158,7 @@ module type SET_OPS = sig
   val delete : t -> int -> int option
   val fold : t -> (int -> int -> 'a -> 'a) -> 'a -> 'a
   val size : t -> int
-  val validate : t -> bool
+  val validate : ?crashed:int -> t -> bool
 
   include VERSIONED_OPS with type t := t
 end
@@ -215,7 +222,7 @@ module Mono_set
   let delete t = S.delete t.s
   let fold t = S.fold t.s
   let size t = S.size t.s
-  let validate t = S.validate t.s
+  let validate ?crashed t = S.validate ?crashed t.s
 
   (* Lazy overlay: allocating the stripe locks (tracked cache lines
      under the simulator) only on first versioned access keeps

@@ -29,7 +29,7 @@ module type BUCKET = sig
   val delete : 'v t -> int -> 'v option
   val fold : 'v t -> (int -> 'v -> 'a -> 'a) -> 'a -> 'a
   val size : 'v t -> int
-  val validate : 'v t -> bool
+  val validate : ?crashed:int -> 'v t -> bool
 end
 
 let default_buckets = 1024
@@ -51,7 +51,7 @@ module Of_bucket (B : BUCKET) = struct
 
   let fold t f acc = Array.fold_left (fun acc b -> B.fold b f acc) acc t.buckets
 
-  let validate t = Array.for_all B.validate t.buckets
+  let validate ?crashed t = Array.for_all (fun b -> B.validate ?crashed b) t.buckets
 end
 
 (* --------------------------------------------------------------- *)
@@ -219,7 +219,7 @@ module Java (Rt : RT) = struct
 
   let fold t f acc = fold_buckets t (fun acc n -> f n.key n.value acc) acc
 
-  let validate t =
+  let validate ?crashed:_ t =
     let seen = Hashtbl.create 64 in
     let ok =
       fold_buckets t
@@ -440,7 +440,7 @@ module Java_optik (Rt : RT) = struct
 
   let fold t f acc = fold_buckets t (fun acc n -> f n.key n.value acc) acc
 
-  let validate t =
+  let validate ?crashed:_ t =
     let seen = Hashtbl.create 64 in
     let ok =
       fold_buckets t

@@ -120,7 +120,7 @@ module Pessimistic (Rt : RT) (Lock : LOCK) = struct
     in
     go acc (Rt.get t.head.next)
 
-  let validate t =
+  let validate ?crashed:_ t =
     let ok = ref true in
     let rec go node =
       match Rt.get node.next with
@@ -251,7 +251,7 @@ module Optik_gl (Rt : RT) = struct
     in
     go acc (Rt.get t.head.next)
 
-  let validate t =
+  let validate ?crashed:_ t =
     let ok = ref (not (OL.is_locked (OL.get_version t.lock))) in
     let rec go node =
       match Rt.get node.next with

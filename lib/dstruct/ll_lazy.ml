@@ -211,7 +211,7 @@ module Make (Rt : RT) = struct
     in
     go acc (Rt.get t.head.next)
 
-  let validate t =
+  let validate ?crashed:_ t =
     let ok = ref true in
     let rec go node =
       match Rt.get node.next with

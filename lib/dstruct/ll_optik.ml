@@ -228,7 +228,7 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
 
   (* Quiescent invariants: strictly sorted keys; all live nodes unlocked;
      terminates at the tail sentinel. *)
-  let validate t =
+  let validate ?crashed:_ t =
     let ok = ref true in
     let rec go node =
       match Rt.get node.next with

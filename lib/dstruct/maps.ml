@@ -120,7 +120,7 @@ module Lock_based (Rt : RT) = struct
     !acc
 
   (* No duplicate keys; every occupied slot has a value. *)
-  let validate t =
+  let validate ?crashed:_ t =
     let seen = Hashtbl.create 16 in
     let ok = ref true in
     for i = 0 to t.cap - 1 do
@@ -305,7 +305,7 @@ module Optik_based_gen (Rt : RT) (O : Optik.MAKER) = struct
     done;
     !acc
 
-  let validate t =
+  let validate ?crashed:_ t =
     let seen = Hashtbl.create 16 in
     let ok = ref (not (OL.is_locked (OL.get_version t.lock))) in
     for i = 0 to t.cap - 1 do

@@ -287,7 +287,7 @@ module Make (Rt : RT) = struct
     in
     go acc t.head
 
-  let validate t =
+  let validate ?crashed:_ t =
     let ok = ref true in
     for l = 0 to max_level - 1 do
       let rec go node pk =

@@ -316,7 +316,7 @@ module Make (Rt : RT) = struct
 
   (* Quiescent invariants: each level sorted; every node linked at level
      [l] is linked at all lower levels; no marks, no partial links. *)
-  let validate t =
+  let validate ?crashed:_ t =
     let ok = ref true in
     (* level 0 ordering + flags *)
     let cur = ref (next_at t.head 0) in

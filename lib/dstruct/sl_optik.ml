@@ -325,7 +325,7 @@ module Make (Rt : RT) = struct
     done;
     !acc
 
-  let validate t =
+  let validate ?crashed:_ t =
     let ok = ref true in
     let cur = ref (next_at t.head 0) in
     let prev_key = ref min_int in

@@ -22,6 +22,17 @@
 
 module type RT = Rt.Rt_intf.RT
 
+(* Stall-detection state, one entry per thread id (see [stall_obs]). *)
+type stall = {
+  obs : int array;  (** consecutive blocked-with-same-stamp observations *)
+  obs_stamp : int array;  (** stamp at the last observation of [i] *)
+  dead : bool array;
+}
+
+(* Stands for "no stall state yet": no batch has been sealed and no
+   thread declared dead. *)
+let no_stall = { obs = [||]; obs_stamp = [||]; dead = [||] }
+
 module Make (Rt : RT) = struct
   type 'a batch = { snapshot : int array; items : 'a list }
 
@@ -33,9 +44,17 @@ module Make (Rt : RT) = struct
     mutable n_freed : int;
   }
 
+  (* Per-thread state is built on first use, as ssmem builds a thread's
+     allocator state on its first allocation: a structure holding many
+     instances (one per hash bucket) pays host memory only for the
+     threads that touch each one. [ts] reserves all [max_threads] stamp
+     lines up front (see [Rt.cells]), so line ids and access pricing are
+     those of eager allocation; a thread's retire slot appears on its
+     first retire; [stall] when the first sealed batch is checked (right
+     after the first seal) or on [declare_dead]. *)
   type 'a t = {
-    ts : int Rt.atomic array;
-    slots : 'a slot array;
+    ts : int Rt.cells;
+    slots : 'a slot option array;
     batch_size : int;
     free_fn : 'a -> unit;
     max_threads : int;
@@ -50,9 +69,9 @@ module Make (Rt : RT) = struct
        nodes the GC still keeps alive — whereas a real allocator would
        need the declaration to be conservative. *)
     stall_obs : int;
-    obs : int array;  (** consecutive blocked-with-same-stamp observations *)
-    obs_stamp : int array;  (** stamp at the last observation of [i] *)
-    dead : bool array;
+    stall : stall Atomic.t;
+        (** installed once by compare-and-set, so two native domains
+            sealing their first batches agree on one *)
   }
 
   let default_batch = 64
@@ -60,57 +79,67 @@ module Make (Rt : RT) = struct
   let create ?(max_threads = 128) ?(batch_size = default_batch)
       ?(stall_obs = 0) ?(free = fun _ -> ()) () =
     {
-      ts = Array.init max_threads (fun _ -> Rt.atomic 0);
-      slots =
-        Array.init max_threads (fun _ ->
-            {
-              current = [];
-              current_n = 0;
-              sealed = [];
-              n_retired = 0;
-              n_freed = 0;
-            });
+      ts = Rt.cells max_threads 0;
+      slots = Array.make max_threads None;
       batch_size;
       free_fn = free;
       max_threads;
       stall_obs;
-      obs = Array.make max_threads 0;
-      obs_stamp = Array.make max_threads 0;
-      dead = Array.make max_threads false;
+      stall = Atomic.make no_stall;
     }
+
+  let stall_state t =
+    let s = Atomic.get t.stall in
+    if s != no_stall then s
+    else
+      let n = t.max_threads in
+      let s =
+        { obs = Array.make n 0; obs_stamp = Array.make n 0; dead = Array.make n false }
+      in
+      if Atomic.compare_and_set t.stall no_stall s then s else Atomic.get t.stall
+
+  (* The calling thread's id, checked against the instance's bound. *)
+  let self t =
+    let i = Rt.tid () in
+    if i >= t.max_threads then
+      invalid_arg
+        (Printf.sprintf "Qsbr: thread id %d is out of range (max_threads = %d)" i
+           t.max_threads);
+    i
 
   let in_op stamp = stamp land 1 = 1
 
   (* Operation boundaries. The stamp is only ever written by its owner, so
      a load + release store suffices (no RMW). *)
   let op_begin t =
-    let i = Rt.tid () in
-    let s = Rt.get t.ts.(i) in
+    let c = Rt.cell t.ts (self t) in
+    let s = Rt.get c in
     if in_op s then invalid_arg "Qsbr.op_begin: already inside an operation";
-    Rt.set t.ts.(i) (s + 1)
+    Rt.set c (s + 1)
 
   let op_end t =
-    let i = Rt.tid () in
-    let s = Rt.get t.ts.(i) in
+    let c = Rt.cell t.ts (self t) in
+    let s = Rt.get c in
     if not (in_op s) then invalid_arg "Qsbr.op_end: not inside an operation";
-    Rt.set t.ts.(i) (s + 1)
+    Rt.set c (s + 1)
 
   (* A quiescent pass outside any bracketed operation. *)
   let quiescent t =
-    let i = Rt.tid () in
-    let s = Rt.get t.ts.(i) in
+    let c = Rt.cell t.ts (self t) in
+    let s = Rt.get c in
     if in_op s then invalid_arg "Qsbr.quiescent: inside an operation";
-    Rt.set t.ts.(i) (s + 2)
+    Rt.set c (s + 2)
 
   (* A sealed batch is safe once every thread that was inside an operation
      at sealing time has moved on (threads declared dead don't count). *)
   let batch_safe t (b : 'a batch) =
+    let { dead; _ } = stall_state t in
     let ok = ref true in
     let n = t.max_threads in
     let i = ref 0 in
     while !ok && !i < n do
       let snap = b.snapshot.(!i) in
-      if (not t.dead.(!i)) && in_op snap && Rt.get t.ts.(!i) = snap then
+      if (not dead.(!i)) && in_op snap && Rt.get (Rt.cell t.ts !i) = snap then
         ok := false;
       incr i
     done;
@@ -120,23 +149,24 @@ module Make (Rt : RT) = struct
      with an unchanged stamp; returns whether any crossed [stall_obs] and
      was declared dead (so the caller should retry reclamation). *)
   let note_stalled t (b : 'a batch) =
+    let { obs; obs_stamp; dead } = stall_state t in
     let newly_dead = ref false in
     for i = 0 to t.max_threads - 1 do
       let snap = b.snapshot.(i) in
-      if (not t.dead.(i)) && in_op snap then
-        let cur = Rt.get t.ts.(i) in
+      if (not dead.(i)) && in_op snap then
+        let cur = Rt.get (Rt.cell t.ts i) in
         if cur = snap then (
-          if t.obs_stamp.(i) = snap then t.obs.(i) <- t.obs.(i) + 1
+          if obs_stamp.(i) = snap then obs.(i) <- obs.(i) + 1
           else (
-            t.obs_stamp.(i) <- snap;
-            t.obs.(i) <- 1);
-          if t.stall_obs > 0 && t.obs.(i) >= t.stall_obs then (
-            t.dead.(i) <- true;
+            obs_stamp.(i) <- snap;
+            obs.(i) <- 1);
+          if t.stall_obs > 0 && obs.(i) >= t.stall_obs then (
+            dead.(i) <- true;
             newly_dead := true))
-        else if t.obs_stamp.(i) = snap then (
+        else if obs_stamp.(i) = snap then (
           (* moved on since we last looked: progressing, not stalled *)
-          t.obs.(i) <- 0;
-          t.obs_stamp.(i) <- cur)
+          obs.(i) <- 0;
+          obs_stamp.(i) <- cur)
     done;
     !newly_dead
 
@@ -163,28 +193,41 @@ module Make (Rt : RT) = struct
 
   let declare_dead t i =
     if i < 0 || i >= t.max_threads then
-      invalid_arg "Qsbr.declare_dead: bad thread id";
-    t.dead.(i) <- true
+      invalid_arg
+        (Printf.sprintf "Qsbr.declare_dead: thread id %d is out of range (max_threads = %d)"
+           i t.max_threads);
+    (stall_state t).dead.(i) <- true
 
   (* Threads the reclaimer currently believes are stuck: declared dead, or
      observed blocking the reclamation frontier with an unchanged stamp on
      at least two consecutive attempts. *)
   let stalled t =
+    let { obs; dead; _ } = Atomic.get t.stall in
     let acc = ref [] in
-    for i = t.max_threads - 1 downto 0 do
-      if t.dead.(i) || t.obs.(i) >= 2 then acc := i :: !acc
+    for i = Array.length dead - 1 downto 0 do
+      if dead.(i) || obs.(i) >= 2 then acc := i :: !acc
     done;
     !acc
 
   let seal t slot =
     if slot.current_n > 0 then (
-      let snapshot = Array.init t.max_threads (fun i -> Rt.get t.ts.(i)) in
+      let snapshot = Array.init t.max_threads (fun i -> Rt.get (Rt.cell t.ts i)) in
       slot.sealed <- { snapshot; items = slot.current } :: slot.sealed;
       slot.current <- [];
       slot.current_n <- 0)
 
   let retire t x =
-    let slot = t.slots.(Rt.tid ()) in
+    let i = self t in
+    let slot =
+      match t.slots.(i) with
+      | Some slot -> slot
+      | None ->
+          let slot =
+            { current = []; current_n = 0; sealed = []; n_retired = 0; n_freed = 0 }
+          in
+          t.slots.(i) <- Some slot;
+          slot
+    in
     slot.current <- x :: slot.current;
     slot.current_n <- slot.current_n + 1;
     slot.n_retired <- slot.n_retired + 1;
@@ -194,22 +237,26 @@ module Make (Rt : RT) = struct
 
   (* Force-seal the calling thread's batch and reclaim what is safe. *)
   let flush t =
-    let slot = t.slots.(Rt.tid ()) in
-    seal t slot;
-    reclaim t slot
+    match t.slots.(self t) with
+    | None -> ()
+    | Some slot ->
+        seal t slot;
+        reclaim t slot
 
   type stats = { retired : int; freed : int; pending : int }
 
   let stats t =
     Array.fold_left
-      (fun acc slot ->
-        {
-          retired = acc.retired + slot.n_retired;
-          freed = acc.freed + slot.n_freed;
-          pending =
-            acc.pending + slot.current_n
-            + List.fold_left (fun a b -> a + List.length b.items) 0 slot.sealed;
-        })
+      (fun acc -> function
+        | None -> acc
+        | Some slot ->
+            {
+              retired = acc.retired + slot.n_retired;
+              freed = acc.freed + slot.n_freed;
+              pending =
+                acc.pending + slot.current_n
+                + List.fold_left (fun a b -> a + List.length b.items) 0 slot.sealed;
+            })
       { retired = 0; freed = 0; pending = 0 }
       t.slots
 end

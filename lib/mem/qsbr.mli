@@ -28,7 +28,13 @@ module Make (Rt : Rt.Rt_intf.RT) : sig
       reclaim attempts observe the same thread blocking the oldest batch
       with an unchanged stamp, the thread is declared dead and its stamp
       no longer blocks reclamation. Safe here because reclamation is
-      logical (see the implementation header). *)
+      logical (see the implementation header).
+      [max_threads] (default 128) bounds the thread ids that may use the
+      instance; every operation by a thread id at or past it raises
+      [Invalid_argument] naming the id and the bound. Per-thread state
+      is built on first use: [create] reserves the stamps' cells
+      ({!Rt.Rt_intf.RT.cells}) but allocates no retire slot or stall
+      state, so an instance no thread touches stays small. *)
 
   val op_begin : 'a t -> unit
   (** Enter an operation. Raises [Invalid_argument] if already inside

@@ -125,11 +125,13 @@ let with_site site f =
   j.j_site <- Some site;
   Fun.protect ~finally:(fun () -> j.j_site <- saved) f
 
-let note_line id =
-  let j = jstate () in
-  match j.j_site with
+let current_site () = (jstate ()).j_site
+
+let note_site id = function
   | None -> ()
-  | Some site -> Hashtbl.replace j.j_sites id site
+  | Some site -> Hashtbl.replace (jstate ()).j_sites id site
+
+let note_line id = note_site id (current_site ())
 
 let site_of id = Hashtbl.find_opt (jstate ()).j_sites id
 

@@ -11,6 +11,13 @@ type 'a atomic = 'a Atomic.t
 let atomic v = Atomic.make v
 let atomic_packed ?streaming:_ ~group:_ v = Atomic.make v
 let atomic_with _other v = Atomic.make v
+
+(* Eager: building a cell on first touch would race between domains. *)
+type 'a cells = 'a Atomic.t array
+
+let cells n v = Array.init n (fun _ -> Atomic.make v)
+let cell = Array.get
+
 let get = Atomic.get
 let set = Atomic.set
 let cas = Atomic.compare_and_set

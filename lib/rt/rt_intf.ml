@@ -174,6 +174,27 @@ module type RT = sig
       must cost one line access on the simulator too. The native backend
       ignores the anchor. *)
 
+  type 'a cells
+  (** A fixed-size block of private-line atomics, e.g. one per thread id. *)
+
+  val cells : int -> 'a -> 'a cells
+  (** [cells n v] is a block of [n] cells, each holding [v] on its own
+      cache line, as [n] calls of {!atomic} would give. On the simulator
+      the [n] line ids are reserved at once and the active
+      {!PROBE.with_site} site is remembered, but a cell's line is only
+      built when {!cell} first touches it: a structure that sizes a block
+      for every possible thread pays host memory only for the threads
+      that use it, while line ids — hence stall reports and golden
+      digests — and access pricing stay what eager creation gives (an
+      untouched line is cold either way). Like any location, a block
+      reserved before [Sched.reset_world] must not be touched after it:
+      its reserved ids would collide with new ones. The native backend
+      allocates every cell eagerly, so concurrent first touches cannot
+      race. Raises [Invalid_argument] if [n < 0]. *)
+
+  val cell : 'a cells -> int -> 'a atomic
+  (** [cell c i] is the [i]-th cell of [c], [0 <= i < n]. *)
+
   val get : 'a atomic -> 'a
   (** Atomic load with acquire semantics. *)
 

@@ -244,12 +244,7 @@ let dispatching d th f () =
 (* ------------------------------------------------------------------ *)
 (* Locations                                                           *)
 
-let new_line d ~streaming =
-  let id = d.d_lines + 1 in
-  d.d_lines <- id;
-  (* Attribute the line to the allocation site named by the innermost
-     [Probe.with_site] scope, if any (hot-line profiles). *)
-  Obs.Journal.note_line id;
+let make_line d id ~streaming =
   {
     id;
     epoch = d.d_epoch;
@@ -261,9 +256,58 @@ let new_line d ~streaming =
     streaming;
   }
 
+let new_line d ~streaming =
+  let id = d.d_lines + 1 in
+  d.d_lines <- id;
+  (* Attribute the line to the allocation site named by the innermost
+     [Probe.with_site] scope, if any (hot-line profiles). *)
+  Obs.Journal.note_line id;
+  make_line d id ~streaming
+
 let fresh_line ?(streaming = false) () = new_line (dstate ()) ~streaming
 
 let loc v = { v; line = fresh_line () }
+
+(* A block of [n] cells whose line ids are reserved up front but whose
+   lines are built on first touch. Reserving keeps the id sequence (and
+   so every later line id, stall report and digest) exactly what [n]
+   eager [loc]s would give; deferring the build keeps untouched cells
+   to one array word each. A line built late is fresh — writer -1, no
+   sharers — which is exactly the state [refresh] gives a line created
+   in an earlier run, so its first access is priced the same. Unbuilt
+   slots hold [c_unbuilt], recognised by its [dummy_line]. *)
+type 'a cells = {
+  c_base : int;  (** line id of cell [i] is [c_base + i + 1] *)
+  c_site : string option;  (** [with_site] scope active at reservation *)
+  c_unbuilt : 'a loc;
+  c_locs : 'a loc array;
+}
+
+let cells n v =
+  if n < 0 then invalid_arg "Sched.cells: negative count";
+  let d = dstate () in
+  let base = d.d_lines in
+  d.d_lines <- base + n;
+  let unbuilt = { v; line = dummy_line } in
+  {
+    c_base = base;
+    c_site = Obs.Journal.current_site ();
+    c_unbuilt = unbuilt;
+    c_locs = Array.make n unbuilt;
+  }
+
+let cell c i =
+  let l = c.c_locs.(i) in
+  if l.line != dummy_line then l
+  else begin
+    let id = c.c_base + i + 1 in
+    Obs.Journal.note_site id c.c_site;
+    let l =
+      { v = c.c_unbuilt.v; line = make_line (dstate ()) id ~streaming:false }
+    in
+    c.c_locs.(i) <- l;
+    l
+  end
 
 (* Allocate on the same line as an existing location: C-struct field
    co-location (one node = one line). *)

@@ -42,6 +42,20 @@ val loc_packed : ?streaming:bool -> group:int -> 'a -> 'a loc
 val loc_with : 'b loc -> 'a -> 'a loc
 (** Same line as an existing cell — one node, one line. *)
 
+type 'a cells
+(** A block of private-line cells built on first touch. *)
+
+val cells : int -> 'a -> 'a cells
+(** [cells n v] reserves [n] consecutive line ids now — the ids [n]
+    calls of [loc v] would take — and remembers the active
+    [Probe.with_site] site. Raises [Invalid_argument] if [n < 0]. *)
+
+val cell : 'a cells -> int -> 'a loc
+(** [cell c i] is cell [i] of [c], holding [v] on line [base + i + 1]
+    when first touched. Its first access is priced exactly like that of
+    an eagerly created cell (both are cold). Raises [Invalid_argument]
+    if [i] is out of bounds. *)
+
 val fresh_group : unit -> int
 (** A fresh packing-group id (distinct from {!Rt.Group.fresh}'s space;
     either works, they must just not collide). *)

@@ -12,6 +12,12 @@ type 'a atomic = 'a Sched.loc
 let atomic v = Sched.loc v
 let atomic_packed ?streaming ~group v = Sched.loc_packed ?streaming ~group v
 let atomic_with other v = Sched.loc_with other v
+
+type 'a cells = 'a Sched.cells
+
+let cells = Sched.cells
+let cell = Sched.cell
+
 let get = Sched.read
 let set = Sched.write
 let cas = Sched.cas

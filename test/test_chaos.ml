@@ -161,6 +161,56 @@ let test_golden_replay () =
      in
      contains 0)
 
+(* ------------------------------------------------------------------ *)
+(* Harris crash residue. A thread that crashes between its mark CAS and
+   its unlink CAS leaves a marked node linked; in a hash bucket no later
+   operation may walk past it to help unlink it. This trial does exactly
+   that (it used to fail the validate oracle): [validate] must accept
+   one such node per crashed thread and nothing else. *)
+
+let harris_crash_trial =
+  "ht/harris@u2 t2 o1 k2 q1000000 r0 n62 w51809 f277664;crash@after-cas,t1,h1"
+
+let test_harris_crash_replay () =
+  let o = Chaos.run_trial (S.of_string harris_crash_trial) in
+  Alcotest.(check (list int)) "thread 1 crashed" [ 1 ] o.Chaos.o_crashed;
+  Alcotest.(check (list string)) "every oracle passes" []
+    (List.map (fun f -> f.Chaos.f_oracle) o.Chaos.o_failures)
+
+module H = Dstruct.Ll_harris.Make (Rt.Native_rt)
+
+(* [1; 2; 3; 4] with the nodes of [marked] marked in place, and a node
+   of key [stray] spliced in after key 1 if given. *)
+let harris_list ?stray marked =
+  let t = H.create () in
+  List.iter (fun k -> ignore (H.insert t k k : bool)) [ 1; 2; 3; 4 ];
+  let rec node n k = if n.H.key = k then n else node (link n).H.dest k
+  and link n = Option.get (Rt.Native_rt.get n.H.next) in
+  List.iter
+    (fun k ->
+      let n = node t.H.head k in
+      Rt.Native_rt.set n.H.next (Some { (link n) with H.marked = true }))
+    marked;
+  Option.iter
+    (fun k ->
+      let one = node t.H.head 1 in
+      let stray = H.mk_node k k (Some (link one)) in
+      Rt.Native_rt.set one.H.next (Some { H.dest = stray; marked = false }))
+    stray;
+  t
+
+let test_harris_validate_residue () =
+  let check what want t crashed =
+    Alcotest.(check bool) what want (H.validate ~crashed t)
+  in
+  check "clean list" true (harris_list []) 0;
+  check "marked node, no crash" false (harris_list [ 3 ]) 0;
+  check "marked node, one crash" true (harris_list [ 3 ]) 1;
+  check "two marked nodes, one crash" false (harris_list [ 2; 3 ]) 1;
+  (* negative control: ordering stays strict whatever crashed *)
+  check "out-of-order node, one crash" false (harris_list ~stray:9 []) 1;
+  check "out-of-order node, many crashes" false (harris_list ~stray:9 [ 3 ]) 8
+
 let () =
   Alcotest.run "chaos"
     [
@@ -185,5 +235,12 @@ let () =
           Alcotest.test_case "passing trial shrinks to itself" `Quick
             test_shrink_passing_identity;
           Alcotest.test_case "golden replay" `Quick test_golden_replay;
+        ] );
+      ( "harris crash residue",
+        [
+          Alcotest.test_case "pinned ht/harris replay passes" `Quick
+            test_harris_crash_replay;
+          Alcotest.test_case "validate accepts one per crash" `Quick
+            test_harris_validate_residue;
         ] );
     ]

@@ -399,6 +399,36 @@ let test_report_section () =
       "\"warranty\"";
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Allocation gate: building the stores is host work every run repeats.
+   [Kv.create]'s minor + major words at the kv-zipf benchmark config
+   (24k requests, 1000-cycle client gap, no bursts) are deterministic;
+   QSBR building its per-thread state on first use keeps them about 3M,
+   where eager state took about 25M. *)
+
+let zipf_cfg =
+  {
+    Kv.default_config with
+    Kv.ops = 24_000;
+    workload = { Kv.default_workload with Kv.gap = 1000; burst_every = 0 };
+  }
+
+let create_words cfg =
+  let b0 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Kv.create cfg));
+  int_of_float ((Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8))
+
+let test_create_allocation () =
+  let words = create_words zipf_cfg in
+  let limit = 4_000_000 in
+  if words > limit then
+    Alcotest.failf
+      "Kv.create at kv-zipf (%s, %d shards, %d ops, gap %d, burst_every %d) \
+       allocated %d words, over the %d-word gate"
+      zipf_cfg.Kv.rep zipf_cfg.Kv.nshards zipf_cfg.Kv.ops
+      zipf_cfg.Kv.workload.Kv.gap zipf_cfg.Kv.workload.Kv.burst_every words
+      limit
+
 let () =
   Alcotest.run "kv"
     [
@@ -448,4 +478,9 @@ let () =
         ] );
       ( "report",
         [ Alcotest.test_case "section and p999" `Quick test_report_section ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "store creation under its gate" `Quick
+            test_create_allocation;
+        ] );
     ]

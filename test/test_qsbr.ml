@@ -177,6 +177,127 @@ let test_declare_dead_manual () =
   Alcotest.(check bool) "invariant holds" true
     (st.QS.freed + st.QS.pending = st.QS.retired)
 
+(* ---- Per-thread state built on first use ---- *)
+
+let test_unused_instance () =
+  let q = QS.create () in
+  let st = QS.stats q in
+  Alcotest.(check (list int)) "nothing retired, freed or pending" [ 0; 0; 0 ]
+    [ st.QS.retired; st.QS.freed; st.QS.pending ];
+  Alcotest.(check (list int)) "nobody stalled" [] (QS.stalled q);
+  QS.flush q;
+  QS.declare_dead q 3;
+  Alcotest.(check (list int)) "declared thread reported" [ 3 ] (QS.stalled q);
+  match QS.declare_dead q 128 with
+  | () -> Alcotest.fail "declare_dead 128 must fail at max_threads = 128"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names the id and the bound"
+        "Qsbr.declare_dead: thread id 128 is out of range (max_threads = 128)" msg
+
+(* Only tid 2 of four ever touches the instance: its own batches seal
+   against the untouched stamps of the other three and drain. *)
+let test_single_toucher () =
+  let q = QS.create ~batch_size:2 () in
+  ignore
+    (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:4 (fun tid ->
+         Sim.Sched.work (100 * tid);
+         if tid = 2 then (
+           for i = 1 to 9 do
+             QS.op_begin q;
+             QS.retire q i;
+             QS.op_end q
+           done;
+           QS.flush q)));
+  let st = QS.stats q in
+  Alcotest.(check (list int)) "all nine freed by their retirer" [ 9; 9; 0 ]
+    [ st.QS.retired; st.QS.freed; st.QS.pending ];
+  Alcotest.(check (list int)) "nobody stalled" [] (QS.stalled q)
+
+(* A thread id at or past [max_threads] gets a named error. *)
+let test_tid_bound () =
+  let q = Q.create ~max_threads:4 () in
+  Rt.Native_rt.set_tid 4;
+  let res = try Ok (Q.op_begin q) with Invalid_argument msg -> Error msg in
+  Rt.Native_rt.set_tid 0;
+  Alcotest.(check (result unit string)) "op_begin from tid 4"
+    (Error "Qsbr: thread id 4 is out of range (max_threads = 4)") res
+
+(* Two domains create their retire slots and race to install the stall
+   state on their first seals; accounting stays exact. *)
+let test_two_domains_native () =
+  let q = Q.create ~batch_size:4 () in
+  let n = 2_000 in
+  let body tid () =
+    Rt.Native_rt.set_tid tid;
+    for i = 1 to n do
+      Q.op_begin q;
+      Q.retire q ((tid * n) + i);
+      Q.op_end q
+    done;
+    Q.flush q
+  in
+  let d = Domain.spawn (body 1) in
+  body 0 ();
+  Domain.join d;
+  let st = Q.stats q in
+  Alcotest.(check int) "every retire counted" (2 * n) st.Q.retired;
+  Alcotest.(check int) "retired = freed + pending" st.Q.retired
+    (st.Q.freed + st.Q.pending)
+
+(* Retire-heavy and seeded: every seal snapshots all 128 stamps, most of
+   them never touched by any thread. Building them on first use must
+   price those reads exactly as eager allocation did; the expected
+   figures were recorded from the eager implementation. *)
+let test_lazy_stamps_priced_as_eager () =
+  let q = QS.create ~batch_size:3 ~stall_obs:4 () in
+  let st =
+    Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:3 (fun tid ->
+        let rng = Harness.Rng.create (7 + tid) in
+        for i = 1 to 60 do
+          QS.op_begin q;
+          Sim.Sched.work (Harness.Rng.below rng 300);
+          if Harness.Rng.below rng 3 > 0 then QS.retire q ((100 * tid) + i);
+          QS.op_end q;
+          Sim.Sched.tick ()
+        done;
+        QS.flush q)
+  in
+  Alcotest.(check (list int)) "cycles, reads, writes, events"
+    [ 12427; 6155; 360; 163 ]
+    [ st.Sim.Sched.wall_cycles; st.Sim.Sched.reads; st.Sim.Sched.writes; st.Sim.Sched.events ]
+
+(* Reserving a block takes the same line ids eager creation did, so
+   every location created after it keeps its id, and a stamp line built
+   late still carries the site that was active at reservation. *)
+let test_cells_keep_line_ids () =
+  let site s f = Sim.Sim_rt.Probe.with_site s f in
+  let before = site "test.before" (fun () -> Sim.Sched.loc 0) in
+  let q : int QS.t = site "test.qsbr" (fun () -> QS.create ()) in
+  let after = site "test.after" (fun () -> Sim.Sched.loc 0) in
+  Obs.Journal.start ();
+  ignore
+    (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:2 (fun tid ->
+         ignore (Sim.Sched.read before);
+         ignore (Sim.Sched.read after);
+         if tid = 1 then (
+           QS.op_begin q;
+           QS.op_end q)));
+  let lines =
+    (Obs.Journal.stop ()).Obs.Journal.lines
+    |> List.map (fun (l : Obs.Journal.line_stat) -> (l.ls_id, l.ls_site))
+  in
+  match lines with
+  | [ (b, _); _; _ ] ->
+      Alcotest.(check (list (pair int (option string))))
+        "ids and sites as eager allocation gives them"
+        [
+          (b, Some "test.before");
+          (b + 2, Some "test.qsbr");
+          (b + 1 + 128, Some "test.after");
+        ]
+        lines
+  | _ -> Alcotest.failf "expected 3 touched lines, got %d" (List.length lines)
+
 let qcheck_retire_counts =
   Tutil.qcheck_case ~count:100 "retired = freed + pending"
     QCheck2.Gen.(list_size (int_range 0 100) (int_range 0 2))
@@ -214,6 +335,17 @@ let () =
           Alcotest.test_case "misuse detected" `Quick test_misuse_detected;
           Alcotest.test_case "batching" `Quick test_batching;
           qcheck_retire_counts;
+        ] );
+      ( "lazy per-thread state",
+        [
+          Alcotest.test_case "unused instance" `Quick test_unused_instance;
+          Alcotest.test_case "one thread touches it" `Quick test_single_toucher;
+          Alcotest.test_case "named tid bound" `Quick test_tid_bound;
+          Alcotest.test_case "two native domains" `Quick test_two_domains_native;
+          Alcotest.test_case "untouched stamps priced as eager" `Quick
+            test_lazy_stamps_priced_as_eager;
+          Alcotest.test_case "line ids and sites kept" `Quick
+            test_cells_keep_line_ids;
         ] );
       ( "grace periods",
         [ Alcotest.test_case "straddling reader" `Quick test_grace_period_sim ]
