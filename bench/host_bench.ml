@@ -132,34 +132,21 @@ let specs =
       s_name = "cap/faa-10k";
       s_run =
         (fun () ->
-          let nthreads = 10_000 in
           let topology = Sim.Topology.uniform ~n:4 () in
-          Sim.Sim_rt.Probe.reset_all ();
           let group = Sim.Sched.fresh_group () in
           let locs =
             Array.init 64 (fun _ -> Sim.Sched.loc_packed ~group 0)
           in
-          let host0 = Unix.gettimeofday () in
-          let stats, _ =
-            Runner.run_guarded ~topology ~nthreads ~ops_target:40_000
-              (fun tid ->
-                let i = ref tid in
-                while not (Sim.Sched.stop_requested ()) do
-                  ignore (Sim.Sched.faa locs.(!i land 63) 1);
-                  i := !i + 7;
-                  Sim.Sched.tick ();
-                  Sim.Sched.work 32
-                done)
-          in
-          let host_s = Unix.gettimeofday () -. host0 in
-          {
-            r_name = "cap/faa-10k";
-            r_threads = nthreads;
-            r_ops = stats.ops;
-            r_accesses = stats.reads + stats.writes + stats.cas + stats.faa;
-            r_events = stats.events;
-            r_host_s = host_s;
-          });
+          of_measurement "cap/faa-10k"
+            (Runner.simulate ~name:"cap/faa-10k" ~topology ~nthreads:10_000
+               ~ops:40_000 ~seed:0 ~classes:[||] (fun _ tid ->
+                 let i = ref tid in
+                 while not (Sim.Sched.stop_requested ()) do
+                   ignore (Sim.Sched.faa locs.(!i land 63) 1);
+                   i := !i + 7;
+                   Sim.Sched.tick ();
+                   Sim.Sched.work 32
+                 done)));
     };
     (* The fleet driver end-to-end: spawn worker domains, reset each
        world, run a small batch of quick chaos trials per task. Ops =

@@ -560,6 +560,7 @@ let chaos_cmd =
   in
   let run runs seed structures quick replay report =
     main report @@ fun () ->
+    if runs < 1 then invalid_arg "chaos: --runs must be >= 1";
     let all = Chaos.default_entries in
     let entries =
       match structures with
@@ -846,8 +847,6 @@ let kv_cmd =
       invalid_arg
         (Printf.sprintf "unknown rep %S; known: %s" rep
            (String.concat ", " Kv.rep_names));
-    if read + scan + transfer > 100 then
-      invalid_arg "--read + --scan + --transfer-pct must be at most 100";
     match trials with
     | Some t ->
         trial_stream ~subcommand:"kv" ~seed ~params:(trial_params t) report
@@ -1060,8 +1059,6 @@ let txn_cmd =
       invalid_arg
         (Printf.sprintf "unknown rep %S; known: %s" rep
            (String.concat ", " W.rep_names));
-    if transfer < 0 || transfer > 100 then
-      invalid_arg "--transfer-pct must be in [0,100]";
     match trials with
     | Some t ->
         trial_stream ~subcommand:"txn" ~seed ~params:(trial_params t) report

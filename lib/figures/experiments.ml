@@ -175,11 +175,6 @@ module F5_ot = Optik.Ticket (Sim.Sim_rt)
 module F5_backoff = Rt.Backoff.Make (Sim.Sim_rt)
 
 let fig5_point impl ~topology ~nthreads ~ops =
-  (* Figure 5 drives the scheduler directly (no harness runner), so it
-     resets and collects probe counters itself — the OPTIK variants
-     count their failed trylocks, which the run report's wasted-work
-     section picks up. *)
-  Sim.Sim_rt.Probe.reset_all ();
   (* One validation attempt: read the version, work, then lock and
      check it still holds. *)
   let validate =
@@ -222,27 +217,18 @@ let fig5_point impl ~topology ~nthreads ~ops =
               F5_ot.unlock l;
               true)
   in
-  let succeeded = ref 0 in
-  let stats =
-    Sched.run ~topology ~nthreads ~ops_target:ops (fun _ ->
-        let b = F5_backoff.create () in
-        while not (Sched.stop_requested ()) do
-          while not (validate ()) do
-            F5_backoff.once b
-          done;
-          incr succeeded;
-          Sched.tick ()
-        done)
-  in
-  let m =
-    Runner.of_stats ~name:(f5_name impl) ~topology ~seed:0 ~threads:nthreads
-      ~classes:Runner.class_names stats
-  in
-  {
-    m with
-    mops = Sched.mops topology { stats with Sched.ops = !succeeded };
-    ops = !succeeded;
-  }
+  (* Every completed validation is one op. The OPTIK variants count
+     their failed trylocks, which the run report's wasted-work section
+     picks up. *)
+  Runner.simulate ~name:(f5_name impl) ~topology ~nthreads ~ops ~seed:0
+    ~classes:Runner.class_names (fun _ _ ->
+      let b = F5_backoff.create () in
+      while not (Sched.stop_requested ()) do
+        while not (validate ()) do
+          F5_backoff.once b
+        done;
+        Sched.tick ()
+      done)
 
 let fig5 mode =
   let ops = scaled mode 40_000 in
@@ -620,7 +606,6 @@ let ablation_cache mode =
   let rows =
     List.map
       (fun size ->
-        Sim.Sim_rt.Probe.reset_all ();
         let w = Runner.uniform_workload ~init_size:size ~update_pct:40 () in
         let ops = scaled mode (max 2_000 (400_000 / size)) in
         let m_cache =
@@ -678,14 +663,14 @@ let ablation_victim mode =
   let rows =
     List.map
       (fun thr ->
-        Sim.Sim_rt.Probe.reset_all ();
         let q = QSim.Optik3.create ~threshold:thr () in
         let rng0 = Harness.Rng.create 5 in
         for _ = 1 to 8_192 do
           QSim.Optik3.enqueue q (Harness.Rng.below rng0 1_000_000)
         done;
-        let st =
-          Sched.run ~topology:xeon ~nthreads:20 ~ops_target:ops (fun tid ->
+        let m =
+          Runner.simulate ~name:QSim.Optik3.name ~topology:xeon ~nthreads:20 ~ops
+            ~seed:0 ~classes:[||] (fun _ tid ->
               let rng = Harness.Rng.create (tid + 17) in
               while not (Sched.stop_requested ()) do
                 (if Harness.Rng.below rng 100 < 60 then
@@ -695,7 +680,7 @@ let ablation_victim mode =
                 Sched.work 64
               done)
         in
-        let mops = Sched.mops xeon st in
+        let mops = m.Runner.mops in
         let uses = Sim.Sim_rt.Probe.count QSim.Optik3.victim_uses in
         (thr, mops, uses))
       thresholds
@@ -725,9 +710,9 @@ let stack_experiment mode =
             for i = 1 to 1024 do
               S.push t i
             done;
-            Sim.Sim_rt.Probe.reset_all ();
-            let st =
-              Sched.run ~topology:xeon ~nthreads:n ~ops_target:ops (fun tid ->
+            let m =
+              Runner.simulate ~name:S.name ~topology:xeon ~nthreads:n ~ops
+                ~seed:0 ~classes:Runner.queue_class_names (fun _ tid ->
                   let rng = Harness.Rng.create (tid + 3) in
                   while not (Sched.stop_requested ()) do
                     (if Harness.Rng.below rng 2 = 0 then
@@ -738,10 +723,6 @@ let stack_experiment mode =
                   done)
             in
             let final_size = S.size t in
-            let m =
-              Runner.of_stats ~name:S.name ~topology:xeon ~seed:0 ~threads:n
-                ~classes:Runner.queue_class_names st
-            in
             { m with wall_s = 0.; final_size }))
       R.stacks
   in
@@ -828,8 +809,8 @@ let bst_experiment mode =
 let sim_validation mode =
   let ops = scaled mode 20_000 in
   let measure slack =
-    (* the runner always uses the scheduler default; drive Sched
-       directly for this experiment *)
+    (* the runners always use the scheduler's default slack; run a
+       bare guarded simulation for this experiment *)
     let (module S : Harness.Registry.SET_OPS) = R.ll_optik in
     let t = S.create () in
     let rng0 = Harness.Rng.create 7919 in
@@ -837,8 +818,8 @@ let sim_validation mode =
     while !n < 512 do
       if S.insert t (1 + Harness.Rng.below rng0 1024) 1 then incr n
     done;
-    let st =
-      Sched.run ~topology:xeon ~nthreads:20 ~ops_target:ops
+    let st, outcome =
+      Runner.run_guarded ~topology:xeon ~nthreads:20 ~ops_target:ops
         ~read_slack:slack (fun tid ->
           let rng = Harness.Rng.create ((42 * 65_599) + tid) in
           while not (Sched.stop_requested ()) do
@@ -851,6 +832,9 @@ let sim_validation mode =
             Sched.work 64
           done)
     in
+    (match outcome with
+    | Runner.Complete -> ()
+    | Runner.Aborted r -> failwith ("sim-validate: " ^ r.Sched.r_reason));
     Sched.mops xeon st
   in
   let rows =

@@ -78,36 +78,6 @@ type measurement = {
 
 let aborted m = match m.outcome with Aborted _ -> true | Complete -> false
 
-(** A measurement of a finished simulation, from the scheduler's stats
-    alone: no latency samples, no host time, every op an effective
-    update. The runners below fill in what they measured on top. *)
-let of_stats ~name ~(topology : Sim.Topology.t) ~seed ~threads ~classes
-    (stats : Sim.Sched.stats) =
-  {
-    name;
-    topo_name = topology.name;
-    seed;
-    threads;
-    mops = Sim.Sched.mops topology stats;
-    ops = stats.ops;
-    wall_s = float_of_int stats.wall_cycles /. (topology.ghz *. 1e9);
-    eff_update_pct = 100.;
-    reads = stats.reads;
-    writes = stats.writes;
-    cas = stats.cas;
-    cas_failed = stats.cas_failed;
-    faa = stats.faa;
-    events = stats.events;
-    host_s = 0.;
-    lat = Array.make n_classes Pstats.empty_summary;
-    lat_classes = classes;
-    counters = Sim.Sim_rt.Probe.dump ();
-    final_size = 0;
-    valid = true;
-    outcome = Complete;
-    obs = None;
-  }
-
 (* --------------------------------------------------------------- *)
 (* The paper's loop                                                 *)
 
@@ -279,88 +249,101 @@ let run_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
       in
       (r.Sim.Sched.r_stats, Aborted r)
 
-(* Wrap a guarded run in an observability recording when requested; the
-   journal summary rides back alongside the stats. [run_guarded] never
-   raises, but stop the recorder on escape anyway so a crashed harness
-   doesn't leave it armed for the next run. *)
-let with_obs record_obs go =
-  if not record_obs then
-    let stats, outcome = go () in
-    (stats, outcome, None)
-  else (
-    Obs.Journal.start ();
-    match go () with
-    | stats, outcome ->
-        let r = Obs.Journal.stop () in
-        (stats, outcome, Some (Obs.Profile.summarize r))
-    | exception e ->
-        ignore (Obs.Journal.stop ());
-        raise e)
-
-let reject fn what =
-  invalid_arg (Printf.sprintf "Runner.%s: %s must be positive" fn what)
-
-(* The paper's loop on the simulator: every thread draws from its own
-   seeded rng, times each op into per-thread latency buffers, and waits
-   a short random moment between iterations (avoids long runs, §5).
-   [instance] builds and fills the structure once the arguments are
-   checked; probe counters are reset after it, so they reflect only the
-   measured window. An ops target of 0 runs until the watchdog's
-   verdict, which only a fault plan can provoke: without one the run
-   would never end. *)
-let run_sim fn ~topology ~nthreads ~ops ~seed ?faults ?watchdog ?max_events
-    ~record_obs instance =
-  if nthreads < 1 then reject fn "threads";
-  if ops < 0 || (ops = 0 && faults = None) then reject fn "ops";
-  let i = instance () in
+(* The one simulated-run envelope. The caller has built and filled its
+   structure; from here on probe counters count the measured window only.
+   [body lat tid] runs as thread [tid] with that thread's collectors, one
+   per class. The host timer brackets the journal and the guarded run and
+   nothing else: allocating the collectors, summarizing the journal and
+   merging the collectors all happen outside it. [run_guarded] never
+   raises, but a body may; the journal is stopped on escape so it is not
+   left armed for the next run. *)
+let simulate ~name ~(topology : Sim.Topology.t) ~nthreads ~ops ~seed ?faults
+    ?watchdog ?max_events ?(record_obs = false) ~classes body =
   Sim.Sim_rt.Probe.reset_all ();
   let lat =
-    Array.init nthreads (fun _ ->
-        Array.map (fun _ -> Pstats.create ()) i.classes)
+    Array.init nthreads (fun _ -> Array.map (fun _ -> Pstats.create ()) classes)
   in
-  let effective = Array.make nthreads 0 in
-  let myops = Array.make nthreads 0 in
-  let counts = Option.value i.effective ~default:(fun _ -> false) in
   let host0 = Unix.gettimeofday () in
-  let stats, outcome, obs =
-    with_obs record_obs (fun () ->
-        run_guarded ?faults ?watchdog ?max_events ~topology ~nthreads
-          ~ops_target:ops (fun tid ->
-            let rng = Rng.create ((seed * 65_599) + tid) in
-            while not (Sim.Sched.stop_requested ()) do
-              let t0 = Sim.Sched.now () in
-              let cls = i.op rng in
-              let t1 = Sim.Sched.now () in
-              Pstats.record lat.(tid).(cls) (t1 - t0);
-              Sim.Sim_rt.Probe.observe op_cycles (t1 - t0);
-              if counts cls then effective.(tid) <- effective.(tid) + 1;
-              myops.(tid) <- myops.(tid) + 1;
-              Sim.Sched.tick ();
-              Sim.Sched.work (64 + Rng.below rng 64)
-            done))
+  if record_obs then Obs.Journal.start ();
+  let stats, outcome =
+    match
+      run_guarded ?faults ?watchdog ?max_events ~topology ~nthreads
+        ~ops_target:ops (fun tid -> body lat.(tid) tid)
+    with
+    | r -> r
+    | exception e ->
+        if record_obs then ignore (Obs.Journal.stop ());
+        raise e
   in
+  let record = if record_obs then Some (Obs.Journal.stop ()) else None in
   let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
-  let total_ops = sum myops in
-  let valid = i.valid () in
-  let final_size = i.size () in
-  let m =
-    of_stats ~name:i.i_name ~topology ~seed ~threads:nthreads
-      ~classes:i.classes stats
-  in
   {
-    m with
-    ops = total_ops;
-    eff_update_pct = eff_pct i ~effective:(sum effective) ~ops:total_ops;
+    name;
+    topo_name = topology.name;
+    seed;
+    threads = nthreads;
+    mops = Sim.Sched.mops topology stats;
+    ops = stats.ops;
+    wall_s = float_of_int stats.wall_cycles /. (topology.ghz *. 1e9);
+    eff_update_pct = 100.;
+    reads = stats.reads;
+    writes = stats.writes;
+    cas = stats.cas;
+    cas_failed = stats.cas_failed;
+    faa = stats.faa;
+    events = stats.events;
     host_s;
     lat =
       Array.mapi
         (fun c _ ->
           Pstats.summarize (Array.to_list (Array.map (fun l -> l.(c)) lat)))
-        i.classes;
+        classes;
+    lat_classes = classes;
+    counters = Sim.Sim_rt.Probe.dump ();
+    final_size = 0;
+    valid = true;
+    outcome;
+    obs = Option.map Obs.Profile.summarize record;
+  }
+
+let reject fn what =
+  invalid_arg (Printf.sprintf "Runner.%s: %s must be positive" fn what)
+
+(* The paper's loop on the simulator: every thread draws from its own
+   seeded rng, times each op into its latency collectors, and waits a
+   short random moment between iterations (avoids long runs, §5).
+   [instance] builds and fills the structure once the arguments are
+   checked. An ops target of 0 runs until the watchdog's verdict, which
+   only a fault plan can provoke: without one the run would never end. *)
+let run_sim fn ~topology ~nthreads ~ops ~seed ?faults ?watchdog ?max_events
+    ~record_obs instance =
+  if nthreads < 1 then reject fn "threads";
+  if ops < 0 || (ops = 0 && faults = None) then reject fn "ops";
+  let i = instance () in
+  let effective = Array.make nthreads 0 in
+  let counts = Option.value i.effective ~default:(fun _ -> false) in
+  let m =
+    simulate ~name:i.i_name ~topology ~nthreads ~ops ~seed ?faults ?watchdog
+      ?max_events ~record_obs ~classes:i.classes (fun lat tid ->
+        let rng = Rng.create ((seed * 65_599) + tid) in
+        while not (Sim.Sched.stop_requested ()) do
+          let t0 = Sim.Sched.now () in
+          let cls = i.op rng in
+          let t1 = Sim.Sched.now () in
+          Pstats.record lat.(cls) (t1 - t0);
+          Sim.Sim_rt.Probe.observe op_cycles (t1 - t0);
+          if counts cls then effective.(tid) <- effective.(tid) + 1;
+          Sim.Sched.tick ();
+          Sim.Sched.work (64 + Rng.below rng 64)
+        done)
+  in
+  let valid = i.valid () in
+  let final_size = i.size () in
+  {
+    m with
+    eff_update_pct = eff_pct i ~effective:(sum effective) ~ops:m.ops;
     final_size;
     valid;
-    outcome;
-    obs;
   }
 
 let run_set_sim ~topology ~nthreads ~ops ?(seed = 42) ?faults ?watchdog
@@ -369,6 +352,8 @@ let run_set_sim ~topology ~nthreads ~ops ?(seed = 42) ?faults ?watchdog
   run_sim "run_set_sim" ~topology ~nthreads ~ops ~seed ?faults ?watchdog
     ?max_events ~record_obs (fun () ->
       if w.init_size < 1 then reject "run_set_sim" "size";
+      if w.update_pct < 0 || w.update_pct > 100 then
+        invalid_arg "Runner.run_set_sim: update_pct must be in [0,100]";
       set_instance (module S) w ~seed)
 
 (* Queue workloads (Figure 12): enqueue percentage picks between

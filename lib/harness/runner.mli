@@ -82,21 +82,6 @@ type measurement = {
 
 val aborted : measurement -> bool
 
-val of_stats :
-  name:string ->
-  topology:Sim.Topology.t ->
-  seed:int ->
-  threads:int ->
-  classes:string array ->
-  Sim.Sched.stats ->
-  measurement
-(** A measurement of a finished simulation from the scheduler's stats
-    alone: throughput, virtual wall time and coherence counts from
-    [stats], the probe counters as they stand, no latency samples, no
-    host time, [eff_update_pct = 100], [final_size = 0], valid and
-    complete. The runners below build theirs from it; experiments that
-    drive the scheduler themselves override the fields they measure. *)
-
 val run_guarded :
   ?faults:Sim.Fault.plan ->
   ?watchdog:Sim.Sched.watchdog ->
@@ -112,8 +97,37 @@ val run_guarded :
 (** A bare guarded simulation run: execute [body tid] under an optional
     fault plan, turning watchdog verdicts and budget exhaustion into
     [Aborted] with partial stats — never an escaped exception. The
-    building block under the [run_*_sim] runners; the chaos engine uses
-    it directly with its own workloads and oracles. *)
+    building block under {!simulate}; the chaos engine uses it directly
+    with its own workloads and oracles. *)
+
+val simulate :
+  name:string ->
+  topology:Sim.Topology.t ->
+  nthreads:int ->
+  ops:int ->
+  seed:int ->
+  ?faults:Sim.Fault.plan ->
+  ?watchdog:Sim.Sched.watchdog ->
+  ?max_events:int ->
+  ?record_obs:bool ->
+  classes:string array ->
+  (Pstats.t array -> int -> unit) ->
+  measurement
+(** One measured simulation of an already built structure: the envelope
+    every simulated workload (the runners below, the KV service, the
+    transaction bank, the self-driven figures) runs through. It resets
+    the probe counters, gives each thread one latency collector per name
+    in [classes], and runs [body lat tid] under {!run_guarded} with an
+    ops target of [ops]. [host_s] brackets the guarded run and the
+    [record_obs] journal only.
+
+    The measurement carries the scheduler's stats (throughput, virtual
+    wall time, coherence counts, [ops]), the probe counters as the run
+    left them, the per-class latency summaries merged across threads and
+    the journal summary in [obs] when [record_obs]. Callers override
+    what only they can measure: [eff_update_pct] (100 here),
+    [final_size] (0) and [valid] ([true]). [seed] is recorded, not used:
+    [body] draws its own randomness. *)
 
 (** {1 Simulator runners}
 

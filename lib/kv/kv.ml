@@ -1253,15 +1253,23 @@ let format_events t =
 
 let run ?(record_obs = false) (cfg : config) :
     Harness.Runner.measurement * result =
-  let positive what n =
-    if n < 1 then invalid_arg (Printf.sprintf "Kv.run: %s must be positive" what)
-  in
+  let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Kv.run: " ^ m)) fmt in
+  let positive what n = if n < 1 then fail "%s must be positive" what in
+  let pct what p = if p < 0 || p > 100 then fail "%s must be in [0,100]" what in
+  let w = cfg.workload in
   positive "threads" cfg.threads;
   positive "ops" cfg.ops;
-  positive "keys" cfg.workload.keys;
+  positive "keys" w.keys;
+  positive "resync_batch" cfg.policy.resync_batch;
+  if cfg.policy.degraded_cycles < 0 then
+    fail "degraded_cycles must be non-negative";
+  pct "read_pct" w.read_pct;
+  pct "scan_pct" w.scan_pct;
+  pct "transfer_pct" w.transfer_pct;
+  if w.read_pct + w.scan_pct + w.transfer_pct > 100 then
+    fail "read_pct + scan_pct + transfer_pct must be at most 100";
   Dstruct.Sl_common.reset_states ();
   let t = create cfg in
-  Probe.reset_all ();
   (* Arm the resync probe so a plan's [resynccrash] specs can count
      checkpoints inside copy windows. The fault engine's [clear] (run
      teardown) resets it, so the closure never outlives the run. *)
@@ -1269,13 +1277,7 @@ let run ?(record_obs = false) (cfg : config) :
       let n = cfg.nshards in
       let si = if store < n then store else store - n in
       si >= 0 && si < n && t.shards.(si).s_resync);
-  let classes = lat_classes_of ~faulty:(cfg.plan <> None) cfg.workload in
-  let lat =
-    Array.init cfg.threads (fun _ ->
-        Array.init (Array.length classes) (fun _ ->
-            Harness.Pstats.create ()))
-  in
-  let host0 = Unix.gettimeofday () in
+  let classes = lat_classes_of ~faulty:(cfg.plan <> None) w in
   (* Always install a plan — an empty one when none was given — so the
      fault engine's shard tables are reset per run instead of leaking a
      previous run's crash epochs into this one's refresh/quiesce. *)
@@ -1284,18 +1286,13 @@ let run ?(record_obs = false) (cfg : config) :
     | Some p -> p
     | None -> Sim.Fault.plan ~seed:cfg.seed []
   in
-  (* Recording brackets the measured run only: stopped before [quiesce]
-     so post-run repair probes don't pollute the trace. The record comes
-     back raw (in [res_trace]) because attribution and the timeline need
-     the entries, not just a profile summary. *)
-  if record_obs then Obs.Journal.start ();
-  let stats, outcome =
-    Harness.Runner.run_guarded ~faults ~topology:cfg.topo
-      ~nthreads:cfg.threads ~ops_target:cfg.ops
-      (fun tid -> client t lat.(tid) tid)
+  (* The journal stops with the run, before [quiesce], so post-run
+     repair probes don't pollute the trace. *)
+  let m =
+    Harness.Runner.simulate ~name:("kv/" ^ cfg.rep) ~topology:cfg.topo
+      ~nthreads:cfg.threads ~ops:cfg.ops ~seed:cfg.seed ~faults ~record_obs
+      ~classes (client t)
   in
-  let trace = if record_obs then Some (Obs.Journal.stop ()) else None in
-  let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
   quiesce t;
   let oracle = check_oracle t in
   let final_size =
@@ -1309,30 +1306,24 @@ let run ?(record_obs = false) (cfg : config) :
       t.shards
   in
   let m =
-    Harness.Runner.of_stats ~name:("kv/" ^ cfg.rep) ~topology:cfg.topo
-      ~seed:cfg.seed ~threads:cfg.threads ~classes stats
-  in
-  let m =
     {
       m with
       eff_update_pct =
-        100.
-        *. float_of_int (Probe.count t.k_acked)
-        /. float_of_int (max 1 stats.Sim.Sched.ops);
-      host_s;
+        100. *. float_of_int (Probe.count t.k_acked)
+        /. float_of_int (max 1 m.ops);
       lat =
-        Array.init (Array.length classes) (fun c ->
+        Array.mapi
+          (fun c s ->
             (* the resync class is recorded service-side (the copier
                runs inside refresh), not per client thread *)
             if classes.(c) = "resync" then
               Harness.Pstats.summarize [ t.resync_lat ]
-            else
-              Harness.Pstats.summarize
-                (Array.to_list (Array.map (fun l -> l.(c)) lat)));
+            else s)
+          m.lat;
+      (* post-run wipes in [quiesce] count too *)
+      counters = Probe.dump ();
       final_size;
       valid;
-      outcome;
-      obs = Option.map Obs.Profile.summarize trace;
     }
   in
   let result =
@@ -1347,7 +1338,7 @@ let run ?(record_obs = false) (cfg : config) :
           t.shards;
       res_shard_lat =
         Array.map (fun p -> Harness.Pstats.summarize [ p ]) t.shard_lat;
-      res_trace = trace;
+      res_trace = Option.map (fun o -> o.Obs.Profile.s_record) m.obs;
     }
   in
   (m, result)

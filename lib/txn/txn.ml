@@ -651,6 +651,8 @@ module Workload = struct
     then invalid_arg "Txn.Workload: need at least two account slots";
     if cfg.threads < 1 || cfg.ops < 1 then
       invalid_arg "Txn.Workload: threads and ops must be positive";
+    if cfg.transfer_pct < 0 || cfg.transfer_pct > 100 then
+      invalid_arg "Txn.Workload: transfer_pct must be in [0,100]";
     Dstruct.Sl_common.reset_states ();
     let objs = make_objects cfg (rep_module cfg.rep) in
     let mgr =
@@ -661,25 +663,13 @@ module Workload = struct
           Sim.Sched.work ((64 lsl min n 6) + (17 * (Sim.Sched.tid () + 1))))
         ()
     in
-    Probe.reset_all ();
     let log = Harness.History.Log.create ~nthreads:cfg.threads in
-    let lat =
-      Array.init cfg.threads (fun _ ->
-          Array.init (Array.length lat_classes) (fun _ ->
-              Harness.Pstats.create ()))
-    in
-    let host0 = Unix.gettimeofday () in
-    (* Recording brackets the measured run only; the record comes back
-       raw (in [res_trace]) for attribution and the trace exporters. *)
-    if record_obs then Obs.Journal.start ();
-    let stats, outcome =
-      Harness.Runner.run_guarded
+    let m =
+      Harness.Runner.simulate ~name:("txn/" ^ cfg.rep) ~topology:cfg.topo
+        ~nthreads:cfg.threads ~ops:cfg.ops ~seed:cfg.seed
         ~faults:(Sim.Fault.plan ~seed:cfg.seed [])
-        ~topology:cfg.topo ~nthreads:cfg.threads ~ops_target:cfg.ops
-        (fun tid -> client cfg objs mgr log lat.(tid) tid)
+        ~record_obs ~classes:lat_classes (client cfg objs mgr log)
     in
-    let trace = if record_obs then Some (Obs.Journal.stop ()) else None in
-    let host_s = Float.max 1e-9 (Unix.gettimeofday () -. host0) in
     let oracle =
       check_serializable cfg (Harness.History.Log.all log) objs
     in
@@ -687,24 +677,12 @@ module Workload = struct
     let valid = Array.for_all T.obj_validate objs in
     let final_size = Array.fold_left (fun a ob -> a + T.obj_size ob) 0 objs in
     let m =
-      Harness.Runner.of_stats ~name:("txn/" ^ cfg.rep) ~topology:cfg.topo
-        ~seed:cfg.seed ~threads:cfg.threads ~classes:lat_classes stats
-    in
-    let m =
       {
         m with
         eff_update_pct =
-          100. *. float_of_int commits
-          /. float_of_int (max 1 stats.Sim.Sched.ops);
-        host_s;
-        lat =
-          Array.init (Array.length lat_classes) (fun c ->
-              Harness.Pstats.summarize
-                (Array.to_list (Array.map (fun l -> l.(c)) lat)));
+          100. *. float_of_int commits /. float_of_int (max 1 m.ops);
         final_size;
         valid;
-        outcome;
-        obs = Option.map Obs.Profile.summarize trace;
       }
     in
     let result =
@@ -716,7 +694,7 @@ module Workload = struct
         res_vfail_read = Probe.count mgr.T.c_vfail_read;
         res_snapshots = Probe.count mgr.T.c_snapshots;
         res_snap_retries = Probe.count mgr.T.c_snap_retries;
-        res_trace = trace;
+        res_trace = Option.map (fun o -> o.Obs.Profile.s_record) m.obs;
       }
     in
     (m, result)

@@ -193,18 +193,59 @@ let test_runner_deterministic () =
    0 without a fault plan would never end, and no threads or an empty
    key range cannot run at all. *)
 let test_runner_rejects_bad_args () =
-  let bad what ~nthreads ~ops ~size =
+  let bad what ?(updates = 20) ~nthreads ~ops ~size () =
     match
       Harness.Runner.run_set_sim ~topology:Tutil.uniform4 ~nthreads ~ops
         Harness.Registry.Sim_backend.ll_optik
-        (Harness.Runner.uniform_workload ~init_size:size ~update_pct:20 ())
+        (Harness.Runner.uniform_workload ~init_size:size ~update_pct:updates
+           ())
     with
     | _ -> Alcotest.failf "expected Invalid_argument for %s" what
     | exception Invalid_argument _ -> ()
   in
-  bad "ops 0" ~nthreads:2 ~ops:0 ~size:16;
-  bad "threads 0" ~nthreads:0 ~ops:100 ~size:16;
-  bad "size 0" ~nthreads:2 ~ops:100 ~size:0
+  bad "ops 0" ~nthreads:2 ~ops:0 ~size:16 ();
+  bad "threads 0" ~nthreads:0 ~ops:100 ~size:16 ();
+  bad "size 0" ~nthreads:2 ~ops:100 ~size:0 ();
+  bad "updates 150" ~updates:150 ~nthreads:2 ~ops:100 ~size:16 ();
+  bad "updates -5" ~updates:(-5) ~nthreads:2 ~ops:100 ~size:16 ()
+
+(* The simulated-run envelope every workload runs through: tracing
+   never changes what a run measures, only the traced run carries the
+   journal, and each class's per-thread collectors merge into one
+   summary. *)
+let test_simulate_envelope () =
+  let module R = Harness.Runner in
+  let run record_obs =
+    Sim.Sched.reset_world ();
+    let x = Sim.Sched.loc 0 in
+    R.simulate ~name:"envelope" ~topology:Tutil.uniform4 ~nthreads:2 ~ops:2
+      ~seed:1 ~record_obs ~classes:[| "a"; "b" |] (fun lat tid ->
+        for i = 1 to 3 do
+          ignore (Sim.Sched.faa x 1);
+          Harness.Pstats.record lat.(0) ((100 * tid) + i)
+        done;
+        if tid = 1 then Harness.Pstats.record lat.(1) 7;
+        Sim.Sched.tick ())
+  in
+  let plain = run false and traced = run true in
+  let stats (m : R.measurement) =
+    [ m.ops; m.reads; m.writes; m.cas; m.cas_failed; m.faa; m.events ]
+  in
+  Alcotest.(check (list int)) "same stats" (stats plain) (stats traced);
+  Alcotest.(check (float 0.)) "same virtual time" plain.wall_s traced.wall_s;
+  Alcotest.(check (list (pair string int)))
+    "same counters" plain.counters traced.counters;
+  Alcotest.(check bool) "same latency summaries" true (plain.lat = traced.lat);
+  Alcotest.(check bool) "untraced run has no journal" true
+    (Option.is_none plain.obs);
+  Alcotest.(check bool) "traced run has the journal" true
+    (Option.is_some traced.obs);
+  Alcotest.(check (list int)) "two ops, six faa" [ 2; 6 ]
+    [ plain.ops; plain.faa ];
+  let a = plain.lat.(0) and b = plain.lat.(1) in
+  (* class a holds 1 2 3 101 102 103 from the two threads *)
+  Alcotest.(check (pair int int)) "class a: n, p50" (6, 3) (a.n, a.p50);
+  Alcotest.(check (pair int int)) "class b: n, p50" (1, 7) (b.n, b.p50)
 
 (* The queue, stack and native runners share the set runner's loop, and
    with it the same checks, named after the runner called. *)
@@ -339,6 +380,8 @@ let () =
             test_queue_runner;
           Alcotest.test_case "every runner rejects bad arguments" `Quick
             test_all_runners_reject_bad_args;
+          Alcotest.test_case "simulate envelope" `Quick
+            test_simulate_envelope;
         ] );
       ( "soak",
         [

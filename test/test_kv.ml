@@ -366,7 +366,22 @@ let test_run_rejects_bad_config () =
   bad "ops 0" { c with Kv.ops = 0 };
   bad "threads 0" { c with Kv.threads = 0 };
   bad "shards 0" { c with Kv.nshards = 0 };
-  bad "keys 0" { c with Kv.workload = { c.Kv.workload with Kv.keys = 0 } }
+  let w = c.Kv.workload in
+  bad "keys 0" { c with Kv.workload = { w with Kv.keys = 0 } };
+  (* a zero batch never shortens the key list: the resync would spin *)
+  bad "resync_batch 0"
+    { c with Kv.policy = { c.Kv.policy with Kv.resync_batch = 0 } };
+  bad "degraded_cycles -1"
+    { c with Kv.policy = { c.Kv.policy with Kv.degraded_cycles = -1 } };
+  bad "read -20" { c with Kv.workload = { w with Kv.read_pct = -20 } };
+  bad "scan 101" { c with Kv.workload = { w with Kv.scan_pct = 101 } };
+  bad "transfer -1" { c with Kv.workload = { w with Kv.transfer_pct = -1 } };
+  bad "read + scan + transfer 110"
+    {
+      c with
+      Kv.workload =
+        { w with Kv.read_pct = 60; scan_pct = 30; transfer_pct = 20 };
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Report integration: the kv run renders into a valid schema'd report

@@ -316,7 +316,9 @@ let test_run_rejects_bad_config () =
   let c = W.default_config in
   bad "ops 0" { c with W.ops = 0 };
   bad "threads 0" { c with W.threads = 0 };
-  bad "objects 0" { c with W.objects = 0 }
+  bad "objects 0" { c with W.objects = 0 };
+  bad "transfer_pct 101" { c with W.transfer_pct = 101 };
+  bad "transfer_pct -1" { c with W.transfer_pct = -1 }
 
 (* ------------------------------------------------------------------ *)
 (* Report integration: the txn section renders into a valid schema'd
