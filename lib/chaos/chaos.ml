@@ -365,7 +365,25 @@ let of_string entries =
       ]
     ~check:(fun tr ->
       if tr.t_threads < 1 || tr.t_ops < 1 || tr.t_keys < 1 then
-        parse_error "threads/ops/keys must be positive")
+        parse_error "threads/ops/keys must be positive";
+      if tr.t_threads > Mem.Qsbr.default_max_threads then
+        parse_error "threads must be at most %d (QSBR's thread cap), got %d"
+          Mem.Qsbr.default_max_threads tr.t_threads;
+      if tr.t_quantum < 1 then
+        parse_error "quantum must be positive, got %d" tr.t_quantum;
+      if tr.t_read_slack < 0 then
+        parse_error "read-slack must be >= 0, got %d" tr.t_read_slack;
+      if tr.t_noise_bits < 0 || tr.t_noise_bits > 62 then
+        parse_error "noise-bits must be in [0,62], got %d" tr.t_noise_bits;
+      List.iter
+        (fun (sp : Fault.spec) ->
+          match sp.f_tid with
+          | Some t when t < 0 || t >= tr.t_threads ->
+              parse_error
+                "fault spec %S targets thread %d, but the trial has %d threads"
+                (Fault.spec_to_string sp) t tr.t_threads
+          | Some _ | None -> ())
+        tr.t_plan.Fault.specs)
 
 type outcome = {
   o_completed : bool;
@@ -741,7 +759,14 @@ let shrink_steps tr =
   List.map
     (fun p -> { tr with t_plan = p })
     (plan_steps tr.t_plan [ halve_duration; halve_hits ])
-  @ (if tr.t_threads > 2 then [ { tr with t_threads = tr.t_threads - 1 } ]
+  (* A spec aimed at the last thread pins the thread count: dropping
+     that thread would shrink to a trial string [of_string] rejects. *)
+  @ (if
+       tr.t_threads > 2
+       && List.for_all
+            (fun (sp : Fault.spec) -> sp.f_tid <> Some (tr.t_threads - 1))
+            tr.t_plan.specs
+     then [ { tr with t_threads = tr.t_threads - 1 } ]
      else [])
   @ (if tr.t_ops > 1 then [ { tr with t_ops = tr.t_ops - 1 } ] else [])
   @ if tr.t_keys > 2 then [ { tr with t_keys = tr.t_keys - 1 } ] else []

@@ -32,6 +32,7 @@ type stall = {
 (* Stands for "no stall state yet": no batch has been sealed and no
    thread declared dead. *)
 let no_stall = { obs = [||]; obs_stamp = [||]; dead = [||] }
+let default_max_threads = 128
 
 module Make (Rt : RT) = struct
   type 'a batch = { snapshot : int array; items : 'a list }
@@ -76,7 +77,7 @@ module Make (Rt : RT) = struct
 
   let default_batch = 64
 
-  let create ?(max_threads = 128) ?(batch_size = default_batch)
+  let create ?(max_threads = default_max_threads) ?(batch_size = default_batch)
       ?(stall_obs = 0) ?(free = fun _ -> ()) () =
     {
       ts = Rt.cells max_threads 0;

@@ -8,6 +8,10 @@
     unlinked them. An object is passed to [free] only after every thread
     that was inside an operation at retirement time has finished it. *)
 
+val default_max_threads : int
+(** The thread-id bound an instance gets when {!Make.create} is given no
+    [max_threads]: 128. *)
+
 module Make (Rt : Rt.Rt_intf.RT) : sig
   type 'a t
 

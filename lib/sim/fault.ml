@@ -409,7 +409,10 @@ let spec_of_string s =
             let v = String.sub flag 1 (String.length flag - 1) in
             match flag.[0] with
             | 't' -> { sp with f_tid = Some (parse_int "thread id" v) }
-            | 'h' -> { sp with f_hits = parse_int "hit count" v }
+            | 'h' ->
+                let h = parse_int "hit count" v in
+                if h < 0 then parse_error "hit count must be >= 0, got %d" h;
+                { sp with f_hits = h }
             | _ -> parse_error "bad flag %S" flag)
         sp flags
 

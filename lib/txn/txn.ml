@@ -443,64 +443,124 @@ module Workload = struct
   }
 
   (* Strict serializability by replay (see the module comment). Runs
-     post-run outside the simulation, on quiesced structures. *)
+     post-run outside the simulation, on quiesced structures.
+
+     The model is flat: account [(o, k)] lives in slot
+     [o * accounts + (k - 1)], and anything outside
+     [[0, objects) x [1, accounts]] is absent. Instead of a copy of the
+     model after every commit, the replay keeps each commit's writes as
+     [(slot, before, after)] steps, and the audits are positioned by one
+     forward sweep over them. *)
   let check_serializable (cfg : config) (records : xrec list)
       (objs : T.obj array) : oracle =
     let committed k = List.filter (fun x -> x.x_kind = k && x.x_committed) records in
     let transfers =
-      List.sort (fun a b -> compare a.x_ticket b.x_ticket) (committed Transfer)
+      committed Transfer
+      |> List.sort (fun a b -> Int.compare a.x_ticket b.x_ticket)
+      |> Array.of_list
     in
-    let audits = committed Audit in
+    let audits = Array.of_list (committed Audit) in
+    let n = Array.length transfers in
     let violations = ref [] in
     let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
     let pp_v = function Some v -> string_of_int v | None -> "absent" in
+    let eq = Option.equal Int.equal in
+    let slot (o, k) =
+      if o >= 0 && o < cfg.objects && k >= 1 && k <= cfg.accounts then
+        (o * cfg.accounts) + k - 1
+      else -1
+    in
+    let fresh () = Array.make (cfg.objects * cfg.accounts) (Some cfg.initial) in
+    let model = fresh () in
+    let get s = if s < 0 then None else model.(s) in
     (* Commit tickets come from one fetch-and-add clock: they must be
        exactly 0 .. n-1 with no gap or duplicate. *)
-    List.iteri
+    Array.iteri
       (fun i x ->
         if x.x_ticket <> i then
           bad "ticket sequence broken: position %d holds ticket %d" i x.x_ticket)
       transfers;
-    (* Replay transfers in ticket order, checkpointing the state after
-       each commit for the audit positioning below. *)
-    let model : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-    for o = 0 to cfg.objects - 1 do
-      for k = 1 to cfg.accounts do
-        Hashtbl.replace model (o, k) cfg.initial
-      done
-    done;
-    let n = List.length transfers in
-    let states = Array.make (n + 1) model in
-    states.(0) <- Hashtbl.copy model;
-    List.iteri
-      (fun i x ->
+    (* Replay transfers in ticket order; [steps.(i)] are commit [i]'s
+       writes. *)
+    let steps =
+      Array.mapi
+        (fun i x ->
+          List.iter
+            (fun ((o, k), r) ->
+              let m = get (slot (o, k)) in
+              if not (eq m r) then
+                bad "txn %d read (%d,%d) = %s but the serialized state had %s"
+                  i o k (pp_v r) (pp_v m))
+            x.x_reads;
+          List.filter_map
+            (fun ((o, k), w) ->
+              let s = slot (o, k) in
+              if s < 0 then (
+                bad "txn %d wrote (%d,%d), which is no account" i o k;
+                None)
+              else
+                let before = model.(s) in
+                model.(s) <- w;
+                Some (s, before, w))
+            x.x_writes
+          |> Array.of_list)
+        transfers
+    in
+    (* Every audit must equal the replayed state at some position inside
+       its clock window — the snapshot had a serialization point. Audits
+       are visited by ascending clamped [lo], so one [cursor] state only
+       moves forward. [diff] counts the audit's reads the state at [lo]
+       disagrees with; stepping through commits [lo .. hi-1] moves it
+       only on slots the audit read ([owner]); the audit matches iff it
+       is 0 at some position [<= hi]. *)
+    let clamp c = max 0 (min c n) in
+    let order = Array.init (Array.length audits) Fun.id in
+    Array.stable_sort
+      (fun i j -> Int.compare (clamp audits.(i).x_c0) (clamp audits.(j).x_c0))
+      order;
+    let cursor = fresh () and pos = ref 0 in
+    let owner = Array.make (Array.length model) (-1) in
+    let want = Array.make (Array.length model) None in
+    let matched = Array.make (Array.length audits) false in
+    Array.iter
+      (fun id ->
+        let a = audits.(id) in
+        let lo = clamp a.x_c0 and hi = clamp a.x_c1 in
+        while !pos < lo do
+          Array.iter (fun (s, _, after) -> cursor.(s) <- after) steps.(!pos);
+          incr pos
+        done;
+        (* Nothing can match a read of no account that saw a value, nor
+           one slot read as two values. *)
+        let diff = ref 0 and possible = ref (lo <= hi) in
         List.iter
           (fun ((o, k), r) ->
-            let m = Hashtbl.find_opt model (o, k) in
-            if m <> r then
-              bad "txn %d read (%d,%d) = %s but the serialized state had %s" i o
-                k (pp_v r) (pp_v m))
-          x.x_reads;
-        List.iter
-          (fun ((o, k), w) ->
-            match w with
-            | Some v -> Hashtbl.replace model (o, k) v
-            | None -> Hashtbl.remove model (o, k))
-          x.x_writes;
-        states.(i + 1) <- Hashtbl.copy model)
-      transfers;
-    (* Every audit must equal the replayed state at some position inside
-       its clock window — the snapshot had a serialization point. *)
-    List.iter
-      (fun a ->
-        let lo = max 0 (min a.x_c0 n) and hi = max 0 (min a.x_c1 n) in
-        let matches p =
-          List.for_all
-            (fun ((o, k), r) -> Hashtbl.find_opt states.(p) (o, k) = r)
-            a.x_reads
-        in
-        let rec any p = p <= hi && (matches p || any (p + 1)) in
-        if not (any lo) then
+            let s = slot (o, k) in
+            if s < 0 then (if Option.is_some r then possible := false)
+            else if owner.(s) = id then (
+              if not (eq want.(s) r) then possible := false)
+            else begin
+              owner.(s) <- id;
+              want.(s) <- r;
+              if not (eq cursor.(s) r) then incr diff
+            end)
+          a.x_reads;
+        let p = ref lo in
+        while !possible && !diff > 0 && !p < hi do
+          Array.iter
+            (fun (s, before, after) ->
+              if owner.(s) = id then begin
+                if not (eq before want.(s)) then decr diff;
+                if not (eq after want.(s)) then incr diff
+              end)
+            steps.(!p);
+          incr p
+        done;
+        matched.(id) <- !possible && !diff = 0)
+      order;
+    Array.iteri
+      (fun id a ->
+        if not matched.(id) then
           bad "audit (clock window %d..%d) matches no serialization point"
             a.x_c0 a.x_c1)
       audits;
@@ -509,10 +569,11 @@ module Workload = struct
       (fun o ob ->
         T.obj_fold ob
           (fun k v () ->
-            if Hashtbl.find_opt model (o, k) <> Some v then
-              bad "final state (%d,%d) = %d disagrees with the replay (%s)" o k
-                v
-                (pp_v (Hashtbl.find_opt model (o, k))))
+            match get (slot (o, k)) with
+            | Some m when m = v -> ()
+            | m ->
+                bad "final state (%d,%d) = %d disagrees with the replay (%s)" o
+                  k v (pp_v m))
           ();
         if T.obj_size ob <> cfg.accounts then
           bad "object %d holds %d accounts, expected %d" o (T.obj_size ob)
@@ -530,7 +591,7 @@ module Workload = struct
     {
       ok = !violations = [];
       transfers = n;
-      audits = List.length audits;
+      audits = Array.length audits;
       conserved;
       total;
       expected_total;

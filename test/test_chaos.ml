@@ -36,7 +36,38 @@ let test_trial_string_errors () =
   bad "list/harris@u4 t2 o1 k2 q1000 r0 n62 w0 f1;crash@nowhere";
   bad "list/harris@u4 t0";
   bad "list/harris@u4 t";
-  bad "list/harris@u4 !"
+  bad "list/harris@u4 !";
+  (* Out-of-range fields are rejected by the grammar, naming the field,
+     instead of running (or failing deep inside the simulator). *)
+  let named field s =
+    match S.of_string s with
+    | (_ : Chaos.trial) -> Alcotest.failf "expected parse error for %S" s
+    | exception Invalid_argument msg ->
+        let lf = String.length field and lm = String.length msg in
+        let rec at i =
+          i + lf <= lm && (String.sub msg i lf = field || at (i + 1))
+        in
+        if not (at 0) then
+          Alcotest.failf "error for %S does not name %s: %s" s field msg
+  in
+  let t = "stack/treiber@opteron t2 o4 k2 q20000 r0 n0 w552286 f712261" in
+  named "targets thread 9" (t ^ ";crash@lock-wait,t9,h1");
+  named "targets thread 2" (t ^ ";stall(500)@op-boundary,t2");
+  named "targets thread -1" (t ^ ";crash@op-boundary,t-1");
+  named "read-slack" "stack/treiber@opteron t2 o4 k2 q20000 r-1 n0 w1 f1";
+  named "quantum" "stack/treiber@opteron t2 o4 k2 q-1 r0 n0 w1 f1";
+  named "quantum" "stack/treiber@opteron t2 o4 k2 q0 r0 n0 w1 f1";
+  named "noise-bits" "stack/treiber@opteron t2 o4 k2 q20000 r0 n-5 w1 f1";
+  named "noise-bits" "stack/treiber@opteron t2 o4 k2 q20000 r0 n63 w1 f1";
+  named "threads must be at most 128"
+    "stack/treiber@opteron t200 o4 k2 q20000 r0 n0 w1 f1";
+  named "hit count" (t ^ ";stall(45181)@lock-wait,h-3");
+  (* The bounds themselves parse. *)
+  ignore (S.of_string (t ^ ";crash@lock-wait,t1,h1") : Chaos.trial);
+  ignore
+    (S.of_string
+       "stack/treiber@opteron t128 o4 k2 q1 r0 n62 w1 f1;crash@op-boundary,t127"
+      : Chaos.trial)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzing is byte-deterministic: same seed, same entries, same output. *)
@@ -126,6 +157,29 @@ let test_shrinker_reduces () =
     true (n_after < n_before);
   Alcotest.(check bool) "shrunk trial still fails" true
     ((Chaos.run_trial small).Chaos.o_failures <> [])
+
+(* Every shrink step is a trial the grammar accepts: a spec aimed at the
+   last thread keeps the thread count from shrinking past it. *)
+let test_shrink_steps_parse () =
+  let module T = (val with_fake) in
+  let tr =
+    {
+      failing_trial with
+      Chaos.t_threads = 3;
+      t_plan =
+        { F.seed = 1; specs = [ F.crash ~tid:2 ~hits:1 Fp.Critical_enter ] };
+    }
+  in
+  let steps = T.shrink_steps tr in
+  Alcotest.(check bool) "some steps" true (steps <> []);
+  List.iter
+    (fun st ->
+      let s = T.to_string st in
+      match T.of_string s with
+      | (_ : Chaos.trial) -> ()
+      | exception Invalid_argument msg ->
+          Alcotest.failf "shrink step %S does not parse: %s" s msg)
+    steps
 
 (* A passing trial shrinks to itself. *)
 let test_shrink_passing_identity () =
@@ -234,6 +288,8 @@ let () =
             test_shrinker_reduces;
           Alcotest.test_case "passing trial shrinks to itself" `Quick
             test_shrink_passing_identity;
+          Alcotest.test_case "shrink steps parse" `Quick
+            test_shrink_steps_parse;
           Alcotest.test_case "golden replay" `Quick test_golden_replay;
         ] );
       ( "harris crash residue",

@@ -311,6 +311,12 @@ let test_plan_string_examples () =
   (match Fault.of_string "1;crash@nowhere" with
   | (_ : Fault.plan) -> Alcotest.fail "expected parse error"
   | exception Invalid_argument _ -> ());
+  (* A negative hit count is an error, not a request for the derived one. *)
+  (match Fault.of_string "1;stall(45181)@lock-wait,h-3" with
+  | (_ : Fault.plan) -> Alcotest.fail "expected parse error for h-3"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "h-3 names the field"
+        "Fault.of_string: hit count must be >= 0, got -3" msg);
   match Fault.of_string "1;shardcrash(x)@op-boundary" with
   | (_ : Fault.plan) -> Alcotest.fail "expected parse error"
   | exception Invalid_argument _ -> ()
