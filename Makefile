@@ -12,10 +12,10 @@ test-force:
 	dune runtest --force --no-buffer 2>&1 | tee test_output.txt
 
 bench:
-	dune exec bench/main.exe 2>&1 | tee bench_output.txt
+	dune exec bin/optik_bench.exe -- figures 2>&1 | tee bench_output.txt
 
 bench-full:
-	dune exec bench/main.exe -- --full 2>&1 | tee bench_output_full.txt
+	dune exec bin/optik_bench.exe -- figures --full 2>&1 | tee bench_output_full.txt
 
 examples:
 	dune exec examples/quickstart.exe

@@ -72,8 +72,18 @@ let write_report path (j : J.json) =
    configuration, runs and prints, and returns whether it failed plus its
    report. An [Invalid_argument] it raises — a malformed flag, trial
    string or fault plan, or a configuration a library rejects before
-   running — exits 2 with its message; the report is written when
-   --report was given; a failure exits 1. *)
+   running — exits 2 with its message, as do cmdliner's own parse errors
+   (see the last line); the report is written when --report was given; a
+   failure exits 1. [exits] documents these statuses in every man page. *)
+let exits =
+  Cmd.Exit.
+    [
+      info 0 ~doc:"on success.";
+      info 1 ~doc:"when a run fails an oracle, check or gate.";
+      info 2 ~doc:"on malformed input: a flag, value, trial string or plan.";
+      info 125 ~doc:"on an unexpected internal error.";
+    ]
+
 let main report body =
   match body () with
   | exception Invalid_argument msg ->
@@ -282,41 +292,9 @@ let figures_cmd =
           runs )
   in
   Cmd.v
-    (Cmd.info "figures" ~doc:"Regenerate the paper's figures (simulator).")
+    (Cmd.info ~exits "figures"
+       ~doc:"Regenerate the paper's figures (simulator).")
     Term.(const run $ ids $ full $ seed $ report_arg)
-
-(* ---------------- fault ---------------- *)
-
-let fault_cmd =
-  let seed =
-    seed_arg
-      "Fault-plan and workload seed: same seed, same schedule, same fault \
-       times, same verdicts."
-  in
-  let full = flag_arg "full" "Larger per-row op budgets." in
-  let run seed full report =
-    main report @@ fun () ->
-    let runs =
-      with_host_time "fault"
-        (fun _ -> 0)
-        (fun () ->
-          Figures.Experiments.run
-            (Figures.Experiments.mode_of ~full ~seed)
-            out [ "fault" ])
-    in
-    ( false,
-      fun () ->
-        Harness.Report.make ~subcommand:"fault" ~seed:(Some seed)
-          ~params:[ ("full", J.Bool full) ]
-          runs )
-  in
-  Cmd.v
-    (Cmd.info "fault"
-       ~doc:
-         "Fault-injection experiment: crash/stall threads inside critical \
-          sections and compare blocking vs lock-free behavior under the \
-          liveness watchdog.")
-    Term.(const run $ seed $ full $ report_arg)
 
 (* ---------------- single ad-hoc run ---------------- *)
 
@@ -475,7 +453,7 @@ let run_cmd =
           [ (Printf.sprintf "%s/%s" family structure, m) ] )
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run one workload against one structure.")
+    (Cmd.info ~exits "run" ~doc:"Run one workload against one structure.")
     Term.(
       const run $ family $ structure $ threads $ size $ updates $ skewed
       $ machine_arg $ ops $ seed $ trace $ profile $ report_arg)
@@ -523,7 +501,7 @@ let soak_cmd =
           (List.rev !measured) )
   in
   Cmd.v
-    (Cmd.info "soak"
+    (Cmd.info ~exits "soak"
        ~doc:
          "Bounded deterministic soak sweep: randomized structures, \
           topologies and workloads from one seed, invariant-checked; \
@@ -597,7 +575,7 @@ let chaos_cmd =
       trials
   in
   Cmd.v
-    (Cmd.info "chaos"
+    (Cmd.info ~exits "chaos"
        ~doc:
          "Randomized fault/schedule fuzzing over the registry structures, \
           with crash-aware linearizability, liveness and invariant oracles, \
@@ -683,7 +661,7 @@ let fleet_cmd =
           ~sections:(trial_sections failures output) )
   in
   Cmd.v
-    (Cmd.info "fleet"
+    (Cmd.info ~exits "fleet"
        ~doc:
          "Domain-parallel trial fleet: farm chaos/kv/txn fuzz trials \
           across worker domains in seeded batches. Byte-identical stdout \
@@ -995,7 +973,7 @@ let kv_cmd =
               [ ("kv/" ^ rep, m) ] )
   in
   Cmd.v
-    (Cmd.info "kv"
+    (Cmd.info ~exits "kv"
        ~doc:
          "Sharded KV service over the registry structures: open-loop zipfian \
           clients, deadlines, retry/backoff, replica failover, scan \
@@ -1119,7 +1097,7 @@ let txn_cmd =
               [ ("txn/" ^ rep, m) ] )
   in
   Cmd.v
-    (Cmd.info "txn"
+    (Cmd.info ~exits "txn"
        ~doc:
          "Multi-key optimistic transactions over the registry structures: \
           contended bank transfers with read-set validation and sorted \
@@ -1225,7 +1203,7 @@ let hostperf_cmd =
           ~sections:[] )
   in
   Cmd.v
-    (Cmd.info "hostperf"
+    (Cmd.info ~exits "hostperf"
        ~doc:
          "Measure engine throughput in simulated-ops per host-second over \
           fixed representative workloads, optionally gating against a \
@@ -1269,7 +1247,7 @@ let diff_cmd =
     | Error e -> fail "diff failed: %s" e
   in
   Cmd.v
-    (Cmd.info "diff"
+    (Cmd.info ~exits "diff"
        ~doc:
          "Compare two run reports (seed-vs-seed, structure-vs-structure, \
           commit-vs-commit): deterministic per-metric deltas, top-K \
@@ -1307,7 +1285,7 @@ let probes_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "probes"
+    (Cmd.info ~exits "probes"
        ~doc:
          "List every registered probe as '<kind>  <name>' — the same \
           registry the report probe audit iterates — and fail if any name \
@@ -1337,28 +1315,32 @@ let list_cmd =
       (String.concat ", " Figures.Experiments.all_ids)
   in
   Cmd.v
-    (Cmd.info "list" ~doc:"List available structures and experiments.")
+    (Cmd.info ~exits "list" ~doc:"List available structures and experiments.")
     Term.(const run $ const ())
 
 let () =
   let info =
-    Cmd.info "optik_bench" ~version:"1.0"
+    Cmd.info ~exits "optik_bench" ~version:"1.0"
       ~doc:"OPTIK (PPoPP'16) reproduction: benchmarks and ad-hoc runs"
   in
+  let cmd =
+    Cmd.group info
+      [
+        figures_cmd;
+        run_cmd;
+        soak_cmd;
+        chaos_cmd;
+        fleet_cmd;
+        kv_cmd;
+        txn_cmd;
+        hostperf_cmd;
+        diff_cmd;
+        probes_cmd;
+        list_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            figures_cmd;
-            fault_cmd;
-            run_cmd;
-            soak_cmd;
-            chaos_cmd;
-            fleet_cmd;
-            kv_cmd;
-            txn_cmd;
-            hostperf_cmd;
-            diff_cmd;
-            probes_cmd;
-            list_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> 125)

@@ -104,6 +104,40 @@ let rep_of ~family ~known name topo =
 let check_pct what v =
   if v < 0 || v > 100 then parse_error "%s must be in [0,100], got %d" what v
 
+(* A fault plan aims only at what the trial has: each spec's [t] and
+   storm victims at one of its [threads], each shard fault at one of its
+   [stores] (a kv trial's primaries and replicas; a structure trial has
+   none). *)
+let check_targets ~threads ~stores (plan : Fault.plan) =
+  List.iter
+    (fun (sp : Fault.spec) ->
+      let aim what v n unit =
+        if v < 0 || v >= n then
+          parse_error "fault spec %S targets %s %d, but the trial has %d %s"
+            (Fault.spec_to_string sp) what v n unit
+      in
+      Option.iter (fun t -> aim "thread" t threads "threads") sp.f_tid;
+      match sp.f_action with
+      | Fault.Storm { victims; _ } ->
+          List.iter (fun v -> aim "victim thread" v threads "threads") victims
+      | Fault.Shard_crash { shard; _ }
+      | Fault.Shard_recover shard
+      | Fault.Resync_crash { shard; _ } ->
+          aim "store" shard stores "stores"
+      | Fault.Crash | Fault.Stall _ -> ())
+    plan.specs
+
+(* The highest thread a plan names (-1 if none): shrinking a trial's
+   threads past it would leave a string [check_targets] rejects. *)
+let top_thread (plan : Fault.plan) =
+  List.fold_left
+    (fun top (sp : Fault.spec) ->
+      let victims =
+        match sp.f_action with Fault.Storm { victims; _ } -> victims | _ -> []
+      in
+      List.fold_left max top (Option.to_list sp.f_tid @ victims))
+    (-1) plan.specs
+
 let pick rng a = a.(Rng.below rng (Array.length a))
 
 let points =
@@ -375,15 +409,7 @@ let of_string entries =
         parse_error "read-slack must be >= 0, got %d" tr.t_read_slack;
       if tr.t_noise_bits < 0 || tr.t_noise_bits > 62 then
         parse_error "noise-bits must be in [0,62], got %d" tr.t_noise_bits;
-      List.iter
-        (fun (sp : Fault.spec) ->
-          match sp.f_tid with
-          | Some t when t < 0 || t >= tr.t_threads ->
-              parse_error
-                "fault spec %S targets thread %d, but the trial has %d threads"
-                (Fault.spec_to_string sp) t tr.t_threads
-          | Some _ | None -> ())
-        tr.t_plan.Fault.specs)
+      check_targets ~threads:tr.t_threads ~stores:0 tr.t_plan)
 
 type outcome = {
   o_completed : bool;
@@ -759,14 +785,8 @@ let shrink_steps tr =
   List.map
     (fun p -> { tr with t_plan = p })
     (plan_steps tr.t_plan [ halve_duration; halve_hits ])
-  (* A spec aimed at the last thread pins the thread count: dropping
-     that thread would shrink to a trial string [of_string] rejects. *)
-  @ (if
-       tr.t_threads > 2
-       && List.for_all
-            (fun (sp : Fault.spec) -> sp.f_tid <> Some (tr.t_threads - 1))
-            tr.t_plan.specs
-     then [ { tr with t_threads = tr.t_threads - 1 } ]
+  @ (if tr.t_threads > 2 && top_thread tr.t_plan < tr.t_threads - 1 then
+       [ { tr with t_threads = tr.t_threads - 1 } ]
      else [])
   @ (if tr.t_ops > 1 then [ { tr with t_ops = tr.t_ops - 1 } ] else [])
   @ if tr.t_keys > 2 then [ { tr with t_keys = tr.t_keys - 1 } ] else []
@@ -877,7 +897,9 @@ module Kv_trial = struct
           parse_error "degraded window must be >= 0 and batch >= 1";
         check_pct "read pct" tr.kv_read;
         check_pct "scan pct" tr.kv_scan;
-        check_pct "read + scan pct" (tr.kv_read + tr.kv_scan))
+        check_pct "read + scan pct" (tr.kv_read + tr.kv_scan);
+        check_targets ~threads:tr.kv_threads ~stores:(2 * tr.kv_shards)
+          tr.kv_plan)
 
   let config tr : Kv.config =
     {
@@ -1048,7 +1070,8 @@ module Kv_trial = struct
     List.map
       (fun p -> { tr with kv_plan = p })
       (plan_steps tr.kv_plan [ halve_window ])
-    @ (if tr.kv_threads > 2 then [ { tr with kv_threads = tr.kv_threads - 1 } ]
+    @ (if tr.kv_threads > 2 && top_thread tr.kv_plan < tr.kv_threads - 1 then
+         [ { tr with kv_threads = tr.kv_threads - 1 } ]
        else [])
     @ (if tr.kv_ops > 100 then [ { tr with kv_ops = tr.kv_ops / 2 } ] else [])
     @ (if tr.kv_keys > 64 then [ { tr with kv_keys = tr.kv_keys / 2 } ] else [])

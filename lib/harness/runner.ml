@@ -1,6 +1,5 @@
 (** Workload runners: execute the paper's microbenchmark loop (§5) against
-    a data structure, either on the simulated multicore (figures) or on
-    real domains (stress testing).
+    a data structure on the simulated multicore (the figures).
 
     Methodology reproduced from the paper:
     - every iteration picks a key uniformly (or zipf, a = 0.9, largest
@@ -31,8 +30,6 @@ let skewed_workload ?capacity ~init_size ~update_pct () =
   { init_size; range = 2 * init_size; update_pct; dist = Zipf 0.9; capacity }
 
 (* Latency classes, as in Figure 7. *)
-let n_classes = 6
-
 let class_names =
   [| "srch-suc"; "srch-fal"; "insr-suc"; "insr-fal"; "delt-suc"; "delt-fal" |]
 
@@ -47,7 +44,7 @@ type outcome = Complete | Aborted of Sim.Sched.report
 
 type measurement = {
   name : string;
-  topo_name : string;  (** topology the run simulated, or ["native"] *)
+  topo_name : string;  (** topology the run simulated *)
   seed : int;
   threads : int;
   mops : float;
@@ -59,10 +56,9 @@ type measurement = {
   cas : int;
   cas_failed : int;
   faa : int;
-  events : int;  (** scheduler (slow-path) events; 0 for native runs *)
+  events : int;  (** scheduler (slow-path) events *)
   host_s : float;
-      (** host wall-clock seconds the measured window took to simulate
-          (or, for native runs, to execute — there it equals [wall_s]);
+      (** host wall-clock seconds the measured window took to simulate;
           simulated-ops/host-second is [ops /. host_s] *)
   lat : Pstats.summary array;  (** indexed like {!lat_classes} *)
   lat_classes : string array;
@@ -182,14 +178,6 @@ let stack_instance (module St : Registry.STACK_OPS) ~seed ~init ~push_pct =
   pool_instance ~name:St.name ~seed ~init ~add_pct:push_pct ~add:(St.push st)
     ~remove:(fun () -> St.pop st)
     ~size:(fun () -> St.size st)
-
-let eff_pct (i : instance) ~effective ~ops =
-  match i.effective with
-  | None -> 100.
-  | Some _ ->
-      if ops = 0 then 0. else 100. *. float_of_int effective /. float_of_int ops
-
-let sum = Array.fold_left ( + ) 0
 
 (* --------------------------------------------------------------- *)
 (* Simulator runner                                                 *)
@@ -320,7 +308,7 @@ let run_sim fn ~topology ~nthreads ~ops ~seed ?faults ?watchdog ?max_events
   if nthreads < 1 then reject fn "threads";
   if ops < 0 || (ops = 0 && faults = None) then reject fn "ops";
   let i = instance () in
-  let effective = Array.make nthreads 0 in
+  let effective = ref 0 in
   let counts = Option.value i.effective ~default:(fun _ -> false) in
   let m =
     simulate ~name:i.i_name ~topology ~nthreads ~ops ~seed ?faults ?watchdog
@@ -332,19 +320,20 @@ let run_sim fn ~topology ~nthreads ~ops ~seed ?faults ?watchdog ?max_events
           let t1 = Sim.Sched.now () in
           Pstats.record lat.(cls) (t1 - t0);
           Sim.Sim_rt.Probe.observe op_cycles (t1 - t0);
-          if counts cls then effective.(tid) <- effective.(tid) + 1;
+          if counts cls then incr effective;
           Sim.Sched.tick ();
           Sim.Sched.work (64 + Rng.below rng 64)
         done)
   in
   let valid = i.valid () in
   let final_size = i.size () in
-  {
-    m with
-    eff_update_pct = eff_pct i ~effective:(sum effective) ~ops:m.ops;
-    final_size;
-    valid;
-  }
+  let eff_update_pct =
+    match i.effective with
+    | None -> 100.
+    | Some _ when m.ops = 0 -> 0.
+    | Some _ -> 100. *. float_of_int !effective /. float_of_int m.ops
+  in
+  { m with eff_update_pct; final_size; valid }
 
 let run_set_sim ~topology ~nthreads ~ops ?(seed = 42) ?faults ?watchdog
     ?max_events ?(record_obs = false) (module S : Registry.SET_OPS)
@@ -372,86 +361,3 @@ let run_stack_sim ~topology ~nthreads ~ops ?(seed = 42) ?(init = 4096)
     ?faults ?watchdog ?max_events ?(record_obs = false) ~push_pct st =
   run_sim "run_stack_sim" ~topology ~nthreads ~ops ~seed ?faults ?watchdog
     ?max_events ~record_obs (fun () -> stack_instance st ~seed ~init ~push_pct)
-
-(* --------------------------------------------------------------- *)
-(* Native runner (real domains)                                     *)
-
-(* A sense-reversing barrier so all domains enter the measured section
-   together. *)
-let barrier n =
-  let count = Atomic.make n in
-  let sense = Atomic.make 0 in
-  fun () ->
-    let s = Atomic.get sense in
-    if Atomic.fetch_and_add count (-1) = 1 then (
-      Atomic.set count n;
-      Atomic.incr sense)
-    else
-      while Atomic.get sense = s do
-        Domain.cpu_relax ()
-      done
-
-(* The same loop on real domains, [ops_per_thread] iterations each with
-   no wait between them, timed from the first barrier to the last. *)
-let run_native fn ~nthreads ~ops_per_thread ~seed instance =
-  if nthreads < 1 then reject fn "threads";
-  if ops_per_thread < 1 then reject fn "ops_per_thread";
-  let i = instance () in
-  let effective = Array.make nthreads 0 in
-  let counts = Option.value i.effective ~default:(fun _ -> false) in
-  Rt.Native_rt.set_nthreads nthreads;
-  let bar = barrier nthreads in
-  let t_start = ref 0. in
-  let t_stop = ref 0. in
-  let body tid () =
-    Rt.Native_rt.set_tid tid;
-    let rng = Rng.create ((seed * 65_599) + tid) in
-    bar ();
-    if tid = 0 then t_start := Unix.gettimeofday ();
-    for _ = 1 to ops_per_thread do
-      if counts (i.op rng) then effective.(tid) <- effective.(tid) + 1
-    done;
-    bar ();
-    if tid = 0 then t_stop := Unix.gettimeofday ()
-  in
-  let domains =
-    List.init (nthreads - 1) (fun i -> Domain.spawn (body (i + 1)))
-  in
-  body 0 ();
-  List.iter Domain.join domains;
-  Rt.Native_rt.set_nthreads 1;
-  let total_ops = nthreads * ops_per_thread in
-  let wall_s = Float.max 1e-9 (!t_stop -. !t_start) in
-  {
-    name = i.i_name;
-    topo_name = "native";
-    seed;
-    threads = nthreads;
-    mops = float_of_int total_ops /. wall_s /. 1e6;
-    ops = total_ops;
-    wall_s;
-    eff_update_pct = eff_pct i ~effective:(sum effective) ~ops:total_ops;
-    reads = 0;
-    writes = 0;
-    cas = 0;
-    cas_failed = 0;
-    faa = 0;
-    events = 0;
-    host_s = wall_s;
-    lat = Array.make (Array.length i.classes) Pstats.empty_summary;
-    lat_classes = i.classes;
-    counters = [];
-    final_size = i.size ();
-    valid = i.valid ();
-    outcome = Complete;
-    obs = None;
-  }
-
-let run_set_native ~nthreads ~ops_per_thread ?(seed = 42) s w =
-  run_native "run_set_native" ~nthreads ~ops_per_thread ~seed (fun () ->
-      set_instance s w ~seed)
-
-let run_queue_native ~nthreads ~ops_per_thread ?(seed = 42) ?(init = 4096)
-    ~enqueue_pct qu =
-  run_native "run_queue_native" ~nthreads ~ops_per_thread ~seed (fun () ->
-      queue_instance qu ~seed ~init ~enqueue_pct)

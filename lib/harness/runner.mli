@@ -1,6 +1,6 @@
 (** Workload runners: execute the paper's microbenchmark loop (§5)
-    against a data structure, either on the simulated multicore (the
-    figures) or on real domains (stress testing).
+    against a data structure on the simulated multicore (the figures;
+    [bench/perf] keeps the timed loop on real domains).
 
     Methodology reproduced from the paper: keys are drawn uniformly (or
     zipf, a = 0.9) from a range twice the initial size; insert and delete
@@ -29,9 +29,6 @@ val skewed_workload :
 
 (** {1 Measurements} *)
 
-val n_classes : int
-(** Number of latency classes for set workloads (Figure 7). *)
-
 val class_names : string array
 (** Names of the latency classes, indexed like {!measurement.lat}. *)
 
@@ -47,7 +44,7 @@ type outcome = Complete | Aborted of Sim.Sched.report
 
 type measurement = {
   name : string;
-  topo_name : string;  (** topology the run simulated, or ["native"] *)
+  topo_name : string;  (** topology the run simulated *)
   seed : int;
   threads : int;
   mops : float;
@@ -59,18 +56,17 @@ type measurement = {
   cas : int;
   cas_failed : int;
   faa : int;
-  events : int;  (** scheduler (slow-path) events; 0 for native runs *)
+  events : int;  (** scheduler (slow-path) events *)
   host_s : float;
-      (** host wall-clock seconds the measured window took to simulate
-          (for native runs it equals [wall_s]); simulated-ops/host-second
-          is [ops /. host_s] — the engine-throughput figure tracked by
-          [optik_bench hostperf] *)
+      (** host wall-clock seconds the measured window took to simulate;
+          simulated-ops/host-second is [ops /. host_s] — the
+          engine-throughput figure tracked by [optik_bench hostperf] *)
   lat : Pstats.summary array;  (** indexed like {!lat_classes} *)
   lat_classes : string array;
       (** names of the latency classes [lat] is indexed by
           ({!class_names} or {!queue_class_names}) *)
   counters : (string * int) list;
-      (** non-zero probe counters, sorted by name (simulator runs only) *)
+      (** non-zero probe counters, sorted by name *)
   final_size : int;
   valid : bool;
   outcome : outcome;
@@ -189,28 +185,3 @@ val run_stack_sim :
   measurement
 (** Stack workloads (§5.5): [push_pct] plays the role [enqueue_pct]
     plays for queues. *)
-
-(** {1 Native runners (real domains)}
-
-    The same loop on real domains, [ops_per_thread] iterations per
-    domain with no wait between them. Wall-clock timed, so not
-    deterministic; coherence statistics and latency classes are
-    unavailable ([0] / empty). Both raise [Invalid_argument] unless
-    [nthreads] and [ops_per_thread] are positive. *)
-
-val run_set_native :
-  nthreads:int ->
-  ops_per_thread:int ->
-  ?seed:int ->
-  (module Registry.SET_OPS) ->
-  set_workload ->
-  measurement
-
-val run_queue_native :
-  nthreads:int ->
-  ops_per_thread:int ->
-  ?seed:int ->
-  ?init:int ->
-  enqueue_pct:int ->
-  (module Registry.QUEUE_OPS) ->
-  measurement

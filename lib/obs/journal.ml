@@ -133,8 +133,6 @@ let note_site id = function
 
 let note_line id = note_site id (current_site ())
 
-let site_of id = Hashtbl.find_opt (jstate ()).j_sites id
-
 (* ------------------------------------------------------------------ *)
 (* The recorder                                                        *)
 

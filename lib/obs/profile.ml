@@ -68,19 +68,18 @@ let hotlines (r : Journal.record) =
          | c -> c)
 
 (* Series are computed from the journal's [Op_boundary] and [Restart]
-   checkpoints; [keep] selects the slice (whole run or one thread). *)
-let windows_of (r : Journal.record) keep =
+   checkpoints of every thread. *)
+let windows_of (r : Journal.record) =
   let win = Journal.windows ~n:n_windows r in
   let ops = Array.make n_windows 0 in
   let restarts = Array.make n_windows 0 in
   Array.iter
     (fun (e : Journal.entry) ->
-      if keep e.tid then
-        let w = Journal.window_index win e.at in
-        match e.kind with
-        | Journal.Point Rt.Rt_intf.Op_boundary -> ops.(w) <- ops.(w) + 1
-        | Journal.Point Rt.Rt_intf.Restart -> restarts.(w) <- restarts.(w) + 1
-        | _ -> ())
+      let w = Journal.window_index win e.at in
+      match e.kind with
+      | Journal.Point Rt.Rt_intf.Op_boundary -> ops.(w) <- ops.(w) + 1
+      | Journal.Point Rt.Rt_intf.Restart -> restarts.(w) <- restarts.(w) + 1
+      | _ -> ())
     r.entries;
   List.init n_windows (fun i ->
       {
@@ -89,8 +88,6 @@ let windows_of (r : Journal.record) keep =
         w_ops = ops.(i);
         w_restarts = restarts.(i);
       })
-
-let thread_windows r ~tid = windows_of r (fun t -> t = tid)
 
 let thread_totals (r : Journal.record) =
   let tbl : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
@@ -109,7 +106,7 @@ let summarize (r : Journal.record) =
   {
     s_events = Array.length r.entries;
     s_hotlines = hotlines r;
-    s_windows = windows_of r (fun _ -> true);
+    s_windows = windows_of r;
     s_threads = thread_totals r;
     s_record = r;
   }

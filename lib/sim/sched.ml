@@ -787,32 +787,22 @@ let tick () =
           th.crit_depth <- 0;
           fault_point Fp.Op_boundary)
 
-let request_stop () =
-  match (dstate ()).d_sched with None -> () | Some s -> s.stop <- true
-
 let tid () = match (dstate ()).d_thread with None -> 0 | Some th -> th.t_id
 
-(* Deterministic timing noise: a pure hash of (thread id, virtual clock).
-   Identical schedules yield identical noise, preserving run-to-run
-   reproducibility, while co-scheduled threads see decorrelated values. *)
 (* Noise width in bits: 62 = full amplitude (the default), 0 = off.
    Intermediate widths coarsen the jitter — consumers compute
    [noise () mod span], so few-bit noise repeats over short spans and
    weakens the decorrelation, which is exactly the degraded-timing regime
    the chaos engine fuzzes. *)
-
-(* Disabling noise removes the timing jitter that keeps contending
-   threads from phase-locking (see Backoff). Exposed so the liveness
-   watchdog's starvation tests can deterministically reproduce the
-   phase-locked-handoff incident; restore to [true] afterwards. *)
-let set_noise b = (dstate ()).d_noise <- (if b then 62 else 0)
-
 let set_noise_bits n =
   if n < 0 || n > 62 then invalid_arg "Sched.set_noise_bits: want 0..62";
   (dstate ()).d_noise <- n
 
 let noise_bits () = (dstate ()).d_noise
 
+(* Deterministic timing noise: a pure hash of (thread id, virtual clock).
+   Identical schedules yield identical noise, preserving run-to-run
+   reproducibility, while co-scheduled threads see decorrelated values. *)
 let noise () =
   let d = dstate () in
   match d.d_thread with

@@ -94,24 +94,19 @@ val noise : unit -> int
     and clock (0 outside a run). *)
 
 val stop_requested : unit -> bool
-val request_stop : unit -> unit
 val tid : unit -> int
 val nthreads : unit -> int
 
 val ops_so_far : unit -> int
 (** Operations {!tick}ed so far in the current run; 0 outside a run. *)
 
-val set_noise : bool -> unit
-(** Globally enable/disable {!noise} (default enabled). Disabling removes
-    the timing jitter that prevents phase-locked starvation; used by
-    watchdog tests to reproduce that incident deterministically. Restore
-    afterwards. Equivalent to [set_noise_bits 62] / [set_noise_bits 0]. *)
-
 val set_noise_bits : int -> unit
 (** Set the noise amplitude as a bit width in [0..62]: {!noise} masks its
     hash to the low [n] bits. 62 (default) is full amplitude; 0 disables
-    noise; intermediate widths coarsen the jitter toward the phase-locking
-    regime. A fuzzing knob for the chaos engine; restore afterwards. *)
+    noise, removing the jitter that prevents phase-locked starvation
+    (watchdog tests use it to reproduce that incident deterministically);
+    intermediate widths coarsen the jitter toward the phase-locking
+    regime, a fuzzing knob for the chaos engine. Restore afterwards. *)
 
 val noise_bits : unit -> int
 (** The current noise amplitude, for save/restore. *)

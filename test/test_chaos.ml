@@ -39,9 +39,9 @@ let test_trial_string_errors () =
   bad "list/harris@u4 !";
   (* Out-of-range fields are rejected by the grammar, naming the field,
      instead of running (or failing deep inside the simulator). *)
-  let named field s =
-    match S.of_string s with
-    | (_ : Chaos.trial) -> Alcotest.failf "expected parse error for %S" s
+  let rejects of_string field s =
+    match of_string s with
+    | () -> Alcotest.failf "expected parse error for %S" s
     | exception Invalid_argument msg ->
         let lf = String.length field and lm = String.length msg in
         let rec at i =
@@ -50,10 +50,34 @@ let test_trial_string_errors () =
         if not (at 0) then
           Alcotest.failf "error for %S does not name %s: %s" s field msg
   in
+  let named = rejects (fun s -> ignore (S.of_string s : Chaos.trial)) in
+  let kv_named =
+    rejects (fun s -> ignore (Chaos.Kv_trial.of_string s : Chaos.Kv_trial.t))
+  in
   let t = "stack/treiber@opteron t2 o4 k2 q20000 r0 n0 w552286 f712261" in
   named "targets thread 9" (t ^ ";crash@lock-wait,t9,h1");
   named "targets thread 2" (t ^ ";stall(500)@op-boundary,t2");
   named "targets thread -1" (t ^ ";crash@op-boundary,t-1");
+  named "targets victim thread 9" (t ^ ";storm(5000:v9)@lock-wait,h1");
+  named "targets victim thread 2" (t ^ ";storm(5000:v0.2)@lock-wait,h1");
+  named "targets store 0, but the trial has 0 stores"
+    (t ^ ";shardcrash(0)@op-boundary,h1");
+  (* A kv trial has [threads] clients and a primary and a replica store
+     per shard: stores 0 .. 2 * shards - 1. *)
+  let kv = "kv/ht-optik@u4 s1 t2 o100 k64 R50 C10 w1 D50000 B64 f7" in
+  kv_named "targets thread 9" (kv ^ ";crash@op-boundary,t9,h1");
+  kv_named "targets victim thread 9" (kv ^ ";storm(5000:v9)@op-boundary,h1");
+  kv_named "targets store 9, but the trial has 2 stores"
+    (kv ^ ";shardcrash(9)@op-boundary,h5");
+  kv_named "targets store 2" (kv ^ ";shardrecover(2)@op-boundary,h5");
+  kv_named "targets store 2" (kv ^ ";resynccrash(2)@op-boundary,h5");
+  kv_named "targets store -1" (kv ^ ";shardcrash(-1)@op-boundary,h5");
+  ignore
+    (Chaos.Kv_trial.of_string
+       (kv
+      ^ ";shardcrash(1)@op-boundary,h5;storm(5000:v1)@op-boundary,h1;\
+         crash@op-boundary,t1,h1")
+      : Chaos.Kv_trial.t);
   named "read-slack" "stack/treiber@opteron t2 o4 k2 q20000 r-1 n0 w1 f1";
   named "quantum" "stack/treiber@opteron t2 o4 k2 q-1 r0 n0 w1 f1";
   named "quantum" "stack/treiber@opteron t2 o4 k2 q0 r0 n0 w1 f1";
@@ -159,27 +183,43 @@ let test_shrinker_reduces () =
     ((Chaos.run_trial small).Chaos.o_failures <> [])
 
 (* Every shrink step is a trial the grammar accepts: a spec aimed at the
-   last thread keeps the thread count from shrinking past it. *)
-let test_shrink_steps_parse () =
-  let module T = (val with_fake) in
-  let tr =
-    {
-      failing_trial with
-      Chaos.t_threads = 3;
-      t_plan =
-        { F.seed = 1; specs = [ F.crash ~tid:2 ~hits:1 Fp.Critical_enter ] };
-    }
-  in
+   last thread, as its [t] or as a storm victim, keeps the thread count
+   from shrinking past it. *)
+let steps_parse (type a) (module T : Chaos.TRIAL with type t = a) (tr : a) =
   let steps = T.shrink_steps tr in
   Alcotest.(check bool) "some steps" true (steps <> []);
   List.iter
     (fun st ->
       let s = T.to_string st in
       match T.of_string s with
-      | (_ : Chaos.trial) -> ()
+      | (_ : a) -> ()
       | exception Invalid_argument msg ->
           Alcotest.failf "shrink step %S does not parse: %s" s msg)
     steps
+
+let test_shrink_steps_parse () =
+  let three specs =
+    { failing_trial with Chaos.t_threads = 3; t_plan = { F.seed = 1; specs } }
+  in
+  steps_parse with_fake (three [ F.crash ~tid:2 ~hits:1 Fp.Critical_enter ]);
+  steps_parse with_fake
+    (three [ F.storm ~hits:1 ~victims:[ 2 ] 5_000 Fp.Lock_wait ])
+
+let test_kv_shrink_steps_parse () =
+  let kv specs =
+    {
+      (Chaos.Kv_trial.of_string
+         "kv/ht-optik@u4 s1 t3 o200 k128 R50 C10 w1 D4000 B16 f7")
+      with
+      Chaos.Kv_trial.kv_plan = { F.seed = 7; specs };
+    }
+  in
+  steps_parse
+    (module Chaos.Kv_trial)
+    (kv [ F.crash ~tid:2 ~hits:1 Fp.Op_boundary ]);
+  steps_parse
+    (module Chaos.Kv_trial)
+    (kv [ F.storm ~hits:1 ~victims:[ 2 ] 5_000 Fp.Op_boundary ])
 
 (* A passing trial shrinks to itself. *)
 let test_shrink_passing_identity () =
@@ -290,6 +330,8 @@ let () =
             test_shrink_passing_identity;
           Alcotest.test_case "shrink steps parse" `Quick
             test_shrink_steps_parse;
+          Alcotest.test_case "kv shrink steps parse" `Quick
+            test_kv_shrink_steps_parse;
           Alcotest.test_case "golden replay" `Quick test_golden_replay;
         ] );
       ( "harris crash residue",

@@ -190,9 +190,9 @@ let test_herlihy_noise_off_classified () =
   while !n < 8_192 do
     if S.insert t (Harness.Zipf.sample z rng0) 1 then incr n
   done;
-  Sched.set_noise false;
+  Sched.set_noise_bits 0;
   Fun.protect
-    ~finally:(fun () -> Sched.set_noise true)
+    ~finally:(fun () -> Sched.set_noise_bits 62)
     (fun () ->
       match
         Sched.run ~topology:Sim.Topology.xeon ~nthreads:40 ~ops_target:5_000

@@ -21,7 +21,9 @@ let mk_measurement ?(name = "x") ~threads ~mops () =
     events = 0;
     host_s = 0.1;
     lat =
-      Array.make Harness.Runner.n_classes Harness.Pstats.empty_summary;
+      Array.map
+        (fun _ -> Harness.Pstats.empty_summary)
+        Harness.Runner.class_names;
     lat_classes = Harness.Runner.class_names;
     counters = [];
     final_size = 0;

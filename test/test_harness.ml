@@ -247,13 +247,12 @@ let test_simulate_envelope () =
   Alcotest.(check (pair int int)) "class a: n, p50" (6, 3) (a.n, a.p50);
   Alcotest.(check (pair int int)) "class b: n, p50" (1, 7) (b.n, b.p50)
 
-(* The queue, stack and native runners share the set runner's loop, and
+(* The queue and stack runners share the set runner's loop, and
    with it the same checks, named after the runner called. *)
 let test_all_runners_reject_bad_args () =
   let module R = Harness.Runner in
   let module SB = Harness.Registry.Sim_backend in
   let topology = Tutil.uniform4 in
-  let w = R.uniform_workload ~init_size:16 ~update_pct:20 () in
   let bad msg f =
     match f () with
     | (_ : R.measurement) -> Alcotest.failf "expected Invalid_argument %S" msg
@@ -265,13 +264,7 @@ let test_all_runners_reject_bad_args () =
       R.run_queue_sim ~topology ~nthreads:2 ~ops:0 ~enqueue_pct:50 SB.q_ms_lf);
   bad "Runner.run_stack_sim: ops must be positive" (fun () ->
       R.run_stack_sim ~topology ~nthreads:2 ~ops:(-1) ~push_pct:50
-        SB.stack_treiber);
-  bad "Runner.run_set_native: threads must be positive" (fun () ->
-      R.run_set_native ~nthreads:0 ~ops_per_thread:10
-        Harness.Registry.Native.ll_harris w);
-  bad "Runner.run_queue_native: ops_per_thread must be positive" (fun () ->
-      R.run_queue_native ~nthreads:1 ~ops_per_thread:0 ~enqueue_pct:50
-        Harness.Registry.Native.q_ms_lf)
+        SB.stack_treiber)
 
 (* Every draw stays inside its shape, the same seed draws the same
    tuples, and a drawn case runs to a valid, complete measurement. *)
@@ -306,20 +299,6 @@ let test_soak_sampler () =
   let m = Soak.run c in
   Alcotest.(check bool) "complete" false (Harness.Runner.aborted m);
   Alcotest.(check bool) "valid" true m.Harness.Runner.valid
-
-let test_native_runner_works () =
-  let (module S : Harness.Registry.SET_OPS) =
-    Harness.Registry.Native.ll_harris
-  in
-  let w = Harness.Runner.uniform_workload ~init_size:32 ~update_pct:20 () in
-  let m =
-    Harness.Runner.run_set_native ~nthreads:2 ~ops_per_thread:2_000
-      (module S)
-      w
-  in
-  Alcotest.(check bool) "valid" true m.Harness.Runner.valid;
-  Alcotest.(check int) "ops" 4_000 m.Harness.Runner.ops;
-  Alcotest.(check bool) "throughput positive" true (m.Harness.Runner.mops > 0.)
 
 (* Queues and stacks share one loop: a 60-70% add mix grows them, and
    every op counts as an effective update. *)
@@ -375,7 +354,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_runner_deterministic;
           Alcotest.test_case "rejects bad arguments" `Quick
             test_runner_rejects_bad_args;
-          Alcotest.test_case "native runner" `Slow test_native_runner_works;
           Alcotest.test_case "queue and stack runners" `Quick
             test_queue_runner;
           Alcotest.test_case "every runner rejects bad arguments" `Quick
