@@ -833,7 +833,10 @@ let kv_cmd =
     | None ->
         let plan =
           match faults with
-          | Some s -> Some (Sim.Fault.of_string s)
+          | Some s ->
+              let plan = Sim.Fault.of_string s in
+              Chaos.check_targets ~threads ~stores:(2 * shards) plan;
+              Some plan
           | None when rolling > 0 ->
               let stagger =
                 if stagger > 0 then stagger else max 1 (ops / (rolling + 1))

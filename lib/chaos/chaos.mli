@@ -102,6 +102,14 @@ val fresh_world : unit -> unit
       structure's own [validate], and QSBR's
       [retired = freed + pending]. *)
 
+val check_targets : threads:int -> stores:int -> Sim.Fault.plan -> unit
+(** Rejects a plan that aims at something the run does not have: a
+    spec's thread or a storm victim outside [0 .. threads - 1], or a
+    shard fault outside [0 .. stores - 1] (a kv run's stores are its
+    primaries and replicas, [2 * shards]; a structure trial has none).
+    Raises [Invalid_argument] naming the spec, the field ([thread],
+    [victim thread], [store]) and the bound. *)
+
 (** Liveness family of a structure (§2 of the paper): what a fault plan
     is allowed to do to it. *)
 type kind = Lock_free | Blocking

@@ -50,12 +50,17 @@ module Make (Rt : RT) = struct
      instances (one per hash bucket) pays host memory only for the
      threads that touch each one. [ts] reserves all [max_threads] stamp
      lines up front (see [Rt.cells]), so line ids and access pricing are
-     those of eager allocation; a thread's retire slot appears on its
-     first retire; [stall] when the first sealed batch is checked (right
-     after the first seal) or on [declare_dead]. *)
+     those of eager allocation; [slots] starts empty and grows (doubling
+     from 8, capped at [max_threads]) on a thread's first retire; [stall]
+     appears when the first sealed batch is checked (right after the
+     first seal) or on [declare_dead]. *)
   type 'a t = {
     ts : int Rt.cells;
-    slots : 'a slot option array;
+    slots : 'a slot option array Atomic.t;
+        (** copy-on-write: a published array is never written again, and
+            a thread's first retire installs a copy holding its new slot
+            by compare-and-set, so two native domains retiring for the
+            first time cannot drop each other's slot *)
     batch_size : int;
     free_fn : 'a -> unit;
     max_threads : int;
@@ -81,7 +86,7 @@ module Make (Rt : RT) = struct
       ?(stall_obs = 0) ?(free = fun _ -> ()) () =
     {
       ts = Rt.cells max_threads 0;
-      slots = Array.make max_threads None;
+      slots = Atomic.make [||];
       batch_size;
       free_fn = free;
       max_threads;
@@ -217,18 +222,32 @@ module Make (Rt : RT) = struct
       slot.current <- [];
       slot.current_n <- 0)
 
+  let find_slot t i =
+    let a = Atomic.get t.slots in
+    if i < Array.length a then a.(i) else None
+
+  (* The calling thread's slot, installed on its first retire. *)
+  let rec slot_of t i =
+    let a = Atomic.get t.slots in
+    let len = Array.length a in
+    match if i < len then a.(i) else None with
+    | Some slot -> slot
+    | None ->
+        let rec double l = if l > i then l else double (2 * l) in
+        let a' =
+          Array.make
+            (if i < len then len else min t.max_threads (double (max 8 (2 * len))))
+            None
+        in
+        Array.blit a 0 a' 0 len;
+        let slot =
+          { current = []; current_n = 0; sealed = []; n_retired = 0; n_freed = 0 }
+        in
+        a'.(i) <- Some slot;
+        if Atomic.compare_and_set t.slots a a' then slot else slot_of t i
+
   let retire t x =
-    let i = self t in
-    let slot =
-      match t.slots.(i) with
-      | Some slot -> slot
-      | None ->
-          let slot =
-            { current = []; current_n = 0; sealed = []; n_retired = 0; n_freed = 0 }
-          in
-          t.slots.(i) <- Some slot;
-          slot
-    in
+    let slot = slot_of t (self t) in
     slot.current <- x :: slot.current;
     slot.current_n <- slot.current_n + 1;
     slot.n_retired <- slot.n_retired + 1;
@@ -238,7 +257,7 @@ module Make (Rt : RT) = struct
 
   (* Force-seal the calling thread's batch and reclaim what is safe. *)
   let flush t =
-    match t.slots.(self t) with
+    match find_slot t (self t) with
     | None -> ()
     | Some slot ->
         seal t slot;
@@ -259,5 +278,5 @@ module Make (Rt : RT) = struct
                 + List.fold_left (fun a b -> a + List.length b.items) 0 slot.sealed;
             })
       { retired = 0; freed = 0; pending = 0 }
-      t.slots
+      (Atomic.get t.slots)
 end

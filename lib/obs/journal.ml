@@ -11,6 +11,12 @@
     and they {e never} cost virtual time either way, which is what keeps
     traced and untraced runs cycle-identical.
 
+    Outside a session the journal holds no per-line state at all: the
+    allocation site of a cache line ({!with_site}) is stored on the
+    simulator's line when it is created and passed back with each
+    contention event, so an untraced process does not grow with the
+    lines it allocates.
+
     The entry buffer is an arena: {!stop} hands out a copy of the live
     prefix and keeps the backing array, so repeated record/stop cycles
     (soak sweeps, fleet trials) reallocate nothing once the buffer has
@@ -85,14 +91,13 @@ let window_index w at = min (w.nwindows - 1) (max 0 (at / w.width))
 let dummy_entry = { at = 0; tid = 0; kind = Instant ("", None) }
 
 (* Everything the journal mutates, one instance per domain: the
-   allocation-site scope and line->site table ([Probe.with_site]; the
-   mapping persists across runs because structures are built before the
-   recording starts), the recording flag, the growable entry buffer, and
-   the per-line contention stats. A fresh domain starts with a pristine
-   journal, so fleet worker domains record independently. *)
+   allocation-site scope ([Probe.with_site]; no line->site table — the
+   site travels on the simulator's line), the recording flag, the
+   growable entry buffer, and the per-line contention stats. A fresh
+   domain starts with a pristine journal, so fleet worker domains record
+   independently. *)
 type jstate = {
   mutable j_site : string option;
-  j_sites : (int, string) Hashtbl.t;
   mutable j_recording : bool;
   mutable j_buf : entry array;
   mutable j_len : int;
@@ -106,7 +111,6 @@ let jkey : jstate Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         j_site = None;
-        j_sites = Hashtbl.create 256;
         j_recording = false;
         j_buf = [||];
         j_len = 0;
@@ -126,12 +130,6 @@ let with_site site f =
   Fun.protect ~finally:(fun () -> j.j_site <- saved) f
 
 let current_site () = (jstate ()).j_site
-
-let note_site id = function
-  | None -> ()
-  | Some site -> Hashtbl.replace (jstate ()).j_sites id site
-
-let note_line id = note_site id (current_site ())
 
 (* ------------------------------------------------------------------ *)
 (* The recorder                                                        *)
@@ -163,14 +161,14 @@ let emit ~at ~tid kind =
   let j = jstate () in
   if j.j_recording then push j { at; tid; kind }
 
-let stat_of j id =
+let stat_of j ~site id =
   match Hashtbl.find_opt j.j_lines id with
   | Some s -> s
   | None ->
       let s =
         {
           ls_id = id;
-          ls_site = Hashtbl.find_opt j.j_sites id;
+          ls_site = site;
           ls_transfers = 0;
           ls_cas_fails = 0;
           ls_bounces = 0;
@@ -181,21 +179,22 @@ let stat_of j id =
       s
 
 (* The [on_*] accounting hooks are recording-gated at the caller (the
-   scheduler's cost model), so they can assume an active session. *)
-let on_transfer id =
-  let s = stat_of (jstate ()) id in
+   scheduler's cost model), so they can assume an active session. [site]
+   is the line's allocation site, carried on the simulator's line. *)
+let on_transfer ~site id =
+  let s = stat_of (jstate ()) ~site id in
   s.ls_transfers <- s.ls_transfers + 1
 
-let on_cas_fail id =
-  let s = stat_of (jstate ()) id in
+let on_cas_fail ~site id =
+  let s = stat_of (jstate ()) ~site id in
   s.ls_cas_fails <- s.ls_cas_fails + 1
 
-let on_bounce id =
-  let s = stat_of (jstate ()) id in
+let on_bounce ~site id =
+  let s = stat_of (jstate ()) ~site id in
   s.ls_bounces <- s.ls_bounces + 1
 
-let on_stall id =
-  let s = stat_of (jstate ()) id in
+let on_stall ~site id =
+  let s = stat_of (jstate ()) ~site id in
   s.ls_stalls <- s.ls_stalls + 1
 
 let start () =
@@ -224,13 +223,11 @@ let stop () =
 (* World reset                                                         *)
 
 (* Back to process-pristine state: any in-flight recording is abandoned,
-   the site table (which deliberately survives ordinary sessions) is
-   emptied, and the entry arena is released. Part of the fleet runner's
-   per-trial reset. *)
+   the site scope is left, and the entry arena is released. Part of the
+   fleet runner's per-trial reset. *)
 let reset_world () =
   let j = jstate () in
   j.j_site <- None;
-  Hashtbl.reset j.j_sites;
   j.j_recording <- false;
   j.j_buf <- [||];
   j.j_len <- 0;

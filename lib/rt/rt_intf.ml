@@ -182,18 +182,22 @@ module type RT = sig
       cache line, as [n] calls of {!atomic} would give. On the simulator
       the [n] line ids are reserved at once and the active
       {!PROBE.with_site} site is remembered, but a cell's line is only
-      built when {!cell} first touches it: a structure that sizes a block
-      for every possible thread pays host memory only for the threads
-      that use it, while line ids — hence stall reports and golden
-      digests — and access pricing stay what eager creation gives (an
-      untouched line is cold either way). Like any location, a block
+      built when {!cell} first touches it, and the block's own array
+      starts empty and doubles (from 8, capped at [n]) when a touch lands
+      past its end: a structure that sizes a block for every possible
+      thread pays host memory only up to the highest thread that uses
+      it, while line ids — hence stall reports and golden digests — and
+      access pricing stay what eager creation gives (an untouched line
+      is cold either way). Like any location, a block
       reserved before [Sched.reset_world] must not be touched after it:
       its reserved ids would collide with new ones. The native backend
       allocates every cell eagerly, so concurrent first touches cannot
       race. Raises [Invalid_argument] if [n < 0]. *)
 
   val cell : 'a cells -> int -> 'a atomic
-  (** [cell c i] is the [i]-th cell of [c], [0 <= i < n]. *)
+  (** [cell c i] is the [i]-th cell of [c], [0 <= i < n]. On the
+      simulator an [i] outside that range raises [Invalid_argument]
+      naming [Sched.cell], [i] and [n]. *)
 
   val get : 'a atomic -> 'a
   (** Atomic load with acquire semantics. *)

@@ -75,6 +75,9 @@ type line = {
       (** packed/contiguous data (arrays): cached reads cost ~1 cycle —
           independent loads pipeline — whereas pointer-chasing reads pay
           the full L1 load-to-use latency *)
+  site : string option;
+      (** allocating structure/field ([Probe.with_site] scope at
+          creation), for hot-line profiles *)
 }
 
 type 'a loc = { mutable v : 'a; line : line }
@@ -180,6 +183,7 @@ let dummy_line =
     busy_until = 0;
     stalls = 0;
     streaming = false;
+    site = None;
   }
 
 (* Everything the simulator mutates between and during runs, one record
@@ -244,7 +248,7 @@ let dispatching d th f () =
 (* ------------------------------------------------------------------ *)
 (* Locations                                                           *)
 
-let make_line d id ~streaming =
+let make_line d id ~streaming ~site =
   {
     id;
     epoch = d.d_epoch;
@@ -254,15 +258,15 @@ let make_line d id ~streaming =
     busy_until = 0;
     stalls = 0;
     streaming;
+    site;
   }
 
+(* The line carries the allocation site named by the innermost
+   [Probe.with_site] scope, if any (hot-line profiles). *)
 let new_line d ~streaming =
   let id = d.d_lines + 1 in
   d.d_lines <- id;
-  (* Attribute the line to the allocation site named by the innermost
-     [Probe.with_site] scope, if any (hot-line profiles). *)
-  Obs.Journal.note_line id;
-  make_line d id ~streaming
+  make_line d id ~streaming ~site:(Obs.Journal.current_site ())
 
 let fresh_line ?(streaming = false) () = new_line (dstate ()) ~streaming
 
@@ -271,16 +275,19 @@ let loc v = { v; line = fresh_line () }
 (* A block of [n] cells whose line ids are reserved up front but whose
    lines are built on first touch. Reserving keeps the id sequence (and
    so every later line id, stall report and digest) exactly what [n]
-   eager [loc]s would give; deferring the build keeps untouched cells
-   to one array word each. A line built late is fresh — writer -1, no
-   sharers — which is exactly the state [refresh] gives a line created
-   in an earlier run, so its first access is priced the same. Unbuilt
-   slots hold [c_unbuilt], recognised by its [dummy_line]. *)
+   eager [loc]s would give; deferring the build keeps an untouched block
+   to a few words, however large [n] is: [c_locs] starts empty and
+   doubles (from 8, capped at [n]) when a touch lands past its end. A
+   line built late is fresh — writer -1, no sharers — which is exactly
+   the state [refresh] gives a line created in an earlier run, so its
+   first access is priced the same. Unbuilt slots hold [c_unbuilt],
+   recognised by its [dummy_line]. *)
 type 'a cells = {
   c_base : int;  (** line id of cell [i] is [c_base + i + 1] *)
+  c_n : int;  (** the block's size; [c_locs] may be shorter *)
   c_site : string option;  (** [with_site] scope active at reservation *)
   c_unbuilt : 'a loc;
-  c_locs : 'a loc array;
+  mutable c_locs : 'a loc array;
 }
 
 let cells n v =
@@ -288,23 +295,33 @@ let cells n v =
   let d = dstate () in
   let base = d.d_lines in
   d.d_lines <- base + n;
-  let unbuilt = { v; line = dummy_line } in
   {
     c_base = base;
+    c_n = n;
     c_site = Obs.Journal.current_site ();
-    c_unbuilt = unbuilt;
-    c_locs = Array.make n unbuilt;
+    c_unbuilt = { v; line = dummy_line };
+    c_locs = [||];
   }
 
+let grow_cells c i =
+  let rec size len = if len > i then len else size (2 * len) in
+  let len = min c.c_n (size (max 8 (2 * Array.length c.c_locs))) in
+  let locs = Array.make len c.c_unbuilt in
+  Array.blit c.c_locs 0 locs 0 (Array.length c.c_locs);
+  c.c_locs <- locs
+
 let cell c i =
+  if i < 0 || i >= c.c_n then
+    invalid_arg
+      (Printf.sprintf "Sched.cell: index %d is out of range (n = %d)" i c.c_n);
+  if i >= Array.length c.c_locs then grow_cells c i;
   let l = c.c_locs.(i) in
   if l.line != dummy_line then l
   else begin
-    let id = c.c_base + i + 1 in
-    Obs.Journal.note_site id c.c_site;
-    let l =
-      { v = c.c_unbuilt.v; line = make_line (dstate ()) id ~streaming:false }
+    let line =
+      make_line (dstate ()) (c.c_base + i + 1) ~streaming:false ~site:c.c_site
     in
+    let l = { v = c.c_unbuilt.v; line } in
     c.c_locs.(i) <- l;
     l
   end
@@ -435,7 +452,7 @@ let apply_read th line =
     if
       Obs.Journal.recording ()
       && (line.exclusive || line.sharers land (1 lsl me) = 0)
-    then Obs.Journal.on_transfer line.id;
+    then Obs.Journal.on_transfer ~site:line.site line.id;
     (* A read of a modified line downgrades it to shared. *)
     if line.exclusive && line.writer >= 0 then
       line.sharers <- line.sharers lor (1 lsl line.writer);
@@ -468,9 +485,9 @@ let apply_own th line =
   (if Obs.Journal.recording () then
      let mine = line.exclusive && line.writer = th.ctx in
      if not mine then begin
-       Obs.Journal.on_transfer line.id;
+       Obs.Journal.on_transfer ~site:line.site line.id;
        if line.writer >= 0 && line.writer <> th.ctx then
-         Obs.Journal.on_bounce line.id
+         Obs.Journal.on_bounce ~site:line.site line.id
      end);
   line.exclusive <- true;
   line.writer <- th.ctx;
@@ -496,7 +513,8 @@ let exec_line s th (l : line) cost ~serialize =
       if serialize then begin
         if l.stalls = 0 then s.hot_rev <- l :: s.hot_rev;
         l.stalls <- l.stalls + 1;
-        if Obs.Journal.recording () then Obs.Journal.on_stall l.id
+        if Obs.Journal.recording () then
+          Obs.Journal.on_stall ~site:l.site l.id
       end;
       l.busy_until
     end
@@ -642,7 +660,8 @@ let cas (l : 'a loc) (expected : 'a) (desired : 'a) : bool =
             true)
           else (
             s.n_cas_failed <- s.n_cas_failed + 1;
-            if Obs.Journal.recording () then Obs.Journal.on_cas_fail line.id;
+            if Obs.Journal.recording () then
+              Obs.Journal.on_cas_fail ~site:line.site line.id;
             false)
         end
         else
@@ -656,7 +675,7 @@ let cas (l : 'a loc) (expected : 'a) (desired : 'a) : bool =
               else (
                 s.n_cas_failed <- s.n_cas_failed + 1;
                 if Obs.Journal.recording () then
-                  Obs.Journal.on_cas_fail line.id;
+                  Obs.Journal.on_cas_fail ~site:line.site line.id;
                 false))
       in
       fault_point Fp.After_cas;

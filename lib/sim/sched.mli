@@ -48,13 +48,16 @@ type 'a cells
 val cells : int -> 'a -> 'a cells
 (** [cells n v] reserves [n] consecutive line ids now — the ids [n]
     calls of [loc v] would take — and remembers the active
-    [Probe.with_site] site. Raises [Invalid_argument] if [n < 0]. *)
+    [Probe.with_site] site, but builds no cell: the block's array starts
+    empty and doubles (from 8, capped at [n]) when {!cell} touches an
+    index past its end. Raises [Invalid_argument] if [n < 0]. *)
 
 val cell : 'a cells -> int -> 'a loc
 (** [cell c i] is cell [i] of [c], holding [v] on line [base + i + 1]
-    when first touched. Its first access is priced exactly like that of
-    an eagerly created cell (both are cold). Raises [Invalid_argument]
-    if [i] is out of bounds. *)
+    and attributed to the reserved site when first touched. Its first
+    access is priced exactly like that of an eagerly created cell (both
+    are cold). Raises [Invalid_argument "Sched.cell: index i is out of
+    range (n = n)"] unless [0 <= i < n]. *)
 
 val fresh_group : unit -> int
 (** A fresh packing-group id (distinct from {!Rt.Group.fresh}'s space;

@@ -109,6 +109,76 @@ let test_pstats_wrap_percentiles () =
     (float_of_int (500 + 1 + cap + 500) /. 2.)
     s.Harness.Pstats.mean
 
+(* [summarize] against a reference that keeps each collector's last
+   [capacity] samples, sorts them with [Array.sort compare] and applies
+   the same percentile ranks. The sample mixes cover the radix sort's
+   edges: empty and singleton collectors, all-equal samples (no pass),
+   negatives, heavy duplicates, wrap-around past the 16K window, values
+   near [min_int]/[max_int], and ranges overflowing [int] (the
+   [Array.sort] fallback). *)
+let reference_summary (lists : int list list) : Harness.Pstats.summary =
+  let cap = Harness.Pstats.capacity in
+  let retained l =
+    let n = List.length l in
+    List.filteri (fun i _ -> i >= n - cap) l
+  in
+  let all = Array.of_list (List.concat_map retained lists) in
+  let total = Array.length all in
+  if total = 0 then Harness.Pstats.empty_summary
+  else begin
+    Array.sort compare all;
+    let pct p = all.(int_of_float (p *. float_of_int (total - 1))) in
+    let pct_hi p =
+      let r = int_of_float (Float.ceil (p *. float_of_int total)) - 1 in
+      all.(min (total - 1) (max 0 r))
+    in
+    {
+      Harness.Pstats.n = total;
+      p05 = pct 0.05;
+      p25 = pct 0.25;
+      p50 = pct 0.50;
+      p75 = pct 0.75;
+      p95 = pct 0.95;
+      p99 = pct_hi 0.99;
+      p999 = pct_hi 0.999;
+      mean =
+        float_of_int (Array.fold_left ( + ) 0 all) /. float_of_int total;
+    }
+  end
+
+let qcheck_pstats_matches_reference =
+  let open QCheck2.Gen in
+  let samples =
+    [
+      int_range (-1_000) 1_000;
+      int_bound 3;
+      pure 42;
+      map (fun d -> max_int - d) (int_bound 5_000);
+      map (fun d -> min_int + d) (int_bound 5_000);
+      oneofl [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ];
+      int;
+    ]
+  in
+  (* one distribution per collector, so all-equal and near-extreme
+     collectors occur whole rather than diluted *)
+  let collector =
+    let* len = frequency [ (6, int_range 0 300); (1, int_range 16_385 20_000) ] in
+    let* sample = oneofl samples in
+    list_repeat len sample
+  in
+  Tutil.qcheck_case ~count:150 "summarize = Array.sort reference"
+    (list_size (int_range 0 4) collector)
+    (fun lists ->
+      let ts =
+        List.map
+          (fun l ->
+            let t = Harness.Pstats.create () in
+            List.iter (Harness.Pstats.record t) l;
+            t)
+          lists
+      in
+      Harness.Pstats.summarize ts = reference_summary lists)
+
 (* Tail percentiles use the ceiling nearest-rank rule, so a sparse
    latency class — a handful of timeouts, say — reports its maximum as
    p999 instead of interpolating below any observed sample. *)
@@ -346,6 +416,7 @@ let () =
           Alcotest.test_case "wrap percentiles" `Quick
             test_pstats_wrap_percentiles;
           Alcotest.test_case "merge" `Quick test_pstats_merge;
+          qcheck_pstats_matches_reference;
         ] );
       ( "runners",
         [

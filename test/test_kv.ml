@@ -418,8 +418,10 @@ let test_report_section () =
 (* Allocation gate: building the stores is host work every run repeats.
    [Kv.create]'s minor + major words at the kv-zipf benchmark config
    (24k requests, 1000-cycle client gap, no bursts) are deterministic;
-   QSBR building its per-thread state on first use keeps them about 3M,
-   where eager state took about 25M. *)
+   QSBR building its per-thread state on first use, and sizing its
+   retire slots and stamp cells only as far as a thread touches them,
+   keeps them about 0.83M, where eager state took about 25M and
+   full-size 128-entry arrays about 3M. *)
 
 let zipf_cfg =
   {
@@ -435,7 +437,7 @@ let create_words cfg =
 
 let test_create_allocation () =
   let words = create_words zipf_cfg in
-  let limit = 4_000_000 in
+  let limit = 1_200_000 in
   if words > limit then
     Alcotest.failf
       "Kv.create at kv-zipf (%s, %d shards, %d ops, gap %d, burst_every %d) \
@@ -443,6 +445,26 @@ let test_create_allocation () =
       zipf_cfg.Kv.rep zipf_cfg.Kv.nshards zipf_cfg.Kv.ops
       zipf_cfg.Kv.workload.Kv.gap zipf_cfg.Kv.workload.Kv.burst_every words
       limit
+
+(* Repeated same-seed runs in one domain keep the live heap flat:
+   nothing a run builds may outlive it. Line allocation sites travel on
+   the simulator's lines, so even an untraced run leaves no per-line
+   entry behind in the journal. *)
+let test_repeated_runs_hold_no_heap () =
+  let cfg = { Kv.default_config with Kv.ops = 2000; seed = 7 } in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  ignore (Sys.opaque_identity (Kv.run cfg));
+  let base = live_words () in
+  for _ = 1 to 5 do
+    ignore (Sys.opaque_identity (Kv.run cfg))
+  done;
+  let after = live_words () in
+  if 10 * after >= 11 * base then
+    Alcotest.failf "live heap grew from %d to %d words over five more runs"
+      base after
 
 let () =
   Alcotest.run "kv"
@@ -497,5 +519,7 @@ let () =
         [
           Alcotest.test_case "store creation under its gate" `Quick
             test_create_allocation;
+          Alcotest.test_case "repeated runs hold no heap" `Quick
+            test_repeated_runs_hold_no_heap;
         ] );
     ]

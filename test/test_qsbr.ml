@@ -267,18 +267,25 @@ let test_lazy_stamps_priced_as_eager () =
     [ st.Sim.Sched.wall_cycles; st.Sim.Sched.reads; st.Sim.Sched.writes; st.Sim.Sched.events ]
 
 (* Reserving a block takes the same line ids eager creation did, so
-   every location created after it keeps its id, and a stamp line built
-   late still carries the site that was active at reservation. *)
+   every location created after it keeps its id, and a line built late
+   still carries the site that was active at reservation — also when a
+   block's cells are touched out of order, high index first, so that its
+   lazily sized array grows past the touched index at once. *)
 let test_cells_keep_line_ids () =
   let site s f = Sim.Sim_rt.Probe.with_site s f in
   let before = site "test.before" (fun () -> Sim.Sched.loc 0) in
   let q : int QS.t = site "test.qsbr" (fun () -> QS.create ()) in
   let after = site "test.after" (fun () -> Sim.Sched.loc 0) in
+  let n = 40 in
+  let c = site "test.cells" (fun () -> Sim.Sched.cells n 0) in
   Obs.Journal.start ();
   ignore
     (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:2 (fun tid ->
          ignore (Sim.Sched.read before);
          ignore (Sim.Sched.read after);
+         if tid = 0 then (
+           Sim.Sched.write (Sim.Sched.cell c (n - 1)) 1;
+           Sim.Sched.write (Sim.Sched.cell c 3) 1);
          if tid = 1 then (
            QS.op_begin q;
            QS.op_end q)));
@@ -287,16 +294,65 @@ let test_cells_keep_line_ids () =
     |> List.map (fun (l : Obs.Journal.line_stat) -> (l.ls_id, l.ls_site))
   in
   match lines with
-  | [ (b, _); _; _ ] ->
+  | [ (b, _); _; _; _; _ ] ->
+      let cells = b + 1 + 128 in
       Alcotest.(check (list (pair int (option string))))
         "ids and sites as eager allocation gives them"
         [
           (b, Some "test.before");
           (b + 2, Some "test.qsbr");
           (b + 1 + 128, Some "test.after");
+          (cells + 3 + 1, Some "test.cells");
+          (cells + n, Some "test.cells");
         ]
         lines
-  | _ -> Alcotest.failf "expected 3 touched lines, got %d" (List.length lines)
+  | _ -> Alcotest.failf "expected 5 touched lines, got %d" (List.length lines)
+
+(* A cell index outside the block gets a named error, not the stdlib's
+   bare "index out of bounds". *)
+let test_cell_range_named () =
+  let c = Sim.Sched.cells 16 0 in
+  List.iter
+    (fun i ->
+      match Sim.Sched.cell c i with
+      | _ -> Alcotest.failf "cell %d of 16 must fail" i
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "names the index and the count"
+            (Printf.sprintf "Sched.cell: index %d is out of range (n = 16)" i)
+            msg)
+    [ 16; -1; 1_000 ];
+  Alcotest.(check int) "cell 15 of 16 holds its value" 0
+    (Sim.Sched.read (Sim.Sched.cell c 15))
+
+(* A high thread id is the first to use a fresh instance: its retire
+   slot grows the slot array past it at once, a lower id then slots in
+   below it, and [flush] from a thread with no slot does nothing. *)
+let test_high_tid_first () =
+  let q = Q.create ~batch_size:2 () in
+  let as_tid tid f =
+    Rt.Native_rt.set_tid tid;
+    Fun.protect ~finally:(fun () -> Rt.Native_rt.set_tid 0) f
+  in
+  let stats () =
+    let st = Q.stats q in
+    [ st.Q.retired; st.Q.freed; st.Q.pending ]
+  in
+  as_tid 7 (fun () -> Q.flush q);
+  Alcotest.(check (list int)) "flush with no slot is a no-op" [ 0; 0; 0 ]
+    (stats ());
+  let retire_three base =
+    Q.op_begin q;
+    List.iter (fun i -> Q.retire q (base + i)) [ 1; 2; 3 ];
+    Q.op_end q;
+    Q.flush q
+  in
+  as_tid 100 (fun () -> retire_three 100);
+  Alcotest.(check (list int)) "tid 100 retires, flushes, drains" [ 3; 3; 0 ]
+    (stats ());
+  as_tid 3 (fun () -> retire_three 3);
+  Alcotest.(check (list int)) "tid 3 joins below it" [ 6; 6; 0 ] (stats ());
+  as_tid 7 (fun () -> Q.flush q);
+  Alcotest.(check (list int)) "still a no-op for tid 7" [ 6; 6; 0 ] (stats ())
 
 let qcheck_retire_counts =
   Tutil.qcheck_case ~count:100 "retired = freed + pending"
@@ -346,6 +402,8 @@ let () =
             test_lazy_stamps_priced_as_eager;
           Alcotest.test_case "line ids and sites kept" `Quick
             test_cells_keep_line_ids;
+          Alcotest.test_case "cell range named" `Quick test_cell_range_named;
+          Alcotest.test_case "high tid first" `Quick test_high_tid_first;
         ] );
       ( "grace periods",
         [ Alcotest.test_case "straddling reader" `Quick test_grace_period_sim ]
