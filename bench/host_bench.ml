@@ -133,7 +133,7 @@ let specs =
       s_run =
         (fun () ->
           let topology = Sim.Topology.uniform ~n:4 () in
-          let group = Sim.Sched.fresh_group () in
+          let group = Rt.Group.fresh () in
           let locs =
             Array.init 64 (fun _ -> Sim.Sched.loc_packed ~group 0)
           in

@@ -12,6 +12,7 @@
 module type RT = Rt.Rt_intf.RT
 
 module Backoff = Rt.Backoff
+module Group = Rt.Group
 
 let default_capacity = 64
 
@@ -33,7 +34,7 @@ module Lock_based (Rt : RT) = struct
   let name = "map-mcs"
 
   let create ?(capacity = default_capacity) () =
-    let group0 = Sim_group.fresh () in
+    let group0 = Group.fresh () in
     {
       keys =
         Array.init capacity (fun i ->
@@ -158,7 +159,7 @@ module Optik_based_gen (Rt : RT) (O : Optik.MAKER) = struct
   let restarts = Rt.Probe.counter "map-optik.restarts"
 
   let create ?(capacity = default_capacity) ?(eager_search = false) () =
-    let group0 = Sim_group.fresh () in
+    let group0 = Group.fresh () in
     {
       keys =
         Array.init capacity (fun i ->

@@ -185,7 +185,7 @@ let fig5_point impl ~topology ~nthreads ~ops =
         (* TTAS flag and version share a cache line (8 bytes in the
            paper's C implementation). Locks.Ttas.t is transparently a
            bool atomic, so a packed location works directly. *)
-        let g = Sched.fresh_group () in
+        let g = Rt.Group.fresh () in
         let l : F5_ttas.t = Sim.Sched.loc_packed ~group:g false in
         let version = Sim.Sched.loc_packed ~group:g 0 in
         fun () ->

@@ -186,30 +186,6 @@ let stack_instance (module St : Registry.STACK_OPS) ~seed ~init ~push_pct =
    --trace exports as samples and in counter dumps via [buckets]. *)
 let op_cycles = Sim.Sim_rt.Probe.histogram "runner.op-cycles"
 
-(* When [Timeout] predates the structured reports (or the abort happened
-   before a report was built), synthesize an empty one so [Aborted] always
-   carries something printable. *)
-let synthetic_report reason : Sim.Sched.report =
-  {
-    Sim.Sched.r_verdict = Sim.Sched.Progress;
-    r_reason = reason;
-    r_stats =
-      {
-        Sim.Sched.wall_cycles = 0;
-        ops = 0;
-        reads = 0;
-        writes = 0;
-        cas = 0;
-        cas_failed = 0;
-        faa = 0;
-        events = 0;
-      };
-    r_threads = [];
-    r_dead_holders = [];
-    r_waiters = [];
-    r_hot_lines = [];
-  }
-
 (* Run a simulation to a structured ([stats], [outcome]) pair: watchdog
    verdicts and budget exhaustion become [Aborted] with partial stats,
    never an escaped exception. [faults] installs a fault plan for the
@@ -228,14 +204,7 @@ let run_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
   in
   match go () with
   | st -> (st, Complete)
-  | exception Sim.Sched.Stalled r -> (r.Sim.Sched.r_stats, Aborted r)
-  | exception Sim.Sched.Timeout msg ->
-      let r =
-        match Sim.Sched.last_abort_report () with
-        | Some r -> r
-        | None -> synthetic_report msg
-      in
-      (r.Sim.Sched.r_stats, Aborted r)
+  | exception Sim.Sched.Aborted r -> (r.Sim.Sched.r_stats, Aborted r)
 
 (* The one simulated-run envelope. The caller has built and filled its
    structure; from here on probe counters count the measured window only.

@@ -1,8 +1,8 @@
 (** Open-addressing int-keyed table, used for the packing-group -> cache
     line mapping ({!Sched.loc_packed}).
 
-    The keys are sparse machine integers: [Rt.Group.fresh] hands out
-    positive multiples of 2{^16} and [Sched.fresh_group] negative ids, so
+    The keys are sparse machine integers — [Rt.Group.fresh] hands out
+    positive multiples of 2{^16}, and callers add small line offsets — so
     a plain array cannot index them, and the previous [Hashtbl] paid a
     boxed bucket list per group. Here each slot is two unboxed words
     (key, value index) probed linearly after a multiplicative hash —
@@ -21,8 +21,8 @@ type 'a t = {
   dummy : 'a;  (** fills free value slots, so cleared entries don't leak *)
 }
 
-(* [min_int] is unreachable as a group id: positive strides and small
-   negative counters never get there. *)
+(* [min_int] is unreachable as a group id: positive strides plus small
+   offsets never get there. *)
 let empty_key = min_int
 
 let create ?(capacity = 64) ~dummy () =

@@ -38,15 +38,13 @@
     no per-thread or per-event churn.
 
     {b Isolation.} All of the simulator's mutable world state — current
-    scheduler/thread, the line and group counters, the packed-line table,
+    scheduler/thread, the line counter, the packed-line table,
     the fault hook, noise width, the arena and the event heap — lives in
     one domain-local instance ({!dstate}). Each OCaml domain therefore
     carries an independent simulator: a fleet runner can farm seeded
     trials across real domains and each behaves exactly like a fresh
     process, which is what keeps fleet output byte-identical to serial
     output. *)
-
-exception Timeout of string
 
 exception Crashed
 (* Raised at a fault checkpoint to kill the current virtual thread. The
@@ -56,8 +54,8 @@ exception Crashed
 
 exception Budget of string
 (* Internal marker: a budget was exhausted mid-operation. The run loop
-   catches it, classifies the run's liveness, and re-raises as either
-   [Timeout] (threads were progressing) or [Stalled] (they were not). *)
+   catches it, classifies the run's liveness, and re-raises it as
+   [Aborted] with that verdict. *)
 
 module Fp = Rt.Rt_intf
 
@@ -198,7 +196,6 @@ type dstate = {
   mutable d_epoch : int;
       (** world epoch, bumped per run; lines from older epochs are cold *)
   mutable d_lines : int;  (** line-id counter *)
-  mutable d_groups : int;  (** {!fresh_group} counter (negative ids) *)
   d_packed : line Itbl.t;  (** packing group -> shared line *)
   mutable d_hook : (Fp.fault_point -> unit) option;
   mutable d_noise : int;  (** noise width in bits; 62 = full, 0 = off *)
@@ -216,7 +213,6 @@ let dkey : dstate Domain.DLS.key =
         d_thread = None;
         d_epoch = 0;
         d_lines = 0;
-        d_groups = 0;
         d_packed = Itbl.create ~dummy:dummy_line ();
         d_hook = None;
         d_noise = 62;
@@ -226,8 +222,12 @@ let dkey : dstate Domain.DLS.key =
 
 let[@inline] dstate () = Domain.DLS.get dkey
 
-type _ Effect.t +=
-  | Suspend : (thread -> ('a, unit) Effect.Deep.continuation -> unit) -> 'a Effect.t
+(* The one slow path: [Suspend (at, resume)] parks the calling thread
+   until virtual time [at]. The run loop's handler queues an event at
+   [at]; popping it moves the thread to its next scheduling window, runs
+   [resume] (which executes the access or work against the state of that
+   moment) and continues the thread. *)
+type _ Effect.t += Suspend : int * (unit -> unit) -> unit Effect.t
 
 (* Run [f] with [th] installed as the current virtual thread. Every event
    action is wrapped in this: thread code (resumed continuations) must see
@@ -346,11 +346,6 @@ let loc_packed ?(streaming = false) ~group v =
   in
   { v; line }
 
-let fresh_group () =
-  let d = dstate () in
-  d.d_groups <- d.d_groups - 1;
-  d.d_groups
-
 (* Reset stale coherence state when a line created in an earlier run is
    touched again: it is cold in every cache. *)
 let refresh (s : t) (line : line) =
@@ -429,6 +424,13 @@ let window_ready th s t =
 
 let window_end_of th s t =
   if th.residents <= 1 then max_int else (((t / s.quantum) + 1) * s.quantum)
+
+(* Resume [th] at virtual time [at], moved to the start of its next
+   scheduling window. *)
+let wake s th at =
+  let ready = window_ready th s at in
+  th.clock <- ready;
+  th.window_end <- window_end_of th s ready
 
 (* ------------------------------------------------------------------ *)
 (* Cost model                                                          *)
@@ -569,73 +571,63 @@ let[@inline] can_inline_work s th cost =
   let bound = Eheap.min_time s.q in
   bound = max_int || fin <= bound + s.read_slack
 
-(* Slow path: suspend the thread; the scheduler pops the event, re-prices
-   the operation (line state may have changed) and resumes. The closures
-   this allocates only exist on the suspension path, which allocates a
-   heap event and an effect continuation anyway. *)
-let suspend_op (type a) d s (price : t -> thread -> line option * int * bool)
-    (sem : unit -> a) : a =
-  Effect.perform
-    (Suspend
-       (fun th k ->
-         Eheap.push s.q th.clock
-           (dispatching d th (fun () ->
-                let ready = window_ready th s th.clock in
-                th.clock <- ready;
-                th.window_end <- window_end_of th s ready;
-                let line, cost, serialize = price s th in
-                (match line with
-                | Some l -> exec_line s th l cost ~serialize
-                | None -> exec_work s th cost);
-                Effect.Deep.continue k (sem ())))))
-
 (* ------------------------------------------------------------------ *)
 (* Public memory operations                                            *)
 
+(* One shared access by [th], in four steps: refresh the line, price it,
+   execute it inline when the fast path admits it or else suspend until
+   the scheduler pops the thread's event (which re-prices the access
+   against the line state of that moment before executing it), then
+   apply the coherence transition. The caller bumps its counter and runs
+   its semantic action after [access] returns: on the slow path that is
+   still inside the popped event, before any other thread runs. The
+   [Suspend] closure is built only on the slow path, which allocates a
+   heap event and a continuation anyway; the inline path allocates
+   nothing. *)
+type access = Read | Store | Rmw
+
+let[@inline] price s th line = function
+  | Read -> read_cost s th line
+  | Store -> own_cost s th line ~rmw:false
+  | Rmw -> own_cost s th line ~rmw:true
+
+let access s th line kind =
+  refresh s line;
+  let serialize = match kind with Read -> false | Store | Rmw -> true in
+  let cost = price s th line kind in
+  if can_inline_line s th line cost ~serialize then
+    exec_line s th line cost ~serialize
+  else
+    Effect.perform
+      (Suspend
+         ( th.clock,
+           fun () -> exec_line s th line (price s th line kind) ~serialize ));
+  match kind with Read -> apply_read th line | Store | Rmw -> apply_own th line
+
+let[@inline] sched d = match d.d_sched with Some s -> s | None -> assert false
+
 let read (l : 'a loc) : 'a =
   let d = dstate () in
-  match d.d_thread with
-  | None -> l.v
+  (match d.d_thread with
+  | None -> ()
   | Some th ->
-      let s = match d.d_sched with Some s -> s | None -> assert false in
-      let line = l.line in
-      refresh s line;
+      let s = sched d in
       s.n_reads <- s.n_reads + 1;
-      let cost = read_cost s th line in
-      if can_inline_line s th line cost ~serialize:false then begin
-        exec_line s th line cost ~serialize:false;
-        apply_read th line;
-        l.v
-      end
-      else
-        suspend_op d s
-          (fun s th -> (Some line, read_cost s th line, false))
-          (fun () ->
-            apply_read th line;
-            l.v)
+      access s th l.line Read);
+  l.v
 
 let write (l : 'a loc) (v : 'a) : unit =
   let d = dstate () in
-  match d.d_thread with
-  | None -> l.v <- v
+  (match d.d_thread with
+  | None -> ()
   | Some th ->
-      let s = match d.d_sched with Some s -> s | None -> assert false in
-      let line = l.line in
-      refresh s line;
+      let s = sched d in
       s.n_writes <- s.n_writes + 1;
-      let cost = own_cost s th line ~rmw:false in
-      if can_inline_line s th line cost ~serialize:true then begin
-        exec_line s th line cost ~serialize:true;
-        apply_own th line;
-        l.v <- v
-      end
-      else
-        suspend_op d s
-          (fun s th -> (Some line, own_cost s th line ~rmw:false, true))
-          (fun () ->
-            apply_own th line;
-            l.v <- v)
+      access s th l.line Store);
+  l.v <- v
 
+(* Unlike the other operations, a CAS inside a run also reports its
+   checkpoints and accounts a failure, so its two paths stay apart. *)
 let cas (l : 'a loc) (expected : 'a) (desired : 'a) : bool =
   let d = dstate () in
   match d.d_thread with
@@ -645,99 +637,43 @@ let cas (l : 'a loc) (expected : 'a) (desired : 'a) : bool =
         true)
       else false
   | Some th ->
-      let s = match d.d_sched with Some s -> s | None -> assert false in
+      let s = sched d in
       fault_point Fp.Before_cas;
-      let line = l.line in
-      refresh s line;
       s.n_cas <- s.n_cas + 1;
-      let cost = own_cost s th line ~rmw:true in
-      let ok =
-        if can_inline_line s th line cost ~serialize:true then begin
-          exec_line s th line cost ~serialize:true;
-          apply_own th line;
-          if l.v == expected then (
-            l.v <- desired;
-            true)
-          else (
-            s.n_cas_failed <- s.n_cas_failed + 1;
-            if Obs.Journal.recording () then
-              Obs.Journal.on_cas_fail ~site:line.site line.id;
-            false)
-        end
-        else
-          suspend_op d s
-            (fun s th -> (Some line, own_cost s th line ~rmw:true, true))
-            (fun () ->
-              apply_own th line;
-              if l.v == expected then (
-                l.v <- desired;
-                true)
-              else (
-                s.n_cas_failed <- s.n_cas_failed + 1;
-                if Obs.Journal.recording () then
-                  Obs.Journal.on_cas_fail ~site:line.site line.id;
-                false))
-      in
+      access s th l.line Rmw;
+      let ok = l.v == expected in
+      if ok then l.v <- desired
+      else begin
+        s.n_cas_failed <- s.n_cas_failed + 1;
+        if Obs.Journal.recording () then
+          Obs.Journal.on_cas_fail ~site:l.line.site l.line.id
+      end;
       fault_point Fp.After_cas;
       ok
 
 let faa (l : int loc) (n : int) : int =
   let d = dstate () in
-  match d.d_thread with
-  | None ->
-      let old = l.v in
-      l.v <- old + n;
-      old
+  (match d.d_thread with
+  | None -> ()
   | Some th ->
-      let s = match d.d_sched with Some s -> s | None -> assert false in
-      let line = l.line in
-      refresh s line;
+      let s = sched d in
       s.n_faa <- s.n_faa + 1;
-      let cost = own_cost s th line ~rmw:true in
-      if can_inline_line s th line cost ~serialize:true then begin
-        exec_line s th line cost ~serialize:true;
-        apply_own th line;
-        let old = l.v in
-        l.v <- old + n;
-        old
-      end
-      else
-        suspend_op d s
-          (fun s th -> (Some line, own_cost s th line ~rmw:true, true))
-          (fun () ->
-            apply_own th line;
-            let old = l.v in
-            l.v <- old + n;
-            old)
+      access s th l.line Rmw);
+  let old = l.v in
+  l.v <- old + n;
+  old
 
 let exchange (l : 'a loc) (v : 'a) : 'a =
   let d = dstate () in
-  match d.d_thread with
-  | None ->
-      let old = l.v in
-      l.v <- v;
-      old
+  (match d.d_thread with
+  | None -> ()
   | Some th ->
-      let s = match d.d_sched with Some s -> s | None -> assert false in
-      let line = l.line in
-      refresh s line;
+      let s = sched d in
       s.n_cas <- s.n_cas + 1;
-      let cost = own_cost s th line ~rmw:true in
-      if can_inline_line s th line cost ~serialize:true then begin
-        exec_line s th line cost ~serialize:true;
-        apply_own th line;
-        let old = l.v in
-        l.v <- v;
-        old
-      end
-      else
-        suspend_op d s
-          (fun s th -> (Some line, own_cost s th line ~rmw:true, true))
-          (fun () ->
-            apply_own th line;
-            let old = l.v in
-            l.v <- v;
-            old)
+      access s th l.line Rmw);
+  let old = l.v in
+  l.v <- v;
+  old
 
 let work (n : int) : unit =
   if n > 0 then
@@ -745,9 +681,9 @@ let work (n : int) : unit =
     match d.d_thread with
     | None -> ()
     | Some th ->
-        let s = match d.d_sched with Some s -> s | None -> assert false in
+        let s = sched d in
         if can_inline_work s th n then exec_work s th n
-        else suspend_op d s (fun _ _ -> (None, n, false)) (fun () -> ())
+        else Effect.perform (Suspend (th.clock, fun () -> exec_work s th n))
 
 let pause_cost = 8
 
@@ -755,7 +691,8 @@ let pause () = work pause_cost
 let pause_n n = work (pause_cost * n)
 
 (* Yield gives up the rest of the scheduling window (when oversubscribed)
-   or acts as a pause (when not). *)
+   or acts as a pause (when not): the thread sleeps until its next
+   window after the current quantum. *)
 let yield () =
   let d = dstate () in
   match d.d_thread with
@@ -763,22 +700,13 @@ let yield () =
   | Some th ->
       if th.residents <= 1 then pause ()
       else
-        let s = match d.d_sched with Some s -> s | None -> assert false in
+        let s = sched d in
+        let q = s.quantum in
         Effect.perform
           (Suspend
-             (fun th k ->
-               let q = s.quantum in
-               let m = th.residents in
-               let slot = th.clock / q in
-               let off = (th.rank - (slot mod m) + m) mod m in
-               let off = if off = 0 then m else off in
-               let t' = (slot + off) * q in
-               Eheap.push s.q t'
-                 (dispatching d th (fun () ->
-                      th.clock <- max th.clock t';
-                      if th.clock > s.end_time then s.end_time <- th.clock;
-                      th.window_end <- window_end_of th s th.clock;
-                      Effect.Deep.continue k ()))))
+             ( window_ready th s (((th.clock / q) + 1) * q),
+               fun () -> if th.clock > s.end_time then s.end_time <- th.clock
+             ))
 
 (* ------------------------------------------------------------------ *)
 (* Run-control helpers exposed to harness code                         *)
@@ -911,7 +839,10 @@ type report = {
           first, capped at eight lines *)
 }
 
-exception Stalled of report
+(* The one way a run aborts: a budget was exhausted (the verdict says
+   whether threads were still progressing) or the periodic watchdog ruled
+   the run starved or livelocked. *)
+exception Aborted of report
 
 (* Classification runs on the periodic watchdog path (every
    [check_events] scheduler events when enabled), so the Progress case —
@@ -1023,24 +954,8 @@ let pp_report ppf r =
         (if tp.tp_finished then " done" else ""))
     r.r_threads
 
-(* The most recent abort's report, kept so a harness catching [Timeout]
-   (whose payload is just a string) can still recover partial stats and
-   per-thread progress. Domain-local like the rest of the world state. *)
-let last_report_key : report option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let last_abort_report () = !(Domain.DLS.get last_report_key)
-
-(* Classify the aborting run and build the exception to raise: genuinely
-   progressing runs keep the historical [Timeout], stuck ones get the
-   structured [Stalled]. *)
-let abort_exn s reason =
-  let v = classify s in
-  let r = build_report s v reason in
-  Domain.DLS.get last_report_key := Some r;
-  match v with
-  | Progress -> Timeout reason
-  | Starved _ | Livelocked -> Stalled r
+(* Classify the aborting run and build its report. *)
+let abort_exn s reason = Aborted (build_report s (classify s) reason)
 
 (* ------------------------------------------------------------------ *)
 (* World reset                                                         *)
@@ -1058,13 +973,11 @@ let reset_world () =
   d.d_thread <- None;
   d.d_epoch <- 0;
   d.d_lines <- 0;
-  d.d_groups <- 0;
   Itbl.clear d.d_packed;
   d.d_hook <- None;
   d.d_noise <- 62;
   Eheap.clear d.d_heap;
-  Eheap.compact d.d_heap;
-  Domain.DLS.get last_report_key := None
+  Eheap.compact d.d_heap
 
 (* ------------------------------------------------------------------ *)
 (* The run loop                                                        *)
@@ -1116,8 +1029,10 @@ let run ?(quantum = default_quantum) ?(ops_target = 0)
     ~topology ~nthreads:n body =
   if n <= 0 then invalid_arg "Sched.run: nthreads must be positive";
   let d = dstate () in
+  if quantum < 1 then
+    invalid_arg
+      (Printf.sprintf "Sched.run: quantum must be positive (got %d)" quantum);
   if d.d_sched <> None then invalid_arg "Sched.run: nested simulations";
-  Domain.DLS.get last_report_key := None;
   d.d_epoch <- d.d_epoch + 1;
   let nctx = Topology.n_contexts topology in
   ensure_arena d n;
@@ -1198,7 +1113,6 @@ let run ?(quantum = default_quantum) ?(ops_target = 0)
       m_inv = topology.Topology.c_inv_per_sharer;
     }
   in
-  d.d_sched <- Some s;
   let start_thread th =
     Effect.Deep.match_with
       (fun () -> body th.t_id)
@@ -1227,28 +1141,21 @@ let run ?(quantum = default_quantum) ?(ops_target = 0)
                 th.crashed <- true;
                 th.finished <- true;
                 s.live <- s.live - 1
-            | e ->
-                d.d_sched <- None;
-                d.d_thread <- None;
-                raise e);
+            | e -> raise e);
         effc =
           (fun (type a) (e : a Effect.t) ->
             match e with
-            | Suspend f ->
-                Some (fun (k : (a, unit) Effect.Deep.continuation) -> f th k)
+            | Suspend (at, resume) ->
+                Some
+                  (fun (k : (a, unit) Effect.Deep.continuation) ->
+                    Eheap.push s.q at
+                      (dispatching d th (fun () ->
+                           wake s th at;
+                           resume ();
+                           Effect.Deep.continue k ())))
             | _ -> None);
       }
   in
-  (* Seed the heap with thread starts, staggered by their first window. *)
-  Array.iter
-    (fun th ->
-      let t0 = window_ready th s 0 in
-      Eheap.push s.q t0
-        (dispatching d th (fun () ->
-             th.clock <- t0;
-             th.window_end <- window_end_of th s t0;
-             start_thread th)))
-    threads;
   let finalize () =
     d.d_sched <- None;
     d.d_thread <- None;
@@ -1256,7 +1163,18 @@ let run ?(quantum = default_quantum) ?(ops_target = 0)
        not leak into the next run that reuses this heap. *)
     Eheap.clear d.d_heap
   in
+  (* Everything from installing the run on the domain on is protected:
+     whatever escapes, [finalize] leaves the domain free for the next run. *)
   (try
+     d.d_sched <- Some s;
+     (* Seed the heap with thread starts, staggered by their first window. *)
+     Array.iter
+       (fun th ->
+         Eheap.push s.q (window_ready th s 0)
+           (dispatching d th (fun () ->
+                wake s th 0;
+                start_thread th)))
+       threads;
      while s.live > 0 && not (Eheap.is_empty s.q) do
        let action = Eheap.pop_payload s.q in
        s.events <- s.events + 1;
@@ -1283,17 +1201,13 @@ let run ?(quantum = default_quantum) ?(ops_target = 0)
        then (
          match classify s with
          | Progress -> ()
-         | v -> raise (Stalled (build_report s v "liveness watchdog")));
+         | v -> raise (Aborted (build_report s v "liveness watchdog")));
        action ()
      done
    with
    | Budget reason ->
        finalize ();
        raise (abort_exn s reason)
-   | Stalled r ->
-       Domain.DLS.get last_report_key := Some r;
-       finalize ();
-       raise (Stalled r)
    | e ->
        finalize ();
        raise e);

@@ -13,12 +13,6 @@
     simulated cost, which is how benchmark prefills and unit tests build
     structures cheaply. *)
 
-exception Timeout of string
-(** Raised when a run exceeds its event or inline-operation budget while
-    threads were still making progress (see {!verdict}). The payload
-    includes per-thread virtual clocks for diagnosis; {!last_abort_report}
-    carries the structured version. *)
-
 exception Crashed
 (** Raise from a fault checkpoint (via a {!set_fault_hook} handler, i.e.
     the [Fault] module) to kill the calling virtual thread: it never runs
@@ -36,8 +30,9 @@ type 'a loc
 val loc : 'a -> 'a loc
 
 val loc_packed : ?streaming:bool -> group:int -> 'a -> 'a loc
-(** Same line as every other cell of [group]. [streaming] marks
-    array-like data whose cached reads pipeline at ~1 cycle. *)
+(** Same line as every other cell of [group] (ids come from
+    {!Rt.Group.fresh}). [streaming] marks array-like data whose cached
+    reads pipeline at ~1 cycle. *)
 
 val loc_with : 'b loc -> 'a -> 'a loc
 (** Same line as an existing cell — one node, one line. *)
@@ -58,10 +53,6 @@ val cell : 'a cells -> int -> 'a loc
     access is priced exactly like that of an eagerly created cell (both
     are cold). Raises [Invalid_argument "Sched.cell: index i is out of
     range (n = n)"] unless [0 <= i < n]. *)
-
-val fresh_group : unit -> int
-(** A fresh packing-group id (distinct from {!Rt.Group.fresh}'s space;
-    either works, they must just not collide). *)
 
 (** {1 Memory operations}
 
@@ -148,22 +139,21 @@ val set_fault_hook : (Rt.Rt_intf.fault_point -> unit) option -> unit
 
 (** {1 World reset}
 
-    All of the simulator's mutable state — the current run, line and
-    group counters, the packed-line table, fault hook, noise width, the
+    All of the simulator's mutable state — the current run, the line
+    counter, the packed-line table, fault hook, noise width, the
     thread arena and event heap — is {e domain-local}: every OCaml
     domain carries an independent simulator world, and a fresh domain
     starts pristine. *)
 
 val reset_world : unit -> unit
 (** Restore the calling domain's simulator world to process-pristine
-    state: line/group counters back to zero, packed-line table emptied,
-    fault hook cleared, noise width back to the default, oversized event
-    heap storage compacted, {!last_abort_report} cleared. Locations and
-    groups created {e before} the reset are invalidated (their line ids
-    would collide with new ones) — drop every structure along with the
-    reset. Used by the fleet runner so trial output is independent of
-    which domain (and in what order) ran the trial. Raises
-    [Invalid_argument] inside a {!run}. *)
+    state: line counter back to zero, packed-line table emptied, fault
+    hook cleared, noise width back to the default, oversized event heap
+    storage compacted. Locations and groups created {e before} the reset
+    are invalidated (their line ids would collide with new ones) — drop
+    every structure along with the reset. Used by the fleet runner so
+    trial output is independent of which domain (and in what order) ran
+    the trial. Raises [Invalid_argument] inside a {!run}. *)
 
 (** {1 Results} *)
 
@@ -197,8 +187,6 @@ type watchdog = {
           cycles of the global time frontier counts as starved
           (default 8M cycles) *)
 }
-
-val default_watchdog : watchdog
 
 type verdict =
   | Progress  (** every unfinished thread completed an op recently *)
@@ -234,25 +222,19 @@ type report = {
       (** (cache-line id, serialized ops stalled on it), top eight *)
 }
 
-exception Stalled of report
-(** Raised instead of {!Timeout} when the watchdog rules the run
-    [Starved] or [Livelocked] — either at a periodic check
-    ([check_events > 0]) or when a budget is exhausted. *)
+exception Aborted of report
+(** Raised when a run aborts: its event or inline-operation budget ran
+    out (the verdict says whether threads were still progressing; the
+    reason names the budget and, for events, each thread's clock), or the
+    periodic watchdog ([check_events > 0]) ruled it [Starved] or
+    [Livelocked]. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_report : Format.formatter -> report -> unit
 
-val last_abort_report : unit -> report option
-(** The structured report of the most recent aborted run ({!Timeout} or
-    {!Stalled}), so harnesses catching the string-only [Timeout] can
-    still recover partial stats. Reset at the start of each run. *)
-
 (** {1 Running} *)
 
 val default_quantum : int
-val default_max_events : int
-val default_read_slack : int
-val default_max_inline_ops : int
 
 val run :
   ?quantum:int ->
@@ -268,8 +250,7 @@ val run :
 (** [run ~topology ~nthreads body] executes [body tid] as [nthreads]
     virtual threads until they all return (or [ops_target] operations
     have been {!tick}ed, observed via {!stop_requested}). Deterministic:
-    identical inputs give identical results. Raises {!Timeout} on budget
-    exhaustion while progressing, {!Stalled} when the watchdog rules the
-    run starved or livelocked, [Invalid_argument] on nesting, and
-    re-raises any exception escaping a thread body (except
-    {!Crashed}, which kills only the raising thread). *)
+    identical inputs give identical results. Raises {!Aborted} on budget
+    exhaustion or a watchdog verdict, [Invalid_argument] on nesting or a
+    [quantum] below 1, and re-raises any exception escaping a thread body
+    (except {!Crashed}, which kills only the raising thread). *)

@@ -12,7 +12,7 @@ module Sched = Sim.Sched
 let test_10k_threads () =
   let nthreads = 10_000 in
   let topology = Sim.Topology.uniform ~n:4 () in
-  let group = Sched.fresh_group () in
+  let group = Rt.Group.fresh () in
   let locs = Array.init 64 (fun _ -> Sched.loc_packed ~group 0) in
   let run () =
     Harness.Runner.run_guarded ~topology ~nthreads ~ops_target:30_000

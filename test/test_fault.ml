@@ -82,8 +82,8 @@ let test_dead_holder_named () =
               Sched.work 50
             done))
   with
-  | (_ : Sched.stats) -> Alcotest.fail "expected Stalled"
-  | exception Sched.Stalled r ->
+  | (_ : Sched.stats) -> Alcotest.fail "expected Aborted"
+  | exception Sched.Aborted r ->
       (match r.Sched.r_verdict with
       | Sched.Starved _ -> ()
       | v ->
@@ -163,8 +163,8 @@ let test_livelock_verdict () =
           Sched.work 10
         done)
   with
-  | (_ : Sched.stats) -> Alcotest.fail "expected Stalled"
-  | exception Sched.Stalled r -> (
+  | (_ : Sched.stats) -> Alcotest.fail "expected Aborted"
+  | exception Sched.Aborted r -> (
       match r.Sched.r_verdict with
       | Sched.Livelocked ->
           Alcotest.(check bool) "hot line reported" true
@@ -178,7 +178,7 @@ let test_livelock_verdict () =
    with timing jitter disabled, the Herlihy skip list's hot-pred locks
    phase-lock under a zipf-hot update load at 40 threads. The watchdog
    must classify this as Starved or Livelocked — not let it burn the
-   whole event budget and surface as a raw Timeout. *)
+   whole event budget and abort with a Progress verdict. *)
 
 let test_herlihy_noise_off_classified () =
   Dstruct.Sl_common.reset_states ();
@@ -214,13 +214,12 @@ let test_herlihy_noise_off_classified () =
           (* jitter-free runs phase-lock; completing would mean the
              incident no longer reproduces and the test needs retuning *)
           Alcotest.fail "expected a watchdog verdict, run completed"
-      | exception Sched.Stalled r -> (
+      | exception Sched.Aborted r -> (
           match r.Sched.r_verdict with
           | Sched.Starved _ | Sched.Livelocked -> ()
           | Sched.Progress ->
-              Alcotest.fail "Stalled must not carry a Progress verdict")
-      | exception Sched.Timeout msg ->
-          Alcotest.failf "raw Timeout escaped the watchdog: %s" msg)
+              Alcotest.failf "budget ran out with a Progress verdict: %s"
+                r.Sched.r_reason))
 
 (* ------------------------------------------------------------------ *)
 (* Harness integration: a blocking structure under a critical-section

@@ -257,8 +257,8 @@ let test_max_events_timeout () =
           ignore (Sched.faa c 1 : int)
         done)
   with
-  | _ -> Alcotest.fail "expected Timeout"
-  | exception Sched.Timeout _ -> ()
+  | _ -> Alcotest.fail "expected Aborted"
+  | exception Sched.Aborted { r_verdict = Progress; _ } -> ()
 
 let test_nested_run_rejected () =
   match
@@ -283,6 +283,24 @@ let test_reusable_after_exception () =
     (Sched.run ~topology:uniform4 ~nthreads:2 (fun _ ->
          ignore (Sched.faa c 1 : int)));
   Alcotest.(check int) "second run fine" 2 (Sched.read c)
+
+(* A quantum below 1 is rejected by name before the run touches the
+   domain's world, which stays usable for the next run. *)
+let test_bad_quantum_rejected () =
+  (match
+     Sched.run ~quantum:0 ~topology:(Topology.uniform ~n:2 ()) ~nthreads:4
+       (fun _ -> ())
+   with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument m ->
+      Alcotest.(check string)
+        "message" "Sched.run: quantum must be positive (got 0)" m);
+  let st =
+    Sched.run ~topology:(Topology.uniform ~n:2 ()) ~nthreads:2 (fun _ ->
+        Sched.work 5;
+        Sched.tick ())
+  in
+  Alcotest.(check int) "next run completes" 2 st.Sched.ops
 
 (* ------------------------------------------------------------------ *)
 (* Multiprogramming                                                    *)
@@ -318,6 +336,43 @@ let test_fairness_oversubscribed () =
          done));
   Array.iter (fun p -> Alcotest.(check int) "all threads completed" 200 p) progress
 
+(* The slow path pinned: four threads on two contexts with a small
+   quantum suspend on most accesses, so every kind of access (read,
+   store, RMW), work and yield goes through the event heap. The expected
+   stats and final cell values are exact: any change to slow-path pricing
+   or event order moves them. *)
+let test_slow_path_pinned () =
+  let a = Sched.loc 0 and b = Sched.loc 0 in
+  let st =
+    Sched.run ~topology:(Topology.uniform ~n:2 ()) ~nthreads:4 ~quantum:150
+      (fun tid ->
+        for i = 1 to 60 do
+          let v = Sched.read a in
+          if not (Sched.cas a v (v + 1)) then ignore (Sched.faa a 2 : int);
+          (match i mod 3 with
+          | 0 -> Sched.write b (Sched.read b + tid)
+          | 1 -> ignore (Sched.exchange b ((i * 4) + tid) : int)
+          | _ -> ignore (Sched.faa b 1 : int));
+          if i mod 16 = 0 then Sched.yield () else Sched.work 7;
+          Sched.tick ()
+        done)
+  in
+  let open Sched in
+  Alcotest.(check (list int))
+    "wall, ops, reads, writes, cas, cas_failed, faa, events"
+    [ 11714; 240; 320; 80; 320; 201; 281; 696 ]
+    [
+      st.wall_cycles;
+      st.ops;
+      st.reads;
+      st.writes;
+      st.cas;
+      st.cas_failed;
+      st.faa;
+      st.events;
+    ];
+  Alcotest.(check (pair int int)) "final cells" (441, 234) (read a, read b)
+
 (* ------------------------------------------------------------------ *)
 (* Packed lines                                                        *)
 
@@ -325,7 +380,7 @@ let test_packed_lines_share_state () =
   (* Two locations on the same line: writing one invalidates the other
      for a remote reader, i.e. reading the second is a hit after reading
      the first. *)
-  let g = Sim.Sched.fresh_group () in
+  let g = Rt.Group.fresh () in
   let a = Sched.loc_packed ~group:g 1 in
   let b = Sched.loc_packed ~group:g 2 in
   let costs = ref [] in
@@ -392,8 +447,8 @@ let test_single_thread_inline_budget () =
           Sched.work 1
         done)
   with
-  | _ -> Alcotest.fail "expected Timeout"
-  | exception Sched.Timeout _ -> ()
+  | _ -> Alcotest.fail "expected Aborted"
+  | exception Sched.Aborted { r_verdict = Progress; _ } -> ()
 
 (* Direct cost-model checks: measure op durations with [now]. *)
 let cost_of f =
@@ -433,7 +488,7 @@ let test_cost_model_basics () =
 let test_cost_streaming_vs_pointer () =
   (* same-thread cached reads: streaming lines cost 1 cycle, plain lines
      the full load-to-use latency *)
-  let g = Sched.fresh_group () in
+  let g = Rt.Group.fresh () in
   let arr = Sched.loc_packed ~streaming:true ~group:g 0 in
   let node = Sched.loc 0 in
   let dstream = ref 0 and dnode = ref 0 in
@@ -525,6 +580,8 @@ let () =
             test_exception_propagates;
           Alcotest.test_case "reusable after exception" `Quick
             test_reusable_after_exception;
+          Alcotest.test_case "bad quantum rejected" `Quick
+            test_bad_quantum_rejected;
         ] );
       ( "multiprogramming",
         [
@@ -536,6 +593,7 @@ let () =
             test_tiny_quantum_correctness;
           Alcotest.test_case "inline budget backstop" `Quick
             test_single_thread_inline_budget;
+          Alcotest.test_case "slow path pinned" `Quick test_slow_path_pinned;
         ] );
       ( "memory model",
         [
