@@ -90,11 +90,10 @@ module Log = struct
     x
 
   (* Completed requests in per-thread recording order, then any pending
-     ones: every request ever [record]ed appears exactly once. *)
-  let all t =
-    let done_ = Array.to_list t.completed |> List.concat_map List.rev in
-    let pending = Array.to_list t.inflight |> List.filter_map Fun.id in
-    done_ @ pending
-
-  let iter t f = List.iter f (all t)
+     ones: every request ever [record]ed appears exactly once. The lists
+     are walked in place — [fold_right] over a newest-first list visits
+     it oldest first — so no copy of the log is built. *)
+  let iter t f =
+    Array.iter (fun l -> List.fold_right (fun r () -> f r) l ()) t.completed;
+    Array.iter (Option.iter f) t.inflight
 end

@@ -343,7 +343,12 @@ end
     clock window, and the final structures must equal the replayed
     model. Together that is strict serializability of the committed
     history: commits act at a single point between invocation and
-    response, in ticket order. *)
+    response, in ticket order.
+
+    The history is flat so the oracle can be plain loops over ints: a
+    record's reads and writes are [int array]s of [o; k; v] triples,
+    with {!absent} standing for [None], and the oracle builds nothing
+    per read. *)
 module Workload = struct
   module T = Make (Sim.Sim_rt)
   module Probe = Sim.Sim_rt.Probe
@@ -404,19 +409,33 @@ module Workload = struct
 
   type kind = Transfer | Audit
 
+  (** The value a record stores for an absent key. Real balances never
+      reach it, and {!encode} rejects a present value equal to it, so
+      [Some absent] cannot be recorded. *)
+  let absent = min_int
+
+  (** A read or written value as a record stores it. *)
+  let encode = function
+    | None -> absent
+    | Some v when v = absent ->
+        invalid_arg "Txn.Workload.encode: value is the absent sentinel"
+    | Some v -> v
+
   (* One request record in the crash-aware log. Fields are overwritten
      at the start of every optimistic attempt, so a committed record
-     carries exactly the attempt that won. Reads and writes are keyed
-     (object index, account key); reads store the raw versioned-read
-     result so the replay can compare them verbatim. *)
+     carries exactly the attempt that won. *)
   type xrec = {
     x_kind : kind;
     mutable x_committed : bool;
     mutable x_ticket : int;  (** transfers: serialization position *)
     mutable x_c0 : int;  (** audits: clock before the read phase ... *)
     mutable x_c1 : int;  (** ... and after validation *)
-    mutable x_reads : ((int * int) * int option) list;
-    mutable x_writes : ((int * int) * int option) list;
+    mutable x_reads : int array;
+        (** flat [o; k; v] triples: object index, account key and the
+            {!encode}d versioned-read result, compared verbatim by the
+            replay; an audit's read of [(o, k)] is triple
+            [o * accounts + k - 1] *)
+    mutable x_writes : int array;  (** [o; k; v] triples, as [x_reads] *)
   }
 
   let fresh_rec kind =
@@ -426,8 +445,8 @@ module Workload = struct
       x_ticket = -1;
       x_c0 = 0;
       x_c1 = 0;
-      x_reads = [];
-      x_writes = [];
+      x_reads = [||];
+      x_writes = [||];
     }
 
   (* ---------------- oracle ---------------- *)
@@ -442,70 +461,95 @@ module Workload = struct
     violations : string list;  (** empty iff serializable and conserved *)
   }
 
-  (* Strict serializability by replay (see the module comment). Runs
-     post-run outside the simulation, on quiesced structures.
+  (* Account [(o, k)] lives in model slot [o * accounts + (k - 1)];
+     anything outside [[0, objects) x [1, accounts]] has no slot (-1)
+     and is absent. *)
+  let slot (cfg : config) o k =
+    if o >= 0 && o < cfg.objects && k >= 1 && k <= cfg.accounts then
+      (o * cfg.accounts) + k - 1
+    else -1
 
-     The model is flat: account [(o, k)] lives in slot
-     [o * accounts + (k - 1)], and anything outside
-     [[0, objects) x [1, accounts]] is absent. Instead of a copy of the
-     model after every commit, the replay keeps each commit's writes as
-     [(slot, before, after)] steps, and the audits are positioned by one
-     forward sweep over them. *)
-  let check_serializable (cfg : config) (records : xrec list)
+  let pp_v v = if v = absent then "absent" else string_of_int v
+
+  (* Strict serializability by replay (see the module comment). Runs
+     post-run outside the simulation, on quiesced structures, over the
+     records [iter_records] visits.
+
+     Everything is plain loops over int arrays: the model is one [int]
+     per slot, and instead of a copy of the model after every commit the
+     replay logs each commit's writes as steps — three flat arrays
+     [st_slot], [st_before], [st_after], commit [i]'s steps being
+     [off.(i) .. off.(i+1) - 1]. The audits are then positioned by one
+     forward sweep over the steps. *)
+  let check_serializable (cfg : config) (iter_records : (xrec -> unit) -> unit)
       (objs : T.obj array) : oracle =
-    let committed k = List.filter (fun x -> x.x_kind = k && x.x_committed) records in
-    let transfers =
-      committed Transfer
-      |> List.sort (fun a b -> Int.compare a.x_ticket b.x_ticket)
-      |> Array.of_list
-    in
-    let audits = Array.of_list (committed Audit) in
-    let n = Array.length transfers in
     let violations = ref [] in
     let bad fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-    let pp_v = function Some v -> string_of_int v | None -> "absent" in
-    let eq = Option.equal Int.equal in
-    let slot (o, k) =
-      if o >= 0 && o < cfg.objects && k >= 1 && k <= cfg.accounts then
-        (o * cfg.accounts) + k - 1
-      else -1
-    in
-    let fresh () = Array.make (cfg.objects * cfg.accounts) (Some cfg.initial) in
-    let model = fresh () in
-    let get s = if s < 0 then None else model.(s) in
-    (* Commit tickets come from one fetch-and-add clock: they must be
-       exactly 0 .. n-1 with no gap or duplicate. *)
+    let n = ref 0 and na = ref 0 and nw = ref 0 in
+    iter_records (fun x ->
+        if x.x_committed then
+          match x.x_kind with
+          | Transfer ->
+              incr n;
+              nw := !nw + (Array.length x.x_writes / 3)
+          | Audit -> incr na);
+    let n = !n in
+    (* Commit tickets come from one fetch-and-add clock, so they should
+       be exactly 0 .. n-1. A stable sort by ticket lays the transfers
+       out, and the check below reports every position that holds the
+       wrong ticket. *)
+    let blank = fresh_rec Transfer in
+    let transfers = Array.make n blank and audits = Array.make !na blank in
+    let nt = ref 0 and next_audit = ref 0 in
+    iter_records (fun x ->
+        if x.x_committed then
+          match x.x_kind with
+          | Transfer ->
+              transfers.(!nt) <- x;
+              incr nt
+          | Audit ->
+              audits.(!next_audit) <- x;
+              incr next_audit);
+    Array.stable_sort (fun a b -> Int.compare a.x_ticket b.x_ticket) transfers;
     Array.iteri
       (fun i x ->
         if x.x_ticket <> i then
           bad "ticket sequence broken: position %d holds ticket %d" i x.x_ticket)
       transfers;
-    (* Replay transfers in ticket order; [steps.(i)] are commit [i]'s
-       writes. *)
-    let steps =
-      Array.mapi
-        (fun i x ->
-          List.iter
-            (fun ((o, k), r) ->
-              let m = get (slot (o, k)) in
-              if not (eq m r) then
-                bad "txn %d read (%d,%d) = %s but the serialized state had %s"
-                  i o k (pp_v r) (pp_v m))
-            x.x_reads;
-          List.filter_map
-            (fun ((o, k), w) ->
-              let s = slot (o, k) in
-              if s < 0 then (
-                bad "txn %d wrote (%d,%d), which is no account" i o k;
-                None)
-              else
-                let before = model.(s) in
-                model.(s) <- w;
-                Some (s, before, w))
-            x.x_writes
-          |> Array.of_list)
-        transfers
-    in
+    (* Replay transfers in ticket order, logging their steps. *)
+    let slots = cfg.objects * cfg.accounts in
+    let model = Array.make slots cfg.initial in
+    let get s = if s < 0 then absent else model.(s) in
+    let st_slot = Array.make !nw 0
+    and st_before = Array.make !nw 0
+    and st_after = Array.make !nw 0 in
+    let off = Array.make (n + 1) 0 and w = ref 0 in
+    for i = 0 to n - 1 do
+      let x = transfers.(i) in
+      let r = x.x_reads in
+      for j = 0 to (Array.length r / 3) - 1 do
+        let o = r.(3 * j) and k = r.((3 * j) + 1) and v = r.((3 * j) + 2) in
+        let m = get (slot cfg o k) in
+        if m <> v then
+          bad "txn %d read (%d,%d) = %s but the serialized state had %s" i o k
+            (pp_v v) (pp_v m)
+      done;
+      off.(i) <- !w;
+      let ws = x.x_writes in
+      for j = 0 to (Array.length ws / 3) - 1 do
+        let o = ws.(3 * j) and k = ws.((3 * j) + 1) and v = ws.((3 * j) + 2) in
+        let s = slot cfg o k in
+        if s < 0 then bad "txn %d wrote (%d,%d), which is no account" i o k
+        else begin
+          st_slot.(!w) <- s;
+          st_before.(!w) <- model.(s);
+          st_after.(!w) <- v;
+          model.(s) <- v;
+          incr w
+        end
+      done
+    done;
+    off.(n) <- !w;
     (* Every audit must equal the replayed state at some position inside
        its clock window — the snapshot had a serialization point. Audits
        are visited by ascending clamped [lo], so one [cursor] state only
@@ -518,42 +562,40 @@ module Workload = struct
     Array.stable_sort
       (fun i j -> Int.compare (clamp audits.(i).x_c0) (clamp audits.(j).x_c0))
       order;
-    let cursor = fresh () and pos = ref 0 in
-    let owner = Array.make (Array.length model) (-1) in
-    let want = Array.make (Array.length model) None in
+    let cursor = Array.make slots cfg.initial and pos = ref 0 in
+    let owner = Array.make slots (-1) and want = Array.make slots 0 in
     let matched = Array.make (Array.length audits) false in
     Array.iter
       (fun id ->
         let a = audits.(id) in
         let lo = clamp a.x_c0 and hi = clamp a.x_c1 in
-        while !pos < lo do
-          Array.iter (fun (s, _, after) -> cursor.(s) <- after) steps.(!pos);
-          incr pos
+        for j = off.(!pos) to off.(lo) - 1 do
+          cursor.(st_slot.(j)) <- st_after.(j)
         done;
+        pos := lo;
         (* Nothing can match a read of no account that saw a value, nor
            one slot read as two values. *)
         let diff = ref 0 and possible = ref (lo <= hi) in
-        List.iter
-          (fun ((o, k), r) ->
-            let s = slot (o, k) in
-            if s < 0 then (if Option.is_some r then possible := false)
-            else if owner.(s) = id then (
-              if not (eq want.(s) r) then possible := false)
-            else begin
-              owner.(s) <- id;
-              want.(s) <- r;
-              if not (eq cursor.(s) r) then incr diff
-            end)
-          a.x_reads;
+        let r = a.x_reads in
+        for j = 0 to (Array.length r / 3) - 1 do
+          let s = slot cfg r.(3 * j) r.((3 * j) + 1) and v = r.((3 * j) + 2) in
+          if s < 0 then (if v <> absent then possible := false)
+          else if owner.(s) = id then (if want.(s) <> v then possible := false)
+          else begin
+            owner.(s) <- id;
+            want.(s) <- v;
+            if cursor.(s) <> v then incr diff
+          end
+        done;
         let p = ref lo in
         while !possible && !diff > 0 && !p < hi do
-          Array.iter
-            (fun (s, before, after) ->
-              if owner.(s) = id then begin
-                if not (eq before want.(s)) then decr diff;
-                if not (eq after want.(s)) then incr diff
-              end)
-            steps.(!p);
+          for j = off.(!p) to off.(!p + 1) - 1 do
+            let s = st_slot.(j) in
+            if owner.(s) = id then begin
+              if st_before.(j) <> want.(s) then decr diff;
+              if st_after.(j) <> want.(s) then incr diff
+            end
+          done;
           incr p
         done;
         matched.(id) <- !possible && !diff = 0)
@@ -569,11 +611,10 @@ module Workload = struct
       (fun o ob ->
         T.obj_fold ob
           (fun k v () ->
-            match get (slot (o, k)) with
-            | Some m when m = v -> ()
-            | m ->
-                bad "final state (%d,%d) = %d disagrees with the replay (%s)" o
-                  k v (pp_v m))
+            let m = get (slot cfg o k) in
+            if m = absent || m <> v then
+              bad "final state (%d,%d) = %d disagrees with the replay (%s)" o
+                k v (pp_v m))
           ();
         if T.obj_size ob <> cfg.accounts then
           bad "object %d holds %d accounts, expected %d" o (T.obj_size ob)
@@ -649,8 +690,8 @@ module Workload = struct
                     let w1 = Some (v1 - amt) and w2 = Some (v2 + amt) in
                     T.write ctx objs.(o1) k1 w1;
                     T.write ctx objs.(o2) k2 w2;
-                    x.x_reads <- [ ((o1, k1), r1); ((o2, k2), r2) ];
-                    x.x_writes <- [ ((o1, k1), w1); ((o2, k2), w2) ])
+                    x.x_reads <- [| o1; k1; encode r1; o2; k2; encode r2 |];
+                    x.x_writes <- [| o1; k1; encode w1; o2; k2; encode w2 |])
               in
               x.x_ticket <- ticket;
               x.x_committed <- true);
@@ -658,16 +699,18 @@ module Workload = struct
         end
         else begin
           let x = fresh_rec Audit in
+          let reads = Array.make (3 * cfg.objects * cfg.accounts) 0 in
           Harness.History.Log.record log x (fun () ->
-              let reads, c0, c1 =
+              let (), c0, c1 =
                 T.snapshot mgr (fun ctx ->
-                    let acc = ref [] in
                     for o = cfg.objects - 1 downto 0 do
                       for k = cfg.accounts downto 1 do
-                        acc := ((o, k), T.read ctx objs.(o) k) :: !acc
+                        let i = 3 * ((o * cfg.accounts) + k - 1) in
+                        reads.(i) <- o;
+                        reads.(i + 1) <- k;
+                        reads.(i + 2) <- encode (T.read ctx objs.(o) k)
                       done
-                    done;
-                    !acc)
+                    done)
               in
               x.x_reads <- reads;
               x.x_c0 <- c0;
@@ -731,9 +774,7 @@ module Workload = struct
         ~faults:(Sim.Fault.plan ~seed:cfg.seed [])
         ~record_obs ~classes:lat_classes (client cfg objs mgr log)
     in
-    let oracle =
-      check_serializable cfg (Harness.History.Log.all log) objs
-    in
+    let oracle = check_serializable cfg (Harness.History.Log.iter log) objs in
     let commits = Probe.count mgr.T.c_commits in
     let valid = Array.for_all T.obj_validate objs in
     let final_size = Array.fold_left (fun a ob -> a + T.obj_size ob) 0 objs in

@@ -370,6 +370,26 @@ let test_soak_sampler () =
   Alcotest.(check bool) "complete" false (Harness.Runner.aborted m);
   Alcotest.(check bool) "valid" true m.Harness.Runner.valid
 
+(* A crash-aware log walks completed requests in per-thread recording
+   order, then the pending ones. *)
+let test_log_order () =
+  let module Log = Harness.History.Log in
+  let log = Log.create ~nthreads:3 in
+  ignore
+    (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:3 (fun tid ->
+         for i = 0 to 2 do
+           Log.record log (tid, i) (fun () ->
+               Sim.Sched.work (10 * (3 - tid));
+               if tid = 1 && i = 1 then raise Sim.Sched.Crashed)
+         done)
+      : Sim.Sched.stats);
+  let want =
+    [ (0, 0); (0, 1); (0, 2); (1, 0); (2, 0); (2, 1); (2, 2); (1, 1) ]
+  in
+  let seen = ref [] in
+  Log.iter log (fun r -> seen := r :: !seen);
+  Alcotest.(check (list (pair int int))) "iter order" want (List.rev !seen)
+
 (* Queues and stacks share one loop: a 60-70% add mix grows them, and
    every op counts as an effective update. *)
 let test_queue_runner () =
@@ -435,5 +455,10 @@ let () =
       ( "soak",
         [
           Alcotest.test_case "sampler draws in range" `Quick test_soak_sampler;
+        ] );
+      ( "history",
+        [
+          Alcotest.test_case "log walks in recording order" `Quick
+            test_log_order;
         ] );
     ]

@@ -2,8 +2,9 @@
    agreement across every registry set (the versioned-OPS API addition),
    sequential transaction semantics (read-your-writes, upsert,
    lock-conflict abort), seeded determinism under contention, abort-free
-   snapshots, the strict-serializability oracle (positive run plus the
-   broken-commit negative control), the chaos trial grammar, the report
+   snapshots, the strict-serializability oracle (positive run, the
+   broken-commit negative control, a differential fuzz against a naive
+   reference and an allocation gate), the chaos trial grammar, the report
    section, and the KV multi-key transfer integration. *)
 
 module W = Txn.Workload
@@ -279,13 +280,18 @@ let quiesced_objs contents =
 
 let base_final = [| [ (1, 80); (2, 100) ]; [ (1, 110); (2, 110) ] |]
 
+(* The helpers take readable [((o, k), v option)] lists and pack them
+   into the records' flat [o; k; v] triples. *)
+let triples l =
+  Array.of_list (List.concat_map (fun ((o, k), v) -> [ o; k; W.encode v ]) l)
+
 let xfer ticket reads writes =
   {
     (W.fresh_rec W.Transfer) with
     W.x_committed = true;
     x_ticket = ticket;
-    x_reads = reads;
-    x_writes = writes;
+    x_reads = triples reads;
+    x_writes = triples writes;
   }
 
 let audit c0 c1 reads =
@@ -294,8 +300,11 @@ let audit c0 c1 reads =
     W.x_committed = true;
     x_c0 = c0;
     x_c1 = c1;
-    x_reads = reads;
+    x_reads = triples reads;
   }
+
+let check_list cfg records objs =
+  W.check_serializable cfg (fun f -> List.iter f records) objs
 
 let t0 =
   xfer 0
@@ -313,7 +322,7 @@ let no_match c0 c1 =
 
 let test_oracle_contract () =
   let row name ?(final = base_final) records expected =
-    let o = W.check_serializable hist_cfg records (quiesced_objs final) in
+    let o = check_list hist_cfg records (quiesced_objs final) in
     Alcotest.(check (list string)) (name ^ ": violations") expected
       o.W.violations;
     Alcotest.(check bool) (name ^ ": verdict") (expected = []) o.W.ok
@@ -413,12 +422,307 @@ let test_oracle_contract () =
    write to one is reported by name rather than replayed. *)
 let test_oracle_rejects_stray_write () =
   let o =
-    W.check_serializable hist_cfg
+    check_list hist_cfg
       [ xfer 0 [] [ ((2, 1), Some 5) ] ]
       (quiesced_objs [| [ (1, 100); (2, 100) ]; [ (1, 100); (2, 100) ] |])
   in
   Alcotest.(check (list string)) "violations"
     [ "txn 0 wrote (2,1), which is no account" ] o.W.violations
+
+(* [Some absent] cannot be recorded: it would read back as [None]. *)
+let test_absent_sentinel_rejected () =
+  Alcotest.(check int) "None packs to the sentinel" W.absent (W.encode None);
+  Alcotest.(check int) "values pack verbatim" 7 (W.encode (Some 7));
+  match W.encode (Some W.absent) with
+  | (_ : int) -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Differential fuzz: the oracle against a naive reference on random
+   small histories. The reference shares none of the oracle's machinery:
+   it sorts the committed transfers by ticket, rebuilds the model from
+   scratch for every position it needs, and tries every position of an
+   audit's clamped window. *)
+
+let decode v = if v = W.absent then None else Some v
+
+let decoded a =
+  List.init (Array.length a / 3) (fun j ->
+      ((a.(3 * j), a.((3 * j) + 1)), decode a.((3 * j) + 2)))
+
+let reference (cfg : W.config) records objs =
+  let out = ref [] in
+  let bad fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  let pp = function Some v -> string_of_int v | None -> "absent" in
+  let committed k =
+    List.filter (fun x -> x.W.x_kind = k && x.W.x_committed) records
+  in
+  let transfers =
+    List.stable_sort
+      (fun a b -> compare a.W.x_ticket b.W.x_ticket)
+      (committed W.Transfer)
+  in
+  let n = List.length transfers in
+  List.iteri
+    (fun i x ->
+      if x.W.x_ticket <> i then
+        bad "ticket sequence broken: position %d holds ticket %d" i
+          x.W.x_ticket)
+    transfers;
+  let account (o, k) =
+    o >= 0 && o < cfg.W.objects && k >= 1 && k <= cfg.W.accounts
+  in
+  let state_at p =
+    let h = Hashtbl.create 8 in
+    List.iteri
+      (fun i x ->
+        if i < p then
+          List.iter
+            (fun (ok, v) -> if account ok then Hashtbl.replace h ok v)
+            (decoded x.W.x_writes))
+      transfers;
+    fun ok ->
+      if not (account ok) then None
+      else Option.value ~default:(Some cfg.W.initial) (Hashtbl.find_opt h ok)
+  in
+  List.iteri
+    (fun i x ->
+      let st = state_at i in
+      List.iter
+        (fun (((o, k) as ok), v) ->
+          if st ok <> v then
+            bad "txn %d read (%d,%d) = %s but the serialized state had %s" i o
+              k (pp v) (pp (st ok)))
+        (decoded x.W.x_reads);
+      List.iter
+        (fun (((o, k) as ok), _) ->
+          if not (account ok) then
+            bad "txn %d wrote (%d,%d), which is no account" i o k)
+        (decoded x.W.x_writes))
+    transfers;
+  let clamp c = max 0 (min c n) in
+  List.iter
+    (fun a ->
+      let reads = decoded a.W.x_reads in
+      let at p =
+        let st = state_at p in
+        List.for_all (fun (ok, v) -> st ok = v) reads
+      in
+      let rec any p = p <= clamp a.W.x_c1 && (at p || any (p + 1)) in
+      if not (any (clamp a.W.x_c0)) then
+        bad "audit (clock window %d..%d) matches no serialization point"
+          a.W.x_c0 a.W.x_c1)
+    (committed W.Audit);
+  let final = state_at n in
+  Array.iteri
+    (fun o ob ->
+      W.T.obj_fold ob
+        (fun k v () ->
+          match final (o, k) with
+          | Some m when m = v -> ()
+          | m ->
+              bad "final state (%d,%d) = %d disagrees with the replay (%s)" o k
+                v (pp m))
+        ();
+      if W.T.obj_size ob <> cfg.W.accounts then
+        bad "object %d holds %d accounts, expected %d" o (W.T.obj_size ob)
+          cfg.W.accounts)
+    objs;
+  let total =
+    Array.fold_left
+      (fun acc ob -> W.T.obj_fold ob (fun _ v a -> a + v) acc)
+      0 objs
+  in
+  let expected = cfg.W.objects * cfg.W.accounts * cfg.W.initial in
+  if total <> expected then
+    bad "conservation broken: accounts sum to %d, expected %d" total expected;
+  List.rev !out
+
+(* A random history over at most 2 objects x 3 accounts: keys and object
+   indices sometimes outside the accounts, absent values, a slot read
+   twice (the key space is tiny), uncommitted records, audit windows
+   before 0, past n or with c0 > c1, and tickets that are mostly the
+   commit order but sometimes a gap, a duplicate or out of range. *)
+type fuzz_case = {
+  f_cfg : W.config;
+  f_records : W.xrec list;
+  f_final : (int * int) list array;
+}
+
+let gen_fuzz_case =
+  let open QCheck2.Gen in
+  let* objects = int_range 1 2 in
+  let* accounts = int_range 1 3 in
+  let key =
+    frequency
+      [
+        (6, pair (int_range 0 (objects - 1)) (int_range 1 accounts));
+        (1, pair (int_range (-1) objects) (int_range 0 (accounts + 1)));
+      ]
+  in
+  let value =
+    frequency [ (1, return None); (5, map Option.some (int_range 99 101)) ]
+  in
+  let accesses n = list_size (int_range 0 n) (pair key value) in
+  let committed = frequency [ (8, return true); (1, return false) ] in
+  (* [None]: take the next ticket in commit order *)
+  let ticket =
+    frequency [ (5, return None); (1, map Option.some (int_range (-1) 6)) ]
+  in
+  let transfer =
+    map3
+      (fun (c, t) r w ->
+        (t, { (xfer (-1) r w) with W.x_committed = c }))
+      (pair committed ticket) (accesses 3) (accesses 2)
+  in
+  let audit_rec =
+    map3
+      (fun (c, c0) c1 r -> (None, { (audit c0 c1 r) with W.x_committed = c }))
+      (pair committed (int_range (-2) 7))
+      (int_range (-2) 7) (accesses 4)
+  in
+  let* records =
+    list_size (int_range 0 8) (frequency [ (3, transfer); (2, audit_rec) ])
+  in
+  let next = ref 0 in
+  let records =
+    List.map
+      (fun (t, x) ->
+        match (x.W.x_kind, t) with
+        | W.Transfer, Some t -> { x with W.x_ticket = t }
+        | W.Transfer, None when x.W.x_committed ->
+            incr next;
+            { x with W.x_ticket = !next - 1 }
+        | _ -> x)
+      records
+  in
+  (* each object holds keys 1 .. accounts + 1, each present or not *)
+  let binding k =
+    frequency
+      [ (1, return None); (4, map (fun v -> Some (k, v)) (int_range 99 101)) ]
+  in
+  let bindings =
+    map (List.filter_map Fun.id)
+      (flatten_l (List.init (accounts + 1) (fun i -> binding (i + 1))))
+  in
+  let+ final = array_repeat objects bindings in
+  {
+    f_cfg = { W.default_config with W.objects; accounts; initial = 100 };
+    f_records = records;
+    f_final = final;
+  }
+
+let print_fuzz_case c =
+  let pp_acc a =
+    String.concat " "
+      (List.map
+         (fun ((o, k), v) ->
+           Printf.sprintf "(%d,%d)=%s" o k
+             (match v with Some v -> string_of_int v | None -> "absent"))
+         (decoded a))
+  in
+  Printf.sprintf "%d objects x %d accounts\n%s\nfinal: %s" c.f_cfg.W.objects
+    c.f_cfg.W.accounts
+    (String.concat "\n"
+       (List.map
+          (fun x ->
+            Printf.sprintf "%s%s reads [%s] writes [%s]"
+              (if x.W.x_committed then "" else "uncommitted ")
+              (match x.W.x_kind with
+              | W.Transfer -> Printf.sprintf "transfer #%d" x.W.x_ticket
+              | W.Audit -> Printf.sprintf "audit %d..%d" x.W.x_c0 x.W.x_c1)
+              (pp_acc x.W.x_reads) (pp_acc x.W.x_writes))
+          c.f_records))
+    (String.concat " | "
+       (Array.to_list
+          (Array.map
+             (fun kvs ->
+               String.concat " "
+                 (List.map (fun (k, v) -> Printf.sprintf "%d=%d" k v) kvs))
+             c.f_final)))
+
+let oracle_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"oracle matches a naive reference"
+       ~print:print_fuzz_case gen_fuzz_case (fun c ->
+         let objs = quiesced_objs c.f_final in
+         let o = check_list c.f_cfg c.f_records objs in
+         let want = reference c.f_cfg c.f_records objs in
+         if o.W.violations <> want || o.W.ok <> (want = []) then
+           QCheck2.Test.fail_reportf "oracle:\n  %s\nreference:\n  %s"
+             (String.concat "\n  " o.W.violations)
+             (String.concat "\n  " want);
+         true))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate: the oracle walks flat int arrays, so what it
+   allocates per record is a handful of array cells (the ticket sort,
+   the step log, audit order), never anything per read. The synthetic
+   history is a sequential bank over 4 objects x 16 accounts: 3000
+   transfers and 1300 audits that read all 64 accounts, each audit at a
+   point inside its clock window. *)
+
+let synthetic_bank () =
+  let cfg = { W.default_config with W.objects = 4; accounts = 16 } in
+  let slots = cfg.W.objects * cfg.W.accounts in
+  let key s = (s / cfg.W.accounts, (s mod cfg.W.accounts) + 1) in
+  let model = Array.make slots cfg.W.initial in
+  let rng = Harness.Rng.create 5 in
+  let records = ref [] in
+  for i = 0 to 2_999 do
+    if i mod 7 < 3 then begin
+      let c0 = i - Harness.Rng.below rng 3
+      and c1 = i + Harness.Rng.below rng 3 in
+      records :=
+        audit c0 c1 (List.init slots (fun s -> (key s, Some model.(s))))
+        :: !records
+    end;
+    let a = Harness.Rng.below rng slots in
+    let b = (a + 1 + Harness.Rng.below rng (slots - 1)) mod slots in
+    let va = model.(a) and vb = model.(b) in
+    let amt = if va >= 3 then 3 else 0 in
+    model.(a) <- va - amt;
+    model.(b) <- vb + amt;
+    records :=
+      xfer i
+        [ (key a, Some va); (key b, Some vb) ]
+        [ (key a, Some (va - amt)); (key b, Some (vb + amt)) ]
+      :: !records
+  done;
+  let final =
+    Array.init cfg.W.objects (fun o ->
+        List.init cfg.W.accounts (fun k ->
+            (k + 1, model.((o * cfg.W.accounts) + k))))
+  in
+  (cfg, List.rev !records, quiesced_objs final)
+
+let words_allocated () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* The flat oracle measures 7.4 words per record on this history; an
+   oracle over [((o, k), v option)] list records that sorts them by
+   ticket allocates about 35. *)
+let max_words_per_record = 16.
+
+let test_oracle_allocation () =
+  let cfg, records, objs = synthetic_bank () in
+  (* A collection inside the measured call skews [Gc.counters]'
+     difference, so start from an empty minor heap and a finished major
+     cycle; the call then allocates too little to trigger either. *)
+  Gc.full_major ();
+  let w0 = words_allocated () in
+  let o = check_list cfg records objs in
+  let per_record =
+    (words_allocated () -. w0) /. float_of_int (List.length records)
+  in
+  Alcotest.(check (list string))
+    "synthetic bank is serializable" [] o.W.violations;
+  Alcotest.(check int) "transfers replayed" 3_000 o.W.transfers;
+  Alcotest.(check int) "audits positioned" 1_287 o.W.audits;
+  if per_record > max_words_per_record then
+    Alcotest.failf "oracle allocated %.1f words per record (bound %.0f)"
+      per_record max_words_per_record
 
 (* Read-only transactions never abort: an audit-only run retries
    snapshots at worst, and with no writers even that cannot happen. *)
@@ -609,6 +913,11 @@ let () =
             test_oracle_contract;
           Alcotest.test_case "write to no account reported" `Quick
             test_oracle_rejects_stray_write;
+          Alcotest.test_case "absent sentinel rejected" `Quick
+            test_absent_sentinel_rejected;
+          oracle_matches_reference;
+          Alcotest.test_case "allocation per record bounded" `Quick
+            test_oracle_allocation;
           Alcotest.test_case "snapshots never abort" `Quick
             test_snapshots_never_abort;
           Alcotest.test_case "units conserved" `Quick test_conservation;
