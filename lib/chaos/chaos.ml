@@ -104,6 +104,9 @@ let rep_of ~family ~known name topo =
 let check_pct what v =
   if v < 0 || v > 100 then parse_error "%s must be in [0,100], got %d" what v
 
+let check_positive what v =
+  if v < 1 then parse_error "%s must be positive, got %d" what v
+
 (* A fault plan aims only at what the trial has: each spec's [t] and
    storm victims at one of its [threads], each shard fault at one of its
    [stores] (a kv trial's primaries and replicas; a structure trial has
@@ -398,8 +401,9 @@ let of_string entries =
         ('f', Text (fun tr v -> { tr with t_plan = Fault.of_string v }));
       ]
     ~check:(fun tr ->
-      if tr.t_threads < 1 || tr.t_ops < 1 || tr.t_keys < 1 then
-        parse_error "threads/ops/keys must be positive";
+      check_positive "threads" tr.t_threads;
+      check_positive "ops" tr.t_ops;
+      check_positive "keys" tr.t_keys;
       if tr.t_threads > Mem.Qsbr.default_max_threads then
         parse_error "threads must be at most %d (QSBR's thread cap), got %d"
           Mem.Qsbr.default_max_threads tr.t_threads;
@@ -891,10 +895,13 @@ module Kv_trial = struct
           ('f', Text (fun tr v -> { tr with kv_plan = Fault.of_string v }));
         ]
       ~check:(fun tr ->
-        if tr.kv_shards < 1 || tr.kv_threads < 1 || tr.kv_ops < 1 then
-          parse_error "shards/threads/ops must be positive";
-        if tr.kv_degraded < 0 || tr.kv_batch < 1 then
-          parse_error "degraded window must be >= 0 and batch >= 1";
+        check_positive "shards" tr.kv_shards;
+        check_positive "threads" tr.kv_threads;
+        check_positive "ops" tr.kv_ops;
+        check_positive "keys" tr.kv_keys;
+        if tr.kv_degraded < 0 then
+          parse_error "degraded must be >= 0, got %d" tr.kv_degraded;
+        check_positive "batch" tr.kv_batch;
         check_pct "read pct" tr.kv_read;
         check_pct "scan pct" tr.kv_scan;
         check_pct "read + scan pct" (tr.kv_read + tr.kv_scan);
@@ -1132,8 +1139,9 @@ module Txn_trial = struct
           ('!', Flag (fun tr -> { tr with x_broken = true }));
         ]
       ~check:(fun tr ->
-        if tr.x_objects < 1 || tr.x_threads < 1 || tr.x_ops < 1 then
-          parse_error "objects/threads/ops must be positive";
+        check_positive "objects" tr.x_objects;
+        check_positive "threads" tr.x_threads;
+        check_positive "ops" tr.x_ops;
         if tr.x_objects * tr.x_accounts < 2 then
           parse_error "need at least two account slots";
         check_pct "transfer pct" tr.x_transfer)

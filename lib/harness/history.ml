@@ -72,12 +72,36 @@ end
     the acknowledgment still carries its obligation. *)
 module Log = struct
   type 'r t = {
-    completed : 'r list array;  (** per-thread, newest first *)
+    completed : 'r array array;
+        (** per-thread buffer in recording order; only the first
+            [len.(tid)] cells are records *)
+    len : int array;
     inflight : 'r option array;
   }
 
   let create ~nthreads =
-    { completed = Array.make nthreads []; inflight = Array.make nthreads None }
+    {
+      completed = Array.make nthreads [||];
+      len = Array.make nthreads 0;
+      inflight = Array.make nthreads None;
+    }
+
+  (* Append [r] to thread [tid]'s buffer, doubling it when full. A
+     fresh buffer is filled with [r] itself: ['r] has no other value to
+     hand. *)
+  let push t tid r =
+    let buf = t.completed.(tid) and n = t.len.(tid) in
+    let buf =
+      if n < Array.length buf then buf
+      else begin
+        let grown = Array.make (max 16 (2 * n)) r in
+        Array.blit buf 0 grown 0 n;
+        t.completed.(tid) <- grown;
+        grown
+      end
+    in
+    buf.(n) <- r;
+    t.len.(tid) <- n + 1
 
   (* Deliberately no exception handler: a crash must leave the in-flight
      record set — that IS the pending request. *)
@@ -85,15 +109,20 @@ module Log = struct
     let tid = Sim.Sched.tid () in
     t.inflight.(tid) <- Some r;
     let x = f () in
-    t.completed.(tid) <- r :: t.completed.(tid);
+    push t tid r;
     t.inflight.(tid) <- None;
     x
 
-  (* Completed requests in per-thread recording order, then any pending
-     ones: every request ever [record]ed appears exactly once. The lists
-     are walked in place — [fold_right] over a newest-first list visits
-     it oldest first — so no copy of the log is built. *)
+  (* Completed requests in per-thread recording order, thread 0 first,
+     then any pending ones: every request ever [record]ed appears
+     exactly once. The buffers are walked in place; no copy of the log
+     is built. *)
   let iter t f =
-    Array.iter (fun l -> List.fold_right (fun r () -> f r) l ()) t.completed;
+    Array.iteri
+      (fun tid buf ->
+        for i = 0 to t.len.(tid) - 1 do
+          f buf.(i)
+        done)
+      t.completed;
     Array.iter (Option.iter f) t.inflight
 end

@@ -1295,10 +1295,14 @@ let run ?(record_obs = false) (cfg : config) :
   in
   quiesce t;
   let oracle = check_oracle t in
+  (* Each size is a fold over every bucket of a store: take them once. *)
+  let shard_sizes =
+    Array.map
+      (fun sh -> (store_size sh.primary.n_store, store_size sh.replica.n_store))
+      t.shards
+  in
   let final_size =
-    Array.fold_left
-      (fun a sh -> a + store_size sh.primary.n_store + store_size sh.replica.n_store)
-      0 t.shards
+    Array.fold_left (fun a (p, r) -> a + p + r) 0 shard_sizes
   in
   let valid =
     Array.for_all
@@ -1331,11 +1335,7 @@ let run ?(record_obs = false) (cfg : config) :
       res_oracle = oracle;
       res_events = format_events t;
       res_warranty = Array.map (fun sh -> sh.s_warranty) t.shards;
-      res_shard_sizes =
-        Array.map
-          (fun sh ->
-            (store_size sh.primary.n_store, store_size sh.replica.n_store))
-          t.shards;
+      res_shard_sizes = shard_sizes;
       res_shard_lat =
         Array.map (fun p -> Harness.Pstats.summarize [ p ]) t.shard_lat;
       res_trace = Option.map (fun o -> o.Obs.Profile.s_record) m.obs;

@@ -493,13 +493,13 @@ module Workload = struct
               incr n;
               nw := !nw + (Array.length x.x_writes / 3)
           | Audit -> incr na);
-    let n = !n in
+    let n = !n and na = !na in
     (* Commit tickets come from one fetch-and-add clock, so they should
        be exactly 0 .. n-1. A stable sort by ticket lays the transfers
        out, and the check below reports every position that holds the
        wrong ticket. *)
     let blank = fresh_rec Transfer in
-    let transfers = Array.make n blank and audits = Array.make !na blank in
+    let transfers = Array.make n blank and audits = Array.make na blank in
     let nt = ref 0 and next_audit = ref 0 in
     iter_records (fun x ->
         if x.x_committed then
@@ -558,13 +558,25 @@ module Workload = struct
        only on slots the audit read ([owner]); the audit matches iff it
        is 0 at some position [<= hi]. *)
     let clamp c = max 0 (min c n) in
-    let order = Array.init (Array.length audits) Fun.id in
-    Array.stable_sort
-      (fun i j -> Int.compare (clamp audits.(i).x_c0) (clamp audits.(j).x_c0))
-      order;
+    (* A stable counting sort by clamped [lo]: [start.(c)] is where the
+       next audit with [lo = c] goes in [order]. *)
+    let start = Array.make (n + 2) 0 in
+    for id = 0 to na - 1 do
+      let c = clamp audits.(id).x_c0 + 1 in
+      start.(c) <- start.(c) + 1
+    done;
+    for c = 1 to n + 1 do
+      start.(c) <- start.(c) + start.(c - 1)
+    done;
+    let order = Array.make na 0 in
+    for id = 0 to na - 1 do
+      let c = clamp audits.(id).x_c0 in
+      order.(start.(c)) <- id;
+      start.(c) <- start.(c) + 1
+    done;
     let cursor = Array.make slots cfg.initial and pos = ref 0 in
     let owner = Array.make slots (-1) and want = Array.make slots 0 in
-    let matched = Array.make (Array.length audits) false in
+    let matched = Array.make na false in
     Array.iter
       (fun id ->
         let a = audits.(id) in
@@ -632,7 +644,7 @@ module Workload = struct
     {
       ok = !violations = [];
       transfers = n;
-      audits = Array.length audits;
+      audits = na;
       conserved;
       total;
       expected_total;

@@ -72,6 +72,22 @@ let test_trial_string_errors () =
   kv_named "targets store 2" (kv ^ ";shardrecover(2)@op-boundary,h5");
   kv_named "targets store 2" (kv ^ ";resynccrash(2)@op-boundary,h5");
   kv_named "targets store -1" (kv ^ ";shardcrash(-1)@op-boundary,h5");
+  (* Each positivity check names its one field; a zero key count is a
+     grammar error, not a failure inside [Kv.run]. *)
+  kv_named "keys must be positive" "kv/ht-optik@u4 s1 t2 o100 k0";
+  kv_named "shards must be positive" "kv/ht-optik@u4 s0 t2 o100";
+  kv_named "threads must be positive" "kv/ht-optik@u4 s1 t0 o100";
+  kv_named "ops must be positive" "kv/ht-optik@u4 s1 t2 o0";
+  kv_named "degraded must be >= 0" "kv/ht-optik@u4 s1 t2 o100 D-1";
+  kv_named "batch must be positive" "kv/ht-optik@u4 s1 t2 o100 B0";
+  let txn_named =
+    rejects (fun s -> ignore (Chaos.Txn_trial.of_string s : Chaos.Txn_trial.t))
+  in
+  txn_named "objects must be positive" "txn/ll-optik@u2 b0 a2 t1 o1";
+  txn_named "threads must be positive" "txn/ll-optik@u2 b1 a2 t0 o1";
+  txn_named "ops must be positive" "txn/ll-optik@u2 b1 a2 t1 o0";
+  named "keys must be positive"
+    "stack/treiber@opteron t2 o4 k0 q20000 r0 n0 w1 f1";
   ignore
     (Chaos.Kv_trial.of_string
        (kv

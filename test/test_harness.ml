@@ -371,20 +371,24 @@ let test_soak_sampler () =
   Alcotest.(check bool) "valid" true m.Harness.Runner.valid
 
 (* A crash-aware log walks completed requests in per-thread recording
-   order, then the pending ones. *)
+   order, thread 0 first, then the pending ones, each exactly once. The
+   run is long enough that every thread's buffer grows several times,
+   and thread 1 crashes inside its record [crash_at]. *)
 let test_log_order () =
   let module Log = Harness.History.Log in
+  let per_thread = 300 and crash_at = 250 in
   let log = Log.create ~nthreads:3 in
   ignore
     (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:3 (fun tid ->
-         for i = 0 to 2 do
+         for i = 0 to per_thread - 1 do
            Log.record log (tid, i) (fun () ->
                Sim.Sched.work (10 * (3 - tid));
-               if tid = 1 && i = 1 then raise Sim.Sched.Crashed)
+               if tid = 1 && i = crash_at then raise Sim.Sched.Crashed)
          done)
       : Sim.Sched.stats);
+  let run tid n = List.init n (fun i -> (tid, i)) in
   let want =
-    [ (0, 0); (0, 1); (0, 2); (1, 0); (2, 0); (2, 1); (2, 2); (1, 1) ]
+    run 0 per_thread @ run 1 crash_at @ run 2 per_thread @ [ (1, crash_at) ]
   in
   let seen = ref [] in
   Log.iter log (fun r -> seen := r :: !seen);
