@@ -263,9 +263,10 @@ let figures_cmd =
   let full = flag_arg "full" "Dense thread sweeps (slower)." in
   let seed =
     seed_arg
-      "Workload seed threaded into every runner call (default 42, the seed \
-       the committed figures use). Two seeds make an A/B pair for \
-       $(b,optik_bench diff)."
+      "Workload seed threaded into every runner call except those of \
+       fig5, stack and ablation-victim, which run fixed seeds (default \
+       42, the seed the committed figures use). Two seeds make an A/B \
+       pair for $(b,optik_bench diff)."
   in
   let run ids full seed report =
     main report @@ fun () ->
@@ -609,14 +610,14 @@ let fleet_cmd =
   let batch =
     int_arg "batch" ~docv:"B" 10
       "Trials per fleet task. Smaller batches balance better across \
-       domains; larger ones amortize per-task world resets. Output \
+       domains; larger ones amortize per-task overhead. Output \
        bytes do not depend on the batch size."
   in
   let jobs =
     int_arg "jobs" ~docv:"J" 0
       "Worker domains (default: the host's recommended domain count \
        minus one). Output bytes do not depend on $(docv): trial i is \
-       always drawn from seed + i*1000003 and every task starts from \
+       always drawn from seed + i*1000003 and every trial starts from \
        a pristine per-domain simulator world."
   in
   let seed =

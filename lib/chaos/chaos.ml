@@ -186,28 +186,6 @@ let service_liveness what (m : Harness.Runner.measurement) =
       [ { f_oracle = "liveness"; f_detail = what ^ " aborted: " ^ detail } ]
 
 (* ------------------------------------------------------------------ *)
-(* World reset                                                         *)
-
-(* Restore every piece of the calling domain's simulator world to
-   process-pristine state: the scheduler (counters, packed-line table,
-   fault hook, noise, heap), the fault engine, the observability journal,
-   the probe cells, and every id source trials allocate from (packing
-   groups, lock handles, transaction oids, skip-list level generators).
-   After this, a trial behaves exactly as it would in a fresh process —
-   the reset the fleet runner applies before each task so batch output
-   is byte-identical to serial output. *)
-let fresh_world () =
-  Sim.Sched.reset_world ();
-  Sim.Fault.reset_world ();
-  Obs.Journal.reset_world ();
-  Sim.Sim_rt.Probe.reset_world ();
-  Rt.Group.reset ();
-  Locks.Handle.reset_ids ();
-  Txn.Workload.T.reset_oids ();
-  Dstruct.Sl_common.reset_states ();
-  Dstruct.Stacks.reset_slot_seq ()
-
-(* ------------------------------------------------------------------ *)
 (* The driver: fuzz, shrink, replay, fleet                             *)
 
 let shrink (type a) (module T : TRIAL with type t = a) (tr0 : a) : a =
@@ -274,8 +252,9 @@ let replay (module T : TRIAL) s ppf =
 let fleet m ~jobs ~batch ~trials ~seed =
   let module T = (val m : TRIAL) in
   (* One task per contiguous batch of trial indices, each rendering into
-     its own buffer from a pristine world: concatenated in task order,
-     the buffers are the serial stream whatever the jobs/batch split. *)
+     its own buffer; every trial starts from a pristine world, so,
+     concatenated in task order, the buffers are the serial stream
+     whatever the jobs/batch split. *)
   let tasks =
     List.init
       ((trials + batch - 1) / batch)
@@ -291,7 +270,7 @@ let fleet m ~jobs ~batch ~trials ~seed =
             Format.pp_print_flush ppf ();
             (failed, Buffer.contents buf)))
   in
-  let results = Harness.Fleet.map ~jobs ~reset:fresh_world tasks in
+  let results = Harness.Fleet.map ~jobs tasks in
   let failed = List.fold_left (fun a (f, _) -> a + f) 0 results in
   let buf = Buffer.create 8192 in
   List.iter (fun (_, s) -> Buffer.add_string buf s) results;
@@ -698,11 +677,10 @@ module Container (C : CONTAINER) = struct
 end
 
 let run_trial tr =
-  (* Reset the process-global state a trial touches, so outcomes depend
-     only on the trial itself (determinism, and order-independence
-     across trials in one fuzzing session). *)
-  Dstruct.Sl_common.reset_states ();
-  Dstruct.Stacks.reset_slot_seq ();
+  (* A pristine world, so outcomes depend only on the trial itself
+     (determinism, and order-independence across trials in one fuzzing
+     session or fleet). *)
+  Harness.World.reset ();
   let saved_noise = Sched.noise_bits () in
   Fun.protect ~finally:(fun () -> Sched.set_noise_bits saved_noise)
   @@ fun () ->

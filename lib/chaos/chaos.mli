@@ -74,17 +74,7 @@ val fleet :
 (** {!fuzz} of [trials] trials farmed over [jobs] worker domains in
     batches of [batch]: returns the failure count and the output, which
     is byte-identical to {!fuzz}'s whatever the jobs/batch split (every
-    task starts from {!fresh_world}). *)
-
-val fresh_world : unit -> unit
-(** Restore the calling domain's entire simulator world to
-    process-pristine state: scheduler counters/tables/heap
-    ([Sim.Sched.reset_world]), the fault engine, the observability
-    journal, probe cells, and every id source (packing groups, lock
-    handles, transaction oids, skip-list level rngs, elimination-stack
-    slot counters). Structures created before the reset are invalidated.
-    The fleet runs this before every task so a trial's output does not
-    depend on which domain ran it or what ran there before. *)
+    trial starts from [Harness.World.reset]). *)
 
 (** {1 Registry structures}
 

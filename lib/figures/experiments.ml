@@ -17,7 +17,9 @@ let opteron = Topology.opteron
 type mode = {
   threads_of : Topology.t -> int list;
   ops_scale : float;  (** multiplier on per-point op budgets *)
-  seed : int;  (** workload seed threaded into every runner call *)
+  seed : int;
+      (** workload seed threaded into every runner call, except that
+          fig5, stack and ablation-victim run fixed seeds *)
 }
 
 let quick =
@@ -110,13 +112,13 @@ let figure ?latency ?(notes = []) id title series =
   { Render.id; title; series; latency_at; latency_classes; notes }
 
 (* The paper's figure grids: one figure per (workload case, machine), on
-   the Xeon then the Opteron. *)
-let grid ~fig ~what ?(before = ignore) ?(notes = fun _ -> []) cases curves =
+   the Xeon then the Opteron, each cell from a pristine world. *)
+let grid ~fig ~what ?(notes = fun _ -> []) cases curves =
   List.concat_map
     (fun (wname, case) ->
       List.map
         (fun topo ->
-          before ();
+          Harness.World.reset ();
           let series = curves topo case in
           figure ("F" ^ fig)
             (Printf.sprintf "Figure %s: %s — %s — %s" fig what wname
@@ -326,8 +328,8 @@ let fig7 mode =
 
 (* Figures 9-11: one set family over workload cases, [(name, (workload,
    ops))]. *)
-let set_grid mode ~fig ~what ?before ?notes structures cases =
-  grid ~fig ~what ?before ?notes cases (fun topo (w, ops) ->
+let set_grid mode ~fig ~what ?notes structures cases =
+  grid ~fig ~what ?notes cases (fun topo (w, ops) ->
       List.map (set_series mode ~topology:topo ~ops ~workload:w) structures)
 
 (* ------------------------------------------------------------------ *)
@@ -448,8 +450,8 @@ let restart_note series =
 let fig11 mode =
   let skewed init_size = Runner.skewed_workload ~init_size ~update_pct:40 () in
   let figs =
-    set_grid mode ~fig:"11" ~what:"skip lists" ~before:Dstruct.Sl_common.reset_states
-      ~notes:restart_note R.skiplists
+    set_grid mode ~fig:"11" ~what:"skip lists" ~notes:restart_note
+      R.skiplists
       [
         ("large skewed (65536, zipf .9)", (skewed 65_536, 15_000));
         ("small skewed (1024, zipf .9)", (skewed 1_024, 20_000));

@@ -1,15 +1,14 @@
 (** Domain-parallel trial fleet.
 
     Farms a list of independent, seeded tasks across real OCaml domains.
-    The simulator's entire mutable world is domain-local (see
-    [Sched.reset_world]), so each worker domain is an independent
-    simulator; with a [reset] callback restoring that world to pristine
-    state before {e every} task, a task's result is a pure function of
-    the task alone — independent of which domain ran it, what ran on
-    that domain before it, and how tasks were interleaved. That is the
-    fleet determinism contract: [map ~jobs:4 tasks] returns exactly what
-    [map ~jobs:1 tasks] returns, byte for byte, while using the host's
-    cores.
+    The simulator's entire mutable world is domain-local, so each worker
+    domain is an independent simulator; when every simulated run in a
+    task starts from {!World.reset} (as chaos, kv and txn trials do), a
+    task's result is a pure function of the task alone — independent of
+    which domain ran it, what ran on that domain before it, and how
+    tasks were interleaved. That is the fleet determinism contract:
+    [map ~jobs:4 tasks] returns exactly what [map ~jobs:1 tasks]
+    returns, byte for byte, while using the host's cores.
 
     Tasks are claimed from a shared atomic counter (work stealing
     degenerates to a ticket queue for same-size tasks, which seeded
@@ -46,16 +45,13 @@ let () =
              (Printexc.to_string t_exn))
     | _ -> None)
 
-(** [map ~jobs ~reset tasks] runs every task and returns their results
-    in task order. [reset] (default: nothing) runs on the worker domain
-    immediately before each task — pass a world reset (for simulator
-    trials: [Chaos.fresh_world]) to make results placement-independent.
-    [jobs] (default {!default_jobs}) caps the number of spawned worker
-    domains; it is further capped by the task count. If any task raises,
-    the first failure in {e task order} is re-raised as {!Task_failed}
-    after all workers have drained (workers don't abandon the fleet —
-    deterministic trials that fail, fail cheaply). *)
-let map ?jobs ?(reset = fun () -> ()) (tasks : 'a task list) : 'a list =
+(** [map ~jobs tasks] runs every task and returns their results in task
+    order. [jobs] (default {!default_jobs}) caps the number of spawned
+    worker domains; it is further capped by the task count. If any task
+    raises, the first failure in {e task order} is re-raised as
+    {!Task_failed} after all workers have drained (workers don't abandon
+    the fleet — deterministic trials that fail, fail cheaply). *)
+let map ?jobs (tasks : 'a task list) : 'a list =
   match tasks with
   | [] -> []
   | _ ->
@@ -76,13 +72,9 @@ let map ?jobs ?(reset = fun () -> ()) (tasks : 'a task list) : 'a list =
           let i = Atomic.fetch_and_add next 1 in
           if i < n then begin
             (results.(i) <-
-               (match
-                  reset ();
-                  tasks.(i).run ()
-                with
+               (match tasks.(i).run () with
                | v -> Some (Ok v)
-               | exception e ->
-                   Some (Error (e, Printexc.get_backtrace ()))));
+               | exception e -> Some (Error (e, Printexc.get_backtrace ()))));
             loop ()
           end
         in

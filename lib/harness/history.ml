@@ -16,60 +16,15 @@
     the invocation end restores soundness — it only relaxes precedence
     constraints, so it can never manufacture a violation. *)
 
-module Make (Spec : Lincheck.SPEC) = struct
-  module L = Lincheck.Make (Spec)
-
-  type t = {
-    completed : L.event list array;  (** per-thread, newest first *)
-    inflight : (int * Spec.input) option array;
-        (** per-thread (inv, input) of the op being executed, if any *)
-  }
-
-  let create ~nthreads =
-    { completed = Array.make nthreads []; inflight = Array.make nthreads None }
-
-  (* Record one operation on the calling virtual thread. Not wrapped in a
-     handler on purpose: an exception (a crash) must leave the in-flight
-     marker set, because that IS the pending operation. *)
-  let record t input (f : unit -> Spec.output) : Spec.output =
-    let tid = Sim.Sched.tid () in
-    let inv = Sim.Sched.now () in
-    t.inflight.(tid) <- Some (inv, input);
-    let output = f () in
-    let res = Sim.Sched.now () in
-    (* An operation that finished on the inline fast path advanced no
-       virtual time; give it a non-empty interval. *)
-    let res = if res <= inv then inv + 1 else res in
-    t.completed.(tid) <- { L.tid; inv; res; input; output } :: t.completed.(tid);
-    t.inflight.(tid) <- None;
-    output
-
-  let widen_inv widen inv = if inv > widen then inv - widen else 0
-
-  let completed ?(widen = 0) t : L.event list =
-    Array.to_list t.completed
-    |> List.concat_map
-         (List.rev_map (fun (e : L.event) ->
-              { e with L.inv = widen_inv widen e.inv }))
-
-  let pending ?(widen = 0) t : L.pending list =
-    Array.to_list t.inflight
-    |> List.mapi (fun tid o -> (tid, o))
-    |> List.filter_map (fun (tid, o) ->
-           Option.map
-             (fun (inv, input) ->
-               { L.p_tid = tid; p_inv = widen_inv widen inv; p_input = input })
-             o)
-end
-
-(** Spec-free variant of {!Make} for service-level oracles that do not go
-    through {!Lincheck}: the same crash semantics (an exception leaves the
-    in-flight record behind as a pending operation) but over arbitrary
-    request records, so an oracle can reason about acknowledged effects
-    instead of input/output pairs. The KV acked-write oracle records one
-    mutable request per client call here and sweeps [completed]
-    {e and} [inflight] afterwards — a request whose thread crashed after
-    the acknowledgment still carries its obligation. *)
+(** The crash-aware recorder, over arbitrary request records: an
+    exception leaves the in-flight record behind as a pending request.
+    Service-level oracles that do not go through {!Lincheck} use it
+    directly, so they can reason about acknowledged effects instead of
+    input/output pairs: the KV acked-write oracle records one mutable
+    request per client call here and sweeps [completed] {e and}
+    [inflight] afterwards — a request whose thread crashed after the
+    acknowledgment still carries its obligation. {!Make} is the same log
+    over linearizability operations. *)
 module Log = struct
   type 'r t = {
     completed : 'r array array;
@@ -125,4 +80,61 @@ module Log = struct
         done)
       t.completed;
     Array.iter (Option.iter f) t.inflight
+end
+
+(** {!Log} over {!Lincheck} operations. An operation's [output] is
+    [Some] once it completed and stays [None] if its thread crashed
+    mid-operation; completed operations keep their per-thread recording
+    order. *)
+module Make (Spec : Lincheck.SPEC) = struct
+  module L = Lincheck.Make (Spec)
+
+  type op = {
+    tid : int;
+    inv : int;
+    input : Spec.input;
+    mutable res : int;
+    mutable output : Spec.output option;
+  }
+
+  type t = op Log.t
+
+  let create ~nthreads : t = Log.create ~nthreads
+
+  (* Record one operation on the calling virtual thread; a crash leaves
+     it in flight with no output, which IS the pending operation. *)
+  let record (t : t) input (f : unit -> Spec.output) : Spec.output =
+    let tid = Sim.Sched.tid () in
+    let op = { tid; inv = Sim.Sched.now (); input; res = 0; output = None } in
+    Log.record t op (fun () ->
+        let output = f () in
+        (* An operation that finished on the inline fast path advanced no
+           virtual time; give it a non-empty interval. *)
+        op.res <- max (Sim.Sched.now ()) (op.inv + 1);
+        op.output <- Some output;
+        output)
+
+  let widen_inv widen inv = if inv > widen then inv - widen else 0
+
+  let completed ?(widen = 0) (t : t) : L.event list =
+    let acc = ref [] in
+    Log.iter t (fun op ->
+        Option.iter
+          (fun output ->
+            acc :=
+              { L.tid = op.tid; inv = widen_inv widen op.inv; res = op.res;
+                input = op.input; output }
+              :: !acc)
+          op.output);
+    List.rev !acc
+
+  let pending ?(widen = 0) (t : t) : L.pending list =
+    let acc = ref [] in
+    Log.iter t (fun op ->
+        if Option.is_none op.output then
+          acc :=
+            { L.p_tid = op.tid; p_inv = widen_inv widen op.inv;
+              p_input = op.input }
+            :: !acc);
+    List.rev !acc
 end

@@ -81,8 +81,8 @@ let describe c =
    progress dump instead of a silent event-budget burn. *)
 let watchdog = { Sim.Sched.check_events = 500_000; starve_cycles = 50_000_000 }
 
-(** Run a case. Maps get twice the size in slots for headroom, hash
-    tables as many buckets. *)
+(** Run a case from a pristine world ({!World.reset}). Maps get twice the
+    size in slots for headroom, hash tables as many buckets. *)
 let run c =
   let workload =
     if c.skewed then Runner.skewed_workload else Runner.uniform_workload
@@ -90,6 +90,6 @@ let run c =
   let w =
     workload ~capacity:(2 * c.size) ~init_size:c.size ~update_pct:c.updates ()
   in
-  Dstruct.Sl_common.reset_states ();
+  World.reset ();
   Runner.run_set_sim ~topology:c.topology ~nthreads:c.threads ~ops:c.ops
     ~seed:c.seed ~watchdog c.structure w

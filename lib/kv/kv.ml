@@ -1268,7 +1268,7 @@ let run ?(record_obs = false) (cfg : config) :
   pct "transfer_pct" w.transfer_pct;
   if w.read_pct + w.scan_pct + w.transfer_pct > 100 then
     fail "read_pct + scan_pct + transfer_pct must be at most 100";
-  Dstruct.Sl_common.reset_states ();
+  Harness.World.reset ();
   let t = create cfg in
   (* Arm the resync probe so a plan's [resynccrash] specs can count
      checkpoints inside copy windows. The fault engine's [clear] (run

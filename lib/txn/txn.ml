@@ -53,35 +53,18 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
             — the serializability oracle must catch this *)
 
   (* One structure participating in transactions. Packed once at setup:
-     [oid] keys the per-transaction read/write buffers, and packing
-     forces the structure's versioned overlay into existence while still
+     the packed value itself (compared with [==]) keys the
+     per-transaction read/write buffers, and packing forces the
+     structure's versioned overlay into existence while still
      single-threaded. *)
   type obj =
-    | Obj : {
-        oid : int;
-        ops : (module SET_OPS with type t = 'a);
-        st : 'a;
-      }
-        -> obj
-
-  (* Domain-local like every other id source, so fleet worker domains
-     number their objects from 1 no matter which trials ran before. *)
-  let next_oid_key : int ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref 0)
+    | Obj : { ops : (module SET_OPS with type t = 'a); st : 'a } -> obj
 
   let obj (type a) (module S : SET_OPS with type t = a) (st : a) : obj =
     (* Touch the overlay now (key 0 only selects a stripe; the structure
        itself is not accessed) so no lazy allocation races the run. *)
     ignore (S.lock_handle st 0 : Locks.Handle.t);
-    let next_oid = Domain.DLS.get next_oid_key in
-    incr next_oid;
-    Obj { oid = !next_oid; ops = (module S); st }
-
-  (* Restart object numbering (world reset); objects packed before the
-     reset must be dropped with their structures. *)
-  let reset_oids () = Domain.DLS.get next_oid_key := 0
-
-  let obj_id (Obj { oid; _ }) = oid
+    Obj { ops = (module S); st }
 
   let obj_read (Obj { ops = (module S); st; _ }) k = S.read_versioned st k
   let obj_handle (Obj { ops = (module S); st; _ }) k = S.lock_handle st k
@@ -102,7 +85,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
     | None -> ()
 
   type rentry = {
-    r_oid : int;
+    r_obj : obj;
     r_key : int;
     r_val : int option;
     r_tok : int;
@@ -161,22 +144,19 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
   let clock t = Rt.get t.clock
 
   let read ctx o k =
-    let oid = obj_id o in
     let buffered =
-      List.find_opt (fun w -> obj_id w.w_obj = oid && w.w_key = k) ctx.writes
+      List.find_opt (fun w -> w.w_obj == o && w.w_key = k) ctx.writes
     in
     match buffered with
     | Some w -> w.w_val (* read-your-writes *)
     | None -> (
-        match
-          List.find_opt (fun r -> r.r_oid = oid && r.r_key = k) ctx.reads
-        with
+        match List.find_opt (fun r -> r.r_obj == o && r.r_key = k) ctx.reads with
         | Some r -> r.r_val (* repeatable read *)
         | None ->
             let v, tok = obj_read o k in
             ctx.reads <-
               {
-                r_oid = oid;
+                r_obj = o;
                 r_key = k;
                 r_val = v;
                 r_tok = tok;
@@ -191,18 +171,16 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       { w_obj = o; w_key = k; w_val = v; w_handle = obj_handle o k }
       :: ctx.writes
 
-  (* Effective write set: the newest buffered write per (object, key). *)
+  (* Effective write set: the newest buffered write per (object, key),
+     in buffer order. *)
   let dedupe_writes ws =
-    let seen = Hashtbl.create 8 in
-    List.filter
-      (fun w ->
-        let key = (obj_id w.w_obj, w.w_key) in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      ws
+    let rec go kept = function
+      | [] -> List.rev kept
+      | w :: rest ->
+          let same k = k.w_obj == w.w_obj && k.w_key = w.w_key in
+          go (if List.exists same kept then kept else w :: kept) rest
+    in
+    go [] ws
 
   (* The commit lock set: one handle per id, ascending. *)
   let lock_set ws =
@@ -769,7 +747,7 @@ module Workload = struct
       invalid_arg "Txn.Workload: threads and ops must be positive";
     if cfg.transfer_pct < 0 || cfg.transfer_pct > 100 then
       invalid_arg "Txn.Workload: transfer_pct must be in [0,100]";
-    Dstruct.Sl_common.reset_states ();
+    Harness.World.reset ();
     let objs = make_objects cfg (rep_module cfg.rep) in
     let mgr =
       T.create

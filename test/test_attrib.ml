@@ -219,8 +219,7 @@ let test_fleet_sections_deterministic () =
             (fun () -> trial seed))
         [ 3; 4; 5; 6 ]
     in
-    String.concat "\n"
-      (Harness.Fleet.map ~jobs ~reset:Chaos.fresh_world tasks)
+    String.concat "\n" (Harness.Fleet.map ~jobs tasks)
   in
   let one = fleet 1 in
   let four = fleet 4 in

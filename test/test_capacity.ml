@@ -1,8 +1,8 @@
 (* Capacity and world-reset tests: a 10k-virtual-thread run completes on
-   the arena-allocated engine, [Chaos.fresh_world] restores a domain to
-   process-pristine state (sequential isolation — a run's output cannot
-   depend on what ran before it), and the latency collectors stay cheap
-   until fed. *)
+   the arena-allocated engine, every order-independent entry point starts
+   from [Harness.World.reset] (sequential isolation — a run's output
+   cannot depend on what ran before it), and the latency collectors stay
+   cheap until fed. *)
 
 module Sched = Sim.Sched
 
@@ -53,30 +53,74 @@ let render f =
   Format.pp_print_flush ppf ();
   (failed, Buffer.contents buf)
 
-(* The same seeded fuzz must produce identical bytes from a pristine
-   world no matter what ran before the reset: here a different fuzzer
-   (KV trials), a figure-style runner measurement, and nothing at all.
-   This is the property the fleet's per-task reset relies on. *)
+(* The simulated part of a measurement: everything but host time and
+   the optional trace. *)
+let sim (m : Harness.Runner.measurement) =
+  ( (m.ops, m.mops, m.wall_s, m.eff_update_pct, m.reads, m.writes),
+    (m.cas, m.cas_failed, m.faa, m.events, m.lat, m.counters),
+    (m.final_size, m.valid, Harness.Runner.aborted m) )
+
+(* Leave the world as dirty as a process can: trials of every family
+   (ids, journal, fault tables), an elimination stack (slot counters),
+   a skip list (level generators), a leaked noise setting and a leaked
+   fault plan that stalls thread 0. *)
+let pollute () =
+  List.iter
+    (fun fam -> ignore (render (fun ppf -> Chaos.fuzz fam ~runs:2 ~seed:5 ppf)))
+    [ (module Chaos.Kv_trial : Chaos.TRIAL); (module Chaos.Txn_trial) ];
+  ignore
+    (Harness.Runner.run_stack_sim ~topology:(Sim.Topology.uniform ~n:4 ())
+       ~nthreads:6 ~ops:2_000 ~init:64 ~push_pct:50
+       Harness.Registry.Sim_backend.stack_elimination);
+  ignore
+    (Harness.Runner.run_set_sim ~topology:Sim.Topology.xeon ~nthreads:4
+       ~ops:2_000 ~seed:3 Harness.Registry.Sim_backend.sl_optik2
+       (Harness.Runner.uniform_workload ~init_size:256 ~update_pct:40 ()));
+  Sched.set_noise_bits 5;
+  Sim.Fault.install
+    (Sim.Fault.plan ~seed:1
+       [ Sim.Fault.stall ~tid:0 ~hits:50 20_000 Rt.Rt_intf.Op_boundary ])
+
+(* Each order-independent entry point must repeat its first run's
+   output after the world was polluted, with no reset by the caller:
+   the entry point resets the world itself. This is the property the
+   fleet relies on. *)
 let test_sequential_isolation () =
-  let probe () =
-    render (fun ppf ->
-        Chaos.fuzz
-          (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
-          ~runs:3 ~seed:11 ppf)
+  let repeats what run =
+    let first = run () in
+    pollute ();
+    Alcotest.(check bool) (what ^ " repeats after pollution") true
+      (first = run ())
   in
-  Chaos.fresh_world ();
-  let r1 = probe () in
-  (* pollute the world: different structures, ids, journal, faults *)
-  ignore (render (fun ppf -> Chaos.fuzz (module Chaos.Kv_trial) ~runs:2 ~seed:5 ppf));
-  ignore (render (fun ppf -> Chaos.fuzz (module Chaos.Txn_trial) ~runs:2 ~seed:5 ppf));
-  Chaos.fresh_world ();
-  let r2 = probe () in
-  Alcotest.(check bool) "same bytes from a pristine world" true (r1 = r2);
-  (* and a polluted world generally does NOT give the pristine bytes
-     for id-dependent output — the reset is load-bearing, not a no-op.
-     (Only sameness after reset is contractual, so no assertion on the
-     polluted run; it is here to catch crashes.) *)
-  ignore (probe ())
+  repeats "chaos fuzz" (fun () ->
+      render (fun ppf ->
+          Chaos.fuzz
+            (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
+            ~runs:3 ~seed:11 ppf));
+  repeats "Kv.run" (fun () ->
+      let m, r =
+        Kv.run { Kv.default_config with ops = 1_500; rep = "sl-optik" }
+      in
+      (sim m, r.Kv.res_oracle, r.Kv.res_events));
+  repeats "Txn.Workload.run" (fun () ->
+      let m, r =
+        Txn.Workload.run
+          { Txn.Workload.default_config with ops = 1_500; rep = "sl-optik" }
+      in
+      (sim m, r.Txn.Workload.res_oracle, r.Txn.Workload.res_commits));
+  repeats "Soak.run" (fun () ->
+      sim
+        (Harness.Soak.run
+           {
+             structure = Harness.Registry.Sim_backend.sl_optik2;
+             topology = Sim.Topology.xeon;
+             threads = 8;
+             size = 256;
+             updates = 40;
+             skewed = true;
+             ops = 3_000;
+             seed = 9;
+           }))
 
 (* ------------------------------------------------------------------ *)
 (* Latency collector growth                                            *)

@@ -61,23 +61,18 @@ let gen_replay_output (module T : Chaos.TRIAL) =
 let replay_output_sets () =
   gen_replay_output (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
 
-(* The kv and txn pins start from a pristine world, so they do not
-   depend on what ran before them. *)
-let pristine f () =
-  Chaos.fresh_world ();
-  f ()
-
+(* Every kv and txn trial starts from a pristine world, so these pins
+   do not depend on what ran before them. *)
 module Kv_t = Chaos.Kv_trial
 module Txn_t = Chaos.Txn_trial
 
-let kv_fuzz_output = pristine (fun () -> fuzz_output (module Kv_t) ~runs:4)
-let txn_fuzz_output = pristine (fun () -> fuzz_output (module Txn_t) ~runs:4)
-let kv_replay_output = pristine (fun () -> gen_replay_output (module Kv_t))
-let txn_replay_output = pristine (fun () -> gen_replay_output (module Txn_t))
+let kv_fuzz_output () = fuzz_output (module Kv_t) ~runs:4
+let txn_fuzz_output () = fuzz_output (module Txn_t) ~runs:4
+let kv_replay_output () = gen_replay_output (module Kv_t)
+let txn_replay_output () = gen_replay_output (module Txn_t)
 
-let txn_broken_output =
-  pristine (fun () ->
-      replay_output (module Txn_t) "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !")
+let txn_broken_output () =
+  replay_output (module Txn_t) "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !"
 
 (* The soak sweep of [optik_bench soak], pinned seed, full stats per run
    so any scheduling change shows up. *)
@@ -104,7 +99,7 @@ let soak_output () =
    keys whatever the mode, which would take minutes. Like a fresh
    [optik_bench figures] process, it starts from a pristine world. *)
 let figures_output () =
-  Chaos.fresh_world ();
+  Harness.World.reset ();
   let tiny =
     { Figures.Experiments.threads_of = (fun _ -> [ 1; 4 ]); ops_scale = 0.02;
       seed = 42 }

@@ -22,14 +22,32 @@ let test_order_preserved () =
   let r = Fleet.map ~jobs:4 tasks in
   Alcotest.(check (list int)) "task order" (List.init 20 (fun i -> i * i)) r
 
+(* No reset callback is needed: each task's simulated run resets its own
+   domain's world first. Every task runs the same [Kv.run] and then
+   leaves its worker dirty (a leaked noise setting and an
+   elimination-stack run), yet all seven results are identical — the
+   reset happens per task, whatever ran on that domain before. *)
 let test_reset_runs_before_every_task () =
   let hits = Atomic.make 0 in
-  let tasks = List.init 7 (fun i -> Fleet.task ~label:"t" (fun () -> i)) in
-  let r =
-    Fleet.map ~jobs:3 ~reset:(fun () -> Atomic.incr hits) tasks
+  let cfg = { Kv.default_config with ops = 1_500; rep = "sl-optik" } in
+  let tasks =
+    List.init 7 (fun i ->
+        Fleet.task ~label:(string_of_int i) (fun () ->
+            Atomic.incr hits;
+            let m, r = Kv.run cfg in
+            Sim.Sched.set_noise_bits (1 + i);
+            ignore
+              (Harness.Runner.run_stack_sim
+                 ~topology:(Sim.Topology.uniform ~n:4 ())
+                 ~nthreads:4 ~ops:500 ~init:32 ~push_pct:50
+                 Harness.Registry.Sim_backend.stack_elimination);
+            (m.ops, m.cas, m.cas_failed, m.counters, r.Kv.res_oracle,
+             r.Kv.res_events)))
   in
-  Alcotest.(check (list int)) "results" [ 0; 1; 2; 3; 4; 5; 6 ] r;
-  Alcotest.(check int) "one reset per task" 7 (Atomic.get hits)
+  let r = Fleet.map ~jobs:3 tasks in
+  Alcotest.(check int) "every task ran" 7 (Atomic.get hits);
+  Alcotest.(check bool) "one result, whatever ran before" true
+    (List.for_all (( = ) (List.hd r)) r)
 
 let test_failure_is_first_in_task_order () =
   let ran = Atomic.make 0 in
@@ -69,7 +87,6 @@ let test_fleet_determinism () =
   let serial =
     let buf = Buffer.create 1024 in
     let ppf = Format.formatter_of_buffer buf in
-    Chaos.fresh_world ();
     let failed = Chaos.fuzz family ~runs:trials ~seed ppf in
     Format.pp_print_flush ppf ();
     (failed, Buffer.contents buf)
@@ -79,12 +96,12 @@ let test_fleet_determinism () =
   Alcotest.(check (pair int string)) "jobs:1 == serial" serial one;
   Alcotest.(check (pair int string)) "jobs:4 == jobs:1" one four
 
-(* A fresh world is pristine for every structure: an elimination-stack
+(* A world reset is pristine for every structure: an elimination-stack
    run repeats exactly after another one, which its slot counters used
    to carry into. *)
-let test_fresh_world_resets_elimination () =
+let test_world_reset_resets_elimination () =
   let run () =
-    Chaos.fresh_world ();
+    Harness.World.reset ();
     let m =
       Harness.Runner.run_stack_sim ~topology:(Sim.Topology.uniform ~n:4 ())
         ~nthreads:6 ~ops:3_000 ~init:64 ~push_pct:50
@@ -109,6 +126,6 @@ let () =
           Alcotest.test_case "determinism jobs 1 vs 4" `Quick
             test_fleet_determinism;
           Alcotest.test_case "fresh world resets the elimination stack" `Quick
-            test_fresh_world_resets_elimination;
+            test_world_reset_resets_elimination;
         ] );
     ]

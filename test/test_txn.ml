@@ -86,22 +86,29 @@ let test_transfer_moves_units () =
   Alcotest.(check (option int)) "credited" (Some 130) (balance b 2);
   Alcotest.(check (option int)) "others untouched" (Some 100) (balance a 2)
 
+(* Buffers are keyed by (object, key): the same key written in both
+   objects of the pair stays two separate entries. *)
 let test_read_your_writes () =
-  let a, _ = fresh_pair () in
+  let a, b = fresh_pair () in
   let mgr = TX.create () in
   let seen, _ =
     TX.atomically mgr (fun ctx ->
         TX.write ctx a 1 (Some 7);
+        TX.write ctx b 1 (Some 9);
         let after_write = TX.read ctx a 1 in
         TX.write ctx a 1 None;
         let after_delete = TX.read ctx a 1 in
-        (after_write, after_delete))
+        (after_write, after_delete, TX.read ctx b 1))
   in
-  Alcotest.(check (pair (option int) (option int)))
-    "buffered writes visible in-transaction" (Some 7, None) seen;
+  Alcotest.(check (triple (option int) (option int) (option int)))
+    "buffered writes visible in-transaction, per object" (Some 7, None, Some 9)
+    seen;
   Alcotest.(check (option int))
     "newest write wins at commit" None
-    (fst (TX.obj_read a 1))
+    (fst (TX.obj_read a 1));
+  Alcotest.(check (option int))
+    "the other object's write commits too" (Some 9)
+    (fst (TX.obj_read b 1))
 
 (* A conflicting commit advances the stripe version between the read
    phase and commit: the single-CAS validate-and-acquire must fail and
