@@ -148,8 +148,8 @@ let specs =
                    Sim.Sched.work 32
                  done)));
     };
-    (* The fleet driver end-to-end: spawn worker domains, reset each
-       world, run a small batch of quick chaos trials per task. Ops =
+    (* The fuzz driver end-to-end: spawn worker domains, reset each
+       world, run a small range of quick chaos trials per task. Ops =
        trials, so ops/host-sec is trials/sec — the number the fleet
        exists to multiply. Accesses and events are 0 (per-domain probe
        worlds are torn down with the workers), so only the ops rate is
@@ -162,9 +162,9 @@ let specs =
           let jobs = min 4 (Harness.Fleet.default_jobs ()) in
           let host0 = Unix.gettimeofday () in
           ignore
-            (Chaos.fleet
+            (Chaos.fuzz ~jobs
                (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
-               ~jobs ~batch:3 ~trials ~seed);
+               ~runs:trials ~seed);
           {
             r_name = "fleet/chaos-quick";
             r_threads = jobs;

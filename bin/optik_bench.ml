@@ -110,6 +110,14 @@ let trials_arg ~fuzz_doc ~replay_doc =
     $ int_arg "fuzz" 0 fuzz_doc
     $ replay_arg replay_doc)
 
+(* --jobs J: the worker domains a fuzz run farms its trials over. *)
+let jobs_arg =
+  int_arg "jobs" ~docv:"J" 0
+    "Worker domains for fuzzing (0, the default: the host's recommended \
+     domain count minus one). Output bytes do not depend on $(docv): trial \
+     i is always drawn from seed + i*1000003 and every trial starts from a \
+     pristine per-domain simulator world."
+
 (* A trial stream's report sections: the failure count and the printed
    lines. *)
 let trial_sections failures output =
@@ -121,37 +129,38 @@ let trial_sections failures output =
     ("trials", J.Arr (List.map (fun l -> J.Str l) lines));
   ]
 
-(* Fuzz or replay [family] to stdout. With --report the stream renders
-   into a buffer first, so the same lines land both on stdout (unchanged
-   bytes) and in the report. *)
-let trial_stream ~subcommand ~seed ~params report family trials =
+(* Fuzz or replay [family], print the output, and report the same lines.
+   Report params leave out --jobs, so runs of different widths diff
+   clean. *)
+let trial_stream ~subcommand ~seed ~params ~jobs family trials =
   let module T = (val family : Chaos.TRIAL) in
-  let drive ppf =
+  if jobs < 0 then
+    invalid_arg (Printf.sprintf "%s: --jobs must be >= 0" subcommand);
+  let failures, output =
     match trials with
     | Fuzz runs ->
         with_host_time
           (Printf.sprintf "%s fuzz %d trials" T.command runs)
           (fun _ -> runs)
-          (fun () -> Chaos.fuzz family ~runs ~seed ppf)
+          (fun () ->
+            Chaos.fuzz
+              ?jobs:(if jobs = 0 then None else Some jobs)
+              family ~runs ~seed)
     | Replay s ->
         with_host_time (T.command ^ " replay")
           (fun _ -> 1)
-          (fun () -> Chaos.replay family s ppf)
+          (fun () ->
+            let buf = Buffer.create 1024 in
+            let ppf = Format.formatter_of_buffer buf in
+            let failures = Chaos.replay family s ppf in
+            Format.pp_print_flush ppf ();
+            (failures, Buffer.contents buf))
   in
-  let failures, sections =
-    match report with
-    | None -> (drive Format.std_formatter, [])
-    | Some _ ->
-        let buf = Buffer.create 8192 in
-        let ppf = Format.formatter_of_buffer buf in
-        let failures = drive ppf in
-        Format.pp_print_flush ppf ();
-        let output = Buffer.contents buf in
-        print_string output;
-        (failures, trial_sections failures output)
-  in
+  print_string output;
   ( failures > 0,
-    fun () -> J.make ~subcommand ~seed:(Some seed) ~params ~runs:[] ~sections )
+    fun () ->
+      J.make ~subcommand ~seed:(Some seed) ~params ~runs:[]
+        ~sections:(trial_sections failures output) )
 
 (* ---------------- request tracing ---------------- *)
 
@@ -537,7 +546,7 @@ let chaos_cmd =
       "Replay one trial string (as emitted in a repro line) instead of \
        fuzzing, and print its verdict."
   in
-  let run runs seed structures quick replay report =
+  let run runs seed structures quick replay jobs report =
     main report @@ fun () ->
     if runs < 1 then invalid_arg "chaos: --runs must be >= 1";
     let all = Chaos.default_entries in
@@ -571,7 +580,7 @@ let chaos_cmd =
           ("structures", match structures with None -> J.Null | Some s -> J.Str s);
           ("replay", match replay with None -> J.Null | Some s -> J.Str s);
         ]
-      report
+      ~jobs
       (family :> (module Chaos.TRIAL))
       trials
   in
@@ -581,94 +590,9 @@ let chaos_cmd =
          "Randomized fault/schedule fuzzing over the registry structures, \
           with crash-aware linearizability, liveness and invariant oracles, \
           and counterexample shrinking.")
-    Term.(const run $ runs $ seed $ structures $ quick $ replay $ report_arg)
-
-(* ---------------- fleet ---------------- *)
-
-(* The trial families a fleet can farm out; --quick narrows chaos. *)
-let families ~quick =
-  [
-    ( "chaos",
-      (Chaos.sets (if quick then Chaos.quick_entries else Chaos.default_entries)
-        :> (module Chaos.TRIAL)) );
-    ("kv", (module Chaos.Kv_trial : Chaos.TRIAL));
-    ("txn", (module Chaos.Txn_trial : Chaos.TRIAL));
-  ]
-
-let fleet_cmd =
-  let kind =
-    Arg.(
-      value
-      & opt (enum (List.map (fun (k, _) -> (k, k)) (families ~quick:false))) "chaos"
-      & info [ "kind" ] ~docv:"KIND"
-          ~doc:
-            "Which fuzzer to farm out: $(b,chaos) (registry structures), \
-             $(b,kv) (sharded KV service) or $(b,txn) (optimistic \
-             transactions).")
-  in
-  let trials = int_arg "trials" 100 "Total number of random trials." in
-  let batch =
-    int_arg "batch" ~docv:"B" 10
-      "Trials per fleet task. Smaller batches balance better across \
-       domains; larger ones amortize per-task overhead. Output \
-       bytes do not depend on the batch size."
-  in
-  let jobs =
-    int_arg "jobs" ~docv:"J" 0
-      "Worker domains (default: the host's recommended domain count \
-       minus one). Output bytes do not depend on $(docv): trial i is \
-       always drawn from seed + i*1000003 and every trial starts from \
-       a pristine per-domain simulator world."
-  in
-  let seed =
-    seed_arg ~default:1 "Fuzzing seed, same seeding scheme as the serial fuzzers."
-  in
-  let quick =
-    flag_arg "quick"
-      "For $(b,--kind chaos): restrict to the fast representatives \
-       (no skip lists, no BST)."
-  in
-  let run kind trials batch jobs seed quick report =
-    main report @@ fun () ->
-    let at_least_1 flag v =
-      if v < 1 then invalid_arg (Printf.sprintf "fleet: --%s must be >= 1" flag)
-    in
-    at_least_1 "trials" trials;
-    at_least_1 "batch" batch;
-    let jobs = if jobs = 0 then Harness.Fleet.default_jobs () else jobs in
-    at_least_1 "jobs" jobs;
-    let family = List.assoc kind (families ~quick) in
-    let module T = (val family) in
-    let failures, output =
-      with_host_time
-        (Printf.sprintf "fleet %s %d trials (%d jobs)" T.name trials jobs)
-        (fun _ -> trials)
-        (fun () -> Chaos.fleet family ~jobs ~batch ~trials ~seed)
-    in
-    print_string output;
-    (* Report params exclude jobs/batch: the report is a function of
-       (kind, trials, seed, quick) alone, so fleets of different widths
-       diff clean. *)
-    ( failures > 0,
-      fun () ->
-        J.make ~subcommand:"fleet" ~seed:(Some seed)
-          ~params:
-            [
-              ("kind", J.Str T.name);
-              ("trials", J.Int trials);
-              ("quick", J.Bool quick);
-            ]
-          ~runs:[]
-          ~sections:(trial_sections failures output) )
-  in
-  Cmd.v
-    (Cmd.info ~exits "fleet"
-       ~doc:
-         "Domain-parallel trial fleet: farm chaos/kv/txn fuzz trials \
-          across worker domains in seeded batches. Byte-identical stdout \
-          for any --jobs/--batch split of the same (kind, trials, seed).")
     Term.(
-      const run $ kind $ trials $ batch $ jobs $ seed $ quick $ report_arg)
+      const run $ runs $ seed $ structures $ quick $ replay $ jobs_arg
+      $ report_arg)
 
 (* ---------------- kv and txn ---------------- *)
 
@@ -818,8 +742,8 @@ let kv_cmd =
   in
   let run rep shards threads ops keys read scan transfer accounts machine seed
       deadline retries faults rolling down_for stagger broken_retry
-      no_replication degraded_for resync_batch broken_resync trials report
-      attrib timeline =
+      no_replication degraded_for resync_batch broken_resync trials jobs
+      report attrib timeline =
     main report @@ fun () ->
     let topo = topology_of_machine machine in
     if not (List.mem rep Kv.rep_names) then
@@ -828,7 +752,7 @@ let kv_cmd =
            (String.concat ", " Kv.rep_names));
     match trials with
     | Some t ->
-        trial_stream ~subcommand:"kv" ~seed ~params:(trial_params t) report
+        trial_stream ~subcommand:"kv" ~seed ~params:(trial_params t) ~jobs
           (module Chaos.Kv_trial)
           t
     | None ->
@@ -987,8 +911,8 @@ let kv_cmd =
       const run $ rep $ shards $ threads $ ops $ keys $ read $ scan $ transfer
       $ accounts $ machine_arg $ seed $ deadline $ retries $ faults $ rolling
       $ down_for $ stagger $ broken_retry $ no_replication $ degraded_for
-      $ resync_batch $ broken_resync $ trials $ report_arg $ attrib_arg
-      $ timeline_arg)
+      $ resync_batch $ broken_resync $ trials $ jobs_arg $ report_arg
+      $ attrib_arg $ timeline_arg)
 
 let txn_cmd =
   let module W = Txn.Workload in
@@ -1034,7 +958,7 @@ let txn_cmd =
       ~replay_doc:"Replay one transaction trial string (as emitted by --fuzz)."
   in
   let run rep objects accounts threads ops transfer machine seed broken trials
-      report attrib timeline =
+      jobs report attrib timeline =
     main report @@ fun () ->
     let topo = topology_of_machine machine in
     if not (List.mem rep W.rep_names) then
@@ -1043,7 +967,7 @@ let txn_cmd =
            (String.concat ", " W.rep_names));
     match trials with
     | Some t ->
-        trial_stream ~subcommand:"txn" ~seed ~params:(trial_params t) report
+        trial_stream ~subcommand:"txn" ~seed ~params:(trial_params t) ~jobs
           (module Chaos.Txn_trial)
           t
     | None ->
@@ -1109,8 +1033,8 @@ let txn_cmd =
           serializability oracle over the committed history.")
     Term.(
       const run $ rep $ objects $ accounts $ threads $ ops $ transfer
-      $ machine_arg $ seed $ broken $ trials $ report_arg $ attrib_arg
-      $ timeline_arg)
+      $ machine_arg $ seed $ broken $ trials $ jobs_arg $ report_arg
+      $ attrib_arg $ timeline_arg)
 
 (* ---------------- hostperf ---------------- *)
 
@@ -1334,7 +1258,6 @@ let () =
         run_cmd;
         soak_cmd;
         chaos_cmd;
-        fleet_cmd;
         kv_cmd;
         txn_cmd;
         hostperf_cmd;

@@ -186,7 +186,7 @@ let service_liveness what (m : Harness.Runner.measurement) =
       [ { f_oracle = "liveness"; f_detail = what ^ " aborted: " ^ detail } ]
 
 (* ------------------------------------------------------------------ *)
-(* The driver: fuzz, shrink, replay, fleet                             *)
+(* The driver: fuzz, shrink, replay                                    *)
 
 let shrink (type a) (module T : TRIAL with type t = a) (tr0 : a) : a =
   let fails tr = fst (T.run tr) <> [] in
@@ -209,8 +209,8 @@ let report_failures ppf fs =
     fs
 
 (* Trials [offset .. offset+runs-1] of the seeded sequence, printed with
-   their absolute indices and no summary, so batches concatenate to the
-   serial stream. *)
+   their absolute indices and no summary, so ranges concatenate to one
+   stream. *)
 let fuzz_range (module T : TRIAL) ~offset ~runs ~seed ppf =
   let failed = ref 0 in
   for i = offset to offset + runs - 1 do
@@ -228,14 +228,36 @@ let fuzz_range (module T : TRIAL) ~offset ~runs ~seed ppf =
   done;
   !failed
 
-let print_summary (module T : TRIAL) ppf ~failed ~runs ~seed =
-  Format.fprintf ppf "%s: %d/%d trials failed (seed %d)@." T.name failed runs
-    seed
-
-let fuzz m ~runs ~seed ppf =
-  let failed = fuzz_range m ~offset:0 ~runs ~seed ppf in
-  print_summary m ppf ~failed ~runs ~seed;
-  failed
+let fuzz ?jobs m ~runs ~seed =
+  let module T = (val m : TRIAL) in
+  let jobs = Option.value jobs ~default:(Harness.Fleet.default_jobs ()) in
+  if jobs < 1 then invalid_arg "Chaos.fuzz: jobs must be >= 1";
+  (* One task per contiguous range of trial indices, about four per
+     worker so uneven trials still balance; each renders into its own
+     buffer. Every trial starts from a pristine world, so, concatenated
+     in task order, the buffers are one stream whatever the split. *)
+  let range = max 1 ((runs + (4 * jobs) - 1) / (4 * jobs)) in
+  let tasks =
+    List.init
+      ((runs + range - 1) / range)
+      (fun b ->
+        let offset = b * range in
+        let runs = min range (runs - offset) in
+        Harness.Fleet.task
+          ~label:(Printf.sprintf "%s[%d..%d]" T.name offset (offset + runs - 1))
+          (fun () ->
+            let buf = Buffer.create 4096 in
+            let ppf = Format.formatter_of_buffer buf in
+            let failed = fuzz_range m ~offset ~runs ~seed ppf in
+            Format.pp_print_flush ppf ();
+            (failed, Buffer.contents buf)))
+  in
+  let results = Harness.Fleet.map ~jobs tasks in
+  let failed = List.fold_left (fun a (f, _) -> a + f) 0 results in
+  ( failed,
+    String.concat "" (List.map snd results)
+    ^ Printf.sprintf "%s: %d/%d trials failed (seed %d)\n" T.name failed runs
+        seed )
 
 let replay (module T : TRIAL) s ppf =
   let tr = T.of_string s in
@@ -248,35 +270,6 @@ let replay (module T : TRIAL) s ppf =
      Format.fprintf ppf "verdict: FAIL (%d oracle failures)@." (List.length fs)
    end);
   List.length fs
-
-let fleet m ~jobs ~batch ~trials ~seed =
-  let module T = (val m : TRIAL) in
-  (* One task per contiguous batch of trial indices, each rendering into
-     its own buffer; every trial starts from a pristine world, so,
-     concatenated in task order, the buffers are the serial stream
-     whatever the jobs/batch split. *)
-  let tasks =
-    List.init
-      ((trials + batch - 1) / batch)
-      (fun b ->
-        let offset = b * batch in
-        let runs = min batch (trials - offset) in
-        Harness.Fleet.task
-          ~label:(Printf.sprintf "%s[%d..%d]" T.name offset (offset + runs - 1))
-          (fun () ->
-            let buf = Buffer.create 4096 in
-            let ppf = Format.formatter_of_buffer buf in
-            let failed = fuzz_range m ~offset ~runs ~seed ppf in
-            Format.pp_print_flush ppf ();
-            (failed, Buffer.contents buf)))
-  in
-  let results = Harness.Fleet.map ~jobs tasks in
-  let failed = List.fold_left (fun a (f, _) -> a + f) 0 results in
-  let buf = Buffer.create 8192 in
-  List.iter (fun (_, s) -> Buffer.add_string buf s) results;
-  let ppf = Format.formatter_of_buffer buf in
-  print_summary m ppf ~failed ~runs:trials ~seed;
-  (failed, Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Set, queue and stack trials                                         *)
@@ -678,8 +671,8 @@ end
 
 let run_trial tr =
   (* A pristine world, so outcomes depend only on the trial itself
-     (determinism, and order-independence across trials in one fuzzing
-     session or fleet). *)
+     (determinism, and order-independence across the trials of one
+     fuzzing session). *)
   Harness.World.reset ();
   let saved_noise = Sched.noise_bits () in
   Fun.protect ~finally:(fun () -> Sched.set_noise_bits saved_noise)

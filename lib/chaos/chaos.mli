@@ -6,7 +6,7 @@
     A family is a {!TRIAL}: a trial type with a one-line replayable
     string form, a seeded generator, greedy shrink steps and a [run] that
     applies the family's oracles. One driver — {!fuzz}, {!shrink},
-    {!replay}, {!fleet} — runs any family.
+    {!replay} — runs any family.
 
     Determinism: a trial's outcome is a pure function of its string form
     — fuzzing twice with the same seed produces byte-identical output,
@@ -50,13 +50,18 @@ end
 
 (** {1 The driver} *)
 
-val fuzz : (module TRIAL) -> runs:int -> seed:int -> Format.formatter -> int
+val fuzz : ?jobs:int -> (module TRIAL) -> runs:int -> seed:int -> int * string
 (** Run [runs] independent random trials (trial [i] is drawn from seed
     [seed + i * 1_000_003]), shrinking and reporting each failure with a
     one-line repro ([optik_bench COMMAND --replay '...']), then a
-    ["NAME: F/T trials failed (seed S)"] summary. Returns the number of
-    failing trials. Output is byte-deterministic for a given family,
-    [runs] and [seed]. *)
+    ["NAME: F/T trials failed (seed S)"] summary line. Returns the number
+    of failing trials and the whole output. The trials are farmed in
+    contiguous ranges over [jobs] worker domains ({!Harness.Fleet.map};
+    default {!Harness.Fleet.default_jobs}); every trial starts from
+    [Harness.World.reset], so the output is byte-deterministic for a given
+    family, [runs] and [seed], whatever [jobs]. A trial that raises
+    surfaces as {!Harness.Fleet.Task_failed} labelled [NAME[FIRST..LAST]],
+    its range. Raises [Invalid_argument] if [jobs < 1]. *)
 
 val shrink : (module TRIAL with type t = 'a) -> 'a -> 'a
 (** Greedily minimize a failing trial: take the first shrink step that
@@ -68,13 +73,6 @@ val replay : (module TRIAL) -> string -> Format.formatter -> int
 (** Parse a repro string, run it, report the verdict; returns the number
     of oracle failures (0 = passes). Raises [Invalid_argument] on a
     malformed string. *)
-
-val fleet :
-  (module TRIAL) -> jobs:int -> batch:int -> trials:int -> seed:int -> int * string
-(** {!fuzz} of [trials] trials farmed over [jobs] worker domains in
-    batches of [batch]: returns the failure count and the output, which
-    is byte-identical to {!fuzz}'s whatever the jobs/batch split (every
-    trial starts from [Harness.World.reset]). *)
 
 (** {1 Registry structures}
 

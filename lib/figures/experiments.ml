@@ -423,7 +423,7 @@ let fig10 mode =
 
 (* restart-rate note (§5.3 reports 30% for herlihy vs 24% for herl-optik
    on 20 Xeon threads): restarts per op at the highest in-budget thread
-   count *)
+   count, counted as the report's restart taxonomy counts them *)
 let restart_note series =
   [
     String.concat "  "
@@ -435,9 +435,11 @@ let restart_note series =
                  let restarts =
                    List.fold_left
                      (fun acc (k, v) ->
-                       if String.length k > 8 && String.sub k 0 3 = "sl-" then
-                         acc + v
-                       else acc)
+                       match Obs.Report.split_counter k with
+                       | Some (_, metric) when Obs.Report.restart_metric metric
+                         ->
+                           acc + v
+                       | _ -> acc)
                      0 m.Runner.counters
                  in
                  Some

@@ -1,6 +1,9 @@
 (** Domain-parallel trial fleet.
 
     Farms a list of independent, seeded tasks across real OCaml domains.
+    [Chaos.fuzz], the one fuzz driver behind [optik_bench chaos],
+    [kv --fuzz] and [txn --fuzz], runs its trial ranges here, [--jobs]
+    wide.
     The simulator's entire mutable world is domain-local, so each worker
     domain is an independent simulator; when every simulated run in a
     task starts from {!World.reset} (as chaos, kv and txn trials do), a
@@ -18,8 +21,8 @@
     The main domain never runs tasks — even at [jobs = 1] the single
     worker is a spawned domain — so the caller's own simulator world
     (structures under test, installed fault plans, recording sessions)
-    is never clobbered by a fleet, and serial and parallel fleets run on
-    identical machinery. *)
+    is never clobbered by a fleet, and one-worker and many-worker fleets
+    run on identical machinery. *)
 
 type 'a task = { label : string; run : unit -> 'a }
 

@@ -1,7 +1,6 @@
 (* Tests for the domain-parallel trial fleet: result ordering, failure
-   reporting, and the determinism contract — a fleet's merged output is
-   byte-identical whatever the jobs/batch split, and identical to the
-   serial fuzzer's. *)
+   reporting, and the determinism contract — a fuzz run's output is
+   byte-identical whatever the number of worker domains. *)
 
 module Fleet = Harness.Fleet
 
@@ -78,23 +77,39 @@ let test_jobs_validation () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-(* The determinism contract, end to end on real chaos trials: serial
-   fuzz, a 1-job fleet and a 4-job fleet with a different batch split
-   must all produce the same bytes. *)
+(* The determinism contract, end to end on real chaos trials: fuzzing
+   over 1, 2 and 4 worker domains (so over different range splits) must
+   produce the same bytes. *)
 let test_fleet_determinism () =
-  let trials = 6 and seed = 11 in
   let family = (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL)) in
-  let serial =
-    let buf = Buffer.create 1024 in
-    let ppf = Format.formatter_of_buffer buf in
-    let failed = Chaos.fuzz family ~runs:trials ~seed ppf in
-    Format.pp_print_flush ppf ();
-    (failed, Buffer.contents buf)
-  in
-  let one = Chaos.fleet family ~jobs:1 ~batch:2 ~trials ~seed in
-  let four = Chaos.fleet family ~jobs:4 ~batch:1 ~trials ~seed in
-  Alcotest.(check (pair int string)) "jobs:1 == serial" serial one;
-  Alcotest.(check (pair int string)) "jobs:4 == jobs:1" one four
+  let fuzz jobs = Chaos.fuzz ~jobs family ~runs:6 ~seed:11 in
+  let one = fuzz 1 in
+  Alcotest.(check (pair int string)) "jobs:2 == jobs:1" one (fuzz 2);
+  Alcotest.(check (pair int string)) "jobs:4 == jobs:1" one (fuzz 4)
+
+(* A trial family whose every run raises. *)
+module Raising : Chaos.TRIAL = struct
+  type t = int
+
+  let name = "raising"
+  let command = "chaos"
+  let to_string = string_of_int
+  let of_string = int_of_string
+  let gen rng = Harness.Rng.below rng 1000
+  let shrink_steps _ = []
+  let shrink_budget = 0
+  let run _ = invalid_arg "raising: malformed trial"
+end
+
+(* A trial that raises fails the fuzz run as a [Task_failed] naming its
+   trial range (12 trials on one worker go in ranges of 3). *)
+let test_raising_trial () =
+  match Chaos.fuzz ~jobs:1 (module Raising) ~runs:12 ~seed:1 with
+  | _ -> Alcotest.fail "expected Task_failed"
+  | exception Fleet.Task_failed { t_label; t_exn; _ } ->
+      Alcotest.(check string) "label names the range" "raising[0..2]" t_label;
+      Alcotest.(check bool) "carries the exception" true
+        (match t_exn with Invalid_argument _ -> true | _ -> false)
 
 (* A world reset is pristine for every structure: an elimination-stack
    run repeats exactly after another one, which its slot counters used
@@ -125,6 +140,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_jobs_validation;
           Alcotest.test_case "determinism jobs 1 vs 4" `Quick
             test_fleet_determinism;
+          Alcotest.test_case "raising trial names its range" `Quick
+            test_raising_trial;
           Alcotest.test_case "fresh world resets the elimination stack" `Quick
             test_world_reset_resets_elimination;
         ] );

@@ -5,7 +5,7 @@ module R = Harness.Registry
 let sim_stacks = Harness.Registry.Sim_backend.stacks
 let native_stacks = Harness.Registry.Native.stacks
 
-module LStack = Lincheck.Make (Lincheck.Stack_spec)
+module HStack = Harness.History.Make (Lincheck.Stack_spec)
 
 let seq_cases =
   List.map
@@ -66,39 +66,32 @@ let lincheck_stack (module S : R.STACK_OPS) ~seed () =
   let t = S.create () in
   let init = [ 3; 2; 1 ] in
   List.iter (fun v -> S.push t v) (List.rev init);
-  let logs = Array.make 3 [] in
+  let h = HStack.create ~nthreads:3 in
   ignore
     (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:3 ~read_slack:0
        (fun tid ->
          let rng = Harness.Rng.create ((seed * 131) + tid) in
          for i = 1 to 4 do
-           let inv = Sim.Sched.now () in
-           let input, output =
-             if Harness.Rng.below rng 2 = 0 then (
-               let v = (tid * 1000) + i in
-               S.push t v;
-               (Lincheck.Stack_spec.Push v, Lincheck.Stack_spec.Unit))
-             else
-               ( Lincheck.Stack_spec.Pop,
-                 match S.pop t with
-                 | Some v -> Lincheck.Stack_spec.Got v
-                 | None -> Lincheck.Stack_spec.Empty )
-           in
-           let res = Sim.Sched.now () in
-           let res = if res <= inv then inv + 1 else res in
-           logs.(tid) <- { LStack.tid; inv; res; input; output } :: logs.(tid)
-         done))
-  |> ignore;
-  let events = Array.fold_left (fun acc l -> l @ acc) [] logs in
-  match LStack.check ~init events with
-  | LStack.Witness _ -> ()
-  | LStack.Too_large ->
+           ignore
+             (if Harness.Rng.below rng 2 = 0 then
+                let v = (tid * 1000) + i in
+                HStack.record h (Lincheck.Stack_spec.Push v) (fun () ->
+                    S.push t v;
+                    Lincheck.Stack_spec.Unit)
+              else
+                HStack.record h Lincheck.Stack_spec.Pop (fun () ->
+                    match S.pop t with
+                    | Some v -> Lincheck.Stack_spec.Got v
+                    | None -> Lincheck.Stack_spec.Empty))
+         done));
+  let events = HStack.completed h in
+  match HStack.L.check ~init events with
+  | HStack.L.Witness _ -> ()
+  | HStack.L.Too_large ->
       Alcotest.failf "%s: history too large to check (seed %d)" S.name seed
-  | LStack.No_witness ->
+  | HStack.L.No_witness ->
       Alcotest.failf "%s: non-linearizable stack history (seed %d):@.%a"
-        S.name seed
-        (fun fmt () -> LStack.pp_history fmt events)
-        ()
+        S.name seed HStack.L.pp_history events
 
 let lincheck_cases =
   List.concat_map

@@ -140,7 +140,7 @@ let concurrent_native (module S : R.SET_OPS) ~capacity ~init_size ~key_range
 (* ------------------------------------------------------------------ *)
 (* Linearizability checking over simulator histories                   *)
 
-module LSet = Lincheck.Make (Lincheck.Set_spec)
+module HSet = Harness.History.Make (Lincheck.Set_spec)
 
 (* Run a small adversarial schedule and check the recorded history for
    linearizability. Uses read_slack:0 so timestamps are strict. *)
@@ -155,50 +155,42 @@ let lincheck_set (module S : R.SET_OPS) ~nthreads ~ops_per_thread ~key_range
     let k = 1 + Rng.below rng0 key_range in
     if S.insert t k k then init := Lincheck.Set_spec.M.add k k !init
   done;
-  let events : LSet.event list ref = ref [] in
-  let record = Mutex.create () in
-  ignore record;
-  let logs = Array.make nthreads [] in
+  let h = HSet.create ~nthreads in
   let _st =
     Sim.Sched.run ~topology:uniform4 ~nthreads ~read_slack:0 (fun tid ->
         let rng = Rng.create ((seed * 131) + tid) in
         for _ = 1 to ops_per_thread do
           let k = 1 + Rng.below rng key_range in
-          let inv = Sim.Sched.now () in
-          let input, output =
-            match Rng.below rng 3 with
-            | 0 ->
-                ( Lincheck.Set_spec.Search k,
-                  match S.search t k with
-                  | Some v -> Lincheck.Set_spec.Found v
-                  | None -> Lincheck.Set_spec.Absent )
-            | 1 ->
-                ( Lincheck.Set_spec.Insert (k, k * 7),
-                  if S.insert t k (k * 7) then Lincheck.Set_spec.Ok
-                  else Lincheck.Set_spec.Dup )
-            | _ -> (
-                ( Lincheck.Set_spec.Delete k,
-                  match S.delete t k with
-                  | Some v -> Lincheck.Set_spec.Found v
-                  | None -> Lincheck.Set_spec.Absent ))
+          let found = function
+            | Some v -> Lincheck.Set_spec.Found v
+            | None -> Lincheck.Set_spec.Absent
           in
-          let res = Sim.Sched.now () in
-          let res = if res <= inv then inv + 1 else res in
-          logs.(tid) <-
-            { LSet.tid; inv; res; input; output } :: logs.(tid)
+          ignore
+            (match Rng.below rng 3 with
+            | 0 ->
+                HSet.record h (Lincheck.Set_spec.Search k) (fun () ->
+                    found (S.search t k))
+            | 1 ->
+                HSet.record h
+                  (Lincheck.Set_spec.Insert (k, k * 7))
+                  (fun () ->
+                    if S.insert t k (k * 7) then Lincheck.Set_spec.Ok
+                    else Lincheck.Set_spec.Dup)
+            | _ ->
+                HSet.record h (Lincheck.Set_spec.Delete k) (fun () ->
+                    found (S.delete t k)))
         done)
   in
-  Array.iter (fun l -> events := l @ !events) logs;
-  match LSet.check ~init:!init !events with
-  | LSet.Witness _ -> ()
-  | LSet.Too_large ->
+  let events = HSet.completed h in
+  match HSet.L.check ~init:!init events with
+  | HSet.L.Witness _ -> ()
+  | HSet.L.Too_large ->
       Alcotest.failf "%s: history too large to check (seed %d)" S.name seed
-  | LSet.No_witness ->
+  | HSet.L.No_witness ->
       Alcotest.failf "%s: non-linearizable history (seed %d):@.%a" S.name seed
-        (fun fmt () -> LSet.pp_history fmt !events)
-        ()
+        HSet.L.pp_history events
 
-module LQueue = Lincheck.Make (Lincheck.Queue_spec)
+module HQueue = Harness.History.Make (Lincheck.Queue_spec)
 
 let lincheck_queue (module Q : R.QUEUE_OPS) ~nthreads ~ops_per_thread ~seed ()
     =
@@ -211,37 +203,32 @@ let lincheck_queue (module Q : R.QUEUE_OPS) ~nthreads ~ops_per_thread ~seed ()
     init := v :: !init
   done;
   let init_state = (List.rev !init, []) in
-  let logs = Array.make nthreads [] in
+  let h = HQueue.create ~nthreads in
   let _st =
     Sim.Sched.run ~topology:uniform4 ~nthreads ~read_slack:0 (fun tid ->
         let rng = Rng.create ((seed * 131) + tid) in
         for i = 1 to ops_per_thread do
-          let inv = Sim.Sched.now () in
-          let input, output =
-            if Rng.below rng 2 = 0 then (
-              let v = (tid * 1000) + i in
-              Q.enqueue t v;
-              (Lincheck.Queue_spec.Enqueue v, Lincheck.Queue_spec.Unit))
-            else
-              ( Lincheck.Queue_spec.Dequeue,
-                match Q.dequeue t with
-                | Some v -> Lincheck.Queue_spec.Got v
-                | None -> Lincheck.Queue_spec.Empty )
-          in
-          let res = Sim.Sched.now () in
-          let res = if res <= inv then inv + 1 else res in
-          logs.(tid) <- { LQueue.tid; inv; res; input; output } :: logs.(tid)
+          ignore
+            (if Rng.below rng 2 = 0 then
+               let v = (tid * 1000) + i in
+               HQueue.record h (Lincheck.Queue_spec.Enqueue v) (fun () ->
+                   Q.enqueue t v;
+                   Lincheck.Queue_spec.Unit)
+             else
+               HQueue.record h Lincheck.Queue_spec.Dequeue (fun () ->
+                   match Q.dequeue t with
+                   | Some v -> Lincheck.Queue_spec.Got v
+                   | None -> Lincheck.Queue_spec.Empty))
         done)
   in
-  let events = Array.fold_left (fun acc l -> l @ acc) [] logs in
-  match LQueue.check ~init:init_state events with
-  | LQueue.Witness _ -> ()
-  | LQueue.Too_large ->
+  let events = HQueue.completed h in
+  match HQueue.L.check ~init:init_state events with
+  | HQueue.L.Witness _ -> ()
+  | HQueue.L.Too_large ->
       Alcotest.failf "%s: history too large to check (seed %d)" Q.name seed
-  | LQueue.No_witness ->
+  | HQueue.L.No_witness ->
       Alcotest.failf "%s: non-linearizable history (seed %d):@.%a" Q.name seed
-        (fun fmt () -> LQueue.pp_history fmt events)
-        ()
+        HQueue.L.pp_history events
 
 (* ------------------------------------------------------------------ *)
 
