@@ -1056,7 +1056,8 @@ let hostperf_cmd =
           ~doc:
             "Compare against a committed BENCH_sim.json and exit non-zero if \
              any workload's simulated-ops/host-sec or accesses/host-sec \
-             falls more than the tolerance below it.")
+             falls more than the tolerance below it, or if its simulated \
+             ops, accesses or events differ from it at all.")
   in
   let tolerance =
     Arg.(
@@ -1078,9 +1079,9 @@ let hostperf_cmd =
     | Some path ->
         Host_bench.write_json path results;
         Printf.eprintf "[host] wrote %s\n%!" path);
-    let regressions =
+    let failed =
       match baseline with
-      | None -> []
+      | None -> false
       | Some path ->
           let content =
             try In_channel.with_open_text path In_channel.input_all
@@ -1092,9 +1093,11 @@ let hostperf_cmd =
             Host_bench.check_baseline ~baseline:content ~tolerance_pct:tolerance
               results
           in
-          if regressions = [] then
-            Printf.printf "hostperf: within %.0f%% of baseline %s\n" tolerance
-              path;
+          let mismatches = Host_bench.check_counts ~baseline:content results in
+          if regressions = [] && mismatches = [] then
+            Printf.printf
+              "hostperf: within %.0f%% of baseline %s, simulated counts equal\n"
+              tolerance path;
           List.iter
             (fun g ->
               Printf.eprintf
@@ -1103,11 +1106,19 @@ let hostperf_cmd =
                 g.Host_bench.g_name g.Host_bench.g_metric g.Host_bench.g_measured
                 g.Host_bench.g_floor tolerance)
             regressions;
-          regressions
+          List.iter
+            (fun m ->
+              Printf.eprintf
+                "hostperf COUNT MISMATCH: %s %s = %d, baseline %d (simulated \
+                 counts are deterministic and gated exactly)\n"
+                m.Host_bench.m_name m.Host_bench.m_field m.Host_bench.m_measured
+                m.Host_bench.m_baseline)
+            mismatches;
+          regressions <> [] || mismatches <> []
     in
     (* Only the simulated side of hostperf is deterministic; host seconds
        stay out of the report (they live in --out / stderr). *)
-    ( regressions <> [],
+    ( failed,
       fun () ->
         J.make ~subcommand:"hostperf" ~seed:None
           ~params:[ ("repeats", J.Int repeats) ]

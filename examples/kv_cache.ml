@@ -10,19 +10,8 @@
    OPTIK pattern provides (infeasible updates return without locking). *)
 
 module Rt = Rt.Native_rt
-module Ht = Dstruct.Ht.Of_bucket (struct
-  module L = Dstruct.Ll_gl.Optik_gl (Rt)
-
-  type 'v t = 'v L.t
-
-  let create () = L.create ()
-  let search = L.search
-  let insert = L.insert
-  let delete = L.delete
-  let size = L.size
-  let fold = L.fold
-  let validate = L.validate
-end)
+module Bucket = Dstruct.Ll_gl.Optik_gl (Rt)
+module Ht = Dstruct.Ht.Of_bucket (Bucket) (struct let create () = Bucket.create () end)
 
 type entry = { payload : string; created_by : int }
 

@@ -315,7 +315,7 @@ module Global_lock (Rt : RT) (Lock : LOCK) = struct
     go acc (Node t.root)
 
   let validate ?crashed:_ t =
-    let ok = ref true in
+    let ok = ref (not (Lock.is_locked t.lock)) in
     let rec go lo hi = function
       | Leaf l ->
           if

@@ -83,6 +83,26 @@ module type STACK = sig
   val create : unit -> 'v t
 end
 
+(** {1 Baseline/OPTIK twins}
+
+    The paper derives each OPTIK structure from a baseline by changing
+    only its synchronization (§4.1, §5.1, §5.2). The array maps, the
+    global-lock lists and the Java-style hash tables are written that
+    way: one [Base] functor per file holds the layout, the search and
+    the quiescent helpers over the lock a twin hands it, and each twin
+    adds only its update protocol and that protocol's probes. *)
+module type TWIN_LOCK = sig
+  type t
+
+  val create : unit -> t
+
+  val is_free : t -> bool
+  (** Quiescent test: nobody holds the lock. [validate] requires it. *)
+
+  val name : string
+  (** The twin's name; its allocation sites are filed under it. *)
+end
+
 (** {1 Monomorphic driver views}
 
     Monomorphic (int-valued) views used by the generic test and benchmark

@@ -13,33 +13,34 @@
     traverse read-only and return [false] without locking when
     infeasible; feasible updates validate the traversal with
     [lock_version] and — when the version is unchanged — commit directly,
-    {e skipping the second bucket traversal}. *)
+    {e skipping the second bucket traversal}.
+
+    The two differ only in that update protocol. {!Java_base} holds the
+    rest once: the segment layout, [create], the lock-free [search], the
+    chain traversals, the per-segment [resize], the link/count/grow and
+    unlink steps both protocols commit with, and the quiescent [size],
+    [fold] and [validate] (which also requires every segment lock to be
+    free). {!Java} adds its locked [insert] and [delete]; {!Java_optik}
+    adds its validated ones and their [second_traversals] probe. *)
 
 module type RT = Rt.Rt_intf.RT
 
 (* Fibonacci hashing spreads the benchmark's dense integer keys. *)
 let hash k = (k * 0x2545F4914F6CDD1D) land max_int
 
-module type BUCKET = sig
-  type 'v t
-
-  val create : unit -> 'v t
-  val search : 'v t -> int -> 'v option
-  val insert : 'v t -> int -> 'v -> bool
-  val delete : 'v t -> int -> 'v option
-  val fold : 'v t -> (int -> 'v -> 'a -> 'a) -> 'a -> 'a
-  val size : 'v t -> int
-  val validate : ?crashed:int -> 'v t -> bool
-end
-
 let default_buckets = 1024
 
-module Of_bucket (B : BUCKET) = struct
+module Of_bucket
+    (B : Dstruct_intf.SET_CORE)
+    (C : sig
+      val create : unit -> 'v B.t
+    end) =
+struct
   type 'v t = { buckets : 'v B.t array; nb : int }
 
   let create ?(capacity = default_buckets) () =
     let capacity = max 1 capacity in
-    { buckets = Array.init capacity (fun _ -> B.create ()); nb = capacity }
+    { buckets = Array.init capacity (fun _ -> C.create ()); nb = capacity }
 
   let bucket t key = t.buckets.(hash key mod t.nb)
 
@@ -68,34 +69,36 @@ let default_segments = 128 (* as configured in §5.2, per Java's docs *)
     anchor on their read of the array pointer: a reader still traversing
     the old array linearizes before the resize, which is sound because
     the old chains are immutable once unpublished. *)
-module Java (Rt : RT) = struct
-  module Lock = Locks.Ttas (Rt)
+module Java_base (Rt : RT) (L : Dstruct_intf.TWIN_LOCK) = struct
   module Q = Mem.Qsbr.Make (Rt)
 
   type 'v node = { key : int; value : 'v; next : 'v node option Rt.atomic }
 
   type 'v seg = {
-    lock : Lock.t;
+    lock : L.t;
     buckets : 'v node option Rt.atomic array Rt.atomic;
     count : int Rt.atomic;  (** elements in the segment; updated under lock *)
   }
 
   type 'v t = { segs : 'v seg array; nseg : int; qsbr : 'v node Q.t }
 
-  let name = "ht-java"
+  let name = L.name
 
   let resize_load_factor = 4
-  let resizes = Rt.Probe.counter "ht-java.resizes"
+  let resizes = Rt.Probe.counter (L.name ^ ".resizes")
+  let segment_site = L.name ^ ".segment"
+  let bucket_site = L.name ^ ".bucket"
+  let node_site = L.name ^ ".node"
 
   let create ?(capacity = default_buckets) () =
     let nseg = min default_segments (max 1 capacity) in
     let per_seg = max 1 (capacity / nseg) in
     {
       segs =
-        Rt.Probe.with_site "ht-java.segment" (fun () ->
+        Rt.Probe.with_site segment_site (fun () ->
             Array.init nseg (fun _ ->
                 {
-                  lock = Lock.create ();
+                  lock = L.create ();
                   buckets =
                     Rt.atomic (Array.init per_seg (fun _ -> Rt.atomic None));
                   count = Rt.atomic 0;
@@ -124,14 +127,27 @@ module Java (Rt : RT) = struct
     Q.op_end t.qsbr;
     res
 
+  let rec mem key = function
+    | None -> false
+    | Some n -> n.key = key || mem key (Rt.get n.next)
+
+  (* The victim holding [key] and its predecessor in the chain ([None]:
+     the victim heads it). *)
+  let rec locate key prev = function
+    | None -> None
+    | Some n ->
+        if n.key = key then Some (prev, n) else locate key (Some n) (Rt.get n.next)
+
   (* Rebuild the segment into a doubled bucket array of fresh nodes;
      caller holds the segment lock. Old nodes are retired wholesale —
-     concurrent readers may still traverse them. *)
+     concurrent readers may still traverse them, and under OPTIK the
+     version bump on unlock invalidates any traversal that read the old
+     array. *)
   let resize t seg =
     Rt.Probe.incr resizes;
     let old_arr = Rt.get seg.buckets in
     let fresh =
-      Rt.Probe.with_site "ht-java.bucket" (fun () ->
+      Rt.Probe.with_site bucket_site (fun () ->
           Array.init (2 * Array.length old_arr) (fun _ -> Rt.atomic None))
     in
     Array.iter
@@ -149,58 +165,23 @@ module Java (Rt : RT) = struct
       old_arr;
     Rt.set seg.buckets fresh
 
-  (* Updates lock the segment up front, feasible or not — the unoptimized
-     ConcurrentHashMap behaviour the paper calls out. *)
-  let insert t key v =
-    Q.op_begin t.qsbr;
-    let seg = seg_of t key in
-    Lock.lock seg.lock;
-    let arr = Rt.get seg.buckets in
-    let cell = bucket_in arr key in
-    let head = Rt.get cell in
-    let rec mem = function
-      | None -> false
-      | Some n -> n.key = key || mem (Rt.get n.next)
-    in
-    let res =
-      if mem head then false
-      else (
-        Rt.set cell
-          (Some
-             (Rt.Probe.with_site "ht-java.node" (fun () ->
-                  { key; value = v; next = Rt.atomic head })));
-        let c = Rt.get seg.count + 1 in
-        Rt.set seg.count c;
-        if c > resize_load_factor * Array.length arr then resize t seg;
-        true)
-    in
-    Lock.unlock seg.lock;
-    Q.op_end t.qsbr;
-    res
+  (* Link a fresh node at the head of [cell] (whose chain is [head]),
+     count it, and grow the segment past its load factor; caller holds
+     the segment lock. *)
+  let link t seg arr cell key v head =
+    Rt.set cell
+      (Some (Rt.Probe.with_site node_site (fun () -> { key; value = v; next = Rt.atomic head })));
+    let c = Rt.get seg.count + 1 in
+    Rt.set seg.count c;
+    if c > resize_load_factor * Array.length arr then resize t seg
 
-  let delete t key =
-    Q.op_begin t.qsbr;
-    let seg = seg_of t key in
-    Lock.lock seg.lock;
-    let arr = Rt.get seg.buckets in
-    let cell = bucket_in arr key in
-    let rec unlink prev cur =
-      match cur with
-      | None -> None
-      | Some n ->
-          if n.key = key then (
-            (match prev with
-            | None -> Rt.set cell (Rt.get n.next)
-            | Some p -> Rt.set p.next (Rt.get n.next));
-            Rt.set seg.count (Rt.get seg.count - 1);
-            Q.retire t.qsbr n;
-            Some n.value)
-          else unlink (Some n) (Rt.get n.next)
-    in
-    let res = unlink None (Rt.get cell) in
-    Lock.unlock seg.lock;
-    Q.op_end t.qsbr;
-    res
+  (* Unlink [victim] from [cell]'s chain after [prev] and uncount it;
+     caller holds the segment lock and retires the victim. *)
+  let unlink seg cell prev victim =
+    (match prev with
+    | None -> Rt.set cell (Rt.get victim.next)
+    | Some p -> Rt.set p.next (Rt.get victim.next));
+    Rt.set seg.count (Rt.get seg.count - 1)
 
   let fold_buckets t f acc =
     Array.fold_left
@@ -232,6 +213,8 @@ module Java (Rt : RT) = struct
     (* per-segment counts must agree with the chains *)
     Array.for_all
       (fun seg ->
+        L.is_free seg.lock
+        &&
         let c = ref 0 in
         Array.iter
           (fun bucket ->
@@ -248,90 +231,67 @@ module Java (Rt : RT) = struct
     && ok
 end
 
-module Java_optik (Rt : RT) = struct
-  module OL = Optik.Versioned (Rt)
-  module Q = Mem.Qsbr.Make (Rt)
+module Java (Rt : RT) = struct
+  module Lock = Locks.Ttas (Rt)
 
-  type 'v node = { key : int; value : 'v; next : 'v node option Rt.atomic }
+  include Java_base (Rt) (struct
+    type t = Lock.t
 
-  type 'v seg = {
-    lock : OL.t;
-    buckets : 'v node option Rt.atomic array Rt.atomic;
-    count : int Rt.atomic;
-  }
+    let create = Lock.create
+    let is_free l = not (Lock.is_locked l)
+    let name = "ht-java"
+  end)
 
-  type 'v t = { segs : 'v seg array; nseg : int; qsbr : 'v node Q.t }
-
-  let name = "ht-java-optik"
-
-  let resize_load_factor = 4
-  let second_traversals = Rt.Probe.counter "ht-java-optik.second-traversals"
-  let resizes = Rt.Probe.counter "ht-java-optik.resizes"
-
-  let create ?(capacity = default_buckets) () =
-    let nseg = min default_segments (max 1 capacity) in
-    let per_seg = max 1 (capacity / nseg) in
-    {
-      segs =
-        Rt.Probe.with_site "ht-java-optik.segment" (fun () ->
-            Array.init nseg (fun _ ->
-                {
-                  lock = OL.create ();
-                  buckets =
-                    Rt.atomic (Array.init per_seg (fun _ -> Rt.atomic None));
-                  count = Rt.atomic 0;
-                }));
-      nseg;
-      qsbr = Q.create ();
-    }
-
-  let seg_of t key = t.segs.(hash key mod t.nseg)
-
-  let bucket_in seg_arr key =
-    seg_arr.((hash key / 0x10000) mod Array.length seg_arr)
-
-  let search t key =
+  (* Updates lock the segment up front, feasible or not — the unoptimized
+     ConcurrentHashMap behaviour the paper calls out. *)
+  let insert t key v =
     Q.op_begin t.qsbr;
     let seg = seg_of t key in
+    Lock.lock seg.lock;
     let arr = Rt.get seg.buckets in
-    let rec go = function
-      | None -> None
-      | Some n -> if n.key = key then Some n.value else go (Rt.get n.next)
+    let cell = bucket_in arr key in
+    let head = Rt.get cell in
+    let res =
+      if mem key head then false
+      else (
+        link t seg arr cell key v head;
+        true)
     in
-    let res = go (Rt.get (bucket_in arr key)) in
+    Lock.unlock seg.lock;
     Q.op_end t.qsbr;
     res
 
-  (* Same per-segment resize as {!Java}; caller holds the segment lock,
-     and the version bump on unlock invalidates any traversal that read
-     the old array. *)
-  let resize t seg =
-    Rt.Probe.incr resizes;
-    let old_arr = Rt.get seg.buckets in
-    let fresh =
-      Rt.Probe.with_site "ht-java-optik.bucket" (fun () ->
-          Array.init (2 * Array.length old_arr) (fun _ -> Rt.atomic None))
+  let delete t key =
+    Q.op_begin t.qsbr;
+    let seg = seg_of t key in
+    Lock.lock seg.lock;
+    let arr = Rt.get seg.buckets in
+    let cell = bucket_in arr key in
+    let res =
+      match locate key None (Rt.get cell) with
+      | None -> None
+      | Some (prev, victim) ->
+          unlink seg cell prev victim;
+          Q.retire t.qsbr victim;
+          Some victim.value
     in
-    Array.iter
-      (fun bucket ->
-        let rec go = function
-          | None -> ()
-          | Some n ->
-              let cell = bucket_in fresh n.key in
-              Rt.set cell
-                (Some
-                   { key = n.key; value = n.value; next = Rt.atomic (Rt.get cell) });
-              Q.retire t.qsbr n;
-              go (Rt.get n.next)
-        in
-        go (Rt.get bucket))
-      old_arr;
-    Rt.set seg.buckets fresh
+    Lock.unlock seg.lock;
+    Q.op_end t.qsbr;
+    res
+end
 
-  let maybe_grow t seg arr =
-    let c = Rt.get seg.count + 1 in
-    Rt.set seg.count c;
-    if c > resize_load_factor * Array.length arr then resize t seg
+module Java_optik (Rt : RT) = struct
+  module OL = Optik.Versioned (Rt)
+
+  include Java_base (Rt) (struct
+    type t = OL.t
+
+    let create = OL.create
+    let is_free l = not (OL.is_locked (OL.get_version l))
+    let name = "ht-java-optik"
+  end)
+
+  let second_traversals = Rt.Probe.counter "ht-java-optik.second-traversals"
 
   (* Read-only first traversal; infeasible updates return with no lock.
      Feasible ones validate the traversal with [lock_version]: if the
@@ -345,19 +305,11 @@ module Java_optik (Rt : RT) = struct
     let arr0 = Rt.get seg.buckets in
     let cell0 = bucket_in arr0 key in
     let head0 = Rt.get cell0 in
-    let rec mem = function
-      | None -> false
-      | Some n -> n.key = key || mem (Rt.get n.next)
-    in
     let res =
-      if mem head0 then false
+      if mem key head0 then false
       else if OL.lock_version seg.lock vn then (
         (* Version validated: the segment cannot have changed. *)
-        Rt.set cell0
-          (Some
-             (Rt.Probe.with_site "ht-java-optik.node" (fun () ->
-                  { key; value = v; next = Rt.atomic head0 })));
-        maybe_grow t seg arr0;
+        link t seg arr0 cell0 key v head0;
         OL.unlock seg.lock;
         true)
       else (
@@ -366,15 +318,11 @@ module Java_optik (Rt : RT) = struct
         let arr = Rt.get seg.buckets in
         let cell = bucket_in arr key in
         let head = Rt.get cell in
-        if mem head then (
+        if mem key head then (
           OL.revert seg.lock;
           false)
         else (
-          Rt.set cell
-            (Some
-               (Rt.Probe.with_site "ht-java-optik.node" (fun () ->
-                    { key; value = v; next = Rt.atomic head })));
-          maybe_grow t seg arr;
+          link t seg arr cell key v head;
           OL.unlock seg.lock;
           true))
     in
@@ -387,24 +335,15 @@ module Java_optik (Rt : RT) = struct
     let vn = OL.get_version seg.lock in
     let arr0 = Rt.get seg.buckets in
     let cell0 = bucket_in arr0 key in
-    (* First pass: find predecessor and victim without locking. *)
-    let rec locate prev cur =
-      match cur with
-      | None -> None
-      | Some n ->
-          if n.key = key then Some (prev, n) else locate (Some n) (Rt.get n.next)
-    in
     let commit cell prev victim =
-      (match prev with
-      | None -> Rt.set cell (Rt.get victim.next)
-      | Some p -> Rt.set p.next (Rt.get victim.next));
-      Rt.set seg.count (Rt.get seg.count - 1);
+      unlink seg cell prev victim;
       OL.unlock seg.lock;
       Q.retire t.qsbr victim;
       Some victim.value
     in
+    (* First pass: find predecessor and victim without locking. *)
     let res =
-      match locate None (Rt.get cell0) with
+      match locate key None (Rt.get cell0) with
       | None -> None
       | Some (prev, victim) ->
           if OL.lock_version seg.lock vn then
@@ -414,7 +353,7 @@ module Java_optik (Rt : RT) = struct
             Rt.Probe.incr second_traversals;
             let arr = Rt.get seg.buckets in
             let cell = bucket_in arr key in
-            match locate None (Rt.get cell) with
+            match locate key None (Rt.get cell) with
             | None ->
                 OL.revert seg.lock;
                 None
@@ -422,50 +361,4 @@ module Java_optik (Rt : RT) = struct
     in
     Q.op_end t.qsbr;
     res
-
-  let fold_buckets t f acc =
-    Array.fold_left
-      (fun acc seg ->
-        Array.fold_left
-          (fun acc bucket ->
-            let rec go acc = function
-              | None -> acc
-              | Some n -> go (f acc n) (Rt.get n.next)
-            in
-            go acc (Rt.get bucket))
-          acc (Rt.get seg.buckets))
-      acc t.segs
-
-  let size t = fold_buckets t (fun acc _ -> acc + 1) 0
-
-  let fold t f acc = fold_buckets t (fun acc n -> f n.key n.value acc) acc
-
-  let validate ?crashed:_ t =
-    let seen = Hashtbl.create 64 in
-    let ok =
-      fold_buckets t
-        (fun ok n ->
-          let dup = Hashtbl.mem seen n.key in
-          Hashtbl.replace seen n.key ();
-          ok && not dup)
-        true
-    in
-    Array.for_all
-      (fun seg ->
-        (not (OL.is_locked (OL.get_version seg.lock)))
-        &&
-        let c = ref 0 in
-        Array.iter
-          (fun bucket ->
-            let rec go = function
-              | None -> ()
-              | Some n ->
-                  incr c;
-                  go (Rt.get n.next)
-            in
-            go (Rt.get bucket))
-          (Rt.get seg.buckets);
-        !c = Rt.get seg.count)
-      t.segs
-    && ok
 end

@@ -7,7 +7,13 @@
     {!Lock_based} is the pessimistic baseline ("mcs" in Figure 7): every
     operation — including search — takes a global MCS lock. {!Optik_based}
     is the Figure-6 algorithm: searches and infeasible updates complete
-    without ever locking, validated by the OPTIK version number. *)
+    without ever locking, validated by the OPTIK version number.
+
+    The two differ only in their synchronization. {!Base} holds the slot
+    arrays once: the [create] layout, [check_key] and the quiescent
+    [size], [fold] and [validate] (which also requires the lock to be
+    free). Each twin adds its [search], [insert] and [delete]; the OPTIK
+    map also its [restarts] probe and the [eager_search] ablation. *)
 
 module type RT = Rt.Rt_intf.RT
 
@@ -21,19 +27,23 @@ let default_capacity = 64
    hash table of §5.2 sensitive to prefetching on Xeon. *)
 let pairs_per_line = 4
 
-module Lock_based (Rt : RT) = struct
-  module Lock = Locks.Mcs (Rt)
-
+module Base (Rt : RT) (L : Dstruct_intf.TWIN_LOCK) = struct
   type 'v t = {
     keys : int Rt.atomic array;
     vals : 'v option Rt.atomic array;
-    lock : Lock.t;
+    lock : L.t;
     cap : int;
+    eager_search : bool;
+        (** Read by the OPTIK map's [search] only. §4.1 discusses an
+            alternative search that re-reads the version just before
+            matching a key — finer-grained validation, but it "puts a
+            lot of stress on the cache line of the OPTIK lock, resulting
+            in lower performance". Kept as an ablation. *)
   }
 
-  let name = "map-mcs"
+  let name = L.name
 
-  let create ?(capacity = default_capacity) () =
+  let create ?(capacity = default_capacity) ?(eager_search = false) () =
     let group0 = Group.fresh () in
     {
       keys =
@@ -42,65 +52,30 @@ module Lock_based (Rt : RT) = struct
       vals =
         Array.init capacity (fun i ->
             Rt.atomic_packed ~streaming:true ~group:(group0 + (i / pairs_per_line)) None);
-      lock = Lock.create ();
+      lock = L.create ();
       cap = capacity;
+      eager_search;
     }
 
   let check_key k = if k = 0 then invalid_arg "map: key must be non-zero"
 
-  let search t key =
-    check_key key;
-    Lock.lock t.lock;
-    let res = ref None in
-    (try
-       for i = 0 to t.cap - 1 do
-         if Rt.get t.keys.(i) = key then (
-           res := Rt.get t.vals.(i);
-           raise_notrace Exit)
-       done
-     with Exit -> ());
-    Lock.unlock t.lock;
-    !res
-
-  let insert t key v =
-    check_key key;
-    Lock.lock t.lock;
-    let free = ref (-1) in
-    let dup = ref false in
-    (try
-       for i = 0 to t.cap - 1 do
-         let k = Rt.get t.keys.(i) in
-         if k = key then (
-           dup := true;
-           raise_notrace Exit)
-         else if k = 0 && !free < 0 then free := i
-       done
-     with Exit -> ());
-    let res =
-      if !dup || !free < 0 then false
-      else (
-        Rt.set t.vals.(!free) (Some v);
-        Rt.set t.keys.(!free) key;
-        true)
+  (* The slot holding [key], or [-1]. *)
+  let index_of t key =
+    let rec go i =
+      if i >= t.cap then -1 else if Rt.get t.keys.(i) = key then i else go (i + 1)
     in
-    Lock.unlock t.lock;
-    res
+    go 0
 
-  let delete t key =
-    check_key key;
-    Lock.lock t.lock;
-    let res = ref None in
-    (try
-       for i = 0 to t.cap - 1 do
-         if Rt.get t.keys.(i) = key then (
-           res := Rt.get t.vals.(i);
-           Rt.set t.keys.(i) 0;
-           Rt.set t.vals.(i) None;
-           raise_notrace Exit)
-       done
-     with Exit -> ());
-    Lock.unlock t.lock;
-    !res
+  (* The slot an insert of [key] would fill: [-2] when [key] is present,
+     else the first free slot, or [-1] when the map is full. *)
+  let insert_slot t key =
+    let rec go i free =
+      if i >= t.cap then free
+      else
+        let k = Rt.get t.keys.(i) in
+        if k = key then -2 else go (i + 1) (if k = 0 && free < 0 then i else free)
+    in
+    go 0 (-1)
 
   let size t =
     let n = ref 0 in
@@ -123,7 +98,7 @@ module Lock_based (Rt : RT) = struct
   (* No duplicate keys; every occupied slot has a value. *)
   let validate ?crashed:_ t =
     let seen = Hashtbl.create 16 in
-    let ok = ref true in
+    let ok = ref (L.is_free t.lock) in
     for i = 0 to t.cap - 1 do
       let k = Rt.get t.keys.(i) in
       if k <> 0 then (
@@ -134,6 +109,53 @@ module Lock_based (Rt : RT) = struct
     !ok
 end
 
+module Lock_based (Rt : RT) = struct
+  module Lock = Locks.Mcs (Rt)
+
+  include Base (Rt) (struct
+    type t = Lock.t
+
+    let create = Lock.create
+    let is_free l = not (Lock.is_locked l)
+    let name = "map-mcs"
+  end)
+
+  let create ?capacity () = create ?capacity ()
+
+  let search t key =
+    check_key key;
+    Lock.lock t.lock;
+    let i = index_of t key in
+    let res = if i >= 0 then Rt.get t.vals.(i) else None in
+    Lock.unlock t.lock;
+    res
+
+  let insert t key v =
+    check_key key;
+    Lock.lock t.lock;
+    let i = insert_slot t key in
+    if i >= 0 then (
+      Rt.set t.vals.(i) (Some v);
+      Rt.set t.keys.(i) key);
+    Lock.unlock t.lock;
+    i >= 0
+
+  let delete t key =
+    check_key key;
+    Lock.lock t.lock;
+    let i = index_of t key in
+    let res =
+      if i < 0 then None
+      else
+        let v = Rt.get t.vals.(i) in
+        Rt.set t.keys.(i) 0;
+        Rt.set t.vals.(i) None;
+        v
+    in
+    Lock.unlock t.lock;
+    res
+end
+
 (* Parameterized over the OPTIK implementation so the versioned/ticket
    backend ablation (DESIGN.md A1) can compare both on the same
    structure. *)
@@ -141,38 +163,19 @@ module Optik_based_gen (Rt : RT) (O : Optik.MAKER) = struct
   module B = Backoff.Make (Rt)
   module OL = O (Rt)
 
-  type 'v t = {
-    keys : int Rt.atomic array;
-    vals : 'v option Rt.atomic array;
-    lock : OL.t;
-    cap : int;
-    eager_search : bool;
-        (** §4.1 discusses an alternative search that re-reads the
-            version just before matching a key — finer-grained
-            validation, but it "puts a lot of stress on the cache line of
-            the OPTIK lock, resulting in lower performance". Kept as an
-            ablation. *)
-  }
+  include Base (Rt) (struct
+    type t = OL.t
 
-  let name = "map-optik"
+    let create = OL.create
+    let is_free l = not (OL.is_locked (OL.get_version l))
+    let name = "map-optik"
+  end)
 
   let restarts = Rt.Probe.counter "map-optik.restarts"
 
-  let create ?(capacity = default_capacity) ?(eager_search = false) () =
-    let group0 = Group.fresh () in
-    {
-      keys =
-        Array.init capacity (fun i ->
-            Rt.atomic_packed ~streaming:true ~group:(group0 + (i / pairs_per_line)) 0);
-      vals =
-        Array.init capacity (fun i ->
-            Rt.atomic_packed ~streaming:true ~group:(group0 + (i / pairs_per_line)) None);
-      lock = OL.create ();
-      cap = capacity;
-      eager_search;
-    }
-
-  let check_key k = if k = 0 then invalid_arg "map: key must be non-zero"
+  let retry b =
+    Rt.Probe.incr restarts;
+    B.once b
 
   (* Figure 6(c): read a free version first, re-check it after reading the
      matched value — an atomic snapshot of the key/value pair without any
@@ -181,19 +184,15 @@ module Optik_based_gen (Rt : RT) (O : Optik.MAKER) = struct
     let b = B.create () in
     let rec restart () =
       let vn = OL.get_version_wait t.lock in
-      let rec scan i =
-        if i >= t.cap then None
-        else if Rt.get t.keys.(i) = key then (
-          let v = Rt.get t.vals.(i) in
-          let vnc = OL.get_version t.lock in
-          if OL.same_version vn vnc then v
-          else (
-            Rt.Probe.incr restarts;
-            B.once b;
-            restart ()))
-        else scan (i + 1)
-      in
-      scan 0
+      let i = index_of t key in
+      if i < 0 then None
+      else
+        let v = Rt.get t.vals.(i) in
+        let vnc = OL.get_version t.lock in
+        if OL.same_version vn vnc then v
+        else (
+          retry b;
+          restart ())
     in
     restart ()
 
@@ -214,8 +213,7 @@ module Optik_based_gen (Rt : RT) (O : Optik.MAKER) = struct
             let vnc = OL.get_version t.lock in
             if OL.same_version vn vnc then v
             else (
-              Rt.Probe.incr restarts;
-              B.once b;
+              retry b;
               restart ()))
           else scan (i + 1)
       in
@@ -234,32 +232,17 @@ module Optik_based_gen (Rt : RT) (O : Optik.MAKER) = struct
     let b = B.create () in
     let rec restart () =
       let vn = OL.get_version t.lock in
-      let free = ref (-1) in
-      let dup = ref false in
-      (try
-         for i = 0 to t.cap - 1 do
-           let k = Rt.get t.keys.(i) in
-           if k = key then (
-             dup := true;
-             raise_notrace Exit)
-           else if k = 0 && !free < 0 then free := i
-         done
-       with Exit -> ());
-      if !dup then false
+      let i = insert_slot t key in
+      if i = -2 then false
       else if not (OL.trylock_version t.lock vn) then (
-        Rt.Probe.incr restarts;
-        B.once b;
+        retry b;
         restart ())
-      else
-        let res =
-          if !free >= 0 then (
-            Rt.set t.vals.(!free) (Some v);
-            Rt.set t.keys.(!free) key;
-            true)
-          else false
-        in
+      else (
+        if i >= 0 then (
+          Rt.set t.vals.(i) (Some v);
+          Rt.set t.keys.(i) key);
         OL.unlock t.lock;
-        res
+        i >= 0)
     in
     restart ()
 
@@ -269,54 +252,19 @@ module Optik_based_gen (Rt : RT) (O : Optik.MAKER) = struct
     let b = B.create () in
     let rec restart () =
       let vn = OL.get_version t.lock in
-      let rec scan i =
-        if i >= t.cap then None
-        else if Rt.get t.keys.(i) = key then
-          if not (OL.trylock_version t.lock vn) then (
-            Rt.Probe.incr restarts;
-            B.once b;
-            restart ())
-          else (
-            let v = Rt.get t.vals.(i) in
-            Rt.set t.keys.(i) 0;
-            Rt.set t.vals.(i) None;
-            OL.unlock t.lock;
-            v)
-        else scan (i + 1)
-      in
-      scan 0
+      let i = index_of t key in
+      if i < 0 then None
+      else if not (OL.trylock_version t.lock vn) then (
+        retry b;
+        restart ())
+      else
+        let v = Rt.get t.vals.(i) in
+        Rt.set t.keys.(i) 0;
+        Rt.set t.vals.(i) None;
+        OL.unlock t.lock;
+        v
     in
     restart ()
-
-  let size t =
-    let n = ref 0 in
-    for i = 0 to t.cap - 1 do
-      if Rt.get t.keys.(i) <> 0 then incr n
-    done;
-    !n
-
-  let fold t f acc =
-    let acc = ref acc in
-    for i = 0 to t.cap - 1 do
-      let k = Rt.get t.keys.(i) in
-      if k <> 0 then
-        match Rt.get t.vals.(i) with
-        | Some v -> acc := f k v !acc
-        | None -> ()
-    done;
-    !acc
-
-  let validate ?crashed:_ t =
-    let seen = Hashtbl.create 16 in
-    let ok = ref (not (OL.is_locked (OL.get_version t.lock))) in
-    for i = 0 to t.cap - 1 do
-      let k = Rt.get t.keys.(i) in
-      if k <> 0 then (
-        if Hashtbl.mem seen k then ok := false;
-        Hashtbl.replace seen k ();
-        if Rt.get t.vals.(i) = None then ok := false)
-    done;
-    !ok
 end
 
 module Optik_based (Rt : RT) = Optik_based_gen (Rt) (Optik.Versioned)

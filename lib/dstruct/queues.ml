@@ -20,7 +20,14 @@
       exactly the §5.4 design.
 
     All queues use the MS dummy-node representation: [head] points at a
-    consumed dummy whose successor holds the front value. *)
+    consumed dummy whose successor holds the front value.
+
+    Each variant is a baseline with some protocols swapped, so the
+    protocols several queues share are written once, over the fields
+    they touch and the calling queue's [restarts] counter:
+    {!ms_enqueue} (ms-lf, optik2), {!mcs_enqueue} (ms-lb, optik1) and
+    {!optik_dequeue} (optik1, optik2, optik3). Each queue module keeps
+    its layout, its [create] and whatever protocol is its own. *)
 
 module type RT = Rt.Rt_intf.RT
 
@@ -52,6 +59,82 @@ module Make (Rt : RT) = struct
     go head;
     !n
 
+  (* The three protocols several queues share, each written once over
+     the fields it touches. *)
+
+  (* The lock-free MS enqueue. Retries back off, like every other
+     restart in the library (the paper applies one backoff policy to all
+     algorithms, §5). *)
+  let ms_enqueue restarts tail qsbr v =
+    Q.op_begin qsbr;
+    let n = mk_node v in
+    let n_opt = Some n in
+    let b = B.create () in
+    let rec loop () =
+      let last = Rt.get tail in
+      let nread = Rt.get last.next in
+      if last == Rt.get tail then
+        match nread with
+        | None ->
+            if Rt.cas last.next nread n_opt then ignore (Rt.cas tail last n : bool)
+            else (
+              Rt.Probe.incr restarts;
+              B.once b;
+              loop ())
+        | Some nxt ->
+            (* Help the lagging tail forward. *)
+            ignore (Rt.cas tail last nxt : bool);
+            loop ()
+      else loop ()
+    in
+    loop ();
+    Q.op_end qsbr
+
+  (* The ms-lb enqueue: append under the MCS tail lock. *)
+  let mcs_enqueue tlock tail qsbr v =
+    Q.op_begin qsbr;
+    let n = mk_node v in
+    Mcs.lock tlock;
+    Rt.set (Rt.get tail).next (Some n);
+    Rt.set tail n;
+    Mcs.unlock tlock;
+    Q.op_end qsbr
+
+  (* The OPTIK-trylock dequeue: a failed validation never waited behind
+     the lock. *)
+  let optik_dequeue restarts hlock head qsbr =
+    Q.op_begin qsbr;
+    let s = B.spin () in
+    let rec loop () =
+      let v0 = OL.get_version hlock in
+      if OL.is_locked v0 then (
+        B.spin_once s;
+        loop ())
+      else
+        let h = Rt.get head in
+        match Rt.get h.next with
+        | None ->
+            (* Empty iff nothing committed since [v0]. *)
+            if OL.same_version (OL.get_version hlock) v0 then None
+            else (
+              Rt.Probe.incr restarts;
+              B.spin_once s;
+              loop ())
+        | Some nxt ->
+            if OL.trylock_version hlock v0 then (
+              Rt.set head nxt;
+              OL.unlock hlock;
+              Q.retire qsbr h;
+              Some nxt.value)
+            else (
+              Rt.Probe.incr restarts;
+              B.spin_once s;
+              loop ())
+    in
+    let res = loop () in
+    Q.op_end qsbr;
+    res
+
   (* --------------------------------------------------------------- *)
 
   module Ms_lf = struct
@@ -72,33 +155,7 @@ module Make (Rt : RT) = struct
       let d = dummy () in
       { head = Rt.atomic d; tail = Rt.atomic d; qsbr = Q.create () }
 
-    (* Retries back off, like every other restart in the library (the
-       paper applies one backoff policy to all algorithms, §5). *)
-    let enqueue t v =
-      Q.op_begin t.qsbr;
-      let n = mk_node v in
-      let n_opt = Some n in
-      let b = B.create () in
-      let rec loop () =
-        let last = Rt.get t.tail in
-        let nread = Rt.get last.next in
-        if last == Rt.get t.tail then
-          match nread with
-          | None ->
-              if Rt.cas last.next nread n_opt then
-                ignore (Rt.cas t.tail last n : bool)
-              else (
-                Rt.Probe.incr restarts;
-                B.once b;
-                loop ())
-          | Some nxt ->
-              (* Help the lagging tail forward. *)
-              ignore (Rt.cas t.tail last nxt : bool);
-              loop ()
-        else loop ()
-      in
-      loop ();
-      Q.op_end t.qsbr
+    let enqueue t v = ms_enqueue restarts t.tail t.qsbr v
 
     let dequeue t =
       Q.op_begin t.qsbr;
@@ -158,14 +215,7 @@ module Make (Rt : RT) = struct
         qsbr = Q.create ();
       }
 
-    let enqueue t v =
-      Q.op_begin t.qsbr;
-      let n = mk_node v in
-      Mcs.lock t.tlock;
-      Rt.set (Rt.get t.tail).next (Some n);
-      Rt.set t.tail n;
-      Mcs.unlock t.tlock;
-      Q.op_end t.qsbr
+    let enqueue t v = mcs_enqueue t.tlock t.tail t.qsbr v
 
     let dequeue t =
       Q.op_begin t.qsbr;
@@ -187,8 +237,6 @@ module Make (Rt : RT) = struct
   end
 
   (* --------------------------------------------------------------- *)
-
-  (* Shared plumbing for the lock-based OPTIK dequeues. *)
 
   module Optik0 = struct
     type 'v t = {
@@ -296,50 +344,8 @@ module Make (Rt : RT) = struct
         qsbr = Q.create ();
       }
 
-    (* ms-lb enqueue. *)
-    let enqueue t v =
-      Q.op_begin t.qsbr;
-      let n = mk_node v in
-      Mcs.lock t.tlock;
-      Rt.set (Rt.get t.tail).next (Some n);
-      Rt.set t.tail n;
-      Mcs.unlock t.tlock;
-      Q.op_end t.qsbr
-
-    (* OPTIK-trylock dequeue: a failed validation never waited behind
-       the lock. *)
-    let rec dequeue_loop t s =
-      let v0 = OL.get_version t.hlock in
-      if OL.is_locked v0 then (
-        B.spin_once s;
-        dequeue_loop t s)
-      else
-        let h = Rt.get t.head in
-        match Rt.get h.next with
-        | None ->
-            (* Empty iff nothing committed since [v0]. *)
-            if OL.same_version (OL.get_version t.hlock) v0 then None
-            else (
-              Rt.Probe.incr restarts;
-              B.spin_once s;
-              dequeue_loop t s)
-        | Some nxt ->
-            if OL.trylock_version t.hlock v0 then (
-              Rt.set t.head nxt;
-              OL.unlock t.hlock;
-              Q.retire t.qsbr h;
-              Some nxt.value)
-            else (
-              Rt.Probe.incr restarts;
-              B.spin_once s;
-              dequeue_loop t s)
-
-    let dequeue t =
-      Q.op_begin t.qsbr;
-      let res = dequeue_loop t (B.spin ()) in
-      Q.op_end t.qsbr;
-      res
-
+    let enqueue t v = mcs_enqueue t.tlock t.tail t.qsbr v
+    let dequeue t = optik_dequeue restarts t.hlock t.head t.qsbr
     let size t = queue_size (Rt.get t.head)
   end
 
@@ -369,62 +375,8 @@ module Make (Rt : RT) = struct
 
     (* Unaltered lock-free MS enqueue: enqueues have no optimistic
        read-only prefix to exploit (§5.4). *)
-    let enqueue t v =
-      Q.op_begin t.qsbr;
-      let n = mk_node v in
-      let n_opt = Some n in
-      let b = B.create () in
-      let rec loop () =
-        let last = Rt.get t.tail in
-        let nread = Rt.get last.next in
-        if last == Rt.get t.tail then
-          match nread with
-          | None ->
-              if Rt.cas last.next nread n_opt then
-                ignore (Rt.cas t.tail last n : bool)
-              else (
-                Rt.Probe.incr restarts;
-                B.once b;
-                loop ())
-          | Some nxt ->
-              ignore (Rt.cas t.tail last nxt : bool);
-              loop ()
-        else loop ()
-      in
-      loop ();
-      Q.op_end t.qsbr
-
-    let rec dequeue_loop t s =
-      let v0 = OL.get_version t.hlock in
-      if OL.is_locked v0 then (
-        B.spin_once s;
-        dequeue_loop t s)
-      else
-        let h = Rt.get t.head in
-        match Rt.get h.next with
-        | None ->
-            if OL.same_version (OL.get_version t.hlock) v0 then None
-            else (
-              Rt.Probe.incr restarts;
-              B.spin_once s;
-              dequeue_loop t s)
-        | Some nxt ->
-            if OL.trylock_version t.hlock v0 then (
-              Rt.set t.head nxt;
-              OL.unlock t.hlock;
-              Q.retire t.qsbr h;
-              Some nxt.value)
-            else (
-              Rt.Probe.incr restarts;
-              B.spin_once s;
-              dequeue_loop t s)
-
-    let dequeue t =
-      Q.op_begin t.qsbr;
-      let res = dequeue_loop t (B.spin ()) in
-      Q.op_end t.qsbr;
-      res
-
+    let enqueue t v = ms_enqueue restarts t.tail t.qsbr v
+    let dequeue t = optik_dequeue restarts t.hlock t.head t.qsbr
     let size t = queue_size (Rt.get t.head)
   end
 
@@ -515,36 +467,7 @@ module Make (Rt : RT) = struct
           done);
       Q.op_end t.qsbr
 
-    let rec dequeue_loop t s =
-      let v0 = OL.get_version t.hlock in
-      if OL.is_locked v0 then (
-        B.spin_once s;
-        dequeue_loop t s)
-      else
-        let h = Rt.get t.head in
-        match Rt.get h.next with
-        | None ->
-            if OL.same_version (OL.get_version t.hlock) v0 then None
-            else (
-              Rt.Probe.incr restarts;
-              B.spin_once s;
-              dequeue_loop t s)
-        | Some nxt ->
-            if OL.trylock_version t.hlock v0 then (
-              Rt.set t.head nxt;
-              OL.unlock t.hlock;
-              Q.retire t.qsbr h;
-              Some nxt.value)
-            else (
-              Rt.Probe.incr restarts;
-              B.spin_once s;
-              dequeue_loop t s)
-
-    let dequeue t =
-      Q.op_begin t.qsbr;
-      let res = dequeue_loop t (B.spin ()) in
-      Q.op_end t.qsbr;
-      res
+    let dequeue t = optik_dequeue restarts t.hlock t.head t.qsbr
 
     let size t = queue_size (Rt.get t.head)
   end

@@ -135,71 +135,28 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
   (* ---------------- hash tables (Figure 10) ---------------- *)
 
   (* Per-bucket list capacities are small, so plain buckets suffice. *)
-  module Ht_lazy_gl = Dstruct.Ht.Of_bucket (struct
-    type 'v t = 'v Ll_gl_tas.t
+  module Ht_lazy_gl =
+    Dstruct.Ht.Of_bucket (Ll_gl_tas) (struct let create () = Ll_gl_tas.create () end)
 
-    let create () = Ll_gl_tas.create ()
-    let search = Ll_gl_tas.search
-    let insert = Ll_gl_tas.insert
-    let delete = Ll_gl_tas.delete
-    let fold = Ll_gl_tas.fold
-    let size = Ll_gl_tas.size
-    let validate = Ll_gl_tas.validate
-  end)
+  module Ht_optik_gl =
+    Dstruct.Ht.Of_bucket (Ll_optik_gl) (struct let create () = Ll_optik_gl.create () end)
 
-  module Ht_optik_gl = Dstruct.Ht.Of_bucket (struct
-    type 'v t = 'v Ll_optik_gl.t
-
-    let create () = Ll_optik_gl.create ()
-    let search = Ll_optik_gl.search
-    let insert = Ll_optik_gl.insert
-    let delete = Ll_optik_gl.delete
-    let fold = Ll_optik_gl.fold
-    let size = Ll_optik_gl.size
-    let validate = Ll_optik_gl.validate
-  end)
-
-  module Ht_optik = Dstruct.Ht.Of_bucket (struct
-    type 'v t = 'v Ll_optik.t
-
-    let create () = Ll_optik.create ()
-    let search = Ll_optik.search
-    let insert = Ll_optik.insert
-    let delete = Ll_optik.delete
-    let fold = Ll_optik.fold
-    let size = Ll_optik.size
-    let validate = Ll_optik.validate
-  end)
+  module Ht_optik =
+    Dstruct.Ht.Of_bucket (Ll_optik) (struct let create () = Ll_optik.create () end)
 
   (* Lock-free hash table: Harris lists as buckets. Not part of the
      Figure-10 lineup (the paper doesn't include it there); it exists as
      the lock-free hash-table representative for the fault-injection
      experiment. *)
-  module Ht_harris = Dstruct.Ht.Of_bucket (struct
-    type 'v t = 'v Ll_harris.t
+  module Ht_harris =
+    Dstruct.Ht.Of_bucket (Ll_harris) (struct let create () = Ll_harris.create () end)
 
-    let create () = Ll_harris.create ()
-    let search = Ll_harris.search
-    let insert = Ll_harris.insert
-    let delete = Ll_harris.delete
-    let fold = Ll_harris.fold
-    let size = Ll_harris.size
-    let validate = Ll_harris.validate
-  end)
-
-  module Ht_map_optik = Dstruct.Ht.Of_bucket (struct
-    type 'v t = 'v Map_optik.t
-
-    (* Bucket arrays of 8 slots; the paper sizes buckets at about one
-       element, leaving ample slack at range = 2x size. *)
-    let create () = Map_optik.create ~capacity:8 ()
-    let search = Map_optik.search
-    let insert = Map_optik.insert
-    let delete = Map_optik.delete
-    let fold = Map_optik.fold
-    let size = Map_optik.size
-    let validate = Map_optik.validate
-  end)
+  (* Bucket arrays of 8 slots; the paper sizes buckets at about one
+     element, leaving ample slack at range = 2x size. *)
+  module Ht_map_optik =
+    Dstruct.Ht.Of_bucket (Map_optik) (struct
+      let create () = Map_optik.create ~capacity:8 ()
+    end)
 
   let ht_lazy_gl : (module SET_OPS) =
     (module Mono_set (Rt) (Ht_lazy_gl) (struct

@@ -1,7 +1,9 @@
 (* Tests for the classic lock baselines: mutual exclusion (a plain
    non-atomic counter incremented under the lock must come out exact),
    trylock semantics, ticket-lock introspection, and MCS queue handoff.
-   Each lock is exercised both under the simulator and on real domains. *)
+   Each lock is exercised both under the simulator and on real domains,
+   and every blocking structure baseline must see its held lock in
+   [validate]. *)
 
 module SimRt = Sim.Sim_rt
 module Nat = Rt.Native_rt
@@ -163,6 +165,56 @@ let test_ticket_no_lost_tickets_sim () =
     (Sim.Sched.read acquired);
   Alcotest.(check bool) "lock free at end" false (STicket.is_locked l)
 
+(* The blocking baselines fail [validate] while their lock is held, like
+   their OPTIK twins: a quiescent structure with a held lock is broken.
+   Covers mcs-gl-opt, the lazy-gl buckets, the mcs map, java and bst-gl. *)
+let test_baselines_validate_lock () =
+  let check name ~lock ~unlock validate =
+    Alcotest.(check bool) (name ^ " free") true (validate ());
+    lock ();
+    Alcotest.(check bool) (name ^ " held") false (validate ());
+    unlock ();
+    Alcotest.(check bool) (name ^ " released") true (validate ())
+  in
+  let module L = Dstruct.Ll_gl.Pessimistic (Nat) (NMcs) in
+  let l = L.create () in
+  ignore (L.insert l 1 1 : bool);
+  check "mcs-gl-opt"
+    ~lock:(fun () -> NMcs.lock l.L.lock)
+    ~unlock:(fun () -> NMcs.unlock l.L.lock)
+    (fun () -> L.validate l);
+  let module B = Dstruct.Ll_gl.Pessimistic (Nat) (NTas) in
+  let module H = Dstruct.Ht.Of_bucket (B) (struct let create () = B.create () end) in
+  let h = H.create ~capacity:4 () in
+  ignore (H.insert h 1 1 : bool);
+  let bucket = h.H.buckets.(2) in
+  check "lazy-gl bucket"
+    ~lock:(fun () -> NTas.lock bucket.B.lock)
+    ~unlock:(fun () -> NTas.unlock bucket.B.lock)
+    (fun () -> H.validate h);
+  let module M = Dstruct.Maps.Lock_based (Nat) in
+  let m = M.create () in
+  ignore (M.insert m 1 1 : bool);
+  check "mcs map"
+    ~lock:(fun () -> M.Lock.lock m.M.lock)
+    ~unlock:(fun () -> M.Lock.unlock m.M.lock)
+    (fun () -> M.validate m);
+  let module J = Dstruct.Ht.Java (Nat) in
+  let j = J.create ~capacity:8 () in
+  ignore (J.insert j 1 1 : bool);
+  let seg = j.J.segs.(5) in
+  check "java"
+    ~lock:(fun () -> J.Lock.lock seg.J.lock)
+    ~unlock:(fun () -> J.Lock.unlock seg.J.lock)
+    (fun () -> J.validate j);
+  let module T = Dstruct.Bst_optik.Global_lock (Nat) (NMcs) in
+  let t = T.create () in
+  ignore (T.insert t 1 1 : bool);
+  check "bst-gl"
+    ~lock:(fun () -> NMcs.lock t.T.lock)
+    ~unlock:(fun () -> NMcs.unlock t.T.lock)
+    (fun () -> T.validate t)
+
 let () =
   Alcotest.run "locks"
     [
@@ -183,6 +235,11 @@ let () =
             test_mcs_handoff_no_lost_wakeup;
           Alcotest.test_case "ticket no lost tickets" `Quick
             test_ticket_no_lost_tickets_sim;
+        ] );
+      ( "structures",
+        [
+          Alcotest.test_case "baselines validate their lock" `Quick
+            test_baselines_validate_lock;
         ] );
       ( "native domains",
         [
