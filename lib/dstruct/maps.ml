@@ -59,23 +59,26 @@ module Base (Rt : RT) (L : Dstruct_intf.TWIN_LOCK) = struct
 
   let check_key k = if k = 0 then invalid_arg "map: key must be non-zero"
 
-  (* The slot holding [key], or [-1]. *)
-  let index_of t key =
-    let rec go i =
-      if i >= t.cap then -1 else if Rt.get t.keys.(i) = key then i else go (i + 1)
-    in
-    go 0
+  (* The slot holding [key] at or after [i], or [-1]. Both scans take
+     [t] and [key] as arguments instead of closing over them, so they
+     allocate nothing per operation. *)
+  let rec index_from t key i =
+    if i >= t.cap then -1
+    else if Rt.get t.keys.(i) = key then i
+    else index_from t key (i + 1)
+
+  let index_of t key = index_from t key 0
 
   (* The slot an insert of [key] would fill: [-2] when [key] is present,
      else the first free slot, or [-1] when the map is full. *)
-  let insert_slot t key =
-    let rec go i free =
-      if i >= t.cap then free
-      else
-        let k = Rt.get t.keys.(i) in
-        if k = key then -2 else go (i + 1) (if k = 0 && free < 0 then i else free)
-    in
-    go 0 (-1)
+  let rec insert_slot_from t key i free =
+    if i >= t.cap then free
+    else
+      let k = Rt.get t.keys.(i) in
+      if k = key then -2
+      else insert_slot_from t key (i + 1) (if k = 0 && free < 0 then i else free)
+
+  let insert_slot t key = insert_slot_from t key 0 (-1)
 
   let size t =
     let n = ref 0 in

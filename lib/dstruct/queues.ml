@@ -24,7 +24,8 @@
 
     Each variant is a baseline with some protocols swapped, so the
     protocols several queues share are written once, over the fields
-    they touch and the calling queue's [restarts] counter:
+    they touch and, where they can restart, the calling queue's
+    [restarts] counter:
     {!ms_enqueue} (ms-lf, optik2), {!mcs_enqueue} (ms-lb, optik1) and
     {!optik_dequeue} (optik1, optik2, optik3). Each queue module keeps
     its layout, its [create] and whatever protocol is its own. *)
@@ -58,9 +59,6 @@ module Make (Rt : RT) = struct
     in
     go head;
     !n
-
-  (* The three protocols several queues share, each written once over
-     the fields it touches. *)
 
   (* The lock-free MS enqueue. Retries back off, like every other
      restart in the library (the paper applies one backoff policy to all
@@ -102,36 +100,35 @@ module Make (Rt : RT) = struct
 
   (* The OPTIK-trylock dequeue: a failed validation never waited behind
      the lock. *)
+  let rec optik_dequeue_loop restarts hlock head qsbr s =
+    let v0 = OL.get_version hlock in
+    if OL.is_locked v0 then (
+      B.spin_once s;
+      optik_dequeue_loop restarts hlock head qsbr s)
+    else
+      let h = Rt.get head in
+      match Rt.get h.next with
+      | None ->
+          (* Empty iff nothing committed since [v0]. *)
+          if OL.same_version (OL.get_version hlock) v0 then None
+          else (
+            Rt.Probe.incr restarts;
+            B.spin_once s;
+            optik_dequeue_loop restarts hlock head qsbr s)
+      | Some nxt ->
+          if OL.trylock_version hlock v0 then (
+            Rt.set head nxt;
+            OL.unlock hlock;
+            Q.retire qsbr h;
+            Some nxt.value)
+          else (
+            Rt.Probe.incr restarts;
+            B.spin_once s;
+            optik_dequeue_loop restarts hlock head qsbr s)
+
   let optik_dequeue restarts hlock head qsbr =
     Q.op_begin qsbr;
-    let s = B.spin () in
-    let rec loop () =
-      let v0 = OL.get_version hlock in
-      if OL.is_locked v0 then (
-        B.spin_once s;
-        loop ())
-      else
-        let h = Rt.get head in
-        match Rt.get h.next with
-        | None ->
-            (* Empty iff nothing committed since [v0]. *)
-            if OL.same_version (OL.get_version hlock) v0 then None
-            else (
-              Rt.Probe.incr restarts;
-              B.spin_once s;
-              loop ())
-        | Some nxt ->
-            if OL.trylock_version hlock v0 then (
-              Rt.set head nxt;
-              OL.unlock hlock;
-              Q.retire qsbr h;
-              Some nxt.value)
-            else (
-              Rt.Probe.incr restarts;
-              B.spin_once s;
-              loop ())
-    in
-    let res = loop () in
+    let res = optik_dequeue_loop restarts hlock head qsbr (B.spin ()) in
     Q.op_end qsbr;
     res
 
