@@ -221,7 +221,8 @@ let write_json path results =
 let baseline_rows content =
   let module J = Obs.Report in
   match J.parse content with
-  | Ok j -> Option.value ~default:[] (Option.bind (J.member "results" j) J.to_list)
+  | Ok j ->
+      Option.value ~default:[] (Option.bind (J.member "results" j) J.to_list)
   | Error _ -> []
 
 let field k conv row = Option.bind (Obs.Report.member k row) conv
@@ -286,20 +287,22 @@ type mismatch = {
     present on one side only pass, as in {!check_baseline}. *)
 let check_counts ~baseline results =
   let module J = Obs.Report in
-  let counts (r : result) = [ ("ops", r.r_ops); ("accesses", r.r_accesses); ("events", r.r_events) ] in
   let rows = baseline_rows baseline in
   List.concat_map
     (fun r ->
-      match List.find_opt (fun row -> field "name" J.to_str row = Some r.r_name) rows with
+      let same_name row = field "name" J.to_str row = Some r.r_name in
+      match List.find_opt same_name rows with
       | None -> []
       | Some row ->
           List.filter_map
             (fun (k, measured) ->
               match field k J.to_int row with
               | Some b when b <> measured ->
-                  Some { m_name = r.r_name; m_field = k; m_measured = measured; m_baseline = b }
+                  Some
+                    { m_name = r.r_name; m_field = k; m_measured = measured;
+                      m_baseline = b }
               | _ -> None)
-            (counts r))
+            [ ("ops", r.r_ops); ("accesses", r.r_accesses); ("events", r.r_events) ])
     results
 
 let pp_table ppf results =

@@ -170,7 +170,9 @@ module Java_base (Rt : RT) (L : Dstruct_intf.TWIN_LOCK) = struct
      the segment lock. *)
   let link t seg arr cell key v head =
     Rt.set cell
-      (Some (Rt.Probe.with_site node_site (fun () -> { key; value = v; next = Rt.atomic head })));
+      (Some
+         (Rt.Probe.with_site node_site (fun () ->
+              { key; value = v; next = Rt.atomic head })));
     let c = Rt.get seg.count + 1 in
     Rt.set seg.count c;
     if c > resize_load_factor * Array.length arr then resize t seg

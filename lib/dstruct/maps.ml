@@ -10,7 +10,8 @@
     without ever locking, validated by the OPTIK version number.
 
     The two differ only in their synchronization. {!Base} holds the slot
-    arrays once: the [create] layout, [check_key] and the quiescent
+    arrays once: the [create] layout, [check_key], the two slot scans
+    the operations run ([index_of], [insert_slot]) and the quiescent
     [size], [fold] and [validate] (which also requires the lock to be
     free). Each twin adds its [search], [insert] and [delete]; the OPTIK
     map also its [restarts] probe and the [eager_search] ablation. *)
