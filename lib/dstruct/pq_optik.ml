@@ -58,9 +58,7 @@ module Make (Rt : RT) = struct
       | None -> None
       | Some next ->
           if next.Sl.key = max_int then None
-          else if
-            Rt.get next.Sl.fully_linked && not (Rt.get next.Sl.deleted)
-          then
+          else if Sl.live next then
             match Sl.delete t.sl next.Sl.key with
             | Some v -> Some (next.Sl.key lsr seq_bits, v)
             | None ->
@@ -77,9 +75,8 @@ module Make (Rt : RT) = struct
       | None -> None
       | Some next ->
           if next.Sl.key = max_int then None
-          else if
-            Rt.get next.Sl.fully_linked && not (Rt.get next.Sl.deleted)
-          then Some (next.Sl.key lsr seq_bits, next.Sl.value)
+          else if Sl.live next then
+            Some (next.Sl.key lsr seq_bits, next.Sl.value)
           else walk next
     in
     walk t.sl.Sl.head

@@ -15,9 +15,15 @@
     per-level validation (mark and next-pointer checks) is skipped
     entirely — the version proves the node was not modified. Only on a
     version mismatch does it fall back to Herlihy's original validation.
-    (A version match also covers the [succ.marked] check: a marked
+    (A version match also covers the [succ.deleted] check: a marked
     successor is tolerable because the deleter revalidates its
-    predecessors under their locks and re-traverses on failure.) *)
+    predecessors under their locks and re-traverses on failure.)
+
+    The node, its sentinels and the quiescent helpers come from
+    {!Sl_common.Base}, whose [deleted] flag is Herlihy's mark; this module
+    adds the two modes' [t] (the [optik] flag), the [find] traversal and
+    [search] built on it, the [lock_preds] validation, [insert],
+    [delete] and the probes of both modes. *)
 
 module type RT = Rt.Rt_intf.RT
 
@@ -25,20 +31,10 @@ module Backoff = Rt.Backoff
 
 module Make (Rt : RT) = struct
   module B = Backoff.Make (Rt)
-  module OL = Optik.Versioned (Rt)
-  module Q = Mem.Qsbr.Make (Rt)
 
-  let max_level = Sl_common.max_level
-
-  type 'v node = {
-    key : int;
-    value : 'v;
-    lock : OL.t;  (** plain lock for "herlihy", OPTIK lock for "herl-optik" *)
-    nexts : 'v node option Rt.atomic array;
-    marked : bool Rt.atomic;
-    fully_linked : bool Rt.atomic;
-    toplevel : int;  (** highest valid index into [nexts] *)
-  }
+  include Sl_common.Base (Rt) (struct
+    let node_site = None
+  end)
 
   type 'v t = { head : 'v node; optik : bool; qsbr : 'v node Q.t }
 
@@ -54,43 +50,11 @@ module Make (Rt : RT) = struct
   let vfail_next = Rt.Probe.counter "sl-herlihy.vfail-next"
   let found_marked_retry = Rt.Probe.counter "sl-herlihy.found-marked-retry"
 
-  (* A node's fields share one cache line (lock, flags and the level
-     links — tall nodes would spill onto further lines in C, but levels
-     above 3 are rare and the approximation is conservative for OPTIK,
-     whose per-node version already covers every level). *)
-  let mk_node key value toplevel =
-    let anchor = Rt.atomic None in
-    let nexts =
-      Array.init (toplevel + 1) (fun i ->
-          if i = 0 then anchor else Rt.atomic_with anchor None)
-    in
-    {
-      key;
-      value;
-      lock = Rt.atomic_with anchor 0;
-      nexts;
-      marked = Rt.atomic_with anchor false;
-      fully_linked = Rt.atomic_with anchor false;
-      toplevel;
-    }
-
+  (* The node lock is a plain lock for "herlihy", an OPTIK lock for
+     "herl-optik". *)
   let create ?(optik = false) () =
-    let tail = mk_node max_int (Obj.magic 0) (max_level - 1) in
-    let head = mk_node min_int (Obj.magic 0) (max_level - 1) in
-    for l = 0 to max_level - 1 do
-      Rt.set head.nexts.(l) (Some tail)
-    done;
-    Rt.set head.fully_linked true;
-    Rt.set tail.fully_linked true;
+    let head = sentinels () in
     { head; optik; qsbr = Q.create () }
-
-  let check_key k =
-    if k = min_int || k = max_int then invalid_arg "sl: key out of range"
-
-  let next_at node l =
-    match Rt.get node.nexts.(l) with
-    | Some n -> n
-    | None -> invalid_arg "sl: missing level link"
 
   (* Traverse, collecting predecessor / successor (and, for the OPTIK
      variant, the predecessor's version read {e before} following its
@@ -121,15 +85,12 @@ module Make (Rt : RT) = struct
   let search t key =
     check_key key;
     Q.op_begin t.qsbr;
-    let preds = Array.make max_level t.head in
-    let succs = Array.make max_level t.head in
-    let predvs = Array.make max_level 0 in
+    let preds, succs, predvs = level_arrays t.head in
     let lfound = find t key preds succs predvs in
     let res =
       if lfound >= 0 then (
         let f = succs.(lfound) in
-        if Rt.get f.fully_linked && not (Rt.get f.marked) then Some f.value
-        else None)
+        if live f then Some f.value else None)
       else None
     in
     Q.op_end t.qsbr;
@@ -153,14 +114,14 @@ module Make (Rt : RT) = struct
         if t.optik then (
           (* herl-optik: single blocking lock that reports whether the
              version is unchanged — if so, skip the per-level pointer
-             checks. The [marked] re-check is still required: a stale
+             checks. The [deleted] re-check is still required: a stale
              traversal may have entered an already-unlinked node and read
              its (released, post-deletion) version, which then validates
-             even though the node is dead. [marked] is never reset, so
+             even though the node is dead. [deleted] is never reset, so
              unmarked-under-lock proves the predecessor is still live. *)
           version_ok :=
             OL.lock_version pred.lock predvs.(!l)
-            && not (Rt.get pred.marked);
+            && not (Rt.get pred.deleted);
           if !version_ok then Rt.Probe.incr optik_validations)
         else OL.lock pred.lock;
         locked := pred :: !locked;
@@ -170,14 +131,14 @@ module Make (Rt : RT) = struct
         let succ_ok =
           match victim with
           | Some v -> succ == v (* delete: successor must be the victim *)
-          | None -> not (Rt.get succ.marked)
+          | None -> not (Rt.get succ.deleted)
         in
         let next_ok =
           match Rt.get pred.nexts.(!l) with
           | Some n -> n == succ
           | None -> false
         in
-        if Rt.get pred.marked then (
+        if Rt.get pred.deleted then (
           Rt.Probe.incr vfail_pred_marked;
           valid := false)
         else if not succ_ok then (
@@ -196,16 +157,14 @@ module Make (Rt : RT) = struct
   let insert t key value =
     check_key key;
     Q.op_begin t.qsbr;
-    let preds = Array.make max_level t.head in
-    let succs = Array.make max_level t.head in
-    let predvs = Array.make max_level 0 in
+    let preds, succs, predvs = level_arrays t.head in
     let toplevel = Sl_common.random_toplevel (Rt.tid ()) in
     let b = B.create () in
     let rec attempt () =
       let lfound = find t key preds succs predvs in
       if lfound >= 0 then (
         let f = succs.(lfound) in
-        if not (Rt.get f.marked) then (
+        if not (Rt.get f.deleted) then (
           (* Present (or being inserted): wait until fully linked. *)
           let s = B.spin () in
           while not (Rt.get f.fully_linked) do
@@ -241,14 +200,12 @@ module Make (Rt : RT) = struct
     res
 
   let ok_to_delete f lfound =
-    Rt.get f.fully_linked && f.toplevel = lfound && not (Rt.get f.marked)
+    Rt.get f.fully_linked && f.toplevel = lfound && not (Rt.get f.deleted)
 
   let delete t key =
     check_key key;
     Q.op_begin t.qsbr;
-    let preds = Array.make max_level t.head in
-    let succs = Array.make max_level t.head in
-    let predvs = Array.make max_level 0 in
+    let preds, succs, predvs = level_arrays t.head in
     let victim_locked = ref None in
     let b = B.create () in
     let rec attempt () =
@@ -282,12 +239,12 @@ module Make (Rt : RT) = struct
             if not (ok_to_delete f lfound) then None
             else (
               OL.lock f.lock;
-              if Rt.get f.marked then (
+              if Rt.get f.deleted then (
                 (* Raced with another deleter. *)
                 OL.revert f.lock;
                 None)
               else (
-                Rt.set f.marked true;
+                Rt.set f.deleted true;
                 victim_locked := Some f;
                 proceed f))
     in
@@ -295,56 +252,7 @@ module Make (Rt : RT) = struct
     Q.op_end t.qsbr;
     res
 
-  let size t =
-    let n = ref 0 in
-    let cur = ref (next_at t.head 0) in
-    while !cur.key < max_int do
-      if Rt.get !cur.fully_linked && not (Rt.get !cur.marked) then incr n;
-      cur := next_at !cur 0
-    done;
-    !n
-
-  let fold t f acc =
-    let acc = ref acc in
-    let cur = ref (next_at t.head 0) in
-    while !cur.key < max_int do
-      if Rt.get !cur.fully_linked && not (Rt.get !cur.marked) then
-        acc := f !cur.key !cur.value !acc;
-      cur := next_at !cur 0
-    done;
-    !acc
-
-  (* Quiescent invariants: each level sorted; every node linked at level
-     [l] is linked at all lower levels; no marks, no partial links. *)
-  let validate ?crashed:_ t =
-    let ok = ref true in
-    (* level 0 ordering + flags *)
-    let cur = ref (next_at t.head 0) in
-    let prev_key = ref min_int in
-    while !cur.key < max_int do
-      if !cur.key <= !prev_key then ok := false;
-      if Rt.get !cur.marked then ok := false;
-      if not (Rt.get !cur.fully_linked) then ok := false;
-      if OL.is_locked (OL.get_version !cur.lock) then ok := false;
-      prev_key := !cur.key;
-      cur := next_at !cur 0
-    done;
-    (* upper levels: subsets of level below, sorted *)
-    for l = 1 to max_level - 1 do
-      let keys_below = Hashtbl.create 64 in
-      let c = ref (next_at t.head (l - 1)) in
-      while !c.key < max_int do
-        Hashtbl.replace keys_below !c.key ();
-        c := next_at !c (l - 1)
-      done;
-      let c = ref (next_at t.head l) in
-      let pk = ref min_int in
-      while !c.key < max_int do
-        if !c.key <= !pk then ok := false;
-        if not (Hashtbl.mem keys_below !c.key) then ok := false;
-        pk := !c.key;
-        c := next_at !c l
-      done
-    done;
-    !ok
+  let size t = size t.head
+  let fold t = fold t.head
+  let validate ?crashed:_ t = validate t.head
 end

@@ -22,7 +22,14 @@
     [`Validate] = "optik1"): [`Restart] releases everything and
     re-traverses immediately; [`Validate] falls back to a blocking
     [lock_version] plus Herlihy-style fine-grained validation, restarting
-    only if that fails too. *)
+    only if that fails too.
+
+    The node, its sentinels and the quiescent helpers come from
+    {!Sl_common.Base}, with the nodes filed under the ["sl-optik.node"]
+    allocation site; this module adds [t] (the [variant]), the
+    [restarts] probe, [lock_unless_deleted], the version-tracking [find],
+    the oblivious [search], the eager [insert], [lock_preds_for_delete]
+    and [delete]. *)
 
 module type RT = Rt.Rt_intf.RT
 
@@ -30,20 +37,10 @@ module Backoff = Rt.Backoff
 
 module Make (Rt : RT) = struct
   module B = Backoff.Make (Rt)
-  module OL = Optik.Versioned (Rt)
-  module Q = Mem.Qsbr.Make (Rt)
 
-  let max_level = Sl_common.max_level
-
-  type 'v node = {
-    key : int;
-    value : 'v;
-    lock : OL.t;
-    nexts : 'v node option Rt.atomic array;
-    deleted : bool Rt.atomic;
-    fully_linked : bool Rt.atomic;
-    toplevel : int;
-  }
+  include Sl_common.Base (Rt) (struct
+    let node_site = Some "sl-optik.node"
+  end)
 
   type variant = [ `Restart | `Validate ]
 
@@ -53,41 +50,9 @@ module Make (Rt : RT) = struct
 
   let restarts = Rt.Probe.counter "sl-optik.restarts"
 
-  (* A node's fields share one cache line, as in the C layout. *)
-  let mk_node key value toplevel =
-   Rt.Probe.with_site "sl-optik.node" @@ fun () ->
-    let anchor = Rt.atomic None in
-    let nexts =
-      Array.init (toplevel + 1) (fun i ->
-          if i = 0 then anchor else Rt.atomic_with anchor None)
-    in
-    {
-      key;
-      value;
-      lock = Rt.atomic_with anchor 0;
-      nexts;
-      deleted = Rt.atomic_with anchor false;
-      fully_linked = Rt.atomic_with anchor false;
-      toplevel;
-    }
-
   let create ?(variant : variant = `Restart) () =
-    let tail = mk_node max_int (Obj.magic 0) (max_level - 1) in
-    let head = mk_node min_int (Obj.magic 0) (max_level - 1) in
-    for l = 0 to max_level - 1 do
-      Rt.set head.nexts.(l) (Some tail)
-    done;
-    Rt.set head.fully_linked true;
-    Rt.set tail.fully_linked true;
+    let head = sentinels () in
     { head; variant; qsbr = Q.create () }
-
-  let check_key k =
-    if k = min_int || k = max_int then invalid_arg "sl: key out of range"
-
-  let next_at node l =
-    match Rt.get node.nexts.(l) with
-    | Some n -> n
-    | None -> invalid_arg "sl: missing level link"
 
   (* Deleted victims keep their OPTIK lock forever (as in the OPTIK
      linked list, §4.2): a stale traversal that settles on an unlinked
@@ -143,9 +108,7 @@ module Make (Rt : RT) = struct
     done;
     let f = next_at !cur 0 in
     let res =
-      if f.key = key && Rt.get f.fully_linked && not (Rt.get f.deleted) then
-        Some f.value
-      else None
+      if f.key = key && live f then Some f.value else None
     in
     Q.op_end t.qsbr;
     res
@@ -153,9 +116,7 @@ module Make (Rt : RT) = struct
   let insert t key value =
     check_key key;
     Q.op_begin t.qsbr;
-    let preds = Array.make max_level t.head in
-    let succs = Array.make max_level t.head in
-    let predvs = Array.make max_level 0 in
+    let preds, succs, predvs = level_arrays t.head in
     let toplevel = Sl_common.random_toplevel (Rt.tid ()) in
     let newnode = mk_node key value toplevel in
     let b = B.create () in
@@ -260,9 +221,7 @@ module Make (Rt : RT) = struct
   let delete t key =
     check_key key;
     Q.op_begin t.qsbr;
-    let preds = Array.make max_level t.head in
-    let succs = Array.make max_level t.head in
-    let predvs = Array.make max_level 0 in
+    let preds, succs, predvs = level_arrays t.head in
     (* Once we own and mark the victim, reattempts only redo the
        predecessor phase. *)
     let b = B.create () in
@@ -306,52 +265,7 @@ module Make (Rt : RT) = struct
     Q.op_end t.qsbr;
     res
 
-  let size t =
-    let n = ref 0 in
-    let cur = ref (next_at t.head 0) in
-    while !cur.key < max_int do
-      if Rt.get !cur.fully_linked && not (Rt.get !cur.deleted) then incr n;
-      cur := next_at !cur 0
-    done;
-    !n
-
-  let fold t f acc =
-    let acc = ref acc in
-    let cur = ref (next_at t.head 0) in
-    while !cur.key < max_int do
-      if Rt.get !cur.fully_linked && not (Rt.get !cur.deleted) then
-        acc := f !cur.key !cur.value !acc;
-      cur := next_at !cur 0
-    done;
-    !acc
-
-  let validate ?crashed:_ t =
-    let ok = ref true in
-    let cur = ref (next_at t.head 0) in
-    let prev_key = ref min_int in
-    while !cur.key < max_int do
-      if !cur.key <= !prev_key then ok := false;
-      if Rt.get !cur.deleted then ok := false;
-      if not (Rt.get !cur.fully_linked) then ok := false;
-      if OL.is_locked (OL.get_version !cur.lock) then ok := false;
-      prev_key := !cur.key;
-      cur := next_at !cur 0
-    done;
-    for l = 1 to max_level - 1 do
-      let keys_below = Hashtbl.create 64 in
-      let c = ref (next_at t.head (l - 1)) in
-      while !c.key < max_int do
-        Hashtbl.replace keys_below !c.key ();
-        c := next_at !c (l - 1)
-      done;
-      let c = ref (next_at t.head l) in
-      let pk = ref min_int in
-      while !c.key < max_int do
-        if !c.key <= !pk then ok := false;
-        if not (Hashtbl.mem keys_below !c.key) then ok := false;
-        pk := !c.key;
-        c := next_at !c l
-      done
-    done;
-    !ok
+  let size t = size t.head
+  let fold t = fold t.head
+  let validate ?crashed:_ t = validate t.head
 end

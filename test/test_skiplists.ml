@@ -192,6 +192,48 @@ let test_level_distribution () =
   Alcotest.(check bool) "monotone decreasing" true
     (counts.(0) > counts.(1) && counts.(1) > counts.(2))
 
+(* [validate]'s per-node checks, which no concurrent run drives to
+   false: a linked node whose lock is held, or whose logical-deletion
+   flag is set, breaks a quiescent skip list. *)
+module Nat = Rt.Native_rt
+module Herl = Dstruct.Sl_herlihy.Make (Nat)
+module Opt = Dstruct.Sl_optik.Make (Nat)
+
+let check_node_faults name ~validate ~lock ~unlock ~delete =
+  Alcotest.(check bool) (name ^ " valid") true (validate ());
+  lock ();
+  Alcotest.(check bool) (name ^ " node lock held") false (validate ());
+  unlock ();
+  Alcotest.(check bool) (name ^ " node lock released") true (validate ());
+  delete ();
+  Alcotest.(check bool) (name ^ " linked node deleted") false (validate ())
+
+let keys = [ 30; 10; 20; 40 ]
+
+let test_validate_node_faults () =
+  List.iter
+    (fun (name, optik) ->
+      let t = Herl.create ~optik () in
+      List.iter (fun k -> ignore (Herl.insert t k k : bool)) keys;
+      let n = Herl.next_at (Herl.next_at t.Herl.head 0) 0 in
+      check_node_faults name
+        ~validate:(fun () -> Herl.validate t)
+        ~lock:(fun () -> Herl.OL.lock n.Herl.lock)
+        ~unlock:(fun () -> Herl.OL.unlock n.Herl.lock)
+        ~delete:(fun () -> Nat.set n.Herl.deleted true))
+    [ ("herlihy", false); ("herl-optik", true) ];
+  List.iter
+    (fun (name, variant) ->
+      let t = Opt.create ~variant () in
+      List.iter (fun k -> ignore (Opt.insert t k k : bool)) keys;
+      let n = Opt.next_at (Opt.next_at t.Opt.head 0) 0 in
+      check_node_faults name
+        ~validate:(fun () -> Opt.validate t)
+        ~lock:(fun () -> Opt.OL.lock n.Opt.lock)
+        ~unlock:(fun () -> Opt.OL.unlock n.Opt.lock)
+        ~delete:(fun () -> Nat.set n.Opt.deleted true))
+    [ ("optik1", `Validate); ("optik2", `Restart) ]
+
 let () =
   Alcotest.run "skiplists"
     [
@@ -204,4 +246,9 @@ let () =
       ( "levels",
         [ Alcotest.test_case "geometric levels" `Quick test_level_distribution ]
       );
+      ( "validate",
+        [
+          Alcotest.test_case "held node lock and deleted node" `Quick
+            test_validate_node_faults;
+        ] );
     ]
