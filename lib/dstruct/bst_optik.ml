@@ -19,16 +19,36 @@
     - {e delete} unlinks the leaf's parent, promoting the sibling — it
       locks grandparent then parent. The unlinked parent's OPTIK lock is
       {e never released}, so stale traversals that still reference it can
-      never validate against it (the discipline of §4.2). *)
+      never validate against it (the discipline of §4.2).
+
+    The two trees differ only in their synchronization. {!Base} holds the
+    tree once: the leaf and internal-node layout over a per-node lock
+    (an OPTIK lock on the node's cache line for {!Make_gen}, [unit] —
+    no simulated location — for {!Global_lock}), [create] over a
+    tree-wide lock (none for {!Make_gen}), [check_key], [child_of], the
+    commit steps both protocols share ([grow], [sibling_of]), the
+    oblivious [search] and the quiescent [size], [fold] and [validate]
+    (which requires the tree lock and every node lock to be free). Each
+    tree adds its [locate] traversal, [insert] and [delete]; {!Make_gen}
+    also its [restarts] probe. *)
 
 module type RT = Rt.Rt_intf.RT
 module type LOCK = Rt.Rt_intf.LOCK
 
 module Backoff = Rt.Backoff
 
-module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
-  module B = Backoff.Make (Rt)
-  module OL = O (Rt)
+module Base
+    (Rt : RT)
+    (N : sig
+      type t
+
+      val create_with : 'a Rt.atomic -> t
+      (** A node lock on the same cache line as the given cell. *)
+
+      val is_free : t -> bool
+    end)
+    (L : Dstruct_intf.TWIN_LOCK) =
+struct
   module Q = Mem.Qsbr.Make (Rt)
 
   type 'v leaf = { lkey : int; value : 'v }
@@ -37,23 +57,21 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
 
   and 'v inode = {
     key : int;  (** routing key: left subtree < key <= right subtree *)
-    lock : OL.t;
+    nlock : N.t;  (** the per-node lock; [unit] for bst-gl *)
     left : 'v tree Rt.atomic;
     right : 'v tree Rt.atomic;
   }
 
-  type 'v t = { root : 'v inode; qsbr : 'v inode Q.t }
+  type 'v t = { root : 'v inode; lock : L.t; qsbr : 'v inode Q.t }
 
-  let name = "bst-optik"
-
-  let restarts = Rt.Probe.counter "bst-optik.restarts"
+  let name = L.name
 
   (* One internal node = one cache line (lock + both child pointers). *)
   let mk_inode key l r =
     let left = Rt.atomic l in
     {
       key;
-      lock = Rt.atomic_with left 0;
+      nlock = N.create_with left;
       left;
       right = Rt.atomic_with left r;
     }
@@ -61,17 +79,30 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
   let create ?capacity:_ () =
     (* grandroot -> root -> (empty = min_int sentinel leaf) *)
     let empty = Leaf { lkey = min_int; value = Obj.magic 0 } in
-    let root = mk_inode max_int empty (Leaf { lkey = max_int; value = Obj.magic 0 }) in
+    let root =
+      mk_inode max_int empty (Leaf { lkey = max_int; value = Obj.magic 0 })
+    in
     let groot =
       mk_inode max_int (Node root)
         (Leaf { lkey = max_int; value = Obj.magic 0 })
     in
-    { root = groot; qsbr = Q.create () }
+    { root = groot; lock = L.create (); qsbr = Q.create () }
 
   let check_key k =
     if k = min_int || k = max_int then invalid_arg "bst: key out of range"
 
   let child_of n k = if k < n.key then n.left else n.right
+
+  (* An insert of [k] replaces [leaf] with a fresh internal node over the
+     old leaf and the new one. *)
+  let grow leaf k v =
+    let old = Leaf leaf in
+    let fresh = Leaf { lkey = k; value = v } in
+    if k < leaf.lkey then Node (mk_inode leaf.lkey fresh old)
+    else Node (mk_inode k old fresh)
+
+  (* A delete of [k] promotes the other child of the leaf's parent [p]. *)
+  let sibling_of p k = if k < p.key then Rt.get p.right else Rt.get p.left
 
   (* Oblivious search (updates linearize at single child-pointer stores). *)
   let search t k =
@@ -86,18 +117,74 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
     Q.op_end t.qsbr;
     res
 
+  let is_user l = l.lkey <> min_int && l.lkey <> max_int
+
+  let size t =
+    let rec go = function
+      | Leaf l -> if is_user l then 1 else 0
+      | Node n -> go (Rt.get n.left) + go (Rt.get n.right)
+    in
+    go (Node t.root)
+
+  let fold t f acc =
+    let rec go acc = function
+      | Leaf l -> if is_user l then f l.lkey l.value acc else acc
+      | Node n -> go (go acc (Rt.get n.left)) (Rt.get n.right)
+    in
+    go acc (Node t.root)
+
+  (* Quiescent invariants: routing (left < key <= right) for user keys
+     (sentinel leaves are exempt), the tree lock and all reachable
+     internal locks free. *)
+  let validate ?crashed:_ t =
+    let ok = ref (L.is_free t.lock) in
+    let rec go lo hi = function
+      | Leaf l ->
+          if is_user l && not (lo <= l.lkey && l.lkey < hi) then ok := false
+      | Node n ->
+          if not (N.is_free n.nlock) then ok := false;
+          go lo (min hi n.key) (Rt.get n.left);
+          go (max lo n.key) hi (Rt.get n.right)
+    in
+    go min_int max_int (Node t.root);
+    !ok
+end
+
+module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
+  module B = Backoff.Make (Rt)
+  module OL = O (Rt)
+
+  include
+    Base (Rt)
+      (struct
+        type t = OL.t
+
+        let create_with anchor = Rt.atomic_with anchor 0
+        let is_free l = not (OL.is_locked (OL.get_version l))
+      end)
+      (* no tree-wide lock *)
+      (struct
+        type t = unit
+
+        let create () = ()
+        let is_free () = true
+        let name = "bst-optik"
+      end)
+
+  let restarts = Rt.Probe.counter "bst-optik.restarts"
+
   (* Traverse to the leaf for [k], hand-over-hand tracking grandparent
      and parent; each node's version is read {e before} following its
      child pointer, so a later [trylock_version] validates the pointer
      we followed. *)
   let locate t k =
     let rec go gp gpv p =
-      let pv = OL.get_version p.lock in
+      let pv = OL.get_version p.nlock in
       match Rt.get (child_of p k) with
       | Leaf l -> (gp, gpv, p, pv, l)
       | Node n -> go p pv n
     in
-    let rv = OL.get_version t.root.lock in
+    let rv = OL.get_version t.root.nlock in
     match Rt.get t.root.left with
     | Node root1 -> go t.root rv root1
     | Leaf _ -> assert false
@@ -109,19 +196,13 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
     let rec attempt () =
       let _, _, p, pv, leaf = locate t k in
       if leaf.lkey = k then false
-      else if not (OL.trylock_version p.lock pv) then (
+      else if not (OL.trylock_version p.nlock pv) then (
         Rt.Probe.incr restarts;
         B.once b;
         attempt ())
       else (
-        let old = Leaf leaf in
-        let fresh = Leaf { lkey = k; value = v } in
-        let node =
-          if k < leaf.lkey then Node (mk_inode leaf.lkey fresh old)
-          else Node (mk_inode k old fresh)
-        in
-        Rt.set (child_of p k) node;
-        OL.unlock p.lock;
+        Rt.set (child_of p k) (grow leaf k v);
+        OL.unlock p.nlock;
         true)
     in
     let res = attempt () in
@@ -135,22 +216,19 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
     let rec attempt () =
       let gp, gpv, p, pv, leaf = locate t k in
       if leaf.lkey <> k then None
-      else if not (OL.trylock_version gp.lock gpv) then (
+      else if not (OL.trylock_version gp.nlock gpv) then (
         Rt.Probe.incr restarts;
         B.once b;
         attempt ())
-      else if not (OL.trylock_version p.lock pv) then (
-        OL.revert gp.lock;
+      else if not (OL.trylock_version p.nlock pv) then (
+        OL.revert gp.nlock;
         Rt.Probe.incr restarts;
         B.once b;
         attempt ())
       else (
         (* promote the sibling into the grandparent's slot *)
-        let sibling =
-          if k < p.key then Rt.get p.right else Rt.get p.left
-        in
-        Rt.set (child_of gp k) sibling;
-        OL.unlock gp.lock;
+        Rt.set (child_of gp k) (sibling_of p k);
+        OL.unlock gp.nlock;
         (* [p]'s lock is never released: it marks the node dead. *)
         Q.retire t.qsbr p;
         Some leaf.value)
@@ -158,40 +236,6 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
     let res = attempt () in
     Q.op_end t.qsbr;
     res
-
-  let size t =
-    let rec go = function
-      | Leaf l -> if l.lkey <> min_int && l.lkey <> max_int then 1 else 0
-      | Node n -> go (Rt.get n.left) + go (Rt.get n.right)
-    in
-    go (Node t.root)
-
-  let fold t f acc =
-    let rec go acc = function
-      | Leaf l ->
-          if l.lkey <> min_int && l.lkey <> max_int then f l.lkey l.value acc
-          else acc
-      | Node n -> go (go acc (Rt.get n.left)) (Rt.get n.right)
-    in
-    go acc (Node t.root)
-
-  (* Quiescent invariants: routing (left < key <= right) for user keys
-     (sentinel leaves are exempt), all reachable internal locks free. *)
-  let validate ?crashed:_ t =
-    let ok = ref true in
-    let rec go lo hi = function
-      | Leaf l ->
-          if
-            l.lkey <> min_int && l.lkey <> max_int
-            && not (lo <= l.lkey && l.lkey < hi)
-          then ok := false
-      | Node n ->
-          if OL.is_locked (OL.get_version n.lock) then ok := false;
-          go lo (min hi n.key) (Rt.get n.left);
-          go (max lo n.key) hi (Rt.get n.right)
-    in
-    go min_int max_int (Node t.root);
-    !ok
 end
 
 module Make (Rt : RT) = Make_gen (Rt) (Optik.Versioned)
@@ -200,53 +244,22 @@ module Make (Rt : RT) = Make_gen (Rt) (Optik.Versioned)
     (updates lock and re-traverse; searches stay oblivious, the same
     optimization as "mcs-gl-opt"). *)
 module Global_lock (Rt : RT) (Lock : LOCK) = struct
-  module Q = Mem.Qsbr.Make (Rt)
+  include
+    Base (Rt)
+      (* lock-free nodes: [unit] allocates no simulated location *)
+      (struct
+        type t = unit
 
-  type 'v leaf = { lkey : int; value : 'v }
+        let create_with _ = ()
+        let is_free () = true
+      end)
+      (struct
+        type t = Lock.t
 
-  type 'v tree = Leaf of 'v leaf | Node of 'v inode
-
-  and 'v inode = {
-    key : int;
-    left : 'v tree Rt.atomic;
-    right : 'v tree Rt.atomic;
-  }
-
-  type 'v t = { root : 'v inode; lock : Lock.t; qsbr : 'v inode Q.t }
-
-  let name = "bst-gl"
-
-  let mk_inode key l r =
-    let left = Rt.atomic l in
-    { key; left; right = Rt.atomic_with left r }
-
-  let create ?capacity:_ () =
-    let empty = Leaf { lkey = min_int; value = Obj.magic 0 } in
-    let root =
-      mk_inode max_int empty (Leaf { lkey = max_int; value = Obj.magic 0 })
-    in
-    let groot =
-      mk_inode max_int (Node root)
-        (Leaf { lkey = max_int; value = Obj.magic 0 })
-    in
-    { root = groot; lock = Lock.create (); qsbr = Q.create () }
-
-  let check_key k =
-    if k = min_int || k = max_int then invalid_arg "bst: key out of range"
-
-  let child_of n k = if k < n.key then n.left else n.right
-
-  let search t k =
-    check_key k;
-    Q.op_begin t.qsbr;
-    let rec go n =
-      match Rt.get (child_of n k) with
-      | Leaf l -> if l.lkey = k then Some l.value else None
-      | Node n' -> go n'
-    in
-    let res = go t.root in
-    Q.op_end t.qsbr;
-    res
+        let create = Lock.create
+        let is_free l = not (Lock.is_locked l)
+        let name = "bst-gl"
+      end)
 
   let locate t k =
     let rec go gp p =
@@ -266,13 +279,7 @@ module Global_lock (Rt : RT) (Lock : LOCK) = struct
     let res =
       if leaf.lkey = k then false
       else (
-        let old = Leaf leaf in
-        let fresh = Leaf { lkey = k; value = v } in
-        let node =
-          if k < leaf.lkey then Node (mk_inode leaf.lkey fresh old)
-          else Node (mk_inode k old fresh)
-        in
-        Rt.set (child_of p k) node;
+        Rt.set (child_of p k) (grow leaf k v);
         true)
     in
     Lock.unlock t.lock;
@@ -287,45 +294,11 @@ module Global_lock (Rt : RT) (Lock : LOCK) = struct
     let res =
       if leaf.lkey <> k then None
       else (
-        let sibling =
-          if k < p.key then Rt.get p.right else Rt.get p.left
-        in
-        Rt.set (child_of gp k) sibling;
+        Rt.set (child_of gp k) (sibling_of p k);
         Q.retire t.qsbr p;
         Some leaf.value)
     in
     Lock.unlock t.lock;
     Q.op_end t.qsbr;
     res
-
-  let size t =
-    let rec go = function
-      | Leaf l -> if l.lkey <> min_int && l.lkey <> max_int then 1 else 0
-      | Node n -> go (Rt.get n.left) + go (Rt.get n.right)
-    in
-    go (Node t.root)
-
-  let fold t f acc =
-    let rec go acc = function
-      | Leaf l ->
-          if l.lkey <> min_int && l.lkey <> max_int then f l.lkey l.value acc
-          else acc
-      | Node n -> go (go acc (Rt.get n.left)) (Rt.get n.right)
-    in
-    go acc (Node t.root)
-
-  let validate ?crashed:_ t =
-    let ok = ref (not (Lock.is_locked t.lock)) in
-    let rec go lo hi = function
-      | Leaf l ->
-          if
-            l.lkey <> min_int && l.lkey <> max_int
-            && not (lo <= l.lkey && l.lkey < hi)
-          then ok := false
-      | Node n ->
-          go lo (min hi n.key) (Rt.get n.left);
-          go (max lo n.key) hi (Rt.get n.right)
-    in
-    go min_int max_int (Node t.root);
-    !ok
 end

@@ -87,10 +87,11 @@ end
 
     The paper derives each OPTIK structure from a baseline by changing
     only its synchronization (§4.1, §5.1, §5.2). The array maps, the
-    global-lock lists and the Java-style hash tables are written that
-    way: one [Base] functor per file holds the layout, the search and
-    the quiescent helpers over the lock a twin hands it, and each twin
-    adds only its update protocol and that protocol's probes. *)
+    global-lock lists, the Java-style hash tables and the external BSTs
+    are written that way: one [Base] functor per file holds the layout,
+    the search and the quiescent helpers over the lock a twin hands it,
+    and each twin adds only its update protocol and that protocol's
+    probes. *)
 module type TWIN_LOCK = sig
   type t
 

@@ -122,10 +122,30 @@ let test_dead_parent_stays_locked () =
   in
   ignore (BstN.delete t 20 : int option);
   Alcotest.(check bool) "unlinked internal stays locked" true
-    (BstN.OL.is_locked (BstN.OL.get_version victim_parent.BstN.lock));
+    (BstN.OL.is_locked (BstN.OL.get_version victim_parent.BstN.nlock));
   Alcotest.(check (option int)) "sibling still reachable" (Some 1)
     (BstN.search t 10);
   Alcotest.(check bool) "valid" true (BstN.validate t)
+
+(* [validate]'s per-node check, which no concurrent run drives to
+   false: a reachable internal node whose lock is held breaks a
+   quiescent tree. *)
+let test_validate_held_node_lock () =
+  let t = BstN.create () in
+  List.iter (fun k -> ignore (BstN.insert t k k : bool)) [ 10; 20; 5 ];
+  let n =
+    match Rt.Native_rt.get t.BstN.root.BstN.left with
+    | BstN.Node root1 -> (
+        match Rt.Native_rt.get root1.BstN.left with
+        | BstN.Node n -> n
+        | BstN.Leaf _ -> Alcotest.fail "unexpected shape (n)")
+    | BstN.Leaf _ -> Alcotest.fail "unexpected shape (root1)"
+  in
+  Alcotest.(check bool) "valid" true (BstN.validate t);
+  BstN.OL.lock n.BstN.nlock;
+  Alcotest.(check bool) "node lock held" false (BstN.validate t);
+  BstN.OL.unlock n.BstN.nlock;
+  Alcotest.(check bool) "node lock released" true (BstN.validate t)
 
 let qcheck_cases =
   List.map
@@ -153,6 +173,11 @@ let () =
         [
           Alcotest.test_case "unlinked parent stays locked" `Quick
             test_dead_parent_stays_locked;
+        ] );
+      ( "validate",
+        [
+          Alcotest.test_case "held node lock" `Quick
+            test_validate_held_node_lock;
         ] );
       ("property", qcheck_cases);
     ]
