@@ -143,16 +143,7 @@ let top_thread (plan : Fault.plan) =
 
 let pick rng a = a.(Rng.below rng (Array.length a))
 
-let points =
-  [|
-    Rt.Rt_intf.Before_cas;
-    Rt.Rt_intf.After_cas;
-    Rt.Rt_intf.Critical_enter;
-    Rt.Rt_intf.Critical_exit;
-    Rt.Rt_intf.Lock_wait;
-    Rt.Rt_intf.Restart;
-    Rt.Rt_intf.Op_boundary;
-  |]
+let points = Array.of_list (List.map fst Rt.Rt_intf.fault_points)
 
 let replace_nth i x l = List.mapi (fun j y -> if j = i then x else y) l
 

@@ -241,8 +241,6 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
     in
     go t.head;
     !ok
-
-  let qsbr_stats t = Q.stats t.qsbr
 end
 
 module Make (Rt : RT) = Make_gen (Rt) (Optik.Versioned)

@@ -333,52 +333,6 @@ let timeline ?(nwindows = default_windows) (r : Journal.record) : timeline =
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
   }
 
-(** Merge fleet trials window-by-window (counts and occupancy sum; the
-    horizon/width report the widest trial). All inputs must share
-    [tl_nwindows]. *)
-let merge = function
-  | [] -> invalid_arg "Attrib.merge: empty"
-  | tl :: rest as all ->
-      let n = tl.tl_nwindows in
-      List.iter
-        (fun t ->
-          if t.tl_nwindows <> n then
-            invalid_arg "Attrib.merge: window counts differ")
-        rest;
-      let sum f =
-        let a = Array.make n 0 in
-        List.iter
-          (fun t -> Array.iteri (fun i v -> a.(i) <- a.(i) + v) (f t))
-          all;
-        a
-      in
-      let occ : (string, int array) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun t ->
-          List.iter
-            (fun (p, vs) ->
-              match Hashtbl.find_opt occ p with
-              | Some a -> Array.iteri (fun i v -> a.(i) <- a.(i) + v) vs
-              | None -> Hashtbl.add occ p (Array.copy vs))
-            t.tl_occ)
-        all;
-      {
-        tl_horizon = List.fold_left (fun h t -> max h t.tl_horizon) 0 all;
-        tl_nwindows = n;
-        tl_width = List.fold_left (fun w t -> max w t.tl_width) 0 all;
-        tl_reqs = sum (fun t -> t.tl_reqs);
-        tl_retries = sum (fun t -> t.tl_retries);
-        tl_aborts = sum (fun t -> t.tl_aborts);
-        tl_timeouts = sum (fun t -> t.tl_timeouts);
-        tl_sheds = sum (fun t -> t.tl_sheds);
-        tl_failovers = sum (fun t -> t.tl_failovers);
-        tl_crashes = sum (fun t -> t.tl_crashes);
-        tl_storms = sum (fun t -> t.tl_storms);
-        tl_occ =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) occ []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-      }
-
 (* ------------------------------------------------------------------ *)
 (* Chrome counter tracks                                               *)
 

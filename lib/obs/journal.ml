@@ -46,15 +46,6 @@ type kind =
 
 type entry = { at : int;  (** virtual cycles *) tid : int; kind : kind }
 
-let point_name : Rt.Rt_intf.fault_point -> string = function
-  | Before_cas -> "before-cas"
-  | After_cas -> "after-cas"
-  | Critical_enter -> "critical-enter"
-  | Critical_exit -> "critical-exit"
-  | Lock_wait -> "lock-wait"
-  | Restart -> "restart"
-  | Op_boundary -> "op-boundary"
-
 (* ------------------------------------------------------------------ *)
 (* Per-line contention accounting                                      *)
 

@@ -32,7 +32,7 @@ let jsonl_entry b (e : Journal.entry) =
       Printf.bprintf b ",\"name\":\"%s\"" (Report.escape name)
   | Journal.Point p ->
       common "point";
-      Printf.bprintf b ",\"name\":\"%s\"" (Journal.point_name p)
+      Printf.bprintf b ",\"name\":\"%s\"" (Rt.Rt_intf.fault_point_name p)
   | Journal.Req_begin (kind, id) ->
       common "req-begin";
       Printf.bprintf b ",\"name\":\"%s\",\"trace\":%d" (Report.escape kind) id
@@ -131,7 +131,8 @@ let to_chrome (r : Journal.record) =
       | Journal.Span_end name -> span_close e.tid name e.at
       | Journal.Point Rt.Rt_intf.Critical_enter -> span_open e.tid crit e.at
       | Journal.Point Rt.Rt_intf.Critical_exit -> span_close e.tid crit e.at
-      | Journal.Point p -> ev ~name:(Journal.point_name p) ~ph:"i" ~ts:e.at ~tid:e.tid ()
+      | Journal.Point p ->
+          ev ~name:(Rt.Rt_intf.fault_point_name p) ~ph:"i" ~ts:e.at ~tid:e.tid ()
       | Journal.Req_begin (kind, id) ->
           ev ~name:("req:" ^ kind) ~ph:"B" ~ts:e.at ~tid:e.tid
             ~args:(Printf.sprintf "{\"trace\":%d}" id)

@@ -141,6 +141,22 @@ type fault_point =
   | Restart  (** one optimistic-retry backoff episode ({!Backoff.once}) *)
   | Op_boundary  (** a benchmark operation completed (scheduler tick) *)
 
+(** Every checkpoint with its name, in declaration order: the one
+    vocabulary the journal, the trace exporters, the fault-plan grammar
+    and the chaos fuzzer's draws (which index into this order) share. *)
+let fault_points =
+  [
+    (Before_cas, "before-cas");
+    (After_cas, "after-cas");
+    (Critical_enter, "critical-enter");
+    (Critical_exit, "critical-exit");
+    (Lock_wait, "lock-wait");
+    (Restart, "restart");
+    (Op_boundary, "op-boundary");
+  ]
+
+let fault_point_name p = List.assoc p fault_points
+
 module type RT = sig
   val backend_name : string
 

@@ -266,24 +266,10 @@ let reset_world () =
   Hashtbl.reset f.shard_deadlines;
   f.resync_probe <- (fun _ -> false)
 
-let point_name : point -> string = function
-  | Rt.Rt_intf.Before_cas -> "before-cas"
-  | After_cas -> "after-cas"
-  | Critical_enter -> "critical-enter"
-  | Critical_exit -> "critical-exit"
-  | Lock_wait -> "lock-wait"
-  | Restart -> "restart"
-  | Op_boundary -> "op-boundary"
-
-let point_of_name : string -> point = function
-  | "before-cas" -> Rt.Rt_intf.Before_cas
-  | "after-cas" -> After_cas
-  | "critical-enter" -> Critical_enter
-  | "critical-exit" -> Critical_exit
-  | "lock-wait" -> Lock_wait
-  | "restart" -> Restart
-  | "op-boundary" -> Op_boundary
-  | s -> invalid_arg ("Fault.of_string: unknown checkpoint " ^ s)
+let point_of_name s =
+  match List.find_opt (fun (_, n) -> n = s) Rt.Rt_intf.fault_points with
+  | Some (p, _) -> p
+  | None -> invalid_arg ("Fault.of_string: unknown checkpoint " ^ s)
 
 let action_name = function
   | Crash -> "crash"
@@ -325,7 +311,7 @@ let spec_to_string sp =
           (String.concat "." (List.map string_of_int victims))
     | (Shard_crash _ | Shard_recover _ | Resync_crash _) as a -> action_name a
   in
-  Printf.sprintf "%s@%s%s%s" action (point_name sp.f_point)
+  Printf.sprintf "%s@%s%s%s" action (Rt.Rt_intf.fault_point_name sp.f_point)
     (match sp.f_tid with None -> "" | Some t -> Printf.sprintf ",t%d" t)
     (if sp.f_hits > 0 then Printf.sprintf ",h%d" sp.f_hits else "")
 
@@ -426,5 +412,5 @@ let pp_event ppf e =
   Format.fprintf ppf "%s t%d at %s (clock=%d, op=%d)"
     (action_name e.e_spec.f_action)
     e.e_tid
-    (point_name e.e_spec.f_point)
+    (Rt.Rt_intf.fault_point_name e.e_spec.f_point)
     e.e_clock e.e_ops

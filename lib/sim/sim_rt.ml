@@ -200,12 +200,6 @@ module Probe = struct
       audit. *)
   let registered name = Mutex.protect reg_mutex (fun () -> Hashtbl.mem counters name)
 
-  (** Every registered counter name (zero or not), sorted. *)
-  let counter_names () =
-    Mutex.protect reg_mutex (fun () ->
-        Hashtbl.fold (fun name _ acc -> name :: acc) counters [])
-    |> List.sort String.compare
-
   (** Every registered probe as [(name, kind)] with kind ["counter"] or
       ["histogram"], sorted by name then kind. The single source of truth
       for probe listings: the [optik_bench probes] subcommand prints it
