@@ -539,14 +539,17 @@ let create (cfg : config) : t =
     t_mgr;
   }
 
+(* Post-run events (the [quiesce] sweep runs outside the simulation) sort
+   after every in-run one. *)
+let say ~post_run t msg =
+  if post_run then t.events_rev <- (max_int, msg) :: t.events_rev
+  else push_event t msg
+
 (* Each observed crash spends one unit of the pair's budget. [post_run]
    crashes (found by quiesce) use the post-run event timestamp. *)
 let spend_budget ?(post_run = false) t si =
   let sh = t.shards.(si) in
-  let say msg =
-    if post_run then t.events_rev <- (max_int, msg) :: t.events_rev
-    else push_event t msg
-  in
+  let say = say ~post_run t in
   match sh.s_warranty with
   | Armed ->
       sh.s_warranty <- Spent;
@@ -689,6 +692,35 @@ let maybe_resync t si dst =
     then do_resync t si ~src ~dst
   end
 
+(* Observe the crashes of [node] the service has not seen yet, returning
+   the current epoch: bump the epoch, wipe the store (its contents are
+   lost) and spend the pair budget once per crash. In-run, the node
+   restarts its recovery clock as [Crashed] and the crash is journaled;
+   the [post_run] sweep leaves both alone. *)
+let observe_crash ?(post_run = false) t si node =
+  let e = Sim.Fault.shard_crash_count node.n_id in
+  if e <> node.n_epoch then begin
+    let crashes = e - node.n_epoch in
+    node.n_epoch <- e;
+    store_wipe node.n_store;
+    Probe.incr t.k_wipes;
+    Probe.incr t.shard_ctr.(si).c_wipes;
+    if not post_run then begin
+      node.n_state <- Crashed;
+      node.n_recovered_at <- Sim.Sched.now ();
+      if Obs.Journal.recording () then
+        Sim.Sched.obs_emit
+          (Obs.Journal.Instant (Obs.Tracectx.ev_node_crash, Some node.n_id))
+    end;
+    say ~post_run t
+      (Printf.sprintf "%s crashed (epoch %d): %s" node.n_label e
+         (if post_run then "wiped post-run" else "store wiped"));
+    for _ = 1 to crashes do
+      spend_budget ~post_run t si
+    done
+  end;
+  e
+
 (* Observe one node: detect crashes (epoch bump → wipe, the contents are
    lost, budget spent), advance the recovery state machine — including
    driving a due resync inline — then report health. Returns the epoch
@@ -696,24 +728,7 @@ let maybe_resync t si dst =
    raced its own insert — comparing against [n_epoch] would miss a crash
    another thread already refreshed away. *)
 let refresh t shard_idx node : health * int =
-  let e = Sim.Fault.shard_crash_count node.n_id in
-  if e <> node.n_epoch then begin
-    let crashes = e - node.n_epoch in
-    node.n_epoch <- e;
-    store_wipe node.n_store;
-    Probe.incr t.k_wipes;
-    Probe.incr t.shard_ctr.(shard_idx).c_wipes;
-    node.n_state <- Crashed;
-    node.n_recovered_at <- Sim.Sched.now ();
-    if Obs.Journal.recording () then
-      Sim.Sched.obs_emit
-        (Obs.Journal.Instant (Obs.Tracectx.ev_node_crash, Some node.n_id));
-    push_event t
-      (Printf.sprintf "%s crashed (epoch %d): store wiped" node.n_label e);
-    for _ = 1 to crashes do
-      spend_budget t shard_idx
-    done
-  end;
+  let e = observe_crash t shard_idx node in
   if Sim.Fault.shard_down node.n_id then begin
     if not node.n_was_down then begin
       node.n_was_down <- true;
@@ -762,23 +777,7 @@ let quiesce t =
   Array.iteri
     (fun i sh ->
       List.iter
-        (fun node ->
-          let e = Sim.Fault.shard_crash_count node.n_id in
-          if e <> node.n_epoch then begin
-            let crashes = e - node.n_epoch in
-            node.n_epoch <- e;
-            store_wipe node.n_store;
-            Probe.incr t.k_wipes;
-            Probe.incr t.shard_ctr.(i).c_wipes;
-            t.events_rev <-
-              ( max_int,
-                Printf.sprintf "%s crashed (epoch %d): wiped post-run"
-                  node.n_label e )
-              :: t.events_rev;
-            for _ = 1 to crashes do
-              spend_budget ~post_run:true t i
-            done
-          end)
+        (fun node -> ignore (observe_crash ~post_run:true t i node : int))
         [ sh.primary; sh.replica ])
     t.shards
 
@@ -887,23 +886,30 @@ let attempt_put t req =
   end
   else false
 
+(* After failed attempt [n] of a point request on shard [si]: time the
+   request out once retries or the deadline run out ([true]), else count
+   and journal the retry and back off before it ([false]). *)
+let timed_out t rng si ~arrival n =
+  if n >= t.cfg.policy.max_retries || deadline_passed t ~arrival then begin
+    Probe.incr t.k_timeouts;
+    Probe.incr t.shard_ctr.(si).c_timeouts;
+    true
+  end
+  else begin
+    Probe.incr t.k_retries;
+    Probe.incr t.shard_ctr.(si).c_restarts;
+    if Obs.Journal.recording () then
+      Sim.Sched.obs_emit (Obs.Journal.Instant (Obs.Tracectx.ev_retry, Some n));
+    backoff t rng n;
+    false
+  end
+
 let do_put t rng ~arrival req =
   let si = shard_of t req.q_key in
   let rec go n =
     if attempt_put t req then class_put
-    else if n >= t.cfg.policy.max_retries || deadline_passed t ~arrival then begin
-      Probe.incr t.k_timeouts;
-      Probe.incr t.shard_ctr.(si).c_timeouts;
-      class_timeout
-    end
-    else begin
-      Probe.incr t.k_retries;
-      Probe.incr t.shard_ctr.(si).c_restarts;
-      if Obs.Journal.recording () then
-        Sim.Sched.obs_emit (Obs.Journal.Instant (Obs.Tracectx.ev_retry, Some n));
-      backoff t rng n;
-      go (n + 1)
-    end
+    else if timed_out t rng si ~arrival n then class_timeout
+    else go (n + 1)
   in
   go 0
 
@@ -949,20 +955,7 @@ let do_get t rng ~arrival key =
         Probe.span_end ph_store;
         class_get
     | None ->
-        if n >= t.cfg.policy.max_retries || deadline_passed t ~arrival then begin
-          Probe.incr t.k_timeouts;
-          Probe.incr t.shard_ctr.(si).c_timeouts;
-          class_timeout
-        end
-        else begin
-          Probe.incr t.k_retries;
-          Probe.incr t.shard_ctr.(si).c_restarts;
-          if Obs.Journal.recording () then
-            Sim.Sched.obs_emit
-              (Obs.Journal.Instant (Obs.Tracectx.ev_retry, Some n));
-          backoff t rng n;
-          go (n + 1)
-        end
+        if timed_out t rng si ~arrival n then class_timeout else go (n + 1)
   in
   go 0
 
