@@ -25,7 +25,11 @@
 
 module type RT = Rt.Rt_intf.RT
 
-(* Fibonacci hashing spreads the benchmark's dense integer keys. *)
+(* Fibonacci hashing spreads the benchmark's dense integer keys. Buckets
+   reduce it with [mod nb], and for a power-of-two [nb] that keeps only
+   the low bits, which depend only on the key's low bits: key sets that
+   share a power-of-two stride cluster (multiples of 64 reach 16 of 1024
+   buckets). *)
 let hash k = (k * 0x2545F4914F6CDD1D) land max_int
 
 let default_buckets = 1024

@@ -30,10 +30,14 @@
     request record — not its completed/pending position — decides whether
     it carries an obligation.
 
-    Every attempt writes a globally unique element (uid ⋅ 64 under the
-    idempotent policy, uid ⋅ 64 + attempt under the deliberately broken
-    one), so visibility is countable per request even though the registry
-    structures cannot be enumerated.
+    Every attempt writes a globally unique element, so visibility is
+    countable per request even though the registry structures cannot be
+    enumerated. Elements are dense ids above every key and account
+    ([keys + accounts + uid] under the idempotent policy; the
+    deliberately broken one adds the attempt number above the uid bits),
+    so consecutive puts spread over every hash bucket and never collide
+    with a key a get probes or an account a transfer moves (see
+    {!element}).
 
     {2 The re-armable f = 1 warranty}
 
@@ -438,6 +442,15 @@ type t = {
 
 let push_event t msg = t.events_rev <- (Sim.Sched.now (), msg) :: t.events_rev
 
+(* Journal [msg] at [clk], which may predate events pushed since, keeping
+   the newest-first timeline ordered by clock. *)
+let push_event_at t clk msg =
+  let rec ins = function
+    | ((c, _) as e) :: tl when c > clk -> e :: ins tl
+    | l -> (clk, msg) :: l
+  in
+  t.events_rev <- ins t.events_rev
+
 let shard_of t key = key mod Array.length t.shards
 
 (* Account [a] lives at a key above the normal keyspace and routes
@@ -445,17 +458,33 @@ let shard_of t key = key mod Array.length t.shards
 let account_key t a = t.cfg.workload.keys + a
 let account_initial = 100
 
+(* The element attempt [attempt] of put [uid] writes: a dense id above
+   every key ([1 .. keys]) and account ([keys+1 .. keys+accounts]), so a
+   get probing a bare key misses for certain and no put lands on an
+   account. Consecutive uids are consecutive integers, which [Ht.hash]
+   spreads over every bucket; a power-of-two stride would not, since the
+   bucket keeps only the low bits of the hash. The broken-retry policy
+   tags each attempt above bit 32 rather than with a stride tied to
+   [ops], which uids pass by up to the thread count; attempts stay
+   distinct while uids stay below 2{^32}. *)
+let element (cfg : config) ~uid ~attempt =
+  let id = cfg.workload.keys + cfg.workload.accounts + uid in
+  if cfg.policy.idempotent then id else id + (attempt lsl 32)
+
+(* Buckets per store. Elements are unique per acked put, so a store
+   holds at most ~ops/nshards of them; dense elements spread them over
+   every bucket, so at the kv-zipf config (24000 requests, 20% puts,
+   4 shards) each store ends with ~1200 elements in 1024 buckets, about
+   one per bucket. Each simulated bucket is expensive host-side (its
+   atomics are tracked cache lines), so do NOT scale buckets linearly
+   with ops. *)
+let store_capacity (cfg : config) =
+  max 256 (min 1024 (cfg.ops / (2 * max 1 cfg.nshards)))
+
 let create (cfg : config) : t =
   if cfg.nshards <= 0 then invalid_arg "Kv.create: nshards must be positive";
   let (module S : R.SET_OPS) = rep_module cfg.rep in
-  (* Buckets per store. Elements are unique per acked put, so a store
-     holds at most ~ops/nshards of them; chained buckets at load factor
-     2-4 are fine for a simulated store, and each simulated bucket is
-     expensive host-side (its atomics are tracked cache lines), so do
-     NOT scale buckets linearly with ops. *)
-  let capacity =
-    max 256 (min 1024 (cfg.ops / (2 * max 1 cfg.nshards)))
-  in
+  let capacity = store_capacity cfg in
   let node id label =
     {
       n_id = id;
@@ -641,11 +670,16 @@ let do_resync t si ~src ~dst =
      must be one atomic step: [store_size] and event formatting yield,
      and a crash landing in that window would read the pair as still
      [Spent] and void a warranty the completed copy had just earned.
-     So: decide, transition, then narrate. *)
+     So: decide, transition, then narrate, dating the catch-up at the
+     decision. Clearing [s_resync] is one of the transitions: the fault
+     engine's resync probe reads it, and a crash in the narration window
+     lands after the copy, not in it. *)
   if batches keys && not (fenced ()) then begin
+    let decided = Sim.Sched.now () in
+    sh.s_resync <- false;
     dst.n_state <- Caught_up;
     Probe.incr t.k_resyncs;
-    Harness.Pstats.record t.resync_lat (Sim.Sched.now () - t0);
+    Harness.Pstats.record t.resync_lat (decided - t0);
     (* Two live copies again: re-arm the pair's f = 1 budget — but only
        from [Spent]; a [Voided] pair has (potentially) lost acked writes
        for good and must stay out of warranty. The fenceless policy
@@ -660,20 +694,21 @@ let do_resync t si ~src ~dst =
       sh.s_warranty <- Armed;
       Probe.incr t.k_rearms
     end;
-    push_event t
+    push_event_at t decided
       (Printf.sprintf "s%d resync %s caught up (%d keys)" si dst.n_label
          (store_size dst.n_store));
     if rearmed then
-      push_event t (Printf.sprintf "s%d pair budget re-armed (f=1 restored)" si)
+      push_event_at t decided
+        (Printf.sprintf "s%d pair budget re-armed (f=1 restored)" si)
   end
   else begin
+    sh.s_resync <- false;
     dst.n_state <- Wiped;
     Probe.incr ctr.c_resync_aborted;
     Probe.incr t.k_resync_aborts;
     push_event t
       (Printf.sprintf "s%d resync %s aborted (epoch fence)" si dst.n_label)
   end;
-  sh.s_resync <- false;
   Probe.span_end ph_resync
 
 (* Start a resync if the pair has none in flight and the peer is usable
@@ -817,10 +852,7 @@ let attempt_put t req =
   let si = shard_of t req.q_key in
   let sh = t.shards.(si) in
   req.q_attempts <- req.q_attempts + 1;
-  let elem =
-    if p.idempotent then req.q_uid * 64
-    else (req.q_uid * 64) + (req.q_attempts land 63)
-  in
+  let elem = element t.cfg ~uid:req.q_uid ~attempt:req.q_attempts in
   if not (List.mem elem req.q_elems) then req.q_elems <- elem :: req.q_elems;
   Probe.span_begin ph_route;
   let p_h, p_epoch = refresh t si sh.primary in
