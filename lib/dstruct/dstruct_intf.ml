@@ -230,7 +230,11 @@ module Mono_set
     end) : SET_OPS = struct
   module OL = Optik.Versioned (Rt)
 
-  type overlay = { vlocks : OL.t array; base : int }
+  type overlay = {
+    vlocks : OL.t array;
+    handles : Locks.Handle.t array;  (** one per stripe, built with it *)
+  }
+
   type t = { s : int S.t; mutable ov : overlay option }
 
   let name = C.name
@@ -245,28 +249,6 @@ module Mono_set
   let size t = S.size t.s
   let validate ?crashed t = S.validate ?crashed t.s
 
-  (* Lazy overlay: allocating the stripe locks (tracked cache lines
-     under the simulator) only on first versioned access keeps
-     non-transactional runs allocation-identical to the pre-overlay
-     engine, which the golden schedule digests pin. The bare-OCaml
-     initialization contains no [Rt] operation, so the simulator cannot
-     preempt it; native users must touch the overlay (e.g. [Txn.obj])
-     before sharing the structure. *)
-  let overlay t =
-    match t.ov with
-    | Some o -> o
-    | None ->
-        let o =
-          {
-            vlocks = Array.init stripes (fun _ -> OL.create ());
-            base = Locks.Handle.fresh_base stripes;
-          }
-        in
-        t.ov <- Some o;
-        o
-
-  let stripe_of k = ((k mod stripes) + stripes) mod stripes
-
   (* A token packs (free version, stripe). Versioned-lock words advance
      by 2 per commit, leaving 42 usable version bits here — years of
      simulated commits. *)
@@ -277,31 +259,14 @@ module Mono_set
   let token_stripe tok = tok land stripe_mask
   let token_version tok = tok asr stripe_bits
 
-  let rec read_versioned t k =
-    let o = overlay t in
-    let sp = stripe_of k in
-    let l = o.vlocks.(sp) in
-    let v = OL.get_version_wait l in
-    let x = S.search t.s k in
-    if OL.same_version (OL.get_version l) v then (x, token ~stripe:sp v)
-    else read_versioned t k
-
   let check_stripe l ~stripe tok =
     token_stripe tok = stripe
     &&
     let v = OL.get_version l in
     (not (OL.is_locked v)) && OL.same_version v (token_version tok)
 
-  let commit_check t tok =
-    let o = overlay t in
-    let sp = token_stripe tok in
-    sp < stripes && check_stripe o.vlocks.(sp) ~stripe:sp tok
-
-  let lock_handle t k =
-    let o = overlay t in
-    let sp = stripe_of k in
-    let l = o.vlocks.(sp) in
-    Locks.Handle.v ~id:(o.base + sp)
+  let handle ~id l sp =
+    Locks.Handle.v ~id
       ~acquire:(fun tok ->
         token_stripe tok = sp && OL.trylock_version l (token_version tok))
       ~acquire_any:(fun () ->
@@ -313,6 +278,48 @@ module Mono_set
       ~commit:(fun () -> OL.unlock l)
       ~revert:(fun () -> OL.revert l)
       ~check:(fun tok -> check_stripe l ~stripe:sp tok)
+
+  (* Lazy overlay: allocating the stripe locks (tracked cache lines
+     under the simulator) only on first versioned access keeps
+     non-transactional runs allocation-identical to the pre-overlay
+     engine, which the golden schedule digests pin. The bare-OCaml
+     initialization contains no [Rt] operation, so the simulator cannot
+     preempt it; native users must touch the overlay (e.g. [Txn.obj])
+     before sharing the structure. The stripe handles are built here too,
+     so [lock_handle] allocates nothing. *)
+  let overlay t =
+    match t.ov with
+    | Some o -> o
+    | None ->
+        let vlocks = Array.init stripes (fun _ -> OL.create ()) in
+        let base = Locks.Handle.fresh_base stripes in
+        let o =
+          {
+            vlocks;
+            handles =
+              Array.mapi (fun sp l -> handle ~id:(base + sp) l sp) vlocks;
+          }
+        in
+        t.ov <- Some o;
+        o
+
+  let stripe_of k = ((k mod stripes) + stripes) mod stripes
+
+  let rec read_versioned t k =
+    let o = overlay t in
+    let sp = stripe_of k in
+    let l = o.vlocks.(sp) in
+    let v = OL.get_version_wait l in
+    let x = S.search t.s k in
+    if OL.same_version (OL.get_version l) v then (x, token ~stripe:sp v)
+    else read_versioned t k
+
+  let commit_check t tok =
+    let o = overlay t in
+    let sp = token_stripe tok in
+    sp < stripes && check_stripe o.vlocks.(sp) ~stripe:sp tok
+
+  let lock_handle t k = (overlay t).handles.(stripe_of k)
 end
 
 module Mono_queue

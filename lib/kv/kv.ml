@@ -638,8 +638,12 @@ let do_resync t si ~src ~dst =
     && (Sim.Fault.shard_crash_count src.n_id <> src_e0
        || Sim.Fault.shard_crash_count dst.n_id <> dst_e0)
   in
+  (* Snapshot keys [dst] holds after the copy, counted host-side for the
+     catch-up event: narrating [store_size] would walk every bucket. *)
+  let held = ref 0 in
   let copy_key k =
-    if store_get dst.n_store k = None then begin
+    if store_get dst.n_store k <> None then incr held
+    else begin
       let rec pull tries =
         match store_read_versioned src.n_store k with
         | None, _ -> ()  (* gone since the snapshot: do not resurrect *)
@@ -650,6 +654,7 @@ let do_resync t si ~src ~dst =
               ignore (store_delete dst.n_store k : int option);
               pull (tries + 1)
             end
+            else incr held
       in
       pull 0;
       Probe.incr ctr.c_resync_keys;
@@ -667,13 +672,12 @@ let do_resync t si ~src ~dst =
         batches rest
   in
   (* The fence verdict and the state/warranty transitions it licenses
-     must be one atomic step: [store_size] and event formatting yield,
-     and a crash landing in that window would read the pair as still
-     [Spent] and void a warranty the completed copy had just earned.
-     So: decide, transition, then narrate, dating the catch-up at the
-     decision. Clearing [s_resync] is one of the transitions: the fault
-     engine's resync probe reads it, and a crash in the narration window
-     lands after the copy, not in it. *)
+     must be one atomic step: a crash landing between them would read
+     the pair as still [Spent] and void a warranty the completed copy
+     had just earned. So: decide, transition, then narrate, dating the
+     catch-up at the decision; nothing in between yields. Clearing
+     [s_resync] is one of the transitions: the fault engine's resync
+     probe reads it. *)
   if batches keys && not (fenced ()) then begin
     let decided = Sim.Sched.now () in
     sh.s_resync <- false;
@@ -695,8 +699,8 @@ let do_resync t si ~src ~dst =
       Probe.incr t.k_rearms
     end;
     push_event_at t decided
-      (Printf.sprintf "s%d resync %s caught up (%d keys)" si dst.n_label
-         (store_size dst.n_store));
+      (Printf.sprintf "s%d resync %s caught up (%d/%d snapshot keys)" si
+         dst.n_label !held (List.length keys));
     if rearmed then
       push_event_at t decided
         (Printf.sprintf "s%d pair budget re-armed (f=1 restored)" si)

@@ -22,12 +22,17 @@
     wasted-work taxonomy ([txn.aborts], split into [txn.vfail-txn-lock]
     and [txn.vfail-txn-read]).
 
-    {e Read-only transactions never abort}: {!Make.snapshot} re-runs its
-    read phase until a second version check over the whole read set
-    passes — no locks taken, no writes undone, just re-reads (counted as
-    [txn.snapshot-retries]). On success the snapshot was atomic at some
-    point between the two clock readings it returns, which is what the
-    serializability oracle checks.
+    {e Read-only transactions never abort}: {!Make.snapshot} takes no
+    locks and undoes nothing. When its version check fails it keeps
+    every read whose token still checks and re-reads only the stale ones
+    (one [txn.snapshot-retries] per round), then checks the whole read
+    set again. Each kept read held its value from when it was read until
+    the final check, and every read precedes every final check, so the
+    latest read is an instant at which all of them held: the snapshot's
+    serialization point. The window the snapshot returns opens at the
+    clock read before the first round, which every read follows, and
+    closes after the final check; the serializability oracle checks the
+    audit against some commit inside it.
 
     Isolation holds between transactions only: plain [insert]/[delete]
     on a structure do not advance overlay versions, so keys under
@@ -51,6 +56,11 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
         (** negative control: locks are taken without version validation
             and the read set is never revalidated, so stale reads commit
             — the serializability oracle must catch this *)
+    | Broken_snapshot
+        (** negative control: a snapshot retry trusts the reads an
+            earlier validation kept and checks only the re-read ones, so
+            a kept read that went stale during the retry is returned —
+            the audit oracle must catch this *)
 
   (* One structure participating in transactions. Packed once at setup:
      the packed value itself (compared with [==]) keys the
@@ -202,8 +212,10 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       | (h : Locks.Handle.t) :: rest -> (
           let got =
             match (t.policy, expected h) with
-            | Optimistic, Some tok -> if h.acquire tok then Some tok else None
-            | Optimistic, None | Broken_commit, _ -> Some (h.acquire_any ())
+            | (Optimistic | Broken_snapshot), Some tok ->
+                if h.acquire tok then Some tok else None
+            | (Optimistic | Broken_snapshot), None | Broken_commit, _ ->
+                Some (h.acquire_any ())
           in
           match got with
           | Some tok -> acquire ((h, tok) :: held) rest
@@ -236,7 +248,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
         let valid =
           match t.policy with
           | Broken_commit -> true
-          | Optimistic -> List.for_all read_ok ctx.reads
+          | Optimistic | Broken_snapshot -> List.for_all read_ok ctx.reads
         in
         Rt.Probe.span_end ph_validate;
         if not valid then begin
@@ -271,30 +283,57 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
     in
     go 0
 
+  (* [reads] without the entries whose token no longer checks. The
+     result is physically [reads] iff every entry checks, so a passing
+     validation allocates nothing. The suffix from [trusted] on is kept
+     without a check. *)
+  let rec drop_stale ~trusted reads =
+    if reads == trusted then reads
+    else
+      match reads with
+      | [] -> []
+      | r :: rest ->
+          let ok = r.r_handle.Locks.Handle.check r.r_tok in
+          let rest' = drop_stale ~trusted rest in
+          if not ok then rest' else if rest' == rest then reads else r :: rest'
+
   (** [snapshot t f] runs [f] against an atomic snapshot and returns
       [(result, c0, c1)]: the snapshot was consistent at some commit
-      ticket in [c0..c1]. Abort-free: validation failure just re-reads. *)
+      ticket in [c0..c1]. Abort-free: a failed validation keeps every
+      read whose token still checks, drops the stale ones and runs [f]
+      again, so only the stale keys are re-read (the kept ones answer as
+      repeatable reads), until one validation of the whole read set
+      passes.
+
+      Why that is atomic: kept entry [i] was read at [t_i] and passes
+      the final check at [s_i], so its key did not change during
+      [[t_i, s_i]]. Every read precedes every final check, so
+      [max t_i] lies in all those intervals: that instant is the
+      serialization point. *)
   let snapshot t (f : ctx -> 'a) : 'a * int * int =
-    let rec go attempt =
-      let c0 = Rt.get t.clock in
-      let ctx = { reads = []; writes = []; ro = true } in
+    (* [c0] is read once, before the first round: a kept entry may date
+       from any round, so only a clock read that precedes every round is
+       sure to precede every read, and with it [max t_i]. *)
+    let c0 = Rt.get t.clock in
+    let ctx = { reads = []; writes = []; ro = true } in
+    let rec go attempt kept =
       let x = f ctx in
-      let ok =
-        List.for_all (fun r -> r.r_handle.Locks.Handle.check r.r_tok) ctx.reads
-      in
-      if ok then begin
+      let trusted = match t.policy with Broken_snapshot -> kept | _ -> [] in
+      let valid = drop_stale ~trusted ctx.reads in
+      if valid == ctx.reads then begin
         Rt.Probe.incr t.c_snapshots;
         (x, c0, Rt.get t.clock)
       end
       else begin
+        ctx.reads <- valid;
         Rt.Probe.incr t.c_snap_retries;
         Rt.Probe.span_begin ph_backoff;
         t.backoff attempt;
         Rt.Probe.span_end ph_backoff;
-        go (attempt + 1)
+        go (attempt + 1) valid
       end
     in
-    go 0
+    go 0 []
 end
 
 (* ------------------------------------------------------------------ *)
@@ -473,22 +512,34 @@ module Workload = struct
           | Audit -> incr na);
     let n = !n and na = !na in
     (* Commit tickets come from one fetch-and-add clock, so they should
-       be exactly 0 .. n-1. A stable sort by ticket lays the transfers
-       out, and the check below reports every position that holds the
-       wrong ticket. *)
+       be exactly 0 .. n-1, and each transfer goes straight to the
+       position its ticket names. Otherwise a stable sort by ticket lays
+       the transfers out, and the check below reports every position
+       that holds the wrong ticket. *)
     let blank = fresh_rec Transfer in
     let transfers = Array.make n blank and audits = Array.make na blank in
-    let nt = ref 0 and next_audit = ref 0 in
+    let placed = ref true and next_audit = ref 0 in
     iter_records (fun x ->
         if x.x_committed then
           match x.x_kind with
           | Transfer ->
-              transfers.(!nt) <- x;
-              incr nt
+              let i = x.x_ticket in
+              if i >= 0 && i < n && transfers.(i) == blank then
+                transfers.(i) <- x
+              else placed := false
           | Audit ->
               audits.(!next_audit) <- x;
               incr next_audit);
-    Array.stable_sort (fun a b -> Int.compare a.x_ticket b.x_ticket) transfers;
+    if not !placed then begin
+      let nt = ref 0 in
+      iter_records (fun x ->
+          match x.x_kind with
+          | Transfer when x.x_committed ->
+              transfers.(!nt) <- x;
+              incr nt
+          | Transfer | Audit -> ());
+      Array.stable_sort (fun a b -> Int.compare a.x_ticket b.x_ticket) transfers
+    end;
     Array.iteri
       (fun i x ->
         if x.x_ticket <> i then
@@ -739,7 +790,10 @@ module Workload = struct
         done;
         T.obj (module S) st)
 
-  let run ?(record_obs = false) (cfg : config) :
+  (** [policy] defaults to [Broken_commit] when [cfg.broken] is set and
+      to [Optimistic] otherwise; passing it runs another negative
+      control, such as [Broken_snapshot]. *)
+  let run ?(record_obs = false) ?policy (cfg : config) :
       Harness.Runner.measurement * result =
     if cfg.objects < 1 || cfg.accounts < 1 || cfg.objects * cfg.accounts < 2
     then invalid_arg "Txn.Workload: need at least two account slots";
@@ -751,7 +805,10 @@ module Workload = struct
     let objs = make_objects cfg (rep_module cfg.rep) in
     let mgr =
       T.create
-        ~policy:(if cfg.broken then T.Broken_commit else T.Optimistic)
+        ~policy:
+          (match policy with
+          | Some p -> p
+          | None -> if cfg.broken then T.Broken_commit else T.Optimistic)
         ~backoff:(fun n ->
           (* deterministic bounded exponential, de-synchronized by tid *)
           Sim.Sched.work ((64 lsl min n 6) + (17 * (Sim.Sched.tid () + 1))))

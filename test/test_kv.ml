@@ -180,7 +180,7 @@ let test_timeouts_when_pair_down () =
    window and completes a fenced copy before the next crash lands —
    every crash is absorbed, the budget re-arms each time, and the
    oracle passes strictly. At stagger 5000 the closest crash fires
-   ~150k cycles after the copy before it caught up; at 3000 the second
+   ~100k cycles after the copy before it caught up; at 3000 the second
    copy loses the race and aborts. [check_copies_beat_crashes] checks
    that premise on every run, so a cost change that erodes the margin
    fails by name rather than as a missing re-arm. *)

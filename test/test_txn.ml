@@ -183,6 +183,75 @@ let test_snapshot_is_consistent () =
   Alcotest.(check int) "snapshot sums the preload" 800 sum;
   Alcotest.(check bool) "clock window well-formed" true (c0 <= c1)
 
+(* A failed snapshot validation re-reads only the stale entries. The
+   [n] keys of one [ll-optik] structure sit on [n] different stripes,
+   and the snapshot spends 1000 cycles per key, so a second simulated
+   thread commits a write to key 1 once, after the snapshot read it and
+   before it validates. [Logged] records every versioned read the
+   snapshot makes: the retry must re-read key 1 alone, and the sum must
+   be the state after that commit. *)
+let logged_keys = ref []
+
+module Logged (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
+  include S
+
+  let read_versioned t k =
+    logged_keys := k :: !logged_keys;
+    S.read_versioned t k
+end
+
+let test_retry_rereads_only_stale () =
+  Dstruct.Sl_common.reset_states ();
+  let n = 16 in
+  let (module S : R.SET_OPS) = W.rep_module "ll-optik" in
+  let st = S.create ~capacity:64 () in
+  for k = 1 to n do
+    assert (S.insert st k 100)
+  done;
+  logged_keys := [];
+  let snap_obj = TX.obj (module Logged (S)) st in
+  let writer_obj = TX.obj (module S) st in
+  let stripe k = (TX.obj_handle writer_obj k).Locks.Handle.id in
+  Alcotest.(check int) "one stripe per key" n
+    (List.length (List.sort_uniq compare (List.init n (fun i -> stripe (i + 1)))));
+  let mgr = TX.create () in
+  let reads = ref 0 and snap = ref None and ticket = ref (-1) in
+  ignore
+    (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:2 (fun tid ->
+         if tid = 0 then
+           snap :=
+             Some
+               (TX.snapshot mgr (fun ctx ->
+                    let sum = ref 0 in
+                    for k = 1 to n do
+                      sum := !sum + Option.get (TX.read ctx snap_obj k);
+                      incr reads;
+                      Sim.Sched.work 1_000
+                    done;
+                    !sum))
+         else begin
+           while !reads < 2 do
+             Sim.Sched.pause ()
+           done;
+           let (), t =
+             TX.atomically mgr (fun ctx ->
+                 let v = Option.get (TX.read ctx writer_obj 1) in
+                 TX.write ctx writer_obj 1 (Some (v + 5)))
+           in
+           ticket := t
+         end)
+      : Sim.Sched.stats);
+  let sum, c0, c1 = Option.get !snap in
+  Alcotest.(check int) "one snapshot retry" 1 (count mgr.TX.c_snap_retries);
+  Alcotest.(check (list int))
+    "every key read once, then key 1 alone"
+    (1 :: List.init n (fun i -> n - i))
+    !logged_keys;
+  Alcotest.(check int) "the sum is the state after the commit" ((100 * n) + 5)
+    sum;
+  Alcotest.(check bool) "the commit lies in the snapshot's clock window" true
+    (c0 <= !ticket && !ticket < c1)
+
 (* ------------------------------------------------------------------ *)
 (* Contended workload: determinism, oracle, negative control. *)
 
@@ -262,6 +331,20 @@ let test_broken_commit_fails () =
       "txn 398 read (1,13) = 111 but the serialized state had 107";
     ]
     (List.filteri (fun i _ -> i < 2) o.W.violations)
+
+(* A snapshot retry that trusts its kept reads without revalidating
+   them returns audits no serialization point explains; the oracle must
+   report exactly those, and no transfer. *)
+let test_broken_snapshot_fails () =
+  let _, r = W.run ~policy:W.T.Broken_snapshot W.default_config in
+  let o = r.W.res_oracle in
+  Alcotest.(check bool) "oracle failed" false o.W.ok;
+  Alcotest.(check bool) "snapshots retried" true (r.W.res_snap_retries > 0);
+  List.iter
+    (fun v ->
+      if not (String.starts_with ~prefix:"audit (" v) then
+        Alcotest.failf "not an audit violation: %s" v)
+    o.W.violations
 
 (* ------------------------------------------------------------------ *)
 (* The oracle's contract on hand-built histories over two quiesced
@@ -920,6 +1003,8 @@ let () =
             test_read_validation_aborts;
           Alcotest.test_case "snapshot is consistent" `Quick
             test_snapshot_is_consistent;
+          Alcotest.test_case "snapshot retry re-reads only stale keys"
+            `Quick test_retry_rereads_only_stale;
         ] );
       ( "determinism",
         [
@@ -935,6 +1020,8 @@ let () =
             test_oracle_passes_wrapper;
           Alcotest.test_case "broken commit caught" `Quick
             test_broken_commit_fails;
+          Alcotest.test_case "broken snapshot caught" `Quick
+            test_broken_snapshot_fails;
           Alcotest.test_case "contract on hand-built histories" `Quick
             test_oracle_contract;
           Alcotest.test_case "write to no account reported" `Quick
