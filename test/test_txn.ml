@@ -322,13 +322,13 @@ let test_broken_commit_fails () =
   (* Pinned: a rewrite of the oracle that still finds some violation,
      but not this exact set, fails here. *)
   Alcotest.(check string) "verdict"
-    "oracle: FAIL (8 violations over 2788 transfers, 1219 audits)"
+    "oracle: FAIL (6 violations over 2829 transfers, 1178 audits)"
     (List.hd
        (String.split_on_char '\n' (Format.asprintf "%a" W.pp_oracle o)));
   Alcotest.(check (list string)) "first violations"
     [
-      "txn 202 read (0,13) = 97 but the serialized state had 105";
-      "txn 398 read (1,13) = 111 but the serialized state had 107";
+      "txn 217 read (1,11) = 114 but the serialized state had 116";
+      "txn 992 read (2,14) = 93 but the serialized state had 89";
     ]
     (List.filteri (fun i _ -> i < 2) o.W.violations)
 
