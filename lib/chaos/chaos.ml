@@ -107,6 +107,15 @@ let check_pct what v =
 let check_positive what v =
   if v < 1 then parse_error "%s must be positive, got %d" what v
 
+(* Every grammar's thread count: the structures' QSBR domains have room
+   for [Mem.Qsbr.default_max_threads] thread ids, so a larger run would
+   simulate until its first reclamation and then die. *)
+let check_threads v =
+  check_positive "threads" v;
+  if v > Mem.Qsbr.default_max_threads then
+    parse_error "threads must be at most %d (QSBR's thread cap), got %d"
+      Mem.Qsbr.default_max_threads v
+
 (* A fault plan aims only at what the trial has: each spec's [t] and
    storm victims at one of its [threads], each shard fault at one of its
    [stores] (a kv trial's primaries and replicas; a structure trial has
@@ -364,12 +373,9 @@ let of_string entries =
         ('f', Text (fun tr v -> { tr with t_plan = Fault.of_string v }));
       ]
     ~check:(fun tr ->
-      check_positive "threads" tr.t_threads;
+      check_threads tr.t_threads;
       check_positive "ops" tr.t_ops;
       check_positive "keys" tr.t_keys;
-      if tr.t_threads > Mem.Qsbr.default_max_threads then
-        parse_error "threads must be at most %d (QSBR's thread cap), got %d"
-          Mem.Qsbr.default_max_threads tr.t_threads;
       if tr.t_quantum < 1 then
         parse_error "quantum must be positive, got %d" tr.t_quantum;
       if tr.t_read_slack < 0 then
@@ -858,7 +864,7 @@ module Kv_trial = struct
         ]
       ~check:(fun tr ->
         check_positive "shards" tr.kv_shards;
-        check_positive "threads" tr.kv_threads;
+        check_threads tr.kv_threads;
         check_positive "ops" tr.kv_ops;
         check_positive "keys" tr.kv_keys;
         if tr.kv_degraded < 0 then
@@ -1102,7 +1108,7 @@ module Txn_trial = struct
         ]
       ~check:(fun tr ->
         check_positive "objects" tr.x_objects;
-        check_positive "threads" tr.x_threads;
+        check_threads tr.x_threads;
         check_positive "ops" tr.x_ops;
         if tr.x_objects * tr.x_accounts < 2 then
           parse_error "need at least two account slots";

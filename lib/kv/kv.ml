@@ -1287,6 +1287,9 @@ let run ?(record_obs = false) (cfg : config) :
   let pct what p = if p < 0 || p > 100 then fail "%s must be in [0,100]" what in
   let w = cfg.workload in
   positive "threads" cfg.threads;
+  if cfg.threads > Mem.Qsbr.default_max_threads then
+    fail "threads must be at most %d (QSBR's thread cap)"
+      Mem.Qsbr.default_max_threads;
   positive "ops" cfg.ops;
   positive "keys" w.keys;
   positive "resync_batch" cfg.policy.resync_batch;

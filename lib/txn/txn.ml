@@ -23,16 +23,17 @@
     and [txn.vfail-txn-read]).
 
     {e Read-only transactions never abort}: {!Make.snapshot} takes no
-    locks and undoes nothing. When its version check fails it keeps
-    every read whose token still checks and re-reads only the stale ones
-    (one [txn.snapshot-retries] per round), then checks the whole read
-    set again. Each kept read held its value from when it was read until
-    the final check, and every read precedes every final check, so the
-    latest read is an instant at which all of them held: the snapshot's
-    serialization point. The window the snapshot returns opens at the
-    clock read before the first round, which every read follows, and
-    closes after the final check; the serializability oracle checks the
-    audit against some commit inside it.
+    locks and undoes nothing. It reads the manager's clock once before
+    its first round and once after each round's reads (TL2's global
+    version clock used as a gate): if no commit drew a ticket in between,
+    the read set is the committed state before that ticket and needs no
+    validation. Otherwise it checks the read set, keeps every read whose
+    token still checks and re-reads only the stale ones (one
+    [txn.snapshot-retries] per round). Either way the clock read that
+    ends the round is the snapshot's exact serialization ticket [c]:
+    every read precedes it, every check follows it, and a stripe locked
+    or advanced across it fails its check. The serializability oracle
+    checks the audit against the replayed state after tickets [< c].
 
     Isolation holds between transactions only: plain [insert]/[delete]
     on a structure do not advance overlay versions, so keys under
@@ -61,6 +62,12 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
             earlier validation kept and checks only the re-read ones, so
             a kept read that went stale during the retry is returned —
             the audit oracle must catch this *)
+    | Broken_gate
+        (** negative control: after a failed snapshot validation the next
+            round's gate value is read when that round starts, after the
+            check and the backoff instead of before the check, so a commit
+            between a kept read's check and that clock read passes the
+            gate unvalidated — the audit oracle must catch this *)
 
   (* One structure participating in transactions. Packed once at setup:
      the packed value itself (compared with [==]) keys the
@@ -120,7 +127,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
 
   type t = {
     policy : policy;
-    clock : int Rt.atomic;  (** commit tickets; also the snapshot window *)
+    clock : int Rt.atomic;  (** commit tickets; also the snapshot gate *)
     max_retries : int;
     backoff : int -> unit;  (** called with the attempt number on abort *)
     c_commits : Rt.Probe.counter;
@@ -212,9 +219,10 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       | (h : Locks.Handle.t) :: rest -> (
           let got =
             match (t.policy, expected h) with
-            | (Optimistic | Broken_snapshot), Some tok ->
+            | (Optimistic | Broken_snapshot | Broken_gate), Some tok ->
                 if h.acquire tok then Some tok else None
-            | (Optimistic | Broken_snapshot), None | Broken_commit, _ ->
+            | (Optimistic | Broken_snapshot | Broken_gate), None
+            | Broken_commit, _ ->
                 Some (h.acquire_any ())
           in
           match got with
@@ -248,7 +256,8 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
         let valid =
           match t.policy with
           | Broken_commit -> true
-          | Optimistic | Broken_snapshot -> List.for_all read_ok ctx.reads
+          | Optimistic | Broken_snapshot | Broken_gate ->
+              List.for_all read_ok ctx.reads
         in
         Rt.Probe.span_end ph_validate;
         if not valid then begin
@@ -298,31 +307,37 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
           if not ok then rest' else if rest' == rest then reads else r :: rest'
 
   (** [snapshot t f] runs [f] against an atomic snapshot and returns
-      [(result, c0, c1)]: the snapshot was consistent at some commit
-      ticket in [c0..c1]. Abort-free: a failed validation keeps every
-      read whose token still checks, drops the stale ones and runs [f]
-      again, so only the stale keys are re-read (the kept ones answer as
-      repeatable reads), until one validation of the whole read set
-      passes.
+      [(result, c)]: the snapshot equals the committed state after
+      tickets [0 .. c-1]. Abort-free: a round whose reads a commit may
+      have overlapped keeps every read whose token still checks, drops
+      the stale ones and runs [f] again, so only the stale keys are
+      re-read (the kept ones answer as repeatable reads).
 
-      Why that is atomic: kept entry [i] was read at [t_i] and passes
-      the final check at [s_i], so its key did not change during
-      [[t_i, s_i]]. Every read precedes every final check, so
-      [max t_i] lies in all those intervals: that instant is the
-      serialization point. *)
-  let snapshot t (f : ctx -> 'a) : 'a * int * int =
-    (* [c0] is read once, before the first round: a kept entry may date
-       from any round, so only a clock read that precedes every round is
-       sure to precede every read, and with it [max t_i]. *)
-    let c0 = Rt.get t.clock in
+      The gate: [c] is the clock read after a round's reads. If it equals
+      the previous gate value (the clock read before the first round, or
+      after the previous round's reads), no commit drew a ticket since
+      then, so no commit that could change a read happened in between and
+      validation is skipped. Otherwise the whole read set is checked; if
+      that passes, [c] is still exact: every read precedes it, every
+      check follows it, and a commit whose ticket straddles it either
+      held its stripe at the check or advanced the version past the
+      read. *)
+  let snapshot t (f : ctx -> 'a) : 'a * int =
     let ctx = { reads = []; writes = []; ro = true } in
-    let rec go attempt kept =
+    let rec go attempt kept gate =
       let x = f ctx in
-      let trusted = match t.policy with Broken_snapshot -> kept | _ -> [] in
-      let valid = drop_stale ~trusted ctx.reads in
+      let c = Rt.get t.clock in
+      let valid =
+        if c = gate then ctx.reads
+        else
+          let trusted =
+            match t.policy with Broken_snapshot -> kept | _ -> []
+          in
+          drop_stale ~trusted ctx.reads
+      in
       if valid == ctx.reads then begin
         Rt.Probe.incr t.c_snapshots;
-        (x, c0, Rt.get t.clock)
+        (x, c)
       end
       else begin
         ctx.reads <- valid;
@@ -330,10 +345,13 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
         Rt.Probe.span_begin ph_backoff;
         t.backoff attempt;
         Rt.Probe.span_end ph_backoff;
-        go (attempt + 1) valid
+        let gate =
+          match t.policy with Broken_gate -> Rt.get t.clock | _ -> c
+        in
+        go (attempt + 1) valid gate
       end
     in
-    go 0 []
+    go 0 [] (Rt.get t.clock)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -356,11 +374,11 @@ end
     order against a sequential model: every transfer's recorded reads
     must match the replayed state (a mismatch means a stale read
     committed — exactly what [Broken_commit] produces), every audit's
-    reads must match the replayed state at {e some} point inside its
-    clock window, and the final structures must equal the replayed
-    model. Together that is strict serializability of the committed
-    history: commits act at a single point between invocation and
-    response, in ticket order.
+    reads must match the replayed state at exactly its serialization
+    ticket, and the final structures must equal the replayed model.
+    Together that is strict serializability of the committed history:
+    commits act at a single point between invocation and response, in
+    ticket order.
 
     The history is flat so the oracle can be plain loops over ints: a
     record's reads and writes are [int array]s of [o; k; v] triples,
@@ -445,8 +463,9 @@ module Workload = struct
     x_kind : kind;
     mutable x_committed : bool;
     mutable x_ticket : int;  (** transfers: serialization position *)
-    mutable x_c0 : int;  (** audits: clock before the read phase ... *)
-    mutable x_c1 : int;  (** ... and after validation *)
+    mutable x_at : int;
+        (** audits: serialization point, the state after commits
+            [0 .. x_at - 1] *)
     mutable x_reads : int array;
         (** flat [o; k; v] triples: object index, account key and the
             {!encode}d versioned-read result, compared verbatim by the
@@ -460,8 +479,7 @@ module Workload = struct
       x_kind = kind;
       x_committed = false;
       x_ticket = -1;
-      x_c0 = 0;
-      x_c1 = 0;
+      x_at = 0;
       x_reads = [||];
       x_writes = [||];
     }
@@ -471,7 +489,7 @@ module Workload = struct
   type oracle = {
     ok : bool;
     transfers : int;  (** committed transfers replayed *)
-    audits : int;  (** committed audits positioned *)
+    audits : int;  (** committed audits checked at their points *)
     conserved : bool;
     total : int;  (** final sum over every account *)
     expected_total : int;
@@ -494,9 +512,9 @@ module Workload = struct
 
      Everything is plain loops over int arrays: the model is one [int]
      per slot, and instead of a copy of the model after every commit the
-     replay logs each commit's writes as steps — three flat arrays
-     [st_slot], [st_before], [st_after], commit [i]'s steps being
-     [off.(i) .. off.(i+1) - 1]. The audits are then positioned by one
+     replay logs each commit's writes as steps — two flat arrays
+     [st_slot] and [st_after], commit [i]'s steps being
+     [off.(i) .. off.(i+1) - 1]. The audits are then checked by one
      forward sweep over the steps. *)
   let check_serializable (cfg : config) (iter_records : (xrec -> unit) -> unit)
       (objs : T.obj array) : oracle =
@@ -549,9 +567,7 @@ module Workload = struct
     let slots = cfg.objects * cfg.accounts in
     let model = Array.make slots cfg.initial in
     let get s = if s < 0 then absent else model.(s) in
-    let st_slot = Array.make !nw 0
-    and st_before = Array.make !nw 0
-    and st_after = Array.make !nw 0 in
+    let st_slot = Array.make !nw 0 and st_after = Array.make !nw 0 in
     let off = Array.make (n + 1) 0 and w = ref 0 in
     for i = 0 to n - 1 do
       let x = transfers.(i) in
@@ -571,7 +587,6 @@ module Workload = struct
         if s < 0 then bad "txn %d wrote (%d,%d), which is no account" i o k
         else begin
           st_slot.(!w) <- s;
-          st_before.(!w) <- model.(s);
           st_after.(!w) <- v;
           model.(s) <- v;
           incr w
@@ -579,73 +594,57 @@ module Workload = struct
       done
     done;
     off.(n) <- !w;
-    (* Every audit must equal the replayed state at some position inside
-       its clock window — the snapshot had a serialization point. Audits
-       are visited by ascending clamped [lo], so one [cursor] state only
-       moves forward. [diff] counts the audit's reads the state at [lo]
-       disagrees with; stepping through commits [lo .. hi-1] moves it
-       only on slots the audit read ([owner]); the audit matches iff it
-       is 0 at some position [<= hi]. *)
-    let clamp c = max 0 (min c n) in
-    (* A stable counting sort by clamped [lo]: [start.(c)] is where the
-       next audit with [lo = c] goes in [order]. *)
+    (* Every audit must equal the replayed state at exactly its point.
+       Audits are visited by ascending point (a stable counting sort over
+       the points in [0, n]), so one [cursor] state only moves forward.
+       [miss.(id)] is the audit's first read the cursor disagrees with
+       (-1: none) and [had.(id)] the cursor's value there. *)
+    let inside (a : xrec) = a.x_at >= 0 && a.x_at <= n in
     let start = Array.make (n + 2) 0 in
-    for id = 0 to na - 1 do
-      let c = clamp audits.(id).x_c0 + 1 in
-      start.(c) <- start.(c) + 1
-    done;
+    Array.iter
+      (fun a -> if inside a then start.(a.x_at + 1) <- start.(a.x_at + 1) + 1)
+      audits;
     for c = 1 to n + 1 do
       start.(c) <- start.(c) + start.(c - 1)
     done;
-    let order = Array.make na 0 in
-    for id = 0 to na - 1 do
-      let c = clamp audits.(id).x_c0 in
-      order.(start.(c)) <- id;
-      start.(c) <- start.(c) + 1
-    done;
+    let order = Array.make start.(n + 1) 0 in
+    Array.iteri
+      (fun id a ->
+        if inside a then begin
+          order.(start.(a.x_at)) <- id;
+          start.(a.x_at) <- start.(a.x_at) + 1
+        end)
+      audits;
     let cursor = Array.make slots cfg.initial and pos = ref 0 in
-    let owner = Array.make slots (-1) and want = Array.make slots 0 in
-    let matched = Array.make na false in
+    let miss = Array.make na (-1) and had = Array.make na 0 in
     Array.iter
       (fun id ->
-        let a = audits.(id) in
-        let lo = clamp a.x_c0 and hi = clamp a.x_c1 in
-        for j = off.(!pos) to off.(lo) - 1 do
+        let a = audits.(id) and r = audits.(id).x_reads in
+        for j = off.(!pos) to off.(a.x_at) - 1 do
           cursor.(st_slot.(j)) <- st_after.(j)
         done;
-        pos := lo;
-        (* Nothing can match a read of no account that saw a value, nor
-           one slot read as two values. *)
-        let diff = ref 0 and possible = ref (lo <= hi) in
-        let r = a.x_reads in
-        for j = 0 to (Array.length r / 3) - 1 do
-          let s = slot cfg r.(3 * j) r.((3 * j) + 1) and v = r.((3 * j) + 2) in
-          if s < 0 then (if v <> absent then possible := false)
-          else if owner.(s) = id then (if want.(s) <> v then possible := false)
-          else begin
-            owner.(s) <- id;
-            want.(s) <- v;
-            if cursor.(s) <> v then incr diff
-          end
-        done;
-        let p = ref lo in
-        while !possible && !diff > 0 && !p < hi do
-          for j = off.(!p) to off.(!p + 1) - 1 do
-            let s = st_slot.(j) in
-            if owner.(s) = id then begin
-              if st_before.(j) <> want.(s) then decr diff;
-              if st_after.(j) <> want.(s) then incr diff
-            end
-          done;
-          incr p
-        done;
-        matched.(id) <- !possible && !diff = 0)
+        pos := a.x_at;
+        let j = ref 0 in
+        while miss.(id) < 0 && !j < Array.length r / 3 do
+          let s = slot cfg r.(3 * !j) r.((3 * !j) + 1) in
+          let m = if s < 0 then absent else cursor.(s) in
+          if m <> r.((3 * !j) + 2) then begin
+            miss.(id) <- !j;
+            had.(id) <- m
+          end;
+          incr j
+        done)
       order;
     Array.iteri
       (fun id a ->
-        if not matched.(id) then
-          bad "audit (clock window %d..%d) matches no serialization point"
-            a.x_c0 a.x_c1)
+        let j = miss.(id) and r = a.x_reads in
+        if not (inside a) then
+          bad "audit at %d is outside the %d-commit history" a.x_at n
+        else if j >= 0 then
+          bad "audit at %d read (%d,%d) = %s but the serialized state had %s"
+            a.x_at r.(3 * j) r.((3 * j) + 1)
+            (pp_v r.((3 * j) + 2))
+            (pp_v had.(id)))
       audits;
     (* The final structures must be exactly the replayed model... *)
     Array.iteri
@@ -742,7 +741,7 @@ module Workload = struct
           let x = fresh_rec Audit in
           let reads = Array.make (3 * cfg.objects * cfg.accounts) 0 in
           Harness.History.Log.record log x (fun () ->
-              let (), c0, c1 =
+              let (), at =
                 T.snapshot mgr (fun ctx ->
                     for o = cfg.objects - 1 downto 0 do
                       for k = cfg.accounts downto 1 do
@@ -754,8 +753,7 @@ module Workload = struct
                     done)
               in
               x.x_reads <- reads;
-              x.x_c0 <- c0;
-              x.x_c1 <- c1;
+              x.x_at <- at;
               x.x_committed <- true);
           class_audit
         end
@@ -792,13 +790,18 @@ module Workload = struct
 
   (** [policy] defaults to [Broken_commit] when [cfg.broken] is set and
       to [Optimistic] otherwise; passing it runs another negative
-      control, such as [Broken_snapshot]. *)
+      control, such as [Broken_snapshot] or [Broken_gate]. *)
   let run ?(record_obs = false) ?policy (cfg : config) :
       Harness.Runner.measurement * result =
     if cfg.objects < 1 || cfg.accounts < 1 || cfg.objects * cfg.accounts < 2
     then invalid_arg "Txn.Workload: need at least two account slots";
     if cfg.threads < 1 || cfg.ops < 1 then
       invalid_arg "Txn.Workload: threads and ops must be positive";
+    if cfg.threads > Mem.Qsbr.default_max_threads then
+      invalid_arg
+        (Printf.sprintf
+           "Txn.Workload: threads must be at most %d (QSBR's thread cap)"
+           Mem.Qsbr.default_max_threads);
     if cfg.transfer_pct < 0 || cfg.transfer_pct > 100 then
       invalid_arg "Txn.Workload: transfer_pct must be in [0,100]";
     Harness.World.reset ();

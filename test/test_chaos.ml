@@ -86,6 +86,11 @@ let test_trial_string_errors () =
   txn_named "objects must be positive" "txn/ll-optik@u2 b0 a2 t1 o1";
   txn_named "threads must be positive" "txn/ll-optik@u2 b1 a2 t0 o1";
   txn_named "ops must be positive" "txn/ll-optik@u2 b1 a2 t1 o0";
+  (* All three grammars share the QSBR thread cap: past it a kv or txn
+     trial would simulate and then die at the first reclamation. *)
+  kv_named "threads must be at most 128" "kv/ht-optik@u4 s1 t129 o200";
+  txn_named "threads must be at most 128"
+    "txn/ll-optik@u2 b1 a4 t129 o300 X50 w1";
   named "keys must be positive"
     "stack/treiber@opteron t2 o4 k0 q20000 r0 n0 w1 f1";
   ignore
@@ -107,7 +112,12 @@ let test_trial_string_errors () =
   ignore
     (S.of_string
        "stack/treiber@opteron t128 o4 k2 q1 r0 n62 w1 f1;crash@op-boundary,t127"
-      : Chaos.trial)
+      : Chaos.trial);
+  ignore
+    (Chaos.Kv_trial.of_string "kv/ht-optik@u4 s1 t128 o200" : Chaos.Kv_trial.t);
+  ignore
+    (Chaos.Txn_trial.of_string "txn/ll-optik@u2 b1 a4 t128 o300 X50 w1"
+      : Chaos.Txn_trial.t)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzing is byte-deterministic: same seed, same entries, same output. *)

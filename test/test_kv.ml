@@ -428,6 +428,7 @@ let test_run_rejects_bad_config () =
   let c = Kv.default_config in
   bad "ops 0" { c with Kv.ops = 0 };
   bad "threads 0" { c with Kv.threads = 0 };
+  bad "threads past QSBR's cap" { c with Kv.threads = 129 };
   bad "shards 0" { c with Kv.nshards = 0 };
   let w = c.Kv.workload in
   bad "keys 0" { c with Kv.workload = { w with Kv.keys = 0 } };

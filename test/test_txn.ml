@@ -59,15 +59,42 @@ let test_fold_agrees_with_size () =
 (* ------------------------------------------------------------------ *)
 (* Sequential transaction semantics on a quiesced simulator backend. *)
 
-let fresh_pair () =
+(* [Logged] records every versioned read made through it and counts the
+   token checks made through its lock handles: a snapshot's validation
+   checks. *)
+let logged_keys = ref []
+let checks = ref 0
+
+module Logged (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
+  include S
+
+  let read_versioned t k =
+    logged_keys := k :: !logged_keys;
+    S.read_versioned t k
+
+  let lock_handle t k =
+    let h = S.lock_handle t k in
+    {
+      h with
+      Locks.Handle.check =
+        (fun tok ->
+          incr checks;
+          h.Locks.Handle.check tok);
+    }
+end
+
+let fresh_pair ?(logged = false) () =
   Dstruct.Sl_common.reset_states ();
   let (module S : R.SET_OPS) = W.rep_module "ll-optik" in
+  let ops : (module R.SET_OPS with type t = S.t) =
+    if logged then (module Logged (S)) else (module S)
+  in
   let mk () =
     let st = S.create ~capacity:64 () in
     for k = 1 to 4 do
       assert (S.insert st k 100)
     done;
-    TX.obj (module S) st
+    TX.obj ops st
   in
   (mk (), mk ())
 
@@ -167,10 +194,14 @@ let test_read_validation_aborts () =
     "aborted writes never applied" (Some 100)
     (fst (TX.obj_read a 1))
 
+(* A quiesced snapshot passes the clock gate: no commit drew a ticket
+   during its reads, so it checks no token and its point is the clock. *)
 let test_snapshot_is_consistent () =
-  let a, b = fresh_pair () in
+  let a, b = fresh_pair ~logged:true () in
   let mgr = TX.create () in
-  let sum, c0, c1 =
+  let (), _ = TX.atomically mgr (fun ctx -> TX.write ctx a 4 (Some 100)) in
+  checks := 0;
+  let sum, c =
     TX.snapshot mgr (fun ctx ->
         let add o k acc = acc + Option.value ~default:0 (TX.read ctx o k) in
         let acc = ref 0 in
@@ -181,39 +212,33 @@ let test_snapshot_is_consistent () =
         !acc)
   in
   Alcotest.(check int) "snapshot sums the preload" 800 sum;
-  Alcotest.(check bool) "clock window well-formed" true (c0 <= c1)
+  Alcotest.(check int) "no token checked" 0 !checks;
+  Alcotest.(check int) "no retry" 0 (count mgr.TX.c_snap_retries);
+  Alcotest.(check int) "the point is the clock" 1 c;
+  Alcotest.(check int) "the clock after the one commit" 1 (TX.clock mgr)
 
-(* A failed snapshot validation re-reads only the stale entries. The
-   [n] keys of one [ll-optik] structure sit on [n] different stripes,
-   and the snapshot spends 1000 cycles per key, so a second simulated
-   thread commits a write to key 1 once, after the snapshot read it and
-   before it validates. [Logged] records every versioned read the
-   snapshot makes: the retry must re-read key 1 alone, and the sum must
-   be the state after that commit. *)
-let logged_keys = ref []
-
-module Logged (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
-  include S
-
-  let read_versioned t k =
-    logged_keys := k :: !logged_keys;
-    S.read_versioned t k
-end
-
-let test_retry_rereads_only_stale () =
+(* [snapshot_race ~n ~writes] snapshots keys [1 .. n] of one [ll-optik]
+   structure through [Logged] on simulated thread 0. Keys [1 .. n + 1]
+   sit on [n + 1] different stripes (the structure has 16), and the
+   snapshot spends 1000 cycles per key, so thread 1 commits one write to
+   key [writes] after the snapshot read two keys and before it reaches
+   the clock. Returns the snapshot's sum and point, the commit's ticket
+   and the manager. *)
+let snapshot_race ~n ~writes =
   Dstruct.Sl_common.reset_states ();
-  let n = 16 in
   let (module S : R.SET_OPS) = W.rep_module "ll-optik" in
   let st = S.create ~capacity:64 () in
-  for k = 1 to n do
+  for k = 1 to n + 1 do
     assert (S.insert st k 100)
   done;
   logged_keys := [];
+  checks := 0;
   let snap_obj = TX.obj (module Logged (S)) st in
   let writer_obj = TX.obj (module S) st in
   let stripe k = (TX.obj_handle writer_obj k).Locks.Handle.id in
-  Alcotest.(check int) "one stripe per key" n
-    (List.length (List.sort_uniq compare (List.init n (fun i -> stripe (i + 1)))));
+  Alcotest.(check int) "one stripe per key" (n + 1)
+    (List.length
+       (List.sort_uniq compare (List.init (n + 1) (fun i -> stripe (i + 1)))));
   let mgr = TX.create () in
   let reads = ref 0 and snap = ref None and ticket = ref (-1) in
   ignore
@@ -235,22 +260,44 @@ let test_retry_rereads_only_stale () =
            done;
            let (), t =
              TX.atomically mgr (fun ctx ->
-                 let v = Option.get (TX.read ctx writer_obj 1) in
-                 TX.write ctx writer_obj 1 (Some (v + 5)))
+                 let v = Option.get (TX.read ctx writer_obj writes) in
+                 TX.write ctx writer_obj writes (Some (v + 5)))
            in
            ticket := t
          end)
       : Sim.Sched.stats);
-  let sum, c0, c1 = Option.get !snap in
+  let sum, c = Option.get !snap in
+  (sum, c, !ticket, mgr)
+
+(* A commit to a key the snapshot does not read moves the clock, so the
+   gate sends the snapshot through one validation pass; every token
+   still checks, so it does not retry, and its point is the clock after
+   that commit. *)
+let test_gate_validates_once () =
+  let n = 15 in
+  let sum, c, ticket, mgr = snapshot_race ~n ~writes:(n + 1) in
+  Alcotest.(check int) "one validation pass" n !checks;
+  Alcotest.(check int) "no retry" 0 (count mgr.TX.c_snap_retries);
+  Alcotest.(check int) "the sum is the preload" (100 * n) sum;
+  Alcotest.(check int) "the point follows the commit" (ticket + 1) c;
+  Alcotest.(check int) "the point is the clock" (TX.clock mgr) c
+
+(* A failed snapshot validation re-reads only the stale entries: the
+   retry re-reads key 1 alone, the sum is the state after the commit,
+   and since no commit follows, the retry passes the gate unchecked at
+   the point right after the commit. *)
+let test_retry_rereads_only_stale () =
+  let n = 15 in
+  let sum, c, ticket, mgr = snapshot_race ~n ~writes:1 in
   Alcotest.(check int) "one snapshot retry" 1 (count mgr.TX.c_snap_retries);
   Alcotest.(check (list int))
     "every key read once, then key 1 alone"
     (1 :: List.init n (fun i -> n - i))
     !logged_keys;
+  Alcotest.(check int) "one validation pass" n !checks;
   Alcotest.(check int) "the sum is the state after the commit" ((100 * n) + 5)
     sum;
-  Alcotest.(check bool) "the commit lies in the snapshot's clock window" true
-    (c0 <= !ticket && !ticket < c1)
+  Alcotest.(check int) "the point follows the commit" (ticket + 1) c
 
 (* ------------------------------------------------------------------ *)
 (* Contended workload: determinism, oracle, negative control. *)
@@ -300,7 +347,7 @@ let check_oracle_passes cfg =
   Alcotest.(check bool) "structures valid" true m.Harness.Runner.valid;
   Alcotest.(check bool) "some transfers committed" true
     (r.W.res_oracle.W.transfers > 0);
-  Alcotest.(check bool) "some audits positioned" true
+  Alcotest.(check bool) "some audits checked" true
     (r.W.res_oracle.W.audits > 0);
   Alcotest.(check bool) "contention actually aborted something" true
     (r.W.res_aborts > 0 || r.W.res_snap_retries > 0);
@@ -335,16 +382,24 @@ let test_broken_commit_fails () =
 (* A snapshot retry that trusts its kept reads without revalidating
    them returns audits no serialization point explains; the oracle must
    report exactly those, and no transfer. *)
-let test_broken_snapshot_fails () =
-  let _, r = W.run ~policy:W.T.Broken_snapshot W.default_config in
+let audits_fail policy =
+  let _, r = W.run ~policy W.default_config in
   let o = r.W.res_oracle in
   Alcotest.(check bool) "oracle failed" false o.W.ok;
   Alcotest.(check bool) "snapshots retried" true (r.W.res_snap_retries > 0);
   List.iter
     (fun v ->
-      if not (String.starts_with ~prefix:"audit (" v) then
+      if not (String.starts_with ~prefix:"audit at " v) then
         Alcotest.failf "not an audit violation: %s" v)
     o.W.violations
+
+let test_broken_snapshot_fails () = audits_fail W.T.Broken_snapshot
+
+(* A gate read when the next round starts, after the retry's check and
+   backoff, instead of before the check, lets a commit that lands
+   between a kept read's check and that clock read pass unvalidated: the
+   oracle must report those audits, and no transfer. *)
+let test_broken_gate_fails () = audits_fail W.T.Broken_gate
 
 (* ------------------------------------------------------------------ *)
 (* The oracle's contract on hand-built histories over two quiesced
@@ -384,12 +439,11 @@ let xfer ticket reads writes =
     x_writes = triples writes;
   }
 
-let audit c0 c1 reads =
+let audit at reads =
   {
     (W.fresh_rec W.Audit) with
     W.x_committed = true;
-    x_c0 = c0;
-    x_c1 = c1;
+    x_at = at;
     x_reads = triples reads;
   }
 
@@ -406,9 +460,12 @@ let t1 ticket =
     [ ((0, 1), Some 90); ((1, 2), Some 100) ]
     [ ((0, 1), Some 80); ((1, 2), Some 110) ]
 
-let no_match c0 c1 =
-  Printf.sprintf "audit (clock window %d..%d) matches no serialization point"
-    c0 c1
+let disagrees at (o, k) v m =
+  Printf.sprintf "audit at %d read (%d,%d) = %d but the serialized state had %s"
+    at o k v m
+
+let outside at n =
+  Printf.sprintf "audit at %d is outside the %d-commit history" at n
 
 let test_oracle_contract () =
   let row name ?(final = base_final) records expected =
@@ -423,31 +480,37 @@ let test_oracle_contract () =
     (base
     @ List.map
         (fun x -> { x with W.x_committed = false })
-        [ xfer 9 [ ((0, 1), Some 1) ] []; audit 0 0 [ ((0, 1), Some 1) ] ])
+        [ xfer 9 [ ((0, 1), Some 1) ] []; audit 0 [ ((0, 1), Some 1) ] ])
     [];
   row "torn audit"
-    (base @ [ audit 0 2 [ ((0, 1), Some 100); ((1, 1), Some 110) ] ])
-    [ no_match 0 2 ];
-  row "audit matching only at c1"
-    (base @ [ audit 0 2 [ ((0, 1), Some 80); ((1, 2), Some 110) ] ])
-    [];
-  row "audit matching mid-window"
-    (base @ [ audit 0 2 [ ((0, 1), Some 90); ((1, 2), Some 100) ] ])
-    [];
-  row "audit window past n"
+    (base @ [ audit 1 [ ((1, 1), Some 110); ((0, 1), Some 100) ] ])
+    [ disagrees 1 (0, 1) 100 "90" ];
+  row "audits at every point"
     (base
-    @ [ audit 1 7 [ ((0, 1), Some 80) ]; audit (-3) 0 [ ((0, 1), Some 100) ] ])
+    @ [
+        audit 0 [ ((0, 1), Some 100); ((1, 1), Some 100) ];
+        audit 1 [ ((0, 1), Some 90); ((1, 2), Some 100) ];
+        audit 2 [ ((0, 1), Some 80); ((1, 2), Some 110) ];
+      ])
     [];
-  row "audit window ending before its match"
-    (base @ [ audit 0 1 [ ((0, 1), Some 80) ] ])
-    [ no_match 0 1 ];
-  row "c0 > c1 never matches"
-    (base @ [ audit 2 1 [ ((0, 1), Some 80) ]; audit 2 1 [] ])
-    [ no_match 2 1; no_match 2 1 ];
+  row "one point early or late"
+    (base @ [ audit 1 [ ((0, 1), Some 80) ]; audit 2 [ ((0, 1), Some 90) ] ])
+    [ disagrees 1 (0, 1) 80 "90"; disagrees 2 (0, 1) 90 "80" ];
+  row "points outside the history"
+    (base
+    @ [
+        audit 3 [ ((0, 1), Some 80) ];
+        audit (-1) [ ((0, 1), Some 100) ];
+        audit 7 [];
+      ])
+    [ outside 3 2; outside (-1) 2; outside 7 2 ];
+  row "the first disagreeing read is reported"
+    (base
+    @ [ audit 1 [ ((0, 2), Some 100); ((1, 1), Some 100); ((0, 1), Some 80) ] ])
+    [ disagrees 1 (1, 1) 100 "110" ];
   row "violations keep the audits' order"
-    (base
-    @ [ audit 2 2 [ ((0, 1), Some 100) ]; audit 0 0 [ ((0, 1), Some 80) ] ])
-    [ no_match 2 2; no_match 0 0 ];
+    (base @ [ audit 2 [ ((0, 1), Some 100) ]; audit 0 [ ((0, 1), Some 80) ] ])
+    [ disagrees 2 (0, 1) 100 "80"; disagrees 0 (0, 1) 80 "100" ];
   row "ticket gap" [ t0; t1 2 ]
     [ "ticket sequence broken: position 1 holds ticket 2" ];
   row "duplicate ticket" [ t0; t1 0 ]
@@ -456,9 +519,9 @@ let test_oracle_contract () =
      ticket permutation of 0 .. n-1 is still one serial order. *)
   row "transfers recorded out of ticket order"
     [
-      audit 2 2 [ ((0, 1), Some 80) ];
+      audit 2 [ ((0, 1), Some 80) ];
       t1 1;
-      audit 0 0 [ ((0, 1), Some 100) ];
+      audit 0 [ ((0, 1), Some 100) ];
       t0;
     ]
     [];
@@ -476,7 +539,7 @@ let test_oracle_contract () =
     [
       xfer 0 [ ((0, 2), Some 100) ] [ ((0, 2), None) ];
       xfer 1 [ ((0, 2), None) ] [ ((0, 2), Some 100) ];
-      audit 1 1 [ ((0, 2), None) ];
+      audit 1 [ ((0, 2), None) ];
     ]
     ~final:[| [ (1, 100); (2, 100) ]; [ (1, 100); (2, 100) ] |]
     [];
@@ -484,20 +547,20 @@ let test_oracle_contract () =
     (base
     @ [
         xfer 2 [ ((2, 1), None); ((0, 3), Some 7) ] [];
-        audit 0 3 [ ((5, 1), None); ((0, 0), None) ];
-        audit 0 3 [ ((0, 3), Some 7) ];
+        audit 3 [ ((5, 1), None); ((0, 0), None) ];
+        audit 3 [ ((0, 3), Some 7) ];
       ])
     [
       "txn 2 read (0,3) = 7 but the serialized state had absent";
-      no_match 0 3;
+      disagrees 3 (0, 3) 7 "absent";
     ];
   row "one slot read as two values"
     (base
     @ [
-        audit 0 2 [ ((0, 1), Some 100); ((0, 1), Some 90) ];
-        audit 0 2 [ ((0, 1), Some 90); ((0, 1), Some 90) ];
+        audit 1 [ ((0, 1), Some 90); ((0, 1), Some 80) ];
+        audit 1 [ ((0, 1), Some 90); ((0, 1), Some 90) ];
       ])
-    [ no_match 0 2 ];
+    [ disagrees 1 (0, 1) 80 "90" ];
   row "final key outside 1..accounts"
     ~final:[| [ (1, 80); (2, 100); (3, 0) ]; [ (1, 110); (2, 110) ] |]
     base
@@ -546,9 +609,8 @@ let test_absent_sentinel_rejected () =
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz: the oracle against a naive reference on random
    small histories. The reference shares none of the oracle's machinery:
-   it sorts the committed transfers by ticket, rebuilds the model from
-   scratch for every position it needs, and tries every position of an
-   audit's clamped window. *)
+   it sorts the committed transfers by ticket and rebuilds the model from
+   scratch for every position it needs. *)
 
 let decode v = if v = W.absent then None else Some v
 
@@ -606,18 +668,19 @@ let reference (cfg : W.config) records objs =
             bad "txn %d wrote (%d,%d), which is no account" i o k)
         (decoded x.W.x_writes))
     transfers;
-  let clamp c = max 0 (min c n) in
   List.iter
     (fun a ->
-      let reads = decoded a.W.x_reads in
-      let at p =
-        let st = state_at p in
-        List.for_all (fun (ok, v) -> st ok = v) reads
-      in
-      let rec any p = p <= clamp a.W.x_c1 && (at p || any (p + 1)) in
-      if not (any (clamp a.W.x_c0)) then
-        bad "audit (clock window %d..%d) matches no serialization point"
-          a.W.x_c0 a.W.x_c1)
+      let at = a.W.x_at in
+      if at < 0 || at > n then
+        bad "audit at %d is outside the %d-commit history" at n
+      else
+        let st = state_at at in
+        let stale = List.find_opt (fun (ok, v) -> st ok <> v) in
+        match stale (decoded a.W.x_reads) with
+        | Some (((o, k) as ok), v) ->
+            bad "audit at %d read (%d,%d) = %s but the serialized state had %s"
+              at o k (pp v) (pp (st ok))
+        | None -> ())
     (committed W.Audit);
   let final = state_at n in
   Array.iteri
@@ -646,8 +709,8 @@ let reference (cfg : W.config) records objs =
 
 (* A random history over at most 2 objects x 3 accounts: keys and object
    indices sometimes outside the accounts, absent values, a slot read
-   twice (the key space is tiny), uncommitted records, audit windows
-   before 0, past n or with c0 > c1, and tickets that are mostly the
+   twice (the key space is tiny), uncommitted records, audit points
+   before 0 or past n, and tickets that are mostly the
    commit order but sometimes a gap, a duplicate or out of range. The
    records are shuffled after the tickets are dealt, so transfers reach
    the oracle out of ticket order, as they do from per-thread logs. *)
@@ -685,9 +748,8 @@ let gen_fuzz_case =
   in
   let audit_rec =
     map3
-      (fun (c, c0) c1 r -> (None, { (audit c0 c1 r) with W.x_committed = c }))
-      (pair committed (int_range (-2) 7))
-      (int_range (-2) 7) (accesses 4)
+      (fun c at r -> (None, { (audit at r) with W.x_committed = c }))
+      committed (int_range (-2) 7) (accesses 4)
   in
   let* records =
     list_size (int_range 0 8) (frequency [ (3, transfer); (2, audit_rec) ])
@@ -739,7 +801,7 @@ let print_fuzz_case c =
               (if x.W.x_committed then "" else "uncommitted ")
               (match x.W.x_kind with
               | W.Transfer -> Printf.sprintf "transfer #%d" x.W.x_ticket
-              | W.Audit -> Printf.sprintf "audit %d..%d" x.W.x_c0 x.W.x_c1)
+              | W.Audit -> Printf.sprintf "audit at %d" x.W.x_at)
               (pp_acc x.W.x_reads) (pp_acc x.W.x_writes))
           c.f_records))
     (String.concat " | "
@@ -768,8 +830,8 @@ let oracle_matches_reference =
    allocates per record is a handful of array cells (the ticket sort,
    the step log, audit order), never anything per read. The synthetic
    history is a sequential bank over 4 objects x 16 accounts: 3000
-   transfers and 1300 audits that read all 64 accounts, each audit at a
-   point inside its clock window. *)
+   transfers and 1287 audits that read all 64 accounts, each at the
+   point it read. *)
 
 let synthetic_bank () =
   let cfg = { W.default_config with W.objects = 4; accounts = 16 } in
@@ -779,13 +841,10 @@ let synthetic_bank () =
   let rng = Harness.Rng.create 5 in
   let records = ref [] in
   for i = 0 to 2_999 do
-    if i mod 7 < 3 then begin
-      let c0 = i - Harness.Rng.below rng 3
-      and c1 = i + Harness.Rng.below rng 3 in
+    if i mod 7 < 3 then
       records :=
-        audit c0 c1 (List.init slots (fun s -> (key s, Some model.(s))))
-        :: !records
-    end;
+        audit i (List.init slots (fun s -> (key s, Some model.(s))))
+        :: !records;
     let a = Harness.Rng.below rng slots in
     let b = (a + 1 + Harness.Rng.below rng (slots - 1)) mod slots in
     let va = model.(a) and vb = model.(b) in
@@ -809,7 +868,7 @@ let words_allocated () =
   let minor, promoted, major = Gc.counters () in
   minor +. major -. promoted
 
-(* The flat oracle measures 7.9 words per record on this history; an
+(* The flat oracle measures 6.1 words per record on this history; an
    oracle over [((o, k), v option)] list records that sorts them by
    ticket allocates about 35. *)
 let max_words_per_record = 16.
@@ -828,7 +887,7 @@ let test_oracle_allocation () =
   Alcotest.(check (list string))
     "synthetic bank is serializable" [] o.W.violations;
   Alcotest.(check int) "transfers replayed" 3_000 o.W.transfers;
-  Alcotest.(check int) "audits positioned" 1_287 o.W.audits;
+  Alcotest.(check int) "audits checked" 1_287 o.W.audits;
   if per_record > max_words_per_record then
     Alcotest.failf "oracle allocated %.1f words per record (bound %.0f)"
       per_record max_words_per_record
@@ -905,6 +964,7 @@ let test_run_rejects_bad_config () =
   let c = W.default_config in
   bad "ops 0" { c with W.ops = 0 };
   bad "threads 0" { c with W.threads = 0 };
+  bad "threads past QSBR's cap" { c with W.threads = 129 };
   bad "objects 0" { c with W.objects = 0 };
   bad "transfer_pct 101" { c with W.transfer_pct = 101 };
   bad "transfer_pct -1" { c with W.transfer_pct = -1 }
@@ -1003,6 +1063,8 @@ let () =
             test_read_validation_aborts;
           Alcotest.test_case "snapshot is consistent" `Quick
             test_snapshot_is_consistent;
+          Alcotest.test_case "snapshot gate validates once after a commit"
+            `Quick test_gate_validates_once;
           Alcotest.test_case "snapshot retry re-reads only stale keys"
             `Quick test_retry_rereads_only_stale;
         ] );
@@ -1022,6 +1084,8 @@ let () =
             test_broken_commit_fails;
           Alcotest.test_case "broken snapshot caught" `Quick
             test_broken_snapshot_fails;
+          Alcotest.test_case "broken snapshot gate caught" `Quick
+            test_broken_gate_fails;
           Alcotest.test_case "contract on hand-built histories" `Quick
             test_oracle_contract;
           Alcotest.test_case "write to no account reported" `Quick
