@@ -240,9 +240,10 @@ let golden_kv_fuzz = "aa8a1f01b6d32fc7e1dc3dcdeb88ba47"
 let golden_txn_fuzz = "cb23e5cda099c502978254a1a70d0ae3"
 let golden_kv_replay = "b63087980e479631c44410320aeaa0d3"
 (* Re-recorded when a snapshot retry began re-reading only its stale
-   entries: both txn replays run snapshot audits. *)
-let golden_txn_replay = "97bf4e5c30d517a4501acde23eef33e7"
-let golden_txn_broken = "36d9379b28d6cec799b17b0ab11a97b2"
+   entries, and again when snapshots began skipping validation while the
+   commit clock stands still: both txn replays run snapshot audits. *)
+let golden_txn_replay = "4d9b470e51350815f3624b993f45e615"
+let golden_txn_broken = "61bf9b218226d4e3ea3d541f6cb4decf"
 (* Recorded in a fresh process from the code before the paper loops, the
    figure grids and the figures driver were shared, which had to leave it
    unchanged. *)

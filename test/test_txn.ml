@@ -369,13 +369,13 @@ let test_broken_commit_fails () =
   (* Pinned: a rewrite of the oracle that still finds some violation,
      but not this exact set, fails here. *)
   Alcotest.(check string) "verdict"
-    "oracle: FAIL (6 violations over 2829 transfers, 1178 audits)"
+    "oracle: FAIL (10 violations over 2825 transfers, 1182 audits)"
     (List.hd
        (String.split_on_char '\n' (Format.asprintf "%a" W.pp_oracle o)));
   Alcotest.(check (list string)) "first violations"
     [
-      "txn 217 read (1,11) = 114 but the serialized state had 116";
-      "txn 992 read (2,14) = 93 but the serialized state had 89";
+      "txn 288 read (3,14) = 98 but the serialized state had 100";
+      "txn 808 read (3,5) = 120 but the serialized state had 115";
     ]
     (List.filteri (fun i _ -> i < 2) o.W.violations)
 
