@@ -49,16 +49,15 @@ let of_measurement name (m : Runner.measurement) =
     r_host_s = m.host_s;
   }
 
-let set_spec name family structure ~topology ~nthreads ~ops ~size ~updates
-    ~capacity =
+let set_spec name family structure ~topology ~nthreads ~ops ~size ~updates =
   {
     s_name = name;
     s_run =
       (fun () ->
         let (module S : R.SET_OPS) = R.Sim_backend.find_named family structure in
-        let capacity = if capacity then Some (2 * size) else None in
         let w =
-          Runner.uniform_workload ?capacity ~init_size:size ~update_pct:updates ()
+          Runner.uniform_workload ~capacity:(2 * size) ~init_size:size
+            ~update_pct:updates ()
         in
         Dstruct.Sl_common.reset_states ();
         of_measurement name
@@ -78,16 +77,16 @@ let set_spec name family structure ~topology ~nthreads ~ops ~size ~updates
 let specs =
   [
     set_spec "list/optik" R.Sim_backend.lists "optik" ~topology:Sim.Topology.xeon
-      ~nthreads:8 ~ops:60_000 ~size:512 ~updates:40 ~capacity:false;
+      ~nthreads:8 ~ops:60_000 ~size:512 ~updates:40;
     set_spec "hashtable/optik-gl" R.Sim_backend.hashtables "optik-gl"
       ~topology:Sim.Topology.xeon ~nthreads:16 ~ops:120_000 ~size:1024
-      ~updates:40 ~capacity:true;
+      ~updates:40;
     set_spec "skiplist/optik2" R.Sim_backend.skiplists "optik2"
       ~topology:Sim.Topology.opteron ~nthreads:12 ~ops:40_000 ~size:1024
-      ~updates:20 ~capacity:false;
+      ~updates:20;
     set_spec "chaos-smoke" R.Sim_backend.lists "optik"
       ~topology:(Sim.Topology.uniform ~n:4 ())
-      ~nthreads:8 ~ops:60_000 ~size:48 ~updates:50 ~capacity:false;
+      ~nthreads:8 ~ops:60_000 ~size:48 ~updates:50;
     (* The KV service end-to-end: shard routing, health refresh,
        retry/backoff and the history log on top of the store accesses —
        tracks the service-layer overhead, not just the structures. *)

@@ -391,12 +391,9 @@ let run_cmd =
              (String.concat ", " (structure_names structures)))
     in
     let w =
-      let capacity =
-        if family = "map" || family = "hashtable" then Some size else None
-      in
       (if skewed then Harness.Runner.skewed_workload
        else Harness.Runner.uniform_workload)
-        ?capacity ~init_size:size ~update_pct:updates ()
+        ~capacity:size ~init_size:size ~update_pct:updates ()
     in
     (* A report wants hot-line stall attribution, so it records the
        journal like --profile does; recording never perturbs the
@@ -549,27 +546,16 @@ let chaos_cmd =
   let run runs seed structures quick replay jobs report =
     main report @@ fun () ->
     if runs < 1 then invalid_arg "chaos: --runs must be >= 1";
-    let all = Chaos.default_entries in
     let entries =
       match structures with
-      | None -> if quick then Chaos.quick_entries else all
-      | Some s ->
-          let names = String.split_on_char ',' s |> List.map String.trim in
-          let known n = List.exists (fun e -> e.Chaos.e_name = n) all in
-          (match List.find_opt (fun n -> not (known n)) names with
-          | Some bad ->
-              invalid_arg
-                (Printf.sprintf "unknown structure %S; known: %s" bad
-                   (String.concat ", " (List.map (fun e -> e.Chaos.e_name) all)))
-          | None -> ());
-          List.filter (fun e -> List.mem e.Chaos.e_name names) all
+      | None -> if quick then Chaos.quick_entries else Chaos.default_entries
+      | Some s -> Chaos.select (String.split_on_char ',' s |> List.map String.trim)
     in
-    if entries = [] then invalid_arg "no structures selected";
     (* Replay resolves names against the full table, so a repro from a
        --quick run always parses. *)
     let family, trials =
       match replay with
-      | Some s -> (Chaos.sets all, Replay s)
+      | Some s -> (Chaos.sets Chaos.default_entries, Replay s)
       | None -> (Chaos.sets entries, Fuzz runs)
     in
     trial_stream ~subcommand:"chaos" ~seed
@@ -746,10 +732,7 @@ let kv_cmd =
       report attrib timeline =
     main report @@ fun () ->
     let topo = topology_of_machine machine in
-    if not (List.mem rep Kv.rep_names) then
-      invalid_arg
-        (Printf.sprintf "unknown rep %S; known: %s" rep
-           (String.concat ", " Kv.rep_names));
+    ignore (Kv.rep_module rep : (module Harness.Registry.SET_OPS));
     match trials with
     | Some t ->
         trial_stream ~subcommand:"kv" ~seed ~params:(trial_params t) ~jobs
@@ -777,7 +760,6 @@ let kv_cmd =
              loses account balances)";
         let policy =
           {
-            Kv.default_policy with
             Kv.deadline;
             max_retries = retries;
             idempotent = not broken_retry;
@@ -961,10 +943,7 @@ let txn_cmd =
       jobs report attrib timeline =
     main report @@ fun () ->
     let topo = topology_of_machine machine in
-    if not (List.mem rep W.rep_names) then
-      invalid_arg
-        (Printf.sprintf "unknown rep %S; known: %s" rep
-           (String.concat ", " W.rep_names));
+    ignore (W.rep_module rep : (module Harness.Registry.SET_OPS));
     match trials with
     | Some t ->
         trial_stream ~subcommand:"txn" ~seed ~params:(trial_params t) ~jobs
@@ -976,7 +955,6 @@ let txn_cmd =
             W.rep;
             objects;
             accounts;
-            initial = default.W.initial;
             threads;
             ops;
             seed;

@@ -321,6 +321,17 @@ let quick_entries =
     (fun e -> not (has_prefix "sl/" e.e_name || has_prefix "bst/" e.e_name))
     default_entries
 
+let select names =
+  let table = default_entries in
+  List.iter
+    (fun n ->
+      if not (List.exists (fun e -> String.equal e.e_name n) table) then
+        invalid_arg
+          (Printf.sprintf "unknown structure %S; known: %s" n
+             (String.concat ", " (List.map (fun e -> e.e_name) table))))
+    names;
+  List.filter (fun e -> List.mem e.e_name names) table
+
 type trial = {
   t_entry : entry;
   t_topo : string;
@@ -1116,7 +1127,6 @@ module Txn_trial = struct
 
   let config tr : Txn.Workload.config =
     {
-      Txn.Workload.default_config with
       Txn.Workload.rep = tr.x_rep;
       objects = tr.x_objects;
       accounts = tr.x_accounts;

@@ -118,6 +118,11 @@ val quick_entries : entry list
 (** {!default_entries} minus the slow representatives (skip lists, BST);
     the CI smoke set. *)
 
+val select : string list -> entry list
+(** The entries named, in table order (each once, whatever the order and
+    repeats of [names]). Raises [Invalid_argument] naming the first
+    unknown name and listing the known ones. *)
+
 type trial = {
   t_entry : entry;
   t_topo : string;  (** topology name: u2, u4, xeon, opteron *)

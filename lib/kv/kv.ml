@@ -70,8 +70,6 @@ module Probe = Sim.Sim_rt.Probe
 type policy = {
   deadline : int;  (** per-request budget, cycles from intended arrival *)
   max_retries : int;
-  backoff_base : int;  (** attempt [n] backs off base ⋅ 2{^n} + jitter *)
-  backoff_cap : int;
   replicate : bool;  (** write both copies (off: the loss negative test) *)
   idempotent : bool;
       (** retries re-write the same element (off: the duplication
@@ -97,8 +95,6 @@ let default_policy =
   {
     deadline = 400_000;
     max_retries = 8;
-    backoff_base = 256;
-    backoff_cap = 16_384;
     replicate = true;
     idempotent = true;
     degraded_cycles = 50_000;
@@ -114,19 +110,30 @@ let broken_resync_policy = function
   | `Dual_write -> { default_policy with resync_dual_write = false }
   | `Fencing -> { default_policy with resync_fencing = false }
 
+(* The fixed shape of backoff and load. Attempt [n] backs off
+   [backoff_base ⋅ 2^n] cycles, at most [backoff_cap], plus jitter below
+   [backoff_base]. Keys are zipf-popular with skew [alpha]; a scan probes
+   [scan_width] consecutive keys. Every [storm_every] cycles, for
+   [storm_len], all clients draw uniformly from the [hot_keys] most
+   popular keys. A flash-crowd burst (every [burst_every], see
+   {!workload}) lasts [burst_len] and divides the arrival gap by
+   [burst_factor]. *)
+let backoff_base = 256
+let backoff_cap = 16_384
+let alpha = 0.9
+let scan_width = 8
+let storm_every = 400_000
+let storm_len = 80_000
+let hot_keys = 8
+let burst_len = 60_000
+let burst_factor = 8
+
 type workload = {
   keys : int;  (** key space [1 .. keys] *)
-  alpha : float;  (** zipf skew *)
   read_pct : int;
   scan_pct : int;  (** remainder after reads and scans is puts *)
-  scan_width : int;
   gap : int;  (** open-loop inter-arrival gap per client, cycles *)
-  storm_every : int;  (** hot-key storm period (0 disables) *)
-  storm_len : int;  (** storm window length *)
-  hot_keys : int;  (** storm draws uniformly from the top-k keys *)
   burst_every : int;  (** flash-crowd period (0 disables) *)
-  burst_len : int;
-  burst_factor : int;  (** arrival gap divides by this inside a burst *)
   accounts : int;
       (** transfer accounts, kept in the dedicated key range
           [keys+1 .. keys+accounts] — disjoint from the normal keyspace
@@ -145,17 +152,10 @@ type workload = {
 let default_workload =
   {
     keys = 4096;
-    alpha = 0.9;
     read_pct = 70;
     scan_pct = 10;
-    scan_width = 8;
     gap = 1_500;
-    storm_every = 400_000;
-    storm_len = 80_000;
-    hot_keys = 8;
     burst_every = 550_000;
-    burst_len = 60_000;
-    burst_factor = 8;
     accounts = 0;
     transfer_pct = 0;
   }
@@ -826,10 +826,7 @@ let quiesce t =
 (* Exponential backoff with seeded jitter; counted so reports can show
    cycles burned waiting rather than working. *)
 let backoff t rng n =
-  let p = t.cfg.policy in
-  let b =
-    min p.backoff_cap (p.backoff_base lsl min n 20) + Rng.below rng p.backoff_base
-  in
+  let b = min backoff_cap (backoff_base lsl min n 20) + Rng.below rng backoff_base in
   Probe.add t.k_backoff b;
   Probe.span_begin ph_backoff;
   Sim.Sched.work b;
@@ -1014,7 +1011,7 @@ let do_scan t ~arrival key =
     class_shed
   end
   else begin
-    let hi = min w.keys (key + w.scan_width - 1) in
+    let hi = min w.keys (key + scan_width - 1) in
     let all_served = ref true in
     let k = ref key in
     Probe.span_begin ph_store;
@@ -1101,23 +1098,18 @@ let do_transfer t rng =
 let client t lat tid =
   let w = t.cfg.workload in
   let rng = Rng.create ((t.cfg.seed * 65_599) + tid) in
-  let z = Harness.Zipf.create ~range:w.keys ~alpha:w.alpha in
+  let z = Harness.Zipf.create ~range:w.keys ~alpha in
   let next_arrival = ref 0 in
   while not (Sim.Sched.stop_requested ()) do
     let arrival = !next_arrival in
     let now = Sim.Sched.now () in
     if now < arrival then Sim.Sched.work (arrival - now);
-    let in_burst =
-      w.burst_every > 0 && arrival mod w.burst_every < w.burst_len
-    in
-    let gap = if in_burst then max 1 (w.gap / w.burst_factor) else w.gap in
+    let in_burst = w.burst_every > 0 && arrival mod w.burst_every < burst_len in
+    let gap = if in_burst then max 1 (w.gap / burst_factor) else w.gap in
     next_arrival := arrival + gap + Rng.below rng (max 1 (gap / 4));
-    let in_storm =
-      w.storm_every > 0 && arrival mod w.storm_every < w.storm_len
-    in
+    let in_storm = arrival mod storm_every < storm_len in
     let key =
-      if in_storm then
-        Harness.Zipf.popular z (Rng.below rng (min w.hot_keys w.keys))
+      if in_storm then Harness.Zipf.popular z (Rng.below rng (min hot_keys w.keys))
       else Harness.Zipf.sample z rng
     in
     let r = Rng.below rng 100 in
@@ -1385,8 +1377,8 @@ let policy_json (p : policy) : J.json =
     [
       ("deadline", J.Int p.deadline);
       ("max_retries", J.Int p.max_retries);
-      ("backoff_base", J.Int p.backoff_base);
-      ("backoff_cap", J.Int p.backoff_cap);
+      ("backoff_base", J.Int backoff_base);
+      ("backoff_cap", J.Int backoff_cap);
       ("replicate", J.Bool p.replicate);
       ("idempotent", J.Bool p.idempotent);
       ("degraded_cycles", J.Int p.degraded_cycles);

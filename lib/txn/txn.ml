@@ -389,11 +389,13 @@ module Workload = struct
   module Probe = Sim.Sim_rt.Probe
   module R = Harness.Registry
 
+  (** Preloaded balance per account. *)
+  let initial = 100
+
   type config = {
     rep : string;  (** structure representation backing every object *)
     objects : int;
     accounts : int;  (** account keys [1 .. accounts] per object *)
-    initial : int;  (** preloaded balance per account *)
     threads : int;
     ops : int;  (** requests to serve (scheduler ticks) *)
     seed : int;
@@ -407,7 +409,6 @@ module Workload = struct
       rep = "ll-optik";
       objects = 4;
       accounts = 16;
-      initial = 100;
       threads = 8;
       ops = 4_000;
       seed = 42;
@@ -565,7 +566,7 @@ module Workload = struct
       transfers;
     (* Replay transfers in ticket order, logging their steps. *)
     let slots = cfg.objects * cfg.accounts in
-    let model = Array.make slots cfg.initial in
+    let model = Array.make slots initial in
     let get s = if s < 0 then absent else model.(s) in
     let st_slot = Array.make !nw 0 and st_after = Array.make !nw 0 in
     let off = Array.make (n + 1) 0 and w = ref 0 in
@@ -615,7 +616,7 @@ module Workload = struct
           start.(a.x_at) <- start.(a.x_at) + 1
         end)
       audits;
-    let cursor = Array.make slots cfg.initial and pos = ref 0 in
+    let cursor = Array.make slots initial and pos = ref 0 in
     let miss = Array.make na (-1) and had = Array.make na 0 in
     Array.iter
       (fun id ->
@@ -664,7 +665,7 @@ module Workload = struct
     let total =
       Array.fold_left (fun acc ob -> T.obj_fold ob (fun _ v a -> a + v) acc) 0 objs
     in
-    let expected_total = cfg.objects * cfg.accounts * cfg.initial in
+    let expected_total = cfg.objects * cfg.accounts * initial in
     let conserved = total = expected_total in
     if not conserved then
       bad "conservation broken: accounts sum to %d, expected %d" total
@@ -784,7 +785,7 @@ module Workload = struct
     Array.init cfg.objects (fun _ ->
         let st = S.create ~capacity:(max 64 (4 * cfg.accounts)) () in
         for k = 1 to cfg.accounts do
-          ignore (S.insert st k cfg.initial : bool)
+          ignore (S.insert st k initial : bool)
         done;
         T.obj (module S) st)
 

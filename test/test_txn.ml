@@ -651,7 +651,7 @@ let reference (cfg : W.config) records objs =
       transfers;
     fun ok ->
       if not (account ok) then None
-      else Option.value ~default:(Some cfg.W.initial) (Hashtbl.find_opt h ok)
+      else Option.value ~default:(Some W.initial) (Hashtbl.find_opt h ok)
   in
   List.iteri
     (fun i x ->
@@ -702,7 +702,7 @@ let reference (cfg : W.config) records objs =
       (fun acc ob -> W.T.obj_fold ob (fun _ v a -> a + v) acc)
       0 objs
   in
-  let expected = cfg.W.objects * cfg.W.accounts * cfg.W.initial in
+  let expected = cfg.W.objects * cfg.W.accounts * W.initial in
   if total <> expected then
     bad "conservation broken: accounts sum to %d, expected %d" total expected;
   List.rev !out
@@ -778,7 +778,7 @@ let gen_fuzz_case =
   in
   let+ final = array_repeat objects bindings in
   {
-    f_cfg = { W.default_config with W.objects; accounts; initial = 100 };
+    f_cfg = { W.default_config with W.objects; accounts };
     f_records = records;
     f_final = final;
   }
@@ -837,7 +837,7 @@ let synthetic_bank () =
   let cfg = { W.default_config with W.objects = 4; accounts = 16 } in
   let slots = cfg.W.objects * cfg.W.accounts in
   let key s = (s / cfg.W.accounts, (s mod cfg.W.accounts) + 1) in
-  let model = Array.make slots cfg.W.initial in
+  let model = Array.make slots W.initial in
   let rng = Harness.Rng.create 5 in
   let records = ref [] in
   for i = 0 to 2_999 do
