@@ -531,8 +531,10 @@ let chaos_cmd =
       & opt (some string) None
       & info [ "structures" ] ~docv:"NAMES"
           ~doc:
-            "Comma-separated structure names to fuzz (default: all). Names \
-             as printed in trial lines, e.g. list/harris,queue/ms-lf.")
+            "Comma-separated structure names to fuzz (default: one \
+             representative per family and figure). Any registered \
+             structure can be named, as printed in trial lines, e.g. \
+             list/harris,queue/ms-lf,sl/optik2.")
   in
   let quick =
     flag_arg "quick"
@@ -555,7 +557,7 @@ let chaos_cmd =
        --quick run always parses. *)
     let family, trials =
       match replay with
-      | Some s -> (Chaos.sets Chaos.default_entries, Replay s)
+      | Some s -> (Chaos.sets Chaos.all_entries, Replay s)
       | None -> (Chaos.sets entries, Fuzz runs)
     in
     trial_stream ~subcommand:"chaos" ~seed

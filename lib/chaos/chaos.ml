@@ -321,8 +321,33 @@ let quick_entries =
     (fun e -> not (has_prefix "sl/" e.e_name || has_prefix "bst/" e.e_name))
     default_entries
 
+(* The rest of the registry, all blocking, named family/figure-name.
+   They come after the defaults so the default draws stay as they were. *)
+let all_entries =
+  let module B = R.Sim_backend in
+  let blocking e_name e_target = { e_name; e_kind = Blocking; e_target } in
+  default_entries
+  @ [
+      blocking "list/mcs-gl-opt" (Set B.ll_mcs_gl_opt);
+      blocking "list/optik-cache" (Set B.ll_optik_cache);
+      blocking "list/lazy-cache" (Set B.ll_lazy_cache);
+      blocking "ht/lazy-gl" (Set B.ht_lazy_gl);
+      blocking "ht/java" (Set B.ht_java);
+      blocking "ht/java-optik" (Set B.ht_java_optik);
+      blocking "ht/optik-gl" (Set B.ht_optik_gl);
+      blocking "ht/optik-map" (Set B.ht_map_optik);
+      blocking "sl/herl-optik" (Set B.sl_herlihy_optik);
+      blocking "sl/optik1" (Set B.sl_optik1);
+      blocking "sl/optik2" (Set B.sl_optik2);
+      blocking "map/mcs" (Set B.map_mcs);
+      blocking "bst/gl" (Set B.bst_gl);
+      blocking "queue/optik0" (Queue B.q_optik0);
+      blocking "queue/optik2" (Queue B.q_optik2);
+      blocking "queue/optik3" (Queue B.q_optik3);
+    ]
+
 let select names =
-  let table = default_entries in
+  let table = all_entries in
   List.iter
     (fun n ->
       if not (List.exists (fun e -> String.equal e.e_name n) table) then
@@ -536,7 +561,7 @@ module Queue_container (Q : R.QUEUE_OPS) = struct
     let q = Q.create () in
     let pre = prefill tr in
     List.iter (Q.enqueue q) pre;
-    (q, (pre, []), List.length pre)
+    (q, pre, List.length pre)
 
   let draw rng ~keys:_ ~v =
     if Rng.below rng 2 = 0 then Spec.Enqueue v else Spec.Dequeue

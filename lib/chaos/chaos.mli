@@ -118,8 +118,13 @@ val quick_entries : entry list
 (** {!default_entries} minus the slow representatives (skip lists, BST);
     the CI smoke set. *)
 
+val all_entries : entry list
+(** {!default_entries} followed by the other registered structures, so
+    that every structure of {!Harness.Registry.Sim_backend} appears
+    exactly once. Replay and {!select} resolve names against it. *)
+
 val select : string list -> entry list
-(** The entries named, in table order (each once, whatever the order and
+(** The entries of {!all_entries} named, in table order (each once, whatever the order and
     repeats of [names]). Raises [Invalid_argument] naming the first
     unknown name and listing the known ones. *)
 

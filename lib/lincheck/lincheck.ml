@@ -98,6 +98,14 @@ module Make (Spec : SPEC) = struct
         done
       done;
       let full = (1 lsl n) - 1 in
+      (* Candidates are tried by ascending response time, pending ops
+         last: the op that responded first is the likeliest to come
+         first, so a witness is usually found without backtracking. The
+         search stays exhaustive, so only which witness is found depends
+         on this order. *)
+      let order = Array.init total Fun.id in
+      let res i = if i < n then ops.(i).res else max_int in
+      Array.stable_sort (fun i j -> compare (res i) (res j)) order;
       (* Memoize failed (chosen-set, state) pairs; the spec states here
          are small persistent values, so polymorphic hashing is fine. *)
       let failed : (int * Spec.state, unit) Hashtbl.t = Hashtbl.create 256 in
@@ -108,7 +116,7 @@ module Make (Spec : SPEC) = struct
           let result = ref None in
           let i = ref 0 in
           while !result = None && !i < total do
-            let idx = !i in
+            let idx = order.(!i) in
             incr i;
             if
               chosen land (1 lsl idx) = 0
@@ -196,23 +204,21 @@ end
 
 (** FIFO queues. *)
 module Queue_spec = struct
-  type state = int list * int list  (** front, back (classic two-list) *)
+  (* One list, front first: each abstract queue has exactly one
+     representation, so the checker's memo of failed states never holds
+     two copies of the same queue. *)
+  type state = int list
 
   type input = Enqueue of int | Dequeue
 
   type output = Unit | Got of int | Empty
 
-  let init = ([], [])
+  let init = []
 
-  let apply (front, back) = function
-    | Enqueue v -> ((front, v :: back), Unit)
+  let apply st = function
+    | Enqueue v -> (st @ [ v ], Unit)
     | Dequeue -> (
-        match front with
-        | x :: rest -> (((rest, back) : state), Got x)
-        | [] -> (
-            match List.rev back with
-            | x :: rest -> ((rest, []), Got x)
-            | [] -> (([], []), Empty)))
+        match st with x :: rest -> (rest, Got x) | [] -> ([], Empty))
 
   let equal_output (a : output) b = a = b
 

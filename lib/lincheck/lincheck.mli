@@ -91,9 +91,9 @@ module Set_spec : sig
     SPEC with type state := state and type input := input and type output := output
 end
 
-(** FIFO queues (two-list functional queue). *)
+(** FIFO queues; the state lists the queue front first. *)
 module Queue_spec : sig
-  type state = int list * int list
+  type state = int list
   type input = Enqueue of int | Dequeue
   type output = Unit | Got of int | Empty
 

@@ -289,6 +289,56 @@ let test_harris_crash_replay () =
   Alcotest.(check (list string)) "every oracle passes" []
     (List.map (fun f -> f.Chaos.f_oracle) o.Chaos.o_failures)
 
+(* ------------------------------------------------------------------ *)
+(* Every registered structure is fuzzable, and replays that once failed
+   or hung are pinned as PASS rows. *)
+
+let test_all_entries_cover_registry () =
+  let module B = Harness.Registry.Sim_backend in
+  let once what target =
+    let n =
+      List.length
+        (List.filter (fun e -> target e.Chaos.e_target) Chaos.all_entries)
+    in
+    Alcotest.(check int) (what ^ " appears once in all_entries") 1 n
+  in
+  let sets = (B.ht_harris :: B.maps) @ B.lists @ B.hashtables @ B.skiplists @ B.bsts in
+  List.iter
+    (fun ((module S : Harness.Registry.SET_OPS) as m) ->
+      once ("set " ^ S.name) (function Chaos.Set m' -> m' == m | _ -> false))
+    sets;
+  List.iter
+    (fun ((module Q : Harness.Registry.QUEUE_OPS) as m) ->
+      once ("queue " ^ Q.name) (function Chaos.Queue m' -> m' == m | _ -> false))
+    B.queues;
+  List.iter
+    (fun ((module St : Harness.Registry.STACK_OPS) as m) ->
+      once ("stack " ^ St.name) (function Chaos.Stack m' -> m' == m | _ -> false))
+    B.stacks;
+  Alcotest.(check int) "no other entries"
+    (List.length sets + List.length B.queues + List.length B.stacks)
+    (List.length Chaos.all_entries)
+
+module All = (val Chaos.sets Chaos.all_entries)
+
+let pinned_passes =
+  [
+    (* Lincheck used to spend minutes (and hundreds of MB) on these queue
+       histories: it tried thread 0's enqueues first, and the two-list
+       queue state gave one abstract queue many memo keys. *)
+    "queue/optik1@xeon t5 o5 k5 q20000 r200 n62 w533314 \
+     f587540;storm(47543)@before-cas,t3,h5";
+    "queue/optik0@xeon t5 o5 k5 q20000 r200 n62 w533314 \
+     f587540;storm(47543)@before-cas,t3,h5;stall(35837)@critical-enter,t1";
+  ]
+
+let pinned_pass_case s =
+  let structure = List.hd (String.split_on_char '@' s) in
+  Alcotest.test_case ("pinned " ^ structure ^ " replay passes") `Quick (fun () ->
+      let o = Chaos.run_trial (All.of_string s) in
+      Alcotest.(check (list string)) "every oracle passes" []
+        (List.map (fun f -> f.Chaos.f_oracle) o.Chaos.o_failures))
+
 module H = Dstruct.Ll_harris.Make (Rt.Native_rt)
 
 (* [1; 2; 3; 4] with the nodes of [marked] marked in place, and a node
@@ -352,6 +402,10 @@ let () =
             test_kv_shrink_steps_parse;
           Alcotest.test_case "golden replay" `Quick test_golden_replay;
         ] );
+      ( "all structures",
+        Alcotest.test_case "all_entries covers the registry" `Quick
+          test_all_entries_cover_registry
+        :: List.map pinned_pass_case pinned_passes );
       ( "harris crash residue",
         [
           Alcotest.test_case "pinned ht/harris replay passes" `Quick

@@ -202,7 +202,7 @@ let lincheck_queue (module Q : R.QUEUE_OPS) ~nthreads ~ops_per_thread ~seed ()
     Q.enqueue t v;
     init := v :: !init
   done;
-  let init_state = (List.rev !init, []) in
+  let init_state = List.rev !init in
   let h = HQueue.create ~nthreads in
   let _st =
     Sim.Sched.run ~topology:uniform4 ~nthreads ~read_slack:0 (fun tid ->
