@@ -98,18 +98,21 @@ module Make (Rt : RT) = struct
   let search t key =
     check_key key;
     Q.op_begin t.qsbr;
-    let cur = ref t.head in
+    let cur = ref t.head and f = ref t.head in
     for l = max_level - 1 downto 0 do
       let continue = ref true in
       while !continue do
         let nxt = next_at !cur l in
-        if nxt.key < key then cur := nxt else continue := false
+        if nxt.key < key then cur := nxt
+        else (
+          f := nxt;
+          continue := false)
       done
     done;
-    let f = next_at !cur 0 in
-    let res =
-      if f.key = key && live f then Some f.value else None
-    in
+    (* [f] is the node the level-0 walk stopped at. Re-reading the link
+       here could return a node inserted since, with a smaller key. *)
+    let f = !f in
+    let res = if f.key = key && live f then Some f.value else None in
     Q.op_end t.qsbr;
     res
 

@@ -330,6 +330,10 @@ let pinned_passes =
      f587540;storm(47543)@before-cas,t3,h5";
     "queue/optik0@xeon t5 o5 k5 q20000 r200 n62 w533314 \
      f587540;storm(47543)@before-cas,t3,h5;stall(35837)@critical-enter,t1";
+    (* Sl_optik.search re-read level 0 after its walk had stopped, so an
+       insert of 4 between 2 and 5 made [search 5] answer absent. *)
+    "sl/optik2@xeon t5 o2 k5 q200000 r0 n62 w556653 \
+     f903285;storm(659)@restart,h3";
   ]
 
 let pinned_pass_case s =
