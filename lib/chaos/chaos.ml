@@ -347,15 +347,14 @@ let all_entries =
     ]
 
 let select names =
-  let table = all_entries in
   List.iter
     (fun n ->
-      if not (List.exists (fun e -> String.equal e.e_name n) table) then
+      if not (List.exists (fun e -> String.equal e.e_name n) all_entries) then
         invalid_arg
           (Printf.sprintf "unknown structure %S; known: %s" n
-             (String.concat ", " (List.map (fun e -> e.e_name) table))))
+             (String.concat ", " (List.map (fun e -> e.e_name) all_entries))))
     names;
-  List.filter (fun e -> List.mem e.e_name names) table
+  List.filter (fun e -> List.mem e.e_name names) all_entries
 
 type trial = {
   t_entry : entry;

@@ -124,9 +124,9 @@ val all_entries : entry list
     exactly once. Replay and {!select} resolve names against it. *)
 
 val select : string list -> entry list
-(** The entries of {!all_entries} named, in table order (each once, whatever the order and
-    repeats of [names]). Raises [Invalid_argument] naming the first
-    unknown name and listing the known ones. *)
+(** The entries of {!all_entries} named, in table order and each once,
+    whatever the order and repeats of [names]. Raises [Invalid_argument]
+    naming the first unknown name and listing the known ones. *)
 
 type trial = {
   t_entry : entry;

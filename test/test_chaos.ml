@@ -323,9 +323,9 @@ module All = (val Chaos.sets Chaos.all_entries)
 
 let pinned_passes =
   [
-    (* Lincheck used to spend minutes (and hundreds of MB) on these queue
-       histories: it tried thread 0's enqueues first, and the two-list
-       queue state gave one abstract queue many memo keys. *)
+    (* Lincheck used to search these queue histories without end: it
+       tried thread 0's enqueues first, and the two-list queue state gave
+       one abstract queue many memo keys. *)
     "queue/optik1@xeon t5 o5 k5 q20000 r200 n62 w533314 \
      f587540;storm(47543)@before-cas,t3,h5";
     "queue/optik0@xeon t5 o5 k5 q20000 r200 n62 w533314 \
