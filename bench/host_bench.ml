@@ -133,9 +133,11 @@ let specs =
       s_run =
         (fun () ->
           let topology = Sim.Topology.uniform ~n:4 () in
-          let group = Rt.Group.fresh () in
+          (* All 64 counters share one line, anchored on the first. *)
+          let first = Sim.Sched.loc 0 in
           let locs =
-            Array.init 64 (fun _ -> Sim.Sched.loc_packed ~group 0)
+            Array.init 64 (fun i ->
+                if i = 0 then first else Sim.Sched.loc_with first 0)
           in
           of_measurement "cap/faa-10k"
             (Runner.simulate ~name:"cap/faa-10k" ~topology ~nthreads:10_000

@@ -19,7 +19,6 @@
 module type RT = Rt.Rt_intf.RT
 
 module Backoff = Rt.Backoff
-module Group = Rt.Group
 
 let default_capacity = 64
 
@@ -44,16 +43,24 @@ module Base (Rt : RT) (L : Dstruct_intf.TWIN_LOCK) = struct
 
   let name = L.name
 
+  (* The key cell of every [pairs_per_line]-th slot opens a streaming
+     line; the other keys of its line and all their values join it. The
+     lock is built before the slot lines: that order fixes the line ids
+     the golden digests pin. *)
   let create ?(capacity = default_capacity) ?(eager_search = false) () =
-    let group0 = Group.fresh () in
+    let lock = L.create () in
+    let heads =
+      Array.init
+        ((capacity + pairs_per_line - 1) / pairs_per_line)
+        (fun _ -> Rt.atomic ~streaming:true 0)
+    in
+    let head i = heads.(i / pairs_per_line) in
     {
       keys =
         Array.init capacity (fun i ->
-            Rt.atomic_packed ~streaming:true ~group:(group0 + (i / pairs_per_line)) 0);
-      vals =
-        Array.init capacity (fun i ->
-            Rt.atomic_packed ~streaming:true ~group:(group0 + (i / pairs_per_line)) None);
-      lock = L.create ();
+            if i mod pairs_per_line = 0 then head i else Rt.atomic_with (head i) 0);
+      vals = Array.init capacity (fun i -> Rt.atomic_with (head i) None);
+      lock;
       cap = capacity;
       eager_search;
     }

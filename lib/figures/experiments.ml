@@ -186,10 +186,9 @@ let fig5_point impl ~topology ~nthreads ~ops =
            and incremented while holding the lock. *)
         (* TTAS flag and version share a cache line (8 bytes in the
            paper's C implementation). Locks.Ttas.t is transparently a
-           bool atomic, so a packed location works directly. *)
-        let g = Rt.Group.fresh () in
-        let l : F5_ttas.t = Sim.Sched.loc_packed ~group:g false in
-        let version = Sim.Sched.loc_packed ~group:g 0 in
+           bool atomic, so the flag anchors the line directly. *)
+        let l : F5_ttas.t = Sim.Sched.loc false in
+        let version = Sim.Sched.loc_with l 0 in
         fun () ->
           let v = Sched.read version in
           Sched.work 30;

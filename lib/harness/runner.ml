@@ -182,10 +182,6 @@ let stack_instance (module St : Registry.STACK_OPS) ~seed ~init ~push_pct =
 (* --------------------------------------------------------------- *)
 (* Simulator runner                                                 *)
 
-(* Per-operation latency in cycles, as a probe histogram: shows up in
-   --trace exports as samples and in counter dumps via [buckets]. *)
-let op_cycles = Sim.Sim_rt.Probe.histogram "runner.op-cycles"
-
 (* Run a simulation to a structured ([stats], [outcome]) pair: watchdog
    verdicts and budget exhaustion become [Aborted] with partial stats,
    never an escaped exception. [faults] installs a fault plan for the
@@ -288,7 +284,11 @@ let run_sim fn ~topology ~nthreads ~ops ~seed ?faults ?watchdog ?max_events
           let cls = i.op rng in
           let t1 = Sim.Sched.now () in
           Pstats.record lat.(cls) (t1 - t0);
-          Sim.Sim_rt.Probe.observe op_cycles (t1 - t0);
+          (* The op's latency as a trace sample; [Pstats] keeps the
+             statistic. *)
+          if Obs.Journal.recording () then
+            Sim.Sched.obs_emit
+              (Obs.Journal.Sample ("runner.op-cycles", t1 - t0));
           if counts cls then incr effective;
           Sim.Sched.tick ();
           Sim.Sched.work (64 + Rng.below rng 64)

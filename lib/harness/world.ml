@@ -1,10 +1,10 @@
 (** The calling domain's simulator world, reset as one.
 
     Every piece of mutable simulator state is domain-local: the scheduler
-    (counters, packed-line table, fault hook, noise, event heap), the
-    fault engine, the observability journal, the probe cells, and the id
-    sources runs allocate from (packing groups, lock handles, skip-list
-    level generators, elimination-stack slot counters). {!reset} restores
+    (line counter, fault hook, noise, event heap), the fault engine, the
+    observability journal, the probe cells, and the id sources runs
+    allocate from (lock handles, skip-list level generators,
+    elimination-stack slot counters). {!reset} restores
     all of it to process-pristine state, so whatever runs next behaves
     exactly as it would first thing in a fresh process — independent of
     which domain runs it and of what ran there before.
@@ -19,7 +19,6 @@ let reset () =
   Sim.Fault.reset_world ();
   Obs.Journal.reset_world ();
   Sim.Sim_rt.Probe.reset_world ();
-  Rt.Group.reset ();
   Locks.Handle.reset_ids ();
   Dstruct.Sl_common.reset_states ();
   Dstruct.Stacks.reset_slot_seq ()

@@ -29,7 +29,9 @@
 
 type kind =
   | Count of string * int  (** counter increment: name, delta *)
-  | Sample of string * int  (** histogram observation: name, value *)
+  | Sample of string * int
+      (** a latency sample: name, value; the runner journals each op's
+          cycles as ["runner.op-cycles"] *)
   | Instant of string * int option  (** [Probe.event]: name, argument *)
   | Span_begin of string
   | Span_end of string

@@ -8,8 +8,7 @@ let backend_name = "native"
 
 type 'a atomic = 'a Atomic.t
 
-let atomic v = Atomic.make v
-let atomic_packed ?streaming:_ ~group:_ v = Atomic.make v
+let atomic ?streaming:_ v = Atomic.make v
 let atomic_with _other v = Atomic.make v
 
 (* Eager: building a cell on first touch would race between domains. *)
@@ -70,56 +69,28 @@ let nthreads () = Atomic.get nthreads_v
    real cores and cannot crash or stall a domain from the inside. *)
 let on_fault (_ : Rt_intf.fault_point) = ()
 
-(* Native probes: counters and histograms are plain atomics (safe under
+(* Native probes: counters are plain atomics (safe under
    concurrent domains), the tracing and attribution operations are no-ops
    — real cores have no virtual clock to stamp a journal with, and the
    native runs exist for correctness stress, not for tracing. *)
 module Probe = struct
-  module Hb = Rt_intf.Hbucket
-
-  type counter = { c_name : string; cell : int Atomic.t }
-  type histogram = { h_name : string; cells : int Atomic.t array }
+  type counter = int Atomic.t
 
   let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
-  let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
   let registry_lock = Mutex.create ()
 
-  let registered tbl name mk =
-    Mutex.lock registry_lock;
-    let v =
-      match Hashtbl.find_opt tbl name with
-      | Some v -> v
-      | None ->
-          let v = mk () in
-          Hashtbl.add tbl name v;
-          v
-    in
-    Mutex.unlock registry_lock;
-    v
-
   let counter name =
-    registered counters name (fun () -> { c_name = name; cell = Atomic.make 0 })
+    Mutex.protect registry_lock (fun () ->
+        match Hashtbl.find_opt counters name with
+        | Some c -> c
+        | None ->
+            let c = Atomic.make 0 in
+            Hashtbl.add counters name c;
+            c)
 
-  let incr c = ignore (Atomic.fetch_and_add c.cell 1)
-  let add c n = ignore (Atomic.fetch_and_add c.cell n)
-  let count c = Atomic.get c.cell
-  let counter_name c = c.c_name
-
-  let histogram name =
-    registered histograms name (fun () ->
-        { h_name = name; cells = Array.init Hb.n_buckets (fun _ -> Atomic.make 0) })
-
-  let observe h v = ignore (Atomic.fetch_and_add h.cells.(Hb.index v) 1)
-
-  let buckets h =
-    let acc = ref [] in
-    for i = Hb.n_buckets - 1 downto 0 do
-      let n = Atomic.get h.cells.(i) in
-      if n > 0 then acc := (Hb.lo i, Hb.hi i, n) :: !acc
-    done;
-    !acc
-
-  let histogram_name h = h.h_name
+  let incr c = ignore (Atomic.fetch_and_add c 1)
+  let add c n = ignore (Atomic.fetch_and_add c n)
+  let count = Atomic.get
 
   let event ?arg:_ (_ : string) = ()
   let span_begin (_ : string) = ()
@@ -128,12 +99,8 @@ module Probe = struct
   let with_site (_ : string) f = f ()
 
   (* Backend extra (not part of {!Rt_intf.PROBE}): zero every registered
-     counter and histogram, for test isolation. *)
+     counter, for test isolation. *)
   let reset_all () =
-    Mutex.lock registry_lock;
-    Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counters;
-    Hashtbl.iter
-      (fun _ h -> Array.iter (fun c -> Atomic.set c 0) h.cells)
-      histograms;
-    Mutex.unlock registry_lock
+    Mutex.protect registry_lock (fun () ->
+        Hashtbl.iter (fun _ c -> Atomic.set c 0) counters)
 end

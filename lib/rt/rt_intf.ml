@@ -14,49 +14,16 @@
     x86: word-sized atomic loads/stores with acquire/release semantics,
     compare-and-swap, and fetch-and-add. *)
 
-(** Histogram bucket geometry, shared by every {!PROBE} implementation so
-    both backends (and the exporters) agree on bucket boundaries.
-
-    Buckets are powers of two: bucket 0 holds only the value 0 (and any
-    negative sample, clamped), bucket [i > 0] holds values in
-    [\[2{^i-1}, 2{^i})]. With 63-bit OCaml ints that is {!n_buckets} = 63
-    buckets, and [max_int] lands in the last one. *)
-module Hbucket = struct
-  let n_buckets = 63
-
-  (** [index v] is the bucket a sample falls into: 0 for [v <= 0],
-      otherwise the position of [v]'s highest set bit (1-based). *)
-  let index v =
-    if v <= 0 then 0
-    else begin
-      let i = ref 0 and x = ref v in
-      while !x > 0 do
-        incr i;
-        x := !x lsr 1
-      done;
-      !i
-    end
-
-  (** Smallest value of bucket [i]. *)
-  let lo i = if i <= 0 then 0 else 1 lsl (i - 1)
-
-  (** Largest value of bucket [i]. The last bucket tops out at
-      [max_int]. *)
-  let hi i = if i <= 0 then 0 else if i >= n_buckets - 1 then max_int else (1 lsl i) - 1
-end
-
-(** The probe API: the single statistics/instrumentation surface of the
-    runtime. It unifies what used to be bare named counters with bucketed
-    histograms and structured trace events/spans.
+(** The probe API, the single statistics/instrumentation surface of the
+    runtime: named counters and structured trace events/spans.
 
     Probes are out-of-band channels: they {e never} perturb the simulated
     clock, so algorithms can report events (operation restarts, node-cache
     hits, validation failures, lock-acquire phases) without affecting the
-    measured behaviour. On the native backend counters and histograms are
-    plain atomics and the tracing operations are no-ops; on the simulator
-    backend every probe additionally feeds a deterministic,
-    virtual-time-stamped event journal (see [Obs.Journal]) when a
-    recording is active. *)
+    measured behaviour. On the native backend counters are plain atomics
+    and the tracing operations are no-ops; on the simulator backend every
+    probe additionally feeds a deterministic, virtual-time-stamped event
+    journal (see [Obs.Journal]) when a recording is active. *)
 module type PROBE = sig
   (** {2 Counters} *)
 
@@ -71,28 +38,6 @@ module type PROBE = sig
 
   val count : counter -> int
   (** Current value. *)
-
-  val counter_name : counter -> string
-
-  (** {2 Bucketed histograms}
-
-      Power-of-two buckets as defined by {!Hbucket}: cheap enough for hot
-      paths (one increment), precise enough for latency/retry
-      distributions. *)
-
-  type histogram
-
-  val histogram : string -> histogram
-  (** [histogram name] registers (or finds) the histogram named [name]. *)
-
-  val observe : histogram -> int -> unit
-  (** Record one sample. Negative samples clamp into bucket 0. *)
-
-  val buckets : histogram -> (int * int * int) list
-  (** Non-empty buckets as [(lo, hi, count)] triples, in increasing value
-      order. *)
-
-  val histogram_name : histogram -> string
 
   (** {2 Tracing}
 
@@ -165,30 +110,25 @@ module type RT = sig
   type 'a atomic
   (** A shared mutable cell with sequentially-consistent atomic access. On
       the simulator backend each cell occupies its own cache line unless
-      created with {!atomic_packed}. *)
+      created with {!atomic_with}. *)
 
-  val atomic : 'a -> 'a atomic
+  val atomic : ?streaming:bool -> 'a -> 'a atomic
   (** [atomic v] allocates a fresh atomic cell holding [v], on its own cache
       line (the common case for lock words and node fields that are written
-      concurrently). *)
-
-  val atomic_packed : ?streaming:bool -> group:int -> 'a -> 'a atomic
-  (** [atomic_packed ~group v] allocates a cell that shares a cache line
-      with every other cell created with the same [group] id. Used to model
-      data that is contiguous in memory: the fields of one node (as a C
-      struct would pack them), the two halves of a ticket lock, or the
-      slots of the array map. [streaming] (default false) marks
+      concurrently). [streaming] (default false) marks the line as
       array-like data whose cached reads pipeline (~1 cycle) rather than
-      paying the full load-to-use latency of pointer chasing. The native
-      backend ignores both. *)
+      paying the full load-to-use latency of pointer chasing; it holds
+      for every cell later put on the line with {!atomic_with}. The
+      native backend ignores it. *)
 
   val atomic_with : 'b atomic -> 'a -> 'a atomic
   (** [atomic_with other v] allocates a cell on the {e same cache line}
-      as [other] — the layout a C struct gives the fields of one node.
-      Essential for modeling fidelity: a traversal that reads a node's
-      version and next pointer touches one line on real hardware, and
-      must cost one line access on the simulator too. The native backend
-      ignores the anchor. *)
+      as [other] — the layout a C struct gives the fields of one node, or
+      an array gives neighbouring slots (the array map anchors each line
+      on its first key cell). Essential for modeling fidelity: a
+      traversal that reads a node's version and next pointer touches one
+      line on real hardware, and must cost one line access on the
+      simulator too. The native backend ignores the anchor. *)
 
   type 'a cells
   (** A fixed-size block of private-line atomics, e.g. one per thread id. *)

@@ -32,14 +32,13 @@
     traversal-heavy simulations run at memory speed.
 
     {b Capacity.} Thread records live in a per-domain arena reused across
-    runs, the event heap keeps (and compacts) its backing arrays, and the
-    packed-line table is an open-addressing int table — a 10k-virtual-
-    thread run allocates a handful of arrays up front and then runs with
-    no per-thread or per-event churn.
+    runs and the event heap keeps (and compacts) its backing arrays — a
+    10k-virtual-thread run allocates a handful of arrays up front and
+    then runs with no per-thread or per-event churn.
 
     {b Isolation.} All of the simulator's mutable world state — current
-    scheduler/thread, the line counter, the packed-line table,
-    the fault hook, noise width, the arena and the event heap — lives in
+    scheduler/thread, the line counter, the fault hook, noise width, the
+    arena and the event heap — lives in
     one domain-local instance ({!dstate}). Each OCaml domain therefore
     carries an independent simulator: a fleet runner can farm seeded
     trials across real domains and each behaves exactly like a fresh
@@ -70,7 +69,7 @@ type line = {
       (** serialized ops that stalled behind [busy_until] this run; the
           per-line counter replacing the old per-access Hashtbl lookup *)
   streaming : bool;
-      (** packed/contiguous data (arrays): cached reads cost ~1 cycle —
+      (** contiguous array data: cached reads cost ~1 cycle —
           independent loads pipeline — whereas pointer-chasing reads pay
           the full L1 load-to-use latency *)
   site : string option;
@@ -168,7 +167,7 @@ type t = {
 (* ------------------------------------------------------------------ *)
 (* The per-domain world instance                                       *)
 
-(* Never accessed through an operation: it fills empty arena and table
+(* Never accessed through an operation: it fills empty arena and cell
    slots and is replaced before any thread runs, so its mutable fields
    are never written (which also makes sharing it across domains safe). *)
 let dummy_line =
@@ -196,7 +195,6 @@ type dstate = {
   mutable d_epoch : int;
       (** world epoch, bumped per run; lines from older epochs are cold *)
   mutable d_lines : int;  (** line-id counter *)
-  d_packed : line Itbl.t;  (** packing group -> shared line *)
   mutable d_hook : (Fp.fault_point -> unit) option;
   mutable d_noise : int;  (** noise width in bits; 62 = full, 0 = off *)
   mutable d_arena : thread array;
@@ -213,7 +211,6 @@ let dkey : dstate Domain.DLS.key =
         d_thread = None;
         d_epoch = 0;
         d_lines = 0;
-        d_packed = Itbl.create ~dummy:dummy_line ();
         d_hook = None;
         d_noise = 62;
         d_arena = [||];
@@ -268,9 +265,7 @@ let new_line d ~streaming =
   d.d_lines <- id;
   make_line d id ~streaming ~site:(Obs.Journal.current_site ())
 
-let fresh_line ?(streaming = false) () = new_line (dstate ()) ~streaming
-
-let loc v = { v; line = fresh_line () }
+let loc ?(streaming = false) v = { v; line = new_line (dstate ()) ~streaming }
 
 (* A block of [n] cells whose line ids are reserved up front but whose
    lines are built on first touch. Reserving keeps the id sequence (and
@@ -329,22 +324,6 @@ let cell c i =
 (* Allocate on the same line as an existing location: C-struct field
    co-location (one node = one line). *)
 let loc_with (other : 'b loc) v = { v; line = other.line }
-
-(* Locations created with the same [group] share a cache line, modeling
-   contiguous allocation: one node's fields, ticket-lock halves,
-   array-map slots. [streaming] marks array-like data (pipelined reads);
-   the first creator of a group decides. *)
-let loc_packed ?(streaming = false) ~group v =
-  let d = dstate () in
-  let line =
-    match Itbl.find_opt d.d_packed group with
-    | Some l -> l
-    | None ->
-        let l = new_line d ~streaming in
-        Itbl.add d.d_packed group l;
-        l
-  in
-  { v; line }
 
 (* Reset stale coherence state when a line created in an earlier run is
    touched again: it is cold in every cache. *)
@@ -961,11 +940,11 @@ let abort_exn s reason = Aborted (build_report s (classify s) reason)
 (* World reset                                                         *)
 
 (* Restore this domain's simulator world to process-pristine state:
-   counters to zero, tables emptied, hook and noise back to defaults,
-   oversized heap arrays compacted. The arena and the heap's (compacted)
-   backing arrays are retained — they are invisible to output. Locations
-   and groups created before the reset must not be used after it: their
-   line ids would collide with newly allocated ones. *)
+   counters to zero, hook and noise back to defaults, oversized heap
+   arrays compacted. The arena and the heap's (compacted) backing arrays
+   are retained — they are invisible to output. Locations created before
+   the reset must not be used after it: their line ids would collide
+   with newly allocated ones. *)
 let reset_world () =
   let d = dstate () in
   if d.d_sched <> None then
@@ -973,7 +952,6 @@ let reset_world () =
   d.d_thread <- None;
   d.d_epoch <- 0;
   d.d_lines <- 0;
-  Itbl.clear d.d_packed;
   d.d_hook <- None;
   d.d_noise <- 62;
   Eheap.clear d.d_heap;

@@ -24,18 +24,16 @@ exception Crashed
 
 type 'a loc
 (** A simulated shared-memory cell. Every cell lives on a cache line;
-    {!loc} gives it a private line, {!loc_packed} and {!loc_with} model
-    C-style contiguity. *)
+    {!loc} gives it a private line and {!loc_with} models C-style
+    contiguity. *)
 
-val loc : 'a -> 'a loc
-
-val loc_packed : ?streaming:bool -> group:int -> 'a -> 'a loc
-(** Same line as every other cell of [group] (ids come from
-    {!Rt.Group.fresh}). [streaming] marks array-like data whose cached
-    reads pipeline at ~1 cycle. *)
+val loc : ?streaming:bool -> 'a -> 'a loc
+(** A cell on a fresh line. [streaming] (default false) marks the line as
+    array-like data whose cached reads pipeline at ~1 cycle. *)
 
 val loc_with : 'b loc -> 'a -> 'a loc
-(** Same line as an existing cell — one node, one line. *)
+(** Same line as an existing cell — one node, one line; or the slots of
+    one array line, anchored on the first. *)
 
 type 'a cells
 (** A block of private-line cells built on first touch. *)
@@ -140,20 +138,19 @@ val set_fault_hook : (Rt.Rt_intf.fault_point -> unit) option -> unit
 (** {1 World reset}
 
     All of the simulator's mutable state — the current run, the line
-    counter, the packed-line table, fault hook, noise width, the
-    thread arena and event heap — is {e domain-local}: every OCaml
-    domain carries an independent simulator world, and a fresh domain
-    starts pristine. *)
+    counter, fault hook, noise width, the thread arena and event heap —
+    is {e domain-local}: every OCaml domain carries an independent
+    simulator world, and a fresh domain starts pristine. *)
 
 val reset_world : unit -> unit
 (** Restore the calling domain's simulator world to process-pristine
-    state: line counter back to zero, packed-line table emptied, fault
-    hook cleared, noise width back to the default, oversized event heap
-    storage compacted. Locations and groups created {e before} the reset
-    are invalidated (their line ids would collide with new ones) — drop
-    every structure along with the reset. Used by the fleet runner so
-    trial output is independent of which domain (and in what order) ran
-    the trial. Raises [Invalid_argument] inside a {!run}. *)
+    state: line counter back to zero, fault hook cleared, noise width
+    back to the default, oversized event heap storage compacted.
+    Locations created {e before} the reset are invalidated (their line
+    ids would collide with new ones) — drop every structure along with
+    the reset. Used by the fleet runner so trial output is independent
+    of which domain (and in what order) ran the trial. Raises
+    [Invalid_argument] inside a {!run}. *)
 
 (** {1 Results} *)
 

@@ -9,8 +9,7 @@ let backend_name = "sim"
 
 type 'a atomic = 'a Sched.loc
 
-let atomic v = Sched.loc v
-let atomic_packed ?streaming ~group v = Sched.loc_packed ?streaming ~group v
+let atomic ?streaming v = Sched.loc ?streaming v
 let atomic_with other v = Sched.loc_with other v
 
 type 'a cells = 'a Sched.cells
@@ -37,15 +36,16 @@ let on_fault = Sched.fault_point
    calling thread's virtual time by [Sched.obs_emit] — whenever a
    recording is active.
 
-   A counter/histogram handle is an immutable (name, id) pair; the actual
-   cells live in a per-domain table indexed by id. Handles are memoized
-   in a process-global registry (module-level bindings like
-   [Runner.op_cycles] are created once on whichever domain loads the
-   module and then used from fleet worker domains), so the registry is
-   the one piece of shared state here and is mutex-guarded; the hot
-   paths — incr/add/observe — touch only the immutable handle and the
-   calling domain's own cells, no lock. Each domain thus accumulates its
-   own counts, which is exactly what keeps fleet trials independent.
+   A counter handle is an immutable (name, id) pair; the actual cells
+   live in a per-domain table indexed by id. Handles are memoized in a
+   process-global registry (functor-level bindings like
+   [Optik.Versioned]'s [trylock_fails] are created once on whichever
+   domain instantiates the functor and then used from fleet worker
+   domains), so the registry is the one piece of shared state here and
+   is mutex-guarded; the hot paths — incr/add — touch only the immutable
+   handle and the calling domain's own cells, no lock. Each domain thus
+   accumulates its own counts, which is exactly what keeps fleet trials
+   independent.
 
    Every journal emission below tests [Obs.Journal.recording] at the call
    site, before the [Obs.Journal.kind] argument is built: otherwise each
@@ -53,18 +53,13 @@ let on_fault = Sched.fault_point
    (and [span] a [Fun.protect] closure) just to have [obs_emit] drop it.
    With recording off a probe is its arithmetic plus one flag load. *)
 module Probe = struct
-  module Hb = Rt.Rt_intf.Hbucket
-
   type counter = { c_name : string; c_id : int }
-  type histogram = { h_name : string; h_id : int }
 
   (* The handle registry: name -> handle, ids assigned densely in
      creation order. Shared by all domains, hence the mutex. *)
   let reg_mutex = Mutex.create ()
   let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
-  let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
   let n_counters = ref 0
-  let n_histograms = ref 0
 
   let counter name =
     Mutex.protect reg_mutex (fun () ->
@@ -76,23 +71,9 @@ module Probe = struct
             Hashtbl.add counters name c;
             c)
 
-  let histogram name =
-    Mutex.protect reg_mutex (fun () ->
-        match Hashtbl.find_opt histograms name with
-        | Some h -> h
-        | None ->
-            let h = { h_name = name; h_id = !n_histograms } in
-            Stdlib.incr n_histograms;
-            Hashtbl.add histograms name h;
-            h)
-
-  (* Per-domain cells, grown on demand to cover the ids in use. The
-     histogram array is flat: histogram [h] owns the [Hb.n_buckets]-wide
-     slice starting at [h.h_id * Hb.n_buckets]. *)
-  type cells = { mutable cc : int array; mutable hc : int array }
-
-  let ckey : cells Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> { cc = [||]; hc = [||] })
+  (* Per-domain cells, grown on demand to cover the ids in use. *)
+  let ckey : int array ref Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> ref [||])
 
   let grown a n =
     let cap = ref (max 16 (Array.length a)) in
@@ -105,14 +86,8 @@ module Probe = struct
 
   let[@inline] ccells c =
     let cs = Domain.DLS.get ckey in
-    if c.c_id >= Array.length cs.cc then cs.cc <- grown cs.cc (c.c_id + 1);
-    cs.cc
-
-  let[@inline] hcells h =
-    let cs = Domain.DLS.get ckey in
-    let need = (h.h_id + 1) * Hb.n_buckets in
-    if need > Array.length cs.hc then cs.hc <- grown cs.hc need;
-    cs.hc
+    if c.c_id >= Array.length !cs then cs := grown !cs (c.c_id + 1);
+    !cs
 
   let incr c =
     let cc = ccells c in
@@ -127,29 +102,8 @@ module Probe = struct
       Sched.obs_emit (Obs.Journal.Count (c.c_name, n))
 
   let count c =
-    let cc = (Domain.DLS.get ckey).cc in
+    let cc = !(Domain.DLS.get ckey) in
     if c.c_id < Array.length cc then cc.(c.c_id) else 0
-
-  let counter_name c = c.c_name
-
-  let observe h v =
-    let hc = hcells h in
-    let i = (h.h_id * Hb.n_buckets) + Hb.index v in
-    hc.(i) <- hc.(i) + 1;
-    if Obs.Journal.recording () then
-      Sched.obs_emit (Obs.Journal.Sample (h.h_name, v))
-
-  let buckets h =
-    let hc = (Domain.DLS.get ckey).hc in
-    let base = h.h_id * Hb.n_buckets in
-    let cell i = if base + i < Array.length hc then hc.(base + i) else 0 in
-    let acc = ref [] in
-    for i = Hb.n_buckets - 1 downto 0 do
-      if cell i > 0 then acc := (Hb.lo i, Hb.hi i, cell i) :: !acc
-    done;
-    !acc
-
-  let histogram_name h = h.h_name
 
   let event ?arg name =
     if Obs.Journal.recording () then
@@ -174,18 +128,17 @@ module Probe = struct
 
   (* ---- backend extras (not part of {!Rt.Rt_intf.PROBE}) ---- *)
 
-  (** Zero this domain's counter and histogram cells (the handle registry
-      is untouched); harnesses call this after prefill so statistics
+  (** Zero this domain's counter cells (the handle registry is
+      untouched); harnesses call this after prefill so statistics
       reflect only the measured window. *)
   let reset_all () =
-    let cs = Domain.DLS.get ckey in
-    Array.fill cs.cc 0 (Array.length cs.cc) 0;
-    Array.fill cs.hc 0 (Array.length cs.hc) 0
+    let cc = !(Domain.DLS.get ckey) in
+    Array.fill cc 0 (Array.length cc) 0
 
   (** This domain's non-zero counters as [(name, value)], sorted by name
       so reports are deterministic. *)
   let dump () =
-    let cc = (Domain.DLS.get ckey).cc in
+    let cc = !(Domain.DLS.get ckey) in
     let len = Array.length cc in
     Mutex.protect reg_mutex (fun () ->
         Hashtbl.fold
@@ -200,17 +153,15 @@ module Probe = struct
       audit. *)
   let registered name = Mutex.protect reg_mutex (fun () -> Hashtbl.mem counters name)
 
-  (** Every registered probe as [(name, kind)] with kind ["counter"] or
-      ["histogram"], sorted by name then kind. The single source of truth
-      for probe listings: the [optik_bench probes] subcommand prints it
-      and the report probe-name audit iterates it, so a probe that
-      escapes the [<rep>.<metric>] convention fails both the same way. *)
+  (** Every registered probe as [(name, kind)], sorted by name; the kind
+      is always ["counter"], the one probe statistic. The single source
+      of truth for probe listings: the [optik_bench probes] subcommand
+      prints it and the report probe-name audit iterates it, so a probe
+      that escapes the [<rep>.<metric>] convention fails both the same
+      way. *)
   let all () =
     Mutex.protect reg_mutex (fun () ->
-        let cs =
-          Hashtbl.fold (fun name _ acc -> (name, "counter") :: acc) counters []
-        in
-        Hashtbl.fold (fun name _ acc -> (name, "histogram") :: acc) histograms cs)
+        Hashtbl.fold (fun name _ acc -> (name, "counter") :: acc) counters [])
     |> List.sort compare
 
   (** Alias with the fleet-reset naming convention: probe cells are

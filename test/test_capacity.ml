@@ -12,8 +12,10 @@ module Sched = Sim.Sched
 let test_10k_threads () =
   let nthreads = 10_000 in
   let topology = Sim.Topology.uniform ~n:4 () in
-  let group = Rt.Group.fresh () in
-  let locs = Array.init 64 (fun _ -> Sched.loc_packed ~group 0) in
+  let first = Sched.loc 0 in
+  let locs =
+    Array.init 64 (fun i -> if i = 0 then first else Sched.loc_with first 0)
+  in
   let run () =
     Harness.Runner.run_guarded ~topology ~nthreads ~ops_target:30_000
       (fun tid ->

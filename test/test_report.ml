@@ -376,8 +376,7 @@ let test_optik_reps_instrumented () =
 
 (* Iterates [Probe.all] — the same registry rows the [optik_bench probes]
    subcommand prints — so a probe that escapes the naming convention
-   fails this audit and that listing identically. Covers histograms too:
-   their names feed the same report paths. *)
+   fails this audit and that listing identically. *)
 let test_counter_naming_convention () =
   List.iter
     (fun (name, _kind) ->

@@ -17,11 +17,11 @@ let test_atomic_basics () =
   Alcotest.(check int) "exchange returns old" 11 (N.exchange a 1);
   Alcotest.(check int) "exchange applied" 1 (N.get a)
 
-let test_packed_and_with_are_plain_atomics () =
+let test_layout_hints_are_plain_atomics () =
   (* on the native backend the layout hints are no-ops *)
-  let a = N.atomic_packed ~streaming:true ~group:3 42 in
+  let a = N.atomic ~streaming:true 42 in
   let b = N.atomic_with a 7 in
-  Alcotest.(check int) "packed" 42 (N.get a);
+  Alcotest.(check int) "streaming" 42 (N.get a);
   Alcotest.(check int) "with" 7 (N.get b);
   Alcotest.(check bool) "independent" true (N.cas b 7 8 && N.get a = 42)
 
@@ -57,7 +57,6 @@ let test_counters () =
   N.Probe.incr c;
   N.Probe.add c 4;
   Alcotest.(check int) "value" 5 (N.Probe.count c);
-  Alcotest.(check string) "name" "test_rt.counter" (N.Probe.counter_name c);
   (* same name = same counter *)
   let c' = N.Probe.counter "test_rt.counter" in
   N.Probe.incr c';
@@ -90,52 +89,6 @@ let test_probe_noops () =
   Alcotest.(check int) "with_site returns" 7 (N.Probe.with_site "x" (fun () -> 7));
   Alcotest.(check bool) "span re-raises" true
     (try N.Probe.span "s" (fun () -> failwith "boom") with Failure _ -> true)
-
-let test_histogram_buckets () =
-  N.Probe.reset_all ();
-  let h = N.Probe.histogram "test_rt.hist" in
-  Alcotest.(check string) "name" "test_rt.hist" (N.Probe.histogram_name h);
-  Alcotest.(check (list (triple int int int))) "empty" [] (N.Probe.buckets h);
-  (* bucket 0 holds everything <= 0; bucket i holds [2^(i-1), 2^i) *)
-  N.Probe.observe h 0;
-  N.Probe.observe h (-5);
-  N.Probe.observe h 1;
-  N.Probe.observe h 2;
-  N.Probe.observe h 3;
-  N.Probe.observe h 4;
-  N.Probe.observe h max_int;
-  Alcotest.(check (list (triple int int int)))
-    "bucket edges"
-    [ (0, 0, 2); (1, 1, 1); (2, 3, 2); (4, 7, 1); ((max_int / 2) + 1, max_int, 1) ]
-    (N.Probe.buckets h)
-
-let test_histogram_same_name_shares_cells () =
-  N.Probe.reset_all ();
-  let h = N.Probe.histogram "test_rt.hist2" in
-  let h' = N.Probe.histogram "test_rt.hist2" in
-  N.Probe.observe h 10;
-  N.Probe.observe h' 10;
-  Alcotest.(check (list (triple int int int)))
-    "shared" [ (8, 15, 2) ] (N.Probe.buckets h)
-
-(* The bucketing helper itself, on the extremes. *)
-let test_hbucket_index () =
-  let module Hb = Rt.Rt_intf.Hbucket in
-  Alcotest.(check int) "0 -> bucket 0" 0 (Hb.index 0);
-  Alcotest.(check int) "min_int -> bucket 0" 0 (Hb.index min_int);
-  Alcotest.(check int) "1 -> bucket 1" 1 (Hb.index 1);
-  Alcotest.(check int) "2 -> bucket 2" 2 (Hb.index 2);
-  Alcotest.(check int) "3 -> bucket 2" 2 (Hb.index 3);
-  Alcotest.(check int) "4 -> bucket 3" 3 (Hb.index 4);
-  Alcotest.(check int) "max_int -> last bucket" (Hb.n_buckets - 1)
-    (Hb.index max_int);
-  (* every bucket contains its own bounds *)
-  for i = 0 to Hb.n_buckets - 1 do
-    Alcotest.(check int) (Printf.sprintf "lo of bucket %d" i) i
-      (Hb.index (Hb.lo i));
-    Alcotest.(check int) (Printf.sprintf "hi of bucket %d" i) i
-      (Hb.index (Hb.hi i))
-  done
 
 (* Backoff growth is observable through the simulator's clock. *)
 let test_backoff_grows () =
@@ -218,7 +171,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_atomic_basics;
           Alcotest.test_case "layout hints are no-ops" `Quick
-            test_packed_and_with_are_plain_atomics;
+            test_layout_hints_are_plain_atomics;
           Alcotest.test_case "cas is physical" `Quick test_cas_is_physical;
         ] );
       ( "thread identity",
@@ -230,12 +183,6 @@ let () =
             test_counters_concurrent;
           Alcotest.test_case "events and spans are no-ops" `Quick
             test_probe_noops;
-          Alcotest.test_case "histogram bucket edges" `Quick
-            test_histogram_buckets;
-          Alcotest.test_case "histogram shared by name" `Quick
-            test_histogram_same_name_shares_cells;
-          Alcotest.test_case "hbucket index extremes" `Quick
-            test_hbucket_index;
         ] );
       ( "backoff",
         [

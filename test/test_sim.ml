@@ -1,6 +1,6 @@
 (* Tests for the deterministic multicore simulator: event heap,
    topologies, determinism, contention behaviour, preemption windows,
-   packed cache lines and run control. *)
+   co-located cache lines and run control. *)
 
 module Sched = Sim.Sched
 module Topology = Sim.Topology
@@ -374,15 +374,14 @@ let test_slow_path_pinned () =
   Alcotest.(check (pair int int)) "final cells" (441, 234) (read a, read b)
 
 (* ------------------------------------------------------------------ *)
-(* Packed lines                                                        *)
+(* Co-located lines                                                    *)
 
-let test_packed_lines_share_state () =
+let test_colocated_lines_share_state () =
   (* Two locations on the same line: writing one invalidates the other
      for a remote reader, i.e. reading the second is a hit after reading
      the first. *)
-  let g = Rt.Group.fresh () in
-  let a = Sched.loc_packed ~group:g 1 in
-  let b = Sched.loc_packed ~group:g 2 in
+  let a = Sched.loc 1 in
+  let b = Sched.loc_with a 2 in
   let costs = ref [] in
   ignore
     (Sched.run ~topology:Topology.xeon ~nthreads:1 (fun _ ->
@@ -488,8 +487,7 @@ let test_cost_model_basics () =
 let test_cost_streaming_vs_pointer () =
   (* same-thread cached reads: streaming lines cost 1 cycle, plain lines
      the full load-to-use latency *)
-  let g = Rt.Group.fresh () in
-  let arr = Sched.loc_packed ~streaming:true ~group:g 0 in
+  let arr = Sched.loc ~streaming:true 0 in
   let node = Sched.loc 0 in
   let dstream = ref 0 and dnode = ref 0 in
   ignore
@@ -598,7 +596,7 @@ let () =
       ( "memory model",
         [
           Alcotest.test_case "packed lines" `Quick
-            test_packed_lines_share_state;
+            test_colocated_lines_share_state;
           Alcotest.test_case "read slack safe" `Quick
             test_read_slack_determinism;
           Alcotest.test_case "cost model basics" `Quick test_cost_model_basics;
