@@ -1,6 +1,6 @@
 (* Tests for the array maps of §4.1: sequential model equivalence,
-   capacity behaviour, concurrent conservation, linearizability, and the
-   OPTIK map's no-locking fast paths. *)
+   capacity behaviour, concurrent conservation, linearizability, the
+   OPTIK map's no-locking fast paths and the slots' cache-line layout. *)
 
 module R = Harness.Registry
 
@@ -160,6 +160,46 @@ let test_eager_search_concurrent () =
   Alcotest.(check int) "no torn reads" 0 (Sim.Sched.read torn);
   Alcotest.(check bool) "valid" true (M.validate t)
 
+(* The Figure 6 array layout, priced by the simulator: [pairs_per_line]
+   = 4 slots share a streaming line, each key with its value, and slot 4
+   opens the next line. Every [after] runs in a fresh simulation (all
+   lines cold): once [a] has pulled its line in, reading [b] costs the
+   1-cycle cached-read discount exactly when [b] is on the same line, and
+   a full miss otherwise. *)
+let test_slot_layout () =
+  let module M = Dstruct.Maps.Optik_based (Sim.Sim_rt) in
+  let t = M.create ~capacity:8 () in
+  let after ?(via = []) a b =
+    let d = ref 0 in
+    ignore
+      (Sim.Sched.run ~topology:Sim.Topology.xeon ~nthreads:1 (fun _ ->
+           ignore (Sim.Sched.read a : int);
+           List.iter (fun l -> ignore (Sim.Sched.read l : int)) via;
+           let t0 = Sim.Sched.now () in
+           ignore (Sim.Sched.read b : int option);
+           d := Sim.Sched.now () - t0));
+    !d
+  in
+  let keys = t.M.keys and vals = t.M.vals in
+  for i = 0 to 7 do
+    Alcotest.(check int) (Printf.sprintf "key %d with its value" i) 1
+      (after keys.(i) vals.(i))
+  done;
+  for i = 1 to 3 do
+    Alcotest.(check int) (Printf.sprintf "slot %d on slot 0's line" i) 1
+      (after keys.(0) vals.(i));
+    Alcotest.(check int) (Printf.sprintf "slot %d on slot 4's line" (4 + i)) 1
+      (after keys.(4) vals.(4 + i))
+  done;
+  Alcotest.(check bool) "slot 4 opens a new line" true
+    (after keys.(3) vals.(4) > 1);
+  Alcotest.(check bool) "slot 3 is not on slot 4's line" true
+    (after keys.(4) vals.(3) > 1);
+  (* streaming: a cached slot still reads in 1 cycle after another line
+     was touched in between, where a pointer line pays the full hit *)
+  Alcotest.(check int) "lines are streaming" 1
+    (after ~via:[ keys.(4) ] keys.(0) vals.(0))
+
 let () =
   Alcotest.run "maps"
     [
@@ -178,4 +218,5 @@ let () =
           Alcotest.test_case "eager search concurrent" `Quick
             test_eager_search_concurrent;
         ] );
+      ("layout", [ Alcotest.test_case "slot lines" `Quick test_slot_layout ]);
     ]
