@@ -38,12 +38,11 @@
 
     {b Isolation.} All of the simulator's mutable world state — current
     scheduler/thread, the line counter, the fault hook, noise width, the
-    arena and the event heap — lives in
-    one domain-local instance ({!dstate}). Each OCaml domain therefore
-    carries an independent simulator: a fleet runner can farm seeded
-    trials across real domains and each behaves exactly like a fresh
-    process, which is what keeps fleet output byte-identical to serial
-    output. *)
+    arena and the event heap — lives in one domain-local instance
+    ({!dstate}). Each OCaml domain therefore carries an independent
+    simulator: a fleet runner can farm seeded trials across real domains
+    and each behaves exactly like a fresh process, which is what keeps
+    fleet output byte-identical to serial output. *)
 
 exception Crashed
 (* Raised at a fault checkpoint to kill the current virtual thread. The
