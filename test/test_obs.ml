@@ -86,6 +86,37 @@ let test_journal_contents () =
   in
   Alcotest.(check int) "window series conserves ops" journal_ops windows_ops
 
+(* The runner journals one [runner.op-cycles] sample per measured op, each
+   the op's latency in cycles: the trace carries per-op latency without a
+   probe histogram. *)
+let test_op_cycle_samples () =
+  let m = run_once ~record_obs:true () in
+  let samples =
+    Array.fold_left
+      (fun acc (e : Obs.Journal.entry) ->
+        match e.kind with
+        | Obs.Journal.Sample ("runner.op-cycles", d) -> d :: acc
+        | _ -> acc)
+      [] (summary_of m).Obs.Profile.s_record.Obs.Journal.entries
+  in
+  Alcotest.(check int) "one sample per op" m.Harness.Runner.ops
+    (List.length samples);
+  Alcotest.(check bool) "every op takes cycles" true
+    (List.for_all (fun d -> d > 0) samples)
+
+(* Counters are the one probe statistic: after a run every registered
+   probe lists as a counter, and the runner's per-op latency is a trace
+   sample, not a registered probe. *)
+let test_probes_are_counters () =
+  ignore (run_once ~record_obs:true ());
+  let all = Sim.Sim_rt.Probe.all () in
+  Alcotest.(check bool) "probes registered" true (all <> []);
+  List.iter
+    (fun (name, kind) -> Alcotest.(check string) name "counter" kind)
+    all;
+  Alcotest.(check bool) "op latency is not a probe" false
+    (List.mem_assoc "runner.op-cycles" all)
+
 (* Chrome exporter: every "B" has a matching "E" (critical sections are
    synthesized from checkpoint pairs; leftovers are auto-closed). *)
 let test_chrome_spans_balanced () =
@@ -144,6 +175,9 @@ let () =
             test_hotlines_attributed;
           Alcotest.test_case "journal totals consistent" `Quick
             test_journal_contents;
+          Alcotest.test_case "op-cycle samples" `Quick test_op_cycle_samples;
+          Alcotest.test_case "probes are counters" `Quick
+            test_probes_are_counters;
         ] );
       ( "exporters",
         [
