@@ -375,6 +375,15 @@ let to_string tr =
     tr.t_noise_bits tr.t_wseed
     (Fault.to_string tr.t_plan)
 
+(* The largest key count a structure trial accepts. A trial prefills
+   [keys / 2] keys one simulated operation at a time, so a sorted list's
+   prefill grows with the square of [keys] (k20000 takes about half a
+   second), and array maps and hash tables allocate [4 * keys + 16]
+   slots up front. 4096 keeps the worst prefill to a few hundredths of a
+   second and the largest table to about 16k slots, while the fuzzer
+   draws at most 7 keys and every pinned trial uses at most that. *)
+let max_keys = 4096
+
 let of_string entries =
   parse
     ~head:(fun name topo ->
@@ -411,6 +420,8 @@ let of_string entries =
       check_threads tr.t_threads;
       check_positive "ops" tr.t_ops;
       check_positive "keys" tr.t_keys;
+      if tr.t_keys > max_keys then
+        parse_error "keys must be at most %d, got %d" max_keys tr.t_keys;
       if tr.t_quantum < 1 then
         parse_error "quantum must be positive, got %d" tr.t_quantum;
       if tr.t_read_slack < 0 then

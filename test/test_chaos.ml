@@ -110,6 +110,9 @@ let test_trial_string_errors () =
   (* The bounds themselves parse. *)
   ignore (S.of_string (t ^ ";crash@lock-wait,t1,h1") : Chaos.trial);
   ignore
+    (S.of_string "stack/treiber@opteron t2 o4 k4096 q20000 r0 n0 w1 f1"
+      : Chaos.trial);
+  ignore
     (S.of_string
        "stack/treiber@opteron t128 o4 k2 q1 r0 n62 w1 f1;crash@op-boundary,t127"
       : Chaos.trial);
@@ -336,6 +339,18 @@ let pinned_passes =
      f903285;storm(659)@restart,h3";
   ]
 
+(* A key count past [keys]' bound is a grammar error naming the field:
+   before the bound, the list trial's quadratic prefill ran for seconds
+   on end and the map trial died allocating its slot array. *)
+let huge_keys_case s =
+  let structure = List.hd (String.split_on_char '@' s) in
+  Alcotest.test_case (structure ^ " rejects a huge key count") `Quick (fun () ->
+      match All.of_string s with
+      | (_ : Chaos.trial) -> Alcotest.failf "expected parse error for %S" s
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "error"
+            "Chaos.of_string: keys must be at most 4096, got 999999999999" msg)
+
 let pinned_pass_case s =
   let structure = List.hd (String.split_on_char '@' s) in
   Alcotest.test_case ("pinned " ^ structure ^ " replay passes") `Quick (fun () ->
@@ -409,7 +424,12 @@ let () =
       ( "all structures",
         Alcotest.test_case "all_entries covers the registry" `Quick
           test_all_entries_cover_registry
-        :: List.map pinned_pass_case pinned_passes );
+        :: List.map pinned_pass_case pinned_passes
+        @ List.map huge_keys_case
+            [
+              "list/optik@u4 t2 o2 k999999999999 q20000 r0 n62 w1 f1";
+              "map/mcs@u4 t2 o2 k999999999999 q20000 r0 n62 w1 f1";
+            ] );
       ( "harris crash residue",
         [
           Alcotest.test_case "pinned ht/harris replay passes" `Quick
