@@ -91,31 +91,6 @@ let soak_output () =
   done;
   Buffer.contents b
 
-(* The figures engine in a tiny mode: the rendered figures and claims of
-   every experiment except fig9-fig11, then the run report of their
-   measurements. Those three prefill lists and skip lists of up to 65536
-   keys whatever the mode, which would take minutes. Like a fresh
-   [optik_bench figures] process, it starts from a pristine world. *)
-let figures_output () =
-  Harness.World.reset ();
-  let tiny =
-    { Figures.Experiments.threads_of = (fun _ -> [ 1; 4 ]); ops_scale = 0.02;
-      seed = 42 }
-  in
-  let ids =
-    List.filter
-      (fun id -> not (List.mem id [ "fig9"; "fig10"; "fig11" ]))
-      Figures.Experiments.all_ids
-  in
-  let b = Buffer.create 65536 in
-  let out l = Buffer.add_string b l; Buffer.add_char b '\n' in
-  let runs = Figures.Experiments.run tiny out ids in
-  Buffer.add_string b
-    (Obs.Report.to_string
-       (Harness.Report.make ~subcommand:"figures" ~seed:(Some 42) ~params:[]
-          runs));
-  Buffer.contents b
-
 (* Trace exports of a recorded run: the Chrome trace_event JSON and the
    JSONL journal must both be byte-stable. *)
 let trace_outputs () =
@@ -166,23 +141,55 @@ let diff_output () =
   | Ok text -> text
   | Error e -> Alcotest.failf "diff failed: %s" e
 
+(* ------------------------------------------------------------------ *)
+(* The pin ledger                                                      *)
+
+(* One row of [ledger.txt]: a seeded run, or a block of rendered text,
+   with its metrics. [md5] digests the row's own output bytes; a run's
+   counters sit next to it so that a moved row says what moved. *)
+type row = { section : string; name : string; metrics : (string * string) list }
+
+let ledger_file = "ledger.txt"
+
+let run_row section name (m : Harness.Runner.measurement) bytes =
+  let i = string_of_int in
+  {
+    section;
+    name;
+    metrics =
+      [
+        ("ops", i m.ops);
+        ("wall_us", Printf.sprintf "%.4f" (m.wall_s *. 1e6));
+        ("accesses", i (m.reads + m.writes + m.cas + m.faa));
+        ("events", i m.events);
+        ("cas", i m.cas);
+        ("cas_failed", i m.cas_failed);
+        ("md5", digest bytes);
+      ];
+  }
+
+let text_row section name bytes =
+  { section; name; metrics = [ ("md5", digest bytes) ] }
+
 (* One small seeded run of every registered structure, hot-line sites
    included, each from a pristine world: a change to any structure's
-   accesses, allocation order, allocation sites or probes moves it. It
-   covers the fig9-fig11 lists, hash tables and skip lists that
-   [golden_figures] leaves out, and runs the java tables a second time
-   on a single bucket, where their segment grows during the run. *)
-let structures_output () =
+   accesses, allocation order, allocation sites or probes moves its row.
+   It covers the fig9-fig11 lists, hash tables and skip lists that the
+   figure rows leave out, and runs the java tables a second time on a
+   single bucket, where their segment grows during the run. A row's
+   bytes are the run's report entry. *)
+let structure_rows () =
   let module S = R.Sim_backend in
   let module Run = Harness.Runner in
   let topology = Sim.Topology.xeon and nthreads = 4 and ops = 2_000 in
   let seed = 7 in
-  let b = Buffer.create 65536 in
   let entry id run =
     Harness.World.reset ();
-    Buffer.add_string b
-      (Obs.Report.to_string (Harness.Report.run_entry ~id (run ())));
-    Buffer.add_char b '\n'
+    let m = run () in
+    let bytes =
+      Obs.Report.to_string (Harness.Report.run_entry ~id m) ^ "\n"
+    in
+    (run_row "structures" id m bytes, bytes)
   in
   let set family ?capacity ?(suffix = "") (module St : R.SET_OPS) =
     let w = Run.uniform_workload ?capacity ~init_size:64 ~update_pct:40 () in
@@ -190,29 +197,203 @@ let structures_output () =
         Run.run_set_sim ~topology ~nthreads ~ops ~seed ~record_obs:true
           (module St) w)
   in
-  List.iter
-    (fun (family, sets) -> List.iter (set family) sets)
+  List.concat_map
+    (fun (family, sets) -> List.map (set family) sets)
     [
       ("map", S.maps);
       ("list", S.lists);
       ("hashtable", S.ht_harris :: S.hashtables);
       ("skiplist", S.skiplists);
       ("bst", S.bsts);
-    ];
-  List.iter (set "hashtable" ~capacity:1 ~suffix:"@1") [ S.ht_java; S.ht_java_optik ];
-  List.iter
-    (fun (module Qu : R.QUEUE_OPS) ->
-      entry ("queue/" ^ Qu.name) (fun () ->
-          Run.run_queue_sim ~topology ~nthreads ~ops ~seed ~record_obs:true
-            ~enqueue_pct:50 (module Qu)))
-    S.queues;
-  List.iter
-    (fun (module St : R.STACK_OPS) ->
-      entry ("stack/" ^ St.name) (fun () ->
-          Run.run_stack_sim ~topology ~nthreads ~ops ~seed ~record_obs:true
-            ~push_pct:50 (module St)))
-    S.stacks;
-  Buffer.contents b
+    ]
+  @ List.map (set "hashtable" ~capacity:1 ~suffix:"@1") [ S.ht_java; S.ht_java_optik ]
+  @ List.map
+      (fun (module Qu : R.QUEUE_OPS) ->
+        entry ("queue/" ^ Qu.name) (fun () ->
+            Run.run_queue_sim ~topology ~nthreads ~ops ~seed ~record_obs:true
+              ~enqueue_pct:50 (module Qu)))
+      S.queues
+  @ List.map
+      (fun (module St : R.STACK_OPS) ->
+        entry ("stack/" ^ St.name) (fun () ->
+            Run.run_stack_sim ~topology ~nthreads ~ops ~seed ~record_obs:true
+              ~push_pct:50 (module St)))
+      S.stacks
+
+(* The lines of [s], each with its newline but an unterminated last. *)
+let lines_of s =
+  match List.rev (String.split_on_char '\n' s) with
+  | last :: rest ->
+      List.rev_map (fun l -> l ^ "\n") rest @ if last = "" then [] else [ last ]
+  | [] -> []
+
+(* Cut a report into the bytes before its runs, each run's bytes (the
+   separating comma included) and the bytes after them. The printer puts
+   each run object of the [runs] array between a line ["    {"] and a
+   line ["    }"] or ["    },"]. *)
+let split_report report =
+  let is_prefix p l =
+    String.length l >= String.length p && String.sub l 0 (String.length p) = p
+  in
+  let rec head acc = function
+    | l :: rest when l = "  \"runs\": [\n" -> (String.concat "" (List.rev (l :: acc)), rest)
+    | l :: rest -> head (l :: acc) rest
+    | [] -> Alcotest.fail "report has no runs array"
+  in
+  let rec runs acc cur = function
+    | l :: rest when is_prefix "    }" l ->
+        runs (String.concat "" (List.rev (l :: cur)) :: acc) [] rest
+    | l :: rest when cur = [] && not (is_prefix "    {" l) ->
+        (List.rev acc, String.concat "" (l :: rest))
+    | l :: rest -> runs acc (l :: cur) rest
+    | [] -> Alcotest.fail "report ends inside its runs array"
+  in
+  let h, rest = head [] (lines_of report) in
+  let rs, tail = runs [] [] rest in
+  (h, rs, tail)
+
+(* The figures engine in a tiny mode: the rendered figures of every
+   experiment except fig9-fig11, the claims, then the run report of
+   their measurements, one row per run. fig9-fig11 prefill lists and
+   skip lists of up to 65536 keys whatever the mode, which would take
+   minutes. Like a fresh [optik_bench figures] process, it starts from
+   a pristine world. *)
+let figure_rows () =
+  Harness.World.reset ();
+  let tiny =
+    { Figures.Experiments.threads_of = (fun _ -> [ 1; 4 ]); ops_scale = 0.02;
+      seed = 42 }
+  in
+  let ids =
+    List.filter
+      (fun id -> not (List.mem id [ "fig9"; "fig10"; "fig11" ]))
+      Figures.Experiments.all_ids
+  in
+  let b = Buffer.create 65536 in
+  let out l = Buffer.add_string b l; Buffer.add_char b '\n' in
+  let texts = ref [] and mark = ref 0 in
+  let cut name =
+    let bytes = Buffer.sub b !mark (Buffer.length b - !mark) in
+    mark := Buffer.length b;
+    (text_row "figures" name bytes, bytes)
+  in
+  let around id f =
+    let claims = f () in
+    texts := cut ("text/" ^ id) :: !texts;
+    claims
+  in
+  let runs = Figures.Experiments.run tiny ~around out ids in
+  let claims = cut "claims" in
+  let report =
+    Obs.Report.to_string
+      (Harness.Report.make ~subcommand:"figures" ~seed:(Some 42) ~params:[]
+         runs)
+  in
+  let head, entries, tail = split_report report in
+  if List.length entries <> List.length runs then
+    Alcotest.failf "report has %d runs, expected %d" (List.length entries)
+      (List.length runs);
+  List.rev !texts
+  @ [ claims; (text_row "figures" "report-head" head, head) ]
+  @ List.map2
+      (fun (id, m) bytes -> (run_row "figures" id m bytes, bytes))
+      runs entries
+  @ [ (text_row "figures" "report-tail" tail, tail) ]
+
+(* The simulated counts of hostperf's workloads, each from a pristine
+   world. fleet/chaos-quick counts trials on worker domains, whose
+   accesses and events are not kept, so only its host rate means
+   anything. *)
+let hostperf_rows () =
+  List.filter_map
+    (fun (s : Host_bench.spec) ->
+      if s.s_name = "fleet/chaos-quick" then None
+      else begin
+        Harness.World.reset ();
+        let r = s.s_run () in
+        let i = string_of_int in
+        Some
+          {
+            section = "hostperf";
+            name = s.s_name;
+            metrics =
+              [
+                ("ops", i r.r_ops);
+                ("accesses", i r.r_accesses);
+                ("events", i r.r_events);
+              ];
+          }
+      end)
+    Host_bench.specs
+
+let ledger_rows () =
+  List.map fst (structure_rows ()) @ List.map fst (figure_rows ())
+  @ hostperf_rows ()
+
+(* A row is one line: section, name, then [metric=value] pairs. *)
+let row_line r =
+  String.concat " "
+    (Printf.sprintf "%-10s %-36s" r.section r.name
+    :: List.map (fun (k, v) -> k ^ "=" ^ v) r.metrics)
+
+let ledger_header =
+  "# The pin ledger: one row per seeded run of test/test_digest.ml.\n\
+   # <section> <row> <metric>=<value> ...; md5 digests the row's output bytes.\n\
+   # Regenerate from the repository root with\n\
+   #   GOLDEN_PRINT=1 dune exec test/test_digest.exe\n\
+   # and only for an intended change: the rows it moves say what changed.\n"
+
+let ledger_text rows =
+  ledger_header ^ String.concat "" (List.map (fun r -> row_line r ^ "\n") rows)
+
+let parse_ledger text =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun l ->
+         match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+         | [] -> None
+         | t :: _ when t.[0] = '#' -> None
+         | section :: name :: kvs ->
+             let kv t =
+               match String.index_opt t '=' with
+               | Some i ->
+                   (String.sub t 0 i, String.sub t (i + 1) (String.length t - i - 1))
+               | None -> Alcotest.failf "ledger: bad metric %S in %S" t l
+             in
+             Some { section; name; metrics = List.map kv kvs }
+         | _ -> Alcotest.failf "ledger: bad line %S" l)
+
+(* Every difference between two ledgers, one line each: a moved metric
+   with its old and new values, a missing or an extra row by name, and
+   rows that hold but appear in another order. *)
+let compare_ledgers ~old ~now =
+  let key r = r.section ^ " " ^ r.name in
+  let find rows k = List.find_opt (fun r -> key r = k) rows in
+  let changes =
+    List.concat_map
+      (fun o ->
+        match find now (key o) with
+        | None -> [ "missing " ^ key o ]
+        | Some n ->
+            let metric m rows = Option.value ~default:"-" (List.assoc_opt m rows) in
+            let names =
+              List.map fst o.metrics
+              @ List.filter (fun m -> not (List.mem_assoc m o.metrics))
+                  (List.map fst n.metrics)
+            in
+            List.filter_map
+              (fun m ->
+                let a = metric m o.metrics and b = metric m n.metrics in
+                if a = b then None
+                else Some (Printf.sprintf "moved   %s %s: %s -> %s" (key o) m a b))
+              names)
+      old
+    @ List.filter_map
+        (fun n -> if find old (key n) = None then Some ("extra   " ^ key n) else None)
+        now
+  in
+  if changes = [] && List.map key old <> List.map key now then
+    [ "order   the rows hold but appear in another order" ]
+  else changes
 
 (* ------------------------------------------------------------------ *)
 (* Recorded digests (pre-PR-4 engine)                                  *)
@@ -269,11 +450,77 @@ let test_services () =
   check_digest "txn broken replay" golden_txn_broken (txn_broken_output ())
 let test_soak () = check_digest "soak sweep" golden_soak (soak_output ())
 
+let figures_output () = String.concat "" (List.map snd (figure_rows ()))
+let structures_output () = String.concat "" (List.map snd (structure_rows ()))
+
 let test_figures () =
   check_digest "figures" golden_figures (figures_output ())
 
 let test_structures () =
   check_digest "structures" golden_structures (structures_output ())
+
+(* The hostperf rows carry the counts BENCH_sim.json records. *)
+let test_hostperf_counts () =
+  let baseline = In_channel.with_open_text "../BENCH_sim.json" In_channel.input_all in
+  List.iter
+    (fun r ->
+      let rs = Host_bench.baseline_rows baseline in
+      let row =
+        List.find
+          (fun j -> Obs.Report.(Option.bind (member "name" j) to_str) = Some r.name)
+          rs
+      in
+      List.iter
+        (fun (k, v) ->
+          Alcotest.(check (option int)) (r.name ^ " " ^ k) (int_of_string_opt v)
+            Obs.Report.(Option.bind (member k row) to_int))
+        r.metrics)
+    (hostperf_rows ())
+
+let read_ledger () =
+  parse_ledger (In_channel.with_open_text ledger_file In_channel.input_all)
+
+(* The ledger recomputed from the code equals the committed one; on a
+   mismatch every moved, missing or extra row is named. *)
+let test_ledger () =
+  match compare_ledgers ~old:(read_ledger ()) ~now:(ledger_rows ()) with
+  | [] -> ()
+  | changes ->
+      Alcotest.failf "%d differences from test/%s:\n%s" (List.length changes)
+        ledger_file (String.concat "\n" changes)
+
+(* The comparer names exactly what differs: one changed metric of one
+   row, with its old and new values, and a removed or an added row. *)
+let test_ledger_negative () =
+  let rows = read_ledger () in
+  Alcotest.(check int) "the ledger round-trips" 0
+    (List.length (compare_ledgers ~old:rows ~now:(parse_ledger (ledger_text rows))));
+  let target r = r.section = "hostperf" && r.name = "hashtable/optik-gl" in
+  let accesses = List.assoc "accesses" (List.find target rows).metrics in
+  let bumped = string_of_int (int_of_string accesses + 1) in
+  let edited =
+    List.map
+      (fun r ->
+        if target r then
+          { r with
+            metrics =
+              List.map
+                (fun (k, v) -> (k, if k = "accesses" then bumped else v))
+                r.metrics }
+        else r)
+      rows
+  in
+  Alcotest.(check (list string)) "one moved metric"
+    [ Printf.sprintf "moved   hostperf hashtable/optik-gl accesses: %s -> %s"
+        bumped accesses ]
+    (compare_ledgers ~old:edited ~now:rows);
+  let without = List.filter (fun r -> not (target r)) rows in
+  Alcotest.(check (list string)) "a removed row"
+    [ "missing hostperf hashtable/optik-gl" ]
+    (compare_ledgers ~old:rows ~now:without);
+  Alcotest.(check (list string)) "an added row"
+    [ "extra   hostperf hashtable/optik-gl" ]
+    (compare_ledgers ~old:without ~now:rows)
 
 let test_traces () =
   let chrome, jsonl = trace_outputs () in
@@ -311,6 +558,10 @@ let () =
     Printf.printf "let golden_txn_broken = %S\n" (digest (txn_broken_output ()));
     Printf.printf "let golden_figures = %S\n" (digest (figures_output ()));
     Printf.printf "let golden_structures = %S\n" (digest (structures_output ()));
+    let path = Filename.concat "test" ledger_file in
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc (ledger_text (ledger_rows ())));
+    Printf.printf "wrote %s\n" path;
     exit 0
   end;
   Alcotest.run "digest"
@@ -327,5 +578,11 @@ let () =
           Alcotest.test_case "kv and txn streams" `Quick test_services;
           Alcotest.test_case "figures" `Quick test_figures;
           Alcotest.test_case "structures" `Quick test_structures;
+          Alcotest.test_case "hostperf counts" `Quick test_hostperf_counts;
+        ] );
+      ( "ledger",
+        [
+          Alcotest.test_case "recomputed" `Quick test_ledger;
+          Alcotest.test_case "negative control" `Quick test_ledger_negative;
         ] );
     ]
