@@ -217,22 +217,18 @@ let write_json path results =
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison                                                 *)
 
-(* The rows of a committed [BENCH_sim.json]; unparsable content has
-   none. *)
-let baseline_rows content =
-  let module J = Obs.Report in
-  match J.parse content with
-  | Ok j ->
-      Option.value ~default:[] (Option.bind (J.member "results" j) J.to_list)
-  | Error _ -> []
-
-let field k conv row = Option.bind (Obs.Report.member k row) conv
-
 (** Parse a committed [BENCH_sim.json] into
     [(name, ops_per_hs, accesses_per_hs)] rows; rows missing a field are
     skipped, and unparsable content has none. *)
 let parse_baseline content =
   let module J = Obs.Report in
+  let rows =
+    match J.parse content with
+    | Ok j ->
+        Option.value ~default:[] (Option.bind (J.member "results" j) J.to_list)
+    | Error _ -> []
+  in
+  let field k conv row = Option.bind (J.member k row) conv in
   List.filter_map
     (fun row ->
       match
@@ -242,7 +238,7 @@ let parse_baseline content =
       with
       | Some name, Some ops, Some acc -> Some (name, ops, acc)
       | _ -> None)
-    (baseline_rows content)
+    rows
 
 type regression = {
   g_name : string;
@@ -273,37 +269,6 @@ let check_baseline ~baseline ~tolerance_pct results =
           in
           check "ops_per_hs" (ops_per_hs r) b_ops
           @ check "accesses_per_hs" (accesses_per_hs r) b_acc)
-    results
-
-type mismatch = {
-  m_name : string;
-  m_field : string;  (** ["ops"], ["accesses"] or ["events"] *)
-  m_measured : int;
-  m_baseline : int;
-}
-
-(** The exact gate: the simulated side of every run is deterministic, so
-    any measured row whose [ops], [accesses] or [events] differ from the
-    baseline row of the same name is reported, field by field. Rows
-    present on one side only pass, as in {!check_baseline}. *)
-let check_counts ~baseline results =
-  let module J = Obs.Report in
-  let rows = baseline_rows baseline in
-  List.concat_map
-    (fun r ->
-      let same_name row = field "name" J.to_str row = Some r.r_name in
-      match List.find_opt same_name rows with
-      | None -> []
-      | Some row ->
-          List.filter_map
-            (fun (k, measured) ->
-              match field k J.to_int row with
-              | Some b when b <> measured ->
-                  Some
-                    { m_name = r.r_name; m_field = k; m_measured = measured;
-                      m_baseline = b }
-              | _ -> None)
-            [ ("ops", r.r_ops); ("accesses", r.r_accesses); ("events", r.r_events) ])
     results
 
 let pp_table ppf results =

@@ -1036,8 +1036,8 @@ let hostperf_cmd =
           ~doc:
             "Compare against a committed BENCH_sim.json and exit non-zero if \
              any workload's simulated-ops/host-sec or accesses/host-sec \
-             falls more than the tolerance below it, or if its simulated \
-             ops, accesses or events differ from it at all.")
+             falls more than the tolerance below it. The simulated counts \
+             are not compared here: test/ledger.txt pins them exactly.")
   in
   let tolerance =
     Arg.(
@@ -1073,11 +1073,9 @@ let hostperf_cmd =
             Host_bench.check_baseline ~baseline:content ~tolerance_pct:tolerance
               results
           in
-          let mismatches = Host_bench.check_counts ~baseline:content results in
-          if regressions = [] && mismatches = [] then
-            Printf.printf
-              "hostperf: within %.0f%% of baseline %s, simulated counts equal\n"
-              tolerance path;
+          if regressions = [] then
+            Printf.printf "hostperf: within %.0f%% of baseline %s\n" tolerance
+              path;
           List.iter
             (fun g ->
               Printf.eprintf
@@ -1086,15 +1084,7 @@ let hostperf_cmd =
                 g.Host_bench.g_name g.Host_bench.g_metric g.Host_bench.g_measured
                 g.Host_bench.g_floor tolerance)
             regressions;
-          List.iter
-            (fun m ->
-              Printf.eprintf
-                "hostperf COUNT MISMATCH: %s %s = %d, baseline %d (simulated \
-                 counts are deterministic and gated exactly)\n"
-                m.Host_bench.m_name m.Host_bench.m_field m.Host_bench.m_measured
-                m.Host_bench.m_baseline)
-            mismatches;
-          regressions <> [] || mismatches <> []
+          regressions <> []
     in
     (* Only the simulated side of hostperf is deterministic; host seconds
        stay out of the report (they live in --out / stderr). *)

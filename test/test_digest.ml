@@ -1,4 +1,4 @@
-(* Golden-digest determinism tests.
+(* Golden-digest determinism tests and the pin ledger.
 
    The simulator's seeded outputs are part of its contract: chaos repro
    strings, soak failure tuples and trace exports must stay byte-identical
@@ -12,16 +12,29 @@
      broken-commit txn trial (a failing verdict),
    - a soak-style randomized sweep summary (workload tuple + full stats),
    - a Chrome trace_event export and its JSONL twin,
-   - the figures engine's rendered output and run report in a tiny mode.
+   - a run report and the diff of two.
 
-   The digests were recorded before the PR-4 hot-path overhaul and must
-   survive it unchanged. If an *intentional* output-format change breaks
-   them, regenerate with:
+   The pin ledger, [test/ledger.txt], is the exact pin for the runs the
+   paper argues from, structure by structure. It has one row per
+   registered structure's small seeded run, per run of the figures engine
+   in a tiny mode (with each experiment's rendered text, the claims and
+   the report envelope as rows of their own), and per hostperf workload.
+   A row holds the run's ops, virtual wall time, accesses, events, CAS
+   and failed CAS where it has them, and the md5 of its own output bytes.
+   Those bytes, in ledger order, make up the whole structures and
+   figures output, so the ledger is as strict as one digest over it; the
+   hostperf rows are the simulated counts [BENCH_sim.json] also records,
+   for information. On a mismatch the test names every moved metric with
+   its old and new values, and every missing or extra row.
+
+   If an *intentional* change breaks a digest or moves ledger rows,
+   regenerate from the repository root with:
 
      GOLDEN_PRINT=1 dune exec test/test_digest.exe
 
-   and update the constants below — never update them to paper over an
-   unintended schedule change. *)
+   which prints the digests to paste below and rewrites [test/ledger.txt].
+   Never do so to paper over an unintended schedule change: read which
+   rows moved first. *)
 
 module R = Harness.Registry
 
@@ -186,10 +199,8 @@ let structure_rows () =
   let entry id run =
     Harness.World.reset ();
     let m = run () in
-    let bytes =
-      Obs.Report.to_string (Harness.Report.run_entry ~id m) ^ "\n"
-    in
-    (run_row "structures" id m bytes, bytes)
+    run_row "structures" id m
+      (Obs.Report.to_string (Harness.Report.run_entry ~id m) ^ "\n")
   in
   let set family ?capacity ?(suffix = "") (module St : R.SET_OPS) =
     let w = Run.uniform_workload ?capacity ~init_size:64 ~update_pct:40 () in
@@ -275,7 +286,7 @@ let figure_rows () =
   let cut name =
     let bytes = Buffer.sub b !mark (Buffer.length b - !mark) in
     mark := Buffer.length b;
-    (text_row "figures" name bytes, bytes)
+    text_row "figures" name bytes
   in
   let around id f =
     let claims = f () in
@@ -294,11 +305,9 @@ let figure_rows () =
     Alcotest.failf "report has %d runs, expected %d" (List.length entries)
       (List.length runs);
   List.rev !texts
-  @ [ claims; (text_row "figures" "report-head" head, head) ]
-  @ List.map2
-      (fun (id, m) bytes -> (run_row "figures" id m bytes, bytes))
-      runs entries
-  @ [ (text_row "figures" "report-tail" tail, tail) ]
+  @ [ claims; text_row "figures" "report-head" head ]
+  @ List.map2 (fun (id, m) bytes -> run_row "figures" id m bytes) runs entries
+  @ [ text_row "figures" "report-tail" tail ]
 
 (* The simulated counts of hostperf's workloads, each from a pristine
    world. fleet/chaos-quick counts trials on worker domains, whose
@@ -326,9 +335,7 @@ let hostperf_rows () =
       end)
     Host_bench.specs
 
-let ledger_rows () =
-  List.map fst (structure_rows ()) @ List.map fst (figure_rows ())
-  @ hostperf_rows ()
+let ledger_rows () = structure_rows () @ figure_rows () @ hostperf_rows ()
 
 (* A row is one line: section, name, then [metric=value] pairs. *)
 let row_line r =
@@ -425,13 +432,6 @@ let golden_kv_replay = "b63087980e479631c44410320aeaa0d3"
    commit clock stands still: both txn replays run snapshot audits. *)
 let golden_txn_replay = "4d9b470e51350815f3624b993f45e615"
 let golden_txn_broken = "61bf9b218226d4e3ea3d541f6cb4decf"
-(* Recorded in a fresh process from the code before the paper loops, the
-   figure grids and the figures driver were shared, which had to leave it
-   unchanged. *)
-let golden_figures = "626ef4a8b2e5ac51475031fd448f32c2"
-(* Re-recorded when Sl_optik.search stopped re-reading the level-0 link
-   after its walk (one shared read fewer per optik1/optik2 search). *)
-let golden_structures = "b955063f2c6732b025326e89c1400a94"
 
 (* ------------------------------------------------------------------ *)
 
@@ -449,33 +449,6 @@ let test_services () =
   check_digest "txn replay" golden_txn_replay (txn_replay_output ());
   check_digest "txn broken replay" golden_txn_broken (txn_broken_output ())
 let test_soak () = check_digest "soak sweep" golden_soak (soak_output ())
-
-let figures_output () = String.concat "" (List.map snd (figure_rows ()))
-let structures_output () = String.concat "" (List.map snd (structure_rows ()))
-
-let test_figures () =
-  check_digest "figures" golden_figures (figures_output ())
-
-let test_structures () =
-  check_digest "structures" golden_structures (structures_output ())
-
-(* The hostperf rows carry the counts BENCH_sim.json records. *)
-let test_hostperf_counts () =
-  let baseline = In_channel.with_open_text "../BENCH_sim.json" In_channel.input_all in
-  List.iter
-    (fun r ->
-      let rs = Host_bench.baseline_rows baseline in
-      let row =
-        List.find
-          (fun j -> Obs.Report.(Option.bind (member "name" j) to_str) = Some r.name)
-          rs
-      in
-      List.iter
-        (fun (k, v) ->
-          Alcotest.(check (option int)) (r.name ^ " " ^ k) (int_of_string_opt v)
-            Obs.Report.(Option.bind (member k row) to_int))
-        r.metrics)
-    (hostperf_rows ())
 
 let read_ledger () =
   parse_ledger (In_channel.with_open_text ledger_file In_channel.input_all)
@@ -556,8 +529,6 @@ let () =
     Printf.printf "let golden_kv_replay = %S\n" (digest (kv_replay_output ()));
     Printf.printf "let golden_txn_replay = %S\n" (digest (txn_replay_output ()));
     Printf.printf "let golden_txn_broken = %S\n" (digest (txn_broken_output ()));
-    Printf.printf "let golden_figures = %S\n" (digest (figures_output ()));
-    Printf.printf "let golden_structures = %S\n" (digest (structures_output ()));
     let path = Filename.concat "test" ledger_file in
     Out_channel.with_open_text path (fun oc ->
         output_string oc (ledger_text (ledger_rows ())));
@@ -576,9 +547,6 @@ let () =
           Alcotest.test_case "report diff" `Quick test_diff;
           Alcotest.test_case "self-stable" `Quick test_self_stable;
           Alcotest.test_case "kv and txn streams" `Quick test_services;
-          Alcotest.test_case "figures" `Quick test_figures;
-          Alcotest.test_case "structures" `Quick test_structures;
-          Alcotest.test_case "hostperf counts" `Quick test_hostperf_counts;
         ] );
       ( "ledger",
         [

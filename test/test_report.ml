@@ -456,33 +456,6 @@ let test_hostperf_baseline () =
   Alcotest.(check int) "garbage has no rows" 0
     (List.length (Host_bench.parse_baseline "{ not json"))
 
-(* The exact count gate: a committed row's simulated counts read back
-   unchanged, and a run whose accesses moved by one is reported with its
-   row and field. *)
-let test_hostperf_count_gate () =
-  let baseline = In_channel.with_open_text "../BENCH_sim.json" In_channel.input_all in
-  let r =
-    {
-      Host_bench.r_name = "hashtable/optik-gl";
-      r_threads = 16;
-      r_ops = 120015;
-      r_accesses = 780210;
-      r_events = 302532;
-      r_host_s = 0.3;
-    }
-  in
-  Alcotest.(check int) "committed counts match" 0
-    (List.length (Host_bench.check_counts ~baseline [ r ]));
-  match
-    Host_bench.check_counts ~baseline [ { r with r_accesses = r.r_accesses + 1 } ]
-  with
-  | [ m ] ->
-      Alcotest.(check string) "row" "hashtable/optik-gl" m.Host_bench.m_name;
-      Alcotest.(check string) "field" "accesses" m.Host_bench.m_field;
-      Alcotest.(check (pair int int)) "measured vs baseline" (780211, 780210)
-        (m.Host_bench.m_measured, m.Host_bench.m_baseline)
-  | ms -> Alcotest.failf "expected one mismatch, got %d" (List.length ms)
-
 let () =
   Alcotest.run "report"
     [
@@ -522,8 +495,6 @@ let () =
             test_harness_report_roundtrip;
           Alcotest.test_case "hostperf baseline parses" `Quick
             test_hostperf_baseline;
-          Alcotest.test_case "hostperf count gate" `Quick
-            test_hostperf_count_gate;
         ] );
       ( "coverage",
         [
