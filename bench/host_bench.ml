@@ -13,8 +13,11 @@
 
     Results serialize to [BENCH_sim.json], one result object per line;
     the committed baseline is read back with {!Obs.Report.parse} for the
-    CI gates: a tolerance on the host rates, exact equality on the
-    simulated counts. *)
+    CI gate, a tolerance on the host rates. The simulated counts there
+    are informational: the exact pin for them is the [hostperf] section
+    of the pin ledger [test/ledger.txt], which [test/test_digest.ml]
+    recomputes from {!specs}, each spec after [World.reset], and which
+    [GOLDEN_PRINT=1 dune exec test/test_digest.exe] rewrites. *)
 
 module R = Harness.Registry
 module Runner = Harness.Runner

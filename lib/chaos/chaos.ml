@@ -379,9 +379,10 @@ let to_string tr =
    [keys / 2] keys one simulated operation at a time, so a sorted list's
    prefill grows with the square of [keys] (k20000 takes about half a
    second), and array maps and hash tables allocate [4 * keys + 16]
-   slots up front. 4096 keeps the worst prefill to a few hundredths of a
-   second and the largest table to about 16k slots, while the fuzzer
-   draws at most 7 keys and every pinned trial uses at most that. *)
+   slots up front. At 4096 a two-op trial still replays in well under a
+   second (list/optik in 0.03 s, map/mcs, the slowest, in 0.4 s) and the
+   largest table has about 16k slots, while the fuzzer draws at most 7
+   keys and every pinned trial uses at most that. *)
 let max_keys = 4096
 
 let of_string entries =

@@ -339,9 +339,9 @@ let pinned_passes =
      f903285;storm(659)@restart,h3";
   ]
 
-(* A key count past [keys]' bound is a grammar error naming the field:
-   before the bound, the list trial's quadratic prefill ran for seconds
-   on end and the map trial died allocating its slot array. *)
+(* A key count above the grammar's bound is rejected by name: unbounded,
+   the list trial's quadratic prefill ran for seconds on end and the map
+   trial died allocating its slot array. *)
 let huge_keys_case s =
   let structure = List.hd (String.split_on_char '@' s) in
   Alcotest.test_case (structure ^ " rejects a huge key count") `Quick (fun () ->

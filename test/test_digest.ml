@@ -164,21 +164,23 @@ type row = { section : string; name : string; metrics : (string * string) list }
 
 let ledger_file = "ledger.txt"
 
-let run_row section name (m : Harness.Runner.measurement) bytes =
+(* The simulated counts hostperf reports. *)
+let count_metrics (r : Host_bench.result) =
   let i = string_of_int in
+  [ ("ops", i r.r_ops); ("accesses", i r.r_accesses); ("events", i r.r_events) ]
+
+let run_row section name (m : Harness.Runner.measurement) bytes =
   {
     section;
     name;
     metrics =
-      [
-        ("ops", i m.ops);
-        ("wall_us", Printf.sprintf "%.4f" (m.wall_s *. 1e6));
-        ("accesses", i (m.reads + m.writes + m.cas + m.faa));
-        ("events", i m.events);
-        ("cas", i m.cas);
-        ("cas_failed", i m.cas_failed);
-        ("md5", digest bytes);
-      ];
+      count_metrics (Host_bench.of_measurement name m)
+      @ [
+          ("wall_us", Printf.sprintf "%.4f" (m.wall_s *. 1e6));
+          ("cas", string_of_int m.cas);
+          ("cas_failed", string_of_int m.cas_failed);
+          ("md5", digest bytes);
+        ];
   }
 
 let text_row section name bytes =
@@ -231,37 +233,24 @@ let structure_rows () =
               ~push_pct:50 (module St)))
       S.stacks
 
-(* The lines of [s], each with its newline but an unterminated last. *)
-let lines_of s =
-  match List.rev (String.split_on_char '\n' s) with
-  | last :: rest ->
-      List.rev_map (fun l -> l ^ "\n") rest @ if last = "" then [] else [ last ]
-  | [] -> []
-
 (* Cut a report into the bytes before its runs, each run's bytes (the
-   separating comma included) and the bytes after them. The printer puts
-   each run object of the [runs] array between a line ["    {"] and a
-   line ["    }"] or ["    },"]. *)
+   comma after it included) and the bytes after them: together, the
+   whole report. The printer ends the [runs] array's opening line with
+   ["["], and each run object on a line that starts ["    }"]. *)
 let split_report report =
-  let is_prefix p l =
-    String.length l >= String.length p && String.sub l 0 (String.length p) = p
+  let chunks, tail =
+    List.fold_left
+      (fun (chunks, cur) l ->
+        let cur = cur ^ l ^ "\n" in
+        if l = "  \"runs\": [" || String.starts_with ~prefix:"    }" l then
+          (cur :: chunks, "")
+        else (chunks, cur))
+      ([], "")
+      (String.split_on_char '\n' (String.sub report 0 (String.length report - 1)))
   in
-  let rec head acc = function
-    | l :: rest when l = "  \"runs\": [\n" -> (String.concat "" (List.rev (l :: acc)), rest)
-    | l :: rest -> head (l :: acc) rest
-    | [] -> Alcotest.fail "report has no runs array"
-  in
-  let rec runs acc cur = function
-    | l :: rest when is_prefix "    }" l ->
-        runs (String.concat "" (List.rev (l :: cur)) :: acc) [] rest
-    | l :: rest when cur = [] && not (is_prefix "    {" l) ->
-        (List.rev acc, String.concat "" (l :: rest))
-    | l :: rest -> runs acc (l :: cur) rest
-    | [] -> Alcotest.fail "report ends inside its runs array"
-  in
-  let h, rest = head [] (lines_of report) in
-  let rs, tail = runs [] [] rest in
-  (h, rs, tail)
+  match List.rev chunks with
+  | head :: runs -> (head, runs, tail)
+  | [] -> Alcotest.fail "report has no runs array"
 
 (* The figures engine in a tiny mode: the rendered figures of every
    experiment except fig9-fig11, the claims, then the run report of
@@ -319,19 +308,8 @@ let hostperf_rows () =
       if s.s_name = "fleet/chaos-quick" then None
       else begin
         Harness.World.reset ();
-        let r = s.s_run () in
-        let i = string_of_int in
         Some
-          {
-            section = "hostperf";
-            name = s.s_name;
-            metrics =
-              [
-                ("ops", i r.r_ops);
-                ("accesses", i r.r_accesses);
-                ("events", i r.r_events);
-              ];
-          }
+          { section = "hostperf"; name = s.s_name; metrics = count_metrics (s.s_run ()) }
       end)
     Host_bench.specs
 
