@@ -18,9 +18,10 @@
    paper argues from, structure by structure. It has one row per
    registered structure's small seeded run, per run of the figures engine
    in a tiny mode (with each experiment's rendered text, the claims and
-   the report envelope as rows of their own), and per hostperf workload.
-   A row holds the run's ops, virtual wall time, accesses, events, CAS
-   and failed CAS where it has them, and the md5 of its own output bytes.
+   the report envelope as rows of their own), per hostperf workload, and
+   one for the transaction counters of the default txn workload. A row
+   holds the run's ops, virtual wall time, accesses, events, CAS and
+   failed CAS where it has them, and the md5 of its own output bytes.
    Those bytes, in ledger order, make up the whole structures and
    figures output, so the ledger is as strict as one digest over it; the
    hostperf rows are the simulated counts [BENCH_sim.json] also records,
@@ -313,7 +314,28 @@ let hostperf_rows () =
       end)
     Host_bench.specs
 
-let ledger_rows () = structure_rows () @ figure_rows () @ hostperf_rows ()
+(* The transaction manager's own counters at [txn]'s default workload:
+   a change to how often commits abort or snapshots retry moves this row
+   by name, whatever it does to the run's accesses. *)
+let txn_rows () =
+  let _, r = Txn.Workload.run Txn.Workload.default_config in
+  let i = string_of_int in
+  [
+    {
+      section = "txn";
+      name = "bank-ll";
+      metrics =
+        [
+          ("commits", i r.res_commits);
+          ("aborts", i r.res_aborts);
+          ("snapshots", i r.res_snapshots);
+          ("snapshot_retries", i r.res_snap_retries);
+        ];
+    };
+  ]
+
+let ledger_rows () =
+  structure_rows () @ figure_rows () @ hostperf_rows () @ txn_rows ()
 
 (* A row is one line: section, name, then [metric=value] pairs. *)
 let row_line r =
