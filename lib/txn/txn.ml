@@ -29,11 +29,14 @@
     the read set is the committed state before that ticket and needs no
     validation. Otherwise it checks the read set, keeps every read whose
     token still checks and re-reads only the stale ones (one
-    [txn.snapshot-retries] per round). Either way the clock read that
-    ends the round is the snapshot's exact serialization ticket [c]:
-    every read precedes it, every check follows it, and a stripe locked
-    or advanced across it fails its check. The serializability oracle
-    checks the audit against the replayed state after tickets [< c].
+    [txn.snapshot-retries] per round): at once after the first failed
+    round, and after one {!Rt.Backoff} wait, the jittered exponential
+    backoff every structure uses, after each later one. Either way the
+    clock read that ends the round is the snapshot's exact serialization
+    ticket [c]: every read precedes it, every check follows it, and a
+    stripe locked or advanced across it fails its check. The
+    serializability oracle checks the audit against the replayed state
+    after tickets [< c].
 
     Isolation holds between transactions only: plain [insert]/[delete]
     on a structure do not advance overlay versions, so keys under
@@ -50,7 +53,11 @@ let ph_validate = Obs.Tracectx.(span_name Validate)
 let ph_commit = Obs.Tracectx.(span_name Commit)
 let ph_backoff = Obs.Tracectx.(span_name Backoff)
 
+module Backoff = Rt.Backoff
+
 module Make (Rt : Rt.Rt_intf.RT) = struct
+  module B = Backoff.Make (Rt)
+
   type policy =
     | Optimistic  (** the real protocol *)
     | Broken_commit
@@ -65,9 +72,10 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
     | Broken_gate
         (** negative control: after a failed snapshot validation the next
             round's gate value is read when that round starts, after the
-            check and the backoff instead of before the check, so a commit
-            between a kept read's check and that clock read passes the
-            gate unvalidated — the audit oracle must catch this *)
+            check (and, from the second retry on, after the backoff)
+            instead of before the check, so a commit between a kept read's
+            check and that clock read passes the gate unvalidated — the
+            audit oracle must catch this *)
 
   (* One structure participating in transactions. Packed once at setup:
      the packed value itself (compared with [==]) keys the
@@ -311,7 +319,12 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       tickets [0 .. c-1]. Abort-free: a round whose reads a commit may
       have overlapped keeps every read whose token still checks, drops
       the stale ones and runs [f] again, so only the stale keys are
-      re-read (the kept ones answer as repeatable reads).
+      re-read (the kept ones answer as repeatable reads). The first retry
+      runs at once: it re-reads only the few stale keys, so its round is
+      short, and a wait would only widen the window a commit can land in.
+      Each later retry first waits [B.once] on the snapshot's own backoff
+      state, so a snapshot that keeps losing the race backs off with the
+      same jittered exponential every structure uses.
 
       The gate: [c] is the clock read after a round's reads. If it equals
       the previous gate value (the clock read before the first round, or
@@ -324,6 +337,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       read. *)
   let snapshot t (f : ctx -> 'a) : 'a * int =
     let ctx = { reads = []; writes = []; ro = true } in
+    let b = B.create () in
     let rec go attempt kept gate =
       let x = f ctx in
       let c = Rt.get t.clock in
@@ -342,9 +356,11 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       else begin
         ctx.reads <- valid;
         Rt.Probe.incr t.c_snap_retries;
-        Rt.Probe.span_begin ph_backoff;
-        t.backoff attempt;
-        Rt.Probe.span_end ph_backoff;
+        if attempt > 0 then begin
+          Rt.Probe.span_begin ph_backoff;
+          B.once b;
+          Rt.Probe.span_end ph_backoff
+        end;
         let gate =
           match t.policy with Broken_gate -> Rt.get t.clock | _ -> c
         in

@@ -221,10 +221,13 @@ let test_snapshot_is_consistent () =
    structure through [Logged] on simulated thread 0. Keys [1 .. n + 1]
    sit on [n + 1] different stripes (the structure has 16), and the
    snapshot spends 1000 cycles per key, so thread 1 commits one write to
-   key [writes] after the snapshot read two keys and before it reaches
-   the clock. Returns the snapshot's sum and point, the commit's ticket
-   and the manager. *)
-let snapshot_race ~n ~writes =
+   key [writes] after the snapshot made [a] reads and before it reaches
+   the clock, once for each [a] in [after] (default: two reads).
+   Counters start from zero. Returns the snapshot's sum and point, the
+   last commit's ticket, the manager, and thread 0's backoff waits from
+   the run's journal: the cycles each backoff span took, and the count
+   of restart checkpoints, which each {!Rt.Backoff} wait reports. *)
+let snapshot_race ?(after = [ 2 ]) ~n ~writes () =
   Dstruct.Sl_common.reset_states ();
   let (module S : R.SET_OPS) = W.rep_module "ll-optik" in
   let st = S.create ~capacity:64 () in
@@ -241,6 +244,8 @@ let snapshot_race ~n ~writes =
        (List.sort_uniq compare (List.init (n + 1) (fun i -> stripe (i + 1)))));
   let mgr = TX.create () in
   let reads = ref 0 and snap = ref None and ticket = ref (-1) in
+  Sim.Sim_rt.Probe.reset_all ();
+  Obs.Journal.start ();
   ignore
     (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:2 (fun tid ->
          if tid = 0 then
@@ -254,20 +259,37 @@ let snapshot_race ~n ~writes =
                       Sim.Sched.work 1_000
                     done;
                     !sum))
-         else begin
-           while !reads < 2 do
-             Sim.Sched.pause ()
-           done;
-           let (), t =
-             TX.atomically mgr (fun ctx ->
-                 let v = Option.get (TX.read ctx writer_obj writes) in
-                 TX.write ctx writer_obj writes (Some (v + 5)))
-           in
-           ticket := t
-         end)
+         else
+           List.iter
+             (fun a ->
+               while !reads < a do
+                 Sim.Sched.pause ()
+               done;
+               let (), t =
+                 TX.atomically mgr (fun ctx ->
+                     let v = Option.get (TX.read ctx writer_obj writes) in
+                     TX.write ctx writer_obj writes (Some (v + 5)))
+               in
+               ticket := t)
+             after)
       : Sim.Sched.stats);
+  let journal = Obs.Journal.stop () in
+  let backoff = Obs.Tracectx.(span_name Backoff) in
+  let waits, restarts, _ =
+    Array.fold_left
+      (fun (waits, restarts, opened) (e : Obs.Journal.entry) ->
+        if e.tid <> 0 then (waits, restarts, opened)
+        else
+          match e.kind with
+          | Obs.Journal.Span_begin s when s = backoff -> (waits, restarts, e.at)
+          | Obs.Journal.Span_end s when s = backoff ->
+              ((e.at - opened) :: waits, restarts, opened)
+          | Obs.Journal.Point Rt.Rt_intf.Restart -> (waits, restarts + 1, opened)
+          | _ -> (waits, restarts, opened))
+      ([], 0, 0) journal.Obs.Journal.entries
+  in
   let sum, c = Option.get !snap in
-  (sum, c, !ticket, mgr)
+  (sum, c, !ticket, mgr, (List.rev waits, restarts))
 
 (* A commit to a key the snapshot does not read moves the clock, so the
    gate sends the snapshot through one validation pass; every token
@@ -275,7 +297,7 @@ let snapshot_race ~n ~writes =
    that commit. *)
 let test_gate_validates_once () =
   let n = 15 in
-  let sum, c, ticket, mgr = snapshot_race ~n ~writes:(n + 1) in
+  let sum, c, ticket, mgr, _ = snapshot_race ~n ~writes:(n + 1) () in
   Alcotest.(check int) "one validation pass" n !checks;
   Alcotest.(check int) "no retry" 0 (count mgr.TX.c_snap_retries);
   Alcotest.(check int) "the sum is the preload" (100 * n) sum;
@@ -285,11 +307,15 @@ let test_gate_validates_once () =
 (* A failed snapshot validation re-reads only the stale entries: the
    retry re-reads key 1 alone, the sum is the state after the commit,
    and since no commit follows, the retry passes the gate unchecked at
-   the point right after the commit. *)
+   the point right after the commit. The first retry runs at once: no
+   cycle goes to a backoff wait before it. *)
 let test_retry_rereads_only_stale () =
   let n = 15 in
-  let sum, c, ticket, mgr = snapshot_race ~n ~writes:1 in
+  let sum, c, ticket, mgr, (waits, restarts) = snapshot_race ~n ~writes:1 () in
   Alcotest.(check int) "one snapshot retry" 1 (count mgr.TX.c_snap_retries);
+  Alcotest.(check int) "no cycle in a backoff wait" 0
+    (List.fold_left ( + ) 0 waits);
+  Alcotest.(check int) "no backoff episode" 0 restarts;
   Alcotest.(check (list int))
     "every key read once, then key 1 alone"
     (1 :: List.init n (fun i -> n - i))
@@ -298,6 +324,26 @@ let test_retry_rereads_only_stale () =
   Alcotest.(check int) "the sum is the state after the commit" ((100 * n) + 5)
     sum;
   Alcotest.(check int) "the point follows the commit" (ticket + 1) c
+
+(* A second commit to key 1 lands while the first retry re-reads it, so
+   the snapshot retries twice. Only the second retry waits, and it waits
+   one [Rt.Backoff] episode at the smallest budget: one 8-cycle pause
+   plus under two pauses of jitter. *)
+let test_second_retry_backs_off_once () =
+  let n = 15 in
+  let sum, c, ticket, mgr, (waits, restarts) =
+    snapshot_race ~after:[ 2; n + 1 ] ~n ~writes:1 ()
+  in
+  Alcotest.(check int) "two snapshot retries" 2 (count mgr.TX.c_snap_retries);
+  Alcotest.(check int) "one backoff episode" 1 restarts;
+  (match waits with
+  | [ w ] when w >= 8 && w < 24 -> ()
+  | _ ->
+      Alcotest.failf "expected one wait of 8 to 23 cycles, got [%s]"
+        (String.concat "; " (List.map string_of_int waits)));
+  Alcotest.(check int) "the sum is the state after both commits"
+    ((100 * n) + 10) sum;
+  Alcotest.(check int) "the point follows the last commit" (ticket + 1) c
 
 (* ------------------------------------------------------------------ *)
 (* Contended workload: determinism, oracle, negative control. *)
@@ -382,8 +428,8 @@ let test_broken_commit_fails () =
 (* A snapshot retry that trusts its kept reads without revalidating
    them returns audits no serialization point explains; the oracle must
    report exactly those, and no transfer. *)
-let audits_fail policy =
-  let _, r = W.run ~policy W.default_config in
+let audits_fail ?(seed = W.default_config.W.seed) policy =
+  let _, r = W.run ~policy { W.default_config with W.seed } in
   let o = r.W.res_oracle in
   Alcotest.(check bool) "oracle failed" false o.W.ok;
   Alcotest.(check bool) "snapshots retried" true (r.W.res_snap_retries > 0);
@@ -395,11 +441,13 @@ let audits_fail policy =
 
 let test_broken_snapshot_fails () = audits_fail W.T.Broken_snapshot
 
-(* A gate read when the next round starts, after the retry's check and
-   backoff, instead of before the check, lets a commit that lands
-   between a kept read's check and that clock read pass unvalidated: the
-   oracle must report those audits, and no transfer. *)
-let test_broken_gate_fails () = audits_fail W.T.Broken_gate
+(* A gate read when the next round starts, after the retry's check (and
+   its backoff, from the second retry on), instead of before the check,
+   lets a commit that lands between a kept read's check and that clock
+   read pass unvalidated: the oracle must report those audits, and no
+   transfer, at every seed tried. *)
+let test_broken_gate_fails () =
+  List.iter (fun seed -> audits_fail ~seed W.T.Broken_gate) [ 1; 3; 7; 42 ]
 
 (* ------------------------------------------------------------------ *)
 (* The oracle's contract on hand-built histories over two quiesced
@@ -1067,6 +1115,8 @@ let () =
             `Quick test_gate_validates_once;
           Alcotest.test_case "snapshot retry re-reads only stale keys"
             `Quick test_retry_rereads_only_stale;
+          Alcotest.test_case "snapshot's second retry backs off once"
+            `Quick test_second_retry_backs_off_once;
         ] );
       ( "determinism",
         [
