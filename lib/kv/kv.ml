@@ -534,16 +534,7 @@ let create (cfg : config) : t =
       ignore (store_put sh.primary.n_store key account_initial : bool);
       ignore (store_put sh.replica.n_store key account_initial : bool)
     done;
-  let t_mgr =
-    if transfers_on then
-      Some
-        (KT.create
-           ~backoff:(fun n ->
-             Sim.Sched.work
-               ((64 lsl min n 6) + (17 * (Sim.Sched.tid () + 1))))
-           ())
-    else None
-  in
+  let t_mgr = if transfers_on then Some (KT.create ()) else None in
   {
     cfg;
     shards;

@@ -17,10 +17,11 @@
       buffered writes are applied, a commit ticket is drawn from the
       manager's clock, and the handles are released version-advancing.
 
-    Failures release everything version-preserving ([revert]) and retry
-    the whole transaction: classic optimistic abort, counted under the
-    wasted-work taxonomy ([txn.aborts], split into [txn.vfail-txn-lock]
-    and [txn.vfail-txn-read]).
+    Failures release everything version-preserving ([revert]), wait a
+    bounded exponential number of cycles staggered by thread id, and
+    retry the whole transaction: classic optimistic abort, counted under
+    the wasted-work taxonomy ([txn.aborts], split into
+    [txn.vfail-txn-lock] and [txn.vfail-txn-read]).
 
     {e Read-only transactions never abort}: {!Make.snapshot} takes no
     locks and undoes nothing. It reads the manager's clock once before
@@ -137,7 +138,6 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
     policy : policy;
     clock : int Rt.atomic;  (** commit tickets; also the snapshot gate *)
     max_retries : int;
-    backoff : int -> unit;  (** called with the attempt number on abort *)
     c_commits : Rt.Probe.counter;
     c_snapshots : Rt.Probe.counter;
     c_aborts : Rt.Probe.counter;
@@ -151,13 +151,11 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
   (* Counters are created here, not at module initialization, so a
      process that never runs a transaction registers no [txn.*] probes
      (run reports and probe audits only see what actually ran). *)
-  let create ?(policy = Optimistic) ?(max_retries = max_int)
-      ?(backoff = fun _ -> ()) () =
+  let create ?(policy = Optimistic) ?(max_retries = max_int) () =
     {
       policy;
       clock = Rt.atomic 0;
       max_retries;
-      backoff;
       c_commits = Rt.Probe.counter "txn.commits";
       c_snapshots = Rt.Probe.counter "txn.snapshots";
       c_aborts = Rt.Probe.counter "txn.aborts";
@@ -294,7 +292,8 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       | None ->
           Rt.Probe.event Obs.Tracectx.ev_retry;
           Rt.Probe.span_begin ph_backoff;
-          t.backoff attempt;
+          (* deterministic bounded exponential, de-synchronized by tid *)
+          Rt.work ((64 lsl min attempt 6) + (17 * (Rt.tid () + 1)));
           Rt.Probe.span_end ph_backoff;
           go (attempt + 1)
     in
@@ -829,9 +828,6 @@ module Workload = struct
           (match policy with
           | Some p -> p
           | None -> if cfg.broken then T.Broken_commit else T.Optimistic)
-        ~backoff:(fun n ->
-          (* deterministic bounded exponential, de-synchronized by tid *)
-          Sim.Sched.work ((64 lsl min n 6) + (17 * (Sim.Sched.tid () + 1))))
         ()
     in
     let log = Harness.History.Log.create ~nthreads:cfg.threads in
