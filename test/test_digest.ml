@@ -428,10 +428,11 @@ let golden_kv_fuzz = "aa8a1f01b6d32fc7e1dc3dcdeb88ba47"
 let golden_txn_fuzz = "cb23e5cda099c502978254a1a70d0ae3"
 let golden_kv_replay = "b63087980e479631c44410320aeaa0d3"
 (* Re-recorded when a snapshot retry began re-reading only its stale
-   entries, and again when snapshots began skipping validation while the
-   commit clock stands still: both txn replays run snapshot audits. *)
-let golden_txn_replay = "4d9b470e51350815f3624b993f45e615"
-let golden_txn_broken = "61bf9b218226d4e3ea3d541f6cb4decf"
+   entries, when snapshots began skipping validation while the commit
+   clock stands still, and when snapshot retries moved onto the shared
+   jittered backoff: both txn replays run snapshot audits. *)
+let golden_txn_replay = "649a61a111148c08f184975a91fa8c73"
+let golden_txn_broken = "2160a44f51e1ac78fb7a458f374540c3"
 
 (* ------------------------------------------------------------------ *)
 

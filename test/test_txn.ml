@@ -415,13 +415,13 @@ let test_broken_commit_fails () =
   (* Pinned: a rewrite of the oracle that still finds some violation,
      but not this exact set, fails here. *)
   Alcotest.(check string) "verdict"
-    "oracle: FAIL (10 violations over 2825 transfers, 1182 audits)"
+    "oracle: FAIL (5 violations over 2849 transfers, 1158 audits)"
     (List.hd
        (String.split_on_char '\n' (Format.asprintf "%a" W.pp_oracle o)));
   Alcotest.(check (list string)) "first violations"
     [
-      "txn 288 read (3,14) = 98 but the serialized state had 100";
-      "txn 808 read (3,5) = 120 but the serialized state had 115";
+      "txn 125 read (1,7) = 92 but the serialized state had 91";
+      "txn 181 read (2,2) = 99 but the serialized state had 101";
     ]
     (List.filteri (fun i _ -> i < 2) o.W.violations)
 
