@@ -3,7 +3,8 @@
     The paper's methodology (§5) stresses that backoff schemes materially
     affect results, so all algorithms — OPTIK and baselines alike — use the
     exact same policy: exponentially increasing waits, capped at 16k cycles
-    of pause time. *)
+    of pause time. [Txn.Make.snapshot] paces its retries with it too, from
+    the second retry on. *)
 
 module Make (Rt : Rt_intf.RT) = struct
   (* Every wait carries timing jitter of up to ~50%, drawn from
