@@ -38,122 +38,10 @@
    rows moved first. *)
 
 module R = Harness.Registry
+module W = Txn.Workload
 
 let digest s = Digest.to_hex (Digest.string s)
-
-(* ------------------------------------------------------------------ *)
-(* Output producers                                                    *)
-
-let with_ppf f =
-  let buf = Buffer.create 8192 in
-  let ppf = Format.formatter_of_buffer buf in
-  let x = f ppf in
-  Format.pp_print_flush ppf ();
-  (x, Buffer.contents buf)
-
-(* A fixed-seed fuzzing session. *)
-let fuzz_output family ~runs =
-  let failed, out = Chaos.fuzz family ~runs ~seed:3 in
-  Printf.sprintf "failed=%d\n%s" failed out
-
-(* ... over the CI smoke set. *)
-let chaos_output () =
-  fuzz_output (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL)) ~runs:8
-
-(* Replay of a pinned trial string. *)
-let replay_output family s =
-  let failures, out = with_ppf (fun ppf -> Chaos.replay family s ppf) in
-  Printf.sprintf "trial=%s\nfailures=%d\n%s" s failures out
-
-(* A replay of a trial drawn from a pinned rng, so the string itself is
-   also covered by the digest. *)
-let gen_replay_output (module T : Chaos.TRIAL) =
-  replay_output (module T) (T.to_string (T.gen (Harness.Rng.create 99)))
-
-let replay_output_sets () =
-  gen_replay_output (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
-
-(* Every kv and txn trial starts from a pristine world, so these pins
-   do not depend on what ran before them. *)
-module Kv_t = Chaos.Kv_trial
-module Txn_t = Chaos.Txn_trial
-
-let kv_fuzz_output () = fuzz_output (module Kv_t) ~runs:4
-let txn_fuzz_output () = fuzz_output (module Txn_t) ~runs:4
-let kv_replay_output () = gen_replay_output (module Kv_t)
-let txn_replay_output () = gen_replay_output (module Txn_t)
-
-let txn_broken_output () =
-  replay_output (module Txn_t) "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !"
-
-(* The soak sweep of [optik_bench soak], pinned seed, full stats per run
-   so any scheduling change shows up. *)
-let soak_output () =
-  let b = Buffer.create 4096 in
-  let rng = Harness.Rng.create 424242 in
-  for i = 1 to 6 do
-    let c = Harness.Soak.sample Harness.Soak.bounded rng in
-    let m = Harness.Soak.run c in
-    Printf.bprintf b
-      "%d %s -> ops=%d mops=%.6f wall=%.9f reads=%d writes=%d cas=%d \
-       casf=%d size=%d valid=%b complete=%b\n"
-      i (Harness.Soak.describe c) m.Harness.Runner.ops m.Harness.Runner.mops
-      m.Harness.Runner.wall_s m.Harness.Runner.reads m.Harness.Runner.writes
-      m.Harness.Runner.cas m.Harness.Runner.cas_failed
-      m.Harness.Runner.final_size m.Harness.Runner.valid
-      (not (Harness.Runner.aborted m))
-  done;
-  Buffer.contents b
-
-(* Trace exports of a recorded run: the Chrome trace_event JSON and the
-   JSONL journal must both be byte-stable. *)
-let trace_outputs () =
-  let (module S : R.SET_OPS) =
-    R.Sim_backend.find_named R.Sim_backend.lists "optik"
-  in
-  let w = Harness.Runner.uniform_workload ~init_size:256 ~update_pct:40 () in
-  let m =
-    Harness.Runner.run_set_sim ~topology:Sim.Topology.xeon ~nthreads:8
-      ~ops:4_000 ~seed:11 ~record_obs:true
-      (module S)
-      w
-  in
-  match m.Harness.Runner.obs with
-  | None -> Alcotest.fail "expected an observability summary"
-  | Some s ->
-      ( Obs.Trace.to_chrome s.Obs.Profile.s_record,
-        Obs.Trace.to_jsonl s.Obs.Profile.s_record )
-
-(* A seeded run report: the same bytes [optik_bench run ... --report]
-   writes, so the report schema and the deterministic JSON printer are
-   both pinned. Two structures (OPTIK vs lazy lists) and their diff. *)
-let report_output name =
-  let (module S : R.SET_OPS) =
-    R.Sim_backend.find_named R.Sim_backend.lists name
-  in
-  let w = Harness.Runner.uniform_workload ~init_size:256 ~update_pct:40 () in
-  let m =
-    Harness.Runner.run_set_sim ~topology:Sim.Topology.xeon ~nthreads:8
-      ~ops:4_000 ~seed:11 ~record_obs:true
-      (module S)
-      w
-  in
-  Obs.Report.to_string
-    (Harness.Report.make ~subcommand:"run" ~seed:(Some 11)
-       ~params:[ ("structure", Obs.Report.Str name) ]
-       [ ("list/" ^ name, m) ])
-
-let diff_output () =
-  let parse s =
-    match Obs.Report.parse s with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "report reparse failed: %s" e
-  in
-  let a = parse (report_output "optik") in
-  let b = parse (report_output "lazy") in
-  match Obs.Report.diff a b with
-  | Ok text -> text
-  | Error e -> Alcotest.failf "diff failed: %s" e
+let i = string_of_int
 
 (* ------------------------------------------------------------------ *)
 (* The pin ledger                                                      *)
@@ -163,29 +51,30 @@ let diff_output () =
    counters sit next to it so that a moved row says what moved. *)
 type row = { section : string; name : string; metrics : (string * string) list }
 
+(* A piece of a pinned output: the counts the output prints for it, and
+   its bytes. An output's pieces, in order, make up the whole output. *)
+type piece = { p_name : string; p_counts : (string * string) list; p_bytes : string }
+
+let piece p_name p_counts p_bytes = { p_name; p_counts; p_bytes }
+
+let pin section p =
+  { section; name = p.p_name; metrics = p.p_counts @ [ ("md5", digest p.p_bytes) ] }
+
 let ledger_file = "ledger.txt"
 
-(* The simulated counts hostperf reports. *)
-let count_metrics (r : Host_bench.result) =
-  let i = string_of_int in
-  [ ("ops", i r.r_ops); ("accesses", i r.r_accesses); ("events", i r.r_events) ]
+(* A run's simulated counts. *)
+let run_counts (m : Harness.Runner.measurement) =
+  [
+    ("ops", i m.ops);
+    ("accesses", i (m.reads + m.writes + m.cas + m.faa));
+    ("events", i m.events);
+    ("wall_us", Printf.sprintf "%.4f" (m.wall_s *. 1e6));
+    ("cas", i m.cas);
+    ("cas_failed", i m.cas_failed);
+  ]
 
-let run_row section name (m : Harness.Runner.measurement) bytes =
-  {
-    section;
-    name;
-    metrics =
-      count_metrics (Host_bench.of_measurement name m)
-      @ [
-          ("wall_us", Printf.sprintf "%.4f" (m.wall_s *. 1e6));
-          ("cas", string_of_int m.cas);
-          ("cas_failed", string_of_int m.cas_failed);
-          ("md5", digest bytes);
-        ];
-  }
-
-let text_row section name bytes =
-  { section; name; metrics = [ ("md5", digest bytes) ] }
+let run_row section name m bytes = pin section (piece name (run_counts m) bytes)
+let text_row section name bytes = pin section (piece name [] bytes)
 
 (* One small seeded run of every registered structure, hot-line sites
    included, each from a pristine world: a change to any structure's
@@ -309,17 +198,233 @@ let hostperf_rows () =
       if s.s_name = "fleet/chaos-quick" then None
       else begin
         Harness.World.reset ();
+        let r = s.s_run () in
         Some
-          { section = "hostperf"; name = s.s_name; metrics = count_metrics (s.s_run ()) }
+          {
+            section = "hostperf";
+            name = s.s_name;
+            metrics =
+              [ ("ops", i r.r_ops); ("accesses", i r.r_accesses); ("events", i r.r_events) ];
+          }
       end)
     Host_bench.specs
+
+(* ------------------------------------------------------------------ *)
+(* Seeded outputs, cut into pieces                                     *)
+
+(* [text]'s lines, each with its newline. *)
+let lines text =
+  match List.rev (String.split_on_char '\n' text) with
+  | "" :: rev -> List.rev_map (fun l -> l ^ "\n") rev
+  | _ -> Alcotest.failf "output does not end in a newline: %S" text
+
+(* The counts a line prints: each number followed by a word, as
+   [word=number], the first of each word only. *)
+let counts line =
+  let strip w =
+    String.to_seq w
+    |> Seq.filter (fun c -> not (String.contains "(),:;\n" c))
+    |> String.of_seq
+  in
+  let words = List.filter (( <> ) "") (List.map strip (String.split_on_char ' ' line)) in
+  let rec go acc = function
+    | n :: (w :: _ as rest) ->
+        if int_of_string_opt n <> None && int_of_string_opt w = None
+           && not (List.mem_assoc w acc)
+        then go ((w, n) :: acc) rest
+        else go acc rest
+    | _ -> List.rev acc
+  in
+  go [] words
+
+(* A fixed-seed fuzzing session: the failure count, one piece per trial
+   (its line, and its failures, shrink and repro lines when it fails)
+   with its verdict, then the summary line. *)
+let fuzz_pieces family ~runs =
+  let failed, out = Chaos.fuzz family ~runs ~seed:3 in
+  let chunks =
+    List.fold_left
+      (fun acc l ->
+        match acc with
+        | cur :: rest when l.[0] = ' ' -> (cur ^ l) :: rest
+        | _ -> l :: acc)
+      [] (lines out)
+  in
+  match chunks with
+  | summary :: trials ->
+      piece "fuzz/failed" [ ("failed", i failed) ] (Printf.sprintf "failed=%d\n" failed)
+      :: List.rev_map
+           (fun chunk ->
+             Scanf.sscanf chunk "trial %d %s " (fun n verdict ->
+                 piece ("fuzz/" ^ i n) [ ("verdict", verdict) ] chunk))
+           trials
+      @ [ piece "fuzz/summary" [ ("failed", i failed); ("trials", i runs) ] summary ]
+  | [] -> Alcotest.fail "fuzzing printed nothing"
+
+(* The replay of a pinned trial string, with its verdict and the counts
+   its detail line prints. *)
+let replay_piece name family s =
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  let failures = Chaos.replay family s ppf in
+  Format.pp_print_flush ppf ();
+  let out = Buffer.contents buf in
+  let verdict =
+    List.find_map
+      (fun l -> Scanf.sscanf_opt l "verdict: %s" Fun.id)
+      (lines out)
+  in
+  piece name
+    (("failures", i failures)
+     :: ("verdict", Option.value ~default:"-" verdict)
+     :: counts (List.nth (lines out) 1))
+    (Printf.sprintf "trial=%s\nfailures=%d\n%s" s failures out)
+
+(* A replay of a trial drawn from a pinned rng, so the string itself is
+   also pinned. *)
+let gen_replay_piece (module T : Chaos.TRIAL) =
+  replay_piece "replay" (module T) (T.to_string (T.gen (Harness.Rng.create 99)))
+
+let sets_family = (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
+
+let chaos_pieces () =
+  let fuzz = fuzz_pieces sets_family ~runs:8 in
+  fuzz @ [ gen_replay_piece sets_family ]
+
+(* Every kv and txn trial starts from a pristine world, so these pins
+   do not depend on what ran before them. *)
+let kv_pieces () =
+  let fuzz = fuzz_pieces (module Chaos.Kv_trial) ~runs:4 in
+  fuzz @ [ gen_replay_piece (module Chaos.Kv_trial) ]
+
+(* The default txn workload under the broken commit protocol: the
+   oracle's verdict line and its first two violations, so a rewrite of
+   the oracle that still finds some violation, but not this exact set,
+   moves the row. *)
+let broken_commit_piece () =
+  let _, r = W.run { W.default_config with W.broken = true } in
+  let o = r.W.res_oracle in
+  let verdict = List.hd (lines (Format.asprintf "%a@." W.pp_oracle o)) in
+  piece "broken-commit"
+    (("verdict", if o.W.ok then "PASS" else "FAIL") :: counts verdict)
+    (String.concat ""
+       (verdict :: List.filteri (fun j _ -> j < 2) (List.map (fun v -> v ^ "\n") o.W.violations)))
+
+let txn_pieces () =
+  let fuzz = fuzz_pieces (module Chaos.Txn_trial) ~runs:4 in
+  let replay = gen_replay_piece (module Chaos.Txn_trial) in
+  let broken =
+    replay_piece "broken-replay" (module Chaos.Txn_trial)
+      "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !"
+  in
+  let commit = broken_commit_piece () in
+  fuzz @ [ replay; broken; commit ]
+
+(* The soak sweep of [optik_bench soak], pinned seed, full stats per run
+   so any scheduling change shows up. *)
+let soak_pieces () =
+  let rng = Harness.Rng.create 424242 in
+  let rec go n =
+    if n > 6 then []
+    else begin
+      let c = Harness.Soak.sample Harness.Soak.bounded rng in
+      let m = Harness.Soak.run c in
+      let open Harness.Runner in
+      let wall = Printf.sprintf "%.9f" m.wall_s in
+      let p =
+        piece ("run/" ^ i n)
+          [
+            ("ops", i m.ops); ("wall", wall); ("reads", i m.reads);
+            ("writes", i m.writes); ("cas", i m.cas); ("cas_failed", i m.cas_failed);
+            ("size", i m.final_size); ("valid", string_of_bool m.valid);
+            ("complete", string_of_bool (not (aborted m)));
+          ]
+          (Printf.sprintf
+             "%d %s -> ops=%d mops=%.6f wall=%s reads=%d writes=%d cas=%d \
+              casf=%d size=%d valid=%b complete=%b\n"
+             n (Harness.Soak.describe c) m.ops m.mops wall m.reads m.writes m.cas
+             m.cas_failed m.final_size m.valid (not (aborted m)))
+      in
+      p :: go (n + 1)
+    end
+  in
+  go 1
+
+(* A recorded list run's trace exports (the Chrome trace_event JSON and
+   the JSONL journal), its run report (the same bytes [optik_bench run
+   ... --report] writes), and the diff of that report with the lazy
+   list's. *)
+let obs_pieces () =
+  let run name =
+    Harness.World.reset ();
+    let (module S : R.SET_OPS) =
+      R.Sim_backend.find_named R.Sim_backend.lists name
+    in
+    let w = Harness.Runner.uniform_workload ~init_size:256 ~update_pct:40 () in
+    Harness.Runner.run_set_sim ~topology:Sim.Topology.xeon ~nthreads:8
+      ~ops:4_000 ~seed:11 ~record_obs:true
+      (module S)
+      w
+  in
+  let report name m =
+    Obs.Report.to_string
+      (Harness.Report.make ~subcommand:"run" ~seed:(Some 11)
+         ~params:[ ("structure", Obs.Report.Str name) ]
+         [ ("list/" ^ name, m) ])
+  in
+  let parse s =
+    match Obs.Report.parse s with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "report reparse failed: %s" e
+  in
+  let m = run "optik" in
+  let record =
+    match m.Harness.Runner.obs with
+    | None -> Alcotest.fail "expected an observability summary"
+    | Some s -> s.Obs.Profile.s_record
+  in
+  let chrome = Obs.Trace.to_chrome record in
+  let events =
+    List.length
+      (List.filter (String.starts_with ~prefix:"{\"name\"") (lines chrome))
+  in
+  let optik = report "optik" m in
+  let head, entries, tail = split_report optik in
+  let diff =
+    match Obs.Report.diff (parse optik) (parse (report "lazy" (run "lazy"))) with
+    | Ok text -> text
+    | Error e -> Alcotest.failf "diff failed: %s" e
+  in
+  [
+    piece "chrome" [ ("events", i events) ] chrome;
+    piece "jsonl"
+      [ ("entries", i (Array.length record.Obs.Journal.entries)) ]
+      (Obs.Trace.to_jsonl record);
+    piece "report/head" [] head;
+  ]
+  @ List.map (piece "report/list/optik" (run_counts m)) entries
+  @ [
+      piece "report/tail" [] tail;
+      piece "diff" [ ("lines", i (List.length (lines diff))) ] diff;
+    ]
+
+(* Every seeded output, by section, in ledger order. *)
+let output_pieces () =
+  List.map
+    (fun (section, pieces) -> (section, pieces ()))
+    [
+      ("chaos", chaos_pieces);
+      ("kv", kv_pieces);
+      ("txn", txn_pieces);
+      ("soak", soak_pieces);
+      ("obs", obs_pieces);
+    ]
 
 (* The transaction manager's own counters at [txn]'s default workload:
    a change to how often commits abort or snapshots retry moves this row
    by name, whatever it does to the run's accesses. *)
 let txn_rows () =
-  let _, r = Txn.Workload.run Txn.Workload.default_config in
-  let i = string_of_int in
+  let _, r = W.run W.default_config in
   [
     {
       section = "txn";
@@ -335,7 +440,17 @@ let txn_rows () =
   ]
 
 let ledger_rows () =
-  structure_rows () @ figure_rows () @ hostperf_rows () @ txn_rows ()
+  let structures = structure_rows () in
+  let figures = figure_rows () in
+  let hostperf = hostperf_rows () in
+  let txn = txn_rows () in
+  let outputs =
+    List.concat_map
+      (fun (section, pieces) ->
+        (if section = "txn" then txn else []) @ List.map (pin section) pieces)
+      (output_pieces ())
+  in
+  structures @ figures @ hostperf @ outputs
 
 (* A row is one line: section, name, then [metric=value] pairs. *)
 let row_line r =
@@ -353,9 +468,16 @@ let ledger_header =
 let ledger_text rows =
   ledger_header ^ String.concat "" (List.map (fun r -> row_line r ^ "\n") rows)
 
+(* The rows of a ledger's text. A malformed line, a second row with the
+   same section and name, or a row that names a metric twice fails,
+   naming the line: the comparer pairs each row with the first of its
+   name, so a second one would never be compared. *)
 let parse_ledger text =
+  let fail n fmt = Printf.ksprintf (fun s -> failwith (Printf.sprintf "ledger line %d: %s" n s)) fmt in
+  let seen = Hashtbl.create 256 in
   String.split_on_char '\n' text
-  |> List.filter_map (fun l ->
+  |> List.mapi (fun n l -> (n + 1, l))
+  |> List.filter_map (fun (n, l) ->
          match String.split_on_char ' ' l |> List.filter (( <> ) "") with
          | [] -> None
          | t :: _ when t.[0] = '#' -> None
@@ -364,10 +486,19 @@ let parse_ledger text =
                match String.index_opt t '=' with
                | Some i ->
                    (String.sub t 0 i, String.sub t (i + 1) (String.length t - i - 1))
-               | None -> Alcotest.failf "ledger: bad metric %S in %S" t l
+               | None -> fail n "bad metric %S in %S" t l
              in
-             Some { section; name; metrics = List.map kv kvs }
-         | _ -> Alcotest.failf "ledger: bad line %S" l)
+             let metrics = List.map kv kvs in
+             let key = section ^ " " ^ name in
+             if Hashtbl.mem seen key then fail n "duplicate row %S" key;
+             Hashtbl.add seen key ();
+             List.iteri
+               (fun j (k, _) ->
+                 if List.mem_assoc k (List.filteri (fun j' _ -> j' < j) metrics) then
+                   fail n "row %S repeats metric %S" key k)
+               metrics;
+             Some { section; name; metrics }
+         | _ -> fail n "bad line %S" l)
 
 (* Every difference between two ledgers, one line each: a moved metric
    with its old and new values, a missing or an extra row by name, and
@@ -436,20 +567,38 @@ let golden_txn_broken = "2160a44f51e1ac78fb7a458f374540c3"
 
 (* ------------------------------------------------------------------ *)
 
-let check_digest name golden data =
-  Alcotest.(check string) (name ^ " digest") golden (digest data)
+(* Each recorded digest, and the section and row-name prefix of the
+   rows that now pin its output. *)
+let goldens =
+  [
+    ("chaos fuzz", golden_chaos, "chaos", "fuzz/");
+    ("chaos replay", golden_replay, "chaos", "replay");
+    ("kv fuzz", golden_kv_fuzz, "kv", "fuzz/");
+    ("kv replay", golden_kv_replay, "kv", "replay");
+    ("txn fuzz", golden_txn_fuzz, "txn", "fuzz/");
+    ("txn replay", golden_txn_replay, "txn", "replay");
+    ("txn broken replay", golden_txn_broken, "txn", "broken-replay");
+    ("soak sweep", golden_soak, "soak", "run/");
+    ("chrome trace", golden_chrome, "obs", "chrome");
+    ("jsonl trace", golden_jsonl, "obs", "jsonl");
+    ("run report", golden_report, "obs", "report/");
+    ("report diff", golden_diff, "obs", "diff");
+  ]
 
-let test_chaos () = check_digest "chaos fuzz" golden_chaos (chaos_output ())
-let test_replay () =
-  check_digest "chaos replay" golden_replay (replay_output_sets ())
-
-let test_services () =
-  check_digest "kv fuzz" golden_kv_fuzz (kv_fuzz_output ());
-  check_digest "txn fuzz" golden_txn_fuzz (txn_fuzz_output ());
-  check_digest "kv replay" golden_kv_replay (kv_replay_output ());
-  check_digest "txn replay" golden_txn_replay (txn_replay_output ());
-  check_digest "txn broken replay" golden_txn_broken (txn_broken_output ())
-let test_soak () = check_digest "soak sweep" golden_soak (soak_output ())
+(* Each recorded digest equals the md5 of its rows' bytes, concatenated
+   in ledger order. *)
+let test_goldens () =
+  let outputs = output_pieces () in
+  List.iter
+    (fun (label, golden, section, prefix) ->
+      let bytes =
+        List.assoc section outputs
+        |> List.filter (fun p -> String.starts_with ~prefix p.p_name)
+        |> List.map (fun p -> p.p_bytes)
+        |> String.concat ""
+      in
+      Alcotest.(check string) (label ^ " digest") golden (digest bytes))
+    goldens
 
 let read_ledger () =
   parse_ledger (In_channel.with_open_text ledger_file In_channel.input_all)
@@ -464,7 +613,9 @@ let test_ledger () =
         ledger_file (String.concat "\n" changes)
 
 (* The comparer names exactly what differs: one changed metric of one
-   row, with its old and new values, and a removed or an added row. *)
+   row, with its old and new values, and a removed or an added row; the
+   parser refuses a second row of the same name and a repeated metric,
+   naming the line. *)
 let test_ledger_negative () =
   let rows = read_ledger () in
   Alcotest.(check int) "the ledger round-trips" 0
@@ -494,42 +645,28 @@ let test_ledger_negative () =
     (compare_ledgers ~old:rows ~now:without);
   Alcotest.(check (list string)) "an added row"
     [ "extra   hostperf hashtable/optik-gl" ]
-    (compare_ledgers ~old:without ~now:rows)
+    (compare_ledgers ~old:without ~now:rows);
+  let refused what text expected =
+    Alcotest.(check string) what expected
+      (match parse_ledger text with
+       | _ -> "accepted"
+       | exception Failure e -> e)
+  in
+  refused "a duplicate row"
+    "# header\ntxn        bank-ll commits=1\ntxn        bank-ll commits=2\n"
+    "ledger line 3: duplicate row \"txn bank-ll\"";
+  refused "a repeated metric"
+    "txn        bank-ll commits=1 aborts=0 commits=2\n"
+    "ledger line 1: row \"txn bank-ll\" repeats metric \"commits\""
 
-let test_traces () =
-  let chrome, jsonl = trace_outputs () in
-  check_digest "chrome trace" golden_chrome chrome;
-  check_digest "jsonl trace" golden_jsonl jsonl
-
-let test_report () =
-  check_digest "run report" golden_report (report_output "optik")
-
-let test_diff () = check_digest "report diff" golden_diff (diff_output ())
-
-(* Two back-to-back productions digest identically: determinism within a
-   process, independent of the recorded constants (catches state leaking
-   from one run into the next). *)
+(* Two back-to-back productions are identical: determinism within a
+   process (catches state leaking from one run into the next). *)
 let test_self_stable () =
-  Alcotest.(check string) "chaos twice" (digest (chaos_output ()))
-    (digest (chaos_output ()));
-  Alcotest.(check string) "soak twice" (digest (soak_output ()))
-    (digest (soak_output ()))
+  Alcotest.(check bool) "chaos twice" true (chaos_pieces () = chaos_pieces ());
+  Alcotest.(check bool) "soak twice" true (soak_pieces () = soak_pieces ())
 
 let () =
   if Sys.getenv_opt "GOLDEN_PRINT" <> None then begin
-    Printf.printf "let golden_chaos = %S\n" (digest (chaos_output ()));
-    Printf.printf "let golden_replay = %S\n" (digest (replay_output_sets ()));
-    Printf.printf "let golden_soak = %S\n" (digest (soak_output ()));
-    let chrome, jsonl = trace_outputs () in
-    Printf.printf "let golden_chrome = %S\n" (digest chrome);
-    Printf.printf "let golden_jsonl = %S\n" (digest jsonl);
-    Printf.printf "let golden_report = %S\n" (digest (report_output "optik"));
-    Printf.printf "let golden_diff = %S\n" (digest (diff_output ()));
-    Printf.printf "let golden_kv_fuzz = %S\n" (digest (kv_fuzz_output ()));
-    Printf.printf "let golden_txn_fuzz = %S\n" (digest (txn_fuzz_output ()));
-    Printf.printf "let golden_kv_replay = %S\n" (digest (kv_replay_output ()));
-    Printf.printf "let golden_txn_replay = %S\n" (digest (txn_replay_output ()));
-    Printf.printf "let golden_txn_broken = %S\n" (digest (txn_broken_output ()));
     let path = Filename.concat "test" ledger_file in
     Out_channel.with_open_text path (fun oc ->
         output_string oc (ledger_text (ledger_rows ())));
@@ -540,14 +677,8 @@ let () =
     [
       ( "golden",
         [
-          Alcotest.test_case "chaos fuzz" `Quick test_chaos;
-          Alcotest.test_case "chaos replay" `Quick test_replay;
-          Alcotest.test_case "soak sweep" `Quick test_soak;
-          Alcotest.test_case "trace exports" `Quick test_traces;
-          Alcotest.test_case "run report" `Quick test_report;
-          Alcotest.test_case "report diff" `Quick test_diff;
+          Alcotest.test_case "recorded digests" `Quick test_goldens;
           Alcotest.test_case "self-stable" `Quick test_self_stable;
-          Alcotest.test_case "kv and txn streams" `Quick test_services;
         ] );
       ( "ledger",
         [

@@ -408,22 +408,23 @@ let test_oracle_passes_optik () = check_oracle_passes W.default_config
 let test_oracle_passes_wrapper () =
   check_oracle_passes { W.default_config with W.rep = "ll-harris" }
 
+(* Locks taken without validation let stale reads commit: the oracle
+   must report them as transfer reads, and the updates they lose as a
+   broken conservation, nothing else. The exact verdict and first
+   violations are the [txn broken-commit] row of the pin ledger. *)
 let test_broken_commit_fails () =
   let _, r = W.run { W.default_config with W.broken = true } in
   let o = r.W.res_oracle in
   Alcotest.(check bool) "oracle failed" false o.W.ok;
-  (* Pinned: a rewrite of the oracle that still finds some violation,
-     but not this exact set, fails here. *)
-  Alcotest.(check string) "verdict"
-    "oracle: FAIL (5 violations over 2849 transfers, 1158 audits)"
-    (List.hd
-       (String.split_on_char '\n' (Format.asprintf "%a" W.pp_oracle o)));
-  Alcotest.(check (list string)) "first violations"
-    [
-      "txn 125 read (1,7) = 92 but the serialized state had 91";
-      "txn 181 read (2,2) = 99 but the serialized state had 101";
-    ]
-    (List.filteri (fun i _ -> i < 2) o.W.violations)
+  let read v =
+    Scanf.sscanf_opt v "txn %d read (%d,%d) = " (fun _ _ _ -> ()) <> None
+  in
+  Alcotest.(check bool) "a transfer read" true (List.exists read o.W.violations);
+  List.iter
+    (fun v ->
+      if not (read v || String.starts_with ~prefix:"conservation broken: " v)
+      then Alcotest.failf "neither a transfer read nor conservation: %s" v)
+    o.W.violations
 
 (* A snapshot retry that trusts its kept reads without revalidating
    them returns audits no serialization point explains; the oracle must
