@@ -1,39 +1,38 @@
-(* Golden-digest determinism tests and the pin ledger.
+(* The pin ledger: the simulator's seeded outputs, row by row.
 
    The simulator's seeded outputs are part of its contract: chaos repro
-   strings, soak failure tuples and trace exports must stay byte-identical
-   across engine changes (inline fast path, event heap layout, contention
-   accounting), or every recorded repro and committed trace silently goes
-   stale. These tests pin MD5 digests of representative seeded outputs:
+   strings, soak failure tuples, trace exports and figure values must
+   stay byte-identical across engine changes (inline fast path, event
+   heap layout, contention accounting), or every recorded repro and
+   committed trace silently goes stale. [test/ledger.txt] pins them, one
+   row per piece of output, in sections:
 
-   - a fixed-seed chaos fuzzing session (trial strings + verdicts),
-   - a fixed-trial chaos replay,
-   - the same two for the kv and txn families, plus the replay of the
-     broken-commit txn trial (a failing verdict),
-   - a soak-style randomized sweep summary (workload tuple + full stats),
-   - a Chrome trace_event export and its JSONL twin,
-   - a run report and the diff of two.
+   - [structures]: a small seeded run of every registered structure;
+   - [figures]: every run of the figures engine in a tiny mode, each
+     experiment's rendered text, the claims and the report envelope;
+   - [hostperf]: the simulated counts of each hostperf workload, which
+     [BENCH_sim.json] also records;
+   - [chaos], [kv], [txn]: a fixed-seed fuzzing session of each trial
+     family (one row per trial, with its verdict) and a fixed-trial
+     replay; for txn also the default workload's result, the replay of
+     the broken-commit trial and the broken commit protocol's verdict;
+   - [soak]: the soak sweep, one row per run;
+   - [obs]: a Chrome trace_event export and its JSONL twin, a run
+     report and its diff with another.
 
-   The pin ledger, [test/ledger.txt], is the exact pin for the runs the
-   paper argues from, structure by structure. It has one row per
-   registered structure's small seeded run, per run of the figures engine
-   in a tiny mode (with each experiment's rendered text, the claims and
-   the report envelope as rows of their own), per hostperf workload, and
-   one for the transaction counters of the default txn workload. A row
-   holds the run's ops, virtual wall time, accesses, events, CAS and
-   failed CAS where it has them, and the md5 of its own output bytes.
-   Those bytes, in ledger order, make up the whole structures and
-   figures output, so the ledger is as strict as one digest over it; the
-   hostperf rows are the simulated counts [BENCH_sim.json] also records,
-   for information. On a mismatch the test names every moved metric with
-   its old and new values, and every missing or extra row.
+   A row holds the counts its output prints (a run's ops, virtual wall
+   time, accesses, events, CAS and failed CAS; a trial's verdict; an
+   oracle's violations, transfers and audits) and the md5 of its own
+   output bytes. An output's rows, in ledger order, make up the whole
+   output, so the ledger is as strict as one digest over it. On a
+   mismatch the test names every moved metric with its old and new
+   values, and every missing or extra row.
 
-   If an *intentional* change breaks a digest or moves ledger rows,
-   regenerate from the repository root with:
+   If an *intentional* change moves ledger rows, rewrite the ledger from
+   the repository root with:
 
      GOLDEN_PRINT=1 dune exec test/test_digest.exe
 
-   which prints the digests to paste below and rewrites [test/ledger.txt].
    Never do so to paper over an unintended schedule change: read which
    rows moved first. *)
 
@@ -310,7 +309,22 @@ let broken_commit_piece () =
     (String.concat ""
        (verdict :: List.filteri (fun j _ -> j < 2) (List.map (fun v -> v ^ "\n") o.W.violations)))
 
+(* The transaction manager's result at [txn]'s default workload: a
+   change to how often commits abort or snapshots retry moves this row
+   by name, whatever it does to the run's accesses. *)
+let bank_piece () =
+  let _, r = W.run W.default_config in
+  piece "bank-ll"
+    [
+      ("commits", i r.res_commits);
+      ("aborts", i r.res_aborts);
+      ("snapshots", i r.res_snapshots);
+      ("snapshot_retries", i r.res_snap_retries);
+    ]
+    (Format.asprintf "%a@." W.pp_result r)
+
 let txn_pieces () =
+  let bank = bank_piece () in
   let fuzz = fuzz_pieces (module Chaos.Txn_trial) ~runs:4 in
   let replay = gen_replay_piece (module Chaos.Txn_trial) in
   let broken =
@@ -318,7 +332,7 @@ let txn_pieces () =
       "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !"
   in
   let commit = broken_commit_piece () in
-  fuzz @ [ replay; broken; commit ]
+  (bank :: fuzz) @ [ replay; broken; commit ]
 
 (* The soak sweep of [optik_bench soak], pinned seed, full stats per run
    so any scheduling change shows up. *)
@@ -408,10 +422,10 @@ let obs_pieces () =
       piece "diff" [ ("lines", i (List.length (lines diff))) ] diff;
     ]
 
-(* Every seeded output, by section, in ledger order. *)
-let output_pieces () =
-  List.map
-    (fun (section, pieces) -> (section, pieces ()))
+(* Every seeded output's rows, by section. *)
+let output_rows () =
+  List.concat_map
+    (fun (section, pieces) -> List.map (pin section) (pieces ()))
     [
       ("chaos", chaos_pieces);
       ("kv", kv_pieces);
@@ -420,37 +434,11 @@ let output_pieces () =
       ("obs", obs_pieces);
     ]
 
-(* The transaction manager's own counters at [txn]'s default workload:
-   a change to how often commits abort or snapshots retry moves this row
-   by name, whatever it does to the run's accesses. *)
-let txn_rows () =
-  let _, r = W.run W.default_config in
-  [
-    {
-      section = "txn";
-      name = "bank-ll";
-      metrics =
-        [
-          ("commits", i r.res_commits);
-          ("aborts", i r.res_aborts);
-          ("snapshots", i r.res_snapshots);
-          ("snapshot_retries", i r.res_snap_retries);
-        ];
-    };
-  ]
-
 let ledger_rows () =
   let structures = structure_rows () in
   let figures = figure_rows () in
   let hostperf = hostperf_rows () in
-  let txn = txn_rows () in
-  let outputs =
-    List.concat_map
-      (fun (section, pieces) ->
-        (if section = "txn" then txn else []) @ List.map (pin section) pieces)
-      (output_pieces ())
-  in
-  structures @ figures @ hostperf @ outputs
+  structures @ figures @ hostperf @ output_rows ()
 
 (* A row is one line: section, name, then [metric=value] pairs. *)
 let row_line r =
@@ -473,7 +461,7 @@ let ledger_text rows =
    naming the line: the comparer pairs each row with the first of its
    name, so a second one would never be compared. *)
 let parse_ledger text =
-  let fail n fmt = Printf.ksprintf (fun s -> failwith (Printf.sprintf "ledger line %d: %s" n s)) fmt in
+  let fail n fmt = Printf.ksprintf (Printf.ksprintf failwith "ledger line %d: %s" n) fmt in
   let seen = Hashtbl.create 256 in
   String.split_on_char '\n' text
   |> List.mapi (fun n l -> (n + 1, l))
@@ -482,22 +470,19 @@ let parse_ledger text =
          | [] -> None
          | t :: _ when t.[0] = '#' -> None
          | section :: name :: kvs ->
-             let kv t =
-               match String.index_opt t '=' with
-               | Some i ->
-                   (String.sub t 0 i, String.sub t (i + 1) (String.length t - i - 1))
-               | None -> fail n "bad metric %S in %S" t l
-             in
-             let metrics = List.map kv kvs in
              let key = section ^ " " ^ name in
              if Hashtbl.mem seen key then fail n "duplicate row %S" key;
              Hashtbl.add seen key ();
-             List.iteri
-               (fun j (k, _) ->
-                 if List.mem_assoc k (List.filteri (fun j' _ -> j' < j) metrics) then
-                   fail n "row %S repeats metric %S" key k)
-               metrics;
-             Some { section; name; metrics }
+             let kv metrics t =
+               match String.index_opt t '=' with
+               | Some i ->
+                   let k = String.sub t 0 i in
+                   if List.mem_assoc k metrics then
+                     fail n "row %S repeats metric %S" key k;
+                   (k, String.sub t (i + 1) (String.length t - i - 1)) :: metrics
+               | None -> fail n "bad metric %S in %S" t l
+             in
+             Some { section; name; metrics = List.rev (List.fold_left kv [] kvs) }
          | _ -> fail n "bad line %S" l)
 
 (* Every difference between two ledgers, one line each: a moved metric
@@ -532,73 +517,6 @@ let compare_ledgers ~old ~now =
   if changes = [] && List.map key old <> List.map key now then
     [ "order   the rows hold but appear in another order" ]
   else changes
-
-(* ------------------------------------------------------------------ *)
-(* Recorded digests (pre-PR-4 engine)                                  *)
-
-let golden_chaos = "8029953889ca251b8fbaa4daa4094b23"
-let golden_replay = "9305587bce9c034a34108a66ecdc1e6a"
-let golden_soak = "c1eccf8222670fdf0e454345635e8d65"
-(* PR-5 note: golden_chrome/golden_jsonl were regenerated when the OPTIK
-   trylock-fail probe changed from a journal event to a counter (the
-   journal now records Count rows instead of Instant rows); the
-   chaos/replay/soak digests survived that change unchanged, which is the
-   point — probes never touch the virtual clock. *)
-let golden_chrome = "850006d657dbd05b7a13595366e44cd0"
-let golden_jsonl = "954b88fc23c121c30a979276b9581b49"
-(* PR-6 note: golden_report/golden_diff were regenerated when the
-   latency summaries grew p99/p999 tail percentiles (for the KV
-   service's per-class tails); the other five digests survived
-   unchanged — the new percentiles are derived from the same recorded
-   samples and nothing about the runs themselves moved. *)
-let golden_report = "30e00611a1141c36d2319c89457d9c30"
-let golden_diff = "43583b66f19053aef91773fd8efd0d5c"
-(* The kv and txn pins were recorded from the code before the families
-   shared one driver, which had to leave them unchanged. *)
-let golden_kv_fuzz = "aa8a1f01b6d32fc7e1dc3dcdeb88ba47"
-let golden_txn_fuzz = "cb23e5cda099c502978254a1a70d0ae3"
-let golden_kv_replay = "b63087980e479631c44410320aeaa0d3"
-(* Re-recorded when a snapshot retry began re-reading only its stale
-   entries, when snapshots began skipping validation while the commit
-   clock stands still, and when snapshot retries moved onto the shared
-   jittered backoff: both txn replays run snapshot audits. *)
-let golden_txn_replay = "649a61a111148c08f184975a91fa8c73"
-let golden_txn_broken = "2160a44f51e1ac78fb7a458f374540c3"
-
-(* ------------------------------------------------------------------ *)
-
-(* Each recorded digest, and the section and row-name prefix of the
-   rows that now pin its output. *)
-let goldens =
-  [
-    ("chaos fuzz", golden_chaos, "chaos", "fuzz/");
-    ("chaos replay", golden_replay, "chaos", "replay");
-    ("kv fuzz", golden_kv_fuzz, "kv", "fuzz/");
-    ("kv replay", golden_kv_replay, "kv", "replay");
-    ("txn fuzz", golden_txn_fuzz, "txn", "fuzz/");
-    ("txn replay", golden_txn_replay, "txn", "replay");
-    ("txn broken replay", golden_txn_broken, "txn", "broken-replay");
-    ("soak sweep", golden_soak, "soak", "run/");
-    ("chrome trace", golden_chrome, "obs", "chrome");
-    ("jsonl trace", golden_jsonl, "obs", "jsonl");
-    ("run report", golden_report, "obs", "report/");
-    ("report diff", golden_diff, "obs", "diff");
-  ]
-
-(* Each recorded digest equals the md5 of its rows' bytes, concatenated
-   in ledger order. *)
-let test_goldens () =
-  let outputs = output_pieces () in
-  List.iter
-    (fun (label, golden, section, prefix) ->
-      let bytes =
-        List.assoc section outputs
-        |> List.filter (fun p -> String.starts_with ~prefix p.p_name)
-        |> List.map (fun p -> p.p_bytes)
-        |> String.concat ""
-      in
-      Alcotest.(check string) (label ^ " digest") golden (digest bytes))
-    goldens
 
 let read_ledger () =
   parse_ledger (In_channel.with_open_text ledger_file In_channel.input_all)
@@ -675,14 +593,10 @@ let () =
   end;
   Alcotest.run "digest"
     [
-      ( "golden",
-        [
-          Alcotest.test_case "recorded digests" `Quick test_goldens;
-          Alcotest.test_case "self-stable" `Quick test_self_stable;
-        ] );
       ( "ledger",
         [
           Alcotest.test_case "recomputed" `Quick test_ledger;
           Alcotest.test_case "negative control" `Quick test_ledger_negative;
+          Alcotest.test_case "self-stable" `Quick test_self_stable;
         ] );
     ]
