@@ -203,7 +203,11 @@ let hostperf_rows () =
             section = "hostperf";
             name = s.s_name;
             metrics =
-              [ ("ops", i r.r_ops); ("accesses", i r.r_accesses); ("events", i r.r_events) ];
+              [
+                ("ops", i r.r_ops);
+                ("accesses", i r.r_accesses);
+                ("events", i r.r_events);
+              ];
           }
       end)
     Host_bench.specs
@@ -225,7 +229,9 @@ let counts line =
     |> Seq.filter (fun c -> not (String.contains "(),:;\n" c))
     |> String.of_seq
   in
-  let words = List.filter (( <> ) "") (List.map strip (String.split_on_char ' ' line)) in
+  let words =
+    List.filter (( <> ) "") (List.map strip (String.split_on_char ' ' line))
+  in
   let rec go acc = function
     | n :: (w :: _ as rest) ->
         if int_of_string_opt n <> None && int_of_string_opt w = None
@@ -307,7 +313,9 @@ let broken_commit_piece () =
   piece "broken-commit"
     (("verdict", if o.W.ok then "PASS" else "FAIL") :: counts verdict)
     (String.concat ""
-       (verdict :: List.filteri (fun j _ -> j < 2) (List.map (fun v -> v ^ "\n") o.W.violations)))
+       (verdict
+       :: List.filteri (fun j _ -> j < 2)
+            (List.map (fun v -> v ^ "\n") o.W.violations)))
 
 (* The transaction manager's result at [txn]'s default workload: a
    change to how often commits abort or snapshots retry moves this row
@@ -461,7 +469,9 @@ let ledger_text rows =
    naming the line: the comparer pairs each row with the first of its
    name, so a second one would never be compared. *)
 let parse_ledger text =
-  let fail n fmt = Printf.ksprintf (Printf.ksprintf failwith "ledger line %d: %s" n) fmt in
+  let fail n fmt =
+    Printf.ksprintf (Printf.ksprintf failwith "ledger line %d: %s" n) fmt
+  in
   let seen = Hashtbl.create 256 in
   String.split_on_char '\n' text
   |> List.mapi (fun n l -> (n + 1, l))
