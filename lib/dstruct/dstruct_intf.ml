@@ -282,7 +282,7 @@ module Mono_set
   (* Lazy overlay: allocating the stripe locks (tracked cache lines
      under the simulator) only on first versioned access keeps
      non-transactional runs allocation-identical to the pre-overlay
-     engine, which the golden schedule digests pin. The bare-OCaml
+     engine, which the pin ledger pins. The bare-OCaml
      initialization contains no [Rt] operation, so the simulator cannot
      preempt it; native users must touch the overlay (e.g. [Txn.obj])
      before sharing the structure. The stripe handles are built here too,

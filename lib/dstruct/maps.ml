@@ -46,7 +46,7 @@ module Base (Rt : RT) (L : Dstruct_intf.TWIN_LOCK) = struct
   (* The key cell of every [pairs_per_line]-th slot opens a streaming
      line; the other keys of its line and all their values join it. The
      lock is built before the slot lines: that order fixes the line ids
-     the golden digests pin. *)
+     the pin ledger pins. *)
   let create ?(capacity = default_capacity) ?(eager_search = false) () =
     let lock = L.create () in
     let heads =

@@ -6,7 +6,7 @@
     knows the measurement record. Everything emitted here is
     deterministic for a given seed: host wall-clock ([host_s]) is
     deliberately {e excluded} so seeded report files are byte-identical
-    across machines and can be golden-digested. *)
+    across machines and can be pinned byte for byte. *)
 
 module J = Obs.Report
 

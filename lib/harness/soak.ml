@@ -1,6 +1,6 @@
 (** Randomized soak sweeps: one sampler draws each run's structure,
     machine, thread count and workload from a seeded rng. The bounded
-    sweep of [optik_bench soak], its golden digest and the time-bounded
+    sweep of [optik_bench soak], its pin ledger rows and the time-bounded
     [test/soak.exe] all draw through it, so a failure tuple printed by
     one replays in the others. *)
 

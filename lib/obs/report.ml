@@ -8,8 +8,8 @@
 
     Everything here is hand-rolled on purpose: the repository carries no
     JSON dependency, and the printer is {e deterministic} — identical
-    values always serialize to identical bytes, so seeded reports can be
-    golden-digested like the other exporters (see [test/test_digest.ml]).
+    values always serialize to identical bytes, so seeded reports are
+    pinned like the other exporters (the [obs] rows of [test/ledger.txt]).
 
     Schema ([schema_name], [schema_version]): a report is an object with
     [schema]/[version]/[tool]/[subcommand]/[seed]/[params]/[runs] members

@@ -142,7 +142,7 @@ module type RT = sig
       starts empty and doubles (from 8, capped at [n]) when a touch lands
       past its end: a structure that sizes a block for every possible
       thread pays host memory only up to the highest thread that uses
-      it, while line ids — hence stall reports and golden digests — and
+      it, while line ids — hence stall reports and the pin ledger — and
       access pricing stay what eager creation gives (an untouched line
       is cold either way). Like any location, a block
       reserved before [Sched.reset_world] must not be touched after it:

@@ -1018,7 +1018,7 @@ let run ?(quantum = default_quantum) ?(ops_target = 0)
   (* Reset each arena record for this run. The loop runs 0..n-1 so the
      per-thread [new_line] calls happen in ascending t_id order — the
      same line-id sequence the old per-run [Array.init] produced, which
-     the golden digests depend on. *)
+     the pin ledger depends on. *)
   for i = 0 to n - 1 do
     let th = threads.(i) in
     let ctx = i mod nctx in
