@@ -247,6 +247,8 @@ let counts line =
    with its verdict, then the summary line. *)
 let fuzz_pieces family ~runs =
   let failed, out = Chaos.fuzz family ~runs ~seed:3 in
+  (* Last first: each unindented line opens a chunk, and the indented
+     lines under a failing trial join it. *)
   let chunks =
     List.fold_left
       (fun acc l ->
@@ -274,14 +276,9 @@ let replay_piece name family s =
   let failures = Chaos.replay family s ppf in
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
-  let verdict =
-    List.find_map
-      (fun l -> Scanf.sscanf_opt l "verdict: %s" Fun.id)
-      (lines out)
-  in
   piece name
     (("failures", i failures)
-     :: ("verdict", Option.value ~default:"-" verdict)
+     :: ("verdict", if failures = 0 then "PASS" else "FAIL")
      :: counts (List.nth (lines out) 1))
     (Printf.sprintf "trial=%s\nfailures=%d\n%s" s failures out)
 
