@@ -24,9 +24,11 @@
    time, accesses, events, CAS and failed CAS; a trial's verdict; an
    oracle's violations, transfers and audits) and the md5 of its own
    output bytes. An output's rows, in ledger order, make up the whole
-   output, so the ledger is as strict as one digest over it. On a
-   mismatch the test names every moved metric with its old and new
-   values, and every missing or extra row.
+   output, so the ledger is as strict as one digest over it. Each output
+   has a test of its own that checks the rows it owns; on a mismatch the
+   test names every moved metric with its old and new values, and every
+   missing or extra row. [ledger recomputed] also fails on a ledger row
+   that no output owns.
 
    If an *intentional* change moves ledger rows, rewrite the ledger from
    the repository root with:
@@ -289,10 +291,6 @@ let gen_replay_piece (module T : Chaos.TRIAL) =
 
 let sets_family = (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
 
-let chaos_pieces () =
-  let fuzz = fuzz_pieces sets_family ~runs:8 in
-  fuzz @ [ gen_replay_piece sets_family ]
-
 (* Every kv and txn trial starts from a pristine world, so these pins
    do not depend on what ran before them. *)
 let kv_pieces () =
@@ -369,81 +367,101 @@ let soak_pieces () =
   in
   go 1
 
-(* A recorded list run's trace exports (the Chrome trace_event JSON and
-   the JSONL journal), its run report (the same bytes [optik_bench run
-   ... --report] writes), and the diff of that report with the lazy
-   list's. *)
-let obs_pieces () =
-  let run name =
-    Harness.World.reset ();
-    let (module S : R.SET_OPS) =
-      R.Sim_backend.find_named R.Sim_backend.lists name
-    in
-    let w = Harness.Runner.uniform_workload ~init_size:256 ~update_pct:40 () in
-    Harness.Runner.run_set_sim ~topology:Sim.Topology.xeon ~nthreads:8
-      ~ops:4_000 ~seed:11 ~record_obs:true
-      (module S)
-      w
-  in
-  let report name m =
-    Obs.Report.to_string
-      (Harness.Report.make ~subcommand:"run" ~seed:(Some 11)
-         ~params:[ ("structure", Obs.Report.Str name) ]
-         [ ("list/" ^ name, m) ])
-  in
-  let parse s =
-    match Obs.Report.parse s with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "report reparse failed: %s" e
-  in
-  let m = run "optik" in
+(* A recorded list run, from a pristine world. *)
+let obs_run name =
+  Harness.World.reset ();
+  let (module S : R.SET_OPS) = R.Sim_backend.find_named R.Sim_backend.lists name in
+  let w = Harness.Runner.uniform_workload ~init_size:256 ~update_pct:40 () in
+  Harness.Runner.run_set_sim ~topology:Sim.Topology.xeon ~nthreads:8 ~ops:4_000
+    ~seed:11 ~record_obs:true
+    (module S)
+    w
+
+(* A run's report: the same bytes [optik_bench run ... --report] writes. *)
+let obs_report name m =
+  Obs.Report.to_string
+    (Harness.Report.make ~subcommand:"run" ~seed:(Some 11)
+       ~params:[ ("structure", Obs.Report.Str name) ]
+       [ ("list/" ^ name, m) ])
+
+(* The recorded OPTIK list run that the trace, report and diff pins share. *)
+let optik_run = lazy (obs_run "optik")
+
+(* Its trace exports: the Chrome trace_event JSON and the JSONL journal. *)
+let trace_pieces () =
   let record =
-    match m.Harness.Runner.obs with
+    match (Lazy.force optik_run).Harness.Runner.obs with
     | None -> Alcotest.fail "expected an observability summary"
     | Some s -> s.Obs.Profile.s_record
   in
   let chrome = Obs.Trace.to_chrome record in
   let events =
-    List.length
-      (List.filter (String.starts_with ~prefix:"{\"name\"") (lines chrome))
-  in
-  let optik = report "optik" m in
-  let head, entries, tail = split_report optik in
-  let diff =
-    match Obs.Report.diff (parse optik) (parse (report "lazy" (run "lazy"))) with
-    | Ok text -> text
-    | Error e -> Alcotest.failf "diff failed: %s" e
+    List.length (List.filter (String.starts_with ~prefix:"{\"name\"") (lines chrome))
   in
   [
     piece "chrome" [ ("events", i events) ] chrome;
     piece "jsonl"
       [ ("entries", i (Array.length record.Obs.Journal.entries)) ]
       (Obs.Trace.to_jsonl record);
-    piece "report/head" [] head;
   ]
-  @ List.map (piece "report/list/optik" (run_counts m)) entries
-  @ [
-      piece "report/tail" [] tail;
-      piece "diff" [ ("lines", i (List.length (lines diff))) ] diff;
-    ]
 
-(* Every seeded output's rows, by section. *)
-let output_rows () =
-  List.concat_map
-    (fun (section, pieces) -> List.map (pin section) (pieces ()))
-    [
-      ("chaos", chaos_pieces);
-      ("kv", kv_pieces);
-      ("txn", txn_pieces);
-      ("soak", soak_pieces);
-      ("obs", obs_pieces);
-    ]
+(* Its run report, one piece per run. *)
+let report_pieces () =
+  let m = Lazy.force optik_run in
+  let head, entries, tail = split_report (obs_report "optik" m) in
+  (piece "report/head" [] head
+  :: List.map (piece "report/list/optik" (run_counts m)) entries)
+  @ [ piece "report/tail" [] tail ]
 
-let ledger_rows () =
-  let structures = structure_rows () in
-  let figures = figure_rows () in
-  let hostperf = hostperf_rows () in
-  structures @ figures @ hostperf @ output_rows ()
+(* The diff of its run report with the lazy list's. *)
+let diff_pieces () =
+  let parse s =
+    match Obs.Report.parse s with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "report reparse failed: %s" e
+  in
+  let optik = obs_report "optik" (Lazy.force optik_run) in
+  let diff =
+    match Obs.Report.diff (parse optik) (parse (obs_report "lazy" (obs_run "lazy"))) with
+    | Ok text -> text
+    | Error e -> Alcotest.failf "diff failed: %s" e
+  in
+  [ piece "diff" [ ("lines", i (List.length (lines diff))) ] diff ]
+
+(* Every pinned output, in ledger order: the test that checks it, the
+   ledger rows it owns (a section and a row-name prefix each), and its
+   rows recomputed. Each output's rows are checked by their own test, so
+   a failure names the output as well as the rows that moved. *)
+let outputs =
+  let rows section pieces () = List.map (pin section) (pieces ()) in
+  [
+    ( "recomputed",
+      [ ("structures", ""); ("figures", ""); ("hostperf", "") ],
+      fun () ->
+        let structures = structure_rows () in
+        let figures = figure_rows () in
+        structures @ figures @ hostperf_rows () );
+    ("chaos fuzz", [ ("chaos", "fuzz/") ], rows "chaos" (fun () -> fuzz_pieces sets_family ~runs:8));
+    ("chaos replay", [ ("chaos", "replay") ], rows "chaos" (fun () -> [ gen_replay_piece sets_family ]));
+    ( "kv and txn streams",
+      [ ("kv", ""); ("txn", "") ],
+      fun () ->
+        let kv = rows "kv" kv_pieces () in
+        kv @ rows "txn" txn_pieces () );
+    ("soak sweep", [ ("soak", "") ], rows "soak" soak_pieces);
+    ("trace exports", [ ("obs", "chrome"); ("obs", "jsonl") ], rows "obs" trace_pieces);
+    ("run report", [ ("obs", "report/") ], rows "obs" report_pieces);
+    ("report diff", [ ("obs", "diff") ], rows "obs" diff_pieces);
+  ]
+
+let owns prefixes r =
+  List.exists
+    (fun (section, prefix) -> r.section = section && String.starts_with ~prefix r.name)
+    prefixes
+
+let output title = List.find (fun (t, _, _) -> t = title) outputs
+
+let ledger_rows () = List.concat_map (fun (_, _, rows) -> rows ()) outputs
 
 (* A row is one line: section, name, then [metric=value] pairs. *)
 let row_line r =
@@ -528,14 +546,29 @@ let compare_ledgers ~old ~now =
 let read_ledger () =
   parse_ledger (In_channel.with_open_text ledger_file In_channel.input_all)
 
-(* The ledger recomputed from the code equals the committed one; on a
-   mismatch every moved, missing or extra row is named. *)
-let test_ledger () =
-  match compare_ledgers ~old:(read_ledger ()) ~now:(ledger_rows ()) with
+(* An output's rows recomputed from the code equal the committed
+   ledger's rows it owns; on a mismatch every moved, missing or extra row
+   is named. *)
+let check_output title =
+  let _, prefixes, rows = output title in
+  let old = List.filter (owns prefixes) (read_ledger ()) in
+  match compare_ledgers ~old ~now:(rows ()) with
   | [] -> ()
   | changes ->
-      Alcotest.failf "%d differences from test/%s:\n%s" (List.length changes)
+      Alcotest.failf "%s: %d differences from test/%s:\n%s" title (List.length changes)
         ledger_file (String.concat "\n" changes)
+
+(* The run rows of every structure, figure and hostperf workload hold,
+   and every ledger row belongs to an output, so none goes unchecked. *)
+let test_ledger () =
+  check_output "recomputed";
+  let orphans =
+    List.filter
+      (fun r -> not (List.exists (fun (_, prefixes, _) -> owns prefixes r) outputs))
+      (read_ledger ())
+  in
+  Alcotest.(check (list string)) "rows no output owns" []
+    (List.map (fun r -> r.section ^ " " ^ r.name) orphans)
 
 (* The comparer names exactly what differs: one changed metric of one
    row, with its old and new values, and a removed or an added row; the
@@ -587,8 +620,13 @@ let test_ledger_negative () =
 (* Two back-to-back productions are identical: determinism within a
    process (catches state leaking from one run into the next). *)
 let test_self_stable () =
-  Alcotest.(check bool) "chaos twice" true (chaos_pieces () = chaos_pieces ());
-  Alcotest.(check bool) "soak twice" true (soak_pieces () = soak_pieces ())
+  let twice title =
+    let _, _, rows = output title in
+    Alcotest.(check bool) (title ^ " twice") true (rows () = rows ())
+  in
+  twice "chaos fuzz";
+  twice "chaos replay";
+  twice "soak sweep"
 
 let () =
   if Sys.getenv_opt "GOLDEN_PRINT" <> None then begin
@@ -598,12 +636,23 @@ let () =
     Printf.printf "wrote %s\n" path;
     exit 0
   end;
+  let pinned title = Alcotest.test_case title `Quick (fun () -> check_output title) in
   Alcotest.run "digest"
     [
+      ( "golden",
+        [
+          pinned "chaos fuzz";
+          pinned "chaos replay";
+          pinned "soak sweep";
+          pinned "trace exports";
+          pinned "run report";
+          pinned "report diff";
+          Alcotest.test_case "self-stable" `Quick test_self_stable;
+          pinned "kv and txn streams";
+        ] );
       ( "ledger",
         [
           Alcotest.test_case "recomputed" `Quick test_ledger;
           Alcotest.test_case "negative control" `Quick test_ledger_negative;
-          Alcotest.test_case "self-stable" `Quick test_self_stable;
         ] );
     ]
