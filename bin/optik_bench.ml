@@ -475,8 +475,9 @@ let soak_cmd =
   let runs_arg = int_arg "runs" 6 "Number of randomized runs (default 6)." in
   let seed =
     seed_arg ~default:424242
-      "Sweep seed (default 424242, the golden-digest seed): drives \
-       structure, topology, thread-count and workload sampling."
+      "Sweep seed (default 424242, the seed of the pin ledger's soak \
+       rows): drives structure, topology, thread-count and workload \
+       sampling."
   in
   let run runs seed report =
     main report @@ fun () ->
@@ -631,31 +632,10 @@ let kv_cmd =
     int_arg "scan" ~docv:"PCT" 10
       "Scan percentage (the rest after reads and scans is puts)."
   in
-  let transfer =
-    int_arg "transfer-pct" ~docv:"PCT" 0
-      "Multi-key transfer percentage (carved from the put share): \
-       each transfer moves units between two account keys — usually \
-       on different shards — inside one optimistic transaction, and \
-       the oracle additionally checks account conservation. \
-       Unsupported together with fault plans (wipes lose balances)."
-  in
-  let accounts =
-    int_arg "accounts" 16
-      "Account keys for --transfer-pct, in the dedicated range \
-       keys+1 .. keys+N."
-  in
   let seed =
     seed_arg
       "Workload seed: same seed (and same fault plan), byte-identical \
        output and report."
-  in
-  let deadline =
-    int_arg "deadline" ~docv:"CYCLES" Kv.default_policy.Kv.deadline
-      "Per-request deadline from intended arrival."
-  in
-  let retries =
-    int_arg "retries" Kv.default_policy.Kv.max_retries
-      "Retry budget per request."
   in
   let faults =
     Arg.(
@@ -728,10 +708,9 @@ let kv_cmd =
          shrinking failures to one-line repros."
       ~replay_doc:"Replay one KV trial string (as emitted by --fuzz)."
   in
-  let run rep shards threads ops keys read scan transfer accounts machine seed
-      deadline retries faults rolling down_for stagger broken_retry
-      no_replication degraded_for resync_batch broken_resync trials jobs
-      report attrib timeline =
+  let run rep shards threads ops keys read scan machine seed faults rolling
+      down_for stagger broken_retry no_replication degraded_for resync_batch
+      broken_resync trials jobs report attrib timeline =
     main report @@ fun () ->
     let topo = topology_of_machine machine in
     ignore (Kv.rep_module rep : (module Harness.Registry.SET_OPS));
@@ -756,15 +735,9 @@ let kv_cmd =
                    ~stagger ())
           | None -> None
         in
-        if transfer > 0 && plan <> None then
-          invalid_arg
-            "--transfer-pct cannot be combined with fault plans (a wipe \
-             loses account balances)";
         let policy =
           {
-            Kv.deadline;
-            max_retries = retries;
-            idempotent = not broken_retry;
+            Kv.idempotent = not broken_retry;
             replicate = not no_replication;
             degraded_cycles = degraded_for;
             resync_batch;
@@ -786,8 +759,6 @@ let kv_cmd =
                 Kv.keys;
                 read_pct = read;
                 scan_pct = scan;
-                transfer_pct = transfer;
-                accounts;
               };
             policy;
             plan;
@@ -864,8 +835,6 @@ let kv_cmd =
                   ("keys", J.Int keys);
                   ("read", J.Int read);
                   ("scan", J.Int scan);
-                  ("transfer_pct", J.Int transfer);
-                  ("accounts", J.Int accounts);
                   ("machine", J.Str machine);
                   ( "faults",
                     match plan with
@@ -892,11 +861,11 @@ let kv_cmd =
           shedding, rolling shard crashes, and the acknowledged-write \
           exactly-once oracle.")
     Term.(
-      const run $ rep $ shards $ threads $ ops $ keys $ read $ scan $ transfer
-      $ accounts $ machine_arg $ seed $ deadline $ retries $ faults $ rolling
-      $ down_for $ stagger $ broken_retry $ no_replication $ degraded_for
-      $ resync_batch $ broken_resync $ trials $ jobs_arg $ report_arg
-      $ attrib_arg $ timeline_arg)
+      const run $ rep $ shards $ threads $ ops $ keys $ read $ scan
+      $ machine_arg $ seed $ faults $ rolling $ down_for $ stagger
+      $ broken_retry $ no_replication $ degraded_for $ resync_batch
+      $ broken_resync $ trials $ jobs_arg $ report_arg $ attrib_arg
+      $ timeline_arg)
 
 let txn_cmd =
   let module W = Txn.Workload in

@@ -439,13 +439,8 @@ let test_run_rejects_bad_config () =
     { c with Kv.policy = { c.Kv.policy with Kv.degraded_cycles = -1 } };
   bad "read -20" { c with Kv.workload = { w with Kv.read_pct = -20 } };
   bad "scan 101" { c with Kv.workload = { w with Kv.scan_pct = 101 } };
-  bad "transfer -1" { c with Kv.workload = { w with Kv.transfer_pct = -1 } };
-  bad "read + scan + transfer 110"
-    {
-      c with
-      Kv.workload =
-        { w with Kv.read_pct = 60; scan_pct = 30; transfer_pct = 20 };
-    }
+  bad "read + scan 110"
+    { c with Kv.workload = { w with Kv.read_pct = 60; scan_pct = 50 } }
 
 (* ------------------------------------------------------------------ *)
 (* Report integration: the kv run renders into a valid schema'd report
@@ -505,7 +500,7 @@ let test_create_allocation () =
       zipf_cfg.Kv.workload.Kv.gap zipf_cfg.Kv.workload.Kv.burst_every words
       limit
 
-(* Put elements are dense ids above every key and account, so the
+(* Put elements are dense ids above every key, so the
    elements of consecutive uids reach every bucket of an [ht-optik]
    store: at the kv-zipf config, uids 1..1024 fill all 1024. A
    power-of-two stride would not (uid ⋅ 64 reaches 16 of them), since
@@ -519,9 +514,9 @@ let test_elements_fill_buckets () =
     for uid = 1 to nb do
       for attempt = 1 to attempts do
         let e = Kv.element cfg ~uid ~attempt in
-        if e <= w.Kv.keys + w.Kv.accounts then
-          Alcotest.failf "%s: element %d of uid %d is not above keys + accounts"
-            what e uid;
+        if e <= w.Kv.keys then
+          Alcotest.failf "%s: element %d of uid %d is not above keys" what e
+            uid;
         Hashtbl.replace elems e ();
         Hashtbl.replace buckets (Dstruct.Ht.hash e mod nb) ()
       done
@@ -531,13 +526,9 @@ let test_elements_fill_buckets () =
       (Hashtbl.length elems)
   in
   check "kv-zipf" zipf_cfg ~attempts:1;
-  check "transfers and broken retries"
-    {
-      zipf_cfg with
-      Kv.workload = { zipf_cfg.Kv.workload with Kv.accounts = 64 };
-      policy = Kv.broken_retry_policy;
-    }
-    ~attempts:(Kv.broken_retry_policy.Kv.max_retries + 1)
+  check "broken retries"
+    { zipf_cfg with Kv.policy = Kv.broken_retry_policy }
+    ~attempts:(Kv.max_retries + 1)
 
 (* Repeated same-seed runs in one domain keep the live heap flat:
    nothing a run builds may outlive it. Line allocation sites travel on

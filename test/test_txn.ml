@@ -1044,55 +1044,6 @@ let test_report_section () =
       then Alcotest.failf "report missing %S" sub)
     [ "\"oracle\""; "\"commits\""; "\"txn.aborts\""; "\"snapshot_retries\"" ]
 
-(* ------------------------------------------------------------------ *)
-(* KV integration: cross-shard transfers end to end. *)
-
-let test_kv_transfers () =
-  let cfg =
-    {
-      Kv.default_config with
-      Kv.nshards = 4;
-      threads = 6;
-      ops = 3_000;
-      workload =
-        {
-          Kv.default_workload with
-          Kv.read_pct = 50;
-          scan_pct = 10;
-          transfer_pct = 25;
-          accounts = 8;
-        };
-    }
-  in
-  let m, r = Kv.run cfg in
-  Alcotest.(check bool) "run completed" false (Harness.Runner.aborted m);
-  Alcotest.(check bool) "stores valid" true m.Harness.Runner.valid;
-  let ctr name =
-    Option.value ~default:0 (List.assoc_opt name m.Harness.Runner.counters)
-  in
-  Alcotest.(check bool) "transfers executed" true (ctr "kv.transfers" > 0);
-  Alcotest.(check bool) "txn commits recorded" true (ctr "txn.commits" > 0);
-  (match r.Kv.res_oracle.Kv.conservation with
-  | None -> Alcotest.fail "conservation oracle missing"
-  | Some (total, expected) ->
-      Alcotest.(check int) "account units conserved" expected total);
-  if not r.Kv.res_oracle.Kv.ok then
-    Alcotest.failf "kv oracle failed: %s"
-      (Format.asprintf "%a" Kv.pp_oracle r.Kv.res_oracle)
-
-(* A kv run without transfers must not register transactional machinery:
-   no kv.transfers activity, no conservation section. *)
-let test_kv_without_transfers_unchanged () =
-  let cfg = { Kv.default_config with Kv.threads = 4; ops = 1_000 } in
-  let m, r = Kv.run cfg in
-  Alcotest.(check bool) "no conservation oracle" true
-    (r.Kv.res_oracle.Kv.conservation = None);
-  Alcotest.(check bool) "no transfer latency class" true
-    (not
-       (Array.exists
-          (fun c -> c = "transfer")
-          m.Harness.Runner.lat_classes))
-
 let () =
   Alcotest.run "txn"
     [
@@ -1163,11 +1114,4 @@ let () =
       ( "report",
         [ Alcotest.test_case "section and taxonomy" `Quick test_report_section ]
       );
-      ( "kv",
-        [
-          Alcotest.test_case "cross-shard transfers conserve" `Quick
-            test_kv_transfers;
-          Alcotest.test_case "transfer-free runs unchanged" `Quick
-            test_kv_without_transfers_unchanged;
-        ] );
     ]
