@@ -151,8 +151,8 @@ end
     commits, so transactional isolation holds {e between transactions}:
     a plain [insert]/[delete] racing a transaction on the same key is
     invisible to validation. Keys owned by transactions must be mutated
-    transactionally. Only the transaction layer ([Txn.Make]) commits
-    through the overlay. *)
+    transactionally. Only the transaction layer ([Txn.Make]) uses the
+    overlay. *)
 module type VERSIONED_OPS = sig
   type t
 

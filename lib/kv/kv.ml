@@ -48,16 +48,15 @@
     the budget renewable is {e resync} (anti-entropy): once a recovered
     store exits its degraded window, the first request to observe it
     copies the surviving peer's contents over in bounded batches
-    ([fold] snapshot of the key set, live per-key re-read with OPTIK
-    version-token revalidation), while concurrent writes are
-    dual-written to both copies. Epoch fencing aborts the copy if
-    either side crashes mid-repair. On catch-up the pair is back to two
-    live copies and the budget {e re-arms}, so {!rolling_plan} and the
-    chaos generator can legally schedule many sequential crashes per
-    pair. Single-copy acks (peer down at refresh) are sound because
-    they only happen once the pair's budget is already spent. The
-    negative controls ([--broken-resync]) skip the dual-write or the
-    fence and must be caught by the oracle. *)
+    ([fold] snapshot of the key set, then a live per-key re-read), while
+    concurrent writes are dual-written to both copies. Epoch fencing
+    aborts the copy if either side crashes mid-repair. On catch-up the
+    pair is back to two live copies and the budget {e re-arms}, so
+    {!rolling_plan} and the chaos generator can legally schedule many
+    sequential crashes per pair. Single-copy acks (peer down at refresh)
+    are sound because they only happen once the pair's budget is already
+    spent. The negative controls ([--broken-resync]) skip the dual-write
+    or the fence and must be caught by the oracle. *)
 
 module R = Harness.Registry
 module Rng = Harness.Rng
@@ -212,18 +211,11 @@ let store_mem (Store { sops = (module S); st; _ }) e = S.search st e <> None
 let store_size (Store { sops = (module S); st; _ }) = S.size st
 let store_valid (Store { sops = (module S); st; _ }) = S.validate st
 
-(* Resync primitives: snapshot enumeration plus the versioned-read /
-   commit-check pair the copier uses to revalidate each copied key. *)
+(* Resync primitives: snapshot enumeration, then a key/value read and
+   write per copied key. *)
 let store_fold (Store { sops = (module S); st; _ }) f acc = S.fold st f acc
 let store_put (Store { sops = (module S); st; _ }) k v = S.insert st k v
 let store_get (Store { sops = (module S); st; _ }) k = S.search st k
-let store_delete (Store { sops = (module S); st; _ }) k = S.delete st k
-
-let store_read_versioned (Store { sops = (module S); st; _ }) k =
-  S.read_versioned st k
-
-let store_commit_check (Store { sops = (module S); st; _ }) tok =
-  S.commit_check st tok
 
 let store_wipe (Store ({ sops = (module S); _ } as s)) =
   s.st <- S.create ~capacity:s.capacity ()
@@ -514,16 +506,13 @@ let rec take n = function
 (* The batched copier: refill [dst] from its surviving peer [src].
 
    Snapshot = the key set folded up front; each key is then re-read
-   {e live} at copy time ([read_versioned]) and its OPTIK version token
-   re-checked after the write lands ([commit_check]), so a transactional
-   commit racing the copy can never resurrect a stale value — the copier
-   drops its write and re-pulls. (Plain element inserts are
-   immutable-per-key, so tokens only move for keys transactions own.)
-   Keys the dual-write path already delivered to [dst] are skipped; keys
-   deleted (or wiped) since the snapshot read back [None] and are not
-   resurrected. That last rule is what gives the epoch fence teeth: a
-   fenceless copier walking a crashed-and-wiped source "completes" with
-   every unvisited key silently dropped.
+   {e live} at copy time. An element's value never changes once
+   inserted, so the live read is the value to copy. Keys the dual-write
+   path already delivered to [dst] are skipped; keys deleted (or wiped)
+   since the snapshot read back [None] and are not resurrected. That
+   last rule is what gives the epoch fence teeth: a fenceless copier
+   walking a crashed-and-wiped source "completes" with every unvisited
+   key silently dropped.
 
    Fencing: before every batch, and once more before declaring
    catch-up, both nodes' crash counts are compared against the values
@@ -559,19 +548,11 @@ let do_resync t si ~src ~dst =
   let copy_key k =
     if store_get dst.n_store k <> None then incr held
     else begin
-      let rec pull tries =
-        match store_read_versioned src.n_store k with
-        | None, _ -> ()  (* gone since the snapshot: do not resurrect *)
-        | Some v, tok ->
-            ignore (store_put dst.n_store k v : bool);
-            if not (store_commit_check src.n_store tok) && tries < 3 then begin
-              (* a commit raced the copy: drop ours, re-pull fresh *)
-              ignore (store_delete dst.n_store k : int option);
-              pull (tries + 1)
-            end
-            else incr held
-      in
-      pull 0;
+      (match store_get src.n_store k with
+      | None -> ()  (* gone since the snapshot: do not resurrect *)
+      | Some v ->
+          ignore (store_put dst.n_store k v : bool);
+          incr held);
       Probe.incr ctr.c_resync_keys;
       Sim.Sched.work 64 (* per-key transfer framing *)
     end

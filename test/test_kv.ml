@@ -261,7 +261,7 @@ let test_resync_rearms () =
       (Format.asprintf "%a" Kv.pp_oracle r.Kv.res_oracle)
 
 (* Fold-snapshot consistency: a write-heavy mix keeps writers racing the
-   copier, so the batched fold + OPTIK token revalidation + dual-write
+   copier, so the batched fold + live per-key re-read + dual-write
    must together deliver a post-catch-up replica that agrees with the
    primary — sizes equal, strict oracle PASS, and the dual-write counter
    proves the copy really overlapped live writes. *)
