@@ -500,12 +500,12 @@ let test_create_allocation () =
       zipf_cfg.Kv.workload.Kv.gap zipf_cfg.Kv.workload.Kv.burst_every words
       limit
 
-(* Put elements are dense ids above every key, so the
-   elements of consecutive uids reach every bucket of an [ht-optik]
-   store: at the kv-zipf config, uids 1..1024 fill all 1024. A
-   power-of-two stride would not (uid ⋅ 64 reaches 16 of them), since
-   the bucket keeps only the low bits of [Ht.hash]. The broken-retry
-   policy's attempts stay distinct elements in the same range. *)
+(* Put elements are dense ids above every key, so the elements of
+   consecutive uids reach every bucket of an [ht-optik] store: at the
+   kv-zipf config, uids 1..1024 fill all 1024. A power-of-two stride
+   would not (uid ⋅ 64 reaches 16 of them), since the bucket keeps only
+   the low bits of [Ht.hash]. The broken-retry policy's attempts stay
+   distinct elements in the same range. *)
 let test_elements_fill_buckets () =
   let check what cfg ~attempts =
     let nb = Kv.store_capacity cfg in
