@@ -468,6 +468,49 @@ let test_report_section () =
       "\"warranty\"";
     ]
 
+(* The deadline and retry bound are constants, not policy fields, yet
+   every policy's report still prints them, so kv reports keep their
+   bytes whatever policy a run takes. *)
+let test_policy_prints_constants () =
+  List.iter
+    (fun (what, p) ->
+      match Kv.policy_json p with
+      | Obs.Report.Obj fields ->
+          let int_field k =
+            match List.assoc_opt k fields with
+            | Some (Obs.Report.Int n) -> n
+            | _ -> Alcotest.failf "%s: policy has no integer %S" what k
+          in
+          Alcotest.(check int) (what ^ ": deadline") 400_000
+            (int_field "deadline");
+          Alcotest.(check int) (what ^ ": max_retries") 8
+            (int_field "max_retries")
+      | _ -> Alcotest.failf "%s: policy is not an object" what)
+    [
+      ("default", Kv.default_policy);
+      ("broken retry", Kv.broken_retry_policy);
+      ("no replication", Kv.no_replication_policy);
+      ("broken dual-write", Kv.broken_resync_policy `Dual_write);
+    ]
+
+(* A kv run makes no transactions: its counters hold no transfer or
+   [txn.*] activity and its latency classes are the request kinds (plus
+   resync under a crash plan). The bank workload is [Txn.Workload]'s. *)
+let test_run_makes_no_transactions () =
+  let m, r = Kv.run rolling_cfg in
+  List.iter
+    (fun (name, _) ->
+      if name = "kv.transfers" || String.starts_with ~prefix:"txn." name then
+        Alcotest.failf "kv run registered counter %S" name)
+    m.Harness.Runner.counters;
+  Alcotest.(check (array string))
+    "latency classes"
+    (Array.append Kv.lat_classes [| "resync" |])
+    m.Harness.Runner.lat_classes;
+  if not r.Kv.res_oracle.Kv.ok then
+    Alcotest.failf "kv oracle failed: %s"
+      (Format.asprintf "%a" Kv.pp_oracle r.Kv.res_oracle)
+
 (* ------------------------------------------------------------------ *)
 (* Allocation gate: building the stores is host work every run repeats.
    [Kv.create]'s minor + major words at the kv-zipf benchmark config
@@ -600,7 +643,13 @@ let () =
             test_run_rejects_bad_config;
         ] );
       ( "report",
-        [ Alcotest.test_case "section and p999" `Quick test_report_section ] );
+        [
+          Alcotest.test_case "section and p999" `Quick test_report_section;
+          Alcotest.test_case "policy prints the fixed deadline and retries"
+            `Quick test_policy_prints_constants;
+          Alcotest.test_case "run makes no transactions" `Quick
+            test_run_makes_no_transactions;
+        ] );
       ( "elements",
         [
           Alcotest.test_case "elements fill every bucket" `Quick
