@@ -15,8 +15,7 @@
     [STACK]) and the monomorphic driver view ([SET_OPS], [QUEUE_OPS],
     [STACK_OPS]) are both derived from it by inclusion, and the [Mono_*]
     functors generate the monomorphic modules — so an interface change
-    (like the versioned transaction hooks below) is written in exactly
-    one place. *)
+    is written in exactly one place. *)
 
 module type SET_CORE = sig
   type 'v t
@@ -125,51 +124,6 @@ module type MONO = sig
   val probe_prefix : string option
 end
 
-(** {1 Versioned transaction hooks}
-
-    The optimistic multi-object transaction layer ({!Txn}) needs three
-    things from a structure: versioned reads, commit-time validation,
-    and a per-key lock whose release publishes a new version. Declared
-    once here and included into {!SET_OPS}, they are implemented for
-    {e every} registered rep by {!Mono_set} as a striped OPTIK-lock
-    overlay:
-
-    - OPTIK-family reps declare several stripes ([stripes > 1]), so
-      independent keys validate and lock independently — the native
-      fine-grained flavour;
-    - non-OPTIK reps declare [stripes = 1], the single structure-wide
-      version wrapper: any committed write invalidates every
-      outstanding read of that structure.
-
-    Versions travel as opaque {e tokens} ([int]s packing stripe and
-    version); a token is only meaningful to the structure that issued
-    it. The overlay is allocated lazily on first versioned access, so
-    purely non-transactional runs allocate nothing — and keep their
-    recorded schedules byte-identical.
-
-    The overlay versions only ever advance through {!Locks.Handle}
-    commits, so transactional isolation holds {e between transactions}:
-    a plain [insert]/[delete] racing a transaction on the same key is
-    invisible to validation. Keys owned by transactions must be mutated
-    transactionally. Only the transaction layer ([Txn.Make]) uses the
-    overlay. *)
-module type VERSIONED_OPS = sig
-  type t
-
-  val read_versioned : t -> int -> int option * int
-  (** Atomic-snapshot read: the value and a version token that
-      {!commit_check} accepts until the key's stripe commits again.
-      Spins only while the stripe is mid-commit. *)
-
-  val commit_check : t -> int -> bool
-  (** [commit_check t token]: no commit on the token's stripe since the
-      token was issued, and no commit in flight. *)
-
-  val lock_handle : t -> int -> Locks.Handle.t
-  (** The commit lock covering a key — one handle per stripe, with a
-      process-unique id for sorted (deadlock-free) acquisition. *)
-end
-
 module type SET_OPS = sig
   include MONO
 
@@ -180,8 +134,6 @@ module type SET_OPS = sig
   val fold : t -> (int -> int -> 'a -> 'a) -> 'a -> 'a
   val size : t -> int
   val validate : ?crashed:int -> t -> bool
-
-  include VERSIONED_OPS with type t := t
 end
 
 module type QUEUE_OPS = sig
@@ -205,121 +157,31 @@ end
 (** {1 Monomorphization functors}
 
     Deriving a [*_OPS] module from a polymorphic implementation is pure
-    boilerplate except for three things: the registry name (which
-    follows the paper's figures, not the module name), the [create]
-    call (which bakes in variant flags like [~cache] or [~variant]),
-    and the stripe count of the versioned overlay. The [Mono_*]
-    functors below take exactly those — a [*_CORE] module of shared
-    operations and a spec — so the registry lists one small spec per
-    entry instead of a full hand-written wrapper, and the versioned
-    hooks are generated here instead of being re-implemented per rep. *)
+    boilerplate except for two things: the registry name (which follows
+    the paper's figures, not the module name) and the [create] call
+    (which bakes in variant flags like [~cache] or [~variant]). The
+    [Mono_*] functors below take exactly those — a [*_CORE] module of
+    shared operations and a spec — so the registry lists one small spec
+    per entry instead of a full hand-written wrapper. *)
 
 module Mono_set
-    (Rt : Rt.Rt_intf.RT)
     (S : SET_CORE)
     (C : sig
       val name : string
       val probe_prefix : string option
-
-      val stripes : int
-      (** Version-lock stripes of the transactional overlay: several
-          for OPTIK-family reps (per-key granularity), [1] for the
-          structure-wide wrapper over non-OPTIK reps. *)
-
       val create : ?capacity:int -> unit -> int S.t
     end) : SET_OPS = struct
-  module OL = Optik.Versioned (Rt)
-
-  type overlay = {
-    vlocks : OL.t array;
-    handles : Locks.Handle.t array;  (** one per stripe, built with it *)
-  }
-
-  type t = { s : int S.t; mutable ov : overlay option }
+  type t = int S.t
 
   let name = C.name
   let probe_prefix = C.probe_prefix
-  let stripes = max 1 C.stripes
-
-  let create ?capacity () = { s = C.create ?capacity (); ov = None }
-  let search t = S.search t.s
-  let insert t = S.insert t.s
-  let delete t = S.delete t.s
-  let fold t = S.fold t.s
-  let size t = S.size t.s
-  let validate ?crashed t = S.validate ?crashed t.s
-
-  (* A token packs (free version, stripe). Versioned-lock words advance
-     by 2 per commit, leaving 42 usable version bits here — years of
-     simulated commits. *)
-  let stripe_bits = 20
-  let () = assert (stripes < 1 lsl stripe_bits)
-  let stripe_mask = (1 lsl stripe_bits) - 1
-  let token ~stripe v = (v lsl stripe_bits) lor stripe
-  let token_stripe tok = tok land stripe_mask
-  let token_version tok = tok asr stripe_bits
-
-  let check_stripe l ~stripe tok =
-    token_stripe tok = stripe
-    &&
-    let v = OL.get_version l in
-    (not (OL.is_locked v)) && OL.same_version v (token_version tok)
-
-  let handle ~id l sp =
-    Locks.Handle.v ~id
-      ~acquire:(fun tok ->
-        token_stripe tok = sp && OL.trylock_version l (token_version tok))
-      ~acquire_any:(fun () ->
-        let rec go () =
-          let v = OL.get_version_wait l in
-          if OL.trylock_version l v then token ~stripe:sp v else go ()
-        in
-        go ())
-      ~commit:(fun () -> OL.unlock l)
-      ~revert:(fun () -> OL.revert l)
-      ~check:(fun tok -> check_stripe l ~stripe:sp tok)
-
-  (* Lazy overlay: allocating the stripe locks (tracked cache lines
-     under the simulator) only on first versioned access keeps
-     non-transactional runs allocation-identical to the pre-overlay
-     engine, which the pin ledger pins. The bare-OCaml
-     initialization contains no [Rt] operation, so the simulator cannot
-     preempt it; native users must touch the overlay (e.g. [Txn.obj])
-     before sharing the structure. The stripe handles are built here too,
-     so [lock_handle] allocates nothing. *)
-  let overlay t =
-    match t.ov with
-    | Some o -> o
-    | None ->
-        let vlocks = Array.init stripes (fun _ -> OL.create ()) in
-        let base = Locks.Handle.fresh_base stripes in
-        let o =
-          {
-            vlocks;
-            handles =
-              Array.mapi (fun sp l -> handle ~id:(base + sp) l sp) vlocks;
-          }
-        in
-        t.ov <- Some o;
-        o
-
-  let stripe_of k = ((k mod stripes) + stripes) mod stripes
-
-  let rec read_versioned t k =
-    let o = overlay t in
-    let sp = stripe_of k in
-    let l = o.vlocks.(sp) in
-    let v = OL.get_version_wait l in
-    let x = S.search t.s k in
-    if OL.same_version (OL.get_version l) v then (x, token ~stripe:sp v)
-    else read_versioned t k
-
-  let commit_check t tok =
-    let o = overlay t in
-    let sp = token_stripe tok in
-    sp < stripes && check_stripe o.vlocks.(sp) ~stripe:sp tok
-
-  let lock_handle t k = (overlay t).handles.(stripe_of k)
+  let create = C.create
+  let search = S.search
+  let insert = S.insert
+  let delete = S.delete
+  let fold = S.fold
+  let size = S.size
+  let validate = S.validate
 end
 
 module Mono_queue

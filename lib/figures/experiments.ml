@@ -555,22 +555,20 @@ module Map_ticket =
   Dstruct.Maps.Optik_based_gen (Sim.Sim_rt) (Optik.Ticket)
 
 let map_ticket_ops : (module Harness.Registry.SET_OPS) =
-  (module Dstruct.Dstruct_intf.Mono_set (Sim.Sim_rt) (Map_ticket)
+  (module Dstruct.Dstruct_intf.Mono_set (Map_ticket)
             (struct
               let name = "optik[tkt]"
               let probe_prefix = Some "map-optik"
-              let stripes = 16
               let create ?capacity () = Map_ticket.create ?capacity ()
             end))
 
 module Ll_ticket = Dstruct.Ll_optik.Make_gen (Sim.Sim_rt) (Optik.Ticket)
 
 let ll_ticket_ops : (module Harness.Registry.SET_OPS) =
-  (module Dstruct.Dstruct_intf.Mono_set (Sim.Sim_rt) (Ll_ticket)
+  (module Dstruct.Dstruct_intf.Mono_set (Ll_ticket)
             (struct
               let name = "optik[tkt]"
               let probe_prefix = Some "ll-optik"
-              let stripes = 16
               let create ?capacity:_ () = Ll_ticket.create ()
             end))
 
@@ -748,11 +746,10 @@ let stack_experiment mode =
 module Map_eager = Dstruct.Maps.Optik_based (Sim.Sim_rt)
 
 let map_eager_ops : (module Harness.Registry.SET_OPS) =
-  (module Dstruct.Dstruct_intf.Mono_set (Sim.Sim_rt) (Map_eager)
+  (module Dstruct.Dstruct_intf.Mono_set (Map_eager)
             (struct
               let name = "optik-eager"
               let probe_prefix = Some "map-optik"
-              let stripes = 16
 
               let create ?capacity () =
                 Map_eager.create ?capacity ~eager_search:true ()

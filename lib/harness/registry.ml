@@ -19,12 +19,6 @@ module Mono_queue = Dstruct.Dstruct_intf.Mono_queue
 module Mono_stack = Dstruct.Dstruct_intf.Mono_stack
 
 module ForRt (Rt : Rt.Rt_intf.RT) = struct
-  (* Stripe count of the versioned transaction overlay for OPTIK-family
-     reps (see {!Dstruct.Dstruct_intf.VERSIONED_OPS}): enough that
-     independent keys rarely share a commit lock at benchmark account
-     counts, small enough that a structure's lazy overlay stays cheap.
-     Non-OPTIK reps declare [1] — the structure-wide version wrapper. *)
-  let optik_stripes = 16
   module Map_lock = Dstruct.Maps.Lock_based (Rt)
   module Map_optik = Dstruct.Maps.Optik_based (Rt)
   module Ll_optik = Dstruct.Ll_optik.Make (Rt)
@@ -46,18 +40,16 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
   (* ---------------- maps (Figure 7) ---------------- *)
 
   let map_mcs : (module SET_OPS) =
-    (module Mono_set (Rt) (Map_lock) (struct
+    (module Mono_set (Map_lock) (struct
       let name = "mcs"
       let probe_prefix = None
-      let stripes = 1
       let create ?capacity () = Map_lock.create ?capacity ()
     end))
 
   let map_optik : (module SET_OPS) =
-    (module Mono_set (Rt) (Map_optik) (struct
+    (module Mono_set (Map_optik) (struct
       let name = "optik"
       let probe_prefix = Some "map-optik"
-      let stripes = optik_stripes
       let create ?capacity () = Map_optik.create ?capacity ()
     end))
 
@@ -66,58 +58,51 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
   (* ---------------- linked lists (Figure 9) ---------------- *)
 
   let ll_harris : (module SET_OPS) =
-    (module Mono_set (Rt) (Ll_harris) (struct
+    (module Mono_set (Ll_harris) (struct
       let name = "harris"
       let probe_prefix = Some "ll-harris"
-      let stripes = 1
       let create ?capacity:_ () = Ll_harris.create ()
     end))
 
   let ll_lazy_ : (module SET_OPS) =
-    (module Mono_set (Rt) (Ll_lazy) (struct
+    (module Mono_set (Ll_lazy) (struct
       let name = "lazy"
       let probe_prefix = Some "ll-lazy"
-      let stripes = 1
       let create ?capacity:_ () = Ll_lazy.create ()
     end))
 
   let ll_lazy_cache : (module SET_OPS) =
-    (module Mono_set (Rt) (Ll_lazy) (struct
+    (module Mono_set (Ll_lazy) (struct
       let name = "lazy-cache"
       let probe_prefix = Some "ll-lazy"
-      let stripes = 1
       let create ?capacity:_ () = Ll_lazy.create ~cache:true ()
     end))
 
   let ll_mcs_gl_opt : (module SET_OPS) =
-    (module Mono_set (Rt) (Ll_gl_mcs) (struct
+    (module Mono_set (Ll_gl_mcs) (struct
       let name = "mcs-gl-opt"
       let probe_prefix = None
-      let stripes = 1
       let create ?capacity:_ () = Ll_gl_mcs.create ()
     end))
 
   let ll_optik_gl : (module SET_OPS) =
-    (module Mono_set (Rt) (Ll_optik_gl) (struct
+    (module Mono_set (Ll_optik_gl) (struct
       let name = "optik-gl"
       let probe_prefix = Some "ll-optik-gl"
-      let stripes = optik_stripes
       let create ?capacity:_ () = Ll_optik_gl.create ()
     end))
 
   let ll_optik : (module SET_OPS) =
-    (module Mono_set (Rt) (Ll_optik) (struct
+    (module Mono_set (Ll_optik) (struct
       let name = "optik"
       let probe_prefix = Some "ll-optik"
-      let stripes = optik_stripes
       let create ?capacity:_ () = Ll_optik.create ()
     end))
 
   let ll_optik_cache : (module SET_OPS) =
-    (module Mono_set (Rt) (Ll_optik) (struct
+    (module Mono_set (Ll_optik) (struct
       let name = "optik-cache"
       let probe_prefix = Some "ll-optik"
-      let stripes = optik_stripes
       let create ?capacity:_ () = Ll_optik.create ~cache:true ()
     end))
 
@@ -159,58 +144,51 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
     end)
 
   let ht_lazy_gl : (module SET_OPS) =
-    (module Mono_set (Rt) (Ht_lazy_gl) (struct
+    (module Mono_set (Ht_lazy_gl) (struct
       let name = "lazy-gl"
       let probe_prefix = None
-      let stripes = 1
       let create ?capacity () = Ht_lazy_gl.create ?capacity ()
     end))
 
   let ht_java : (module SET_OPS) =
-    (module Mono_set (Rt) (Ht_java) (struct
+    (module Mono_set (Ht_java) (struct
       let name = "java"
       let probe_prefix = None
-      let stripes = 1
       let create ?capacity () = Ht_java.create ?capacity ()
     end))
 
   let ht_java_optik : (module SET_OPS) =
-    (module Mono_set (Rt) (Ht_java_optik) (struct
+    (module Mono_set (Ht_java_optik) (struct
       let name = "java-optik"
       let probe_prefix = Some "ht-java-optik"
-      let stripes = optik_stripes
       let create ?capacity () = Ht_java_optik.create ?capacity ()
     end))
 
   let ht_optik : (module SET_OPS) =
-    (module Mono_set (Rt) (Ht_optik) (struct
+    (module Mono_set (Ht_optik) (struct
       let name = "optik"
       let probe_prefix = Some "ll-optik"
-      let stripes = optik_stripes
       let create ?capacity () = Ht_optik.create ?capacity ()
     end))
 
   let ht_optik_gl : (module SET_OPS) =
-    (module Mono_set (Rt) (Ht_optik_gl) (struct
+    (module Mono_set (Ht_optik_gl) (struct
       let name = "optik-gl"
       let probe_prefix = Some "ll-optik-gl"
-      let stripes = optik_stripes
       let create ?capacity () = Ht_optik_gl.create ?capacity ()
     end))
 
   let ht_map_optik : (module SET_OPS) =
-    (module Mono_set (Rt) (Ht_map_optik) (struct
+    (module Mono_set (Ht_map_optik) (struct
       let name = "optik-map"
       let probe_prefix = Some "map-optik"
-      let stripes = optik_stripes
       let create ?capacity () = Ht_map_optik.create ?capacity ()
     end))
 
   let ht_harris : (module SET_OPS) =
-    (module Mono_set (Rt) (Ht_harris) (struct
+    (module Mono_set (Ht_harris) (struct
       let name = "harris-ht"
       let probe_prefix = Some "ll-harris"
-      let stripes = 1
       let create ?capacity () = Ht_harris.create ?capacity ()
     end))
 
@@ -222,42 +200,37 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
   (* ---------------- skip lists (Figure 11) ---------------- *)
 
   let sl_fraser : (module SET_OPS) =
-    (module Mono_set (Rt) (Sl_fraser) (struct
+    (module Mono_set (Sl_fraser) (struct
       let name = "fraser"
       let probe_prefix = Some "sl-fraser"
-      let stripes = 1
       let create ?capacity:_ () = Sl_fraser.create ()
     end))
 
   let sl_herlihy : (module SET_OPS) =
-    (module Mono_set (Rt) (Sl_herlihy) (struct
+    (module Mono_set (Sl_herlihy) (struct
       let name = "herlihy"
       let probe_prefix = Some "sl-herlihy"
-      let stripes = 1
       let create ?capacity:_ () = Sl_herlihy.create ()
     end))
 
   let sl_herlihy_optik : (module SET_OPS) =
-    (module Mono_set (Rt) (Sl_herlihy) (struct
+    (module Mono_set (Sl_herlihy) (struct
       let name = "herl-optik"
       let probe_prefix = Some "sl-herlihy"
-      let stripes = optik_stripes
       let create ?capacity:_ () = Sl_herlihy.create ~optik:true ()
     end))
 
   let sl_optik1 : (module SET_OPS) =
-    (module Mono_set (Rt) (Sl_optik) (struct
+    (module Mono_set (Sl_optik) (struct
       let name = "optik1"
       let probe_prefix = Some "sl-optik"
-      let stripes = optik_stripes
       let create ?capacity:_ () = Sl_optik.create ~variant:`Validate ()
     end))
 
   let sl_optik2 : (module SET_OPS) =
-    (module Mono_set (Rt) (Sl_optik) (struct
+    (module Mono_set (Sl_optik) (struct
       let name = "optik2"
       let probe_prefix = Some "sl-optik"
-      let stripes = optik_stripes
       let create ?capacity:_ () = Sl_optik.create ~variant:`Restart ()
     end))
 
@@ -337,18 +310,16 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
   (* ---------------- binary search trees (extension; §6 / BST-TK) ---- *)
 
   let bst_optik : (module SET_OPS) =
-    (module Mono_set (Rt) (Bst_optik) (struct
+    (module Mono_set (Bst_optik) (struct
       let name = "bst-optik"
       let probe_prefix = Some "bst-optik"
-      let stripes = optik_stripes
       let create ?capacity:_ () = Bst_optik.create ()
     end))
 
   let bst_gl : (module SET_OPS) =
-    (module Mono_set (Rt) (Bst_gl) (struct
+    (module Mono_set (Bst_gl) (struct
       let name = "bst-gl"
       let probe_prefix = None
-      let stripes = 1
       let create ?capacity:_ () = Bst_gl.create ()
     end))
 

@@ -222,20 +222,23 @@ end
 (** {1 Per-key transactional lock handles}
 
     A [Handle.t] is a first-class capability over one version lock — in
-    practice one stripe of a structure's versioned overlay (see
-    {!Dstruct.Dstruct_intf}). It is what a multi-object transaction
-    manager sorts and acquires at commit: OCaml has no pointer ordering,
-    so every handle carries a process-unique integer [id] standing in
-    for the lock's address; acquiring handles in ascending [id] order
-    makes the classic sorted-two-phase commit deadlock-free.
+    practice one version stripe of an object in a multi-object
+    transaction (see {!Stripes}). It is what a transaction manager sorts
+    and acquires at commit: OCaml has no pointer ordering, so every
+    handle carries a process-unique integer [id] standing in for the
+    lock's address; acquiring handles in ascending [id] order makes the
+    classic sorted-two-phase commit deadlock-free.
 
     Handles speak {e version tokens} (plain [int]s, opaque to this
-    module): the token a structure's [read_versioned] returned is what
-    [acquire]/[check] validate against. All closures capture the
-    underlying lock, so a handle stays valid as long as its structure. *)
+    module): the token [wait] returned is what [acquire]/[check]
+    validate against. All closures capture the underlying lock, so a
+    handle stays valid as long as its lock. *)
 module Handle = struct
   type t = {
     id : int;  (** process-unique; the sort key replacing lock addresses *)
+    wait : unit -> int;
+        (** Spin until the version is free and return its token: the
+            first step of a versioned read. *)
     acquire : int -> bool;
         (** [acquire token] locks iff the version still matches [token] —
             the OPTIK single-CAS validate-and-lock. *)
@@ -253,15 +256,12 @@ module Handle = struct
   let compare a b = Int.compare a.id b.id
   let equal a b = a.id = b.id
 
-  let v ~id ~acquire ~acquire_any ~commit ~revert ~check =
-    { id; acquire; acquire_any; commit; revert; check }
-
   (* Id-range allocator for handle ids. Creation-order determinism is
-     all that matters (ids only ever order lock acquisition); structures
-     allocate their ranges single-threadedly at first versioned access,
-     which the deterministic simulator serializes. The counter is
-     domain-local so fleet worker domains allocate independent, pristine
-     sequences. *)
+     all that matters (ids only ever order lock acquisition); stripes
+     are created single-threadedly when a transaction's objects are
+     packed, which the deterministic simulator serializes. The counter
+     is domain-local so fleet worker domains allocate independent,
+     pristine sequences. *)
   let next_base_key : int ref Domain.DLS.key =
     Domain.DLS.new_key (fun () -> ref 0)
 
@@ -274,4 +274,53 @@ module Handle = struct
   (* Restart the id sequence (world reset); handles created before the
      reset must be dropped with their structures. *)
   let reset_ids () = Domain.DLS.get next_base_key := 0
+end
+
+(** [Stripes (Rt).create n]: [n] fresh OPTIK version locks
+    ({!Optik.Versioned}) and their handles, with consecutive ids from one
+    {!Handle.fresh_base} range. A transactional object maps each key to
+    one stripe: several stripes let independent keys validate and lock
+    independently, one stripe versions the whole object. The locks are
+    allocated first, in stripe order, then the id range is drawn. *)
+module Stripes (Rt : RT) = struct
+  module OL = Optik.Versioned (Rt)
+
+  (* A token packs (free version, stripe). Versioned-lock words advance
+     by 2 per commit, leaving 42 usable version bits here — years of
+     simulated commits. *)
+  let stripe_bits = 20
+  let stripe_mask = (1 lsl stripe_bits) - 1
+  let token ~stripe v = (v lsl stripe_bits) lor stripe
+  let token_stripe tok = tok land stripe_mask
+  let token_version tok = tok asr stripe_bits
+
+  let handle ~id l sp =
+    {
+      Handle.id;
+      wait = (fun () -> token ~stripe:sp (OL.get_version_wait l));
+      acquire =
+        (fun tok ->
+          token_stripe tok = sp && OL.trylock_version l (token_version tok));
+      acquire_any =
+        (fun () ->
+          let rec go () =
+            let v = OL.get_version_wait l in
+            if OL.trylock_version l v then token ~stripe:sp v else go ()
+          in
+          go ());
+      commit = (fun () -> OL.unlock l);
+      revert = (fun () -> OL.revert l);
+      check =
+        (fun tok ->
+          token_stripe tok = sp
+          &&
+          let v = OL.get_version l in
+          (not (OL.is_locked v)) && OL.same_version v (token_version tok));
+    }
+
+  let create n =
+    if n < 1 || n > stripe_mask then invalid_arg "Locks.Stripes.create";
+    let vlocks = Array.init n (fun _ -> OL.create ()) in
+    let base = Handle.fresh_base n in
+    Array.mapi (fun sp l -> handle ~id:(base + sp) l sp) vlocks
 end

@@ -2,9 +2,11 @@
 
     The paper's methodology (§5) stresses that backoff schemes materially
     affect results, so all algorithms — OPTIK and baselines alike — use the
-    exact same policy: exponentially increasing waits, capped at 16k cycles
-    of pause time. [Txn.Make.snapshot] paces its retries with it too, from
-    the second retry on. *)
+    exact same policy: exponentially increasing waits of [cur / 32]
+    pauses, [cur] doubling up to [default_max] = 16384, so a wait is
+    capped at 512 pauses (4096 cycles on the simulator, 8 cycles a pause)
+    plus up to 513 more pauses of jitter. [Txn.Make.snapshot] paces its
+    retries with it too, from the second retry on. *)
 
 module Make (Rt : Rt_intf.RT) = struct
   (* Every wait carries timing jitter of up to ~50%, drawn from

@@ -1,12 +1,15 @@
-(** Optimistic multi-object transactions over the versioned registry API.
+(** Optimistic multi-object transactions over registered structures.
 
     The OPTIK pattern validates a version and acquires a lock in one CAS;
     this module lifts that into a transaction layer over {e any group} of
     registered structures, in the spirit of object-based optimistic STMs
-    built from versioned objects:
+    built from versioned objects. Each structure joins as an {!Make.obj}
+    with its own array of version stripes ({!Locks.Stripes}): a key maps
+    to one stripe, whose OPTIK version lock versions every key on it.
 
-    - the {e read phase} collects values with their version tokens
-      ({!Dstruct.Dstruct_intf.VERSIONED_OPS.read_versioned});
+    - the {e read phase} collects values with their version tokens: wait
+      for the key's stripe to be free, search the structure, and re-check
+      the stripe's version, retrying the read if a commit moved it;
     - {e commit} acquires the write set's per-key lock handles in
       ascending handle-id order (the classic sorted two-phase commit, so
       no two transactions can deadlock), where a handle also covered by
@@ -40,9 +43,8 @@
     after tickets [< c].
 
     Isolation holds between transactions only: plain [insert]/[delete]
-    on a structure do not advance overlay versions, so keys under
-    transactional ownership must only be mutated transactionally (see
-    {!Dstruct.Dstruct_intf.VERSIONED_OPS}). *)
+    on a structure do not advance stripe versions, so keys under
+    transactional ownership must only be mutated transactionally. *)
 
 module type SET_OPS = Dstruct.Dstruct_intf.SET_OPS
 
@@ -78,22 +80,34 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
             check and that clock read passes the gate unvalidated — the
             audit oracle must catch this *)
 
-  (* One structure participating in transactions. Packed once at setup:
-     the packed value itself (compared with [==]) keys the
-     per-transaction read/write buffers, and packing forces the
-     structure's versioned overlay into existence while still
-     single-threaded. *)
+  (* One structure participating in transactions, with its version
+     stripes. Packed once at setup: the packed value itself (compared
+     with [==]) keys the per-transaction read/write buffers. *)
   type obj =
-    | Obj : { ops : (module SET_OPS with type t = 'a); st : 'a } -> obj
+    | Obj : {
+        ops : (module SET_OPS with type t = 'a);
+        st : 'a;
+        stripes : Locks.Handle.t array;
+      }
+        -> obj
 
-  let obj (type a) (module S : SET_OPS with type t = a) (st : a) : obj =
-    (* Touch the overlay now (key 0 only selects a stripe; the structure
-       itself is not accessed) so no lazy allocation races the run. *)
-    ignore (S.lock_handle st 0 : Locks.Handle.t);
-    Obj { ops = (module S); st }
+  let obj (type a) (module S : SET_OPS with type t = a) (st : a) stripes : obj
+      =
+    Obj { ops = (module S); st; stripes }
 
-  let obj_read (Obj { ops = (module S); st; _ }) k = S.read_versioned st k
-  let obj_handle (Obj { ops = (module S); st; _ }) k = S.lock_handle st k
+  (* The commit lock covering a key: its stripe's handle. *)
+  let obj_handle (Obj { stripes; _ }) k =
+    let n = Array.length stripes in
+    stripes.(((k mod n) + n) mod n)
+
+  (* Atomic-snapshot read: the value and a version token that the key's
+     handle [check]s until its stripe commits again. Spins only while
+     the stripe is mid-commit. *)
+  let rec obj_read (Obj { ops = (module S); st; _ } as o) k =
+    let h = obj_handle o k in
+    let tok = h.Locks.Handle.wait () in
+    let x = S.search st k in
+    if h.check tok then (x, tok) else obj_read o k
 
   (* Quiescent helpers over the packed structure, for oracles. *)
   let obj_fold (Obj { ops = (module S); st; _ }) f acc = S.fold st f acc
@@ -432,23 +446,24 @@ module Workload = struct
       broken = false;
     }
 
-  (* Representations by qualified name, as in the KV service: native
-     per-key striping for the OPTIK families, the structure-wide version
-     wrapper for the lock-free/lazy reps. *)
-  let reps : (string * (module SET_OPS)) list =
+  (* Representations by qualified name, as in the KV service, each with
+     its stripe count: 16 for the OPTIK families, enough that independent
+     keys rarely share a commit lock at benchmark account counts; 1 for
+     the lock-free/lazy reps, one version for the whole structure. *)
+  let reps : (string * ((module SET_OPS) * int)) list =
     [
-      ("ll-optik", R.Sim_backend.ll_optik);
-      ("map-optik", R.Sim_backend.map_optik);
-      ("ht-optik", R.Sim_backend.ht_optik);
-      ("sl-optik", R.Sim_backend.sl_optik2);
-      ("bst-optik", R.Sim_backend.bst_optik);
-      ("ll-lazy", R.Sim_backend.ll_lazy_);
-      ("ll-harris", R.Sim_backend.ll_harris);
+      ("ll-optik", (R.Sim_backend.ll_optik, 16));
+      ("map-optik", (R.Sim_backend.map_optik, 16));
+      ("ht-optik", (R.Sim_backend.ht_optik, 16));
+      ("sl-optik", (R.Sim_backend.sl_optik2, 16));
+      ("bst-optik", (R.Sim_backend.bst_optik, 16));
+      ("ll-lazy", (R.Sim_backend.ll_lazy_, 1));
+      ("ll-harris", (R.Sim_backend.ll_harris, 1));
     ]
 
   let rep_names = List.map fst reps
 
-  let rep_module name =
+  let rep name =
     match List.assoc_opt name reps with
     | Some m -> m
     | None ->
@@ -795,14 +810,18 @@ module Workload = struct
             {!Obs.Attrib} and the trace exporters *)
   }
 
-  let make_objects cfg (m : (module SET_OPS)) =
-    let (module S) = m in
+  module Stripes = Locks.Stripes (Sim.Sim_rt)
+
+  (** [cfg.objects] structures of rep [cfg.rep], each preloaded with
+      accounts [1 .. cfg.accounts] and then given its stripes. *)
+  let make_objects cfg =
+    let (module S : SET_OPS), stripes = rep cfg.rep in
     Array.init cfg.objects (fun _ ->
         let st = S.create ~capacity:(max 64 (4 * cfg.accounts)) () in
         for k = 1 to cfg.accounts do
           ignore (S.insert st k initial : bool)
         done;
-        T.obj (module S) st)
+        T.obj (module S) st (Stripes.create stripes))
 
   (** [policy] defaults to [Broken_commit] when [cfg.broken] is set and
       to [Optimistic] otherwise; passing it runs another negative
@@ -821,7 +840,7 @@ module Workload = struct
     if cfg.transfer_pct < 0 || cfg.transfer_pct > 100 then
       invalid_arg "Txn.Workload: transfer_pct must be in [0,100]";
     Harness.World.reset ();
-    let objs = make_objects cfg (rep_module cfg.rep) in
+    let objs = make_objects cfg in
     let mgr =
       T.create
         ~policy:

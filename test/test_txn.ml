@@ -1,11 +1,11 @@
 (* Tests for the optimistic transaction layer (lib/txn): fold/size
-   agreement across every registry set (the versioned-OPS API addition),
-   sequential transaction semantics (read-your-writes, upsert,
-   lock-conflict abort), seeded determinism under contention, abort-free
-   snapshots, the strict-serializability oracle (positive run, the
-   broken-commit negative control, a differential fuzz against a naive
-   reference and an allocation gate), the chaos trial grammar, the report
-   section, and the KV multi-key transfer integration. *)
+   agreement across every registry set, sequential transaction semantics
+   (read-your-writes, upsert, lock-conflict abort), the versioned read's
+   re-check and every rep's stripe table, seeded determinism under
+   contention, abort-free snapshots, the strict-serializability oracle
+   (positive run, the broken-commit negative control, a differential
+   fuzz against a naive reference and an allocation gate), the chaos
+   trial grammar and the report section. *)
 
 module W = Txn.Workload
 module R = Harness.Registry
@@ -59,33 +59,41 @@ let test_fold_agrees_with_size () =
 (* ------------------------------------------------------------------ *)
 (* Sequential transaction semantics on a quiesced simulator backend. *)
 
-(* [Logged] records every versioned read made through it and counts the
-   token checks made through its lock handles: a snapshot's validation
-   checks. *)
+(* [Logged] records every search made through it: one per versioned
+   read that does not retry. [logged_stripes] wraps an object's stripes
+   to count the token checks a snapshot's validation makes through them:
+   every versioned read waits once and then re-checks once, so a wait
+   takes back the count of the re-check that follows it. *)
 let logged_keys = ref []
 let checks = ref 0
 
 module Logged (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
   include S
 
-  let read_versioned t k =
+  let search t k =
     logged_keys := k :: !logged_keys;
-    S.read_versioned t k
-
-  let lock_handle t k =
-    let h = S.lock_handle t k in
-    {
-      h with
-      Locks.Handle.check =
-        (fun tok ->
-          incr checks;
-          h.Locks.Handle.check tok);
-    }
+    S.search t k
 end
+
+let logged_stripes stripes =
+  Array.map
+    (fun (h : Locks.Handle.t) ->
+      {
+        h with
+        wait =
+          (fun () ->
+            decr checks;
+            h.wait ());
+        check =
+          (fun tok ->
+            incr checks;
+            h.check tok);
+      })
+    stripes
 
 let fresh_pair ?(logged = false) () =
   Dstruct.Sl_common.reset_states ();
-  let (module S : R.SET_OPS) = W.rep_module "ll-optik" in
+  let (module S : R.SET_OPS), stripes = W.rep "ll-optik" in
   let ops : (module R.SET_OPS with type t = S.t) =
     if logged then (module Logged (S)) else (module S)
   in
@@ -94,7 +102,8 @@ let fresh_pair ?(logged = false) () =
     for k = 1 to 4 do
       assert (S.insert st k 100)
     done;
-    TX.obj ops st
+    let hs = W.Stripes.create stripes in
+    TX.obj ops st (if logged then logged_stripes hs else hs)
   in
   (mk (), mk ())
 
@@ -229,15 +238,16 @@ let test_snapshot_is_consistent () =
    of restart checkpoints, which each {!Rt.Backoff} wait reports. *)
 let snapshot_race ?(after = [ 2 ]) ~n ~writes () =
   Dstruct.Sl_common.reset_states ();
-  let (module S : R.SET_OPS) = W.rep_module "ll-optik" in
+  let (module S : R.SET_OPS), stripes = W.rep "ll-optik" in
   let st = S.create ~capacity:64 () in
   for k = 1 to n + 1 do
     assert (S.insert st k 100)
   done;
   logged_keys := [];
   checks := 0;
-  let snap_obj = TX.obj (module Logged (S)) st in
-  let writer_obj = TX.obj (module S) st in
+  let hs = W.Stripes.create stripes in
+  let snap_obj = TX.obj (module Logged (S)) st (logged_stripes hs) in
+  let writer_obj = TX.obj (module S) st hs in
   let stripe k = (TX.obj_handle writer_obj k).Locks.Handle.id in
   Alcotest.(check int) "one stripe per key" (n + 1)
     (List.length
@@ -344,6 +354,124 @@ let test_second_retry_backs_off_once () =
   Alcotest.(check int) "the sum is the state after both commits"
     ((100 * n) + 10) sum;
   Alcotest.(check int) "the point follows the last commit" (ticket + 1) c
+
+(* The versioned read's re-check keeps a commit's delete+insert window
+   out of a snapshot. Thread 1 commits key 2 through a writer view whose
+   [insert] first waits 5000 cycles, so the key stays absent while its
+   stripe is locked. Thread 0's snapshot reads keys 1 .. 3 through
+   stripes whose first [wait] on key 2's stripe, once it has the free
+   version, holds the read until that window opens. Its search then
+   finds key 2 absent; the re-check sees the stripe locked and reads
+   again after the commit. So no read returns absent, and the one
+   validation pass the commit's ticket forces finds every token
+   current. *)
+let window_open = ref false
+
+module Slow_insert (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
+  include S
+
+  let insert t k v =
+    window_open := true;
+    Sim.Sched.work 5_000;
+    S.insert t k v
+end
+
+let test_read_recheck () =
+  Dstruct.Sl_common.reset_states ();
+  let (module S : R.SET_OPS), stripes = W.rep "ll-optik" in
+  let st = S.create ~capacity:64 () in
+  for k = 1 to 3 do
+    assert (S.insert st k 100)
+  done;
+  let hs = W.Stripes.create stripes in
+  let writer_obj = TX.obj (module Slow_insert (S)) st hs in
+  let key2 = TX.obj_handle writer_obj 2 in
+  let reading = ref false in
+  window_open := false;
+  let held =
+    Array.map
+      (fun (h : Locks.Handle.t) ->
+        if not (Locks.Handle.equal h key2) then h
+        else
+          {
+            h with
+            wait =
+              (fun () ->
+                let tok = h.wait () in
+                if not !reading then begin
+                  reading := true;
+                  while not !window_open do
+                    Sim.Sched.pause ()
+                  done
+                end;
+                tok);
+          })
+      hs
+  in
+  let snap_obj = TX.obj (module S) st held in
+  let mgr = TX.create () in
+  let seen = ref [] and snap = ref None in
+  Sim.Sim_rt.Probe.reset_all ();
+  ignore
+    (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:2 (fun tid ->
+         if tid = 0 then
+           snap :=
+             Some
+               (TX.snapshot mgr (fun ctx ->
+                    seen := [];
+                    for k = 1 to 3 do
+                      seen := TX.read ctx snap_obj k :: !seen
+                    done))
+         else begin
+           while not !reading do
+             Sim.Sched.pause ()
+           done;
+           ignore
+             (TX.atomically mgr (fun ctx ->
+                  let v = Option.get (TX.read ctx writer_obj 2) in
+                  TX.write ctx writer_obj 2 (Some (v + 5)))
+               : unit * int)
+         end)
+      : Sim.Sched.stats);
+  Alcotest.(check bool) "the writer opened the window" true !window_open;
+  Alcotest.(check (list (option int)))
+    "no read returns absent; key 2 reads the commit"
+    [ Some 100; Some 105; Some 100 ]
+    !seen;
+  Alcotest.(check int) "no snapshot retry" 0 (count mgr.TX.c_snap_retries);
+  Alcotest.(check int) "the point follows the commit" 1 (snd (Option.get !snap))
+
+(* Every rep's stripe table. Keys 1 .. 16 of a fresh object land on 16
+   distinct handle ids, key [k] on the [k mod 16]-th of an ascending
+   range, for the OPTIK reps, and on one id for the one-stripe reps. Two
+   objects packed in a row draw disjoint, increasing ranges. *)
+let test_stripe_table () =
+  List.iter
+    (fun rep ->
+      let objs =
+        W.make_objects { W.default_config with W.rep; objects = 2 }
+      in
+      let ids o =
+        List.init 16 (fun i -> (TX.obj_handle objs.(o) (i + 1)).Locks.Handle.id)
+      in
+      let lo o = List.fold_left min max_int (ids o) in
+      let hi o = List.fold_left max min_int (ids o) in
+      List.iter
+        (fun o ->
+          let want =
+            if String.ends_with ~suffix:"-optik" rep then
+              List.init 16 (fun i -> lo o + ((i + 1) mod 16))
+            else List.init 16 (fun _ -> lo o)
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s object %d: keys 1..16" rep o)
+            want (ids o))
+        [ 0; 1 ];
+      Alcotest.(check bool)
+        (rep ^ ": the second object's range follows the first's")
+        true
+        (hi 0 < lo 1))
+    W.rep_names
 
 (* ------------------------------------------------------------------ *)
 (* Contended workload: determinism, oracle, negative control. *)
@@ -464,12 +592,12 @@ let hist_cfg = { W.default_config with W.objects = 2; accounts = 2 }
 
 let quiesced_objs contents =
   Dstruct.Sl_common.reset_states ();
-  let (module S : R.SET_OPS) = W.rep_module "ll-optik" in
+  let (module S : R.SET_OPS), stripes = W.rep "ll-optik" in
   Array.map
     (fun kvs ->
       let st = S.create ~capacity:64 () in
       List.iter (fun (k, v) -> assert (S.insert st k v)) kvs;
-      W.T.obj (module S) st)
+      W.T.obj (module S) st (W.Stripes.create stripes))
     contents
 
 let base_final = [| [ (1, 80); (2, 100) ]; [ (1, 110); (2, 110) ] |]
@@ -1069,6 +1197,10 @@ let () =
             `Quick test_retry_rereads_only_stale;
           Alcotest.test_case "snapshot's second retry backs off once"
             `Quick test_second_retry_backs_off_once;
+          Alcotest.test_case "versioned read re-checks its stripe" `Quick
+            test_read_recheck;
+          Alcotest.test_case "stripe table of every rep" `Quick
+            test_stripe_table;
         ] );
       ( "determinism",
         [
