@@ -617,6 +617,42 @@ let test_ledger_negative () =
     "txn        bank-ll commits=1 aborts=0 commits=2\n"
     "ledger line 1: row \"txn bank-ll\" repeats metric \"commits\""
 
+(* [BENCH_sim.json] records hostperf's simulated counts next to its host
+   rates: each row's ops, accesses and events are the ledger's [hostperf]
+   row of the same name. fleet/chaos-quick counts trials on worker
+   domains and has no ledger row. *)
+let test_bench_counts () =
+  let module J = Obs.Report in
+  let bench =
+    match J.parse (In_channel.with_open_text "../BENCH_sim.json" In_channel.input_all) with
+    | Ok j -> Option.value ~default:[] (Option.bind (J.member "results" j) J.to_list)
+    | Error e -> Alcotest.failf "BENCH_sim.json does not parse: %s" e
+  in
+  let ledger = List.filter (fun r -> r.section = "hostperf") (read_ledger ()) in
+  let differs row =
+    match Option.bind (J.member "name" row) J.to_str with
+    | None -> [ "a row without a name" ]
+    | Some "fleet/chaos-quick" -> []
+    | Some name -> (
+        match List.find_opt (fun r -> r.name = name) ledger with
+        | None -> [ name ^ ": no ledger row" ]
+        | Some r ->
+            List.filter_map
+              (fun field ->
+                let show = Option.fold ~none:"-" ~some:Fun.id in
+                let b = Option.map i (Option.bind (J.member field row) J.to_int) in
+                let l = List.assoc_opt field r.metrics in
+                if b = l then None
+                else
+                  Some
+                    (Printf.sprintf "%s %s: BENCH_sim.json has %s, the ledger %s"
+                       name field (show b) (show l)))
+              [ "ops"; "accesses"; "events" ])
+  in
+  Alcotest.(check bool) "BENCH_sim.json has rows" true (bench <> []);
+  Alcotest.(check (list string)) "counts that differ from the ledger" []
+    (List.concat_map differs bench)
+
 (* Two back-to-back productions are identical: determinism within a
    process (catches state leaking from one run into the next). *)
 let test_self_stable () =
@@ -654,5 +690,6 @@ let () =
         [
           Alcotest.test_case "recomputed" `Quick test_ledger;
           Alcotest.test_case "negative control" `Quick test_ledger_negative;
+          Alcotest.test_case "BENCH_sim.json counts" `Quick test_bench_counts;
         ] );
     ]
