@@ -52,12 +52,15 @@ let of_measurement name (m : Runner.measurement) =
     r_host_s = m.host_s;
   }
 
-let set_spec name family structure ~topology ~nthreads ~ops ~size ~updates =
+(* A run of the set spelled [structure], named [name] (default: the
+   spelling). *)
+let set_spec ?name structure ~topology ~nthreads ~ops ~size ~updates =
+  let name = Option.value name ~default:structure in
+  let (module S : R.SET_OPS) = R.set_ops (R.Sim_backend.find structure) in
   {
     s_name = name;
     s_run =
       (fun () ->
-        let (module S : R.SET_OPS) = R.Sim_backend.find_named family structure in
         let w =
           Runner.uniform_workload ~capacity:(2 * size) ~init_size:size
             ~update_pct:updates ()
@@ -79,15 +82,13 @@ let set_spec name family structure ~topology ~nthreads ~ops ~size ~updates =
      scheduling-window and suspension machinery the fuzzer leans on. *)
 let specs =
   [
-    set_spec "list/optik" R.Sim_backend.lists "optik" ~topology:Sim.Topology.xeon
-      ~nthreads:8 ~ops:60_000 ~size:512 ~updates:40;
-    set_spec "hashtable/optik-gl" R.Sim_backend.hashtables "optik-gl"
-      ~topology:Sim.Topology.xeon ~nthreads:16 ~ops:120_000 ~size:1024
-      ~updates:40;
-    set_spec "skiplist/optik2" R.Sim_backend.skiplists "optik2"
-      ~topology:Sim.Topology.opteron ~nthreads:12 ~ops:40_000 ~size:1024
-      ~updates:20;
-    set_spec "chaos-smoke" R.Sim_backend.lists "optik"
+    set_spec "list/optik" ~topology:Sim.Topology.xeon ~nthreads:8 ~ops:60_000
+      ~size:512 ~updates:40;
+    set_spec "hashtable/optik-gl" ~topology:Sim.Topology.xeon ~nthreads:16
+      ~ops:120_000 ~size:1024 ~updates:40;
+    set_spec "skiplist/optik2" ~topology:Sim.Topology.opteron ~nthreads:12
+      ~ops:40_000 ~size:1024 ~updates:20;
+    set_spec ~name:"chaos-smoke" "list/optik"
       ~topology:(Sim.Topology.uniform ~n:4 ())
       ~nthreads:8 ~ops:60_000 ~size:48 ~updates:50;
     (* The KV service end-to-end: shard routing, health refresh,
@@ -168,7 +169,8 @@ let specs =
           let host0 = Unix.gettimeofday () in
           ignore
             (Chaos.fuzz ~jobs
-               (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
+               (Chaos.sets (Chaos.select Chaos.quick_names)
+                 :> (module Chaos.TRIAL))
                ~runs:trials ~seed);
           {
             r_name = "fleet/chaos-quick";

@@ -5,9 +5,9 @@
    Examples:
      optik_bench figures --ids fig5,fig12
      optik_bench figures --full
-     optik_bench run --structure optik --family list --threads 12 \
-                     --size 1024 --updates 40 --skewed
-     optik_bench run --family list --structure optik --seed 5 --report a.json
+     optik_bench run --structure list/optik --threads 12 --size 1024 \
+                     --updates 40 --skewed
+     optik_bench run --structure skiplist/optik2 --seed 5 --report a.json
      optik_bench diff a.json b.json
      optik_bench list *)
 
@@ -308,34 +308,15 @@ let figures_cmd =
 
 (* ---------------- single ad-hoc run ---------------- *)
 
-(* The set families [run] and [list] know, by singular name. *)
-let set_families =
-  Harness.Registry.Sim_backend.
-    [
-      ("map", maps);
-      ("list", lists);
-      ("hashtable", hashtables);
-      ("skiplist", skiplists);
-      ("bst", bsts);
-    ]
-
-let structure_names structures =
-  List.map (fun (module S : Harness.Registry.SET_OPS) -> S.name) structures
-
 let run_cmd =
-  let family =
-    Arg.(
-      value
-      & opt string "list"
-      & info [ "family" ] ~docv:"FAMILY"
-          ~doc:"map | list | hashtable | skiplist | bst")
-  in
   let structure =
     Arg.(
       value
-      & opt string "optik"
-      & info [ "structure" ] ~docv:"NAME"
-          ~doc:"Structure name within the family (as in the figures).")
+      & opt string "list/optik"
+      & info [ "structure" ] ~docv:"FAMILY/NAME"
+          ~doc:
+            "Set structure to run, as $(b,optik_bench list) prints it: a map, \
+             list, hashtable, skiplist or bst family and the figure name.")
   in
   let threads = int_arg "threads" 10 "Thread count." in
   let size = int_arg "size" 1024 "Initial size." in
@@ -370,25 +351,12 @@ let run_cmd =
        serialization stalls per allocation site), the ops/restarts \
        time series and per-thread totals."
   in
-  let run family structure threads size updates skewed machine ops seed trace
-      profile report =
+  let run structure threads size updates skewed machine ops seed trace profile
+      report =
     main report @@ fun () ->
     let topology = topology_of_machine machine in
-    let structures =
-      match List.assoc_opt family set_families with
-      | Some l -> l
-      | None ->
-          invalid_arg
-            ("unknown family: " ^ family
-           ^ " (use map, list, hashtable, skiplist or bst)")
-    in
     let (module S : Harness.Registry.SET_OPS) =
-      try Harness.Registry.Sim_backend.find_named structures structure
-      with Not_found ->
-        invalid_arg
-          (Printf.sprintf "unknown structure %S in family %S; known: %s"
-             structure family
-             (String.concat ", " (structure_names structures)))
+      Harness.Registry.(set_ops (Sim_backend.find structure))
     in
     let w =
       (if skewed then Harness.Runner.skewed_workload
@@ -404,8 +372,8 @@ let run_cmd =
         ~record_obs (module S) w
     in
     Printf.printf
-      "%s/%s on %s, %d threads, size %d, %d%% attempted updates%s, seed %d\n"
-      family structure machine threads size updates
+      "%s on %s, %d threads, size %d, %d%% attempted updates%s, seed %d\n"
+      structure machine threads size updates
       (if skewed then " (zipf 0.9)" else "")
       seed;
     (match m.Harness.Runner.outcome with
@@ -430,8 +398,8 @@ let run_cmd =
     List.iter
       (fun (k, v) -> Printf.printf "  counter %-28s %d\n" k v)
       m.Harness.Runner.counters;
-    Printf.eprintf "[host] run %s/%s: %.3fs wall-clock, %.0f ops/host-sec\n%!"
-      family structure m.Harness.Runner.host_s
+    Printf.eprintf "[host] run %s: %.3fs wall-clock, %.0f ops/host-sec\n%!"
+      structure m.Harness.Runner.host_s
       (float_of_int m.Harness.Runner.ops /. m.Harness.Runner.host_s);
     (match m.Harness.Runner.obs with
     | None -> ()
@@ -448,7 +416,6 @@ let run_cmd =
         Harness.Report.make ~subcommand:"run" ~seed:(Some seed)
           ~params:
             [
-              ("family", J.Str family);
               ("structure", J.Str structure);
               ("threads", J.Int threads);
               ("size", J.Int size);
@@ -457,12 +424,12 @@ let run_cmd =
               ("machine", J.Str machine);
               ("ops", J.Int ops);
             ]
-          [ (Printf.sprintf "%s/%s" family structure, m) ] )
+          [ (structure, m) ] )
   in
   Cmd.v
     (Cmd.info ~exits "run" ~doc:"Run one workload against one structure.")
     Term.(
-      const run $ family $ structure $ threads $ size $ updates $ skewed
+      const run $ structure $ threads $ size $ updates $ skewed
       $ machine_arg $ ops $ seed $ trace $ profile $ report_arg)
 
 (* ---------------- soak ---------------- *)
@@ -532,10 +499,10 @@ let chaos_cmd =
       & opt (some string) None
       & info [ "structures" ] ~docv:"NAMES"
           ~doc:
-            "Comma-separated structure names to fuzz (default: one \
+            "Comma-separated structures to fuzz (default: one \
              representative per family and figure). Any registered \
-             structure can be named, as printed in trial lines, e.g. \
-             list/harris,queue/ms-lf,sl/optik2.")
+             structure can be named, as $(b,optik_bench list) prints it, \
+             e.g. list/harris,queue/ms-lf,skiplist/optik2.")
   in
   let quick =
     flag_arg "quick"
@@ -550,17 +517,13 @@ let chaos_cmd =
     main report @@ fun () ->
     if runs < 1 then invalid_arg "chaos: --runs must be >= 1";
     let entries =
-      match structures with
-      | None -> if quick then Chaos.quick_entries else Chaos.default_entries
-      | Some s -> Chaos.select (String.split_on_char ',' s |> List.map String.trim)
+      Chaos.select
+        (match structures with
+        | None -> if quick then Chaos.quick_names else Chaos.default_names
+        | Some s -> String.split_on_char ',' s |> List.map String.trim)
     in
-    (* Replay resolves names against the full table, so a repro from a
-       --quick run always parses. *)
-    let family, trials =
-      match replay with
-      | Some s -> (Chaos.sets Chaos.all_entries, Replay s)
-      | None -> (Chaos.sets entries, Fuzz runs)
-    in
+    let family = Chaos.sets entries in
+    let trials = match replay with Some s -> Replay s | None -> Fuzz runs in
     trial_stream ~subcommand:"chaos" ~seed
       ~params:
         [
@@ -614,10 +577,10 @@ let kv_cmd =
   let rep =
     Arg.(
       value
-      & opt string "ht-optik"
+      & opt string Kv.default_config.rep
       & info [ "rep" ] ~docv:"REP"
           ~doc:
-            ("Shard store representation: "
+            ("Shard store structure: "
            ^ String.concat " | " Kv.rep_names ^ "."))
   in
   let shards =
@@ -713,7 +676,7 @@ let kv_cmd =
       broken_resync trials jobs report attrib timeline =
     main report @@ fun () ->
     let topo = topology_of_machine machine in
-    ignore (Kv.rep_module rep : (module Harness.Registry.SET_OPS));
+    ignore (Kv.rep_ops rep : (module Harness.Registry.SET_OPS));
     match trials with
     | Some t ->
         trial_stream ~subcommand:"kv" ~seed ~params:(trial_params t) ~jobs
@@ -877,7 +840,7 @@ let txn_cmd =
       & info [ "rep" ] ~docv:"REP"
           ~doc:
             ("Registry structure each bank object uses: "
-           ^ String.concat " | " W.rep_names ^ "."))
+           ^ String.concat " | " (List.map fst W.reps) ^ "."))
   in
   let objects =
     int_arg "objects" default.W.objects
@@ -1175,20 +1138,10 @@ let probes_cmd =
 let list_cmd =
   let run () =
     List.iter
-      (fun (family, l) ->
-        Printf.printf "%-11s %s\n" (family ^ "s:")
-          (String.concat ", " (structure_names l)))
-      set_families;
-    Printf.printf "%-11s %s\n" "queues:"
-      (String.concat ", "
-         (List.map
-            (fun (module Q : Harness.Registry.QUEUE_OPS) -> Q.name)
-            Harness.Registry.Sim_backend.queues));
-    Printf.printf "%-11s %s\n" "stacks:"
-      (String.concat ", "
-         (List.map
-            (fun (module S : Harness.Registry.STACK_OPS) -> S.name)
-            Harness.Registry.Sim_backend.stacks));
+      (fun (e : Harness.Registry.entry) ->
+        Printf.printf "%-22s %s\n" (Harness.Registry.id e)
+          (Harness.Registry.guarantee_name e.guarantee))
+      Harness.Registry.Sim_backend.entries;
     Printf.printf "experiments: %s\n"
       (String.concat ", " Figures.Experiments.all_ids)
   in

@@ -87,17 +87,16 @@ let parse ~head ~fields ~check s =
       check tr;
       tr
 
-(* The [family/rep] head of the service families. *)
-let rep_of ~family ~known name topo =
+(* The [family/rep] head of the service families; [check] refuses a rep
+   the service does not take. *)
+let rep_of ~family ~check name topo =
   let p = family ^ "/" in
   if not (has_prefix p name) then
     parse_error "%s trial must start with %s<rep>, got %S" family p name;
   let rep =
     String.sub name (String.length p) (String.length name - String.length p)
   in
-  if not (List.mem rep known) then
-    parse_error "unknown %s rep %S (known: %s)" family rep
-      (String.concat ", " known);
+  check rep;
   ignore (topology_of_name topo : Sim.Topology.t);
   rep
 
@@ -274,90 +273,41 @@ let replay (module T : TRIAL) s ppf =
 (* ------------------------------------------------------------------ *)
 (* Set, queue and stack trials                                         *)
 
-type kind = Lock_free | Blocking
-
-type target =
-  | Set of (module R.SET_OPS)
-  | Queue of (module R.QUEUE_OPS)
-  | Stack of (module R.STACK_OPS)
-
-type entry = { e_name : string; e_kind : kind; e_target : target }
-
-(* One representative per family; names are stable (they appear in repro
-   strings). Kind follows §2 of the paper: Harris/Fraser/Treiber/MS-LF
-   and the elimination stack are lock-free, everything validate-and-lock
-   or global-lock is blocking. *)
-let default_entries =
-  let module B = R.Sim_backend in
+(* One representative per family and figure, in the draw order the
+   recorded trial streams depend on; then the rest of the registry, after
+   them so the default draws stay as they were. *)
+let default_names =
   [
-    { e_name = "list/harris"; e_kind = Lock_free; e_target = Set B.ll_harris };
-    { e_name = "list/optik"; e_kind = Blocking; e_target = Set B.ll_optik };
-    { e_name = "list/lazy"; e_kind = Blocking; e_target = Set B.ll_lazy_ };
-    { e_name = "list/optik-gl"; e_kind = Blocking; e_target = Set B.ll_optik_gl };
-    { e_name = "ht/harris"; e_kind = Lock_free; e_target = Set B.ht_harris };
-    { e_name = "ht/optik"; e_kind = Blocking; e_target = Set B.ht_optik };
-    { e_name = "sl/fraser"; e_kind = Lock_free; e_target = Set B.sl_fraser };
-    { e_name = "sl/herlihy"; e_kind = Blocking; e_target = Set B.sl_herlihy };
-    { e_name = "map/optik"; e_kind = Blocking; e_target = Set B.map_optik };
-    { e_name = "bst/optik"; e_kind = Blocking; e_target = Set B.bst_optik };
-    { e_name = "queue/ms-lf"; e_kind = Lock_free; e_target = Queue B.q_ms_lf };
-    { e_name = "queue/ms-lb"; e_kind = Blocking; e_target = Queue B.q_ms_lb };
-    { e_name = "queue/optik1"; e_kind = Blocking; e_target = Queue B.q_optik1 };
-    {
-      e_name = "stack/treiber";
-      e_kind = Lock_free;
-      e_target = Stack B.stack_treiber;
-    };
-    { e_name = "stack/optik"; e_kind = Blocking; e_target = Stack B.stack_optik };
-    {
-      e_name = "stack/elim";
-      e_kind = Lock_free;
-      e_target = Stack B.stack_elimination;
-    };
+    "list/harris"; "list/optik"; "list/lazy"; "list/optik-gl";
+    "hashtable/harris-ht"; "hashtable/optik"; "skiplist/fraser";
+    "skiplist/herlihy"; "map/optik"; "bst/bst-optik"; "queue/ms-lf";
+    "queue/ms-lb"; "queue/optik1"; "stack/treiber"; "stack/optik";
+    "stack/elimination";
   ]
 
-let quick_entries =
+let quick_names =
   List.filter
-    (fun e -> not (has_prefix "sl/" e.e_name || has_prefix "bst/" e.e_name))
-    default_entries
+    (fun n -> not (has_prefix "skiplist/" n || has_prefix "bst/" n))
+    default_names
 
-(* The rest of the registry, all blocking, named family/figure-name.
-   They come after the defaults so the default draws stay as they were. *)
-let all_entries =
-  let module B = R.Sim_backend in
-  let blocking e_name e_target = { e_name; e_kind = Blocking; e_target } in
-  default_entries
+let all_names =
+  default_names
   @ [
-      blocking "list/mcs-gl-opt" (Set B.ll_mcs_gl_opt);
-      blocking "list/optik-cache" (Set B.ll_optik_cache);
-      blocking "list/lazy-cache" (Set B.ll_lazy_cache);
-      blocking "ht/lazy-gl" (Set B.ht_lazy_gl);
-      blocking "ht/java" (Set B.ht_java);
-      blocking "ht/java-optik" (Set B.ht_java_optik);
-      blocking "ht/optik-gl" (Set B.ht_optik_gl);
-      blocking "ht/optik-map" (Set B.ht_map_optik);
-      blocking "sl/herl-optik" (Set B.sl_herlihy_optik);
-      blocking "sl/optik1" (Set B.sl_optik1);
-      blocking "sl/optik2" (Set B.sl_optik2);
-      blocking "map/mcs" (Set B.map_mcs);
-      blocking "bst/gl" (Set B.bst_gl);
-      blocking "queue/optik0" (Queue B.q_optik0);
-      blocking "queue/optik2" (Queue B.q_optik2);
-      blocking "queue/optik3" (Queue B.q_optik3);
+      "list/mcs-gl-opt"; "list/optik-cache"; "list/lazy-cache";
+      "hashtable/lazy-gl"; "hashtable/java"; "hashtable/java-optik";
+      "hashtable/optik-gl"; "hashtable/optik-map"; "skiplist/herl-optik";
+      "skiplist/optik1"; "skiplist/optik2"; "map/mcs"; "bst/bst-gl";
+      "queue/optik0"; "queue/optik2"; "queue/optik3";
     ]
 
 let select names =
-  List.iter
-    (fun n ->
-      if not (List.exists (fun e -> String.equal e.e_name n) all_entries) then
-        invalid_arg
-          (Printf.sprintf "unknown structure %S; known: %s" n
-             (String.concat ", " (List.map (fun e -> e.e_name) all_entries))))
-    names;
-  List.filter (fun e -> List.mem e.e_name names) all_entries
+  List.iter (fun n -> ignore (R.Sim_backend.find n : R.entry)) names;
+  List.filter_map
+    (fun n -> if List.mem n names then Some (R.Sim_backend.find n) else None)
+    all_names
 
 type trial = {
-  t_entry : entry;
+  t_entry : R.entry;
   t_topo : string;
   t_threads : int;
   t_ops : int;
@@ -370,7 +320,7 @@ type trial = {
 }
 
 let to_string tr =
-  Printf.sprintf "%s@%s t%d o%d k%d q%d r%d n%d w%d f%s" tr.t_entry.e_name
+  Printf.sprintf "%s@%s t%d o%d k%d q%d r%d n%d w%d f%s" (R.id tr.t_entry)
     tr.t_topo tr.t_threads tr.t_ops tr.t_keys tr.t_quantum tr.t_read_slack
     tr.t_noise_bits tr.t_wseed
     (Fault.to_string tr.t_plan)
@@ -385,17 +335,12 @@ let to_string tr =
    keys and every pinned trial uses at most that. *)
 let max_keys = 4096
 
-let of_string entries =
+let of_string =
   parse
     ~head:(fun name topo ->
       ignore (topology_of_name topo : Sim.Topology.t);
-      let t_entry =
-        match List.find_opt (fun e -> String.equal e.e_name name) entries with
-        | Some e -> e
-        | None -> invalid_arg (Printf.sprintf "Chaos: unknown structure %S" name)
-      in
       {
-        t_entry;
+        t_entry = R.Sim_backend.find name;
         t_topo = topo;
         t_threads = 2;
         t_ops = 1;
@@ -477,10 +422,11 @@ let crash_events () =
 let crash_mid_op crash_pts =
   List.exists (fun (_, p) -> p <> Rt.Rt_intf.Op_boundary) crash_pts
 
-let liveness_failures kind outcome crash_pts =
+let liveness_failures guarantee outcome crash_pts =
   match outcome with
   | Harness.Runner.Complete -> []
-  | Harness.Runner.Aborted _ when kind = Blocking && crash_mid_op crash_pts ->
+  | Harness.Runner.Aborted _
+    when guarantee = R.Blocking && crash_mid_op crash_pts ->
       []
   | Harness.Runner.Aborted r ->
       let detail = Format.asprintf "%a" Sched.pp_verdict r.Sched.r_verdict in
@@ -663,12 +609,13 @@ module Container (C : CONTAINER) = struct
             Sched.work (32 + Rng.below rng 64)
           done)
     in
-    let kind = tr.t_entry.e_kind in
+    let guarantee = tr.t_entry.R.guarantee in
     let crash_pts = crash_events () in
     let crashed = List.sort_uniq compare (List.map fst crash_pts) in
-    let live_fail = liveness_failures kind outcome crash_pts in
+    let live_fail = liveness_failures guarantee outcome crash_pts in
     let state_fail =
-      if live_fail <> [] || (kind = Blocking && crash_mid_op crash_pts) then []
+      if live_fail <> [] || (guarantee = R.Blocking && crash_mid_op crash_pts)
+      then []
       else
         let completed = H.completed ~widen:tr.t_read_slack hist in
         let pending = H.pending ~widen:tr.t_read_slack hist in
@@ -723,14 +670,14 @@ let run_trial tr =
   @@ fun () ->
   Sched.set_noise_bits tr.t_noise_bits;
   let completed, crashed, failures =
-    match tr.t_entry.e_target with
-    | Set (module S) ->
+    match tr.t_entry.R.structure with
+    | R.Set (module S) ->
         let module C = Container (Set_container (S)) in
         C.run tr
-    | Queue (module Q) ->
+    | R.Queue (module Q) ->
         let module C = Container (Queue_container (Q)) in
         C.run tr
-    | Stack (module S) ->
+    | R.Stack (module S) ->
         let module C = Container (Stack_container (S)) in
         C.run tr
   in
@@ -817,7 +764,7 @@ let sets entries : (module TRIAL with type t = trial) =
     let name = "chaos"
     let command = "chaos"
     let to_string = to_string
-    let of_string = of_string entries
+    let of_string = of_string
     let gen = gen_trial entries
     let shrink_steps = shrink_steps
     let shrink_budget = 300
@@ -883,7 +830,10 @@ module Kv_trial = struct
     parse
       ~head:(fun name topo ->
         {
-          kv_rep = rep_of ~family:"kv" ~known:Kv.rep_names name topo;
+          kv_rep =
+            rep_of ~family:"kv"
+              ~check:(fun r -> ignore (Kv.rep_ops r : (module R.SET_OPS)))
+              name topo;
           kv_topo = topo;
           kv_shards = 1;
           kv_threads = 2;
@@ -982,7 +932,8 @@ module Kv_trial = struct
     ( service_liveness "service" m @ valid @ acked @ voided,
       Format.asprintf "%a" Kv.pp_oracle o )
 
-  let reps = [| "ht-optik"; "ll-optik"; "ll-harris"; "sl-optik" |]
+  let reps =
+    [| "hashtable/optik"; "list/optik"; "list/harris"; "skiplist/optik2" |]
 
   let gen rng =
     let kv_rep = pick rng reps in
@@ -1133,7 +1084,10 @@ module Txn_trial = struct
     parse
       ~head:(fun name topo ->
         {
-          x_rep = rep_of ~family:"txn" ~known:Txn.Workload.rep_names name topo;
+          x_rep =
+            rep_of ~family:"txn"
+              ~check:(fun r -> ignore (Txn.Workload.rep r))
+              name topo;
           x_topo = topo;
           x_objects = 2;
           x_accounts = 8;
@@ -1194,7 +1148,10 @@ module Txn_trial = struct
       Format.asprintf "%a" Txn.Workload.pp_oracle o )
 
   let reps =
-    [| "ll-optik"; "map-optik"; "ht-optik"; "sl-optik"; "bst-optik"; "ll-lazy" |]
+    [|
+      "list/optik"; "map/optik"; "hashtable/optik"; "skiplist/optik2";
+      "bst/bst-optik"; "list/lazy";
+    |]
 
   (* The fields' draw order is the compiler's record evaluation order;
      the recorded trial streams depend on it, so keep this one literal. *)

@@ -98,38 +98,31 @@ val check_targets : threads:int -> stores:int -> Sim.Fault.plan -> unit
     Raises [Invalid_argument] naming the spec, the field ([thread],
     [victim thread], [store]) and the bound. *)
 
-(** Liveness family of a structure (§2 of the paper): what a fault plan
-    is allowed to do to it. *)
-type kind = Lock_free | Blocking
+(** Trials name their structure [family/name], through
+    {!Harness.Registry.ForRt.find}; the entry's guarantee picks the
+    liveness oracle. *)
 
-type target =
-  | Set of (module Harness.Registry.SET_OPS)
-  | Queue of (module Harness.Registry.QUEUE_OPS)
-  | Stack of (module Harness.Registry.STACK_OPS)
-
-type entry = { e_name : string; e_kind : kind; e_target : target }
-
-val default_entries : entry list
+val default_names : string list
 (** One representative per family and figure: lists, hash tables, skip
-    lists, array map, BST, queues, stacks — each tagged lock-free or
-    blocking. *)
+    lists, array map, BST, queues, stacks, in the order the default draws
+    pick from. *)
 
-val quick_entries : entry list
-(** {!default_entries} minus the slow representatives (skip lists, BST);
+val quick_names : string list
+(** {!default_names} minus the slow representatives (skip lists, BST);
     the CI smoke set. *)
 
-val all_entries : entry list
-(** {!default_entries} followed by the other registered structures, so
-    that every structure of {!Harness.Registry.Sim_backend} appears
-    exactly once. Replay and {!select} resolve names against it. *)
+val all_names : string list
+(** {!default_names} followed by the other registered structures, so
+    that every entry of {!Harness.Registry.Sim_backend} appears exactly
+    once. *)
 
-val select : string list -> entry list
-(** The entries of {!all_entries} named, in table order and each once,
-    whatever the order and repeats of [names]. Raises [Invalid_argument]
-    naming the first unknown name and listing the known ones. *)
+val select : string list -> Harness.Registry.entry list
+(** The entries named, in {!all_names} order and each once, whatever the
+    order and repeats of [names]. Raises the registry's
+    [Invalid_argument] on the first unknown name. *)
 
 type trial = {
-  t_entry : entry;
+  t_entry : Harness.Registry.entry;
   t_topo : string;  (** topology name: u2, u4, xeon, opteron *)
   t_threads : int;
   t_ops : int;  (** operations per thread *)
@@ -141,10 +134,10 @@ type trial = {
   t_plan : Sim.Fault.plan;
 }
 
-val sets : entry list -> (module TRIAL with type t = trial)
+val sets : Harness.Registry.entry list -> (module TRIAL with type t = trial)
 (** The family over [entries]: [gen] draws from them and [of_string]
-    resolves names against them. Strings read
-    [name@topo tN oN kN qN rN nN wN fPLAN] with [PLAN] in
+    resolves any registered structure. Strings read
+    [family/name@topo tN oN kN qN rN nN wN fPLAN] with [PLAN] in
     {!Sim.Fault.to_string} syntax; the detail line reads
     [run completed; crashed threads [..]]; the shrink steps drop fault
     specs, halve stall/storm durations and hit counts, and reduce
@@ -172,7 +165,7 @@ val run_trial : trial -> outcome
 
 module Kv_trial : sig
   type t = {
-    kv_rep : string;  (** service representation ({!Kv.rep_names}) *)
+    kv_rep : string;  (** store structure, one of {!Kv.rep_names} *)
     kv_topo : string;
     kv_shards : int;
     kv_threads : int;
@@ -187,7 +180,7 @@ module Kv_trial : sig
   }
 
   include TRIAL with type t := t
-  (** Strings read [kv/REP@topo sN tN oN kN RN CN wN DN BN fPLAN]; the
+  (** Strings read [kv/FAMILY/NAME@topo sN tN oN kN RN CN wN DN BN fPLAN]; the
       detail line is {!Kv.pp_oracle}'s. *)
 
   val config : t -> Kv.config
@@ -204,7 +197,7 @@ end
 
 module Txn_trial : sig
   type t = {
-    x_rep : string;  (** structure representation ({!Txn.Workload.rep_names}) *)
+    x_rep : string;  (** object structure, one of {!Txn.Workload.reps} *)
     x_topo : string;
     x_objects : int;
     x_accounts : int;
@@ -216,7 +209,8 @@ module Txn_trial : sig
   }
 
   include TRIAL with type t := t
-  (** Strings read [txn/REP@topo bN aN tN oN XN wN [!]] — a trailing [!]
+  (** Strings read [txn/FAMILY/NAME@topo bN aN tN oN XN wN [!]] — a
+      trailing [!]
       marks the broken-commit negative control; the detail line is
       {!Txn.Workload.pp_oracle}'s. *)
 

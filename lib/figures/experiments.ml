@@ -886,7 +886,7 @@ let sim_validation mode =
 
 type fault_row = {
   fr_family : string;
-  fr_kind : string;  (** ["blocking"] or ["lock-free"] *)
+  fr_kind : string;  (** the rep's guarantee: ["blocking"] or ["lock-free"] *)
   fr_fault : string;  (** ["crash"] or ["stall"] *)
   fr_meas : Runner.measurement;
   fr_events : Sim.Fault.event list;
@@ -918,41 +918,54 @@ let fault_experiment mode =
     { fr_family = family; fr_kind = kind; fr_fault = fault; fr_meas;
       fr_events = Sim.Fault.events () }
   in
-  (* A structure family's four rows: a crash and a stall for each rep.
-     [go ~ops plan rep] runs [rep] under [plan]. *)
-  let family_rows family ~blocking ~lockfree go =
+  (* Entry [e] under [faults]. A set runs [w]; a queue or a stack
+     preloads [w.init_size] elements and adds in [w.update_pct] percent
+     of its operations. *)
+  let run_entry (w : Runner.set_workload) ~ops faults
+      (e : Harness.Registry.entry) () =
+    match e.structure with
+    | Harness.Registry.Set s ->
+        Runner.run_set_sim ~topology:xeon ~nthreads ~ops ~seed ~faults ~watchdog
+          ~max_events s w
+    | Harness.Registry.Queue q ->
+        Runner.run_queue_sim ~topology:xeon ~nthreads ~ops ~seed
+          ~init:w.init_size ~faults ~watchdog ~max_events
+          ~enqueue_pct:w.update_pct q
+    | Harness.Registry.Stack st ->
+        Runner.run_stack_sim ~topology:xeon ~nthreads ~ops ~seed
+          ~init:w.init_size ~faults ~watchdog ~max_events ~push_pct:w.update_pct
+          st
+  in
+  (* A structure family's four rows: a crash and a stall for each of its
+     blocking and lock-free reps, labelled by the entry's guarantee. *)
+  let family_rows family blocking lockfree w =
+    let blocking = R.find blocking and lockfree = R.find lockfree in
+    let kind (e : Harness.Registry.entry) =
+      Harness.Registry.guarantee_name e.guarantee
+    in
+    let go = run_entry w in
     [
       (* ops_target 0: run until the watchdog calls the verdict *)
-      row family "blocking" "crash"
+      row family (kind blocking) "crash"
         (go ~ops:0 (crash_plan Rt.Rt_intf.Critical_enter) blocking);
-      row family "lock-free" "crash"
+      row family (kind lockfree) "crash"
         (go ~ops (crash_plan Rt.Rt_intf.Before_cas) lockfree);
-      row family "blocking" "stall"
+      row family (kind blocking) "stall"
         (go ~ops (stall_plan Rt.Rt_intf.Critical_enter) blocking);
-      row family "lock-free" "stall"
+      row family (kind lockfree) "stall"
         (go ~ops (stall_plan Rt.Rt_intf.Before_cas) lockfree);
     ]
   in
-  let set_rows family ~blocking ~lockfree workload =
-    family_rows family ~blocking ~lockfree (fun ~ops faults s () ->
-        Runner.run_set_sim ~topology:xeon ~nthreads ~ops ~seed ~faults ~watchdog
-          ~max_events s workload)
-  in
+  let pool = Runner.uniform_workload ~init_size:1_024 ~update_pct:50 () in
   let rows =
-    set_rows "ll" ~blocking:R.ll_optik_gl ~lockfree:R.ll_harris
+    family_rows "ll" "list/optik-gl" "list/harris"
       (Runner.uniform_workload ~init_size:512 ~update_pct:50 ())
-    @ set_rows "ht" ~blocking:R.ht_optik_gl ~lockfree:R.ht_harris
+    @ family_rows "ht" "hashtable/optik-gl" "hashtable/harris-ht"
         (Runner.uniform_workload ~capacity:4 ~init_size:256 ~update_pct:50 ())
-    @ set_rows "sl" ~blocking:R.sl_herlihy ~lockfree:R.sl_fraser
+    @ family_rows "sl" "skiplist/herlihy" "skiplist/fraser"
         (Runner.skewed_workload ~init_size:128 ~update_pct:50 ())
-    @ family_rows "queue" ~blocking:R.q_ms_lb ~lockfree:R.q_ms_lf
-        (fun ~ops faults q () ->
-          Runner.run_queue_sim ~topology:xeon ~nthreads ~ops ~seed ~init:1_024
-            ~faults ~watchdog ~max_events ~enqueue_pct:50 q)
-    @ family_rows "stack" ~blocking:R.stack_optik ~lockfree:R.stack_treiber
-        (fun ~ops faults st () ->
-          Runner.run_stack_sim ~topology:xeon ~nthreads ~ops ~seed ~init:1_024
-            ~faults ~watchdog ~max_events ~push_pct:50 st)
+    @ family_rows "queue" "queue/ms-lb" "queue/ms-lf" pool
+    @ family_rows "stack" "stack/optik" "stack/treiber" pool
   in
   (* Operations completed by the survivors after the (first) crash. *)
   let ops_after_crash r =

@@ -2,13 +2,18 @@
     wrapped into the monomorphic driver interfaces of
     {!Dstruct.Dstruct_intf}, under the names used by the paper's figures.
 
-    Each entry is a {!Dstruct.Dstruct_intf.Mono_set} (or [Mono_queue] /
+    Each structure is a {!Dstruct.Dstruct_intf.Mono_set} (or [Mono_queue] /
     [Mono_stack]) application: the implementation supplies the shared
     operations, the inline spec supplies only the figure name and the
     [create] call with its variant flags baked in.
 
     {!Native} runs on real atomics and domains; {!Sim_backend} runs under
-    the deterministic multicore simulator. *)
+    the deterministic multicore simulator.
+
+    Every selector of the program (the CLI's [run], [chaos], [kv] and
+    [txn], host_bench and the pin ledger) names a structure
+    [family/name] through one table, {!ForRt.entries}, and resolves it
+    with {!ForRt.find}. *)
 
 module type SET_OPS = Dstruct.Dstruct_intf.SET_OPS
 module type QUEUE_OPS = Dstruct.Dstruct_intf.QUEUE_OPS
@@ -17,6 +22,36 @@ module type STACK_OPS = Dstruct.Dstruct_intf.STACK_OPS
 module Mono_set = Dstruct.Dstruct_intf.Mono_set
 module Mono_queue = Dstruct.Dstruct_intf.Mono_queue
 module Mono_stack = Dstruct.Dstruct_intf.Mono_stack
+
+(** A structure's progress guarantee (§2 of the paper): what a crashed
+    or stalled thread may do to the others. *)
+type guarantee = Lock_free | Blocking
+
+type structure =
+  | Set of (module SET_OPS)
+  | Queue of (module QUEUE_OPS)
+  | Stack of (module STACK_OPS)
+
+type entry = {
+  family : string;
+      (** [map], [list], [hashtable], [skiplist], [bst], [queue] or [stack] *)
+  name : string;  (** the figure name, unique within the family *)
+  guarantee : guarantee;
+  structure : structure;
+}
+
+(** [family/name], the spelling every selector takes. *)
+let id e = e.family ^ "/" ^ e.name
+
+let guarantee_name = function Lock_free -> "lock-free" | Blocking -> "blocking"
+
+(** The set behind [e]; raises [Invalid_argument] for a queue or a stack. *)
+let set_ops e =
+  match e.structure with
+  | Set s -> s
+  | Queue _ | Stack _ ->
+      invalid_arg
+        (Printf.sprintf "%s is a %s, not a set structure" (id e) e.family)
 
 module ForRt (Rt : Rt.Rt_intf.RT) = struct
   module Map_lock = Dstruct.Maps.Lock_based (Rt)
@@ -325,10 +360,64 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
 
   let bsts = [ bst_gl; bst_optik ]
 
-  let find_named list n =
-    List.find
-      (fun (module S : SET_OPS) -> String.equal S.name n)
-      list
+  (* ---------------- the structure table ---------------- *)
+
+  (** Every structure above, once, family by family. The guarantee
+      follows §2 of the paper: Harris, Fraser, Treiber, MS-LF and the
+      elimination stack are lock-free; every validate-and-lock or
+      global-lock design is blocking. *)
+  let entries =
+    let set family guarantee ((module S : SET_OPS) as s) =
+      { family; name = S.name; guarantee; structure = Set s }
+    and queue guarantee ((module Q : QUEUE_OPS) as q) =
+      { family = "queue"; name = Q.name; guarantee; structure = Queue q }
+    and stack guarantee ((module St : STACK_OPS) as st) =
+      { family = "stack"; name = St.name; guarantee; structure = Stack st }
+    in
+    [
+      set "map" Blocking map_mcs;
+      set "map" Blocking map_optik;
+      set "list" Lock_free ll_harris;
+      set "list" Blocking ll_lazy_;
+      set "list" Blocking ll_mcs_gl_opt;
+      set "list" Blocking ll_optik_gl;
+      set "list" Blocking ll_optik;
+      set "list" Blocking ll_optik_cache;
+      set "list" Blocking ll_lazy_cache;
+      set "hashtable" Lock_free ht_harris;
+      set "hashtable" Blocking ht_lazy_gl;
+      set "hashtable" Blocking ht_java;
+      set "hashtable" Blocking ht_java_optik;
+      set "hashtable" Blocking ht_optik;
+      set "hashtable" Blocking ht_optik_gl;
+      set "hashtable" Blocking ht_map_optik;
+      set "skiplist" Lock_free sl_fraser;
+      set "skiplist" Blocking sl_herlihy;
+      set "skiplist" Blocking sl_herlihy_optik;
+      set "skiplist" Blocking sl_optik1;
+      set "skiplist" Blocking sl_optik2;
+      set "bst" Blocking bst_gl;
+      set "bst" Blocking bst_optik;
+      queue Lock_free q_ms_lf;
+      queue Blocking q_ms_lb;
+      queue Blocking q_optik0;
+      queue Blocking q_optik1;
+      queue Blocking q_optik2;
+      queue Blocking q_optik3;
+      stack Lock_free stack_treiber;
+      stack Blocking stack_optik;
+      stack Lock_free stack_elimination;
+    ]
+
+  (** The entry spelled [family/name]. Raises [Invalid_argument] naming
+      the spelling and listing the known ones. *)
+  let find spelling =
+    match List.find_opt (fun e -> String.equal (id e) spelling) entries with
+    | Some e -> e
+    | None ->
+        invalid_arg
+          (Printf.sprintf "unknown structure %S; known: %s" spelling
+             (String.concat ", " (List.map id entries)))
 end
 
 module Native = ForRt (Rt.Native_rt)

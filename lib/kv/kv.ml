@@ -156,7 +156,7 @@ type config = {
 
 let default_config =
   {
-    rep = "ht-optik";
+    rep = "hashtable/optik";
     nshards = 4;
     threads = 8;
     ops = 6_000;
@@ -167,27 +167,20 @@ let default_config =
     plan = None;
   }
 
-(* Shard representations by CLI name. The registry names collide across
-   families ("optik" is a list and a map), so the service uses qualified
-   names of its own. *)
-let reps : (string * (module R.SET_OPS)) list =
+(* The registry structures a store can be, by [family/name]. *)
+let rep_names =
   [
-    ("map-optik", R.Sim_backend.map_optik);
-    ("ht-optik", R.Sim_backend.ht_optik);
-    ("ll-optik", R.Sim_backend.ll_optik);
-    ("ll-harris", R.Sim_backend.ll_harris);
-    ("sl-optik", R.Sim_backend.sl_optik2);
+    "map/optik"; "hashtable/optik"; "list/optik"; "list/harris";
+    "skiplist/optik2";
   ]
 
-let rep_names = List.map fst reps
-
-let rep_module name =
-  match List.assoc_opt name reps with
-  | Some m -> m
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Kv: unknown rep %S (known: %s)" name
-           (String.concat ", " rep_names))
+let rep_ops name =
+  let e = R.Sim_backend.find name in
+  if not (List.mem name rep_names) then
+    invalid_arg
+      (Printf.sprintf "Kv: %s is not a store rep (reps: %s)" name
+         (String.concat ", " rep_names));
+  R.set_ops e
 
 (* ------------------------------------------------------------------ *)
 (* Stores, nodes, shards                                               *)
@@ -416,7 +409,7 @@ let store_capacity (cfg : config) =
 
 let create (cfg : config) : t =
   if cfg.nshards <= 0 then invalid_arg "Kv.create: nshards must be positive";
-  let (module S : R.SET_OPS) = rep_module cfg.rep in
+  let (module S : R.SET_OPS) = rep_ops cfg.rep in
   let capacity = store_capacity cfg in
   let node id label =
     {

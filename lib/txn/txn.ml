@@ -435,7 +435,7 @@ module Workload = struct
 
   let default_config =
     {
-      rep = "ll-optik";
+      rep = "list/optik";
       objects = 4;
       accounts = 16;
       threads = 8;
@@ -446,30 +446,30 @@ module Workload = struct
       broken = false;
     }
 
-  (* Representations by qualified name, as in the KV service, each with
-     its stripe count: 16 for the OPTIK families, enough that independent
-     keys rarely share a commit lock at benchmark account counts; 1 for
-     the lock-free/lazy reps, one version for the whole structure. *)
-  let reps : (string * ((module SET_OPS) * int)) list =
+  (* The registry structures an object can be, each with its stripe
+     count: 16 for the OPTIK families, enough that independent keys
+     rarely share a commit lock at benchmark account counts; 1 for the
+     lock-free/lazy reps, one version for the whole structure. *)
+  let reps =
     [
-      ("ll-optik", (R.Sim_backend.ll_optik, 16));
-      ("map-optik", (R.Sim_backend.map_optik, 16));
-      ("ht-optik", (R.Sim_backend.ht_optik, 16));
-      ("sl-optik", (R.Sim_backend.sl_optik2, 16));
-      ("bst-optik", (R.Sim_backend.bst_optik, 16));
-      ("ll-lazy", (R.Sim_backend.ll_lazy_, 1));
-      ("ll-harris", (R.Sim_backend.ll_harris, 1));
+      ("list/optik", 16);
+      ("map/optik", 16);
+      ("hashtable/optik", 16);
+      ("skiplist/optik2", 16);
+      ("bst/bst-optik", 16);
+      ("list/lazy", 1);
+      ("list/harris", 1);
     ]
 
-  let rep_names = List.map fst reps
-
+  (** The set and stripe count of rep [name]. *)
   let rep name =
+    let e = R.Sim_backend.find name in
     match List.assoc_opt name reps with
-    | Some m -> m
+    | Some stripes -> (R.set_ops e, stripes)
     | None ->
         invalid_arg
-          (Printf.sprintf "Txn: unknown rep %S (known: %s)" name
-             (String.concat ", " rep_names))
+          (Printf.sprintf "Txn: %s is not an object rep (reps: %s)" name
+             (String.concat ", " (List.map fst reps)))
 
   (* ---------------- history ---------------- *)
 

@@ -98,17 +98,17 @@ let test_sequential_isolation () =
   in
   repeats "chaos trials" (fun () ->
       trials
-        (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
+        (Chaos.sets (Chaos.select Chaos.quick_names) :> (module Chaos.TRIAL))
         ~runs:3 ~seed:11);
   repeats "Kv.run" (fun () ->
       let m, r =
-        Kv.run { Kv.default_config with ops = 1_500; rep = "sl-optik" }
+        Kv.run { Kv.default_config with ops = 1_500; rep = "skiplist/optik2" }
       in
       (sim m, r.Kv.res_oracle, r.Kv.res_events));
   repeats "Txn.Workload.run" (fun () ->
       let m, r =
         Txn.Workload.run
-          { Txn.Workload.default_config with ops = 1_500; rep = "sl-optik" }
+          { Txn.Workload.default_config with ops = 1_500; rep = "skiplist/optik2" }
       in
       (sim m, r.Txn.Workload.res_oracle, r.Txn.Workload.res_commits));
   repeats "Soak.run" (fun () ->

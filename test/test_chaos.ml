@@ -8,7 +8,8 @@ module Fp = Rt.Rt_intf
 (* Trial strings round-trip. Trials embed first-class modules, so
    compare via the canonical string form, not structural equality. *)
 
-module S = (val Chaos.sets Chaos.default_entries)
+module R = Harness.Registry
+module S = (val Chaos.sets (Chaos.select Chaos.default_names))
 
 let trial_roundtrip =
   Tutil.qcheck_case ~count:200 "trial to_string/of_string round-trip"
@@ -19,8 +20,7 @@ let trial_roundtrip =
       let s = S.to_string tr in
       let tr' = S.of_string s in
       String.equal s (S.to_string tr')
-      && String.equal tr.Chaos.t_entry.Chaos.e_name
-           tr'.Chaos.t_entry.Chaos.e_name)
+      && tr.Chaos.t_entry == tr'.Chaos.t_entry)
 
 let test_trial_string_errors () =
   let bad s =
@@ -64,7 +64,7 @@ let test_trial_string_errors () =
     (t ^ ";shardcrash(0)@op-boundary,h1");
   (* A kv trial has [threads] clients and a primary and a replica store
      per shard: stores 0 .. 2 * shards - 1. *)
-  let kv = "kv/ht-optik@u4 s1 t2 o100 k64 R50 C10 w1 D50000 B64 f7" in
+  let kv = "kv/hashtable/optik@u4 s1 t2 o100 k64 R50 C10 w1 D50000 B64 f7" in
   kv_named "targets thread 9" (kv ^ ";crash@op-boundary,t9,h1");
   kv_named "targets victim thread 9" (kv ^ ";storm(5000:v9)@op-boundary,h1");
   kv_named "targets store 9, but the trial has 2 stores"
@@ -74,23 +74,23 @@ let test_trial_string_errors () =
   kv_named "targets store -1" (kv ^ ";shardcrash(-1)@op-boundary,h5");
   (* Each positivity check names its one field; a zero key count is a
      grammar error, not a failure inside [Kv.run]. *)
-  kv_named "keys must be positive" "kv/ht-optik@u4 s1 t2 o100 k0";
-  kv_named "shards must be positive" "kv/ht-optik@u4 s0 t2 o100";
-  kv_named "threads must be positive" "kv/ht-optik@u4 s1 t0 o100";
-  kv_named "ops must be positive" "kv/ht-optik@u4 s1 t2 o0";
-  kv_named "degraded must be >= 0" "kv/ht-optik@u4 s1 t2 o100 D-1";
-  kv_named "batch must be positive" "kv/ht-optik@u4 s1 t2 o100 B0";
+  kv_named "keys must be positive" "kv/hashtable/optik@u4 s1 t2 o100 k0";
+  kv_named "shards must be positive" "kv/hashtable/optik@u4 s0 t2 o100";
+  kv_named "threads must be positive" "kv/hashtable/optik@u4 s1 t0 o100";
+  kv_named "ops must be positive" "kv/hashtable/optik@u4 s1 t2 o0";
+  kv_named "degraded must be >= 0" "kv/hashtable/optik@u4 s1 t2 o100 D-1";
+  kv_named "batch must be positive" "kv/hashtable/optik@u4 s1 t2 o100 B0";
   let txn_named =
     rejects (fun s -> ignore (Chaos.Txn_trial.of_string s : Chaos.Txn_trial.t))
   in
-  txn_named "objects must be positive" "txn/ll-optik@u2 b0 a2 t1 o1";
-  txn_named "threads must be positive" "txn/ll-optik@u2 b1 a2 t0 o1";
-  txn_named "ops must be positive" "txn/ll-optik@u2 b1 a2 t1 o0";
+  txn_named "objects must be positive" "txn/list/optik@u2 b0 a2 t1 o1";
+  txn_named "threads must be positive" "txn/list/optik@u2 b1 a2 t0 o1";
+  txn_named "ops must be positive" "txn/list/optik@u2 b1 a2 t1 o0";
   (* All three grammars share the QSBR thread cap: past it a kv or txn
      trial would simulate and then die at the first reclamation. *)
-  kv_named "threads must be at most 128" "kv/ht-optik@u4 s1 t129 o200";
+  kv_named "threads must be at most 128" "kv/hashtable/optik@u4 s1 t129 o200";
   txn_named "threads must be at most 128"
-    "txn/ll-optik@u2 b1 a4 t129 o300 X50 w1";
+    "txn/list/optik@u2 b1 a4 t129 o300 X50 w1";
   named "keys must be positive"
     "stack/treiber@opteron t2 o4 k0 q20000 r0 n0 w1 f1";
   ignore
@@ -117,16 +117,18 @@ let test_trial_string_errors () =
        "stack/treiber@opteron t128 o4 k2 q1 r0 n62 w1 f1;crash@op-boundary,t127"
       : Chaos.trial);
   ignore
-    (Chaos.Kv_trial.of_string "kv/ht-optik@u4 s1 t128 o200" : Chaos.Kv_trial.t);
+    (Chaos.Kv_trial.of_string "kv/hashtable/optik@u4 s1 t128 o200" : Chaos.Kv_trial.t);
   ignore
-    (Chaos.Txn_trial.of_string "txn/ll-optik@u2 b1 a4 t128 o300 X50 w1"
+    (Chaos.Txn_trial.of_string "txn/list/optik@u2 b1 a4 t128 o300 X50 w1"
       : Chaos.Txn_trial.t)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzing is byte-deterministic: same seed, same entries, same output. *)
 
 let fuzz_to_string ~runs ~seed =
-  Chaos.fuzz (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL)) ~runs ~seed
+  Chaos.fuzz
+    (Chaos.sets (Chaos.select Chaos.quick_names) :> (module Chaos.TRIAL))
+    ~runs ~seed
 
 let test_fuzz_deterministic () =
   let f1, s1 = fuzz_to_string ~runs:4 ~seed:11 in
@@ -143,9 +145,10 @@ let test_fuzz_deterministic () =
 
 let fake_lf =
   {
-    Chaos.e_name = "list/gl-as-lf";
-    e_kind = Chaos.Lock_free;
-    e_target = Chaos.Set Harness.Registry.Sim_backend.ll_optik_gl;
+    R.family = "list";
+    name = "gl-as-lf";
+    guarantee = R.Lock_free;
+    structure = R.Set R.Sim_backend.ll_optik_gl;
   }
 
 let failing_trial =
@@ -190,8 +193,21 @@ let test_run_trial_deterministic () =
     (List.map (fun f -> (f.Chaos.f_oracle, f.Chaos.f_detail)) o1.Chaos.o_failures)
     (List.map (fun f -> (f.Chaos.f_oracle, f.Chaos.f_detail)) o2.Chaos.o_failures)
 
-(* The family that can resolve the mislabeled entry. *)
-let with_fake = Chaos.sets (fake_lf :: Chaos.default_entries)
+(* The family that can also resolve the mislabeled entry, which the
+   registry does not know. *)
+let with_fake : (module Chaos.TRIAL with type t = Chaos.trial) =
+  (module struct
+    include S
+
+    let of_string s =
+      let fake = R.id fake_lf ^ "@" in
+      if String.starts_with ~prefix:fake s then
+        let n = String.length fake in
+        let rest = String.sub s n (String.length s - n) in
+        let real = S.of_string ("list/optik-gl@" ^ rest) in
+        { real with Chaos.t_entry = fake_lf }
+      else S.of_string s
+  end)
 
 let test_shrinker_reduces () =
   let small = Chaos.shrink with_fake failing_trial in
@@ -230,7 +246,7 @@ let test_kv_shrink_steps_parse () =
   let kv specs =
     {
       (Chaos.Kv_trial.of_string
-         "kv/ht-optik@u4 s1 t3 o200 k128 R50 C10 w1 D4000 B16 f7")
+         "kv/hashtable/optik@u4 s1 t3 o200 k128 R50 C10 w1 D4000 B16 f7")
       with
       Chaos.Kv_trial.kv_plan = { F.seed = 7; specs };
     }
@@ -284,7 +300,8 @@ let test_golden_replay () =
    one such node per crashed thread and nothing else. *)
 
 let harris_crash_trial =
-  "ht/harris@u2 t2 o1 k2 q1000000 r0 n62 w51809 f277664;crash@after-cas,t1,h1"
+  "hashtable/harris-ht@u2 t2 o1 k2 q1000000 r0 n62 w51809 \
+   f277664;crash@after-cas,t1,h1"
 
 let test_harris_crash_replay () =
   let o = Chaos.run_trial (S.of_string harris_crash_trial) in
@@ -296,33 +313,14 @@ let test_harris_crash_replay () =
 (* Every registered structure is fuzzable, and replays that once failed
    or hung are pinned as PASS rows. *)
 
-let test_all_entries_cover_registry () =
-  let module B = Harness.Registry.Sim_backend in
-  let once what target =
-    let n =
-      List.length
-        (List.filter (fun e -> target e.Chaos.e_target) Chaos.all_entries)
-    in
-    Alcotest.(check int) (what ^ " appears once in all_entries") 1 n
-  in
-  let sets = (B.ht_harris :: B.maps) @ B.lists @ B.hashtables @ B.skiplists @ B.bsts in
-  List.iter
-    (fun ((module S : Harness.Registry.SET_OPS) as m) ->
-      once ("set " ^ S.name) (function Chaos.Set m' -> m' == m | _ -> false))
-    sets;
-  List.iter
-    (fun ((module Q : Harness.Registry.QUEUE_OPS) as m) ->
-      once ("queue " ^ Q.name) (function Chaos.Queue m' -> m' == m | _ -> false))
-    B.queues;
-  List.iter
-    (fun ((module St : Harness.Registry.STACK_OPS) as m) ->
-      once ("stack " ^ St.name) (function Chaos.Stack m' -> m' == m | _ -> false))
-    B.stacks;
-  Alcotest.(check int) "no other entries"
-    (List.length sets + List.length B.queues + List.length B.stacks)
-    (List.length Chaos.all_entries)
-
-module All = (val Chaos.sets Chaos.all_entries)
+let test_all_names_cover_registry () =
+  Alcotest.(check (list string))
+    "all_names lists every registry entry once"
+    (List.sort compare (List.map R.id R.Sim_backend.entries))
+    (List.sort compare Chaos.all_names);
+  Alcotest.(check (list string)) "select keeps all_names order"
+    Chaos.all_names
+    (List.map R.id (Chaos.select (List.rev Chaos.all_names)))
 
 let pinned_passes =
   [
@@ -335,7 +333,7 @@ let pinned_passes =
      f587540;storm(47543)@before-cas,t3,h5;stall(35837)@critical-enter,t1";
     (* Sl_optik.search re-read level 0 after its walk had stopped, so an
        insert of 4 between 2 and 5 made [search 5] answer absent. *)
-    "sl/optik2@xeon t5 o2 k5 q200000 r0 n62 w556653 \
+    "skiplist/optik2@xeon t5 o2 k5 q200000 r0 n62 w556653 \
      f903285;storm(659)@restart,h3";
   ]
 
@@ -345,7 +343,7 @@ let pinned_passes =
 let huge_keys_case s =
   let structure = List.hd (String.split_on_char '@' s) in
   Alcotest.test_case (structure ^ " rejects a huge key count") `Quick (fun () ->
-      match All.of_string s with
+      match S.of_string s with
       | (_ : Chaos.trial) -> Alcotest.failf "expected parse error for %S" s
       | exception Invalid_argument msg ->
           Alcotest.(check string) "error"
@@ -354,7 +352,7 @@ let huge_keys_case s =
 let pinned_pass_case s =
   let structure = List.hd (String.split_on_char '@' s) in
   Alcotest.test_case ("pinned " ^ structure ^ " replay passes") `Quick (fun () ->
-      let o = Chaos.run_trial (All.of_string s) in
+      let o = Chaos.run_trial (S.of_string s) in
       Alcotest.(check (list string)) "every oracle passes" []
         (List.map (fun f -> f.Chaos.f_oracle) o.Chaos.o_failures))
 
@@ -422,8 +420,8 @@ let () =
           Alcotest.test_case "golden replay" `Quick test_golden_replay;
         ] );
       ( "all structures",
-        Alcotest.test_case "all_entries covers the registry" `Quick
-          test_all_entries_cover_registry
+        Alcotest.test_case "all_names covers the registry" `Quick
+          test_all_names_cover_registry
         :: List.map pinned_pass_case pinned_passes
         @ List.map huge_keys_case
             [
@@ -432,7 +430,7 @@ let () =
             ] );
       ( "harris crash residue",
         [
-          Alcotest.test_case "pinned ht/harris replay passes" `Quick
+          Alcotest.test_case "pinned hashtable/harris-ht replay passes" `Quick
             test_harris_crash_replay;
           Alcotest.test_case "validate accepts one per crash" `Quick
             test_harris_validate_residue;

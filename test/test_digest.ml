@@ -61,7 +61,23 @@ let piece p_name p_counts p_bytes = { p_name; p_counts; p_bytes }
 let pin section p =
   { section; name = p.p_name; metrics = p.p_counts @ [ ("md5", digest p.p_bytes) ] }
 
-let ledger_file = "ledger.txt"
+(* The directory that holds [test/ledger.txt] and [BENCH_sim.json]: the
+   working directory under [dune exec test/test_digest.exe] from the
+   repository root, its parent under [dune runtest], which runs in dune's
+   copy of [test/]. Checking and rewriting the ledger both use it. *)
+let root =
+  match
+    List.find_opt
+      (fun d -> Sys.file_exists (Filename.concat d "test/ledger.txt"))
+      [ Filename.current_dir_name; Filename.parent_dir_name ]
+  with
+  | Some d -> d
+  | None ->
+      failwith
+        "test_digest: no test/ledger.txt here or in the parent directory; \
+         run it from the repository root"
+
+let ledger_file = Filename.concat root "test/ledger.txt"
 
 (* A run's simulated counts. *)
 let run_counts (m : Harness.Runner.measurement) =
@@ -95,34 +111,28 @@ let structure_rows () =
     run_row "structures" id m
       (Obs.Report.to_string (Harness.Report.run_entry ~id m) ^ "\n")
   in
-  let set family ?capacity ?(suffix = "") (module St : R.SET_OPS) =
-    let w = Run.uniform_workload ?capacity ~init_size:64 ~update_pct:40 () in
-    entry (family ^ "/" ^ St.name ^ suffix) (fun () ->
-        Run.run_set_sim ~topology ~nthreads ~ops ~seed ~record_obs:true
-          (module St) w)
-  in
-  List.concat_map
-    (fun (family, sets) -> List.map (set family) sets)
-    [
-      ("map", S.maps);
-      ("list", S.lists);
-      ("hashtable", S.ht_harris :: S.hashtables);
-      ("skiplist", S.skiplists);
-      ("bst", S.bsts);
-    ]
-  @ List.map (set "hashtable" ~capacity:1 ~suffix:"@1") [ S.ht_java; S.ht_java_optik ]
-  @ List.map
-      (fun (module Qu : R.QUEUE_OPS) ->
-        entry ("queue/" ^ Qu.name) (fun () ->
+  let row ?capacity ?(suffix = "") (e : R.entry) =
+    entry (R.id e ^ suffix) (fun () ->
+        match e.structure with
+        | R.Set s ->
+            Run.run_set_sim ~topology ~nthreads ~ops ~seed ~record_obs:true s
+              (Run.uniform_workload ?capacity ~init_size:64 ~update_pct:40 ())
+        | R.Queue q ->
             Run.run_queue_sim ~topology ~nthreads ~ops ~seed ~record_obs:true
-              ~enqueue_pct:50 (module Qu)))
-      S.queues
-  @ List.map
-      (fun (module St : R.STACK_OPS) ->
-        entry ("stack/" ^ St.name) (fun () ->
+              ~enqueue_pct:50 q
+        | R.Stack st ->
             Run.run_stack_sim ~topology ~nthreads ~ops ~seed ~record_obs:true
-              ~push_pct:50 (module St)))
-      S.stacks
+              ~push_pct:50 st)
+  in
+  let sets, others =
+    List.partition
+      (fun e -> match e.R.structure with R.Set _ -> true | _ -> false)
+      S.entries
+  in
+  List.map row sets
+  @ List.map (row ~capacity:1 ~suffix:"@1")
+      [ S.find "hashtable/java"; S.find "hashtable/java-optik" ]
+  @ List.map row others
 
 (* Cut a report into the bytes before its runs, each run's bytes (the
    comma after it included) and the bytes after them: together, the
@@ -289,7 +299,8 @@ let replay_piece name family s =
 let gen_replay_piece (module T : Chaos.TRIAL) =
   replay_piece "replay" (module T) (T.to_string (T.gen (Harness.Rng.create 99)))
 
-let sets_family = (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL))
+let sets_family =
+  (Chaos.sets (Chaos.select Chaos.quick_names) :> (module Chaos.TRIAL))
 
 (* Every kv and txn trial starts from a pristine world, so these pins
    do not depend on what ran before them. *)
@@ -332,7 +343,7 @@ let txn_pieces () =
   let replay = gen_replay_piece (module Chaos.Txn_trial) in
   let broken =
     replay_piece "broken-replay" (module Chaos.Txn_trial)
-      "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !"
+      "txn/list/optik@xeon b2 a8 t8 o2000 X70 w0 !"
   in
   let commit = broken_commit_piece () in
   (bank :: fuzz) @ [ replay; broken; commit ]
@@ -367,10 +378,10 @@ let soak_pieces () =
   in
   go 1
 
-(* A recorded list run, from a pristine world. *)
-let obs_run name =
+(* A recorded run of the list spelled [structure], from a pristine world. *)
+let obs_run structure =
   Harness.World.reset ();
-  let (module S : R.SET_OPS) = R.Sim_backend.find_named R.Sim_backend.lists name in
+  let (module S : R.SET_OPS) = R.set_ops (R.Sim_backend.find structure) in
   let w = Harness.Runner.uniform_workload ~init_size:256 ~update_pct:40 () in
   Harness.Runner.run_set_sim ~topology:Sim.Topology.xeon ~nthreads:8 ~ops:4_000
     ~seed:11 ~record_obs:true
@@ -378,14 +389,14 @@ let obs_run name =
     w
 
 (* A run's report: the same bytes [optik_bench run ... --report] writes. *)
-let obs_report name m =
+let obs_report structure m =
   Obs.Report.to_string
     (Harness.Report.make ~subcommand:"run" ~seed:(Some 11)
-       ~params:[ ("structure", Obs.Report.Str name) ]
-       [ ("list/" ^ name, m) ])
+       ~params:[ ("structure", Obs.Report.Str structure) ]
+       [ (structure, m) ])
 
 (* The recorded OPTIK list run that the trace, report and diff pins share. *)
-let optik_run = lazy (obs_run "optik")
+let optik_run = lazy (obs_run "list/optik")
 
 (* Its trace exports: the Chrome trace_event JSON and the JSONL journal. *)
 let trace_pieces () =
@@ -408,7 +419,7 @@ let trace_pieces () =
 (* Its run report, one piece per run. *)
 let report_pieces () =
   let m = Lazy.force optik_run in
-  let head, entries, tail = split_report (obs_report "optik" m) in
+  let head, entries, tail = split_report (obs_report "list/optik" m) in
   (piece "report/head" [] head
   :: List.map (piece "report/list/optik" (run_counts m)) entries)
   @ [ piece "report/tail" [] tail ]
@@ -420,9 +431,10 @@ let diff_pieces () =
     | Ok j -> j
     | Error e -> Alcotest.failf "report reparse failed: %s" e
   in
-  let optik = obs_report "optik" (Lazy.force optik_run) in
+  let optik = obs_report "list/optik" (Lazy.force optik_run) in
   let diff =
-    match Obs.Report.diff (parse optik) (parse (obs_report "lazy" (obs_run "lazy"))) with
+    let lazy_ = obs_report "list/lazy" (obs_run "list/lazy") in
+    match Obs.Report.diff (parse optik) (parse lazy_) with
     | Ok text -> text
     | Error e -> Alcotest.failf "diff failed: %s" e
   in
@@ -555,7 +567,7 @@ let check_output title =
   match compare_ledgers ~old ~now:(rows ()) with
   | [] -> ()
   | changes ->
-      Alcotest.failf "%s: %d differences from test/%s:\n%s" title (List.length changes)
+      Alcotest.failf "%s: %d differences from %s:\n%s" title (List.length changes)
         ledger_file (String.concat "\n" changes)
 
 (* The run rows of every structure, figure and hostperf workload hold,
@@ -624,7 +636,8 @@ let test_ledger_negative () =
 let test_bench_counts () =
   let module J = Obs.Report in
   let bench =
-    match J.parse (In_channel.with_open_text "../BENCH_sim.json" In_channel.input_all) with
+    let file = Filename.concat root "BENCH_sim.json" in
+    match J.parse (In_channel.with_open_text file In_channel.input_all) with
     | Ok j -> Option.value ~default:[] (Option.bind (J.member "results" j) J.to_list)
     | Error e -> Alcotest.failf "BENCH_sim.json does not parse: %s" e
   in
@@ -666,10 +679,9 @@ let test_self_stable () =
 
 let () =
   if Sys.getenv_opt "GOLDEN_PRINT" <> None then begin
-    let path = Filename.concat "test" ledger_file in
-    Out_channel.with_open_text path (fun oc ->
+    Out_channel.with_open_text ledger_file (fun oc ->
         output_string oc (ledger_text (ledger_rows ())));
-    Printf.printf "wrote %s\n" path;
+    Printf.printf "wrote %s\n" ledger_file;
     exit 0
   end;
   let pinned title = Alcotest.test_case title `Quick (fun () -> check_output title) in

@@ -124,18 +124,14 @@ let test_avg_ratio () =
   Alcotest.(check (float 0.001)) "filtered" 4.0
     (Figures.Experiments.avg_ratio ~keep:(fun t -> t = 8) a b)
 
-let test_find_named () =
+let test_find () =
   let (module S : Harness.Registry.SET_OPS) =
-    Harness.Registry.Sim_backend.find_named
-      Harness.Registry.Sim_backend.lists "optik-cache"
+    Harness.Registry.(set_ops (Sim_backend.find "list/optik-cache"))
   in
   Alcotest.(check string) "found by name" "optik-cache" S.name;
-  match
-    Harness.Registry.Sim_backend.find_named
-      Harness.Registry.Sim_backend.lists "no-such"
-  with
-  | _ -> Alcotest.fail "expected Not_found"
-  | exception Not_found -> ()
+  match Harness.Registry.Sim_backend.find "list/no-such" with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 (* a real but tiny experiment end-to-end: one workload point per series *)
 let test_tiny_experiment_runs () =
@@ -175,7 +171,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "avg_ratio" `Quick test_avg_ratio;
-          Alcotest.test_case "find_named" `Quick test_find_named;
+          Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "tiny experiment end-to-end" `Quick
             test_tiny_experiment_runs;
         ] );

@@ -28,7 +28,7 @@ let test_order_preserved () =
    reset happens per task, whatever ran on that domain before. *)
 let test_reset_runs_before_every_task () =
   let hits = Atomic.make 0 in
-  let cfg = { Kv.default_config with ops = 1_500; rep = "sl-optik" } in
+  let cfg = { Kv.default_config with ops = 1_500; rep = "skiplist/optik2" } in
   let tasks =
     List.init 7 (fun i ->
         Fleet.task ~label:(string_of_int i) (fun () ->
@@ -81,7 +81,9 @@ let test_jobs_validation () =
    over 1, 2 and 4 worker domains (so over different range splits) must
    produce the same bytes. *)
 let test_fleet_determinism () =
-  let family = (Chaos.sets Chaos.quick_entries :> (module Chaos.TRIAL)) in
+  let family =
+    (Chaos.sets (Chaos.select Chaos.quick_names) :> (module Chaos.TRIAL))
+  in
   let fuzz jobs = Chaos.fuzz ~jobs family ~runs:6 ~seed:11 in
   let one = fuzz 1 in
   Alcotest.(check (pair int string)) "jobs:2 == jobs:1" one (fuzz 2);

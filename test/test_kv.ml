@@ -376,7 +376,7 @@ let test_broken_fencing_fails () =
    a pair that stays in the probe's view while narrating ends armed
    after its resync crash. *)
 let fence_window_trial =
-  "kv/ht-optik@u2 s3 t6 o944 k77 R86 C0 w201137 D36735 B16 \
+  "kv/hashtable/optik@u2 s3 t6 o944 k77 R86 C0 w201137 D36735 B16 \
    f391485;shardcrash(0:56677)@critical-exit,h170;shardcrash(0:78450)@op-boundary,h236;\
    resynccrash(3:48078)@op-boundary,h4;shardcrash(4:64921)@op-boundary,h86;\
    shardcrash(4)@restart,h254;shardrecover(4)@op-boundary,h288;\
@@ -411,10 +411,10 @@ let test_kv_trial_roundtrip () =
       | exception Invalid_argument _ -> ())
     [
       "nonsense";
-      "kv/ht-optik@u4 s1 t2 o100 R200";
-      "kv/ht-optik@u4 s1 t2 o100 R-1";
-      "kv/ht-optik@u4 s1 t2 o100 C101";
-      "kv/ht-optik@u4 s1 t2 o100 R60 C50";
+      "kv/hashtable/optik@u4 s1 t2 o100 R200";
+      "kv/hashtable/optik@u4 s1 t2 o100 R-1";
+      "kv/hashtable/optik@u4 s1 t2 o100 C101";
+      "kv/hashtable/optik@u4 s1 t2 o100 R60 C50";
     ]
 
 (* Configurations the service cannot run are rejected up front, not

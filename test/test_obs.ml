@@ -4,9 +4,7 @@
 
 let topology = Sim.Topology.xeon
 
-let ll_optik () =
-  Harness.Registry.Sim_backend.find_named Harness.Registry.Sim_backend.lists
-    "optik"
+let ll_optik () = Harness.Registry.(set_ops (Sim_backend.find "list/optik"))
 
 let run_once ~record_obs () =
   let (module S : Harness.Registry.SET_OPS) = ll_optik () in

@@ -93,7 +93,7 @@ let logged_stripes stripes =
 
 let fresh_pair ?(logged = false) () =
   Dstruct.Sl_common.reset_states ();
-  let (module S : R.SET_OPS), stripes = W.rep "ll-optik" in
+  let (module S : R.SET_OPS), stripes = W.rep "list/optik" in
   let ops : (module R.SET_OPS with type t = S.t) =
     if logged then (module Logged (S)) else (module S)
   in
@@ -238,7 +238,7 @@ let test_snapshot_is_consistent () =
    of restart checkpoints, which each {!Rt.Backoff} wait reports. *)
 let snapshot_race ?(after = [ 2 ]) ~n ~writes () =
   Dstruct.Sl_common.reset_states ();
-  let (module S : R.SET_OPS), stripes = W.rep "ll-optik" in
+  let (module S : R.SET_OPS), stripes = W.rep "list/optik" in
   let st = S.create ~capacity:64 () in
   for k = 1 to n + 1 do
     assert (S.insert st k 100)
@@ -378,7 +378,7 @@ end
 
 let test_read_recheck () =
   Dstruct.Sl_common.reset_states ();
-  let (module S : R.SET_OPS), stripes = W.rep "ll-optik" in
+  let (module S : R.SET_OPS), stripes = W.rep "list/optik" in
   let st = S.create ~capacity:64 () in
   for k = 1 to 3 do
     assert (S.insert st k 100)
@@ -443,8 +443,9 @@ let test_read_recheck () =
 
 (* Every rep's stripe table. Keys 1 .. 16 of a fresh object land on 16
    distinct handle ids, key [k] on the [k mod 16]-th of an ascending
-   range, for the OPTIK reps, and on one id for the one-stripe reps. Two
-   objects packed in a row draw disjoint, increasing ranges. *)
+   range, for the OPTIK reps, and on one id for the one-stripe reps, the
+   lazy and Harris lists. Two objects packed in a row draw disjoint,
+   increasing ranges. *)
 let test_stripe_table () =
   List.iter
     (fun rep ->
@@ -459,7 +460,7 @@ let test_stripe_table () =
       List.iter
         (fun o ->
           let want =
-            if String.ends_with ~suffix:"-optik" rep then
+            if not (List.mem rep [ "list/lazy"; "list/harris" ]) then
               List.init 16 (fun i -> lo o + ((i + 1) mod 16))
             else List.init 16 (fun _ -> lo o)
           in
@@ -471,7 +472,7 @@ let test_stripe_table () =
         (rep ^ ": the second object's range follows the first's")
         true
         (hi 0 < lo 1))
-    W.rep_names
+    (List.map fst W.reps)
 
 (* ------------------------------------------------------------------ *)
 (* Contended workload: determinism, oracle, negative control. *)
@@ -534,7 +535,7 @@ let test_oracle_passes_optik () = check_oracle_passes W.default_config
 
 (* Structure-wide version wrapper (lock-free rep). *)
 let test_oracle_passes_wrapper () =
-  check_oracle_passes { W.default_config with W.rep = "ll-harris" }
+  check_oracle_passes { W.default_config with W.rep = "list/harris" }
 
 (* Locks taken without validation let stale reads commit: the oracle
    must report them as transfer reads, and the updates they lose as a
@@ -592,7 +593,7 @@ let hist_cfg = { W.default_config with W.objects = 2; accounts = 2 }
 
 let quiesced_objs contents =
   Dstruct.Sl_common.reset_states ();
-  let (module S : R.SET_OPS), stripes = W.rep "ll-optik" in
+  let (module S : R.SET_OPS), stripes = W.rep "list/optik" in
   Array.map
     (fun kvs ->
       let st = S.create ~capacity:64 () in
@@ -1112,13 +1113,13 @@ let test_txn_trial_roundtrip () =
       | exception Invalid_argument _ -> ())
     [
       "nonsense";
-      "txn/ll-optik@u2 b1 a2 t1 o1 X500";
-      "txn/ll-optik@u2 b1 a2 t1 o1 X-1";
-      "txn/ll-optik@u2 b1 a2 t1 o1 !x";
+      "txn/list/optik@u2 b1 a2 t1 o1 X500";
+      "txn/list/optik@u2 b1 a2 t1 o1 X-1";
+      "txn/list/optik@u2 b1 a2 t1 o1 !x";
     ]
 
 let test_txn_trial_runs () =
-  let tr = X.of_string "txn/ll-optik@u2 b2 a8 t2 o400 X70 w5" in
+  let tr = X.of_string "txn/list/optik@u2 b2 a8 t2 o400 X70 w5" in
   let failures, _ = X.run tr in
   Alcotest.(check (list string)) "no oracle failures" []
     (List.map (fun f -> f.Chaos.f_oracle) failures);
@@ -1126,7 +1127,7 @@ let test_txn_trial_runs () =
   Alcotest.(check bool) "transfers committed" true (r.W.res_commits > 0)
 
 let test_txn_trial_catches_broken () =
-  let tr = X.of_string "txn/ll-optik@xeon b2 a8 t8 o2000 X70 w0 !" in
+  let tr = X.of_string "txn/list/optik@xeon b2 a8 t8 o2000 X70 w0 !" in
   let failures, _ = X.run tr in
   Alcotest.(check bool) "serializability failure reported" true
     (List.exists (fun f -> f.Chaos.f_oracle = "serializability") failures)
