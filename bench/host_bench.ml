@@ -52,8 +52,7 @@ let of_measurement name (m : Runner.measurement) =
     r_host_s = m.host_s;
   }
 
-(* A run of the set spelled [structure], named [name] (default: the
-   spelling). *)
+(* A run of the set spelled [structure], named [name] or the spelling. *)
 let set_spec ?name structure ~topology ~nthreads ~ops ~size ~updates =
   let name = Option.value name ~default:structure in
   let (module S : R.SET_OPS) = R.set_ops (R.Sim_backend.find structure) in

@@ -302,9 +302,7 @@ let all_names =
 
 let select names =
   List.iter (fun n -> ignore (R.Sim_backend.find n : R.entry)) names;
-  List.filter_map
-    (fun n -> if List.mem n names then Some (R.Sim_backend.find n) else None)
-    all_names
+  List.map R.Sim_backend.find (List.filter (fun n -> List.mem n names) all_names)
 
 type trial = {
   t_entry : R.entry;

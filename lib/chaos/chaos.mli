@@ -98,10 +98,6 @@ val check_targets : threads:int -> stores:int -> Sim.Fault.plan -> unit
     Raises [Invalid_argument] naming the spec, the field ([thread],
     [victim thread], [store]) and the bound. *)
 
-(** Trials name their structure [family/name], through
-    {!Harness.Registry.ForRt.find}; the entry's guarantee picks the
-    liveness oracle. *)
-
 val default_names : string list
 (** One representative per family and figure: lists, hash tables, skip
     lists, array map, BST, queues, stacks, in the order the default draws
@@ -136,7 +132,8 @@ type trial = {
 
 val sets : Harness.Registry.entry list -> (module TRIAL with type t = trial)
 (** The family over [entries]: [gen] draws from them and [of_string]
-    resolves any registered structure. Strings read
+    resolves any registered structure; the entry's guarantee picks the
+    liveness oracle. Strings read
     [family/name@topo tN oN kN qN rN nN wN fPLAN] with [PLAN] in
     {!Sim.Fault.to_string} syntax; the detail line reads
     [run completed; crashed threads [..]]; the shrink steps drop fault
@@ -180,8 +177,8 @@ module Kv_trial : sig
   }
 
   include TRIAL with type t := t
-  (** Strings read [kv/FAMILY/NAME@topo sN tN oN kN RN CN wN DN BN fPLAN]; the
-      detail line is {!Kv.pp_oracle}'s. *)
+  (** Strings read [kv/FAMILY/NAME@topo sN tN oN kN RN CN wN DN BN
+      fPLAN]; the detail line is {!Kv.pp_oracle}'s. *)
 
   val config : t -> Kv.config
 end
@@ -210,9 +207,8 @@ module Txn_trial : sig
 
   include TRIAL with type t := t
   (** Strings read [txn/FAMILY/NAME@topo bN aN tN oN XN wN [!]] — a
-      trailing [!]
-      marks the broken-commit negative control; the detail line is
-      {!Txn.Workload.pp_oracle}'s. *)
+      trailing [!] marks the broken-commit negative control; the detail
+      line is {!Txn.Workload.pp_oracle}'s. *)
 
   val config : t -> Txn.Workload.config
 end

@@ -906,7 +906,8 @@ let fault_experiment mode =
   (* Blocking reps take faults at [Critical_enter] — just after acquiring
      a lock, so a crash dies holding it. Lock-free reps take faults at
      [Before_cas] — mid-operation, the worst spot available to them. *)
-  let row family kind fault run =
+  let row family (e : Harness.Registry.entry) fault run =
+    let kind = Harness.Registry.guarantee_name e.guarantee in
     let fr_meas = run () in
     (* The FAULT figure renders notes only (no series), so the sink is
        the sole route these measurements take into a run report. *)
@@ -936,24 +937,17 @@ let fault_experiment mode =
           ~init:w.init_size ~faults ~watchdog ~max_events ~push_pct:w.update_pct
           st
   in
-  (* A structure family's four rows: a crash and a stall for each of its
-     blocking and lock-free reps, labelled by the entry's guarantee. *)
-  let family_rows family blocking lockfree w =
-    let blocking = R.find blocking and lockfree = R.find lockfree in
-    let kind (e : Harness.Registry.entry) =
-      Harness.Registry.guarantee_name e.guarantee
-    in
-    let go = run_entry w in
+  (* A structure family's four rows: a crash and a stall for its blocking
+     rep [b] and its lock-free rep [l], each labelled by its guarantee. *)
+  let family_rows family b l w =
+    let b = R.find b and l = R.find l in
+    let row = row family and go = run_entry w in
     [
       (* ops_target 0: run until the watchdog calls the verdict *)
-      row family (kind blocking) "crash"
-        (go ~ops:0 (crash_plan Rt.Rt_intf.Critical_enter) blocking);
-      row family (kind lockfree) "crash"
-        (go ~ops (crash_plan Rt.Rt_intf.Before_cas) lockfree);
-      row family (kind blocking) "stall"
-        (go ~ops (stall_plan Rt.Rt_intf.Critical_enter) blocking);
-      row family (kind lockfree) "stall"
-        (go ~ops (stall_plan Rt.Rt_intf.Before_cas) lockfree);
+      row b "crash" (go ~ops:0 (crash_plan Rt.Rt_intf.Critical_enter) b);
+      row l "crash" (go ~ops (crash_plan Rt.Rt_intf.Before_cas) l);
+      row b "stall" (go ~ops (stall_plan Rt.Rt_intf.Critical_enter) b);
+      row l "stall" (go ~ops (stall_plan Rt.Rt_intf.Before_cas) l);
     ]
   in
   let pool = Runner.uniform_workload ~init_size:1_024 ~update_pct:50 () in

@@ -8,12 +8,9 @@
     [create] call with its variant flags baked in.
 
     {!Native} runs on real atomics and domains; {!Sim_backend} runs under
-    the deterministic multicore simulator.
-
-    Every selector of the program (the CLI's [run], [chaos], [kv] and
-    [txn], host_bench and the pin ledger) names a structure
-    [family/name] through one table, {!ForRt.entries}, and resolves it
-    with {!ForRt.find}. *)
+    the deterministic multicore simulator. Every selector names a
+    structure [family/name] of {!ForRt.entries} and resolves it with
+    {!ForRt.find}. *)
 
 module type SET_OPS = Dstruct.Dstruct_intf.SET_OPS
 module type QUEUE_OPS = Dstruct.Dstruct_intf.QUEUE_OPS
