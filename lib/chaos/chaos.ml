@@ -274,8 +274,8 @@ let replay (module T : TRIAL) s ppf =
 (* Set, queue and stack trials                                         *)
 
 (* One representative per family and figure, in the draw order the
-   recorded trial streams depend on; then the rest of the registry, after
-   them so the default draws stay as they were. *)
+   recorded trial streams depend on. [all_names] appends the rest of the
+   registry after them, so it never moves a default draw. *)
 let default_names =
   [
     "list/harris"; "list/optik"; "list/lazy"; "list/optik-gl";
