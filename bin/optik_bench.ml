@@ -465,8 +465,8 @@ let soak_cmd =
           Printf.printf "%d %s -> ops=%d mops=%.6f valid=%b complete=%b\n" i
             (Soak.describe c) m.Harness.Runner.ops m.Harness.Runner.mops
             m.Harness.Runner.valid complete;
-          measured :=
-            (Printf.sprintf "soak/%02d/%s" i (Soak.name c), m) :: !measured
+          let id = Harness.Registry.id c.Soak.structure in
+          measured := (Printf.sprintf "soak/%02d/%s" i id, m) :: !measured
         done);
     Printf.printf "soak finished: %d runs, %d failures\n" runs !failures;
     ( !failures > 0,

@@ -292,13 +292,9 @@ let quick_names =
 
 let all_names =
   default_names
-  @ [
-      "list/mcs-gl-opt"; "list/optik-cache"; "list/lazy-cache";
-      "hashtable/lazy-gl"; "hashtable/java"; "hashtable/java-optik";
-      "hashtable/optik-gl"; "hashtable/optik-map"; "skiplist/herl-optik";
-      "skiplist/optik1"; "skiplist/optik2"; "map/mcs"; "bst/bst-gl";
-      "queue/optik0"; "queue/optik2"; "queue/optik3";
-    ]
+  @ List.filter
+      (fun n -> not (List.mem n default_names))
+      (List.map R.id R.Sim_backend.entries)
 
 let select names =
   List.iter (fun n -> ignore (R.Sim_backend.find n : R.entry)) names;

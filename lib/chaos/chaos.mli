@@ -108,9 +108,9 @@ val quick_names : string list
     the CI smoke set. *)
 
 val all_names : string list
-(** {!default_names} followed by the other registered structures, so
-    that every entry of {!Harness.Registry.Sim_backend} appears exactly
-    once. *)
+(** {!default_names} followed by the other registered structures in
+    {!Harness.Registry.ForRt.entries} order, so that every entry appears
+    exactly once. *)
 
 val select : string list -> Harness.Registry.entry list
 (** The entries named, in {!all_names} order and each once, whatever the

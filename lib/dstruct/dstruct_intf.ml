@@ -11,11 +11,9 @@
     resync: they assume no concurrent operations.
 
     Each family is declared once as a [*_CORE] signature (the shared
-    operations); the full polymorphic signature ([SET], [QUEUE],
-    [STACK]) and the monomorphic driver view ([SET_OPS], [QUEUE_OPS],
-    [STACK_OPS]) are both derived from it by inclusion, and the [Mono_*]
-    functors generate the monomorphic modules — so an interface change
-    is written in exactly one place. *)
+    operations); the [Mono_*] functors derive the monomorphic driver
+    views ([SET_OPS], [QUEUE_OPS], [STACK_OPS]) from it — so an
+    interface change is written in exactly one place. *)
 
 module type SET_CORE = sig
   type 'v t
@@ -40,16 +38,6 @@ module type SET_CORE = sig
       never leave. Every other rule stays as strict. *)
 end
 
-module type SET = sig
-  include SET_CORE
-
-  val name : string
-
-  val create : ?capacity:int -> unit -> 'v t
-  (** [capacity] sizes array maps (number of slots) and hash tables
-      (number of buckets); list and skip-list implementations ignore it. *)
-end
-
 (** FIFO queues (§5.4). *)
 module type QUEUE_CORE = sig
   type 'v t
@@ -59,13 +47,6 @@ module type QUEUE_CORE = sig
   val size : 'v t -> int
 end
 
-module type QUEUE = sig
-  include QUEUE_CORE
-
-  val name : string
-  val create : unit -> 'v t
-end
-
 (** LIFO stacks (§5.5). *)
 module type STACK_CORE = sig
   type 'v t
@@ -73,13 +54,6 @@ module type STACK_CORE = sig
   val push : 'v t -> 'v -> unit
   val pop : 'v t -> 'v option
   val size : 'v t -> int
-end
-
-module type STACK = sig
-  include STACK_CORE
-
-  val name : string
-  val create : unit -> 'v t
 end
 
 (** {1 Baseline/OPTIK twins}
@@ -128,6 +102,9 @@ module type SET_OPS = sig
   include MONO
 
   val create : ?capacity:int -> unit -> t
+  (** [capacity] sizes array maps (number of slots) and hash tables
+      (number of buckets); list and skip-list implementations ignore it. *)
+
   val search : t -> int -> int option
   val insert : t -> int -> int -> bool
   val delete : t -> int -> int option

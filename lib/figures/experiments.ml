@@ -11,6 +11,9 @@ module R = Harness.Registry.Sim_backend
 module Sched = Sim.Sched
 module Topology = Sim.Topology
 
+(* The sets of [family]'s figure lineup ({!Harness.Registry.ForRt.lineup}). *)
+let sets family = List.map Harness.Registry.set_ops (R.lineup family)
+
 let xeon = Topology.xeon
 let opteron = Topology.opteron
 
@@ -292,12 +295,12 @@ let fig7 mode =
   let mk title capacity ops =
     let w = map_workload capacity in
     let series =
-      List.map (set_series mode ~topology:xeon ~ops ~workload:w) R.maps
+      List.map (set_series mode ~topology:xeon ~ops ~workload:w) (sets "map")
     in
     let lat_series =
       List.map
         (set_series mode ~threads:[ 10 ] ~topology:xeon ~ops ~workload:w)
-        R.maps
+        (sets "map")
     in
     ( figure "F7" title ~latency:(10, Runner.class_names, lat_series) series,
       series )
@@ -338,7 +341,7 @@ let fig9 mode =
   let uniform init_size = Runner.uniform_workload ~init_size ~update_pct:40 () in
   let skewed init_size = Runner.skewed_workload ~init_size ~update_pct:40 () in
   let figs =
-    set_grid mode ~fig:"9" ~what:"linked lists" R.lists
+    set_grid mode ~fig:"9" ~what:"linked lists" (sets "list")
       [
         ("large (8192, 20% upd)", (uniform 8192, 2_000));
         ("medium (1024, 20% upd)", (uniform 1024, 10_000));
@@ -387,7 +390,7 @@ let fig10 mode =
       ~capacity:size ~init_size:size ~update_pct:40 ()
   in
   let figs =
-    set_grid mode ~fig:"10" ~what:"hash tables" R.hashtables
+    set_grid mode ~fig:"10" ~what:"hash tables" (sets "hashtable")
       [
         ("medium (8192 elems, 1 per bucket)", (table ~skewed:false 8192, 25_000));
         ("small skewed (512, zipf .9)", (table ~skewed:true 512, 25_000));
@@ -452,7 +455,7 @@ let fig11 mode =
   let skewed init_size = Runner.skewed_workload ~init_size ~update_pct:40 () in
   let figs =
     set_grid mode ~fig:"11" ~what:"skip lists" ~notes:restart_note
-      R.skiplists
+      (sets "skiplist")
       [
         ("large skewed (65536, zipf .9)", (skewed 65_536, 15_000));
         ("small skewed (1024, zipf .9)", (skewed 1_024, 20_000));
@@ -485,6 +488,7 @@ let fig11 mode =
 (* Figure 12: queues                                                   *)
 
 let fig12 mode =
+  let queues = List.map Harness.Registry.queue_ops (R.lineup "queue") in
   let figs =
     grid ~fig:"12" ~what:"queues"
       [
@@ -493,7 +497,7 @@ let fig12 mode =
         ("increasing size (60% enq)", 60);
       ]
       (fun topo enqueue_pct ->
-        List.map (queue_series mode ~topology:topo ~ops:20_000 ~enqueue_pct) R.queues)
+        List.map (queue_series mode ~topology:topo ~ops:20_000 ~enqueue_pct) queues)
   in
   (* latency panel: stable size at 10 threads (both machines) *)
   let lat_fig =
@@ -504,7 +508,7 @@ let fig12 mode =
           List.map
             (queue_series mode ~threads:[ 10 ] ~topology:xeon ~ops:20_000
                ~enqueue_pct:50)
-            R.queues )
+            queues )
       []
   in
   let stable = (fig_by_title figs "stable").Render.series in
@@ -613,7 +617,9 @@ let ablation_cache mode =
           emit
             (Printf.sprintf "cache/optik-cache@s%d" size)
             (Runner.run_set_sim ~topology:xeon ~nthreads:10 ~ops
-               ~seed:mode.seed R.ll_optik_cache w)
+               ~seed:mode.seed
+               (Harness.Registry.set_ops (R.find "list/optik-cache"))
+               w)
         in
         let hits =
           try List.assoc "ll-optik.cache-hits" m_cache.Runner.counters
@@ -725,7 +731,7 @@ let stack_experiment mode =
             in
             let final_size = S.size t in
             { m with wall_s = 0.; final_size }))
-      R.stacks
+      (List.map Harness.Registry.stack_ops (R.lineup "stack"))
   in
   let fig =
     figure "S1" "Stacks (§5.5): Treiber vs OPTIK redesign, 50/50 push/pop, Xeon"
@@ -786,7 +792,7 @@ let bst_experiment mode =
   let w = Runner.uniform_workload ~init_size:1024 ~update_pct:40 () in
   let ops = scaled mode 20_000 in
   let series =
-    List.map (set_series mode ~topology:xeon ~ops ~workload:w) R.bsts
+    List.map (set_series mode ~topology:xeon ~ops ~workload:w) (sets "bst")
   in
   let fig =
     figure "BST"

@@ -2,10 +2,11 @@
     wrapped into the monomorphic driver interfaces of
     {!Dstruct.Dstruct_intf}, under the names used by the paper's figures.
 
-    Each structure is a {!Dstruct.Dstruct_intf.Mono_set} (or [Mono_queue] /
-    [Mono_stack]) application: the implementation supplies the shared
-    operations, the inline spec supplies only the figure name and the
-    [create] call with its variant flags baked in.
+    {!ForRt.entries} is the one list of structures. Each row holds a
+    {!Dstruct.Dstruct_intf.Mono_set} (or [Mono_queue] / [Mono_stack])
+    application: the implementation supplies the shared operations, the
+    inline spec supplies only the figure name and the [create] call with
+    its variant flags baked in.
 
     {!Native} runs on real atomics and domains; {!Sim_backend} runs under
     the deterministic multicore simulator. Every selector names a
@@ -42,13 +43,21 @@ let id e = e.family ^ "/" ^ e.name
 
 let guarantee_name = function Lock_free -> "lock-free" | Blocking -> "blocking"
 
+let not_a kind e =
+  invalid_arg
+    (Printf.sprintf "%s is a %s, not a %s structure" (id e) e.family kind)
+
 (** The set behind [e]; raises [Invalid_argument] for a queue or a stack. *)
 let set_ops e =
-  match e.structure with
-  | Set s -> s
-  | Queue _ | Stack _ ->
-      invalid_arg
-        (Printf.sprintf "%s is a %s, not a set structure" (id e) e.family)
+  match e.structure with Set s -> s | Queue _ | Stack _ -> not_a "set" e
+
+(** The queue behind [e]; raises [Invalid_argument] otherwise. *)
+let queue_ops e =
+  match e.structure with Queue q -> q | Set _ | Stack _ -> not_a "queue" e
+
+(** The stack behind [e]; raises [Invalid_argument] otherwise. *)
+let stack_ops e =
+  match e.structure with Stack s -> s | Set _ | Queue _ -> not_a "stack" e
 
 module ForRt (Rt : Rt.Rt_intf.RT) = struct
   module Map_lock = Dstruct.Maps.Lock_based (Rt)
@@ -69,88 +78,6 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
   module Bst_optik = Dstruct.Bst_optik.Make (Rt)
   module Bst_gl = Dstruct.Bst_optik.Global_lock (Rt) (Locks.Mcs (Rt))
 
-  (* ---------------- maps (Figure 7) ---------------- *)
-
-  let map_mcs : (module SET_OPS) =
-    (module Mono_set (Map_lock) (struct
-      let name = "mcs"
-      let probe_prefix = None
-      let create ?capacity () = Map_lock.create ?capacity ()
-    end))
-
-  let map_optik : (module SET_OPS) =
-    (module Mono_set (Map_optik) (struct
-      let name = "optik"
-      let probe_prefix = Some "map-optik"
-      let create ?capacity () = Map_optik.create ?capacity ()
-    end))
-
-  let maps = [ map_mcs; map_optik ]
-
-  (* ---------------- linked lists (Figure 9) ---------------- *)
-
-  let ll_harris : (module SET_OPS) =
-    (module Mono_set (Ll_harris) (struct
-      let name = "harris"
-      let probe_prefix = Some "ll-harris"
-      let create ?capacity:_ () = Ll_harris.create ()
-    end))
-
-  let ll_lazy_ : (module SET_OPS) =
-    (module Mono_set (Ll_lazy) (struct
-      let name = "lazy"
-      let probe_prefix = Some "ll-lazy"
-      let create ?capacity:_ () = Ll_lazy.create ()
-    end))
-
-  let ll_lazy_cache : (module SET_OPS) =
-    (module Mono_set (Ll_lazy) (struct
-      let name = "lazy-cache"
-      let probe_prefix = Some "ll-lazy"
-      let create ?capacity:_ () = Ll_lazy.create ~cache:true ()
-    end))
-
-  let ll_mcs_gl_opt : (module SET_OPS) =
-    (module Mono_set (Ll_gl_mcs) (struct
-      let name = "mcs-gl-opt"
-      let probe_prefix = None
-      let create ?capacity:_ () = Ll_gl_mcs.create ()
-    end))
-
-  let ll_optik_gl : (module SET_OPS) =
-    (module Mono_set (Ll_optik_gl) (struct
-      let name = "optik-gl"
-      let probe_prefix = Some "ll-optik-gl"
-      let create ?capacity:_ () = Ll_optik_gl.create ()
-    end))
-
-  let ll_optik : (module SET_OPS) =
-    (module Mono_set (Ll_optik) (struct
-      let name = "optik"
-      let probe_prefix = Some "ll-optik"
-      let create ?capacity:_ () = Ll_optik.create ()
-    end))
-
-  let ll_optik_cache : (module SET_OPS) =
-    (module Mono_set (Ll_optik) (struct
-      let name = "optik-cache"
-      let probe_prefix = Some "ll-optik"
-      let create ?capacity:_ () = Ll_optik.create ~cache:true ()
-    end))
-
-  let lists =
-    [
-      ll_harris;
-      ll_lazy_;
-      ll_mcs_gl_opt;
-      ll_optik_gl;
-      ll_optik;
-      ll_optik_cache;
-      ll_lazy_cache;
-    ]
-
-  (* ---------------- hash tables (Figure 10) ---------------- *)
-
   (* Per-bucket list capacities are small, so plain buckets suffice. *)
   module Ht_lazy_gl =
     Dstruct.Ht.Of_bucket (Ll_gl_tas) (struct let create () = Ll_gl_tas.create () end)
@@ -161,10 +88,8 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
   module Ht_optik =
     Dstruct.Ht.Of_bucket (Ll_optik) (struct let create () = Ll_optik.create () end)
 
-  (* Lock-free hash table: Harris lists as buckets. Not part of the
-     Figure-10 lineup (the paper doesn't include it there); it exists as
-     the lock-free hash-table representative for the fault-injection
-     experiment. *)
+  (* The lock-free hash table: Harris lists as buckets, the lock-free
+     representative of the fault-injection experiment. *)
   module Ht_harris =
     Dstruct.Ht.Of_bucket (Ll_harris) (struct let create () = Ll_harris.create () end)
 
@@ -175,194 +100,26 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
       let create () = Map_optik.create ~capacity:8 ()
     end)
 
-  let ht_lazy_gl : (module SET_OPS) =
-    (module Mono_set (Ht_lazy_gl) (struct
-      let name = "lazy-gl"
-      let probe_prefix = None
-      let create ?capacity () = Ht_lazy_gl.create ?capacity ()
+  (* The two structures the host benchmark also names directly. *)
+
+  let map_optik : (module SET_OPS) =
+    (module Mono_set (Map_optik) (struct
+      let name = "optik"
+      let probe_prefix = Some "map-optik"
+      let create ?capacity () = Map_optik.create ?capacity ()
     end))
 
-  let ht_java : (module SET_OPS) =
-    (module Mono_set (Ht_java) (struct
-      let name = "java"
-      let probe_prefix = None
-      let create ?capacity () = Ht_java.create ?capacity ()
-    end))
-
-  let ht_java_optik : (module SET_OPS) =
-    (module Mono_set (Ht_java_optik) (struct
-      let name = "java-optik"
-      let probe_prefix = Some "ht-java-optik"
-      let create ?capacity () = Ht_java_optik.create ?capacity ()
-    end))
-
-  let ht_optik : (module SET_OPS) =
-    (module Mono_set (Ht_optik) (struct
+  let ll_optik : (module SET_OPS) =
+    (module Mono_set (Ll_optik) (struct
       let name = "optik"
       let probe_prefix = Some "ll-optik"
-      let create ?capacity () = Ht_optik.create ?capacity ()
+      let create ?capacity:_ () = Ll_optik.create ()
     end))
 
-  let ht_optik_gl : (module SET_OPS) =
-    (module Mono_set (Ht_optik_gl) (struct
-      let name = "optik-gl"
-      let probe_prefix = Some "ll-optik-gl"
-      let create ?capacity () = Ht_optik_gl.create ?capacity ()
-    end))
-
-  let ht_map_optik : (module SET_OPS) =
-    (module Mono_set (Ht_map_optik) (struct
-      let name = "optik-map"
-      let probe_prefix = Some "map-optik"
-      let create ?capacity () = Ht_map_optik.create ?capacity ()
-    end))
-
-  let ht_harris : (module SET_OPS) =
-    (module Mono_set (Ht_harris) (struct
-      let name = "harris-ht"
-      let probe_prefix = Some "ll-harris"
-      let create ?capacity () = Ht_harris.create ?capacity ()
-    end))
-
-  (* [ht_harris] is deliberately not in this list: Figure 10 reproduces
-     the paper's hash-table lineup, which has no Harris-bucket table. *)
-  let hashtables =
-    [ ht_lazy_gl; ht_java; ht_java_optik; ht_optik; ht_optik_gl; ht_map_optik ]
-
-  (* ---------------- skip lists (Figure 11) ---------------- *)
-
-  let sl_fraser : (module SET_OPS) =
-    (module Mono_set (Sl_fraser) (struct
-      let name = "fraser"
-      let probe_prefix = Some "sl-fraser"
-      let create ?capacity:_ () = Sl_fraser.create ()
-    end))
-
-  let sl_herlihy : (module SET_OPS) =
-    (module Mono_set (Sl_herlihy) (struct
-      let name = "herlihy"
-      let probe_prefix = Some "sl-herlihy"
-      let create ?capacity:_ () = Sl_herlihy.create ()
-    end))
-
-  let sl_herlihy_optik : (module SET_OPS) =
-    (module Mono_set (Sl_herlihy) (struct
-      let name = "herl-optik"
-      let probe_prefix = Some "sl-herlihy"
-      let create ?capacity:_ () = Sl_herlihy.create ~optik:true ()
-    end))
-
-  let sl_optik1 : (module SET_OPS) =
-    (module Mono_set (Sl_optik) (struct
-      let name = "optik1"
-      let probe_prefix = Some "sl-optik"
-      let create ?capacity:_ () = Sl_optik.create ~variant:`Validate ()
-    end))
-
-  let sl_optik2 : (module SET_OPS) =
-    (module Mono_set (Sl_optik) (struct
-      let name = "optik2"
-      let probe_prefix = Some "sl-optik"
-      let create ?capacity:_ () = Sl_optik.create ~variant:`Restart ()
-    end))
-
-  let skiplists = [ sl_fraser; sl_herlihy; sl_herlihy_optik; sl_optik1; sl_optik2 ]
-
-  (* ---------------- queues (Figure 12) ---------------- *)
-
-  let q_ms_lf : (module QUEUE_OPS) =
-    (module Mono_queue (Queues.Ms_lf) (struct
-      let name = "ms-lf"
-      let probe_prefix = Some "q-ms-lf"
-      let create () = Queues.Ms_lf.create ()
-    end))
-
-  let q_ms_lb : (module QUEUE_OPS) =
-    (module Mono_queue (Queues.Ms_lb) (struct
-      let name = "ms-lb"
-      let probe_prefix = None
-      let create () = Queues.Ms_lb.create ()
-    end))
-
-  let q_optik0 : (module QUEUE_OPS) =
-    (module Mono_queue (Queues.Optik0) (struct
-      let name = "optik0"
-      let probe_prefix = Some "q-optik0"
-      let create () = Queues.Optik0.create ()
-    end))
-
-  let q_optik1 : (module QUEUE_OPS) =
-    (module Mono_queue (Queues.Optik1) (struct
-      let name = "optik1"
-      let probe_prefix = Some "q-optik1"
-      let create () = Queues.Optik1.create ()
-    end))
-
-  let q_optik2 : (module QUEUE_OPS) =
-    (module Mono_queue (Queues.Optik2) (struct
-      let name = "optik2"
-      let probe_prefix = Some "q-optik2"
-      let create () = Queues.Optik2.create ()
-    end))
-
-  let q_optik3 : (module QUEUE_OPS) =
-    (module Mono_queue (Queues.Optik3) (struct
-      let name = "optik3"
-      let probe_prefix = Some "q-optik3"
-      let create () = Queues.Optik3.create ()
-    end))
-
-  let queues = [ q_ms_lf; q_ms_lb; q_optik0; q_optik1; q_optik2; q_optik3 ]
-
-  (* ---------------- stacks (§5.5) ---------------- *)
-
-  let stack_treiber : (module STACK_OPS) =
-    (module Mono_stack (Stacks.Treiber) (struct
-      let name = "treiber"
-      let probe_prefix = Some "stack-treiber"
-      let create () = Stacks.Treiber.create ()
-    end))
-
-  let stack_optik : (module STACK_OPS) =
-    (module Mono_stack (Stacks.Optik_stack) (struct
-      let name = "optik"
-      let probe_prefix = Some "stack-optik"
-      let create () = Stacks.Optik_stack.create ()
-    end))
-
-  let stack_elimination : (module STACK_OPS) =
-    (module Mono_stack (Stacks.Elimination) (struct
-      let name = "elimination"
-      let probe_prefix = Some "stack-elim"
-      let create () = Stacks.Elimination.create ()
-    end))
-
-  let stacks = [ stack_treiber; stack_optik; stack_elimination ]
-
-  (* ---------------- binary search trees (extension; §6 / BST-TK) ---- *)
-
-  let bst_optik : (module SET_OPS) =
-    (module Mono_set (Bst_optik) (struct
-      let name = "bst-optik"
-      let probe_prefix = Some "bst-optik"
-      let create ?capacity:_ () = Bst_optik.create ()
-    end))
-
-  let bst_gl : (module SET_OPS) =
-    (module Mono_set (Bst_gl) (struct
-      let name = "bst-gl"
-      let probe_prefix = None
-      let create ?capacity:_ () = Bst_gl.create ()
-    end))
-
-  let bsts = [ bst_gl; bst_optik ]
-
-  (* ---------------- the structure table ---------------- *)
-
-  (** Every structure above, once, family by family. The guarantee
-      follows §2 of the paper: Harris, Fraser, Treiber, MS-LF and the
-      elimination stack are lock-free; every validate-and-lock or
-      global-lock design is blocking. *)
+  (** Every structure, once, family by family. The guarantee follows §2
+      of the paper: Harris, Fraser, Treiber, MS-LF and the elimination
+      stack are lock-free; every validate-and-lock or global-lock design
+      is blocking. *)
   let entries =
     let set family guarantee ((module S : SET_OPS) as s) =
       { family; name = S.name; guarantee; structure = Set s }
@@ -372,39 +129,204 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
       { family = "stack"; name = St.name; guarantee; structure = Stack st }
     in
     [
-      set "map" Blocking map_mcs;
+      (* ---------------- maps (Figure 7) ---------------- *)
+      set "map" Blocking
+        (module Mono_set (Map_lock) (struct
+          let name = "mcs"
+          let probe_prefix = None
+          let create ?capacity () = Map_lock.create ?capacity ()
+        end));
       set "map" Blocking map_optik;
-      set "list" Lock_free ll_harris;
-      set "list" Blocking ll_lazy_;
-      set "list" Blocking ll_mcs_gl_opt;
-      set "list" Blocking ll_optik_gl;
+      (* ---------------- linked lists (Figure 9) ---------------- *)
+      set "list" Lock_free
+        (module Mono_set (Ll_harris) (struct
+          let name = "harris"
+          let probe_prefix = Some "ll-harris"
+          let create ?capacity:_ () = Ll_harris.create ()
+        end));
+      set "list" Blocking
+        (module Mono_set (Ll_lazy) (struct
+          let name = "lazy"
+          let probe_prefix = Some "ll-lazy"
+          let create ?capacity:_ () = Ll_lazy.create ()
+        end));
+      set "list" Blocking
+        (module Mono_set (Ll_gl_mcs) (struct
+          let name = "mcs-gl-opt"
+          let probe_prefix = None
+          let create ?capacity:_ () = Ll_gl_mcs.create ()
+        end));
+      set "list" Blocking
+        (module Mono_set (Ll_optik_gl) (struct
+          let name = "optik-gl"
+          let probe_prefix = Some "ll-optik-gl"
+          let create ?capacity:_ () = Ll_optik_gl.create ()
+        end));
       set "list" Blocking ll_optik;
-      set "list" Blocking ll_optik_cache;
-      set "list" Blocking ll_lazy_cache;
-      set "hashtable" Lock_free ht_harris;
-      set "hashtable" Blocking ht_lazy_gl;
-      set "hashtable" Blocking ht_java;
-      set "hashtable" Blocking ht_java_optik;
-      set "hashtable" Blocking ht_optik;
-      set "hashtable" Blocking ht_optik_gl;
-      set "hashtable" Blocking ht_map_optik;
-      set "skiplist" Lock_free sl_fraser;
-      set "skiplist" Blocking sl_herlihy;
-      set "skiplist" Blocking sl_herlihy_optik;
-      set "skiplist" Blocking sl_optik1;
-      set "skiplist" Blocking sl_optik2;
-      set "bst" Blocking bst_gl;
-      set "bst" Blocking bst_optik;
-      queue Lock_free q_ms_lf;
-      queue Blocking q_ms_lb;
-      queue Blocking q_optik0;
-      queue Blocking q_optik1;
-      queue Blocking q_optik2;
-      queue Blocking q_optik3;
-      stack Lock_free stack_treiber;
-      stack Blocking stack_optik;
-      stack Lock_free stack_elimination;
+      set "list" Blocking
+        (module Mono_set (Ll_optik) (struct
+          let name = "optik-cache"
+          let probe_prefix = Some "ll-optik"
+          let create ?capacity:_ () = Ll_optik.create ~cache:true ()
+        end));
+      set "list" Blocking
+        (module Mono_set (Ll_lazy) (struct
+          let name = "lazy-cache"
+          let probe_prefix = Some "ll-lazy"
+          let create ?capacity:_ () = Ll_lazy.create ~cache:true ()
+        end));
+      (* ---------------- hash tables (Figure 10) ---------------- *)
+      set "hashtable" Lock_free
+        (module Mono_set (Ht_harris) (struct
+          let name = "harris-ht"
+          let probe_prefix = Some "ll-harris"
+          let create ?capacity () = Ht_harris.create ?capacity ()
+        end));
+      set "hashtable" Blocking
+        (module Mono_set (Ht_lazy_gl) (struct
+          let name = "lazy-gl"
+          let probe_prefix = None
+          let create ?capacity () = Ht_lazy_gl.create ?capacity ()
+        end));
+      set "hashtable" Blocking
+        (module Mono_set (Ht_java) (struct
+          let name = "java"
+          let probe_prefix = None
+          let create ?capacity () = Ht_java.create ?capacity ()
+        end));
+      set "hashtable" Blocking
+        (module Mono_set (Ht_java_optik) (struct
+          let name = "java-optik"
+          let probe_prefix = Some "ht-java-optik"
+          let create ?capacity () = Ht_java_optik.create ?capacity ()
+        end));
+      set "hashtable" Blocking
+        (module Mono_set (Ht_optik) (struct
+          let name = "optik"
+          let probe_prefix = Some "ll-optik"
+          let create ?capacity () = Ht_optik.create ?capacity ()
+        end));
+      set "hashtable" Blocking
+        (module Mono_set (Ht_optik_gl) (struct
+          let name = "optik-gl"
+          let probe_prefix = Some "ll-optik-gl"
+          let create ?capacity () = Ht_optik_gl.create ?capacity ()
+        end));
+      set "hashtable" Blocking
+        (module Mono_set (Ht_map_optik) (struct
+          let name = "optik-map"
+          let probe_prefix = Some "map-optik"
+          let create ?capacity () = Ht_map_optik.create ?capacity ()
+        end));
+      (* ---------------- skip lists (Figure 11) ---------------- *)
+      set "skiplist" Lock_free
+        (module Mono_set (Sl_fraser) (struct
+          let name = "fraser"
+          let probe_prefix = Some "sl-fraser"
+          let create ?capacity:_ () = Sl_fraser.create ()
+        end));
+      set "skiplist" Blocking
+        (module Mono_set (Sl_herlihy) (struct
+          let name = "herlihy"
+          let probe_prefix = Some "sl-herlihy"
+          let create ?capacity:_ () = Sl_herlihy.create ()
+        end));
+      set "skiplist" Blocking
+        (module Mono_set (Sl_herlihy) (struct
+          let name = "herl-optik"
+          let probe_prefix = Some "sl-herlihy"
+          let create ?capacity:_ () = Sl_herlihy.create ~optik:true ()
+        end));
+      set "skiplist" Blocking
+        (module Mono_set (Sl_optik) (struct
+          let name = "optik1"
+          let probe_prefix = Some "sl-optik"
+          let create ?capacity:_ () = Sl_optik.create ~variant:`Validate ()
+        end));
+      set "skiplist" Blocking
+        (module Mono_set (Sl_optik) (struct
+          let name = "optik2"
+          let probe_prefix = Some "sl-optik"
+          let create ?capacity:_ () = Sl_optik.create ~variant:`Restart ()
+        end));
+      (* ---------------- binary search trees (extension; §6 / BST-TK) *)
+      set "bst" Blocking
+        (module Mono_set (Bst_gl) (struct
+          let name = "bst-gl"
+          let probe_prefix = None
+          let create ?capacity:_ () = Bst_gl.create ()
+        end));
+      set "bst" Blocking
+        (module Mono_set (Bst_optik) (struct
+          let name = "bst-optik"
+          let probe_prefix = Some "bst-optik"
+          let create ?capacity:_ () = Bst_optik.create ()
+        end));
+      (* ---------------- queues (Figure 12) ---------------- *)
+      queue Lock_free
+        (module Mono_queue (Queues.Ms_lf) (struct
+          let name = "ms-lf"
+          let probe_prefix = Some "q-ms-lf"
+          let create () = Queues.Ms_lf.create ()
+        end));
+      queue Blocking
+        (module Mono_queue (Queues.Ms_lb) (struct
+          let name = "ms-lb"
+          let probe_prefix = None
+          let create () = Queues.Ms_lb.create ()
+        end));
+      queue Blocking
+        (module Mono_queue (Queues.Optik0) (struct
+          let name = "optik0"
+          let probe_prefix = Some "q-optik0"
+          let create () = Queues.Optik0.create ()
+        end));
+      queue Blocking
+        (module Mono_queue (Queues.Optik1) (struct
+          let name = "optik1"
+          let probe_prefix = Some "q-optik1"
+          let create () = Queues.Optik1.create ()
+        end));
+      queue Blocking
+        (module Mono_queue (Queues.Optik2) (struct
+          let name = "optik2"
+          let probe_prefix = Some "q-optik2"
+          let create () = Queues.Optik2.create ()
+        end));
+      queue Blocking
+        (module Mono_queue (Queues.Optik3) (struct
+          let name = "optik3"
+          let probe_prefix = Some "q-optik3"
+          let create () = Queues.Optik3.create ()
+        end));
+      (* ---------------- stacks (§5.5) ---------------- *)
+      stack Lock_free
+        (module Mono_stack (Stacks.Treiber) (struct
+          let name = "treiber"
+          let probe_prefix = Some "stack-treiber"
+          let create () = Stacks.Treiber.create ()
+        end));
+      stack Blocking
+        (module Mono_stack (Stacks.Optik_stack) (struct
+          let name = "optik"
+          let probe_prefix = Some "stack-optik"
+          let create () = Stacks.Optik_stack.create ()
+        end));
+      stack Lock_free
+        (module Mono_stack (Stacks.Elimination) (struct
+          let name = "elimination"
+          let probe_prefix = Some "stack-elim"
+          let create () = Stacks.Elimination.create ()
+        end));
     ]
+
+  (** The entries of [family], in table order: the lineup a figure or a
+      sweep runs. [hashtable/harris-ht] is left out, because the paper's
+      Figure 10 has no Harris-bucket table. *)
+  let lineup family =
+    List.filter
+      (fun e -> e.family = family && id e <> "hashtable/harris-ht")
+      entries
 
   (** The entry spelled [family/name]. Raises [Invalid_argument] naming
       the spelling and listing the known ones. *)

@@ -10,31 +10,33 @@ type shape = {
   size_shifts : int;  (** initial sizes are [4 lsl k], [k < size_shifts] *)
   min_ops : int;
   ops_span : int;  (** ops are drawn from [min_ops .. min_ops + ops_span - 1] *)
-  structures : (module Registry.SET_OPS) list;
+  structures : Registry.entry list;
 }
 
 module SB = Registry.Sim_backend
 
-(** The deterministic sweep: up to 16 threads, sizes 4-256, the maps,
-    lists and hash tables. *)
+(** The deterministic sweep: up to 16 threads, sizes 4-256, the map,
+    list and hash-table lineups. *)
 let bounded =
   {
     max_threads = 16;
     size_shifts = 7;
     min_ops = 1_000;
     ops_span = 4_000;
-    structures = SB.maps @ SB.lists @ SB.hashtables;
+    structures = List.concat_map SB.lineup [ "map"; "list"; "hashtable" ];
   }
 
-(** The time-bounded sweep: up to 64 threads, sizes 4-1024, every set
-    family. *)
+(** The time-bounded sweep: up to 64 threads, sizes 4-1024, the lineup
+    of every set family. *)
 let wide =
   {
     max_threads = 64;
     size_shifts = 9;
     min_ops = 2_000;
     ops_span = 8_000;
-    structures = SB.maps @ SB.lists @ SB.hashtables @ SB.skiplists @ SB.bsts;
+    structures =
+      List.concat_map SB.lineup
+        [ "map"; "list"; "hashtable"; "skiplist"; "bst" ];
   }
 
 let topologies =
@@ -42,7 +44,7 @@ let topologies =
 
 (** One sampled run. *)
 type case = {
-  structure : (module Registry.SET_OPS);
+  structure : Registry.entry;
   topology : Sim.Topology.t;
   threads : int;
   size : int;
@@ -66,16 +68,12 @@ let sample shape rng =
   in
   { structure; topology; threads; size; updates; skewed; ops; seed }
 
-let name c =
-  let (module S : Registry.SET_OPS) = c.structure in
-  S.name
-
-(** The replayable tuple: structure, machine, threads, size, updates,
-    skew, ops and seed. *)
+(** The replayable tuple: structure [family/name], machine, threads,
+    size, updates, skew, ops and seed. *)
 let describe c =
   Printf.sprintf "%s topo=%s thr=%d size=%d upd=%d skew=%b ops=%d seed=%d"
-    (name c) c.topology.Sim.Topology.name c.threads c.size c.updates c.skewed
-    c.ops c.seed
+    (Registry.id c.structure) c.topology.Sim.Topology.name c.threads c.size
+    c.updates c.skewed c.ops c.seed
 
 (* A loose watchdog turns a hang into a fast failure with a per-thread
    progress dump instead of a silent event-budget burn. *)
@@ -92,4 +90,6 @@ let run c =
   in
   World.reset ();
   Runner.run_set_sim ~topology:c.topology ~nthreads:c.threads ~ops:c.ops
-    ~seed:c.seed ~watchdog c.structure w
+    ~seed:c.seed ~watchdog
+    (Registry.set_ops c.structure)
+    w

@@ -5,8 +5,8 @@
 
 module R = Harness.Registry
 
-let sim_bsts = Harness.Registry.Sim_backend.bsts
-let native_bsts = Harness.Registry.Native.bsts
+let sim_bsts = List.map R.set_ops (R.Sim_backend.lineup "bst")
+let native_bsts = List.map R.set_ops (R.Native.lineup "bst")
 
 let seq_cases =
   List.concat_map

@@ -75,10 +75,11 @@ let pollute () =
   ignore
     (Harness.Runner.run_stack_sim ~topology:(Sim.Topology.uniform ~n:4 ())
        ~nthreads:6 ~ops:2_000 ~init:64 ~push_pct:50
-       Harness.Registry.Sim_backend.stack_elimination);
+       Harness.Registry.(stack_ops (Sim_backend.find "stack/elimination")));
   ignore
     (Harness.Runner.run_set_sim ~topology:Sim.Topology.xeon ~nthreads:4
-       ~ops:2_000 ~seed:3 Harness.Registry.Sim_backend.sl_optik2
+       ~ops:2_000 ~seed:3
+       Harness.Registry.(set_ops (Sim_backend.find "skiplist/optik2"))
        (Harness.Runner.uniform_workload ~init_size:256 ~update_pct:40 ()));
   Sched.set_noise_bits 5;
   Sim.Fault.install
@@ -115,7 +116,7 @@ let test_sequential_isolation () =
       sim
         (Harness.Soak.run
            {
-             structure = Harness.Registry.Sim_backend.sl_optik2;
+             structure = Harness.Registry.Sim_backend.find "skiplist/optik2";
              topology = Sim.Topology.xeon;
              threads = 8;
              size = 256;

@@ -148,7 +148,7 @@ let fake_lf =
     R.family = "list";
     name = "gl-as-lf";
     guarantee = R.Lock_free;
-    structure = R.Set R.Sim_backend.ll_optik_gl;
+    structure = (R.Sim_backend.find "list/optik-gl").structure;
   }
 
 let failing_trial =

@@ -45,7 +45,7 @@ let test_injected_run_deterministic () =
     let m =
       Harness.Runner.run_set_sim ~topology:uniform4 ~nthreads:4 ~ops:2_000
         ~faults:(Fault.plan ~seed:7 [ Fault.crash ~tid:1 Fp.Before_cas ])
-        R.ll_harris
+        (Harness.Registry.set_ops (R.find "list/harris"))
         (Harness.Runner.uniform_workload ~init_size:128 ~update_pct:40 ())
     in
     ( m.Harness.Runner.ops,
@@ -182,7 +182,9 @@ let test_livelock_verdict () =
 
 let test_herlihy_noise_off_classified () =
   Dstruct.Sl_common.reset_states ();
-  let (module S : Harness.Registry.SET_OPS) = R.sl_herlihy in
+  let (module S : Harness.Registry.SET_OPS) =
+    Harness.Registry.set_ops (R.find "skiplist/herlihy")
+  in
   let t = S.create () in
   let z = Harness.Zipf.create ~range:16_384 ~alpha:0.9 in
   let rng0 = Harness.Rng.create (42 + 7919) in
@@ -231,7 +233,8 @@ let test_runner_aborted_outcome () =
     Harness.Runner.run_set_sim ~topology:uniform4 ~nthreads:4 ~ops:0
       ~faults:(Fault.plan ~seed:3 [ Fault.crash ~tid:0 Fp.Critical_enter ])
       ~watchdog:{ Sched.check_events = 2_000; starve_cycles = 200_000 }
-      ~max_events:20_000_000 R.ll_optik_gl
+      ~max_events:20_000_000
+      (Harness.Registry.set_ops (R.find "list/optik-gl"))
       (Harness.Runner.uniform_workload ~init_size:128 ~update_pct:50 ())
   in
   match m.Harness.Runner.outcome with

@@ -39,7 +39,7 @@ let test_reset_runs_before_every_task () =
               (Harness.Runner.run_stack_sim
                  ~topology:(Sim.Topology.uniform ~n:4 ())
                  ~nthreads:4 ~ops:500 ~init:32 ~push_pct:50
-                 Harness.Registry.Sim_backend.stack_elimination);
+                 Harness.Registry.(stack_ops (Sim_backend.find "stack/elimination")));
             (m.ops, m.cas, m.cas_failed, m.counters, r.Kv.res_oracle,
              r.Kv.res_events)))
   in
@@ -122,7 +122,7 @@ let test_world_reset_resets_elimination () =
     let m =
       Harness.Runner.run_stack_sim ~topology:(Sim.Topology.uniform ~n:4 ())
         ~nthreads:6 ~ops:3_000 ~init:64 ~push_pct:50
-        Harness.Registry.Sim_backend.stack_elimination
+        Harness.Registry.(stack_ops (Sim_backend.find "stack/elimination"))
     in
     (m.ops, m.cas, m.cas_failed, m.counters)
   in

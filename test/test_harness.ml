@@ -245,7 +245,7 @@ let test_runner_effective_updates () =
 
 let test_runner_deterministic () =
   let (module S : Harness.Registry.SET_OPS) =
-    Harness.Registry.Sim_backend.ll_lazy_
+    Harness.Registry.(set_ops (Sim_backend.find "list/lazy"))
   in
   let w = Harness.Runner.uniform_workload ~init_size:32 ~update_pct:20 () in
   let run () =
@@ -328,13 +328,14 @@ let test_all_runners_reject_bad_args () =
     | (_ : R.measurement) -> Alcotest.failf "expected Invalid_argument %S" msg
     | exception Invalid_argument m -> Alcotest.(check string) "message" msg m
   in
+  let ms_lf = Harness.Registry.queue_ops (SB.find "queue/ms-lf")
+  and treiber = Harness.Registry.stack_ops (SB.find "stack/treiber") in
   bad "Runner.run_queue_sim: threads must be positive" (fun () ->
-      R.run_queue_sim ~topology ~nthreads:0 ~ops:100 ~enqueue_pct:50 SB.q_ms_lf);
+      R.run_queue_sim ~topology ~nthreads:0 ~ops:100 ~enqueue_pct:50 ms_lf);
   bad "Runner.run_queue_sim: ops must be positive" (fun () ->
-      R.run_queue_sim ~topology ~nthreads:2 ~ops:0 ~enqueue_pct:50 SB.q_ms_lf);
+      R.run_queue_sim ~topology ~nthreads:2 ~ops:0 ~enqueue_pct:50 ms_lf);
   bad "Runner.run_stack_sim: ops must be positive" (fun () ->
-      R.run_stack_sim ~topology ~nthreads:2 ~ops:(-1) ~push_pct:50
-        SB.stack_treiber)
+      R.run_stack_sim ~topology ~nthreads:2 ~ops:(-1) ~push_pct:50 treiber)
 
 (* Every draw stays inside its shape, the same seed draws the same
    tuples, and a drawn case runs to a valid, complete measurement. *)
@@ -408,11 +409,11 @@ let test_queue_runner () =
   grew "queue"
     (Harness.Runner.run_queue_sim ~topology:Tutil.uniform4 ~nthreads:4
        ~ops:5_000 ~init:1_000 ~enqueue_pct:60
-       Harness.Registry.Sim_backend.q_ms_lf);
+       Harness.Registry.(queue_ops (Sim_backend.find "queue/ms-lf")));
   grew "stack"
     (Harness.Runner.run_stack_sim ~topology:Tutil.uniform4 ~nthreads:4
        ~ops:5_000 ~init:1_000 ~push_pct:70
-       Harness.Registry.Sim_backend.stack_treiber)
+       Harness.Registry.(stack_ops (Sim_backend.find "stack/treiber")))
 
 let () =
   Alcotest.run "harness"

@@ -3,8 +3,8 @@
 
 module R = Harness.Registry
 
-let sim_hts = Harness.Registry.Sim_backend.hashtables
-let native_hts = Harness.Registry.Native.hashtables
+let sim_hts = List.map R.set_ops (R.Sim_backend.lineup "hashtable")
+let native_hts = List.map R.set_ops (R.Native.lineup "hashtable")
 
 (* optik-map buckets have capacity 8; with enough buckets relative to the
    key range the maps suite below never overflows. *)

@@ -5,8 +5,8 @@
 
 module R = Harness.Registry
 
-let sim_lists = Harness.Registry.Sim_backend.lists
-let native_lists = Harness.Registry.Native.lists
+let sim_lists = List.map R.set_ops (R.Sim_backend.lineup "list")
+let native_lists = List.map R.set_ops (R.Native.lineup "list")
 
 let seq_cases =
   List.map

@@ -4,8 +4,8 @@
 
 module R = Harness.Registry
 
-let sim_maps = Harness.Registry.Sim_backend.maps
-let native_maps = Harness.Registry.Native.maps
+let sim_maps = List.map R.set_ops (R.Sim_backend.lineup "map")
+let native_maps = List.map R.set_ops (R.Native.lineup "map")
 
 let seq_cases =
   List.concat_map

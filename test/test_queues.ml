@@ -4,8 +4,8 @@
 
 module R = Harness.Registry
 
-let sim_queues = Harness.Registry.Sim_backend.queues
-let native_queues = Harness.Registry.Native.queues
+let sim_queues = List.map R.queue_ops (R.Sim_backend.lineup "queue")
+let native_queues = List.map R.queue_ops (R.Native.lineup "queue")
 
 let seq_cases =
   List.map

@@ -98,6 +98,65 @@ let test_unique () =
   Alcotest.(check int) "each spelling once" (List.length ids)
     (List.length (List.sort_uniq compare ids))
 
+let families = [ "map"; "list"; "hashtable"; "skiplist"; "bst"; "queue"; "stack" ]
+
+(* The family lineups together are the table without the Harris-bucket
+   hash table, in table order, each row the table's own. *)
+let test_lineup () =
+  Alcotest.(check (list string))
+    "every entry once, except hashtable/harris-ht"
+    (List.filter (( <> ) "hashtable/harris-ht") (List.map R.id B.entries))
+    (List.map R.id (List.concat_map B.lineup families));
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) (R.id e ^ " is the table's row") true
+        (B.find (R.id e) == e))
+    (List.concat_map B.lineup families)
+
+(* The two structures named outside the table are its rows' modules,
+   on both backends: each structure is built once. *)
+let test_named_bindings () =
+  let is_row what find id m =
+    match (find id : R.entry).structure with
+    | R.Set s -> Alcotest.(check bool) (what ^ " " ^ id) true (s == m)
+    | R.Queue _ | R.Stack _ -> Alcotest.failf "%s is not a set" id
+  in
+  is_row "sim" B.find "list/optik" B.ll_optik;
+  is_row "sim" B.find "map/optik" B.map_optik;
+  is_row "native" R.Native.find "list/optik" R.Native.ll_optik;
+  is_row "native" R.Native.find "map/optik" R.Native.map_optik
+
+(* Chaos draws from its default names first; the rest follow in table
+   order. *)
+let test_chaos_names () =
+  let ids = List.map R.id B.entries in
+  Alcotest.(check (list string))
+    "default names, then the rest of the table"
+    (Chaos.default_names
+    @ List.filter (fun n -> not (List.mem n Chaos.default_names)) ids)
+    Chaos.all_names;
+  Alcotest.(check int) "every entry once" (List.length ids)
+    (List.length (List.sort_uniq compare Chaos.all_names))
+
+(* A soak line's structure is the spelling [find] takes back to the
+   case's entry. *)
+let test_soak_describe () =
+  List.iter
+    (fun (what, shape) ->
+      let rng = Harness.Rng.create 17 in
+      for _ = 1 to 200 do
+        let c = Harness.Soak.sample shape rng in
+        let line = Harness.Soak.describe c in
+        let head = List.hd (String.split_on_char ' ' line) in
+        match B.find head with
+        | e ->
+            Alcotest.(check bool) (what ^ ": " ^ line) true
+              (e == c.Harness.Soak.structure)
+        | exception Invalid_argument _ ->
+            Alcotest.failf "%s: %S names no entry" what line
+      done)
+    [ ("bounded", Harness.Soak.bounded); ("wide", Harness.Soak.wide) ]
+
 let () =
   Alcotest.run "registry"
     [
@@ -106,5 +165,14 @@ let () =
         [
           Alcotest.test_case "unknown and retired names" `Quick test_unknown;
           Alcotest.test_case "one spelling per entry" `Quick test_unique;
+        ] );
+      ( "one list",
+        [
+          Alcotest.test_case "lineups" `Quick test_lineup;
+          Alcotest.test_case "named bindings are table rows" `Quick
+            test_named_bindings;
+          Alcotest.test_case "chaos names" `Quick test_chaos_names;
+          Alcotest.test_case "soak lines name entries" `Quick
+            test_soak_describe;
         ] );
     ]

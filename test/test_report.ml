@@ -343,36 +343,28 @@ let check_prefix what = function
 module Pq = Dstruct.Pq_optik.Make (Sim.Sim_rt)
 
 let test_registry_coverage () =
-  let module SB = Harness.Registry.Sim_backend in
   List.iter
-    (fun (module S : Harness.Registry.SET_OPS) ->
-      check_prefix S.name S.probe_prefix)
-    (SB.maps @ SB.lists @ SB.hashtables @ SB.skiplists @ SB.bsts);
-  List.iter
-    (fun (module Q : Harness.Registry.QUEUE_OPS) ->
-      check_prefix Q.name Q.probe_prefix)
-    SB.queues;
-  List.iter
-    (fun (module S : Harness.Registry.STACK_OPS) ->
-      check_prefix S.name S.probe_prefix)
-    SB.stacks;
+    (fun (e : Harness.Registry.entry) ->
+      match e.structure with
+      | Set (module S) -> check_prefix S.name S.probe_prefix
+      | Queue (module Q) -> check_prefix Q.name Q.probe_prefix
+      | Stack (module S) -> check_prefix S.name S.probe_prefix)
+    Harness.Registry.Sim_backend.entries;
   check_prefix Pq.name (Some "pq-optik")
 
 (* At least one OPTIK rep per family must be instrumented: the paper's
    wasted-work comparison needs a restart counter on both sides. *)
 let test_optik_reps_instrumented () =
   let module SB = Harness.Registry.Sim_backend in
-  let some_prefixed family l =
-    Alcotest.(check bool) (family ^ " has an instrumented rep") true
-      (List.exists
-         (fun (module S : Harness.Registry.SET_OPS) -> S.probe_prefix <> None)
-         l)
-  in
-  some_prefixed "maps" SB.maps;
-  some_prefixed "lists" SB.lists;
-  some_prefixed "hashtables" SB.hashtables;
-  some_prefixed "skiplists" SB.skiplists;
-  some_prefixed "bsts" SB.bsts
+  List.iter
+    (fun family ->
+      Alcotest.(check bool) (family ^ " has an instrumented rep") true
+        (List.exists
+           (fun e ->
+             let (module S) = Harness.Registry.set_ops e in
+             S.probe_prefix <> None)
+           (SB.lineup family)))
+    [ "map"; "list"; "hashtable"; "skiplist"; "bst" ]
 
 (* Iterates [Probe.all] — the same registry rows the [optik_bench probes]
    subcommand prints — so a probe that escapes the naming convention

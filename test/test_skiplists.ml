@@ -5,8 +5,8 @@
 
 module R = Harness.Registry
 
-let sim_sls = Harness.Registry.Sim_backend.skiplists
-let native_sls = Harness.Registry.Native.skiplists
+let sim_sls = List.map R.set_ops (R.Sim_backend.lineup "skiplist")
+let native_sls = List.map R.set_ops (R.Native.lineup "skiplist")
 
 let seq_cases =
   List.map

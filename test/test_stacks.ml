@@ -2,8 +2,8 @@
 
 module R = Harness.Registry
 
-let sim_stacks = Harness.Registry.Sim_backend.stacks
-let native_stacks = Harness.Registry.Native.stacks
+let sim_stacks = List.map R.stack_ops (R.Sim_backend.lineup "stack")
+let native_stacks = List.map R.stack_ops (R.Native.lineup "stack")
 
 module HStack = Harness.History.Make (Lincheck.Stack_spec)
 

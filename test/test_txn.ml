@@ -50,11 +50,10 @@ let fold_family name (sets : (module R.SET_OPS) list) =
 
 let test_fold_agrees_with_size () =
   let module SB = R.Sim_backend in
-  fold_family "maps" SB.maps;
-  fold_family "lists" SB.lists;
-  fold_family "hashtables" SB.hashtables;
-  fold_family "skiplists" SB.skiplists;
-  fold_family "bsts" SB.bsts
+  List.iter
+    (fun family ->
+      fold_family family (List.map R.set_ops (SB.lineup family)))
+    [ "map"; "list"; "hashtable"; "skiplist"; "bst" ]
 
 (* ------------------------------------------------------------------ *)
 (* Sequential transaction semantics on a quiesced simulator backend. *)
