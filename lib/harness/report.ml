@@ -44,39 +44,26 @@ let latency_json (m : Runner.measurement) =
   J.Obj !entries
 
 (* Hot-line profile (when the run recorded the journal), keyed by site so
-   the diff can attribute stall deltas to allocation sites. *)
+   the diff can attribute stall deltas to allocation sites. The profile
+   already has one row per site; [lines] is its count of distinct cache
+   lines. *)
 let hotlines_json (m : Runner.measurement) =
   match m.obs with
   | None -> []
   | Some s ->
-      let per_site = Hashtbl.create 8 in
-      List.iter
-        (fun (h : Obs.Profile.hotline) ->
-          let l, t, c, b, st =
-            Option.value ~default:(0, 0, 0, 0, 0)
-              (Hashtbl.find_opt per_site h.hl_site)
-          in
-          Hashtbl.replace per_site h.hl_site
-            ( l + 1,
-              t + h.hl_transfers,
-              c + h.hl_cas_fails,
-              b + h.hl_bounces,
-              st + h.hl_stalls ))
-        s.Obs.Profile.s_hotlines;
       let sites =
-        Hashtbl.fold
-          (fun site (l, t, c, b, st) acc ->
-            ( site,
+        List.map
+          (fun (h : Obs.Profile.hotline) ->
+            ( h.hl_site,
               J.Obj
                 [
-                  ("lines", J.Int l);
-                  ("transfers", J.Int t);
-                  ("cas_fails", J.Int c);
-                  ("bounces", J.Int b);
-                  ("stalls", J.Int st);
-                ] )
-            :: acc)
-          per_site []
+                  ("lines", J.Int h.hl_lines);
+                  ("transfers", J.Int h.hl_transfers);
+                  ("cas_fails", J.Int h.hl_cas_fails);
+                  ("bounces", J.Int h.hl_bounces);
+                  ("stalls", J.Int h.hl_stalls);
+                ] ))
+          s.Obs.Profile.s_hotlines
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       in
       if sites = [] then [] else [ ("hotlines", J.Obj sites) ]

@@ -318,6 +318,37 @@ let test_harness_report_roundtrip () =
   Alcotest.(check bool) "no host_s anywhere" false
     (contains ~sub:"host_s" (J.to_string j))
 
+(* A run entry's hotlines carry each profiled site's own figures:
+   [lines] counts the distinct cache lines of the site, which the
+   profile already keeps one row per site for. *)
+let test_hotline_lines () =
+  let m =
+    Harness.Runner.run_set_sim ~topology:Tutil.uniform4 ~nthreads:8 ~ops:4_000
+      ~seed:7 ~record_obs:true Harness.Registry.Sim_backend.ll_optik
+      (Harness.Runner.uniform_workload ~init_size:64 ~update_pct:40 ())
+  in
+  let hls =
+    match m.obs with
+    | Some s -> s.Obs.Profile.s_hotlines
+    | None -> Alcotest.fail "the run recorded no profile"
+  in
+  let sites =
+    match J.member "hotlines" (Harness.Report.run_entry m) with
+    | Some (J.Obj kvs) -> kvs
+    | _ -> Alcotest.fail "the run entry has no hotlines section"
+  in
+  Alcotest.(check int) "one report site per profiled site" (List.length hls)
+    (List.length sites);
+  List.iter
+    (fun (h : Obs.Profile.hotline) ->
+      Alcotest.(check (option int))
+        (h.hl_site ^ " lines") (Some h.hl_lines)
+        (Option.bind (List.assoc_opt h.hl_site sites) (fun j ->
+             Option.bind (J.member "lines" j) J.to_int)))
+    hls;
+  Alcotest.(check bool) "some site spans several lines" true
+    (List.exists (fun (h : Obs.Profile.hotline) -> h.hl_lines > 1) hls)
+
 (* ---------------- probe-coverage audit ---------------- *)
 
 (* Reps whose restart-equivalent wasted-work counter is not named
@@ -485,6 +516,8 @@ let () =
         [
           Alcotest.test_case "measurement report round-trip" `Quick
             test_harness_report_roundtrip;
+          Alcotest.test_case "hotline lines are the profile's" `Quick
+            test_hotline_lines;
           Alcotest.test_case "hostperf baseline parses" `Quick
             test_hostperf_baseline;
         ] );
