@@ -912,17 +912,17 @@ let fault_experiment mode =
   (* Blocking reps take faults at [Critical_enter] — just after acquiring
      a lock, so a crash dies holding it. Lock-free reps take faults at
      [Before_cas] — mid-operation, the worst spot available to them. *)
-  let row family (e : Harness.Registry.entry) fault run =
+  let row (e : Harness.Registry.entry) fault run =
     let kind = Harness.Registry.guarantee_name e.guarantee in
     let fr_meas = run () in
     (* The FAULT figure renders notes only (no series), so the sink is
        the sole route these measurements take into a run report. *)
     ignore
       (emit
-         (Printf.sprintf "fault/%s/%s/%s/%s" family kind fault
+         (Printf.sprintf "fault/%s/%s/%s/%s" e.family kind fault
             fr_meas.Runner.name)
          fr_meas);
-    { fr_family = family; fr_kind = kind; fr_fault = fault; fr_meas;
+    { fr_family = e.family; fr_kind = kind; fr_fault = fault; fr_meas;
       fr_events = Sim.Fault.events () }
   in
   (* Entry [e] under [faults]. A set runs [w]; a queue or a stack
@@ -945,9 +945,8 @@ let fault_experiment mode =
   in
   (* A structure family's four rows: a crash and a stall for its blocking
      rep [b] and its lock-free rep [l], each labelled by its guarantee. *)
-  let family_rows family b l w =
-    let b = R.find b and l = R.find l in
-    let row = row family and go = run_entry w in
+  let family_rows b l w =
+    let b = R.find b and l = R.find l and go = run_entry w in
     [
       (* ops_target 0: run until the watchdog calls the verdict *)
       row b "crash" (go ~ops:0 (crash_plan Rt.Rt_intf.Critical_enter) b);
@@ -958,14 +957,14 @@ let fault_experiment mode =
   in
   let pool = Runner.uniform_workload ~init_size:1_024 ~update_pct:50 () in
   let rows =
-    family_rows "ll" "list/optik-gl" "list/harris"
+    family_rows "list/optik-gl" "list/harris"
       (Runner.uniform_workload ~init_size:512 ~update_pct:50 ())
-    @ family_rows "ht" "hashtable/optik-gl" "hashtable/harris-ht"
+    @ family_rows "hashtable/optik-gl" "hashtable/harris-ht"
         (Runner.uniform_workload ~capacity:4 ~init_size:256 ~update_pct:50 ())
-    @ family_rows "sl" "skiplist/herlihy" "skiplist/fraser"
+    @ family_rows "skiplist/herlihy" "skiplist/fraser"
         (Runner.skewed_workload ~init_size:128 ~update_pct:50 ())
-    @ family_rows "queue" "queue/ms-lb" "queue/ms-lf" pool
-    @ family_rows "stack" "stack/optik" "stack/treiber" pool
+    @ family_rows "queue/ms-lb" "queue/ms-lf" pool
+    @ family_rows "stack/optik" "stack/treiber" pool
   in
   (* Operations completed by the survivors after the (first) crash. *)
   let ops_after_crash r =
@@ -998,7 +997,7 @@ let fault_experiment mode =
                 ^ String.concat ", "
                     (List.map (fun t -> Printf.sprintf "t%d" t) ts))
     in
-    Printf.sprintf "%-5s %-9s %-10s %-6s  %s -> %s" r.fr_family r.fr_kind
+    Printf.sprintf "%-9s %-9s %-10s %-6s  %s -> %s" r.fr_family r.fr_kind
       r.fr_meas.Runner.name r.fr_fault fired outcome
   in
   let crash_rows k = List.filter (fun r -> r.fr_fault = "crash" && r.fr_kind = k) rows in
