@@ -516,10 +516,10 @@ let () =
         [
           Alcotest.test_case "measurement report round-trip" `Quick
             test_harness_report_roundtrip;
-          Alcotest.test_case "hotline lines are the profile's" `Quick
-            test_hotline_lines;
           Alcotest.test_case "hostperf baseline parses" `Quick
             test_hostperf_baseline;
+          Alcotest.test_case "hotline lines are the profile's" `Quick
+            test_hotline_lines;
         ] );
       ( "coverage",
         [
