@@ -325,7 +325,7 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
       Figure 10 has no Harris-bucket table. *)
   let lineup family =
     List.filter
-      (fun e -> e.family = family && id e <> "hashtable/harris-ht")
+      (fun e -> String.equal e.family family && id e <> "hashtable/harris-ht")
       entries
 
   (** The entry spelled [family/name]. Raises [Invalid_argument] naming
