@@ -7,8 +7,11 @@
     [min_int < key < max_int], and the array maps additionally require
     [key <> 0] (0 marks a free slot, as in the paper's C code).
 
-    [size], [validate] and [fold] are quiescent helpers for tests and
-    resync: they assume no concurrent operations.
+    [size] and [validate] are quiescent helpers for tests: they assume
+    no concurrent operations. [fold] is one too, but the KV resync copier
+    and a transaction snapshot's object read ([Txn.Make.read_object])
+    also run it while other operations are in flight; see [fold] for
+    what such a fold promises.
 
     Each family is declared once as a [*_CORE] signature (the shared
     operations); the [Mono_*] functors derive the monomorphic driver
@@ -23,9 +26,21 @@ module type SET_CORE = sig
   val delete : 'v t -> int -> 'v option
 
   val fold : 'v t -> (int -> 'v -> 'a -> 'a) -> 'a -> 'a
-  (** Quiescent enumeration of the live bindings, in structure order
-      (no particular key order is promised). The replica-resync seed:
-      [fold t (fun k v () -> insert t' k v) ()]. *)
+  (** Enumeration of the live bindings, in structure order (no
+      particular key order is promised). The replica-resync seed:
+      [fold t (fun k v () -> insert t' k v) ()]. Quiescent, it visits
+      exactly the live bindings, each once. While other operations are
+      in flight, a fold of a structure whose nodes stay where they were
+      linked (every list, skip list, BST and array map here, and the
+      tables built by [Ht.Of_bucket]) still visits every key that is
+      present, with one value, for the whole fold, and yields it with
+      that value. No promise covers a key inserted, deleted or rewritten
+      during the fold: it may be missed, repeated or paired with another
+      key's value. The java tables' resize relinks live nodes, so their
+      fold promises nothing while a resize can run. Callers validate what
+      they keep: the KV copier re-reads each key live, and a
+      transaction's object read re-checks the version stripe of every
+      key it keeps. *)
 
   val size : 'v t -> int
 

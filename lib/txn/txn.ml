@@ -9,7 +9,10 @@
 
     - the {e read phase} collects values with their version tokens: wait
       for the key's stripe to be free, search the structure, and re-check
-      the stripe's version, retrying the read if a commit moved it;
+      the stripe's version, retrying the read if a commit moved it; or,
+      for a whole object at once ({!Make.read_object}), wait for every
+      stripe, fold the structure once and re-check every stripe, the
+      paper's validated traversal;
     - {e commit} acquires the write set's per-key lock handles in
       ascending handle-id order (the classic sorted two-phase commit, so
       no two transactions can deadlock), where a handle also covered by
@@ -27,8 +30,10 @@
     [txn.vfail-txn-lock] and [txn.vfail-txn-read]).
 
     {e Read-only transactions never abort}: {!Make.snapshot} takes no
-    locks and undoes nothing. It reads the manager's clock once before
-    its first round and once after each round's reads (TL2's global
+    locks and undoes nothing. Its first round may read whole objects
+    with {!Make.read_object}; later rounds read per key. It reads the
+    manager's clock once before its first round and once after each
+    round's reads (TL2's global
     version clock used as a gate): if no commit drew a ticket in between,
     the read set is the committed state before that ticket and needs no
     validation. Otherwise it checks the read set, keeps every read whose
@@ -79,6 +84,13 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
             instead of before the check, so a commit between a kept read's
             check and that clock read passes the gate unvalidated — the
             audit oracle must catch this *)
+    | Broken_fold
+        (** negative control: {!read_object} keeps every key its fold
+            visited without re-checking the stripes, so a value a commit
+            wrote during the fold joins the read set with the token taken
+            before that commit; when the commit draws its ticket after the
+            round's closing clock read, the gate passes it unchecked — the
+            audit oracle must catch this *)
 
   (* One structure participating in transactions, with its version
      stripes. Packed once at setup: the packed value itself (compared
@@ -95,10 +107,12 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       =
     Obj { ops = (module S); st; stripes }
 
+  (* The stripe of key [k] among [n]. *)
+  let stripe_of n k = ((k mod n) + n) mod n
+
   (* The commit lock covering a key: its stripe's handle. *)
   let obj_handle (Obj { stripes; _ }) k =
-    let n = Array.length stripes in
-    stripes.(((k mod n) + n) mod n)
+    stripes.(stripe_of (Array.length stripes) k)
 
   (* Atomic-snapshot read: the value and a version token that the key's
      handle [check]s until its stripe commits again. Spins only while
@@ -146,7 +160,14 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
     mutable reads : rentry list;
     mutable writes : wentry list;
     ro : bool;
+    policy : policy;
+    mutable whole : bool;
+        (** {!read_object} folds; a snapshot clears it after its first
+            round *)
   }
+
+  let new_ctx policy ~ro =
+    { reads = []; writes = []; ro; policy; whole = true }
 
   type t = {
     policy : policy;
@@ -202,6 +223,56 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
               :: ctx.reads;
             v)
 
+  (** [read_object ctx o] reads every key of [o] in one versioned pass:
+      it waits for every stripe's free version, folds the structure once
+      and then re-checks every stripe. Each key the fold visited on a
+      stripe that still checks joins the read set with that stripe's
+      token, so {!read} answers it from there; a key on a stripe that
+      moved, or one the fold did not visit, is read per key when {!read}
+      asks for it. Each key is bracketed as {!obj_read} brackets one
+      search: a commit that wrote it during the fold held its stripe
+      across the fold's window, so that stripe's check fails. Keys the
+      buffers already answer keep their entries. A no-op after a
+      snapshot's first round: retries re-read only the stale keys. *)
+  let read_object ctx (Obj { ops = (module S); st; stripes } as o) =
+    if ctx.whole then begin
+      let n = Array.length stripes in
+      let toks = Array.map (fun (h : Locks.Handle.t) -> h.wait ()) stripes in
+      let found =
+        S.fold st
+          (fun k v acc ->
+            let s = stripe_of n k in
+            {
+              r_obj = o;
+              r_key = k;
+              r_val = Some v;
+              r_tok = toks.(s);
+              r_handle = stripes.(s);
+            }
+            :: acc)
+          []
+      in
+      let ok =
+        match ctx.policy with
+        | Broken_fold -> Array.make n true
+        | _ -> Array.map2 (fun (h : Locks.Handle.t) tok -> h.check tok) stripes toks
+      in
+      let fresh =
+        not
+          (List.exists (fun r -> r.r_obj == o) ctx.reads
+          || List.exists (fun w -> w.w_obj == o) ctx.writes)
+      in
+      let known k =
+        List.exists (fun r -> r.r_obj == o && r.r_key = k) ctx.reads
+        || List.exists (fun w -> w.w_obj == o && w.w_key = k) ctx.writes
+      in
+      List.iter
+        (fun r ->
+          if ok.(stripe_of n r.r_key) && (fresh || not (known r.r_key)) then
+            ctx.reads <- r :: ctx.reads)
+        found
+    end
+
   let write ctx o k v =
     if ctx.ro then invalid_arg "Txn.write: read-only transaction";
     ctx.writes <-
@@ -239,11 +310,8 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       | (h : Locks.Handle.t) :: rest -> (
           let got =
             match (t.policy, expected h) with
-            | (Optimistic | Broken_snapshot | Broken_gate), Some tok ->
-                if h.acquire tok then Some tok else None
-            | (Optimistic | Broken_snapshot | Broken_gate), None
-            | Broken_commit, _ ->
-                Some (h.acquire_any ())
+            | Broken_commit, _ | _, None -> Some (h.acquire_any ())
+            | _, Some tok -> if h.acquire tok then Some tok else None
           in
           match got with
           | Some tok -> acquire ((h, tok) :: held) rest
@@ -276,8 +344,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
         let valid =
           match t.policy with
           | Broken_commit -> true
-          | Optimistic | Broken_snapshot | Broken_gate ->
-              List.for_all read_ok ctx.reads
+          | _ -> List.for_all read_ok ctx.reads
         in
         Rt.Probe.span_end ph_validate;
         if not valid then begin
@@ -299,7 +366,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
   let atomically t (f : ctx -> 'a) : 'a * int =
     let rec go attempt =
       if attempt > t.max_retries then raise (Too_many_retries attempt);
-      let ctx = { reads = []; writes = []; ro = false } in
+      let ctx = new_ctx t.policy ~ro:false in
       let x = f ctx in
       match try_commit t ctx with
       | Some ticket -> (x, ticket)
@@ -349,10 +416,11 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       held its stripe at the check or advanced the version past the
       read. *)
   let snapshot t (f : ctx -> 'a) : 'a * int =
-    let ctx = { reads = []; writes = []; ro = true } in
+    let ctx = new_ctx t.policy ~ro:true in
     let b = B.create () in
     let rec go attempt kept gate =
       let x = f ctx in
+      ctx.whole <- false;
       let c = Rt.get t.clock in
       let valid =
         if c = gate then ctx.reads
@@ -775,6 +843,7 @@ module Workload = struct
               let (), at =
                 T.snapshot mgr (fun ctx ->
                     for o = cfg.objects - 1 downto 0 do
+                      T.read_object ctx objs.(o);
                       for k = cfg.accounts downto 1 do
                         let i = 3 * ((o * cfg.accounts) + k - 1) in
                         reads.(i) <- o;
@@ -825,7 +894,8 @@ module Workload = struct
 
   (** [policy] defaults to [Broken_commit] when [cfg.broken] is set and
       to [Optimistic] otherwise; passing it runs another negative
-      control, such as [Broken_snapshot] or [Broken_gate]. *)
+      control, such as [Broken_snapshot], [Broken_gate] or
+      [Broken_fold]. *)
   let run ?(record_obs = false) ?policy (cfg : config) :
       Harness.Runner.measurement * result =
     if cfg.objects < 1 || cfg.accounts < 1 || cfg.objects * cfg.accounts < 2

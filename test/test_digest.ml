@@ -61,21 +61,8 @@ let piece p_name p_counts p_bytes = { p_name; p_counts; p_bytes }
 let pin section p =
   { section; name = p.p_name; metrics = p.p_counts @ [ ("md5", digest p.p_bytes) ] }
 
-(* The directory that holds [test/ledger.txt] and [BENCH_sim.json]: the
-   working directory under [dune exec test/test_digest.exe] from the
-   repository root, its parent under [dune runtest], which runs in dune's
-   copy of [test/]. Checking and rewriting the ledger both use it. *)
-let root =
-  match
-    List.find_opt
-      (fun d -> Sys.file_exists (Filename.concat d "test/ledger.txt"))
-      [ Filename.current_dir_name; Filename.parent_dir_name ]
-  with
-  | Some d -> d
-  | None ->
-      failwith
-        "test_digest: no test/ledger.txt here or in the parent directory; \
-         run it from the repository root"
+(* Checking and rewriting the ledger both use the same root. *)
+let root = Tutil.root ()
 
 let ledger_file = Filename.concat root "test/ledger.txt"
 

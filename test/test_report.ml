@@ -454,7 +454,9 @@ let test_txn_counters_audited () =
 let test_hostperf_baseline () =
   let rows =
     Host_bench.parse_baseline
-      (In_channel.with_open_text "../BENCH_sim.json" In_channel.input_all)
+      (In_channel.with_open_text
+         (Filename.concat (Tutil.root ()) "BENCH_sim.json")
+         In_channel.input_all)
   in
   Alcotest.(check int) "rows" 8 (List.length rows);
   List.iter

@@ -11,6 +11,22 @@ module Rng = Harness.Rng
 
 let uniform4 = Sim.Topology.uniform ~n:4 ()
 
+(* The directory that holds [test/ledger.txt] and [BENCH_sim.json]: the
+   working directory under [dune exec test/<suite>.exe] from the
+   repository root, its parent under [dune runtest], which runs in dune's
+   copy of [test/]. *)
+let root () =
+  match
+    List.find_opt
+      (fun d -> Sys.file_exists (Filename.concat d "test/ledger.txt"))
+      [ Filename.current_dir_name; Filename.parent_dir_name ]
+  with
+  | Some d -> d
+  | None ->
+      failwith
+        "no test/ledger.txt here or in the parent directory; run the test \
+         from the repository root"
+
 (* ------------------------------------------------------------------ *)
 (* Sequential model checking                                           *)
 
