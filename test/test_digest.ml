@@ -619,7 +619,9 @@ let test_ledger_negative () =
 (* [BENCH_sim.json] records hostperf's simulated counts next to its host
    rates: each row's ops, accesses and events are the ledger's [hostperf]
    row of the same name. fleet/chaos-quick counts trials on worker
-   domains and has no ledger row. *)
+   domains and has no ledger row. Each rate is its count over the row's
+   one [host_s], up to the rounding of the written figures (a relative
+   1e-4), so a re-recorded count cannot leave its rates behind. *)
 let test_bench_counts () =
   let module J = Obs.Report in
   let bench =
@@ -649,9 +651,29 @@ let test_bench_counts () =
                        name field (show b) (show l)))
               [ "ops"; "accesses"; "events" ])
   in
+  let off_rate row =
+    let num k = Option.bind (J.member k row) J.to_number in
+    let name = Option.value ~default:"?" (Option.bind (J.member "name" row) J.to_str) in
+    List.filter_map
+      (fun count ->
+        match (num count, num (count ^ "_per_hs"), num "host_s") with
+        | Some c, Some rate, Some h
+          when h > 0. && Float.abs ((c /. h) -. rate) <= 1e-4 *. Float.max 1. rate
+          ->
+            None
+        | c, rate, h ->
+            let show = Option.fold ~none:"-" ~some:(Printf.sprintf "%.1f") in
+            Some
+              (Printf.sprintf "%s %s_per_hs: BENCH_sim.json has %s, %s / host_s is %s"
+                 name count (show rate) count
+                 (show (Option.bind c (fun c -> Option.map (fun h -> c /. h) h)))))
+      [ "ops"; "accesses"; "events" ]
+  in
   Alcotest.(check bool) "BENCH_sim.json has rows" true (bench <> []);
   Alcotest.(check (list string)) "counts that differ from the ledger" []
-    (List.concat_map differs bench)
+    (List.concat_map differs bench);
+  Alcotest.(check (list string)) "rates that are not count / host_s" []
+    (List.concat_map off_rate bench)
 
 (* Two back-to-back productions are identical: determinism within a
    process (catches state leaking from one run into the next). *)
