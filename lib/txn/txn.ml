@@ -231,8 +231,9 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       moved, or one the fold did not visit, is read per key when {!read}
       asks for it. Each key is bracketed as {!obj_read} brackets one
       search: a commit that wrote it during the fold held its stripe
-      across the fold's window, so that stripe's check fails. Keys the
-      buffers already answer keep their entries. A no-op after a
+      across the fold's window, so that stripe's check fails. A key read
+      earlier keeps its entry too; validation checks both before the
+      transaction's result is returned, so they agree. A no-op after a
       snapshot's first round: retries re-read only the stale keys. *)
   let read_object ctx (Obj { ops = (module S); st; stripes } as o) =
     if ctx.whole then begin
@@ -257,19 +258,8 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
         | Broken_fold -> Array.make n true
         | _ -> Array.map2 (fun (h : Locks.Handle.t) tok -> h.check tok) stripes toks
       in
-      let fresh =
-        not
-          (List.exists (fun r -> r.r_obj == o) ctx.reads
-          || List.exists (fun w -> w.w_obj == o) ctx.writes)
-      in
-      let known k =
-        List.exists (fun r -> r.r_obj == o && r.r_key = k) ctx.reads
-        || List.exists (fun w -> w.w_obj == o && w.w_key = k) ctx.writes
-      in
       List.iter
-        (fun r ->
-          if ok.(stripe_of n r.r_key) && (fresh || not (known r.r_key)) then
-            ctx.reads <- r :: ctx.reads)
+        (fun r -> if ok.(stripe_of n r.r_key) then ctx.reads <- r :: ctx.reads)
         found
     end
 
