@@ -33,10 +33,9 @@
     locks and undoes nothing. Its first round may read whole objects
     with {!Make.read_object}; later rounds read per key. It reads the
     manager's clock once before its first round and once after each
-    round's reads (TL2's global
-    version clock used as a gate): if no commit drew a ticket in between,
-    the read set is the committed state before that ticket and needs no
-    validation. Otherwise it checks the read set, keeps every read whose
+    round's reads (TL2's global version clock used as a gate): if no
+    commit drew a ticket in between, the read set is the committed state
+    before that ticket and needs no validation. Otherwise it checks the read set, keeps every read whose
     token still checks and re-reads only the stale ones (one
     [txn.snapshot-retries] per round): at once after the first failed
     round, and after one {!Rt.Backoff} wait, the jittered exponential

@@ -6,8 +6,7 @@
    snapshots, the strict-serializability oracle (positive run, the
    broken-commit, broken-snapshot, broken-gate and broken-fold negative
    controls, a differential fuzz against a naive reference and an
-   allocation gate), the chaos
-   trial grammar and the report section. *)
+   allocation gate), the chaos trial grammar and the report section. *)
 
 module W = Txn.Workload
 module R = Harness.Registry
