@@ -308,6 +308,14 @@ let figures_cmd =
 
 (* ---------------- single ad-hoc run ---------------- *)
 
+(* Every measuring subcommand names an aborted run's verdict this way. *)
+let print_aborted (m : Harness.Runner.measurement) =
+  match m.Harness.Runner.outcome with
+  | Harness.Runner.Complete -> ()
+  | Harness.Runner.Aborted rep ->
+      Printf.printf "  ABORTED: %s\n"
+        (Format.asprintf "%a" Sim.Sched.pp_verdict rep.Sim.Sched.r_verdict)
+
 let run_cmd =
   let structure =
     Arg.(
@@ -376,12 +384,10 @@ let run_cmd =
       structure machine threads size updates
       (if skewed then " (zipf 0.9)" else "")
       seed;
+    print_aborted m;
     (match m.Harness.Runner.outcome with
     | Harness.Runner.Complete -> ()
-    | Harness.Runner.Aborted r ->
-        Printf.printf "  ABORTED: %s\n"
-          (Format.asprintf "%a" Sim.Sched.pp_verdict r.Sim.Sched.r_verdict);
-        Format.printf "%a@?" Sim.Sched.pp_report r);
+    | Harness.Runner.Aborted r -> Format.printf "%a@?" Sim.Sched.pp_report r);
     Printf.printf "  throughput      %.2f Mops/s\n" m.Harness.Runner.mops;
     Printf.printf "  effective upd   %.1f%%\n" m.Harness.Runner.eff_update_pct;
     Printf.printf "  CAS total/failed %d/%d\n" m.Harness.Runner.cas
@@ -549,13 +555,6 @@ let chaos_cmd =
 (* ---------------- kv and txn ---------------- *)
 
 (* The service runs print their measurement the same way. *)
-let print_aborted (m : Harness.Runner.measurement) =
-  match m.Harness.Runner.outcome with
-  | Harness.Runner.Complete -> ()
-  | Harness.Runner.Aborted rep ->
-      Printf.printf "  ABORTED: %s\n"
-        (Format.asprintf "%a" Sim.Sched.pp_verdict rep.Sim.Sched.r_verdict)
-
 let print_latencies (m : Harness.Runner.measurement) =
   Array.iteri
     (fun i cls ->
@@ -685,10 +684,7 @@ let kv_cmd =
     | None ->
         let plan =
           match faults with
-          | Some s ->
-              let plan = Sim.Fault.of_string s in
-              Chaos.check_targets ~threads ~stores:(2 * shards) plan;
-              Some plan
+          | Some s -> Some (Sim.Fault.of_string s)
           | None when rolling > 0 ->
               let stagger =
                 if stagger > 0 then stagger else max 1 (ops / (rolling + 1))

@@ -42,14 +42,28 @@ let parse_int what s =
   | Some n -> n
   | None -> parse_error "bad %s %S" what s
 
-let topo_names = [| "u2"; "u4"; "xeon"; "opteron" |]
+(* The machines a trial string names, in the order the generators draw
+   them. *)
+let topos =
+  [|
+    ("u2", Sim.Topology.uniform ~n:2 ());
+    ("u4", Sim.Topology.uniform ~n:4 ());
+    ("xeon", Sim.Topology.xeon);
+    ("opteron", Sim.Topology.opteron);
+  |]
 
-let topology_of_name = function
-  | "u2" -> Sim.Topology.uniform ~n:2 ()
-  | "u4" -> Sim.Topology.uniform ~n:4 ()
-  | "xeon" -> Sim.Topology.xeon
-  | "opteron" -> Sim.Topology.opteron
-  | s -> invalid_arg (Printf.sprintf "Chaos: unknown topology %S" s)
+let topology_of_name s =
+  match Array.find_opt (fun (n, _) -> n = s) topos with
+  | Some (_, t) -> t
+  | None -> invalid_arg (Printf.sprintf "Chaos: unknown topology %S" s)
+
+(* The way back goes by [Topology.t.name], because a uniform machine
+   names itself uniform-N. *)
+let topology_name (t : Sim.Topology.t) =
+  match Array.find_opt (fun (_, u) -> u.Sim.Topology.name = t.name) topos with
+  | Some (n, _) -> n
+  | None ->
+      invalid_arg (Printf.sprintf "Chaos: no trial name for topology %S" t.name)
 
 (* One entry of a family's field table, keyed by the token's first
    character. *)
@@ -87,9 +101,9 @@ let parse ~head ~fields ~check s =
       check tr;
       tr
 
-(* The [family/rep] head of the service families; [check] refuses a rep
-   the service does not take. *)
-let rep_of ~family ~check name topo =
+(* The rep of a service family's [family/rep] head; [check] refuses a
+   rep the service does not take. *)
+let rep_of ~family ~check name =
   let p = family ^ "/" in
   if not (has_prefix p name) then
     parse_error "%s trial must start with %s<rep>, got %S" family p name;
@@ -97,49 +111,13 @@ let rep_of ~family ~check name topo =
     String.sub name (String.length p) (String.length name - String.length p)
   in
   check rep;
-  ignore (topology_of_name topo : Sim.Topology.t);
   rep
 
-let check_pct what v =
-  if v < 0 || v > 100 then parse_error "%s must be in [0,100], got %d" what v
-
-let check_positive what v =
-  if v < 1 then parse_error "%s must be positive, got %d" what v
-
-(* Every grammar's thread count: the structures' QSBR domains have room
-   for [Mem.Qsbr.default_max_threads] thread ids, so a larger run would
-   simulate until its first reclamation and then die. *)
-let check_threads v =
-  check_positive "threads" v;
-  if v > Mem.Qsbr.default_max_threads then
-    parse_error "threads must be at most %d (QSBR's thread cap), got %d"
-      Mem.Qsbr.default_max_threads v
-
-(* A fault plan aims only at what the trial has: each spec's [t] and
-   storm victims at one of its [threads], each shard fault at one of its
-   [stores] (a kv trial's primaries and replicas; a structure trial has
-   none). *)
-let check_targets ~threads ~stores (plan : Fault.plan) =
-  List.iter
-    (fun (sp : Fault.spec) ->
-      let aim what v n unit =
-        if v < 0 || v >= n then
-          parse_error "fault spec %S targets %s %d, but the trial has %d %s"
-            (Fault.spec_to_string sp) what v n unit
-      in
-      Option.iter (fun t -> aim "thread" t threads "threads") sp.f_tid;
-      match sp.f_action with
-      | Fault.Storm { victims; _ } ->
-          List.iter (fun v -> aim "victim thread" v threads "threads") victims
-      | Fault.Shard_crash { shard; _ }
-      | Fault.Shard_recover shard
-      | Fault.Resync_crash { shard; _ } ->
-          aim "store" shard stores "stores"
-      | Fault.Crash | Fault.Stall _ -> ())
-    plan.specs
+(* The plan of a trial whose string names none. *)
+let no_plan = { Fault.seed = 0; specs = [] }
 
 (* The highest thread a plan names (-1 if none): shrinking a trial's
-   threads past it would leave a string [check_targets] rejects. *)
+   threads past it would leave a string [Fault.check_targets] rejects. *)
 let top_thread (plan : Fault.plan) =
   List.fold_left
     (fun top (sp : Fault.spec) ->
@@ -343,7 +321,7 @@ let of_string =
         t_read_slack = 0;
         t_noise_bits = 62;
         t_wseed = 0;
-        t_plan = { Fault.seed = 0; specs = [] };
+        t_plan = no_plan;
       })
     ~fields:
       [
@@ -357,18 +335,18 @@ let of_string =
         ('f', Text (fun tr v -> { tr with t_plan = Fault.of_string v }));
       ]
     ~check:(fun tr ->
-      check_threads tr.t_threads;
-      check_positive "ops" tr.t_ops;
-      check_positive "keys" tr.t_keys;
+      let fn = "Chaos.of_string" in
+      Harness.Range.threads fn tr.t_threads;
+      Harness.Range.positive fn "ops" tr.t_ops;
+      Harness.Range.positive fn "keys" tr.t_keys;
       if tr.t_keys > max_keys then
         parse_error "keys must be at most %d, got %d" max_keys tr.t_keys;
-      if tr.t_quantum < 1 then
-        parse_error "quantum must be positive, got %d" tr.t_quantum;
+      Harness.Range.positive fn "quantum" tr.t_quantum;
       if tr.t_read_slack < 0 then
         parse_error "read-slack must be >= 0, got %d" tr.t_read_slack;
       if tr.t_noise_bits < 0 || tr.t_noise_bits > 62 then
         parse_error "noise-bits must be in [0,62], got %d" tr.t_noise_bits;
-      check_targets ~threads:tr.t_threads ~stores:0 tr.t_plan)
+      Fault.check_targets ~threads:tr.t_threads ~stores:0 tr.t_plan)
 
 type outcome = {
   o_completed : bool;
@@ -700,7 +678,7 @@ let gen_spec rng nthreads =
 
 let gen_trial entries rng =
   let e = List.nth entries (Rng.below rng (List.length entries)) in
-  let t_topo = pick rng topo_names in
+  let t_topo = fst (pick rng topos) in
   let t_threads = 2 + Rng.below rng 4 in
   let t_ops = 1 + Rng.below rng 5 in
   let t_keys = 2 + Rng.below rng 6 in
@@ -796,103 +774,62 @@ let sets entries : (module TRIAL with type t = trial) =
    Any failure a fuzz run finds is therefore a real robustness bug, not
    an out-of-warranty plan. *)
 module Kv_trial = struct
-  type t = {
-    kv_rep : string;
-    kv_topo : string;
-    kv_shards : int;
-    kv_threads : int;
-    kv_ops : int;
-    kv_keys : int;
-    kv_read : int;
-    kv_scan : int;
-    kv_wseed : int;
-    kv_degraded : int;
-    kv_batch : int;
-    kv_plan : Fault.plan;
-  }
+  type t = Kv.config
 
   let name = "chaos-kv"
   let command = "kv"
 
-  let to_string tr =
-    Printf.sprintf "kv/%s@%s s%d t%d o%d k%d R%d C%d w%d D%d B%d f%s" tr.kv_rep
-      tr.kv_topo tr.kv_shards tr.kv_threads tr.kv_ops tr.kv_keys tr.kv_read
-      tr.kv_scan tr.kv_wseed tr.kv_degraded tr.kv_batch
-      (Fault.to_string tr.kv_plan)
+  (* A field table setter of the workload's or the policy's field. *)
+  let workload f (c : t) v = { c with Kv.workload = f c.Kv.workload v }
+  let policy f (c : t) v = { c with Kv.policy = f c.Kv.policy v }
+
+  (* A config without a plan prints as the empty one. *)
+  let to_string (c : t) =
+    let w = c.Kv.workload and p = c.Kv.policy in
+    Printf.sprintf "kv/%s@%s s%d t%d o%d k%d R%d C%d w%d D%d B%d f%s" c.rep
+      (topology_name c.topo) c.nshards c.threads c.ops w.Kv.keys w.read_pct
+      w.scan_pct c.seed p.Kv.degraded_cycles p.resync_batch
+      (Fault.to_string (Option.value c.plan ~default:no_plan))
 
   let of_string =
     parse
       ~head:(fun name topo ->
+        let rep =
+          rep_of ~family:"kv"
+            ~check:(fun r -> ignore (Kv.rep_ops r : (module R.SET_OPS)))
+            name
+        in
         {
-          kv_rep =
-            rep_of ~family:"kv"
-              ~check:(fun r -> ignore (Kv.rep_ops r : (module R.SET_OPS)))
-              name topo;
-          kv_topo = topo;
-          kv_shards = 1;
-          kv_threads = 2;
-          kv_ops = 100;
-          kv_keys = 64;
-          kv_read = 50;
-          kv_scan = 10;
-          kv_wseed = 0;
-          kv_degraded = Kv.default_policy.Kv.degraded_cycles;
-          kv_batch = Kv.default_policy.Kv.resync_batch;
-          kv_plan = { Fault.seed = 0; specs = [] };
+          Kv.rep;
+          nshards = 1;
+          threads = 2;
+          ops = 100;
+          seed = 0;
+          topo = topology_of_name topo;
+          workload =
+            { Kv.default_workload with keys = 64; read_pct = 50; scan_pct = 10 };
+          policy = Kv.default_policy;
+          plan = Some no_plan;
         })
       ~fields:
         [
-          ('s', Int ("shards", fun tr v -> { tr with kv_shards = v }));
-          ('t', Int ("threads", fun tr v -> { tr with kv_threads = v }));
-          ('o', Int ("ops", fun tr v -> { tr with kv_ops = v }));
-          ('k', Int ("keys", fun tr v -> { tr with kv_keys = v }));
-          ('R', Int ("read pct", fun tr v -> { tr with kv_read = v }));
-          ('C', Int ("scan pct", fun tr v -> { tr with kv_scan = v }));
-          ('w', Int ("workload seed", fun tr v -> { tr with kv_wseed = v }));
-          ('D', Int ("degraded", fun tr v -> { tr with kv_degraded = v }));
-          ('B', Int ("batch", fun tr v -> { tr with kv_batch = v }));
-          ('f', Text (fun tr v -> { tr with kv_plan = Fault.of_string v }));
+          ('s', Int ("shards", fun c v -> { c with Kv.nshards = v }));
+          ('t', Int ("threads", fun c v -> { c with Kv.threads = v }));
+          ('o', Int ("ops", fun c v -> { c with Kv.ops = v }));
+          ('k', Int ("keys", workload (fun w v -> { w with keys = v })));
+          ('R', Int ("read pct", workload (fun w v -> { w with read_pct = v })));
+          ('C', Int ("scan pct", workload (fun w v -> { w with scan_pct = v })));
+          ('w', Int ("workload seed", fun c v -> { c with Kv.seed = v }));
+          ( 'D',
+            Int ("degraded", policy (fun p v -> { p with degraded_cycles = v }))
+          );
+          ('B', Int ("batch", policy (fun p v -> { p with resync_batch = v })));
+          ('f', Text (fun c v -> { c with Kv.plan = Some (Fault.of_string v) }));
         ]
-      ~check:(fun tr ->
-        check_positive "shards" tr.kv_shards;
-        check_threads tr.kv_threads;
-        check_positive "ops" tr.kv_ops;
-        check_positive "keys" tr.kv_keys;
-        if tr.kv_degraded < 0 then
-          parse_error "degraded must be >= 0, got %d" tr.kv_degraded;
-        check_positive "batch" tr.kv_batch;
-        check_pct "read pct" tr.kv_read;
-        check_pct "scan pct" tr.kv_scan;
-        check_pct "read + scan pct" (tr.kv_read + tr.kv_scan);
-        check_targets ~threads:tr.kv_threads ~stores:(2 * tr.kv_shards)
-          tr.kv_plan)
+      ~check:Kv.check
 
-  let config tr : Kv.config =
-    {
-      Kv.rep = tr.kv_rep;
-      nshards = tr.kv_shards;
-      threads = tr.kv_threads;
-      ops = tr.kv_ops;
-      seed = tr.kv_wseed;
-      topo = topology_of_name tr.kv_topo;
-      workload =
-        {
-          Kv.default_workload with
-          Kv.keys = tr.kv_keys;
-          read_pct = tr.kv_read;
-          scan_pct = tr.kv_scan;
-        };
-      policy =
-        {
-          Kv.default_policy with
-          Kv.degraded_cycles = tr.kv_degraded;
-          resync_batch = tr.kv_batch;
-        };
-      plan = Some tr.kv_plan;
-    }
-
-  let run tr =
-    let m, r = Kv.run (config tr) in
+  let run (c : t) =
+    let m, r = Kv.run c in
     let o = r.Kv.res_oracle in
     let valid =
       unless m.Harness.Runner.valid "validate" (fun () ->
@@ -914,12 +851,12 @@ module Kv_trial = struct
         (fun (e : Fault.event) ->
           match e.e_spec.f_action with
           | Fault.Resync_crash { shard; _ } ->
-              let w = r.Kv.res_warranty.(shard mod tr.kv_shards) in
+              let w = r.Kv.res_warranty.(shard mod c.nshards) in
               unless (w = Kv.Voided) "warranty" (fun () ->
                   Printf.sprintf
                     "crash fired mid-resync on pair %d yet warranty is %s \
                      (must drop to voided)"
-                    (shard mod tr.kv_shards) (Kv.warranty_name w))
+                    (shard mod c.nshards) (Kv.warranty_name w))
           | _ -> [])
         (Fault.events ())
     in
@@ -930,17 +867,17 @@ module Kv_trial = struct
     [| "hashtable/optik"; "list/optik"; "list/harris"; "skiplist/optik2" |]
 
   let gen rng =
-    let kv_rep = pick rng reps in
-    let kv_topo = pick rng topo_names in
-    let kv_shards = 1 + Rng.below rng 4 in
-    let kv_threads = 2 + Rng.below rng 5 in
-    let kv_ops = 200 + Rng.below rng 1_000 in
-    let kv_keys = 64 + Rng.below rng 448 in
-    let kv_read = Rng.below rng 90 in
-    let kv_scan = Rng.below rng (91 - kv_read) in
-    let kv_wseed = Rng.below rng 1_000_000 in
-    let kv_degraded = 2_000 + Rng.below rng 60_000 in
-    let kv_batch = 8 lsl Rng.below rng 5 (* 8..128 *) in
+    let rep = pick rng reps in
+    let topo = snd (pick rng topos) in
+    let nshards = 1 + Rng.below rng 4 in
+    let threads = 2 + Rng.below rng 5 in
+    let ops = 200 + Rng.below rng 1_000 in
+    let keys = 64 + Rng.below rng 448 in
+    let read_pct = Rng.below rng 90 in
+    let scan_pct = Rng.below rng (91 - read_pct) in
+    let wseed = Rng.below rng 1_000_000 in
+    let degraded_cycles = 2_000 + Rng.below rng 60_000 in
+    let resync_batch = 8 lsl Rng.below rng 5 (* 8..128 *) in
     let seed = Rng.below rng 1_000_000 in
     let specs = ref [] in
     (* Shard faults: per pair, a short sequence of crashes. The re-armable
@@ -951,13 +888,13 @@ module Kv_trial = struct
        re-arms a chance, and sometimes aims a [resynccrash] at the
        recovery window on purpose (the double-crash-during-resync
        family). *)
-    for i = 0 to kv_shards - 1 do
+    for i = 0 to nshards - 1 do
       let ncrashes = Rng.below rng 3 in
       let hits = ref 0 in
       for c = 0 to ncrashes - 1 do
-        let store = if Rng.below rng 2 = 0 then i else kv_shards + i in
+        let store = if Rng.below rng 2 = 0 then i else nshards + i in
         let point = pick rng points in
-        hits := !hits + 1 + Rng.below rng (min 200 kv_ops);
+        hits := !hits + 1 + Rng.below rng (min 200 ops);
         let r = Rng.below rng 3 in
         let down_for = if r = 0 then 0 else 2_000 + Rng.below rng 100_000 in
         specs := Fault.shard_crash ~hits:!hits ~down_for store point :: !specs;
@@ -971,7 +908,7 @@ module Kv_trial = struct
            hits only count while the pair is mid-copy, so placement needs
            no timing knowledge). *)
         if c = ncrashes - 1 && Rng.below rng 3 = 0 then begin
-          let other = if store < kv_shards then kv_shards + i else i in
+          let other = if store < nshards then nshards + i else i in
           specs :=
             Fault.resync_crash
               ~hits:(1 + Rng.below rng 8)
@@ -988,12 +925,12 @@ module Kv_trial = struct
     let ncrashes = ref 0 in
     for _ = 1 to nclient do
       let r = Rng.below rng 10 in
-      if r < 3 && !ncrashes < kv_threads - 1 then begin
+      if r < 3 && !ncrashes < threads - 1 then begin
         incr ncrashes;
         specs :=
           Fault.crash
-            ~tid:(Rng.below rng kv_threads)
-            ~hits:(1 + Rng.below rng (min 100 kv_ops))
+            ~tid:(Rng.below rng threads)
+            ~hits:(1 + Rng.below rng (min 100 ops))
             Rt.Rt_intf.Op_boundary
           :: !specs
       end
@@ -1006,24 +943,21 @@ module Kv_trial = struct
           specs := Fault.storm ~hits (500 + Rng.below rng 50_000) point :: !specs
     done;
     {
-      kv_rep;
-      kv_topo;
-      kv_shards;
-      kv_threads;
-      kv_ops;
-      kv_keys;
-      kv_read;
-      kv_scan;
-      kv_wseed;
-      kv_degraded;
-      kv_batch;
-      kv_plan = { Fault.seed; specs = List.rev !specs };
+      Kv.rep;
+      nshards;
+      threads;
+      ops;
+      seed = wseed;
+      topo;
+      workload = { Kv.default_workload with keys; read_pct; scan_pct };
+      policy = { Kv.default_policy with degraded_cycles; resync_batch };
+      plan = Some { Fault.seed; specs = List.rev !specs };
     }
 
   (* Drop fault specs, shorten crash windows, shave client threads and
      ops. Shard count stays put — replica store indices are [nshards + i],
      so changing it would re-address the plan. *)
-  let shrink_steps tr =
+  let shrink_steps (c : t) =
     let halve_window (sp : Fault.spec) =
       match sp.f_action with
       | Fault.Shard_crash { shard; down_for } when down_for > 4_000 ->
@@ -1034,18 +968,24 @@ module Kv_trial = struct
           Some { sp with f_action = Fault.Resync_crash { shard; down_for } }
       | _ -> None
     in
+    let plan = Option.value c.Kv.plan ~default:no_plan in
+    let w = c.workload and p = c.policy in
     List.map
-      (fun p -> { tr with kv_plan = p })
-      (plan_steps tr.kv_plan [ halve_window ])
-    @ (if tr.kv_threads > 2 && top_thread tr.kv_plan < tr.kv_threads - 1 then
-         [ { tr with kv_threads = tr.kv_threads - 1 } ]
+      (fun plan -> { c with plan = Some plan })
+      (plan_steps plan [ halve_window ])
+    @ (if c.threads > 2 && top_thread plan < c.threads - 1 then
+         [ { c with threads = c.threads - 1 } ]
        else [])
-    @ (if tr.kv_ops > 100 then [ { tr with kv_ops = tr.kv_ops / 2 } ] else [])
-    @ (if tr.kv_keys > 64 then [ { tr with kv_keys = tr.kv_keys / 2 } ] else [])
-    @ (if tr.kv_degraded > 2_000 then
-         [ { tr with kv_degraded = tr.kv_degraded / 2 } ]
+    @ (if c.ops > 100 then [ { c with ops = c.ops / 2 } ] else [])
+    @ (if w.keys > 64 then [ { c with workload = { w with keys = w.keys / 2 } } ]
        else [])
-    @ if tr.kv_batch > 8 then [ { tr with kv_batch = tr.kv_batch / 2 } ] else []
+    @ (if p.degraded_cycles > 2_000 then
+         [ { c with policy = { p with degraded_cycles = p.degraded_cycles / 2 } } ]
+       else [])
+    @
+    if p.resync_batch > 8 then
+      [ { c with policy = { p with resync_batch = p.resync_batch / 2 } } ]
+    else []
 
   let shrink_budget = 60
 end
@@ -1054,79 +994,53 @@ end
 (* Transaction trials                                                  *)
 
 module Txn_trial = struct
-  type t = {
-    x_rep : string;
-    x_topo : string;
-    x_objects : int;
-    x_accounts : int;
-    x_threads : int;
-    x_ops : int;
-    x_transfer : int;
-    x_wseed : int;
-    x_broken : bool;
-  }
+  module W = Txn.Workload
+
+  type t = W.config
 
   let name = "chaos-txn"
   let command = "txn"
 
-  let to_string tr =
-    Printf.sprintf "txn/%s@%s b%d a%d t%d o%d X%d w%d%s" tr.x_rep tr.x_topo
-      tr.x_objects tr.x_accounts tr.x_threads tr.x_ops tr.x_transfer tr.x_wseed
-      (if tr.x_broken then " !" else "")
+  let to_string (c : t) =
+    Printf.sprintf "txn/%s@%s b%d a%d t%d o%d X%d w%d%s" c.W.rep
+      (topology_name c.topo) c.objects c.accounts c.threads c.ops
+      c.transfer_pct c.seed
+      (if c.broken then " !" else "")
 
   let of_string =
     parse
       ~head:(fun name topo ->
+        let rep =
+          rep_of ~family:"txn" ~check:(fun r -> ignore (W.rep r)) name
+        in
         {
-          x_rep =
-            rep_of ~family:"txn"
-              ~check:(fun r -> ignore (Txn.Workload.rep r))
-              name topo;
-          x_topo = topo;
-          x_objects = 2;
-          x_accounts = 8;
-          x_threads = 2;
-          x_ops = 200;
-          x_transfer = 70;
-          x_wseed = 0;
-          x_broken = false;
+          W.rep;
+          topo = topology_of_name topo;
+          objects = 2;
+          accounts = 8;
+          threads = 2;
+          ops = 200;
+          transfer_pct = 70;
+          seed = 0;
+          broken = false;
         })
       ~fields:
         [
-          ('b', Int ("objects", fun tr v -> { tr with x_objects = v }));
-          ('a', Int ("accounts", fun tr v -> { tr with x_accounts = v }));
-          ('t', Int ("threads", fun tr v -> { tr with x_threads = v }));
-          ('o', Int ("ops", fun tr v -> { tr with x_ops = v }));
-          ('X', Int ("transfer pct", fun tr v -> { tr with x_transfer = v }));
-          ('w', Int ("workload seed", fun tr v -> { tr with x_wseed = v }));
-          ('!', Flag (fun tr -> { tr with x_broken = true }));
+          ('b', Int ("objects", fun c v -> { c with W.objects = v }));
+          ('a', Int ("accounts", fun c v -> { c with W.accounts = v }));
+          ('t', Int ("threads", fun c v -> { c with W.threads = v }));
+          ('o', Int ("ops", fun c v -> { c with W.ops = v }));
+          ('X', Int ("transfer pct", fun c v -> { c with W.transfer_pct = v }));
+          ('w', Int ("workload seed", fun c v -> { c with W.seed = v }));
+          ('!', Flag (fun c -> { c with W.broken = true }));
         ]
-      ~check:(fun tr ->
-        check_positive "objects" tr.x_objects;
-        check_threads tr.x_threads;
-        check_positive "ops" tr.x_ops;
-        if tr.x_objects * tr.x_accounts < 2 then
-          parse_error "need at least two account slots";
-        check_pct "transfer pct" tr.x_transfer)
-
-  let config tr : Txn.Workload.config =
-    {
-      Txn.Workload.rep = tr.x_rep;
-      objects = tr.x_objects;
-      accounts = tr.x_accounts;
-      threads = tr.x_threads;
-      ops = tr.x_ops;
-      transfer_pct = tr.x_transfer;
-      seed = tr.x_wseed;
-      topo = topology_of_name tr.x_topo;
-      broken = tr.x_broken;
-    }
+      ~check:W.check
 
   (* The transaction oracle: strict serializability of the committed
      history ({!Txn.Workload.check_serializable} — replay in ticket order
      plus snapshot positioning), structure validity, and liveness. *)
-  let run tr =
-    let m, r = Txn.Workload.run (config tr) in
+  let run (c : t) =
+    let m, r = W.run c in
     let o = r.Txn.Workload.res_oracle in
     let valid =
       unless m.Harness.Runner.valid "validate" (fun () -> "an object is invalid")
@@ -1147,30 +1061,36 @@ module Txn_trial = struct
       "bst/bst-optik"; "list/lazy";
     |]
 
-  (* The fields' draw order is the compiler's record evaluation order;
-     the recorded trial streams depend on it, so keep this one literal. *)
+  (* The recorded trial streams draw the fields from last to first, the
+     order the compiler once evaluated this record's literal in. *)
   let gen rng =
+    let seed = Rng.below rng 1_000_000 in
+    let transfer_pct = 30 + Rng.below rng 71 in
+    let ops = 200 + Rng.below rng 1_500 in
+    let threads = 2 + Rng.below rng 6 in
+    let accounts = 2 + Rng.below rng 30 in
+    let objects = 1 + Rng.below rng 4 in
+    let topo = snd (pick rng topos) in
+    let rep = pick rng reps in
     {
-      x_rep = pick rng reps;
-      x_topo = pick rng topo_names;
-      x_objects = 1 + Rng.below rng 4;
-      x_accounts = 2 + Rng.below rng 30;
-      x_threads = 2 + Rng.below rng 6;
-      x_ops = 200 + Rng.below rng 1_500;
-      x_transfer = 30 + Rng.below rng 71;
-      x_wseed = Rng.below rng 1_000_000;
-      x_broken = false;
+      W.rep;
+      topo;
+      objects;
+      accounts;
+      threads;
+      ops;
+      transfer_pct;
+      seed;
+      broken = false;
     }
 
-  let shrink_steps tr =
-    (if tr.x_threads > 2 then [ { tr with x_threads = tr.x_threads - 1 } ]
-     else [])
-    @ (if tr.x_ops > 100 then [ { tr with x_ops = tr.x_ops / 2 } ] else [])
-    @ (if tr.x_accounts > 2 then [ { tr with x_accounts = tr.x_accounts / 2 } ]
-       else [])
+  let shrink_steps (c : t) =
+    (if c.W.threads > 2 then [ { c with threads = c.threads - 1 } ] else [])
+    @ (if c.ops > 100 then [ { c with ops = c.ops / 2 } ] else [])
+    @ (if c.accounts > 2 then [ { c with accounts = c.accounts / 2 } ] else [])
     @
-    if tr.x_objects > 1 && (tr.x_objects - 1) * tr.x_accounts >= 2 then
-      [ { tr with x_objects = tr.x_objects - 1 } ]
+    if c.objects > 1 && (c.objects - 1) * c.accounts >= 2 then
+      [ { c with objects = c.objects - 1 } ]
     else []
 
   let shrink_budget = 60

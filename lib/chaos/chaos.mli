@@ -90,14 +90,6 @@ val replay : (module TRIAL) -> string -> Format.formatter -> int
       structure's own [validate], and QSBR's
       [retired = freed + pending]. *)
 
-val check_targets : threads:int -> stores:int -> Sim.Fault.plan -> unit
-(** Rejects a plan that aims at something the run does not have: a
-    spec's thread or a storm victim outside [0 .. threads - 1], or a
-    shard fault outside [0 .. stores - 1] (a kv run's stores are its
-    primaries and replicas, [2 * shards]; a structure trial has none).
-    Raises [Invalid_argument] naming the spec, the field ([thread],
-    [victim thread], [store]) and the bound. *)
-
 val default_names : string list
 (** One representative per family and figure: lists, hash tables, skip
     lists, array map, BST, queues, stacks, in the order the default draws
@@ -160,28 +152,14 @@ val run_trial : trial -> outcome
     duplicated while its pair is under warranty, and a pair that took a
     crash mid-resync ends Voided (anything else is a forged re-arm). *)
 
-module Kv_trial : sig
-  type t = {
-    kv_rep : string;  (** store structure, one of {!Kv.rep_names} *)
-    kv_topo : string;
-    kv_shards : int;
-    kv_threads : int;
-    kv_ops : int;
-    kv_keys : int;
-    kv_read : int;  (** read percentage *)
-    kv_scan : int;  (** scan percentage *)
-    kv_wseed : int;
-    kv_degraded : int;  (** degraded window before a wiped store resyncs *)
-    kv_batch : int;  (** resync copy batch size *)
-    kv_plan : Sim.Fault.plan;
-  }
-
-  include TRIAL with type t := t
-  (** Strings read [kv/FAMILY/NAME@topo sN tN oN kN RN CN wN DN BN
-      fPLAN]; the detail line is {!Kv.pp_oracle}'s. *)
-
-  val config : t -> Kv.config
-end
+module Kv_trial : TRIAL with type t = Kv.config
+(** A trial is the service's own configuration. Strings read
+    [kv/FAMILY/NAME@topo sN tN oN kN RN CN wN DN BN fPLAN]: shards,
+    client threads, requests, keys, read and scan percentages, workload
+    seed, degraded cycles, resync batch and the fault plan (a config
+    without one prints as the empty plan). [of_string] judges the result
+    with {!Kv.check}, so a string and a [Kv.run] out of range get the
+    same message. The detail line is {!Kv.pp_oracle}'s. *)
 
 (** {1 Transactions}
 
@@ -192,23 +170,10 @@ end
     sequential model, every snapshot audit matches some model state
     inside its clock window, and account balances are conserved. *)
 
-module Txn_trial : sig
-  type t = {
-    x_rep : string;  (** object structure, one of {!Txn.Workload.reps} *)
-    x_topo : string;
-    x_objects : int;
-    x_accounts : int;
-    x_threads : int;
-    x_ops : int;
-    x_transfer : int;  (** transfer percentage; the rest are audits *)
-    x_wseed : int;
-    x_broken : bool;  (** negative control: skip commit-time validation *)
-  }
-
-  include TRIAL with type t := t
-  (** Strings read [txn/FAMILY/NAME@topo bN aN tN oN XN wN [!]] — a
-      trailing [!] marks the broken-commit negative control; the detail
-      line is {!Txn.Workload.pp_oracle}'s. *)
-
-  val config : t -> Txn.Workload.config
-end
+module Txn_trial : TRIAL with type t = Txn.Workload.config
+(** A trial is the workload's own configuration. Strings read
+    [txn/FAMILY/NAME@topo bN aN tN oN XN wN [!]]: objects, accounts per
+    object, threads, transactions, transfer percentage and workload
+    seed; a trailing [!] marks the broken-commit negative control.
+    [of_string] judges the result with {!Txn.Workload.check}. The detail
+    line is {!Txn.Workload.pp_oracle}'s. *)

@@ -182,6 +182,26 @@ let rep_ops name =
          (String.concat ", " rep_names));
   R.set_ops e
 
+(* Every range rule of a run, each stated once: [run] applies them, and
+   so does the chaos trial grammar, so a flag and a trial string out of
+   range get the same message. A plan may aim only at the run's clients
+   and its [2 * nshards] stores. *)
+let check (cfg : config) =
+  let fn = "Kv.check" and w = cfg.workload and p = cfg.policy in
+  Harness.Range.positive fn "shards" cfg.nshards;
+  Harness.Range.threads fn cfg.threads;
+  Harness.Range.positive fn "ops" cfg.ops;
+  Harness.Range.positive fn "keys" w.keys;
+  if p.degraded_cycles < 0 then
+    Harness.Range.fail fn "degraded must be >= 0, got %d" p.degraded_cycles;
+  Harness.Range.positive fn "batch" p.resync_batch;
+  Harness.Range.pct fn "read pct" w.read_pct;
+  Harness.Range.pct fn "scan pct" w.scan_pct;
+  Harness.Range.pct fn "read + scan pct" (w.read_pct + w.scan_pct);
+  Option.iter
+    (Sim.Fault.check_targets ~threads:cfg.threads ~stores:(2 * cfg.nshards))
+    cfg.plan
+
 (* ------------------------------------------------------------------ *)
 (* Stores, nodes, shards                                               *)
 
@@ -408,7 +428,6 @@ let store_capacity (cfg : config) =
   max 256 (min 1024 (cfg.ops / (2 * max 1 cfg.nshards)))
 
 let create (cfg : config) : t =
-  if cfg.nshards <= 0 then invalid_arg "Kv.create: nshards must be positive";
   let (module S : R.SET_OPS) = rep_ops cfg.rep in
   let capacity = store_capacity cfg in
   let node id label =
@@ -1095,23 +1114,7 @@ let format_events t =
 
 let run ?(record_obs = false) (cfg : config) :
     Harness.Runner.measurement * result =
-  let fail fmt = Printf.ksprintf (fun m -> invalid_arg ("Kv.run: " ^ m)) fmt in
-  let positive what n = if n < 1 then fail "%s must be positive" what in
-  let pct what p = if p < 0 || p > 100 then fail "%s must be in [0,100]" what in
-  let w = cfg.workload in
-  positive "threads" cfg.threads;
-  if cfg.threads > Mem.Qsbr.default_max_threads then
-    fail "threads must be at most %d (QSBR's thread cap)"
-      Mem.Qsbr.default_max_threads;
-  positive "ops" cfg.ops;
-  positive "keys" w.keys;
-  positive "resync_batch" cfg.policy.resync_batch;
-  if cfg.policy.degraded_cycles < 0 then
-    fail "degraded_cycles must be non-negative";
-  pct "read_pct" w.read_pct;
-  pct "scan_pct" w.scan_pct;
-  if w.read_pct + w.scan_pct > 100 then
-    fail "read_pct + scan_pct must be at most 100";
+  check cfg;
   Harness.World.reset ();
   let t = create cfg in
   (* Arm the resync probe so a plan's [resynccrash] specs can count

@@ -84,65 +84,6 @@ module Ttas (Rt : RT) = struct
   let is_locked t = Rt.get t
 end
 
-(** Ticket lock: fair FIFO lock in a single word. The [next] (ticket
-    dispenser) and [curr] (now-serving) halves are packed into one OCaml
-    int — 31 bits each — mirroring the two [uint32] halves of the paper's
-    8-byte C struct, which share a cache line. Waiting uses backoff
-    proportional to the thread's distance from the head of the queue, one
-    of the ticket-lock properties §3.2 highlights. *)
-module Ticket (Rt : RT) = struct
-  type t = int Rt.atomic
-
-  let bits = 31
-  let mask = (1 lsl bits) - 1
-  let one_ticket = 1 lsl bits
-
-  let create () = Rt.atomic 0
-
-  let curr_of p = p land mask
-  let next_of p = (p lsr bits) land mask
-
-  let lock t =
-    Rt.Probe.span "ticket.acquire" (fun () ->
-        let old = Rt.faa t one_ticket in
-        let my = next_of old in
-        let rec wait () =
-          let cur = curr_of (Rt.get t) in
-          if cur <> my then (
-            Rt.on_fault Fp.Lock_wait;
-            (* Proportional backoff: pause longer the further from the
-               head. *)
-            let dist = (my - cur + mask + 1) land mask in
-            Rt.pause_n (if dist > 64 then 512 else dist * 8);
-            wait ())
-        in
-        wait ());
-    Rt.on_fault Fp.Critical_enter
-
-  let trylock t =
-    let p = Rt.get t in
-    let ok = curr_of p = next_of p && Rt.cas t p (p + one_ticket) in
-    if ok then Rt.on_fault Fp.Critical_enter;
-    ok
-
-  (* Must be an atomic increment: the packed representation makes a
-     read-modify-write release race with concurrent [faa] ticket grabs
-     (in C the two halves are separate words and a plain store works). *)
-  let unlock t =
-    Rt.on_fault Fp.Critical_exit;
-    ignore (Rt.faa t 1 : int)
-
-  let is_locked t =
-    let p = Rt.get t in
-    curr_of p <> next_of p
-
-  (* Number of threads queued behind the current holder (0 if free). *)
-  let num_queued t =
-    let p = Rt.get t in
-    let d = (next_of p - curr_of p + mask + 1) land mask in
-    if d = 0 then 0 else d - 1
-end
-
 (** MCS queue lock (Mellor-Crummey & Scott): each waiter spins on its own
     node, so handoff causes exactly one line transfer and throughput stays
     flat under contention — until oversubscription, where FIFO handoff to a

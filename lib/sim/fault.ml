@@ -408,6 +408,31 @@ let of_string s =
   | seed :: specs ->
       { seed = parse_int "seed" seed; specs = List.map spec_of_string specs }
 
+(* A plan aims only at what the run has: each spec's [t] and storm
+   victims at one of its [threads], each shard fault at one of its
+   [stores] (a kv run's primaries and replicas; a structure trial has
+   none). *)
+let check_targets ~threads ~stores plan =
+  List.iter
+    (fun sp ->
+      let aim what v n unit =
+        if v < 0 || v >= n then
+          invalid_arg
+            (Printf.sprintf
+               "Fault.check_targets: fault spec %S targets %s %d, but the \
+                trial has %d %s"
+               (spec_to_string sp) what v n unit)
+      in
+      Option.iter (fun t -> aim "thread" t threads "threads") sp.f_tid;
+      match sp.f_action with
+      | Storm { victims; _ } ->
+          List.iter (fun v -> aim "victim thread" v threads "threads") victims
+      | Shard_crash { shard; _ } | Shard_recover shard | Resync_crash { shard; _ }
+        ->
+          aim "store" shard stores "stores"
+      | Crash | Stall _ -> ())
+    plan.specs
+
 let pp_event ppf e =
   Format.fprintf ppf "%s t%d at %s (clock=%d, op=%d)"
     (action_name e.e_spec.f_action)

@@ -528,6 +528,18 @@ module Workload = struct
           (Printf.sprintf "Txn: %s is not an object rep (reps: %s)" name
              (String.concat ", " (List.map fst reps)))
 
+  (* Every range rule of a run, each stated once: [run] applies them, and
+     so does the chaos trial grammar, so a flag and a trial string out of
+     range get the same message. *)
+  let check (cfg : config) =
+    let fn = "Txn.Workload.check" in
+    Harness.Range.positive fn "objects" cfg.objects;
+    Harness.Range.threads fn cfg.threads;
+    Harness.Range.positive fn "ops" cfg.ops;
+    if cfg.objects * cfg.accounts < 2 then
+      Harness.Range.fail fn "need at least two account slots";
+    Harness.Range.pct fn "transfer pct" cfg.transfer_pct
+
   (* ---------------- history ---------------- *)
 
   type kind = Transfer | Audit
@@ -887,17 +899,7 @@ module Workload = struct
       [Broken_fold]. *)
   let run ?(record_obs = false) ?policy (cfg : config) :
       Harness.Runner.measurement * result =
-    if cfg.objects < 1 || cfg.accounts < 1 || cfg.objects * cfg.accounts < 2
-    then invalid_arg "Txn.Workload: need at least two account slots";
-    if cfg.threads < 1 || cfg.ops < 1 then
-      invalid_arg "Txn.Workload: threads and ops must be positive";
-    if cfg.threads > Mem.Qsbr.default_max_threads then
-      invalid_arg
-        (Printf.sprintf
-           "Txn.Workload: threads must be at most %d (QSBR's thread cap)"
-           Mem.Qsbr.default_max_threads);
-    if cfg.transfer_pct < 0 || cfg.transfer_pct > 100 then
-      invalid_arg "Txn.Workload: transfer_pct must be in [0,100]";
+    check cfg;
     Harness.World.reset ();
     let objs = make_objects cfg in
     let mgr =

@@ -22,6 +22,11 @@ let trial_roundtrip =
       String.equal s (S.to_string tr')
       && tr.Chaos.t_entry == tr'.Chaos.t_entry)
 
+let mentions msg field =
+  let lf = String.length field and lm = String.length msg in
+  let rec at i = i + lf <= lm && (String.sub msg i lf = field || at (i + 1)) in
+  at 0
+
 let test_trial_string_errors () =
   let bad s =
     match S.of_string s with
@@ -43,11 +48,7 @@ let test_trial_string_errors () =
     match of_string s with
     | () -> Alcotest.failf "expected parse error for %S" s
     | exception Invalid_argument msg ->
-        let lf = String.length field and lm = String.length msg in
-        let rec at i =
-          i + lf <= lm && (String.sub msg i lf = field || at (i + 1))
-        in
-        if not (at 0) then
+        if not (mentions msg field) then
           Alcotest.failf "error for %S does not name %s: %s" s field msg
   in
   let named = rejects (fun s -> ignore (S.of_string s : Chaos.trial)) in
@@ -72,8 +73,8 @@ let test_trial_string_errors () =
   kv_named "targets store 2" (kv ^ ";shardrecover(2)@op-boundary,h5");
   kv_named "targets store 2" (kv ^ ";resynccrash(2)@op-boundary,h5");
   kv_named "targets store -1" (kv ^ ";shardcrash(-1)@op-boundary,h5");
-  (* Each positivity check names its one field; a zero key count is a
-     grammar error, not a failure inside [Kv.run]. *)
+  (* Each positivity check names its one field; the grammar judges a kv
+     trial with [Kv.check], the rules [Kv.run] applies. *)
   kv_named "keys must be positive" "kv/hashtable/optik@u4 s1 t2 o100 k0";
   kv_named "shards must be positive" "kv/hashtable/optik@u4 s0 t2 o100";
   kv_named "threads must be positive" "kv/hashtable/optik@u4 s1 t0 o100";
@@ -121,6 +122,75 @@ let test_trial_string_errors () =
   ignore
     (Chaos.Txn_trial.of_string "txn/list/optik@u2 b1 a4 t128 o300 X50 w1"
       : Chaos.Txn_trial.t)
+
+(* ------------------------------------------------------------------ *)
+(* A service has one [check], reached from both entry points: the trial
+   grammar (what --replay reads) and the service's [run] (what the CLI
+   flags reach). Each row takes a valid trial's config out of range in
+   one field; both must refuse it with the same message, naming it. *)
+
+let agree (type c) (module T : Chaos.TRIAL with type t = c) ~run base rows =
+  let refusal what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted a config out of range" what
+    | exception Invalid_argument msg -> msg
+  in
+  List.iter
+    (fun (field, mutate) ->
+      let cfg = mutate (T.of_string base) in
+      let grammar =
+        refusal "the grammar" (fun () -> ignore (T.of_string (T.to_string cfg)))
+      in
+      let service = refusal "run" (fun () -> run cfg) in
+      Alcotest.(check string) (field ^ ": same message") grammar service;
+      if not (mentions service field) then
+        Alcotest.failf "refusal does not name %s: %s" field service)
+    rows
+
+let test_kv_one_check () =
+  let workload f (c : Kv.config) = { c with Kv.workload = f c.Kv.workload } in
+  let policy f (c : Kv.config) = { c with Kv.policy = f c.Kv.policy } in
+  agree
+    (module Chaos.Kv_trial)
+    ~run:(fun c -> ignore (Kv.run c))
+    "kv/hashtable/optik@u4 s1 t2 o100 k64 R50 C10 w1 D50000 B64 f7"
+    [
+      ("shards must be positive", fun c -> { c with Kv.nshards = 0 });
+      ("threads must be at most 128", fun c -> { c with Kv.threads = 129 });
+      ("ops must be positive", fun c -> { c with Kv.ops = 0 });
+      ("keys must be positive", workload (fun w -> { w with Kv.keys = 0 }));
+      ( "degraded must be >= 0",
+        policy (fun p -> { p with Kv.degraded_cycles = -1 }) );
+      ( "batch must be positive",
+        policy (fun p -> { p with Kv.resync_batch = 0 }) );
+      ("read pct", workload (fun w -> { w with Kv.read_pct = 101 }));
+      ("scan pct", workload (fun w -> { w with Kv.scan_pct = -1 }));
+      ( "read + scan pct",
+        workload (fun w -> { w with Kv.read_pct = 60; scan_pct = 50 }) );
+      ( "targets store 2, but the trial has 2 stores",
+        fun c ->
+          { c with Kv.plan = Some (F.of_string "7;shardcrash(2)@op-boundary") }
+      );
+      ( "targets thread 9",
+        fun c ->
+          { c with Kv.plan = Some (F.of_string "7;crash@op-boundary,t9,h1") } );
+    ]
+
+let test_txn_one_check () =
+  let module W = Txn.Workload in
+  agree
+    (module Chaos.Txn_trial)
+    ~run:(fun c -> ignore (W.run c))
+    "txn/list/optik@u2 b2 a8 t2 o200 X70 w1"
+    [
+      ("objects must be positive", fun c -> { c with W.objects = 0 });
+      ("threads must be positive", fun c -> { c with W.threads = 0 });
+      ("threads must be at most 128", fun c -> { c with W.threads = 129 });
+      ("ops must be positive", fun c -> { c with W.ops = 0 });
+      ( "need at least two account slots",
+        fun c -> { c with W.objects = 1; accounts = 1 } );
+      ("transfer pct", fun c -> { c with W.transfer_pct = 101 });
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzing is byte-deterministic: same seed, same entries, same output. *)
@@ -248,7 +318,7 @@ let test_kv_shrink_steps_parse () =
       (Chaos.Kv_trial.of_string
          "kv/hashtable/optik@u4 s1 t3 o200 k128 R50 C10 w1 D4000 B16 f7")
       with
-      Chaos.Kv_trial.kv_plan = { F.seed = 7; specs };
+      Kv.plan = Some { F.seed = 7; specs };
     }
   in
   steps_parse
@@ -397,6 +467,10 @@ let () =
         [
           trial_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_trial_string_errors;
+          Alcotest.test_case "kv: grammar and run refuse alike" `Quick
+            test_kv_one_check;
+          Alcotest.test_case "txn: grammar and run refuse alike" `Quick
+            test_txn_one_check;
         ] );
       ( "determinism",
         [

@@ -1,6 +1,6 @@
 (* Tests for the classic lock baselines: mutual exclusion (a plain
    non-atomic counter incremented under the lock must come out exact),
-   trylock semantics, ticket-lock introspection, and MCS queue handoff.
+   trylock semantics and MCS queue handoff.
    Each lock is exercised both under the simulator and on real domains,
    and every blocking structure baseline must see its held lock in
    [validate]. *)
@@ -10,11 +10,9 @@ module Nat = Rt.Native_rt
 
 module STas = Locks.Tas (SimRt)
 module STtas = Locks.Ttas (SimRt)
-module STicket = Locks.Ticket (SimRt)
 module SMcs = Locks.Mcs (SimRt)
 module NTas = Locks.Tas (Nat)
 module NTtas = Locks.Ttas (Nat)
-module NTicket = Locks.Ticket (Nat)
 module NMcs = Locks.Mcs (Nat)
 
 let uniform4 = Sim.Topology.uniform ~n:4 ()
@@ -43,10 +41,6 @@ let test_ttas_mutex () =
   let l = STtas.create () in
   sim_mutex_test (fun () -> STtas.lock l) (fun () -> STtas.unlock l)
 
-let test_ticket_mutex () =
-  let l = STicket.create () in
-  sim_mutex_test (fun () -> STicket.lock l) (fun () -> STicket.unlock l)
-
 let test_mcs_mutex () =
   let l = SMcs.create () in
   sim_mutex_test (fun () -> SMcs.lock l) (fun () -> SMcs.unlock l)
@@ -59,40 +53,11 @@ let test_trylock_semantics () =
   Alcotest.(check bool) "is_locked" true (NTtas.is_locked l);
   NTtas.unlock l;
   Alcotest.(check bool) "released" false (NTtas.is_locked l);
-  let t = NTicket.create () in
-  Alcotest.(check bool) "ticket free trylock" true (NTicket.trylock t);
-  Alcotest.(check bool) "ticket held trylock" false (NTicket.trylock t);
-  NTicket.unlock t;
-  Alcotest.(check bool) "ticket released" false (NTicket.is_locked t);
   let m = NMcs.create () in
   Alcotest.(check bool) "mcs free trylock" true (NMcs.trylock m);
   Alcotest.(check bool) "mcs held trylock" false (NMcs.trylock m);
   NMcs.unlock m;
   Alcotest.(check bool) "mcs released" false (NMcs.is_locked m)
-
-(* Ticket lock exposes the queue length. *)
-let test_ticket_num_queued () =
-  let l = NTicket.create () in
-  Alcotest.(check int) "free" 0 (NTicket.num_queued l);
-  NTicket.lock l;
-  Alcotest.(check int) "held, no waiters" 0 (NTicket.num_queued l);
-  NTicket.unlock l
-
-let test_ticket_queue_depth_sim () =
-  (* Under the simulator, have one holder and measure that waiters see a
-     positive queue. *)
-  let l = STicket.create () in
-  let max_seen = ref 0 in
-  ignore
-    (Sim.Sched.run ~topology:uniform4 ~nthreads:4 (fun _ ->
-         for _ = 1 to 50 do
-           let q = STicket.num_queued l in
-           if q > !max_seen then max_seen := q;
-           STicket.lock l;
-           Sim.Sched.work 200;
-           STicket.unlock l
-         done));
-  Alcotest.(check bool) "waiters observed" true (!max_seen > 0)
 
 (* MCS is FIFO: grab order equals service order. Verified by having each
    thread append its id under the lock after a deterministic staggered
@@ -140,30 +105,9 @@ let test_native_ttas () =
   let l = NTtas.create () in
   native_mutex_test (fun () -> NTtas.lock l) (fun () -> NTtas.unlock l)
 
-let test_native_ticket () =
-  let l = NTicket.create () in
-  native_mutex_test (fun () -> NTicket.lock l) (fun () -> NTicket.unlock l)
-
 let test_native_mcs () =
   let l = NMcs.create () in
   native_mutex_test (fun () -> NMcs.lock l) (fun () -> NMcs.unlock l)
-
-(* The packed ticket word must never lose a ticket under concurrent
-   grabs + releases (regression test for the read-modify-write release
-   race found during development). *)
-let test_ticket_no_lost_tickets_sim () =
-  let l = STicket.create () in
-  let acquired = Sim.Sched.loc 0 in
-  ignore
-    (Sim.Sched.run ~topology:uniform4 ~nthreads:8 (fun _ ->
-         for _ = 1 to 200 do
-           STicket.lock l;
-           ignore (Sim.Sched.faa acquired 1 : int);
-           STicket.unlock l
-         done));
-  Alcotest.(check int) "every acquisition serviced" 1600
-    (Sim.Sched.read acquired);
-  Alcotest.(check bool) "lock free at end" false (STicket.is_locked l)
 
 (* The blocking baselines fail [validate] while their lock is held, like
    their OPTIK twins: a quiescent structure with a held lock is broken.
@@ -222,19 +166,13 @@ let () =
         [
           Alcotest.test_case "tas" `Quick test_tas_mutex;
           Alcotest.test_case "ttas" `Quick test_ttas_mutex;
-          Alcotest.test_case "ticket" `Quick test_ticket_mutex;
           Alcotest.test_case "mcs" `Quick test_mcs_mutex;
         ] );
       ( "semantics",
         [
           Alcotest.test_case "trylock" `Quick test_trylock_semantics;
-          Alcotest.test_case "ticket num_queued" `Quick test_ticket_num_queued;
-          Alcotest.test_case "ticket queue depth under load" `Quick
-            test_ticket_queue_depth_sim;
           Alcotest.test_case "mcs handoff" `Quick
             test_mcs_handoff_no_lost_wakeup;
-          Alcotest.test_case "ticket no lost tickets" `Quick
-            test_ticket_no_lost_tickets_sim;
         ] );
       ( "structures",
         [
@@ -245,7 +183,6 @@ let () =
         [
           Alcotest.test_case "tas" `Slow test_native_tas;
           Alcotest.test_case "ttas" `Slow test_native_ttas;
-          Alcotest.test_case "ticket" `Slow test_native_ticket;
           Alcotest.test_case "mcs" `Slow test_native_mcs;
         ] );
     ]

@@ -40,10 +40,10 @@ let entry_case (e : R.entry) =
       same "chaos replay" e.structure (structure_of_trial id);
       let kv () = Kv.rep_ops id
       and kv_trial () =
-        (Chaos.Kv_trial.of_string ("kv/" ^ id ^ "@u4")).Chaos.Kv_trial.kv_rep
+        (Chaos.Kv_trial.of_string ("kv/" ^ id ^ "@u4")).Kv.rep
       and txn () = fst (W.rep id)
       and txn_trial () =
-        (Chaos.Txn_trial.of_string ("txn/" ^ id ^ "@u2")).Chaos.Txn_trial.x_rep
+        (Chaos.Txn_trial.of_string ("txn/" ^ id ^ "@u2")).W.rep
       in
       let takes what yes m f trial =
         if yes then begin

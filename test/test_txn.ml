@@ -1172,7 +1172,7 @@ let test_txn_trial_roundtrip () =
     if X.of_string s <> tr then
       Alcotest.failf "txn trial round-trip failed: %s" s
   done;
-  let broken = { (X.gen rng) with X.x_broken = true } in
+  let broken = { (X.gen rng) with W.broken = true } in
   Alcotest.(check bool) "broken flag round-trips" true
     (X.of_string (X.to_string broken) = broken);
   List.iter
@@ -1192,7 +1192,7 @@ let test_txn_trial_runs () =
   let failures, _ = X.run tr in
   Alcotest.(check (list string)) "no oracle failures" []
     (List.map (fun f -> f.Chaos.f_oracle) failures);
-  let _, r = W.run (X.config tr) in
+  let _, r = W.run tr in
   Alcotest.(check bool) "transfers committed" true (r.W.res_commits > 0)
 
 let test_txn_trial_catches_broken () =
