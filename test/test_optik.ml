@@ -134,6 +134,88 @@ let test_ticket_revert_with_waiter_falls_back () =
            SOT.unlock l)));
   Alcotest.(check int) "waiter eventually served" 1 (Sim.Sched.read got_lock)
 
+(* Mutual exclusion through the blocking [lock]/[unlock] pair: a plain
+   (non-atomic) cell incremented under the lock loses updates unless the
+   ticket handoff excludes every other holder. *)
+let test_ticket_mutex_sim () =
+  let module SOT = Optik.Ticket (SimRt) in
+  let l = SOT.create () in
+  let cell = Sim.Sched.loc 0 in
+  ignore
+    (Sim.Sched.run ~topology:uniform4 ~nthreads:6 (fun _ ->
+         for _ = 1 to 300 do
+           SOT.lock l;
+           let v = Sim.Sched.read cell in
+           Sim.Sched.work 5;
+           Sim.Sched.write cell (v + 1);
+           SOT.unlock l
+         done));
+  Alcotest.(check int) "no lost updates" 1800 (Sim.Sched.read cell)
+
+(* Waiters behind a holder see a positive [num_queued], the quantity the
+   victim queue's threshold reads. *)
+let test_ticket_queue_depth_sim () =
+  let module SOT = Optik.Ticket (SimRt) in
+  let l = SOT.create () in
+  let max_seen = ref 0 in
+  ignore
+    (Sim.Sched.run ~topology:uniform4 ~nthreads:4 (fun _ ->
+         for _ = 1 to 50 do
+           let q = SOT.num_queued l in
+           if q > !max_seen then max_seen := q;
+           SOT.lock l;
+           Sim.Sched.work 200;
+           SOT.unlock l
+         done));
+  Alcotest.(check bool) "waiters observed" true (!max_seen > 0)
+
+(* Both halves share one packed word, so the release must be an atomic
+   increment: a read-modify-write release would lose a concurrent ticket
+   grab, letting two threads hold the lock at once and leaving later
+   tickets behind a [curr] that has passed them. Staggered work between
+   acquisitions lands grabs inside releases; the inline-operation budget
+   turns a stranded ticket into an abort rather than an endless spin.
+   Every acquisition must be served and the lock must end free with
+   nobody queued. *)
+let test_ticket_no_lost_tickets_sim () =
+  let module SOT = Optik.Ticket (SimRt) in
+  let l = SOT.create () in
+  let acquired = Sim.Sched.loc 0 in
+  ignore
+    (Sim.Sched.run ~topology:uniform4 ~nthreads:8 ~max_inline_ops:2_000_000
+       (fun tid ->
+         for i = 1 to 200 do
+           SOT.lock l;
+           ignore (Sim.Sched.faa acquired 1 : int);
+           SOT.unlock l;
+           Sim.Sched.work ((tid * 37) + (i * 11 mod 50))
+         done));
+  Alcotest.(check int) "every acquisition serviced" 1600
+    (Sim.Sched.read acquired);
+  Alcotest.(check bool) "lock free at end" false
+    (SOT.is_locked (SOT.get_version l));
+  Alcotest.(check int) "nobody queued at end" 0 (SOT.num_queued l)
+
+(* The same exclusion on real domains. *)
+let test_ticket_mutex_native () =
+  let l = OT.create () in
+  let counter = ref 0 in
+  let nthreads = 4 and iters = 2_000 in
+  Nat.set_nthreads nthreads;
+  let body tid () =
+    Nat.set_tid tid;
+    for _ = 1 to iters do
+      OT.lock l;
+      counter := !counter + 1;
+      OT.unlock l
+    done
+  in
+  let doms = List.init (nthreads - 1) (fun i -> Domain.spawn (body (i + 1))) in
+  body 0 ();
+  List.iter Domain.join doms;
+  Nat.set_nthreads 1;
+  Alcotest.(check int) "native no lost updates" (nthreads * iters) !counter
+
 (* ------------------------------------------------------------------ *)
 (* The OPTIK pattern end-to-end: optimistic read + trylock-validate     *)
 
@@ -277,6 +359,14 @@ let () =
           Alcotest.test_case "num_queued" `Quick test_ticket_num_queued;
           Alcotest.test_case "revert with waiter" `Quick
             test_ticket_revert_with_waiter_falls_back;
+          Alcotest.test_case "mutual exclusion (sim)" `Quick
+            test_ticket_mutex_sim;
+          Alcotest.test_case "queue depth under load" `Quick
+            test_ticket_queue_depth_sim;
+          Alcotest.test_case "no lost tickets" `Quick
+            test_ticket_no_lost_tickets_sim;
+          Alcotest.test_case "mutual exclusion (native)" `Slow
+            test_ticket_mutex_native;
         ] );
       ( "pattern",
         [
