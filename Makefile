@@ -22,7 +22,6 @@ examples:
 	dune exec examples/kv_cache.exe
 	dune exec examples/job_queue.exe
 	dune exec examples/dedup_index.exe
-	dune exec examples/task_scheduler.exe
 
 doc:
 	dune build @doc

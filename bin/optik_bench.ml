@@ -682,18 +682,6 @@ let kv_cmd =
           (module Chaos.Kv_trial)
           t
     | None ->
-        let plan =
-          match faults with
-          | Some s -> Some (Sim.Fault.of_string s)
-          | None when rolling > 0 ->
-              let stagger =
-                if stagger > 0 then stagger else max 1 (ops / (rolling + 1))
-              in
-              Some
-                (Kv.rolling_plan ~seed ~nshards:shards ~count:rolling ~down_for
-                   ~stagger ())
-          | None -> None
-        in
         let policy =
           {
             Kv.idempotent = not broken_retry;
@@ -720,9 +708,25 @@ let kv_cmd =
                 scan_pct = scan;
               };
             policy;
-            plan;
+            plan = None;
           }
         in
+        (* The rolling plan divides by the shard count, so the config is
+           checked before the plan is built. *)
+        Kv.check cfg;
+        let plan =
+          match faults with
+          | Some s -> Some (Sim.Fault.of_string s)
+          | None when rolling > 0 ->
+              let stagger =
+                if stagger > 0 then stagger else max 1 (ops / (rolling + 1))
+              in
+              Some
+                (Kv.rolling_plan ~seed ~nshards:shards ~count:rolling ~down_for
+                   ~stagger ())
+          | None -> None
+        in
+        let cfg = { cfg with plan } in
         let record_obs = attrib || timeline <> None in
         let m, r =
           with_host_time

@@ -71,8 +71,6 @@ module type OPTIK = sig
       ticket implementation; always [0] for the versioned one (a versioned
       lock carries no queue information). Drives the victim-queue decision
       in §5.4. *)
-
-  val pp_version : Format.formatter -> version -> unit
 end
 
 (** OPTIK locks: both concrete implementations from §3.2 of the paper.
@@ -199,9 +197,6 @@ module Versioned (Rt : RT) = struct
     Rt.set l (Rt.get l - 1)
 
   let num_queued _ = 0
-
-  let pp_version fmt v =
-    Format.fprintf fmt "%d%s" (v lsr 1) (if is_locked v then "+locked" else "")
 end
 
 (** OPTIK lock over a ticket lock. One OCaml int packs [curr] (low 31
@@ -322,10 +317,6 @@ module Ticket (Rt : RT) = struct
     let p = Rt.get l in
     let d = (next_of p - curr_of p + mask + 1) land mask in
     if d = 0 then 0 else d - 1
-
-  let pp_version fmt v =
-    Format.fprintf fmt "%d%s" (curr_of v)
-      (if is_locked v then "+locked" else "")
 end
 
 (** The library default, as in the paper's evaluation: versioned. *)

@@ -369,10 +369,6 @@ let check_prefix what = function
         true
         (Sim.Sim_rt.Probe.registered (p ^ "." ^ metric))
 
-(* Instantiating the registry has already registered every module-level
-   counter; pq-optik is not in the registry, so instantiate it here. *)
-module Pq = Dstruct.Pq_optik.Make (Sim.Sim_rt)
-
 let test_registry_coverage () =
   List.iter
     (fun (e : Harness.Registry.entry) ->
@@ -380,8 +376,7 @@ let test_registry_coverage () =
       | Set (module S) -> check_prefix S.name S.probe_prefix
       | Queue (module Q) -> check_prefix Q.name Q.probe_prefix
       | Stack (module S) -> check_prefix S.name S.probe_prefix)
-    Harness.Registry.Sim_backend.entries;
-  check_prefix Pq.name (Some "pq-optik")
+    Harness.Registry.Sim_backend.entries
 
 (* At least one OPTIK rep per family must be instrumented: the paper's
    wasted-work comparison needs a restart counter on both sides. *)

@@ -1060,17 +1060,16 @@ let print_fuzz_case c =
              c.f_final)))
 
 let oracle_matches_reference =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:500 ~name:"oracle matches a naive reference"
-       ~print:print_fuzz_case gen_fuzz_case (fun c ->
-         let objs = quiesced_objs c.f_final in
-         let o = check_list c.f_cfg c.f_records objs in
-         let want = reference c.f_cfg c.f_records objs in
-         if o.W.violations <> want || o.W.ok <> (want = []) then
-           QCheck2.Test.fail_reportf "oracle:\n  %s\nreference:\n  %s"
-             (String.concat "\n  " o.W.violations)
-             (String.concat "\n  " want);
-         true))
+  Tutil.qcheck_case ~count:500 ~seed:26 ~print:print_fuzz_case
+    "oracle matches a naive reference" gen_fuzz_case (fun c ->
+      let objs = quiesced_objs c.f_final in
+      let o = check_list c.f_cfg c.f_records objs in
+      let want = reference c.f_cfg c.f_records objs in
+      if o.W.violations <> want || o.W.ok <> (want = []) then
+        QCheck2.Test.fail_reportf "oracle:\n  %s\nreference:\n  %s"
+          (String.concat "\n  " o.W.violations)
+          (String.concat "\n  " want);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation gate: the oracle walks flat int arrays, so what it

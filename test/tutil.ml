@@ -248,5 +248,23 @@ let lincheck_queue (module Q : R.QUEUE_OPS) ~nthreads ~ops_per_thread ~seed ()
 
 (* ------------------------------------------------------------------ *)
 
-let qcheck_case ?(count = 50) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+(* Every qcheck case draws from the [seed] written at its call site, so
+   two runs draw identical cases; QCHECK_SEED overrides every seed to
+   explore others. A failure names the seed it drew from. *)
+let qcheck_case ?(count = 50) ?print ~seed name gen prop =
+  let seed =
+    Option.value ~default:seed
+      (Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt)
+  in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| seed |])
+      (QCheck2.Test.make ~count ?print ~name gen prop)
+  in
+  ( name,
+    speed,
+    fun () ->
+      try run ()
+      with e ->
+        Alcotest.failf "%s\nqcheck seed %d (rerun with QCHECK_SEED=%d)"
+          (Printexc.to_string e) seed seed )
