@@ -415,6 +415,68 @@ let test_queue_runner () =
        ~ops:5_000 ~init:1_000 ~push_pct:70
        Harness.Registry.(stack_ops (Sim_backend.find "stack/treiber")))
 
+(* ------------------------------------------------------------------ *)
+(* Tutil.qcheck_case seeds. *)
+
+let contains ~sub s =
+  let ls = String.length sub and l = String.length s in
+  let rec at i = i + ls <= l && (String.sub s i ls = sub || at (i + 1)) in
+  at 0
+
+(* The lists one case built with [~seed] draws when it runs. *)
+let draws ~seed =
+  let seen = ref [] in
+  let _, _, run =
+    Tutil.qcheck_case ~count:20 ~seed "draws"
+      QCheck2.Gen.(list_size (int_bound 8) (int_bound 1000))
+      (fun l ->
+        seen := l :: !seen;
+        true)
+  in
+  run ();
+  List.rev !seen
+
+(* Runs [f] with QCHECK_SEED set to [v] ("" reads as unset), then puts
+   the caller's value back. *)
+let with_qcheck_seed v f =
+  let saved = Option.value ~default:"" (Sys.getenv_opt "QCHECK_SEED") in
+  Unix.putenv "QCHECK_SEED" v;
+  Fun.protect ~finally:(fun () -> Unix.putenv "QCHECK_SEED" saved) f
+
+let test_qcheck_seed_repeats () =
+  with_qcheck_seed "" (fun () ->
+      Alcotest.(check (list (list int)))
+        "same written seed, same cases" (draws ~seed:5) (draws ~seed:5);
+      Alcotest.(check bool)
+        "another written seed, other cases" false
+        (draws ~seed:5 = draws ~seed:6))
+
+let test_qcheck_seed_env_overrides () =
+  with_qcheck_seed "4242" (fun () ->
+      Alcotest.(check int) "QCHECK_SEED wins" 4242 (Tutil.qcheck_seed 5);
+      Alcotest.(check (list (list int)))
+        "every written seed draws the override's cases" (draws ~seed:5)
+        (draws ~seed:6));
+  with_qcheck_seed "not-a-seed" (fun () ->
+      Alcotest.(check int) "unparsable QCHECK_SEED ignored" 5
+        (Tutil.qcheck_seed 5));
+  with_qcheck_seed "" (fun () ->
+      Alcotest.(check int) "unset QCHECK_SEED keeps the written seed" 5
+        (Tutil.qcheck_seed 5))
+
+let test_qcheck_failure_names_seed () =
+  let _, _, run =
+    Tutil.qcheck_case ~count:20 ~seed:5 "always fails" QCheck2.Gen.small_nat
+      (fun _ -> false)
+  in
+  match run () with
+  | () -> Alcotest.fail "a false property passed"
+  | exception e ->
+      let m = Printexc.to_string e
+      and want = Printf.sprintf "QCHECK_SEED=%d" (Tutil.qcheck_seed 5) in
+      if not (contains ~sub:want m) then
+        Alcotest.failf "failure does not name its seed (%s): %s" want m
+
 let () =
   Alcotest.run "harness"
     [
@@ -465,5 +527,14 @@ let () =
         [
           Alcotest.test_case "log walks in recording order" `Quick
             test_log_order;
+        ] );
+      ( "qcheck seeds",
+        [
+          Alcotest.test_case "a written seed repeats its cases" `Quick
+            test_qcheck_seed_repeats;
+          Alcotest.test_case "QCHECK_SEED overrides the written seed" `Quick
+            test_qcheck_seed_env_overrides;
+          Alcotest.test_case "a failing case names its seed" `Quick
+            test_qcheck_failure_names_seed;
         ] );
     ]

@@ -417,6 +417,55 @@ let test_kv_trial_roundtrip () =
       "kv/hashtable/optik@u4 s1 t2 o100 R60 C50";
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Rolling plans. *)
+
+(* Crashes go round-robin over the pairs, one every [stagger] requests;
+   even rounds hit the primary (store i), odd rounds the replica
+   (store nshards + i). *)
+let test_rolling_plan_targets () =
+  let p =
+    Kv.rolling_plan ~seed:3 ~nshards:2 ~count:5 ~down_for:100 ~stagger:50 ()
+  in
+  Alcotest.(check int) "seed" 3 p.Fault.seed;
+  let crash (sp : Fault.spec) =
+    match sp.Fault.f_action with
+    | Fault.Shard_crash { shard; down_for } ->
+        Alcotest.(check bool)
+          "checkpoint is the op boundary" true
+          (sp.Fault.f_point = Fp.Op_boundary);
+        Alcotest.(check (option int)) "any thread" None sp.Fault.f_tid;
+        (shard, down_for, sp.Fault.f_hits)
+    | _ -> Alcotest.fail "a rolling plan holds only shard crashes"
+  in
+  Alcotest.(check (list (triple int int int)))
+    "stores, down time and hits"
+    [
+      (0, 100, 50); (1, 100, 100); (2, 100, 150); (3, 100, 200); (0, 100, 250);
+    ]
+    (List.map crash p.Fault.specs)
+
+(* A pair takes a second crash only after it healed, so more crashes
+   than pairs need a finite down time; one crash per pair does not. *)
+let test_rolling_plan_repeat_needs_heal () =
+  (match Kv.rolling_plan ~nshards:2 ~count:3 ~down_for:0 ~stagger:10 () with
+  | _ -> Alcotest.fail "expected Invalid_argument for 3 crashes on 2 pairs"
+  | exception Invalid_argument _ -> ());
+  let p = Kv.rolling_plan ~nshards:2 ~count:2 ~down_for:0 ~stagger:10 () in
+  Alcotest.(check int) "one crash per pair" 2 (List.length p.Fault.specs)
+
+(* The plan deals crashes with [i mod nshards]: a shard count below one
+   is a range error naming the shards, not a Division_by_zero. *)
+let test_rolling_plan_rejects_no_shards () =
+  List.iter
+    (fun nshards ->
+      match Kv.rolling_plan ~nshards ~count:2 ~down_for:10 ~stagger:10 () with
+      | _ -> Alcotest.failf "expected Invalid_argument for %d shards" nshards
+      | exception Invalid_argument m ->
+          if not (contains ~sub:"shards must be positive" m) then
+            Alcotest.failf "message does not name the shards: %s" m)
+    [ 0; -1 ]
+
 (* Configurations the service cannot run are rejected up front, not
    looped on forever or failed deep inside. *)
 let test_run_rejects_bad_config () =
@@ -641,6 +690,15 @@ let () =
             test_kv_trial_roundtrip;
           Alcotest.test_case "run rejects bad configs" `Quick
             test_run_rejects_bad_config;
+        ] );
+      ( "rolling plan",
+        [
+          Alcotest.test_case "crashes alternate primary and replica" `Quick
+            test_rolling_plan_targets;
+          Alcotest.test_case "repeat crashes need a heal time" `Quick
+            test_rolling_plan_repeat_needs_heal;
+          Alcotest.test_case "rejects non-positive shards" `Quick
+            test_rolling_plan_rejects_no_shards;
         ] );
       ( "report",
         [

@@ -251,11 +251,12 @@ let lincheck_queue (module Q : R.QUEUE_OPS) ~nthreads ~ops_per_thread ~seed ()
 (* Every qcheck case draws from the [seed] written at its call site, so
    two runs draw identical cases; QCHECK_SEED overrides every seed to
    explore others. A failure names the seed it drew from. *)
+let qcheck_seed seed =
+  Option.value ~default:seed
+    (Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt)
+
 let qcheck_case ?(count = 50) ?print ~seed name gen prop =
-  let seed =
-    Option.value ~default:seed
-      (Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt)
-  in
+  let seed = qcheck_seed seed in
   let name, speed, run =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| seed |])
