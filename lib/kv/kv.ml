@@ -1093,7 +1093,6 @@ let check_oracle t : oracle =
    between its crashes) and a [stagger] that spans the resync window
    (down_for + degraded_cycles + the copy itself). *)
 let rolling_plan ?(seed = 7) ~nshards ~count ~down_for ~stagger () =
-  Harness.Range.positive "Kv.rolling_plan" "shards" nshards;
   if count > nshards && down_for <= 0 then
     invalid_arg
       "Kv.rolling_plan: more crashes than pairs needs down_for > 0 (a pair \

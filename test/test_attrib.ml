@@ -110,15 +110,10 @@ let test_crashed_thread () =
   check_phase "span closed at death" rq "store" 25;
   (* the Chrome exporter closes the same spans with a crashed arg *)
   let chrome = Obs.Trace.to_chrome r in
-  let contains sub =
-    let n = String.length sub and m = String.length chrome in
-    let rec go i = i + n <= m && (String.sub chrome i n = sub || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "chrome marks crashed spans" true
-    (contains "\"crashed\":true");
+    (Tutil.contains ~sub:"\"crashed\":true" chrome);
   Alcotest.(check bool) "chrome closes the request span" true
-    (contains "req:put")
+    (Tutil.contains ~sub:"req:put" chrome)
 
 (* Timeline windowing: counts land in the right windows, per-shard
    counters don't double-count next to the service aggregate, and span /

@@ -150,7 +150,7 @@ let test_validate_held_node_lock () =
 let qcheck_cases =
   List.map
     (fun (module S : R.SET_OPS) ->
-      Tutil.qcheck_case ~count:30 ~seed:11
+      Tutil.qcheck_case ~count:30
         (S.name ^ " random ops vs model")
         QCheck2.Gen.(int_range 0 10_000)
         (fun seed ->

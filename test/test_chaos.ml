@@ -12,7 +12,7 @@ module R = Harness.Registry
 module S = (val Chaos.sets (Chaos.select Chaos.default_names))
 
 let trial_roundtrip =
-  Tutil.qcheck_case ~count:200 ~seed:12 "trial to_string/of_string round-trip"
+  Tutil.qcheck_case ~count:200 "trial to_string/of_string round-trip"
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Harness.Rng.create seed in
@@ -21,11 +21,6 @@ let trial_roundtrip =
       let tr' = S.of_string s in
       String.equal s (S.to_string tr')
       && tr.Chaos.t_entry == tr'.Chaos.t_entry)
-
-let mentions msg field =
-  let lf = String.length field and lm = String.length msg in
-  let rec at i = i + lf <= lm && (String.sub msg i lf = field || at (i + 1)) in
-  at 0
 
 let test_trial_string_errors () =
   let bad s =
@@ -48,7 +43,7 @@ let test_trial_string_errors () =
     match of_string s with
     | () -> Alcotest.failf "expected parse error for %S" s
     | exception Invalid_argument msg ->
-        if not (mentions msg field) then
+        if not (Tutil.contains ~sub:field msg) then
           Alcotest.failf "error for %S does not name %s: %s" s field msg
   in
   let named = rejects (fun s -> ignore (S.of_string s : Chaos.trial)) in
@@ -143,7 +138,7 @@ let agree (type c) (module T : Chaos.TRIAL with type t = c) ~run base rows =
       in
       let service = refusal "run" (fun () -> run cfg) in
       Alcotest.(check string) (field ^ ": same message") grammar service;
-      if not (mentions service field) then
+      if not (Tutil.contains ~sub:field service) then
         Alcotest.failf "refusal does not name %s: %s" field service)
     rows
 
@@ -356,11 +351,7 @@ let test_golden_replay () =
   Alcotest.(check int) "same failure count on re-replay" n1 n2;
   Alcotest.(check string) "byte-identical replay output" out1 out2;
   Alcotest.(check bool) "verdict line present" true
-    (let rec contains i =
-       i + 13 <= String.length out1
-       && (String.sub out1 i 13 = "verdict: FAIL" || contains (i + 1))
-     in
-     contains 0)
+    (Tutil.contains ~sub:"verdict: FAIL" out1)
 
 (* ------------------------------------------------------------------ *)
 (* Harris crash residue. A thread that crashes between its mark CAS and

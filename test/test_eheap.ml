@@ -40,7 +40,7 @@ let total_order_prop times =
   popped = expected
 
 let qcheck_total_order =
-  Tutil.qcheck_case ~count:10 ~seed:13 "total order at 10k+ events"
+  Tutil.qcheck_case ~count:10 "total order at 10k+ events"
     QCheck2.Gen.(list_size (int_range 10_000 12_000) (int_bound 500))
     total_order_prop
 

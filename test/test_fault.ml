@@ -294,8 +294,8 @@ let gen_plan =
     (list_size (int_range 0 5) gen_spec)
 
 let plan_roundtrip =
-  Tutil.qcheck_case ~count:200 ~seed:14 "plan to_string/of_string round-trip"
-    gen_plan (fun p -> Fault.of_string (Fault.to_string p) = p)
+  Tutil.qcheck_case ~count:200 "plan to_string/of_string round-trip" gen_plan
+    (fun p -> Fault.of_string (Fault.to_string p) = p)
 
 let test_plan_string_examples () =
   let check s =

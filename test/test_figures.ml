@@ -60,12 +60,8 @@ let test_mops_table () =
   let out = capture (fun o -> Figures.Render.figure o fig) in
   List.iter
     (fun frag ->
-      if
-        not
-          (let nh = String.length out and nn = String.length frag in
-           let rec go i = i + nn <= nh && (String.sub out i nn = frag || go (i + 1)) in
-           go 0)
-      then Alcotest.failf "missing %S in rendered figure:\n%s" frag out)
+      if not (Tutil.contains ~sub:frag out) then
+        Alcotest.failf "missing %S in rendered figure:\n%s" frag out)
     [ "alpha"; "1.50"; "3.25"; "threads"; "note: a note"; "peak 3.25" ]
 
 let test_sparkline_scaling () =
@@ -83,10 +79,7 @@ let test_sparkline_scaling () =
   let out = capture (fun o -> Figures.Render.sparklines o fig) in
   Alcotest.(check bool) "peak glyph present" true (String.contains out '@');
   Alcotest.(check bool) "peak value shown" true
-    (let frag = "peak 10.00" in
-     let nh = String.length out and nn = String.length frag in
-     let rec go i = i + nn <= nh && (String.sub out i nn = frag || go (i + 1)) in
-     go 0)
+    (Tutil.contains ~sub:"peak 10.00" out)
 
 let test_claims_render () =
   let cs =
@@ -108,11 +101,7 @@ let test_claims_render () =
     ]
   in
   let out = capture (fun o -> Figures.Render.claims o cs) in
-  let has frag =
-    let nh = String.length out and nn = String.length frag in
-    let rec go i = i + nn <= nh && (String.sub out i nn = frag || go (i + 1)) in
-    go 0
-  in
+  let has sub = Tutil.contains ~sub out in
   Alcotest.(check bool) "PASS shown" true (has "[PASS] X1");
   Alcotest.(check bool) "DIVERGES shown" true (has "[DIVERGES] X2")
 

@@ -166,7 +166,7 @@ let qcheck_pstats_matches_reference =
     let* sample = oneofl samples in
     list_repeat len sample
   in
-  Tutil.qcheck_case ~count:150 ~seed:15 "summarize = Array.sort reference"
+  Tutil.qcheck_case ~count:150 "summarize = Array.sort reference"
     (list_size (int_range 0 4) collector)
     (fun lists ->
       let ts =
@@ -418,16 +418,11 @@ let test_queue_runner () =
 (* ------------------------------------------------------------------ *)
 (* Tutil.qcheck_case seeds. *)
 
-let contains ~sub s =
-  let ls = String.length sub and l = String.length s in
-  let rec at i = i + ls <= l && (String.sub s i ls = sub || at (i + 1)) in
-  at 0
-
-(* The lists one case built with [~seed] draws when it runs. *)
-let draws ~seed =
+(* The lists one case draws when it runs. *)
+let draws () =
   let seen = ref [] in
   let _, _, run =
-    Tutil.qcheck_case ~count:20 ~seed "draws"
+    Tutil.qcheck_case ~count:20 "draws"
       QCheck2.Gen.(list_size (int_bound 8) (int_bound 1000))
       (fun l ->
         seen := l :: !seen;
@@ -445,36 +440,32 @@ let with_qcheck_seed v f =
 
 let test_qcheck_seed_repeats () =
   with_qcheck_seed "" (fun () ->
-      Alcotest.(check (list (list int)))
-        "same written seed, same cases" (draws ~seed:5) (draws ~seed:5);
-      Alcotest.(check bool)
-        "another written seed, other cases" false
-        (draws ~seed:5 = draws ~seed:6))
+      Alcotest.(check (list (list int))) "same cases" (draws ()) (draws ()))
 
 let test_qcheck_seed_env_overrides () =
+  let written, written_draws =
+    with_qcheck_seed "" (fun () -> (Tutil.qcheck_seed (), draws ()))
+  in
   with_qcheck_seed "4242" (fun () ->
-      Alcotest.(check int) "QCHECK_SEED wins" 4242 (Tutil.qcheck_seed 5);
-      Alcotest.(check (list (list int)))
-        "every written seed draws the override's cases" (draws ~seed:5)
-        (draws ~seed:6));
+      Alcotest.(check int) "QCHECK_SEED wins" 4242 (Tutil.qcheck_seed ());
+      Alcotest.(check bool)
+        "the override draws other cases" false
+        (draws () = written_draws));
   with_qcheck_seed "not-a-seed" (fun () ->
-      Alcotest.(check int) "unparsable QCHECK_SEED ignored" 5
-        (Tutil.qcheck_seed 5));
-  with_qcheck_seed "" (fun () ->
-      Alcotest.(check int) "unset QCHECK_SEED keeps the written seed" 5
-        (Tutil.qcheck_seed 5))
+      Alcotest.(check int) "unparsable QCHECK_SEED ignored" written
+        (Tutil.qcheck_seed ()))
 
 let test_qcheck_failure_names_seed () =
   let _, _, run =
-    Tutil.qcheck_case ~count:20 ~seed:5 "always fails" QCheck2.Gen.small_nat
+    Tutil.qcheck_case ~count:20 "always fails" QCheck2.Gen.small_nat
       (fun _ -> false)
   in
   match run () with
   | () -> Alcotest.fail "a false property passed"
   | exception e ->
       let m = Printexc.to_string e
-      and want = Printf.sprintf "QCHECK_SEED=%d" (Tutil.qcheck_seed 5) in
-      if not (contains ~sub:want m) then
+      and want = Printf.sprintf "QCHECK_SEED=%d" (Tutil.qcheck_seed ()) in
+      if not (Tutil.contains ~sub:want m) then
         Alcotest.failf "failure does not name its seed (%s): %s" want m
 
 let () =
@@ -530,7 +521,7 @@ let () =
         ] );
       ( "qcheck seeds",
         [
-          Alcotest.test_case "a written seed repeats its cases" `Quick
+          Alcotest.test_case "the written seed repeats its cases" `Quick
             test_qcheck_seed_repeats;
           Alcotest.test_case "QCHECK_SEED overrides the written seed" `Quick
             test_qcheck_seed_env_overrides;

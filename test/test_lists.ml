@@ -163,7 +163,7 @@ let test_deleted_node_lock_stays_locked () =
 let qcheck_cases =
   List.map
     (fun (module S : R.SET_OPS) ->
-      Tutil.qcheck_case ~count:30 ~seed:18
+      Tutil.qcheck_case ~count:30
         (S.name ^ " random ops vs model")
         QCheck2.Gen.(int_range 0 10_000)
         (fun seed ->

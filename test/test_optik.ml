@@ -288,7 +288,7 @@ let test_pattern_readers_see_consistent_snapshots () =
 (* qcheck: random single-threaded op sequences keep version parity
    invariants on the versioned lock. *)
 let qcheck_versioned_invariants =
-  Tutil.qcheck_case ~count:200 ~seed:19 "versioned lock state machine"
+  Tutil.qcheck_case ~count:200 "versioned lock state machine"
     QCheck2.Gen.(list_size (int_range 0 40) (int_range 0 2))
     (fun ops ->
       let module V = Optik.Versioned (Nat) in
@@ -311,7 +311,7 @@ let qcheck_versioned_invariants =
 
 (* qcheck: the packed ticket word is a faithful lock state machine. *)
 let qcheck_ticket_invariants =
-  Tutil.qcheck_case ~count:200 ~seed:20 "ticket lock state machine"
+  Tutil.qcheck_case ~count:200 "ticket lock state machine"
     QCheck2.Gen.(list_size (int_range 0 60) (int_range 0 3))
     (fun ops ->
       let module T = Optik.Ticket (Nat) in

@@ -355,7 +355,7 @@ let test_high_tid_first () =
   Alcotest.(check (list int)) "still a no-op for tid 7" [ 6; 6; 0 ] (stats ())
 
 let qcheck_retire_counts =
-  Tutil.qcheck_case ~count:100 ~seed:21 "retired = freed + pending"
+  Tutil.qcheck_case ~count:100 "retired = freed + pending"
     QCheck2.Gen.(list_size (int_range 0 100) (int_range 0 2))
     (fun ops ->
       let q = Q.create ~batch_size:4 () in

@@ -186,7 +186,7 @@ let native_cases =
 let qcheck_seq_cases =
   List.map
     (fun (module Q : R.QUEUE_OPS) ->
-      Tutil.qcheck_case ~count:50 ~seed:22
+      Tutil.qcheck_case ~count:50
         (Q.name ^ " random ops vs model")
         QCheck2.Gen.(list_size (int_range 0 200) (int_range 0 99))
         (fun ops ->

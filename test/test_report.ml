@@ -219,20 +219,15 @@ let report_b =
       ]
     ()
 
-let contains ~sub s =
-  let ls = String.length sub and l = String.length s in
-  let rec at i = i + ls <= l && (String.sub s i ls = sub || at (i + 1)) in
-  at 0
-
 let test_diff_by_id () =
   match J.diff report_a report_b with
   | Error e -> Alcotest.failf "diff failed: %s" e
   | Ok text ->
       Alcotest.(check bool) "paired by id" true
-        (contains ~sub:"pairing: by run id (2 run pairs)" text);
+        (Tutil.contains ~sub:"pairing: by run id (2 run pairs)" text);
       (* mops halved on r0: the top regression, -50% *)
       Alcotest.(check bool) "r0 mops regression ranked first" true
-        (contains ~sub:"1. r0" text && contains ~sub:"-50.0%" text);
+        (Tutil.contains ~sub:"1. r0" text && Tutil.contains ~sub:"-50.0%" text);
       Alcotest.(check bool) "deterministic" true (J.diff report_a report_b = Ok text)
 
 let test_diff_positional () =
@@ -249,11 +244,11 @@ let test_diff_positional () =
   | Error e -> Alcotest.failf "diff failed: %s" e
   | Ok text ->
       Alcotest.(check bool) "paired positionally" true
-        (contains ~sub:"pairing: positional" text);
+        (Tutil.contains ~sub:"pairing: positional" text);
       Alcotest.(check bool) "pair labels show both ids" true
-        (contains ~sub:"== a:r0 vs b:other0 ==" text);
+        (Tutil.contains ~sub:"== a:r0 vs b:other0 ==" text);
       Alcotest.(check bool) "identical metrics, no regressions" true
-        (contains ~sub:"top regressions (b worse than a): none" text)
+        (Tutil.contains ~sub:"top regressions (b worse than a): none" text)
 
 let test_diff_rejects_invalid () =
   match J.diff (J.Obj [ ("schema", J.Str "bogus") ]) report_b with
@@ -280,7 +275,7 @@ let test_diff_disjoint_metrics_errors () =
       Alcotest.(check bool)
         (Printf.sprintf "error names the condition (%s)" e)
         true
-        (contains ~sub:"disjoint metric sets" e)
+        (Tutil.contains ~sub:"disjoint metric sets" e)
 
 (* ---------------- harness report ---------------- *)
 
@@ -316,7 +311,7 @@ let test_harness_report_roundtrip () =
   | Error e -> Alcotest.failf "reparse failed: %s" e);
   (* host wall-clock must stay out of the report *)
   Alcotest.(check bool) "no host_s anywhere" false
-    (contains ~sub:"host_s" (J.to_string j))
+    (Tutil.contains ~sub:"host_s" (J.to_string j))
 
 (* A run entry's hotlines carry each profiled site's own figures:
    [lines] counts the distinct cache lines of the site, which the
@@ -403,7 +398,7 @@ let test_counter_naming_convention () =
           (* Transaction-layer counters must live under the [txn.]
              namespace: an unprefixed one would be misattributed to a
              structure in the per-prefix wasted-work breakdown. *)
-          if contains ~sub:"txn" name && prefix <> "txn" then
+          if Tutil.contains ~sub:"txn" name && prefix <> "txn" then
             Alcotest.failf
               "counter %S mentions txn but is not under the txn. prefix" name
       | None ->

@@ -40,7 +40,7 @@ let test_eheap_min_time () =
   Alcotest.(check int) "min" 17 (Sim.Eheap.min_time h)
 
 let eheap_qcheck =
-  Tutil.qcheck_case ~count:100 ~seed:23 "eheap pops sorted"
+  Tutil.qcheck_case ~count:100 "eheap pops sorted"
     QCheck2.Gen.(list_size (int_range 0 200) (int_range 0 10_000))
     (fun keys ->
       let h = Sim.Eheap.create ~dummy:(-1) in
@@ -57,7 +57,7 @@ let eheap_qcheck =
    property that makes the heap's internal layout irrelevant to
    simulator determinism. *)
 let eheap_qcheck_total_order =
-  Tutil.qcheck_case ~count:100 ~seed:24 "eheap pop order total (FIFO ties)"
+  Tutil.qcheck_case ~count:100 "eheap pop order total (FIFO ties)"
     QCheck2.Gen.(list_size (int_range 0 300) (int_range 0 50))
     (fun keys ->
       let h = Sim.Eheap.create ~dummy:(0, 0) in
