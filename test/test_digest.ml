@@ -18,7 +18,8 @@
      the broken-commit trial and the broken commit protocol's verdict;
    - [soak]: the soak sweep, one row per run;
    - [obs]: a Chrome trace_event export and its JSONL twin, a run
-     report and its diff with another.
+     report and its diff with another, and the wasted-work, attribution
+     and timeline sections of a traced kv run and a traced txn run.
 
    A row holds the counts its output prints (a run's ops, virtual wall
    time, accesses, events, CAS and failed CAS; a trial's verdict; an
@@ -427,6 +428,76 @@ let diff_pieces () =
   in
   [ piece "diff" [ ("lines", i (List.length (lines diff))) ] diff ]
 
+(* The wasted-work, attribution and timeline sections of a traced kv run
+   and a traced txn run: between them every timeline track (retries,
+   aborts, timeouts, sheds, failovers) and both the [retried] and
+   [failed-over] request outcomes are non-zero. The kv run loses both
+   copies of shard 0 at once, so its requests time out. *)
+let service_sections name (m : Harness.Runner.measurement) trace =
+  let record =
+    match trace with
+    | Some r -> r
+    | None -> Alcotest.failf "%s: expected a recorded journal" name
+  in
+  let a = Obs.Attrib.analyze record in
+  let tl = Obs.Attrib.timeline record in
+  let bytes j = Obs.Report.to_string j ^ "\n" in
+  let wasted =
+    match Obs.Report.member "wasted" (Harness.Report.run_entry m) with
+    | Some w -> w
+    | None -> Alcotest.failf "%s: the run entry has no wasted section" name
+  in
+  let num path =
+    match Option.bind (Obs.Report.member path wasted) Obs.Report.to_int with
+    | Some v -> v
+    | None -> Alcotest.failf "%s: wasted has no %s" name path
+  in
+  let outcome o =
+    List.length (List.filter (fun (q : Obs.Attrib.areq) -> q.a_outcome = o) a.reqs)
+  in
+  let total arr = i (Array.fold_left ( + ) 0 arr) in
+  let _, attrib = Harness.Report.attrib_section a in
+  let _, timeline = Harness.Report.timeline_section tl in
+  [
+    piece (name ^ "/wasted")
+      (List.map
+         (fun k -> (k, i (num k)))
+         [ "restarts"; "validation_fails"; "lock_acquire_fails" ])
+      (bytes wasted);
+    piece (name ^ "/attrib")
+      (("requests", i (List.length a.reqs))
+      :: List.map (fun o -> (o, i (outcome o))) Obs.Tracectx.outcomes)
+      (bytes attrib);
+    piece (name ^ "/timeline")
+      [
+        ("retries", total tl.tl_retries);
+        ("aborts", total tl.tl_aborts);
+        ("timeouts", total tl.tl_timeouts);
+        ("sheds", total tl.tl_sheds);
+        ("failovers", total tl.tl_failovers);
+      ]
+      (bytes timeline);
+  ]
+
+let section_pieces () =
+  let kv_cfg =
+    {
+      Kv.default_config with
+      seed = 7;
+      nshards = 2;
+      threads = 6;
+      ops = 4_000;
+      plan =
+        Some
+          (Sim.Fault.of_string
+             "7;shardcrash(0:200000)@op-boundary,h40;shardcrash(2:200000)@op-boundary,h200");
+    }
+  in
+  let m, r = Kv.run ~record_obs:true kv_cfg in
+  let kv = service_sections "sections/kv" m r.Kv.res_trace in
+  let m, r = W.run ~record_obs:true W.default_config in
+  kv @ service_sections "sections/txn" m r.W.res_trace
+
 (* Every pinned output, in ledger order: the test that checks it, the
    ledger rows it owns (a section and a row-name prefix each), and its
    rows recomputed. Each output's rows are checked by their own test, so
@@ -451,6 +522,7 @@ let outputs =
     ("trace exports", [ ("obs", "chrome"); ("obs", "jsonl") ], rows "obs" trace_pieces);
     ("run report", [ ("obs", "report/") ], rows "obs" report_pieces);
     ("report diff", [ ("obs", "diff") ], rows "obs" diff_pieces);
+    ("service sections", [ ("obs", "sections/") ], rows "obs" section_pieces);
   ]
 
 let owns prefixes r =
@@ -702,6 +774,7 @@ let () =
           pinned "report diff";
           Alcotest.test_case "self-stable" `Quick test_self_stable;
           pinned "kv and txn streams";
+          pinned "service sections";
         ] );
       ( "ledger",
         [
