@@ -73,24 +73,29 @@ let write_report path (j : J.json) =
    report. An [Invalid_argument] it raises — a malformed flag, trial
    string or fault plan, or a configuration a library rejects before
    running — exits 2 with its message, as do cmdliner's own parse errors
-   (see the last line); the report is written when --report was given; a
-   failure exits 1. [exits] documents these statuses in every man page. *)
+   (see the last line) and a [Sys_error] from a file it cannot open (the
+   message names the path and the OS error); the report is written when
+   --report was given; a failure exits 1. [exits] documents these
+   statuses in every man page. *)
 let exits =
   Cmd.Exit.
     [
       info 0 ~doc:"on success.";
       info 1 ~doc:"when a run fails an oracle, check or gate.";
-      info 2 ~doc:"on malformed input: a flag, value, trial string or plan.";
+      info 2 ~doc:"on malformed input: a flag, value, trial string, plan or path.";
       info 125 ~doc:"on an unexpected internal error.";
     ]
 
 let main report body =
+  let malformed msg =
+    prerr_endline msg;
+    exit 2
+  in
   match body () with
-  | exception Invalid_argument msg ->
-      prerr_endline msg;
-      exit 2
+  | exception (Invalid_argument msg | Sys_error msg) -> malformed msg
   | failed, (j : unit -> J.json) ->
-      Option.iter (fun path -> write_report path (j ())) report;
+      (try Option.iter (fun path -> write_report path (j ())) report
+       with Sys_error msg -> malformed msg);
       if failed then exit 1
 
 (* ---------------- trial streams ---------------- *)
@@ -975,7 +980,7 @@ let hostperf_cmd =
     Arg.(
       value & opt float 20.
       & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Allowed regression vs the baseline, percent (default 20).")
+          ~doc:"Allowed regression vs the baseline, percent in [0,100] (default 20).")
   in
   let repeats =
     int_arg "repeats" 3
@@ -984,6 +989,10 @@ let hostperf_cmd =
   in
   let run out_file baseline tolerance repeats report =
     main report @@ fun () ->
+    Harness.Range.positive "hostperf" "repeats" repeats;
+    if not (tolerance >= 0. && tolerance <= 100.) then
+      Harness.Range.fail "hostperf" "tolerance must be in [0,100], got %g"
+        tolerance;
     let results = Host_bench.run ~repeats () in
     Format.printf "%a@?" Host_bench.pp_table results;
     (match out_file with
@@ -1108,29 +1117,16 @@ let probes_cmd =
        internals) registered when their modules loaded. *)
     ignore (Kv.create Kv.default_config : Kv.t);
     ignore (Txn.Workload.T.create ());
-    let rows = Sim.Sim_rt.Probe.all () in
-    let bad =
-      List.filter_map
-        (fun (name, _) ->
-          match J.split_counter name with
-          | Some _ -> None
-          | None -> Some name)
-        rows
-    in
-    List.iter (fun (name, kind) -> Printf.printf "%-9s  %s\n" kind name) rows;
-    if bad <> [] then begin
-      Printf.eprintf
-        "probes: %d name(s) violate the <rep>.<metric> convention: %s\n"
-        (List.length bad) (String.concat ", " bad);
-      exit 1
-    end
+    List.iter
+      (fun (name, _) -> Printf.printf "counter    %s\n" name)
+      (Sim.Sim_rt.Probe.all ())
   in
   Cmd.v
     (Cmd.info ~exits "probes"
        ~doc:
-         "List every registered probe as '<kind>  <name>' — the same \
-          registry the report probe audit iterates — and fail if any name \
-          escapes the <rep>.<metric> convention.")
+         "List every registered probe as 'counter  <name>'. The registry \
+          rejects a name outside the <owner>.<metric> form when it is \
+          registered.")
     Term.(const run $ const ())
 
 (* ---------------- list ---------------- *)

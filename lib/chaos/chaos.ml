@@ -32,9 +32,6 @@ end
 (* ------------------------------------------------------------------ *)
 (* The trial-string grammar every family shares                        *)
 
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 let parse_error fmt = Printf.ksprintf invalid_arg ("Chaos.of_string: " ^^ fmt)
 
 let parse_int what s =
@@ -105,7 +102,7 @@ let parse ~head ~fields ~check s =
    rep the service does not take. *)
 let rep_of ~family ~check name =
   let p = family ^ "/" in
-  if not (has_prefix p name) then
+  if not (String.starts_with ~prefix:p name) then
     parse_error "%s trial must start with %s<rep>, got %S" family p name;
   let rep =
     String.sub name (String.length p) (String.length name - String.length p)
@@ -265,7 +262,10 @@ let default_names =
 
 let quick_names =
   List.filter
-    (fun n -> not (has_prefix "skiplist/" n || has_prefix "bst/" n))
+    (fun n ->
+      not
+        (String.starts_with ~prefix:"skiplist/" n
+        || String.starts_with ~prefix:"bst/" n))
     default_names
 
 let all_names =

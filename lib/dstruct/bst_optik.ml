@@ -171,7 +171,7 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
         let name = "bst-optik"
       end)
 
-  let restarts = Rt.Probe.counter "bst-optik.restarts"
+  let restarts = Rt.Probe.counter ~kind:Restart "bst-optik.restarts"
 
   (* Traverse to the leaf for [k], hand-over-hand tracking grandparent
      and parent; each node's version is read {e before} following its

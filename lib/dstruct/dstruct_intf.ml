@@ -97,12 +97,11 @@ end
     Monomorphic (int-valued) views used by the generic test and benchmark
     drivers, where first-class modules need concrete types.
 
-    [probe_prefix] declares the rep's wasted-work probes under the
-    [<rep>.<metric>] naming convention (see DESIGN.md, "Run reports"):
-    [Some p] promises that running the structure registers counters named
-    [p ^ ".<metric>"] — at least [p ^ ".restarts"], or a documented
-    restart-equivalent — which the run report's wasted-work section
-    aggregates per structure. [None] marks a purely blocking rep whose
+    [probe_prefix] declares the owner of the rep's wasted-work counters
+    (see DESIGN.md, "Wasted-work metrics"): [Some p] promises that the
+    structure registers at least one [Restart] or [Vfail] counter named
+    [p ^ ".<metric>"], which the run report's wasted-work section
+    aggregates per owner. [None] marks a purely blocking rep whose
     only wasted work is lock waiting, visible in the scheduler's stall
     statistics instead of probe counters. A registry-walking test
     enforces the promise. *)

@@ -297,7 +297,7 @@ module Java_optik (Rt : RT) = struct
     let name = "ht-java-optik"
   end)
 
-  let second_traversals = Rt.Probe.counter "ht-java-optik.second-traversals"
+  let second_traversals = Rt.Probe.counter ~kind:Restart "ht-java-optik.second-traversals"
 
   (* Read-only first traversal; infeasible updates return with no lock.
      Feasible ones validate the traversal with [lock_version]: if the

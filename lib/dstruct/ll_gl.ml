@@ -164,7 +164,7 @@ module Optik_gl (Rt : RT) = struct
     let name = "ll-optik-gl"
   end)
 
-  let restarts = Rt.Probe.counter "ll-optik-gl.restarts"
+  let restarts = Rt.Probe.counter ~kind:Restart "ll-optik-gl.restarts"
 
   (* Optimistic traversal; the single trylock validates that no update
      completed since [vn], so the computed (pred, cur) position is still

@@ -24,7 +24,7 @@ module Make (Rt : RT) = struct
 
   let name = "ll-harris"
 
-  let restarts = Rt.Probe.counter "ll-harris.restarts"
+  let restarts = Rt.Probe.counter ~kind:Restart "ll-harris.restarts"
 
   let mk_node key value next =
     Rt.Probe.with_site "ll-harris.node" (fun () ->

@@ -39,7 +39,7 @@ module Make (Rt : RT) = struct
 
   let name = "ll-lazy"
 
-  let restarts = Rt.Probe.counter "ll-lazy.restarts"
+  let restarts = Rt.Probe.counter ~kind:Restart "ll-lazy.restarts"
   let cache_hits = Rt.Probe.counter "ll-lazy.cache-hits"
   let cache_tries = Rt.Probe.counter "ll-lazy.cache-tries"
 

@@ -54,7 +54,7 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
 
   let name = "ll-optik"
 
-  let restarts = Rt.Probe.counter "ll-optik.restarts"
+  let restarts = Rt.Probe.counter ~kind:Restart "ll-optik.restarts"
   let cache_hits = Rt.Probe.counter "ll-optik.cache-hits"
   let cache_tries = Rt.Probe.counter "ll-optik.cache-tries"
 

@@ -182,7 +182,7 @@ module Optik_based_gen (Rt : RT) (O : Optik.MAKER) = struct
     let name = "map-optik"
   end)
 
-  let restarts = Rt.Probe.counter "map-optik.restarts"
+  let restarts = Rt.Probe.counter ~kind:Restart "map-optik.restarts"
 
   let retry b =
     Rt.Probe.incr restarts;

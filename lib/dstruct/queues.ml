@@ -146,7 +146,7 @@ module Make (Rt : RT) = struct
     (* Wasted work: a CAS on [last.next] (enqueue) or [t.head] (dequeue)
        that lost the race, forcing a fresh traversal of the two-pointer
        state. Helping a lagging tail is not counted — that work lands. *)
-    let restarts = Rt.Probe.counter "q-ms-lf.restarts"
+    let restarts = Rt.Probe.counter ~kind:Restart "q-ms-lf.restarts"
 
     let create () =
       let d = dummy () in
@@ -252,7 +252,7 @@ module Make (Rt : RT) = struct
        moved meanwhile the optimistic preparation is wasted and the
        dequeue re-prepares under the lock — a validation failure, the
        only wasted work this variant can exhibit. *)
-    let vfail_lock = Rt.Probe.counter "q-optik0.vfail-lock"
+    let vfail_lock = Rt.Probe.counter ~kind:Vfail "q-optik0.vfail-lock"
 
     (* The C struct lays the dequeue lock next to the head pointer (and
        the enqueue lock next to the tail): one hot line per queue end,
@@ -328,7 +328,7 @@ module Make (Rt : RT) = struct
 
     let name = "q-optik1"
 
-    let restarts = Rt.Probe.counter "q-optik1.restarts"
+    let restarts = Rt.Probe.counter ~kind:Restart "q-optik1.restarts"
 
     let create () =
       let d = dummy () in
@@ -358,7 +358,7 @@ module Make (Rt : RT) = struct
 
     let name = "q-optik2"
 
-    let restarts = Rt.Probe.counter "q-optik2.restarts"
+    let restarts = Rt.Probe.counter ~kind:Restart "q-optik2.restarts"
 
     let create () =
       let d = dummy () in
@@ -394,7 +394,7 @@ module Make (Rt : RT) = struct
 
     let name = "q-optik3"
 
-    let restarts = Rt.Probe.counter "q-optik3.restarts"
+    let restarts = Rt.Probe.counter ~kind:Restart "q-optik3.restarts"
     let victim_uses = Rt.Probe.counter "q-optik3.victim-uses"
 
     let create ?(threshold = 2) () =

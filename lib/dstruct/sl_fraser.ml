@@ -31,7 +31,7 @@ module Make (Rt : RT) = struct
 
   let name = "sl-fraser"
 
-  let restarts = Rt.Probe.counter "sl-fraser.restarts"
+  let restarts = Rt.Probe.counter ~kind:Restart "sl-fraser.restarts"
 
   exception Restart
 

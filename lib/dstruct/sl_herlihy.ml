@@ -40,15 +40,15 @@ module Make (Rt : RT) = struct
 
   let name = "sl-herlihy"
 
-  let restarts = Rt.Probe.counter "sl-herlihy.restarts"
+  let restarts = Rt.Probe.counter ~kind:Restart "sl-herlihy.restarts"
   let optik_validations = Rt.Probe.counter "sl-herlihy.optik-fast-validations"
 
   (* diagnostic breakdown of validation failures (also used to reproduce
      the §5.3 restart-rate analysis) *)
-  let vfail_pred_marked = Rt.Probe.counter "sl-herlihy.vfail-pred-marked"
-  let vfail_succ = Rt.Probe.counter "sl-herlihy.vfail-succ"
-  let vfail_next = Rt.Probe.counter "sl-herlihy.vfail-next"
-  let found_marked_retry = Rt.Probe.counter "sl-herlihy.found-marked-retry"
+  let vfail_pred_marked = Rt.Probe.counter ~kind:Vfail "sl-herlihy.vfail-pred-marked"
+  let vfail_succ = Rt.Probe.counter ~kind:Vfail "sl-herlihy.vfail-succ"
+  let vfail_next = Rt.Probe.counter ~kind:Vfail "sl-herlihy.vfail-next"
+  let found_marked_retry = Rt.Probe.counter ~kind:Restart "sl-herlihy.found-marked-retry"
 
   (* The node lock is a plain lock for "herlihy", an OPTIK lock for
      "herl-optik". *)

@@ -48,7 +48,7 @@ module Make (Rt : RT) = struct
 
   let name = "sl-optik"
 
-  let restarts = Rt.Probe.counter "sl-optik.restarts"
+  let restarts = Rt.Probe.counter ~kind:Restart "sl-optik.restarts"
 
   let create ?(variant : variant = `Restart) () =
     let head = sentinels () in

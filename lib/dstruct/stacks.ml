@@ -33,7 +33,7 @@ module Make (Rt : RT) = struct
 
     (* Wasted work: every failed CAS on [top] throws the prepared node
        (push) or the read top (pop) away and retries. *)
-    let restarts = Rt.Probe.counter "stack-treiber.restarts"
+    let restarts = Rt.Probe.counter ~kind:Restart "stack-treiber.restarts"
 
     let create () =
       Rt.Probe.with_site "stack-treiber.top" (fun () ->
@@ -93,7 +93,7 @@ module Make (Rt : RT) = struct
 
     let name = "stack-optik"
 
-    let restarts = Rt.Probe.counter "stack-optik.restarts"
+    let restarts = Rt.Probe.counter ~kind:Restart "stack-optik.restarts"
 
     let create () =
       Rt.Probe.with_site "stack-optik.top" (fun () ->
@@ -194,7 +194,7 @@ module Make (Rt : RT) = struct
     let eliminated = Rt.Probe.counter "stack-elim.eliminated"
 
     (* A retry that neither the CAS nor the elimination layer absorbed. *)
-    let restarts = Rt.Probe.counter "stack-elim.restarts"
+    let restarts = Rt.Probe.counter ~kind:Restart "stack-elim.restarts"
 
     let default_slots = 4
     let spin_budget = 32

@@ -437,11 +437,9 @@ let restart_note series =
                  let restarts =
                    List.fold_left
                      (fun acc (k, v) ->
-                       match Obs.Report.split_counter k with
-                       | Some (_, metric) when Obs.Report.restart_metric metric
-                         ->
-                           acc + v
-                       | _ -> acc)
+                       if Obs.Report.restart_class (Sim.Sim_rt.Probe.kind k)
+                       then acc + v
+                       else acc)
                      0 m.Runner.counters
                  in
                  Some

@@ -98,7 +98,11 @@ let run_entry ?id (m : Runner.measurement) : J.json =
              ("events", J.Int m.events);
            ] );
        ( "wasted",
-         J.wasted ~ops:m.ops ~cas_failed:m.cas_failed ~counters:m.counters );
+         J.wasted ~ops:m.ops ~cas_failed:m.cas_failed
+           ~counters:
+             (List.map
+                (fun (k, v) -> (k, Sim.Sim_rt.Probe.kind k, v))
+                m.counters) );
        ("latency", latency_json m);
        ( "counters",
          J.Obj (List.map (fun (k, v) -> (k, J.Int v)) m.counters) );

@@ -452,9 +452,9 @@ let create (cfg : config) : t =
   in
   let shard_ctr =
     Array.init cfg.nshards (fun i ->
-        let c m = Probe.counter (Printf.sprintf "kv-s%d.%s" i m) in
+        let c ?kind m = Probe.counter ?kind (Printf.sprintf "kv-s%d.%s" i m) in
         {
-          c_restarts = c "restarts";
+          c_restarts = c ~kind:Restart "restarts";
           c_timeouts = c "timeouts";
           c_sheds = c "sheds";
           c_failovers = c "failovers";
@@ -462,7 +462,7 @@ let create (cfg : config) : t =
           c_resync_keys = c "resync-keys-copied";
           c_resync_batches = c "resync-batches";
           c_resync_dual = c "resync-dual-writes";
-          c_resync_aborted = c "resync-aborted";
+          c_resync_aborted = c ~kind:Restart "resync-aborted";
         })
   in
   {
@@ -474,10 +474,10 @@ let create (cfg : config) : t =
     next_uid = 1;
     log = Harness.History.Log.create ~nthreads:cfg.threads;
     events_rev = [];
-    k_retries = Probe.counter "kv.retries";
-    k_timeouts = Probe.counter "kv.timeouts";
-    k_sheds = Probe.counter "kv.sheds";
-    k_failovers = Probe.counter "kv.failovers";
+    k_retries = Probe.counter ~kind:Retry "kv.retries";
+    k_timeouts = Probe.counter ~kind:Timeout "kv.timeouts";
+    k_sheds = Probe.counter ~kind:Shed "kv.sheds";
+    k_failovers = Probe.counter ~kind:Failover "kv.failovers";
     k_backoff = Probe.counter "kv.backoff-cycles";
     k_acked = Probe.counter "kv.acked-writes";
     k_wipes = Probe.counter "kv.wipes";

@@ -178,12 +178,10 @@ let analyze (r : Journal.record) : t =
             | _ ->
                 if String.equal name Tracectx.ev_retry then
                   Option.iter (fun rq -> rq.orq_retried <- true) (rq ()))
-      | Journal.Count (name, _) -> (
-          match (rq (), Report.split_counter name) with
-          | Some rq, Some (_, metric) ->
-              if Tracectx.retry_metric metric then rq.orq_retried <- true
-              else if Tracectx.failover_metric metric then
-                rq.orq_failed_over <- true
+      | Journal.Count (_, kind, _) -> (
+          match (rq (), kind) with
+          | Some rq, (Retry | Abort | Snapshot_retry) -> rq.orq_retried <- true
+          | Some rq, Failover -> rq.orq_failed_over <- true
           | _ -> ())
       | Journal.Sample _ | Journal.Point _ -> ())
     r.entries;
@@ -220,14 +218,6 @@ type timeline = {
 }
 
 let default_windows = 24
-
-(* Service-level counters only: a per-shard ("kv-s3.timeouts") or
-   per-structure ("ht-optik.restarts") bump would double-count next to
-   its service aggregate, so only undecorated reps count here. *)
-let service_metric name =
-  match Report.split_counter name with
-  | Some (rep, metric) when not (String.contains rep '-') -> Some metric
-  | _ -> None
 
 let timeline ?(nwindows = default_windows) (r : Journal.record) : timeline =
   let win = Journal.windows ~n:nwindows r in
@@ -269,14 +259,16 @@ let timeline ?(nwindows = default_windows) (r : Journal.record) : timeline =
       match e.kind with
       | Journal.Req_end _ -> bump reqs e.at
       | Journal.Req_begin _ -> ()
-      | Journal.Count (name, n) -> (
-          match service_metric name with
-          | Some "retries" -> retries.(widx e.at) <- retries.(widx e.at) + n
-          | Some "aborts" -> aborts.(widx e.at) <- aborts.(widx e.at) + n
-          | Some "timeouts" -> timeouts.(widx e.at) <- timeouts.(widx e.at) + n
-          | Some "sheds" -> sheds.(widx e.at) <- sheds.(widx e.at) + n
-          | Some "failovers" ->
-              failovers.(widx e.at) <- failovers.(widx e.at) + n
+      | Journal.Count (_, kind, n) -> (
+          (* Only the service aggregates have these kinds; their per-shard
+             twins are [Tally]s, so nothing counts twice. *)
+          let add a = a.(widx e.at) <- a.(widx e.at) + n in
+          match kind with
+          | Retry -> add retries
+          | Abort -> add aborts
+          | Timeout -> add timeouts
+          | Shed -> add sheds
+          | Failover -> add failovers
           | _ -> ())
       | Journal.Instant (name, arg) -> (
           if String.equal name Tracectx.ev_node_crash then bump crashes e.at

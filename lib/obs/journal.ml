@@ -28,7 +28,8 @@
     [Trace]). *)
 
 type kind =
-  | Count of string * int  (** counter increment: name, delta *)
+  | Count of string * Rt.Rt_intf.counter_kind * int
+      (** counter increment: name, kind, delta *)
   | Sample of string * int
       (** a latency sample: name, value; the runner journals each op's
           cycles as ["runner.op-cycles"] *)

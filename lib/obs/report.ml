@@ -360,77 +360,51 @@ let validate (j : json) : (unit, string) result =
 (* ------------------------------------------------------------------ *)
 (* Wasted-work accounting                                              *)
 
-(** Split a probe name on the {e first} dot into the
-    [<structure>.<metric>] convention enforced across [lib/dstruct]. *)
-let split_counter name =
-  match String.index_opt name '.' with
-  | Some i when i > 0 && i < String.length name - 1 ->
-      Some (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
-  | _ -> None
-
-(* Metric taxonomy (definitions in DESIGN.md, "Wasted-work metrics"):
-   - restart-class: a whole attempt thrown away and redone. Besides the
-     canonical [restarts], the documented equivalents count here:
-     [second-traversals] (ht-java-optik re-traverses the bucket after a
-     failed validation), [found-marked-retry] (sl-herlihy retries over a
-     logically deleted victim), [aborts] (the transaction layer throws
-     away a whole read/write attempt), [snapshot-retries] (a read-only
-     transaction re-runs its read phase — re-read work, never an abort)
-     and [resync-aborted] (the KV replica copier threw away a partial
-     copy at the epoch fence and a later request redoes it).
-   - vfail-*: a validation that failed, classified by cause. The
-     transaction layer contributes [txn.vfail-txn-lock] (commit lost the
-     validate-and-lock CAS) and [txn.vfail-txn-read] (a read-set entry
-     went stale before commit).
-   - lock-acquire failures: [trylock-fail] (the OPTIK single-CAS
-     trylock_version returning false). *)
-let restart_metric = function
-  | "restarts" | "second-traversals" | "found-marked-retry" | "aborts"
-  | "snapshot-retries" | "resync-aborted" ->
-      true
+(* Metric taxonomy (definitions in DESIGN.md, "Wasted-work metrics"),
+   by counter kind: the restart class is every attempt thrown away and
+   redone ([Restart], the transaction layer's [Abort] and
+   [Snapshot_retry]); [Vfail] counts failed validations and [Lock_fail]
+   failed lock acquisitions. *)
+let restart_class : Rt.Rt_intf.counter_kind -> bool = function
+  | Restart | Abort | Snapshot_retry -> true
   | _ -> false
 
-let vfail_metric m = String.length m >= 5 && String.sub m 0 5 = "vfail"
-let lockfail_metric = function "trylock-fail" -> true | _ -> false
-
-(** Normalized wasted-work section computed from a counter dump:
-    restart totals (and per operation), the validation-failure taxonomy,
-    lock-acquire failures, plus a per-structure breakdown keyed by
-    counter prefix. [cas_failed] comes from the scheduler, not a probe —
-    it counts every failed CAS, wasted or helping. *)
-let wasted ~ops ~cas_failed ~(counters : (string * int) list) : json =
+(** Normalized wasted-work section computed from a counter dump with
+    each counter's kind: restart totals (and per operation), the
+    validation-failure taxonomy, lock-acquire failures, plus a
+    per-structure breakdown keyed by the owner part of the counter name
+    (before its first dot). [cas_failed] comes from the scheduler, not a
+    probe — it counts every failed CAS, wasted or helping. *)
+let wasted ~ops ~cas_failed
+    ~(counters : (string * Rt.Rt_intf.counter_kind * int) list) : json =
   let per_op v =
     Float (float_of_int v /. float_of_int (max 1 ops))
   in
-  let classified =
-    List.filter_map
-      (fun (name, v) ->
-        match split_counter name with
-        | Some (prefix, metric) -> Some (prefix, metric, name, v)
-        | None -> None)
-      counters
-  in
-  let sum p = List.fold_left (fun acc (_, m, _, v) -> if p m then acc + v else acc) 0 in
-  let restarts = sum restart_metric classified in
-  let vfails = List.filter (fun (_, m, _, _) -> vfail_metric m) classified in
-  let lockfails = sum lockfail_metric classified in
+  let sum p = List.fold_left (fun acc (_, k, v) -> if p k then acc + v else acc) 0 in
+  let vfail = ( = ) Rt.Rt_intf.Vfail and lockfail = ( = ) Rt.Rt_intf.Lock_fail in
+  let restarts = sum restart_class counters in
+  let vfails = List.filter (fun (_, k, _) -> vfail k) counters in
+  let lockfails = sum lockfail counters in
   let by_structure =
     let tbl = Hashtbl.create 8 in
     List.iter
-      (fun (prefix, metric, _, v) ->
-        let r, vf, lf =
-          Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl prefix)
-        in
-        let r = if restart_metric metric then r + v else r in
-        let vf = if vfail_metric metric then vf + v else vf in
-        let lf = if lockfail_metric metric then lf + v else lf in
-        Hashtbl.replace tbl prefix (r, vf, lf))
-      classified;
+      (fun (name, k, v) ->
+        if restart_class k || vfail k || lockfail k then begin
+          let owner = String.sub name 0 (String.index name '.') in
+          let r, vf, lf =
+            Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl owner)
+          in
+          let r = if restart_class k then r + v else r in
+          let vf = if vfail k then vf + v else vf in
+          let lf = if lockfail k then lf + v else lf in
+          Hashtbl.replace tbl owner (r, vf, lf)
+        end)
+      counters;
     Hashtbl.fold
-      (fun prefix (r, vf, lf) acc ->
+      (fun owner (r, vf, lf) acc ->
         if r + vf + lf = 0 then acc
         else
-          ( prefix,
+          ( owner,
             Obj
               [
                 ("restarts", Int r);
@@ -446,12 +420,12 @@ let wasted ~ops ~cas_failed ~(counters : (string * int) list) : json =
     [
       ("restarts", Int restarts);
       ("restarts_per_op", per_op restarts);
-      ("validation_fails", Int (List.fold_left (fun a (_, _, _, v) -> a + v) 0 vfails));
+      ("validation_fails", Int (sum vfail counters));
       ( "validation_fail_taxonomy",
         Obj
           (List.sort
              (fun (a, _) (b, _) -> String.compare a b)
-             (List.map (fun (_, _, name, v) -> (name, Int v)) vfails)) );
+             (List.map (fun (name, _, v) -> (name, Int v)) vfails)) );
       ("lock_acquire_fails", Int lockfails);
       ("lock_acquire_fails_per_op", per_op lockfails);
       ("cas_failed", Int cas_failed);
@@ -483,30 +457,22 @@ let flatten (j : json) : (string * float) list =
 (* Direction of goodness per metric path, for ranking regressions. *)
 type direction = Higher_better | Lower_better | Neutral
 
-let ends_with ~suffix s =
-  let ls = String.length suffix and l = String.length s in
-  l >= ls && String.sub s (l - ls) ls = suffix
-
 let contains ~sub s =
   let ls = String.length sub and l = String.length s in
   let rec at i = i + ls <= l && (String.sub s i ls = sub || at (i + 1)) in
   at 0
 
 let direction path =
-  if ends_with ~suffix:".mops" path || ends_with ~suffix:".ops" path then
-    Higher_better
+  let ends = List.exists (fun suffix -> String.ends_with ~suffix path) in
+  if ends [ ".mops"; ".ops" ] then Higher_better
   else if
     contains ~sub:"wasted." path
     || contains ~sub:"cas_failed" path
-    || ends_with ~suffix:".p50" path
-    || ends_with ~suffix:".p95" path
-    || ends_with ~suffix:".p99" path
-    || ends_with ~suffix:".p999" path
-    || ends_with ~suffix:".stalls" path
-    || ends_with ~suffix:".restarts" path
-    || ends_with ~suffix:".timeouts" path
-    || ends_with ~suffix:".sheds" path
-    || ends_with ~suffix:".retries" path
+    || ends
+         [
+           ".p50"; ".p95"; ".p99"; ".p999"; ".stalls"; ".restarts"; ".timeouts";
+           ".sheds"; ".retries";
+         ]
   then Lower_better
   else Neutral
 

@@ -14,7 +14,7 @@
 let jsonl_entry b (e : Journal.entry) =
   let common k = Printf.bprintf b "{\"t\":%d,\"tid\":%d,\"k\":\"%s\"" e.at e.tid k in
   (match e.kind with
-  | Journal.Count (name, n) ->
+  | Journal.Count (name, _, n) ->
       common "count";
       Printf.bprintf b ",\"name\":\"%s\",\"v\":%d" (Report.escape name) n
   | Journal.Sample (name, v) ->
@@ -98,7 +98,7 @@ let to_chrome (r : Journal.record) =
     (fun (e : Journal.entry) ->
       if e.at > !last_ts then last_ts := e.at;
       match e.kind with
-      | Journal.Count (name, n) ->
+      | Journal.Count (name, _, n) ->
           let t = n + Option.value ~default:0 (Hashtbl.find_opt totals name) in
           Hashtbl.replace totals name t;
           ev ~name ~ph:"C" ~ts:e.at ~tid:e.tid

@@ -108,9 +108,12 @@ let next_id = Journal.next_req_id
 
 (** The outcome taxonomy the "why is p99 slow" section splits on. A
     request's outcome is derived, not emitted: the class name on
-    [Req_end] decides deadline misses and sheds, and the counters the
-    request bumped while open decide the rest — a failover counter makes
-    it [failed-over], any retry/restart/abort makes it [retried]. *)
+    [Req_end] decides deadline misses and sheds, and the kinds of the
+    counters the request bumped while open decide the rest — a
+    [Failover] counter makes it [failed-over], a [Retry], [Abort] or
+    [Snapshot_retry] counter makes it [retried]. A structure's own
+    [Restart]s (a lock-free traversal re-walking) do not count: they are
+    the structure's business, not a service-level retry. *)
 let outcomes = [ "ok"; "retried"; "failed-over"; "deadline"; "shed"; "crashed" ]
 
 let outcome ~cls ~retried ~failed_over =
@@ -119,13 +122,3 @@ let outcome ~cls ~retried ~failed_over =
   else if failed_over then "failed-over"
   else if retried then "retried"
   else "ok"
-
-(* Counter metrics (the part after the first dot, see
-   [Report.split_counter]) that flag an open request. Structure-internal
-   "restarts" (a lock-free traversal re-walking) deliberately do not
-   count: they are the structure's business, not a service-level retry. *)
-let retry_metric = function
-  | "retries" | "aborts" | "snapshot-retries" -> true
-  | _ -> false
-
-let failover_metric = function "failovers" -> true | _ -> false

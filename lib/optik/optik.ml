@@ -111,7 +111,7 @@ module Versioned (Rt : RT) = struct
      failure: counted (not just journalled) so run reports can fold it
      into the wasted-work accounting. Same-named counters share storage
      across functor instantiations within a backend. *)
-  let trylock_fails = Rt.Probe.counter "optik.trylock-fail"
+  let trylock_fails = Rt.Probe.counter ~kind:Lock_fail "optik.trylock-fail"
 
   let create () = Rt.atomic 0
 
@@ -218,7 +218,7 @@ module Ticket (Rt : RT) = struct
   let name = "ticket"
 
   (* Shared with {!Versioned}'s counter of the same name (per backend). *)
-  let trylock_fails = Rt.Probe.counter "optik.trylock-fail"
+  let trylock_fails = Rt.Probe.counter ~kind:Lock_fail "optik.trylock-fail"
 
   let bits = 31
   let mask = (1 lsl bits) - 1

@@ -79,7 +79,8 @@ module Probe = struct
   let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
   let registry_lock = Mutex.create ()
 
-  let counter name =
+  (* Nothing sums native counters by kind, so the kind is dropped. *)
+  let counter ?kind:_ name =
     Mutex.protect registry_lock (fun () ->
         match Hashtbl.find_opt counters name with
         | Some c -> c

@@ -14,6 +14,25 @@
     x86: word-sized atomic loads/stores with acquire/release semantics,
     compare-and-swap, and fetch-and-add. *)
 
+(** What a counter counts. Readers sum counters by kind, never by name:
+    the run report's wasted work takes the restart class ([Restart],
+    [Abort], [Snapshot_retry]), [Vfail] and [Lock_fail]; request
+    attribution flags a request retried on [Retry], [Abort] or
+    [Snapshot_retry] and failed over on [Failover]; the timeline's
+    tracks count [Retry], [Abort], [Timeout], [Shed] and [Failover].
+    DESIGN.md ("Wasted-work metrics") lists each counter's kind. *)
+type counter_kind =
+  | Tally  (** a count that is none of the below *)
+  | Restart  (** an attempt thrown away and redone *)
+  | Vfail  (** a validation that failed *)
+  | Lock_fail  (** a lock acquisition that failed *)
+  | Abort  (** a transaction thrown away and redone *)
+  | Snapshot_retry  (** a read-only transaction re-reading stale keys *)
+  | Retry  (** a service request retried *)
+  | Failover  (** a service request served by the replica *)
+  | Timeout  (** a service request past its retries or deadline *)
+  | Shed  (** a service request refused under load *)
+
 (** The probe API, the single statistics/instrumentation surface of the
     runtime: named counters and structured trace events/spans.
 
@@ -29,9 +48,13 @@ module type PROBE = sig
 
   type counter
 
-  val counter : string -> counter
-  (** [counter name] registers a fresh counter under [name]. Counters with
-      the same name share storage within a backend. *)
+  val counter : ?kind:counter_kind -> string -> counter
+  (** [counter ~kind name] registers a counter of [kind] (default
+      [Tally]) under [name], of the form [<owner>.<metric>]. Counters
+      with the same name share storage within a backend. The simulator
+      rejects a malformed name, and a name registered before with
+      another kind, with [Invalid_argument]; the native backend ignores
+      kinds. *)
 
   val incr : counter -> unit
   val add : counter -> int -> unit

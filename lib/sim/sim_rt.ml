@@ -36,7 +36,7 @@ let on_fault = Sched.fault_point
    calling thread's virtual time by [Sched.obs_emit] — whenever a
    recording is active.
 
-   A counter handle is an immutable (name, id) pair; the actual cells
+   A counter handle is an immutable (name, kind, id) triple; the actual cells
    live in a per-domain table indexed by id. Handles are memoized in a
    process-global registry (functor-level bindings like
    [Optik.Versioned]'s [trylock_fails] are created once on whichever
@@ -53,20 +53,33 @@ let on_fault = Sched.fault_point
    (and [span] a [Fun.protect] closure) just to have [obs_emit] drop it.
    With recording off a probe is its arithmetic plus one flag load. *)
 module Probe = struct
-  type counter = { c_name : string; c_id : int }
+  type counter = { c_name : string; c_kind : Rt.Rt_intf.counter_kind; c_id : int }
 
   (* The handle registry: name -> handle, ids assigned densely in
-     creation order. Shared by all domains, hence the mutex. *)
+     creation order. Shared by all domains, hence the mutex. A name is
+     checked once, here: it has the [<owner>.<metric>] form (a non-empty
+     owner before the first dot, a non-empty metric after it) and keeps
+     the kind it was first registered with. *)
   let reg_mutex = Mutex.create ()
   let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
   let n_counters = ref 0
 
-  let counter name =
+  let counter ?(kind = Rt.Rt_intf.Tally) name =
     Mutex.protect reg_mutex (fun () ->
         match Hashtbl.find_opt counters name with
-        | Some c -> c
+        | Some c when c.c_kind = kind -> c
+        | Some _ ->
+            invalid_arg
+              (Printf.sprintf "Probe.counter: %S is registered with another kind"
+                 name)
         | None ->
-            let c = { c_name = name; c_id = !n_counters } in
+            (match String.index_opt name '.' with
+            | Some i when i > 0 && i < String.length name - 1 -> ()
+            | _ ->
+                invalid_arg
+                  (Printf.sprintf
+                     "Probe.counter: %S is not of the form <owner>.<metric>" name));
+            let c = { c_name = name; c_kind = kind; c_id = !n_counters } in
             Stdlib.incr n_counters;
             Hashtbl.add counters name c;
             c)
@@ -93,13 +106,13 @@ module Probe = struct
     let cc = ccells c in
     cc.(c.c_id) <- cc.(c.c_id) + 1;
     if Obs.Journal.recording () then
-      Sched.obs_emit (Obs.Journal.Count (c.c_name, 1))
+      Sched.obs_emit (Obs.Journal.Count (c.c_name, c.c_kind, 1))
 
   let add c n =
     let cc = ccells c in
     cc.(c.c_id) <- cc.(c.c_id) + n;
     if Obs.Journal.recording () then
-      Sched.obs_emit (Obs.Journal.Count (c.c_name, n))
+      Sched.obs_emit (Obs.Journal.Count (c.c_name, c.c_kind, n))
 
   let count c =
     let cc = !(Domain.DLS.get ckey) in
@@ -148,20 +161,20 @@ module Probe = struct
           counters [])
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  (** Has a counter with this exact name been created (by any functor
-      instantiation so far, on any domain)? Used by the probe-coverage
-      audit. *)
-  let registered name = Mutex.protect reg_mutex (fun () -> Hashtbl.mem counters name)
+  (** The kind a registered counter was created with; readers of a
+      {!dump} sum its counters by this. Raises [Invalid_argument] for a
+      name no counter has. *)
+  let kind name =
+    match Mutex.protect reg_mutex (fun () -> Hashtbl.find_opt counters name) with
+    | Some c -> c.c_kind
+    | None -> invalid_arg (Printf.sprintf "Probe.kind: no counter %S" name)
 
-  (** Every registered probe as [(name, kind)], sorted by name; the kind
-      is always ["counter"], the one probe statistic. The single source
-      of truth for probe listings: the [optik_bench probes] subcommand
-      prints it and the report probe-name audit iterates it, so a probe
-      that escapes the [<rep>.<metric>] convention fails both the same
-      way. *)
+  (** Every registered counter as [(name, kind)], sorted by name: the
+      [optik_bench probes] subcommand prints it and the registry-coverage
+      test walks it. *)
   let all () =
     Mutex.protect reg_mutex (fun () ->
-        Hashtbl.fold (fun name _ acc -> (name, "counter") :: acc) counters [])
+        Hashtbl.fold (fun name c acc -> (name, c.c_kind) :: acc) counters [])
     |> List.sort compare
 
   (** Alias with the fleet-reset naming convention: probe cells are

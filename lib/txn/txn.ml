@@ -192,10 +192,10 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       max_retries;
       c_commits = Rt.Probe.counter "txn.commits";
       c_snapshots = Rt.Probe.counter "txn.snapshots";
-      c_aborts = Rt.Probe.counter "txn.aborts";
-      c_vfail_lock = Rt.Probe.counter "txn.vfail-txn-lock";
-      c_vfail_read = Rt.Probe.counter "txn.vfail-txn-read";
-      c_snap_retries = Rt.Probe.counter "txn.snapshot-retries";
+      c_aborts = Rt.Probe.counter ~kind:Abort "txn.aborts";
+      c_vfail_lock = Rt.Probe.counter ~kind:Vfail "txn.vfail-txn-lock";
+      c_vfail_read = Rt.Probe.counter ~kind:Vfail "txn.vfail-txn-read";
+      c_snap_retries = Rt.Probe.counter ~kind:Snapshot_retry "txn.snapshot-retries";
     }
 
   let clock t = Rt.get t.clock

@@ -57,24 +57,25 @@ let test_nested_self_time () =
   in
   Alcotest.(check int) "phases sum to served" 100 served_sum
 
-(* Outcomes are derived from the end class and the counters bumped while
-   the request was open; structure-internal restarts must not count. *)
+(* Outcomes are derived from the end class and the kinds of the counters
+   bumped while the request was open; structure-internal restarts must
+   not count. *)
 let test_outcomes () =
   let r =
     record
       [
         e 0 1 (J.Req_begin ("put", 1));
-        e 5 1 (J.Count ("kv.retries", 1));
+        e 5 1 (J.Count ("kv.retries", Retry, 1));
         e 10 1 (J.Req_end ("put", 1));
         e 20 1 (J.Req_begin ("put", 2));
-        e 25 1 (J.Count ("kv.retries", 1));
+        e 25 1 (J.Count ("kv.retries", Retry, 1));
         e 30 1 (J.Req_end ("timeout", 2));
         e 40 1 (J.Req_begin ("get", 3));
-        e 45 1 (J.Count ("kv.failovers", 1));
-        e 46 1 (J.Count ("kv.retries", 1));
+        e 45 1 (J.Count ("kv.failovers", Failover, 1));
+        e 46 1 (J.Count ("kv.retries", Retry, 1));
         e 50 1 (J.Req_end ("get", 3));
         e 60 1 (J.Req_begin ("get", 4));
-        e 65 1 (J.Count ("ht-optik.restarts", 3));
+        e 65 1 (J.Count ("ht-optik.restarts", Restart, 3));
         e 70 1 (J.Req_end ("get", 4));
         e 80 1 (J.Req_begin ("scan", 5));
         e 90 1 (J.Req_end ("shed", 5));
@@ -111,13 +112,13 @@ let test_crashed_thread () =
   (* the Chrome exporter closes the same spans with a crashed arg *)
   let chrome = Obs.Trace.to_chrome r in
   Alcotest.(check bool) "chrome marks crashed spans" true
-    (Tutil.contains ~sub:"\"crashed\":true" chrome);
+    (Obs.Report.contains ~sub:"\"crashed\":true" chrome);
   Alcotest.(check bool) "chrome closes the request span" true
-    (Tutil.contains ~sub:"req:put" chrome)
+    (Obs.Report.contains ~sub:"req:put" chrome)
 
 (* Timeline windowing: counts land in the right windows, per-shard
-   counters don't double-count next to the service aggregate, and span /
-   inline occupancy is clipped per window. *)
+   [Tally] counters don't double-count next to the service aggregate,
+   and span / inline occupancy is clipped per window. *)
 let test_timeline_windows () =
   let r =
     record
@@ -127,12 +128,12 @@ let test_timeline_windows () =
         e 150 1 (J.Span_begin (ph Store));
         e 250 1 (J.Span_end (ph Store));
         e 260 1 (J.Req_end ("get", 1));
-        e 270 1 (J.Count ("kv.timeouts", 1));
-        e 270 1 (J.Count ("kv-s0.timeouts", 1));
+        e 270 1 (J.Count ("kv.timeouts", Timeout, 1));
+        e 270 1 (J.Count ("kv-s0.timeouts", Tally, 1));
         (* per-shard copy must not double-count *)
         e 310 2 (J.Instant ("kv.node-crash", Some 0));
         e 320 2 (J.Instant ("rq.storm", None));
-        e 400 2 (J.Count ("kv.retries", 2));
+        e 400 2 (J.Count ("kv.retries", Retry, 2));
       ]
   in
   let tl = A.timeline ~nwindows:4 r in

@@ -43,7 +43,7 @@ let test_trial_string_errors () =
     match of_string s with
     | () -> Alcotest.failf "expected parse error for %S" s
     | exception Invalid_argument msg ->
-        if not (Tutil.contains ~sub:field msg) then
+        if not (Obs.Report.contains ~sub:field msg) then
           Alcotest.failf "error for %S does not name %s: %s" s field msg
   in
   let named = rejects (fun s -> ignore (S.of_string s : Chaos.trial)) in
@@ -138,7 +138,7 @@ let agree (type c) (module T : Chaos.TRIAL with type t = c) ~run base rows =
       in
       let service = refusal "run" (fun () -> run cfg) in
       Alcotest.(check string) (field ^ ": same message") grammar service;
-      if not (Tutil.contains ~sub:field service) then
+      if not (Obs.Report.contains ~sub:field service) then
         Alcotest.failf "refusal does not name %s: %s" field service)
     rows
 
@@ -351,7 +351,7 @@ let test_golden_replay () =
   Alcotest.(check int) "same failure count on re-replay" n1 n2;
   Alcotest.(check string) "byte-identical replay output" out1 out2;
   Alcotest.(check bool) "verdict line present" true
-    (Tutil.contains ~sub:"verdict: FAIL" out1)
+    (Obs.Report.contains ~sub:"verdict: FAIL" out1)
 
 (* ------------------------------------------------------------------ *)
 (* Harris crash residue. A thread that crashes between its mark CAS and

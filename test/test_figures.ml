@@ -3,40 +3,11 @@
    here we check the machinery with synthetic data plus one real but
    tiny end-to-end experiment. *)
 
-let mk_measurement ?(name = "x") ~threads ~mops () =
-  {
-    Harness.Runner.name;
-    topo_name = "xeon";
-    seed = 0;
-    threads;
-    mops;
-    ops = 1000;
-    wall_s = 0.1;
-    eff_update_pct = 20.;
-    reads = 0;
-    writes = 0;
-    cas = 0;
-    cas_failed = 0;
-    faa = 0;
-    events = 0;
-    host_s = 0.1;
-    lat =
-      Array.map
-        (fun _ -> Harness.Pstats.empty_summary)
-        Harness.Runner.class_names;
-    lat_classes = Harness.Runner.class_names;
-    counters = [];
-    final_size = 0;
-    valid = true;
-    outcome = Harness.Runner.Complete;
-    obs = None;
-  }
-
 let series label pts =
   {
     Figures.Render.label;
     points =
-      List.map (fun (t, m) -> (t, mk_measurement ~threads:t ~mops:m ())) pts;
+      List.map (fun (t, m) -> (t, Tutil.measurement ~threads:t ~mops:m ())) pts;
   }
 
 let capture f =
@@ -60,7 +31,7 @@ let test_mops_table () =
   let out = capture (fun o -> Figures.Render.figure o fig) in
   List.iter
     (fun frag ->
-      if not (Tutil.contains ~sub:frag out) then
+      if not (Obs.Report.contains ~sub:frag out) then
         Alcotest.failf "missing %S in rendered figure:\n%s" frag out)
     [ "alpha"; "1.50"; "3.25"; "threads"; "note: a note"; "peak 3.25" ]
 
@@ -79,7 +50,7 @@ let test_sparkline_scaling () =
   let out = capture (fun o -> Figures.Render.sparklines o fig) in
   Alcotest.(check bool) "peak glyph present" true (String.contains out '@');
   Alcotest.(check bool) "peak value shown" true
-    (Tutil.contains ~sub:"peak 10.00" out)
+    (Obs.Report.contains ~sub:"peak 10.00" out)
 
 let test_claims_render () =
   let cs =
@@ -101,7 +72,7 @@ let test_claims_render () =
     ]
   in
   let out = capture (fun o -> Figures.Render.claims o cs) in
-  let has sub = Tutil.contains ~sub out in
+  let has sub = Obs.Report.contains ~sub out in
   Alcotest.(check bool) "PASS shown" true (has "[PASS] X1");
   Alcotest.(check bool) "DIVERGES shown" true (has "[DIVERGES] X2")
 

@@ -465,7 +465,7 @@ let test_qcheck_failure_names_seed () =
   | exception e ->
       let m = Printexc.to_string e
       and want = Printf.sprintf "QCHECK_SEED=%d" (Tutil.qcheck_seed ()) in
-      if not (Tutil.contains ~sub:want m) then
+      if not (Obs.Report.contains ~sub:want m) then
         Alcotest.failf "failure does not name its seed (%s): %s" want m
 
 let () =

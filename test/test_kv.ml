@@ -192,7 +192,7 @@ let check_copies_beat_crashes (r : Kv.result) =
   let caught_up =
     List.filter_map
       (fun e ->
-        if Tutil.contains ~sub:" caught up (" e then
+        if Obs.Report.contains ~sub:" caught up (" e then
           Scanf.sscanf_opt e "t=%d " Fun.id
         else None)
       r.Kv.res_events
@@ -494,7 +494,7 @@ let test_report_section () =
   let s = Obs.Report.to_string j in
   List.iter
     (fun sub ->
-      if not (Tutil.contains ~sub s) then Alcotest.failf "report missing %S" sub)
+      if not (Obs.Report.contains ~sub s) then Alcotest.failf "report missing %S" sub)
     [
       "\"p999\""; "\"oracle\""; "\"failover_events\""; "\"acked_writes\"";
       "\"degraded_cycles\""; "\"resync_batch\""; "\"warranted_ok\"";

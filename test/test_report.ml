@@ -1,7 +1,7 @@
 (* Tests for the run-report subsystem (lib/obs/report.ml and
    lib/harness/report.ml): JSON round-tripping, schema validation,
-   wasted-work classification, diff determinism, and the probe-coverage
-   audit that pins the <rep>.<metric> naming convention across the
+   wasted-work sums by counter kind, the probe registry's checks, diff
+   determinism, and the probe-coverage audit across the structure
    registry. *)
 
 module J = Obs.Report
@@ -104,42 +104,81 @@ let test_validate_rejects () =
 
 (* ---------------- wasted-work classification ---------------- *)
 
-let test_split_counter () =
-  Alcotest.(check (option (pair string string)))
-    "splits on first dot"
-    (Some ("ll-optik", "cache-hits"))
-    (J.split_counter "ll-optik.cache-hits");
-  Alcotest.(check (option (pair string string)))
-    "first dot wins"
-    (Some ("a", "b.c"))
-    (J.split_counter "a.b.c");
+(* A run report sums counters by the kind they were registered with,
+   never by name: a test-only [Tally] spelled like a restart counter
+   counts as nothing, and a [Restart] spelled otherwise counts. *)
+let restarts_of counters =
+  let entry =
+    Harness.Report.run_entry (Tutil.measurement ~counters ~threads:1 ~mops:1. ())
+  in
+  Option.bind (J.member "wasted" entry) (fun w ->
+      Option.bind (J.member "restarts" w) J.to_int)
+
+let test_tally_named_restarts () =
+  ignore (Sim.Sim_rt.Probe.counter "x.restarts");
+  Alcotest.(check (option int)) "x.restarts (Tally) is no restart" (Some 0)
+    (restarts_of [ ("x.restarts", 7) ])
+
+let test_restart_named_otherwise () =
+  ignore (Sim.Sim_rt.Probe.counter ~kind:Restart "x.redo");
+  Alcotest.(check (option int)) "x.redo (Restart) is a restart" (Some 7)
+    (restarts_of [ ("x.redo", 7) ])
+
+let test_one_kind_per_name () =
+  ignore (Sim.Sim_rt.Probe.counter ~kind:Vfail "x.vf");
+  ignore (Sim.Sim_rt.Probe.counter ~kind:Vfail "x.vf");
+  Alcotest.check_raises "x.vf again as a Tally"
+    (Invalid_argument "Probe.counter: \"x.vf\" is registered with another kind")
+    (fun () -> ignore (Sim.Sim_rt.Probe.counter "x.vf"))
+
+let test_malformed_names () =
   List.iter
     (fun bad ->
-      Alcotest.(check (option (pair string string)))
-        ("rejects " ^ bad) None (J.split_counter bad))
+      Alcotest.check_raises ("rejects " ^ bad)
+        (Invalid_argument
+           (Printf.sprintf "Probe.counter: %S is not of the form <owner>.<metric>" bad))
+        (fun () -> ignore (Sim.Sim_rt.Probe.counter bad));
+      Alcotest.(check bool) (bad ^ " stays unregistered") false
+        (List.mem_assoc bad (Sim.Sim_rt.Probe.all ())))
     [ "nodot"; ".leading"; "trailing." ]
 
-let test_metric_classes () =
-  List.iter
-    (fun m -> Alcotest.(check bool) (m ^ " is restart-class") true (J.restart_metric m))
-    [ "restarts"; "second-traversals"; "found-marked-retry" ];
-  Alcotest.(check bool) "cache-hits is not restart-class" false
-    (J.restart_metric "cache-hits");
-  Alcotest.(check bool) "vfail-lock is vfail" true (J.vfail_metric "vfail-lock");
-  Alcotest.(check bool) "validated is not vfail" false (J.vfail_metric "validated");
-  Alcotest.(check bool) "trylock-fail is lock-fail" true
-    (J.lockfail_metric "trylock-fail")
+(* fig11's restart-rate note counts the restart class at each series'
+   last point; it runs outside the pin ledger. *)
+let test_restart_note () =
+  ignore (Sim.Sim_rt.Probe.counter "x.restarts");
+  let point threads counters =
+    (threads, Tutil.measurement ~counters ~threads ~mops:1. ())
+  in
+  let series label points = { Figures.Render.label; points } in
+  Alcotest.(check (list string)) "restarts/op at the last point"
+    [ "restarts/op:  herlihy@20=0.40  fraser@4=0.00" ]
+    (Figures.Experiments.restart_note
+       [
+         series "herlihy"
+           [
+             point 1 [ ("sl-herlihy.restarts", 900) ];
+             point 20
+               [
+                 ("sl-herlihy.restarts", 300);
+                 ("sl-herlihy.found-marked-retry", 100);
+                 ("sl-herlihy.vfail-succ", 50);
+                 ("sl-herlihy.optik-fast-validations", 60);
+               ];
+           ];
+         series "fraser" [ point 4 [ ("x.restarts", 500) ] ];
+         series "empty" [];
+       ])
 
 let test_wasted_section () =
-  let counters =
+  let counters : (string * Rt.Rt_intf.counter_kind * int) list =
     [
-      ("ll-optik.restarts", 6);
-      ("ll-optik.cache-hits", 99);
-      ("ht-java-optik.second-traversals", 4);
-      ("sl-herlihy.vfail-succ", 3);
-      ("sl-herlihy.vfail-next", 2);
-      ("optik.trylock-fail", 7);
-      ("nodot", 123);
+      ("ll-optik.restarts", Restart, 6);
+      ("ll-optik.cache-hits", Tally, 99);
+      ("ht-java-optik.second-traversals", Restart, 4);
+      ("sl-herlihy.vfail-succ", Vfail, 3);
+      ("sl-herlihy.vfail-next", Vfail, 2);
+      ("optik.trylock-fail", Lock_fail, 7);
+      ("nodot", Tally, 123);
     ]
   in
   let w = J.wasted ~ops:100 ~cas_failed:5 ~counters in
@@ -224,10 +263,10 @@ let test_diff_by_id () =
   | Error e -> Alcotest.failf "diff failed: %s" e
   | Ok text ->
       Alcotest.(check bool) "paired by id" true
-        (Tutil.contains ~sub:"pairing: by run id (2 run pairs)" text);
+        (J.contains ~sub:"pairing: by run id (2 run pairs)" text);
       (* mops halved on r0: the top regression, -50% *)
       Alcotest.(check bool) "r0 mops regression ranked first" true
-        (Tutil.contains ~sub:"1. r0" text && Tutil.contains ~sub:"-50.0%" text);
+        (J.contains ~sub:"1. r0" text && J.contains ~sub:"-50.0%" text);
       Alcotest.(check bool) "deterministic" true (J.diff report_a report_b = Ok text)
 
 let test_diff_positional () =
@@ -244,11 +283,11 @@ let test_diff_positional () =
   | Error e -> Alcotest.failf "diff failed: %s" e
   | Ok text ->
       Alcotest.(check bool) "paired positionally" true
-        (Tutil.contains ~sub:"pairing: positional" text);
+        (J.contains ~sub:"pairing: positional" text);
       Alcotest.(check bool) "pair labels show both ids" true
-        (Tutil.contains ~sub:"== a:r0 vs b:other0 ==" text);
+        (J.contains ~sub:"== a:r0 vs b:other0 ==" text);
       Alcotest.(check bool) "identical metrics, no regressions" true
-        (Tutil.contains ~sub:"top regressions (b worse than a): none" text)
+        (J.contains ~sub:"top regressions (b worse than a): none" text)
 
 let test_diff_rejects_invalid () =
   match J.diff (J.Obj [ ("schema", J.Str "bogus") ]) report_b with
@@ -275,7 +314,7 @@ let test_diff_disjoint_metrics_errors () =
       Alcotest.(check bool)
         (Printf.sprintf "error names the condition (%s)" e)
         true
-        (Tutil.contains ~sub:"disjoint metric sets" e)
+        (J.contains ~sub:"disjoint metric sets" e)
 
 (* ---------------- harness report ---------------- *)
 
@@ -311,7 +350,7 @@ let test_harness_report_roundtrip () =
   | Error e -> Alcotest.failf "reparse failed: %s" e);
   (* host wall-clock must stay out of the report *)
   Alcotest.(check bool) "no host_s anywhere" false
-    (Tutil.contains ~sub:"host_s" (J.to_string j))
+    (J.contains ~sub:"host_s" (J.to_string j))
 
 (* A run entry's hotlines carry each profiled site's own figures:
    [lines] counts the distinct cache lines of the site, which the
@@ -346,23 +385,19 @@ let test_hotline_lines () =
 
 (* ---------------- probe-coverage audit ---------------- *)
 
-(* Reps whose restart-equivalent wasted-work counter is not named
-   [<prefix>.restarts]; documented in DESIGN.md ("Wasted-work metrics"). *)
-let equivalents =
-  [ ("ht-java-optik", "second-traversals"); ("q-optik0", "vfail-lock") ]
-
+(* A rep with [probe_prefix = Some p] promises a [Restart] or [Vfail]
+   counter under [p], whatever its metric is called. *)
 let check_prefix what = function
   | None -> ()
   | Some p ->
-      let metric =
-        match List.assoc_opt p equivalents with
-        | Some m -> m
-        | None -> "restarts"
-      in
       Alcotest.(check bool)
-        (Printf.sprintf "%s (prefix %s) registers %s.%s" what p p metric)
+        (Printf.sprintf "%s (prefix %s) registers a Restart or Vfail counter" what p)
         true
-        (Sim.Sim_rt.Probe.registered (p ^ "." ^ metric))
+        (List.exists
+           (fun (name, (kind : Rt.Rt_intf.counter_kind)) ->
+             String.starts_with ~prefix:(p ^ ".") name
+             && (kind = Restart || kind = Vfail))
+           (Sim.Sim_rt.Probe.all ()))
 
 let test_registry_coverage () =
   List.iter
@@ -387,55 +422,66 @@ let test_optik_reps_instrumented () =
            (SB.lineup family)))
     [ "map"; "list"; "hashtable"; "skiplist"; "bst" ]
 
-(* Iterates [Probe.all] — the same registry rows the [optik_bench probes]
-   subcommand prints — so a probe that escapes the naming convention
-   fails this audit and that listing identically. *)
+(* Transaction-layer counters must live under the [txn.] namespace: an
+   unprefixed one would be misattributed to a structure in the
+   per-owner wasted-work breakdown. The registry itself rejects a name
+   that is not of the [<owner>.<metric>] form. *)
 let test_counter_naming_convention () =
   List.iter
     (fun (name, _kind) ->
-      match J.split_counter name with
-      | Some (prefix, _) ->
-          (* Transaction-layer counters must live under the [txn.]
-             namespace: an unprefixed one would be misattributed to a
-             structure in the per-prefix wasted-work breakdown. *)
-          if Tutil.contains ~sub:"txn" name && prefix <> "txn" then
-            Alcotest.failf
-              "counter %S mentions txn but is not under the txn. prefix" name
-      | None ->
-          Alcotest.failf "counter %S violates the <rep>.<metric> convention"
-            name)
+      if
+        J.contains ~sub:"txn" name
+        && not (String.starts_with ~prefix:"txn." name)
+      then
+        Alcotest.failf "counter %S mentions txn but is not under the txn. prefix"
+          name)
     (Sim.Sim_rt.Probe.all ())
 
+let check_kinds what (expected : (string * Rt.Rt_intf.counter_kind) list) =
+  let all = Sim.Sim_rt.Probe.all () in
+  List.iter
+    (fun (n, kind) ->
+      Alcotest.(check bool) (what ^ ": " ^ n) true (List.assoc_opt n all = Some kind))
+    expected
+
 (* The transaction manager's counters: registered the moment a manager
-   exists, all six under [txn.], and classified by the wasted-work
-   taxonomy so txn aborts show up in reports and A/B diffs. *)
+   exists, all six under [txn.], with the kinds that put aborts and
+   snapshot retries in the restart class and explain them by the two
+   validation failures. *)
 module TxnSim = Txn.Make (Sim.Sim_rt)
 
 let test_txn_counters_audited () =
   ignore (TxnSim.create () : TxnSim.t);
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true
-        (Sim.Sim_rt.Probe.registered n))
+  check_kinds "txn"
     [
-      "txn.commits";
-      "txn.snapshots";
-      "txn.aborts";
-      "txn.vfail-txn-lock";
-      "txn.vfail-txn-read";
-      "txn.snapshot-retries";
+      ("txn.commits", Tally);
+      ("txn.snapshots", Tally);
+      ("txn.aborts", Abort);
+      ("txn.vfail-txn-lock", Vfail);
+      ("txn.vfail-txn-read", Vfail);
+      ("txn.snapshot-retries", Snapshot_retry);
     ];
-  test_counter_naming_convention ();
-  (* taxonomy: aborts and snapshot retries are thrown-away attempts,
-     the vfail split explains them *)
-  Alcotest.(check bool) "aborts are restart-class" true
-    (J.restart_metric "aborts");
-  Alcotest.(check bool) "snapshot retries are restart-class" true
-    (J.restart_metric "snapshot-retries");
-  Alcotest.(check bool) "vfail-txn-lock is vfail-class" true
-    (J.vfail_metric "vfail-txn-lock");
-  Alcotest.(check bool) "vfail-txn-read is vfail-class" true
-    (J.vfail_metric "vfail-txn-read")
+  test_counter_naming_convention ()
+
+(* The kv service's kinds: the service aggregates carry the request
+   kinds the timeline and attribution count; their per-shard twins are
+   bumped right after them and stay [Tally]s, except the per-shard
+   retries and abandoned copies, which are restart-class waste. *)
+let test_kv_counter_kinds () =
+  ignore (Kv.create Kv.default_config : Kv.t);
+  check_kinds "kv"
+    [
+      ("kv.retries", Retry);
+      ("kv.timeouts", Timeout);
+      ("kv.sheds", Shed);
+      ("kv.failovers", Failover);
+      ("kv.resync-aborts", Tally);
+      ("kv-s0.restarts", Restart);
+      ("kv-s0.resync-aborted", Restart);
+      ("kv-s0.timeouts", Tally);
+      ("kv-s0.sheds", Tally);
+      ("kv-s0.failovers", Tally);
+    ]
 
 (* ---------------- hostperf baseline ---------------- *)
 
@@ -490,9 +536,15 @@ let () =
         ] );
       ( "wasted",
         [
-          Alcotest.test_case "split_counter" `Quick test_split_counter;
-          Alcotest.test_case "metric classes" `Quick test_metric_classes;
           Alcotest.test_case "wasted section" `Quick test_wasted_section;
+          Alcotest.test_case "a Tally named x.restarts is no restart" `Quick
+            test_tally_named_restarts;
+          Alcotest.test_case "a Restart named x.redo is a restart" `Quick
+            test_restart_named_otherwise;
+          Alcotest.test_case "one kind per name" `Quick test_one_kind_per_name;
+          Alcotest.test_case "malformed names rejected" `Quick
+            test_malformed_names;
+          Alcotest.test_case "fig11 restart note" `Quick test_restart_note;
         ] );
       ( "diff",
         [
@@ -522,5 +574,6 @@ let () =
           Alcotest.test_case "naming convention" `Quick
             test_counter_naming_convention;
           Alcotest.test_case "txn counters" `Quick test_txn_counters_audited;
+          Alcotest.test_case "kv counter kinds" `Quick test_kv_counter_kinds;
         ] );
     ]

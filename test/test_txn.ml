@@ -1233,7 +1233,7 @@ let test_report_section () =
   let s = Obs.Report.to_string j in
   List.iter
     (fun sub ->
-      if not (Tutil.contains ~sub s) then
+      if not (Obs.Report.contains ~sub s) then
         Alcotest.failf "report missing %S" sub)
     [ "\"oracle\""; "\"commits\""; "\"txn.aborts\""; "\"snapshot_retries\"" ]
 

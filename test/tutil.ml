@@ -27,12 +27,33 @@ let root () =
         "no test/ledger.txt here or in the parent directory; run the test \
          from the repository root"
 
-(* Whether [sub] occurs in [s]: error messages and exports are checked
-   for the field or marker they must name. *)
-let contains ~sub s =
-  let ls = String.length sub and l = String.length s in
-  let rec at i = i + ls <= l && (String.sub s i ls = sub || at (i + 1)) in
-  at 0
+(* A synthetic measurement of [ops] operations on [threads] threads at
+   [mops], with the given counters and nothing else. *)
+let measurement ?(ops = 1000) ?(counters = []) ~threads ~mops () =
+  {
+    Runner.name = "x";
+    topo_name = "xeon";
+    seed = 0;
+    threads;
+    mops;
+    ops;
+    wall_s = 0.1;
+    eff_update_pct = 20.;
+    reads = 0;
+    writes = 0;
+    cas = 0;
+    cas_failed = 0;
+    faa = 0;
+    events = 0;
+    host_s = 0.1;
+    lat = Array.map (fun _ -> Harness.Pstats.empty_summary) Runner.class_names;
+    lat_classes = Runner.class_names;
+    counters;
+    final_size = 0;
+    valid = true;
+    outcome = Runner.Complete;
+    obs = None;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Sequential model checking                                           *)
