@@ -386,35 +386,27 @@ let wasted ~ops ~cas_failed
   let vfails = List.filter (fun (_, k, _) -> vfail k) counters in
   let lockfails = sum lockfail counters in
   let by_structure =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (name, k, v) ->
-        if restart_class k || vfail k || lockfail k then begin
-          let owner = String.sub name 0 (String.index name '.') in
-          let r, vf, lf =
-            Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl owner)
-          in
-          let r = if restart_class k then r + v else r in
-          let vf = if vfail k then vf + v else vf in
-          let lf = if lockfail k then lf + v else lf in
-          Hashtbl.replace tbl owner (r, vf, lf)
-        end)
-      counters;
-    Hashtbl.fold
-      (fun owner (r, vf, lf) acc ->
-        if r + vf + lf = 0 then acc
-        else
-          ( owner,
-            Obj
-              [
-                ("restarts", Int r);
-                ("restarts_per_op", per_op r);
-                ("validation_fails", Int vf);
-                ("lock_acquire_fails", Int lf);
-              ] )
-          :: acc)
-      tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    let owner (name, _, _) = String.sub name 0 (String.index name '.') in
+    let wasted =
+      List.filter (fun (_, k, _) -> restart_class k || vfail k || lockfail k) counters
+    in
+    List.sort_uniq String.compare (List.map owner wasted)
+    |> List.filter_map (fun o ->
+           let mine = List.filter (fun c -> owner c = o) wasted in
+           let r = sum restart_class mine
+           and vf = sum vfail mine
+           and lf = sum lockfail mine in
+           if r + vf + lf = 0 then None
+           else
+             Some
+               ( o,
+                 Obj
+                   [
+                     ("restarts", Int r);
+                     ("restarts_per_op", per_op r);
+                     ("validation_fails", Int vf);
+                     ("lock_acquire_fails", Int lf);
+                   ] ))
   in
   Obj
     [
