@@ -74,7 +74,8 @@ let write_report path (j : J.json) =
    string or fault plan, or a configuration a library rejects before
    running — exits 2 with its message, as do cmdliner's own parse errors
    (see the last line) and a [Sys_error] from a file it cannot open (the
-   message names the path and the OS error); the report is written when
+   message names the path and the OS error; the --report path is opened
+   once before [body] runs, so a bad one costs no run); the report is written when
    --report was given; a failure exits 1. [exits] documents these
    statuses in every man page. *)
 let exits =
@@ -91,7 +92,15 @@ let main report body =
     prerr_endline msg;
     exit 2
   in
-  match body () with
+  (* A report path that cannot be opened fails before the run, not after
+     it; opening to append keeps an existing file's bytes. *)
+  let writable path =
+    close_out (open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path)
+  in
+  match
+    Option.iter writable report;
+    body ()
+  with
   | exception (Invalid_argument msg | Sys_error msg) -> malformed msg
   | failed, (j : unit -> J.json) ->
       (try Option.iter (fun path -> write_report path (j ())) report

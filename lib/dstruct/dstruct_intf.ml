@@ -25,6 +25,16 @@ module type SET_CORE = sig
   val insert : 'v t -> int -> 'v -> bool
   val delete : 'v t -> int -> 'v option
 
+  val update : 'v t -> int -> 'v -> bool
+  (** [update t k v] replaces the value of a present key [k] with [v]
+      and returns [true]; on an absent key it returns [false] and
+      changes nothing. The OPTIK lists ([Ll_optik], and the hash tables
+      [Ht.Of_bucket] builds from them) write the value in place, inside
+      one validate-and-lock of the key's node, so a concurrent search
+      sees the old value or the new one. Every other structure updates
+      with {!reinsert}, whose window lets a concurrent search miss the
+      key. *)
+
   val fold : 'v t -> (int -> 'v -> 'a -> 'a) -> 'a -> 'a
   (** Enumeration of the live bindings, in structure order (no
       particular key order is promised). The replica-resync seed:
@@ -52,6 +62,19 @@ module type SET_CORE = sig
       structure no later operation walked), which a crash-free run must
       never leave. Every other rule stays as strict. *)
 end
+
+(** [reinsert delete insert t k v]: the [update] of a structure that
+    cannot write a value in place. It deletes [k] and, if [k] was
+    present, inserts it again with [v]. Between the two a concurrent
+    search misses the key and a concurrent insert of [k] wins (the
+    re-insert then does nothing), so a caller that needs the key to stay
+    visible must exclude both, as a transaction's held stripe does. *)
+let reinsert delete insert t k v =
+  match delete t k with
+  | None -> false
+  | Some _ ->
+      ignore (insert t k v : bool);
+      true
 
 (** FIFO queues (§5.4). *)
 module type QUEUE_CORE = sig
@@ -122,6 +145,7 @@ module type SET_OPS = sig
   val search : t -> int -> int option
   val insert : t -> int -> int -> bool
   val delete : t -> int -> int option
+  val update : t -> int -> int -> bool
   val fold : t -> (int -> int -> 'a -> 'a) -> 'a -> 'a
   val size : t -> int
   val validate : ?crashed:int -> t -> bool
@@ -170,6 +194,7 @@ module Mono_set
   let search = S.search
   let insert = S.insert
   let delete = S.delete
+  let update = S.update
   let fold = S.fold
   let size = S.size
   let validate = S.validate

@@ -51,6 +51,7 @@ struct
   let search t key = B.search (bucket t key) key
   let insert t key v = B.insert (bucket t key) key v
   let delete t key = B.delete (bucket t key) key
+  let update t key v = B.update (bucket t key) key v
 
   let size t = Array.fold_left (fun acc b -> acc + B.size b) 0 t.buckets
 
@@ -284,6 +285,8 @@ module Java (Rt : RT) = struct
     Lock.unlock seg.lock;
     Q.op_end t.qsbr;
     res
+
+  let update t = Dstruct_intf.reinsert delete insert t
 end
 
 module Java_optik (Rt : RT) = struct
@@ -367,4 +370,6 @@ module Java_optik (Rt : RT) = struct
     in
     Q.op_end t.qsbr;
     res
+
+  let update t = Dstruct_intf.reinsert delete insert t
 end

@@ -15,6 +15,8 @@
       victim's lock is {e never released}: a locked version marks the node
       dead, which both replaces the lazy list's [marked] flag and keeps
       node caches from entering the list through it.
+    - Update locks and validates only the node holding the key, and
+      writes its value in place.
     - Search is 100% sequential code — correct because update
       linearization points are plain stores on live predecessors.
 
@@ -39,7 +41,7 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
 
   type 'v node = {
     key : int;
-    value : 'v;
+    mutable value : 'v;  (** written only under [lock], by {!update} *)
     lock : OL.t;
     next : 'v node option Rt.atomic;
   }
@@ -199,6 +201,41 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
         Q.retire t.qsbr !cur;
         cache_put t !pred;
         Some result)
+    in
+    let res = attempt () in
+    Q.op_end t.qsbr;
+    res
+
+  (* In-place update: traverse as [delete] does, then validate the
+     node's own version and lock it in one CAS. A node locked for good
+     is dead, so the write never lands in a deleted node; the unlock
+     advances its version, so a traversal that read it fails validation
+     as after any other update. *)
+  let update t key value =
+    check_key key;
+    Q.op_begin t.qsbr;
+    let b = B.create () in
+    let rec attempt () =
+      let start = entry_point t key in
+      let pred = ref start and cur = ref start in
+      let curv = ref (OL.get_version start.lock) in
+      while !cur.key < key do
+        pred := !cur;
+        cur := next_exn !cur;
+        curv := OL.get_version !cur.lock
+      done;
+      if !cur.key <> key then (
+        cache_put t !pred;
+        false)
+      else if not (OL.trylock_version !cur.lock !curv) then (
+        Rt.Probe.incr restarts;
+        B.once b;
+        attempt ())
+      else (
+        !cur.value <- value;
+        OL.unlock !cur.lock;
+        cache_put t !pred;
+        true)
     in
     let res = attempt () in
     Q.op_end t.qsbr;

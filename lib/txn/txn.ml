@@ -127,15 +127,15 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
   let obj_size (Obj { ops = (module S); st; _ }) = S.size st
   let obj_validate (Obj { ops = (module S); st; _ }) = S.validate st
 
-  (* Transactional writes are upserts; [insert] alone no-ops on a
-     present key. The delete+insert window is safe: the key's stripe
-     lock is held, so versioned readers wait and conflicting commits
-     fail validation. *)
+  (* Transactional writes are upserts: [update] a present key, [insert]
+     an absent one, [delete] for [None]. Held stripe locks make every
+     step safe: versioned readers wait and conflicting commits fail
+     validation, also across the delete+insert window of a structure
+     that cannot update in place ({!Dstruct.Dstruct_intf.reinsert}). *)
   let obj_write (Obj { ops = (module S); st; _ }) k v =
-    ignore (S.delete st k : int option);
     match v with
-    | Some v -> ignore (S.insert st k v : bool)
-    | None -> ()
+    | None -> ignore (S.delete st k : int option)
+    | Some v -> if not (S.update st k v) then ignore (S.insert st k v : bool)
 
   type rentry = {
     r_obj : obj;

@@ -157,6 +157,65 @@ let test_soak_describe () =
       done)
     [ ("bounded", Harness.Soak.bounded); ("wide", Harness.Soak.wide) ]
 
+(* The [update] contract, on every set entry: a present key takes the
+   new value and the size stays; an absent key is refused and nothing
+   is inserted. *)
+let update_case (e : R.entry) =
+  let (module S : R.SET_OPS) = R.set_ops e in
+  Alcotest.test_case (R.id e) `Quick (fun () ->
+      Dstruct.Sl_common.reset_states ();
+      let t = S.create ~capacity:64 () in
+      for k = 1 to 20 do
+        assert (S.insert t k k)
+      done;
+      Alcotest.(check bool) "present: updated" true (S.update t 7 700);
+      Alcotest.(check (option int)) "present: the new value" (Some 700)
+        (S.search t 7);
+      Alcotest.(check (option int)) "present: its neighbour kept" (Some 8)
+        (S.search t 8);
+      Alcotest.(check int) "present: the size stays" 20 (S.size t);
+      Alcotest.(check bool) "absent: refused" false (S.update t 21 2100);
+      Alcotest.(check (option int)) "absent: nothing inserted" None
+        (S.search t 21);
+      Alcotest.(check int) "absent: the size stays" 20 (S.size t);
+      Alcotest.(check bool) "valid" true (S.validate t))
+
+(* Two simulated threads update the 16 keys of a prefilled set, one the
+   odd keys and one the even, while two search them all. Returns how many searches found a key absent, after
+   checking that every update found its key and that the set is valid
+   and whole. *)
+let update_search_race spelling =
+  let (module S : R.SET_OPS) = R.set_ops (B.find spelling) in
+  let t = S.create () in
+  for k = 1 to 16 do
+    assert (S.insert t k k)
+  done;
+  let missed = ref 0 and refused = ref 0 in
+  ignore
+    (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:4 (fun tid ->
+         let rng = Harness.Rng.create (31 + tid) in
+         for i = 1 to 400 do
+           if tid < 2 then begin
+             let k = 1 + tid + (2 * Harness.Rng.below rng 8) in
+             if not (S.update t k ((tid * 1000) + i)) then incr refused
+           end
+           else if S.search t (1 + Harness.Rng.below rng 16) = None then
+             incr missed
+         done)
+      : Sim.Sched.stats);
+  Alcotest.(check int) (spelling ^ ": every update found its key") 0 !refused;
+  Alcotest.(check bool) (spelling ^ ": valid") true (S.validate t);
+  Alcotest.(check int) (spelling ^ ": every key stays") 16 (S.size t);
+  !missed
+
+(* list/optik writes in place, so no search misses a key; list/lazy's
+   delete+insert opens the window this race is built to hit. *)
+let test_update_in_place () =
+  Alcotest.(check int) "list/optik: no search misses a key" 0
+    (update_search_race "list/optik");
+  Alcotest.(check bool) "list/lazy: some search misses a key" true
+    (update_search_race "list/lazy" > 0)
+
 let () =
   Alcotest.run "registry"
     [
@@ -166,6 +225,15 @@ let () =
           Alcotest.test_case "unknown and retired names" `Quick test_unknown;
           Alcotest.test_case "one spelling per entry" `Quick test_unique;
         ] );
+      ( "update",
+        Alcotest.test_case "in place under concurrent searches" `Quick
+          test_update_in_place
+        :: List.filter_map
+             (fun (e : R.entry) ->
+               match e.structure with
+               | R.Set _ -> Some (update_case e)
+               | R.Queue _ | R.Stack _ -> None)
+             B.entries );
       ( "one list",
         [
           Alcotest.test_case "lineups" `Quick test_lineup;

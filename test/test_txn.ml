@@ -4,9 +4,10 @@
    re-check, every rep's stripe table and the object read's fold and
    search counts, seeded determinism under contention, abort-free
    snapshots, the strict-serializability oracle (positive run, the
-   broken-commit, broken-snapshot, broken-gate and broken-fold negative
-   controls, a differential fuzz against a naive reference and an
-   allocation gate), the chaos trial grammar and the report section. *)
+   broken-commit, broken-snapshot and broken-gate negative controls, the
+   scripted broken-commit and broken-fold races, a differential fuzz
+   against a naive reference and an allocation gate), the chaos trial
+   grammar and the report section. *)
 
 module W = Txn.Workload
 module R = Harness.Registry
@@ -244,6 +245,7 @@ let test_snapshot_is_consistent () =
    (key 2 alone: keys 1 .. 4 sit on four of the 16 stripes) are read per
    key. *)
 let test_object_read_counts () =
+  Sim.Sim_rt.Probe.reset_all ();
   let a, b = fresh_pair ~logged:true () in
   let mgr = TX.create () in
   let audit () =
@@ -404,25 +406,28 @@ let test_second_retry_backs_off_once () =
     ((100 * n) + 10) sum;
   Alcotest.(check int) "the point follows the last commit" (ticket + 1) c
 
-(* The versioned read's re-check keeps a commit's delete+insert window
-   out of a snapshot. Thread 1 commits key 2 through a writer view whose
-   [insert] first waits 5000 cycles, so the key stays absent while its
-   stripe is locked. Thread 0's snapshot reads keys 1 .. 3 through
-   stripes whose first [wait] on key 2's stripe, once it has the free
-   version, holds the read until that window opens. Its search then
-   finds key 2 absent; the re-check sees the stripe locked and reads
-   again after the commit. So no read returns absent, and the one
-   validation pass the commit's ticket forces finds every token
-   current. *)
+(* The versioned read's re-check keeps a commit's in-place write out of
+   a snapshot until the commit is whole. Thread 1 commits key 2 through
+   a writer view whose [update] then waits 5000 cycles, so the new value
+   is in the structure while the stripe is still locked and before the
+   commit draws its ticket. Thread 0's snapshot reads keys 1 .. 3
+   through stripes whose first [wait] on key 2's stripe, once it has the
+   free version, holds the read until that window opens. Its search then
+   finds the mid-commit value; the re-check sees the stripe locked and
+   reads again after the commit. Without the re-check the snapshot would
+   return that value at point 0, before the commit's ticket. So no read
+   returns a mid-commit value, and the one validation pass the commit's
+   ticket forces finds every token current. *)
 let window_open = ref false
 
-module Slow_insert (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
+module Slow_update (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
   include S
 
-  let insert t k v =
+  let update t k v =
+    let present = S.update t k v in
     window_open := true;
     Sim.Sched.work 5_000;
-    S.insert t k v
+    present
 end
 
 let test_read_recheck () =
@@ -433,7 +438,7 @@ let test_read_recheck () =
     assert (S.insert st k 100)
   done;
   let hs = W.Stripes.create stripes in
-  let writer_obj = TX.obj (module Slow_insert (S)) st hs in
+  let writer_obj = TX.obj (module Slow_update (S)) st hs in
   let key2 = TX.obj_handle writer_obj 2 in
   let reading = ref false in
   window_open := false;
@@ -484,7 +489,7 @@ let test_read_recheck () =
       : Sim.Sched.stats);
   Alcotest.(check bool) "the writer opened the window" true !window_open;
   Alcotest.(check (list (option int)))
-    "no read returns absent; key 2 reads the commit"
+    "key 2 reads the commit"
     [ Some 100; Some 105; Some 100 ]
     !seen;
   Alcotest.(check int) "no snapshot retry" 0 (count mgr.TX.c_snap_retries);
@@ -591,13 +596,17 @@ let control_seeds = [ 1; 3; 7; 42 ]
 
 (* Locks taken without validation let stale reads commit: the oracle
    must report them as transfer reads, and the updates they lose as a
-   broken conservation, nothing else, at every seed tried. The exact
-   verdict and first violations at seed 42 are the [txn broken-commit]
-   row of the pin ledger. *)
+   broken conservation, nothing else, at every seed tried. The bank runs
+   8 accounts per object, not the default 16: at 16, seed 3's run has no
+   stale read commit. The exact verdict and first violations of the
+   default run at seed 42 are the [txn broken-commit] row of the pin
+   ledger. *)
 let test_broken_commit_fails () =
   List.iter
     (fun seed ->
-      let _, r = W.run { W.default_config with W.broken = true; seed } in
+      let _, r =
+        W.run { W.default_config with W.broken = true; accounts = 8; seed }
+      in
       let o = r.W.res_oracle in
       Alcotest.(check bool) "oracle failed" false o.W.ok;
       let read v =
@@ -638,15 +647,150 @@ let test_broken_snapshot_fails () =
 let test_broken_gate_fails () =
   List.iter (fun seed -> audits_fail ~seed W.T.Broken_gate) control_seeds
 
-(* An object read that keeps its fold without re-checking the stripes
-   lets a value a commit wrote during the fold into the read set, with
-   the token taken before that commit. When the commit draws its ticket
-   after the round's closing clock read, the gate passes the audit
-   unchecked: the oracle must report it, and no transfer. The race is
-   narrow (one rejected audit per run), so this runs at the seeds where
-   it lands: 1, 3 and 42 (seed 7's run passes). *)
-let test_broken_fold_fails () =
-  List.iter (fun seed -> audits_fail ~seed W.T.Broken_fold) [ 1; 3; 42 ]
+(* Scripted races: two simulated threads on one list/optik object of
+   three accounts, each transaction recorded as the bank workload's
+   client records it, and the history handed to the oracle. Each script
+   waits on the other thread's progress, not on cycle counts, so its
+   verdict holds on every machine model: it must FAIL under its mutant
+   and PASS under [Optimistic]. *)
+let race_cfg = { W.default_config with W.objects = 1; accounts = 3 }
+let race_machines = [ Tutil.uniform4; Sim.Topology.xeon; Sim.Topology.opteron ]
+
+let race_oracle topology records objs body =
+  ignore (Sim.Sched.run ~topology ~nthreads:2 body : Sim.Sched.stats);
+  W.check_serializable race_cfg (fun f -> List.iter f records) objs
+
+(* A transfer of [amount] from key [a] to key [b], recorded into [x];
+   [between] runs after the reads of every attempt. *)
+let scripted_transfer ?(between = ignore) mgr o x a b amount =
+  let (), ticket =
+    W.T.atomically mgr (fun ctx ->
+        let va = Option.get (W.T.read ctx o a) in
+        let vb = Option.get (W.T.read ctx o b) in
+        between ();
+        W.T.write ctx o a (Some (va - amount));
+        W.T.write ctx o b (Some (vb + amount));
+        x.W.x_reads <- [| 0; a; va; 0; b; vb |];
+        x.W.x_writes <- [| 0; a; va - amount; 0; b; vb + amount |])
+  in
+  x.W.x_ticket <- ticket;
+  x.W.x_committed <- true
+
+(* Thread 0 reads keys 1 and 2, then waits while thread 1 commits a
+   transfer from key 1 to key 3, then writes. [Optimistic]'s validated
+   acquire fails, so thread 0 retries on fresh reads; [Broken_commit]
+   acquires without validation and commits the stale read of key 1. *)
+let commit_race topology policy =
+  let objs = W.make_objects race_cfg in
+  let mgr = W.T.create ~policy () in
+  let stale = W.fresh_rec W.Transfer and landed = W.fresh_rec W.Transfer in
+  let read = ref false in
+  race_oracle topology [ stale; landed ] objs (fun tid ->
+      if tid = 0 then
+        scripted_transfer mgr objs.(0) stale 1 2 5 ~between:(fun () ->
+            read := true;
+            while not landed.W.x_committed do
+              Sim.Sched.pause ()
+            done)
+      else begin
+        while not !read do
+          Sim.Sched.pause ()
+        done;
+        scripted_transfer mgr objs.(0) landed 1 3 7
+      end)
+
+let test_commit_race () =
+  List.iter
+    (fun topology ->
+      let o = commit_race topology W.T.Broken_commit in
+      Alcotest.(check (list string))
+        "broken: the stale read and the units it lost"
+        [
+          "txn 1 read (0,1) = 100 but the serialized state had 93";
+          "conservation broken: accounts sum to 307, expected 300";
+        ]
+        o.W.violations;
+      let o = commit_race topology W.T.Optimistic in
+      Alcotest.(check (list string)) "optimistic: serializable" [] o.W.violations)
+    race_machines
+
+(* The audit's fold, after yielding key 1, waits until the writer's
+   in-place [update] of key 2 (the [Slow_update] view) has landed, so it
+   reads key 2's mid-commit value while the stripe is held. *)
+let folding = ref false
+
+module Folding (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
+  include S
+
+  let fold t f acc =
+    S.fold t
+      (fun k v acc ->
+        let acc = f k v acc in
+        if k = 1 then begin
+          folding := true;
+          while not !window_open do
+            Sim.Sched.pause ()
+          done
+        end;
+        acc)
+      acc
+end
+
+(* Thread 0 audits the object with one object read; thread 1 commits a
+   transfer from key 1 to key 2 once the fold has passed key 1, holding
+   the stripes 5000 cycles after each in-place write, so it draws its
+   ticket after the audit's closing clock read. [Optimistic]'s re-check
+   finds both stripes locked and reads keys 1 and 2 again after the
+   commit; [Broken_fold] keeps key 2's mid-commit value with the token
+   taken before the commit, and the unmoved clock lets the audit
+   through at point 0. *)
+let fold_race topology policy =
+  let (module S : R.SET_OPS), stripes = W.rep race_cfg.W.rep in
+  let st = S.create ~capacity:64 () in
+  for k = 1 to race_cfg.W.accounts do
+    assert (S.insert st k W.initial)
+  done;
+  let hs = W.Stripes.create stripes in
+  let writer = W.T.obj (module Slow_update (S)) st hs in
+  let auditor = W.T.obj (module Folding (S)) st hs in
+  let mgr = W.T.create ~policy () in
+  let audit = W.fresh_rec W.Audit and xfer = W.fresh_rec W.Transfer in
+  window_open := false;
+  folding := false;
+  race_oracle topology [ audit; xfer ] [| writer |] (fun tid ->
+      if tid = 0 then begin
+        let reads = Array.make (3 * race_cfg.W.accounts) 0 in
+        let (), at =
+          W.T.snapshot mgr (fun ctx ->
+              W.T.read_object ctx auditor;
+              for k = 1 to race_cfg.W.accounts do
+                reads.(3 * (k - 1)) <- 0;
+                reads.((3 * (k - 1)) + 1) <- k;
+                reads.((3 * (k - 1)) + 2) <- W.encode (W.T.read ctx auditor k)
+              done)
+        in
+        audit.W.x_reads <- reads;
+        audit.W.x_at <- at;
+        audit.W.x_committed <- true
+      end
+      else begin
+        while not !folding do
+          Sim.Sched.pause ()
+        done;
+        scripted_transfer mgr writer xfer 1 2 5
+      end)
+
+let test_fold_race () =
+  List.iter
+    (fun topology ->
+      let o = fold_race topology W.T.Broken_fold in
+      Alcotest.(check (list string))
+        "broken: the audit read key 2 mid-commit"
+        [ "audit at 0 read (0,2) = 105 but the serialized state had 100" ]
+        o.W.violations;
+      let o = fold_race topology W.T.Optimistic in
+      Alcotest.(check (list string)) "optimistic: serializable" [] o.W.violations)
+    race_machines
 
 (* ------------------------------------------------------------------ *)
 (* The oracle's contract on hand-built histories over two quiesced
@@ -1300,7 +1444,9 @@ let () =
             test_snapshots_never_abort;
           Alcotest.test_case "units conserved" `Quick test_conservation;
           Alcotest.test_case "object read without re-check caught" `Quick
-            test_broken_fold_fails;
+            test_fold_race;
+          Alcotest.test_case "commit without validation caught in a race"
+            `Quick test_commit_race;
         ] );
       ( "chaos",
         [
