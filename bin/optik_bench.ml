@@ -74,9 +74,9 @@ let write_report path (j : J.json) =
    string or fault plan, or a configuration a library rejects before
    running — exits 2 with its message, as do cmdliner's own parse errors
    (see the last line) and a [Sys_error] from a file it cannot open (the
-   message names the path and the OS error; the --report path is opened
-   once before [body] runs, so a bad one costs no run); the report is written when
-   --report was given; a failure exits 1. [exits] documents these
+   message names the path and the OS error; --report's path is tried
+   before [body] runs); the report is written when --report was given;
+   a failure exits 1. [exits] documents these
    statuses in every man page. *)
 let exits =
   Cmd.Exit.
@@ -93,9 +93,12 @@ let main report body =
     exit 2
   in
   (* A report path that cannot be opened fails before the run, not after
-     it; opening to append keeps an existing file's bytes. *)
+     it. Opening to append keeps an existing file's bytes, and a file the
+     check created goes again, so a run that then fails leaves none. *)
   let writable path =
-    close_out (open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path)
+    let fresh = not (Sys.file_exists path) in
+    close_out (open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path);
+    if fresh then Sys.remove path
   in
   match
     Option.iter writable report;

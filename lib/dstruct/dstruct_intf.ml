@@ -66,9 +66,10 @@ end
 (** [reinsert delete insert t k v]: the [update] of a structure that
     cannot write a value in place. It deletes [k] and, if [k] was
     present, inserts it again with [v]. Between the two a concurrent
-    search misses the key and a concurrent insert of [k] wins (the
-    re-insert then does nothing), so a caller that needs the key to stay
-    visible must exclude both, as a transaction's held stripe does. *)
+    search misses the key, a concurrent insert of [k] wins (the
+    re-insert then does nothing) and a concurrent update of [k] returns
+    [false], so a caller that needs the key to stay visible must exclude
+    all three, as a transaction's held stripe does. *)
 let reinsert delete insert t k v =
   match delete t k with
   | None -> false

@@ -18,7 +18,8 @@
     - Update locks and validates only the node holding the key, and
       writes its value in place.
     - Search is 100% sequential code — correct because update
-      linearization points are plain stores on live predecessors.
+      linearization points are plain stores on live nodes (the
+      predecessor's [next], or the node's own [value]).
 
     {b Node caching} (enabled with [create ~cache:true ()]): each thread
     remembers the last predecessor it traversed together with the version

@@ -4,7 +4,9 @@
    checks that each selector that takes the entry yields the physically
    same module and that the others refuse it; one case checks that
    retired and unknown spellings get the registry's one message from
-   every selector. *)
+   every selector. One case per set entry checks the [update] contract,
+   and one that the OPTIK list's in-place update keeps every key
+   visible to concurrent searches. *)
 
 module R = Harness.Registry
 module B = R.Sim_backend
@@ -181,9 +183,9 @@ let update_case (e : R.entry) =
       Alcotest.(check bool) "valid" true (S.validate t))
 
 (* Two simulated threads update the 16 keys of a prefilled set, one the
-   odd keys and one the even, while two search them all. Returns how many searches found a key absent, after
-   checking that every update found its key and that the set is valid
-   and whole. *)
+   odd keys and one the even, while two search them all. Returns how
+   many searches found a key absent, after checking that every update
+   found its key and that the set is valid and whole. *)
 let update_search_race spelling =
   let (module S : R.SET_OPS) = R.set_ops (B.find spelling) in
   let t = S.create () in
