@@ -650,9 +650,12 @@ let test_broken_gate_fails () =
 (* Scripted races: two simulated threads on one list/optik object of
    three accounts, each transaction recorded as the bank workload's
    client records it, and the history handed to the oracle. Each script
-   waits on the other thread's progress, not on cycle counts, so its
-   verdict holds on every machine model: it must FAIL under its mutant
-   and PASS under [Optimistic]. *)
+   orders its steps by the other thread's progress, but for one wait
+   counted in cycles: the fold race's writer holds its stripes 5000
+   cycles after each in-place write while the audit reaches its clock
+   read (1000 still suffice on all three machine models, 300 do not).
+   Each race must FAIL under its mutant and PASS under [Optimistic], on
+   all three models. *)
 let race_cfg = { W.default_config with W.objects = 1; accounts = 3 }
 let race_machines = [ Tutil.uniform4; Sim.Topology.xeon; Sim.Topology.opteron ]
 
