@@ -11,8 +11,8 @@
       for the key's stripe to be free, search the structure, and re-check
       the stripe's version, retrying the read if a commit moved it; or,
       for a whole object at once ({!Make.read_object}), wait for every
-      stripe, fold the structure once and re-check every stripe, the
-      paper's validated traversal;
+      stripe and fold the structure once, leaving the fold to the
+      snapshot's clock gate and validation;
     - {e commit} acquires the write set's per-key lock handles in
       ascending handle-id order (the classic sorted two-phase commit, so
       no two transactions can deadlock), where a handle also covered by
@@ -20,8 +20,10 @@
       single-CAS validate-and-lock — and a blind write with
       [acquire_any];
     - the remaining read set is then revalidated ([Locks.Handle.check]),
-      buffered writes are applied, a commit ticket is drawn from the
-      manager's clock, and the handles are released version-advancing.
+      a commit ticket is drawn from the manager's clock, buffered writes
+      are applied, and the handles are released version-advancing. The
+      ticket precedes the first write, so a snapshot whose clock did not
+      move saw no write of a commit it does not serialize after.
 
     Failures release everything version-preserving ([revert]), wait a
     bounded exponential number of cycles staggered by thread id, and
@@ -35,14 +37,16 @@
     manager's clock once before its first round and once after each
     round's reads (TL2's global version clock used as a gate): if no
     commit drew a ticket in between, the read set is the committed state
-    before that ticket and needs no validation. Otherwise it checks the read set, keeps every read whose
-    token still checks and re-reads only the stale ones (one
-    [txn.snapshot-retries] per round): at once after the first failed
-    round, and after one {!Rt.Backoff} wait, the jittered exponential
-    backoff every structure uses, after each later one. Either way the
-    clock read that ends the round is the snapshot's exact serialization
-    ticket [c]: every read precedes it, every check follows it, and a
-    stripe locked or advanced across it fails its check. The
+    before that ticket and needs no validation, the folds of
+    {!Make.read_object} included. Otherwise it checks the read set,
+    keeps every read whose token still checks and re-reads only the
+    stale ones (one [txn.snapshot-retries] per round): at once after the
+    first failed round, and after one {!Rt.Backoff} wait, the jittered
+    exponential backoff every structure uses, after each later one.
+    Either way the clock read that ends the round is the snapshot's
+    exact serialization ticket [c]: every read precedes it, every check
+    follows it, and a stripe locked or advanced across it fails its
+    check. The
     serializability oracle checks the audit against the replayed state
     after tickets [< c].
 
@@ -83,13 +87,12 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
             instead of before the check, so a commit between a kept read's
             check and that clock read passes the gate unvalidated — the
             audit oracle must catch this *)
-    | Broken_fold
-        (** negative control: {!read_object} keeps every key its fold
-            visited without re-checking the stripes, so a value a commit
-            wrote during the fold joins the read set with the token taken
-            before that commit; when the commit draws its ticket after the
-            round's closing clock read, the gate passes it unchecked — the
-            audit oracle must catch this *)
+    | Broken_ticket
+        (** negative control: a commit applies its writes before it draws
+            its ticket, so a value it wrote during a {!read_object} fold
+            joins the read set with the token taken before that commit;
+            when the ticket follows the round's closing clock read, the
+            gate passes it unchecked — the audit oracle must catch this *)
 
   (* One structure participating in transactions, with its version
      stripes. Packed once at setup: the packed value itself (compared
@@ -159,14 +162,12 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
     mutable reads : rentry list;
     mutable writes : wentry list;
     ro : bool;
-    policy : policy;
     mutable whole : bool;
         (** {!read_object} folds; a snapshot clears it after its first
             round *)
   }
 
-  let new_ctx policy ~ro =
-    { reads = []; writes = []; ro; policy; whole = true }
+  let new_ctx ~ro = { reads = []; writes = []; ro; whole = true }
 
   type t = {
     policy : policy;
@@ -222,18 +223,17 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
               :: ctx.reads;
             v)
 
-  (** [read_object ctx o] reads every key of [o] in one versioned pass:
-      it waits for every stripe's free version, folds the structure once
-      and then re-checks every stripe. Each key the fold visited on a
-      stripe that still checks joins the read set with that stripe's
-      token, so {!read} answers it from there; a key on a stripe that
-      moved, or one the fold did not visit, is read per key when {!read}
-      asks for it. Each key is bracketed as {!obj_read} brackets one
-      search: a commit that wrote it during the fold held its stripe
-      across the fold's window, so that stripe's check fails. A key read
-      earlier keeps its entry too; validation checks both before the
-      transaction's result is returned, so they agree. A no-op after a
-      snapshot's first round: retries re-read only the stale keys. *)
+  (** [read_object ctx o] reads every key of [o] in one pass: it waits
+      for every stripe's free version and folds the structure once; each
+      key the fold visits joins the read set with its stripe's token, so
+      {!read} answers it from there, and a key the fold did not visit is
+      read per key. Nothing is re-checked here: a commit draws its ticket
+      before its first write and holds its stripes until after its last,
+      so one that wrote a key during the fold either moved the clock
+      before the round's closing read, and the snapshot's validation
+      finds the stripe locked or advanced, or draws its ticket after that
+      read and is not in the snapshot. A no-op after a snapshot's first
+      round: retries re-read only the stale keys. *)
   let read_object ctx (Obj { ops = (module S); st; stripes } as o) =
     if ctx.whole then begin
       let n = Array.length stripes in
@@ -252,14 +252,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
             :: acc)
           []
       in
-      let ok =
-        match ctx.policy with
-        | Broken_fold -> Array.make n true
-        | _ -> Array.map2 (fun (h : Locks.Handle.t) tok -> h.check tok) stripes toks
-      in
-      List.iter
-        (fun r -> if ok.(stripe_of n r.r_key) then ctx.reads <- r :: ctx.reads)
-        found
+      ctx.reads <- List.rev_append found ctx.reads
     end
 
   let write ctx o k v =
@@ -344,8 +337,11 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
         end
         else begin
           Rt.Probe.span_begin ph_commit;
-          List.iter (fun w -> obj_write w.w_obj w.w_key w.w_val) ws;
+          let apply () = List.iter (fun w -> obj_write w.w_obj w.w_key w.w_val) ws in
+          let late = t.policy = Broken_ticket in
+          if late then apply ();
           let ticket = Rt.faa t.clock 1 in
+          if not late then apply ();
           List.iter (fun ((h : Locks.Handle.t), _) -> h.commit ()) held;
           Rt.Probe.incr t.c_commits;
           Rt.Probe.span_end ph_commit;
@@ -355,7 +351,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
   let atomically t (f : ctx -> 'a) : 'a * int =
     let rec go attempt =
       if attempt > t.max_retries then raise (Too_many_retries attempt);
-      let ctx = new_ctx t.policy ~ro:false in
+      let ctx = new_ctx ~ro:false in
       let x = f ctx in
       match try_commit t ctx with
       | Some ticket -> (x, ticket)
@@ -395,17 +391,18 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       state, so a snapshot that keeps losing the race backs off with the
       same jittered exponential every structure uses.
 
-      The gate: [c] is the clock read after a round's reads. If it equals
-      the previous gate value (the clock read before the first round, or
-      after the previous round's reads), no commit drew a ticket since
-      then, so no commit that could change a read happened in between and
-      validation is skipped. Otherwise the whole read set is checked; if
-      that passes, [c] is still exact: every read precedes it, every
-      check follows it, and a commit whose ticket straddles it either
-      held its stripe at the check or advanced the version past the
-      read. *)
+      The gate: [c] is the clock read after a round's reads, and a commit
+      locks its stripes, draws its ticket, writes and only then unlocks.
+      A commit whose ticket follows [c] writes after [c], so no read of
+      the round saw it. One whose ticket precedes the gate value (the
+      clock read before the first round, or after the previous round's
+      reads) held its stripes across that read, so the round's waits
+      outlasted it or saw its writes. If [c] equals the gate, no other
+      commit exists and validation is skipped; otherwise one with a
+      ticket in [[gate, c)] locked or advanced the stripe of every read
+      it made stale, so the whole read set's check drops those. *)
   let snapshot t (f : ctx -> 'a) : 'a * int =
-    let ctx = new_ctx t.policy ~ro:true in
+    let ctx = new_ctx ~ro:true in
     let b = B.create () in
     let rec go attempt kept gate =
       let x = f ctx in
@@ -896,7 +893,7 @@ module Workload = struct
   (** [policy] defaults to [Broken_commit] when [cfg.broken] is set and
       to [Optimistic] otherwise; passing it runs another negative
       control, such as [Broken_snapshot], [Broken_gate] or
-      [Broken_fold]. *)
+      [Broken_ticket]. *)
   let run ?(record_obs = false) ?policy (cfg : config) :
       Harness.Runner.measurement * result =
     check cfg;

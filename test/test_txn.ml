@@ -1,11 +1,12 @@
 (* Tests for the optimistic transaction layer (lib/txn): fold/size
    agreement across every registry set, sequential transaction semantics
-   (read-your-writes, upsert, lock-conflict abort), the versioned read's
+   (read-your-writes, upsert, lock-conflict abort, the ticket drawn
+   before the first write), the versioned read's
    re-check, every rep's stripe table and the object read's fold and
    search counts, seeded determinism under contention, abort-free
    snapshots, the strict-serializability oracle (positive run, the
    broken-commit, broken-snapshot and broken-gate negative controls, the
-   scripted broken-commit and broken-fold races, a differential fuzz
+   scripted broken-commit and broken-ticket races, a differential fuzz
    against a naive reference and an allocation gate), the chaos trial
    grammar and the report section. *)
 
@@ -61,16 +62,22 @@ let test_fold_agrees_with_size () =
 (* Sequential transaction semantics on a quiesced simulator backend. *)
 
 (* [Logged] records every search made through it, one per versioned
-   read that does not retry, and counts its folds, one per object read.
-   [logged_stripes] wraps an object's stripes to count the token checks
-   a snapshot's validation makes through them: every versioned read,
-   per key or per object, waits once per stripe and then re-checks it
-   once, so a wait takes back the count of the re-check that follows
-   it. The next check of the stripe whose id is [fail_check] fails. *)
+   read that does not retry, counts its folds, one per object read, and
+   records [!write_clock ()] at each [update], [insert] and [delete].
+   [mid_fold], once set, runs when its next fold has yielded key 1.
+   [logged_stripes] wraps an object's stripes to count their waits and
+   token checks: a per-key read waits once and re-checks once, an
+   object read waits once per stripe and checks none, and a snapshot's
+   validation checks each entry of its read set once. The next check of
+   the stripe whose id is [fail_check] fails. *)
 let logged_keys = ref []
 let folds = ref 0
+let stripe_waits = ref 0
 let checks = ref 0
 let fail_check = ref (-1)
+let write_clock = ref (fun () -> 0)
+let write_clocks = ref []
+let mid_fold = ref ignore
 
 module Logged (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
   include S
@@ -81,7 +88,30 @@ module Logged (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
 
   let fold t f acc =
     incr folds;
-    S.fold t f acc
+    S.fold t
+      (fun k v acc ->
+        let acc = f k v acc in
+        if k = 1 then begin
+          let g = !mid_fold in
+          mid_fold := ignore;
+          g ()
+        end;
+        acc)
+      acc
+
+  let note () = write_clocks := !write_clock () :: !write_clocks
+
+  let update t k v =
+    note ();
+    S.update t k v
+
+  let insert t k v =
+    note ();
+    S.insert t k v
+
+  let delete t k =
+    note ();
+    S.delete t k
 end
 
 let logged_stripes stripes =
@@ -91,7 +121,7 @@ let logged_stripes stripes =
         h with
         wait =
           (fun () ->
-            decr checks;
+            incr stripe_waits;
             h.wait ());
         check =
           (fun tok ->
@@ -104,21 +134,25 @@ let logged_stripes stripes =
       })
     stripes
 
+(* A list/optik object holding keys 1 .. 4 at 100 each, seen through
+   [Logged] and [logged_stripes] when [logged], and the same structure
+   and stripes seen plainly, for a writer the logs must not count. *)
+let fresh_obj ~logged =
+  let (module S : R.SET_OPS), stripes = W.rep "list/optik" in
+  let st = S.create ~capacity:64 () in
+  for k = 1 to 4 do
+    assert (S.insert st k 100)
+  done;
+  let hs = W.Stripes.create stripes in
+  let plain = TX.obj (module S) st hs in
+  if logged then (TX.obj (module Logged (S)) st (logged_stripes hs), plain)
+  else (plain, plain)
+
 let fresh_pair ?(logged = false) () =
   Dstruct.Sl_common.reset_states ();
-  let (module S : R.SET_OPS), stripes = W.rep "list/optik" in
-  let ops : (module R.SET_OPS with type t = S.t) =
-    if logged then (module Logged (S)) else (module S)
-  in
-  let mk () =
-    let st = S.create ~capacity:64 () in
-    for k = 1 to 4 do
-      assert (S.insert st k 100)
-    done;
-    let hs = W.Stripes.create stripes in
-    TX.obj ops st (if logged then logged_stripes hs else hs)
-  in
-  (mk (), mk ())
+  let a, _ = fresh_obj ~logged in
+  let b, _ = fresh_obj ~logged in
+  (a, b)
 
 let test_transfer_moves_units () =
   let a, b = fresh_pair () in
@@ -217,11 +251,13 @@ let test_read_validation_aborts () =
     (fst (TX.obj_read a 1))
 
 (* A quiesced snapshot passes the clock gate: no commit drew a ticket
-   during its reads, so it checks no token and its point is the clock. *)
+   during its reads, so it checks no token beyond each read's re-check,
+   and its point is the clock. *)
 let test_snapshot_is_consistent () =
   let a, b = fresh_pair ~logged:true () in
   let mgr = TX.create () in
   let (), _ = TX.atomically mgr (fun ctx -> TX.write ctx a 4 (Some 100)) in
+  stripe_waits := 0;
   checks := 0;
   let sum, c =
     TX.snapshot mgr (fun ctx ->
@@ -234,48 +270,98 @@ let test_snapshot_is_consistent () =
         !acc)
   in
   Alcotest.(check int) "snapshot sums the preload" 800 sum;
-  Alcotest.(check int) "no token checked" 0 !checks;
+  Alcotest.(check (pair int int)) "one wait and one re-check per read" (8, 8)
+    (!stripe_waits, !checks);
   Alcotest.(check int) "no retry" 0 (count mgr.TX.c_snap_retries);
   Alcotest.(check int) "the point is the clock" 1 c;
   Alcotest.(check int) "the clock after the one commit" 1 (TX.clock mgr)
 
-(* An audit snapshot over quiesced objects reads each in one fold and
-   answers every key from the read set, with no per-key search. When one
-   stripe fails its re-check after the fold, only that stripe's keys
-   (key 2 alone: keys 1 .. 4 sit on four of the 16 stripes) are read per
-   key. *)
+(* An audit snapshot over quiesced objects reads each in one fold,
+   waiting once on each of the 16 stripes and checking none, and answers
+   every key from the read set, with no per-key search. When a commit
+   moving 5 units from key 2 to key 3 of the first object lands while
+   that object's fold is past key 1, it has moved the clock, so the
+   round's validation checks all 8 reads and drops only the commit's
+   two keys (keys 1 .. 4 sit on four of the 16 stripes); the one retry
+   re-reads those two per key, each with one wait and one re-check, and
+   passes the gate. *)
 let test_object_read_counts () =
   Sim.Sim_rt.Probe.reset_all ();
-  let a, b = fresh_pair ~logged:true () in
+  Dstruct.Sl_common.reset_states ();
+  let a, a_plain = fresh_obj ~logged:true in
+  let b, _ = fresh_obj ~logged:true in
   let mgr = TX.create () in
   let audit () =
     logged_keys := [];
     folds := 0;
+    stripe_waits := 0;
     checks := 0;
-    fst
-      (TX.snapshot mgr (fun ctx ->
-           List.fold_left
-             (fun acc o ->
-               TX.read_object ctx o;
-               let acc = ref acc in
-               for k = 1 to 4 do
-                 acc := !acc + Option.get (TX.read ctx o k)
-               done;
-               !acc)
-             0 [ a; b ]))
+    TX.snapshot mgr (fun ctx ->
+        List.fold_left
+          (fun acc o ->
+            TX.read_object ctx o;
+            let acc = ref acc in
+            for k = 1 to 4 do
+              acc := !acc + Option.get (TX.read ctx o k)
+            done;
+            !acc)
+          0 [ a; b ])
   in
-  Alcotest.(check int) "quiesced: the preload" 800 (audit ());
+  let sum, c = audit () in
+  Alcotest.(check int) "quiesced: the preload" 800 sum;
   Alcotest.(check int) "quiesced: one fold per object" 2 !folds;
   Alcotest.(check (list int)) "quiesced: no per-key search" [] !logged_keys;
-  Alcotest.(check int) "quiesced: every wait re-checked once" 0 !checks;
-  fail_check := (TX.obj_handle a 2).Locks.Handle.id;
-  Alcotest.(check int) "one stale stripe: the preload" 800 (audit ());
-  Alcotest.(check int) "one stale stripe: the check failed" (-1) !fail_check;
-  Alcotest.(check int) "one stale stripe: one fold per object" 2 !folds;
+  Alcotest.(check (pair int int))
+    "quiesced: one wait per stripe, no check" (32, 0) (!stripe_waits, !checks);
+  Alcotest.(check int) "quiesced: the point is the clock" 0 c;
+  mid_fold :=
+    (fun () ->
+      let (), _ =
+        TX.atomically mgr (fun ctx ->
+            let v2 = Option.get (TX.read ctx a_plain 2) in
+            let v3 = Option.get (TX.read ctx a_plain 3) in
+            TX.write ctx a_plain 2 (Some (v2 - 5));
+            TX.write ctx a_plain 3 (Some (v3 + 5)))
+      in
+      ());
+  let sum, c = audit () in
+  Alcotest.(check int) "mid-fold commit: the preload" 800 sum;
+  Alcotest.(check int) "mid-fold commit: one fold per object" 2 !folds;
   Alcotest.(check (list int))
-    "one stale stripe: its key alone searched" [ 2 ] !logged_keys;
-  Alcotest.(check int) "one stale stripe: every wait re-checked once" 0 !checks;
-  Alcotest.(check int) "no snapshot retry" 0 (count mgr.TX.c_snap_retries)
+    "mid-fold commit: its keys alone searched" [ 3; 2 ] !logged_keys;
+  Alcotest.(check (pair int int))
+    "mid-fold commit: 8 checks in validation, a wait and a re-check per \
+     re-read"
+    (34, 10) (!stripe_waits, !checks);
+  Alcotest.(check int) "mid-fold commit: the point follows it" 1 c;
+  Alcotest.(check int) "one snapshot retry" 1 (count mgr.TX.c_snap_retries)
+
+(* A commit draws its ticket before its first write: every [update],
+   [insert] and [delete] a commit makes through [Logged] sees the clock
+   already past that commit's ticket. An upsert of an absent key makes
+   two writes, the [update] that misses and the [insert]. *)
+let test_ticket_before_write () =
+  let a, b = fresh_pair ~logged:true () in
+  let mgr = TX.create () in
+  write_clock := (fun () -> TX.clock mgr);
+  List.iter
+    (fun (name, writes, body) ->
+      write_clocks := [];
+      let (), ticket = TX.atomically mgr body in
+      Alcotest.(check (list int))
+        (name ^ ": every write sees the clock past the ticket")
+        (List.init writes (fun _ -> ticket + 1))
+        !write_clocks)
+    [
+      ( "update",
+        2,
+        fun ctx ->
+          TX.write ctx a 1 (Some 7);
+          TX.write ctx b 2 (Some 9) );
+      ("insert", 2, fun ctx -> TX.write ctx a 5 (Some 1));
+      ("delete", 1, fun ctx -> TX.write ctx b 3 None);
+    ];
+  write_clock := fun () -> 0
 
 (* [snapshot_race ~n ~writes] snapshots keys [1 .. n] of one [ll-optik]
    structure through [Logged] on simulated thread 0. Keys [1 .. n + 1]
@@ -295,6 +381,7 @@ let snapshot_race ?(after = [ 2 ]) ~n ~writes () =
     assert (S.insert st k 100)
   done;
   logged_keys := [];
+  stripe_waits := 0;
   checks := 0;
   let hs = W.Stripes.create stripes in
   let snap_obj = TX.obj (module Logged (S)) st (logged_stripes hs) in
@@ -353,13 +440,15 @@ let snapshot_race ?(after = [ 2 ]) ~n ~writes () =
   (sum, c, !ticket, mgr, (List.rev waits, restarts))
 
 (* A commit to a key the snapshot does not read moves the clock, so the
-   gate sends the snapshot through one validation pass; every token
+   gate sends the snapshot through one validation pass, checking each
+   read's token once more after the read's own re-check; every token
    still checks, so it does not retry, and its point is the clock after
    that commit. *)
 let test_gate_validates_once () =
   let n = 15 in
   let sum, c, ticket, mgr, _ = snapshot_race ~n ~writes:(n + 1) () in
-  Alcotest.(check int) "one validation pass" n !checks;
+  Alcotest.(check (pair int int)) "one validation pass" (n, 2 * n)
+    (!stripe_waits, !checks);
   Alcotest.(check int) "no retry" 0 (count mgr.TX.c_snap_retries);
   Alcotest.(check int) "the sum is the preload" (100 * n) sum;
   Alcotest.(check int) "the point follows the commit" (ticket + 1) c;
@@ -381,7 +470,8 @@ let test_retry_rereads_only_stale () =
     "every key read once, then key 1 alone"
     (1 :: List.init n (fun i -> n - i))
     !logged_keys;
-  Alcotest.(check int) "one validation pass" n !checks;
+  Alcotest.(check (pair int int)) "one validation pass" (n + 1, (2 * n) + 1)
+    (!stripe_waits, !checks);
   Alcotest.(check int) "the sum is the state after the commit" ((100 * n) + 5)
     sum;
   Alcotest.(check int) "the point follows the commit" (ticket + 1) c
@@ -407,17 +497,18 @@ let test_second_retry_backs_off_once () =
   Alcotest.(check int) "the point follows the last commit" (ticket + 1) c
 
 (* The versioned read's re-check keeps a commit's in-place write out of
-   a snapshot until the commit is whole. Thread 1 commits key 2 through
-   a writer view whose [update] then waits 5000 cycles, so the new value
-   is in the structure while the stripe is still locked and before the
-   commit draws its ticket. Thread 0's snapshot reads keys 1 .. 3
-   through stripes whose first [wait] on key 2's stripe, once it has the
-   free version, holds the read until that window opens. Its search then
-   finds the mid-commit value; the re-check sees the stripe locked and
-   reads again after the commit. Without the re-check the snapshot would
-   return that value at point 0, before the commit's ticket. So no read
-   returns a mid-commit value, and the one validation pass the commit's
-   ticket forces finds every token current. *)
+   a read until the commit is whole. Thread 1 commits key 2 through a
+   writer view whose [update] then waits 5000 cycles, so the new value
+   is in the structure while the stripe is still locked. Thread 0's
+   snapshot reads keys 1 .. 3 through stripes whose first [wait] on key
+   2's stripe, once it has the free version, holds the read until that
+   window opens. Its search then finds the mid-commit value; the
+   re-check sees the stripe locked and reads again after the commit.
+   Without the re-check the read would keep that value with the token
+   taken before the commit, and the snapshot's validation would have to
+   drop it and retry. So no read returns a mid-commit value, and the one
+   validation pass the commit's ticket forces finds every token
+   current. *)
 let window_open = ref false
 
 module Slow_update (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
@@ -741,12 +832,13 @@ end
 
 (* Thread 0 audits the object with one object read; thread 1 commits a
    transfer from key 1 to key 2 once the fold has passed key 1, holding
-   the stripes 5000 cycles after each in-place write, so it draws its
-   ticket after the audit's closing clock read. [Optimistic]'s re-check
-   finds both stripes locked and reads keys 1 and 2 again after the
-   commit; [Broken_fold] keeps key 2's mid-commit value with the token
-   taken before the commit, and the unmoved clock lets the audit
-   through at point 0. *)
+   the stripes 5000 cycles after each in-place write. [Optimistic] draws
+   the ticket before the first write, so the audit's closing clock read
+   has moved, its validation finds both stripes locked, and the retry
+   reads keys 1 and 2 again after the commit. [Broken_ticket] writes
+   first and draws its ticket after the audit's closing clock read, so
+   the unmoved clock lets key 2's mid-commit value, kept with the token
+   taken before the commit, through at point 0. *)
 let fold_race topology policy =
   let (module S : R.SET_OPS), stripes = W.rep race_cfg.W.rep in
   let st = S.create ~capacity:64 () in
@@ -786,7 +878,7 @@ let fold_race topology policy =
 let test_fold_race () =
   List.iter
     (fun topology ->
-      let o = fold_race topology W.T.Broken_fold in
+      let o = fold_race topology W.T.Broken_ticket in
       Alcotest.(check (list string))
         "broken: the audit read key 2 mid-commit"
         [ "audit at 0 read (0,2) = 105 but the serialized state had 100" ]
@@ -1415,6 +1507,8 @@ let () =
             test_stripe_table;
           Alcotest.test_case "object read folds once per object" `Quick
             test_object_read_counts;
+          Alcotest.test_case "commit draws its ticket before its first write"
+            `Quick test_ticket_before_write;
         ] );
       ( "determinism",
         [
@@ -1446,7 +1540,7 @@ let () =
           Alcotest.test_case "snapshots never abort" `Quick
             test_snapshots_never_abort;
           Alcotest.test_case "units conserved" `Quick test_conservation;
-          Alcotest.test_case "object read without re-check caught" `Quick
+          Alcotest.test_case "writes before the ticket caught in a race" `Quick
             test_fold_race;
           Alcotest.test_case "commit without validation caught in a race"
             `Quick test_commit_race;
