@@ -49,8 +49,9 @@ module type SET_CORE = sig
       key's value. The java tables' resize relinks live nodes, so their
       fold promises nothing while a resize can run. Callers validate what
       they keep: the KV copier re-reads each key live, and a
-      transaction's object read re-checks the version stripe of every
-      key it keeps. *)
+      transaction's object read is covered by its snapshot's clock gate
+      and validation, which drop every key a commit wrote during the
+      fold. *)
 
   val size : 'v t -> int
 

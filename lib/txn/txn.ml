@@ -337,7 +337,9 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
         end
         else begin
           Rt.Probe.span_begin ph_commit;
-          let apply () = List.iter (fun w -> obj_write w.w_obj w.w_key w.w_val) ws in
+          let apply () =
+            List.iter (fun w -> obj_write w.w_obj w.w_key w.w_val) ws
+          in
           let late = t.policy = Broken_ticket in
           if late then apply ();
           let ticket = Rt.faa t.clock 1 in

@@ -1,14 +1,14 @@
 (* Tests for the optimistic transaction layer (lib/txn): fold/size
    agreement across every registry set, sequential transaction semantics
    (read-your-writes, upsert, lock-conflict abort, the ticket drawn
-   before the first write), the versioned read's
-   re-check, every rep's stripe table and the object read's fold and
-   search counts, seeded determinism under contention, abort-free
-   snapshots, the strict-serializability oracle (positive run, the
-   broken-commit, broken-snapshot and broken-gate negative controls, the
-   scripted broken-commit and broken-ticket races, a differential fuzz
-   against a naive reference and an allocation gate), the chaos trial
-   grammar and the report section. *)
+   before the first write), the versioned read's re-check, every rep's
+   stripe table and the object read's fold and search counts, seeded
+   determinism under contention, abort-free snapshots, the
+   strict-serializability oracle (positive run, the broken-commit,
+   broken-snapshot and broken-gate negative controls, the scripted
+   broken-commit and broken-ticket races, a differential fuzz against a
+   naive reference and an allocation gate), the chaos trial grammar and
+   the report section. *)
 
 module W = Txn.Workload
 module R = Harness.Registry
@@ -68,13 +68,11 @@ let test_fold_agrees_with_size () =
    [logged_stripes] wraps an object's stripes to count their waits and
    token checks: a per-key read waits once and re-checks once, an
    object read waits once per stripe and checks none, and a snapshot's
-   validation checks each entry of its read set once. The next check of
-   the stripe whose id is [fail_check] fails. *)
+   validation checks each entry of its read set once. *)
 let logged_keys = ref []
 let folds = ref 0
 let stripe_waits = ref 0
 let checks = ref 0
-let fail_check = ref (-1)
 let write_clock = ref (fun () -> 0)
 let write_clocks = ref []
 let mid_fold = ref ignore
@@ -126,11 +124,7 @@ let logged_stripes stripes =
         check =
           (fun tok ->
             incr checks;
-            if h.id = !fail_check then begin
-              fail_check := -1;
-              false
-            end
-            else h.check tok);
+            h.check tok);
       })
     stripes
 
@@ -316,14 +310,13 @@ let test_object_read_counts () =
   Alcotest.(check int) "quiesced: the point is the clock" 0 c;
   mid_fold :=
     (fun () ->
-      let (), _ =
-        TX.atomically mgr (fun ctx ->
-            let v2 = Option.get (TX.read ctx a_plain 2) in
-            let v3 = Option.get (TX.read ctx a_plain 3) in
-            TX.write ctx a_plain 2 (Some (v2 - 5));
-            TX.write ctx a_plain 3 (Some (v3 + 5)))
-      in
-      ());
+      ignore
+        (TX.atomically mgr (fun ctx ->
+             let v2 = Option.get (TX.read ctx a_plain 2) in
+             let v3 = Option.get (TX.read ctx a_plain 3) in
+             TX.write ctx a_plain 2 (Some (v2 - 5));
+             TX.write ctx a_plain 3 (Some (v3 + 5)))
+          : unit * int));
   let sum, c = audit () in
   Alcotest.(check int) "mid-fold commit: the preload" 800 sum;
   Alcotest.(check int) "mid-fold commit: one fold per object" 2 !folds;
@@ -360,8 +353,7 @@ let test_ticket_before_write () =
           TX.write ctx b 2 (Some 9) );
       ("insert", 2, fun ctx -> TX.write ctx a 5 (Some 1));
       ("delete", 1, fun ctx -> TX.write ctx b 3 None);
-    ];
-  write_clock := fun () -> 0
+    ]
 
 (* [snapshot_race ~n ~writes] snapshots keys [1 .. n] of one [ll-optik]
    structure through [Logged] on simulated thread 0. Keys [1 .. n + 1]
