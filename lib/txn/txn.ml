@@ -395,8 +395,8 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
 
       The gate: [c] is the clock read after a round's reads, and a commit
       locks its stripes, draws its ticket, writes and only then unlocks.
-      A commit whose ticket follows [c] writes after [c], so no read of
-      the round saw it. One whose ticket precedes the gate value (the
+      A commit whose ticket is [c] or later writes after [c], so no read
+      of the round saw it. One whose ticket precedes the gate value (the
       clock read before the first round, or after the previous round's
       reads) held its stripes across that read, so the round's waits
       outlasted it or saw its writes. If [c] equals the gate, no other
