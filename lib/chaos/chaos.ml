@@ -352,6 +352,7 @@ type outcome = {
   o_completed : bool;
   o_crashed : int list;
   o_failures : failure list;
+  o_unchecked : string option;
 }
 
 (* Aggressive watchdog: chaos workloads are a handful of operations, so
@@ -481,68 +482,39 @@ end
 
 let prefill tr = List.init (tr.t_keys / 2) (fun j -> 901 + j)
 
-module Queue_container (Q : R.QUEUE_OPS) = struct
-  module Spec = Lincheck.Queue_spec
+(* A queue or a stack: the prefill is put in order, so the spec's
+   initial state is that prefill put through the spec. *)
+module Pool_container (P : R.POOL_OPS) = struct
+  module Spec = Lincheck.Pool_spec (P)
 
-  type t = Q.t
+  type t = P.t
 
   let setup tr =
-    let q = Q.create () in
+    let p = P.create () in
     let pre = prefill tr in
-    List.iter (Q.enqueue q) pre;
-    (q, pre, List.length pre)
+    List.iter (P.put p) pre;
+    let put st v = fst (Spec.apply st (Spec.Put v)) in
+    (p, List.fold_left put Spec.init pre, List.length pre)
 
   let draw rng ~keys:_ ~v =
-    if Rng.below rng 2 = 0 then Spec.Enqueue v else Spec.Dequeue
+    if Rng.below rng 2 = 0 then Spec.Put v else Spec.Take
 
-  let apply q = function
-    | Spec.Enqueue v ->
-        Q.enqueue q v;
+  let apply p = function
+    | Spec.Put v ->
+        P.put p v;
         (Spec.Unit, None)
-    | Spec.Dequeue -> (
-        match Q.dequeue q with
+    | Spec.Take -> (
+        match P.take p with
         | Some v -> (Spec.Got v, Some v)
         | None -> (Spec.Empty, None))
 
   let delta input output =
     match (input, output) with
-    | Spec.Enqueue _, _ -> 1
-    | Spec.Dequeue, (None | Some (Spec.Got _)) -> -1
+    | Spec.Put _, _ -> 1
+    | Spec.Take, (None | Some (Spec.Got _)) -> -1
     | _ -> 0
 
-  let size = Q.size
-  let validate ~crashed:_ _ = true
-end
-
-module Stack_container (St : R.STACK_OPS) = struct
-  module Spec = Lincheck.Stack_spec
-
-  type t = St.t
-
-  let setup tr =
-    let s = St.create () in
-    let pre = prefill tr in
-    List.iter (St.push s) pre;
-    (s, List.rev pre, List.length pre)
-
-  let draw rng ~keys:_ ~v = if Rng.below rng 2 = 0 then Spec.Push v else Spec.Pop
-
-  let apply s = function
-    | Spec.Push v ->
-        St.push s v;
-        (Spec.Unit, None)
-    | Spec.Pop -> (
-        match St.pop s with
-        | Some v -> (Spec.Got v, Some v)
-        | None -> (Spec.Empty, None))
-
-  let delta input output =
-    match (input, output) with
-    | Spec.Push _, _ -> 1
-    | Spec.Pop, (None | Some (Spec.Got _)) -> -1
-    | _ -> 0
-
-  let size = St.size
+  let size = P.size
   let validate ~crashed:_ _ = true
 end
 
@@ -585,17 +557,26 @@ module Container (C : CONTAINER) = struct
     let crash_pts = crash_events () in
     let crashed = List.sort_uniq compare (List.map fst crash_pts) in
     let live_fail = liveness_failures guarantee outcome crash_pts in
-    let state_fail =
+    let state_fail, unchecked =
       if live_fail <> [] || (guarantee = R.Blocking && crash_mid_op crash_pts)
-      then []
+      then ([], None)
       else
         let completed = H.completed ~widen:tr.t_read_slack hist in
         let pending = H.pending ~widen:tr.t_read_slack hist in
+        let nc = List.length completed and np = List.length pending in
+        (* A history past the checker's capacity is not a failure, but
+           the detail line says the oracle did not run. *)
+        let result = L.check ~init ~pending completed in
         let lin =
-          unless (L.check ~init ~pending completed <> L.No_witness)
-            "linearizability" (fun () ->
+          unless (result <> L.No_witness) "linearizability" (fun () ->
               Printf.sprintf "no linearization of %d completed + %d pending ops"
-                (List.length completed) (List.length pending))
+                nc np)
+        and unchecked =
+          if result = L.Too_large then
+            Some
+              (Printf.sprintf "linearizability unchecked (%d ops > %d)"
+                 (nc + np) L.max_events)
+          else None
         in
         let count d =
           List.fold_left
@@ -623,13 +604,19 @@ module Container (C : CONTAINER) = struct
                 final (base - p_minus) (base + p_plus) init_n plus minus p_plus
                 p_minus)
         in
-        lin @ size
-        @ unless (C.validate ~crashed:(List.length crashed) t) "validate" (fun () -> "validation failed")
+        ( lin @ size
+          @ unless (C.validate ~crashed:(List.length crashed) t) "validate"
+              (fun () -> "validation failed"),
+          unchecked )
     in
     let qsbr_fail = qsbr_failures q crashed in
-    ( (match outcome with Harness.Runner.Complete -> true | _ -> false),
-      crashed,
-      live_fail @ state_fail @ qsbr_fail )
+    {
+      o_completed =
+        (match outcome with Harness.Runner.Complete -> true | _ -> false);
+      o_crashed = crashed;
+      o_failures = live_fail @ state_fail @ qsbr_fail;
+      o_unchecked = unchecked;
+    }
 end
 
 let run_trial tr =
@@ -641,19 +628,13 @@ let run_trial tr =
   Fun.protect ~finally:(fun () -> Sched.set_noise_bits saved_noise)
   @@ fun () ->
   Sched.set_noise_bits tr.t_noise_bits;
-  let completed, crashed, failures =
-    match tr.t_entry.R.structure with
-    | R.Set (module S) ->
-        let module C = Container (Set_container (S)) in
-        C.run tr
-    | R.Queue (module Q) ->
-        let module C = Container (Queue_container (Q)) in
-        C.run tr
-    | R.Stack (module S) ->
-        let module C = Container (Stack_container (S)) in
-        C.run tr
-  in
-  { o_completed = completed; o_crashed = crashed; o_failures = failures }
+  match tr.t_entry.R.structure with
+  | R.Set (module S) ->
+      let module C = Container (Set_container (S)) in
+      C.run tr
+  | R.Pool (module P) ->
+      let module C = Container (Pool_container (P)) in
+      C.run tr
 
 let gen_spec rng nthreads =
   let f_point = pick rng points in
@@ -744,9 +725,10 @@ let sets entries : (module TRIAL with type t = trial) =
     let run tr =
       let o = run_trial tr in
       ( o.o_failures,
-        Printf.sprintf "run %s; crashed threads [%s]"
+        Printf.sprintf "run %s; crashed threads [%s]%s"
           (if o.o_completed then "completed" else "aborted")
-          (String.concat ";" (List.map string_of_int o.o_crashed)) )
+          (String.concat ";" (List.map string_of_int o.o_crashed))
+          (match o.o_unchecked with None -> "" | Some note -> "; " ^ note) )
   end)
 
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,7 @@
 (** Chaos engine: randomized fault/schedule fuzzing with crash-aware
     oracles and counterexample shrinking, over three trial families —
-    registry structures (sets, queues, stacks), the sharded KV service and
-    optimistic transactions.
+    registry structures (sets and pools: queues and stacks), the sharded
+    KV service and optimistic transactions.
 
     A family is a {!TRIAL}: a trial type with a one-line replayable
     string form, a seeded generator, greedy shrink steps and a [run] that
@@ -114,7 +114,7 @@ type trial = {
   t_topo : string;  (** topology name: u2, u4, xeon, opteron *)
   t_threads : int;
   t_ops : int;  (** operations per thread *)
-  t_keys : int;  (** key range for set workloads; prefill for queues *)
+  t_keys : int;  (** key range for set workloads; twice the prefill for pools *)
   t_quantum : int;
   t_read_slack : int;
   t_noise_bits : int;
@@ -130,12 +130,18 @@ val sets : Harness.Registry.entry list -> (module TRIAL with type t = trial)
     {!Sim.Fault.to_string} syntax; the detail line reads
     [run completed; crashed threads [..]]; the shrink steps drop fault
     specs, halve stall/storm durations and hit counts, and reduce
-    threads/ops/keys. *)
+    threads/ops/keys. A history too large for the linearizability
+    checker adds [; linearizability unchecked (N ops > 62)] to the
+    detail line. *)
 
 type outcome = {
   o_completed : bool;  (** the run finished (vs watchdog abort) *)
   o_crashed : int list;  (** threads killed by the fault plan *)
   o_failures : failure list;  (** empty = every oracle passed *)
+  o_unchecked : string option;
+      (** [Some note] when the history had more operations than the
+          linearizability checker takes ({!Lincheck.Make.max_events}), so
+          that oracle did not run; the detail line ends with the note *)
 }
 
 val run_trial : trial -> outcome

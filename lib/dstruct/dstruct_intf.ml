@@ -15,8 +15,8 @@
 
     Each family is declared once as a [*_CORE] signature (the shared
     operations); the [Mono_*] functors derive the monomorphic driver
-    views ([SET_OPS], [QUEUE_OPS], [STACK_OPS]) from it — so an
-    interface change is written in exactly one place. *)
+    views ([SET_OPS], [POOL_OPS]) from it — so an interface change is
+    written in exactly one place. *)
 
 module type SET_CORE = sig
   type 'v t
@@ -153,21 +153,16 @@ module type SET_OPS = sig
   val validate : ?crashed:int -> t -> bool
 end
 
-module type QUEUE_OPS = sig
+(** Queues and stacks, one pool family: [put] adds a value and [take]
+    removes the one the order names — the oldest when [lifo] is false
+    (a FIFO queue), the newest when it is true (a LIFO stack). *)
+module type POOL_OPS = sig
   include MONO
 
+  val lifo : bool
   val create : unit -> t
-  val enqueue : t -> int -> unit
-  val dequeue : t -> int option
-  val size : t -> int
-end
-
-module type STACK_OPS = sig
-  include MONO
-
-  val create : unit -> t
-  val push : t -> int -> unit
-  val pop : t -> int option
+  val put : t -> int -> unit
+  val take : t -> int option
   val size : t -> int
 end
 
@@ -208,14 +203,15 @@ module Mono_queue
       val name : string
       val probe_prefix : string option
       val create : unit -> int Q.t
-    end) : QUEUE_OPS = struct
+    end) : POOL_OPS = struct
   type t = int Q.t
 
   let name = C.name
   let probe_prefix = C.probe_prefix
+  let lifo = false
   let create = C.create
-  let enqueue = Q.enqueue
-  let dequeue = Q.dequeue
+  let put = Q.enqueue
+  let take = Q.dequeue
   let size = Q.size
 end
 
@@ -225,13 +221,14 @@ module Mono_stack
       val name : string
       val probe_prefix : string option
       val create : unit -> int S.t
-    end) : STACK_OPS = struct
+    end) : POOL_OPS = struct
   type t = int S.t
 
   let name = C.name
   let probe_prefix = C.probe_prefix
+  let lifo = true
   let create = C.create
-  let push = S.push
-  let pop = S.pop
+  let put = S.push
+  let take = S.pop
   let size = S.size
 end

@@ -96,15 +96,14 @@ let set_series mode ?threads ~topology ~ops ~workload
         workload)
 
 let queue_series mode ?threads ~topology ~ops ~enqueue_pct
-    (module Q : Harness.Registry.QUEUE_OPS) =
+    ((module Q : Harness.Registry.POOL_OPS) as q) =
   let threads =
     Option.value threads
       ~default:(List.filter (fun n -> n >= 2) (mode.threads_of topology))
   in
   series ~prefix:topology.Topology.name Q.name threads (fun n ->
-      Runner.run_queue_sim ~topology ~nthreads:n ~ops:(scaled mode ops)
-        ~seed:mode.seed ~enqueue_pct
-        (module Q))
+      Runner.run_pool_sim ~topology ~nthreads:n ~ops:(scaled mode ops)
+        ~seed:mode.seed ~add_pct:enqueue_pct q)
 
 let figure ?latency ?(notes = []) id title series =
   let latency_at, latency_classes =
@@ -486,7 +485,7 @@ let fig11 mode =
 (* Figure 12: queues                                                   *)
 
 let fig12 mode =
-  let queues = List.map Harness.Registry.queue_ops (R.lineup "queue") in
+  let queues = List.map Harness.Registry.pool_ops (R.lineup "queue") in
   let figs =
     grid ~fig:"12" ~what:"queues"
       [
@@ -709,11 +708,11 @@ let stack_experiment mode =
   let ops = scaled mode 20_000 in
   let series =
     List.map
-      (fun (module S : Harness.Registry.STACK_OPS) ->
+      (fun (module S : Harness.Registry.POOL_OPS) ->
         series ~prefix:"stack" S.name (mode.threads_of xeon) (fun n ->
             let t = S.create () in
             for i = 1 to 1024 do
-              S.push t i
+              S.put t i
             done;
             let m =
               Runner.simulate ~name:S.name ~topology:xeon ~nthreads:n ~ops
@@ -721,15 +720,15 @@ let stack_experiment mode =
                   let rng = Harness.Rng.create (tid + 3) in
                   while not (Sched.stop_requested ()) do
                     (if Harness.Rng.below rng 2 = 0 then
-                       S.push t (Harness.Rng.below rng 1_000_000)
-                     else ignore (S.pop t : int option));
+                       S.put t (Harness.Rng.below rng 1_000_000)
+                     else ignore (S.take t : int option));
                     Sched.tick ();
                     Sched.work 64
                   done)
             in
             let final_size = S.size t in
             { m with wall_s = 0.; final_size }))
-      (List.map Harness.Registry.stack_ops (R.lineup "stack"))
+      (List.map Harness.Registry.pool_ops (R.lineup "stack"))
   in
   let fig =
     figure "S1" "Stacks (§5.5): Treiber vs OPTIK redesign, 50/50 push/pop, Xeon"
@@ -932,14 +931,10 @@ let fault_experiment mode =
     | Harness.Registry.Set s ->
         Runner.run_set_sim ~topology:xeon ~nthreads ~ops ~seed ~faults ~watchdog
           ~max_events s w
-    | Harness.Registry.Queue q ->
-        Runner.run_queue_sim ~topology:xeon ~nthreads ~ops ~seed
-          ~init:w.init_size ~faults ~watchdog ~max_events
-          ~enqueue_pct:w.update_pct q
-    | Harness.Registry.Stack st ->
-        Runner.run_stack_sim ~topology:xeon ~nthreads ~ops ~seed
-          ~init:w.init_size ~faults ~watchdog ~max_events ~push_pct:w.update_pct
-          st
+    | Harness.Registry.Pool p ->
+        Runner.run_pool_sim ~topology:xeon ~nthreads ~ops ~seed
+          ~init:w.init_size ~faults ~watchdog ~max_events ~add_pct:w.update_pct
+          p
   in
   (* A structure family's four rows: a crash and a stall for its blocking
      rep [b] and its lock-free rep [l], each labelled by its guarantee. *)

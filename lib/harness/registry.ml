@@ -3,10 +3,11 @@
     {!Dstruct.Dstruct_intf}, under the names used by the paper's figures.
 
     {!ForRt.entries} is the one list of structures. Each row holds a
-    {!Dstruct.Dstruct_intf.Mono_set} (or [Mono_queue] / [Mono_stack])
-    application: the implementation supplies the shared operations, the
-    inline spec supplies only the figure name and the [create] call with
-    its variant flags baked in.
+    {!Dstruct.Dstruct_intf.Mono_set} application, or for the pool family
+    (queues and stacks, one driver view) a [Mono_queue] or [Mono_stack]
+    one: the implementation supplies the shared operations, the inline
+    spec supplies only the figure name and the [create] call with its
+    variant flags baked in.
 
     {!Native} runs on real atomics and domains; {!Sim_backend} runs under
     the deterministic multicore simulator. Every selector names a
@@ -14,8 +15,7 @@
     {!ForRt.find}. *)
 
 module type SET_OPS = Dstruct.Dstruct_intf.SET_OPS
-module type QUEUE_OPS = Dstruct.Dstruct_intf.QUEUE_OPS
-module type STACK_OPS = Dstruct.Dstruct_intf.STACK_OPS
+module type POOL_OPS = Dstruct.Dstruct_intf.POOL_OPS
 
 module Mono_set = Dstruct.Dstruct_intf.Mono_set
 module Mono_queue = Dstruct.Dstruct_intf.Mono_queue
@@ -25,10 +25,7 @@ module Mono_stack = Dstruct.Dstruct_intf.Mono_stack
     or stalled thread may do to the others. *)
 type guarantee = Lock_free | Blocking
 
-type structure =
-  | Set of (module SET_OPS)
-  | Queue of (module QUEUE_OPS)
-  | Stack of (module STACK_OPS)
+type structure = Set of (module SET_OPS) | Pool of (module POOL_OPS)
 
 type entry = {
   family : string;
@@ -48,16 +45,10 @@ let not_a kind e =
     (Printf.sprintf "%s is a %s, not a %s structure" (id e) e.family kind)
 
 (** The set behind [e]; raises [Invalid_argument] for a queue or a stack. *)
-let set_ops e =
-  match e.structure with Set s -> s | Queue _ | Stack _ -> not_a "set" e
+let set_ops e = match e.structure with Set s -> s | Pool _ -> not_a "set" e
 
-(** The queue behind [e]; raises [Invalid_argument] otherwise. *)
-let queue_ops e =
-  match e.structure with Queue q -> q | Set _ | Stack _ -> not_a "queue" e
-
-(** The stack behind [e]; raises [Invalid_argument] otherwise. *)
-let stack_ops e =
-  match e.structure with Stack s -> s | Set _ | Queue _ -> not_a "stack" e
+(** The queue or stack behind [e]; raises [Invalid_argument] for a set. *)
+let pool_ops e = match e.structure with Pool p -> p | Set _ -> not_a "pool" e
 
 module ForRt (Rt : Rt.Rt_intf.RT) = struct
   module Map_lock = Dstruct.Maps.Lock_based (Rt)
@@ -123,10 +114,13 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
   let entries =
     let set family guarantee ((module S : SET_OPS) as s) =
       { family; name = S.name; guarantee; structure = Set s }
-    and queue guarantee ((module Q : QUEUE_OPS) as q) =
-      { family = "queue"; name = Q.name; guarantee; structure = Queue q }
-    and stack guarantee ((module St : STACK_OPS) as st) =
-      { family = "stack"; name = St.name; guarantee; structure = Stack st }
+    and pool guarantee ((module P : POOL_OPS) as p) =
+      {
+        family = (if P.lifo then "stack" else "queue");
+        name = P.name;
+        guarantee;
+        structure = Pool p;
+      }
     in
     [
       (* ---------------- maps (Figure 7) ---------------- *)
@@ -263,56 +257,56 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
           let create ?capacity:_ () = Bst_optik.create ()
         end));
       (* ---------------- queues (Figure 12) ---------------- *)
-      queue Lock_free
+      pool Lock_free
         (module Mono_queue (Queues.Ms_lf) (struct
           let name = "ms-lf"
           let probe_prefix = Some "q-ms-lf"
           let create () = Queues.Ms_lf.create ()
         end));
-      queue Blocking
+      pool Blocking
         (module Mono_queue (Queues.Ms_lb) (struct
           let name = "ms-lb"
           let probe_prefix = None
           let create () = Queues.Ms_lb.create ()
         end));
-      queue Blocking
+      pool Blocking
         (module Mono_queue (Queues.Optik0) (struct
           let name = "optik0"
           let probe_prefix = Some "q-optik0"
           let create () = Queues.Optik0.create ()
         end));
-      queue Blocking
+      pool Blocking
         (module Mono_queue (Queues.Optik1) (struct
           let name = "optik1"
           let probe_prefix = Some "q-optik1"
           let create () = Queues.Optik1.create ()
         end));
-      queue Blocking
+      pool Blocking
         (module Mono_queue (Queues.Optik2) (struct
           let name = "optik2"
           let probe_prefix = Some "q-optik2"
           let create () = Queues.Optik2.create ()
         end));
-      queue Blocking
+      pool Blocking
         (module Mono_queue (Queues.Optik3) (struct
           let name = "optik3"
           let probe_prefix = Some "q-optik3"
           let create () = Queues.Optik3.create ()
         end));
       (* ---------------- stacks (§5.5) ---------------- *)
-      stack Lock_free
+      pool Lock_free
         (module Mono_stack (Stacks.Treiber) (struct
           let name = "treiber"
           let probe_prefix = Some "stack-treiber"
           let create () = Stacks.Treiber.create ()
         end));
-      stack Blocking
+      pool Blocking
         (module Mono_stack (Stacks.Optik_stack) (struct
           let name = "optik"
           let probe_prefix = Some "stack-optik"
           let create () = Stacks.Optik_stack.create ()
         end));
-      stack Lock_free
+      pool Lock_free
         (module Mono_stack (Stacks.Elimination) (struct
           let name = "elimination"
           let probe_prefix = Some "stack-elim"

@@ -144,40 +144,28 @@ let set_instance (module S : Registry.SET_OPS) w ~seed =
     valid = (fun () -> S.validate t);
   }
 
-(* Queues and stacks: [init] random values, then [add_pct] percent adds
-   of a random value, the rest removes. *)
-let pool_instance ~name ~seed ~init ~add_pct ~add ~remove ~size =
+(* Queues and stacks: [init] random values, then [add_pct] percent puts
+   of a random value, the rest takes. *)
+let pool_instance (module P : Registry.POOL_OPS) ~seed ~init ~add_pct =
+  let p = P.create () in
   let rng0 = Rng.create (seed + 13) in
   for _ = 1 to init do
-    add (Rng.below rng0 1_000_000)
+    P.put p (Rng.below rng0 1_000_000)
   done;
   let op rng =
     if Rng.below rng 100 < add_pct then (
-      add (Rng.below rng 1_000_000);
+      P.put p (Rng.below rng 1_000_000);
       0)
-    else match remove () with Some _ -> 1 | None -> 2
+    else match P.take p with Some _ -> 1 | None -> 2
   in
   {
-    i_name = name;
+    i_name = P.name;
     classes = queue_class_names;
     op;
     effective = None;
-    size;
+    size = (fun () -> P.size p);
     valid = (fun () -> true);
   }
-
-let queue_instance (module Qu : Registry.QUEUE_OPS) ~seed ~init ~enqueue_pct =
-  let q = Qu.create () in
-  pool_instance ~name:Qu.name ~seed ~init ~add_pct:enqueue_pct
-    ~add:(Qu.enqueue q)
-    ~remove:(fun () -> Qu.dequeue q)
-    ~size:(fun () -> Qu.size q)
-
-let stack_instance (module St : Registry.STACK_OPS) ~seed ~init ~push_pct =
-  let st = St.create () in
-  pool_instance ~name:St.name ~seed ~init ~add_pct:push_pct ~add:(St.push st)
-    ~remove:(fun () -> St.pop st)
-    ~size:(fun () -> St.size st)
 
 (* --------------------------------------------------------------- *)
 (* Simulator runner                                                 *)
@@ -314,19 +302,12 @@ let run_set_sim ~topology ~nthreads ~ops ?(seed = 42) ?faults ?watchdog
         invalid_arg "Runner.run_set_sim: update_pct must be in [0,100]";
       set_instance (module S) w ~seed)
 
-(* Queue workloads (Figure 12): enqueue percentage picks between
-   decreasing (40), stable (50) and increasing (60) size. *)
-let queue_init_size = 65_536
-
-let run_queue_sim ~topology ~nthreads ~ops ?(seed = 42) ?(init = queue_init_size)
-    ?faults ?watchdog ?max_events ?(record_obs = false) ~enqueue_pct qu =
-  run_sim "run_queue_sim" ~topology ~nthreads ~ops ~seed ?faults ?watchdog
-    ?max_events ~record_obs (fun () ->
-      queue_instance qu ~seed ~init ~enqueue_pct)
-
-(* Stack workloads (§5.5): push percentage plays the role enqueue_pct
-   plays for queues. *)
-let run_stack_sim ~topology ~nthreads ~ops ?(seed = 42) ?(init = 4096)
-    ?faults ?watchdog ?max_events ?(record_obs = false) ~push_pct st =
-  run_sim "run_stack_sim" ~topology ~nthreads ~ops ~seed ?faults ?watchdog
-    ?max_events ~record_obs (fun () -> stack_instance st ~seed ~init ~push_pct)
+(* Pool workloads: [add_pct] picks between decreasing (40), stable (50)
+   and increasing (60) size. The default prefill is Figure 12's 65,536
+   for a queue and 4,096 for a stack. *)
+let run_pool_sim ~topology ~nthreads ~ops ?(seed = 42) ?init ?faults ?watchdog
+    ?max_events ?(record_obs = false) ~add_pct
+    ((module P : Registry.POOL_OPS) as p) =
+  let init = Option.value init ~default:(if P.lifo then 4_096 else 65_536) in
+  run_sim "run_pool_sim" ~topology ~nthreads ~ops ~seed ?faults ?watchdog
+    ?max_events ~record_obs (fun () -> pool_instance p ~seed ~init ~add_pct)

@@ -127,7 +127,7 @@ val simulate :
 
 (** {1 Simulator runners}
 
-    All three run the paper's loop: each thread draws from its own rng
+    Both run the paper's loop: each thread draws from its own rng
     seeded from [seed], times every operation into a latency class, and
     waits 64-127 cycles between iterations. They raise [Invalid_argument]
     unless [nthreads] and [ops] are positive; [ops = 0] is allowed only
@@ -154,7 +154,7 @@ val run_set_sim :
 (** Also raises [Invalid_argument] unless the workload's [init_size] is
     positive. *)
 
-val run_queue_sim :
+val run_pool_sim :
   topology:Sim.Topology.t ->
   nthreads:int ->
   ops:int ->
@@ -164,24 +164,10 @@ val run_queue_sim :
   ?watchdog:Sim.Sched.watchdog ->
   ?max_events:int ->
   ?record_obs:bool ->
-  enqueue_pct:int ->
-  (module Registry.QUEUE_OPS) ->
+  add_pct:int ->
+  (module Registry.POOL_OPS) ->
   measurement
-(** Queue workloads (Figure 12): [enqueue_pct] picks between decreasing
-    (40), stable (50) and increasing (60) queue size. *)
-
-val run_stack_sim :
-  topology:Sim.Topology.t ->
-  nthreads:int ->
-  ops:int ->
-  ?seed:int ->
-  ?init:int ->
-  ?faults:Sim.Fault.plan ->
-  ?watchdog:Sim.Sched.watchdog ->
-  ?max_events:int ->
-  ?record_obs:bool ->
-  push_pct:int ->
-  (module Registry.STACK_OPS) ->
-  measurement
-(** Stack workloads (§5.5): [push_pct] plays the role [enqueue_pct]
-    plays for queues. *)
+(** Queue and stack workloads: [init] random values (default 65,536 for
+    a queue, 4,096 for a stack), then [add_pct] percent puts, the rest
+    takes. For queues (Figure 12), [add_pct] picks between decreasing
+    (40), stable (50) and increasing (60) size. *)

@@ -202,56 +202,31 @@ module Set_spec = struct
     | Dup -> Format.fprintf fmt "dup"
 end
 
-(** FIFO queues. *)
-module Queue_spec = struct
-  (* One list, front first: each abstract queue has exactly one
+(** Queues and stacks, one pool spec over the order. *)
+module Pool_spec (O : sig
+  val lifo : bool
+end) =
+struct
+  (* One list, front first: each abstract pool has exactly one
      representation, so the checker's memo of failed states never holds
-     two copies of the same queue. *)
+     two copies of the same pool. A stack's front is its top. *)
   type state = int list
 
-  type input = Enqueue of int | Dequeue
+  type input = Put of int | Take
 
   type output = Unit | Got of int | Empty
 
   let init = []
 
   let apply st = function
-    | Enqueue v -> (st @ [ v ], Unit)
-    | Dequeue -> (
-        match st with x :: rest -> (rest, Got x) | [] -> ([], Empty))
+    | Put v -> ((if O.lifo then v :: st else st @ [ v ]), Unit)
+    | Take -> ( match st with x :: rest -> (rest, Got x) | [] -> ([], Empty))
 
   let equal_output (a : output) b = a = b
 
   let pp_input fmt = function
-    | Enqueue v -> Format.fprintf fmt "enq %d" v
-    | Dequeue -> Format.fprintf fmt "deq"
-
-  let pp_output fmt = function
-    | Unit -> Format.fprintf fmt "()"
-    | Got v -> Format.fprintf fmt "got %d" v
-    | Empty -> Format.fprintf fmt "empty"
-end
-
-(** LIFO stacks. *)
-module Stack_spec = struct
-  type state = int list
-
-  type input = Push of int | Pop
-
-  type output = Unit | Got of int | Empty
-
-  let init = []
-
-  let apply st = function
-    | Push v -> (v :: st, Unit)
-    | Pop -> (
-        match st with x :: rest -> (rest, Got x) | [] -> ([], Empty))
-
-  let equal_output (a : output) b = a = b
-
-  let pp_input fmt = function
-    | Push v -> Format.fprintf fmt "push %d" v
-    | Pop -> Format.fprintf fmt "pop"
+    | Put v -> Format.fprintf fmt "put %d" v
+    | Take -> Format.fprintf fmt "take"
 
   let pp_output fmt = function
     | Unit -> Format.fprintf fmt "()"

@@ -91,20 +91,14 @@ module Set_spec : sig
     SPEC with type state := state and type input := input and type output := output
 end
 
-(** FIFO queues; the state lists the queue front first. *)
-module Queue_spec : sig
+(** Queues and stacks: [Put] adds a value, [Take] removes the front
+    one. The state lists the pool front first — the oldest value of a
+    FIFO queue ([lifo = false]), the newest of a LIFO stack. *)
+module Pool_spec (_ : sig
+  val lifo : bool
+end) : sig
   type state = int list
-  type input = Enqueue of int | Dequeue
-  type output = Unit | Got of int | Empty
-
-  include
-    SPEC with type state := state and type input := input and type output := output
-end
-
-(** LIFO stacks. *)
-module Stack_spec : sig
-  type state = int list
-  type input = Push of int | Pop
+  type input = Put of int | Take
   type output = Unit | Got of int | Empty
 
   include

@@ -73,9 +73,9 @@ let pollute () =
     (fun fam -> ignore (trials fam ~runs:2 ~seed:5))
     [ (module Chaos.Kv_trial : Chaos.TRIAL); (module Chaos.Txn_trial) ];
   ignore
-    (Harness.Runner.run_stack_sim ~topology:(Sim.Topology.uniform ~n:4 ())
-       ~nthreads:6 ~ops:2_000 ~init:64 ~push_pct:50
-       Harness.Registry.(stack_ops (Sim_backend.find "stack/elimination")));
+    (Harness.Runner.run_pool_sim ~topology:(Sim.Topology.uniform ~n:4 ())
+       ~nthreads:6 ~ops:2_000 ~init:64 ~add_pct:50
+       Harness.Registry.(pool_ops (Sim_backend.find "stack/elimination")));
   ignore
     (Harness.Runner.run_set_sim ~topology:Sim.Topology.xeon ~nthreads:4
        ~ops:2_000 ~seed:3

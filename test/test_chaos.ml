@@ -353,6 +353,26 @@ let test_golden_replay () =
   Alcotest.(check bool) "verdict line present" true
     (Obs.Report.contains ~sub:"verdict: FAIL" out1)
 
+(* A history past the checker's 62 ops is not checked, and the replay
+   says so on its detail line; a 25-op history, the most a generated
+   trial has, is checked and carries no note. *)
+let test_unchecked_note () =
+  let replay s =
+    let buf = Buffer.create 256 in
+    let ppf = Format.formatter_of_buffer buf in
+    let n = Chaos.replay (module S : Chaos.TRIAL) s ppf in
+    Format.pp_print_flush ppf ();
+    Alcotest.(check int) (s ^ " passes") 0 n;
+    Buffer.contents buf
+  in
+  let note = "linearizability unchecked" in
+  Alcotest.(check bool) "65 ops: noted" true
+    (Obs.Report.contains ~sub:(note ^ " (65 ops > 62)")
+       (replay "list/optik@u4 t5 o13 k7 q20000 r0 n62 w1 f1"));
+  Alcotest.(check bool) "25 ops: checked" false
+    (Obs.Report.contains ~sub:note
+       (replay "list/optik@u4 t5 o5 k7 q20000 r0 n62 w1 f1"))
+
 (* ------------------------------------------------------------------ *)
 (* Harris crash residue. A thread that crashes between its mark CAS and
    its unlink CAS leaves a marked node linked; in a hash bucket no later
@@ -483,6 +503,8 @@ let () =
           Alcotest.test_case "kv shrink steps parse" `Quick
             test_kv_shrink_steps_parse;
           Alcotest.test_case "golden replay" `Quick test_golden_replay;
+          Alcotest.test_case "oversized history noted unchecked" `Quick
+            test_unchecked_note;
         ] );
       ( "all structures",
         Alcotest.test_case "all_names covers the registry" `Quick

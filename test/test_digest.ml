@@ -105,12 +105,9 @@ let structure_rows () =
         | R.Set s ->
             Run.run_set_sim ~topology ~nthreads ~ops ~seed ~record_obs:true s
               (Run.uniform_workload ?capacity ~init_size:64 ~update_pct:40 ())
-        | R.Queue q ->
-            Run.run_queue_sim ~topology ~nthreads ~ops ~seed ~record_obs:true
-              ~enqueue_pct:50 q
-        | R.Stack st ->
-            Run.run_stack_sim ~topology ~nthreads ~ops ~seed ~record_obs:true
-              ~push_pct:50 st)
+        | R.Pool p ->
+            Run.run_pool_sim ~topology ~nthreads ~ops ~seed ~record_obs:true
+              ~add_pct:50 p)
   in
   let sets, others =
     List.partition

@@ -36,10 +36,10 @@ let test_reset_runs_before_every_task () =
             let m, r = Kv.run cfg in
             Sim.Sched.set_noise_bits (1 + i);
             ignore
-              (Harness.Runner.run_stack_sim
+              (Harness.Runner.run_pool_sim
                  ~topology:(Sim.Topology.uniform ~n:4 ())
-                 ~nthreads:4 ~ops:500 ~init:32 ~push_pct:50
-                 Harness.Registry.(stack_ops (Sim_backend.find "stack/elimination")));
+                 ~nthreads:4 ~ops:500 ~init:32 ~add_pct:50
+                 Harness.Registry.(pool_ops (Sim_backend.find "stack/elimination")));
             (m.ops, m.cas, m.cas_failed, m.counters, r.Kv.res_oracle,
              r.Kv.res_events)))
   in
@@ -120,9 +120,9 @@ let test_world_reset_resets_elimination () =
   let run () =
     Harness.World.reset ();
     let m =
-      Harness.Runner.run_stack_sim ~topology:(Sim.Topology.uniform ~n:4 ())
-        ~nthreads:6 ~ops:3_000 ~init:64 ~push_pct:50
-        Harness.Registry.(stack_ops (Sim_backend.find "stack/elimination"))
+      Harness.Runner.run_pool_sim ~topology:(Sim.Topology.uniform ~n:4 ())
+        ~nthreads:6 ~ops:3_000 ~init:64 ~add_pct:50
+        Harness.Registry.(pool_ops (Sim_backend.find "stack/elimination"))
     in
     (m.ops, m.cas, m.cas_failed, m.counters)
   in

@@ -328,14 +328,14 @@ let test_all_runners_reject_bad_args () =
     | (_ : R.measurement) -> Alcotest.failf "expected Invalid_argument %S" msg
     | exception Invalid_argument m -> Alcotest.(check string) "message" msg m
   in
-  let ms_lf = Harness.Registry.queue_ops (SB.find "queue/ms-lf")
-  and treiber = Harness.Registry.stack_ops (SB.find "stack/treiber") in
-  bad "Runner.run_queue_sim: threads must be positive" (fun () ->
-      R.run_queue_sim ~topology ~nthreads:0 ~ops:100 ~enqueue_pct:50 ms_lf);
-  bad "Runner.run_queue_sim: ops must be positive" (fun () ->
-      R.run_queue_sim ~topology ~nthreads:2 ~ops:0 ~enqueue_pct:50 ms_lf);
-  bad "Runner.run_stack_sim: ops must be positive" (fun () ->
-      R.run_stack_sim ~topology ~nthreads:2 ~ops:(-1) ~push_pct:50 treiber)
+  let ms_lf = Harness.Registry.pool_ops (SB.find "queue/ms-lf")
+  and treiber = Harness.Registry.pool_ops (SB.find "stack/treiber") in
+  bad "Runner.run_pool_sim: threads must be positive" (fun () ->
+      R.run_pool_sim ~topology ~nthreads:0 ~ops:100 ~add_pct:50 ms_lf);
+  bad "Runner.run_pool_sim: ops must be positive" (fun () ->
+      R.run_pool_sim ~topology ~nthreads:2 ~ops:0 ~add_pct:50 ms_lf);
+  bad "Runner.run_pool_sim: ops must be positive" (fun () ->
+      R.run_pool_sim ~topology ~nthreads:2 ~ops:(-1) ~add_pct:50 treiber)
 
 (* Every draw stays inside its shape, the same seed draws the same
    tuples, and a drawn case runs to a valid, complete measurement. *)
@@ -407,13 +407,13 @@ let test_queue_runner () =
     Alcotest.(check (float 0.)) (what ^ " effective") 100. m.eff_update_pct
   in
   grew "queue"
-    (Harness.Runner.run_queue_sim ~topology:Tutil.uniform4 ~nthreads:4
-       ~ops:5_000 ~init:1_000 ~enqueue_pct:60
-       Harness.Registry.(queue_ops (Sim_backend.find "queue/ms-lf")));
+    (Harness.Runner.run_pool_sim ~topology:Tutil.uniform4 ~nthreads:4
+       ~ops:5_000 ~init:1_000 ~add_pct:60
+       Harness.Registry.(pool_ops (Sim_backend.find "queue/ms-lf")));
   grew "stack"
-    (Harness.Runner.run_stack_sim ~topology:Tutil.uniform4 ~nthreads:4
-       ~ops:5_000 ~init:1_000 ~push_pct:70
-       Harness.Registry.(stack_ops (Sim_backend.find "stack/treiber")))
+    (Harness.Runner.run_pool_sim ~topology:Tutil.uniform4 ~nthreads:4
+       ~ops:5_000 ~init:1_000 ~add_pct:70
+       Harness.Registry.(pool_ops (Sim_backend.find "stack/treiber")))
 
 (* ------------------------------------------------------------------ *)
 (* Tutil.qcheck_case seeds. *)

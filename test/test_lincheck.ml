@@ -3,29 +3,31 @@
    include-or-exclude crashed (pending) operations, and degrade to
    Too_large instead of raising on oversized histories. *)
 
-module LS = Lincheck.Make (Lincheck.Set_spec)
-module LQ = Lincheck.Make (Lincheck.Queue_spec)
+(* History builders and verdict cases over one spec. *)
+module Checks (Spec : Lincheck.SPEC) = struct
+  module L = Lincheck.Make (Spec)
+
+  let ev tid inv res input output = { L.tid; inv; res; input; output }
+  let pend tid inv input = { L.p_tid = tid; p_inv = inv; p_input = input }
+
+  let accepts ?(pending = []) name history =
+    Alcotest.test_case name `Quick (fun () ->
+        match L.check ~pending history with
+        | L.Witness _ -> ()
+        | L.No_witness -> Alcotest.fail "expected linearizable"
+        | L.Too_large -> Alcotest.fail "unexpected Too_large")
+
+  let rejects ?(pending = []) name history =
+    Alcotest.test_case name `Quick (fun () ->
+        match L.check ~pending history with
+        | L.Witness _ -> Alcotest.fail "expected violation"
+        | L.No_witness -> ()
+        | L.Too_large -> Alcotest.fail "unexpected Too_large")
+end
+
+include Checks (Lincheck.Set_spec)
+module LS = L
 open Lincheck.Set_spec
-open Lincheck.Queue_spec
-
-let ev tid inv res input output = { LS.tid; inv; res; input; output }
-let qev tid inv res input output = { LQ.tid; inv; res; input; output }
-let pend tid inv input = { LS.p_tid = tid; p_inv = inv; p_input = input }
-let qpend tid inv input = { LQ.p_tid = tid; p_inv = inv; p_input = input }
-
-let accepts ?(pending = []) name history =
-  Alcotest.test_case name `Quick (fun () ->
-      match LS.check ~pending history with
-      | LS.Witness _ -> ()
-      | LS.No_witness -> Alcotest.fail "expected linearizable"
-      | LS.Too_large -> Alcotest.fail "unexpected Too_large")
-
-let rejects ?(pending = []) name history =
-  Alcotest.test_case name `Quick (fun () ->
-      match LS.check ~pending history with
-      | LS.Witness _ -> Alcotest.fail "expected violation"
-      | LS.No_witness -> ()
-      | LS.Too_large -> Alcotest.fail "unexpected Too_large")
 
 let set_cases =
   [
@@ -123,70 +125,107 @@ let crash_cases =
       ];
   ]
 
-let q_accepts ?(pending = []) name history =
-  Alcotest.test_case name `Quick (fun () ->
-      match LQ.check ~pending history with
-      | LQ.Witness _ -> ()
-      | LQ.No_witness -> Alcotest.fail "expected linearizable"
-      | LQ.Too_large -> Alcotest.fail "unexpected Too_large")
+(* Pool histories, for either order. *)
+module Pool (O : sig
+  val lifo : bool
+end) =
+struct
+  module Spec = Lincheck.Pool_spec (O)
+  include Checks (Spec)
+end
 
-let q_rejects ?(pending = []) name history =
-  Alcotest.test_case name `Quick (fun () ->
-      match LQ.check ~pending history with
-      | LQ.Witness _ -> Alcotest.fail "expected violation"
-      | LQ.No_witness -> ()
-      | LQ.Too_large -> Alcotest.fail "unexpected Too_large")
+module Fifo = Pool (struct
+  let lifo = false
+end)
+
+module Lifo = Pool (struct
+  let lifo = true
+end)
 
 let queue_cases =
+  let open Fifo in
+  let open Fifo.Spec in
   [
-    q_accepts "fifo pair"
+    accepts "fifo pair"
       [
-        qev 0 0 10 (Enqueue 1) Unit;
-        qev 0 20 30 (Enqueue 2) Unit;
-        qev 1 40 50 Dequeue (Got 1);
-        qev 1 60 70 Dequeue (Got 2);
+        ev 0 0 10 (Put 1) Unit;
+        ev 0 20 30 (Put 2) Unit;
+        ev 1 40 50 Take (Got 1);
+        ev 1 60 70 Take (Got 2);
       ];
-    q_rejects "lifo order rejected"
+    rejects "lifo order rejected"
       [
-        qev 0 0 10 (Enqueue 1) Unit;
-        qev 0 20 30 (Enqueue 2) Unit;
-        qev 1 40 50 Dequeue (Got 2);
-        qev 1 60 70 Dequeue (Got 1);
+        ev 0 0 10 (Put 1) Unit;
+        ev 0 20 30 (Put 2) Unit;
+        ev 1 40 50 Take (Got 2);
+        ev 1 60 70 Take (Got 1);
       ];
-    q_accepts "concurrent enqueues, either order"
+    accepts "concurrent enqueues, either order"
       [
-        qev 0 0 100 (Enqueue 1) Unit;
-        qev 1 10 90 (Enqueue 2) Unit;
-        qev 2 200 210 Dequeue (Got 2);
-        qev 2 220 230 Dequeue (Got 1);
+        ev 0 0 100 (Put 1) Unit;
+        ev 1 10 90 (Put 2) Unit;
+        ev 2 200 210 Take (Got 2);
+        ev 2 220 230 Take (Got 1);
       ];
-    q_rejects "dequeue of nothing"
-      [ qev 0 0 10 Dequeue (Got 9) ];
-    q_accepts "empty answer while concurrent enqueue"
+    rejects "dequeue of nothing"
+      [ ev 0 0 10 Take (Got 9) ];
+    accepts "empty answer while concurrent enqueue"
       [
-        qev 0 0 100 (Enqueue 1) Unit;
-        qev 1 10 20 Dequeue Empty;
+        ev 0 0 100 (Put 1) Unit;
+        ev 1 10 20 Take Empty;
       ];
-    q_rejects "empty answer after completed enqueue"
+    rejects "empty answer after completed enqueue"
       [
-        qev 0 0 10 (Enqueue 1) Unit;
-        qev 1 20 30 Dequeue Empty;
+        ev 0 0 10 (Put 1) Unit;
+        ev 1 20 30 Take Empty;
       ];
-    q_rejects "element dequeued twice"
+    rejects "element dequeued twice"
       [
-        qev 0 0 10 (Enqueue 1) Unit;
-        qev 1 20 30 Dequeue (Got 1);
-        qev 2 22 35 Dequeue (Got 1);
+        ev 0 0 10 (Put 1) Unit;
+        ev 1 20 30 Take (Got 1);
+        ev 2 22 35 Take (Got 1);
       ];
-    q_accepts "crashed enqueue explains a dequeued value"
-      ~pending:[ qpend 1 5 (Enqueue 42) ]
-      [ qev 0 10 20 Dequeue (Got 42) ];
-    q_accepts "crashed enqueue may be dropped"
-      ~pending:[ qpend 1 5 (Enqueue 42) ]
-      [ qev 0 10 20 Dequeue Empty ];
-    q_rejects "dequeued value with no source even among pending"
-      ~pending:[ qpend 1 5 (Enqueue 41) ]
-      [ qev 0 10 20 Dequeue (Got 42) ];
+    accepts "crashed enqueue explains a dequeued value"
+      ~pending:[ pend 1 5 (Put 42) ]
+      [ ev 0 10 20 Take (Got 42) ];
+    accepts "crashed enqueue may be dropped"
+      ~pending:[ pend 1 5 (Put 42) ]
+      [ ev 0 10 20 Take Empty ];
+    rejects "dequeued value with no source even among pending"
+      ~pending:[ pend 1 5 (Put 41) ]
+      [ ev 0 10 20 Take (Got 42) ];
+  ]
+
+let stack_cases =
+  let open Lifo in
+  let open Lifo.Spec in
+  [
+    accepts "pops in reverse push order"
+      [
+        ev 0 0 10 (Put 1) Unit;
+        ev 0 20 30 (Put 2) Unit;
+        ev 1 40 50 Take (Got 2);
+        ev 1 60 70 Take (Got 1);
+      ];
+    rejects "pops in push order rejected"
+      [
+        ev 0 0 10 (Put 1) Unit;
+        ev 0 20 30 (Put 2) Unit;
+        ev 1 40 50 Take (Got 1);
+        ev 1 60 70 Take (Got 2);
+      ];
+    rejects "element popped twice"
+      [
+        ev 0 0 10 (Put 1) Unit;
+        ev 1 20 30 Take (Got 1);
+        ev 2 22 35 Take (Got 1);
+      ];
+    accepts "crashed push explains a popped value"
+      ~pending:[ pend 1 5 (Put 42) ]
+      [ ev 0 0 10 (Put 1) Unit; ev 0 20 30 Take (Got 42) ];
+    accepts "crashed push may be dropped"
+      ~pending:[ pend 1 5 (Put 42) ]
+      [ ev 0 10 20 Take Empty ];
   ]
 
 (* Initial-state support. *)
@@ -299,6 +338,7 @@ let () =
       ("set histories", set_cases);
       ("crash-aware", crash_cases);
       ("queue histories", queue_cases);
+      ("stack histories", stack_cases);
       ("initial state", init_cases);
       ("too large", too_large_cases);
       ("property", [ widened_random; pending_random ]);

@@ -23,8 +23,7 @@ let same what (a : R.structure) (b : R.structure) =
   Alcotest.(check bool) (what ^ " yields the same module") true
     (match (a, b) with
     | R.Set x, R.Set y -> x == y
-    | R.Queue x, R.Queue y -> x == y
-    | R.Stack x, R.Stack y -> x == y
+    | R.Pool x, R.Pool y -> x == y
     | _ -> false)
 
 let refused what f =
@@ -60,7 +59,7 @@ let entry_case (e : R.entry) =
             (run_selector id == s);
           takes "kv" (List.mem id Kv.rep_names) s kv kv_trial;
           takes "txn" (List.mem_assoc id W.reps) s txn txn_trial
-      | R.Queue _ | R.Stack _ ->
+      | R.Pool _ ->
           refused "run's selector" (fun () -> run_selector id);
           refused "kv" kv;
           refused "kv trial" kv_trial;
@@ -121,7 +120,7 @@ let test_named_bindings () =
   let is_row what find id m =
     match (find id : R.entry).structure with
     | R.Set s -> Alcotest.(check bool) (what ^ " " ^ id) true (s == m)
-    | R.Queue _ | R.Stack _ -> Alcotest.failf "%s is not a set" id
+    | R.Pool _ -> Alcotest.failf "%s is not a set" id
   in
   is_row "sim" B.find "list/optik" B.ll_optik;
   is_row "sim" B.find "map/optik" B.map_optik;
@@ -234,7 +233,7 @@ let () =
              (fun (e : R.entry) ->
                match e.structure with
                | R.Set _ -> Some (update_case e)
-               | R.Queue _ | R.Stack _ -> None)
+               | R.Pool _ -> None)
              B.entries );
       ( "one list",
         [

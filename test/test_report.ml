@@ -404,8 +404,7 @@ let test_registry_coverage () =
     (fun (e : Harness.Registry.entry) ->
       match e.structure with
       | Set (module S) -> check_prefix S.name S.probe_prefix
-      | Queue (module Q) -> check_prefix Q.name Q.probe_prefix
-      | Stack (module S) -> check_prefix S.name S.probe_prefix)
+      | Pool (module P) -> check_prefix P.name P.probe_prefix)
     Harness.Registry.Sim_backend.entries
 
 (* At least one OPTIK rep per family must be instrumented: the paper's

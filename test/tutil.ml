@@ -1,5 +1,5 @@
 (* Shared machinery for the test suites: generic drivers that exercise any
-   SET_OPS / QUEUE_OPS / STACK_OPS implementation
+   SET_OPS / POOL_OPS implementation
    - sequentially against a model,
    - concurrently on the simulator with invariant checks,
    - concurrently on the simulator with full linearizability checking,
@@ -234,46 +234,6 @@ let lincheck_set (module S : R.SET_OPS) ~nthreads ~ops_per_thread ~key_range
       Alcotest.failf "%s: non-linearizable history (seed %d):@.%a" S.name seed
         HSet.L.pp_history events
 
-module HQueue = Harness.History.Make (Lincheck.Queue_spec)
-
-let lincheck_queue (module Q : R.QUEUE_OPS) ~nthreads ~ops_per_thread ~seed ()
-    =
-  let t = Q.create () in
-  let rng0 = Rng.create (seed + 5) in
-  let init = ref [] in
-  for _ = 1 to 3 do
-    let v = Rng.below rng0 100 in
-    Q.enqueue t v;
-    init := v :: !init
-  done;
-  let init_state = List.rev !init in
-  let h = HQueue.create ~nthreads in
-  let _st =
-    Sim.Sched.run ~topology:uniform4 ~nthreads ~read_slack:0 (fun tid ->
-        let rng = Rng.create ((seed * 131) + tid) in
-        for i = 1 to ops_per_thread do
-          ignore
-            (if Rng.below rng 2 = 0 then
-               let v = (tid * 1000) + i in
-               HQueue.record h (Lincheck.Queue_spec.Enqueue v) (fun () ->
-                   Q.enqueue t v;
-                   Lincheck.Queue_spec.Unit)
-             else
-               HQueue.record h Lincheck.Queue_spec.Dequeue (fun () ->
-                   match Q.dequeue t with
-                   | Some v -> Lincheck.Queue_spec.Got v
-                   | None -> Lincheck.Queue_spec.Empty))
-        done)
-  in
-  let events = HQueue.completed h in
-  match HQueue.L.check ~init:init_state events with
-  | HQueue.L.Witness _ -> ()
-  | HQueue.L.Too_large ->
-      Alcotest.failf "%s: history too large to check (seed %d)" Q.name seed
-  | HQueue.L.No_witness ->
-      Alcotest.failf "%s: non-linearizable history (seed %d):@.%a" Q.name seed
-        HQueue.L.pp_history events
-
 (* ------------------------------------------------------------------ *)
 
 (* Every qcheck case draws from the same written seed, so two runs draw
@@ -297,3 +257,212 @@ let qcheck_case ?(count = 50) ?print name gen prop =
       with e ->
         Alcotest.failf "%s\nqcheck seed %d (rerun with QCHECK_SEED=%d)"
           (Printexc.to_string e) seed seed )
+
+(* ------------------------------------------------------------------ *)
+(* Queues and stacks: one driver for a pool family's lineup            *)
+
+let order_name (module P : R.POOL_OPS) = if P.lifo then "LIFO" else "FIFO"
+
+(* Random ops against the family's spec: [x < 60] puts [x], any other
+   [x] takes; every output and every size must be the spec's. *)
+let pool_matches_spec (module P : R.POOL_OPS) ops =
+  let module Spec = Lincheck.Pool_spec (P) in
+  let t = P.create () in
+  let model = ref Spec.init in
+  List.for_all
+    (fun x ->
+      let input = if x < 60 then Spec.Put x else Spec.Take in
+      let st, want = Spec.apply !model input in
+      model := st;
+      let got =
+        match input with
+        | Put v ->
+            P.put t v;
+            Spec.Unit
+        | Take -> ( match P.take t with Some v -> Got v | None -> Empty)
+      in
+      got = want && P.size t = List.length st)
+    ops
+
+(* Take order: 1..100 come back in the family's order, then a short
+   interleaving stays in it. *)
+let pool_sequential (module P : R.POOL_OPS) () =
+  let t = P.create () in
+  let expect label want = Alcotest.(check (option int)) label want (P.take t) in
+  expect "empty" None;
+  for i = 1 to 100 do
+    P.put t i
+  done;
+  Alcotest.(check int) "size" 100 (P.size t);
+  for j = 1 to 100 do
+    let i = if P.lifo then 101 - j else j in
+    expect (Printf.sprintf "%s %d" (order_name (module P)) i) (Some i)
+  done;
+  expect "drained" None;
+  Alcotest.(check int) "size 0" 0 (P.size t);
+  P.put t 1;
+  P.put t 2;
+  expect "first" (Some (if P.lifo then 2 else 1));
+  P.put t 3;
+  expect "second" (Some (if P.lifo then 3 else 2));
+  expect "third" (Some (if P.lifo then 1 else 3))
+
+(* Concurrent conservation: put - taken = final size; every taken value
+   was put exactly once (multiset check). *)
+let pool_conservation (module P : R.POOL_OPS) ~nthreads ~ops ~topology () =
+  let t = P.create () in
+  (* prefill values live in their own range so duplicate detection can
+     tell them apart from per-thread values *)
+  for i = 1 to 64 do
+    P.put t (900_000_000 + i)
+  done;
+  let put = Array.make nthreads 0 in
+  let taken = Array.make nthreads [] in
+  ignore
+    (Sim.Sched.run ~topology ~nthreads (fun tid ->
+         let rng = Rng.create (tid + 31) in
+         for i = 1 to ops do
+           if Rng.below rng 2 = 0 then (
+             P.put t ((tid * 1_000_000) + i);
+             put.(tid) <- put.(tid) + 1)
+           else
+             match P.take t with
+             | Some v -> taken.(tid) <- v :: taken.(tid)
+             | None -> ()
+         done));
+  let total_put = 64 + Array.fold_left ( + ) 0 put in
+  let total_taken =
+    Array.fold_left (fun acc l -> List.length l + acc) 0 taken
+  in
+  Alcotest.(check int)
+    (P.name ^ " conservation")
+    (total_put - total_taken) (P.size t);
+  let seen = Hashtbl.create 64 in
+  Array.iter
+    (List.iter (fun v ->
+         if Hashtbl.mem seen v then
+           Alcotest.failf "%s: value %d taken twice" P.name v;
+         Hashtbl.add seen v ()))
+    taken
+
+(* Three threads of four ops each over three prefilled values, checked
+   against the family's spec. *)
+let lincheck_pool (module P : R.POOL_OPS) ~seed () =
+  let module Spec = Lincheck.Pool_spec (P) in
+  let module H = Harness.History.Make (Spec) in
+  let t = P.create () in
+  let rng0 = Rng.create (seed + 5) in
+  let init = ref Spec.init in
+  for _ = 1 to 3 do
+    let v = Rng.below rng0 100 in
+    P.put t v;
+    init := fst (Spec.apply !init (Put v))
+  done;
+  let h = H.create ~nthreads:3 in
+  let _st =
+    Sim.Sched.run ~topology:uniform4 ~nthreads:3 ~read_slack:0 (fun tid ->
+        let rng = Rng.create ((seed * 131) + tid) in
+        for i = 1 to 4 do
+          ignore
+            (if Rng.below rng 2 = 0 then
+               let v = (tid * 1000) + i in
+               H.record h (Spec.Put v) (fun () ->
+                   P.put t v;
+                   Spec.Unit)
+             else
+               H.record h Spec.Take (fun () ->
+                   match P.take t with
+                   | Some v -> Spec.Got v
+                   | None -> Spec.Empty))
+        done)
+  in
+  let events = H.completed h in
+  match H.L.check ~init:!init events with
+  | H.L.Witness _ -> ()
+  | H.L.Too_large ->
+      Alcotest.failf "%s: history too large to check (seed %d)" P.name seed
+  | H.L.No_witness ->
+      Alcotest.failf "%s: non-linearizable history (seed %d):@.%a" P.name seed
+        H.L.pp_history events
+
+(* Four threads on real domains, half puts and half takes. *)
+let pool_native (module P : R.POOL_OPS) () =
+  let t = P.create () in
+  let nthreads = 4 and ops = 3_000 in
+  Rt.Native_rt.set_nthreads nthreads;
+  let put = Array.make nthreads 0 and taken = Array.make nthreads 0 in
+  let body tid () =
+    Rt.Native_rt.set_tid tid;
+    let rng = Rng.create (tid + 3) in
+    for i = 1 to ops do
+      if Rng.below rng 2 = 0 then (
+        P.put t ((tid * 1_000_000) + i);
+        put.(tid) <- put.(tid) + 1)
+      else
+        match P.take t with
+        | Some _ -> taken.(tid) <- taken.(tid) + 1
+        | None -> ()
+    done
+  in
+  let doms = List.init (nthreads - 1) (fun i -> Domain.spawn (body (i + 1))) in
+  body 0 ();
+  List.iter Domain.join doms;
+  Rt.Native_rt.set_nthreads 1;
+  let tp = Array.fold_left ( + ) 0 put and tt = Array.fold_left ( + ) 0 taken in
+  Alcotest.(check int) (P.name ^ " native conservation") (tp - tt) (P.size t)
+
+(* The suites every queue and every stack of [family]'s lineup runs:
+   sequential order, conservation on three simulated machines,
+   linearizability at eight seeds, native stress and random op sequences
+   against the spec. *)
+let pool_suites family =
+  let sim = List.map R.pool_ops (R.Sim_backend.lineup family)
+  and native = List.map R.pool_ops (R.Native.lineup family) in
+  let each l f = List.concat_map f l in
+  [
+    ( "sequential " ^ order_name (List.hd native),
+      each native (fun ((module P : R.POOL_OPS) as p) ->
+          [
+            Alcotest.test_case
+              (P.name ^ " " ^ order_name p ^ " order")
+              `Quick (pool_sequential p);
+          ]) );
+    ( "concurrent (sim)",
+      each sim (fun ((module P : R.POOL_OPS) as p) ->
+          [
+            Alcotest.test_case (P.name ^ " conservation sim") `Quick
+              (pool_conservation p ~nthreads:6 ~ops:400 ~topology:uniform4);
+            Alcotest.test_case (P.name ^ " conservation oversubscribed") `Quick
+              (pool_conservation p ~nthreads:8 ~ops:200
+                 ~topology:(Sim.Topology.uniform ~n:2 ()));
+            Alcotest.test_case (P.name ^ " conservation xeon") `Quick
+              (pool_conservation p ~nthreads:12 ~ops:300
+                 ~topology:Sim.Topology.xeon);
+          ]) );
+    ( "linearizability",
+      each sim (fun ((module P : R.POOL_OPS) as p) ->
+          List.map
+            (fun seed ->
+              Alcotest.test_case
+                (Printf.sprintf "%s linearizable (seed %d)" P.name seed)
+                `Quick (lincheck_pool p ~seed))
+            [ 1; 2; 3; 4; 5; 6; 7; 8 ]) );
+    ( "property",
+      each native (fun (module P : R.POOL_OPS) ->
+          [
+            qcheck_case ~count:50
+              (P.name ^ " random ops vs model")
+              QCheck2.Gen.(list_size (int_range 0 200) (int_range 0 99))
+              (pool_matches_spec (module P));
+          ]) );
+    ( "concurrent (native)",
+      each native (fun ((module P : R.POOL_OPS) as p) ->
+          [
+            Alcotest.test_case
+              (P.name
+              ^
+              if P.lifo then " native stress"
+              else " native producers/consumers")
+              `Slow (pool_native p);
+          ]) );
+  ]
