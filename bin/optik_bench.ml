@@ -894,7 +894,7 @@ let txn_cmd =
       jobs report attrib timeline =
     main report @@ fun () ->
     let topo = topology_of_machine machine in
-    ignore (W.rep rep : (module Harness.Registry.SET_OPS) * int);
+    ignore (W.rep rep : (module Harness.Registry.SET_OPS) * _ * int);
     match trials with
     | Some t ->
         trial_stream ~subcommand:"txn" ~seed ~params:(trial_params t) ~jobs

@@ -236,8 +236,6 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
     let res = attempt () in
     Q.op_end t.qsbr;
     res
-
-  let update t = Dstruct_intf.reinsert delete insert t
 end
 
 module Make (Rt : RT) = Make_gen (Rt) (Optik.Versioned)
@@ -303,6 +301,4 @@ module Global_lock (Rt : RT) (Lock : LOCK) = struct
     Lock.unlock t.lock;
     Q.op_end t.qsbr;
     res
-
-  let update t = Dstruct_intf.reinsert delete insert t
 end

@@ -25,16 +25,6 @@ module type SET_CORE = sig
   val insert : 'v t -> int -> 'v -> bool
   val delete : 'v t -> int -> 'v option
 
-  val update : 'v t -> int -> 'v -> bool
-  (** [update t k v] replaces the value of a present key [k] with [v]
-      and returns [true]; on an absent key it returns [false] and
-      changes nothing. The OPTIK lists ([Ll_optik], and the hash tables
-      [Ht.Of_bucket] builds from them) write the value in place, inside
-      one validate-and-lock of the key's node, so a concurrent search
-      sees the old value or the new one. Every other structure updates
-      with {!reinsert}, whose window lets a concurrent search miss the
-      key. *)
-
   val fold : 'v t -> (int -> 'v -> 'a -> 'a) -> 'a -> 'a
   (** Enumeration of the live bindings, in structure order (no
       particular key order is promised). The replica-resync seed:
@@ -64,19 +54,22 @@ module type SET_CORE = sig
       never leave. Every other rule stays as strict. *)
 end
 
-(** [reinsert delete insert t k v]: the [update] of a structure that
-    cannot write a value in place. It deletes [k] and, if [k] was
-    present, inserts it again with [v]. Between the two a concurrent
-    search misses the key, a concurrent insert of [k] wins (the
-    re-insert then does nothing) and a concurrent update of [k] returns
-    [false], so a caller that needs the key to stay visible must exclude
-    all three, as a transaction's held stripe does. *)
-let reinsert delete insert t k v =
-  match delete t k with
-  | None -> false
-  | Some _ ->
-      ignore (insert t k v : bool);
-      true
+(** A set that writes a present key's value in place (§5.2: the update
+    commits without a second traversal). [find t k] returns a present
+    key's value and its node's location, reading the node's version
+    before the value. [update_at loc v] validates and locks that version
+    in one [trylock_version], writes [v] and unlocks; if the version
+    moved it returns [false] and changes nothing. [update] is the
+    restart loop over the two ([false] on an absent key). Only the OPTIK
+    lists and the tables [Ht.In_place] builds from them offer it. *)
+module type IN_PLACE_CORE = sig
+  include SET_CORE
+  type 'v loc
+
+  val find : 'v t -> int -> ('v * 'v loc) option
+  val update_at : 'v loc -> 'v -> bool
+  val update : 'v t -> int -> 'v -> bool
+end
 
 (** FIFO queues (§5.4). *)
 module type QUEUE_CORE = sig
@@ -147,10 +140,19 @@ module type SET_OPS = sig
   val search : t -> int -> int option
   val insert : t -> int -> int -> bool
   val delete : t -> int -> int option
-  val update : t -> int -> int -> bool
   val fold : t -> (int -> int -> 'a -> 'a) -> 'a -> 'a
   val size : t -> int
   val validate : ?crashed:int -> t -> bool
+end
+
+(** The driver view of {!IN_PLACE_CORE}. *)
+module type IN_PLACE = sig
+  include SET_OPS
+  type loc
+
+  val find : t -> int -> (int * loc) option
+  val update_at : loc -> int -> bool
+  val update : t -> int -> int -> bool
 end
 
 (** Queues and stacks, one pool family: [put] adds a value and [take]
@@ -182,7 +184,7 @@ module Mono_set
       val name : string
       val probe_prefix : string option
       val create : ?capacity:int -> unit -> int S.t
-    end) : SET_OPS = struct
+    end) : SET_OPS with type t = int S.t = struct
   type t = int S.t
 
   let name = C.name
@@ -191,10 +193,20 @@ module Mono_set
   let search = S.search
   let insert = S.insert
   let delete = S.delete
-  let update = S.update
   let fold = S.fold
   let size = S.size
   let validate = S.validate
+end
+
+module Mono_in_place (S : IN_PLACE_CORE) (M : SET_OPS with type t = int S.t) :
+  IN_PLACE = struct
+  include M
+
+  type loc = int S.loc
+
+  let find = S.find
+  let update_at = S.update_at
+  let update = S.update
 end
 
 module Mono_queue

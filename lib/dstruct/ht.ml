@@ -51,13 +51,23 @@ struct
   let search t key = B.search (bucket t key) key
   let insert t key v = B.insert (bucket t key) key v
   let delete t key = B.delete (bucket t key) key
-  let update t key v = B.update (bucket t key) key v
 
   let size t = Array.fold_left (fun acc b -> acc + B.size b) 0 t.buckets
 
   let fold t f acc = Array.fold_left (fun acc b -> B.fold b f acc) acc t.buckets
 
   let validate ?crashed t = Array.for_all (fun b -> B.validate ?crashed b) t.buckets
+end
+
+(** {!Of_bucket} that locates and writes a key in its bucket in place. *)
+module In_place (B : Dstruct_intf.IN_PLACE_CORE) (C : sig val create : unit -> 'v B.t end) =
+struct
+  include Of_bucket (B) (C)
+  type 'v loc = 'v B.loc
+
+  let find t key = B.find (bucket t key) key
+  let update_at = B.update_at
+  let update t key v = B.update (bucket t key) key v
 end
 
 (* --------------------------------------------------------------- *)
@@ -285,8 +295,6 @@ module Java (Rt : RT) = struct
     Lock.unlock seg.lock;
     Q.op_end t.qsbr;
     res
-
-  let update t = Dstruct_intf.reinsert delete insert t
 end
 
 module Java_optik (Rt : RT) = struct
@@ -370,6 +378,4 @@ module Java_optik (Rt : RT) = struct
     in
     Q.op_end t.qsbr;
     res
-
-  let update t = Dstruct_intf.reinsert delete insert t
 end

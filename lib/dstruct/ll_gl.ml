@@ -150,8 +150,6 @@ module Pessimistic (Rt : RT) (Lock : LOCK) = struct
     Lock.unlock t.lock;
     Q.op_end t.qsbr;
     res
-
-  let update t = Dstruct_intf.reinsert delete insert t
 end
 
 module Optik_gl (Rt : RT) = struct
@@ -213,6 +211,4 @@ module Optik_gl (Rt : RT) = struct
     let res = attempt () in
     Q.op_end t.qsbr;
     res
-
-  let update t = Dstruct_intf.reinsert delete insert t
 end

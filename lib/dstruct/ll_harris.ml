@@ -156,8 +156,6 @@ module Make (Rt : RT) = struct
     Q.op_end t.qsbr;
     res
 
-  let update t = Dstruct_intf.reinsert delete insert t
-
   let size t =
     let n = ref 0 in
     let rec go node =

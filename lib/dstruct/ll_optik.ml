@@ -16,7 +16,7 @@
       dead, which both replaces the lazy list's [marked] flag and keeps
       node caches from entering the list through it.
     - Update locks and validates only the node holding the key, and
-      writes its value in place.
+      writes its value in place ({!Dstruct_intf.IN_PLACE_CORE}).
     - Search is 100% sequential code — correct because update
       linearization points are plain stores on live nodes (the
       predecessor's [next], or the node's own [value]).
@@ -42,7 +42,7 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
 
   type 'v node = {
     key : int;
-    mutable value : 'v;  (** written only under [lock], by {!update} *)
+    mutable value : 'v;  (** written only under [lock], by {!update_at} *)
     lock : OL.t;
     next : 'v node option Rt.atomic;
   }
@@ -112,15 +112,19 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
         if not (OL.is_locked v) then
           cache.(Rt.tid ()) <- Some { cnode = pred; cversion = v }
 
-  (* Figure 8(c): oblivious sequential search. *)
-  let search t key =
-    check_key key;
-    Q.op_begin t.qsbr;
+  (* Figure 8(c): oblivious sequential search, to the first key >= [key]. *)
+  let walk t key =
     let cur = ref (entry_point t key) in
     while !cur.key < key do
       cur := next_exn !cur
     done;
-    let res = if !cur.key = key then Some !cur.value else None in
+    !cur
+
+  let search t key =
+    check_key key;
+    Q.op_begin t.qsbr;
+    let cur = walk t key in
+    let res = if cur.key = key then Some cur.value else None in
     Q.op_end t.qsbr;
     res
 
@@ -207,40 +211,43 @@ module Make_gen (Rt : RT) (O : Optik.MAKER) = struct
     Q.op_end t.qsbr;
     res
 
-  (* In-place update: traverse as [delete] does, then validate the
-     node's own version and lock it in one CAS. A node locked for good
-     is dead, so the write never lands in a deleted node; the unlock
-     advances its version, so a traversal that read it fails validation
-     as after any other update. *)
-  let update t key value =
+  type 'v loc = { node : 'v node; version : OL.version }
+
+  (* [search] that also returns the node and its version, read first. *)
+  let find t key =
     check_key key;
     Q.op_begin t.qsbr;
-    let b = B.create () in
-    let rec attempt () =
-      let start = entry_point t key in
-      let pred = ref start and cur = ref start in
-      let curv = ref (OL.get_version start.lock) in
-      while !cur.key < key do
-        pred := !cur;
-        cur := next_exn !cur;
-        curv := OL.get_version !cur.lock
-      done;
-      if !cur.key <> key then (
-        cache_put t !pred;
-        false)
-      else if not (OL.trylock_version !cur.lock !curv) then (
-        Rt.Probe.incr restarts;
-        B.once b;
-        attempt ())
-      else (
-        !cur.value <- value;
-        OL.unlock !cur.lock;
-        cache_put t !pred;
-        true)
+    let cur = walk t key in
+    let res =
+      if cur.key <> key then None
+      else
+        let version = OL.get_version cur.lock in
+        Some (cur.value, { node = cur; version })
     in
-    let res = attempt () in
     Q.op_end t.qsbr;
     res
+
+  (* Validate the located version and lock it in one CAS: a dead node
+     stays locked, so the write never lands in one. No QSBR bracket: the
+     caller keeps the node from being deleted. *)
+  let update_at { node; version } value =
+    OL.trylock_version node.lock version
+    && (node.value <- value;
+        OL.unlock node.lock;
+        true)
+
+  let update t key value =
+    let b = B.create () in
+    let rec attempt () =
+      match find t key with
+      | None -> false
+      | Some (_, loc) ->
+          update_at loc value
+          || (Rt.Probe.incr restarts;
+              B.once b;
+              attempt ())
+    in
+    attempt ()
 
   let size t =
     let n = ref 0 in

@@ -165,8 +165,6 @@ module Lock_based (Rt : RT) = struct
     in
     Lock.unlock t.lock;
     res
-
-  let update t = Dstruct_intf.reinsert delete insert t
 end
 
 (* Parameterized over the OPTIK implementation so the versioned/ticket
@@ -278,8 +276,6 @@ module Optik_based_gen (Rt : RT) (O : Optik.MAKER) = struct
         v
     in
     restart ()
-
-  let update t = Dstruct_intf.reinsert delete insert t
 end
 
 module Optik_based (Rt : RT) = Optik_based_gen (Rt) (Optik.Versioned)

@@ -252,8 +252,6 @@ module Make (Rt : RT) = struct
     Q.op_end t.qsbr;
     res
 
-  let update t = Dstruct_intf.reinsert delete insert t
-
   let size t = size t.head
   let fold t = fold t.head
   let validate ?crashed:_ t = validate t.head

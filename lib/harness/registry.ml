@@ -16,6 +16,7 @@
 
 module type SET_OPS = Dstruct.Dstruct_intf.SET_OPS
 module type POOL_OPS = Dstruct.Dstruct_intf.POOL_OPS
+module type IN_PLACE = Dstruct.Dstruct_intf.IN_PLACE
 
 module Mono_set = Dstruct.Dstruct_intf.Mono_set
 module Mono_queue = Dstruct.Dstruct_intf.Mono_queue
@@ -33,6 +34,7 @@ type entry = {
   name : string;  (** the figure name, unique within the family *)
   guarantee : guarantee;
   structure : structure;
+  in_place : (module IN_PLACE) option;  (** the set's in-place view, if any *)
 }
 
 (** [family/name], the spelling every selector takes. *)
@@ -77,7 +79,7 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
     Dstruct.Ht.Of_bucket (Ll_optik_gl) (struct let create () = Ll_optik_gl.create () end)
 
   module Ht_optik =
-    Dstruct.Ht.Of_bucket (Ll_optik) (struct let create () = Ll_optik.create () end)
+    Dstruct.Ht.In_place (Ll_optik) (struct let create () = Ll_optik.create () end)
 
   (* The lock-free hash table: Harris lists as buckets, the lock-free
      representative of the fault-injection experiment. *)
@@ -100,26 +102,36 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
       let create ?capacity () = Map_optik.create ?capacity ()
     end))
 
-  let ll_optik : (module SET_OPS) =
-    (module Mono_set (Ll_optik) (struct
+  let ll_optik_in_place : (module IN_PLACE) =
+    (module Dstruct.Dstruct_intf.Mono_in_place (Ll_optik) (Mono_set (Ll_optik) (struct
       let name = "optik"
       let probe_prefix = Some "ll-optik"
       let create ?capacity:_ () = Ll_optik.create ()
-    end))
+    end)))
+
+  let ll_optik : (module SET_OPS) = (module (val ll_optik_in_place : IN_PLACE))
+
+  let ht_optik_in_place : (module IN_PLACE) =
+    (module Dstruct.Dstruct_intf.Mono_in_place (Ht_optik) (Mono_set (Ht_optik) (struct
+      let name = "optik"
+      let probe_prefix = Some "ll-optik"
+      let create ?capacity () = Ht_optik.create ?capacity ()
+    end)))
 
   (** Every structure, once, family by family. The guarantee follows §2
       of the paper: Harris, Fraser, Treiber, MS-LF and the elimination
       stack are lock-free; every validate-and-lock or global-lock design
       is blocking. *)
   let entries =
-    let set family guarantee ((module S : SET_OPS) as s) =
-      { family; name = S.name; guarantee; structure = Set s }
+    let set ?in_place family guarantee ((module S : SET_OPS) as s) =
+      { family; name = S.name; guarantee; structure = Set s; in_place }
     and pool guarantee ((module P : POOL_OPS) as p) =
       {
         family = (if P.lifo then "stack" else "queue");
         name = P.name;
         guarantee;
         structure = Pool p;
+        in_place = None;
       }
     in
     [
@@ -156,7 +168,7 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
           let probe_prefix = Some "ll-optik-gl"
           let create ?capacity:_ () = Ll_optik_gl.create ()
         end));
-      set "list" Blocking ll_optik;
+      set ~in_place:ll_optik_in_place "list" Blocking ll_optik;
       set "list" Blocking
         (module Mono_set (Ll_optik) (struct
           let name = "optik-cache"
@@ -194,12 +206,8 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
           let probe_prefix = Some "ht-java-optik"
           let create ?capacity () = Ht_java_optik.create ?capacity ()
         end));
-      set "hashtable" Blocking
-        (module Mono_set (Ht_optik) (struct
-          let name = "optik"
-          let probe_prefix = Some "ll-optik"
-          let create ?capacity () = Ht_optik.create ?capacity ()
-        end));
+      set ~in_place:ht_optik_in_place "hashtable" Blocking
+        (module (val ht_optik_in_place : IN_PLACE));
       set "hashtable" Blocking
         (module Mono_set (Ht_optik_gl) (struct
           let name = "optik-gl"

@@ -21,7 +21,8 @@
       [acquire_any];
     - the remaining read set is then revalidated ([Locks.Handle.check]),
       a commit ticket is drawn from the manager's clock, buffered writes
-      are applied, and the handles are released version-advancing. The
+      are applied (on an {!IN_PLACE} object, at the nodes the reads
+      located), and the handles are released version-advancing. The
       ticket precedes the first write, so a snapshot whose clock did not
       move saw no write of a commit it does not serialize after.
 
@@ -55,6 +56,18 @@
     transactional ownership must only be mutated transactionally. *)
 
 module type SET_OPS = Dstruct.Dstruct_intf.SET_OPS
+module type IN_PLACE = Dstruct.Dstruct_intf.IN_PLACE
+
+(** [reinsert (module S) t k v]: a transaction's write of a present key
+    of a set that cannot write in place: delete [k] and, if it was
+    present, insert it with [v]. Between the two a concurrent search
+    misses the key, so the caller must hold the key's stripe. *)
+let reinsert (type a) (module S : SET_OPS with type t = a) (t : a) k v =
+  match S.delete t k with
+  | None -> false
+  | Some _ ->
+      ignore (S.insert t k v : bool);
+      true
 
 (* Phase-span names for the trace contract ({!Obs.Tracectx}),
    precomputed so a span's recording-off cost is one flag load — no
@@ -95,11 +108,13 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
             gate passes it unchecked — the audit oracle must catch this *)
 
   (* One structure participating in transactions, with its version
-     stripes. Packed once at setup: the packed value itself (compared
-     with [==]) keys the per-transaction read/write buffers. *)
+     stripes and its {!IN_PLACE} view, if any. Packed once at setup: the
+     packed value itself (compared with [==]) keys the per-transaction
+     read/write buffers. *)
   type obj =
     | Obj : {
         ops : (module SET_OPS with type t = 'a);
+        in_place : (module IN_PLACE with type t = 'a) option;
         st : 'a;
         stripes : Locks.Handle.t array;
       }
@@ -107,7 +122,11 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
 
   let obj (type a) (module S : SET_OPS with type t = a) (st : a) stripes : obj
       =
-    Obj { ops = (module S); st; stripes }
+    Obj { ops = (module S); in_place = None; st; stripes }
+
+  let obj_in_place (type a) (module I : IN_PLACE with type t = a) (st : a)
+      stripes : obj =
+    Obj { ops = (module I); in_place = Some (module I); st; stripes }
 
   (* The stripe of key [k] among [n]. *)
   let stripe_of n k = ((k mod n) + n) mod n
@@ -116,29 +135,29 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
   let obj_handle (Obj { stripes; _ }) k =
     stripes.(stripe_of (Array.length stripes) k)
 
-  (* Atomic-snapshot read: the value and a version token that the key's
-     handle [check]s until its stripe commits again. Spins only while
-     the stripe is mid-commit. *)
-  let rec obj_read (Obj { ops = (module S); st; _ } as o) k =
+  let unlocated (_ : int) = false (* the write of a key no read located *)
+
+  (* Atomic-snapshot read: the value, a version token that the key's
+     handle [check]s until its stripe commits again, and the write at
+     the node an {!IN_PLACE} [find] located (a host closure). Spins only
+     while the stripe is mid-commit. *)
+  let rec obj_read (Obj { ops = (module S); in_place; st; _ } as o) k =
     let h = obj_handle o k in
     let tok = h.Locks.Handle.wait () in
-    let x = S.search st k in
-    if h.check tok then (x, tok) else obj_read o k
+    let x, at =
+      match in_place with
+      | None -> (S.search st k, unlocated)
+      | Some (module I) -> (
+          match I.find st k with
+          | None -> (None, unlocated)
+          | Some (v, loc) -> (Some v, I.update_at loc))
+    in
+    if h.check tok then (x, tok, at) else obj_read o k
 
   (* Quiescent helpers over the packed structure, for oracles. *)
   let obj_fold (Obj { ops = (module S); st; _ }) f acc = S.fold st f acc
   let obj_size (Obj { ops = (module S); st; _ }) = S.size st
   let obj_validate (Obj { ops = (module S); st; _ }) = S.validate st
-
-  (* Transactional writes are upserts: [update] a present key, [insert]
-     an absent one, [delete] for [None]. Held stripe locks make every
-     step safe: versioned readers wait and conflicting commits fail
-     validation, also across the delete+insert window of a structure
-     that cannot update in place ({!Dstruct.Dstruct_intf.reinsert}). *)
-  let obj_write (Obj { ops = (module S); st; _ }) k v =
-    match v with
-    | None -> ignore (S.delete st k : int option)
-    | Some v -> if not (S.update st k v) then ignore (S.insert st k v : bool)
 
   type rentry = {
     r_obj : obj;
@@ -146,6 +165,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
     r_val : int option;
     r_tok : int;
     r_handle : Locks.Handle.t;
+    r_at : int -> bool;  (** the write at the located node *)
   }
 
   type wentry = {
@@ -201,6 +221,28 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
 
   let clock t = Rt.get t.clock
 
+  let find_read ctx o k =
+    List.find_opt (fun r -> r.r_obj == o && r.r_key = k) ctx.reads
+
+  (* Transactional writes are upserts: a present key is written at the
+     node its read located, or else by [update] or {!reinsert}; an absent
+     one by [insert]; [None] by [delete]. Held stripe locks make every
+     step safe (DESIGN.md, "Located in-place writes"). *)
+  let obj_write ctx
+      { w_obj = Obj { ops = (module S); in_place; st; _ } as o; w_key = k; w_val; _ } =
+    match w_val with
+    | None -> ignore (S.delete st k : int option)
+    | Some v ->
+        let at = match find_read ctx o k with Some r -> r.r_at | None -> unlocated in
+        let written =
+          at v
+          ||
+          match in_place with
+          | Some (module I) -> I.update st k v
+          | None -> reinsert (module S) st k v
+        in
+        if not written then ignore (S.insert st k v : bool)
+
   let read ctx o k =
     let buffered =
       List.find_opt (fun w -> w.w_obj == o && w.w_key = k) ctx.writes
@@ -208,10 +250,10 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
     match buffered with
     | Some w -> w.w_val (* read-your-writes *)
     | None -> (
-        match List.find_opt (fun r -> r.r_obj == o && r.r_key = k) ctx.reads with
+        match find_read ctx o k with
         | Some r -> r.r_val (* repeatable read *)
         | None ->
-            let v, tok = obj_read o k in
+            let v, tok, at = obj_read o k in
             ctx.reads <-
               {
                 r_obj = o;
@@ -219,6 +261,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
                 r_val = v;
                 r_tok = tok;
                 r_handle = obj_handle o k;
+                r_at = at;
               }
               :: ctx.reads;
             v)
@@ -234,7 +277,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       finds the stripe locked or advanced, or draws its ticket after that
       read and is not in the snapshot. A no-op after a snapshot's first
       round: retries re-read only the stale keys. *)
-  let read_object ctx (Obj { ops = (module S); st; stripes } as o) =
+  let read_object ctx (Obj { ops = (module S); st; stripes; _ } as o) =
     if ctx.whole then begin
       let n = Array.length stripes in
       let toks = Array.map (fun (h : Locks.Handle.t) -> h.wait ()) stripes in
@@ -248,6 +291,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
               r_val = Some v;
               r_tok = toks.(s);
               r_handle = stripes.(s);
+              r_at = unlocated;
             }
             :: acc)
           []
@@ -337,9 +381,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
         end
         else begin
           Rt.Probe.span_begin ph_commit;
-          let apply () =
-            List.iter (fun w -> obj_write w.w_obj w.w_key w.w_val) ws
-          in
+          let apply () = List.iter (obj_write ctx) ws in
           let late = t.policy = Broken_ticket in
           if late then apply ();
           let ticket = Rt.faa t.clock 1 in
@@ -505,7 +547,8 @@ module Workload = struct
   (* The registry structures an object can be, each with its stripe
      count: 16 for the OPTIK families, enough that independent keys
      rarely share a commit lock at benchmark account counts; 1 for the
-     lock-free/lazy reps, one version for the whole structure. *)
+     lock-free/lazy reps, one version for the whole structure. The
+     registry's [in_place] says which reps write at located nodes. *)
   let reps =
     [
       ("list/optik", 16);
@@ -517,11 +560,11 @@ module Workload = struct
       ("list/harris", 1);
     ]
 
-  (** The set and stripe count of rep [name]. *)
+  (** The set, its in-place view if any, and the stripe count of [name]. *)
   let rep name =
     let e = R.Sim_backend.find name in
     match List.assoc_opt name reps with
-    | Some stripes -> (R.set_ops e, stripes)
+    | Some stripes -> (R.set_ops e, e.R.in_place, stripes)
     | None ->
         invalid_arg
           (Printf.sprintf "Txn: %s is not an object rep (reps: %s)" name
@@ -884,13 +927,18 @@ module Workload = struct
   (** [cfg.objects] structures of rep [cfg.rep], each preloaded with
       accounts [1 .. cfg.accounts] and then given its stripes. *)
   let make_objects cfg =
-    let (module S : SET_OPS), stripes = rep cfg.rep in
-    Array.init cfg.objects (fun _ ->
-        let st = S.create ~capacity:(max 64 (4 * cfg.accounts)) () in
-        for k = 1 to cfg.accounts do
-          ignore (S.insert st k initial : bool)
-        done;
-        T.obj (module S) st (Stripes.create stripes))
+    let (module S : SET_OPS), in_place, stripes = rep cfg.rep in
+    let make (type a) (module S : SET_OPS with type t = a) pack =
+      Array.init cfg.objects (fun _ ->
+          let st = S.create ~capacity:(max 64 (4 * cfg.accounts)) () in
+          for k = 1 to cfg.accounts do
+            ignore (S.insert st k initial : bool)
+          done;
+          pack st (Stripes.create stripes))
+    in
+    match in_place with
+    | Some (module I) -> make (module I) (T.obj_in_place (module I))
+    | None -> make (module S) (T.obj (module S))
 
   (** [policy] defaults to [Broken_commit] when [cfg.broken] is set and
       to [Optimistic] otherwise; passing it runs another negative

@@ -214,6 +214,7 @@ let fake_lf =
     name = "gl-as-lf";
     guarantee = R.Lock_free;
     structure = (R.Sim_backend.find "list/optik-gl").structure;
+    in_place = None;
   }
 
 let failing_trial =

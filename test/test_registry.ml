@@ -4,9 +4,11 @@
    checks that each selector that takes the entry yields the physically
    same module and that the others refuse it; one case checks that
    retired and unknown spellings get the registry's one message from
-   every selector. One case per set entry checks the [update] contract,
-   and one that the OPTIK list's in-place update keeps every key
-   visible to concurrent searches. *)
+   every selector. One case per set entry checks the contract of the
+   write a transaction makes to a present key: the in-place [update] and
+   [update_at] where the entry has an in-place view, [Txn.reinsert]
+   elsewhere. One case checks that an in-place update keeps every key
+   visible to concurrent searches, and that a re-insert does not. *)
 
 module R = Harness.Registry
 module B = R.Sim_backend
@@ -42,7 +44,9 @@ let entry_case (e : R.entry) =
       let kv () = Kv.rep_ops id
       and kv_trial () =
         (Chaos.Kv_trial.of_string ("kv/" ^ id ^ "@u4")).Kv.rep
-      and txn () = fst (W.rep id)
+      and txn () =
+        let s, _, _ = W.rep id in
+        s
       and txn_trial () =
         (Chaos.Txn_trial.of_string ("txn/" ^ id ^ "@u2")).W.rep
       in
@@ -158,64 +162,102 @@ let test_soak_describe () =
       done)
     [ ("bounded", Harness.Soak.bounded); ("wide", Harness.Soak.wide) ]
 
-(* The [update] contract, on every set entry: a present key takes the
-   new value and the size stays; an absent key is refused and nothing
-   is inserted. *)
+(* The write contract, on every set entry: a present key takes the new
+   value and the size stays; an absent key is refused and nothing is
+   inserted. An in-place entry runs it with [update] on one bucket, so
+   that the hash table's bucket neighbours are its list neighbours, and
+   also checks [update_at]: it writes at the node [find] located, and
+   after an insert right behind that node it returns [false] and
+   changes nothing. Every other entry runs it with [Txn.reinsert]. *)
 let update_case (e : R.entry) =
   let (module S : R.SET_OPS) = R.set_ops e in
   Alcotest.test_case (R.id e) `Quick (fun () ->
       Dstruct.Sl_common.reset_states ();
-      let t = S.create ~capacity:64 () in
-      for k = 1 to 20 do
-        assert (S.insert t k k)
-      done;
-      Alcotest.(check bool) "present: updated" true (S.update t 7 700);
-      Alcotest.(check (option int)) "present: the new value" (Some 700)
-        (S.search t 7);
-      Alcotest.(check (option int)) "present: its neighbour kept" (Some 8)
-        (S.search t 8);
-      Alcotest.(check int) "present: the size stays" 20 (S.size t);
-      Alcotest.(check bool) "absent: refused" false (S.update t 21 2100);
-      Alcotest.(check (option int)) "absent: nothing inserted" None
-        (S.search t 21);
-      Alcotest.(check int) "absent: the size stays" 20 (S.size t);
-      Alcotest.(check bool) "valid" true (S.validate t))
+      let check (type a) (module S : R.SET_OPS with type t = a) (t : a) update
+          =
+        for k = 1 to 20 do
+          assert (S.insert t k k)
+        done;
+        Alcotest.(check bool) "present: updated" true (update t 7 700);
+        Alcotest.(check (option int)) "present: the new value" (Some 700)
+          (S.search t 7);
+        Alcotest.(check (option int)) "present: its neighbour kept" (Some 8)
+          (S.search t 8);
+        Alcotest.(check int) "present: the size stays" 20 (S.size t);
+        Alcotest.(check bool) "absent: refused" false (update t 21 2100);
+        Alcotest.(check (option int)) "absent: nothing inserted" None
+          (S.search t 21);
+        Alcotest.(check int) "absent: the size stays" 20 (S.size t);
+        Alcotest.(check bool) "valid" true (S.validate t)
+      in
+      match e.in_place with
+      | None ->
+          let t = S.create ~capacity:64 () in
+          check (module S) t (Txn.reinsert (module S))
+      | Some (module I) ->
+          let t = I.create ~capacity:1 () in
+          check (module I) t I.update;
+          let at k = snd (Option.get (I.find t k)) in
+          Alcotest.(check bool) "located: written" true (I.update_at (at 9) 900);
+          Alcotest.(check (option int)) "located: the new value" (Some 900)
+            (I.search t 9);
+          let behind = at 20 in
+          assert (I.insert t 21 21);
+          Alcotest.(check bool) "neighbour inserted: refused" false
+            (I.update_at behind 2000);
+          Alcotest.(check (option int)) "neighbour inserted: value kept"
+            (Some 20) (I.search t 20);
+          Alcotest.(check int) "neighbour inserted: the size" 21 (I.size t);
+          Alcotest.(check bool) "neighbour inserted: valid" true (I.validate t))
 
-(* Two simulated threads update the 16 keys of a prefilled set, one the
-   odd keys and one the even, while two search them all. Returns how
-   many searches found a key absent, after checking that every update
-   found its key and that the set is valid and whole. *)
+(* Two simulated threads update the 16 keys of a prefilled set, each
+   drawing from all 16, while two search them all: with [update] on an
+   in-place entry, with [Txn.reinsert] on any other. Returns how many
+   searches found a key absent and how many updates were refused, after
+   checking that the set is valid and whole. *)
 let update_search_race spelling =
-  let (module S : R.SET_OPS) = R.set_ops (B.find spelling) in
-  let t = S.create () in
-  for k = 1 to 16 do
-    assert (S.insert t k k)
-  done;
-  let missed = ref 0 and refused = ref 0 in
-  ignore
-    (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:4 (fun tid ->
-         let rng = Harness.Rng.create (31 + tid) in
-         for i = 1 to 400 do
-           if tid < 2 then begin
-             let k = 1 + tid + (2 * Harness.Rng.below rng 8) in
-             if not (S.update t k ((tid * 1000) + i)) then incr refused
-           end
-           else if S.search t (1 + Harness.Rng.below rng 16) = None then
-             incr missed
-         done)
-      : Sim.Sched.stats);
-  Alcotest.(check int) (spelling ^ ": every update found its key") 0 !refused;
-  Alcotest.(check bool) (spelling ^ ": valid") true (S.validate t);
-  Alcotest.(check int) (spelling ^ ": every key stays") 16 (S.size t);
-  !missed
+  let e = B.find spelling in
+  let race (type a) (module S : R.SET_OPS with type t = a) (t : a) update =
+    for k = 1 to 16 do
+      assert (S.insert t k k)
+    done;
+    let missed = ref 0 and refused = ref 0 in
+    ignore
+      (Sim.Sched.run ~topology:Tutil.uniform4 ~nthreads:4 (fun tid ->
+           let rng = Harness.Rng.create (31 + tid) in
+           for i = 1 to 400 do
+             let k = 1 + Harness.Rng.below rng 16 in
+             if tid < 2 then begin
+               if not (update t k ((tid * 1000) + i)) then incr refused
+             end
+             else if S.search t k = None then incr missed
+           done)
+        : Sim.Sched.stats);
+    Alcotest.(check bool) (spelling ^ ": valid") true (S.validate t);
+    Alcotest.(check int) (spelling ^ ": every key stays") 16 (S.size t);
+    (!missed, !refused)
+  in
+  match e.in_place with
+  | Some (module I) -> race (module I) (I.create ()) I.update
+  | None ->
+      let (module S) = R.set_ops e in
+      let t = S.create () in
+      race (module S) t (Txn.reinsert (module S))
 
-(* list/optik writes in place, so no search misses a key; list/lazy's
-   delete+insert opens the window this race is built to hit. *)
+(* An in-place update never lets a search miss its key, nor refuses a
+   present key; list/lazy's delete+insert opens the window this race is
+   built to hit. *)
 let test_update_in_place () =
-  Alcotest.(check int) "list/optik: no search misses a key" 0
-    (update_search_race "list/optik");
+  List.iter
+    (fun (e : R.entry) ->
+      if Option.is_some e.in_place then
+        Alcotest.(check (pair int int))
+          (R.id e ^ ": no search misses, no update refused")
+          (0, 0)
+          (update_search_race (R.id e)))
+    B.entries;
   Alcotest.(check bool) "list/lazy: some search misses a key" true
-    (update_search_race "list/lazy" > 0)
+    (fst (update_search_race "list/lazy") > 0)
 
 let () =
   Alcotest.run "registry"

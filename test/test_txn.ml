@@ -1,14 +1,15 @@
 (* Tests for the optimistic transaction layer (lib/txn): fold/size
    agreement across every registry set, sequential transaction semantics
    (read-your-writes, upsert, lock-conflict abort, the ticket drawn
-   before the first write), the versioned read's re-check, every rep's
-   stripe table and the object read's fold and search counts, seeded
-   determinism under contention, abort-free snapshots, the
-   strict-serializability oracle (positive run, the broken-commit,
-   broken-snapshot and broken-gate negative controls, the scripted
-   broken-commit and broken-ticket races, a differential fuzz against a
-   naive reference and an allocation gate), the chaos trial grammar and
-   the report section. *)
+   before the first write, writes at the nodes the reads located), the
+   versioned read's re-check, every rep's stripe table and the object
+   read's fold and search counts, seeded determinism under contention,
+   abort-free snapshots, the strict-serializability oracle (positive
+   run, the broken-commit, broken-snapshot and broken-gate negative
+   controls, the scripted broken-commit, broken-ticket and
+   neighbour-insert races, a differential fuzz against a naive reference
+   and an allocation gate), the chaos trial grammar, the report section
+   and transfers on real domains. *)
 
 module W = Txn.Workload
 module R = Harness.Registry
@@ -61,28 +62,31 @@ let test_fold_agrees_with_size () =
 (* ------------------------------------------------------------------ *)
 (* Sequential transaction semantics on a quiesced simulator backend. *)
 
-(* [Logged] records every search made through it, one per versioned
-   read that does not retry, counts its folds, one per object read, and
-   records [!write_clock ()] at each [update], [insert] and [delete].
-   [mid_fold], once set, runs when its next fold has yielded key 1.
-   [logged_stripes] wraps an object's stripes to count their waits and
-   token checks: a per-key read waits once and re-checks once, an
-   object read waits once per stripe and checks none, and a snapshot's
-   validation checks each entry of its read set once. *)
+(* [Logged] records the key of every [find] made through it, one per
+   versioned read that does not retry, counts its folds, one per
+   object read, and records [!write_clock ()] and the write's name at
+   each [update_at] (["update_at"], or ["update_at: moved"] when it
+   refused), [update], [insert] and [delete]. [mid_fold], once set, runs
+   when its next fold has yielded key 1. [logged_stripes] wraps an
+   object's stripes to count their waits and token checks: a per-key
+   read waits once and re-checks once, an object read waits once per
+   stripe and checks none, and a snapshot's validation checks each entry
+   of its read set once. *)
 let logged_keys = ref []
 let folds = ref 0
 let stripe_waits = ref 0
 let checks = ref 0
 let write_clock = ref (fun () -> 0)
 let write_clocks = ref []
+let logged_writes = ref []
 let mid_fold = ref ignore
 
-module Logged (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
+module Logged (S : R.IN_PLACE) : R.IN_PLACE with type t = S.t = struct
   include S
 
-  let search t k =
+  let find t k =
     logged_keys := k :: !logged_keys;
-    S.search t k
+    S.find t k
 
   let fold t f acc =
     incr folds;
@@ -97,18 +101,25 @@ module Logged (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
         acc)
       acc
 
-  let note () = write_clocks := !write_clock () :: !write_clocks
+  let note name =
+    write_clocks := !write_clock () :: !write_clocks;
+    logged_writes := name :: !logged_writes
+
+  let update_at loc v =
+    let written = S.update_at loc v in
+    note (if written then "update_at" else "update_at: moved");
+    written
 
   let update t k v =
-    note ();
+    note "update";
     S.update t k v
 
   let insert t k v =
-    note ();
+    note "insert";
     S.insert t k v
 
   let delete t k =
-    note ();
+    note "delete";
     S.delete t k
 end
 
@@ -128,18 +139,30 @@ let logged_stripes stripes =
       })
     stripes
 
+(* The in-place view of list/optik and its stripe count. *)
+let optik_list () =
+  match W.rep "list/optik" with
+  | _, Some i, stripes -> (i, stripes)
+  | _, None, _ -> Alcotest.fail "list/optik has no in-place view"
+
+(* The value [o] holds for [k], by one versioned read. *)
+let value o k =
+  let x, _, _ = TX.obj_read o k in
+  x
+
 (* A list/optik object holding keys 1 .. 4 at 100 each, seen through
    [Logged] and [logged_stripes] when [logged], and the same structure
    and stripes seen plainly, for a writer the logs must not count. *)
 let fresh_obj ~logged =
-  let (module S : R.SET_OPS), stripes = W.rep "list/optik" in
-  let st = S.create ~capacity:64 () in
+  let (module I : R.IN_PLACE), stripes = optik_list () in
+  let st = I.create ~capacity:64 () in
   for k = 1 to 4 do
-    assert (S.insert st k 100)
+    assert (I.insert st k 100)
   done;
   let hs = W.Stripes.create stripes in
-  let plain = TX.obj (module S) st hs in
-  if logged then (TX.obj (module Logged (S)) st (logged_stripes hs), plain)
+  let plain = TX.obj_in_place (module I) st hs in
+  if logged then
+    (TX.obj_in_place (module Logged (I)) st (logged_stripes hs), plain)
   else (plain, plain)
 
 let fresh_pair ?(logged = false) () =
@@ -158,7 +181,7 @@ let test_transfer_moves_units () =
         TX.write ctx a 1 (Some (va - 30));
         TX.write ctx b 2 (Some (vb + 30)))
   in
-  let balance o k = fst (TX.obj_read o k) in
+  let balance = value in
   Alcotest.(check (option int)) "debited" (Some 70) (balance a 1);
   Alcotest.(check (option int)) "credited" (Some 130) (balance b 2);
   Alcotest.(check (option int)) "others untouched" (Some 100) (balance a 2)
@@ -182,10 +205,10 @@ let test_read_your_writes () =
     seen;
   Alcotest.(check (option int))
     "newest write wins at commit" None
-    (fst (TX.obj_read a 1));
+    (value a 1);
   Alcotest.(check (option int))
     "the other object's write commits too" (Some 9)
-    (fst (TX.obj_read b 1))
+    (value b 1)
 
 (* A conflicting commit advances the stripe version between the read
    phase and commit: the single-CAS validate-and-acquire must fail and
@@ -215,11 +238,11 @@ let test_lock_conflict_aborts () =
     (count mgr.TX.c_vfail_lock - lock0);
   Alcotest.(check (option int))
     "aborted writes never applied" (Some 100)
-    (fst (TX.obj_read a 1));
+    (value a 1);
   let (), _ = TX.atomically mgr (fun ctx -> TX.write ctx a 1 (Some 1)) in
   Alcotest.(check (option int))
     "locks released, next txn commits" (Some 1)
-    (fst (TX.obj_read a 1))
+    (value a 1)
 
 (* Same race on a key the transaction reads but does not write (a
    different stripe): the acquire succeeds, the read-set revalidation
@@ -242,7 +265,7 @@ let test_read_validation_aborts () =
     (count mgr.TX.c_vfail_read - read0);
   Alcotest.(check (option int))
     "aborted writes never applied" (Some 100)
-    (fst (TX.obj_read a 1))
+    (value a 1)
 
 (* A quiesced snapshot passes the clock gate: no commit drew a ticket
    during its reads, so it checks no token beyond each read's re-check,
@@ -329,10 +352,11 @@ let test_object_read_counts () =
   Alcotest.(check int) "mid-fold commit: the point follows it" 1 c;
   Alcotest.(check int) "one snapshot retry" 1 (count mgr.TX.c_snap_retries)
 
-(* A commit draws its ticket before its first write: every [update],
-   [insert] and [delete] a commit makes through [Logged] sees the clock
-   already past that commit's ticket. An upsert of an absent key makes
-   two writes, the [update] that misses and the [insert]. *)
+(* A commit draws its ticket before its first write: every [update_at],
+   [update], [insert] and [delete] a commit makes through [Logged] sees
+   the clock already past that commit's ticket. A blind write of a
+   present key makes one write, the [update]; an upsert of an absent key
+   makes two, the [update] that misses and the [insert]. *)
 let test_ticket_before_write () =
   let a, b = fresh_pair ~logged:true () in
   let mgr = TX.create () in
@@ -355,6 +379,30 @@ let test_ticket_before_write () =
       ("delete", 1, fun ctx -> TX.write ctx b 3 None);
     ]
 
+(* A transfer between two quiesced objects traverses each structure once
+   per key, in its reads, and writes both keys at the nodes those reads
+   located: its commit makes no traversal and no write but the two
+   [update_at]s. *)
+let test_located_transfer () =
+  let a, b = fresh_pair ~logged:true () in
+  let mgr = TX.create () in
+  logged_keys := [];
+  logged_writes := [];
+  let (), _ =
+    TX.atomically mgr (fun ctx ->
+        let va = Option.get (TX.read ctx a 1) in
+        let vb = Option.get (TX.read ctx b 2) in
+        Alcotest.(check (list int)) "reads: one traversal per key" [ 2; 1 ]
+          !logged_keys;
+        TX.write ctx a 1 (Some (va - 30));
+        TX.write ctx b 2 (Some (vb + 30)))
+  in
+  Alcotest.(check (list int)) "commit: no traversal" [ 2; 1 ] !logged_keys;
+  Alcotest.(check (list string)) "commit: two located writes"
+    [ "update_at"; "update_at" ] !logged_writes;
+  Alcotest.(check (option int)) "debited" (Some 70) (value a 1);
+  Alcotest.(check (option int)) "credited" (Some 130) (value b 2)
+
 (* [snapshot_race ~n ~writes] snapshots keys [1 .. n] of one [ll-optik]
    structure through [Logged] on simulated thread 0. Keys [1 .. n + 1]
    sit on [n + 1] different stripes (the structure has 16), and the
@@ -367,17 +415,17 @@ let test_ticket_before_write () =
    of restart checkpoints, which each {!Rt.Backoff} wait reports. *)
 let snapshot_race ?(after = [ 2 ]) ~n ~writes () =
   Dstruct.Sl_common.reset_states ();
-  let (module S : R.SET_OPS), stripes = W.rep "list/optik" in
-  let st = S.create ~capacity:64 () in
+  let (module I : R.IN_PLACE), stripes = optik_list () in
+  let st = I.create ~capacity:64 () in
   for k = 1 to n + 1 do
-    assert (S.insert st k 100)
+    assert (I.insert st k 100)
   done;
   logged_keys := [];
   stripe_waits := 0;
   checks := 0;
   let hs = W.Stripes.create stripes in
-  let snap_obj = TX.obj (module Logged (S)) st (logged_stripes hs) in
-  let writer_obj = TX.obj (module S) st hs in
+  let snap_obj = TX.obj_in_place (module Logged (I)) st (logged_stripes hs) in
+  let writer_obj = TX.obj_in_place (module I) st hs in
   let stripe k = (TX.obj_handle writer_obj k).Locks.Handle.id in
   Alcotest.(check int) "one stripe per key" (n + 1)
     (List.length
@@ -490,8 +538,8 @@ let test_second_retry_backs_off_once () =
 
 (* The versioned read's re-check keeps a commit's in-place write out of
    a read until the commit is whole. Thread 1 commits key 2 through a
-   writer view whose [update] then waits 5000 cycles, so the new value
-   is in the structure while the stripe is still locked. Thread 0's
+   writer view whose located [update_at] then waits 5000 cycles, so the
+   new value is in the structure while the stripe is still locked. Thread 0's
    snapshot reads keys 1 .. 3 through stripes whose first [wait] on key
    2's stripe, once it has the free version, holds the read until that
    window opens. Its search then finds the mid-commit value; the
@@ -503,25 +551,33 @@ let test_second_retry_backs_off_once () =
    current. *)
 let window_open = ref false
 
-module Slow_update (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
+(* Pause until [flag] is set, giving up after a million cycles, so a
+   window that stops opening fails its case instead of hanging it. *)
+let await flag =
+  let give_up = Sim.Sched.now () + 1_000_000 in
+  while (not !flag) && Sim.Sched.now () < give_up do
+    Sim.Sched.pause ()
+  done
+
+module Slow_update (S : R.IN_PLACE) : R.IN_PLACE with type t = S.t = struct
   include S
 
-  let update t k v =
-    let present = S.update t k v in
+  let update_at loc v =
+    let written = S.update_at loc v in
     window_open := true;
     Sim.Sched.work 5_000;
-    present
+    written
 end
 
 let test_read_recheck () =
   Dstruct.Sl_common.reset_states ();
-  let (module S : R.SET_OPS), stripes = W.rep "list/optik" in
-  let st = S.create ~capacity:64 () in
+  let (module I : R.IN_PLACE), stripes = optik_list () in
+  let st = I.create ~capacity:64 () in
   for k = 1 to 3 do
-    assert (S.insert st k 100)
+    assert (I.insert st k 100)
   done;
   let hs = W.Stripes.create stripes in
-  let writer_obj = TX.obj (module Slow_update (S)) st hs in
+  let writer_obj = TX.obj_in_place (module Slow_update (I)) st hs in
   let key2 = TX.obj_handle writer_obj 2 in
   let reading = ref false in
   window_open := false;
@@ -537,15 +593,13 @@ let test_read_recheck () =
                 let tok = h.wait () in
                 if not !reading then begin
                   reading := true;
-                  while not !window_open do
-                    Sim.Sched.pause ()
-                  done
+                  await window_open
                 end;
                 tok);
           })
       hs
   in
-  let snap_obj = TX.obj (module S) st held in
+  let snap_obj = TX.obj_in_place (module I) st held in
   let mgr = TX.create () in
   let seen = ref [] and snap = ref None in
   Sim.Sim_rt.Probe.reset_all ();
@@ -667,7 +721,7 @@ let check_oracle_passes cfg =
     Alcotest.failf "oracle failed: %s"
       (Format.asprintf "%a" W.pp_oracle r.W.res_oracle)
 
-(* Native per-key striping (OPTIK family). *)
+(* Per-key striping (OPTIK family), on the simulator. *)
 let test_oracle_passes_optik () = check_oracle_passes W.default_config
 
 (* Structure-wide version wrapper (lock-free rep). *)
@@ -680,15 +734,17 @@ let control_seeds = [ 1; 3; 7; 42 ]
 (* Locks taken without validation let stale reads commit: the oracle
    must report them as transfer reads, and the updates they lose as a
    broken conservation, nothing else, at every seed tried. The bank runs
-   8 accounts per object, not the default 16: at 16, seed 3's run has no
-   stale read commit. The exact verdict and first violations of the
+   4 accounts per object, not the default 16: a control needs a run in
+   which a stale read commits, and with commits that write at the
+   located nodes, seed 42's run at 8 accounts and seed 3's at 16 have
+   none, so their histories are serializable. The exact verdict and first violations of the
    default run at seed 42 are the [txn broken-commit] row of the pin
    ledger. *)
 let test_broken_commit_fails () =
   List.iter
     (fun seed ->
       let _, r =
-        W.run { W.default_config with W.broken = true; accounts = 8; seed }
+        W.run { W.default_config with W.broken = true; accounts = 4; seed }
       in
       let o = r.W.res_oracle in
       Alcotest.(check bool) "oracle failed" false o.W.ok;
@@ -800,8 +856,81 @@ let test_commit_race () =
       Alcotest.(check (list string)) "optimistic: serializable" [] o.W.violations)
     race_machines
 
+(* Between a transfer's reads and its commit, another transaction
+   inserts key 2 right behind key 1's located node, on another stripe.
+   The insert locks that node as its predecessor, so the node's version
+   moves: the commit's [update_at] of key 1 is refused and the fallback
+   [update] writes key 1 once, while key 3's located write lands. A first
+   transaction deleted key 2, moving its units to key 3, and the insert
+   brings it back empty, so every account ends present; all three are
+   recorded, and the oracle must PASS on all three models. *)
+let neighbour_race topology =
+  let (module I : R.IN_PLACE), stripes = optik_list () in
+  let st = I.create ~capacity:64 () in
+  for k = 1 to race_cfg.W.accounts do
+    assert (I.insert st k W.initial)
+  done;
+  let hs = W.Stripes.create stripes in
+  let plain = W.T.obj_in_place (module I) st hs in
+  let logged = W.T.obj_in_place (module Logged (I)) st hs in
+  let mgr = W.T.create () in
+  let drop = W.fresh_rec W.Transfer
+  and xfer = W.fresh_rec W.Transfer
+  and back = W.fresh_rec W.Transfer in
+  let commit x body =
+    let (), ticket = W.T.atomically mgr body in
+    x.W.x_ticket <- ticket;
+    x.W.x_committed <- true
+  in
+  let read = ref false in
+  logged_writes := [];
+  let o =
+    race_oracle topology [ drop; xfer; back ] [| plain |] (fun tid ->
+        if tid = 0 then begin
+          while not drop.W.x_committed do
+            Sim.Sched.pause ()
+          done;
+          scripted_transfer mgr logged xfer 1 3 5 ~between:(fun () ->
+              read := true;
+              while not back.W.x_committed do
+                Sim.Sched.pause ()
+              done)
+        end
+        else begin
+          commit drop (fun ctx ->
+              let v2 = Option.get (W.T.read ctx plain 2) in
+              let v3 = Option.get (W.T.read ctx plain 3) in
+              W.T.write ctx plain 2 None;
+              W.T.write ctx plain 3 (Some (v2 + v3));
+              drop.W.x_reads <- [| 0; 2; v2; 0; 3; v3 |];
+              drop.W.x_writes <- [| 0; 2; W.absent; 0; 3; v2 + v3 |]);
+          while not !read do
+            Sim.Sched.pause ()
+          done;
+          commit back (fun ctx ->
+              let v2 = W.T.read ctx plain 2 in
+              W.T.write ctx plain 2 (Some 0);
+              back.W.x_reads <- [| 0; 2; W.encode v2 |];
+              back.W.x_writes <- [| 0; 2; 0 |])
+        end)
+  in
+  (o, List.init 3 (fun i -> value plain (i + 1)))
+
+let test_neighbour_race () =
+  List.iter
+    (fun topology ->
+      let o, final = neighbour_race topology in
+      Alcotest.(check (list string)) "serializable" [] o.W.violations;
+      Alcotest.(check (list string))
+        "key 3 located, key 1 refused, then written once"
+        [ "update"; "update_at: moved"; "update_at" ]
+        !logged_writes;
+      Alcotest.(check (list (option int))) "final balances"
+        [ Some 95; Some 0; Some 205 ] final)
+    race_machines
+
 (* The audit's fold, after yielding key 1, waits until the writer's
-   in-place [update] of key 2 (the [Slow_update] view) has landed, so it
+   located [update_at] of key 2 (the [Slow_update] view) has landed, so it
    reads key 2's mid-commit value while the stripe is held. *)
 let folding = ref false
 
@@ -814,9 +943,7 @@ module Folding (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
         let acc = f k v acc in
         if k = 1 then begin
           folding := true;
-          while not !window_open do
-            Sim.Sched.pause ()
-          done
+          await window_open
         end;
         acc)
       acc
@@ -832,14 +959,14 @@ end
    the unmoved clock lets key 2's mid-commit value, kept with the token
    taken before the commit, through at point 0. *)
 let fold_race topology policy =
-  let (module S : R.SET_OPS), stripes = W.rep race_cfg.W.rep in
-  let st = S.create ~capacity:64 () in
+  let (module I : R.IN_PLACE), stripes = optik_list () in
+  let st = I.create ~capacity:64 () in
   for k = 1 to race_cfg.W.accounts do
-    assert (S.insert st k W.initial)
+    assert (I.insert st k W.initial)
   done;
   let hs = W.Stripes.create stripes in
-  let writer = W.T.obj (module Slow_update (S)) st hs in
-  let auditor = W.T.obj (module Folding (S)) st hs in
+  let writer = W.T.obj_in_place (module Slow_update (I)) st hs in
+  let auditor = W.T.obj (module Folding (I)) st hs in
   let mgr = W.T.create ~policy () in
   let audit = W.fresh_rec W.Audit and xfer = W.fresh_rec W.Transfer in
   window_open := false;
@@ -871,6 +998,7 @@ let test_fold_race () =
   List.iter
     (fun topology ->
       let o = fold_race topology W.T.Broken_ticket in
+      Alcotest.(check bool) "the writer opened the window" true !window_open;
       Alcotest.(check (list string))
         "broken: the audit read key 2 mid-commit"
         [ "audit at 0 read (0,2) = 105 but the serialized state had 100" ]
@@ -893,7 +1021,7 @@ let hist_cfg = { W.default_config with W.objects = 2; accounts = 2 }
 
 let quiesced_objs contents =
   Dstruct.Sl_common.reset_states ();
-  let (module S : R.SET_OPS), stripes = W.rep "list/optik" in
+  let (module S : R.SET_OPS), _, stripes = W.rep "list/optik" in
   Array.map
     (fun kvs ->
       let st = S.create ~capacity:64 () in
@@ -1468,6 +1596,67 @@ let test_report_section () =
         Alcotest.failf "report missing %S" sub)
     [ "\"oracle\""; "\"commits\""; "\"txn.aborts\""; "\"snapshot_retries\"" ]
 
+(* ------------------------------------------------------------------ *)
+(* Native: the same invariants on real domains. Three domains run
+   transfers over 4 in-place list/optik objects of 16 accounts, each
+   writing at the nodes its reads located. Transfers only move units, so
+   afterwards every account is present, the total is conserved, and
+   every structure is valid. *)
+
+module NTX = Txn.Make (Rt.Native_rt)
+module NStripes = Locks.Stripes (Rt.Native_rt)
+
+let test_native_transfers () =
+  let module Nat = Rt.Native_rt in
+  let (module I : R.IN_PLACE) = R.Native.ll_optik_in_place in
+  let objects = 4 and accounts = 16 and domains = 3 and transfers = 1_500 in
+  let objs =
+    Array.init objects (fun _ ->
+        let st = I.create () in
+        for k = 1 to accounts do
+          assert (I.insert st k W.initial)
+        done;
+        NTX.obj_in_place (module I) st (NStripes.create 16))
+  in
+  let mgr = NTX.create () in
+  let body tid () =
+    Nat.set_tid tid;
+    let rng = Harness.Rng.create (17 + tid) in
+    let slot () =
+      (Harness.Rng.below rng objects, 1 + Harness.Rng.below rng accounts)
+    in
+    for _ = 1 to transfers do
+      let o1, k1 = slot () in
+      let rec dst () =
+        let o2, k2 = slot () in
+        if o1 = o2 && k1 = k2 then dst () else (o2, k2)
+      in
+      let o2, k2 = dst () in
+      ignore
+        (NTX.atomically mgr (fun ctx ->
+             let v1 = Option.get (NTX.read ctx objs.(o1) k1) in
+             let v2 = Option.get (NTX.read ctx objs.(o2) k2) in
+             let amt = if v1 >= 3 then 3 else 0 in
+             NTX.write ctx objs.(o1) k1 (Some (v1 - amt));
+             NTX.write ctx objs.(o2) k2 (Some (v2 + amt)))
+          : unit * int)
+    done
+  in
+  Nat.set_nthreads domains;
+  let doms = List.init (domains - 1) (fun i -> Domain.spawn (body (i + 1))) in
+  body 0 ();
+  List.iter Domain.join doms;
+  Nat.set_nthreads 1;
+  Alcotest.(check int) "every transfer committed" (domains * transfers)
+    (Nat.Probe.count mgr.NTX.c_commits);
+  Alcotest.(check (list int)) "every account present"
+    (List.init objects (fun _ -> accounts))
+    (Array.to_list (Array.map NTX.obj_size objs));
+  Alcotest.(check int) "conserved" (objects * accounts * W.initial)
+    (Array.fold_left (fun acc o -> NTX.obj_fold o (fun _ v a -> a + v) acc) 0 objs);
+  Alcotest.(check bool) "every structure valid" true
+    (Array.for_all NTX.obj_validate objs)
+
 let () =
   Alcotest.run "txn"
     [
@@ -1501,6 +1690,8 @@ let () =
             test_object_read_counts;
           Alcotest.test_case "commit draws its ticket before its first write"
             `Quick test_ticket_before_write;
+          Alcotest.test_case "transfer writes at its located nodes" `Quick
+            test_located_transfer;
         ] );
       ( "determinism",
         [
@@ -1536,6 +1727,8 @@ let () =
             test_fold_race;
           Alcotest.test_case "commit without validation caught in a race"
             `Quick test_commit_race;
+          Alcotest.test_case "neighbour insert moves a located node" `Quick
+            test_neighbour_race;
         ] );
       ( "chaos",
         [
@@ -1550,4 +1743,9 @@ let () =
       ( "report",
         [ Alcotest.test_case "section and taxonomy" `Quick test_report_section ]
       );
+      ( "native",
+        [
+          Alcotest.test_case "transfers conserve and keep structures valid"
+            `Quick test_native_transfers;
+        ] );
     ]
