@@ -160,9 +160,12 @@ let trial_stream ~subcommand ~seed ~params ~jobs family trials =
           (Printf.sprintf "%s fuzz %d trials" T.command runs)
           (fun _ -> runs)
           (fun () ->
-            Chaos.fuzz
-              ?jobs:(if jobs = 0 then None else Some jobs)
-              family ~runs ~seed)
+            let failures, output, _ =
+              Chaos.fuzz
+                ?jobs:(if jobs = 0 then None else Some jobs)
+                family ~runs ~seed
+            in
+            (failures, output))
     | Replay s ->
         with_host_time (T.command ^ " replay")
           (fun _ -> 1)

@@ -16,6 +16,12 @@ module Qsbr = Mem.Qsbr.Make (Sim.Sim_rt)
 
 type failure = { f_oracle : string; f_detail : string }
 
+type result = {
+  failures : failure list;
+  detail : string;
+  measurement : Harness.Runner.measurement;
+}
+
 module type TRIAL = sig
   type t
 
@@ -26,7 +32,7 @@ module type TRIAL = sig
   val gen : Rng.t -> t
   val shrink_steps : t -> t list
   val shrink_budget : int
-  val run : t -> failure list * string
+  val run : t -> result
 end
 
 (* ------------------------------------------------------------------ *)
@@ -163,7 +169,7 @@ let service_liveness what (m : Harness.Runner.measurement) =
 (* The driver: fuzz, shrink, replay                                    *)
 
 let shrink (type a) (module T : TRIAL with type t = a) (tr0 : a) : a =
-  let fails tr = fst (T.run tr) <> [] in
+  let fails tr = (T.run tr).failures <> [] in
   (* Greedy: the first still-failing step wins and shrinking restarts
      from it, until no step fails or [shrink_budget] runs are spent. *)
   let rec try_steps runs cur = function
@@ -184,12 +190,15 @@ let report_failures ppf fs =
 
 (* Trials [offset .. offset+runs-1] of the seeded sequence, printed with
    their absolute indices and no summary, so ranges concatenate to one
-   stream. *)
+   stream; also their measurements, in trial order. *)
 let fuzz_range (module T : TRIAL) ~offset ~runs ~seed ppf =
   let failed = ref 0 in
+  let ms = ref [] in
   for i = offset to offset + runs - 1 do
     let tr = T.gen (Rng.create (seed + (i * 1_000_003))) in
-    match fst (T.run tr) with
+    let r = T.run tr in
+    ms := r.measurement :: !ms;
+    match r.failures with
     | [] -> Format.fprintf ppf "trial %4d ok   %s@." i (T.to_string tr)
     | fs ->
         incr failed;
@@ -200,7 +209,7 @@ let fuzz_range (module T : TRIAL) ~offset ~runs ~seed ppf =
         Format.fprintf ppf "           repro: optik_bench %s --replay '%s'@."
           T.command small
   done;
-  !failed
+  (!failed, List.rev !ms)
 
 let fuzz ?jobs m ~runs ~seed =
   let module T = (val m : TRIAL) in
@@ -222,20 +231,21 @@ let fuzz ?jobs m ~runs ~seed =
           (fun () ->
             let buf = Buffer.create 4096 in
             let ppf = Format.formatter_of_buffer buf in
-            let failed = fuzz_range m ~offset ~runs ~seed ppf in
+            let failed, ms = fuzz_range m ~offset ~runs ~seed ppf in
             Format.pp_print_flush ppf ();
-            (failed, Buffer.contents buf)))
+            (failed, Buffer.contents buf, ms)))
   in
   let results = Harness.Fleet.map ~jobs tasks in
-  let failed = List.fold_left (fun a (f, _) -> a + f) 0 results in
+  let failed = List.fold_left (fun a (f, _, _) -> a + f) 0 results in
   ( failed,
-    String.concat "" (List.map snd results)
+    String.concat "" (List.map (fun (_, out, _) -> out) results)
     ^ Printf.sprintf "%s: %d/%d trials failed (seed %d)\n" T.name failed runs
-        seed )
+        seed,
+    List.concat_map (fun (_, _, ms) -> ms) results )
 
 let replay (module T : TRIAL) s ppf =
   let tr = T.of_string s in
-  let fs, detail = T.run tr in
+  let { failures = fs; detail; _ } = T.run tr in
   Format.fprintf ppf "replay %s@." (T.to_string tr);
   Format.fprintf ppf "%s@." detail;
   (if fs = [] then Format.fprintf ppf "verdict: PASS@."
@@ -348,13 +358,6 @@ let of_string =
         parse_error "noise-bits must be in [0,62], got %d" tr.t_noise_bits;
       Fault.check_targets ~threads:tr.t_threads ~stores:0 tr.t_plan)
 
-type outcome = {
-  o_completed : bool;
-  o_crashed : int list;
-  o_failures : failure list;
-  o_unchecked : string option;
-}
-
 (* Aggressive watchdog: chaos workloads are a handful of operations, so
    anything that spins a million cycles without completing one is stuck. *)
 let watchdog = { Sched.check_events = 5_000; starve_cycles = 1_000_000 }
@@ -395,8 +398,8 @@ let crash_events () =
 let crash_mid_op crash_pts =
   List.exists (fun (_, p) -> p <> Rt.Rt_intf.Op_boundary) crash_pts
 
-let liveness_failures guarantee outcome crash_pts =
-  match outcome with
+let liveness_failures guarantee (m : Harness.Runner.measurement) crash_pts =
+  match m.outcome with
   | Harness.Runner.Complete -> []
   | Harness.Runner.Aborted _
     when guarantee = R.Blocking && crash_mid_op crash_pts ->
@@ -519,10 +522,11 @@ module Pool_container (P : R.POOL_OPS) = struct
 end
 
 (* The one container runner: every thread draws and applies [t_ops] ops
-   under QSBR, recording the history; then the oracles run — liveness,
-   and unless a crash voided the state warranty, crash-aware
-   linearizability, size accounting against the history and the
-   structure's own validation; QSBR accounting always. *)
+   under QSBR, recording the history, in one run of the simulated-run
+   envelope (no ops target: the run ends when every thread is done);
+   then the oracles run — liveness, and unless a crash voided the state
+   warranty, crash-aware linearizability, size accounting against the
+   history and the structure's own validation; QSBR accounting always. *)
 module Container (C : CONTAINER) = struct
   module H = Harness.History.Make (C.Spec)
   module L = H.L
@@ -531,13 +535,14 @@ module Container (C : CONTAINER) = struct
     let t, init, init_n = C.setup tr in
     let hist = H.create ~nthreads:tr.t_threads in
     let q = Qsbr.create ~batch_size:4 () in
-    let _stats, outcome =
-      Harness.Runner.run_guarded ~faults:tr.t_plan ~watchdog
-        ~max_events:trial_max_events ~max_inline_ops:trial_max_inline_ops
-        ~quantum:tr.t_quantum ~read_slack:tr.t_read_slack
+    let m =
+      Harness.Runner.simulate ~name:(R.id tr.t_entry)
         ~topology:(topology_of_name tr.t_topo)
-        ~nthreads:tr.t_threads ~ops_target:0
-        (fun tid ->
+        ~nthreads:tr.t_threads ~ops:0 ~seed:tr.t_wseed ~faults:tr.t_plan
+        ~watchdog ~max_events:trial_max_events ~quantum:tr.t_quantum
+        ~read_slack:tr.t_read_slack ~max_inline_ops:trial_max_inline_ops
+        ~classes:[||]
+        (fun _ tid ->
           let rng = Rng.create ((tr.t_wseed * 131) + tid) in
           for i = 1 to tr.t_ops do
             let input = C.draw rng ~keys:tr.t_keys ~v:(((tid + 1) * 1000) + i) in
@@ -556,7 +561,7 @@ module Container (C : CONTAINER) = struct
     let guarantee = tr.t_entry.R.guarantee in
     let crash_pts = crash_events () in
     let crashed = List.sort_uniq compare (List.map fst crash_pts) in
-    let live_fail = liveness_failures guarantee outcome crash_pts in
+    let live_fail = liveness_failures guarantee m crash_pts in
     let state_fail, unchecked =
       if live_fail <> [] || (guarantee = R.Blocking && crash_mid_op crash_pts)
       then ([], None)
@@ -611,11 +616,13 @@ module Container (C : CONTAINER) = struct
     in
     let qsbr_fail = qsbr_failures q crashed in
     {
-      o_completed =
-        (match outcome with Harness.Runner.Complete -> true | _ -> false);
-      o_crashed = crashed;
-      o_failures = live_fail @ state_fail @ qsbr_fail;
-      o_unchecked = unchecked;
+      failures = live_fail @ state_fail @ qsbr_fail;
+      detail =
+        Printf.sprintf "run %s; crashed threads [%s]%s"
+          (if Harness.Runner.aborted m then "aborted" else "completed")
+          (String.concat ";" (List.map string_of_int crashed))
+          (match unchecked with None -> "" | Some note -> "; " ^ note);
+      measurement = m;
     }
 end
 
@@ -721,14 +728,7 @@ let sets entries : (module TRIAL with type t = trial) =
     let gen = gen_trial entries
     let shrink_steps = shrink_steps
     let shrink_budget = 300
-
-    let run tr =
-      let o = run_trial tr in
-      ( o.o_failures,
-        Printf.sprintf "run %s; crashed threads [%s]%s"
-          (if o.o_completed then "completed" else "aborted")
-          (String.concat ";" (List.map string_of_int o.o_crashed))
-          (match o.o_unchecked with None -> "" | Some note -> "; " ^ note) )
+    let run = run_trial
   end)
 
 (* ------------------------------------------------------------------ *)
@@ -842,8 +842,11 @@ module Kv_trial = struct
           | _ -> [])
         (Fault.events ())
     in
-    ( service_liveness "service" m @ valid @ acked @ voided,
-      Format.asprintf "%a" Kv.pp_oracle o )
+    {
+      failures = service_liveness "service" m @ valid @ acked @ voided;
+      detail = Format.asprintf "%a" Kv.pp_oracle o;
+      measurement = m;
+    }
 
   let reps =
     [| "hashtable/optik"; "list/optik"; "list/harris"; "skiplist/optik2" |]
@@ -1034,8 +1037,11 @@ module Txn_trial = struct
             o.Txn.Workload.transfers o.Txn.Workload.audits
             (match o.Txn.Workload.violations with v :: _ -> ": " ^ v | [] -> ""))
     in
-    ( service_liveness "workload" m @ valid @ serial,
-      Format.asprintf "%a" Txn.Workload.pp_oracle o )
+    {
+      failures = service_liveness "workload" m @ valid @ serial;
+      detail = Format.asprintf "%a" Txn.Workload.pp_oracle o;
+      measurement = m;
+    }
 
   let reps =
     [|

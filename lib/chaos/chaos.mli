@@ -5,7 +5,8 @@
 
     A family is a {!TRIAL}: a trial type with a one-line replayable
     string form, a seeded generator, greedy shrink steps and a [run] that
-    applies the family's oracles. One driver — {!fuzz}, {!shrink},
+    applies the family's oracles to one run of the simulated-run envelope
+    ({!Harness.Runner.simulate}). One driver — {!fuzz}, {!shrink},
     {!replay} — runs any family.
 
     Determinism: a trial's outcome is a pure function of its string form
@@ -14,6 +15,15 @@
     verdict. *)
 
 type failure = { f_oracle : string; f_detail : string }
+
+(** What one trial of any family gives. *)
+type result = {
+  failures : failure list;  (** empty = every oracle passed *)
+  detail : string;  (** the detail line {!replay} prints *)
+  measurement : Harness.Runner.measurement;
+      (** the trial's run: ops, accesses, events, virtual wall time, CAS
+          counts, how it ended ([outcome]) and its host time *)
+}
 
 module type TRIAL = sig
   type t
@@ -42,24 +52,30 @@ module type TRIAL = sig
   val shrink_budget : int
   (** How many runs {!shrink} may spend. *)
 
-  val run : t -> failure list * string
-  (** Execute one trial: the oracle failures (empty = every oracle
-      passed) and the detail line {!replay} prints. Deterministic; never
-      raises for well-formed trials. *)
+  val run : t -> result
+  (** Execute one trial and judge it. Deterministic but for the
+      measurement's [host_s]; never raises for well-formed trials. *)
 end
 
 (** {1 The driver} *)
 
-val fuzz : ?jobs:int -> (module TRIAL) -> runs:int -> seed:int -> int * string
+val fuzz :
+  ?jobs:int ->
+  (module TRIAL) ->
+  runs:int ->
+  seed:int ->
+  int * string * Harness.Runner.measurement list
 (** Run [runs] independent random trials (trial [i] is drawn from seed
     [seed + i * 1_000_003]), shrinking and reporting each failure with a
     one-line repro ([optik_bench COMMAND --replay '...']), then a
     ["NAME: F/T trials failed (seed S)"] summary line. Returns the number
-    of failing trials and the whole output. The trials are farmed in
+    of failing trials, the whole output and each drawn trial's
+    measurement in trial order (shrink runs are not among them). The trials are farmed in
     contiguous ranges over [jobs] worker domains ({!Harness.Fleet.map};
     default {!Harness.Fleet.default_jobs}); every trial starts from
     [Harness.World.reset], so the output is byte-deterministic for a given
-    family, [runs] and [seed], whatever [jobs]. A trial that raises
+    family, [runs] and [seed], whatever [jobs], and so are the
+    measurements' simulated counts. A trial that raises
     surfaces as {!Harness.Fleet.Task_failed} labelled [NAME[FIRST..LAST]],
     its range. Raises [Invalid_argument] if [jobs < 1]. *)
 
@@ -134,18 +150,8 @@ val sets : Harness.Registry.entry list -> (module TRIAL with type t = trial)
     checker adds [; linearizability unchecked (N ops > 62)] to the
     detail line. *)
 
-type outcome = {
-  o_completed : bool;  (** the run finished (vs watchdog abort) *)
-  o_crashed : int list;  (** threads killed by the fault plan *)
-  o_failures : failure list;  (** empty = every oracle passed *)
-  o_unchecked : string option;
-      (** [Some note] when the history had more operations than the
-          linearizability checker takes ({!Lincheck.Make.max_events}), so
-          that oracle did not run; the detail line ends with the note *)
-}
-
-val run_trial : trial -> outcome
-(** The family's [run], with the completion and crash details. *)
+val run_trial : trial -> result
+(** The family's [run]. *)
 
 (** {1 KV service}
 

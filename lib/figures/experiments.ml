@@ -812,8 +812,8 @@ let bst_experiment mode =
 let sim_validation mode =
   let ops = scaled mode 20_000 in
   let measure slack =
-    (* the runners always use the scheduler's default slack; run a
-       bare guarded simulation for this experiment *)
+    (* the runners always use the scheduler's default slack; drive the
+       envelope directly for this experiment *)
     let (module S : Harness.Registry.SET_OPS) = R.ll_optik in
     let t = S.create () in
     let rng0 = Harness.Rng.create 7919 in
@@ -821,9 +821,9 @@ let sim_validation mode =
     while !n < 512 do
       if S.insert t (1 + Harness.Rng.below rng0 1024) 1 then incr n
     done;
-    let st, outcome =
-      Runner.run_guarded ~topology:xeon ~nthreads:20 ~ops_target:ops
-        ~read_slack:slack (fun tid ->
+    let m =
+      Runner.simulate ~name:S.name ~topology:xeon ~nthreads:20 ~ops ~seed:42
+        ~read_slack:slack ~classes:[||] (fun _ tid ->
           let rng = Harness.Rng.create ((42 * 65_599) + tid) in
           while not (Sched.stop_requested ()) do
             let k = 1 + Harness.Rng.below rng 1024 in
@@ -835,10 +835,10 @@ let sim_validation mode =
             Sched.work 64
           done)
     in
-    (match outcome with
+    (match m.outcome with
     | Runner.Complete -> ()
     | Runner.Aborted r -> failwith ("sim-validate: " ^ r.Sched.r_reason));
-    Sched.mops xeon st
+    m.mops
   in
   let rows =
     List.map (fun sl -> (sl, measure sl)) [ 0; 250; 1_000; 4_000 ]

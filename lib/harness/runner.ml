@@ -199,7 +199,8 @@ let run_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
    raises, but a body may; the journal is stopped on escape so it is not
    left armed for the next run. *)
 let simulate ~name ~(topology : Sim.Topology.t) ~nthreads ~ops ~seed ?faults
-    ?watchdog ?max_events ?(record_obs = false) ~classes body =
+    ?watchdog ?max_events ?quantum ?read_slack ?max_inline_ops
+    ?(record_obs = false) ~classes body =
   Sim.Sim_rt.Probe.reset_all ();
   let lat =
     Array.init nthreads (fun _ -> Array.map (fun _ -> Pstats.create ()) classes)
@@ -208,8 +209,9 @@ let simulate ~name ~(topology : Sim.Topology.t) ~nthreads ~ops ~seed ?faults
   if record_obs then Obs.Journal.start ();
   let stats, outcome =
     match
-      run_guarded ?faults ?watchdog ?max_events ~topology ~nthreads
-        ~ops_target:ops (fun tid -> body lat.(tid) tid)
+      run_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
+        ?max_inline_ops ~topology ~nthreads ~ops_target:ops (fun tid ->
+          body lat.(tid) tid)
     with
     | r -> r
     | exception e ->

@@ -93,8 +93,9 @@ val run_guarded :
 (** A bare guarded simulation run: execute [body tid] under an optional
     fault plan, turning watchdog verdicts and budget exhaustion into
     [Aborted] with partial stats — never an escaped exception. The
-    building block under {!simulate}; the chaos engine uses it directly
-    with its own workloads and oracles. *)
+    building block under {!simulate}; outside this module only
+    [bench/perf]'s set loop calls it. [quantum], [read_slack] and
+    [max_inline_ops] go to {!Sim.Sched.run}. *)
 
 val simulate :
   name:string ->
@@ -105,17 +106,21 @@ val simulate :
   ?faults:Sim.Fault.plan ->
   ?watchdog:Sim.Sched.watchdog ->
   ?max_events:int ->
+  ?quantum:int ->
+  ?read_slack:int ->
+  ?max_inline_ops:int ->
   ?record_obs:bool ->
   classes:string array ->
   (Pstats.t array -> int -> unit) ->
   measurement
 (** One measured simulation of an already built structure: the envelope
     every simulated workload (the runners below, the KV service, the
-    transaction bank, the self-driven figures) runs through. It resets
-    the probe counters, gives each thread one latency collector per name
-    in [classes], and runs [body lat tid] under {!run_guarded} with an
-    ops target of [ops]. [host_s] brackets the guarded run and the
-    [record_obs] journal only.
+    transaction bank, the self-driven figures, sim-validate and every
+    chaos trial) runs through. It resets the probe counters, gives each
+    thread one latency collector per name in [classes], and runs
+    [body lat tid] under {!run_guarded} with an ops target of [ops] and
+    the scheduler settings given. [host_s] brackets the guarded run and
+    the [record_obs] journal only.
 
     The measurement carries the scheduler's stats (throughput, virtual
     wall time, coherence counts, [ops]), the probe counters as the run

@@ -53,23 +53,13 @@ module Make (Spec : SPEC) = struct
     p_input : Spec.input;
   }
 
-  type step = Completed of event | Included of pending
-
-  type result = Witness of step list | No_witness | Too_large
+  type result = Linearizable | No_witness | Too_large
 
   let max_events = 62
 
   let pp_event fmt e =
     Format.fprintf fmt "[t%d %d..%d] %a -> %a" e.tid e.inv e.res Spec.pp_input
       e.input Spec.pp_output e.output
-
-  let pp_pending fmt p =
-    Format.fprintf fmt "[t%d %d..crash] %a -> ?" p.p_tid p.p_inv Spec.pp_input
-      p.p_input
-
-  let pp_step fmt = function
-    | Completed e -> pp_event fmt e
-    | Included p -> pp_pending fmt p
 
   (* Check whether [history] (plus any subset of [pending]) is
      linearizable starting from [init]. Completed and pending operations
@@ -100,22 +90,22 @@ module Make (Spec : SPEC) = struct
       let full = (1 lsl n) - 1 in
       (* Candidates are tried by ascending response time, pending ops
          last: the op that responded first is the likeliest to come
-         first, so a witness is usually found without backtracking. The
-         search stays exhaustive, so only which witness is found depends
-         on this order. *)
+         first, so a linearization is usually found without
+         backtracking. The search stays exhaustive, so the verdict does
+         not depend on this order. *)
       let order = Array.init total Fun.id in
       let res i = if i < n then ops.(i).res else max_int in
       Array.stable_sort (fun i j -> compare (res i) (res j)) order;
       (* Memoize failed (chosen-set, state) pairs; the spec states here
          are small persistent values, so polymorphic hashing is fine. *)
       let failed : (int * Spec.state, unit) Hashtbl.t = Hashtbl.create 256 in
-      let rec search chosen state acc =
-        if chosen land full = full then Some (List.rev acc)
-        else if Hashtbl.mem failed (chosen, state) then None
+      let rec search chosen state =
+        if chosen land full = full then true
+        else if Hashtbl.mem failed (chosen, state) then false
         else
-          let result = ref None in
+          let found = ref false in
           let i = ref 0 in
-          while !result = None && !i < total do
+          while (not !found) && !i < total do
             let idx = order.(!i) in
             incr i;
             if
@@ -125,39 +115,20 @@ module Make (Spec : SPEC) = struct
               if idx < n then (
                 let state', out = Spec.apply state ops.(idx).input in
                 if Spec.equal_output out ops.(idx).output then
-                  match
-                    search
-                      (chosen lor (1 lsl idx))
-                      state'
-                      (Completed ops.(idx) :: acc)
-                  with
-                  | Some _ as w -> result := w
-                  | None -> ())
+                  found := search (chosen lor (1 lsl idx)) state')
               else
                 (* Pending: the operation produced no output, so only its
                    effect on the state constrains the search. *)
                 let state', _ = Spec.apply state pend.(idx - n).p_input in
-                match
-                  search
-                    (chosen lor (1 lsl idx))
-                    state'
-                    (Included pend.(idx - n) :: acc)
-                with
-                | Some _ as w -> result := w
-                | None -> ()
+                found := search (chosen lor (1 lsl idx)) state'
           done;
-          if !result = None then Hashtbl.replace failed (chosen, state) ();
-          !result
+          if not !found then Hashtbl.replace failed (chosen, state) ();
+          !found
       in
-      match search 0 init [] with
-      | Some w -> Witness w
-      | None -> No_witness
+      if search 0 init then Linearizable else No_witness
 
   let pp_history fmt history =
     List.iter (fun e -> Format.fprintf fmt "  %a@." pp_event e) history
-
-  let pp_pendings fmt pending =
-    List.iter (fun p -> Format.fprintf fmt "  %a@." pp_pending p) pending
 end
 
 (* ------------------------------------------------------------------ *)

@@ -44,12 +44,10 @@ module Make (Spec : SPEC) : sig
   (** An operation that was invoked but never responded (its thread
       crashed, or the run was aborted mid-call). *)
 
-  type step = Completed of event | Included of pending
-
   type result =
-    | Witness of step list
-        (** a valid linearization: every completed event, plus the subset
-            of pending operations the checker chose to include *)
+    | Linearizable
+        (** a linearization exists: of every completed event, plus some
+            subset of the pending operations *)
     | No_witness  (** no linearization exists — a real violation *)
     | Too_large
         (** more than {!max_events} operations; the search was not
@@ -60,8 +58,6 @@ module Make (Spec : SPEC) : sig
       bitmask (62). *)
 
   val pp_event : Format.formatter -> event -> unit
-  val pp_pending : Format.formatter -> pending -> unit
-  val pp_step : Format.formatter -> step -> unit
 
   val check :
     ?init:Spec.state -> ?pending:pending list -> event list -> result
@@ -73,7 +69,6 @@ module Make (Spec : SPEC) : sig
       nothing is real-time-ordered after it. *)
 
   val pp_history : Format.formatter -> event list -> unit
-  val pp_pendings : Format.formatter -> pending list -> unit
 end
 
 (** {1 Sequential specifications for this library's structures} *)

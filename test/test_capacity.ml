@@ -6,6 +6,13 @@
 
 module Sched = Sim.Sched
 
+(* The simulated part of a measurement: everything but host time and
+   the optional trace. *)
+let sim (m : Harness.Runner.measurement) =
+  ( (m.ops, m.mops, m.wall_s, m.eff_update_pct, m.reads, m.writes),
+    (m.cas, m.cas_failed, m.faa, m.events, m.lat, m.counters),
+    (m.final_size, m.valid, Harness.Runner.aborted m) )
+
 (* ------------------------------------------------------------------ *)
 (* 10k virtual threads                                                 *)
 
@@ -17,8 +24,8 @@ let test_10k_threads () =
     Array.init 64 (fun i -> if i = 0 then first else Sched.loc_with first 0)
   in
   let run () =
-    Harness.Runner.run_guarded ~topology ~nthreads ~ops_target:30_000
-      (fun tid ->
+    Harness.Runner.simulate ~name:"faa-10k" ~topology ~nthreads ~ops:30_000
+      ~seed:0 ~classes:[||] (fun _ tid ->
         let i = ref tid in
         while not (Sched.stop_requested ()) do
           ignore (Sched.faa locs.(!i land 63) 1);
@@ -27,23 +34,22 @@ let test_10k_threads () =
           Sched.work 32
         done)
   in
-  let stats, outcome = run () in
-  (match outcome with
+  let m = run () in
+  (match m.outcome with
   | Harness.Runner.Complete -> ()
   | Harness.Runner.Aborted r ->
       Alcotest.failf "10k run aborted: %s"
         (Format.asprintf "%a" Sched.pp_report r));
-  Alcotest.(check bool) "hit the ops target" true
-    (stats.Sched.ops >= 30_000);
+  Alcotest.(check bool) "hit the ops target" true (m.ops >= 30_000);
   (* every increment landed somewhere: the counters conserve the faas *)
   let total = Array.fold_left (fun a l -> a + Sched.read l) 0 locs in
-  Alcotest.(check int) "counters conserve faas" stats.Sched.faa total;
+  Alcotest.(check int) "counters conserve faas" m.faa total;
   (* identical reruns on the warm arena: the reused thread records,
      line table and event heap must not leak state between runs *)
-  let stats2, _ = run () in
-  let stats3, _ = run () in
+  let m2 = run () in
+  let m3 = run () in
   Alcotest.(check bool) "warm arena rerun deterministic" true
-    (stats2 = stats3)
+    (sim m2 = sim m3)
 
 (* ------------------------------------------------------------------ *)
 (* Sequential isolation                                                *)
@@ -55,14 +61,8 @@ let test_10k_threads () =
 let trials (module T : Chaos.TRIAL) ~runs ~seed =
   List.init runs (fun i ->
       let tr = T.gen (Harness.Rng.create (seed + (i * 1_000_003))) in
-      (T.to_string tr, T.run tr))
-
-(* The simulated part of a measurement: everything but host time and
-   the optional trace. *)
-let sim (m : Harness.Runner.measurement) =
-  ( (m.ops, m.mops, m.wall_s, m.eff_update_pct, m.reads, m.writes),
-    (m.cas, m.cas_failed, m.faa, m.events, m.lat, m.counters),
-    (m.final_size, m.valid, Harness.Runner.aborted m) )
+      let r = T.run tr in
+      (T.to_string tr, r.failures, r.detail, sim r.measurement))
 
 (* Leave the world as dirty as a process can: trials of every family
    (ids, journal, fault tables), an elimination stack (slot counters),

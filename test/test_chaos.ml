@@ -190,16 +190,34 @@ let test_txn_one_check () =
 (* ------------------------------------------------------------------ *)
 (* Fuzzing is byte-deterministic: same seed, same entries, same output. *)
 
-let fuzz_to_string ~runs ~seed =
-  Chaos.fuzz
+let fuzz ?jobs ~runs ~seed () =
+  Chaos.fuzz ?jobs
     (Chaos.sets (Chaos.select Chaos.quick_names) :> (module Chaos.TRIAL))
     ~runs ~seed
 
+(* A measurement's simulated counts, as the pin ledger records them. *)
+let counts (m : Harness.Runner.measurement) =
+  Printf.sprintf "ops=%d accesses=%d events=%d wall_us=%.4f cas=%d cas_failed=%d"
+    m.ops
+    (m.reads + m.writes + m.cas + m.faa)
+    m.events (m.wall_s *. 1e6) m.cas m.cas_failed
+
 let test_fuzz_deterministic () =
-  let f1, s1 = fuzz_to_string ~runs:4 ~seed:11 in
-  let f2, s2 = fuzz_to_string ~runs:4 ~seed:11 in
+  let f1, s1, _ = fuzz ~runs:4 ~seed:11 () in
+  let f2, s2, _ = fuzz ~runs:4 ~seed:11 () in
   Alcotest.(check int) "same failure count" f1 f2;
   Alcotest.(check string) "byte-identical output" s1 s2
+
+(* The measurements fuzzing returns are one per drawn trial, in trial
+   order, whatever the worker count. *)
+let test_fuzz_counts_across_jobs () =
+  let _, _, one = fuzz ~jobs:1 ~runs:6 ~seed:11 () in
+  let _, _, two = fuzz ~jobs:2 ~runs:6 ~seed:11 () in
+  Alcotest.(check int) "one measurement per trial" 6 (List.length one);
+  Alcotest.(check (list string))
+    "jobs:2 == jobs:1" (List.map counts one) (List.map counts two);
+  Alcotest.(check bool) "trials did work" true
+    (List.exists (fun (m : Harness.Runner.measurement) -> m.ops > 0) one)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle and shrinker regression on a known-bad configuration: a
@@ -241,23 +259,26 @@ let failing_trial =
   }
 
 let test_liveness_oracle_fires () =
-  let o = Chaos.run_trial failing_trial in
-  Alcotest.(check bool) "run aborted" false o.Chaos.o_completed;
-  match o.Chaos.o_failures with
+  let r = Chaos.run_trial failing_trial in
+  Alcotest.(check bool) "run aborted" true (Harness.Runner.aborted r.measurement);
+  Alcotest.(check bool) "detail says so" true
+    (String.starts_with ~prefix:"run aborted; crashed threads [" r.detail);
+  match r.failures with
   | [ f ] -> Alcotest.(check string) "oracle" "liveness" f.Chaos.f_oracle
   | fs -> Alcotest.failf "expected exactly one failure, got %d" (List.length fs)
 
 let test_run_trial_deterministic () =
-  let o1 = Chaos.run_trial failing_trial in
-  let o2 = Chaos.run_trial failing_trial in
-  Alcotest.(check bool) "same completion" o1.Chaos.o_completed
-    o2.Chaos.o_completed;
-  Alcotest.(check (list int)) "same crashed threads" o1.Chaos.o_crashed
-    o2.Chaos.o_crashed;
+  let r1 = Chaos.run_trial failing_trial in
+  let r2 = Chaos.run_trial failing_trial in
+  Alcotest.(check string) "same detail line" r1.detail r2.detail;
   Alcotest.(check (list (pair string string)))
     "same failures"
-    (List.map (fun f -> (f.Chaos.f_oracle, f.Chaos.f_detail)) o1.Chaos.o_failures)
-    (List.map (fun f -> (f.Chaos.f_oracle, f.Chaos.f_detail)) o2.Chaos.o_failures)
+    (List.map (fun f -> (f.Chaos.f_oracle, f.Chaos.f_detail)) r1.failures)
+    (List.map (fun f -> (f.Chaos.f_oracle, f.Chaos.f_detail)) r2.failures);
+  Alcotest.(check string) "same counts" (counts r1.measurement)
+    (counts r2.measurement);
+  Alcotest.(check bool) "same completion" (Harness.Runner.aborted r1.measurement)
+    (Harness.Runner.aborted r2.measurement)
 
 (* The family that can also resolve the mislabeled entry, which the
    registry does not know. *)
@@ -283,7 +304,7 @@ let test_shrinker_reduces () =
     (Printf.sprintf "fewer specs (%d < %d)" n_after n_before)
     true (n_after < n_before);
   Alcotest.(check bool) "shrunk trial still fails" true
-    ((Chaos.run_trial small).Chaos.o_failures <> [])
+    ((Chaos.run_trial small).failures <> [])
 
 (* Every shrink step is a trial the grammar accepts: a spec aimed at the
    last thread, as its [t] or as a storm victim, keeps the thread count
@@ -327,9 +348,9 @@ let test_kv_shrink_steps_parse () =
 (* A passing trial shrinks to itself. *)
 let test_shrink_passing_identity () =
   let tr = { failing_trial with Chaos.t_plan = { F.seed = 1; specs = [] } } in
-  let o = Chaos.run_trial tr in
+  let r = Chaos.run_trial tr in
   Alcotest.(check (list string)) "no failures" []
-    (List.map (fun f -> f.Chaos.f_oracle) o.Chaos.o_failures);
+    (List.map (fun f -> f.Chaos.f_oracle) r.failures);
   let s = Chaos.shrink with_fake tr in
   Alcotest.(check string) "unchanged" (S.to_string tr) (S.to_string s)
 
@@ -386,10 +407,11 @@ let harris_crash_trial =
    f277664;crash@after-cas,t1,h1"
 
 let test_harris_crash_replay () =
-  let o = Chaos.run_trial (S.of_string harris_crash_trial) in
-  Alcotest.(check (list int)) "thread 1 crashed" [ 1 ] o.Chaos.o_crashed;
+  let r = Chaos.run_trial (S.of_string harris_crash_trial) in
+  Alcotest.(check string) "thread 1 crashed" "run completed; crashed threads [1]"
+    r.detail;
   Alcotest.(check (list string)) "every oracle passes" []
-    (List.map (fun f -> f.Chaos.f_oracle) o.Chaos.o_failures)
+    (List.map (fun f -> f.Chaos.f_oracle) r.failures)
 
 (* ------------------------------------------------------------------ *)
 (* Every registered structure is fuzzable, and replays that once failed
@@ -434,9 +456,9 @@ let huge_keys_case s =
 let pinned_pass_case s =
   let structure = List.hd (String.split_on_char '@' s) in
   Alcotest.test_case ("pinned " ^ structure ^ " replay passes") `Quick (fun () ->
-      let o = Chaos.run_trial (S.of_string s) in
+      let r = Chaos.run_trial (S.of_string s) in
       Alcotest.(check (list string)) "every oracle passes" []
-        (List.map (fun f -> f.Chaos.f_oracle) o.Chaos.o_failures))
+        (List.map (fun f -> f.Chaos.f_oracle) r.failures))
 
 module H = Dstruct.Ll_harris.Make (Rt.Native_rt)
 
@@ -490,6 +512,8 @@ let () =
             test_fuzz_deterministic;
           Alcotest.test_case "run_trial deterministic" `Quick
             test_run_trial_deterministic;
+          Alcotest.test_case "fuzz counts equal across jobs" `Quick
+            test_fuzz_counts_across_jobs;
         ] );
       ( "oracles and shrinking",
         [

@@ -243,7 +243,7 @@ let counts line =
    (its line, and its failures, shrink and repro lines when it fails)
    with its verdict, then the summary line. *)
 let fuzz_pieces family ~runs =
-  let failed, out = Chaos.fuzz family ~runs ~seed:3 in
+  let failed, out, _ = Chaos.fuzz family ~runs ~seed:3 in
   (* Last first: each unindented line opens a chunk, and the indented
      lines under a failing trial join it. *)
   let chunks =

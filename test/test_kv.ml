@@ -381,7 +381,7 @@ let fence_window_trial =
 
 let test_fence_window_replay () =
   let module T = Chaos.Kv_trial in
-  let failures, detail = T.run (T.of_string fence_window_trial) in
+  let { Chaos.failures; detail; _ } = T.run (T.of_string fence_window_trial) in
   List.iter
     (fun (f : Chaos.failure) ->
       Alcotest.failf "%s oracle: %s (%s)" f.Chaos.f_oracle f.Chaos.f_detail

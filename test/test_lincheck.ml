@@ -13,14 +13,14 @@ module Checks (Spec : Lincheck.SPEC) = struct
   let accepts ?(pending = []) name history =
     Alcotest.test_case name `Quick (fun () ->
         match L.check ~pending history with
-        | L.Witness _ -> ()
+        | L.Linearizable -> ()
         | L.No_witness -> Alcotest.fail "expected linearizable"
         | L.Too_large -> Alcotest.fail "unexpected Too_large")
 
   let rejects ?(pending = []) name history =
     Alcotest.test_case name `Quick (fun () ->
         match L.check ~pending history with
-        | L.Witness _ -> Alcotest.fail "expected violation"
+        | L.Linearizable -> Alcotest.fail "expected violation"
         | L.No_witness -> ()
         | L.Too_large -> Alcotest.fail "unexpected Too_large")
 end
@@ -234,10 +234,10 @@ let init_cases =
     Alcotest.test_case "init state respected" `Quick (fun () ->
         let init = Lincheck.Set_spec.M.add 7 70 Lincheck.Set_spec.M.empty in
         (match LS.check ~init [ ev 0 0 10 (Search 7) (Found 70) ] with
-        | LS.Witness _ -> ()
+        | LS.Linearizable -> ()
         | _ -> Alcotest.fail "should see initial contents");
         match LS.check ~init [ ev 0 0 10 (Search 7) Absent ] with
-        | LS.Witness _ -> Alcotest.fail "must see initial contents"
+        | LS.Linearizable -> Alcotest.fail "must see initial contents"
         | _ -> ());
   ]
 
@@ -258,8 +258,8 @@ let too_large_cases =
               ev 0 (i * 10) ((i * 10) + 5) (Insert (i + 1, i)) Ok)
         in
         match LS.check history with
-        | LS.Witness _ -> ()
-        | _ -> Alcotest.fail "expected a witness");
+        | LS.Linearizable -> ()
+        | _ -> Alcotest.fail "expected linearizable");
     Alcotest.test_case "completed + pending counted together" `Quick
       (fun () ->
         let history =
@@ -300,7 +300,7 @@ let widened_random =
         history :=
           ev (i mod 3) base (base + 5 + widen) input out :: !history
       done;
-      match LS.check !history with LS.Witness _ -> true | _ -> false)
+      match LS.check !history with LS.Linearizable -> true | _ -> false)
 
 (* Dropping the tail of a sequential history to pending ops must stay
    accepted: the real execution is the include-them-all branch. *)
@@ -329,7 +329,7 @@ let pending_random =
         else history := ev (i mod 3) base (base + 5) input out :: !history
       done;
       match LS.check ~pending:!pending !history with
-      | LS.Witness _ -> true
+      | LS.Linearizable -> true
       | _ -> false)
 
 let () =

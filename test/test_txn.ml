@@ -1547,7 +1547,7 @@ let test_txn_trial_roundtrip () =
 
 let test_txn_trial_runs () =
   let tr = X.of_string "txn/list/optik@u2 b2 a8 t2 o400 X70 w5" in
-  let failures, _ = X.run tr in
+  let { Chaos.failures; _ } = X.run tr in
   Alcotest.(check (list string)) "no oracle failures" []
     (List.map (fun f -> f.Chaos.f_oracle) failures);
   let _, r = W.run tr in
@@ -1555,7 +1555,7 @@ let test_txn_trial_runs () =
 
 let test_txn_trial_catches_broken () =
   let tr = X.of_string "txn/list/optik@xeon b2 a8 t8 o2000 X70 w0 !" in
-  let failures, _ = X.run tr in
+  let { Chaos.failures; _ } = X.run tr in
   Alcotest.(check bool) "serializability failure reported" true
     (List.exists (fun f -> f.Chaos.f_oracle = "serializability") failures)
 

@@ -227,7 +227,7 @@ let lincheck_set (module S : R.SET_OPS) ~nthreads ~ops_per_thread ~key_range
   in
   let events = HSet.completed h in
   match HSet.L.check ~init:!init events with
-  | HSet.L.Witness _ -> ()
+  | HSet.L.Linearizable -> ()
   | HSet.L.Too_large ->
       Alcotest.failf "%s: history too large to check (seed %d)" S.name seed
   | HSet.L.No_witness ->
@@ -378,7 +378,7 @@ let lincheck_pool (module P : R.POOL_OPS) ~seed () =
   in
   let events = H.completed h in
   match H.L.check ~init:!init events with
-  | H.L.Witness _ -> ()
+  | H.L.Linearizable -> ()
   | H.L.Too_large ->
       Alcotest.failf "%s: history too large to check (seed %d)" P.name seed
   | H.L.No_witness ->
