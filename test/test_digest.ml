@@ -13,8 +13,9 @@
    - [hostperf]: the simulated counts of each hostperf workload, which
      [BENCH_sim.json] also records;
    - [chaos], [kv], [txn]: a fixed-seed fuzzing session of each trial
-     family (one row per trial, with its verdict) and a fixed-trial
-     replay; for txn also the default workload's result, the replay of
+     family (one row per trial, with its verdict and its run's counts,
+     so a change to a trial's schedule moves its row even when the
+     verdict holds) and a fixed-trial replay; for txn also the default workload's result, the replay of
      the broken-commit trial and the broken commit protocol's verdict;
    - [soak]: the soak sweep, one row per run;
    - [obs]: a Chrome trace_event export and its JSONL twin, a run
@@ -22,9 +23,9 @@
      and timeline sections of a traced kv run and a traced txn run.
 
    A row holds the counts its output prints (a run's ops, virtual wall
-   time, accesses, events, CAS and failed CAS; a trial's verdict; an
-   oracle's violations, transfers and audits) and the md5 of its own
-   output bytes. An output's rows, in ledger order, make up the whole
+   time, accesses, events, CAS and failed CAS; a trial's verdict, and
+   for a fuzz trial also its run's counts; an oracle's violations,
+   transfers and audits) and the md5 of its own output bytes. An output's rows, in ledger order, make up the whole
    output, so the ledger is as strict as one digest over it. Each output
    has a test of its own that checks the rows it owns; on a mismatch the
    test names every moved metric with its old and new values, and every
@@ -241,9 +242,10 @@ let counts line =
 
 (* A fixed-seed fuzzing session: the failure count, one piece per trial
    (its line, and its failures, shrink and repro lines when it fails)
-   with its verdict, then the summary line. *)
+   with its verdict and its run's counts, then the summary line. *)
 let fuzz_pieces family ~runs =
-  let failed, out, _ = Chaos.fuzz family ~runs ~seed:3 in
+  let failed, out, ms = Chaos.fuzz family ~runs ~seed:3 in
+  let ms = Array.of_list ms in
   (* Last first: each unindented line opens a chunk, and the indented
      lines under a failing trial join it. *)
   let chunks =
@@ -260,7 +262,9 @@ let fuzz_pieces family ~runs =
       :: List.rev_map
            (fun chunk ->
              Scanf.sscanf chunk "trial %d %s " (fun n verdict ->
-                 piece ("fuzz/" ^ i n) [ ("verdict", verdict) ] chunk))
+                 piece ("fuzz/" ^ i n)
+                   (("verdict", verdict) :: run_counts ms.(n))
+                   chunk))
            trials
       @ [ piece "fuzz/summary" [ ("failed", i failed); ("trials", i runs) ] summary ]
   | [] -> Alcotest.fail "fuzzing printed nothing"
