@@ -398,8 +398,8 @@ let crash_events () =
 let crash_mid_op crash_pts =
   List.exists (fun (_, p) -> p <> Rt.Rt_intf.Op_boundary) crash_pts
 
-let liveness_failures guarantee (m : Harness.Runner.measurement) crash_pts =
-  match m.outcome with
+let liveness_failures guarantee outcome crash_pts =
+  match outcome with
   | Harness.Runner.Complete -> []
   | Harness.Runner.Aborted _
     when guarantee = R.Blocking && crash_mid_op crash_pts ->
@@ -561,7 +561,7 @@ module Container (C : CONTAINER) = struct
     let guarantee = tr.t_entry.R.guarantee in
     let crash_pts = crash_events () in
     let crashed = List.sort_uniq compare (List.map fst crash_pts) in
-    let live_fail = liveness_failures guarantee m crash_pts in
+    let live_fail = liveness_failures guarantee m.outcome crash_pts in
     let state_fail, unchecked =
       if live_fail <> [] || (guarantee = R.Blocking && crash_mid_op crash_pts)
       then ([], None)

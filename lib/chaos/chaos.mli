@@ -70,14 +70,14 @@ val fuzz :
     one-line repro ([optik_bench COMMAND --replay '...']), then a
     ["NAME: F/T trials failed (seed S)"] summary line. Returns the number
     of failing trials, the whole output and each drawn trial's
-    measurement in trial order (shrink runs are not among them). The trials are farmed in
-    contiguous ranges over [jobs] worker domains ({!Harness.Fleet.map};
-    default {!Harness.Fleet.default_jobs}); every trial starts from
-    [Harness.World.reset], so the output is byte-deterministic for a given
-    family, [runs] and [seed], whatever [jobs], and so are the
-    measurements' simulated counts. A trial that raises
-    surfaces as {!Harness.Fleet.Task_failed} labelled [NAME[FIRST..LAST]],
-    its range. Raises [Invalid_argument] if [jobs < 1]. *)
+    measurement in trial order (shrink runs are not among them). The
+    trials are farmed in contiguous ranges over [jobs] worker domains
+    ({!Harness.Fleet.map}; default {!Harness.Fleet.default_jobs}); every
+    trial starts from [Harness.World.reset], so the output and the
+    measurements' simulated counts are deterministic for a given family,
+    [runs] and [seed], whatever [jobs]. A trial that raises surfaces as
+    {!Harness.Fleet.Task_failed} labelled [NAME[FIRST..LAST]], its range.
+    Raises [Invalid_argument] if [jobs < 1]. *)
 
 val shrink : (module TRIAL with type t = 'a) -> 'a -> 'a
 (** Greedily minimize a failing trial: take the first shrink step that

@@ -317,6 +317,53 @@ let test_simulate_envelope () =
   Alcotest.(check (pair int int)) "class a: n, p50" (6, 3) (a.n, a.p50);
   Alcotest.(check (pair int int)) "class b: n, p50" (1, 7) (b.n, b.p50)
 
+(* The envelope forwards the scheduler settings [run_guarded] takes: a
+   tiny inline budget aborts the run with the budget's message, and
+   each read slack gives the cycles and events the same bare
+   [run_guarded] call gives (a slack of 0 and the default differ here,
+   so a dropped setting would show). *)
+let test_simulate_forwards_settings () =
+  let module R = Harness.Runner in
+  let body tid =
+    let x = Sim.Sched.loc 0 in
+    for _ = 1 to 40 do
+      ignore (Sim.Sched.read x);
+      if tid = 0 then Sim.Sched.write x tid;
+      Sim.Sched.work 50;
+      Sim.Sched.tick ()
+    done
+  in
+  let run ?read_slack ?max_inline_ops () =
+    Sim.Sched.reset_world ();
+    R.simulate ~name:"settings" ~topology:Tutil.uniform4 ~nthreads:4 ~ops:0
+      ~seed:1 ?read_slack ?max_inline_ops ~classes:[||] (fun _ tid -> body tid)
+  in
+  let bare ?read_slack () =
+    Sim.Sched.reset_world ();
+    let st, outcome =
+      R.run_guarded ~topology:Tutil.uniform4 ~nthreads:4 ~ops_target:0
+        ?read_slack body
+    in
+    Alcotest.(check bool) "bare run completes" false
+      (match outcome with R.Aborted _ -> true | R.Complete -> false);
+    (st.Sim.Sched.wall_cycles, st.events)
+  in
+  let counts (m : R.measurement) =
+    Alcotest.(check bool) "run completes" false (R.aborted m);
+    (int_of_float (Float.round (m.wall_s *. Tutil.uniform4.ghz *. 1e9)), m.events)
+  in
+  let same = Alcotest.(check (pair int int)) in
+  (match (run ~max_inline_ops:10 ()).outcome with
+  | R.Aborted r ->
+      Alcotest.(check bool) ("inline budget: " ^ r.r_reason) true
+        (Obs.Report.contains ~sub:"inline-operation budget" r.r_reason)
+  | R.Complete -> Alcotest.fail "a 10-op inline budget must abort");
+  let slack0 = bare ~read_slack:0 () and slack_default = bare () in
+  Alcotest.(check bool) "slack 0 and the default differ" true
+    (slack0 <> slack_default);
+  same "read_slack:0" slack0 (counts (run ~read_slack:0 ()));
+  same "default read_slack" slack_default (counts (run ()))
+
 (* The queue and stack runners share the set runner's loop, and
    with it the same checks, named after the runner called. *)
 let test_all_runners_reject_bad_args () =
@@ -509,6 +556,8 @@ let () =
             test_all_runners_reject_bad_args;
           Alcotest.test_case "simulate envelope" `Quick
             test_simulate_envelope;
+          Alcotest.test_case "simulate forwards scheduler settings" `Quick
+            test_simulate_forwards_settings;
         ] );
       ( "soak",
         [
