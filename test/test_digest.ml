@@ -15,8 +15,9 @@
    - [chaos], [kv], [txn]: a fixed-seed fuzzing session of each trial
      family (one row per trial, with its verdict and its run's counts,
      so a change to a trial's schedule moves its row even when the
-     verdict holds) and a fixed-trial replay; for txn also the default workload's result, the replay of
-     the broken-commit trial and the broken commit protocol's verdict;
+     verdict holds) and a fixed-trial replay; for txn also the default
+     workload's result, the replay of the broken-commit trial and the
+     broken commit protocol's verdict;
    - [soak]: the soak sweep, one row per run;
    - [obs]: a Chrome trace_event export and its JSONL twin, a run
      report and its diff with another, and the wasted-work, attribution
@@ -25,8 +26,9 @@
    A row holds the counts its output prints (a run's ops, virtual wall
    time, accesses, events, CAS and failed CAS; a trial's verdict, and
    for a fuzz trial also its run's counts; an oracle's violations,
-   transfers and audits) and the md5 of its own output bytes. An output's rows, in ledger order, make up the whole
-   output, so the ledger is as strict as one digest over it. Each output
+   transfers and audits) and the md5 of its own output bytes. An
+   output's rows, in ledger order, make up the whole output, so the
+   ledger is as strict as one digest over it. Each output
    has a test of its own that checks the rows it owns; on a mismatch the
    test names every moved metric with its old and new values, and every
    missing or extra row. [ledger recomputed] also fails on a ledger row
