@@ -437,7 +437,7 @@ let run_cmd =
             Printf.printf "  trace           %s (%d events)\n" path
               s.Obs.Profile.s_events);
         if profile then Format.printf "%a@?" Obs.Profile.pp s);
-    ( false,
+    ( Chaos.run_failures m <> [],
       fun () ->
         Harness.Report.make ~subcommand:"run" ~seed:(Some seed)
           ~params:
@@ -486,11 +486,11 @@ let soak_cmd =
         for i = 1 to runs do
           let c = Soak.sample Soak.bounded rng in
           let m = Soak.run c in
-          let complete = not (Harness.Runner.aborted m) in
-          if (not complete) || not m.Harness.Runner.valid then incr failures;
+          if Chaos.run_failures m <> [] then incr failures;
           Printf.printf "%d %s -> ops=%d mops=%.6f valid=%b complete=%b\n" i
             (Soak.describe c) m.Harness.Runner.ops m.Harness.Runner.mops
-            m.Harness.Runner.valid complete;
+            m.Harness.Runner.valid
+            (not (Harness.Runner.aborted m));
           let id = Harness.Registry.id c.Soak.structure in
           measured := (Printf.sprintf "soak/%02d/%s" i id, m) :: !measured
         done);
@@ -754,6 +754,7 @@ let kv_cmd =
             (fun (m, _) -> m.Harness.Runner.ops)
             (fun () -> Kv.run ~record_obs cfg)
         in
+        let failures = Chaos.Kv_trial.judge cfg (m, r) in
         Printf.printf
           "kv/%s on %s, %d shards (primary+replica), %d clients, %d requests, \
            %d%% reads %d%% scans, seed %d\n"
@@ -798,15 +799,11 @@ let kv_cmd =
         end;
         Printf.printf "  %s\n"
           (Format.asprintf "%a" Kv.pp_oracle r.Kv.res_oracle);
+        Chaos.report_failures Format.std_formatter failures;
         let trace_sections =
           trace_analysis ~timeline_file:timeline r.Kv.res_trace
         in
-        (* Fail on the warranted verdict: a loss in a voided pair is the
-           one outage f = 1 permits (and the run reports it); any other
-           loss, duplicate, abort or invalid structure is a failure. *)
-        ( (not r.Kv.res_oracle.Kv.warranted_ok)
-          || Harness.Runner.aborted m
-          || not m.Harness.Runner.valid,
+        ( failures <> [],
           fun () ->
             Harness.Report.make ~subcommand:"kv" ~seed:(Some seed)
               ~params:
@@ -924,6 +921,7 @@ let txn_cmd =
             (fun (m, _) -> m.Harness.Runner.ops)
             (fun () -> W.run ~record_obs cfg)
         in
+        let failures = Chaos.Txn_trial.judge cfg (m, r) in
         Printf.printf
           "txn/%s on %s, %d objects x %d accounts, %d threads, %d \
            transactions, %d%% transfers, seed %d%s\n"
@@ -934,12 +932,11 @@ let txn_cmd =
           m.Harness.Runner.mops;
         print_latencies m;
         Printf.printf "%s\n" (Format.asprintf "%a" W.pp_result r);
+        Chaos.report_failures Format.std_formatter failures;
         let trace_sections =
           trace_analysis ~timeline_file:timeline r.W.res_trace
         in
-        ( (not r.W.res_oracle.W.ok)
-          || Harness.Runner.aborted m
-          || not m.Harness.Runner.valid,
+        ( failures <> [],
           fun () ->
             Harness.Report.make ~subcommand:"txn" ~seed:(Some seed)
               ~params:

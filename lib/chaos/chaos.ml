@@ -158,12 +158,16 @@ let plan_steps (plan : Fault.plan) reductions =
 let unless ok f_oracle detail =
   if ok then [] else [ { f_oracle; f_detail = detail () } ]
 
-let service_liveness what (m : Harness.Runner.measurement) =
+let liveness (m : Harness.Runner.measurement) =
   match m.Harness.Runner.outcome with
   | Harness.Runner.Complete -> []
-  | Harness.Runner.Aborted rep ->
-      let detail = Format.asprintf "%a" Sched.pp_verdict rep.Sched.r_verdict in
-      [ { f_oracle = "liveness"; f_detail = what ^ " aborted: " ^ detail } ]
+  | Harness.Runner.Aborted r ->
+      let detail = Format.asprintf "%a" Sched.pp_verdict r.Sched.r_verdict in
+      [ { f_oracle = "liveness"; f_detail = detail ^ " — " ^ r.Sched.r_reason } ]
+
+let run_failures (m : Harness.Runner.measurement) =
+  liveness m
+  @ unless m.Harness.Runner.valid "validate" (fun () -> "validation failed")
 
 (* ------------------------------------------------------------------ *)
 (* The driver: fuzz, shrink, replay                                    *)
@@ -398,16 +402,6 @@ let crash_events () =
 let crash_mid_op crash_pts =
   List.exists (fun (_, p) -> p <> Rt.Rt_intf.Op_boundary) crash_pts
 
-let liveness_failures guarantee outcome crash_pts =
-  match outcome with
-  | Harness.Runner.Complete -> []
-  | Harness.Runner.Aborted _
-    when guarantee = R.Blocking && crash_mid_op crash_pts ->
-      []
-  | Harness.Runner.Aborted r ->
-      let detail = Format.asprintf "%a" Sched.pp_verdict r.Sched.r_verdict in
-      [ { f_oracle = "liveness"; f_detail = detail ^ " — " ^ r.Sched.r_reason } ]
-
 (* Oracle (c), QSBR half: after telling the reclaimer about crashed
    threads and flushing, nothing may be lost or double-counted. *)
 let qsbr_failures q crashed =
@@ -561,10 +555,10 @@ module Container (C : CONTAINER) = struct
     let guarantee = tr.t_entry.R.guarantee in
     let crash_pts = crash_events () in
     let crashed = List.sort_uniq compare (List.map fst crash_pts) in
-    let live_fail = liveness_failures guarantee m.outcome crash_pts in
+    let excused = guarantee = R.Blocking && crash_mid_op crash_pts in
+    let live_fail = if excused then [] else liveness m in
     let state_fail, unchecked =
-      if live_fail <> [] || (guarantee = R.Blocking && crash_mid_op crash_pts)
-      then ([], None)
+      if live_fail <> [] || excused then ([], None)
       else
         let completed = H.completed ~widen:tr.t_read_slack hist in
         let pending = H.pending ~widen:tr.t_read_slack hist in
@@ -810,13 +804,8 @@ module Kv_trial = struct
         ]
       ~check:Kv.check
 
-  let run (c : t) =
-    let m, r = Kv.run c in
+  let judge (c : t) ((m, r) : Harness.Runner.measurement * Kv.result) =
     let o = r.Kv.res_oracle in
-    let valid =
-      unless m.Harness.Runner.valid "validate" (fun () ->
-          "a shard store is invalid")
-    in
     let acked =
       unless o.Kv.warranted_ok "acked-write" (fun () ->
           Printf.sprintf "%d lost in warranty, %d duplicated (of %d acked)"
@@ -842,9 +831,13 @@ module Kv_trial = struct
           | _ -> [])
         (Fault.events ())
     in
+    run_failures m @ acked @ voided
+
+  let run (c : t) =
+    let ((m, r) as run) = Kv.run c in
     {
-      failures = service_liveness "service" m @ valid @ acked @ voided;
-      detail = Format.asprintf "%a" Kv.pp_oracle o;
+      failures = judge c run;
+      detail = Format.asprintf "%a" Kv.pp_oracle r.Kv.res_oracle;
       measurement = m;
     }
 
@@ -1021,15 +1014,12 @@ module Txn_trial = struct
         ]
       ~check:W.check
 
-  (* The transaction oracle: strict serializability of the committed
-     history ({!Txn.Workload.check_serializable} — replay in ticket order
-     plus snapshot positioning), structure validity, and liveness. *)
-  let run (c : t) =
-    let m, r = W.run c in
+  (* The transaction oracle: liveness and structure validity, then
+     strict serializability of the committed history
+     ({!Txn.Workload.check_serializable} — replay in ticket order plus
+     snapshot positioning). *)
+  let judge (_ : t) ((m, r) : Harness.Runner.measurement * W.result) =
     let o = r.Txn.Workload.res_oracle in
-    let valid =
-      unless m.Harness.Runner.valid "validate" (fun () -> "an object is invalid")
-    in
     let serial =
       unless o.Txn.Workload.ok "serializability" (fun () ->
           Printf.sprintf "%d violations (%d transfers, %d audits)%s"
@@ -1037,9 +1027,13 @@ module Txn_trial = struct
             o.Txn.Workload.transfers o.Txn.Workload.audits
             (match o.Txn.Workload.violations with v :: _ -> ": " ^ v | [] -> ""))
     in
+    run_failures m @ serial
+
+  let run (c : t) =
+    let ((m, r) as run) = W.run c in
     {
-      failures = service_liveness "workload" m @ valid @ serial;
-      detail = Format.asprintf "%a" Txn.Workload.pp_oracle o;
+      failures = judge c run;
+      detail = Format.asprintf "%a" W.pp_oracle r.W.res_oracle;
       measurement = m;
     }
 

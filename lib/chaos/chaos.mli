@@ -57,6 +57,20 @@ module type TRIAL = sig
       measurement's [host_s]; never raises for well-formed trials. *)
 end
 
+(** {1 One verdict per run} *)
+
+val liveness : Harness.Runner.measurement -> failure list
+(** The one liveness rule: an aborted run fails [liveness] with
+    ["VERDICT — reason"], the scheduler's verdict and reason. *)
+
+val run_failures : Harness.Runner.measurement -> failure list
+(** {!liveness}, then [validate] unless the measurement is [valid]: the
+    judge of a set run ([optik_bench run], [soak], [test/soak.exe]) and
+    where the KV and transaction judges start. *)
+
+val report_failures : Format.formatter -> failure list -> unit
+(** One [oracle NAME DETAIL] line per failure, as {!replay} prints it. *)
+
 (** {1 The driver} *)
 
 val fuzz :
@@ -96,9 +110,9 @@ val replay : (module TRIAL) -> string -> Format.formatter -> int
     scheduler perturbation knobs (quantum, read slack, noise amplitude)
     and a fault plan. Oracles:
 
-    - {e liveness by family}: lock-free representatives must end
-      [Progress]; blocking ones may end [Starved] only behind a dead lock
-      holder;
+    - {e liveness by family}: {!liveness}, except that a blocking
+      structure's aborted run is excused when a thread crashed inside an
+      operation (everyone behind a dead lock holder may starve);
     - {e crash-aware linearizability}: the recorded history, with crashed
       threads' in-flight operations as pending (include-or-exclude), must
       linearize against the sequential spec;
@@ -164,7 +178,15 @@ val run_trial : trial -> result
     duplicated while its pair is under warranty, and a pair that took a
     crash mid-resync ends Voided (anything else is a forged re-arm). *)
 
-module Kv_trial : TRIAL with type t = Kv.config
+module Kv_trial : sig
+  include TRIAL with type t = Kv.config
+
+  val judge : t -> Harness.Runner.measurement * Kv.result -> failure list
+  (** The oracles above over one [Kv.run] of the config: {!run_failures},
+      [acked-write], then [warranty] (must-drop), which reads the plan's
+      fired events, so judge right after the run. [run] and
+      [optik_bench kv] apply it. *)
+end
 (** A trial is the service's own configuration. Strings read
     [kv/FAMILY/NAME@topo sN tN oN kN RN CN wN DN BN fPLAN]: shards,
     client threads, requests, keys, read and scan percentages, workload
@@ -182,7 +204,15 @@ module Kv_trial : TRIAL with type t = Kv.config
     sequential model, every snapshot audit matches some model state
     inside its clock window, and account balances are conserved. *)
 
-module Txn_trial : TRIAL with type t = Txn.Workload.config
+module Txn_trial : sig
+  include TRIAL with type t = Txn.Workload.config
+
+  val judge :
+    t -> Harness.Runner.measurement * Txn.Workload.result -> failure list
+  (** {!run_failures}, then [serializability], over one
+      [Txn.Workload.run] of the config. [run] and [optik_bench txn]
+      apply it. *)
+end
 (** A trial is the workload's own configuration. Strings read
     [txn/FAMILY/NAME@topo bN aN tN oN XN wN [!]]: objects, accounts per
     object, threads, transactions, transfer percentage and workload

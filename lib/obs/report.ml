@@ -578,76 +578,23 @@ let diff ?(top = 10) (a : json) (b : json) : (string, string) result =
         out "no comparable runs (different counts and no shared ids)";
       let regressions = ref [] in
       let common_paths = ref 0 in
-      List.iter
-        (fun (ida, idb, ra, rb) ->
-          let fa = flatten ra and fb = flatten rb in
-          out "";
-          if String.equal ida idb then out "== %s ==" ida
-          else out "== a:%s vs b:%s ==" ida idb;
-          out "  %-42s %14s %14s %14s %9s" "metric" "a" "b" "delta" "rel";
-          let common =
-            List.filter_map
-              (fun (path, va) ->
-                match List.assoc_opt path fb with
-                | Some vb -> Some (path, va, vb)
-                | None -> None)
-              fa
-          in
-          common_paths := !common_paths + List.length common;
-          List.iter
-            (fun (path, va, vb) ->
-              let core = List.mem path core_paths in
-              if core || va <> vb then begin
-                let delta = vb -. va in
-                let rel =
-                  if va = 0. then (if vb = 0. then 0. else Float.infinity)
-                  else 100. *. delta /. Float.abs va
-                in
-                out "  %-42s %14s %14s %14s %9s" path (fnum va) (fnum vb)
-                  (signed delta)
-                  (if Float.is_finite rel then Printf.sprintf "%+.1f%%" rel
-                   else "new");
-                let w = worsening path va vb in
-                if w > 0.0005 then
-                  regressions :=
-                    {
-                      rg_run = (if String.equal ida idb then ida else ida ^ "|" ^ idb);
-                      rg_path = path;
-                      rg_a = va;
-                      rg_b = vb;
-                      rg_worse = w;
-                    }
-                    :: !regressions
-              end)
-            common)
-        pairs;
-      (* Free-form sections (oracle extras, attrib, timeline…) diff the
-         same way: flatten each side's non-envelope members and compare
-         the common numeric leaves, so a phase share or a window's
-         failover count is as diffable as any run metric. *)
-      let envelope =
-        [ "schema"; "version"; "tool"; "subcommand"; "seed"; "params"; "runs" ]
+      (* The numeric leaves both sides carry, in [a]'s order. *)
+      let common j k =
+        let fb = flatten k in
+        let c =
+          List.filter_map
+            (fun (path, va) ->
+              Option.map (fun vb -> (path, va, vb)) (List.assoc_opt path fb))
+            (flatten j)
+        in
+        common_paths := !common_paths + List.length c;
+        c
       in
-      let section_members j =
-        match j with
-        | Obj members ->
-            Obj (List.filter (fun (k, _) -> not (List.mem k envelope)) members)
-        | _ -> Obj []
-      in
-      let fa = flatten (section_members a) and fb = flatten (section_members b) in
-      let common =
-        List.filter_map
-          (fun (path, va) ->
-            match List.assoc_opt path fb with
-            | Some vb -> Some (path, va, vb)
-            | None -> None)
-          fa
-      in
-      common_paths := !common_paths + List.length common;
-      let changed = List.filter (fun (_, va, vb) -> va <> vb) common in
-      if changed <> [] then begin
+      (* One table: a header, then a row per leaf, each worsening
+         recorded against [run]. *)
+      let table title run rows =
         out "";
-        out "== sections ==";
+        out "== %s ==" title;
         out "  %-42s %14s %14s %14s %9s" "metric" "a" "b" "delta" "rel";
         List.iter
           (fun (path, va, vb) ->
@@ -663,16 +610,39 @@ let diff ?(top = 10) (a : json) (b : json) : (string, string) result =
             let w = worsening path va vb in
             if w > 0.0005 then
               regressions :=
-                {
-                  rg_run = "sections";
-                  rg_path = path;
-                  rg_a = va;
-                  rg_b = vb;
-                  rg_worse = w;
-                }
+                { rg_run = run; rg_path = path; rg_a = va; rg_b = vb; rg_worse = w }
                 :: !regressions)
-          changed
-      end;
+          rows
+      in
+      List.iter
+        (fun (ida, idb, ra, rb) ->
+          let rows =
+            List.filter
+              (fun (path, va, vb) -> List.mem path core_paths || va <> vb)
+              (common ra rb)
+          in
+          if String.equal ida idb then table ida ida rows
+          else table (Printf.sprintf "a:%s vs b:%s" ida idb) (ida ^ "|" ^ idb) rows)
+        pairs;
+      (* Free-form sections (oracle extras, attrib, timeline…) diff the
+         same way: flatten each side's non-envelope members and compare
+         the common numeric leaves, so a phase share or a window's
+         failover count is as diffable as any run metric. *)
+      let envelope =
+        [ "schema"; "version"; "tool"; "subcommand"; "seed"; "params"; "runs" ]
+      in
+      let section_members j =
+        match j with
+        | Obj members ->
+            Obj (List.filter (fun (k, _) -> not (List.mem k envelope)) members)
+        | _ -> Obj []
+      in
+      let changed =
+        List.filter
+          (fun (_, va, vb) -> va <> vb)
+          (common (section_members a) (section_members b))
+      in
+      if changed <> [] then table "sections" "sections" changed;
       (* Top-k regressions, ranked by relative worsening; deterministic
          tie-break on (run, path). *)
       let ranked =

@@ -192,7 +192,6 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
   type t = {
     policy : policy;
     clock : int Rt.atomic;  (** commit tickets; also the snapshot gate *)
-    max_retries : int;
     c_commits : Rt.Probe.counter;
     c_snapshots : Rt.Probe.counter;
     c_aborts : Rt.Probe.counter;
@@ -201,16 +200,13 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
     c_snap_retries : Rt.Probe.counter;
   }
 
-  exception Too_many_retries of int
-
   (* Counters are created here, not at module initialization, so a
      process that never runs a transaction registers no [txn.*] probes
      (run reports and probe audits only see what actually ran). *)
-  let create ?(policy = Optimistic) ?(max_retries = max_int) () =
+  let create ?(policy = Optimistic) () =
     {
       policy;
       clock = Rt.atomic 0;
-      max_retries;
       c_commits = Rt.Probe.counter "txn.commits";
       c_snapshots = Rt.Probe.counter "txn.snapshots";
       c_aborts = Rt.Probe.counter ~kind:Abort "txn.aborts";
@@ -394,7 +390,6 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
 
   let atomically t (f : ctx -> 'a) : 'a * int =
     let rec go attempt =
-      if attempt > t.max_retries then raise (Too_many_retries attempt);
       let ctx = new_ctx ~ro:false in
       let x = f ctx in
       match try_commit t ctx with

@@ -51,18 +51,12 @@ let () =
     incr runs;
     let c = Harness.Soak.sample Harness.Soak.wide rng in
     (try
-       let m = Harness.Soak.run c in
-       (match m.Harness.Runner.outcome with
-       | Harness.Runner.Complete -> ()
-       | Harness.Runner.Aborted r ->
+       match Chaos.run_failures (Harness.Soak.run c) with
+       | [] -> ()
+       | fs ->
            incr failures;
-           Printf.printf "STALLED (%s): %s\n%s%!"
-             (Format.asprintf "%a" Sim.Sched.pp_verdict r.Sim.Sched.r_verdict)
-             (Harness.Soak.describe c)
-             (Format.asprintf "%a" Sim.Sched.pp_report r));
-       if not m.Harness.Runner.valid then (
-         incr failures;
-         Printf.printf "INVALID STRUCTURE: %s\n%!" (Harness.Soak.describe c))
+           Printf.printf "FAIL %s\n" (Harness.Soak.describe c);
+           Chaos.report_failures Format.std_formatter fs
      with e ->
        incr failures;
        Printf.printf "EXCEPTION %s: %s\n%!" (Printexc.to_string e)

@@ -10,21 +10,20 @@ let native_bsts = List.map R.set_ops (R.Native.lineup "bst")
 
 let seq_cases =
   List.concat_map
-    (fun (module S : R.SET_OPS) ->
+    (fun e ->
+      let (module S : R.SET_OPS) = R.set_ops e in
       [
         Alcotest.test_case (S.name ^ " vs model") `Quick (fun () ->
             ignore
-              (Tutil.seq_against_model
-                 (module S)
+              (Tutil.seq_against_model e
                  ~capacity:0 ~key_range:256 ~nops:5_000 ~seed:37));
         Alcotest.test_case (S.name ^ " vs model (dense keys)") `Quick
           (fun () ->
             ignore
-              (Tutil.seq_against_model
-                 (module S)
+              (Tutil.seq_against_model e
                  ~capacity:0 ~key_range:12 ~nops:2_000 ~seed:41));
       ])
-    native_bsts
+    (R.Native.lineup "bst")
 
 let edge_cases =
   List.map
@@ -149,17 +148,17 @@ let test_validate_held_node_lock () =
 
 let qcheck_cases =
   List.map
-    (fun (module S : R.SET_OPS) ->
+    (fun e ->
+      let (module S : R.SET_OPS) = R.set_ops e in
       Tutil.qcheck_case ~count:30
         (S.name ^ " random ops vs model")
         QCheck2.Gen.(int_range 0 10_000)
         (fun seed ->
           ignore
-            (Tutil.seq_against_model
-               (module S)
+            (Tutil.seq_against_model e
                ~capacity:0 ~key_range:32 ~nops:400 ~seed);
           true))
-    native_bsts
+    (R.Native.lineup "bst")
 
 let () =
   Alcotest.run "bsts"

@@ -267,6 +267,34 @@ let test_liveness_oracle_fires () =
   | [ f ] -> Alcotest.(check string) "oracle" "liveness" f.Chaos.f_oracle
   | fs -> Alcotest.failf "expected exactly one failure, got %d" (List.length fs)
 
+(* The one liveness rule: the structure, kv and txn judges name the
+   aborted run above with one and the same line. The service judges
+   take it beside a passing run's result, so liveness is all they can
+   fail. *)
+let test_one_liveness_line () =
+  let r = Chaos.run_trial failing_trial in
+  let m = r.measurement in
+  let line fs = List.map (fun f -> (f.Chaos.f_oracle, f.Chaos.f_detail)) fs in
+  let live = line (Chaos.liveness m) in
+  (match live with
+  | [ ("liveness", d) ] ->
+      Alcotest.(check bool) "VERDICT — reason" true (Obs.Report.contains ~sub:" — " d)
+  | _ -> Alcotest.fail "expected one liveness failure");
+  Alcotest.(check (list (pair string string))) "structure judge" live
+    (line r.failures);
+  Alcotest.(check (list (pair string string))) "run_failures" live
+    (line (Chaos.run_failures m));
+  let module K = Chaos.Kv_trial in
+  let kc = K.of_string "kv/hashtable/optik@u2" in
+  let _, kr = Kv.run kc in
+  Alcotest.(check (list (pair string string))) "kv judge" live
+    (line (K.judge kc (m, kr)));
+  let module T = Chaos.Txn_trial in
+  let tc = T.of_string "txn/list/optik@u2" in
+  let _, tr = Txn.Workload.run tc in
+  Alcotest.(check (list (pair string string))) "txn judge" live
+    (line (T.judge tc (m, tr)))
+
 let test_run_trial_deterministic () =
   let r1 = Chaos.run_trial failing_trial in
   let r2 = Chaos.run_trial failing_trial in
@@ -517,6 +545,8 @@ let () =
         [
           Alcotest.test_case "liveness oracle fires" `Quick
             test_liveness_oracle_fires;
+          Alcotest.test_case "one liveness line for every judge" `Quick
+            test_one_liveness_line;
           Alcotest.test_case "shrinker reduces the plan" `Quick
             test_shrinker_reduces;
           Alcotest.test_case "passing trial shrinks to itself" `Quick

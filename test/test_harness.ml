@@ -259,6 +259,24 @@ let test_runner_deterministic () =
   in
   Alcotest.(check bool) "same measurement twice" true (run () = run ())
 
+(* The set-run judge of [optik_bench run], [soak] and [test/soak.exe]:
+   a complete, valid run has no failures, and the same run marked
+   invalid fails [validate] alone. *)
+let test_run_failures () =
+  let m =
+    Harness.Runner.run_set_sim ~topology:Tutil.uniform4 ~nthreads:4 ~ops:2_000
+      ~seed:9 Harness.Registry.Sim_backend.ll_optik
+      (Harness.Runner.uniform_workload ~init_size:32 ~update_pct:20 ())
+  in
+  let oracles m =
+    List.map (fun f -> f.Chaos.f_oracle) (Chaos.run_failures m)
+  in
+  Alcotest.(check bool) "complete and valid" true
+    ((not (Harness.Runner.aborted m)) && m.Harness.Runner.valid);
+  Alcotest.(check (list string)) "no failures" [] (oracles m);
+  Alcotest.(check (list string)) "invalid" [ "validate" ]
+    (oracles { m with Harness.Runner.valid = false })
+
 (* Arguments a run cannot honour are rejected up front: an ops target of
    0 without a fault plan would never end, and no threads or an empty
    key range cannot run at all. *)
@@ -548,6 +566,8 @@ let () =
           Alcotest.test_case "effective updates" `Quick
             test_runner_effective_updates;
           Alcotest.test_case "deterministic" `Quick test_runner_deterministic;
+          Alcotest.test_case "run_failures judges a set run" `Quick
+            test_run_failures;
           Alcotest.test_case "rejects bad arguments" `Quick
             test_runner_rejects_bad_args;
           Alcotest.test_case "queue and stack runners" `Quick

@@ -10,13 +10,13 @@ let native_hts = List.map R.set_ops (R.Native.lineup "hashtable")
    key range the maps suite below never overflows. *)
 let seq_cases =
   List.map
-    (fun (module S : R.SET_OPS) ->
+    (fun e ->
+      let (module S : R.SET_OPS) = R.set_ops e in
       Alcotest.test_case (S.name ^ " vs model") `Quick (fun () ->
           ignore
-            (Tutil.seq_against_model
-               (module S)
+            (Tutil.seq_against_model e
                ~capacity:64 ~key_range:128 ~nops:4_000 ~seed:29)))
-    native_hts
+    (R.Native.lineup "hashtable")
 
 let edge_cases =
   List.map

@@ -364,6 +364,35 @@ let test_broken_fencing_fails () =
   Alcotest.(check bool) "in-warranty losses detected" true
     (r.Kv.res_oracle.Kv.lost_unwarranted <> [])
 
+(* Must-drop through the judge: at 3000 requests, all reads, no ack is
+   at stake, so only the warranty oracle can see that the fenceless
+   copier re-armed a pair whose resync took a crash. Its correct-policy
+   twin ends Voided and passes. *)
+let test_judge_catches_forged_rearm () =
+  let cfg policy =
+    {
+      resynccrash_cfg with
+      Kv.ops = 3_000;
+      workload = { resynccrash_cfg.Kv.workload with Kv.read_pct = 100 };
+      policy = { policy with Kv.degraded_cycles = 8_000 };
+    }
+  in
+  let judge cfg =
+    let ((_, r) as run) = Kv.run cfg in
+    (r, Chaos.Kv_trial.judge cfg run)
+  in
+  let forged = cfg (Kv.broken_resync_policy `Fencing) in
+  let r, failures = judge forged in
+  Alcotest.(check bool) "forged pair reads armed" true
+    (r.Kv.res_warranty = [| Kv.Armed |]);
+  Alcotest.(check bool) "acked-write oracle blind to it" true
+    r.Kv.res_oracle.Kv.warranted_ok;
+  Alcotest.(check (list string)) "judged on the warranty" [ "warranty" ]
+    (List.map (fun f -> f.Chaos.f_oracle) failures);
+  let r, failures = judge (cfg Kv.default_policy) in
+  Alcotest.(check bool) "twin voided" true (r.Kv.res_warranty = [| Kv.Voided |]);
+  Alcotest.(check int) "twin passes" 0 (List.length failures)
+
 (* A crash landing after the copier's catch-up decision but while it
    narrates the catch-up (sizing the copy yields) is not a mid-copy
    crash: the pair must leave the resync probe's view at the decision,
@@ -665,6 +694,8 @@ let () =
             test_broken_dual_write_fails;
           Alcotest.test_case "broken fencing fails oracle" `Quick
             test_broken_fencing_fails;
+          Alcotest.test_case "judge catches a forged re-arm" `Quick
+            test_judge_catches_forged_rearm;
           Alcotest.test_case "crash after catch-up is not mid-copy" `Quick
             test_fence_window_replay;
         ] );

@@ -10,13 +10,13 @@ let native_lists = List.map R.set_ops (R.Native.lineup "list")
 
 let seq_cases =
   List.map
-    (fun (module S : R.SET_OPS) ->
+    (fun e ->
+      let (module S : R.SET_OPS) = R.set_ops e in
       Alcotest.test_case (S.name ^ " vs model") `Quick (fun () ->
           ignore
-            (Tutil.seq_against_model
-               (module S)
+            (Tutil.seq_against_model e
                ~capacity:0 ~key_range:64 ~nops:3_000 ~seed:17)))
-    native_lists
+    (R.Native.lineup "list")
 
 let sentinel_cases =
   List.map
@@ -162,17 +162,17 @@ let test_deleted_node_lock_stays_locked () =
 (* qcheck: random op sequences on every list match the model. *)
 let qcheck_cases =
   List.map
-    (fun (module S : R.SET_OPS) ->
+    (fun e ->
+      let (module S : R.SET_OPS) = R.set_ops e in
       Tutil.qcheck_case ~count:30
         (S.name ^ " random ops vs model")
         QCheck2.Gen.(int_range 0 10_000)
         (fun seed ->
           ignore
-            (Tutil.seq_against_model
-               (module S)
+            (Tutil.seq_against_model e
                ~capacity:0 ~key_range:24 ~nops:300 ~seed);
           true))
-    native_lists
+    (R.Native.lineup "list")
 
 let () =
   Alcotest.run "lists"

@@ -9,21 +9,20 @@ let native_maps = List.map R.set_ops (R.Native.lineup "map")
 
 let seq_cases =
   List.concat_map
-    (fun (module S : R.SET_OPS) ->
+    (fun e ->
+      let (module S : R.SET_OPS) = R.set_ops e in
       [
         Alcotest.test_case (S.name ^ " vs model") `Quick (fun () ->
             ignore
-              (Tutil.seq_against_model
-                 (module S)
+              (Tutil.seq_against_model e
                  ~capacity:32 ~key_range:48 ~nops:2_000 ~seed:11));
         Alcotest.test_case (S.name ^ " vs model (tight)") `Quick (fun () ->
             (* capacity pressure: range far exceeds capacity *)
             ignore
-              (Tutil.seq_against_model
-                 (module S)
+              (Tutil.seq_against_model e
                  ~capacity:4 ~key_range:16 ~nops:1_000 ~seed:23));
       ])
-    native_maps
+    (R.Native.lineup "map")
 
 let capacity_cases =
   List.map

@@ -10,14 +10,14 @@ let native_sls = List.map R.set_ops (R.Native.lineup "skiplist")
 
 let seq_cases =
   List.map
-    (fun (module S : R.SET_OPS) ->
+    (fun e ->
+      let (module S : R.SET_OPS) = R.set_ops e in
       Alcotest.test_case (S.name ^ " vs model") `Quick (fun () ->
           Dstruct.Sl_common.reset_states ();
           ignore
-            (Tutil.seq_against_model
-               (module S)
+            (Tutil.seq_against_model e
                ~capacity:0 ~key_range:128 ~nops:4_000 ~seed:19)))
-    native_sls
+    (R.Native.lineup "skiplist")
 
 let edge_cases =
   List.map

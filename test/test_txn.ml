@@ -212,7 +212,7 @@ let test_read_your_writes () =
 
 (* A conflicting commit advances the stripe version between the read
    phase and commit: the single-CAS validate-and-acquire must fail and
-   the transaction must abort (vfail-txn-lock), leaving state intact. *)
+   the attempt must abort (vfail-txn-lock), leaving state intact. *)
 let conflict_commit o k =
   let h = TX.obj_handle o k in
   ignore (h.Locks.Handle.acquire_any () : int);
@@ -220,52 +220,55 @@ let conflict_commit o k =
 
 let count = Sim.Sim_rt.Probe.count
 
+(* [attempts] times, one [try_commit] of [body] on a fresh context: each
+   must return [None], move [counter] by one, release the stripes of
+   keys 1 and 2 at the versions they had before it and leave [o]'s key
+   1 at its prefilled 100; then a plain write of key 1 commits. *)
+let check_aborts ~attempts ~counter what o body =
+  let mgr = TX.create () in
+  let stripes = List.map (TX.obj_handle o) [ 1; 2 ] in
+  for attempt = 1 to attempts do
+    let before = count (counter mgr) in
+    let ctx = TX.new_ctx ~ro:false in
+    body ctx;
+    let toks = List.map (fun (h : Locks.Handle.t) -> h.wait ()) stripes in
+    Alcotest.(check (option int))
+      (Printf.sprintf "attempt %d aborts" attempt)
+      None (TX.try_commit mgr ctx);
+    Alcotest.(check int) what 1 (count (counter mgr) - before);
+    Alcotest.(check bool)
+      "locks released, versions kept" true
+      (List.for_all2 (fun (h : Locks.Handle.t) tok -> h.check tok) stripes toks);
+    Alcotest.(check (option int))
+      "aborted writes never applied" (Some 100)
+      (value o 1)
+  done;
+  let (), _ = TX.atomically mgr (fun ctx -> TX.write ctx o 1 (Some 1)) in
+  Alcotest.(check (option int)) "next txn commits" (Some 1) (value o 1)
+
 let test_lock_conflict_aborts () =
   let a, _ = fresh_pair () in
-  let mgr = TX.create ~max_retries:2 () in
-  let lock0 = count mgr.TX.c_vfail_lock in
-  (try
-     ignore
-       (TX.atomically mgr (fun ctx ->
-            ignore (TX.read ctx a 1 : int option);
-            conflict_commit a 1;
-            TX.write ctx a 1 (Some 0))
-         : unit * int);
-     Alcotest.fail "expected Too_many_retries"
-   with TX.Too_many_retries n ->
-     Alcotest.(check int) "retried to the budget" 3 n);
-  Alcotest.(check int) "every attempt failed its lock acquire" 3
-    (count mgr.TX.c_vfail_lock - lock0);
-  Alcotest.(check (option int))
-    "aborted writes never applied" (Some 100)
-    (value a 1);
-  let (), _ = TX.atomically mgr (fun ctx -> TX.write ctx a 1 (Some 1)) in
-  Alcotest.(check (option int))
-    "locks released, next txn commits" (Some 1)
-    (value a 1)
+  check_aborts ~attempts:3
+    ~counter:(fun mgr -> mgr.TX.c_vfail_lock)
+    "the attempt failed its lock acquire" a
+    (fun ctx ->
+      ignore (TX.read ctx a 1 : int option);
+      conflict_commit a 1;
+      TX.write ctx a 1 (Some 0))
 
 (* Same race on a key the transaction reads but does not write (a
    different stripe): the acquire succeeds, the read-set revalidation
    must catch the stale read (vfail-txn-read). *)
 let test_read_validation_aborts () =
   let a, _ = fresh_pair () in
-  let mgr = TX.create ~max_retries:1 () in
-  let read0 = count mgr.TX.c_vfail_read in
-  (try
-     ignore
-       (TX.atomically mgr (fun ctx ->
-            ignore (TX.read ctx a 1 : int option);
-            ignore (TX.read ctx a 2 : int option);
-            conflict_commit a 2;
-            TX.write ctx a 1 (Some 0))
-         : unit * int);
-     Alcotest.fail "expected Too_many_retries"
-   with TX.Too_many_retries _ -> ());
-  Alcotest.(check int) "aborts classified as read-validation failures" 2
-    (count mgr.TX.c_vfail_read - read0);
-  Alcotest.(check (option int))
-    "aborted writes never applied" (Some 100)
-    (value a 1)
+  check_aborts ~attempts:2
+    ~counter:(fun mgr -> mgr.TX.c_vfail_read)
+    "the abort is a read-validation failure" a
+    (fun ctx ->
+      ignore (TX.read ctx a 1 : int option);
+      ignore (TX.read ctx a 2 : int option);
+      conflict_commit a 2;
+      TX.write ctx a 1 (Some 0))
 
 (* A quiesced snapshot passes the clock gate: no commit drew a ticket
    during its reads, so it checks no token beyond each read's re-check,

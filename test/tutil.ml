@@ -60,11 +60,11 @@ let measurement ?(ops = 1000) ?(counters = []) ~threads ~mops () =
 
 module IntMap = Map.Make (Int)
 
-(* Apply [nops] random operations to both the implementation and a model
+(* Apply [nops] random operations to both the set of [e] and a model
    map; fail on the first divergence. Returns final model for extra
    checks. *)
-let seq_against_model (module S : R.SET_OPS) ~capacity ~key_range ~nops ~seed
-    =
+let seq_against_model (e : R.entry) ~capacity ~key_range ~nops ~seed =
+  let (module S : R.SET_OPS) = R.set_ops e in
   let t = S.create ~capacity () in
   let model = ref IntMap.empty in
   let rng = Rng.create seed in
@@ -81,20 +81,16 @@ let seq_against_model (module S : R.SET_OPS) ~capacity ~key_range ~nops ~seed
     | 1 ->
         let got = S.insert t k i in
         let want = not (IntMap.mem k !model) in
-        (* A full array map may refuse a feasible insert; tolerate it by
-           checking one-way: insert true => model says feasible. *)
         if got && not want then
           Alcotest.failf "%s: op %d: insert %d succeeded but key present"
             S.name i k;
         if got then model := IntMap.add k i !model
-        else if want && not (S.name = "mcs" || S.name = "optik") then
-          (* non-map structures must accept feasible inserts *)
+        else if
+          want
+          && not (e.R.family = "map" && IntMap.cardinal !model >= capacity)
+        then
+          (* only a full array map may refuse a feasible insert *)
           Alcotest.failf "%s: op %d: insert %d refused" S.name i k
-        else if (not got) && want then
-          (* array map full: verify it really is out of capacity *)
-          if IntMap.cardinal !model < capacity then
-            Alcotest.failf "%s: op %d: insert %d refused with spare capacity"
-              S.name i k
     | _ -> (
         let got = S.delete t k in
         let want = IntMap.find_opt k !model in
