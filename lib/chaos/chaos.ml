@@ -373,9 +373,8 @@ let trial_max_events = 2_000_000
    A modest inline-op budget turns that into a prompt Starved verdict. *)
 let trial_max_inline_ops = 5_000_000
 
-(* Which threads did the plan actually crash, and where? Read from the
-   fault log after the run (it survives plan removal). *)
-let crash_events () =
+(* Which threads did the plan actually crash, and where? *)
+let crash_events (m : Harness.Runner.measurement) =
   List.filter_map
     (fun (e : Fault.event) ->
       match e.e_spec.f_action with
@@ -383,7 +382,7 @@ let crash_events () =
       | Fault.Stall _ | Fault.Storm _ | Fault.Shard_crash _
       | Fault.Shard_recover _ | Fault.Resync_crash _ ->
           None)
-    (Fault.events ())
+    m.fired
 
 (* Oracle (b): liveness by family. Lock-free structures must survive any
    crash — the whole point of the family is that a dead thread cannot
@@ -553,7 +552,7 @@ module Container (C : CONTAINER) = struct
           done)
     in
     let guarantee = tr.t_entry.R.guarantee in
-    let crash_pts = crash_events () in
+    let crash_pts = crash_events m in
     let crashed = List.sort_uniq compare (List.map fst crash_pts) in
     let excused = guarantee = R.Blocking && crash_mid_op crash_pts in
     let live_fail = if excused then [] else liveness m in
@@ -829,7 +828,7 @@ module Kv_trial = struct
                      (must drop to voided)"
                     (shard mod c.nshards) (Kv.warranty_name w))
           | _ -> [])
-        (Fault.events ())
+        m.fired
     in
     run_failures m @ acked @ voided
 

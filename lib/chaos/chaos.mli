@@ -183,9 +183,9 @@ module Kv_trial : sig
 
   val judge : t -> Harness.Runner.measurement * Kv.result -> failure list
   (** The oracles above over one [Kv.run] of the config: {!run_failures},
-      [acked-write], then [warranty] (must-drop), which reads the plan's
-      fired events, so judge right after the run. [run] and
-      [optik_bench kv] apply it. *)
+      [acked-write], then [warranty] (must-drop), which reads the
+      measurement's fired injections. [run] and [optik_bench kv] apply
+      it. *)
 end
 (** A trial is the service's own configuration. Strings read
     [kv/FAMILY/NAME@topo sN tN oN kN RN CN wN DN BN fPLAN]: shards,

@@ -113,21 +113,11 @@ end
 (** {1 Monomorphic driver views}
 
     Monomorphic (int-valued) views used by the generic test and benchmark
-    drivers, where first-class modules need concrete types.
-
-    [probe_prefix] declares the owner of the rep's wasted-work counters
-    (see DESIGN.md, "Wasted-work metrics"): [Some p] promises that the
-    structure registers at least one [Restart] or [Vfail] counter named
-    [p ^ ".<metric>"], which the run report's wasted-work section
-    aggregates per owner. [None] marks a purely blocking rep whose
-    only wasted work is lock waiting, visible in the scheduler's stall
-    statistics instead of probe counters. A registry-walking test
-    enforces the promise. *)
+    drivers, where first-class modules need concrete types. *)
 module type MONO = sig
   type t
 
   val name : string
-  val probe_prefix : string option
 end
 
 module type SET_OPS = sig
@@ -182,13 +172,11 @@ module Mono_set
     (S : SET_CORE)
     (C : sig
       val name : string
-      val probe_prefix : string option
       val create : ?capacity:int -> unit -> int S.t
     end) : SET_OPS with type t = int S.t = struct
   type t = int S.t
 
   let name = C.name
-  let probe_prefix = C.probe_prefix
   let create = C.create
   let search = S.search
   let insert = S.insert
@@ -213,13 +201,11 @@ module Mono_queue
     (Q : QUEUE_CORE)
     (C : sig
       val name : string
-      val probe_prefix : string option
       val create : unit -> int Q.t
     end) : POOL_OPS = struct
   type t = int Q.t
 
   let name = C.name
-  let probe_prefix = C.probe_prefix
   let lifo = false
   let create = C.create
   let put = Q.enqueue
@@ -231,13 +217,11 @@ module Mono_stack
     (S : STACK_CORE)
     (C : sig
       val name : string
-      val probe_prefix : string option
       val create : unit -> int S.t
     end) : POOL_OPS = struct
   type t = int S.t
 
   let name = C.name
-  let probe_prefix = C.probe_prefix
   let lifo = true
   let create = C.create
   let put = S.push

@@ -559,7 +559,6 @@ let map_ticket_ops : (module Harness.Registry.SET_OPS) =
   (module Dstruct.Dstruct_intf.Mono_set (Map_ticket)
             (struct
               let name = "optik[tkt]"
-              let probe_prefix = Some "map-optik"
               let create ?capacity () = Map_ticket.create ?capacity ()
             end))
 
@@ -569,7 +568,6 @@ let ll_ticket_ops : (module Harness.Registry.SET_OPS) =
   (module Dstruct.Dstruct_intf.Mono_set (Ll_ticket)
             (struct
               let name = "optik[tkt]"
-              let probe_prefix = Some "ll-optik"
               let create ?capacity:_ () = Ll_ticket.create ()
             end))
 
@@ -752,7 +750,6 @@ let map_eager_ops : (module Harness.Registry.SET_OPS) =
   (module Dstruct.Dstruct_intf.Mono_set (Map_eager)
             (struct
               let name = "optik-eager"
-              let probe_prefix = Some "map-optik"
 
               let create ?capacity () =
                 Map_eager.create ?capacity ~eager_search:true ()
@@ -892,7 +889,6 @@ type fault_row = {
   fr_kind : string;  (** the rep's guarantee: ["blocking"] or ["lock-free"] *)
   fr_fault : string;  (** ["crash"] or ["stall"] *)
   fr_meas : Runner.measurement;
-  fr_events : Sim.Fault.event list;
 }
 
 let fault_experiment mode =
@@ -919,8 +915,7 @@ let fault_experiment mode =
          (Printf.sprintf "fault/%s/%s/%s/%s" e.family kind fault
             fr_meas.Runner.name)
          fr_meas);
-    { fr_family = e.family; fr_kind = kind; fr_fault = fault; fr_meas;
-      fr_events = Sim.Fault.events () }
+    { fr_family = e.family; fr_kind = kind; fr_fault = fault; fr_meas }
   in
   (* Entry [e] under [faults]. A set runs [w]; a queue or a stack
      preloads [w.init_size] elements and adds in [w.update_pct] percent
@@ -961,13 +956,13 @@ let fault_experiment mode =
   in
   (* Operations completed by the survivors after the (first) crash. *)
   let ops_after_crash r =
-    match r.fr_events with
+    match r.fr_meas.Runner.fired with
     | e :: _ -> r.fr_meas.Runner.ops - e.Sim.Fault.e_ops
     | [] -> 0
   in
   let row_note r =
     let fired =
-      match r.fr_events with
+      match r.fr_meas.Runner.fired with
       | [] -> "fault never fired"
       | e :: _ ->
           Printf.sprintf "%s t%d at op %d"
@@ -999,7 +994,7 @@ let fault_experiment mode =
     List.for_all
       (fun r ->
         (not (Runner.aborted r.fr_meas))
-        && r.fr_events <> [] && ops_after_crash r > 0)
+        && r.fr_meas.Runner.fired <> [] && ops_after_crash r > 0)
       (crash_rows "lock-free")
   in
   let blocking_starve =
@@ -1016,7 +1011,8 @@ let fault_experiment mode =
   in
   let stalls_recover =
     List.for_all
-      (fun r -> (not (Runner.aborted r.fr_meas)) && r.fr_events <> [])
+      (fun r ->
+        (not (Runner.aborted r.fr_meas)) && r.fr_meas.Runner.fired <> [])
       stall_rows
   in
   let notes =
@@ -1114,6 +1110,8 @@ let mode_of ~full:dense ~seed = { (if dense then full else quick) with seed }
    rejected before anything runs. *)
 let run mode ?(around = fun _ f -> f ()) out ids =
   check_ids ids;
+  (* [run_id] leaves its measurements in the sink: drop them. *)
+  Domain.DLS.get sink_key := [];
   let claims =
     List.concat_map
       (fun id ->

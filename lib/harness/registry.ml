@@ -98,14 +98,12 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
   let map_optik : (module SET_OPS) =
     (module Mono_set (Map_optik) (struct
       let name = "optik"
-      let probe_prefix = Some "map-optik"
       let create ?capacity () = Map_optik.create ?capacity ()
     end))
 
   let ll_optik_in_place : (module IN_PLACE) =
     (module Dstruct.Dstruct_intf.Mono_in_place (Ll_optik) (Mono_set (Ll_optik) (struct
       let name = "optik"
-      let probe_prefix = Some "ll-optik"
       let create ?capacity:_ () = Ll_optik.create ()
     end)))
 
@@ -114,7 +112,6 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
   let ht_optik_in_place : (module IN_PLACE) =
     (module Dstruct.Dstruct_intf.Mono_in_place (Ht_optik) (Mono_set (Ht_optik) (struct
       let name = "optik"
-      let probe_prefix = Some "ll-optik"
       let create ?capacity () = Ht_optik.create ?capacity ()
     end)))
 
@@ -139,7 +136,6 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
       set "map" Blocking
         (module Mono_set (Map_lock) (struct
           let name = "mcs"
-          let probe_prefix = None
           let create ?capacity () = Map_lock.create ?capacity ()
         end));
       set "map" Blocking map_optik;
@@ -147,63 +143,53 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
       set "list" Lock_free
         (module Mono_set (Ll_harris) (struct
           let name = "harris"
-          let probe_prefix = Some "ll-harris"
           let create ?capacity:_ () = Ll_harris.create ()
         end));
       set "list" Blocking
         (module Mono_set (Ll_lazy) (struct
           let name = "lazy"
-          let probe_prefix = Some "ll-lazy"
           let create ?capacity:_ () = Ll_lazy.create ()
         end));
       set "list" Blocking
         (module Mono_set (Ll_gl_mcs) (struct
           let name = "mcs-gl-opt"
-          let probe_prefix = None
           let create ?capacity:_ () = Ll_gl_mcs.create ()
         end));
       set "list" Blocking
         (module Mono_set (Ll_optik_gl) (struct
           let name = "optik-gl"
-          let probe_prefix = Some "ll-optik-gl"
           let create ?capacity:_ () = Ll_optik_gl.create ()
         end));
       set ~in_place:ll_optik_in_place "list" Blocking ll_optik;
       set "list" Blocking
         (module Mono_set (Ll_optik) (struct
           let name = "optik-cache"
-          let probe_prefix = Some "ll-optik"
           let create ?capacity:_ () = Ll_optik.create ~cache:true ()
         end));
       set "list" Blocking
         (module Mono_set (Ll_lazy) (struct
           let name = "lazy-cache"
-          let probe_prefix = Some "ll-lazy"
           let create ?capacity:_ () = Ll_lazy.create ~cache:true ()
         end));
       (* ---------------- hash tables (Figure 10) ---------------- *)
       set "hashtable" Lock_free
         (module Mono_set (Ht_harris) (struct
           let name = "harris-ht"
-          let probe_prefix = Some "ll-harris"
           let create ?capacity () = Ht_harris.create ?capacity ()
         end));
       set "hashtable" Blocking
         (module Mono_set (Ht_lazy_gl) (struct
           let name = "lazy-gl"
-          let probe_prefix = None
           let create ?capacity () = Ht_lazy_gl.create ?capacity ()
         end));
       set "hashtable" Blocking
         (module Mono_set (Ht_java) (struct
           let name = "java"
-          let probe_prefix = None
           let create ?capacity () = Ht_java.create ?capacity ()
         end));
       set "hashtable" Blocking
         (module Mono_set (Ht_java_optik) (struct
           let name = "java-optik"
-          let probe_prefix = Some "ht-java-optik"
           let create ?capacity () = Ht_java_optik.create ?capacity ()
         end));
       set ~in_place:ht_optik_in_place "hashtable" Blocking
@@ -211,113 +197,95 @@ module ForRt (Rt : Rt.Rt_intf.RT) = struct
       set "hashtable" Blocking
         (module Mono_set (Ht_optik_gl) (struct
           let name = "optik-gl"
-          let probe_prefix = Some "ll-optik-gl"
           let create ?capacity () = Ht_optik_gl.create ?capacity ()
         end));
       set "hashtable" Blocking
         (module Mono_set (Ht_map_optik) (struct
           let name = "optik-map"
-          let probe_prefix = Some "map-optik"
           let create ?capacity () = Ht_map_optik.create ?capacity ()
         end));
       (* ---------------- skip lists (Figure 11) ---------------- *)
       set "skiplist" Lock_free
         (module Mono_set (Sl_fraser) (struct
           let name = "fraser"
-          let probe_prefix = Some "sl-fraser"
           let create ?capacity:_ () = Sl_fraser.create ()
         end));
       set "skiplist" Blocking
         (module Mono_set (Sl_herlihy) (struct
           let name = "herlihy"
-          let probe_prefix = Some "sl-herlihy"
           let create ?capacity:_ () = Sl_herlihy.create ()
         end));
       set "skiplist" Blocking
         (module Mono_set (Sl_herlihy) (struct
           let name = "herl-optik"
-          let probe_prefix = Some "sl-herlihy"
           let create ?capacity:_ () = Sl_herlihy.create ~optik:true ()
         end));
       set "skiplist" Blocking
         (module Mono_set (Sl_optik) (struct
           let name = "optik1"
-          let probe_prefix = Some "sl-optik"
           let create ?capacity:_ () = Sl_optik.create ~variant:`Validate ()
         end));
       set "skiplist" Blocking
         (module Mono_set (Sl_optik) (struct
           let name = "optik2"
-          let probe_prefix = Some "sl-optik"
           let create ?capacity:_ () = Sl_optik.create ~variant:`Restart ()
         end));
       (* ---------------- binary search trees (extension; §6 / BST-TK) *)
       set "bst" Blocking
         (module Mono_set (Bst_gl) (struct
           let name = "bst-gl"
-          let probe_prefix = None
           let create ?capacity:_ () = Bst_gl.create ()
         end));
       set "bst" Blocking
         (module Mono_set (Bst_optik) (struct
           let name = "bst-optik"
-          let probe_prefix = Some "bst-optik"
           let create ?capacity:_ () = Bst_optik.create ()
         end));
       (* ---------------- queues (Figure 12) ---------------- *)
       pool Lock_free
         (module Mono_queue (Queues.Ms_lf) (struct
           let name = "ms-lf"
-          let probe_prefix = Some "q-ms-lf"
           let create () = Queues.Ms_lf.create ()
         end));
       pool Blocking
         (module Mono_queue (Queues.Ms_lb) (struct
           let name = "ms-lb"
-          let probe_prefix = None
           let create () = Queues.Ms_lb.create ()
         end));
       pool Blocking
         (module Mono_queue (Queues.Optik0) (struct
           let name = "optik0"
-          let probe_prefix = Some "q-optik0"
           let create () = Queues.Optik0.create ()
         end));
       pool Blocking
         (module Mono_queue (Queues.Optik1) (struct
           let name = "optik1"
-          let probe_prefix = Some "q-optik1"
           let create () = Queues.Optik1.create ()
         end));
       pool Blocking
         (module Mono_queue (Queues.Optik2) (struct
           let name = "optik2"
-          let probe_prefix = Some "q-optik2"
           let create () = Queues.Optik2.create ()
         end));
       pool Blocking
         (module Mono_queue (Queues.Optik3) (struct
           let name = "optik3"
-          let probe_prefix = Some "q-optik3"
           let create () = Queues.Optik3.create ()
         end));
       (* ---------------- stacks (§5.5) ---------------- *)
       pool Lock_free
         (module Mono_stack (Stacks.Treiber) (struct
           let name = "treiber"
-          let probe_prefix = Some "stack-treiber"
           let create () = Stacks.Treiber.create ()
         end));
       pool Blocking
         (module Mono_stack (Stacks.Optik_stack) (struct
           let name = "optik"
-          let probe_prefix = Some "stack-optik"
           let create () = Stacks.Optik_stack.create ()
         end));
       pool Lock_free
         (module Mono_stack (Stacks.Elimination) (struct
           let name = "elimination"
-          let probe_prefix = Some "stack-elim"
           let create () = Stacks.Elimination.create ()
         end));
     ]

@@ -67,6 +67,7 @@ type measurement = {
   final_size : int;
   valid : bool;
   outcome : outcome;
+  fired : Sim.Fault.event list;  (** the plan's injections that fired *)
   obs : Obs.Profile.summary option;
       (** present when the run was made with [~record_obs:true]:
           the journal summary, for trace export and hot-line reports *)
@@ -172,21 +173,13 @@ let pool_instance (module P : Registry.POOL_OPS) ~seed ~init ~add_pct =
 
 (* Run a simulation to a structured ([stats], [outcome]) pair: watchdog
    verdicts and budget exhaustion become [Aborted] with partial stats,
-   never an escaped exception. [faults] installs a fault plan for the
-   duration of the run. *)
-let run_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
-    ?max_inline_ops ~topology ~nthreads ~ops_target body :
-    Sim.Sched.stats * outcome =
-  let go () =
+   never an escaped exception. *)
+let run_guarded ?watchdog ?max_events ?quantum ?read_slack ?max_inline_ops
+    ~topology ~nthreads ~ops_target body : Sim.Sched.stats * outcome =
+  match
     Sim.Sched.run ?watchdog ?max_events ?quantum ?read_slack ?max_inline_ops
       ~topology ~nthreads ~ops_target body
-  in
-  let go =
-    match faults with
-    | None -> go
-    | Some plan -> fun () -> Sim.Fault.with_plan plan go
-  in
-  match go () with
+  with
   | st -> (st, Complete)
   | exception Sim.Sched.Aborted r -> (r.Sim.Sched.r_stats, Aborted r)
 
@@ -195,9 +188,10 @@ let run_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
    [body lat tid] runs as thread [tid] with that thread's collectors, one
    per class. The host timer brackets the journal and the guarded run and
    nothing else: allocating the collectors, summarizing the journal and
-   merging the collectors all happen outside it. [run_guarded] never
-   raises, but a body may; the journal is stopped on escape so it is not
-   left armed for the next run. *)
+   merging the collectors all happen outside it. [faults] is installed
+   for the guarded run only, and what fired comes back in [fired].
+   [run_guarded] never raises, but a body may; the journal is stopped on
+   escape so it is not left armed for the next run. *)
 let simulate ~name ~(topology : Sim.Topology.t) ~nthreads ~ops ~seed ?faults
     ?watchdog ?max_events ?quantum ?read_slack ?max_inline_ops
     ?(record_obs = false) ~classes body =
@@ -207,12 +201,17 @@ let simulate ~name ~(topology : Sim.Topology.t) ~nthreads ~ops ~seed ?faults
   in
   let host0 = Unix.gettimeofday () in
   if record_obs then Obs.Journal.start ();
-  let stats, outcome =
-    match
-      run_guarded ?faults ?watchdog ?max_events ?quantum ?read_slack
-        ?max_inline_ops ~topology ~nthreads ~ops_target:ops (fun tid ->
-          body lat.(tid) tid)
-    with
+  let run () =
+    let guarded () =
+      run_guarded ?watchdog ?max_events ?quantum ?read_slack ?max_inline_ops
+        ~topology ~nthreads ~ops_target:ops (fun tid -> body lat.(tid) tid)
+    in
+    match faults with
+    | None -> (guarded (), [])
+    | Some plan -> Sim.Fault.with_plan plan guarded
+  in
+  let (stats, outcome), fired =
+    match run () with
     | r -> r
     | exception e ->
         if record_obs then ignore (Obs.Journal.stop ());
@@ -246,6 +245,7 @@ let simulate ~name ~(topology : Sim.Topology.t) ~nthreads ~ops ~seed ?faults
     final_size = 0;
     valid = true;
     outcome;
+    fired;
     obs = Option.map Obs.Profile.summarize record;
   }
 

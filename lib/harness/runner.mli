@@ -70,6 +70,9 @@ type measurement = {
   final_size : int;
   valid : bool;
   outcome : outcome;
+  fired : Sim.Fault.event list;
+      (** the fault plan's injections that fired, in order ([[]] without
+          a plan) *)
   obs : Obs.Profile.summary option;
       (** present when the run was made with [~record_obs:true]: the
           observability journal summary, for trace export and hot-line
@@ -79,7 +82,6 @@ type measurement = {
 val aborted : measurement -> bool
 
 val run_guarded :
-  ?faults:Sim.Fault.plan ->
   ?watchdog:Sim.Sched.watchdog ->
   ?max_events:int ->
   ?quantum:int ->
@@ -90,9 +92,9 @@ val run_guarded :
   ops_target:int ->
   (int -> unit) ->
   Sim.Sched.stats * outcome
-(** A bare guarded simulation run: execute [body tid] under an optional
-    fault plan, turning watchdog verdicts and budget exhaustion into
-    [Aborted] with partial stats — never an escaped exception. The
+(** A bare guarded simulation run: execute [body tid], turning watchdog
+    verdicts and budget exhaustion into [Aborted] with partial stats —
+    never an escaped exception. The
     building block under {!simulate}; outside this module only
     [bench/perf]'s set loop calls it. [quantum], [read_slack] and
     [max_inline_ops] go to {!Sim.Sched.run}. *)
@@ -119,13 +121,15 @@ val simulate :
     chaos trial) runs through. It resets the probe counters, gives each
     thread one latency collector per name in [classes], and runs
     [body lat tid] under {!run_guarded} with an ops target of [ops] and
-    the scheduler settings given. [host_s] brackets the guarded run and
-    the [record_obs] journal only.
+    the scheduler settings given, and under the fault plan [faults] if
+    one is given. [host_s] brackets the guarded run and the [record_obs]
+    journal only.
 
     The measurement carries the scheduler's stats (throughput, virtual
     wall time, coherence counts, [ops]), the probe counters as the run
-    left them, the per-class latency summaries merged across threads and
-    the journal summary in [obs] when [record_obs]. Callers override
+    left them, the per-class latency summaries merged across threads,
+    the plan's fired injections in [fired] and the journal summary in
+    [obs] when [record_obs]. Callers override
     what only they can measure: [eff_update_pct] (100 here),
     [final_size] (0) and [valid] ([true]). [seed] is recorded, not used:
     [body] draws its own randomness. *)

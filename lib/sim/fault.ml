@@ -97,8 +97,8 @@ let resync_crash ?tid ?(hits = 0) ?(down_for = 0) shard point =
 
 let plan ~seed specs = { seed; specs }
 
-(** One fired injection, for post-run assertions and reports: which
-    thread, at what virtual time, after how many global ops. *)
+(** One fired injection, as {!with_plan} returns it: which thread, at
+    what virtual time, after how many global ops. *)
 type event = { e_tid : int; e_clock : int; e_ops : int; e_spec : spec }
 
 (* ------------------------------------------------------------------ *)
@@ -113,10 +113,10 @@ type fstate = {
   mutable active : armed array;
   mutable storm_window : (int * int list) option;
   mutable fired_log : event list;
-  (* Logical shard-store state, keyed by store index. Like [fired_log],
-     these tables survive [clear] (until the next [install]) so a harness
-     can still observe unacknowledged crashes — and wipe the affected
-     stores — after the run returns. *)
+  (* Logical shard-store state, keyed by store index. These tables
+     survive [clear] (until the next [install]) so a harness can still
+     observe unacknowledged crashes — and wipe the affected stores —
+     after the run returns. *)
   shard_epochs : (int, int) Hashtbl.t;
   shard_deadlines : (int, int) Hashtbl.t;
   (* Is store [s]'s pair currently mid-resync? Installed by the KV
@@ -246,13 +246,12 @@ let clear () =
   f.storm_window <- None;
   f.resync_probe <- (fun _ -> false)
 
-(* [events] stays readable after [clear] (until the next [install]) so a
-   harness can assert on what fired after the run returns. *)
+(* [f ()] under plan [p], with the injections that fired, in order. *)
 let with_plan p f =
   install p;
-  Fun.protect ~finally:clear f
-
-let events () = List.rev (fstate ()).fired_log
+  Fun.protect ~finally:clear (fun () ->
+      let r = f () in
+      (r, List.rev (fstate ()).fired_log))
 
 (* Back to process-pristine state, shard tables and fired log included —
    the engine's part of a fleet trial reset. *)

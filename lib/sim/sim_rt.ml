@@ -170,8 +170,8 @@ module Probe = struct
     | None -> invalid_arg (Printf.sprintf "Probe.kind: no counter %S" name)
 
   (** Every registered counter as [(name, kind)], sorted by name: the
-      [optik_bench probes] subcommand prints it and the registry-coverage
-      test walks it. *)
+      [optik_bench probes] subcommand prints it and the report tests
+      walk it. *)
   let all () =
     Mutex.protect reg_mutex (fun () ->
         Hashtbl.fold (fun name c acc -> (name, c.c_kind) :: acc) counters [])

@@ -20,19 +20,19 @@ let test_crash_kills_only_victim () =
   let c = Sched.loc 0 in
   let per = Array.make 4 0 in
   let plan = Fault.plan ~seed:1 [ Fault.crash ~tid:0 ~hits:5 Fp.Op_boundary ] in
-  ignore
-    (Fault.with_plan plan (fun () ->
-         Sched.run ~topology:uniform4 ~nthreads:4 (fun tid ->
-             for _ = 1 to 100 do
-               ignore (Sched.faa c 1 : int);
-               per.(tid) <- per.(tid) + 1;
-               Sched.tick ()
-             done))
-      : Sched.stats);
+  let (_ : Sched.stats), fired =
+    Fault.with_plan plan (fun () ->
+        Sched.run ~topology:uniform4 ~nthreads:4 (fun tid ->
+            for _ = 1 to 100 do
+              ignore (Sched.faa c 1 : int);
+              per.(tid) <- per.(tid) + 1;
+              Sched.tick ()
+            done))
+  in
   Alcotest.(check int) "victim stopped at its 5th op" 5 per.(0);
   Alcotest.(check int) "survivors unaffected" 100 per.(1);
   Alcotest.(check int) "counter = 5 + 3*100" 305 (Sched.read c);
-  match Fault.events () with
+  match fired with
   | [ e ] -> Alcotest.(check int) "crash hit tid 0" 0 e.Fault.e_tid
   | l -> Alcotest.failf "expected exactly one fired event, got %d" (List.length l)
 
@@ -52,7 +52,7 @@ let test_injected_run_deterministic () =
       m.Harness.Runner.cas,
       m.Harness.Runner.cas_failed,
       m.Harness.Runner.final_size,
-      Fault.events () )
+      m.Harness.Runner.fired )
   in
   let a = go () and b = go () in
   Alcotest.(check bool) "identical stats and fault log" true (a = b)
@@ -82,7 +82,7 @@ let test_dead_holder_named () =
               Sched.work 50
             done))
   with
-  | (_ : Sched.stats) -> Alcotest.fail "expected Aborted"
+  | (_ : Sched.stats * Fault.event list) -> Alcotest.fail "expected Aborted"
   | exception Sched.Aborted r ->
       (match r.Sched.r_verdict with
       | Sched.Starved _ -> ()
@@ -106,7 +106,7 @@ let test_stall_recovers () =
   let plan =
     Fault.plan ~seed:1 [ Fault.stall ~tid:0 ~hits:2 100_000 Fp.Op_boundary ]
   in
-  let st =
+  let st, fired =
     Fault.with_plan plan (fun () ->
         Sched.run ~topology:uniform4 ~nthreads:2 (fun _ ->
             for _ = 1 to 50 do
@@ -117,7 +117,7 @@ let test_stall_recovers () =
   Alcotest.(check int) "no ops lost" 100 (Sched.read c);
   Alcotest.(check bool) "wall clock includes the stall" true
     (st.Sched.wall_cycles >= 100_000);
-  Alcotest.(check int) "exactly one injection" 1 (List.length (Fault.events ()))
+  Alcotest.(check int) "exactly one injection" 1 (List.length fired)
 
 (* ------------------------------------------------------------------ *)
 (* Storm: a preemption window stalls its victims at every checkpoint
@@ -130,7 +130,7 @@ let test_storm_completes_deterministically () =
       Fault.plan ~seed:9
         [ Fault.storm ~tid:1 ~hits:4 ~victims:[ 0; 2 ] 50_000 Fp.Op_boundary ]
     in
-    let st =
+    let st, _ =
       Fault.with_plan plan (fun () ->
           Sched.run ~topology:uniform4 ~nthreads:4 (fun _ ->
               for _ = 1 to 200 do

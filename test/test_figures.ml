@@ -93,15 +93,15 @@ let test_find () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+let tiny =
+  {
+    Figures.Experiments.threads_of = (fun _ -> [ 2 ]);
+    ops_scale = 0.02;
+    seed = 42;
+  }
+
 (* a real but tiny experiment end-to-end: one workload point per series *)
 let test_tiny_experiment_runs () =
-  let tiny =
-    {
-      Figures.Experiments.threads_of = (fun _ -> [ 2 ]);
-      ops_scale = 0.02;
-      seed = 42;
-    }
-  in
   let figs, claims = Figures.Experiments.run_id tiny "stack" in
   Alcotest.(check bool) "figures produced" true (figs <> []);
   Alcotest.(check bool) "claims produced" true (claims <> []);
@@ -119,6 +119,15 @@ let test_tiny_experiment_runs () =
         f.Figures.Render.series)
     figs
 
+(* A report lists only the runs of its own [run]: the measurements an
+   earlier [run_id] left behind are not carried into it. *)
+let test_run_starts_empty () =
+  ignore (Figures.Experiments.run_id tiny "stack");
+  let runs = Figures.Experiments.run tiny ignore [ "bst" ] in
+  Alcotest.(check (list string)) "the bst runs only"
+    [ "r000:xeon/bst-gl@t2"; "r001:xeon/bst-optik@t2" ]
+    (List.map fst runs)
+
 let () =
   Alcotest.run "figures"
     [
@@ -134,5 +143,7 @@ let () =
           Alcotest.test_case "find" `Quick test_find;
           Alcotest.test_case "tiny experiment end-to-end" `Quick
             test_tiny_experiment_runs;
+          Alcotest.test_case "run reports only its own runs" `Quick
+            test_run_starts_empty;
         ] );
     ]

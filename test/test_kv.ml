@@ -187,8 +187,7 @@ let test_timeouts_when_pair_down () =
 
 let resync_policy = { Kv.default_policy with Kv.degraded_cycles = 8_000 }
 
-(* Call right after the run: [Fault.events] holds the last run's. *)
-let check_copies_beat_crashes (r : Kv.result) =
+let check_copies_beat_crashes (m : Harness.Runner.measurement) (r : Kv.result) =
   let caught_up =
     List.filter_map
       (fun e ->
@@ -204,7 +203,7 @@ let check_copies_beat_crashes (r : Kv.result) =
            match e.Fault.e_spec.Fault.f_action with
            | Fault.Shard_crash _ -> Some e.Fault.e_clock
            | _ -> None)
-         (Fault.events ()))
+         m.Harness.Runner.fired)
   in
   List.iteri
     (fun i crash ->
@@ -242,7 +241,7 @@ let test_resync_deterministic () =
 
 let test_resync_rearms () =
   let m, r = Kv.run resync_rolling_cfg in
-  check_copies_beat_crashes r;
+  check_copies_beat_crashes m r;
   Alcotest.(check bool) "run completed" false (Harness.Runner.aborted m);
   Alcotest.(check int) "three crashes, three wipes" 3
     (counters_of m "kv.wipes");
@@ -336,8 +335,8 @@ let test_broken_dual_write_fails () =
         };
     }
   in
-  let _, r = Kv.run cfg in
-  check_copies_beat_crashes r;
+  let m, r = Kv.run cfg in
+  check_copies_beat_crashes m r;
   Alcotest.(check bool) "oracle failed" false r.Kv.res_oracle.Kv.warranted_ok;
   Alcotest.(check bool) "in-warranty losses detected" true
     (r.Kv.res_oracle.Kv.lost_unwarranted <> [])
@@ -364,34 +363,49 @@ let test_broken_fencing_fails () =
   Alcotest.(check bool) "in-warranty losses detected" true
     (r.Kv.res_oracle.Kv.lost_unwarranted <> [])
 
+let rearm_cfg policy =
+  {
+    resynccrash_cfg with
+    Kv.ops = 3_000;
+    workload = { resynccrash_cfg.Kv.workload with Kv.read_pct = 100 };
+    policy = { policy with Kv.degraded_cycles = 8_000 };
+  }
+
+let forged_rearm_cfg = rearm_cfg (Kv.broken_resync_policy `Fencing)
+let oracles = List.map (fun f -> f.Chaos.f_oracle)
+
 (* Must-drop through the judge: at 3000 requests, all reads, no ack is
    at stake, so only the warranty oracle can see that the fenceless
    copier re-armed a pair whose resync took a crash. Its correct-policy
    twin ends Voided and passes. *)
 let test_judge_catches_forged_rearm () =
-  let cfg policy =
-    {
-      resynccrash_cfg with
-      Kv.ops = 3_000;
-      workload = { resynccrash_cfg.Kv.workload with Kv.read_pct = 100 };
-      policy = { policy with Kv.degraded_cycles = 8_000 };
-    }
-  in
   let judge cfg =
     let ((_, r) as run) = Kv.run cfg in
     (r, Chaos.Kv_trial.judge cfg run)
   in
-  let forged = cfg (Kv.broken_resync_policy `Fencing) in
-  let r, failures = judge forged in
+  let r, failures = judge forged_rearm_cfg in
   Alcotest.(check bool) "forged pair reads armed" true
     (r.Kv.res_warranty = [| Kv.Armed |]);
   Alcotest.(check bool) "acked-write oracle blind to it" true
     r.Kv.res_oracle.Kv.warranted_ok;
   Alcotest.(check (list string)) "judged on the warranty" [ "warranty" ]
-    (List.map (fun f -> f.Chaos.f_oracle) failures);
-  let r, failures = judge (cfg Kv.default_policy) in
+    (oracles failures);
+  let r, failures = judge (rearm_cfg Kv.default_policy) in
   Alcotest.(check bool) "twin voided" true (r.Kv.res_warranty = [| Kv.Voided |]);
   Alcotest.(check int) "twin passes" 0 (List.length failures)
+
+(* The judge is a function of its arguments: a fault-free run in between
+   does not change the verdict on the forged re-arm, and the fault-free
+   twin of that config passes. *)
+let test_judge_is_pure () =
+  let forged = Kv.run forged_rearm_cfg in
+  let twin_cfg = { forged_rearm_cfg with Kv.plan = None } in
+  let twin = Kv.run twin_cfg in
+  Alcotest.(check (list string)) "forged run still judged on the warranty"
+    [ "warranty" ]
+    (oracles (Chaos.Kv_trial.judge forged_rearm_cfg forged));
+  Alcotest.(check (list string)) "fault-free twin passes" []
+    (oracles (Chaos.Kv_trial.judge twin_cfg twin))
 
 (* A crash landing after the copier's catch-up decision but while it
    narrates the catch-up (sizing the copy yields) is not a mid-copy
@@ -696,6 +710,8 @@ let () =
             test_broken_fencing_fails;
           Alcotest.test_case "judge catches a forged re-arm" `Quick
             test_judge_catches_forged_rearm;
+          Alcotest.test_case "judge ignores later runs" `Quick
+            test_judge_is_pure;
           Alcotest.test_case "crash after catch-up is not mid-copy" `Quick
             test_fence_window_replay;
         ] );

@@ -1,8 +1,7 @@
 (* Tests for the run-report subsystem (lib/obs/report.ml and
    lib/harness/report.ml): JSON round-tripping, schema validation,
    wasted-work sums by counter kind, the probe registry's checks, diff
-   determinism, and the probe-coverage audit across the structure
-   registry. *)
+   determinism, and wasted-work coverage of the OPTIK reps. *)
 
 module J = Obs.Report
 
@@ -383,43 +382,37 @@ let test_hotline_lines () =
   Alcotest.(check bool) "some site spans several lines" true
     (List.exists (fun (h : Obs.Profile.hotline) -> h.hl_lines > 1) hls)
 
-(* ---------------- probe-coverage audit ---------------- *)
+(* ---------------- wasted-work coverage ---------------- *)
 
-(* A rep with [probe_prefix = Some p] promises a [Restart] or [Vfail]
-   counter under [p], whatever its metric is called. *)
-let check_prefix what = function
-  | None -> ()
-  | Some p ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s (prefix %s) registers a Restart or Vfail counter" what p)
-        true
-        (List.exists
-           (fun (name, (kind : Rt.Rt_intf.counter_kind)) ->
-             String.starts_with ~prefix:(p ^ ".") name
-             && (kind = Restart || kind = Vfail))
-           (Sim.Sim_rt.Probe.all ()))
+(* A structure's counters name their owner, so the wasted-work section
+   finds them by kind alone. Each set family's OPTIK rep, run contended
+   (8 threads over 16 keys, half updates), must count some wasted work:
+   a rep that stopped counting would drop out of the paper's
+   wasted-work comparison (§5) without any other test noticing. The
+   MCS-locked map, which never retries, is the control: it counts none. *)
+let contended_waste id =
+  let m =
+    Harness.Runner.run_set_sim ~topology:Sim.Topology.xeon ~nthreads:8
+      ~ops:2_000 ~seed:7
+      (Harness.Registry.set_ops (Harness.Registry.Sim_backend.find id))
+      (Harness.Runner.uniform_workload ~capacity:16 ~init_size:16
+         ~update_pct:50 ())
+  in
+  List.fold_left
+    (fun acc (name, n) ->
+      match Sim.Sim_rt.Probe.kind name with
+      | Rt.Rt_intf.Restart | Vfail | Abort | Snapshot_retry -> acc + n
+      | _ -> acc)
+    0 m.Harness.Runner.counters
 
-let test_registry_coverage () =
+let test_optik_reps_count_waste () =
   List.iter
-    (fun (e : Harness.Registry.entry) ->
-      match e.structure with
-      | Set (module S) -> check_prefix S.name S.probe_prefix
-      | Pool (module P) -> check_prefix P.name P.probe_prefix)
-    Harness.Registry.Sim_backend.entries
-
-(* At least one OPTIK rep per family must be instrumented: the paper's
-   wasted-work comparison needs a restart counter on both sides. *)
-let test_optik_reps_instrumented () =
-  let module SB = Harness.Registry.Sim_backend in
-  List.iter
-    (fun family ->
-      Alcotest.(check bool) (family ^ " has an instrumented rep") true
-        (List.exists
-           (fun e ->
-             let (module S) = Harness.Registry.set_ops e in
-             S.probe_prefix <> None)
-           (SB.lineup family)))
-    [ "map"; "list"; "hashtable"; "skiplist"; "bst" ]
+    (fun id ->
+      Alcotest.(check bool) (id ^ " counts wasted work") true
+        (contended_waste id > 0))
+    [ "map/optik"; "list/optik"; "hashtable/optik"; "skiplist/optik2";
+      "bst/bst-optik" ];
+  Alcotest.(check int) "map/mcs counts none" 0 (contended_waste "map/mcs")
 
 (* Transaction-layer counters must live under the [txn.] namespace: an
    unprefixed one would be misattributed to a structure in the
@@ -566,10 +559,8 @@ let () =
         ] );
       ( "coverage",
         [
-          Alcotest.test_case "registry probe coverage" `Quick
-            test_registry_coverage;
-          Alcotest.test_case "optik reps instrumented" `Quick
-            test_optik_reps_instrumented;
+          Alcotest.test_case "optik reps count wasted work" `Quick
+            test_optik_reps_count_waste;
           Alcotest.test_case "naming convention" `Quick
             test_counter_naming_convention;
           Alcotest.test_case "txn counters" `Quick test_txn_counters_audited;

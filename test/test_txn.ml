@@ -15,6 +15,18 @@ module W = Txn.Workload
 module R = Harness.Registry
 module TX = Txn.Make (Sim.Sim_rt)
 
+(* A scripted wait on a simulated thread: pause until [ready ()], and
+   fail the case naming [what] once a million virtual cycles have
+   passed, so a flag that is never set fails its case instead of hanging
+   the suite. *)
+let await what ready =
+  let give_up = Sim.Sched.now () + 1_000_000 in
+  while not (ready ()) do
+    if Sim.Sched.now () >= give_up then
+      Alcotest.failf "scripted wait for %s: not set after 1M cycles" what;
+    Sim.Sched.pause ()
+  done
+
 (* ------------------------------------------------------------------ *)
 (* fold: every registry set enumerates exactly its live bindings. *)
 
@@ -453,9 +465,7 @@ let snapshot_race ?(after = [ 2 ]) ~n ~writes () =
          else
            List.iter
              (fun a ->
-               while !reads < a do
-                 Sim.Sched.pause ()
-               done;
+               await (Printf.sprintf "read %d" a) (fun () -> !reads >= a);
                let (), t =
                  TX.atomically mgr (fun ctx ->
                      let v = Option.get (TX.read ctx writer_obj writes) in
@@ -554,14 +564,6 @@ let test_second_retry_backs_off_once () =
    current. *)
 let window_open = ref false
 
-(* Pause until [flag] is set, giving up after a million cycles, so a
-   window that stops opening fails its case instead of hanging it. *)
-let await flag =
-  let give_up = Sim.Sched.now () + 1_000_000 in
-  while (not !flag) && Sim.Sched.now () < give_up do
-    Sim.Sched.pause ()
-  done
-
 module Slow_update (S : R.IN_PLACE) : R.IN_PLACE with type t = S.t = struct
   include S
 
@@ -596,7 +598,7 @@ let test_read_recheck () =
                 let tok = h.wait () in
                 if not !reading then begin
                   reading := true;
-                  await window_open
+                  await "window_open" (fun () -> !window_open)
                 end;
                 tok);
           })
@@ -617,9 +619,7 @@ let test_read_recheck () =
                       seen := TX.read ctx snap_obj k :: !seen
                     done))
          else begin
-           while not !reading do
-             Sim.Sched.pause ()
-           done;
+           await "reading" (fun () -> !reading);
            ignore
              (TX.atomically mgr (fun ctx ->
                   let v = Option.get (TX.read ctx writer_obj 2) in
@@ -834,13 +834,9 @@ let commit_race topology policy =
       if tid = 0 then
         scripted_transfer mgr objs.(0) stale 1 2 5 ~between:(fun () ->
             read := true;
-            while not landed.W.x_committed do
-              Sim.Sched.pause ()
-            done)
+            await "landed" (fun () -> landed.W.x_committed))
       else begin
-        while not !read do
-          Sim.Sched.pause ()
-        done;
+        await "read" (fun () -> !read);
         scripted_transfer mgr objs.(0) landed 1 3 7
       end)
 
@@ -890,14 +886,10 @@ let neighbour_race topology =
   let o =
     race_oracle topology [ drop; xfer; back ] [| plain |] (fun tid ->
         if tid = 0 then begin
-          while not drop.W.x_committed do
-            Sim.Sched.pause ()
-          done;
+          await "drop" (fun () -> drop.W.x_committed);
           scripted_transfer mgr logged xfer 1 3 5 ~between:(fun () ->
               read := true;
-              while not back.W.x_committed do
-                Sim.Sched.pause ()
-              done)
+              await "back" (fun () -> back.W.x_committed))
         end
         else begin
           commit drop (fun ctx ->
@@ -907,9 +899,7 @@ let neighbour_race topology =
               W.T.write ctx plain 3 (Some (v2 + v3));
               drop.W.x_reads <- [| 0; 2; v2; 0; 3; v3 |];
               drop.W.x_writes <- [| 0; 2; W.absent; 0; 3; v2 + v3 |]);
-          while not !read do
-            Sim.Sched.pause ()
-          done;
+          await "read" (fun () -> !read);
           commit back (fun ctx ->
               let v2 = W.T.read ctx plain 2 in
               W.T.write ctx plain 2 (Some 0);
@@ -946,7 +936,7 @@ module Folding (S : R.SET_OPS) : R.SET_OPS with type t = S.t = struct
         let acc = f k v acc in
         if k = 1 then begin
           folding := true;
-          await window_open
+          await "window_open" (fun () -> !window_open)
         end;
         acc)
       acc
@@ -991,9 +981,7 @@ let fold_race topology policy =
         audit.W.x_committed <- true
       end
       else begin
-        while not !folding do
-          Sim.Sched.pause ()
-        done;
+        await "folding" (fun () -> !folding);
         scripted_transfer mgr writer xfer 1 2 5
       end)
 

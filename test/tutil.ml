@@ -52,6 +52,7 @@ let measurement ?(ops = 1000) ?(counters = []) ~threads ~mops () =
     final_size = 0;
     valid = true;
     outcome = Runner.Complete;
+    fired = [];
     obs = None;
   }
 
