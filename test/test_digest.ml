@@ -20,8 +20,10 @@
      broken commit protocol's verdict;
    - [soak]: the soak sweep, one row per run;
    - [obs]: a Chrome trace_event export and its JSONL twin, a run
-     report and its diff with another, and the wasted-work, attribution
-     and timeline sections of a traced kv run and a traced txn run.
+     report and its diff with another, the wasted-work, attribution
+     and timeline sections of a traced kv run and a traced txn run, and
+     the Chrome trace, JSONL journal and Chrome timeline of a traced kv
+     run with shard and client crashes and of a traced txn run.
 
    A row holds the counts its output prints (a run's ops, virtual wall
    time, accesses, events, CAS and failed CAS; a trial's verdict, and
@@ -501,6 +503,78 @@ let section_pieces () =
   let m, r = W.run ~record_obs:true W.default_config in
   kv @ service_sections "sections/txn" m r.W.res_trace
 
+(* The journals of a traced kv run and a traced txn run that between
+   them hold every phase and every service and scheduler event. The kv
+   run rolls a crash over each shard pair, so copies resync and take
+   dual writes, and crashes client thread 3 inside a request. *)
+let traced_kv =
+  lazy
+    (let cfg =
+       {
+         Kv.default_config with
+         seed = 7;
+         nshards = 2;
+         threads = 6;
+         ops = 3_000;
+         plan =
+           Some
+             (Sim.Fault.of_string
+                "7;shardcrash(0:60000)@op-boundary,h1000;shardcrash(1:60000)@op-boundary,h2000;crash@before-cas,t3,h40");
+       }
+     in
+     match (snd (Kv.run ~record_obs:true cfg)).Kv.res_trace with
+     | Some r -> r
+     | None -> Alcotest.fail "traced kv: expected a recorded journal")
+
+let traced_txn =
+  lazy
+    (match (snd (W.run ~record_obs:true W.default_config)).W.res_trace with
+    | Some r -> r
+    | None -> Alcotest.fail "traced txn: expected a recorded journal")
+
+(* Each traced run's Chrome trace, JSONL journal and Chrome timeline. *)
+let traced_pieces () =
+  let exports name record =
+    let chrome = Obs.Trace.to_chrome record in
+    let events s =
+      i (List.length (List.filter (String.starts_with ~prefix:"{\"name\"") (lines s)))
+    in
+    let timeline = Obs.Attrib.timeline_chrome (Obs.Attrib.timeline record) in
+    [
+      piece (name ^ "/chrome") [ ("events", events chrome) ] chrome;
+      piece (name ^ "/jsonl")
+        [ ("entries", i (Array.length record.Obs.Journal.entries)) ]
+        (Obs.Trace.to_jsonl record);
+      piece (name ^ "/timeline") [ ("events", events timeline) ] timeline;
+    ]
+  in
+  exports "traces/kv" (Lazy.force traced_kv)
+  @ exports "traces/txn" (Lazy.force traced_txn)
+
+(* The traced runs speak the whole trace vocabulary: every phase, as a
+   span or as kv's precomputed queueing delay, every service and
+   scheduler event, and a request cut short by its thread's crash. *)
+let test_trace_vocabulary () =
+  let jsonl =
+    Obs.Trace.to_jsonl (Lazy.force traced_kv)
+    ^ Obs.Trace.to_jsonl (Lazy.force traced_txn)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) name true
+        (Obs.Report.contains ~sub:(Printf.sprintf "\"name\":\"%s\"" name) jsonl))
+    [
+      "phase=queue"; "phase:backoff"; "phase:route"; "phase:store";
+      "phase:acquire"; "phase:validate"; "phase:commit"; "phase:resync";
+      "phase:dual-write"; "rq.retry"; "rq.storm"; "kv.node-crash";
+      "thread.crash"; "thread.finish";
+    ];
+  let a = Obs.Attrib.analyze (Lazy.force traced_kv) in
+  let crashed =
+    List.filter (fun (q : Obs.Attrib.areq) -> q.a_outcome = "crashed") a.reqs
+  in
+  Alcotest.(check bool) "a request crashed" true (crashed <> [])
+
 (* Every pinned output, in ledger order: the test that checks it, the
    ledger rows it owns (a section and a row-name prefix each), and its
    rows recomputed. Each output's rows are checked by their own test, so
@@ -526,6 +600,7 @@ let outputs =
     ("run report", [ ("obs", "report/") ], rows "obs" report_pieces);
     ("report diff", [ ("obs", "diff") ], rows "obs" diff_pieces);
     ("service sections", [ ("obs", "sections/") ], rows "obs" section_pieces);
+    ("service traces", [ ("obs", "traces/") ], rows "obs" traced_pieces);
   ]
 
 let owns prefixes r =
@@ -778,6 +853,8 @@ let () =
           Alcotest.test_case "self-stable" `Quick test_self_stable;
           pinned "kv and txn streams";
           pinned "service sections";
+          pinned "service traces";
+          Alcotest.test_case "trace vocabulary" `Quick test_trace_vocabulary;
         ] );
       ( "ledger",
         [
