@@ -214,29 +214,18 @@ let print_attrib (a : Obs.Attrib.t) =
   Printf.printf "  traced          %d requests (%d dropped mid-run)\n"
     (List.length a.A.reqs) a.A.dropped;
   let grand = List.fold_left (fun s (r : A.areq) -> s + r.A.a_total) 0 a.A.reqs in
+  let phases, outcomes = A.tally a a.A.reqs in
   List.iter
-    (fun p ->
-      let total =
-        List.fold_left
-          (fun s (r : A.areq) ->
-            s + Option.value ~default:0 (List.assoc_opt p r.A.a_phases))
-          0 a.A.reqs
-      in
+    (fun (p, total) ->
       if total > 0 then
         Printf.printf "    phase %-10s %10d cycles  %5.1f%%\n" p total
           (100. *. float_of_int total /. float_of_int (max 1 grand)))
-    (List.sort_uniq String.compare ("other" :: a.A.phases));
+    phases;
   let by_outcome =
     List.filter_map
-      (fun o ->
-        let n =
-          List.length
-            (List.filter
-               (fun (r : A.areq) -> String.equal r.A.a_outcome o)
-               a.A.reqs)
-        in
-        if n = 0 then None else Some (Printf.sprintf "%s=%d" o n))
-      Obs.Tracectx.outcomes
+      (fun (o, n) ->
+        if n = 0 then None else Some (Printf.sprintf "%s=%d" (A.outcome_name o) n))
+      outcomes
   in
   if by_outcome <> [] then
     Printf.printf "    outcomes        %s\n" (String.concat "  " by_outcome)

@@ -140,51 +140,41 @@ let share ~part ~whole =
     just the requests at or beyond the all-request p99. Deterministic for
     a seed, so two reports' sections diff leaf-by-leaf. *)
 let attrib_section (a : Obs.Attrib.t) : string * J.json =
-  let reqs = a.Obs.Attrib.reqs in
-  let phase_cycles (r : Obs.Attrib.areq) p =
-    Option.value ~default:0 (List.assoc_opt p r.Obs.Attrib.a_phases)
-  in
-  let grand =
-    List.fold_left (fun s (r : Obs.Attrib.areq) -> s + r.Obs.Attrib.a_total) 0 reqs
-  in
-  let phase_json p =
+  let module A = Obs.Attrib in
+  let reqs = a.A.reqs in
+  let cycles = List.fold_left (fun s (r : A.areq) -> s + r.a_total) 0 in
+  let grand = cycles reqs in
+  let phases, outcomes = A.tally a reqs in
+  let summary f rs =
     let ps = Pstats.create () in
-    let total = ref 0 in
-    List.iter
-      (fun r ->
-        let c = phase_cycles r p in
-        if c > 0 then begin
-          Pstats.record ps c;
-          total := !total + c
-        end)
-      reqs;
+    List.iter (fun r -> Option.iter (Pstats.record ps) (f r)) rs;
+    pstats_json (Pstats.summarize [ ps ])
+  in
+  let phase_json (p, total) =
+    let c (r : A.areq) =
+      match List.assoc_opt p r.a_phases with Some c when c > 0 -> Some c | _ -> None
+    in
     ( p,
       J.Obj
-        (("total", J.Int !total)
-        :: ("share_pct", J.Float (share ~part:!total ~whole:grand))
-        :: pstats_json (Pstats.summarize [ ps ])) )
+        (("total", J.Int total)
+        :: ("share_pct", J.Float (share ~part:total ~whole:grand))
+        :: summary c reqs) )
   in
-  let outcome_json o =
-    let ps = Pstats.create () in
-    List.iter
-      (fun (r : Obs.Attrib.areq) ->
-        if String.equal r.Obs.Attrib.a_outcome o then
-          Pstats.record ps r.Obs.Attrib.a_total)
-      reqs;
-    if Pstats.count ps = 0 then None
-    else Some (o, J.Obj (pstats_json (Pstats.summarize [ ps ])))
+  let outcome_json (o, n) =
+    let total (r : A.areq) = if r.a_outcome = o then Some r.a_total else None in
+    if n = 0 then None else Some (A.outcome_name o, J.Obj (summary total reqs))
   in
-  let all = Pstats.create () in
-  List.iter (fun (r : Obs.Attrib.areq) -> Pstats.record all r.Obs.Attrib.a_total) reqs;
-  let all_s = Pstats.summarize [ all ] in
+  let all_s =
+    let all = Pstats.create () in
+    List.iter (fun (r : A.areq) -> Pstats.record all r.a_total) reqs;
+    Pstats.summarize [ all ]
+  in
   (* The tail section answers "where do the slowest requests spend their
      time": phase shares over just the requests at/beyond the p99. *)
-  let tail = List.filter (fun (r : Obs.Attrib.areq) -> r.Obs.Attrib.a_total >= all_s.Pstats.p99) reqs in
-  let tail_cycles =
-    List.fold_left (fun s (r : Obs.Attrib.areq) -> s + r.Obs.Attrib.a_total) 0 tail
-  in
-  let tail_phase p =
-    let c = List.fold_left (fun s r -> s + phase_cycles r p) 0 tail in
+  let tail = List.filter (fun (r : A.areq) -> r.a_total >= all_s.Pstats.p99) reqs in
+  let tail_cycles = cycles tail in
+  let tail_phases, tail_outcomes = A.tally a tail in
+  let tail_phase (p, c) =
     if c = 0 then None
     else
       Some
@@ -195,42 +185,24 @@ let attrib_section (a : Obs.Attrib.t) : string * J.json =
               ("share_pct", J.Float (share ~part:c ~whole:tail_cycles));
             ] )
   in
-  let tail_outcomes =
-    List.filter_map
-      (fun o ->
-        let n =
-          List.length
-            (List.filter
-               (fun (r : Obs.Attrib.areq) -> String.equal r.Obs.Attrib.a_outcome o)
-               tail)
-        in
-        if n = 0 then None else Some (o, J.Int n))
-      Obs.Tracectx.outcomes
-  in
+  let tail_outcome (o, n) = if n = 0 then None else Some (A.outcome_name o, J.Int n) in
   ( "attrib",
     J.Obj
       [
         ("requests", J.Int (List.length reqs));
-        ("dropped", J.Int a.Obs.Attrib.dropped);
+        ("dropped", J.Int a.A.dropped);
         ("total", J.Obj (pstats_json all_s));
-        ("phases", J.Obj (List.map phase_json ("other" :: a.Obs.Attrib.phases |> List.sort_uniq String.compare)));
-        ( "outcomes",
-          J.Obj (List.filter_map outcome_json Obs.Tracectx.outcomes) );
+        ("phases", J.Obj (List.map phase_json phases));
+        ("outcomes", J.Obj (List.filter_map outcome_json outcomes));
         ( "tail",
           J.Obj
-            ([
-               ("threshold_p99", J.Int all_s.Pstats.p99);
-               ("requests", J.Int (List.length tail));
-               ("cycles", J.Int tail_cycles);
-               ("outcomes", J.Obj tail_outcomes);
-             ]
-            @ [
-                ( "phases",
-                  J.Obj
-                    (List.filter_map tail_phase
-                       ("other" :: a.Obs.Attrib.phases
-                       |> List.sort_uniq String.compare)) );
-              ]) );
+            [
+              ("threshold_p99", J.Int all_s.Pstats.p99);
+              ("requests", J.Int (List.length tail));
+              ("cycles", J.Int tail_cycles);
+              ("outcomes", J.Obj (List.filter_map tail_outcome tail_outcomes));
+              ("phases", J.Obj (List.filter_map tail_phase tail_phases));
+            ] );
       ] )
 
 (** The virtual-time timeline section: one object per window ("w00" …)

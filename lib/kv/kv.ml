@@ -355,15 +355,6 @@ let class_scan = 2
 let class_timeout = 3
 let class_shed = 4
 
-(* Phase-span names, precomputed so the recording-off cost of a span is
-   one flag load — no concatenation, no allocation (PR 4 discipline). *)
-let ph_route = Obs.Tracectx.(span_name Route)
-let ph_store = Obs.Tracectx.(span_name Store)
-let ph_backoff = Obs.Tracectx.(span_name Backoff)
-let ph_resync = Obs.Tracectx.(span_name Resync)
-let ph_dual = Obs.Tracectx.(span_name Dual_write)
-let ph_queue = Obs.Tracectx.(inline_prefix ^ phase_name Queue)
-
 (* ------------------------------------------------------------------ *)
 (* The service                                                         *)
 
@@ -540,7 +531,7 @@ let do_resync t si ~src ~dst =
   let p = t.cfg.policy in
   let sh = t.shards.(si) in
   let ctr = t.shard_ctr.(si) in
-  Probe.span_begin ph_resync;
+  Sim.Sched.obs_emit (Phase_begin Resync);
   sh.s_resync <- true;
   dst.n_state <- Resyncing;
   let t0 = Sim.Sched.now () in
@@ -621,7 +612,7 @@ let do_resync t si ~src ~dst =
     push_event t
       (Printf.sprintf "s%d resync %s aborted (epoch fence)" si dst.n_label)
   end;
-  Probe.span_end ph_resync
+  Sim.Sched.obs_emit (Phase_end Resync)
 
 (* Start a resync if the pair has none in flight and the peer is usable
    as a source: live, with no unobserved crash (its epoch must be
@@ -656,8 +647,7 @@ let observe_crash ?(post_run = false) t si node =
       node.n_state <- Crashed;
       node.n_recovered_at <- Sim.Sched.now ();
       if Obs.Journal.recording () then
-        Sim.Sched.obs_emit
-          (Obs.Journal.Instant (Obs.Tracectx.ev_node_crash, Some node.n_id))
+        Sim.Sched.obs_emit (Instant (Node_crash, Some node.n_id))
     end;
     say ~post_run t
       (Printf.sprintf "%s crashed (epoch %d): %s" node.n_label e
@@ -736,9 +726,9 @@ let quiesce t =
 let backoff t rng n =
   let b = min backoff_cap (backoff_base lsl min n 20) + Rng.below rng backoff_base in
   Probe.add t.k_backoff b;
-  Probe.span_begin ph_backoff;
+  Sim.Sched.obs_emit (Phase_begin Backoff);
   Sim.Sched.work b;
-  Probe.span_end ph_backoff
+  Sim.Sched.obs_emit (Phase_end Backoff)
 
 (* One write attempt against a shard pair. The ack rule:
 
@@ -760,12 +750,12 @@ let attempt_put t req =
   req.q_attempts <- req.q_attempts + 1;
   let elem = element t.cfg ~uid:req.q_uid ~attempt:req.q_attempts in
   if not (List.mem elem req.q_elems) then req.q_elems <- elem :: req.q_elems;
-  Probe.span_begin ph_route;
+  Sim.Sched.obs_emit (Phase_begin Route);
   let p_h, p_epoch = refresh t si sh.primary in
   let r_h, r_epoch =
     if p.replicate then refresh t si sh.replica else (Down, 0)
   in
-  Probe.span_end ph_route;
+  Sim.Sched.obs_emit (Phase_end Route);
   if p_h = Down && r_h <> Down then begin
     Probe.incr t.k_failovers;
     Probe.incr t.shard_ctr.(si).c_failovers
@@ -784,17 +774,17 @@ let attempt_put t req =
     &&
     (* a write landing on a mid-resync copy is the dual-write phase *)
     let dual = node.n_state = Resyncing in
-    if dual then Probe.span_begin ph_dual;
+    if dual then Sim.Sched.obs_emit (Phase_begin Dual_write);
     let applied =
       store_insert node.n_store elem || store_mem node.n_store elem
     in
-    if dual then Probe.span_end ph_dual;
+    if dual then Sim.Sched.obs_emit (Phase_end Dual_write);
     applied
   in
-  Probe.span_begin ph_store;
+  Sim.Sched.obs_emit (Phase_begin Store);
   let applied_p = apply sh.primary p_h in
   let applied_r = p.replicate && apply sh.replica r_h in
-  Probe.span_end ph_store;
+  Sim.Sched.obs_emit (Phase_end Store);
   if applied_p && sh.primary.n_state = Resyncing then
     Probe.incr t.shard_ctr.(si).c_resync_dual;
   if applied_r && sh.replica.n_state = Resyncing then
@@ -837,7 +827,7 @@ let timed_out t rng si ~arrival n =
     Probe.incr t.k_retries;
     Probe.incr t.shard_ctr.(si).c_restarts;
     if Obs.Journal.recording () then
-      Sim.Sched.obs_emit (Obs.Journal.Instant (Obs.Tracectx.ev_retry, Some n));
+      Sim.Sched.obs_emit (Instant (Retry, Some n));
     backoff t rng n;
     false
   end
@@ -867,7 +857,7 @@ let do_get t rng ~arrival key =
     Probe.incr t.shard_ctr.(si).c_failovers
   in
   let rec go n =
-    Probe.span_begin ph_route;
+    Sim.Sched.obs_emit (Phase_begin Route);
     let p_h, _ = refresh t si sh.primary in
     let node =
       if p_h = Up then Some sh.primary
@@ -885,12 +875,12 @@ let do_get t rng ~arrival key =
         else None
       end
     in
-    Probe.span_end ph_route;
+    Sim.Sched.obs_emit (Phase_end Route);
     match node with
     | Some node ->
-        Probe.span_begin ph_store;
+        Sim.Sched.obs_emit (Phase_begin Store);
         ignore (store_mem node.n_store probe);
-        Probe.span_end ph_store;
+        Sim.Sched.obs_emit (Phase_end Store);
         class_get
     | None ->
         if timed_out t rng si ~arrival n then class_timeout else go (n + 1)
@@ -907,9 +897,9 @@ let do_scan t ~arrival key =
   let w = t.cfg.workload in
   let si0 = shard_of t key in
   let behind = Sim.Sched.now () - arrival > deadline / 2 in
-  Probe.span_begin ph_route;
+  Sim.Sched.obs_emit (Phase_begin Route);
   let first_h, _ = refresh t si0 t.shards.(si0).primary in
-  Probe.span_end ph_route;
+  Sim.Sched.obs_emit (Phase_end Route);
   if behind || first_h = Recovering then begin
     Probe.incr t.k_sheds;
     Probe.incr t.shard_ctr.(si0).c_sheds;
@@ -919,7 +909,7 @@ let do_scan t ~arrival key =
     let hi = min w.keys (key + scan_width - 1) in
     let all_served = ref true in
     let k = ref key in
-    Probe.span_begin ph_store;
+    Sim.Sched.obs_emit (Phase_begin Store);
     while !all_served && !k <= hi do
       let si = shard_of t !k in
       let sh = t.shards.(si) in
@@ -944,7 +934,7 @@ let do_scan t ~arrival key =
       | None -> all_served := false);
       incr k
     done;
-    Probe.span_end ph_store;
+    Sim.Sched.obs_emit (Phase_end Store);
     if !all_served then class_scan
     else begin
       Probe.incr t.k_timeouts;
@@ -991,13 +981,13 @@ let client t lat tid =
           else if r < w.read_pct + w.scan_pct then "scan"
           else "put"
         in
-        let id = Obs.Tracectx.next_id () in
+        let id = Obs.Journal.next_req_id () in
         Sim.Sched.obs_emit (Obs.Journal.Req_begin (kind, id));
         let q = Sim.Sched.now () - arrival in
         if q > 0 then
-          Sim.Sched.obs_emit (Obs.Journal.Instant (ph_queue, Some q));
+          Sim.Sched.obs_emit (Phase_elapsed (Queue, q));
         if in_storm then
-          Sim.Sched.obs_emit (Obs.Journal.Instant (Obs.Tracectx.ev_storm, None));
+          Sim.Sched.obs_emit (Instant (Storm, None));
         id
       end
       else 0

@@ -6,7 +6,7 @@
     [timeline_section]) diffable and fleet-safe.
 
     {b Attribution} reconstructs each traced request (the
-    [Req_begin]/[Req_end] pairs, see {!Tracectx}) and charges its
+    [Req_begin]/[Req_end] pairs, see {!Journal}) and charges its
     latency to typed phases. Nested phase spans are charged {e self}
     time: a resync running inside routing bills "resync", not "route",
     and a request's phase cycles plus its ["other"] remainder sum
@@ -23,12 +23,33 @@
 (* ------------------------------------------------------------------ *)
 (* Per-request attribution                                             *)
 
+(** The outcome taxonomy the "why is p99 slow" section splits on. A
+    request's outcome is derived, not emitted: the class name on
+    [Req_end] decides deadline misses and sheds, and the kinds of the
+    counters the request bumped while open decide the rest — a
+    [Failover] counter makes it failed-over, a [Retry], [Abort] or
+    [Snapshot_retry] counter (or a [Retry] instant) makes it retried. A
+    structure's own [Restart]s (a lock-free traversal re-walking) do not
+    count: they are the structure's business, not a service-level retry.
+    A request whose thread crashed is [Crashed]. *)
+type outcome = Served | Retried | Failed_over | Deadline | Shed | Crashed
+
+let outcomes = [ Served; Retried; Failed_over; Deadline; Shed; Crashed ]
+
+let outcome_name = function
+  | Served -> "ok"
+  | Retried -> "retried"
+  | Failed_over -> "failed-over"
+  | Deadline -> "deadline"
+  | Shed -> "shed"
+  | Crashed -> "crashed"
+
 type areq = {
   a_id : int;  (** deterministic trace id *)
   a_tid : int;
   a_kind : string;  (** from [Req_begin]: "get", "put", ... *)
   a_class : string;  (** from [Req_end]: the latency class it landed in *)
-  a_outcome : string;  (** derived, see {!Tracectx.outcome} *)
+  a_outcome : outcome;
   a_t0 : int;  (** virtual time of [Req_begin] *)
   a_t1 : int;  (** virtual time of [Req_end] (or the thread's death) *)
   a_total : int;  (** served time + precomputed queueing delay *)
@@ -43,20 +64,11 @@ type t = {
           mid-request); their partial data is discarded *)
 }
 
-(* Walker state: per-thread, one open request and its stack of open
-   phase spans. [op_child] accumulates the cycles of completed nested
-   phases so the parent can be charged self time only. *)
-type open_phase = {
-  op_name : string;
-  op_start : int;
-  mutable op_child : int;
-}
-
+(* One open request per thread; its phases are charged by the walk. *)
 type open_req = {
   orq_id : int;
   orq_kind : string;
   orq_t0 : int;
-  mutable orq_stack : open_phase list;
   orq_tot : (string, int) Hashtbl.t;
   mutable orq_retried : bool;
   mutable orq_failed_over : bool;
@@ -67,44 +79,32 @@ let charge tbl name cycles =
     Hashtbl.replace tbl name
       (cycles + Option.value ~default:0 (Hashtbl.find_opt tbl name))
 
-let sorted_phases tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let queue = Journal.phase_name Queue
 
-(* Close every open phase at [ts] (thread death), innermost first: each
-   gets its self time up to the death point, and hands its full duration
-   up as the parent's child time — exactly what [Span_end] would have
-   done. *)
-let close_stack rq ts =
-  let rec go = function
-    | [] -> ()
-    | op :: rest ->
-        let dur = ts - op.op_start in
-        charge rq.orq_tot op.op_name (dur - op.op_child);
-        (match rest with
-        | parent :: _ -> parent.op_child <- parent.op_child + dur
-        | [] -> ());
-        go rest
-  in
-  go rq.orq_stack;
-  rq.orq_stack <- []
+(* The frames both analyzers walk: phases only. *)
+let phase_step : Journal.kind -> Journal.phase Journal.step = function
+  | Phase_begin p -> Open p
+  | Phase_end p -> Close (fun q -> q = p)
+  | _ -> Neither
 
-let finish rq ~tid ~cls ~t1 ~outcome_override =
-  close_stack rq t1;
-  let queue = Option.value ~default:0 (Hashtbl.find_opt rq.orq_tot "queue") in
+let finish rq ~tid ~cls ~t1 ~outcome =
+  let queued = Option.value ~default:0 (Hashtbl.find_opt rq.orq_tot queue) in
   let served = t1 - rq.orq_t0 in
   let attributed =
     Hashtbl.fold
-      (fun name v a -> if String.equal name "queue" then a else a + v)
+      (fun name v a -> if String.equal name queue then a else a + v)
       rq.orq_tot 0
   in
   charge rq.orq_tot "other" (served - attributed);
   let outcome =
-    match outcome_override with
+    match outcome with
     | Some o -> o
     | None ->
-        Tracectx.outcome ~cls ~retried:rq.orq_retried
-          ~failed_over:rq.orq_failed_over
+        if String.equal cls "timeout" then Deadline
+        else if String.equal cls "shed" then Shed
+        else if rq.orq_failed_over then Failed_over
+        else if rq.orq_retried then Retried
+        else Served
   in
   {
     a_id = rq.orq_id;
@@ -114,89 +114,78 @@ let finish rq ~tid ~cls ~t1 ~outcome_override =
     a_outcome = outcome;
     a_t0 = rq.orq_t0;
     a_t1 = t1;
-    a_total = served + queue;
-    a_phases = sorted_phases rq.orq_tot;
+    a_total = served + queued;
+    a_phases =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) rq.orq_tot []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
   }
 
 let analyze (r : Journal.record) : t =
   let open_reqs : (int, open_req) Hashtbl.t = Hashtbl.create 16 in
   let reqs_rev = ref [] in
-  let emit a = reqs_rev := a :: !reqs_rev in
-  Array.iter
-    (fun (e : Journal.entry) ->
+  let finish_open tid ~cls ~t1 ~outcome =
+    match Hashtbl.find_opt open_reqs tid with
+    | Some rq ->
+        Hashtbl.remove open_reqs tid;
+        let cls = Option.value ~default:rq.orq_kind cls in
+        reqs_rev := finish rq ~tid ~cls ~t1 ~outcome :: !reqs_rev
+    | None -> ()
+  in
+  Journal.walk r ~step:phase_step
+    ~close:(fun ~tid p ~start:_ ~stop:_ ~self ~crashed:_ ->
+      Option.iter
+        (fun rq -> charge rq.orq_tot (Journal.phase_name p) self)
+        (Hashtbl.find_opt open_reqs tid))
+    ~entry:(fun e ->
       let rq () = Hashtbl.find_opt open_reqs e.tid in
       match e.kind with
-      | Journal.Req_begin (kind, id) ->
+      | Req_begin (kind, id) ->
           (* a stale open request on this tid (missing end) is dropped *)
           Hashtbl.replace open_reqs e.tid
             {
               orq_id = id;
               orq_kind = kind;
               orq_t0 = e.at;
-              orq_stack = [];
               orq_tot = Hashtbl.create 8;
               orq_retried = false;
               orq_failed_over = false;
             }
-      | Journal.Req_end (cls, id) -> (
+      | Req_end (cls, id) -> (
           match rq () with
           | Some rq when rq.orq_id = id ->
-              Hashtbl.remove open_reqs e.tid;
-              emit (finish rq ~tid:e.tid ~cls ~t1:e.at ~outcome_override:None)
+              finish_open e.tid ~cls:(Some cls) ~t1:e.at ~outcome:None
           | _ -> () (* unmatched end: drop *))
-      | Journal.Span_begin name -> (
-          match (Tracectx.phase_of_span name, rq ()) with
-          | Some p, Some rq ->
-              rq.orq_stack <-
-                { op_name = p; op_start = e.at; op_child = 0 } :: rq.orq_stack
-          | _ -> ())
-      | Journal.Span_end name -> (
-          match (Tracectx.phase_of_span name, rq ()) with
-          | Some p, Some rq -> (
-              match rq.orq_stack with
-              | top :: rest when String.equal top.op_name p ->
-                  rq.orq_stack <- rest;
-                  let dur = e.at - top.op_start in
-                  charge rq.orq_tot p (dur - top.op_child);
-                  (match rest with
-                  | parent :: _ -> parent.op_child <- parent.op_child + dur
-                  | [] -> ())
-              | _ -> () (* unmatched phase end: drop *))
-          | _ -> ())
-      | Journal.Instant (name, arg) ->
-          if String.equal name Tracectx.ev_thread_crash then (
-            match rq () with
-            | Some rq ->
-                Hashtbl.remove open_reqs e.tid;
-                emit
-                  (finish rq ~tid:e.tid ~cls:rq.orq_kind ~t1:e.at
-                     ~outcome_override:(Some "crashed"))
-            | None -> ())
-          else (
-            match (Tracectx.phase_of_inline name, arg, rq ()) with
-            | Some p, Some v, Some rq -> charge rq.orq_tot p v
-            | _ ->
-                if String.equal name Tracectx.ev_retry then
-                  Option.iter (fun rq -> rq.orq_retried <- true) (rq ()))
-      | Journal.Count (_, kind, _) -> (
+      | Instant (Thread_crash, _) ->
+          finish_open e.tid ~cls:None ~t1:e.at ~outcome:(Some Crashed)
+      | Instant (Retry, _) -> Option.iter (fun rq -> rq.orq_retried <- true) (rq ())
+      | Phase_elapsed (p, v) ->
+          Option.iter (fun rq -> charge rq.orq_tot (Journal.phase_name p) v) (rq ())
+      | Count (_, kind, _) -> (
           match (rq (), kind) with
           | Some rq, (Retry | Abort | Snapshot_retry) -> rq.orq_retried <- true
           | Some rq, Failover -> rq.orq_failed_over <- true
           | _ -> ())
-      | Journal.Sample _ | Journal.Point _ -> ())
-    r.entries;
+      | _ -> ());
   let reqs = List.rev !reqs_rev in
-  let phase_set : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun a -> List.iter (fun (p, _) -> Hashtbl.replace phase_set p ()) a.a_phases)
-    reqs;
   {
     reqs;
     phases =
-      List.sort String.compare
-        (Hashtbl.fold (fun k () a -> k :: a) phase_set []);
+      List.sort_uniq String.compare
+        (List.concat_map (fun a -> List.map fst a.a_phases) reqs);
     dropped = Hashtbl.length open_reqs;
   }
+
+(** [tally a reqs]: over [reqs] (all of [a]'s requests, or a subset such
+    as its tail), "other" and each phase of [a], sorted by name, with its
+    total self cycles, and each outcome, in {!outcomes} order, with its
+    request count. The CLI summary and the report section both read it. *)
+let tally a reqs =
+  let sum f = List.fold_left (fun s r -> s + f r) 0 reqs in
+  ( List.map
+      (fun p ->
+        (p, sum (fun r -> Option.value ~default:0 (List.assoc_opt p r.a_phases))))
+      (List.sort_uniq String.compare ("other" :: a.phases)),
+    List.map (fun o -> (o, sum (fun r -> Bool.to_int (r.a_outcome = o)))) outcomes )
 
 (* ------------------------------------------------------------------ *)
 (* Virtual-time timelines                                              *)
@@ -233,7 +222,8 @@ let timeline ?(nwindows = default_windows) (r : Journal.record) : timeline =
   and crashes = z ()
   and storms = z () in
   let occ : (string, int array) Hashtbl.t = Hashtbl.create 8 in
-  let occupy name b e =
+  let occupy p b e =
+    let name = Journal.phase_name p in
     let a =
       match Hashtbl.find_opt occ name with
       | Some a -> a
@@ -250,16 +240,14 @@ let timeline ?(nwindows = default_windows) (r : Journal.record) : timeline =
     done
   in
   let bump a at = a.(widx at) <- a.(widx at) + 1 in
-  (* Per-thread open phase-span stacks, request-independent: occupancy
-     is about what threads were doing, whether or not the span sits in a
-     traced request. *)
-  let stacks : (int, (string * int) list) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun (e : Journal.entry) ->
+  (* Occupancy is about what threads were doing, whether or not the
+     phase sits in a traced request. *)
+  Journal.walk r ~step:phase_step
+    ~close:(fun ~tid:_ p ~start ~stop ~self:_ ~crashed:_ -> occupy p start stop)
+    ~entry:(fun e ->
       match e.kind with
-      | Journal.Req_end _ -> bump reqs e.at
-      | Journal.Req_begin _ -> ()
-      | Journal.Count (_, kind, n) -> (
+      | Req_end _ -> bump reqs e.at
+      | Count (_, kind, n) -> (
           (* Only the service aggregates have these kinds; their per-shard
              twins are [Tally]s, so nothing counts twice. *)
           let add a = a.(widx e.at) <- a.(widx e.at) + n in
@@ -270,44 +258,10 @@ let timeline ?(nwindows = default_windows) (r : Journal.record) : timeline =
           | Shed -> add sheds
           | Failover -> add failovers
           | _ -> ())
-      | Journal.Instant (name, arg) -> (
-          if String.equal name Tracectx.ev_node_crash then bump crashes e.at
-          else if String.equal name Tracectx.ev_thread_crash then begin
-            bump crashes e.at;
-            (* the dead thread's open phases end here *)
-            match Hashtbl.find_opt stacks e.tid with
-            | Some st ->
-                List.iter (fun (p, b) -> occupy p b e.at) st;
-                Hashtbl.remove stacks e.tid
-            | None -> ()
-          end
-          else if String.equal name Tracectx.ev_storm then bump storms e.at
-          else
-            match (Tracectx.phase_of_inline name, arg) with
-            | Some p, Some v -> occupy p (e.at - v) e.at
-            | _ -> ())
-      | Journal.Span_begin name -> (
-          match Tracectx.phase_of_span name with
-          | Some p ->
-              Hashtbl.replace stacks e.tid
-                ((p, e.at)
-                :: Option.value ~default:[] (Hashtbl.find_opt stacks e.tid))
-          | None -> ())
-      | Journal.Span_end name -> (
-          match Tracectx.phase_of_span name with
-          | None -> ()
-          | Some p -> (
-              match Hashtbl.find_opt stacks e.tid with
-              | Some ((top, b) :: rest) when String.equal top p ->
-                  Hashtbl.replace stacks e.tid rest;
-                  occupy p b e.at
-              | _ -> ()))
-      | Journal.Sample _ | Journal.Point _ -> ())
-    r.entries;
-  (* Spans still open at EOF occupy through the horizon. *)
-  Hashtbl.fold (fun tid st acc -> (tid, st) :: acc) stacks []
-  |> List.sort compare
-  |> List.iter (fun (_, st) -> List.iter (fun (p, b) -> occupy p b horizon) st);
+      | Instant ((Node_crash | Thread_crash), _) -> bump crashes e.at
+      | Instant (Storm, _) -> bump storms e.at
+      | Phase_elapsed (p, v) -> occupy p (e.at - v) e.at
+      | _ -> ());
   {
     tl_horizon = horizon;
     tl_nwindows = nwindows;

@@ -25,7 +25,59 @@
     Determinism: entries carry only virtual time, thread id and names —
     never cache-line ids or any other allocation-order-dependent value —
     so two same-seed runs produce byte-identical exports (see
-    [Trace]). *)
+    [Trace]).
+
+    {2 The trace contract}
+
+    A traced request is delimited by a [Req_begin (kind, id)] /
+    [Req_end (class, id)] pair on one virtual thread; the id comes from
+    {!next_req_id} and is deterministic. Between the markers the thread
+    may journal:
+
+    - {e phases}: [Phase_begin]/[Phase_end] pairs of a {!phase}. Phases
+      may nest (resync runs inside routing); attribution charges each
+      phase its {e self} time — the nested child's cycles are subtracted
+      from the parent — so phase times sum to the span they cover.
+    - {e elapsed phases}: [Phase_elapsed (p, cycles)] charges [cycles]
+      that ended at the entry to [p] without a begin. Used for queueing
+      delay, which elapses {e before} the request starts executing.
+    - anything else (counter bumps, {!instant}s): attribution folds these
+      into per-request flags and the timeline's event rates.
+
+    A phase is closed by its [Phase_end] or by its thread's death: the
+    scheduler journals [Instant (Thread_crash, None)] at the death
+    timestamp, and every reader closes the thread's open phases and
+    request there ({!walk}).
+
+    {2 Zero cost when off}
+
+    Every entry reaches the journal through the scheduler's [obs_emit],
+    which stamps it with the calling thread's clock and tests
+    {!recording} first. A kind whose arguments are constants (a phase
+    begin or end, a storm) is a static block, so an untraced run pays one
+    flag load for it; a kind with a run-time argument is built only under
+    a [recording ()] test at the call site. Emissions never advance the
+    virtual clock, so traced and untraced runs are cycle-identical. *)
+
+(** The phases a traced request's cycles are split into. *)
+type phase =
+  | Queue  (** open-loop queueing: behind the intended arrival *)
+  | Backoff  (** retry backoff wait *)
+  | Route  (** shard routing + node health refresh *)
+  | Store  (** the store traversal proper *)
+  | Acquire  (** commit lock-set acquisition stall *)
+  | Validate  (** read-set validation *)
+  | Commit  (** write apply + ticket + lock release *)
+  | Resync  (** inline anti-entropy repair charged to the request *)
+  | Dual_write  (** extra write to a mid-resync copy *)
+
+(** The service and scheduler instants. *)
+type instant =
+  | Retry  (** one retry attempt; kv's argument is the attempt number *)
+  | Storm  (** a request issued inside a hot-key storm *)
+  | Node_crash  (** the service observed a store crash; argument: store *)
+  | Thread_crash  (** a fault killed the thread *)
+  | Thread_finish  (** the thread's body returned *)
 
 type kind =
   | Count of string * Rt.Rt_intf.counter_kind * int
@@ -33,19 +85,45 @@ type kind =
   | Sample of string * int
       (** a latency sample: name, value; the runner journals each op's
           cycles as ["runner.op-cycles"] *)
-  | Instant of string * int option  (** [Probe.event]: name, argument *)
-  | Span_begin of string
+  | Instant of instant * int option
+  | Span_begin of string  (** [Probe.span]: a lock's named wait *)
   | Span_end of string
+  | Phase_begin of phase
+  | Phase_end of phase
+  | Phase_elapsed of phase * int
+      (** a phase of the given cycles that ended at this entry *)
   | Point of Rt.Rt_intf.fault_point
       (** an instrumentation checkpoint reported through [on_fault] *)
   | Req_begin of string * int
       (** a traced request starts: request kind ("get", "put",
           "transfer", ...), deterministic trace id ({!next_req_id}) *)
   | Req_end of string * int
-      (** the request completes: its latency class name, same trace id.
-          Everything the thread journaled between the paired markers —
-          phase spans, retries, failovers — belongs to that request
-          (see [Tracectx] and [Attrib]). *)
+      (** the request completes: its latency class name, same trace id *)
+
+(* The names the exports and report sections print: the one place the
+   typed vocabulary is spelled. *)
+let phase_name = function
+  | Queue -> "queue"
+  | Backoff -> "backoff"
+  | Route -> "route"
+  | Store -> "store"
+  | Acquire -> "acquire"
+  | Validate -> "validate"
+  | Commit -> "commit"
+  | Resync -> "resync"
+  | Dual_write -> "dual-write"
+
+let instant_name = function
+  | Retry -> "rq.retry"
+  | Storm -> "rq.storm"
+  | Node_crash -> "kv.node-crash"
+  | Thread_crash -> "thread.crash"
+  | Thread_finish -> "thread.finish"
+
+(** A phase's span name in the exports, and its elapsed-phase event name. *)
+let phase_span_name p = "phase:" ^ phase_name p
+
+let phase_elapsed_name p = "phase=" ^ phase_name p
 
 type entry = { at : int;  (** virtual cycles *) tid : int; kind : kind }
 
@@ -80,9 +158,68 @@ let windows ~n (r : record) =
 let window_index w at = min (w.nwindows - 1) (max 0 (at / w.width))
 
 (* ------------------------------------------------------------------ *)
+(* The per-thread frame walk                                           *)
+
+(** What an entry does to its thread's stack of open frames: open one,
+    close the innermost one if it satisfies the predicate, or neither. *)
+type 'f step = Open of 'f | Close of ('f -> bool) | Neither
+
+type 'f open_frame = { frame : 'f; start : int; mutable child : int }
+
+(** [walk r ~step ~close ~entry] runs through [r]'s entries keeping, per
+    thread, a stack of the frames [step] opens. A close that does not
+    match the thread's innermost open frame is dropped. A thread's
+    [Instant (Thread_crash, _)] closes all its open frames, innermost
+    first, at the death timestamp; frames still open when the record ends
+    close at its last timestamp, by ascending thread id. [close] gets
+    each closed frame with its interval and its self cycles (its own
+    minus those of the frames nested in it); [entry] then sees every
+    entry, after the frames it closed. *)
+let walk (r : record) ~(step : kind -> 'f step)
+    ~(close :
+       tid:int -> 'f -> start:int -> stop:int -> self:int -> crashed:bool -> unit)
+    ~(entry : entry -> unit) =
+  let stacks : (int, 'f open_frame list) Hashtbl.t = Hashtbl.create 16 in
+  let stack tid = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
+  let pop tid o rest ~stop ~crashed =
+    let dur = stop - o.start in
+    (match rest with p :: _ -> p.child <- p.child + dur | [] -> ());
+    close ~tid o.frame ~start:o.start ~stop ~self:(dur - o.child) ~crashed
+  in
+  let close_all tid ~stop ~crashed =
+    let rec go = function
+      | [] -> ()
+      | o :: rest ->
+          pop tid o rest ~stop ~crashed;
+          go rest
+    in
+    go (stack tid);
+    Hashtbl.remove stacks tid
+  in
+  let last = ref 0 in
+  Array.iter
+    (fun (e : entry) ->
+      if e.at > !last then last := e.at;
+      (match e.kind with
+      | Instant (Thread_crash, _) -> close_all e.tid ~stop:e.at ~crashed:true
+      | k -> (
+          match (step k, stack e.tid) with
+          | Open f, st ->
+              Hashtbl.replace stacks e.tid ({ frame = f; start = e.at; child = 0 } :: st)
+          | Close matches, o :: rest when matches o.frame ->
+              Hashtbl.replace stacks e.tid rest;
+              pop e.tid o rest ~stop:e.at ~crashed:false
+          | _ -> ()));
+      entry e)
+    r.entries;
+  Hashtbl.fold (fun tid _ acc -> tid :: acc) stacks []
+  |> List.sort compare
+  |> List.iter (fun tid -> close_all tid ~stop:!last ~crashed:false)
+
+(* ------------------------------------------------------------------ *)
 (* The per-domain journal state                                        *)
 
-let dummy_entry = { at = 0; tid = 0; kind = Instant ("", None) }
+let dummy_entry = { at = 0; tid = 0; kind = Instant (Thread_finish, None) }
 
 (* Everything the journal mutates, one instance per domain: the
    allocation-site scope ([Probe.with_site]; no line->site table — the

@@ -12,33 +12,34 @@
 (* JSONL: one journal entry per line                                   *)
 
 let jsonl_entry b (e : Journal.entry) =
-  let common k = Printf.bprintf b "{\"t\":%d,\"tid\":%d,\"k\":\"%s\"" e.at e.tid k in
+  let named k name =
+    Printf.bprintf b "{\"t\":%d,\"tid\":%d,\"k\":\"%s\",\"name\":\"%s\"" e.at e.tid k
+      (Report.escape name)
+  in
   (match e.kind with
   | Journal.Count (name, _, n) ->
-      common "count";
-      Printf.bprintf b ",\"name\":\"%s\",\"v\":%d" (Report.escape name) n
+      named "count" name;
+      Printf.bprintf b ",\"v\":%d" n
   | Journal.Sample (name, v) ->
-      common "sample";
-      Printf.bprintf b ",\"name\":\"%s\",\"v\":%d" (Report.escape name) v
-  | Journal.Instant (name, arg) ->
-      common "event";
-      Printf.bprintf b ",\"name\":\"%s\"" (Report.escape name);
+      named "sample" name;
+      Printf.bprintf b ",\"v\":%d" v
+  | Journal.Instant (i, arg) ->
+      named "event" (Journal.instant_name i);
       (match arg with None -> () | Some v -> Printf.bprintf b ",\"v\":%d" v)
-  | Journal.Span_begin name ->
-      common "begin";
-      Printf.bprintf b ",\"name\":\"%s\"" (Report.escape name)
-  | Journal.Span_end name ->
-      common "end";
-      Printf.bprintf b ",\"name\":\"%s\"" (Report.escape name)
-  | Journal.Point p ->
-      common "point";
-      Printf.bprintf b ",\"name\":\"%s\"" (Rt.Rt_intf.fault_point_name p)
+  | Journal.Phase_elapsed (p, v) ->
+      named "event" (Journal.phase_elapsed_name p);
+      Printf.bprintf b ",\"v\":%d" v
+  | Journal.Span_begin name -> named "begin" name
+  | Journal.Span_end name -> named "end" name
+  | Journal.Phase_begin p -> named "begin" (Journal.phase_span_name p)
+  | Journal.Phase_end p -> named "end" (Journal.phase_span_name p)
+  | Journal.Point p -> named "point" (Rt.Rt_intf.fault_point_name p)
   | Journal.Req_begin (kind, id) ->
-      common "req-begin";
-      Printf.bprintf b ",\"name\":\"%s\",\"trace\":%d" (Report.escape kind) id
+      named "req-begin" kind;
+      Printf.bprintf b ",\"trace\":%d" id
   | Journal.Req_end (cls, id) ->
-      common "req-end";
-      Printf.bprintf b ",\"name\":\"%s\",\"trace\":%d" (Report.escape cls) id);
+      named "req-end" cls;
+      Printf.bprintf b ",\"trace\":%d" id);
   Buffer.add_string b "}\n"
 
 let to_jsonl (r : Journal.record) =
@@ -49,18 +50,32 @@ let to_jsonl (r : Journal.record) =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event JSON                                             *)
 
-(* Critical sections are reconstructed as spans from the paired
-   [Critical_enter]/[Critical_exit] checkpoints; [Probe.span_begin]/
-   [span_end] map to "B"/"E" directly. A per-thread stack of open spans
-   keeps the output well-formed: unmatched ends are dropped. A thread
-   killed by a [crash] fault journals [Instant ("thread.crash", None)]
-   at its death timestamp, and its open spans are closed right there
-   with a [crashed:true] arg — the span visibly ends where the thread
-   died, instead of being silently stretched to the end of the trace.
-   Spans still open at EOF (the run simply ended) close at the final
-   timestamp, as before. *)
+(* Spans come from lock waits ([Probe.span]), phases, requests and the
+   critical sections between paired [Critical_enter]/[Critical_exit]
+   checkpoints; {!Journal.walk} keeps them on one per-thread stack, so
+   the output is well-formed: an unmatched end is dropped, a thread's
+   crash closes its open spans at its death timestamp with a
+   [crashed:true] arg (the span visibly ends where the thread died), and
+   spans still open when the record ends close at its final timestamp. *)
+type frame = Span of string | Phase of Journal.phase | Critical | Req of string
 
-let crit = "critical-section"
+let frame_name = function
+  | Span name -> name
+  | Phase p -> Journal.phase_span_name p
+  | Critical -> "critical-section"
+  | Req kind -> "req:" ^ kind
+
+let step : Journal.kind -> frame Journal.step = function
+  | Span_begin name -> Open (Span name)
+  | Span_end name -> Close (( = ) (Span name))
+  | Phase_begin p -> Open (Phase p)
+  | Phase_end p -> Close (( = ) (Phase p))
+  | Point Critical_enter -> Open Critical
+  | Point Critical_exit -> Close (( = ) Critical)
+  | Req_begin (kind, _) -> Open (Req kind)
+  (* the end's class may legitimately differ from the begin's kind *)
+  | Req_end _ -> Close (function Req _ -> true | _ -> false)
+  | _ -> Neither
 
 let chrome_event b ~first ~name ~ph ~ts ~tid ?args () =
   if not !first then Buffer.add_string b ",\n";
@@ -78,84 +93,31 @@ let to_chrome (r : Journal.record) =
   Buffer.add_string b "{\"traceEvents\":[\n";
   let first = ref true in
   let ev = chrome_event b ~first in
-  (* Per-thread stacks of open span names; per-counter running totals. *)
-  let open_spans : (int, string list) Hashtbl.t = Hashtbl.create 16 in
+  let value v = Printf.sprintf "{\"value\":%d}" v in
+  (* per-counter running totals *)
   let totals : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let last_ts = ref 0 in
-  let span_open tid name ts =
-    Hashtbl.replace open_spans tid
-      (name :: Option.value ~default:[] (Hashtbl.find_opt open_spans tid));
-    ev ~name ~ph:"B" ~ts ~tid ()
-  in
-  let span_close tid name ts =
-    match Hashtbl.find_opt open_spans tid with
-    | Some (top :: rest) when String.equal top name ->
-        Hashtbl.replace open_spans tid rest;
-        ev ~name ~ph:"E" ~ts ~tid ()
-    | _ -> ()  (* unmatched end: drop *)
-  in
-  Array.iter
-    (fun (e : Journal.entry) ->
-      if e.at > !last_ts then last_ts := e.at;
+  Journal.walk r ~step
+    ~close:(fun ~tid f ~start:_ ~stop ~self:_ ~crashed ->
+      let args = if crashed then Some "{\"crashed\":true}" else None in
+      ev ~name:(frame_name f) ~ph:"E" ~ts:stop ~tid ?args ())
+    ~entry:(fun e ->
+      let instant ?args name = ev ~name ~ph:"i" ~ts:e.at ~tid:e.tid ?args () in
+      let opens f = ev ~name:(frame_name f) ~ph:"B" ~ts:e.at ~tid:e.tid in
       match e.kind with
-      | Journal.Count (name, _, n) ->
+      | Count (name, _, n) ->
           let t = n + Option.value ~default:0 (Hashtbl.find_opt totals name) in
           Hashtbl.replace totals name t;
-          ev ~name ~ph:"C" ~ts:e.at ~tid:e.tid
-            ~args:(Printf.sprintf "{\"value\":%d}" t)
-            ()
-      | Journal.Sample (name, v) ->
-          ev ~name ~ph:"i" ~ts:e.at ~tid:e.tid
-            ~args:(Printf.sprintf "{\"value\":%d}" v)
-            ()
-      | Journal.Instant (name, arg) ->
-          if String.equal name "thread.crash" then begin
-            (* close the dead thread's spans at its death timestamp *)
-            (match Hashtbl.find_opt open_spans e.tid with
-            | Some stack ->
-                Hashtbl.remove open_spans e.tid;
-                List.iter
-                  (fun n ->
-                    ev ~name:n ~ph:"E" ~ts:e.at ~tid:e.tid
-                      ~args:"{\"crashed\":true}" ())
-                  stack
-            | None -> ());
-            ev ~name ~ph:"i" ~ts:e.at ~tid:e.tid ()
-          end
-          else
-            let args =
-              Option.map (fun v -> Printf.sprintf "{\"value\":%d}" v) arg
-            in
-            ev ~name ~ph:"i" ~ts:e.at ~tid:e.tid ?args ()
-      | Journal.Span_begin name -> span_open e.tid name e.at
-      | Journal.Span_end name -> span_close e.tid name e.at
-      | Journal.Point Rt.Rt_intf.Critical_enter -> span_open e.tid crit e.at
-      | Journal.Point Rt.Rt_intf.Critical_exit -> span_close e.tid crit e.at
-      | Journal.Point p ->
-          ev ~name:(Rt.Rt_intf.fault_point_name p) ~ph:"i" ~ts:e.at ~tid:e.tid ()
-      | Journal.Req_begin (kind, id) ->
-          ev ~name:("req:" ^ kind) ~ph:"B" ~ts:e.at ~tid:e.tid
-            ~args:(Printf.sprintf "{\"trace\":%d}" id)
-            ();
-          Hashtbl.replace open_spans e.tid
-            (("req:" ^ kind)
-            :: Option.value ~default:[] (Hashtbl.find_opt open_spans e.tid))
-      | Journal.Req_end (_, _) -> (
-          (* the span opened by [Req_begin] — named for the request kind,
-             which the end's class may legitimately differ from *)
-          match Hashtbl.find_opt open_spans e.tid with
-          | Some (top :: rest)
-            when String.length top > 4 && String.equal (String.sub top 0 4) "req:"
-            ->
-              Hashtbl.replace open_spans e.tid rest;
-              ev ~name:top ~ph:"E" ~ts:e.at ~tid:e.tid ()
-          | _ -> ()))
-    r.entries;
-  (* Close whatever is still open, deterministically (ascending tid). *)
-  Hashtbl.fold (fun tid stack acc -> (tid, stack) :: acc) open_spans []
-  |> List.sort compare
-  |> List.iter (fun (tid, stack) ->
-         List.iter (fun name -> ev ~name ~ph:"E" ~ts:!last_ts ~tid ()) stack);
+          ev ~name ~ph:"C" ~ts:e.at ~tid:e.tid ~args:(value t) ()
+      | Sample (name, v) -> instant ~args:(value v) name
+      | Instant (i, arg) -> instant ?args:(Option.map value arg) (Journal.instant_name i)
+      | Phase_elapsed (p, v) -> instant ~args:(value v) (Journal.phase_elapsed_name p)
+      | Span_begin name -> opens (Span name) ()
+      | Phase_begin p -> opens (Phase p) ()
+      | Point Critical_enter -> opens Critical ()
+      | Req_begin (kind, id) ->
+          opens (Req kind) ~args:(Printf.sprintf "{\"trace\":%d}" id) ()
+      | Point Critical_exit | Span_end _ | Phase_end _ | Req_end _ -> ()
+      | Point p -> instant (Rt.Rt_intf.fault_point_name p));
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 

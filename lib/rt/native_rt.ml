@@ -93,9 +93,6 @@ module Probe = struct
   let add c n = ignore (Atomic.fetch_and_add c n)
   let count = Atomic.get
 
-  let event ?arg:_ (_ : string) = ()
-  let span_begin (_ : string) = ()
-  let span_end (_ : string) = ()
   let span (_ : string) f = f ()
   let with_site (_ : string) f = f ()
 

@@ -34,7 +34,7 @@ type counter_kind =
   | Shed  (** a service request refused under load *)
 
 (** The probe API, the single statistics/instrumentation surface of the
-    runtime: named counters and structured trace events/spans.
+    runtime: named counters and named lock-wait spans.
 
     Probes are out-of-band channels: they {e never} perturb the simulated
     clock, so algorithms can report events (operation restarts, node-cache
@@ -62,27 +62,14 @@ module type PROBE = sig
   val count : counter -> int
   (** Current value. *)
 
-  (** {2 Tracing}
-
-      Structured events and spans. On the native backend these are no-ops;
-      on the simulator they append virtual-time-stamped entries to the
-      observability journal whenever a recording is active, and cost
-      nothing (not even virtual time) otherwise. *)
-
-  val event : ?arg:int -> string -> unit
-  (** [event name] records an instant event at the calling thread's
-      current virtual time. *)
-
-  val span_begin : string -> unit
-  (** Open a named span (e.g. ["mcs.acquire"]). Must be balanced by
-      {!span_end} with the same name on the same thread; exporters
-      auto-close unbalanced spans at the end of a trace. *)
-
-  val span_end : string -> unit
+  (** {2 Tracing} *)
 
   val span : string -> (unit -> 'a) -> 'a
-  (** [span name f] wraps [f] in a [span_begin]/[span_end] pair (closed on
-      exceptions too). *)
+  (** [span name f] runs [f] inside a named span (e.g. ["mcs.acquire"]),
+      closed on exceptions too. A no-op on the native backend; on the
+      simulator it journals a begin and an end at the calling thread's
+      virtual time whenever a recording is active, and costs nothing (not
+      even virtual time) otherwise. *)
 
   (** {2 Allocation-site attribution} *)
 

@@ -1098,7 +1098,7 @@ let run ?(quantum = default_quantum) ?(ops_target = 0)
         retc =
           (fun () ->
             if Obs.Journal.recording () then
-              obs_emit (Obs.Journal.Instant ("thread.finish", None));
+              obs_emit (Obs.Journal.Instant (Thread_finish, None));
             th.finished <- true;
             s.live <- s.live - 1);
         exnc =
@@ -1114,7 +1114,7 @@ let run ?(quantum = default_quantum) ?(ops_target = 0)
                    them to end of trace; recording-gated, so untraced
                    (and crash-free) runs emit nothing. *)
                 if Obs.Journal.recording () then
-                  obs_emit (Obs.Journal.Instant ("thread.crash", None));
+                  obs_emit (Obs.Journal.Instant (Thread_crash, None));
                 th.crashed <- true;
                 th.finished <- true;
                 s.live <- s.live - 1

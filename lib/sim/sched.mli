@@ -128,7 +128,9 @@ val fault_point : Rt.Rt_intf.fault_point -> unit
 val obs_emit : Obs.Journal.kind -> unit
 (** Append a journal entry at the calling thread's current virtual time
     (time 0, thread 0 outside a run). No-op unless a recording is active.
-    This is what [Sim_rt.Probe] reports through. *)
+    The one route into the journal: [Sim_rt.Probe]'s counters and spans,
+    the kv and txn layers' phases, instants and request markers, and the
+    scheduler's own checkpoints and thread instants. *)
 
 val set_fault_hook : (Rt.Rt_intf.fault_point -> unit) option -> unit
 (** Install (or clear) the calling domain's fault handler. The handler

@@ -118,22 +118,10 @@ module Probe = struct
     let cc = !(Domain.DLS.get ckey) in
     if c.c_id < Array.length cc then cc.(c.c_id) else 0
 
-  let event ?arg name =
-    if Obs.Journal.recording () then
-      Sched.obs_emit (Obs.Journal.Instant (name, arg))
-
-  let span_begin name =
-    if Obs.Journal.recording () then
-      Sched.obs_emit (Obs.Journal.Span_begin name)
-
-  let span_end name =
-    if Obs.Journal.recording () then
-      Sched.obs_emit (Obs.Journal.Span_end name)
-
   let span name f =
     if Obs.Journal.recording () then begin
       Sched.obs_emit (Obs.Journal.Span_begin name);
-      Fun.protect ~finally:(fun () -> span_end name) f
+      Fun.protect ~finally:(fun () -> Sched.obs_emit (Obs.Journal.Span_end name)) f
     end
     else f ()
 

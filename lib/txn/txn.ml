@@ -69,16 +69,11 @@ let reinsert (type a) (module S : SET_OPS with type t = a) (t : a) k v =
       ignore (S.insert t k v : bool);
       true
 
-(* Phase-span names for the trace contract ({!Obs.Tracectx}),
-   precomputed so a span's recording-off cost is one flag load — no
-   concatenation, no allocation (PR 4 discipline). *)
-let ph_acquire = Obs.Tracectx.(span_name Acquire)
-let ph_validate = Obs.Tracectx.(span_name Validate)
-let ph_commit = Obs.Tracectx.(span_name Commit)
-let ph_backoff = Obs.Tracectx.(span_name Backoff)
-
 module Backoff = Rt.Backoff
 
+(* Phases and retries are journaled through the simulator's scheduler
+   whatever the backend: a native instance never records, so each costs
+   it one flag load. *)
 module Make (Rt : Rt.Rt_intf.RT) = struct
   module B = Backoff.Make (Rt)
 
@@ -339,9 +334,9 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
           | Some tok -> acquire ((h, tok) :: held) rest
           | None -> Error held)
     in
-    Rt.Probe.span_begin ph_acquire;
+    Sim.Sched.obs_emit (Phase_begin Acquire);
     let acquired = acquire [] (lock_set ws) in
-    Rt.Probe.span_end ph_acquire;
+    Sim.Sched.obs_emit (Phase_end Acquire);
     match acquired with
     | Error held ->
         release_revert held;
@@ -362,13 +357,13 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
               tok_at_acquire = r.r_tok
           | None -> r.r_handle.Locks.Handle.check r.r_tok
         in
-        Rt.Probe.span_begin ph_validate;
+        Sim.Sched.obs_emit (Phase_begin Validate);
         let valid =
           match t.policy with
           | Broken_commit -> true
           | _ -> List.for_all read_ok ctx.reads
         in
-        Rt.Probe.span_end ph_validate;
+        Sim.Sched.obs_emit (Phase_end Validate);
         if not valid then begin
           release_revert held;
           Rt.Probe.incr t.c_vfail_read;
@@ -376,7 +371,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
           None
         end
         else begin
-          Rt.Probe.span_begin ph_commit;
+          Sim.Sched.obs_emit (Phase_begin Commit);
           let apply () = List.iter (obj_write ctx) ws in
           let late = t.policy = Broken_ticket in
           if late then apply ();
@@ -384,7 +379,7 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
           if not late then apply ();
           List.iter (fun ((h : Locks.Handle.t), _) -> h.commit ()) held;
           Rt.Probe.incr t.c_commits;
-          Rt.Probe.span_end ph_commit;
+          Sim.Sched.obs_emit (Phase_end Commit);
           Some ticket
         end
 
@@ -395,11 +390,11 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
       match try_commit t ctx with
       | Some ticket -> (x, ticket)
       | None ->
-          Rt.Probe.event Obs.Tracectx.ev_retry;
-          Rt.Probe.span_begin ph_backoff;
+          Sim.Sched.obs_emit (Instant (Retry, None));
+          Sim.Sched.obs_emit (Phase_begin Backoff);
           (* deterministic bounded exponential, de-synchronized by tid *)
           Rt.work ((64 lsl min attempt 6) + (17 * (Rt.tid () + 1)));
-          Rt.Probe.span_end ph_backoff;
+          Sim.Sched.obs_emit (Phase_end Backoff);
           go (attempt + 1)
     in
     go 0
@@ -463,9 +458,9 @@ module Make (Rt : Rt.Rt_intf.RT) = struct
         ctx.reads <- valid;
         Rt.Probe.incr t.c_snap_retries;
         if attempt > 0 then begin
-          Rt.Probe.span_begin ph_backoff;
+          Sim.Sched.obs_emit (Phase_begin Backoff);
           B.once b;
-          Rt.Probe.span_end ph_backoff
+          Sim.Sched.obs_emit (Phase_end Backoff)
         end;
         let gate =
           match t.policy with Broken_gate -> Rt.get t.clock | _ -> c
@@ -837,7 +832,7 @@ module Workload = struct
       let is_transfer = Harness.Rng.below rng 100 < cfg.transfer_pct in
       let trace_id =
         if Obs.Journal.recording () then begin
-          let id = Obs.Tracectx.next_id () in
+          let id = Obs.Journal.next_req_id () in
           Sim.Sched.obs_emit
             (Obs.Journal.Req_begin
                ((if is_transfer then "transfer" else "audit"), id));

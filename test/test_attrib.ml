@@ -9,7 +9,6 @@ module R = Obs.Report
 
 let e at tid kind = { J.at; tid; kind }
 let record entries = { J.entries = Array.of_list entries; lines = [] }
-let ph p = Obs.Tracectx.span_name p
 
 let phases_of (a : A.areq) = a.A.a_phases
 
@@ -26,13 +25,13 @@ let test_nested_self_time () =
     record
       [
         e 100 1 (J.Req_begin ("get", 1));
-        e 100 1 (J.Instant ("phase=queue", Some 40));
-        e 100 1 (J.Span_begin (ph Route));
-        e 110 1 (J.Span_begin (ph Resync));
-        e 150 1 (J.Span_end (ph Resync));
-        e 160 1 (J.Span_end (ph Route));
-        e 160 1 (J.Span_begin (ph Store));
-        e 190 1 (J.Span_end (ph Store));
+        e 100 1 (J.Phase_elapsed (Queue, 40));
+        e 100 1 (J.Phase_begin Route);
+        e 110 1 (J.Phase_begin Resync);
+        e 150 1 (J.Phase_end Resync);
+        e 160 1 (J.Phase_end Route);
+        e 160 1 (J.Phase_begin Store);
+        e 190 1 (J.Phase_end Store);
         e 200 1 (J.Req_end ("get", 1));
       ]
   in
@@ -42,7 +41,7 @@ let test_nested_self_time () =
   let rq = List.hd a.A.reqs in
   Alcotest.(check int) "trace id" 1 rq.A.a_id;
   Alcotest.(check string) "kind" "get" rq.A.a_kind;
-  Alcotest.(check string) "outcome" "ok" rq.A.a_outcome;
+  Alcotest.(check string) "outcome" "ok" (A.outcome_name rq.A.a_outcome);
   check_phase "queue" rq "queue" 40;
   check_phase "resync self" rq "resync" 40;
   check_phase "route self" rq "route" 20;
@@ -82,22 +81,26 @@ let test_outcomes () =
       ]
   in
   let a = A.analyze r in
-  let outcomes = List.map (fun (rq : A.areq) -> rq.A.a_outcome) a.A.reqs in
+  let outcomes =
+    List.map (fun (rq : A.areq) -> A.outcome_name rq.A.a_outcome) a.A.reqs
+  in
   Alcotest.(check (list string)) "derived outcomes"
     [ "retried"; "deadline"; "failed-over"; "ok"; "shed" ]
     outcomes
 
-(* A thread killed by a crash fault: the scheduler journals thread.crash
-   at the death timestamp, and both analyzers close there — the request
-   finishes with outcome "crashed" and the open span's time is charged
-   up to the death point only. *)
+(* A thread killed by a crash fault: the scheduler journals a thread
+   crash at the death timestamp, and all three readers close the open
+   phase there — attribution finishes the request as crashed and charges
+   the phase up to the death point only, the Chrome trace ends the phase
+   and request spans at the death with a crashed arg, and the timeline's
+   occupancy stops at it. *)
 let test_crashed_thread () =
   let r =
     record
       [
         e 0 1 (J.Req_begin ("put", 1));
-        e 10 1 (J.Span_begin (ph Store));
-        e 35 1 (J.Instant ("thread.crash", None));
+        e 10 1 (J.Phase_begin Store);
+        e 35 1 (J.Instant (Thread_crash, None));
         (* another thread keeps running past the death *)
         e 50 2 (J.Req_begin ("get", 2));
         e 60 2 (J.Req_end ("get", 2));
@@ -106,15 +109,27 @@ let test_crashed_thread () =
   let a = A.analyze r in
   Alcotest.(check int) "both requests recovered" 2 (List.length a.A.reqs);
   let rq = List.hd a.A.reqs in
-  Alcotest.(check string) "outcome crashed" "crashed" rq.A.a_outcome;
+  Alcotest.(check string) "outcome crashed" "crashed" (A.outcome_name rq.A.a_outcome);
   Alcotest.(check int) "t1 is the death timestamp" 35 rq.A.a_t1;
   check_phase "span closed at death" rq "store" 25;
-  (* the Chrome exporter closes the same spans with a crashed arg *)
   let chrome = Obs.Trace.to_chrome r in
-  Alcotest.(check bool) "chrome marks crashed spans" true
-    (Obs.Report.contains ~sub:"\"crashed\":true" chrome);
-  Alcotest.(check bool) "chrome closes the request span" true
-    (Obs.Report.contains ~sub:"req:put" chrome)
+  let ends_at_death name =
+    Printf.sprintf
+      "{\"name\":\"%s\",\"ph\":\"E\",\"ts\":35,\"pid\":0,\"tid\":1,\"args\":{\"crashed\":true}}"
+      name
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) ("chrome ends " ^ name ^ " at the death") true
+        (R.contains ~sub:(ends_at_death name) chrome))
+    [ "phase:store"; "req:put" ];
+  (* six windows of 10 cycles: the store phase occupies [10, 35) *)
+  let tl = A.timeline ~nwindows:6 r in
+  Alcotest.(check (array int)) "occupancy stops at the death"
+    [| 0; 10; 10; 5; 0; 0 |]
+    (List.assoc "store" tl.A.tl_occ);
+  Alcotest.(check (array int)) "the crash is marked" [| 0; 0; 0; 1; 0; 0 |]
+    tl.A.tl_crashes
 
 (* Timeline windowing: counts land in the right windows, per-shard
    [Tally] counters don't double-count next to the service aggregate,
@@ -124,15 +139,15 @@ let test_timeline_windows () =
     record
       [
         e 10 1 (J.Req_begin ("get", 1));
-        e 20 1 (J.Instant ("phase=queue", Some 15));
-        e 150 1 (J.Span_begin (ph Store));
-        e 250 1 (J.Span_end (ph Store));
+        e 20 1 (J.Phase_elapsed (Queue, 15));
+        e 150 1 (J.Phase_begin Store);
+        e 250 1 (J.Phase_end Store);
         e 260 1 (J.Req_end ("get", 1));
         e 270 1 (J.Count ("kv.timeouts", Timeout, 1));
         e 270 1 (J.Count ("kv-s0.timeouts", Tally, 1));
         (* per-shard copy must not double-count *)
-        e 310 2 (J.Instant ("kv.node-crash", Some 0));
-        e 320 2 (J.Instant ("rq.storm", None));
+        e 310 2 (J.Instant (Node_crash, Some 0));
+        e 320 2 (J.Instant (Storm, None));
         e 400 2 (J.Count ("kv.retries", Retry, 2));
       ]
   in

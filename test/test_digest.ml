@@ -457,9 +457,6 @@ let service_sections name (m : Harness.Runner.measurement) trace =
     | Some v -> v
     | None -> Alcotest.failf "%s: wasted has no %s" name path
   in
-  let outcome o =
-    List.length (List.filter (fun (q : Obs.Attrib.areq) -> q.a_outcome = o) a.reqs)
-  in
   let total arr = i (Array.fold_left ( + ) 0 arr) in
   let _, attrib = Harness.Report.attrib_section a in
   let _, timeline = Harness.Report.timeline_section tl in
@@ -471,7 +468,9 @@ let service_sections name (m : Harness.Runner.measurement) trace =
       (bytes wasted);
     piece (name ^ "/attrib")
       (("requests", i (List.length a.reqs))
-      :: List.map (fun o -> (o, i (outcome o))) Obs.Tracectx.outcomes)
+      :: List.map
+           (fun (o, n) -> (Obs.Attrib.outcome_name o, i n))
+           (snd (Obs.Attrib.tally a a.reqs)))
       (bytes attrib);
     piece (name ^ "/timeline")
       [
@@ -555,25 +554,28 @@ let traced_pieces () =
    span or as kv's precomputed queueing delay, every service and
    scheduler event, and a request cut short by its thread's crash. *)
 let test_trace_vocabulary () =
-  let jsonl =
-    Obs.Trace.to_jsonl (Lazy.force traced_kv)
-    ^ Obs.Trace.to_jsonl (Lazy.force traced_txn)
+  let module J = Obs.Journal in
+  let kinds =
+    Array.map
+      (fun (e : J.entry) -> e.kind)
+      (Array.append (Lazy.force traced_kv).entries (Lazy.force traced_txn).entries)
   in
+  let has f = Array.exists f kinds in
   List.iter
-    (fun name ->
-      Alcotest.(check bool) name true
-        (Obs.Report.contains ~sub:(Printf.sprintf "\"name\":\"%s\"" name) jsonl))
-    [
-      "phase=queue"; "phase:backoff"; "phase:route"; "phase:store";
-      "phase:acquire"; "phase:validate"; "phase:commit"; "phase:resync";
-      "phase:dual-write"; "rq.retry"; "rq.storm"; "kv.node-crash";
-      "thread.crash"; "thread.finish";
-    ];
+    (fun p ->
+      Alcotest.(check bool) (J.phase_name p) true
+        (has (function
+          | J.Phase_begin q | Phase_elapsed (q, _) -> q = p
+          | _ -> false)))
+    [ Queue; Backoff; Route; Store; Acquire; Validate; Commit; Resync; Dual_write ];
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (J.instant_name i) true
+        (has (function J.Instant (j, _) -> j = i | _ -> false)))
+    [ Retry; Storm; Node_crash; Thread_crash; Thread_finish ];
   let a = Obs.Attrib.analyze (Lazy.force traced_kv) in
-  let crashed =
-    List.filter (fun (q : Obs.Attrib.areq) -> q.a_outcome = "crashed") a.reqs
-  in
-  Alcotest.(check bool) "a request crashed" true (crashed <> [])
+  Alcotest.(check bool) "a request crashed" true
+    (List.exists (fun (q : Obs.Attrib.areq) -> q.a_outcome = Crashed) a.reqs)
 
 (* Every pinned output, in ledger order: the test that checks it, the
    ledger rows it owns (a section and a row-name prefix each), and its

@@ -135,7 +135,7 @@ let test_chrome_unbalanced_spans () =
         [|
           { at = 10; tid = 0; kind = Span_begin "x" };
           { at = 15; tid = 1; kind = Span_end "ghost" };
-          { at = 20; tid = 0; kind = Instant ("tick", None) };
+          { at = 20; tid = 0; kind = Instant (Storm, None) };
         |];
       lines = [];
     }

@@ -77,14 +77,10 @@ let test_counters_concurrent () =
   List.iter Domain.join doms;
   Alcotest.(check int) "atomic increments" 40_000 (N.Probe.count c)
 
-(* Events and spans are free on the native backend; the acceptance bar is
-   just that they execute and [span] still returns the body's value and
-   releases on exceptions. *)
+(* Spans are free on the native backend; the acceptance bar is just
+   that [span] still returns the body's value and releases on
+   exceptions. *)
 let test_probe_noops () =
-  N.Probe.event "test_rt.event";
-  N.Probe.event ~arg:7 "test_rt.event";
-  N.Probe.span_begin "test_rt.span";
-  N.Probe.span_end "test_rt.span";
   Alcotest.(check int) "span returns" 42 (N.Probe.span "s" (fun () -> 42));
   Alcotest.(check int) "with_site returns" 7 (N.Probe.with_site "x" (fun () -> 7));
   Alcotest.(check bool) "span re-raises" true
@@ -181,7 +177,7 @@ let () =
           Alcotest.test_case "counter basics" `Quick test_counters;
           Alcotest.test_case "counter concurrent" `Quick
             test_counters_concurrent;
-          Alcotest.test_case "events and spans are no-ops" `Quick
+          Alcotest.test_case "spans are no-ops" `Quick
             test_probe_noops;
         ] );
       ( "backoff",

@@ -475,15 +475,14 @@ let snapshot_race ?(after = [ 2 ]) ~n ~writes () =
              after)
       : Sim.Sched.stats);
   let journal = Obs.Journal.stop () in
-  let backoff = Obs.Tracectx.(span_name Backoff) in
   let waits, restarts, _ =
     Array.fold_left
       (fun (waits, restarts, opened) (e : Obs.Journal.entry) ->
         if e.tid <> 0 then (waits, restarts, opened)
         else
           match e.kind with
-          | Obs.Journal.Span_begin s when s = backoff -> (waits, restarts, e.at)
-          | Obs.Journal.Span_end s when s = backoff ->
+          | Obs.Journal.Phase_begin Backoff -> (waits, restarts, e.at)
+          | Obs.Journal.Phase_end Backoff ->
               ((e.at - opened) :: waits, restarts, opened)
           | Obs.Journal.Point Rt.Rt_intf.Restart -> (waits, restarts + 1, opened)
           | _ -> (waits, restarts, opened))
