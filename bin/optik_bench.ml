@@ -48,21 +48,9 @@ let report_arg =
            wasted-work section for every measured run. Deterministic for a \
            given seed; compare two reports with $(b,optik_bench diff).")
 
-let int_arg name ?(docv = "N") default doc =
-  Arg.(value & opt int default & info [ name ] ~docv ~doc)
-
-let flag_arg name doc = Arg.(value & flag & info [ name ] ~doc)
+let int_arg = Cli.int_arg
+let flag_arg = Cli.flag_arg
 let seed_arg ?(default = 42) doc = int_arg "seed" default doc
-
-let machine_arg =
-  Arg.(
-    value & opt string "xeon"
-    & info [ "machine" ] ~docv:"M" ~doc:"xeon | opteron")
-
-let topology_of_machine = function
-  | "xeon" -> Sim.Topology.xeon
-  | "opteron" -> Sim.Topology.opteron
-  | m -> invalid_arg (Printf.sprintf "unknown machine %S (use xeon or opteron)" m)
 
 let write_report path (j : J.json) =
   Harness.Report.write path j;
@@ -124,12 +112,12 @@ let trials_arg ~fuzz_doc ~replay_doc =
   Term.(
     const (fun n replay ->
         if n > 0 then Some (Fuzz n) else Option.map (fun s -> Replay s) replay)
-    $ int_arg "fuzz" 0 fuzz_doc
+    $ int_arg ~range:Harness.Range.non_negative "fuzz" 0 fuzz_doc
     $ replay_arg replay_doc)
 
 (* --jobs J: the worker domains a fuzz run farms its trials over. *)
 let jobs_arg =
-  int_arg "jobs" ~docv:"J" 0
+  int_arg ~range:Harness.Range.non_negative "jobs" ~docv:"J" 0
     "Worker domains for fuzzing (0, the default: the host's recommended \
      domain count minus one). Output bytes do not depend on $(docv): trial \
      i is always drawn from seed + i*1000003 and every trial starts from a \
@@ -151,8 +139,6 @@ let trial_sections failures output =
    clean. *)
 let trial_stream ~subcommand ~seed ~params ~jobs family trials =
   let module T = (val family : Chaos.TRIAL) in
-  if jobs < 0 then
-    invalid_arg (Printf.sprintf "%s: --jobs must be >= 0" subcommand);
   let failures, output =
     match trials with
     | Fuzz runs ->
@@ -371,7 +357,7 @@ let run_cmd =
   let run structure threads size updates skewed machine ops seed trace profile
       report =
     main report @@ fun () ->
-    let topology = topology_of_machine machine in
+    let topology = Cli.topology_of_machine machine in
     let (module S : Harness.Registry.SET_OPS) =
       Harness.Registry.(set_ops (Sim_backend.find structure))
     in
@@ -445,7 +431,7 @@ let run_cmd =
     (Cmd.info ~exits "run" ~doc:"Run one workload against one structure.")
     Term.(
       const run $ structure $ threads $ size $ updates $ skewed
-      $ machine_arg $ ops $ seed $ trace $ profile $ report_arg)
+      $ Cli.machine_arg $ ops $ seed $ trace $ profile $ report_arg)
 
 (* ---------------- soak ---------------- *)
 
@@ -454,7 +440,10 @@ let run_cmd =
    (and report) is reproducible. The unbounded wall-clock soak remains
    test/soak.exe. *)
 let soak_cmd =
-  let runs_arg = int_arg "runs" 6 "Number of randomized runs (default 6)." in
+  let runs_arg =
+    int_arg ~range:Harness.Range.positive "runs" 6
+      "Number of randomized runs (default 6)."
+  in
   let seed =
     seed_arg ~default:424242
       "Sweep seed (default 424242, the seed of the pin ledger's soak \
@@ -463,7 +452,6 @@ let soak_cmd =
   in
   let run runs seed report =
     main report @@ fun () ->
-    if runs < 1 then invalid_arg "soak: --runs must be >= 1";
     let module Soak = Harness.Soak in
     let rng = Harness.Rng.create seed in
     let failures = ref 0 in
@@ -501,7 +489,9 @@ let soak_cmd =
 (* ---------------- chaos ---------------- *)
 
 let chaos_cmd =
-  let runs = int_arg "runs" 100 "Number of random trials." in
+  let runs =
+    int_arg ~range:Harness.Range.positive "runs" 100 "Number of random trials."
+  in
   let seed =
     seed_arg ~default:1
       "Fuzzing seed. Trial $(i,i) is drawn from seed + i*1000003, so a \
@@ -530,7 +520,6 @@ let chaos_cmd =
   in
   let run runs seed structures quick replay jobs report =
     main report @@ fun () ->
-    if runs < 1 then invalid_arg "chaos: --runs must be >= 1";
     let entries =
       Chaos.select
         (match structures with
@@ -582,44 +571,8 @@ let trial_params = function
   | Replay s -> [ ("replay", J.Str s) ]
 
 let kv_cmd =
-  let rep =
-    Arg.(
-      value
-      & opt string Kv.default_config.rep
-      & info [ "rep" ] ~docv:"REP"
-          ~doc:
-            ("Shard store structure: "
-           ^ String.concat " | " Kv.rep_names ^ "."))
-  in
-  let shards =
-    int_arg "shards" 4
-      "Shard count (each shard is a primary + replica store pair)."
-  in
-  let threads = int_arg "threads" 8 "Open-loop client threads." in
-  let ops = int_arg "ops" 6_000 "Requests to serve." in
-  let keys = int_arg "keys" 4096 "Key space [1..N], zipf 0.9 popularity." in
-  let read = int_arg "read" ~docv:"PCT" 70 "Read (get) percentage." in
-  let scan =
-    int_arg "scan" ~docv:"PCT" 10
-      "Scan percentage (the rest after reads and scans is puts)."
-  in
-  let seed =
-    seed_arg
-      "Workload seed: same seed (and same fault plan), byte-identical \
-       output and report."
-  in
-  let faults =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "faults" ] ~docv:"PLAN"
-          ~doc:
-            "Fault plan (Fault.of_string grammar), e.g. \
-             '7;shardcrash(0:120000)@op-boundary,h500'. Store index i is \
-             shard i's primary, shards+i its replica.")
-  in
   let rolling =
-    int_arg "rolling" 0
+    int_arg ~range:Harness.Range.non_negative "rolling" 0
       "Roll $(docv) crashes round-robin over the shard pairs \
        (alternating primary/replica per round). More crashes than \
        shards is legal under the re-armable warranty: each pair \
@@ -628,48 +581,12 @@ let kv_cmd =
        Ignored when --faults is given."
   in
   let down_for =
-    int_arg "down-for" ~docv:"CYCLES" 120_000
-      "How long each rolling crash keeps the store down."
+    int_arg ~range:Harness.Range.non_negative "down-for" ~docv:"CYCLES"
+      120_000 "How long each rolling crash keeps the store down."
   in
   let stagger =
-    int_arg "stagger" 0
+    int_arg ~range:Harness.Range.non_negative "stagger" 0
       "Requests between rolling crashes (default: ops / (rolling+1))."
-  in
-  let broken_retry =
-    flag_arg "broken-retry"
-      "Deliberately broken retry policy: every retry writes a fresh \
-       element instead of re-writing the same one, so a retry after a \
-       lost ack duplicates the visible effect. The oracle must FAIL \
-       under crashes — the negative control."
-  in
-  let no_replication =
-    flag_arg "no-replication"
-      "Write only the primary copy. A primary crash then loses acked \
-       writes: the oracle must FAIL — the other negative control."
-  in
-  let degraded_for =
-    int_arg "degraded-for" ~docv:"CYCLES" Kv.default_policy.Kv.degraded_cycles
-      "Degraded window after a store recovers: scans shed on it and \
-       resync waits this long before copying the peer's contents \
-       back."
-  in
-  let resync_batch =
-    int_arg "resync-batch" Kv.default_policy.Kv.resync_batch
-      "Keys copied per resync batch (epoch fence between batches)."
-  in
-  let broken_resync =
-    Arg.(
-      value
-      & opt (some (enum [ ("dual-write", `Dual_write); ("fencing", `Fencing) ]))
-          None
-      & info [ "broken-resync" ] ~docv:"MODE"
-          ~doc:
-            "Deliberately broken resync, the negative controls: 'dual-write' \
-             skips writing to a mid-resync copy (writes acked during the \
-             copy window then live only in the survivor and vanish at its \
-             next crash); 'fencing' skips the epoch fence (a copier racing \
-             a mid-copy crash \"completes\" and re-arms a voided pair). \
-             Both must make the oracle FAIL under multi-crash plans.")
   in
   let trials =
     trials_arg
@@ -679,67 +596,36 @@ let kv_cmd =
          shrinking failures to one-line repros."
       ~replay_doc:"Replay one KV trial string (as emitted by --fuzz)."
   in
-  let run rep shards threads ops keys read scan machine seed faults rolling
-      down_for stagger broken_retry no_replication degraded_for resync_batch
-      broken_resync trials jobs report attrib timeline =
+  let run cfg rolling down_for stagger trials jobs report attrib timeline =
     main report @@ fun () ->
-    let topo = topology_of_machine machine in
-    ignore (Kv.rep_ops rep : (module Harness.Registry.SET_OPS));
+    let (cfg : Kv.config) = cfg () in
+    let seed = cfg.seed and machine = cfg.topo.Sim.Topology.name in
+    ignore (Kv.rep_ops cfg.rep : (module Harness.Registry.SET_OPS));
     match trials with
     | Some t ->
         trial_stream ~subcommand:"kv" ~seed ~params:(trial_params t) ~jobs
           (module Chaos.Kv_trial)
           t
     | None ->
-        let policy =
-          {
-            Kv.idempotent = not broken_retry;
-            replicate = not no_replication;
-            degraded_cycles = degraded_for;
-            resync_batch;
-            resync_dual_write = broken_resync <> Some `Dual_write;
-            resync_fencing = broken_resync <> Some `Fencing;
-          }
-        in
-        let cfg =
-          {
-            Kv.rep;
-            nshards = shards;
-            threads;
-            ops;
-            seed;
-            topo;
-            workload =
-              {
-                Kv.default_workload with
-                Kv.keys;
-                read_pct = read;
-                scan_pct = scan;
-              };
-            policy;
-            plan = None;
-          }
-        in
         (* The rolling plan divides by the shard count, so the config is
            checked before the plan is built. *)
         Kv.check cfg;
         let plan =
-          match faults with
-          | Some s -> Some (Sim.Fault.of_string s)
+          match cfg.plan with
           | None when rolling > 0 ->
               let stagger =
-                if stagger > 0 then stagger else max 1 (ops / (rolling + 1))
+                if stagger > 0 then stagger else max 1 (cfg.ops / (rolling + 1))
               in
               Some
-                (Kv.rolling_plan ~seed ~nshards:shards ~count:rolling ~down_for
-                   ~stagger ())
-          | None -> None
+                (Kv.rolling_plan ~seed ~nshards:cfg.nshards ~count:rolling
+                   ~down_for ~stagger ())
+          | plan -> plan
         in
-        let cfg = { cfg with plan } in
+        let cfg = { cfg with plan } and w = cfg.workload and p = cfg.policy in
         let record_obs = attrib || timeline <> None in
         let m, r =
           with_host_time
-            (Printf.sprintf "kv %s" rep)
+            (Printf.sprintf "kv %s" cfg.rep)
             (fun (m, _) -> m.Harness.Runner.ops)
             (fun () -> Kv.run ~record_obs cfg)
         in
@@ -747,7 +633,8 @@ let kv_cmd =
         Printf.printf
           "kv/%s on %s, %d shards (primary+replica), %d clients, %d requests, \
            %d%% reads %d%% scans, seed %d\n"
-          rep machine shards threads ops read scan seed;
+          cfg.rep machine cfg.nshards cfg.threads cfg.ops w.read_pct w.scan_pct
+          seed;
         Printf.printf "  faults          %s\n"
           (match plan with
           | None -> "none"
@@ -797,30 +684,29 @@ let kv_cmd =
             Harness.Report.make ~subcommand:"kv" ~seed:(Some seed)
               ~params:
                 [
-                  ("rep", J.Str rep);
-                  ("shards", J.Int shards);
-                  ("threads", J.Int threads);
-                  ("ops", J.Int ops);
-                  ("keys", J.Int keys);
-                  ("read", J.Int read);
-                  ("scan", J.Int scan);
+                  ("rep", J.Str cfg.rep);
+                  ("shards", J.Int cfg.nshards);
+                  ("threads", J.Int cfg.threads);
+                  ("ops", J.Int cfg.ops);
+                  ("keys", J.Int w.keys);
+                  ("read", J.Int w.read_pct);
+                  ("scan", J.Int w.scan_pct);
                   ("machine", J.Str machine);
                   ( "faults",
                     match plan with
                     | None -> J.Null
                     | Some p -> J.Str (Sim.Fault.to_string p) );
-                  ("broken_retry", J.Bool broken_retry);
-                  ("no_replication", J.Bool no_replication);
-                  ("degraded_for", J.Int degraded_for);
-                  ("resync_batch", J.Int resync_batch);
+                  ("broken_retry", J.Bool (not p.idempotent));
+                  ("no_replication", J.Bool (not p.replicate));
+                  ("degraded_for", J.Int p.degraded_cycles);
+                  ("resync_batch", J.Int p.resync_batch);
                   ( "broken_resync",
-                    match broken_resync with
-                    | None -> J.Null
-                    | Some `Dual_write -> J.Str "dual-write"
-                    | Some `Fencing -> J.Str "fencing" );
+                    if not p.resync_dual_write then J.Str "dual-write"
+                    else if not p.resync_fencing then J.Str "fencing"
+                    else J.Null );
                 ]
               ~sections:(Kv.report_section cfg r :: trace_sections)
-              [ ("kv/" ^ rep, m) ] )
+              [ ("kv/" ^ cfg.rep, m) ] )
   in
   Cmd.v
     (Cmd.info ~exits "kv"
@@ -830,47 +716,11 @@ let kv_cmd =
           shedding, rolling shard crashes, and the acknowledged-write \
           exactly-once oracle.")
     Term.(
-      const run $ rep $ shards $ threads $ ops $ keys $ read $ scan
-      $ machine_arg $ seed $ faults $ rolling $ down_for $ stagger
-      $ broken_retry $ no_replication $ degraded_for $ resync_batch
-      $ broken_resync $ trials $ jobs_arg $ report_arg $ attrib_arg
-      $ timeline_arg)
+      const run $ Cli.kv $ rolling $ down_for $ stagger $ trials $ jobs_arg
+      $ report_arg $ attrib_arg $ timeline_arg)
 
 let txn_cmd =
   let module W = Txn.Workload in
-  let default = W.default_config in
-  let rep =
-    Arg.(
-      value
-      & opt string default.W.rep
-      & info [ "rep" ] ~docv:"REP"
-          ~doc:
-            ("Registry structure each bank object uses: "
-           ^ String.concat " | " (List.map fst W.reps) ^ "."))
-  in
-  let objects =
-    int_arg "objects" default.W.objects
-      "Independent structures transactions span."
-  in
-  let accounts =
-    int_arg "accounts" default.W.accounts "Accounts per structure."
-  in
-  let threads = int_arg "threads" default.W.threads "Worker threads." in
-  let ops = int_arg "ops" default.W.ops "Transactions to run." in
-  let transfer =
-    int_arg "transfer-pct" ~docv:"PCT" default.W.transfer_pct
-      "Transfer percentage; the rest are read-only snapshot audits."
-  in
-  let seed =
-    seed_arg ~default:default.W.seed
-      "Workload seed: same seed, byte-identical output and report."
-  in
-  let broken =
-    flag_arg "broken"
-      "Deliberately broken commit protocol: skip commit-time \
-       validation, so racing transfers commit on stale reads. The \
-       serializability oracle must FAIL — the negative control."
-  in
   let trials =
     trials_arg
       ~fuzz_doc:
@@ -879,34 +729,22 @@ let txn_cmd =
          oracle, shrinking failures to one-line repros."
       ~replay_doc:"Replay one transaction trial string (as emitted by --fuzz)."
   in
-  let run rep objects accounts threads ops transfer machine seed broken trials
-      jobs report attrib timeline =
+  let run cfg trials jobs report attrib timeline =
     main report @@ fun () ->
-    let topo = topology_of_machine machine in
-    ignore (W.rep rep : (module Harness.Registry.SET_OPS) * _ * int);
+    let (cfg : W.config) = cfg () in
+    let machine = cfg.topo.Sim.Topology.name in
+    ignore (W.rep cfg.rep : (module Harness.Registry.SET_OPS) * _ * int);
     match trials with
     | Some t ->
-        trial_stream ~subcommand:"txn" ~seed ~params:(trial_params t) ~jobs
+        trial_stream ~subcommand:"txn" ~seed:cfg.seed ~params:(trial_params t)
+          ~jobs
           (module Chaos.Txn_trial)
           t
     | None ->
-        let cfg =
-          {
-            W.rep;
-            objects;
-            accounts;
-            threads;
-            ops;
-            seed;
-            transfer_pct = transfer;
-            topo;
-            broken;
-          }
-        in
         let record_obs = attrib || timeline <> None in
         let m, r =
           with_host_time
-            (Printf.sprintf "txn %s" rep)
+            (Printf.sprintf "txn %s" cfg.rep)
             (fun (m, _) -> m.Harness.Runner.ops)
             (fun () -> W.run ~record_obs cfg)
         in
@@ -914,8 +752,9 @@ let txn_cmd =
         Printf.printf
           "txn/%s on %s, %d objects x %d accounts, %d threads, %d \
            transactions, %d%% transfers, seed %d%s\n"
-          rep machine objects accounts threads ops transfer seed
-          (if broken then " (BROKEN commit protocol)" else "");
+          cfg.rep machine cfg.objects cfg.accounts cfg.threads cfg.ops
+          cfg.transfer_pct cfg.seed
+          (if cfg.broken then " (BROKEN commit protocol)" else "");
         print_aborted m;
         Printf.printf "  throughput      %.3f Mtxn/s (simulated)\n"
           m.Harness.Runner.mops;
@@ -927,20 +766,20 @@ let txn_cmd =
         in
         ( failures <> [],
           fun () ->
-            Harness.Report.make ~subcommand:"txn" ~seed:(Some seed)
+            Harness.Report.make ~subcommand:"txn" ~seed:(Some cfg.seed)
               ~params:
                 [
-                  ("rep", J.Str rep);
-                  ("objects", J.Int objects);
-                  ("accounts", J.Int accounts);
-                  ("threads", J.Int threads);
-                  ("ops", J.Int ops);
-                  ("transfer_pct", J.Int transfer);
+                  ("rep", J.Str cfg.rep);
+                  ("objects", J.Int cfg.objects);
+                  ("accounts", J.Int cfg.accounts);
+                  ("threads", J.Int cfg.threads);
+                  ("ops", J.Int cfg.ops);
+                  ("transfer_pct", J.Int cfg.transfer_pct);
                   ("machine", J.Str machine);
-                  ("broken", J.Bool broken);
+                  ("broken", J.Bool cfg.broken);
                 ]
               ~sections:(W.report_section cfg r :: trace_sections)
-              [ ("txn/" ^ rep, m) ] )
+              [ ("txn/" ^ cfg.rep, m) ] )
   in
   Cmd.v
     (Cmd.info ~exits "txn"
@@ -950,9 +789,8 @@ let txn_cmd =
           lock-set commit, abort-free snapshot audits, and a strict \
           serializability oracle over the committed history.")
     Term.(
-      const run $ rep $ objects $ accounts $ threads $ ops $ transfer
-      $ machine_arg $ seed $ broken $ trials $ jobs_arg $ report_arg
-      $ attrib_arg $ timeline_arg)
+      const run $ Cli.txn $ trials $ jobs_arg $ report_arg $ attrib_arg
+      $ timeline_arg)
 
 (* ---------------- hostperf ---------------- *)
 
@@ -984,13 +822,12 @@ let hostperf_cmd =
           ~doc:"Allowed regression vs the baseline, percent in [0,100] (default 20).")
   in
   let repeats =
-    int_arg "repeats" 3
+    int_arg ~range:Harness.Range.positive "repeats" 3
       "Run each workload $(docv) times and keep the best host time \
        (the simulated side is identical every repeat)."
   in
   let run out_file baseline tolerance repeats report =
     main report @@ fun () ->
-    Harness.Range.positive "hostperf" "repeats" repeats;
     if not (tolerance >= 0. && tolerance <= 100.) then
       Harness.Range.fail "hostperf" "tolerance must be in [0,100], got %g"
         tolerance;

@@ -68,17 +68,10 @@ let topology_name (t : Sim.Topology.t) =
   | None ->
       invalid_arg (Printf.sprintf "Chaos: no trial name for topology %S" t.name)
 
-(* One entry of a family's field table, keyed by the token's first
-   character. *)
-type 'a field =
-  | Int of string * ('a -> int -> 'a)  (* [cN]; the string names it in errors *)
-  | Text of ('a -> string -> 'a)  (* [cTEXT], e.g. a fault plan *)
-  | Flag of ('a -> 'a)  (* the bare one-character token [c] *)
-
-(* [name@topo tok ...]: [head name topo] validates the head and builds the
-   family's defaults, each token then sets one field, and [check] judges
-   the result as a whole. *)
-let parse ~head ~fields ~check s =
+(* [name@topo tok ...]: [head name topo] validates the head and gives the
+   family's replay defaults, each token sets the knob it names in the
+   family's table, and [check] judges the result as a whole. *)
+let parse ~head ~knobs ~check s =
   match
     String.split_on_char ' ' (String.trim s) |> List.filter (fun t -> t <> "")
   with
@@ -94,10 +87,16 @@ let parse ~head ~fields ~check s =
         List.fold_left
           (fun tr tok ->
             let v = String.sub tok 1 (String.length tok - 1) in
-            match (List.assoc_opt tok.[0] fields, v) with
-            | Some (Flag f), "" -> f tr
-            | Some (Int (what, f)), _ when v <> "" -> f tr (parse_int what v)
-            | Some (Text f), _ when v <> "" -> f tr v
+            let knob =
+              List.find_opt
+                (fun (k : _ Harness.Knob.t) -> k.token = Some tok.[0])
+                knobs
+            in
+            match (knob, v) with
+            | Some { kind = Bool { set; _ }; _ }, "" -> set tr true
+            | Some { name; kind = Int { set; _ }; _ }, _ when v <> "" ->
+                set tr (parse_int name v)
+            | Some { kind = Text { set; _ }; _ }, _ when v <> "" -> set tr v
             | _ -> parse_error "bad token %S" tok)
           (head name topo) toks
       in
@@ -305,12 +304,6 @@ type trial = {
   t_plan : Fault.plan;
 }
 
-let to_string tr =
-  Printf.sprintf "%s@%s t%d o%d k%d q%d r%d n%d w%d f%s" (R.id tr.t_entry)
-    tr.t_topo tr.t_threads tr.t_ops tr.t_keys tr.t_quantum tr.t_read_slack
-    tr.t_noise_bits tr.t_wseed
-    (Fault.to_string tr.t_plan)
-
 (* The largest key count a structure trial accepts. A trial prefills
    [keys / 2] keys one simulated operation at a time, so a sorted list's
    prefill grows with the square of [keys] (k20000 takes about half a
@@ -320,6 +313,32 @@ let to_string tr =
    largest table has about 16k slots, while the fuzzer draws at most 7
    keys and every pinned trial uses at most that. *)
 let max_keys = 4096
+
+let knobs =
+  let module K = Harness.Knob in
+  let module Rg = Harness.Range in
+  [
+    K.int ~tok:'t' "threads" Rg.threads
+      (fun tr -> tr.t_threads) (fun tr v -> { tr with t_threads = v });
+    K.int ~tok:'o' "ops" Rg.positive
+      (fun tr -> tr.t_ops) (fun tr v -> { tr with t_ops = v });
+    K.int ~tok:'k' "keys" (Rg.v 1 max_keys)
+      (fun tr -> tr.t_keys) (fun tr v -> { tr with t_keys = v });
+    K.int ~tok:'q' "quantum" Rg.positive
+      (fun tr -> tr.t_quantum) (fun tr v -> { tr with t_quantum = v });
+    K.int ~tok:'r' "read-slack" Rg.non_negative
+      (fun tr -> tr.t_read_slack) (fun tr v -> { tr with t_read_slack = v });
+    K.int ~tok:'n' "noise-bits" (Rg.v 0 62)
+      (fun tr -> tr.t_noise_bits) (fun tr v -> { tr with t_noise_bits = v });
+    K.int ~tok:'w' "workload seed" Rg.any
+      (fun tr -> tr.t_wseed) (fun tr v -> { tr with t_wseed = v });
+    K.text ~tok:'f' "plan"
+      (fun tr -> Some (Fault.to_string tr.t_plan))
+      (fun tr v -> { tr with t_plan = Fault.of_string v });
+  ]
+
+let to_string tr =
+  R.id tr.t_entry ^ "@" ^ tr.t_topo ^ Harness.Knob.to_string knobs tr
 
 let of_string =
   parse
@@ -337,29 +356,9 @@ let of_string =
         t_wseed = 0;
         t_plan = no_plan;
       })
-    ~fields:
-      [
-        ('t', Int ("threads", fun tr v -> { tr with t_threads = v }));
-        ('o', Int ("ops", fun tr v -> { tr with t_ops = v }));
-        ('k', Int ("keys", fun tr v -> { tr with t_keys = v }));
-        ('q', Int ("quantum", fun tr v -> { tr with t_quantum = v }));
-        ('r', Int ("read-slack", fun tr v -> { tr with t_read_slack = v }));
-        ('n', Int ("noise-bits", fun tr v -> { tr with t_noise_bits = v }));
-        ('w', Int ("workload seed", fun tr v -> { tr with t_wseed = v }));
-        ('f', Text (fun tr v -> { tr with t_plan = Fault.of_string v }));
-      ]
+    ~knobs
     ~check:(fun tr ->
-      let fn = "Chaos.of_string" in
-      Harness.Range.threads fn tr.t_threads;
-      Harness.Range.positive fn "ops" tr.t_ops;
-      Harness.Range.positive fn "keys" tr.t_keys;
-      if tr.t_keys > max_keys then
-        parse_error "keys must be at most %d, got %d" max_keys tr.t_keys;
-      Harness.Range.positive fn "quantum" tr.t_quantum;
-      if tr.t_read_slack < 0 then
-        parse_error "read-slack must be >= 0, got %d" tr.t_read_slack;
-      if tr.t_noise_bits < 0 || tr.t_noise_bits > 62 then
-        parse_error "noise-bits must be in [0,62], got %d" tr.t_noise_bits;
+      Harness.Knob.check "Chaos.of_string" knobs tr;
       Fault.check_targets ~threads:tr.t_threads ~stores:0 tr.t_plan)
 
 (* Aggressive watchdog: chaos workloads are a handful of operations, so
@@ -754,17 +753,23 @@ module Kv_trial = struct
   let name = "chaos-kv"
   let command = "kv"
 
-  (* A field table setter of the workload's or the policy's field. *)
-  let workload f (c : t) v = { c with Kv.workload = f c.Kv.workload v }
-  let policy f (c : t) v = { c with Kv.policy = f c.Kv.policy v }
-
-  (* A config without a plan prints as the empty one. *)
+  (* A config without a plan prints no [f] token. *)
   let to_string (c : t) =
-    let w = c.Kv.workload and p = c.Kv.policy in
-    Printf.sprintf "kv/%s@%s s%d t%d o%d k%d R%d C%d w%d D%d B%d f%s" c.rep
-      (topology_name c.topo) c.nshards c.threads c.ops w.Kv.keys w.read_pct
-      w.scan_pct c.seed p.Kv.degraded_cycles p.resync_batch
-      (Fault.to_string (Option.value c.plan ~default:no_plan))
+    "kv/" ^ c.rep ^ "@" ^ topology_name c.topo
+    ^ Harness.Knob.to_string Kv.knobs c
+
+  (* What a trial string leaves out: the replay head's own defaults, not
+     the CLI's, so that no string changes meaning. *)
+  let defaults =
+    {
+      Kv.default_config with
+      nshards = 1;
+      threads = 2;
+      ops = 100;
+      seed = 0;
+      workload = { Kv.default_workload with keys = 64; read_pct = 50 };
+      plan = Some no_plan;
+    }
 
   let of_string =
     parse
@@ -774,34 +779,8 @@ module Kv_trial = struct
             ~check:(fun r -> ignore (Kv.rep_ops r : (module R.SET_OPS)))
             name
         in
-        {
-          Kv.rep;
-          nshards = 1;
-          threads = 2;
-          ops = 100;
-          seed = 0;
-          topo = topology_of_name topo;
-          workload =
-            { Kv.default_workload with keys = 64; read_pct = 50; scan_pct = 10 };
-          policy = Kv.default_policy;
-          plan = Some no_plan;
-        })
-      ~fields:
-        [
-          ('s', Int ("shards", fun c v -> { c with Kv.nshards = v }));
-          ('t', Int ("threads", fun c v -> { c with Kv.threads = v }));
-          ('o', Int ("ops", fun c v -> { c with Kv.ops = v }));
-          ('k', Int ("keys", workload (fun w v -> { w with keys = v })));
-          ('R', Int ("read pct", workload (fun w v -> { w with read_pct = v })));
-          ('C', Int ("scan pct", workload (fun w v -> { w with scan_pct = v })));
-          ('w', Int ("workload seed", fun c v -> { c with Kv.seed = v }));
-          ( 'D',
-            Int ("degraded", policy (fun p v -> { p with degraded_cycles = v }))
-          );
-          ('B', Int ("batch", policy (fun p v -> { p with resync_batch = v })));
-          ('f', Text (fun c v -> { c with Kv.plan = Some (Fault.of_string v) }));
-        ]
-      ~check:Kv.check
+        { defaults with rep; topo = topology_of_name topo })
+      ~knobs:Kv.knobs ~check:Kv.check
 
   let judge (c : t) ((m, r) : Harness.Runner.measurement * Kv.result) =
     let o = r.Kv.res_oracle in
@@ -979,10 +958,19 @@ module Txn_trial = struct
   let command = "txn"
 
   let to_string (c : t) =
-    Printf.sprintf "txn/%s@%s b%d a%d t%d o%d X%d w%d%s" c.W.rep
-      (topology_name c.topo) c.objects c.accounts c.threads c.ops
-      c.transfer_pct c.seed
-      (if c.broken then " !" else "")
+    "txn/" ^ c.W.rep ^ "@" ^ topology_name c.topo
+    ^ Harness.Knob.to_string W.knobs c
+
+  (* The replay head's own defaults, as for kv. *)
+  let defaults =
+    {
+      W.default_config with
+      objects = 2;
+      accounts = 8;
+      threads = 2;
+      ops = 200;
+      seed = 0;
+    }
 
   let of_string =
     parse
@@ -990,28 +978,8 @@ module Txn_trial = struct
         let rep =
           rep_of ~family:"txn" ~check:(fun r -> ignore (W.rep r)) name
         in
-        {
-          W.rep;
-          topo = topology_of_name topo;
-          objects = 2;
-          accounts = 8;
-          threads = 2;
-          ops = 200;
-          transfer_pct = 70;
-          seed = 0;
-          broken = false;
-        })
-      ~fields:
-        [
-          ('b', Int ("objects", fun c v -> { c with W.objects = v }));
-          ('a', Int ("accounts", fun c v -> { c with W.accounts = v }));
-          ('t', Int ("threads", fun c v -> { c with W.threads = v }));
-          ('o', Int ("ops", fun c v -> { c with W.ops = v }));
-          ('X', Int ("transfer pct", fun c v -> { c with W.transfer_pct = v }));
-          ('w', Int ("workload seed", fun c v -> { c with W.seed = v }));
-          ('!', Flag (fun c -> { c with W.broken = true }));
-        ]
-      ~check:W.check
+        { defaults with W.rep; topo = topology_of_name topo })
+      ~knobs:W.knobs ~check:W.check
 
   (* The transaction oracle: liveness and structure validity, then
      strict serializability of the committed history

@@ -152,6 +152,9 @@ type trial = {
   t_plan : Sim.Fault.plan;
 }
 
+val knobs : trial Harness.Knob.t list
+(** The table {!sets}' trial strings are printed, parsed and checked by. *)
+
 val sets : Harness.Registry.entry list -> (module TRIAL with type t = trial)
 (** The family over [entries]: [gen] draws from them and [of_string]
     resolves any registered structure; the entry's guarantee picks the
@@ -191,9 +194,9 @@ end
     [kv/FAMILY/NAME@topo sN tN oN kN RN CN wN DN BN fPLAN]: shards,
     client threads, requests, keys, read and scan percentages, workload
     seed, degraded cycles, resync batch and the fault plan (a config
-    without one prints as the empty plan). [of_string] judges the result
-    with {!Kv.check}, so a string and a [Kv.run] out of range get the
-    same message. The detail line is {!Kv.pp_oracle}'s. *)
+    without one prints no [f] token), by {!Kv.knobs}. [of_string] judges
+    the result with {!Kv.check}, so a string and a [Kv.run] out of range
+    get the same message. The detail line is {!Kv.pp_oracle}'s. *)
 
 (** {1 Transactions}
 
@@ -216,6 +219,6 @@ end
 (** A trial is the workload's own configuration. Strings read
     [txn/FAMILY/NAME@topo bN aN tN oN XN wN [!]]: objects, accounts per
     object, threads, transactions, transfer percentage and workload
-    seed; a trailing [!] marks the broken-commit negative control.
-    [of_string] judges the result with {!Txn.Workload.check}. The detail
-    line is {!Txn.Workload.pp_oracle}'s. *)
+    seed; a trailing [!] marks the broken-commit negative control; by
+    {!Txn.Workload.knobs}. [of_string] judges the result with
+    {!Txn.Workload.check}. The detail line is {!Txn.Workload.pp_oracle}'s. *)

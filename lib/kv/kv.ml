@@ -167,12 +167,11 @@ let default_config =
     plan = None;
   }
 
-(* The registry structures a store can be, by [family/name]. *)
+(* The registry structures a store can be, by [family/name]. An array
+   map is not one: every acked put stores a new element, so its fixed
+   slots ([store_capacity]) fill up and refuse inserts. *)
 let rep_names =
-  [
-    "map/optik"; "hashtable/optik"; "list/optik"; "list/harris";
-    "skiplist/optik2";
-  ]
+  [ "hashtable/optik"; "list/optik"; "list/harris"; "skiplist/optik2" ]
 
 let rep_ops name =
   let e = R.Sim_backend.find name in
@@ -182,22 +181,102 @@ let rep_ops name =
          (String.concat ", " rep_names));
   R.set_ops e
 
-(* Every range rule of a run, each stated once: [run] applies them, and
-   so does the chaos trial grammar, so a flag and a trial string out of
-   range get the same message. A plan may aim only at the run's clients
-   and its [2 * nshards] stores. *)
+(* Every knob of a config, in trial-token order: the chaos trial grammar
+   prints and parses by it, [optik_bench kv] takes its flags from it,
+   and [check] states its ranges. *)
+let knobs =
+  let module K = Harness.Knob in
+  let module Rg = Harness.Range in
+  let workload f c v = { c with workload = f c.workload v } in
+  let policy f c v = { c with policy = f c.policy v } in
+  [
+    K.text ~flag:"rep" ~docv:"REP" "rep"
+      ~doc:("Shard store structure: " ^ String.concat " | " rep_names ^ ".")
+      (fun c -> Some c.rep) (fun c v -> { c with rep = v });
+    K.int ~tok:'s' ~flag:"shards" "shards" Rg.positive
+      ~doc:"Shard count (each shard is a primary + replica store pair)."
+      (fun c -> c.nshards) (fun c v -> { c with nshards = v });
+    K.int ~tok:'t' ~flag:"threads" "threads" Rg.threads
+      ~doc:"Open-loop client threads."
+      (fun c -> c.threads) (fun c v -> { c with threads = v });
+    K.int ~tok:'o' ~flag:"ops" "ops" Rg.positive ~doc:"Requests to serve."
+      (fun c -> c.ops) (fun c v -> { c with ops = v });
+    K.int ~tok:'k' ~flag:"keys" "keys" Rg.positive
+      ~doc:"Key space [1..N], zipf 0.9 popularity."
+      (fun c -> c.workload.keys) (workload (fun w v -> { w with keys = v }));
+    K.int ~tok:'R' ~flag:"read" ~docv:"PCT" "read pct" Rg.pct
+      ~doc:"Read (get) percentage."
+      (fun c -> c.workload.read_pct)
+      (workload (fun w v -> { w with read_pct = v }));
+    K.int ~tok:'C' ~flag:"scan" ~docv:"PCT" "scan pct" Rg.pct
+      ~doc:"Scan percentage (the rest after reads and scans is puts)."
+      (fun c -> c.workload.scan_pct)
+      (workload (fun w v -> { w with scan_pct = v }));
+    K.int ~tok:'w' ~flag:"seed" "workload seed" Rg.any
+      ~doc:
+        "Workload seed: same seed (and same fault plan), byte-identical \
+         output and report."
+      (fun c -> c.seed) (fun c v -> { c with seed = v });
+    K.int ~tok:'D' ~flag:"degraded-for" ~docv:"CYCLES" "degraded"
+      Rg.non_negative
+      ~doc:
+        "Degraded window after a store recovers: scans shed on it and \
+         resync waits this long before copying the peer's contents back."
+      (fun c -> c.policy.degraded_cycles)
+      (policy (fun p v -> { p with degraded_cycles = v }));
+    K.int ~tok:'B' ~flag:"resync-batch" "batch" Rg.positive
+      ~doc:"Keys copied per resync batch (epoch fence between batches)."
+      (fun c -> c.policy.resync_batch)
+      (policy (fun p v -> { p with resync_batch = v }));
+    K.text ~tok:'f' ~flag:"faults" ~docv:"PLAN" "plan"
+      ~doc:
+        "Fault plan (Fault.of_string grammar), e.g. \
+         '7;shardcrash(0:120000)@op-boundary,h500'. Store index i is shard \
+         i's primary, shards+i its replica."
+      (fun c -> Option.map Sim.Fault.to_string c.plan)
+      (fun c v -> { c with plan = Some (Sim.Fault.of_string v) });
+    K.bool ~flag:"broken-retry" "broken-retry"
+      ~doc:
+        "Deliberately broken retry policy: every retry writes a fresh \
+         element instead of re-writing the same one, so a retry after a \
+         lost ack duplicates the visible effect. The oracle must FAIL under \
+         crashes — the negative control."
+      (fun c -> not c.policy.idempotent)
+      (policy (fun p v -> { p with idempotent = not v }));
+    K.bool ~flag:"no-replication" "no-replication"
+      ~doc:
+        "Write only the primary copy. A primary crash then loses acked \
+         writes: the oracle must FAIL — the other negative control."
+      (fun c -> not c.policy.replicate)
+      (policy (fun p v -> { p with replicate = not v }));
+    K.text ~flag:"broken-resync" ~docv:"MODE" "broken-resync"
+      ~doc:
+        "Deliberately broken resync, the negative controls: 'dual-write' \
+         skips writing to a mid-resync copy (writes acked during the copy \
+         window then live only in the survivor and vanish at its next \
+         crash); 'fencing' skips the epoch fence (a copier racing a \
+         mid-copy crash \"completes\" and re-arms a voided pair). Both must \
+         make the oracle FAIL under multi-crash plans."
+      (fun c ->
+        if not c.policy.resync_dual_write then Some "dual-write"
+        else if not c.policy.resync_fencing then Some "fencing"
+        else None)
+      (policy (fun p -> function
+         | "dual-write" -> { p with resync_dual_write = false }
+         | "fencing" -> { p with resync_fencing = false }
+         | m ->
+             Harness.Range.fail "Kv" "--broken-resync must be dual-write or \
+               fencing, got %S" m));
+  ]
+
+(* Every range rule of a run: [run] applies them, and so does the chaos
+   trial grammar, so a flag and a trial string out of range get the
+   same message. A plan may aim only at the run's clients and stores. *)
 let check (cfg : config) =
-  let fn = "Kv.check" and w = cfg.workload and p = cfg.policy in
-  Harness.Range.positive fn "shards" cfg.nshards;
-  Harness.Range.threads fn cfg.threads;
-  Harness.Range.positive fn "ops" cfg.ops;
-  Harness.Range.positive fn "keys" w.keys;
-  if p.degraded_cycles < 0 then
-    Harness.Range.fail fn "degraded must be >= 0, got %d" p.degraded_cycles;
-  Harness.Range.positive fn "batch" p.resync_batch;
-  Harness.Range.pct fn "read pct" w.read_pct;
-  Harness.Range.pct fn "scan pct" w.scan_pct;
-  Harness.Range.pct fn "read + scan pct" (w.read_pct + w.scan_pct);
+  let fn = "Kv.check" and w = cfg.workload in
+  Harness.Knob.check fn knobs cfg;
+  Harness.Range.check fn "read + scan pct" Harness.Range.pct
+    (w.read_pct + w.scan_pct);
   Option.iter
     (Sim.Fault.check_targets ~threads:cfg.threads ~stores:(2 * cfg.nshards))
     cfg.plan

@@ -325,6 +325,12 @@ let parse_int what s =
   | Some n -> n
   | None -> parse_error "bad %s %S" what s
 
+(* A count of cycles or hits: a negative one would be a silent no-op. *)
+let parse_count what s =
+  let n = parse_int what s in
+  if n < 0 then parse_error "%s must be >= 0, got %d" what n;
+  n
+
 (* "name(inner)" -> inner, for [name]; anything else is an error. *)
 let parse_parens name s =
   let pre = name ^ "(" in
@@ -334,38 +340,38 @@ let parse_parens name s =
   else String.sub s lp (l - lp - 1)
 
 let action_of_string s =
+  let has prefix = String.starts_with ~prefix s in
+  (* [NAME(S)] or [NAME(S:D)]: a shard, and how long it stays down. *)
+  let shard_down name =
+    match String.split_on_char ':' (parse_parens name s) with
+    | [ sh ] -> (parse_int "shard" sh, 0)
+    | [ sh; d ] -> (parse_int "shard" sh, parse_count "down-for" d)
+    | _ -> parse_error "malformed %s %S" name s
+  in
   if s = "crash" then Crash
-  else if String.length s >= 6 && String.sub s 0 6 = "stall(" then
-    Stall (parse_int "stall cycles" (parse_parens "stall" s))
-  else if String.length s >= 6 && String.sub s 0 6 = "storm(" then
+  else if has "stall(" then
+    Stall (parse_count "stall cycles" (parse_parens "stall" s))
+  else if has "storm(" then
     match String.split_on_char ':' (parse_parens "storm" s) with
-    | [ d ] -> Storm { victims = []; duration = parse_int "storm duration" d }
+    | [ d ] -> Storm { victims = []; duration = parse_count "storm duration" d }
     | [ d; v ] when String.length v > 1 && v.[0] = 'v' ->
         Storm
           {
-            duration = parse_int "storm duration" d;
+            duration = parse_count "storm duration" d;
             victims =
               String.sub v 1 (String.length v - 1)
               |> String.split_on_char '.'
               |> List.map (parse_int "storm victim");
           }
     | _ -> parse_error "malformed storm %S" s
-  else if String.length s >= 11 && String.sub s 0 11 = "shardcrash(" then
-    match String.split_on_char ':' (parse_parens "shardcrash" s) with
-    | [ sh ] -> Shard_crash { shard = parse_int "shard" sh; down_for = 0 }
-    | [ sh; d ] ->
-        Shard_crash
-          { shard = parse_int "shard" sh; down_for = parse_int "down-for" d }
-    | _ -> parse_error "malformed shardcrash %S" s
-  else if String.length s >= 13 && String.sub s 0 13 = "shardrecover(" then
+  else if has "shardcrash(" then
+    let shard, down_for = shard_down "shardcrash" in
+    Shard_crash { shard; down_for }
+  else if has "shardrecover(" then
     Shard_recover (parse_int "shard" (parse_parens "shardrecover" s))
-  else if String.length s >= 12 && String.sub s 0 12 = "resynccrash(" then
-    match String.split_on_char ':' (parse_parens "resynccrash" s) with
-    | [ sh ] -> Resync_crash { shard = parse_int "shard" sh; down_for = 0 }
-    | [ sh; d ] ->
-        Resync_crash
-          { shard = parse_int "shard" sh; down_for = parse_int "down-for" d }
-    | _ -> parse_error "malformed resynccrash %S" s
+  else if has "resynccrash(" then
+    let shard, down_for = shard_down "resynccrash" in
+    Resync_crash { shard; down_for }
   else parse_error "unknown action %S" s
 
 let spec_of_string s =
@@ -394,10 +400,7 @@ let spec_of_string s =
             let v = String.sub flag 1 (String.length flag - 1) in
             match flag.[0] with
             | 't' -> { sp with f_tid = Some (parse_int "thread id" v) }
-            | 'h' ->
-                let h = parse_int "hit count" v in
-                if h < 0 then parse_error "hit count must be >= 0, got %d" h;
-                { sp with f_hits = h }
+            | 'h' -> { sp with f_hits = parse_count "hit count" v }
             | _ -> parse_error "bad flag %S" flag)
         sp flags
 

@@ -560,17 +560,50 @@ module Workload = struct
           (Printf.sprintf "Txn: %s is not an object rep (reps: %s)" name
              (String.concat ", " (List.map fst reps)))
 
-  (* Every range rule of a run, each stated once: [run] applies them, and
-     so does the chaos trial grammar, so a flag and a trial string out of
-     range get the same message. *)
+  (* Every knob of a config, in trial-token order, as for [Kv.knobs]. *)
+  let knobs =
+    let module K = Harness.Knob in
+    let module Rg = Harness.Range in
+    [
+      K.text ~flag:"rep" ~docv:"REP" "rep"
+        ~doc:
+          ("Registry structure each bank object uses: "
+          ^ String.concat " | " (List.map fst reps)
+          ^ ".")
+        (fun c -> Some c.rep) (fun c v -> { c with rep = v });
+      K.int ~tok:'b' ~flag:"objects" "objects" Rg.positive
+        ~doc:"Independent structures transactions span."
+        (fun c -> c.objects) (fun c v -> { c with objects = v });
+      K.int ~tok:'a' ~flag:"accounts" "accounts" Rg.positive
+        ~doc:"Accounts per structure."
+        (fun c -> c.accounts) (fun c v -> { c with accounts = v });
+      K.int ~tok:'t' ~flag:"threads" "threads" Rg.threads ~doc:"Worker threads."
+        (fun c -> c.threads) (fun c v -> { c with threads = v });
+      K.int ~tok:'o' ~flag:"ops" "ops" Rg.positive ~doc:"Transactions to run."
+        (fun c -> c.ops) (fun c v -> { c with ops = v });
+      K.int ~tok:'X' ~flag:"transfer-pct" ~docv:"PCT" "transfer pct" Rg.pct
+        ~doc:"Transfer percentage; the rest are read-only snapshot audits."
+        (fun c -> c.transfer_pct) (fun c v -> { c with transfer_pct = v });
+      K.int ~tok:'w' ~flag:"seed" "workload seed" Rg.any
+        ~doc:"Workload seed: same seed, byte-identical output and report."
+        (fun c -> c.seed) (fun c v -> { c with seed = v });
+      K.bool ~tok:'!' ~flag:"broken" "broken"
+        ~doc:
+          "Deliberately broken commit protocol: skip commit-time validation, \
+           so racing transfers commit on stale reads. The serializability \
+           oracle must FAIL — the negative control."
+        (fun c -> c.broken) (fun c v -> { c with broken = v });
+    ]
+
+  (* Every range rule of a run: [run] applies them, and so does the chaos
+     trial grammar, so a flag and a trial string out of range get the
+     same message. Both counts are positive by the account-slot rule, so
+     two slots need one count of 2 or more, and no product can overflow. *)
   let check (cfg : config) =
     let fn = "Txn.Workload.check" in
-    Harness.Range.positive fn "objects" cfg.objects;
-    Harness.Range.threads fn cfg.threads;
-    Harness.Range.positive fn "ops" cfg.ops;
-    if cfg.objects * cfg.accounts < 2 then
-      Harness.Range.fail fn "need at least two account slots";
-    Harness.Range.pct fn "transfer pct" cfg.transfer_pct
+    Harness.Knob.check fn knobs cfg;
+    if max cfg.objects cfg.accounts < 2 then
+      Harness.Range.fail fn "need at least two account slots"
 
   (* ---------------- history ---------------- *)
 

@@ -188,6 +188,77 @@ let test_txn_one_check () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* One knob table per family. Each integer knob's range, at each end,
+   survives printing and parsing; one past either end is refused by the
+   knob's name. The base strings leave the rules between knobs slack. *)
+
+let knob_ends (type c) (module T : Chaos.TRIAL with type t = c) base
+    (knobs : c Harness.Knob.t list) =
+  let base = T.of_string base in
+  List.iter
+    (fun (k : c Harness.Knob.t) ->
+      match k.kind with
+      | Int { range = { lo; hi; _ }; get; set } ->
+          List.iter
+            (fun v ->
+              let s = T.to_string (set base v) in
+              let back = T.of_string s in
+              Alcotest.(check int) (k.name ^ " keeps its value") v (get back);
+              Alcotest.(check string) (k.name ^ " prints back") s
+                (T.to_string back))
+            [ lo; hi ];
+          List.iter
+            (fun v ->
+              match T.of_string (T.to_string (set base v)) with
+              | (_ : c) -> Alcotest.failf "%s accepted %d" k.name v
+              | exception Invalid_argument msg ->
+                  if not (Obs.Report.contains ~sub:(k.name ^ " must be") msg)
+                  then Alcotest.failf "refusal does not name %s: %s" k.name msg)
+            ((if lo > min_int then [ lo - 1 ] else [])
+            @ if hi < max_int then [ hi + 1 ] else [])
+      | Bool _ | Text _ -> ())
+    knobs
+
+let test_knob_tables () =
+  knob_ends (module S) "list/optik@u4" Chaos.knobs;
+  knob_ends (module Chaos.Kv_trial) "kv/hashtable/optik@u4 R0 C0" Kv.knobs;
+  knob_ends (module Chaos.Txn_trial) "txn/list/optik@u2" Txn.Workload.knobs;
+  (* With no flags, the CLI's config terms give the CLI's defaults; each
+     flag edits its own field and leaves the rest. *)
+  let eval ?(argv = []) term =
+    let open Cmdliner in
+    let argv = Array.of_list ("cli" :: argv) in
+    match Cmd.eval_value ~argv (Cmd.v (Cmd.info "cli") term) with
+    | Ok (`Ok cfg) -> cfg ()
+    | _ -> Alcotest.fail "the term did not evaluate"
+  in
+  Alcotest.(check bool) "kv defaults" true (eval Cli.kv = Kv.default_config);
+  Alcotest.(check bool) "txn defaults" true
+    (eval Cli.txn = Txn.Workload.default_config);
+  Alcotest.(check bool) "kv flags" true
+    (eval Cli.kv
+       ~argv:
+         [ "--shards"; "3"; "--read"; "40"; "--degraded-for"; "7";
+           "--broken-resync"; "fencing"; "--no-replication"; "--machine";
+           "opteron" ]
+    = {
+        Kv.default_config with
+        nshards = 3;
+        topo = Sim.Topology.opteron;
+        workload = { Kv.default_workload with read_pct = 40 };
+        policy =
+          {
+            Kv.default_policy with
+            degraded_cycles = 7;
+            resync_fencing = false;
+            replicate = false;
+          };
+      });
+  Alcotest.(check bool) "txn flags" true
+    (eval Cli.txn ~argv:[ "--accounts"; "5"; "--broken" ]
+    = { Txn.Workload.default_config with accounts = 5; broken = true })
+
+(* ------------------------------------------------------------------ *)
 (* Fuzzing is byte-deterministic: same seed, same entries, same output. *)
 
 let fuzz ?jobs ~runs ~seed () =
@@ -531,6 +602,8 @@ let () =
             test_kv_one_check;
           Alcotest.test_case "txn: grammar and run refuse alike" `Quick
             test_txn_one_check;
+          Alcotest.test_case "knob tables: range ends round-trip" `Quick
+            test_knob_tables;
         ] );
       ( "determinism",
         [

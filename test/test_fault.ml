@@ -323,6 +323,31 @@ let test_plan_string_examples () =
   | (_ : Fault.plan) -> Alcotest.fail "expected parse error"
   | exception Invalid_argument _ -> ()
 
+(* A negative duration would run as a silent no-op (a negative stall
+   advances no clock); like a negative hit count, it is refused by name.
+   Zero stays legal: [shardcrash(S:0)] means down until recovered. *)
+let test_negative_durations () =
+  List.iter
+    (fun (spec, want) ->
+      match Fault.of_string ("1;" ^ spec) with
+      | (_ : Fault.plan) -> Alcotest.failf "expected parse error for %s" spec
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) (spec ^ " names the field")
+            ("Fault.of_string: " ^ want) msg)
+    [
+      ("stall(-5)@restart,h1", "stall cycles must be >= 0, got -5");
+      ("storm(-5)@restart", "storm duration must be >= 0, got -5");
+      ("storm(-5:v1)@restart", "storm duration must be >= 0, got -5");
+      ("shardcrash(0:-5)@op-boundary", "down-for must be >= 0, got -5");
+      ("resynccrash(0:-7)@op-boundary", "down-for must be >= 0, got -7");
+    ];
+  List.iter
+    (fun s -> ignore (Fault.of_string s : Fault.plan))
+    [
+      "1;stall(0)@restart"; "1;storm(0)@restart";
+      "1;shardcrash(0:0)@op-boundary";
+    ]
+
 let () =
   Alcotest.run "fault"
     [
@@ -331,6 +356,8 @@ let () =
           plan_roundtrip;
           Alcotest.test_case "plan string examples" `Quick
             test_plan_string_examples;
+          Alcotest.test_case "negative durations refused" `Quick
+            test_negative_durations;
         ] );
       ( "injection",
         [
